@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"radixdecluster/internal/bat"
 	"radixdecluster/internal/core"
+	"radixdecluster/internal/exec"
 	"radixdecluster/internal/experiments"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
@@ -153,6 +155,63 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkClusterPairs and BenchmarkClusterOIDPairs time the
+// Radix-Cluster layer alone at the repository benchmark's size (1 Mi
+// tuples): the serial engine and the 2-worker morsel engine, at the
+// join fan-out the planner picks there (6 bits) and at the first-level
+// cap (12 bits). A tuple carries 8 payload bytes, so MB/s / 8 is
+// Mtuples/s; cmd/benchjson records both benchmarks with B/op.
+func benchCluster(b *testing.B, serial func(o radix.Opts) error, parallel func(p *exec.Pool, o radix.Opts) error) {
+	for _, workers := range []int{0, 2} {
+		name := "serial"
+		if workers > 0 {
+			name = fmt.Sprintf("workers=%d", workers)
+		}
+		for _, bits := range []int{6, 12} {
+			o := radix.Opts{Bits: bits}
+			b.Run(fmt.Sprintf("%s/bits=%d", name, bits), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(clusterBenchN * 8)
+				for i := 0; i < b.N; i++ {
+					var err error
+					if workers == 0 {
+						err = serial(o)
+					} else {
+						// A pool per iteration: its lease returns the
+						// scatter targets to the arena at Close, as a
+						// query's pipeline does.
+						p := exec.New(workers)
+						err = parallel(p, o)
+						p.Close()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+const clusterBenchN = 1 << 20
+
+func BenchmarkClusterPairs(b *testing.B) {
+	heads, keys := benchPairs(b)
+	heads, keys = heads[:clusterBenchN], keys[:clusterBenchN]
+	benchCluster(b,
+		func(o radix.Opts) error { _, err := radix.ClusterPairs(heads, keys, true, o); return err },
+		func(p *exec.Pool, o radix.Opts) error { _, err := p.ClusterPairs(heads, keys, true, o); return err })
+}
+
+func BenchmarkClusterOIDPairs(b *testing.B) {
+	key, _ := benchPosJoinOIDs(b)
+	key = key[:clusterBenchN]
+	other := bat.Dense(clusterBenchN)
+	benchCluster(b,
+		func(o radix.Opts) error { _, err := radix.ClusterOIDPairs(key, other, o); return err },
+		func(p *exec.Pool, o radix.Opts) error { _, err := p.ClusterOIDPairs(key, other, o); return err })
 }
 
 func BenchmarkHashJoinNaive(b *testing.B) {

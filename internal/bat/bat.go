@@ -20,7 +20,10 @@ package bat
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // OID is a MonetDB object identifier: a dense integer record number
@@ -101,6 +104,48 @@ func (p *Pairs) MarkLeft(name string) *OIDColumn { return &OIDColumn{Name: name,
 
 // MarkRight returns the [void,oid] view over the right column.
 func (p *Pairs) MarkRight(name string) *OIDColumn { return &OIDColumn{Name: name, OIDs: p.Right} }
+
+// denseSlab backs Dense: one process-wide materialisation of the void
+// head, replaced by a longer one when a caller asks past its end.
+var denseSlab struct {
+	grow sync.Mutex
+	oids atomic.Pointer[[]OID]
+}
+
+// Dense returns the void head of an n-tuple BAT materialised: the
+// densely ascending oids 0,1,...,n-1, for operators that want the
+// virtual column as an array (a join input's oid column, the result
+// positions a re-clustering carries). Every caller gets a view of the
+// same process-wide slab, so the slice is READ-ONLY — a write would
+// renumber every concurrent query's tuples. The slab grows on demand
+// into a fresh array (earlier views stay valid) and views are capped at
+// n, so an append copies instead of spilling into the slab. It never
+// shrinks: the process retains 4 bytes per tuple of the largest side it
+// has served, rounded up to a power of two (docs/OPERATIONS.md).
+func Dense(n int) []OID {
+	if n == 0 {
+		return []OID{}
+	}
+	if s := denseSlab.oids.Load(); s != nil && len(*s) >= n {
+		return (*s)[:n:n]
+	}
+	denseSlab.grow.Lock()
+	defer denseSlab.grow.Unlock()
+	var old []OID
+	if s := denseSlab.oids.Load(); s != nil {
+		old = *s
+	}
+	if len(old) >= n {
+		return old[:n:n]
+	}
+	// Power-of-two lengths: relations of similar size share one growth.
+	s := make([]OID, 1<<bits.Len(uint(n-1)))
+	for i := copy(s, old); i < len(s); i++ {
+		s[i] = OID(i)
+	}
+	denseSlab.oids.Store(&s)
+	return s[:n:n]
+}
 
 // IsDense reports whether oids form the dense sequence base,base+1,...
 func IsDense(oids []OID, base OID) bool {

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +58,37 @@ func TestIsDense(t *testing.T) {
 	}
 	if !IsDense(nil, 0) {
 		t.Fatal("empty sequence is dense")
+	}
+}
+
+// Dense views must read 0..n-1 at every size, survive the slab growing
+// under them, be capped so appends cannot reach the slab, and be safe
+// to take from many goroutines at once.
+func TestDense(t *testing.T) {
+	if got := Dense(0); len(got) != 0 {
+		t.Fatalf("Dense(0) has %d oids", len(got))
+	}
+	small := Dense(5)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range []int{1, 1000, 1 << 12, 1<<16 + g} {
+				v := Dense(n)
+				if len(v) != n || cap(v) != n || !IsDense(v, 0) {
+					t.Errorf("Dense(%d): len %d cap %d dense %v", n, len(v), cap(v), IsDense(v, 0))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !IsDense(small, 0) || len(small) != 5 {
+		t.Fatalf("a view taken before the slab grew reads %v", small)
+	}
+	grown := append(small, 99)
+	if big := Dense(6); big[5] != 5 || &grown[0] == &small[0] {
+		t.Fatal("append to a view wrote into the shared slab")
 	}
 }
 

@@ -277,11 +277,9 @@ func ClusterForDecluster(smallerOIDs []OID, o radix.Opts) (*Clustered, error) {
 // while the CLUST_* view bookkeeping stays in one place.
 func ClusterForDeclusterWith(smallerOIDs []OID, o radix.Opts,
 	cluster func(key, other []OID, o radix.Opts) (*radix.OIDPairsResult, error)) (*Clustered, error) {
-	pos := make([]OID, len(smallerOIDs))
-	for i := range pos {
-		pos[i] = OID(i)
-	}
-	res, err := cluster(smallerOIDs, pos, o)
+	// The result positions are JOIN_SMALLER's void head: the clustering
+	// only reads them, so the shared dense slab serves.
+	res, err := cluster(smallerOIDs, bat.Dense(len(smallerOIDs)), o)
 	if err != nil {
 		return nil, err
 	}

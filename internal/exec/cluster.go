@@ -23,17 +23,23 @@ package exec
 // tuples in global input order — exactly the serial stable result,
 // independent of worker count and chunk boundaries.
 //
+// Steps 1 and 3 are internal/radix's chunk kernels — the same typed
+// tight loops the serial engine runs with one chunk per cluster range —
+// invoked once per morsel, reading the caller's columns where they lie
+// and deriving the clustering value (a key's hash, an oid's own bits)
+// inside the loop, so no radix column is materialised.
+//
 // When B exceeds the single-pass fan-out budget, the remaining low
 // bits are clustered per level-1 partition: each partition is an
-// independent morsel refined with the serial engine. Stable-by-high-
-// bits followed by stable-by-low-bits equals stable-by-all-bits, so
-// the two-level result again matches the serial one.
+// independent morsel — one chunk for the same kernel pair — scattered
+// into a second buffer. Stable-by-high-bits followed by stable-by-low-
+// bits equals stable-by-all-bits, so the two-level result again
+// matches the serial one.
 
 import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
-	"radixdecluster/internal/hash"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/radix"
@@ -67,51 +73,26 @@ func (p *Pool) ClusterPairs(heads []OID, vals []int32, hashVals bool, o radix.Op
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(heads)
-	if p.serialPreferred(n, o.Bits) {
+	if p.serialPreferred(len(heads), o.Bits) {
 		return radix.ClusterPairs(heads, vals, hashVals, o)
 	}
-	// All transients below come off the query's arena lease (dirty;
-	// every slot is fully written by the hash/scatter passes).
-	ml := p.Mem()
-	rad := mempool.Slice[uint32](ml, n)
-	chunks := p.chunksFor(n)
-	p.Run(len(chunks), func(_, t int, _ *Scratch) {
-		r := chunks[t]
-		if hashVals {
-			for i := r.Lo; i < r.Hi; i++ {
-				rad[i] = hash.Int32(vals[i])
-			}
-		} else {
-			for i := r.Lo; i < r.Hi; i++ {
-				rad[i] = uint32(vals[i])
-			}
-		}
-	})
-	outHeads := mempool.Slice[OID](ml, n)
-	outVals := mempool.Slice[int32](ml, n)
-	move := func(i, d int) { outHeads[d], outVals[d] = heads[i], vals[i] }
-	var outRad []uint32
-	if o.Bits > maxFirstPassBits {
-		// The radix values scatter alongside the payload so the
-		// level-2 refinement reuses them instead of re-hashing.
-		outRad = mempool.Slice[uint32](ml, n)
-		move = func(i, d int) { outHeads[d], outVals[d], outRad[d] = heads[i], vals[i], rad[i] }
-	}
-	offsets, err := p.scatter2(rad, chunks, o, move,
-		func(lo, hi int, sub radix.Opts) ([]int, error) {
-			res, err := radix.ClusterPairsPrehashed(outRad[lo:hi], outHeads[lo:hi], outVals[lo:hi], sub)
-			if err != nil {
-				return nil, err
-			}
-			copy(outHeads[lo:hi], res.Heads)
-			copy(outVals[lo:hi], res.Vals)
-			return res.Offsets, nil
-		})
-	if err != nil {
-		return nil, err
-	}
+	outVals, outHeads, offsets := clusterPairs(p, vals, heads, hashVals, o)
 	return &radix.PairsResult{Heads: outHeads, Vals: outVals, Offsets: offsets}, nil
+}
+
+// clusterPairs is the parallel engine behind ClusterPairs and
+// ClusterOIDPairs: radix.PairKernels driven by scatter2. The scatter
+// targets — one pair of columns, two when the fan-out takes a second
+// level — and the offsets are leased transients, every slot written.
+func clusterPairs[K, P radix.Word](p *Pool, keys []K, pay []P, hashed bool, o radix.Opts) ([]K, []P, []int) {
+	n, ml := len(keys), p.Mem()
+	bufK, bufP := [2][]K{mempool.Slice[K](ml, n)}, [2][]P{mempool.Slice[P](ml, n)}
+	last := 0
+	if o.Bits > maxFirstPassBits {
+		bufK[1], bufP[1], last = mempool.Slice[K](ml, n), mempool.Slice[P](ml, n), 1
+	}
+	count, scatter := radix.PairKernels(keys, pay, hashed, bufK, bufP)
+	return bufK[last], bufP[last], p.scatter2(n, o, count, scatter)
 }
 
 // ClusterOIDPairs is the parallel equivalent of radix.ClusterOIDPairs:
@@ -124,29 +105,11 @@ func (p *Pool) ClusterOIDPairs(key, other []OID, o radix.Opts) (*radix.OIDPairsR
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(key)
-	if p.serialPreferred(n, o.Bits) {
+	if p.serialPreferred(len(key), o.Bits) {
 		return radix.ClusterOIDPairs(key, other, o)
 	}
-	// Dense oids are their own radix values (§3.1): no hashing pass.
-	// Scatter targets are leased transients, fully written.
-	ml := p.Mem()
-	outKey := mempool.Slice[OID](ml, n)
-	outOther := mempool.Slice[OID](ml, n)
-	offsets, err := p.scatter2(key, p.chunksFor(n), o,
-		func(i, d int) { outKey[d], outOther[d] = key[i], other[i] },
-		func(lo, hi int, sub radix.Opts) ([]int, error) {
-			res, err := radix.ClusterOIDPairs(outKey[lo:hi], outOther[lo:hi], sub)
-			if err != nil {
-				return nil, err
-			}
-			copy(outKey[lo:hi], res.Key)
-			copy(outOther[lo:hi], res.Other)
-			return res.Offsets, nil
-		})
-	if err != nil {
-		return nil, err
-	}
+	// Dense oids are their own radix values (§3.1): no hashing.
+	outKey, outOther, offsets := clusterPairs(p, key, other, false, o)
 	return &radix.OIDPairsResult{Key: outKey, Other: outOther, Offsets: offsets}, nil
 }
 
@@ -190,10 +153,9 @@ func (p *Pool) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPairsR
 // walking clusters outermost and chunks in input order so chunk k's
 // slice of every cluster starts where chunk k-1's ends — the carving
 // that makes chunked scatters reproduce the serial stable clustering.
-// counts is rewritten in place to the cursors; the returned h+1 slice
-// holds the cluster start offsets.
-func prefixSumChunks(counts []int, h, nch int) []int {
-	offsets := make([]int, h+1)
+// counts is rewritten in place to the cursors; the cluster start
+// offsets go into the caller's (leased) h+1 offsets, which is returned.
+func prefixSumChunks(offsets, counts []int, h, nch int) []int {
 	pos := 0
 	for c := 0; c < h; c++ {
 		offsets[c] = pos
@@ -213,10 +175,12 @@ func prefixSumChunks(counts []int, h, nch int) []int {
 // h cluster totals (h ≤ 2^maxFirstPassBits, negligible), and a
 // parallel rewrite of each cluster column into its insertion cursors.
 // The arithmetic is identical to the serial walk, so the cursors —
-// and therefore the scatter output bytes — are identical too.
+// and therefore the scatter output bytes — are identical too. The
+// offsets are leased like the counts they index.
 func (p *Pool) prefixSumChunksParallel(counts []int, h, nch int) []int {
+	offsets := mempool.Slice[int](p.Mem(), h+1)
 	if p.workers == 1 || h*nch < MinParallelN {
-		return prefixSumChunks(counts, h, nch)
+		return prefixSumChunks(offsets, counts, h, nch)
 	}
 	totals := mempool.Slice[int](p.Mem(), h)
 	cchunks := p.chunksFor(h)
@@ -229,7 +193,6 @@ func (p *Pool) prefixSumChunksParallel(counts []int, h, nch int) []int {
 			totals[c] = s
 		}
 	})
-	offsets := make([]int, h+1)
 	pos := 0
 	for c := 0; c < h; c++ {
 		offsets[c] = pos
@@ -267,41 +230,27 @@ func (p *Pool) serialPreferred(n, bits int) bool {
 	return p.workers == 1 || n < MinParallelN || bits == 0 || bits > maxParallelBits
 }
 
-// scatter2 runs the two-level parallel clustering given precomputed
-// radix values: a chunked count-then-scatter over the top level-1
-// bits (move copies one tuple from input position i to output
-// position d), then a per-partition serial refinement on the
-// remaining low bits (refine clusters output rows [lo,hi) in place
-// with the serial engine and returns the sub-offsets). It returns the
-// final 2^Bits+1 cluster offsets.
-func (p *Pool) scatter2(rad []uint32, chunks []Range, o radix.Opts,
-	move func(i, d int), refine func(lo, hi int, sub radix.Opts) ([]int, error)) ([]int, error) {
-
-	b1 := o.Bits
-	if b1 > maxFirstPassBits {
-		b1 = maxFirstPassBits
-	}
+// scatter2 runs the two-level parallel clustering of n tuples through
+// a bound kernel pair (radix.PairKernels / RowKernels): pass 0 is the
+// chunked count-then-scatter over the top level-1 bits, one kernel
+// call per morsel; pass 1, when bits remain, clusters every level-1
+// partition on the low bits as one chunk. It returns the final
+// 2^Bits+1 cluster offsets.
+func (p *Pool) scatter2(n int, o radix.Opts, count, scatter radix.ChunkFn) []int {
+	b1 := min(o.Bits, maxFirstPassBits)
 	rem := o.Bits - b1
-	sh := uint(o.Ignore + rem)
 	h1 := 1 << b1
-	mask := uint32(h1 - 1)
+	f1 := radix.Field{Shift: uint(o.Ignore + rem), Mask: uint32(h1 - 1)}
+	chunks := p.chunksFor(n)
 	nch := len(chunks)
-	n := 0
-	if nch > 0 {
-		n = chunks[nch-1].Hi
-	}
 
-	// Pass 1: per-chunk histograms (each task owns one row of counts).
-	// Leased buffers arrive dirty, so each task zeroes its own row.
+	// Pass 0, count: per-chunk histograms (each task owns one row of
+	// counts). Leased buffers arrive dirty, so each task zeroes its row.
 	counts := mempool.Slice[int](p.Mem(), nch*h1)
 	p.Run(nch, func(_, t int, _ *Scratch) {
 		row := counts[t*h1 : (t+1)*h1]
-		for i := range row {
-			row[i] = 0
-		}
-		for i := chunks[t].Lo; i < chunks[t].Hi; i++ {
-			row[(rad[i]>>sh)&mask]++
-		}
+		clear(row)
+		count(0, chunks[t].Lo, chunks[t].Hi, f1, row)
 	})
 
 	// Prefix sum (chunked parallel beyond the fallback threshold):
@@ -309,41 +258,31 @@ func (p *Pool) scatter2(rad []uint32, chunks []Range, o radix.Opts,
 	// the level-1 cluster starts.
 	off1 := p.prefixSumChunksParallel(counts, h1, nch)
 
-	// Pass 2: scatter. Chunk cursors are disjoint by construction, so
+	// Pass 0, scatter. Chunk cursors are disjoint by construction, so
 	// workers write to disjoint output positions.
 	p.Run(nch, func(_, t int, _ *Scratch) {
-		cur := counts[t*h1 : (t+1)*h1]
-		for i := chunks[t].Lo; i < chunks[t].Hi; i++ {
-			c := (rad[i] >> sh) & mask
-			move(i, cur[c])
-			cur[c]++
-		}
+		scatter(0, chunks[t].Lo, chunks[t].Hi, f1, counts[t*h1:(t+1)*h1])
 	})
-
 	if rem == 0 {
-		return off1, nil
+		return off1
 	}
 
-	// Level 2: refine each level-1 partition on the remaining low bits.
+	// Pass 1: cluster each level-1 partition on the remaining low bits.
 	// Partitions are disjoint output ranges — independent morsels.
 	h2 := 1 << rem
-	offsets := mempool.Slice[int](p.Mem(), (h1<<rem)+1)
-	offsets[h1<<rem] = n
-	sub := radix.Opts{Bits: rem, Ignore: o.Ignore, Passes: radix.SplitBits(rem, maxFirstPassBits)}
-	errs := p.errSlots(h1)
-	p.Run(h1, func(_, c int, _ *Scratch) {
+	f2 := radix.Field{Shift: uint(o.Ignore), Mask: uint32(h2 - 1)}
+	offsets := mempool.Slice[int](p.Mem(), h1*h2+1)
+	offsets[h1*h2] = n
+	p.Run(h1, func(_, c int, s *Scratch) {
 		lo, hi := off1[c], off1[c+1]
-		subOff, err := refine(lo, hi, sub)
-		if err != nil {
-			errs[c] = err
-			return
+		row := s.Ints(h2)
+		count(1, lo, hi, f2, row)
+		pos := lo
+		for j, cnt := range row {
+			offsets[c*h2+j], row[j] = pos, pos
+			pos += cnt
 		}
-		for j := 0; j < h2; j++ {
-			offsets[c<<uint(rem)+j] = lo + subOff[j]
-		}
+		scatter(1, lo, hi, f2, row)
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return offsets, nil
+	return offsets
 }

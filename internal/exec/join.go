@@ -72,16 +72,26 @@ func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []O
 			cl.Heads[ll:lh], cl.Vals[ll:lh], shift, &parts[pt], &s.tjoin)
 	})
 
-	// Stitch in partition order: prefix-sum the match counts, then
-	// copy each partition's list into its disjoint output range.
+	// Stitch in partition order: prefix-sum the match counts. When every
+	// list filled its carving exactly — the key-FK case: one match per
+	// probe tuple, so none overflowed — the arenas already are the
+	// join-index in partition order.
 	offs := mempool.Slice[int](ml, h+1)
 	offs[0] = 0
+	full := true
 	for pt := 0; pt < h; pt++ {
 		offs[pt+1] = offs[pt] + parts[pt].Len()
+		full = full && offs[pt+1] == cl.Offsets[pt+1]
 	}
+	if full {
+		return &join.Index{Larger: bigL, Smaller: bigS}, nil
+	}
+	// Otherwise copy each partition's list into its disjoint output
+	// range. The join-index never leaves the pipeline, so it is leased
+	// like every other transient.
 	out := &join.Index{
-		Larger:  make([]OID, offs[h]),
-		Smaller: make([]OID, offs[h]),
+		Larger:  mempool.Slice[OID](ml, offs[h]),
+		Smaller: mempool.Slice[OID](ml, offs[h]),
 	}
 	p.RunAff(h, aff, func(_, pt int, _ *Scratch) {
 		copy(out.Larger[offs[pt]:offs[pt+1]], parts[pt].Larger)

@@ -14,7 +14,6 @@ import (
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/core"
-	"radixdecluster/internal/hash"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/nsm"
@@ -50,36 +49,15 @@ func (p *Pool) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radi
 	if p.serialPreferred(n, o.Bits) {
 		return radix.ClusterRows(rows, width, keyCol, o)
 	}
-	rad := mempool.Slice[uint32](p.Mem(), n)
-	chunks := p.chunksFor(n)
-	p.Run(len(chunks), func(_, t int, _ *Scratch) {
-		for i := chunks[t].Lo; i < chunks[t].Hi; i++ {
-			rad[i] = hash.Int32(rows[i*width+keyCol])
-		}
-	})
+	// The clustered records flow onward GC-owned; a two-level fan-out
+	// scatters through a leased intermediate first.
 	out := make([]int32, len(rows))
-	move := func(i, d int) { copy(out[d*width:(d+1)*width], rows[i*width:(i+1)*width]) }
-	var outRad []uint32
+	buf := [2][]int32{out}
 	if o.Bits > maxFirstPassBits {
-		outRad = mempool.Slice[uint32](p.Mem(), n)
-		move = func(i, d int) {
-			copy(out[d*width:(d+1)*width], rows[i*width:(i+1)*width])
-			outRad[d] = rad[i]
-		}
+		buf = [2][]int32{mempool.Slice[int32](p.Mem(), len(rows)), out}
 	}
-	offsets, err := p.scatter2(rad, chunks, o, move,
-		func(lo, hi int, sub radix.Opts) ([]int, error) {
-			res, err := radix.ClusterRowsPrehashed(outRad[lo:hi], out[lo*width:hi*width], width, sub)
-			if err != nil {
-				return nil, err
-			}
-			copy(out[lo*width:hi*width], res.Rows)
-			return res.Offsets, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &radix.RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
+	count, scatter := radix.RowKernels(rows, width, keyCol, buf)
+	return &radix.RowsResult{Rows: out, Width: width, Offsets: p.scatter2(n, o, count, scatter)}, nil
 }
 
 // PartitionedRows is the parallel equivalent of join.PartitionedRows:

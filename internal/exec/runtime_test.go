@@ -160,7 +160,7 @@ func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
 			counts[i] = rng.Intn(5)
 		}
 		serialCounts := append([]int(nil), counts...)
-		wantOff := prefixSumChunks(serialCounts, shape.h, shape.nch)
+		wantOff := prefixSumChunks(make([]int, shape.h+1), serialCounts, shape.h, shape.nch)
 		gotOff := p.prefixSumChunksParallel(counts, shape.h, shape.nch)
 		if !reflect.DeepEqual(gotOff, wantOff) {
 			t.Fatalf("h=%d nch=%d: offsets differ", shape.h, shape.nch)

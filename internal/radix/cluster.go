@@ -1,152 +1,147 @@
 package radix
 
-// This file holds the multi-pass scatter engine shared by the
-// ClusterPairs / ClusterOIDPairs / ClusterRows front ends.
+// This file holds the serial multi-pass engine behind the
+// ClusterPairs / ClusterOIDPairs / ClusterRows front ends: the chunk
+// kernels of kernel.go with one chunk per current cluster range.
 //
 // Each pass p consumes the next Bp most-significant bits of the radix
 // field (bits [Ignore, Ignore+Bits) of the clustering value) and
-// scatters every current range into 2^Bp sub-ranges. The radix values
-// are computed once up front and travel with the payload, so later
-// passes never re-hash. Passes scan their input strictly sequentially
+// scatters every current range into 2^Bp sub-ranges. The first pass
+// reads the caller's slices where they lie; later passes ping-pong
+// between two buffers. Passes scan their input strictly sequentially
 // and append to each output cluster in input order, which is what
 // preserves intra-cluster ordering — property (2) that Radix-Decluster
 // depends on (§3.2).
 
-// passShifts returns the right-shift for each pass: pass p keeps the
-// radix bits [shift[p], shift[p]+Bp).
-func passShifts(o Opts) []uint {
+// ChunkFn applies one chunk kernel to tuples [lo,hi) of pass p's
+// input, with the pass's radix bits and the chunk's histogram or
+// cursor row. Pass p reads what pass p-1 wrote (pass 0 the caller's
+// columns); PairKernels and RowKernels bind where that is, and what
+// the clustering value is — the drivers only schedule bits.
+type ChunkFn func(p, lo, hi int, f Field, row []int)
+
+// PairKernels binds the chunk kernels to a [key, payload] BAT and the
+// two buffers its passes ping-pong between: pass p scatters into
+// buf[p&1], so pass 0 reads the caller's slices where they lie, a
+// single-pass clustering needs only buf[0], and the result is the last
+// pass's buffer. hashed selects hash.Int32(key) over the key's own bits
+// as the clustering value. Both engines drive their pass schedule
+// through the returned pair.
+func PairKernels[K, P Word](keys []K, pay []P, hashed bool, bufK [2][]K, bufP [2][]P) (count, scatter ChunkFn) {
+	src := func(p int) ([]K, []P) {
+		if p == 0 {
+			return keys, pay
+		}
+		return bufK[(p-1)&1], bufP[(p-1)&1]
+	}
+	count = func(p, lo, hi int, f Field, row []int) {
+		k, _ := src(p)
+		Histogram(k[lo:hi], hashed, f, row)
+	}
+	scatter = func(p, lo, hi int, f Field, cur []int) {
+		k, v := src(p)
+		Scatter(k[lo:hi], v[lo:hi], hashed, f, cur, bufK[p&1], bufP[p&1])
+	}
+	return count, scatter
+}
+
+// RowKernels is PairKernels for row-major width-wide records clustered
+// on the hash of their key column; lo, hi and the cursors count
+// records.
+func RowKernels(rows []int32, width, keyCol int, buf [2][]int32) (count, scatter ChunkFn) {
+	src := func(p, lo, hi int) []int32 {
+		if p == 0 {
+			return rows[lo*width : hi*width]
+		}
+		return buf[(p-1)&1][lo*width : hi*width]
+	}
+	count = func(p, lo, hi int, f Field, row []int) {
+		HistogramRows(src(p, lo, hi), width, keyCol, f, row)
+	}
+	scatter = func(p, lo, hi int, f Field, cur []int) {
+		ScatterRows(src(p, lo, hi), width, keyCol, f, cur, buf[p&1])
+	}
+	return count, scatter
+}
+
+// runPasses drives the serial pass schedule of o over n tuples — one
+// chunk per current cluster range — and returns the 2^Bits+1 cluster
+// offsets.
+func runPasses(n int, o Opts, count, scatter ChunkFn) []int {
 	passes := o.passes()
-	shifts := make([]uint, len(passes))
+	maxBits := 0
+	for _, bp := range passes {
+		maxBits = max(maxBits, bp)
+	}
+	// One histogram/cursor row serves every range of every pass.
+	scratch := make([]int, 1<<maxBits)
+	bounds := []int{0, n}
 	used := 0
 	for p, bp := range passes {
 		used += bp
-		shifts[p] = uint(o.Ignore + o.Bits - used)
-	}
-	return shifts
-}
-
-// cluster2 clusters two 32-bit payload columns (a, b) by the
-// precomputed radix values. It returns the final arrangement of all
-// three arrays plus the 2^Bits+1 cluster offsets. The input slices
-// are consumed as scratch space: callers pass freshly copied arrays.
-func cluster2(rad, a, b []uint32, o Opts) (outRad, outA, outB []uint32, offsets []int) {
-	n := len(rad)
-	passes := o.passes()
-	if len(passes) == 0 || n == 0 {
-		return rad, a, b, trivialOffsets(n, o.Bits)
-	}
-	shifts := passShifts(o)
-	dstRad := make([]uint32, n)
-	dstA := make([]uint32, n)
-	dstB := make([]uint32, n)
-	bounds := []int{0, n}
-	for p, bp := range passes {
-		h := 1 << bp
-		mask := uint32(h - 1)
-		sh := shifts[p]
-		next := make([]int, 0, (len(bounds)-1)*h+1)
-		var counts []int
+		f := Field{Shift: uint(o.Ignore + o.Bits - used), Mask: uint32(1<<bp - 1)}
+		row := scratch[:1<<bp]
+		next := make([]int, 0, (len(bounds)-1)<<bp+1)
 		for k := 0; k+1 < len(bounds); k++ {
 			lo, hi := bounds[k], bounds[k+1]
-			if counts == nil {
-				counts = make([]int, h)
-			} else {
-				for i := range counts {
-					counts[i] = 0
-				}
-			}
-			for i := lo; i < hi; i++ {
-				counts[(rad[i]>>sh)&mask]++
-			}
+			clear(row)
+			count(p, lo, hi, f, row)
 			// Prefix-sum the histogram into insertion cursors.
 			pos := lo
-			cursors := make([]int, h)
-			for c := 0; c < h; c++ {
-				cursors[c] = pos
+			for c, cnt := range row {
 				next = append(next, pos)
-				pos += counts[c]
+				row[c] = pos
+				pos += cnt
 			}
-			for i := lo; i < hi; i++ {
-				c := (rad[i] >> sh) & mask
-				d := cursors[c]
-				cursors[c] = d + 1
-				dstRad[d] = rad[i]
-				dstA[d] = a[i]
-				dstB[d] = b[i]
-			}
+			scatter(p, lo, hi, f, row)
 		}
-		next = append(next, n)
-		bounds = next
-		rad, dstRad = dstRad, rad
-		a, dstA = dstA, a
-		b, dstB = dstB, b
+		bounds = append(next, n)
 	}
-	return rad, a, b, bounds
+	return bounds
 }
 
-// clusterRows clusters row-major width-wide records by the
-// precomputed radix values. rows is not modified.
-func clusterRows(rad []uint32, rows []int32, width int, o Opts) (out []int32, offsets []int) {
-	n := len(rad)
-	passes := o.passes()
-	if len(passes) == 0 || n == 0 {
-		out = make([]int32, len(rows))
-		copy(out, rows)
-		return out, trivialOffsets(n, o.Bits)
+// clusterPairs clusters a [key, payload] BAT on the radix field of its
+// keys (hashed or verbatim) and returns the clustered columns — always
+// fresh slices, the inputs are only read — plus the cluster offsets.
+func clusterPairs[K, P Word](keys []K, pay []P, hashed bool, o Opts) ([]K, []P, []int) {
+	n := len(keys)
+	np := len(o.passes())
+	bufK, bufP := [2][]K{make([]K, n)}, [2][]P{make([]P, n)}
+	if np == 0 || n == 0 {
+		copy(bufK[0], keys)
+		copy(bufP[0], pay)
+		return bufK[0], bufP[0], trivialOffsets(n, o.Bits)
 	}
-	shifts := passShifts(o)
-	srcRows := make([]int32, len(rows))
-	copy(srcRows, rows)
-	dstRows := make([]int32, len(rows))
-	srcRad := make([]uint32, n)
-	copy(srcRad, rad)
-	dstRad := make([]uint32, n)
-	bounds := []int{0, n}
-	for p, bp := range passes {
-		h := 1 << bp
-		mask := uint32(h - 1)
-		sh := shifts[p]
-		next := make([]int, 0, (len(bounds)-1)*h+1)
-		for k := 0; k+1 < len(bounds); k++ {
-			lo, hi := bounds[k], bounds[k+1]
-			counts := make([]int, h)
-			for i := lo; i < hi; i++ {
-				counts[(srcRad[i]>>sh)&mask]++
-			}
-			pos := lo
-			cursors := make([]int, h)
-			for c := 0; c < h; c++ {
-				cursors[c] = pos
-				next = append(next, pos)
-				pos += counts[c]
-			}
-			for i := lo; i < hi; i++ {
-				c := (srcRad[i] >> sh) & mask
-				d := cursors[c]
-				cursors[c] = d + 1
-				dstRad[d] = srcRad[i]
-				copy(dstRows[d*width:(d+1)*width], srcRows[i*width:(i+1)*width])
-			}
-		}
-		next = append(next, n)
-		bounds = next
-		srcRad, dstRad = dstRad, srcRad
-		srcRows, dstRows = dstRows, srcRows
+	if np > 1 {
+		bufK[1], bufP[1] = make([]K, n), make([]P, n)
 	}
-	return srcRows, bounds
+	count, scatter := PairKernels(keys, pay, hashed, bufK, bufP)
+	return bufK[(np-1)&1], bufP[(np-1)&1], runPasses(n, o, count, scatter)
+}
+
+// clusterRows clusters row-major width-wide records on the hash of
+// their key column. rows is not modified.
+func clusterRows(rows []int32, width, keyCol int, o Opts) ([]int32, []int) {
+	n := len(rows) / width
+	np := len(o.passes())
+	buf := [2][]int32{make([]int32, len(rows))}
+	if np == 0 || n == 0 {
+		copy(buf[0], rows)
+		return buf[0], trivialOffsets(n, o.Bits)
+	}
+	if np > 1 {
+		buf[1] = make([]int32, len(rows))
+	}
+	count, scatter := RowKernels(rows, width, keyCol, buf)
+	return buf[(np-1)&1], runPasses(n, o, count, scatter)
 }
 
 // trivialOffsets covers [0,n) with 2^bits clusters where all tuples
 // land in cluster 0 — the B=0 degenerate case.
 func trivialOffsets(n, bits int) []int {
-	h := 1 << bits
-	offsets := make([]int, h+1)
-	offsets[0] = 0
-	for c := 1; c <= h; c++ {
+	offsets := make([]int, 1<<bits+1)
+	for c := 1; c < len(offsets); c++ {
 		offsets[c] = n
-	}
-	if bits == 0 {
-		return []int{0, n}
 	}
 	return offsets
 }

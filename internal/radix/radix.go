@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
-	"radixdecluster/internal/hash"
 	"radixdecluster/internal/mem"
 )
 
@@ -135,45 +134,10 @@ func ClusterPairs(heads []OID, vals []int32, hashVals bool, o Opts) (*PairsResul
 	if len(heads) != len(vals) {
 		return nil, fmt.Errorf("radix: ClusterPairs: %d heads vs %d values", len(heads), len(vals))
 	}
-	rad := make([]uint32, len(vals))
-	if hashVals {
-		for i, v := range vals {
-			rad[i] = hash.Int32(v)
-		}
-	} else {
-		for i, v := range vals {
-			rad[i] = uint32(v)
-		}
-	}
-	return ClusterPairsPrehashed(rad, heads, vals, o)
-}
-
-// ClusterPairsPrehashed is ClusterPairs with caller-precomputed radix
-// values: rad[i] is the clustering value of pair i (a hash, or the
-// value's own bits). The parallel executor's two-level scheme uses it
-// so the refinement pass reuses the hashes computed for the fan-out
-// pass instead of re-hashing every tuple. rad is consumed as scratch.
-func ClusterPairsPrehashed(rad []uint32, heads []OID, vals []int32, o Opts) (*PairsResult, error) {
-	if len(heads) != len(vals) || len(rad) != len(heads) {
-		return nil, fmt.Errorf("radix: ClusterPairsPrehashed: %d rad vs %d heads vs %d values", len(rad), len(heads), len(vals))
-	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(heads)
-	a := make([]uint32, n)
-	copy(a, heads)
-	b := make([]uint32, n)
-	for i, v := range vals {
-		b[i] = uint32(v)
-	}
-	_, a, b, offsets := cluster2(rad, a, b, o)
-	outHeads := make([]OID, n)
-	copy(outHeads, a)
-	outVals := make([]int32, n)
-	for i, v := range b {
-		outVals[i] = int32(v)
-	}
+	outVals, outHeads, offsets := clusterPairs(vals, heads, hashVals, o)
 	return &PairsResult{Heads: outHeads, Vals: outVals, Offsets: offsets}, nil
 }
 
@@ -200,18 +164,7 @@ func ClusterOIDPairs(key, other []OID, o Opts) (*OIDPairsResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(key)
-	rad := make([]uint32, n)
-	copy(rad, key)
-	a := make([]uint32, n)
-	copy(a, key)
-	b := make([]uint32, n)
-	copy(b, other)
-	_, a, b, offsets := cluster2(rad, a, b, o)
-	outKey := make([]OID, n)
-	copy(outKey, a)
-	outOther := make([]OID, n)
-	copy(outOther, b)
+	outKey, outOther, offsets := clusterPairs(key, other, false, o)
 	return &OIDPairsResult{Key: outKey, Other: outOther, Offsets: offsets}, nil
 }
 
@@ -240,31 +193,7 @@ func ClusterRows(rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(rows) / width
-	rad := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		rad[i] = hash.Int32(rows[i*width+keyCol])
-	}
-	out, offsets := clusterRows(rad, rows, width, o)
-	return &RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
-}
-
-// ClusterRowsPrehashed is ClusterRows with caller-precomputed radix
-// values: rad[i] is the clustering value of record i. The parallel
-// executor's two-level scheme uses it so the per-partition refinement
-// pass reuses the hashes computed for the fan-out pass instead of
-// re-hashing every record. rows is not modified.
-func ClusterRowsPrehashed(rad []uint32, rows []int32, width int, o Opts) (*RowsResult, error) {
-	if width <= 0 || len(rows)%width != 0 {
-		return nil, fmt.Errorf("radix: ClusterRowsPrehashed: %d values is not a multiple of width %d", len(rows), width)
-	}
-	if len(rad) != len(rows)/width {
-		return nil, fmt.Errorf("radix: ClusterRowsPrehashed: %d rad values for %d records", len(rad), len(rows)/width)
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	out, offsets := clusterRows(rad, rows, width, o)
+	out, offsets := clusterRows(rows, width, keyCol, o)
 	return &RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
 }
 

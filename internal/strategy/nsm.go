@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 
+	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/exec"
@@ -209,8 +210,8 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		if sKeys, err = smaller.scanKeys(e, useComp); err != nil {
 			return err
 		}
-		lOIDs = denseOIDs(larger.Rel.Len())
-		sOIDs = denseOIDs(smaller.Rel.Len())
+		lOIDs = bat.Dense(larger.Rel.Len())
+		sOIDs = bat.Dense(smaller.Rel.Len())
 		return nil
 	})
 	var ji *join.Index
@@ -330,8 +331,8 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		if sKeys, err = smaller.scanKeys(e, useComp); err != nil {
 			return err
 		}
-		lOIDs = denseOIDs(larger.Rel.Len())
-		sOIDs = denseOIDs(smaller.Rel.Len())
+		lOIDs = bat.Dense(larger.Rel.Len())
+		sOIDs = bat.Dense(smaller.Rel.Len())
 		return nil
 	})
 	var ji *join.Index
@@ -398,13 +399,4 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 // partitions (and scan chunks) on equal workers.
 func nsmAffinitySeed(larger NSMSide) uint64 {
 	return exec.RowsScanKey(larger.Rel.Data, larger.Rel.Len()).Seed()
-}
-
-// denseOIDs materialises the dense [0,n) oid column of a base scan.
-func denseOIDs(n int) []OID {
-	out := make([]OID, n)
-	for i := range out {
-		out[i] = OID(i)
-	}
-	return out
 }

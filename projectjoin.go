@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
@@ -345,11 +346,9 @@ func dsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 	if err != nil {
 		return strategy.DSMSide{}, err
 	}
-	oids := make([]OID, len(keys))
-	for i := range oids {
-		oids[i] = OID(i)
-	}
-	side := strategy.DSMSide{OIDs: oids, Keys: keys, Cols: cols, BaseN: r.Len()}
+	// An unselected side's oid column is its void head: a read-only view
+	// of the shared dense slab.
+	side := strategy.DSMSide{OIDs: bat.Dense(len(keys)), Keys: keys, Cols: cols, BaseN: r.Len()}
 	if comp != CompressionOff && r.compressed {
 		encs, err := r.encodings()
 		if err != nil {
