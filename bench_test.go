@@ -140,7 +140,7 @@ func BenchmarkRadixClusterSinglePass(b *testing.B) {
 	b.SetBytes(benchN * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := radix.ClusterPairs(heads, keys, true, radix.Opts{Bits: 12}); err != nil {
+		if _, err := radix.ClusterBUNs(heads, keys, true, radix.Opts{Bits: 12}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 	b.SetBytes(benchN * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := radix.ClusterPairs(heads, keys, true, radix.Opts{Bits: 12, Passes: []int{6, 6}}); err != nil {
+		if _, err := radix.ClusterBUNs(heads, keys, true, radix.Opts{Bits: 12, Passes: []int{6, 6}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,13 +163,16 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 // join fan-out the planner picks there (6 bits) and at the first-level
 // cap (12 bits). A tuple carries 8 payload bytes, so MB/s / 8 is
 // Mtuples/s; cmd/benchjson records both benchmarks with B/op.
-func benchCluster(b *testing.B, serial func(o radix.Opts) error, parallel func(p *exec.Pool, o radix.Opts) error) {
+// ClusterPairs clusters a join input — since the engines do that into
+// BUNs, through ClusterBUNs; the name is kept so the trajectory file
+// stays comparable.
+func benchCluster(b *testing.B, fanouts []int, serial func(o radix.Opts) error, parallel func(p *exec.Pool, o radix.Opts) error) {
 	for _, workers := range []int{0, 2} {
 		name := "serial"
 		if workers > 0 {
 			name = fmt.Sprintf("workers=%d", workers)
 		}
-		for _, bits := range []int{6, 12} {
+		for _, bits := range fanouts {
 			o := radix.Opts{Bits: bits}
 			b.Run(fmt.Sprintf("%s/bits=%d", name, bits), func(b *testing.B) {
 				b.ReportAllocs()
@@ -200,18 +203,82 @@ const clusterBenchN = 1 << 20
 func BenchmarkClusterPairs(b *testing.B) {
 	heads, keys := benchPairs(b)
 	heads, keys = heads[:clusterBenchN], keys[:clusterBenchN]
-	benchCluster(b,
-		func(o radix.Opts) error { _, err := radix.ClusterPairs(heads, keys, true, o); return err },
-		func(p *exec.Pool, o radix.Opts) error { _, err := p.ClusterPairs(heads, keys, true, o); return err })
+	benchCluster(b, []int{6, 12},
+		func(o radix.Opts) error { _, err := radix.ClusterBUNs(heads, keys, true, o); return err },
+		func(p *exec.Pool, o radix.Opts) error { _, err := p.ClusterBUNs(heads, keys, true, o); return err })
 }
 
 func BenchmarkClusterOIDPairs(b *testing.B) {
 	key, _ := benchPosJoinOIDs(b)
 	key = key[:clusterBenchN]
 	other := bat.Dense(clusterBenchN)
-	benchCluster(b,
+	benchCluster(b, []int{6, 12},
 		func(o radix.Opts) error { _, err := radix.ClusterOIDPairs(key, other, o); return err },
 		func(p *exec.Pool, o radix.Opts) error { _, err := p.ClusterOIDPairs(key, other, o); return err })
+}
+
+// benchJoinSides is a 1 Mi ⋈ 1 Mi key–foreign-key join input: the
+// larger keys hit the (unique) smaller keys at random.
+func benchJoinSides(b *testing.B) (lo []OID, lk []int32, so []OID, sk []int32) {
+	b.Helper()
+	so, sk = bat.Dense(clusterBenchN), make([]int32, clusterBenchN)
+	for i := range sk {
+		sk[i] = int32(uint32(i) * 0x9e3779b1) // odd multiplier: a bijection
+	}
+	rng := rand.New(rand.NewPCG(4, 4))
+	lo, lk = bat.Dense(clusterBenchN), make([]int32, clusterBenchN)
+	for i := range lk {
+		lk[i] = sk[rng.IntN(clusterBenchN)]
+	}
+	return lo, lk, so, sk
+}
+
+// BenchmarkPartitionedJoin times the whole join phase — both
+// clusterings plus the per-partition build and probe — on either
+// engine, at the planner's fan-out for this size and at 1 Ki-tuple
+// partitions. MB/s / 8 is probe Mtuples/s.
+func BenchmarkPartitionedJoin(b *testing.B) {
+	lo, lk, so, sk := benchJoinSides(b)
+	benchCluster(b, []int{6, 10},
+		func(o radix.Opts) error { _, err := join.Partitioned(lo, lk, so, sk, o); return err },
+		func(p *exec.Pool, o radix.Opts) error { _, err := p.Partitioned(lo, lk, so, sk, o); return err })
+}
+
+// BenchmarkProbeBUNs times the per-partition kernel alone: build and
+// probe of every partition pair of the preclustered 1 Mi ⋈ 1 Mi input,
+// at 1 Ki- and 16 Ki-tuple partitions, into a reused join-index.
+func BenchmarkProbeBUNs(b *testing.B) {
+	lo, lk, so, sk := benchJoinSides(b)
+	for _, c := range []struct {
+		name string
+		bits int
+	}{{"part=1Ki", 10}, {"part=16Ki", 6}} {
+		o := radix.Opts{Bits: c.bits}
+		cl, err := radix.ClusterBUNs(lo, lk, true, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs, err := radix.ClusterBUNs(so, sk, true, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := &join.Index{Larger: make([]OID, 0, clusterBenchN), Smaller: make([]OID, 0, clusterBenchN)}
+		var ts join.TableScratch
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(clusterBenchN * 8)
+			for i := 0; i < b.N; i++ {
+				out.Larger, out.Smaller = out.Larger[:0], out.Smaller[:0]
+				for p := 0; p < 1<<c.bits; p++ {
+					join.ProbeBUNs(cs.BUNs[cs.Offsets[p]:cs.Offsets[p+1]],
+						cl.BUNs[cl.Offsets[p]:cl.Offsets[p+1]], uint(c.bits), out, &ts)
+				}
+				if out.Len() != clusterBenchN {
+					b.Fatalf("%d matches, want %d", out.Len(), clusterBenchN)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkHashJoinNaive(b *testing.B) {

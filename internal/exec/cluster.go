@@ -63,27 +63,34 @@ const (
 	MinParallelN = 1 << 14
 )
 
-// ClusterPairs is the parallel equivalent of radix.ClusterPairs: it
-// radix-clusters an [oid,value] BAT on its value column (hashed when
-// hashVals is set) and produces the identical arrangement and offsets.
-func (p *Pool) ClusterPairs(heads []OID, vals []int32, hashVals bool, o radix.Opts) (*radix.PairsResult, error) {
+// ClusterBUNs is the parallel equivalent of radix.ClusterBUNs: it
+// radix-clusters an [oid,value] BAT — a join input — on its value
+// column (hashed when hashVals is set) and produces the identical BUN
+// arrangement and offsets, in leased buffers (one per level).
+func (p *Pool) ClusterBUNs(heads []OID, vals []int32, hashVals bool, o radix.Opts) (*radix.BUNsResult, error) {
 	if len(heads) != len(vals) {
-		return nil, fmt.Errorf("radix: ClusterPairs: %d heads vs %d values", len(heads), len(vals))
+		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	if p.serialPreferred(len(heads), o.Bits) {
-		return radix.ClusterPairs(heads, vals, hashVals, o)
+		return radix.ClusterBUNs(heads, vals, hashVals, o)
 	}
-	outVals, outHeads, offsets := clusterPairs(p, vals, heads, hashVals, o)
-	return &radix.PairsResult{Heads: outHeads, Vals: outVals, Offsets: offsets}, nil
+	n, ml := len(vals), p.Mem()
+	buf := [2][]uint64{mempool.Slice[uint64](ml, n)}
+	last := 0
+	if o.Bits > maxFirstPassBits {
+		buf[1], last = mempool.Slice[uint64](ml, n), 1
+	}
+	count, scatter := radix.BUNKernels(vals, heads, hashVals, buf)
+	return &radix.BUNsResult{BUNs: buf[last], Offsets: p.scatter2(n, o, count, scatter)}, nil
 }
 
-// clusterPairs is the parallel engine behind ClusterPairs and
-// ClusterOIDPairs: radix.PairKernels driven by scatter2. The scatter
-// targets — one pair of columns, two when the fan-out takes a second
-// level — and the offsets are leased transients, every slot written.
+// clusterPairs is the parallel engine behind ClusterOIDPairs:
+// radix.PairKernels driven by scatter2. The scatter targets — one pair
+// of columns, two when the fan-out takes a second level — and the
+// offsets are leased transients, every slot written.
 func clusterPairs[K, P radix.Word](p *Pool, keys []K, pay []P, hashed bool, o radix.Opts) ([]K, []P, []int) {
 	n, ml := len(keys), p.Mem()
 	bufK, bufP := [2][]K{mempool.Slice[K](ml, n)}, [2][]P{mempool.Slice[P](ml, n)}
@@ -231,10 +238,10 @@ func (p *Pool) serialPreferred(n, bits int) bool {
 }
 
 // scatter2 runs the two-level parallel clustering of n tuples through
-// a bound kernel pair (radix.PairKernels / RowKernels): pass 0 is the
-// chunked count-then-scatter over the top level-1 bits, one kernel
-// call per morsel; pass 1, when bits remain, clusters every level-1
-// partition on the low bits as one chunk. It returns the final
+// a bound kernel pair (radix.PairKernels / BUNKernels / RowKernels):
+// pass 0 is the chunked count-then-scatter over the top level-1 bits,
+// one kernel call per morsel; pass 1, when bits remain, clusters every
+// level-1 partition on the low bits as one chunk. It returns the final
 // 2^Bits+1 cluster offsets.
 func (p *Pool) scatter2(n int, o radix.Opts, count, scatter radix.ChunkFn) []int {
 	b1 := min(o.Bits, maxFirstPassBits)

@@ -426,9 +426,7 @@ func (s *Scratch) Ints(n int) []int {
 		s.ints = make([]int, n)
 	}
 	s.ints = s.ints[:n]
-	for i := range s.ints {
-		s.ints[i] = 0
-	}
+	clear(s.ints)
 	return s.ints
 }
 

@@ -80,10 +80,10 @@ func TestChunksTile(t *testing.T) {
 	}
 }
 
-// TestClusterPairsMatchesSerial checks byte-identity of the parallel
-// clustering against internal/radix across bit widths (including the
-// two-level B > maxFirstPassBits path), hashing modes and skew.
-func TestClusterPairsMatchesSerial(t *testing.T) {
+// TestClusterBUNsMatchesSerial checks byte-identity of the parallel
+// join-input clustering against internal/radix across bit widths
+// (including the two-level B > maxFirstPassBits path) and skew.
+func TestClusterBUNsMatchesSerial(t *testing.T) {
 	heads := randOIDs(1, testN, testN)
 	for _, skewed := range []bool{false, true} {
 		vals := randVals(2, testN, skewed)
@@ -94,12 +94,12 @@ func TestClusterPairsMatchesSerial(t *testing.T) {
 			{Bits: 14}, // two-level parallel path
 			{Bits: 17, Passes: []int{9, 8}},
 		} {
-			want, err := radix.ClusterPairs(heads, vals, true, o)
+			want, err := radix.ClusterBUNs(heads, vals, true, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			withPools(t, func(t *testing.T, p *Pool) {
-				got, err := p.ClusterPairs(heads, vals, true, o)
+				got, err := p.ClusterBUNs(heads, vals, true, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -304,7 +304,7 @@ func TestConcurrentStress(t *testing.T) {
 	heads := randOIDs(20, testN, testN)
 	vals := randVals(21, testN, true)
 	for i := 0; i < 3; i++ {
-		if _, err := p.ClusterPairs(heads, vals, true, radix.Opts{Bits: 14}); err != nil {
+		if _, err := p.ClusterBUNs(heads, vals, true, radix.Opts{Bits: 14}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.Partitioned(heads, vals, heads, vals, radix.Opts{Bits: 8}); err != nil {

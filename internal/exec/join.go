@@ -1,8 +1,8 @@
 package exec
 
 // Parallel Partitioned Hash-Join: after the parallel Radix-Cluster of
-// both inputs, every partition pair is an independent morsel — its
-// hash table and probe stream fit one cache-sized region (§2.1), and
+// both inputs into BUNs, every partition pair is an independent morsel
+// — its hash table and probe stream fit one cache-sized region (§2.1), and
 // partitions share nothing. Workers claim partitions from the morsel
 // queue (skewed partitions simply occupy a worker longer while the
 // others drain the queue), collect per-partition match lists, and the
@@ -29,11 +29,11 @@ func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []O
 	if p.workers == 1 || len(largerOIDs)+len(smallerOIDs) < MinParallelN {
 		return join.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
 	}
-	cl, err := p.ClusterPairs(largerOIDs, largerKeys, true, o)
+	cl, err := p.ClusterBUNs(largerOIDs, largerKeys, true, o)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := p.ClusterPairs(smallerOIDs, smallerKeys, true, o)
+	cs, err := p.ClusterBUNs(smallerOIDs, smallerKeys, true, o)
 	if err != nil {
 		return nil, err
 	}
@@ -50,9 +50,10 @@ func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []O
 	// parts holds slice headers the GC must scan, so it stays a plain
 	// allocation; the match-list *backing* is leased. Each partition's
 	// list is carved from two big arenas at its larger-side offset with
-	// a hard cap (three-index), so appends stay disjoint and an
-	// overflowing partition (duplicate smaller keys) falls back to a
-	// private GC slice instead of clobbering its neighbour.
+	// a hard cap (three-index): ProbeBUNs writes matches by index up to
+	// that cap, so the lists stay disjoint, and an overflowing partition
+	// (duplicate smaller keys) moves to a private GC slice instead of
+	// clobbering its neighbour.
 	ml := p.Mem()
 	bigL := mempool.Slice[OID](ml, len(largerOIDs))
 	bigS := mempool.Slice[OID](ml, len(largerOIDs))
@@ -68,8 +69,7 @@ func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []O
 		if ll == lh || sl == sh {
 			return
 		}
-		join.ProbePartitionScratch(cs.Heads[sl:sh], cs.Vals[sl:sh],
-			cl.Heads[ll:lh], cl.Vals[ll:lh], shift, &parts[pt], &s.tjoin)
+		join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, &parts[pt], &s.tjoin)
 	})
 
 	// Stitch in partition order: prefix-sum the match counts. When every

@@ -35,7 +35,7 @@ func checkRowsInput(pkg string, rows []int32, width, key int) error {
 
 // ClusterRows is the parallel equivalent of radix.ClusterRows: it
 // radix-clusters width-wide records on hash(record[keyCol]) with the
-// same two-level chunked count-then-scatter as ClusterPairs, moving
+// same two-level chunked count-then-scatter as ClusterOIDPairs, moving
 // whole records — the pre-projection "extra luggage" — and produces
 // the identical arrangement and offsets.
 func (p *Pool) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radix.RowsResult, error) {

@@ -26,18 +26,18 @@ func TestRuntimePoolMatchesSerial(t *testing.T) {
 		vals[i] = int32(rng.Intn(n / 2))
 	}
 	o := radix.Opts{Bits: 6}
-	want, err := radix.ClusterPairs(heads, vals, true, o)
+	want, err := radix.ClusterBUNs(heads, vals, true, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := rt.NewPool(4)
 	defer p.Close()
-	got, err := p.ClusterPairs(heads, vals, true, o)
+	got, err := p.ClusterBUNs(heads, vals, true, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("runtime-backed ClusterPairs differs from serial")
+		t.Fatal("runtime-backed ClusterBUNs differs from serial")
 	}
 }
 

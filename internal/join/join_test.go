@@ -287,35 +287,31 @@ func TestPlanBits(t *testing.T) {
 func TestTableBucketsSkipClusteredBits(t *testing.T) {
 	const bits = 10
 	// Collect 4096 keys that all hash into radix partition 0.
-	keys := make([]int32, 0, 4096)
-	oids := make([]OID, 0, 4096)
-	for k := int32(0); len(keys) < 4096; k++ {
+	part := make([]uint64, 0, 4096)
+	for k := int32(0); len(part) < cap(part); k++ {
 		if hash.Int32(k)&(1<<bits-1) == 0 {
-			oids = append(oids, OID(len(keys)))
-			keys = append(keys, k)
+			part = append(part, radix.BUN(uint32(k), uint32(len(part))))
 		}
 	}
-	maxChain := func(tb *table) int {
+	maxChain := func(shift uint) int {
+		var ts TableScratch
+		ProbeBUNs(part, nil, shift, &Index{}, &ts)
 		m := 0
-		for _, head := range tb.first {
+		for _, head := range ts.first[:bucketsPerTuple*NumBuckets(len(part))] {
 			n := 0
-			for e := head; e != 0; e = tb.next[e-1] {
+			for e := head; e != 0; e = ts.next[e-1] {
 				n++
 			}
-			if n > m {
-				m = n
-			}
+			m = max(m, n)
 		}
 		return m
 	}
-	collapsed := buildTable(oids, keys, 0)
-	fixed := buildTable(oids, keys, bits)
-	// 4096 keys over 8192 buckets, but with the low 10 bucket bits
-	// pinned only 8 buckets are reachable: chains of ~512.
-	if got := maxChain(collapsed); got < 300 {
+	// 4096 keys over 32768 buckets, but with the low 10 bucket bits
+	// pinned only 32 buckets are reachable: chains of ~128.
+	if got := maxChain(0); got < 100 {
 		t.Fatalf("sanity: shift=0 should collapse chains, max chain = %d", got)
 	}
-	if got := maxChain(fixed); got > 16 {
+	if got := maxChain(bits); got > 8 {
 		t.Fatalf("shifted table still has chains of %d", got)
 	}
 }
@@ -327,11 +323,11 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := radix.ClusterPairs(lo, lk, true, o)
+	cl, err := radix.ClusterBUNs(lo, lk, true, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := radix.ClusterPairs(so, sk, true, o)
+	cs, err := radix.ClusterBUNs(so, sk, true, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +340,7 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	}
 	checkIndex(t, got, refJoin(lo, lk, so, sk))
 	// Mismatched partition counts must be rejected.
-	cs2, _ := radix.ClusterPairs(so, sk, true, radix.Opts{Bits: 3})
+	cs2, _ := radix.ClusterBUNs(so, sk, true, radix.Opts{Bits: 3})
 	if _, err := PartitionedPreclustered(cl, cs2); err == nil {
 		t.Fatal("partition count mismatch not rejected")
 	}

@@ -1,0 +1,248 @@
+package join_test
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"radixdecluster/internal/exec"
+	"radixdecluster/internal/join"
+	"radixdecluster/internal/radix"
+)
+
+type pair [2]join.OID // [larger oid, smaller oid]
+
+func comparePairs(a, b pair) int {
+	return slices.Compare(a[:], b[:])
+}
+
+// refEquiJoin is the independent oracle: an equi-join that shares
+// nothing with the engines — no hash function, radix bits, clustering
+// or BUNs, just a map from key to the smaller oids that carry it. It
+// returns the match multiset, sorted.
+func refEquiJoin(lo []join.OID, lk []int32, so []join.OID, sk []int32) []pair {
+	byKey := map[int32][]join.OID{}
+	for i, k := range sk {
+		byKey[k] = append(byKey[k], so[i])
+	}
+	var out []pair
+	for i, k := range lk {
+		for _, s := range byKey[k] {
+			out = append(out, pair{lo[i], s})
+		}
+	}
+	slices.SortFunc(out, comparePairs)
+	return out
+}
+
+func sortedPairs(ix *join.Index) []pair {
+	out := make([]pair, ix.Len())
+	for i := range out {
+		out[i] = pair{ix.Larger[i], ix.Smaller[i]}
+	}
+	slices.SortFunc(out, comparePairs)
+	return out
+}
+
+// keyShapes draw the two key columns. Oids are a shuffled dense range
+// on each side, so a pair names its tuples unambiguously.
+var keyShapes = []struct {
+	name string
+	gen  func(rng *rand.Rand, lk, sk []int32)
+}{
+	{"unique, hit rate 1", func(rng *rand.Rand, lk, sk []int32) {
+		for i := range sk {
+			sk[i] = int32(i) * 7
+		}
+		rng.Shuffle(len(sk), func(i, j int) { sk[i], sk[j] = sk[j], sk[i] })
+		for i := range lk {
+			lk[i] = int32(rng.IntN(max(len(sk), 1))) * 7
+		}
+	}},
+	{"hit rate 3: every smaller key three times", func(rng *rand.Rand, lk, sk []int32) {
+		domain := max(len(sk)/3, 1)
+		for i := range sk {
+			sk[i] = int32(i%domain) - 5
+		}
+		for i := range lk {
+			lk[i] = int32(rng.IntN(domain)) - 5
+		}
+	}},
+	{"hit rate 0.3", func(rng *rand.Rand, lk, sk []int32) {
+		for i := range sk {
+			sk[i] = int32(i)
+		}
+		for i := range lk {
+			lk[i] = int32(rng.IntN(max(len(sk)*10/3, 1)))
+		}
+	}},
+	{"duplicates on both sides", func(rng *rand.Rand, lk, sk []int32) {
+		for i := range sk {
+			sk[i] = int32(rng.IntN(max(len(sk)/2, 1))) << 12
+		}
+		for i := range lk {
+			lk[i] = int32(rng.IntN(max(len(sk)/2, 1))) << 12
+		}
+	}},
+	{"all equal", func(_ *rand.Rand, lk, sk []int32) {
+		// |larger| × |smaller| matches: keep one side tiny.
+		for i := range sk {
+			sk[i] = -1
+			if i >= 5 {
+				sk[i] = int32(i)
+			}
+		}
+		for i := range lk {
+			lk[i] = -1
+		}
+	}},
+	{"Zipf-skewed larger keys", func(rng *rand.Rand, lk, sk []int32) {
+		for i := range sk {
+			sk[i] = int32(i)
+		}
+		z := rand.NewZipf(rng, 1.3, 1, uint64(max(len(sk), 1)-1))
+		for i := range lk {
+			lk[i] = int32(z.Uint64())
+		}
+	}},
+	{"absent: disjoint key domains", func(rng *rand.Rand, lk, sk []int32) {
+		for i := range sk {
+			sk[i] = int32(rng.Uint32() | 1)
+		}
+		for i := range lk {
+			lk[i] = int32(rng.Uint32() &^ 1)
+		}
+	}},
+}
+
+func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so []join.OID, sk []int32) {
+	lo, lk, so, sk = make([]join.OID, nL), make([]int32, nL), make([]join.OID, nS), make([]int32, nS)
+	for _, oids := range [][]join.OID{lo, so} {
+		for i := range oids {
+			oids[i] = join.OID(i)
+		}
+		rng.Shuffle(len(oids), func(i, j int) { oids[i], oids[j] = oids[j], oids[i] })
+	}
+	keyShapes[shape].gen(rng, lk, sk)
+	return lo, lk, so, sk
+}
+
+// checkAgainstOracle joins one input under one clustering with both
+// engines: each must return exactly the oracle's pair multiset, and the
+// two the identical sequence.
+func checkAgainstOracle(t *testing.T, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
+	t.Helper()
+	serial, err := join.Partitioned(lo, lk, so, sk, o)
+	if err != nil {
+		t.Fatalf("%+v: serial: %v", o, err)
+	}
+	if got := sortedPairs(serial); !slices.Equal(got, want) {
+		t.Fatalf("%+v: serial join returned %d pairs, the oracle %d, or different ones", o, len(got), len(want))
+	}
+	p := exec.New(2)
+	defer p.Close() // the parallel join-index is leased from the pool
+	parallel, err := p.Partitioned(lo, lk, so, sk, o)
+	if err != nil {
+		t.Fatalf("%+v: parallel: %v", o, err)
+	}
+	if !slices.Equal(parallel.Larger, serial.Larger) || !slices.Equal(parallel.Smaller, serial.Smaller) {
+		t.Fatalf("%+v: parallel join-index is not the serial sequence (%d vs %d pairs)", o, parallel.Len(), serial.Len())
+	}
+}
+
+// optsFor rotates the fan-outs over the case index so the table covers
+// Bits 0–13, single- and multi-pass, with the extremes on every case:
+// 13 bits is past the parallel engine's first-level cap (two levels).
+func optsFor(i int) []radix.Opts {
+	a, b := 1+i%12, 1+(i*5+3)%12
+	return []radix.Opts{
+		{Bits: 0},
+		{Bits: a},
+		{Bits: b, Passes: radix.SplitBits(b, 4)},
+		{Bits: 13},
+		{Bits: 13, Passes: []int{7, 6}},
+	}
+}
+
+func TestPartitionedMatchesIndependentOracle(t *testing.T) {
+	// Sizes straddle exec.MinParallelN (the parallel engine's serial
+	// fallback is decided on |larger| + |smaller|), with empty sides.
+	half := exec.MinParallelN / 2
+	sizes := [][2]int{{0, 300}, {300, 0}, {1000, 700}, {half - 1, half}, {half, half}, {40000, 25000}}
+	rng := rand.New(rand.NewPCG(13, 1))
+	i := 0
+	for shape := range keyShapes {
+		for _, sz := range sizes {
+			nL, nS := sz[0], sz[1]
+			if keyShapes[shape].name == "all equal" {
+				nS = min(nS, 40)
+			}
+			lo, lk, so, sk := genSides(rng, shape, nL, nS)
+			want := refEquiJoin(lo, lk, so, sk)
+			t.Run(fmt.Sprintf("%s/%dx%d", keyShapes[shape].name, nL, nS), func(t *testing.T) {
+				for _, o := range optsFor(i) {
+					checkAgainstOracle(t, lo, lk, so, sk, want, o)
+				}
+			})
+			i++
+		}
+	}
+}
+
+func TestPartitionedMatchesIndependentOracleRandom(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 2))
+	for range 40 {
+		shape := rng.IntN(len(keyShapes))
+		nL, nS := rng.IntN(3*exec.MinParallelN), rng.IntN(2*exec.MinParallelN)
+		if keyShapes[shape].name == "all equal" {
+			nS = min(nS, 40)
+		}
+		bits := rng.IntN(14)
+		o := radix.Opts{Bits: bits}
+		if bits > 1 && rng.IntN(2) == 0 {
+			o.Passes = radix.SplitBits(bits, 1+rng.IntN(bits))
+		}
+		lo, lk, so, sk := genSides(rng, shape, nL, nS)
+		checkAgainstOracle(t, lo, lk, so, sk, refEquiJoin(lo, lk, so, sk), o)
+	}
+}
+
+// A partition with more matches than its carved [lo:lo:hi] share of a
+// shared arena (duplicate smaller keys) must move to arrays of its own
+// and leave the neighbouring partition's list alone.
+func TestProbeBUNsOverflowLeavesNeighbourIntact(t *testing.T) {
+	bun := func(key int32, oid join.OID) uint64 { return radix.BUN(uint32(key), oid) }
+	// Partition 0: 4 probes × 3 copies of their key = 12 matches into a
+	// carving of 4. Partition 1: key–foreign-key, fills its carving.
+	smaller0 := []uint64{bun(9, 0), bun(9, 1), bun(9, 2)}
+	larger0 := []uint64{bun(9, 10), bun(9, 11), bun(9, 12), bun(9, 13)}
+	smaller1 := []uint64{bun(4, 3), bun(5, 4)}
+	larger1 := []uint64{bun(5, 14), bun(4, 15), bun(5, 16)}
+	n0, n1 := len(larger0), len(larger1)
+	arenaL, arenaS := make([]join.OID, n0+n1), make([]join.OID, n0+n1)
+	parts := []join.Index{
+		{Larger: arenaL[0:0:n0], Smaller: arenaS[0:0:n0]},
+		{Larger: arenaL[n0 : n0 : n0+n1], Smaller: arenaS[n0 : n0 : n0+n1]},
+	}
+	var ts join.TableScratch
+	join.ProbeBUNs(smaller1, larger1, 0, &parts[1], &ts)
+	wantL1, wantS1 := []join.OID{14, 15, 16}, []join.OID{4, 3, 4}
+	if !slices.Equal(parts[1].Larger, wantL1) || !slices.Equal(parts[1].Smaller, wantS1) {
+		t.Fatalf("partition 1: got %v / %v", parts[1].Larger, parts[1].Smaller)
+	}
+	join.ProbeBUNs(smaller0, larger0, 0, &parts[0], &ts)
+	// LIFO chain: the duplicates of a smaller key match newest first.
+	wantL0 := []join.OID{10, 10, 10, 11, 11, 11, 12, 12, 12, 13, 13, 13}
+	wantS0 := []join.OID{2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0}
+	if !slices.Equal(parts[0].Larger, wantL0) || !slices.Equal(parts[0].Smaller, wantS0) {
+		t.Fatalf("overflowing partition: got %v / %v", parts[0].Larger, parts[0].Smaller)
+	}
+	if !slices.Equal(parts[1].Larger, wantL1) || !slices.Equal(parts[1].Smaller, wantS1) ||
+		!slices.Equal(arenaL[n0:], wantL1) || !slices.Equal(arenaS[n0:], wantS1) {
+		t.Fatalf("overflow of partition 0 clobbered partition 1: %v / %v", arenaL[n0:], arenaS[n0:])
+	}
+	if &parts[0].Larger[0] == &arenaL[0] {
+		t.Fatal("overflowing partition still aliases the arena")
+	}
+}

@@ -1,7 +1,7 @@
 package radix
 
 // This file holds the serial multi-pass engine behind the
-// ClusterPairs / ClusterOIDPairs / ClusterRows front ends: the chunk
+// ClusterBUNs / ClusterOIDPairs / ClusterRows front ends: the chunk
 // kernels of kernel.go with one chunk per current cluster range.
 //
 // Each pass p consumes the next Bp most-significant bits of the radix
@@ -16,8 +16,8 @@ package radix
 // ChunkFn applies one chunk kernel to tuples [lo,hi) of pass p's
 // input, with the pass's radix bits and the chunk's histogram or
 // cursor row. Pass p reads what pass p-1 wrote (pass 0 the caller's
-// columns); PairKernels and RowKernels bind where that is, and what
-// the clustering value is — the drivers only schedule bits.
+// columns); PairKernels, BUNKernels and RowKernels bind where that is,
+// and what the clustering value is — the drivers only schedule bits.
 type ChunkFn func(p, lo, hi int, f Field, row []int)
 
 // PairKernels binds the chunk kernels to a [key, payload] BAT and the
@@ -41,6 +41,27 @@ func PairKernels[K, P Word](keys []K, pay []P, hashed bool, bufK [2][]K, bufP [2
 	scatter = func(p, lo, hi int, f Field, cur []int) {
 		k, v := src(p)
 		Scatter(k[lo:hi], v[lo:hi], hashed, f, cur, bufK[p&1], bufP[p&1])
+	}
+	return count, scatter
+}
+
+// BUNKernels is PairKernels for a join input: pass 0 packs the caller's
+// [key, oid] columns into BUNs (kernel.go), later passes move BUNs, so
+// every pass writes one stream per cluster into buf[p&1].
+func BUNKernels[K, P Word](keys []K, oids []P, hashed bool, buf [2][]uint64) (count, scatter ChunkFn) {
+	count = func(p, lo, hi int, f Field, row []int) {
+		if p == 0 {
+			Histogram(keys[lo:hi], hashed, f, row)
+			return
+		}
+		HistogramBUN(buf[(p-1)&1][lo:hi], hashed, f, row)
+	}
+	scatter = func(p, lo, hi int, f Field, cur []int) {
+		if p == 0 {
+			ScatterPack(keys[lo:hi], oids[lo:hi], hashed, f, cur, buf[0])
+			return
+		}
+		ScatterBUN(buf[(p-1)&1][lo:hi], hashed, f, cur, buf[p&1])
 	}
 	return count, scatter
 }
@@ -117,6 +138,24 @@ func clusterPairs[K, P Word](keys []K, pay []P, hashed bool, o Opts) ([]K, []P, 
 	}
 	count, scatter := PairKernels(keys, pay, hashed, bufK, bufP)
 	return bufK[(np-1)&1], bufP[(np-1)&1], runPasses(n, o, count, scatter)
+}
+
+// clusterBUNs is clusterPairs for a join input: the clustered tuples
+// come back as one fresh BUN array.
+func clusterBUNs[K, P Word](keys []K, oids []P, hashed bool, o Opts) ([]uint64, []int) {
+	n := len(keys)
+	np := len(o.passes())
+	buf := [2][]uint64{make([]uint64, n)}
+	if np == 0 || n == 0 {
+		// One cluster: pack in input order.
+		ScatterPack(keys, oids, false, Field{}, []int{0}, buf[0])
+		return buf[0], trivialOffsets(n, o.Bits)
+	}
+	if np > 1 {
+		buf[1] = make([]uint64, n)
+	}
+	count, scatter := BUNKernels(keys, oids, hashed, buf)
+	return buf[(np-1)&1], runPasses(n, o, count, scatter)
 }
 
 // clusterRows clusters row-major width-wide records on the hash of

@@ -20,6 +20,14 @@ package radix
 // per-tuple call, no allocation, no staging copy. The clustering value
 // is derived from the key inside the loop (its own bits, or its hash),
 // so no radix column is materialised or carried between passes.
+//
+// A join input travels as BUNs (§2.2): one uint64 per tuple holding key
+// and oid (BUN, BUNKey, BUNOID), so a clustering pass keeps
+// one write stream per cluster and a hash-table probe finds the key it
+// compares and the oid it emits in one load. ScatterPack packs the
+// caller's two columns during the first pass; join.ProbeBUNs unpacks.
+// [oid, oid] clusterings stay columnar: their consumers (Positional-
+// Joins, Radix-Decluster) each read one of the two columns end to end.
 
 import "radixdecluster/internal/hash"
 
@@ -69,6 +77,72 @@ func Scatter[K, P Word](keys []K, pay []P, hashed bool, f Field, cur []int, dstK
 		d := cur[c]
 		cur[c] = d + 1
 		dstK[d], dstP[d] = k, pay[i]
+	}
+}
+
+// BUN packs a [key, oid] tuple: key in the high half, oid in the low.
+func BUN(key, oid uint32) uint64 { return uint64(key)<<32 | uint64(oid) }
+
+// BUNKey returns the key half of a BUN.
+func BUNKey(b uint64) uint32 { return uint32(b >> 32) }
+
+// BUNOID returns the oid half of a BUN.
+func BUNOID(b uint64) uint32 { return uint32(b) }
+
+// ScatterPack is Scatter for a join input: the [key, oid] tuples leave
+// as BUNs.
+func ScatterPack[K, P Word](keys []K, oids []P, hashed bool, f Field, cur []int, dst []uint64) {
+	sh, mask := f.Shift, f.Mask
+	oids = oids[:len(keys)]
+	if hashed {
+		for i, k := range keys {
+			c := (hash.Mix(uint32(k)) >> sh) & mask
+			d := cur[c]
+			cur[c] = d + 1
+			dst[d] = BUN(uint32(k), uint32(oids[i]))
+		}
+		return
+	}
+	for i, k := range keys {
+		c := (uint32(k) >> sh) & mask
+		d := cur[c]
+		cur[c] = d + 1
+		dst[d] = BUN(uint32(k), uint32(oids[i]))
+	}
+}
+
+// HistogramBUN is Histogram over the keys of BUNs.
+func HistogramBUN(buns []uint64, hashed bool, f Field, row []int) {
+	sh, mask := f.Shift, f.Mask
+	if hashed {
+		for _, b := range buns {
+			row[(hash.Mix(BUNKey(b))>>sh)&mask]++
+		}
+		return
+	}
+	for _, b := range buns {
+		row[(BUNKey(b)>>sh)&mask]++
+	}
+}
+
+// ScatterBUN is Scatter for the BUNs HistogramBUN counted: the later
+// passes of a join-input clustering.
+func ScatterBUN(buns []uint64, hashed bool, f Field, cur []int, dst []uint64) {
+	sh, mask := f.Shift, f.Mask
+	if hashed {
+		for _, b := range buns {
+			c := (hash.Mix(BUNKey(b)) >> sh) & mask
+			d := cur[c]
+			cur[c] = d + 1
+			dst[d] = b
+		}
+		return
+	}
+	for _, b := range buns {
+		c := (BUNKey(b) >> sh) & mask
+		d := cur[c]
+		cur[c] = d + 1
+		dst[d] = b
 	}
 }
 

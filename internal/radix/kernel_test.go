@@ -36,18 +36,18 @@ func refCluster[K, P Word](keys []K, pay []P, hashed bool, bits, ignore int) ([]
 	return outK, outP, offsets
 }
 
-// chunkedPass runs one clustering pass the way the parallel engine
-// does — per-chunk histograms, the (cluster, chunk) prefix sum, per-
-// chunk scatters — over the chunks that cuts (ascending positions in
-// [0,n]) delimit.
-func chunkedPass[K, P Word](keys []K, pay []P, hashed bool, f Field, cuts []int) ([]K, []P, []int) {
-	n, h := len(keys), int(f.Mask)+1
+// chunkedPass runs one clustering pass over n tuples the way the
+// parallel engine does — per-chunk histograms, the (cluster, chunk)
+// prefix sum, per-chunk scatters — over the chunks that cuts (ascending
+// positions in [0,n]) delimit. count and scatter apply a kernel pair to
+// tuples [lo,hi); the cluster offsets are returned.
+func chunkedPass(n int, f Field, cuts []int, count, scatter func(lo, hi int, row []int)) []int {
+	h := int(f.Mask) + 1
 	bounds := append(append([]int{0}, cuts...), n)
-	nch := len(bounds) - 1
-	rows := make([][]int, nch)
+	rows := make([][]int, len(bounds)-1)
 	for k := range rows {
 		rows[k] = make([]int, h)
-		Histogram(keys[bounds[k]:bounds[k+1]], hashed, f, rows[k])
+		count(bounds[k], bounds[k+1], rows[k])
 	}
 	offsets := make([]int, h+1)
 	pos := 0
@@ -58,36 +58,20 @@ func chunkedPass[K, P Word](keys []K, pay []P, hashed bool, f Field, cuts []int)
 		}
 	}
 	offsets[h] = pos
-	outK, outP := make([]K, n), make([]P, n)
 	for k := range rows {
-		Scatter(keys[bounds[k]:bounds[k+1]], pay[bounds[k]:bounds[k+1]], hashed, f, rows[k], outK, outP)
+		scatter(bounds[k], bounds[k+1], rows[k])
 	}
-	return outK, outP, offsets
+	return offsets
 }
 
-// chunkedRowsPass is chunkedPass for the row-major kernels.
-func chunkedRowsPass(rows []int32, width, keyCol int, f Field, cuts []int) ([]int32, []int) {
-	n, h := len(rows)/width, int(f.Mask)+1
-	bounds := append(append([]int{0}, cuts...), n)
-	hist := make([][]int, len(bounds)-1)
-	for k := range hist {
-		hist[k] = make([]int, h)
-		HistogramRows(rows[bounds[k]*width:bounds[k+1]*width], width, keyCol, f, hist[k])
+// unpackBUNs splits BUNs back into the [key, payload] columns they
+// were packed from.
+func unpackBUNs[K, P Word](buns []uint64) ([]K, []P) {
+	keys, pay := make([]K, len(buns)), make([]P, len(buns))
+	for i, b := range buns {
+		keys[i], pay[i] = K(BUNKey(b)), P(BUNOID(b))
 	}
-	offsets := make([]int, h+1)
-	pos := 0
-	for c := 0; c < h; c++ {
-		offsets[c] = pos
-		for k := range hist {
-			hist[k][c], pos = pos, pos+hist[k][c]
-		}
-	}
-	offsets[h] = pos
-	out := make([]int32, len(rows))
-	for k := range hist {
-		ScatterRows(rows[bounds[k]*width:bounds[k+1]*width], width, keyCol, f, hist[k], out)
-	}
-	return out, offsets
+	return keys, pay
 }
 
 // compositions returns every ordered split of bits into passes for
@@ -146,10 +130,18 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 // checkPairs holds one [key, payload] input to the oracle through both
 // routes: the serial engine under every pass split, and one chunked
 // pass under arbitrary cuts (single-level fan-outs only — that is all
-// a chunked pass is used for).
+// a chunked pass is used for) — each with the column kernels and with
+// the BUN kernels, whose unpacked output must be the same columns.
 func checkPairs[K, P Word](t *testing.T, rng *rand.Rand, keys []K, pay []P, hashed bool, bits, ignore int, splits [][]int) {
 	t.Helper()
+	n := len(keys)
 	wantK, wantP, wantOff := refCluster(keys, pay, hashed, bits, ignore)
+	same := func(what string, gotK []K, gotP []P, gotOff []int, passes ...int) {
+		t.Helper()
+		if !slices.Equal(gotK, wantK) || !slices.Equal(gotP, wantP) || !slices.Equal(gotOff, wantOff) {
+			t.Fatalf("n=%d hashed=%v bits=%d ignore=%d passes=%v: %s differs from the stable-sort reference", n, hashed, bits, ignore, passes, what)
+		}
+	}
 	inK, inP := slices.Clone(keys), slices.Clone(pay)
 	for _, passes := range splits {
 		o := Opts{Bits: bits, Ignore: ignore, Passes: passes}
@@ -157,17 +149,40 @@ func checkPairs[K, P Word](t *testing.T, rng *rand.Rand, keys []K, pay []P, hash
 			t.Fatal(err)
 		}
 		gotK, gotP, gotOff := clusterPairs(keys, pay, hashed, o)
-		if !slices.Equal(gotK, wantK) || !slices.Equal(gotP, wantP) || !slices.Equal(gotOff, wantOff) {
-			t.Fatalf("n=%d hashed=%v %+v: serial engine differs from the stable-sort reference", len(keys), hashed, o)
-		}
+		same("serial engine", gotK, gotP, gotOff, passes...)
+		buns, gotOff := clusterBUNs(keys, pay, hashed, o)
+		gotK, gotP = unpackBUNs[K, P](buns)
+		same("serial BUN engine (pack→BUN→BUN)", gotK, gotP, gotOff, passes...)
 	}
+
 	f := Field{Shift: uint(ignore), Mask: uint32(1<<bits - 1)}
-	gotK, gotP, gotOff := chunkedPass(keys, pay, hashed, f, randomCuts(rng, len(keys), 5))
-	if !slices.Equal(gotK, wantK) || !slices.Equal(gotP, wantP) || !slices.Equal(gotOff, wantOff) {
-		t.Fatalf("n=%d hashed=%v bits=%d ignore=%d: chunked pass differs from the one-chunk result", len(keys), hashed, bits, ignore)
-	}
-	if !slices.Equal(keys, inK) || !slices.Equal(pay, inP) {
-		t.Fatalf("n=%d bits=%d: clustering wrote to its input columns", len(keys), bits)
+	count := func(lo, hi int, row []int) { Histogram(keys[lo:hi], hashed, f, row) }
+	gotK, gotP := make([]K, n), make([]P, n)
+	gotOff := chunkedPass(n, f, randomCuts(rng, n, 5), count, func(lo, hi int, cur []int) {
+		Scatter(keys[lo:hi], pay[lo:hi], hashed, f, cur, gotK, gotP)
+	})
+	same("chunked pass", gotK, gotP, gotOff)
+
+	packed := make([]uint64, n)
+	gotOff = chunkedPass(n, f, randomCuts(rng, n, 5), count, func(lo, hi int, cur []int) {
+		ScatterPack(keys[lo:hi], pay[lo:hi], hashed, f, cur, packed)
+	})
+	gotK, gotP = unpackBUNs[K, P](packed)
+	same("chunked ScatterPack pass", gotK, gotP, gotOff)
+
+	// BUN → BUN: pack in input order (a one-cluster pass, itself cut
+	// into chunks), then cluster the BUNs.
+	chunkedPass(n, Field{}, randomCuts(rng, n, 5), func(lo, hi int, row []int) { row[0] = hi - lo },
+		func(lo, hi int, cur []int) { ScatterPack(keys[lo:hi], pay[lo:hi], hashed, Field{}, cur, packed) })
+	inB, moved := slices.Clone(packed), make([]uint64, n)
+	gotOff = chunkedPass(n, f, randomCuts(rng, n, 5),
+		func(lo, hi int, row []int) { HistogramBUN(packed[lo:hi], hashed, f, row) },
+		func(lo, hi int, cur []int) { ScatterBUN(packed[lo:hi], hashed, f, cur, moved) })
+	gotK, gotP = unpackBUNs[K, P](moved)
+	same("chunked BUN→BUN pass", gotK, gotP, gotOff)
+
+	if !slices.Equal(keys, inK) || !slices.Equal(pay, inP) || !slices.Equal(packed, inB) {
+		t.Fatalf("n=%d bits=%d: clustering wrote to its input", n, bits)
 	}
 }
 
@@ -200,7 +215,10 @@ func checkRows(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, sp
 		}
 	}
 	f := Field{Shift: uint(ignore), Mask: uint32(1<<bits - 1)}
-	got, gotOff := chunkedRowsPass(rows, width, keyCol, f, randomCuts(rng, n, 5))
+	got := make([]int32, len(rows))
+	gotOff := chunkedPass(n, f, randomCuts(rng, n, 5),
+		func(lo, hi int, row []int) { HistogramRows(rows[lo*width:hi*width], width, keyCol, f, row) },
+		func(lo, hi int, cur []int) { ScatterRows(rows[lo*width:hi*width], width, keyCol, f, cur, got) })
 	if !slices.Equal(got, want) || !slices.Equal(gotOff, wantOff) {
 		t.Fatalf("n=%d bits=%d ignore=%d: chunked rows pass differs from the one-chunk result", n, bits, ignore)
 	}
@@ -260,6 +278,7 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		rows[i] = int32(rng.Uint32())
 	}
 	dstV, dstO, dstRows := make([]int32, n), make([]OID, n), make([]int32, n*width)
+	buns, dstB := make([]uint64, n), make([]uint64, n)
 	row := make([]int, 64)
 	cursors := func() {
 		pos := 0
@@ -281,6 +300,16 @@ func TestKernelsAllocateNothing(t *testing.T) {
 				Histogram(oids, hashed, f, row)
 				cursors()
 				Scatter(oids, oids, hashed, f, row, dstO, dstO)
+			},
+			"BUN": func() {
+				clear(row)
+				Histogram(vals, hashed, f, row)
+				cursors()
+				ScatterPack(vals, oids, hashed, f, row, buns)
+				clear(row)
+				HistogramBUN(buns, hashed, f, row)
+				cursors()
+				ScatterBUN(buns, hashed, f, row, dstB)
 			},
 			"rows": func() {
 				clear(row)

@@ -115,30 +115,26 @@ func MaxBitsPerPass(h mem.Hierarchy) int {
 	return mem.Log2Floor(limit)
 }
 
-// PairsResult is a radix-clustered [oid,value] BAT plus its H+1
-// cluster offsets.
-type PairsResult struct {
-	Heads   []OID
-	Vals    []int32
+// BUNsResult is a radix-clustered [oid,value] BAT — a join input — as
+// packed BUNs (kernel.go) plus its H+1 cluster offsets.
+type BUNsResult struct {
+	BUNs    []uint64
 	Offsets []int
 }
 
-// Borders converts the offsets into bat.Border form.
-func (r *PairsResult) Borders() []bat.Border { return bat.BordersFromOffsets(r.Offsets) }
-
-// ClusterPairs radix-clusters an [oid,value] BAT on its value column.
+// ClusterBUNs radix-clusters an [oid,value] BAT on its value column.
 // With hashVals set the radix comes from hash.Int32(value) — required
 // for join attributes so that skewed domains still spread over all
 // clusters (§2.2); without it the value's own bits are used.
-func ClusterPairs(heads []OID, vals []int32, hashVals bool, o Opts) (*PairsResult, error) {
+func ClusterBUNs(heads []OID, vals []int32, hashVals bool, o Opts) (*BUNsResult, error) {
 	if len(heads) != len(vals) {
-		return nil, fmt.Errorf("radix: ClusterPairs: %d heads vs %d values", len(heads), len(vals))
+		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	outVals, outHeads, offsets := clusterPairs(vals, heads, hashVals, o)
-	return &PairsResult{Heads: outHeads, Vals: outVals, Offsets: offsets}, nil
+	buns, offsets := clusterBUNs(vals, heads, hashVals, o)
+	return &BUNsResult{BUNs: buns, Offsets: offsets}, nil
 }
 
 // OIDPairsResult is a radix-clustered [oid,oid] BAT (e.g. a

@@ -75,13 +75,15 @@ func TestMaxBitsPerPass(t *testing.T) {
 // radix clustering: (1) output is a multiset permutation of the
 // input; (2) every tuple lies in the cluster its radix value names;
 // (3) input order is preserved within each cluster.
-func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, res *PairsResult, hashVals bool, o Opts) {
+func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, bres *BUNsResult, hashVals bool, o Opts) {
 	t.Helper()
 	n := len(heads)
-	if len(res.Heads) != n || len(res.Vals) != n {
-		t.Fatalf("clustered size %d/%d, want %d", len(res.Heads), len(res.Vals), n)
+	res := unpack(bres)
+	if len(res.Heads) != n {
+		t.Fatalf("clustered size %d, want %d", len(res.Heads), n)
 	}
-	if err := bat.ValidateBorders(res.Borders(), n); err != nil {
+	borders := bat.BordersFromOffsets(res.Offsets)
+	if err := bat.ValidateBorders(borders, n); err != nil {
 		t.Fatalf("bad borders: %v", err)
 	}
 	radixOf := func(v int32) uint32 {
@@ -92,7 +94,7 @@ func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, res *PairsResu
 		return (r >> uint(o.Ignore)) & uint32(1<<o.Bits-1)
 	}
 	// (2) membership.
-	for c, b := range res.Borders() {
+	for c, b := range borders {
 		for i := b.Start; i < b.End; i++ {
 			if got := radixOf(res.Vals[i]); got != uint32(c) {
 				t.Fatalf("tuple %d in cluster %d has radix %d", i, c, got)
@@ -121,7 +123,7 @@ func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, res *PairsResu
 	for i, h := range heads {
 		pos[h] = i
 	}
-	for _, b := range res.Borders() {
+	for _, b := range borders {
 		last := -1
 		for i := b.Start; i < b.End; i++ {
 			p := pos[res.Heads[i]]
@@ -131,6 +133,21 @@ func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, res *PairsResu
 			last = p
 		}
 	}
+}
+
+// unpacked is a BUNsResult split back into its two columns.
+type unpacked struct {
+	Heads   []OID
+	Vals    []int32
+	Offsets []int
+}
+
+func unpack(r *BUNsResult) unpacked {
+	u := unpacked{Heads: make([]OID, len(r.BUNs)), Vals: make([]int32, len(r.BUNs)), Offsets: r.Offsets}
+	for i, b := range r.BUNs {
+		u.Heads[i], u.Vals[i] = BUNOID(b), int32(BUNKey(b))
+	}
+	return u
 }
 
 func randomPairs(n int, seed uint64) ([]OID, []int32) {
@@ -144,27 +161,29 @@ func randomPairs(n int, seed uint64) ([]OID, []int32) {
 	return heads, vals
 }
 
-func TestClusterPairsSinglePass(t *testing.T) {
+func TestClusterBUNsSinglePass(t *testing.T) {
 	heads, vals := randomPairs(1000, 1)
 	o := Opts{Bits: 4}
-	res, err := ClusterPairs(heads, vals, true, o)
+	res, err := ClusterBUNs(heads, vals, true, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkClusteredPairs(t, heads, vals, res, true, o)
 }
 
-func TestClusterPairsMultiPassEqualsSinglePass(t *testing.T) {
+func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 	heads, vals := randomPairs(5000, 2)
-	single, err := ClusterPairs(heads, vals, true, Opts{Bits: 6})
+	bsingle, err := ClusterBUNs(heads, vals, true, Opts{Bits: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := unpack(bsingle)
 	for _, passes := range [][]int{{3, 3}, {2, 2, 2}, {4, 1, 1}, {1, 5}} {
-		multi, err := ClusterPairs(heads, vals, true, Opts{Bits: 6, Passes: passes})
+		bmulti, err := ClusterBUNs(heads, vals, true, Opts{Bits: 6, Passes: passes})
 		if err != nil {
 			t.Fatal(err)
 		}
+		multi := unpack(bmulti)
 		// Multi-pass MSB-first radix clustering is stable, so the
 		// result must be byte-identical to the single pass.
 		for i := range single.Heads {
@@ -180,22 +199,23 @@ func TestClusterPairsMultiPassEqualsSinglePass(t *testing.T) {
 	}
 }
 
-func TestClusterPairsUnhashed(t *testing.T) {
+func TestClusterBUNsUnhashed(t *testing.T) {
 	heads, vals := randomPairs(512, 3)
 	o := Opts{Bits: 3}
-	res, err := ClusterPairs(heads, vals, false, o)
+	res, err := ClusterBUNs(heads, vals, false, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkClusteredPairs(t, heads, vals, res, false, o)
 }
 
-func TestClusterPairsZeroBits(t *testing.T) {
+func TestClusterBUNsZeroBits(t *testing.T) {
 	heads, vals := randomPairs(64, 4)
-	res, err := ClusterPairs(heads, vals, true, Opts{Bits: 0})
+	bres, err := ClusterBUNs(heads, vals, true, Opts{Bits: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := unpack(bres)
 	if len(res.Offsets) != 2 || res.Offsets[1] != 64 {
 		t.Fatalf("offsets = %v", res.Offsets)
 	}
@@ -206,18 +226,18 @@ func TestClusterPairsZeroBits(t *testing.T) {
 	}
 }
 
-func TestClusterPairsEmpty(t *testing.T) {
-	res, err := ClusterPairs(nil, nil, true, Opts{Bits: 3})
+func TestClusterBUNsEmpty(t *testing.T) {
+	res, err := ClusterBUNs(nil, nil, true, Opts{Bits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bat.ValidateBorders(res.Borders(), 0); err != nil {
+	if err := bat.ValidateBorders(bat.BordersFromOffsets(res.Offsets), 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestClusterPairsLengthMismatch(t *testing.T) {
-	if _, err := ClusterPairs([]OID{1}, []int32{1, 2}, true, Opts{Bits: 1}); err == nil {
+func TestClusterBUNsLengthMismatch(t *testing.T) {
+	if _, err := ClusterBUNs([]OID{1}, []int32{1, 2}, true, Opts{Bits: 1}); err == nil {
 		t.Fatal("length mismatch not rejected")
 	}
 }
@@ -396,18 +416,19 @@ func TestIgnoreBits(t *testing.T) {
 
 // Property: for arbitrary data and any (B,I,passes) combination,
 // clustering preserves the multiset and clusters are radix-pure.
-func TestClusterPairsQuick(t *testing.T) {
+func TestClusterBUNsQuick(t *testing.T) {
 	f := func(seed uint64, bits8, ignore8, pass8 uint8) bool {
 		bits := int(bits8%8) + 1
 		ignore := int(ignore8 % 8)
 		maxPer := int(pass8%3) + 1
 		o := Opts{Bits: bits, Ignore: ignore, Passes: SplitBits(bits, maxPer)}
 		heads, vals := randomPairs(257, seed)
-		res, err := ClusterPairs(heads, vals, true, o)
+		bres, err := ClusterBUNs(heads, vals, true, o)
 		if err != nil {
 			return false
 		}
-		if err := bat.ValidateBorders(res.Borders(), len(heads)); err != nil {
+		res := unpack(bres)
+		if err := bat.ValidateBorders(bat.BordersFromOffsets(res.Offsets), len(heads)); err != nil {
 			return false
 		}
 		var sumIn, sumOut int64

