@@ -167,6 +167,8 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 // BUNs, through ClusterBUNs; the name is kept so the trajectory file
 // stays comparable.
 func benchCluster(b *testing.B, fanouts []int, serial func(o radix.Opts) error, parallel func(p *exec.Pool, o radix.Opts) error) {
+	rt := exec.NewRuntime(2, 0)
+	defer rt.Close()
 	for _, workers := range []int{0, 2} {
 		name := "serial"
 		if workers > 0 {
@@ -182,10 +184,10 @@ func benchCluster(b *testing.B, fanouts []int, serial func(o radix.Opts) error, 
 					if workers == 0 {
 						err = serial(o)
 					} else {
-						// A pool per iteration: its lease returns the
-						// scatter targets to the arena at Close, as a
-						// query's pipeline does.
-						p := exec.New(workers)
+						// A lease per iteration: it returns the scatter
+						// targets to the arena at Close, as a query's
+						// pipeline does.
+						p := rt.NewPool(workers)
 						err = parallel(p, o)
 						p.Close()
 					}

@@ -7,22 +7,24 @@
 // with a chosen strategy, printing result cardinality, the planner's
 // choices and the per-phase timing breakdown.
 //
-// With -concurrency N > 1 it fires N copies of the query at once
-// against a shared process-wide runtime (one worker pool, fair morsel
-// scheduling, admission control — adaptive by default, see -admit)
-// and prints per-query and aggregate throughput; add -baseline to
-// also run the N queries sequentially on per-query pools and report
-// the aggregate speedup of sharing. -share enables cooperative scan
-// sharing (same-source scans of concurrent queries are served by one
-// circular pass) and reports per-query and total shared-scan hits;
-// -minshared M exits non-zero unless at least M hits were recorded —
-// the CI assertion that the shared path genuinely engaged.
+// Every run executes on one runtime (one worker set, fair morsel
+// scheduling, admission control — adaptive by default, see -admit):
+// -concurrency N fires N copies of the query at once against it and
+// prints per-query and aggregate throughput; the default N = 1 is the
+// degenerate case, a runtime serving one query, and takes every flag
+// below. -parallel 0 keeps the queries on the serial paper engine (no
+// lease is taken; with N > 1 it defaults to the planner's choice
+// instead). -share enables cooperative scan sharing (same-source scans
+// of concurrent queries are served by one circular pass) and reports
+// per-query and total shared-scan hits; -minshared M exits non-zero
+// unless at least M hits were recorded — the CI assertion that the
+// shared path genuinely engaged.
 //
 // Scheduler flags: -steal topo|any|off picks the work-stealing
-// policy, -pin pins workers to cores (best-effort), -schedstats
-// prints the affinity scheduler's counters (local hits, steals by
-// topology distance, local-hit rate) per query and runtime-wide —
-// lifetime and windowed — and -minlocal M / -minlocalrate R exit
+// policy, -pin pins workers to cores (best-effort); every query's
+// phases line carries its scheduler counters (local hits, steals by
+// topology distance, local-hit rate), -schedstats adds the
+// runtime-wide ones — lifetime and windowed — and -minlocal M / -minlocalrate R exit
 // non-zero unless the runtime recorded at least M local hits / a
 // local-hit rate of at least R — the CI assertions that
 // partition-affine placement genuinely engaged.
@@ -36,9 +38,10 @@
 // least N compressed column inputs — the CI assertion that compressed
 // execution genuinely engaged.
 //
-// Memory flags: concurrent runs print each query's execution-arena
-// accounting (bytes leased, the recycled share, the high-water
-// transient footprint) and the runtime-wide pool counters; -mempooloff
+// Memory flags: a parallel query's phases line carries its
+// execution-arena accounting (bytes leased, the recycled share, the
+// high-water transient footprint), and every run prints the
+// runtime-wide pool counters; -mempooloff
 // disables the arena (every transient buffer allocates fresh), and
 // -minpoolhit F exits non-zero unless the arena's buffer hit rate
 // reaches F — the CI assertion that steady-state recycling genuinely
@@ -85,21 +88,20 @@ func main() {
 	sm := flag.String("sm", "", "smaller-side method for dsm-post: u or d (empty = auto)")
 	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (block-compress each column with the best scheme) | for | delta (pin the scheme); results are byte-identical either way")
 	minCompressed := flag.Int("mincompressed", 0, "fail (exit 1) unless the run consumes at least this many compressed column inputs")
-	parallel := flag.Int("parallel", 0, "workers for the morsel-driven executor (all strategies): 0 = serial paper mode, -1 = planner decides per strategy")
-	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the shared runtime (1 = single query)")
-	maxConcurrent := flag.Int("admit", 0, "admission bound of the shared runtime (0 = adaptive: derived from the calibrated bus-stream budget and the LLC share)")
-	share := flag.Bool("share", false, "enable cooperative scan sharing on the shared runtime (one pass feeds all queries scanning the same source)")
-	minShared := flag.Int("minshared", 0, "fail (exit 1) unless the concurrent run records at least this many shared-scan hits")
-	stealFlag := flag.String("steal", "topo", "work-stealing policy of the shared runtime: topo (topology order), any, off")
+	parallel := flag.Int("parallel", 0, "nominal workers per query on the morsel-driven executor (all strategies): 0 = serial paper mode (planner decides when -concurrency > 1), -1 = planner decides per strategy")
+	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the runtime (1 = single query)")
+	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = adaptive: derived from the calibrated bus-stream budget and the LLC share)")
+	share := flag.Bool("share", false, "enable cooperative scan sharing on the runtime (one pass feeds all queries scanning the same source)")
+	minShared := flag.Int("minshared", 0, "fail (exit 1) unless the run records at least this many shared-scan hits")
+	stealFlag := flag.String("steal", "topo", "work-stealing policy of the runtime: topo (topology order), any, off")
 	pin := flag.Bool("pin", false, "pin runtime workers to cores (best-effort sched_setaffinity)")
-	schedStats := flag.Bool("schedstats", false, "print affinity-scheduler counters (local hits, steals by distance) per query and runtime-wide")
+	schedStats := flag.Bool("schedstats", false, "print the runtime-wide affinity-scheduler counters (local hits, steals by distance), lifetime and windowed; each query's own are on its phases line")
 	minLocal := flag.Int("minlocal", 0, "fail (exit 1) unless the runtime records at least this many local-hit morsels")
 	minLocalRate := flag.Float64("minlocalrate", 0, "fail (exit 1) unless the runtime's local-hit rate reaches this fraction")
-	memPoolOff := flag.Bool("mempooloff", false, "disable the shared runtime's execution-memory arena (every transient buffer allocates fresh)")
+	memPoolOff := flag.Bool("mempooloff", false, "disable the runtime's execution-memory arena (every transient buffer allocates fresh)")
 	minPoolHit := flag.Float64("minpoolhit", 0, "fail (exit 1) unless the arena's buffer hit rate reaches this fraction")
-	baseline := flag.Bool("baseline", false, "with -concurrency > 1: also run the queries sequentially on per-query pools and report the speedup")
 	traceOut := flag.String("traceout", "", "write the run's execution trace(s) as Chrome trace-event JSON to this file (open in Perfetto)")
-	metricsAddr := flag.String("metricsaddr", "", "serve the shared runtime's Prometheus metrics and pprof on this address (e.g. :9090 or 127.0.0.1:0) and self-scrape once after the run")
+	metricsAddr := flag.String("metricsaddr", "", "serve the runtime's Prometheus metrics and pprof on this address (e.g. :9090 or 127.0.0.1:0) and self-scrape once after the run")
 	pprofLabels := flag.Bool("pproflabels", false, "label every morsel's goroutine with (query, phase, worker) for CPU profiles")
 	minSpans := flag.Int("minspans", 0, "fail (exit 1) unless -traceout records at least this many span events")
 	minCounters := flag.Int("mincounters", 0, "fail (exit 1) unless the -metricsaddr self-scrape parses at least this many samples")
@@ -150,79 +152,11 @@ func main() {
 		fail(err)
 	}
 
-	if *concurrency <= 1 {
-		// The shared runtime (and with it -share/-minshared and the
-		// scheduler assertions) only exists on the concurrent path;
-		// silently ignoring an assertion would let a misconfigured CI
-		// step "pass" while checking nothing.
-		if *minShared > 0 {
-			fail(fmt.Errorf("-minshared requires -concurrency > 1 (no shared runtime on a single-query run)"))
-		}
-		if *share {
-			fail(fmt.Errorf("-share requires -concurrency > 1 (no shared runtime on a single-query run)"))
-		}
-		if *minLocal > 0 || *minLocalRate > 0 {
-			fail(fmt.Errorf("-minlocal/-minlocalrate require -concurrency > 1 (no shared runtime on a single-query run)"))
-		}
-		if *pin || *schedStats || steal != exec.StealTopo {
-			fail(fmt.Errorf("-pin/-schedstats/-steal require -concurrency > 1 (single-query runs use a per-query pool with no placement, stealing or pinning)"))
-		}
-		if *metricsAddr != "" || *minCounters > 0 || *pprofLabels {
-			fail(fmt.Errorf("-metricsaddr/-mincounters/-pproflabels require -concurrency > 1 (metrics and labels live on the shared runtime)"))
-		}
-		if *memPoolOff || *minPoolHit > 0 {
-			fail(fmt.Errorf("-mempooloff/-minpoolhit require -concurrency > 1 (the arena assertion targets the shared runtime)"))
-		}
-		cfg := strategy.Config{Hier: mem.Pentium4(), Parallelism: *parallel}
-		var tr *obs.Trace
-		if *traceOut != "" {
-			tr = obs.NewTrace(*strat)
-			cfg.Trace = tr
-			cfg.QueryTag = *strat
-		}
-		start := time.Now()
-		res, err := runOnce(cfg)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("strategy=%s result=%d tuples in %v\n", *strat, res.N, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("plan: joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%v/%v workers=%d\n",
-			res.JoinBits, res.LargerBits, res.SmallerBits, res.Window, res.LargerMethod, res.SmallerMethod, res.Workers)
-		fmt.Printf("phases: %s\n", res.Phases)
-		if encFn != nil {
-			fmt.Printf("compressed: %s\n", compLine(res.Phases.Comp, res.Phases.Total))
-		}
-		if *traceOut != "" {
-			writeTraces(*traceOut, *minSpans, tr)
-		}
-		if res.Phases.Comp.Cols < int64(*minCompressed) {
-			fail(fmt.Errorf("compressed column inputs %d below required -mincompressed %d", res.Phases.Comp.Cols, *minCompressed))
-		}
-		return
-	}
-
-	// Parallelism 0 would make every concurrent query serial — the
-	// concurrency mode exists to exercise the shared executor, so
-	// default to the planner.
+	// Firing N copies at once exists to exercise the shared executor,
+	// so N > 1 without -parallel defaults to the planner.
 	par := *parallel
-	if par == 0 {
+	if par == 0 && *concurrency > 1 {
 		par = strategy.AutoParallelism
-	}
-
-	var seqElapsed time.Duration
-	if *baseline {
-		// The old world: each query owns a pool, one after another.
-		cfg := strategy.Config{Hier: mem.Pentium4(), Parallelism: par}
-		start := time.Now()
-		for i := 0; i < *concurrency; i++ {
-			if _, err := runOnce(cfg); err != nil {
-				fail(err)
-			}
-		}
-		seqElapsed = time.Since(start)
-		fmt.Printf("sequential: %d queries on per-query pools in %v (%.0f tuples/s aggregate)\n",
-			*concurrency, seqElapsed.Round(time.Millisecond),
-			float64(*concurrency)*float64(pr.ExpectedMatches)/seqElapsed.Seconds())
 	}
 
 	admit := *maxConcurrent
@@ -237,7 +171,7 @@ func main() {
 		MemPoolOff: *memPoolOff})
 	defer rt.Close()
 	topo := rt.Topology()
-	fmt.Printf("shared runtime: %d workers, admission bound %d (%s), scan sharing %v, steal %v, topology %s (%d cpus, %d nodes), pinned %d\n",
+	fmt.Printf("runtime: %d workers, admission bound %d (%s), scan sharing %v, steal %v, topology %s (%d cpus, %d nodes), pinned %d\n",
 		rt.Workers(), rt.MaxConcurrent(), admitKind, rt.ShareScans(), rt.Steal(),
 		topo.Source, len(topo.CPUs), topo.Nodes(), rt.PinnedWorkers())
 
@@ -265,11 +199,6 @@ func main() {
 			traces[i] = obs.NewTrace(fmt.Sprintf("query %d (%s)", i, *strat))
 		}
 	}
-	// Snapshot the runtime's lifetime counters so the concurrent leg
-	// reports its own scheduling deltas (SchedStats.Sub) — on a fresh
-	// runtime the two coincide, but the delta stays honest if anything
-	// ran before this leg.
-	preSched := rt.SchedStats()
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < *concurrency; i++ {
@@ -293,20 +222,17 @@ func main() {
 		if o.err != nil {
 			fail(o.err)
 		}
-		total += o.res.N
-		fmt.Printf("query %d: %d tuples in %v (workers=%d queue=%v sharedscans=%d)\n",
-			i, o.res.N, o.elapsed.Round(time.Millisecond), o.res.Workers,
-			o.res.Phases.Queue.Round(time.Millisecond), o.res.Phases.SharedScanHits)
-		if *schedStats {
-			fmt.Printf("query %d sched: %v\n", i, o.res.Phases.Sched)
-		}
-		if m := o.res.Phases.Mem; m.Acquired > 0 {
-			fmt.Printf("query %d memory: acquired=%dB reused=%dB (%.0f%%) high-water=%dB\n",
-				i, m.Acquired, m.Reused, 100*float64(m.Reused)/float64(m.Acquired), m.HighWater)
-		}
+		res := o.res
+		total += res.N
+		fmt.Printf("query %d: strategy=%s result=%d tuples in %v (workers=%d queue=%v sharedscans=%d)\n",
+			i, *strat, res.N, o.elapsed.Round(time.Millisecond), res.Workers,
+			res.Phases.Queue.Round(time.Millisecond), res.Phases.SharedScanHits)
+		fmt.Printf("query %d plan: joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%v/%v workers=%d\n",
+			i, res.JoinBits, res.LargerBits, res.SmallerBits, res.Window, res.LargerMethod, res.SmallerMethod, res.Workers)
+		fmt.Printf("query %d phases: %s\n", i, res.Phases)
 	}
 	agg := float64(total) / wall.Seconds()
-	fmt.Printf("concurrent: %d queries on the shared runtime in %v (%.0f tuples/s aggregate, %d shared-scan hits)\n",
+	fmt.Printf("total: %d queries on the runtime in %v (%.0f tuples/s aggregate, %d shared-scan hits)\n",
 		*concurrency, wall.Round(time.Millisecond), agg, rt.SharedScanHits())
 	var comp exec.CompStats
 	for _, o := range outs {
@@ -314,11 +240,6 @@ func main() {
 	}
 	if encFn != nil {
 		fmt.Printf("compressed: %s\n", compLine(comp, wall))
-	}
-	if *baseline && wall > 0 {
-		fmt.Printf("speedup over sequential per-query pools: %.2fx\n",
-			seqElapsed.Seconds()/wall.Seconds())
-		fmt.Printf("concurrent-leg sched delta: %v\n", rt.SchedStats().Sub(preSched))
 	}
 	sched := rt.SchedStats()
 	if *schedStats {
@@ -506,7 +427,7 @@ func compLine(c exec.CompStats, total time.Duration) string {
 }
 
 // runStrategy executes one query with the named strategy on cfg's
-// engine (shared runtime or per-query pool).
+// engine (serial, or a lease on cfg.Runtime).
 func runStrategy(strat string, sd *sides, lm, sm string, cfg strategy.Config) (*strategy.Result, error) {
 	if sd.dsm {
 		if strat == "dsm-pre" {

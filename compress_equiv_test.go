@@ -10,7 +10,7 @@ import (
 
 // Compressed/raw byte-equivalence matrix: every strategy must return
 // results byte-identical to its raw run whether it executes serially,
-// on a per-query pool, or on a shared runtime, and whether the
+// on the default runtime, or on a scan-sharing one, and whether the
 // compression mode forces the encoded representation or leaves the
 // decision to the cost model. Strict equality, not set comparison —
 // compressed operators reproduce the raw arrangement exactly.

@@ -1,10 +1,14 @@
 package exec
 
-// Compressed execution: operators that consume block-compressed
-// columns (internal/compress) directly, decompressing per-morsel into
+// Compressed execution: the column view every fetch operator takes
+// (Col; the record-array counterpart Rows is in rows.go), the decoder
+// scratch, and the compressed morsel bodies the operators dispatch to
+// when a view carries an encoding — decompressing per morsel into
 // per-worker scratch so the tight loops run over L1-resident decoded
 // spans while the memory bus only carries the compressed bytes — the
-// paper's §5 footnote 5 "spend the bandwidth ceiling twice" idea.
+// paper's §5 footnote 5 "spend the bandwidth ceiling twice" idea. A
+// raw view is the degenerate case of the same operator: the dispatch
+// is one branch per morsel, never per tuple.
 //
 // The contract mirrors the rest of the engine: output bytes are a
 // function of the decoded values only, never of whether the input was
@@ -20,16 +24,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
-	"radixdecluster/internal/nsm"
-	"radixdecluster/internal/posjoin"
 )
 
-// Col is a column execution view: raw values, a block-compressed
-// encoding, or both. When Enc is non-nil the compressed form is the
-// execution format and Raw (if present) is ignored by the compressed
-// operators; the two must decode to identical values.
+// Col is a column execution view, the one operand type of the fetch
+// operators: raw values, a block-compressed encoding, or both. When
+// Enc is non-nil the compressed form is the execution format and Raw
+// (if present) is not read; the two must decode to identical values.
 type Col struct {
 	Raw []int32
 	Enc *compress.Encoded
@@ -90,6 +91,14 @@ func (c *compCounters) snapshot() CompStats {
 		CompressedBytes: c.compressedBytes.Load(),
 		SavedBytes:      c.savedBytes.Load(),
 		DecodeNanos:     c.decodeNanos.Load(),
+	}
+}
+
+// noteInput counts one operator input when its view carries an
+// encoding (a raw view, enc == nil, is not compressed execution).
+func (c *compCounters) noteInput(enc *compress.Encoded) {
+	if enc != nil {
+		c.cols.Add(1)
 	}
 }
 
@@ -280,290 +289,76 @@ func (e *Engine) MaterializeCol(c Col) ([]int32, error) {
 	return out, nil
 }
 
-// FetchManyCols is FetchMany over column views: raw columns take the
-// plain Positional-Join path, compressed columns gather through the
-// per-worker block cache. The affinity key is the oid-range chunk,
-// exactly as in Pool.FetchMany.
-func (e *Engine) FetchManyCols(cols []Col, oids []OID) ([][]int32, error) {
-	anyEnc := false
-	for _, c := range cols {
-		if c.Enc != nil {
-			anyEnc = true
-			break
+// decodeRecords is the compressed morsel body of the record scans: it
+// decodes records [r.Lo,r.Hi) of the view's image in L1-sized spans
+// and hands each to emit — buf holds records [lo,hi) row-major.
+func (e *Engine) decodeRecords(v Rows, r Range, emit func(buf []int32, lo, hi int)) error {
+	d := getDecoder()
+	defer d.release()
+	width := v.Rel.Width
+	step := max(1, decodeSpanValues/width)
+	for lo := r.Lo; lo < r.Hi; {
+		hi := min(lo+step, r.Hi)
+		buf, err := d.rangeInto(&e.comp, v.Enc, lo*width, hi*width)
+		if err != nil {
+			return err
 		}
+		emit(buf, lo, hi)
+		lo = hi
 	}
-	if !anyEnc {
-		raws := make([][]int32, len(cols))
-		for i, c := range cols {
-			raws[i] = c.Raw
-		}
-		return e.FetchMany(raws, oids)
-	}
-	for _, c := range cols {
-		if c.Enc != nil {
-			e.comp.cols.Add(1)
-		}
-	}
-	out := make([][]int32, len(cols))
-	for c := range cols {
-		out[c] = make([]int32, len(oids))
-	}
-	if !e.parallel(len(oids)) {
-		d := e.serialDecoder()
-		for c := range cols {
-			if err := e.fetchColInto(out[c], cols[c], oids, d); err != nil {
-				return nil, fmt.Errorf("column %d: %w", c, err)
-			}
-		}
-		return out, nil
-	}
-	chunks := e.pool.chunksFor(len(oids))
-	ntasks := len(cols) * len(chunks)
-	errs := e.pool.errSlots(ntasks)
-	e.pool.RunAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, s *Scratch) {
-		c, r := t/len(chunks), chunks[t%len(chunks)]
-		if err := e.fetchColInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi], s.decoder()); err != nil {
-			errs[t] = fmt.Errorf("column %d: %w", c, err)
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return nil
 }
 
-func (e *Engine) fetchColInto(dst []int32, col Col, oids []OID, d *decoder) error {
-	if col.Enc == nil {
-		return posjoin.FetchInto(dst, col.Raw, oids)
-	}
-	return d.gather(&e.comp, col.Enc, oids, dst)
-}
-
-// ClusteredCol is the clustered Positional-Join over a column view:
-// each cluster's random access stays inside one cache-sized region of
-// the source, which for a compressed column means long runs against
-// the same cached block.
-func (e *Engine) ClusteredCol(col Col, oids []OID, borders []bat.Border) ([]int32, error) {
-	if col.Enc == nil {
-		return e.Clustered(col.Raw, oids, borders)
-	}
-	e.comp.cols.Add(1)
-	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(oids))
-	if !e.parallel(len(oids)) {
-		d := e.serialDecoder()
-		for _, b := range borders {
-			if err := d.gather(&e.comp, col.Enc, oids[b.Start:b.End], out[b.Start:b.End]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	groups := groupBorders(borders, e.pool.workers*morselsPerWorker, len(oids))
-	errs := e.pool.errSlots(len(groups))
-	e.pool.Run(len(groups), func(_, t int, s *Scratch) {
-		d := s.decoder()
-		for _, b := range borders[groups[t].Lo:groups[t].Hi] {
-			if err := d.gather(&e.comp, col.Enc, oids[b.Start:b.End], out[b.Start:b.End]); err != nil {
-				errs[t] = err
-				return
-			}
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// encRecords validates a compressed NSM image and returns its record
-// count.
-func encRecords(enc *compress.Encoded, width int) (int, error) {
-	if width <= 0 {
-		return 0, fmt.Errorf("exec: compressed image with width %d", width)
-	}
-	if enc.Len()%width != 0 {
-		return 0, fmt.Errorf("exec: compressed image of %d values is not a multiple of width %d", enc.Len(), width)
-	}
-	return enc.Len() / width, nil
-}
-
-// ScanColumnEnc extracts attribute col from a block-compressed
-// row-major image of width-wide records: each morsel decodes its
-// record range in L1-sized spans into per-worker scratch and strides
-// over the decoded span. Declared for scan sharing under the encoded
-// stream's identity.
-func (e *Engine) ScanColumnEnc(enc *compress.Encoded, width, col int) ([]int32, error) {
-	n, err := encRecords(enc, width)
-	if err != nil {
-		return nil, err
-	}
-	if col < 0 || col >= width {
-		return nil, fmt.Errorf("exec: ScanColumnEnc: column %d outside width %d", col, width)
-	}
-	e.comp.cols.Add(1)
-	out := make([]int32, n)
-	err = e.SharedRanges(EncScanKey(enc, n), n, func(r Range) error {
-		d := getDecoder()
-		defer d.release()
-		step := decodeSpanValues / width
-		if step < 1 {
-			step = 1
-		}
-		for lo := r.Lo; lo < r.Hi; {
-			hi := lo + step
-			if hi > r.Hi {
-				hi = r.Hi
-			}
-			buf, err := d.rangeInto(&e.comp, enc, lo*width, hi*width)
-			if err != nil {
-				return err
-			}
-			for i, p := lo, col; i < hi; i, p = i+1, p+width {
-				out[i] = buf[p]
-			}
-			lo = hi
-		}
+// gatherRecords is the compressed morsel body of GatherProjectInto:
+// the records oids[r.Lo:r.Hi] select, read out of the view's image.
+func (e *Engine) gatherRecords(v Rows, dst []int32, dstWidth, dstOff int, oids []OID, cols []int, r Range) error {
+	if r.Hi <= r.Lo {
 		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
-}
-
-// ScanProjectEnc materialises the projection of the given attribute
-// offsets from a block-compressed row-major image as a new raw NSM
-// relation — the compressed-input ScanProject.
-func (e *Engine) ScanProjectEnc(name string, enc *compress.Encoded, width int, cols []int) (*nsm.Relation, error) {
-	n, err := encRecords(enc, width)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cols {
-		if c < 0 || c >= width {
-			return nil, fmt.Errorf("exec: ScanProjectEnc: column %d outside width %d", c, width)
+	enc, width, n := v.Enc, v.Rel.Width, v.Rel.Len()
+	d := getDecoder()
+	defer d.release()
+	lo, hi := int(oids[r.Lo]), int(oids[r.Lo])
+	for _, o := range oids[r.Lo+1 : r.Hi] {
+		if int(o) < lo {
+			lo = int(o)
+		} else if int(o) > hi {
+			hi = int(o)
 		}
 	}
-	e.comp.cols.Add(1)
-	out := nsm.New(name, n, len(cols))
-	err = e.SharedRanges(EncScanKey(enc, n), n, func(r Range) error {
-		d := getDecoder()
-		defer d.release()
-		step := decodeSpanValues / width
-		if step < 1 {
-			step = 1
-		}
-		w := len(cols)
-		for lo := r.Lo; lo < r.Hi; {
-			hi := lo + step
-			if hi > r.Hi {
-				hi = r.Hi
-			}
-			buf, err := d.rangeInto(&e.comp, enc, lo*width, hi*width)
-			if err != nil {
-				return err
-			}
-			for i := lo; i < hi; i++ {
-				rec := buf[(i-lo)*width : (i-lo)*width+width]
-				dst := out.Data[i*w : i*w+w]
-				for k, c := range cols {
-					dst[k] = rec[c]
-				}
-			}
-			lo = hi
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if hi >= n {
+		return fmt.Errorf("exec: GatherProjectInto: record %d out of range [0,%d)", hi, n)
 	}
-	return out, nil
-}
-
-// GatherProjectEncInto fetches the attributes named by cols from the
-// records selected by oids out of a block-compressed row-major image,
-// writing dstWidth-wide records at field offset dstOff — the
-// compressed-input GatherProjectInto. Random record access runs
-// through the per-worker block cache; partially clustered oid orders
-// turn it into long same-block runs.
-func (e *Engine) GatherProjectEncInto(enc *compress.Encoded, width int, dst []int32, dstWidth, dstOff int, oids []OID, cols []int) error {
-	if _, err := encRecords(enc, width); err != nil {
-		return err
-	}
-	if dstOff < 0 || dstOff+len(cols) > dstWidth {
-		return fmt.Errorf("exec: GatherProjectEncInto: fields [%d,%d) outside record width %d", dstOff, dstOff+len(cols), dstWidth)
-	}
-	if len(dst) != len(oids)*dstWidth {
-		return fmt.Errorf("exec: GatherProjectEncInto: dst holds %d records, want %d", len(dst)/dstWidth, len(oids))
-	}
-	for _, c := range cols {
-		if c < 0 || c >= width {
-			return fmt.Errorf("exec: GatherProjectEncInto: column %d outside width %d", c, width)
-		}
-	}
-	n, _ := encRecords(enc, width)
-	e.comp.cols.Add(1)
-	return e.ForRanges(len(oids), func(r Range) error {
-		if r.Hi <= r.Lo {
-			return nil
-		}
-		d := getDecoder()
-		defer d.release()
-		lo, hi := int(oids[r.Lo]), int(oids[r.Lo])
-		for _, o := range oids[r.Lo+1 : r.Hi] {
-			if int(o) < lo {
-				lo = int(o)
-			} else if int(o) > hi {
-				hi = int(o)
-			}
-		}
-		if hi >= n {
-			return fmt.Errorf("exec: GatherProjectEncInto: record %d out of range [0,%d)", hi, n)
-		}
-		// Region decode (see gather): partially clustered oid orders
-		// confine one range's records to a cache-sized slice of the
-		// image, so decoding the slice once beats re-decoding blocks on
-		// every cache miss.
-		if span := (hi - lo + 1) * width; span <= gatherRegionValues && span <= gatherSpanFactor*(r.Hi-r.Lo)*len(cols) {
-			base := lo * width
-			base -= base % compress.BlockSize
-			buf, err := d.rangeInto(&e.comp, enc, base, (hi+1)*width)
-			if err != nil {
-				return err
-			}
-			for i := r.Lo; i < r.Hi; i++ {
-				rec := buf[int(oids[i])*width-base:]
-				for k, c := range cols {
-					dst[i*dstWidth+dstOff+k] = rec[c]
-				}
-			}
-			return nil
+	// Region decode (see gather): partially clustered oid orders
+	// confine one range's records to a cache-sized slice of the image,
+	// so decoding the slice once beats re-decoding blocks on every
+	// cache miss.
+	if span := (hi - lo + 1) * width; span <= gatherRegionValues && span <= gatherSpanFactor*(r.Hi-r.Lo)*len(cols) {
+		base := lo * width
+		base -= base % compress.BlockSize
+		buf, err := d.rangeInto(&e.comp, enc, base, (hi+1)*width)
+		if err != nil {
+			return err
 		}
 		for i := r.Lo; i < r.Hi; i++ {
-			base := int(oids[i]) * width
+			rec := buf[int(oids[i])*width-base:]
 			for k, c := range cols {
-				v, err := d.fetch(&e.comp, enc, base+c)
-				if err != nil {
-					return err
-				}
-				dst[i*dstWidth+dstOff+k] = v
+				dst[i*dstWidth+dstOff+k] = rec[c]
 			}
 		}
 		return nil
-	})
-}
-
-// GatherProjectEnc is GatherProjectEncInto materialising a fresh
-// relation — the compressed-input GatherProject.
-func (e *Engine) GatherProjectEnc(name string, enc *compress.Encoded, width int, oids []OID, cols []int) (*nsm.Relation, error) {
-	out := nsm.New(name, len(oids), len(cols))
-	if err := e.GatherProjectEncInto(enc, width, out.Data, len(cols), 0, oids, cols); err != nil {
-		return nil, err
 	}
-	return out, nil
+	for i := r.Lo; i < r.Hi; i++ {
+		base := int(oids[i]) * width
+		for k, c := range cols {
+			val, err := d.fetch(&e.comp, enc, base+c)
+			if err != nil {
+				return err
+			}
+			dst[i*dstWidth+dstOff+k] = val
+		}
+	}
+	return nil
 }
 
 // StitchRows builds the [key | π] wide tuples of a DSM pre-projection
@@ -578,13 +373,9 @@ func (e *Engine) StitchRows(keys Col, cols []Col, oids []OID) ([]int32, error) {
 	if len(oids) != n {
 		return nil, fmt.Errorf("exec: StitchRows: %d oids for %d keys", len(oids), n)
 	}
-	if keys.Compressed() {
-		e.comp.cols.Add(1)
-	}
+	e.comp.noteInput(keys.Enc)
 	for _, c := range cols {
-		if c.Compressed() {
-			e.comp.cols.Add(1)
-		}
+		e.comp.noteInput(c.Enc)
 	}
 	w := 1 + len(cols)
 	rows := make([]int32, n*w)

@@ -1,12 +1,13 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
-	"radixdecluster/internal/posjoin"
+	"radixdecluster/internal/nsm"
 )
 
 // encode compresses a column under Best, failing the test on error.
@@ -19,22 +20,22 @@ func encode(t *testing.T, vals []int32) *compress.Encoded {
 	return e
 }
 
-// withEngines runs f on the serial engine and on pools of every test
-// worker count — the compressed ops must be byte-identical across all.
+// withEngines runs f on the serial engine, on leases of every nominal
+// test worker count, and on a lease of a scan-sharing runtime — every
+// operator must be byte-identical across all, whatever view it is fed.
 func withEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Helper()
-	serial := NewEngine(0)
-	t.Run("serial", func(t *testing.T) { f(t, serial) })
-	for _, w := range workerCounts {
-		e := NewEngine(w)
-		t.Run("", func(t *testing.T) { f(t, e) })
+	rt := testRuntime(t)
+	for _, w := range append([]int{0}, workerCounts...) {
+		e := NewEngine(rt, w)
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) { f(t, e) })
 		e.Close()
 	}
-	rt := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 2, ShareScans: true})
-	defer rt.Close()
-	re := &Engine{pool: rt.NewPool(2)}
-	defer re.Close()
-	t.Run("runtime", func(t *testing.T) { f(t, re) })
+	shared := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 2, ShareScans: true})
+	defer shared.Close()
+	se := NewEngine(shared, 2)
+	defer se.Close()
+	t.Run("sharescans", func(t *testing.T) { f(t, se) })
 }
 
 func TestMaterializeColMatchesRaw(t *testing.T) {
@@ -54,30 +55,33 @@ func TestMaterializeColMatchesRaw(t *testing.T) {
 	})
 }
 
-func TestFetchManyColsMatchesRaw(t *testing.T) {
+// TestFetchManyMatchesRaw feeds the fetch operator a mixed list —
+// column 0 encoded only, column 1 raw — so both per-morsel dispatch
+// arms run in one call: the result must be the all-raw views' (which
+// TestFetchManyMatchesSerial holds to posjoin).
+func TestFetchManyMatchesRaw(t *testing.T) {
 	cols := [][]int32{randVals(42, testN, false), randVals(43, testN, true)}
 	oids := randOIDs(44, testN, testN)
-	want, err := posjoin.FetchMany(cols, oids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mixed views: column 0 compressed, column 1 raw.
 	views := []Col{{Enc: encode(t, cols[0])}, RawCol(cols[1])}
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.FetchManyCols(views, oids)
+		want, err := e.FetchMany([]Col{RawCol(cols[0]), RawCol(cols[1])}, oids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.FetchMany(views, oids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: compressed FetchMany differs from raw", e.Workers())
 		}
-		if e.CompStats().Cols == 0 {
-			t.Fatal("no compressed column accounted")
+		if e.CompStats().Cols != 1 {
+			t.Fatalf("workers=%d: %d compressed columns accounted, want 1", e.Workers(), e.CompStats().Cols)
 		}
 	})
 }
 
-func TestClusteredColMatchesRaw(t *testing.T) {
+func TestClusteredMatchesRaw(t *testing.T) {
 	col := randVals(45, testN, false)
 	// Clustered oids: borders over a partially-sorted oid order.
 	oids := randOIDs(46, testN, testN)
@@ -88,13 +92,13 @@ func TestClusteredColMatchesRaw(t *testing.T) {
 		borders[i] = bat.Border{Start: i * per, End: (i + 1) * per}
 	}
 	borders[parts-1].End = testN
-	want, err := posjoin.Clustered(col, oids, borders)
-	if err != nil {
-		t.Fatal(err)
-	}
 	enc := encode(t, col)
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.ClusteredCol(Col{Enc: enc}, oids, borders)
+		want, err := e.Clustered(RawCol(col), oids, borders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Clustered(Col{Enc: enc}, oids, borders)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,14 +108,17 @@ func TestClusteredColMatchesRaw(t *testing.T) {
 	})
 }
 
-func TestScanColumnEncMatchesRaw(t *testing.T) {
+func TestScanColumnMatchesRaw(t *testing.T) {
 	const width = 4
 	rel := testRelation(47, testN, width)
 	enc := encode(t, rel.Data)
 	for col := 0; col < width; col++ {
-		want := rel.ScanColumn(col)
 		withEngines(t, func(t *testing.T, e *Engine) {
-			got, err := e.ScanColumnEnc(enc, width, col)
+			want, err := e.ScanColumn(Rows{Rel: rel}, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.ScanColumn(Rows{Rel: rel, Enc: enc}, col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,14 +129,17 @@ func TestScanColumnEncMatchesRaw(t *testing.T) {
 	}
 }
 
-func TestScanProjectEncMatchesRaw(t *testing.T) {
+func TestScanProjectMatchesRaw(t *testing.T) {
 	const width = 5
 	rel := testRelation(48, testN, width)
 	enc := encode(t, rel.Data)
 	cols := []int{3, 0, 4}
-	want := rel.ScanProject("proj", cols)
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.ScanProjectEnc("proj", enc, width, cols)
+		want, err := e.ScanProject(Rows{Rel: rel}, "proj", cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.ScanProject(Rows{Rel: rel, Enc: enc}, "proj", cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,15 +149,18 @@ func TestScanProjectEncMatchesRaw(t *testing.T) {
 	})
 }
 
-func TestGatherProjectEncMatchesRaw(t *testing.T) {
+func TestGatherProjectMatchesRaw(t *testing.T) {
 	const width = 4
 	rel := testRelation(49, testN, width)
-	enc := encode(t, rel.Data)
+	view := Rows{Rel: rel, Enc: encode(t, rel.Data)}
 	oids := randOIDs(50, testN, testN)
 	cols := []int{2, 1}
-	want := rel.GatherProject("g", oids, cols)
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.GatherProjectEnc("g", enc, width, oids, cols)
+		want, err := e.GatherProject(Rows{Rel: rel}, "g", oids, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.GatherProject(view, "g", oids, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +169,7 @@ func TestGatherProjectEncMatchesRaw(t *testing.T) {
 		}
 		// Strided in-place variant.
 		dst := make([]int32, len(oids)*3)
-		if err := e.GatherProjectEncInto(enc, width, dst, 3, 1, oids, cols); err != nil {
+		if err := e.GatherProjectInto(view, dst, 3, 1, oids, cols); err != nil {
 			t.Fatal(err)
 		}
 		for i := range oids {
@@ -205,18 +218,32 @@ func TestStitchRowsMatchesRaw(t *testing.T) {
 func TestCompressedOpErrors(t *testing.T) {
 	vals := randVals(51, 4*compress.BlockSize, false)
 	enc := encode(t, vals)
-	e := NewEngine(0)
-	if _, err := e.ScanColumnEnc(enc, 3, 0); err == nil {
-		t.Fatal("non-divisible width accepted")
+	rel := nsm.New("rel", enc.Len()/4, 4)
+	copy(rel.Data, vals)
+	view := Rows{Rel: rel, Enc: enc}
+	e := NewEngine(nil, 0)
+	if _, err := e.ScanColumn(Rows{Rel: nsm.New("short", rel.Len()-1, 4), Enc: enc}, 0); err == nil {
+		t.Fatal("image that is not the relation's accepted")
 	}
-	if _, err := e.ScanColumnEnc(enc, 4, 4); err == nil {
-		t.Fatal("column outside width accepted")
+	for _, v := range []Rows{view, {Rel: rel}} {
+		if _, err := e.ScanColumn(v, 4); err == nil {
+			t.Fatal("column outside width accepted")
+		}
+		if _, err := e.ScanProject(v, "p", []int{0, -1}); err == nil {
+			t.Fatal("negative projection column accepted")
+		}
+		if err := e.GatherProjectInto(v, make([]int32, 4), 2, 1, []OID{0, 1}, []int{0, 1}); err == nil {
+			t.Fatal("fields outside dst width accepted")
+		}
+		if err := e.GatherProjectInto(v, make([]int32, 3), 2, 0, []OID{0, 1}, []int{0, 1}); err == nil {
+			t.Fatal("short dst accepted")
+		}
 	}
-	if _, err := e.FetchManyCols([]Col{{Enc: enc}}, []OID{OID(enc.Len())}); err == nil {
+	if _, err := e.FetchMany([]Col{{Enc: enc}}, []OID{OID(enc.Len())}); err == nil {
 		t.Fatal("out-of-range oid accepted")
 	}
-	if err := e.GatherProjectEncInto(enc, 4, make([]int32, 4), 2, 1, []OID{0, 1}, []int{0, 1}); err == nil {
-		t.Fatal("fields outside dst width accepted")
+	if _, err := e.GatherProject(view, "g", []OID{OID(rel.Len())}, []int{0}); err == nil {
+		t.Fatal("out-of-range record accepted by the compressed gather")
 	}
 }
 
@@ -229,7 +256,7 @@ func TestCompStatsAccounting(t *testing.T) {
 		vals[i] = int32(i) // dense: compresses hard
 	}
 	enc := encode(t, vals)
-	e := NewEngine(2)
+	e := NewEngine(testRuntime(t), 2)
 	defer e.Close()
 	if _, err := e.MaterializeCol(Col{Enc: enc}); err != nil {
 		t.Fatal(err)

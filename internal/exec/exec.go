@@ -1,10 +1,10 @@
 // Package exec is a morsel-driven parallel execution engine for the
 // radix-declustered project-join, in the spirit of Leis et al.'s
-// morsel-driven parallelism: a fixed pool of long-lived workers pulls
+// morsel-driven parallelism: a fixed set of long-lived workers pulls
 // small units of work ("morsels" — here, radix partitions or
-// contiguous tuple ranges) from a shared atomic queue, so load
-// imbalance from skewed partitions self-corrects without a central
-// scheduler.
+// contiguous tuple ranges) from per-worker deques and steals when
+// idle, so load imbalance from skewed partitions self-corrects without
+// a central scheduler.
 //
 // The paper's key property makes its operators embarrassingly
 // parallel: after Radix-Cluster, every partition of the Partitioned
@@ -37,7 +37,7 @@
 // strictly in order, so phase bodies may close over shared variables
 // without synchronisation; each phase body receives the run's single
 // Engine, which dispatches every substrate operator either to the
-// serial paper code (Workers() == 0) or to the pool-backed parallel
+// serial paper code (Workers() == 0) or to the lease-backed parallel
 // operators here, and all intra-phase data parallelism must go
 // through the Engine (operator methods or Engine.ForRanges) — no
 // strategy owns goroutines of its own. Each Phase carries a PhaseKind
@@ -52,25 +52,25 @@
 // groups (clustered fetches, Radix-Decluster insertion regions, Jive
 // right-phase clusters).
 //
-// Above the per-query layer sits the process-wide Runtime
-// (runtime.go): one shared worker set multiplexed over every
-// concurrent query's pipeline with fair, query-tagged morsel
-// scheduling and admission control. A Pool created by Runtime.NewPool
-// is a lease on that shared set rather than an owner of goroutines;
-// per-query owned Pools (New) remain as the degenerate single-query
-// mode. With Options.ShareScans the runtime additionally coalesces
-// concurrent pipelines' same-source scans into one cooperative
-// circular pass (scanshare.go). Operator output bytes are a function
-// of the pool's nominal worker count only — never of runtime backing
-// or scan sharing — so all execution modes of the same pipeline are
-// byte-identical.
+// Every goroutine that executes a morsel belongs to a Runtime
+// (runtime.go): one worker set multiplexed over every concurrent
+// query's pipeline with fair, query-tagged morsel scheduling and
+// admission control. A Pool (Runtime.NewPool) is one query's lease on
+// that set and owns no goroutines; a lone query is a Runtime serving
+// one lease. There are two execution modes: the serial engine (no
+// pool, the paper's code, the tests' oracle) and a runtime lease. With
+// Options.ShareScans the runtime additionally coalesces concurrent
+// pipelines' same-source scans into one cooperative circular pass
+// (scanshare.go). Operator output bytes are a function of the pool's
+// nominal worker count only — never of the runtime's size, of which
+// worker ran a morsel, or of scan sharing — so both modes of the same
+// pipeline are byte-identical.
 //
 // Per-worker Scratch buffers keep the hot loops allocation-free.
 package exec
 
 import (
 	"context"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -87,31 +87,24 @@ import (
 // query end, so a warmed-up executor's steady state stays off the GC.
 var sharedArena = mempool.New(0)
 
-// SharedArena exposes the process-wide arena (stats, limit tuning).
-func SharedArena() *mempool.Pool { return sharedArena }
-
-// Pool is the worker handle every parallel operator runs on. It comes
-// in two modes:
+// Pool is the handle every parallel operator runs on: one query's
+// lease on a Runtime (Runtime.NewPool). It owns no goroutines; Run
+// submits jobs to the runtime, which multiplexes all concurrent
+// queries over one worker set with fair, query-tagged morsel
+// scheduling and admission control.
 //
-//   - Owned (New): a fixed set of long-lived worker goroutines private
-//     to this pool — the degenerate single-query mode.
-//   - Runtime-backed (Runtime.NewPool): no goroutines of its own; Run
-//     submits jobs to the shared process-wide Runtime, which
-//     multiplexes all concurrent queries over one worker set with
-//     fair, query-tagged morsel scheduling and admission control.
-//
-// Either way, workers is the query's NOMINAL parallelism: morsel
-// granularity (chunksFor) and per-worker cache-budget divisions derive
-// from it, so an operator's output bytes are a function of the nominal
-// count only — never of which shared workers execute the morsels.
-// Close releases the owned workers, or the runtime lease.
+// workers is the query's NOMINAL parallelism: morsel granularity
+// (chunksFor) and per-worker cache-budget divisions derive from it, so
+// an operator's output bytes are a function of the nominal count only —
+// never of the runtime's size or of which workers execute the morsels.
+// Close releases the admission slot and the query's buffers; a closed
+// Pool must not Run again.
 type Pool struct {
 	workers int
-	jobs    chan job // owned mode; nil when runtime-backed
 	closed  atomic.Bool
 
-	rt      *Runtime // runtime-backed mode; nil when owned
-	affSeed uint64   // placement-hash salt (runtime-backed mode)
+	rt      *Runtime
+	affSeed uint64 // placement-hash salt
 	mu      sync.Mutex
 	ls      *lease         // admitted lease; acquired lazily on first Run
 	memLs   *mempool.Lease // per-query buffer lease; opened on first use
@@ -131,69 +124,28 @@ type Pool struct {
 	labelsCtx context.Context
 }
 
-// job is one Run invocation: a morsel counter shared by all workers
-// plus the task body.
-type job struct {
-	next   *atomic.Int64
-	ntasks int64
-	fn     func(worker, task int, s *Scratch)
-	wg     *sync.WaitGroup
-	trace  *obs.Trace // per-morsel spans (nil = off)
-	phase  string
-}
-
-// New creates a pool of the given size. workers <= 0 selects
-// runtime.GOMAXPROCS(0), the paper-mode default for "use the machine".
-func New(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{workers: workers, jobs: make(chan job)}
-	for w := 0; w < workers; w++ {
-		go p.worker(w)
-	}
-	return p
-}
-
 // Workers returns the pool's nominal worker count (the per-query
-// parallelism, not the shared runtime's size in runtime-backed mode).
+// parallelism, not the runtime's size).
 func (p *Pool) Workers() int { return p.workers }
 
-// Close stops the worker goroutines (owned mode; the pool must be
-// idle) or releases the runtime lease (runtime-backed mode).
+// Close returns the query's buffers to the arena and releases the
+// admission slot.
 func (p *Pool) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		p.mu.Lock()
-		ml := p.memLs
-		p.memLs = nil
-		p.mu.Unlock()
-		if ml != nil {
-			// The one-call release: every transient buffer the query
-			// checked out goes back to the arena together.
-			ml.Release()
-		}
-		if p.rt != nil {
-			p.mu.Lock()
-			ls := p.ls
-			p.ls = nil
-			p.mu.Unlock()
-			if ls != nil {
-				p.rt.releaseLease()
-			}
-			return
-		}
-		close(p.jobs)
+	if !p.closed.CompareAndSwap(false, true) {
+		return
 	}
-}
-
-// arena returns the mempool backing this pool's leases: the runtime's
-// (nil when its pooling is disabled), or the process-wide arena for
-// owned per-query pools.
-func (p *Pool) arena() *mempool.Pool {
-	if p.rt != nil {
-		return p.rt.mem
+	p.mu.Lock()
+	ml, ls := p.memLs, p.ls
+	p.memLs, p.ls = nil, nil
+	p.mu.Unlock()
+	if ml != nil {
+		// The one-call release: every transient buffer the query
+		// checked out goes back to the arena together.
+		ml.Release()
 	}
-	return sharedArena
+	if ls != nil {
+		p.rt.releaseLease()
+	}
 }
 
 // Mem returns the pool's per-query buffer lease, opening it on first
@@ -201,7 +153,7 @@ func (p *Pool) arena() *mempool.Pool {
 // pool is closed — every acquisition helper treats a nil lease as
 // "allocate from the GC", the escape hatch.
 func (p *Pool) Mem() *mempool.Lease {
-	a := p.arena()
+	a := p.rt.mem
 	if a == nil {
 		return nil
 	}
@@ -245,12 +197,8 @@ func (p *Pool) errSlots(n int) []error {
 }
 
 // attach acquires the pool's runtime lease, blocking on admission
-// control, and reports how long admission took. Owned and serial pools
-// attach instantly with zero wait.
+// control, and reports how long admission took.
 func (p *Pool) attach() time.Duration {
-	if p.rt == nil {
-		return 0
-	}
 	start := time.Now()
 	p.lease()
 	d := time.Since(start)
@@ -267,7 +215,7 @@ func (p *Pool) attach() time.Duration {
 func (p *Pool) setPhase(name string) {
 	p.phase = name
 	p.labelsCtx = nil
-	if p.rt != nil && p.rt.labels {
+	if p.rt.labels {
 		tag := p.queryTag
 		if tag == "" {
 			tag = "query"
@@ -284,10 +232,15 @@ func (p *Pool) curPhase() string { return p.phase }
 // phase should run under (nil when labeling is off).
 func (p *Pool) jobLabels() context.Context { return p.labelsCtx }
 
-// lease returns the admitted lease, admitting on first use.
+// lease returns the admitted lease, admitting on first use. A closed
+// pool has given its slot back: admitting again would take one nobody
+// releases.
 func (p *Pool) lease() *lease {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed.Load() {
+		panic("exec: Run on a closed Pool")
+	}
 	if p.ls == nil {
 		p.ls = p.rt.admit()
 	}
@@ -295,11 +248,8 @@ func (p *Pool) lease() *lease {
 }
 
 // queueWait returns the accumulated morsel-queue wait of the pool's
-// jobs so far (zero for owned pools, whose jobs start immediately).
+// jobs so far.
 func (p *Pool) queueWait() time.Duration {
-	if p.rt == nil {
-		return 0
-	}
 	p.mu.Lock()
 	ls := p.ls
 	p.mu.Unlock()
@@ -313,22 +263,14 @@ func (p *Pool) queueWait() time.Duration {
 // attached to a pass another pipeline had already started.
 func (p *Pool) sharedScanHits() int64 { return p.sharedHits.Load() }
 
-// SetAffinitySeed replaces the pool's placement-hash salt (runtime-
-// backed mode; no-op otherwise). Strategies seed it from the query's
-// base-data identity so concurrent queries over the same source home
-// the same partitions on the same workers. Call before the first Run.
-func (p *Pool) SetAffinitySeed(seed uint64) {
-	if p.rt != nil {
-		p.affSeed = seed
-	}
-}
+// SetAffinitySeed replaces the pool's placement-hash salt. Strategies
+// seed it from the query's base-data identity so concurrent queries
+// over the same source home the same partitions on the same workers.
+// Call before the first Run.
+func (p *Pool) SetAffinitySeed(seed uint64) { p.affSeed = seed }
 
-// schedStats returns the pool's scheduler counters (zero for owned
-// pools, whose workers have no placement to hit or miss).
+// schedStats returns the pool's scheduler counters.
 func (p *Pool) schedStats() SchedStats {
-	if p.rt == nil {
-		return SchedStats{}
-	}
 	p.mu.Lock()
 	ls := p.ls
 	p.mu.Unlock()
@@ -338,37 +280,15 @@ func (p *Pool) schedStats() SchedStats {
 	return ls.sched.stats()
 }
 
-func (p *Pool) worker(id int) {
-	s := &Scratch{cache: sharedArena.NewCache()}
-	for j := range p.jobs {
-		for {
-			t := j.next.Add(1) - 1
-			if t >= j.ntasks {
-				break
-			}
-			if j.trace == nil {
-				j.fn(id, int(t), s)
-			} else {
-				start := time.Now()
-				j.fn(id, int(t), s)
-				j.trace.Span("morsel", j.phase, id, start, time.Since(start),
-					map[string]int64{"task": t})
-			}
-		}
-		j.wg.Done()
-	}
-}
-
 // Run executes fn(worker, task, scratch) for every task in
 // [0, ntasks), distributing tasks dynamically. Run returns when all
-// tasks have finished. fn must not call Run on the same pool (owned
-// workers would deadlock waiting for themselves, and a runtime job
-// must not submit nested jobs from a morsel body). In runtime-backed
-// mode the worker index passed to fn is a shared runtime worker id —
-// operators must treat it as a scratch key only, never as an index
-// bounded by Workers(). Placement uses the task index as its own
-// affinity key: jobs decomposing the same domain into the same task
-// count land task t on the same worker every phase (see RunAff).
+// tasks have finished. fn must not call Run on the same pool (a
+// runtime job must not submit nested jobs from a morsel body). The
+// worker index passed to fn is a runtime worker id — operators must
+// treat it as a scratch key only, never as an index bounded by
+// Workers(). Placement uses the task index as its own affinity key:
+// jobs decomposing the same domain into the same task count land task
+// t on the same worker every phase (see RunAff).
 func (p *Pool) Run(ntasks int, fn func(worker, task int, s *Scratch)) {
 	p.RunAff(ntasks, nil, fn)
 }
@@ -377,25 +297,12 @@ func (p *Pool) Run(ntasks int, fn func(worker, task int, s *Scratch)) {
 // morsel's data-identity key (a radix partition id, a chunk index of
 // the underlying item space), and tasks with equal keys are homed on
 // the same runtime worker — across jobs, phases, and (under equal
-// seeds) queries. A nil aff uses the task index. Owned pools ignore
-// the mapping: their workers claim from one atomic counter, the
-// degenerate single-query mode with nothing to place.
+// seeds) queries. A nil aff uses the task index.
 func (p *Pool) RunAff(ntasks int, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
 	if ntasks <= 0 {
 		return
 	}
-	if p.rt != nil {
-		p.lease().run(p, ntasks, p.affSeed, aff, fn)
-		return
-	}
-	var wg sync.WaitGroup
-	j := job{next: new(atomic.Int64), ntasks: int64(ntasks), fn: fn, wg: &wg,
-		trace: p.trace, phase: p.phase}
-	wg.Add(p.workers)
-	for i := 0; i < p.workers; i++ {
-		p.jobs <- j
-	}
-	wg.Wait()
+	p.lease().run(p, ntasks, p.affSeed, aff, fn)
 }
 
 // Scratch holds per-worker reusable buffers so that hot loops stay

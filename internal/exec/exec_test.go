@@ -17,12 +17,26 @@ import (
 // actually run.
 const testN = 1 << 16
 
+// workerCounts are the NOMINAL parallelisms the equivalence tests
+// sweep. Every pool is a lease on a 2-worker test runtime, so nominal
+// 3, 4 and 8 run on fewer real workers than they name — exactly the
+// contract: output bytes follow the nominal count, never the runtime's
+// size.
 var workerCounts = []int{1, 2, 3, 4, 8}
+
+// testRuntime returns a 2-worker runtime that is closed with the test.
+func testRuntime(t testing.TB) *Runtime {
+	t.Helper()
+	rt := NewRuntime(2, 0)
+	t.Cleanup(rt.Close)
+	return rt
+}
 
 func withPools(t *testing.T, f func(t *testing.T, p *Pool)) {
 	t.Helper()
+	rt := testRuntime(t)
 	for _, w := range workerCounts {
-		p := New(w)
+		p := rt.NewPool(w)
 		t.Run("", func(t *testing.T) { f(t, p) })
 		p.Close()
 	}
@@ -181,32 +195,38 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFetchManyMatchesSerial holds the one fetch operator, fed raw
+// views, to the paper's posjoin.FetchMany on every engine.
 func TestFetchManyMatchesSerial(t *testing.T) {
 	oids := randOIDs(10, testN, testN)
 	cols := make([][]int32, 3)
+	views := make([]Col, len(cols))
 	for c := range cols {
 		cols[c] = randVals(uint64(11+c), testN, false)
+		views[c] = RawCol(cols[c])
 	}
 	want, err := posjoin.FetchMany(cols, oids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPools(t, func(t *testing.T, p *Pool) {
-		got, err := p.FetchMany(cols, oids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: parallel fetch differs from serial", p.Workers())
-		}
-	})
 	// Out-of-range oids must surface the serial error.
 	bad := make([]OID, testN)
 	copy(bad, oids)
 	bad[testN-1] = OID(testN + 5)
-	withPools(t, func(t *testing.T, p *Pool) {
-		if _, err := p.FetchMany(cols, bad); err == nil {
-			t.Fatalf("workers=%d: missing out-of-range error", p.Workers())
+	_, wantErr := posjoin.FetchMany(cols, bad)
+	withEngines(t, func(t *testing.T, e *Engine) {
+		got, err := e.FetchMany(views, oids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: raw-view fetch differs from posjoin", e.Workers())
+		}
+		if e.CompStats().Cols != 0 {
+			t.Fatalf("workers=%d: raw views accounted as compressed", e.Workers())
+		}
+		if _, err := e.FetchMany(views, bad); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("workers=%d: out-of-range error %v, want %v", e.Workers(), err, wantErr)
 		}
 	})
 }
@@ -227,15 +247,20 @@ func clusteredFixture(t *testing.T, bits int) (*core.Clustered, []int32, []int32
 	return cl, col, clustered
 }
 
+// TestClusteredMatchesSerial holds the one clustered fetch, fed a raw
+// view, to posjoin.Clustered on every engine.
 func TestClusteredMatchesSerial(t *testing.T) {
 	cl, col, want := clusteredFixture(t, 8)
-	withPools(t, func(t *testing.T, p *Pool) {
-		got, err := p.Clustered(col, cl.SmallerOIDs, cl.Borders)
+	withEngines(t, func(t *testing.T, e *Engine) {
+		got, err := e.Clustered(RawCol(col), cl.SmallerOIDs, cl.Borders)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: parallel clustered fetch differs from serial", p.Workers())
+			t.Fatalf("workers=%d: raw-view clustered fetch differs from posjoin", e.Workers())
+		}
+		if _, err := e.Clustered(RawCol(col), cl.SmallerOIDs, cl.Borders[1:]); err == nil {
+			t.Fatalf("workers=%d: borders that do not tile the oids accepted", e.Workers())
 		}
 	})
 }
@@ -266,7 +291,7 @@ func TestDeclusterMatchesSerial(t *testing.T) {
 }
 
 func TestDeclusterRejectsBadInput(t *testing.T) {
-	p := New(2)
+	p := testRuntime(t).NewPool(2)
 	defer p.Close()
 	vals := make([]int32, 8)
 	ids := make([]OID, 7)
@@ -299,7 +324,7 @@ func TestGroupBordersTile(t *testing.T) {
 // TestConcurrentStress drives all operators once per worker count with
 // the race detector in mind (CI runs this package under -race).
 func TestConcurrentStress(t *testing.T) {
-	p := New(8)
+	p := testRuntime(t).NewPool(8)
 	defer p.Close()
 	heads := randOIDs(20, testN, testN)
 	vals := randVals(21, testN, true)

@@ -6,17 +6,18 @@ package exec
 // substrate operator either to the serial paper implementations
 // (internal/radix, internal/join, internal/posjoin, internal/core,
 // internal/nsm, internal/jive) or to their morsel-driven parallel
-// counterparts in this package, sharing one worker pool, one morsel
-// queue and the per-worker Scratch across all phases of a run.
+// counterparts in this package, sharing one runtime lease and the
+// runtime workers' Scratch across all phases of a run.
 //
 // The contract (see also the package comment in exec.go):
 //
 //   - Engine with 0 workers is the serial engine: every operator calls
 //     the paper code directly, no goroutines, no pool. Engine with
-//     n >= 1 workers owns a Pool; operators run parallel when the
-//     input clears MinParallelN and fall back to the serial code
-//     otherwise. Either way an operator's output is byte-identical to
-//     its serial counterpart — parallelism changes wall-clock only.
+//     n >= 1 workers holds a Pool — a lease on a Runtime; operators run
+//     parallel when the input clears MinParallelN and fall back to the
+//     serial code otherwise. Either way an operator's output is
+//     byte-identical to its serial counterpart — parallelism changes
+//     wall-clock only.
 //   - Phases run strictly in order; a phase starts only after its
 //     predecessor finished, so phase bodies may close over shared
 //     variables without synchronisation. All intra-phase parallelism
@@ -37,7 +38,6 @@ import (
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
-	"radixdecluster/internal/posjoin"
 	"radixdecluster/internal/radix"
 )
 
@@ -89,12 +89,12 @@ type Phase struct {
 }
 
 // Timings is the wall-clock outcome of Pipeline.Execute: per-kind
-// accumulated durations plus the end-to-end total. On a shared-runtime
-// pipeline the breakdown separates queueing from execution: ByKind is
+// accumulated durations plus the end-to-end total. A parallel pipeline
+// (a runtime lease) separates queueing from execution: ByKind is
 // wall-clock per kind, QueueByKind the portion of it spent waiting in
 // the runtime's morsel queue (submission to first claimed morsel, per
 // job), and Admission the wait for admission control before the first
-// phase. Serial engines and owned per-query pools report zero queueing.
+// phase. The serial engine reports zero queueing.
 type Timings struct {
 	ByKind      [NumPhaseKinds]time.Duration
 	QueueByKind [NumPhaseKinds]time.Duration
@@ -102,13 +102,13 @@ type Timings struct {
 	Total       time.Duration
 	// SharedScanHits counts the pipeline's declared scans that were
 	// served by a pass another concurrent pipeline had already started
-	// (cooperative scans; zero on serial engines, owned pools, and
-	// runtimes without ShareScans).
+	// (cooperative scans; zero on the serial engine and on runtimes
+	// without ShareScans).
 	SharedScanHits int64
 	// Sched is the affinity scheduler's counter set for this
 	// pipeline's morsels: local hits (executed on the home worker
 	// whose caches the placement predicted warm) and steals by
-	// topology distance. Zero on serial engines and owned pools.
+	// topology distance. Zero on the serial engine.
 	Sched SchedStats
 	// Comp is the pipeline's compressed-execution tally: compressed
 	// column inputs consumed, encoded bytes read, raw bytes that
@@ -118,7 +118,7 @@ type Timings struct {
 	// Mem is the query's execution-memory accounting: bytes of
 	// transient buffers freshly allocated (Acquired) vs. served from
 	// the recycled arena (Reused), and the peak bytes checked out at
-	// once (HighWater). Zero on serial engines and when pooling is
+	// once (HighWater). Zero on the serial engine and when pooling is
 	// off (Options.MemPoolOff).
 	Mem mempool.LeaseStats
 }
@@ -149,7 +149,7 @@ type Pipeline struct {
 
 // SetTrace attaches a per-query trace buffer: Execute emits one span
 // per phase (with queue waits, morsel counts and shared-scan hits as
-// args) plus an admission span, and runtime/pool workers emit one
+// args) plus an admission span, and runtime workers emit one
 // span per morsel (with worker id, task and steal distance). A nil
 // trace — the default — disables all emission. Call before Execute.
 func (p *Pipeline) SetTrace(t *obs.Trace) {
@@ -169,21 +169,13 @@ func (p *Pipeline) SetQueryTag(tag string) {
 	}
 }
 
-// NewPipeline creates a pipeline on a fresh engine: workers <= 0 =
-// serial paper mode, n >= 1 = morsel-driven pool of n workers owned by
-// this query alone (the degenerate single-query mode).
-func NewPipeline(workers int) *Pipeline {
-	return &Pipeline{eng: NewEngine(workers)}
-}
-
-// NewRuntimePipeline creates a pipeline that executes on the shared
-// process-wide runtime: Execute first passes admission control (the
-// wait is reported as Timings.Admission), then submits every phase's
-// morsels to the runtime's fair query-tagged queue. workers is the
-// query's nominal parallelism (see Runtime.NewPool); Close releases
-// the admission slot.
-func NewRuntimePipeline(rt *Runtime, workers int) *Pipeline {
-	return &Pipeline{eng: &Engine{pool: rt.NewPool(workers)}}
+// NewPipeline creates a pipeline on a fresh engine (see NewEngine):
+// workers <= 0 is the serial paper mode; otherwise Execute first passes
+// rt's admission control (the wait is reported as Timings.Admission),
+// then submits every phase's morsels to the runtime's fair
+// query-tagged queue, and Close releases the admission slot.
+func NewPipeline(rt *Runtime, workers int) *Pipeline {
+	return &Pipeline{eng: NewEngine(rt, workers)}
 }
 
 // Engine exposes the pipeline's engine (for assembly-time decisions).
@@ -193,18 +185,17 @@ func (p *Pipeline) Engine() *Engine { return p.eng }
 // base-data identity (e.g. a ScanKey seed), so concurrent pipelines
 // over the same source home equal partition keys on equal workers —
 // cross-query cache affinity on top of the cross-phase affinity every
-// pipeline gets. No-op for serial engines and owned pools. Call
-// before Execute.
+// pipeline gets. No-op for the serial engine. Call before Execute.
 func (p *Pipeline) SetAffinitySeed(seed uint64) {
 	if p.eng.pool != nil {
 		p.eng.pool.SetAffinitySeed(seed)
 	}
 }
 
-// Workers returns the engine's pool size, 0 for serial.
+// Workers returns the engine's nominal worker count, 0 for serial.
 func (p *Pipeline) Workers() int { return p.eng.Workers() }
 
-// Close releases the engine's pool.
+// Close releases the engine's runtime lease.
 func (p *Pipeline) Close() { p.eng.Close() }
 
 // Then appends a phase and returns the pipeline for chaining.
@@ -265,22 +256,20 @@ func (p *Pipeline) Execute() (Timings, error) {
 	tm.SharedScanHits = p.eng.sharedScanHits()
 	tm.Sched = p.eng.schedStats()
 	tm.Comp = p.eng.comp.snapshot()
-	if p.eng.pool != nil {
+	if pool := p.eng.pool; pool != nil {
 		// Snapshot before Close releases the lease: the accounting is
 		// the query's, the buffers go back to the arena.
-		tm.Mem = p.eng.pool.memStats()
-	}
-	if p.eng.pool != nil && p.eng.pool.rt != nil {
-		p.eng.pool.rt.compSaved.Add(tm.Comp.SavedBytes)
-		p.eng.pool.rt.compDecodeNanos.Add(tm.Comp.DecodeNanos)
+		tm.Mem = pool.memStats()
+		pool.rt.compSaved.Add(tm.Comp.SavedBytes)
+		pool.rt.compDecodeNanos.Add(tm.Comp.DecodeNanos)
 	}
 	return tm, err
 }
 
 // Engine dispatches substrate operators to the serial paper code (0
-// workers) or to the worker pool's parallel counterparts. One Engine —
-// and hence one pool and one set of per-worker scratch buffers — is
-// shared by every phase of a pipeline.
+// workers) or to their parallel counterparts on a runtime lease. One
+// Engine — and hence one lease — is shared by every phase of a
+// pipeline.
 type Engine struct {
 	pool *Pool
 	comp compCounters // compressed-execution counters (compressed.go)
@@ -288,16 +277,16 @@ type Engine struct {
 }
 
 // NewEngine creates an engine: workers <= 0 selects the serial paper
-// engine (no pool, no goroutines), workers >= 1 a morsel-driven pool
-// of that size.
-func NewEngine(workers int) *Engine {
+// engine (no pool, no goroutines; rt is not consulted), workers >= 1 a
+// lease on rt with that nominal parallelism (see Runtime.NewPool).
+func NewEngine(rt *Runtime, workers int) *Engine {
 	if workers <= 0 {
 		return &Engine{}
 	}
-	return &Engine{pool: New(workers)}
+	return &Engine{pool: rt.NewPool(workers)}
 }
 
-// Workers returns the pool size, 0 for the serial engine.
+// Workers returns the nominal worker count, 0 for the serial engine.
 func (e *Engine) Workers() int {
 	if e.pool == nil {
 		return 0
@@ -305,7 +294,7 @@ func (e *Engine) Workers() int {
 	return e.pool.Workers()
 }
 
-// Close releases the pool (no-op for the serial engine).
+// Close releases the runtime lease (no-op for the serial engine).
 func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.Close()
@@ -313,7 +302,7 @@ func (e *Engine) Close() {
 }
 
 // queueWait returns the engine pool's accumulated morsel-queue wait
-// (zero for the serial engine and owned pools).
+// (zero for the serial engine).
 func (e *Engine) queueWait() time.Duration {
 	if e.pool == nil {
 		return 0
@@ -339,11 +328,10 @@ func (e *Engine) schedStats() SchedStats {
 	return e.pool.schedStats()
 }
 
-// rtMetrics returns the shared runtime's metrics bundle, nil whenever
-// the engine is serial, owns its pool, or the runtime was built
-// without Options.Metrics.
+// rtMetrics returns the runtime's metrics bundle, nil whenever the
+// engine is serial or the runtime was built without Options.Metrics.
 func (e *Engine) rtMetrics() *rtMetrics {
-	if e.pool == nil || e.pool.rt == nil {
+	if e.pool == nil {
 		return nil
 	}
 	return e.pool.rt.metrics
@@ -377,14 +365,14 @@ func (e *Engine) ForRanges(n int, body func(r Range) error) error {
 // SharedRanges is ForRanges with a declared scan source: on a runtime
 // with scan sharing enabled, concurrent pipelines declaring equal keys
 // are served by one circular pass over the chunks (scanshare.go) —
-// late attachers start mid-circle and wrap. Everywhere else (serial
-// engines, owned pools, sharing off, zero key, sub-MinParallelN
-// inputs) it is exactly ForRanges. The body contract is the ForRanges
+// late attachers start mid-circle and wrap. Everywhere else (the
+// serial engine, sharing off, zero key, sub-MinParallelN inputs) it is
+// exactly ForRanges. The body contract is the ForRanges
 // one plus chunk-order independence, which disjoint-write bodies have
 // by construction; output bytes never depend on whether a pass was
 // shared.
 func (e *Engine) SharedRanges(key ScanKey, n int, body func(Range) error) error {
-	if key == (ScanKey{}) || !e.parallel(n) || e.pool.rt == nil || !e.pool.rt.shareScans {
+	if key == (ScanKey{}) || !e.parallel(n) || !e.pool.rt.shareScans {
 		return e.ForRanges(n, body)
 	}
 	return e.pool.sharedScan(key, n, body)
@@ -412,22 +400,6 @@ func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPair
 		return radix.SortOIDPairs(key, other, h)
 	}
 	return e.pool.SortOIDPairs(key, other, h)
-}
-
-// FetchMany runs one Positional-Join per projection column.
-func (e *Engine) FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
-	if e.pool == nil {
-		return posjoin.FetchMany(cols, oids)
-	}
-	return e.pool.FetchMany(cols, oids)
-}
-
-// Clustered runs the clustered Positional-Join over one column.
-func (e *Engine) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int32, error) {
-	if e.pool == nil {
-		return posjoin.Clustered(col, oids, borders)
-	}
-	return e.pool.Clustered(col, oids, borders)
 }
 
 // ClusterForDecluster performs the Figure-4 re-clustering on this

@@ -154,8 +154,9 @@ func TestEngineDeclusterRowsIntoMatchesSerial(t *testing.T) {
 		if err := core.DeclusterRowsInto(want, outWidth, outOff, values, width, cl.ResultPos, cl.Borders, window); err != nil {
 			t.Fatal(err)
 		}
+		rt := testRuntime(t)
 		for _, workers := range append([]int{0}, workerCounts...) {
-			e := NewEngine(workers)
+			e := NewEngine(rt, workers)
 			got := make([]int32, testN*outWidth)
 			err := e.DeclusterRowsInto(got, outWidth, outOff, values, width, cl.ResultPos, cl.Borders, window)
 			e.Close()
@@ -185,15 +186,16 @@ func TestEngineScansMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range append([]int{0}, workerCounts...) {
-		e := NewEngine(workers)
-		if got := e.ScanColumn(rel, 1); !reflect.DeepEqual(got, wantCol) {
-			t.Fatalf("workers=%d: ScanColumn differs from serial", workers)
+	raw := Rows{Rel: rel}
+	withEngines(t, func(t *testing.T, e *Engine) {
+		workers := e.Workers()
+		if got, err := e.ScanColumn(raw, 1); err != nil || !reflect.DeepEqual(got, wantCol) {
+			t.Fatalf("workers=%d: ScanColumn differs from serial (%v)", workers, err)
 		}
-		if got := e.ScanProject(rel, "w", cols); !reflect.DeepEqual(got, wantProj) {
-			t.Fatalf("workers=%d: ScanProject differs from serial", workers)
+		if got, err := e.ScanProject(raw, "w", cols); err != nil || !reflect.DeepEqual(got, wantProj) {
+			t.Fatalf("workers=%d: ScanProject differs from serial (%v)", workers, err)
 		}
-		got, err := e.GatherProject(rel, "g", oids, cols)
+		got, err := e.GatherProject(raw, "g", oids, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,15 +209,17 @@ func TestEngineScansMatchSerial(t *testing.T) {
 		if !reflect.DeepEqual(gotAB, wantAppend) {
 			t.Fatalf("workers=%d: AppendFields differs from serial", workers)
 		}
-		e.Close()
-	}
+		if e.CompStats().Cols != 0 {
+			t.Fatalf("workers=%d: raw views accounted as compressed", workers)
+		}
+	})
 }
 
 // TestPipelinePhases checks the pipeline contract: phases run in
 // order, time lands in the declared kind buckets, errors abort the
 // run, and the serial engine reports 0 workers.
 func TestPipelinePhases(t *testing.T) {
-	pl := NewPipeline(0)
+	pl := NewPipeline(nil, 0)
 	defer pl.Close()
 	if pl.Workers() != 0 {
 		t.Fatalf("serial pipeline reports %d workers", pl.Workers())
@@ -248,7 +252,7 @@ func TestPipelinePhases(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	pf := NewPipeline(2)
+	pf := NewPipeline(testRuntime(t), 2)
 	defer pf.Close()
 	if pf.Workers() != 2 {
 		t.Fatalf("parallel pipeline reports %d workers", pf.Workers())

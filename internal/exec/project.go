@@ -21,27 +21,36 @@ import (
 	"radixdecluster/internal/posjoin"
 )
 
-// FetchMany is the parallel equivalent of posjoin.FetchMany: one
-// Positional-Join per projection column, each column gathered by all
-// workers over contiguous oid ranges.
-func (p *Pool) FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
-	if p.workers == 1 || len(oids) < MinParallelN {
-		return posjoin.FetchMany(cols, oids)
+// FetchMany runs one Positional-Join per projection column view. Raw
+// columns gather by array lookup, compressed columns through the
+// worker's block cache; the dispatch is per morsel (fetchColInto).
+// Parallel runs gather every column over contiguous oid ranges.
+func (e *Engine) FetchMany(cols []Col, oids []OID) ([][]int32, error) {
+	for _, c := range cols {
+		e.comp.noteInput(c.Enc)
 	}
 	out := make([][]int32, len(cols))
 	for c := range cols {
 		out[c] = make([]int32, len(oids))
 	}
-	chunks := p.chunksFor(len(oids))
+	if !e.parallel(len(oids)) {
+		for c := range cols {
+			if err := e.fetchColInto(out[c], cols[c], oids, nil); err != nil {
+				return nil, fmt.Errorf("column %d: %w", c, err)
+			}
+		}
+		return out, nil
+	}
+	chunks := e.pool.chunksFor(len(oids))
 	ntasks := len(cols) * len(chunks)
-	errs := p.errSlots(ntasks)
+	errs := e.pool.errSlots(ntasks)
 	// The affinity key is the oid-range chunk, not the (column, chunk)
 	// task: every column's fetch of the same oid range homes on one
 	// worker, which then holds that range of the join-index hot across
 	// all π columns.
-	p.RunAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, _ *Scratch) {
+	e.pool.RunAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, s *Scratch) {
 		c, r := t/len(chunks), chunks[t%len(chunks)]
-		if err := posjoin.FetchInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi]); err != nil {
+		if err := e.fetchColInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi], s); err != nil {
 			errs[t] = fmt.Errorf("column %d: %w", c, err)
 		}
 	})
@@ -51,22 +60,42 @@ func (p *Pool) FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
 	return out, nil
 }
 
-// Clustered is the parallel equivalent of posjoin.Clustered: cluster
-// groups are morsels, each restricting its random access to its own
-// cache-sized regions of col.
-func (p *Pool) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int32, error) {
-	if p.workers == 1 || len(oids) < MinParallelN {
-		return posjoin.Clustered(col, oids, borders)
+// fetchColInto is one morsel of a Positional-Join: dst[i] =
+// col[oids[i]]. s is the executing worker's scratch, nil on the serial
+// path (which decodes through the engine's own scratch).
+func (e *Engine) fetchColInto(dst []int32, col Col, oids []OID, s *Scratch) error {
+	if col.Enc == nil {
+		return posjoin.FetchInto(dst, col.Raw, oids)
 	}
+	if s == nil {
+		return e.serialDecoder().gather(&e.comp, col.Enc, oids, dst)
+	}
+	return s.decoder().gather(&e.comp, col.Enc, oids, dst)
+}
+
+// Clustered is the clustered Positional-Join over one column view:
+// each cluster confines its random access to one cache-sized region of
+// the source — for a compressed column, long runs against the same
+// decoded blocks. Parallel runs take cluster groups as morsels.
+func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, error) {
+	e.comp.noteInput(col.Enc)
 	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
 		return nil, err
 	}
 	out := make([]int32, len(oids))
-	groups := groupBorders(borders, p.workers*morselsPerWorker, len(oids))
-	errs := p.errSlots(len(groups))
-	p.Run(len(groups), func(_, t int, _ *Scratch) {
+	if !e.parallel(len(oids)) {
+		for _, b := range borders {
+			if err := e.fetchColInto(out[b.Start:b.End], col, oids[b.Start:b.End], nil); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	groups := groupBorders(borders, e.pool.workers*morselsPerWorker, len(oids))
+	errs := e.pool.errSlots(len(groups))
+	e.pool.Run(len(groups), func(_, t int, s *Scratch) {
 		for _, b := range borders[groups[t].Lo:groups[t].Hi] {
-			if err := posjoin.FetchInto(out[b.Start:b.End], col, oids[b.Start:b.End]); err != nil {
+			if err := e.fetchColInto(out[b.Start:b.End], col, oids[b.Start:b.End], s); err != nil {
 				errs[t] = err
 				return
 			}

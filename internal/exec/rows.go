@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
+	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
@@ -218,52 +219,129 @@ func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw,
 	return e.pool.HashRows(larger, lw, lkey, smaller, sw, skey)
 }
 
+// Rows is a record-array execution view: a row-major NSM relation and,
+// optionally, a block-compressed image of its Data. When Enc is
+// non-nil it is the execution format — scans and gathers read the
+// encoded stream, Rel supplies the shape — and it must decode to
+// exactly Rel.Data.
+type Rows struct {
+	Rel *nsm.Relation
+	Enc *compress.Encoded
+}
+
+// check validates the view and the attribute offsets an operator reads.
+func (v Rows) check(op string, cols ...int) error {
+	if v.Enc != nil && v.Enc.Len() != len(v.Rel.Data) {
+		return fmt.Errorf("exec: %s: compressed image holds %d values, the relation %d", op, v.Enc.Len(), len(v.Rel.Data))
+	}
+	for _, c := range cols {
+		if c < 0 || c >= v.Rel.Width {
+			return fmt.Errorf("exec: %s: column %d outside width %d", op, c, v.Rel.Width)
+		}
+	}
+	return nil
+}
+
+// scanKey is the view's scan-sharing identity — the byte stream a pass
+// over it reads: concurrent pipelines sweeping the same records (any
+// attribute, any projection list) in the same representation share
+// one pass on a scan-sharing runtime.
+func (v Rows) scanKey() ScanKey {
+	if v.Enc != nil {
+		return EncScanKey(v.Enc, v.Rel.Len())
+	}
+	return RowsScanKey(v.Rel.Data, v.Rel.Len())
+}
+
 // ScanColumn extracts one attribute of every record — the strided
 // key-extraction scan of the NSM post-projection strategies, chunked
-// over record ranges. The relation's record array is its scan source:
-// concurrent pipelines sweeping the same records (any attribute, any
-// projection list) share one pass on a scan-sharing runtime.
-func (e *Engine) ScanColumn(rel *nsm.Relation, col int) []int32 {
-	out := make([]int32, rel.Len())
-	_ = e.SharedRanges(RowsScanKey(rel.Data, rel.Len()), rel.Len(), func(r Range) error {
-		rel.ScanColumnInto(out, col, r.Lo, r.Hi)
-		return nil
+// over record ranges and declared for scan sharing (see Rows.scanKey).
+// A compressed view decodes each morsel's records in L1-sized spans
+// and strides over the decoded span.
+func (e *Engine) ScanColumn(v Rows, col int) ([]int32, error) {
+	if err := v.check("ScanColumn", col); err != nil {
+		return nil, err
+	}
+	e.comp.noteInput(v.Enc)
+	width := v.Rel.Width
+	out := make([]int32, v.Rel.Len())
+	err := e.SharedRanges(v.scanKey(), v.Rel.Len(), func(r Range) error {
+		if v.Enc == nil {
+			v.Rel.ScanColumnInto(out, col, r.Lo, r.Hi)
+			return nil
+		}
+		return e.decodeRecords(v, r, func(buf []int32, lo, hi int) {
+			for i, p := lo, col; i < hi; i, p = i+1, p+width {
+				out[i] = buf[p]
+			}
+		})
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ScanProject materialises the paper's "NSM projection routine" scan
-// as a narrower relation, chunked over record ranges and shareable
-// with every other scan over the same records (see ScanColumn).
-func (e *Engine) ScanProject(rel *nsm.Relation, name string, cols []int) *nsm.Relation {
-	out := nsm.New(name, rel.Len(), len(cols))
-	_ = e.SharedRanges(RowsScanKey(rel.Data, rel.Len()), rel.Len(), func(r Range) error {
-		rel.ScanProjectInto(out, r.Lo, r.Hi, cols)
-		return nil
+// as a narrower raw relation, chunked over record ranges and shareable
+// with every other scan over the same view (see ScanColumn).
+func (e *Engine) ScanProject(v Rows, name string, cols []int) (*nsm.Relation, error) {
+	if err := v.check("ScanProject", cols...); err != nil {
+		return nil, err
+	}
+	e.comp.noteInput(v.Enc)
+	width, w := v.Rel.Width, len(cols)
+	out := nsm.New(name, v.Rel.Len(), w)
+	err := e.SharedRanges(v.scanKey(), v.Rel.Len(), func(r Range) error {
+		if v.Enc == nil {
+			v.Rel.ScanProjectInto(out, r.Lo, r.Hi, cols)
+			return nil
+		}
+		return e.decodeRecords(v, r, func(buf []int32, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				rec := buf[(i-lo)*width : (i-lo)*width+width]
+				dst := out.Data[i*w : i*w+w]
+				for k, c := range cols {
+					dst[k] = rec[c]
+				}
+			}
+		})
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // GatherProjectInto fetches the attributes named by cols from the
-// records selected by oids into a row-major buffer at field offset
-// dstOff, chunked over oid ranges (disjoint destination records).
-func (e *Engine) GatherProjectInto(rel *nsm.Relation, dst []int32, dstWidth, dstOff int, oids []OID, cols []int) error {
+// records selected by oids into a row-major buffer of dstWidth-wide
+// records at field offset dstOff, chunked over oid ranges (disjoint
+// destination records). A compressed view reads records through the
+// region decode / block cache of gatherRecords; partially clustered
+// oid orders turn that into long same-block runs.
+func (e *Engine) GatherProjectInto(v Rows, dst []int32, dstWidth, dstOff int, oids []OID, cols []int) error {
+	if err := v.check("GatherProjectInto", cols...); err != nil {
+		return err
+	}
 	if dstOff < 0 || dstOff+len(cols) > dstWidth {
-		return fmt.Errorf("nsm: GatherProjectInto: fields [%d,%d) outside record width %d", dstOff, dstOff+len(cols), dstWidth)
+		return fmt.Errorf("exec: GatherProjectInto: fields [%d,%d) outside record width %d", dstOff, dstOff+len(cols), dstWidth)
 	}
 	if len(dst) != len(oids)*dstWidth {
-		return fmt.Errorf("nsm: GatherProjectInto: dst holds %d records, want %d", len(dst)/dstWidth, len(oids))
+		return fmt.Errorf("exec: GatherProjectInto: dst holds %d records, want %d", len(dst)/dstWidth, len(oids))
 	}
+	e.comp.noteInput(v.Enc)
 	return e.ForRanges(len(oids), func(r Range) error {
-		return rel.GatherProjectInto(dst[r.Lo*dstWidth:r.Hi*dstWidth], dstWidth, dstOff, oids[r.Lo:r.Hi], cols)
+		if v.Enc == nil {
+			return v.Rel.GatherProjectInto(dst[r.Lo*dstWidth:r.Hi*dstWidth], dstWidth, dstOff, oids[r.Lo:r.Hi], cols)
+		}
+		return e.gatherRecords(v, dst, dstWidth, dstOff, oids, cols, r)
 	})
 }
 
-// GatherProject fetches the attributes named by cols from the records
-// selected by oids into a new relation, chunked over oid ranges.
-func (e *Engine) GatherProject(rel *nsm.Relation, name string, oids []OID, cols []int) (*nsm.Relation, error) {
+// GatherProject is GatherProjectInto materialising a fresh relation.
+func (e *Engine) GatherProject(v Rows, name string, oids []OID, cols []int) (*nsm.Relation, error) {
 	out := nsm.New(name, len(oids), len(cols))
-	if err := e.GatherProjectInto(rel, out.Data, len(cols), 0, oids, cols); err != nil {
+	if err := e.GatherProjectInto(v, out.Data, len(cols), 0, oids, cols); err != nil {
 		return nil, err
 	}
 	return out, nil

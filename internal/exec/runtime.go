@@ -1,10 +1,11 @@
 package exec
 
-// Runtime is the process-wide execution engine: one fixed pool of
+// Runtime is the process-wide execution engine: one fixed set of
 // workers multiplexed over every concurrently running project-join
-// query, in place of the per-query Pools the strategies used to spin
-// up (which oversubscribe cores and fight for the memory-bandwidth
-// budget the cost model assumes each query owns exclusively).
+// query — a worker set per query would oversubscribe cores and fight
+// for the memory-bandwidth budget the cost model assumes each query
+// owns exclusively. A lone query is the degenerate case: a Runtime
+// serving one lease.
 //
 // Scheduling model (topology-aware since the per-worker-deque
 // refactor):
@@ -278,10 +279,10 @@ func (c *schedCounters) stats() SchedStats {
 	}
 }
 
-// Runtime owns the single process-wide worker pool and the per-worker
-// affinity deques. Create one with NewRuntime, hand it to pipelines
-// with NewRuntimePipeline (or NewPool for direct operator use),
-// release the workers with Close.
+// Runtime owns the worker goroutines and the per-worker affinity
+// deques. Create one with NewRuntime, hand it to pipelines with
+// NewPipeline (or NewPool for direct operator use), release the
+// workers with Close.
 type Runtime struct {
 	workers       int
 	maxConcurrent int
@@ -343,8 +344,7 @@ type stealEntry struct {
 }
 
 // rtJob is one run invocation on a lease: the task body plus the
-// affinity mapping that placed its morsels (the Runtime counterpart of
-// job).
+// affinity mapping that placed its morsels.
 type rtJob struct {
 	ntasks  int
 	fn      func(worker, task int, s *Scratch)
@@ -736,13 +736,13 @@ func (rt *Runtime) Close() {
 	rt.wg.Wait()
 }
 
-// NewPool returns a Pool handle whose Run submits to this runtime's
-// affinity deques instead of owning workers — the degenerate per-query
-// Pool demoted to a lease. workers (<= 0 selects the runtime's size)
+// NewPool returns a Pool: one query's lease, whose Run submits to this
+// runtime's affinity deques. workers (<= 0 selects the runtime's size)
 // sets the query's nominal parallelism: morsel granularity and
 // per-worker window division derive from it, so the output bytes
-// depend on it exactly as they would on an owned pool's size — never
-// on the shared workers actually serving the morsels. The pool gets a
+// depend on it alone — a nominal 8 on a 2-worker runtime computes what
+// a nominal 8 computes anywhere — never on the workers actually
+// serving the morsels. The pool gets a
 // fresh affinity seed (replaceable with SetAffinitySeed before the
 // first Run) so distinct queries spread their homes differently.
 // Admission is acquired on first use (or explicitly via a pipeline's

@@ -11,9 +11,9 @@ import (
 	"radixdecluster/internal/radix"
 )
 
-// Runtime-backed pools must produce the same bytes as owned pools and
-// the serial operators — the shared scheduler changes who executes a
-// morsel, never what it computes.
+// A lease must produce the same bytes as the serial operators on a
+// runtime of any size — the scheduler changes who executes a morsel,
+// never what it computes.
 func TestRuntimePoolMatchesSerial(t *testing.T) {
 	rt := NewRuntime(4, 0)
 	defer rt.Close()
@@ -56,7 +56,7 @@ func TestRuntimeAdmissionBoundsPipelines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pl := NewRuntimePipeline(rt, 2)
+			pl := NewPipeline(rt, 2)
 			defer pl.Close()
 			pl.Then(PhaseScan, "occupy", func(e *Engine) error {
 				cur := inFlight.Add(1)
@@ -93,7 +93,7 @@ func TestRuntimeAdmissionBoundsPipelines(t *testing.T) {
 func TestRuntimeQueueTimings(t *testing.T) {
 	rt := NewRuntime(2, 0)
 	defer rt.Close()
-	pl := NewRuntimePipeline(rt, 2)
+	pl := NewPipeline(rt, 2)
 	defer pl.Close()
 	ran := false
 	pl.Then(PhaseJoin, "work", func(e *Engine) error {
@@ -149,7 +149,7 @@ func TestRuntimeConcurrentJobsExecuteAllMorsels(t *testing.T) {
 // The chunked-parallel prefix sum must produce exactly the serial
 // cursors and offsets for any (cluster, chunk) shape.
 func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
-	p := New(4)
+	p := testRuntime(t).NewPool(4)
 	defer p.Close()
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range []struct{ h, nch int }{
@@ -167,6 +167,39 @@ func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(counts, serialCounts) {
 			t.Fatalf("h=%d nch=%d: cursors differ", shape.h, shape.nch)
+		}
+	}
+}
+
+// A closed Pool has released its admission slot: running on it again
+// must panic, as submitting to a closed Runtime does, instead of
+// admitting a second lease that nobody would release.
+func TestClosedPoolRunPanics(t *testing.T) {
+	rt := testRuntime(t)
+	for name, use := range map[string]func(p *Pool){
+		"Run":    func(p *Pool) { p.Run(4, func(_, _ int, _ *Scratch) {}) },
+		"RunAff": func(p *Pool) { p.RunAff(4, func(int) uint64 { return 0 }, func(_, _ int, _ *Scratch) {}) },
+		"attach": func(p *Pool) { p.attach() },
+	} {
+		p := rt.NewPool(2)
+		p.Run(4, func(_, _ int, _ *Scratch) {})
+		if got := rt.ActiveQueries(); got != 1 {
+			t.Fatalf("%s: %d active queries while the lease is held, want 1", name, got)
+		}
+		p.Close()
+		func() {
+			defer func() {
+				if r := recover(); r != "exec: Run on a closed Pool" {
+					t.Fatalf("%s on a closed Pool: recovered %v, want the closed-Pool panic", name, r)
+				}
+			}()
+			use(p)
+		}()
+		if p.Mem() != nil {
+			t.Fatalf("%s: closed Pool handed out a buffer lease", name)
+		}
+		if got := rt.ActiveQueries(); got != 0 {
+			t.Fatalf("%s on a closed Pool leaked an admission slot: %d active queries", name, got)
 		}
 	}
 }

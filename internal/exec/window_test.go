@@ -116,7 +116,7 @@ func TestPipelineTraceSpans(t *testing.T) {
 	defer rt.Close()
 
 	run := func(tr *obs.Trace) {
-		pl := NewRuntimePipeline(rt, 2)
+		pl := NewPipeline(rt, 2)
 		defer pl.Close()
 		pl.SetTrace(tr)
 		pl.Then(PhaseScan, "scan-phase", func(e *Engine) error {
@@ -185,7 +185,7 @@ func TestRuntimeMetricsEndToEnd(t *testing.T) {
 	before := scrape()
 
 	for q := 0; q < 2; q++ {
-		pl := NewRuntimePipeline(rt, 2)
+		pl := NewPipeline(rt, 2)
 		pl.Then(PhaseJoin, "join-phase", func(e *Engine) error {
 			return e.ForRanges(4*MinParallelN, func(Range) error {
 				time.Sleep(time.Microsecond)
@@ -233,7 +233,7 @@ func TestMetricsOffRegistryNil(t *testing.T) {
 	if rt.MetricsRegistry() != nil {
 		t.Fatal("metrics-off runtime must have a nil registry")
 	}
-	pl := NewRuntimePipeline(rt, 1)
+	pl := NewPipeline(rt, 1)
 	defer pl.Close()
 	pl.Then(PhaseScan, "s", func(e *Engine) error {
 		return e.ForRanges(MinParallelN, func(Range) error { return nil })

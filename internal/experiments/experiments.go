@@ -50,8 +50,10 @@ type Config struct {
 	Seed uint64
 	// Parallelism runs every strategy on the morsel-driven parallel
 	// executor (internal/exec): 0 = the paper's serial mode, n >= 1 =
-	// n workers, -1 = the planner decides per strategy. Results are
-	// byte-identical either way; only the measured times change.
+	// a nominal n workers leased from the process default runtime
+	// (strategy.DefaultRuntime), -1 = the planner decides per strategy.
+	// Results are byte-identical either way; only the measured times
+	// change.
 	Parallelism int
 }
 

@@ -131,7 +131,7 @@ func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so 
 // checkAgainstOracle joins one input under one clustering with both
 // engines: each must return exactly the oracle's pair multiset, and the
 // two the identical sequence.
-func checkAgainstOracle(t *testing.T, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
+func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
 	t.Helper()
 	serial, err := join.Partitioned(lo, lk, so, sk, o)
 	if err != nil {
@@ -140,7 +140,7 @@ func checkAgainstOracle(t *testing.T, lo []join.OID, lk []int32, so []join.OID, 
 	if got := sortedPairs(serial); !slices.Equal(got, want) {
 		t.Fatalf("%+v: serial join returned %d pairs, the oracle %d, or different ones", o, len(got), len(want))
 	}
-	p := exec.New(2)
+	p := rt.NewPool(2)
 	defer p.Close() // the parallel join-index is leased from the pool
 	parallel, err := p.Partitioned(lo, lk, so, sk, o)
 	if err != nil {
@@ -166,6 +166,8 @@ func optsFor(i int) []radix.Opts {
 }
 
 func TestPartitionedMatchesIndependentOracle(t *testing.T) {
+	rt := exec.NewRuntime(2, 0)
+	defer rt.Close()
 	// Sizes straddle exec.MinParallelN (the parallel engine's serial
 	// fallback is decided on |larger| + |smaller|), with empty sides.
 	half := exec.MinParallelN / 2
@@ -182,7 +184,7 @@ func TestPartitionedMatchesIndependentOracle(t *testing.T) {
 			want := refEquiJoin(lo, lk, so, sk)
 			t.Run(fmt.Sprintf("%s/%dx%d", keyShapes[shape].name, nL, nS), func(t *testing.T) {
 				for _, o := range optsFor(i) {
-					checkAgainstOracle(t, lo, lk, so, sk, want, o)
+					checkAgainstOracle(t, rt, lo, lk, so, sk, want, o)
 				}
 			})
 			i++
@@ -191,6 +193,8 @@ func TestPartitionedMatchesIndependentOracle(t *testing.T) {
 }
 
 func TestPartitionedMatchesIndependentOracleRandom(t *testing.T) {
+	rt := exec.NewRuntime(2, 0)
+	defer rt.Close()
 	rng := rand.New(rand.NewPCG(13, 2))
 	for range 40 {
 		shape := rng.IntN(len(keyShapes))
@@ -204,7 +208,7 @@ func TestPartitionedMatchesIndependentOracleRandom(t *testing.T) {
 			o.Passes = radix.SplitBits(bits, 1+rng.IntN(bits))
 		}
 		lo, lk, so, sk := genSides(rng, shape, nL, nS)
-		checkAgainstOracle(t, lo, lk, so, sk, refEquiJoin(lo, lk, so, sk), o)
+		checkAgainstOracle(t, rt, lo, lk, so, sk, refEquiJoin(lo, lk, so, sk), o)
 	}
 }
 

@@ -44,31 +44,29 @@ func (s NSMSide) validate(name string) error {
 	return nil
 }
 
+// view returns the side's records as an execution view: compressed
+// when requested and an encoding exists, raw otherwise (the NSM
+// counterpart of DSMSide.view).
+func (s NSMSide) view(comp bool) exec.Rows {
+	v := exec.Rows{Rel: s.Rel}
+	if comp {
+		v.Enc = s.Enc
+	}
+	return v
+}
+
 // scanWide extracts the [key | π] wide tuples of an NSM
 // pre-projection scan, record at a time (the paper's "NSM projection
-// routine"), chunked on the engine; compressed runs read the encoded
-// record stream instead.
-func (s NSMSide) scanWide(e *exec.Engine, comp bool) ([]int32, int, error) {
+// routine"), chunked on the engine.
+func (s NSMSide) scanWide(e *exec.Engine, comp bool) ([]int32, error) {
 	cols := make([]int, 0, len(s.ProjCols)+1)
 	cols = append(cols, s.KeyCol)
 	cols = append(cols, s.ProjCols...)
-	if comp && s.Enc != nil {
-		rel, err := e.ScanProjectEnc(s.Rel.Name+"_wide", s.Enc, s.Rel.Width, cols)
-		if err != nil {
-			return nil, 0, err
-		}
-		return rel.Data, rel.Width, nil
+	rel, err := e.ScanProject(s.view(comp), s.Rel.Name+"_wide", cols)
+	if err != nil {
+		return nil, err
 	}
-	rel := e.ScanProject(s.Rel, s.Rel.Name+"_wide", cols)
-	return rel.Data, rel.Width, nil
-}
-
-// scanKeys extracts the side's key column for the join-index build.
-func (s NSMSide) scanKeys(e *exec.Engine, comp bool) ([]int32, error) {
-	if comp && s.Enc != nil {
-		return e.ScanColumnEnc(s.Enc, s.Rel.Width, s.KeyCol)
-	}
-	return e.ScanColumn(s.Rel, s.KeyCol), nil
+	return rel.Data, nil
 }
 
 // NSMPre runs NSM pre-projection: projection attributes are copied
@@ -107,10 +105,10 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "nsm-scan-project", func(e *exec.Engine) error {
 		var err error
-		if lRows, _, err = larger.scanWide(e, useComp); err != nil {
+		if lRows, err = larger.scanWide(e, useComp); err != nil {
 			return err
 		}
-		sRows, _, err = smaller.scanWide(e, useComp)
+		sRows, err = smaller.scanWide(e, useComp)
 		return err
 	})
 	pl.Then(exec.PhaseJoin, "rows-join", func(e *exec.Engine) error {
@@ -204,10 +202,10 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	var lOIDs, sOIDs []OID
 	pl.Then(exec.PhaseScan, "key-extraction", func(e *exec.Engine) error {
 		var err error
-		if lKeys, err = larger.scanKeys(e, useComp); err != nil {
+		if lKeys, err = e.ScanColumn(larger.view(useComp), larger.KeyCol); err != nil {
 			return err
 		}
-		if sKeys, err = smaller.scanKeys(e, useComp); err != nil {
+		if sKeys, err = e.ScanColumn(smaller.view(useComp), smaller.KeyCol); err != nil {
 			return err
 		}
 		lOIDs = bat.Dense(larger.Rel.Len())
@@ -240,10 +238,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		res.Rows = make([]int32, res.N*res.RowWidth)
 		key := cl.Key
 		cl.Key = nil
-		if useComp && larger.Enc != nil {
-			return e.GatherProjectEncInto(larger.Enc, larger.Rel.Width, res.Rows, res.RowWidth, 0, key, larger.ProjCols)
-		}
-		return e.GatherProjectInto(larger.Rel, res.Rows, res.RowWidth, 0, key, larger.ProjCols)
+		return e.GatherProjectInto(larger.view(useComp), res.Rows, res.RowWidth, 0, key, larger.ProjCols)
 	})
 
 	// Smaller side: re-cluster on the smaller oid, gather the fields
@@ -261,11 +256,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		var clustered *nsm.Relation
 		pl.Then(exec.PhaseProjectSmaller, "gather-smaller", func(e *exec.Engine) error {
 			var err error
-			if useComp && smaller.Enc != nil {
-				clustered, err = e.GatherProjectEnc("sproj", smaller.Enc, smaller.Rel.Width, cl2.SmallerOIDs, smaller.ProjCols)
-			} else {
-				clustered, err = e.GatherProject(smaller.Rel, "sproj", cl2.SmallerOIDs, smaller.ProjCols)
-			}
+			clustered, err = e.GatherProject(smaller.view(useComp), "sproj", cl2.SmallerOIDs, smaller.ProjCols)
 			return err
 		})
 		pl.Then(exec.PhaseDecluster, "radix-decluster-rows", func(e *exec.Engine) error {
@@ -329,10 +320,10 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 	var lOIDs, sOIDs []OID
 	pl.Then(exec.PhaseScan, "key-extraction", func(e *exec.Engine) error {
 		var err error
-		if lKeys, err = larger.scanKeys(e, useComp); err != nil {
+		if lKeys, err = e.ScanColumn(larger.view(useComp), larger.KeyCol); err != nil {
 			return err
 		}
-		if sKeys, err = smaller.scanKeys(e, useComp); err != nil {
+		if sKeys, err = e.ScanColumn(smaller.view(useComp), smaller.KeyCol); err != nil {
 			return err
 		}
 		lOIDs = bat.Dense(larger.Rel.Len())

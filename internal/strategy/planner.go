@@ -5,41 +5,70 @@ package strategy
 // Config.Parallelism the same way: an explicit worker count is taken
 // as-is, AutoParallelism asks the matching costmodel.ChooseParallelism*
 // formula — the modeled elapsed time across worker counts up to
-// runtime.GOMAXPROCS (capped by the shared runtime's pool size when
-// one is configured), including the per-core cache-share shrinkage and
-// the shared memory-bandwidth ceiling — and 0 stays on the serial
-// paper path. When Config.Runtime is set, the model is additionally
-// divided across the runtime's active queries: each of Q concurrent
-// queries plans against a 1/Q cache share and a 1/Q share of the
-// bus's saturation streams (costmodel.Model.ForQueries), so a busy
-// runtime steers individual queries toward fewer workers. Inputs
-// below the executor's serial-fallback threshold (exec.MinParallelN)
-// never spin up a pool or enter runtime admission: every operator
-// would fall back to serial code anyway, so the run reports
-// Workers = 0.
+// runtime.GOMAXPROCS (capped by the runtime's size), including the
+// per-core cache-share shrinkage and the shared memory-bandwidth
+// ceiling — and 0 stays on the serial paper path. Every parallel run
+// executes on a runtime: Config.Runtime, or the process default
+// (DefaultRuntime) when that is nil. The model is divided across the
+// runtime's active queries: each of Q concurrent queries plans against
+// a 1/Q cache share and a 1/Q share of the bus's saturation streams
+// (costmodel.Model.ForQueries), so a busy runtime steers individual
+// queries toward fewer workers. Inputs below the executor's
+// serial-fallback threshold (exec.MinParallelN) never enter runtime
+// admission: every operator would fall back to serial code anyway, so
+// the run reports Workers = 0.
 
 import (
 	"math"
 	"runtime"
+	"sync"
 
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
+	"radixdecluster/internal/mem"
 	"radixdecluster/internal/radix"
 )
 
+var (
+	defaultRuntimeOnce sync.Once
+	defaultRuntime     *exec.Runtime
+)
+
+// DefaultRuntime returns the lazily created process-wide runtime:
+// GOMAXPROCS workers, admission derived from the default hierarchy's
+// bus-stream budget (costmodel.AdaptiveAdmission). Every parallel run
+// whose Config.Runtime is nil executes on it, and the root package's
+// DefaultRuntime wraps this same instance — a process has one default
+// worker set however its queries reach the engine. It is never closed.
+func DefaultRuntime() *exec.Runtime {
+	defaultRuntimeOnce.Do(func() {
+		defaultRuntime = exec.NewRuntimeOpts(exec.Options{
+			MaxConcurrent: costmodel.AdaptiveAdmission(mem.Pentium4(), runtime.GOMAXPROCS(0)),
+		})
+	})
+	return defaultRuntime
+}
+
+// rt resolves the runtime this run plans against and executes on:
+// Config.Runtime when set, the process default for any other parallel
+// run, nil for a serial run (Parallelism 0 never creates the default).
+func (c Config) rt() *exec.Runtime {
+	if c.Runtime != nil || c.Parallelism == 0 {
+		return c.Runtime
+	}
+	return DefaultRuntime()
+}
+
 // queries estimates how many queries will share the machine while
 // this one runs: the runtime's currently admitted pipelines plus this
-// query. Without a shared runtime every query plans as the sole owner.
+// query. A serial run without a runtime plans as the sole owner.
 func (c Config) queries() int {
-	if c.Runtime == nil {
+	rt := c.rt()
+	if rt == nil {
 		return 1
 	}
-	q := c.Runtime.ActiveQueries() + 1
-	if q < 1 {
-		q = 1
-	}
-	return q
+	return rt.ActiveQueries() + 1
 }
 
 // affinityFeedbackMinTasks is how many morsels the runtime's
@@ -64,13 +93,13 @@ const affinityFeedbackMinTasks = 256
 // warm-up floor) is the fallback.
 func (c Config) model() costmodel.Model {
 	m := costmodel.Model{H: c.hier()}.ForQueries(c.queries())
-	if c.Runtime != nil {
+	if rt := c.rt(); rt != nil {
 		// Clamp away from ForAffinity's 0-means-unknown sentinel: a
 		// measured warm rate of exactly 0 is the WORST schedule and
 		// must hit the cold floor, not read as "no data".
-		if win := c.Runtime.SchedStatsWindow(); win.Windows > 0 {
+		if win := rt.SchedStatsWindow(); win.Windows > 0 {
 			m = m.ForAffinity(math.Max(win.WarmHitRate(), 1e-3))
-		} else if st := c.Runtime.SchedStats(); st.Tasks() >= affinityFeedbackMinTasks {
+		} else if st := rt.SchedStats(); st.Tasks() >= affinityFeedbackMinTasks {
 			m = m.ForAffinity(math.Max(st.WarmHitRate(), 1e-3))
 		}
 	}
@@ -78,12 +107,12 @@ func (c Config) model() costmodel.Model {
 }
 
 // maxWorkers bounds the planner's worker-count search: the machine,
-// and the shared runtime's pool when one is configured (a query
-// cannot be served by more workers than the runtime owns).
+// and the runtime's size (a query cannot be served by more workers
+// than the runtime owns).
 func (c Config) maxWorkers() int {
 	w := runtime.GOMAXPROCS(0)
-	if c.Runtime != nil && c.Runtime.Workers() < w {
-		w = c.Runtime.Workers()
+	if rt := c.rt(); rt != nil && rt.Workers() < w {
+		w = rt.Workers()
 	}
 	return w
 }
@@ -132,12 +161,10 @@ func planParallelismJive(nJI, leftN, rightN, omegaBytes, projBytes, bits int, cf
 // pipelineFor resolves cfg.Parallelism into a pipeline for one
 // strategy run. plan supplies the strategy's cost-model decision
 // (consulted only for AutoParallelism); joinInput is the total join
-// input cardinality gating pool creation against exec.MinParallelN;
+// input cardinality gating the runtime lease against exec.MinParallelN;
 // affinitySeed is the query's base-data identity (a ScanKey seed),
 // salting the runtime's placement hash so concurrent queries over the
-// same source home equal partitions on equal workers. Parallel
-// pipelines run on the shared runtime when one is configured,
-// otherwise on an owned per-query pool.
+// same source home equal partitions on equal workers.
 func (c Config) pipelineFor(joinInput int, affinitySeed uint64, plan func() int) *exec.Pipeline {
 	w := 0
 	switch {
@@ -151,28 +178,17 @@ func (c Config) pipelineFor(joinInput int, affinitySeed uint64, plan func() int)
 	if w > 0 && joinInput < exec.MinParallelN {
 		w = 0
 	}
-	if w > 0 && c.Runtime != nil {
-		pl := exec.NewRuntimePipeline(c.Runtime, w)
-		if affinitySeed != 0 {
-			pl.SetAffinitySeed(affinitySeed)
-		}
-		c.observe(pl)
-		return pl
+	pl := exec.NewPipeline(c.rt(), w)
+	if affinitySeed != 0 {
+		pl.SetAffinitySeed(affinitySeed)
 	}
-	pl := exec.NewPipeline(w)
-	c.observe(pl)
-	return pl
-}
-
-// observe attaches the config's trace buffer and pprof query tag to a
-// freshly built pipeline.
-func (c Config) observe(pl *exec.Pipeline) {
 	if c.Trace != nil {
 		pl.SetTrace(c.Trace)
 	}
 	if c.QueryTag != "" {
 		pl.SetQueryTag(c.QueryTag)
 	}
+	return pl
 }
 
 // phasesFromTimings maps the pipeline's per-kind buckets onto the

@@ -22,9 +22,9 @@
 // execution engine (internal/exec): the strategy function makes the
 // planner decisions (methods, radix bits, window, worker count) and
 // lists the phases; the pipeline runs them — serially in the paper's
-// single-threaded mode, or morsel-driven parallel when
-// Config.Parallelism selects workers — with byte-identical results
-// either way. Every run returns a phase-by-phase wall-clock breakdown
+// single-threaded mode, or morsel-driven parallel on a runtime lease
+// when Config.Parallelism selects workers — with byte-identical
+// results either way. Every run returns a phase-by-phase wall-clock breakdown
 // and the parameters (radix bits, window) the planner chose.
 package strategy
 
@@ -90,22 +90,22 @@ type Config struct {
 	Window int
 	// Parallelism selects the execution engine for every strategy:
 	// 0 = the paper's serial single-threaded mode (default), n >= 1 =
-	// morsel-driven parallel execution (internal/exec) with n workers,
-	// AutoParallelism = the planner decides per strategy from the cost
-	// model. All five strategies run as phase pipelines on the shared
-	// executor, and parallel runs produce output byte-identical to
-	// serial runs.
+	// morsel-driven parallel execution (internal/exec) with a nominal n
+	// workers, AutoParallelism = the planner decides per strategy from
+	// the cost model. All five strategies run as phase pipelines on the
+	// shared executor, and parallel runs produce output byte-identical
+	// to serial runs.
 	Parallelism int
-	// Runtime, when set, submits parallel pipelines to the shared
-	// process-wide execution runtime: admission control bounds the
-	// number of concurrently executing pipelines, all queries
-	// multiplex over one worker set with fair morsel scheduling, and
-	// AutoParallelism plans against the runtime's active-query count
-	// (each of Q concurrent queries models a 1/Q cache share and bus
-	// budget). When nil, parallel runs spin up a per-query pool — the
-	// degenerate single-query mode. Serial runs (Parallelism 0) never
-	// involve the runtime. The result bytes are identical in all three
-	// modes.
+	// Runtime is the execution runtime parallel pipelines lease their
+	// workers from: admission control bounds the number of concurrently
+	// executing pipelines, all queries multiplex over one worker set
+	// with fair morsel scheduling, and AutoParallelism plans against
+	// the runtime's active-query count (each of Q concurrent queries
+	// models a 1/Q cache share and bus budget). Nil selects the process
+	// default (DefaultRuntime), created on the first parallel run — a
+	// lone query is that runtime serving one lease. Serial runs
+	// (Parallelism 0) never involve a runtime. The result bytes are
+	// identical in both modes and on every runtime.
 	Runtime *exec.Runtime
 	// Trace, when set, collects this run's span events (per-phase
 	// spans with queue waits and morsel counts, per-morsel worker
@@ -146,12 +146,12 @@ type Phases struct {
 	ProjectSmaller time.Duration
 	// Decluster: the Radix-Decluster (or Jive right-phase scatter).
 	Decluster time.Duration
-	// Queue is the time spent waiting on the shared runtime rather
-	// than executing: the admission-control wait plus the accumulated
+	// Queue is the time spent waiting on the runtime rather than
+	// executing: the admission-control wait plus the accumulated
 	// morsel-queue waits of every phase. The morsel-queue component is
 	// contained in the phase wall-clocks above; the admission
 	// component precedes the first phase and is contained only in
-	// Total. Zero for serial runs and per-query pools.
+	// Total. Zero for serial runs.
 	Queue time.Duration
 	// SharedScanHits counts this run's scans that were served by a
 	// pass another concurrent query had already started (cooperative
@@ -159,7 +159,7 @@ type Phases struct {
 	SharedScanHits int64
 	// Sched is the affinity scheduler's counter set for this run:
 	// morsels executed on their home worker (local hits) versus stolen
-	// by topology distance. Zero for serial runs and owned pools.
+	// by topology distance. Zero for serial runs.
 	Sched exec.SchedStats
 	// Comp counts this run's compressed execution: compressed column
 	// inputs consumed, encoded bytes read, raw bytes that traffic
@@ -436,7 +436,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			largerOIDs, smallerInResultOrder, ji = ji.Larger, ji.Smaller, nil
 		}
 		var err error
-		res.LargerCols, err = e.FetchManyCols(larger.views(useComp), largerOIDs)
+		res.LargerCols, err = e.FetchMany(larger.views(useComp), largerOIDs)
 		largerOIDs = nil
 		return err
 	})
@@ -446,7 +446,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	case Unsorted:
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
-			res.SmallerCols, err = e.FetchManyCols(smaller.views(useComp), smallerInResultOrder)
+			res.SmallerCols, err = e.FetchMany(smaller.views(useComp), smallerInResultOrder)
 			return err
 		})
 	case Declustered:
@@ -476,7 +476,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			var cv []int32
 			pl.Then(exec.PhaseProjectSmaller, "fetch-clustered", func(e *exec.Engine) error {
 				var err error
-				cv, err = e.ClusteredCol(smaller.view(k, useComp), cl.SmallerOIDs, cl.Borders)
+				cv, err = e.Clustered(smaller.view(k, useComp), cl.SmallerOIDs, cl.Borders)
 				return err
 			})
 			pl.Then(exec.PhaseDecluster, "radix-decluster", func(e *exec.Engine) error {

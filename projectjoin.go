@@ -194,7 +194,7 @@ type Timing struct {
 	// Sched is the runtime scheduler's counter set for this query:
 	// morsels executed on their home worker (whose private caches held
 	// their partition from earlier phases) versus steals by topology
-	// distance. Zero for serial runs and per-query pools.
+	// distance. Zero for serial runs.
 	Sched SchedStats
 	// CompressedCols counts the compressed column inputs the run's
 	// operators consumed; CompressedBytes the encoded bytes they read;

@@ -9,6 +9,7 @@ import (
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/obs"
+	"radixdecluster/internal/strategy"
 )
 
 // RuntimeConfig configures a Runtime.
@@ -188,15 +189,16 @@ func schedFromExec(s exec.SchedStats) SchedStats {
 // Runtime is the process-wide execution engine for concurrent
 // ProjectJoin queries: one fixed worker pool multiplexed over every
 // in-flight parallel query with fair, query-tagged morsel scheduling
-// and admission control, instead of a private pool per query (which
-// oversubscribes cores and silently halves every query's modeled
-// cache and bandwidth budget as soon as two run at once).
+// and admission control (a worker set per query would oversubscribe
+// cores and silently halve every query's modeled cache and bandwidth
+// budget as soon as two run at once).
 //
 // Every parallel ProjectJoin (JoinQuery.Parallelism != 0) executes on
 // a Runtime: the one in JoinQuery.Runtime, or the lazily-initialized
-// process default (DefaultRuntime). Serial runs (Parallelism 0, the
-// paper's mode) never involve a runtime. Results are byte-identical
-// across serial, per-query-pool and shared-runtime execution.
+// process default (DefaultRuntime) — a lone query is a runtime serving
+// one query. Serial runs (Parallelism 0, the paper's mode) never
+// involve a runtime. Results are byte-identical across the two modes,
+// serial and runtime, and on every runtime.
 type Runtime struct {
 	rt *exec.Runtime
 	// metricsSrv is the HTTP listener serving /metrics and
@@ -380,26 +382,26 @@ var (
 // DefaultRuntime returns the lazily-initialized process-wide runtime:
 // GOMAXPROCS workers and the default admission bound. Every parallel
 // ProjectJoin whose JoinQuery.Runtime is nil runs on it, so all of a
-// process's queries share one worker set by default.
+// process's queries share one worker set by default. It wraps the
+// engine's own default (strategy.DefaultRuntime), so code that reaches
+// the engine below this API lands on the same workers.
 func DefaultRuntime() *Runtime {
 	defaultRuntimeOnce.Do(func() {
-		defaultRuntime = NewRuntime(RuntimeConfig{})
+		defaultRuntime = &Runtime{rt: strategy.DefaultRuntime()}
 	})
 	return defaultRuntime
 }
 
-// execRuntime resolves the runtime a query should execute on: nil for
-// serial runs (never spin up the default pool for paper-mode
-// queries), the query's own runtime when set, the process default
-// otherwise.
+// execRuntime resolves the query's explicit runtime for the engine:
+// nil for serial runs (paper-mode queries never touch a runtime) and
+// for parallel runs without one — those the engine places on the
+// process default (strategy.DefaultRuntime, the instance
+// DefaultRuntime wraps).
 func (q JoinQuery) execRuntime() *exec.Runtime {
-	if q.Parallelism == 0 {
+	if q.Parallelism == 0 || q.Runtime == nil {
 		return nil
 	}
-	if q.Runtime != nil {
-		return q.Runtime.rt
-	}
-	return DefaultRuntime().rt
+	return q.Runtime.rt
 }
 
 // ParseStrategy maps a strategy's String() name (e.g. from a flag or

@@ -209,17 +209,16 @@ func TestRuntimeAdmissionSerializesQueries(t *testing.T) {
 	}
 }
 
-// TestConcurrentThroughputMultiCore is the acceptance measurement: on
-// a multi-core box, 4 concurrent queries on the shared runtime must
-// deliver strictly higher aggregate throughput than the same 4
-// queries run back to back on per-query pools (the pre-runtime
-// architecture, still reachable through internal/strategy without a
-// Runtime). The ratio is measured and logged on every run; the
-// threshold is opt-in (RADIX_ASSERT_SPEEDUP=1, like
-// TestParallelSpeedupMultiCore) and multi-core only, because
-// `go test ./...` runs package binaries side by side and a loaded
-// 2-core box measures 0.95x-1.05x either way. Skips under the race
-// detector, which distorts wall-clock.
+// TestConcurrentThroughputMultiCore measures what concurrency buys on
+// ONE runtime: 4 queries fired at once against the same 4 queries run
+// back to back on the same workers. Interleaving at morsel granularity
+// fills the idle slots a lone query's phase barriers leave, so the
+// concurrent leg should finish sooner. The ratio is measured and
+// logged on every run; the threshold is opt-in
+// (RADIX_ASSERT_SPEEDUP=1, like TestParallelSpeedupMultiCore) and
+// multi-core only, because `go test ./...` runs package binaries side
+// by side and a loaded 2-core box measures 0.95x-1.05x either way.
+// Skips under the race detector, which distorts wall-clock.
 func TestConcurrentThroughputMultiCore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock comparison is meaningless under the race detector")
@@ -242,44 +241,44 @@ func TestConcurrentThroughputMultiCore(t *testing.T) {
 		Cols: pr.Larger.ProjCols(pi), BaseN: pr.Larger.BaseN}
 	s := strategy.DSMSide{OIDs: pr.Smaller.SelOIDs, Keys: pr.Smaller.SelKeys,
 		Cols: pr.Smaller.ProjCols(pi), BaseN: pr.Smaller.BaseN}
-	runOne := func(cfg strategy.Config) {
+	rt := exec.NewRuntime(0, 0)
+	defer rt.Close()
+	runOne := func() {
+		cfg := strategy.Config{Parallelism: strategy.AutoParallelism, Runtime: rt}
 		if _, err := strategy.DSMPost(l, s, strategy.Auto, strategy.Auto, cfg); err != nil {
 			t.Error(err)
 		}
 	}
 
-	// Warm-up (page faults, allocator growth) outside both timings.
-	runOne(strategy.Config{Parallelism: strategy.AutoParallelism})
+	// Warm-up (page faults, allocator and arena growth) outside both
+	// timings.
+	runOne()
 
-	// Old architecture: per-query pools, queries back to back.
 	seqStart := time.Now()
 	for i := 0; i < nQueries; i++ {
-		runOne(strategy.Config{Parallelism: strategy.AutoParallelism})
+		runOne()
 	}
 	sequential := time.Since(seqStart)
 
-	// New architecture: one shared runtime, queries at once.
-	rt := exec.NewRuntime(0, 0)
-	defer rt.Close()
 	var wg sync.WaitGroup
 	conStart := time.Now()
 	for i := 0; i < nQueries; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runOne(strategy.Config{Parallelism: strategy.AutoParallelism, Runtime: rt})
+			runOne()
 		}()
 	}
 	wg.Wait()
 	concurrent := time.Since(conStart)
 
-	t.Logf("4 sequential per-query-pool runs: %v; 4 concurrent shared-runtime runs: %v (%.2fx)",
+	t.Logf("4 queries back to back: %v; the same 4 at once on the same runtime: %v (%.2fx)",
 		sequential, concurrent, sequential.Seconds()/concurrent.Seconds())
 	if os.Getenv("RADIX_ASSERT_SPEEDUP") == "" || runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
 		return
 	}
 	if concurrent >= sequential {
-		t.Fatalf("shared runtime aggregate throughput not higher: concurrent %v vs sequential %v",
+		t.Fatalf("concurrent aggregate throughput not higher: concurrent %v vs back to back %v",
 			concurrent, sequential)
 	}
 }
@@ -422,12 +421,18 @@ func TestStealPolicyRoundTrip(t *testing.T) {
 }
 
 // TestDefaultRuntimeShared pins the lazy process default: parallel
-// queries without an explicit Runtime share one runtime instance, and
-// it matches the machine.
+// queries without an explicit Runtime share one runtime instance —
+// whether they enter through this API or through internal/strategy —
+// and it matches the machine.
 func TestDefaultRuntimeShared(t *testing.T) {
 	a, b := DefaultRuntime(), DefaultRuntime()
 	if a != b {
 		t.Fatal("DefaultRuntime must return one process-wide instance")
+	}
+	// One default worker set per process: a parallel strategy run with
+	// a nil Config.Runtime leases from the very runtime this API wraps.
+	if a.rt != strategy.DefaultRuntime() {
+		t.Fatal("root and strategy-level defaults are different runtimes")
 	}
 	// The singleton sizes itself from GOMAXPROCS at first use; under
 	// the -cpu test leg GOMAXPROCS varies between runs of this test
