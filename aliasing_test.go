@@ -39,7 +39,10 @@ func columnChecksums(t *testing.T, rels ...*Relation) map[string]uint64 {
 // a write into shared memory is reported where it happens — each result
 // must equal the strategy's raw serial run, and afterwards the slab
 // must still read 0..n-1 and every input column must checksum as
-// before.
+// before. Every query runs twice and releases its result each time, so
+// result buffers return to the arena — and are drawn again — while the
+// other queries are still reading theirs: a buffer handed out twice
+// shows as a race or a wrong column.
 func TestSharedColumnsStayReadOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs relations large enough for the parallel paths")
@@ -69,13 +72,16 @@ func TestSharedColumnsStayReadOnly(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got, err := ProjectJoin(cq)
-					if err != nil {
-						t.Errorf("%s: %v", tag, err)
-						return
-					}
-					if got.N != want.N || !slices.EqualFunc(got.Cols, want.Cols, slices.Equal[[]int32]) {
-						t.Errorf("%s: result differs from the raw serial run", tag)
+					for round := 0; round < 2; round++ {
+						got, err := ProjectJoin(cq)
+						if err != nil {
+							t.Errorf("%s: %v", tag, err)
+							return
+						}
+						if got.N != want.N || !slices.EqualFunc(got.Cols, want.Cols, slices.Equal[[]int32]) {
+							t.Errorf("%s: result differs from the raw serial run", tag)
+						}
+						got.Release()
 					}
 				}()
 			}

@@ -417,9 +417,11 @@ func BenchmarkProjectJoinParallel(b *testing.B) {
 			b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ProjectJoin(q); err != nil {
+				res, err := ProjectJoin(q)
+				if err != nil {
 					b.Fatal(err)
 				}
+				res.Release()
 			}
 		})
 	}
@@ -508,9 +510,12 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						if _, err := ProjectJoin(q); err != nil {
+						res, err := ProjectJoin(q)
+						if err != nil {
 							b.Error(err)
+							return
 						}
+						res.Release()
 					}()
 				}
 				wg.Wait()
@@ -551,9 +556,12 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						if _, err := ProjectJoin(q); err != nil {
+						res, err := ProjectJoin(q)
+						if err != nil {
 							b.Error(err)
+							return
 						}
+						res.Release()
 					}()
 				}
 				wg.Wait()

@@ -212,6 +212,12 @@ func main() {
 			t0 := time.Now()
 			res, err := runOnce(cfg)
 			outs[i] = outcome{res: res, elapsed: time.Since(t0), err: err}
+			if err == nil {
+				// Only the cardinality, plan and phases are printed: the
+				// result arrays go back to the arena for the queries still
+				// waiting on admission.
+				res.Release()
+			}
 		}(i)
 	}
 	wg.Wait()

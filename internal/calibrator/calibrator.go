@@ -116,6 +116,11 @@ func randomTimePerAccess(h mem.Hierarchy, footprint, stride int) (float64, error
 // Pentium 4 profile this lands near the "factor 10" sequential-vs-
 // random gap of §1.1; desktop parts with shallower gaps calibrate to
 // fewer streams.
+//
+// A hierarchy too large to sweep within probeBudget is probed as a
+// proportionally shrunk copy (probeScale): the ratio is taken where
+// every level thrashes, which depends on the levels' latencies and
+// line sizes, not on how big they are.
 func MemStreams(h mem.Hierarchy) (int, error) {
 	if err := h.Validate(); err != nil {
 		return 0, err
@@ -129,6 +134,7 @@ func MemStreams(h mem.Hierarchy) (int, error) {
 	if stride == 0 {
 		return 0, fmt.Errorf("calibrator: no data caches")
 	}
+	h = probeScale(h, stride)
 	foot := 4 * h.LLC().Size
 	seq, err := timePerAccess(h, foot, stride)
 	if err != nil {
@@ -149,6 +155,51 @@ func MemStreams(h mem.Hierarchy) (int, error) {
 		streams = 64
 	}
 	return streams, nil
+}
+
+// probeBudget bounds the simulated work of one MemStreams call, in tag
+// comparisons (about a nanosecond each): the paper's Pentium 4 costs 5
+// million, a host-shaped hierarchy — a 260 MiB L3 behind a 1536-entry
+// fully associative TLB — 10^11 unscaled, minutes of spinning in the
+// first query that plans against it.
+const probeBudget = 1 << 27
+
+// probeWork estimates the tag comparisons of MemStreams' four sweeps
+// over 4x the LLC at the given stride: every access walks one set of
+// each level.
+func probeWork(h mem.Hierarchy, stride int) int64 {
+	ways := 0
+	for _, l := range h.Levels {
+		if l.Assoc > 0 && l.Assoc < l.Lines() {
+			ways += l.Assoc
+		} else {
+			ways += l.Lines()
+		}
+	}
+	return 4 * int64(4*h.LLC().Size/stride) * int64(ways)
+}
+
+// probeScale returns h with every level divided by the smallest power
+// of two for which the sweep fits probeBudget (h itself when it already
+// does). Sizes stay whole lines and the data caches stay ordered, so
+// the copy validates like h.
+func probeScale(h mem.Hierarchy, stride int) mem.Hierarchy {
+	full := h.Levels
+	for div := 2; probeWork(h, stride) > probeBudget && h.LLC().Size > stride; div *= 2 {
+		h.Levels = make([]mem.Level, len(full))
+		prev := 0
+		for i, l := range full {
+			l.Size = max(l.Size/div/l.LineSize, 1) * l.LineSize
+			if !l.IsTLB {
+				if l.Size < prev {
+					l.Size = (prev + l.LineSize - 1) / l.LineSize * l.LineSize
+				}
+				prev = l.Size
+			}
+			h.Levels[i] = l
+		}
+	}
+	return h
 }
 
 // Calibrate probes the hierarchy with footprint and stride sweeps and

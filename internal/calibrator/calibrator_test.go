@@ -2,6 +2,7 @@ package calibrator
 
 import (
 	"testing"
+	"time"
 
 	"radixdecluster/internal/mem"
 )
@@ -92,5 +93,55 @@ func TestMemStreams(t *testing.T) {
 	}
 	if _, err := MemStreams(mem.Hierarchy{}); err == nil {
 		t.Fatal("empty hierarchy not rejected")
+	}
+}
+
+// MemStreams must answer for any hierarchy a caller can pass as
+// JoinQuery.Hier: a host-shaped one (this box's sysfs: a 260 MiB L3,
+// 4 KiB pages) used to spin the cache simulator for minutes inside the
+// first parallel query. The small hierarchies the tests and the paper
+// use are swept unscaled and keep their calibrated figures.
+func TestMemStreamsBoundedWork(t *testing.T) {
+	host := mem.Hierarchy{Levels: []mem.Level{
+		{Name: "L1", Size: 48 << 10, LineSize: 64, Assoc: 12, MissLatency: 4, SeqLatency: 1},
+		{Name: "L2", Size: 2 << 20, LineSize: 64, Assoc: 16, MissLatency: 14, SeqLatency: 3},
+		{Name: "L3", Size: 256 << 20, LineSize: 64, Assoc: 16, MissLatency: 90, SeqLatency: 9},
+		{Name: "TLB", Size: 1536 * 4096, LineSize: 4096, MissLatency: 20, SeqLatency: 20, IsTLB: true},
+	}}
+	// The same shape at a size that is swept as given: scaling must not
+	// move the figure.
+	mid := mem.Hierarchy{Levels: append([]mem.Level(nil), host.Levels...)}
+	mid.Levels[1].Size, mid.Levels[2].Size, mid.Levels[3].Size = 256<<10, 2<<20, 12*4096
+	for _, c := range []struct {
+		name string
+		h    mem.Hierarchy
+		want int
+	}{
+		{"pentium4", mem.Pentium4(), 7},
+		{"small", mem.Small(), 6},
+		{"mid", mid, 10},
+		{"host", host, 10},
+		{"fully-associative LLC", mem.Hierarchy{Levels: []mem.Level{
+			{Name: "L1", Size: 32 << 10, LineSize: 64, Assoc: 8, MissLatency: 4, SeqLatency: 1},
+			{Name: "L2", Size: 64 << 20, LineSize: 64, MissLatency: 90, SeqLatency: 9},
+		}}, 0},
+	} {
+		if c.name != "host" && c.want != 0 && probeWork(c.h, 128) > probeBudget {
+			t.Fatalf("%s is meant to be swept unscaled", c.name)
+		}
+		start := time.Now()
+		got, err := MemStreams(c.h)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: MemStreams took %v, want under a second", c.name, d)
+		}
+		if c.want != 0 && got != c.want {
+			t.Errorf("%s: %d streams, want %d", c.name, got, c.want)
+		}
+		if err := probeScale(c.h, 64).Validate(); err != nil {
+			t.Errorf("%s: scaled hierarchy: %v", c.name, err)
+		}
 	}
 }

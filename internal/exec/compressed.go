@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"radixdecluster/internal/compress"
+	"radixdecluster/internal/mempool"
 )
 
 // Col is a column execution view, the one operand type of the fetch
@@ -266,14 +267,15 @@ func (e *Engine) CompStats() CompStats { return e.comp.snapshot() }
 // chunk-parallel when the column is compressed. The decode is a
 // scan-shaped pass (declared for scan sharing under the encoded
 // stream's identity), so concurrent pipelines materializing the same
-// compressed column are served by one circular pass.
+// compressed column are served by one circular pass. The decoded
+// values are leased: they live until the pipeline closes.
 func (e *Engine) MaterializeCol(c Col) ([]int32, error) {
 	if c.Enc == nil {
 		return c.Raw, nil
 	}
 	enc := c.Enc
 	e.comp.cols.Add(1)
-	out := make([]int32, enc.Len())
+	out := mempool.Slice[int32](e.mem(), enc.Len())
 	err := e.SharedRanges(EncScanKey(enc, enc.Len()), enc.Len(), func(r Range) error {
 		t := time.Now()
 		if err := enc.DecompressRangeInto(out[r.Lo:r.Hi], r.Lo, r.Hi); err != nil {
@@ -378,7 +380,7 @@ func (e *Engine) StitchRows(keys Col, cols []Col, oids []OID) ([]int32, error) {
 		e.comp.noteInput(c.Enc)
 	}
 	w := 1 + len(cols)
-	rows := make([]int32, n*w)
+	rows := mempool.Slice[int32](e.mem(), n*w) // join input: leased
 	key := ColumnScanKey(keys.Raw, n)
 	if keys.Compressed() {
 		key = EncScanKey(keys.Enc, n)

@@ -311,7 +311,6 @@ func (p *Pool) RunAff(ntasks int, aff func(task int) uint64, fn func(worker, tas
 type Scratch struct {
 	ints  []int
 	dec   *decoder          // compressed-column scratch (compressed.go), lazy
-	cache *mempool.Cache    // worker-local arena stash (nil = pooling off)
 	tjoin join.TableScratch // partition hash-table build scratch
 	rows  []int32           // per-morsel row staging (pre-projection probes)
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"radixdecluster/internal/bat"
@@ -186,7 +187,11 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
+				// slices.Equal, not reflect.DeepEqual: skew makes these
+				// join-indexes millions of oids long, and DeepEqual's
+				// per-element reflection was most of this package's time
+				// under the race detector.
+				if !slices.Equal(got.Larger, want.Larger) || !slices.Equal(got.Smaller, want.Smaller) {
 					t.Fatalf("workers=%d bits=%d skewed=%v: parallel join-index differs from serial (%d vs %d matches)",
 						p.Workers(), o.Bits, skewed, got.Len(), want.Len())
 				}
@@ -219,7 +224,7 @@ func TestFetchManyMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
 			t.Fatalf("workers=%d: raw-view fetch differs from posjoin", e.Workers())
 		}
 		if e.CompStats().Cols != 0 {
@@ -256,7 +261,7 @@ func TestClusteredMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("workers=%d: raw-view clustered fetch differs from posjoin", e.Workers())
 		}
 		if _, err := e.Clustered(RawCol(col), cl.SmallerOIDs, cl.Borders[1:]); err == nil {
@@ -283,7 +288,7 @@ func TestDeclusterMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("workers=%d bits=%d: parallel decluster differs from serial", p.Workers(), bits)
 			}
 		})

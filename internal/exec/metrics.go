@@ -75,7 +75,7 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 			"Buffers dropped to the GC because the arena was over its size limit.",
 			func() float64 { return float64(rt.MemStats().Trims) })
 		reg.GaugeFunc("radixdecluster_mempool_held_bytes",
-			"Bytes of recycled buffers currently idle in the arena free lists.",
+			"Bytes of recycled buffers currently idle in the arena's kits.",
 			func() float64 { return float64(rt.MemStats().HeldBytes) })
 		reg.GaugeFunc("radixdecluster_mempool_hit_rate",
 			"Lifetime arena hit rate — fraction of buffer requests served by recycling.",

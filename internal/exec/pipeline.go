@@ -115,11 +115,11 @@ type Timings struct {
 	// traffic replaced, and wall time inside block-decode loops. Zero
 	// when every input executed raw.
 	Comp CompStats
-	// Mem is the query's execution-memory accounting: bytes of
-	// transient buffers freshly allocated (Acquired) vs. served from
-	// the recycled arena (Reused), and the peak bytes checked out at
-	// once (HighWater). Zero on the serial engine and when pooling is
-	// off (Options.MemPoolOff).
+	// Mem is the query's execution-memory accounting: bytes of buffers
+	// drawn from the arena — transients and result arrays alike —
+	// (Acquired), the part of them served by recycled buffers (Reused),
+	// and the peak bytes held at once (HighWater). Zero on the serial
+	// engine and when pooling is off (Options.MemPoolOff).
 	Mem mempool.LeaseStats
 }
 
@@ -299,6 +299,33 @@ func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.Close()
 	}
+}
+
+// mem returns the query's buffer lease: nil on the serial engine (and
+// on a pool-off runtime), where every acquisition is a plain make.
+func (e *Engine) mem() *mempool.Lease {
+	if e.pool == nil {
+		return nil
+	}
+	return e.pool.Mem()
+}
+
+// Own returns a dirty n-value result array: the one buffer kind that
+// outlives the pipeline. On a runtime it is drawn from the query's kit
+// off the lease's ledger (mempool.Own), so it survives Close and
+// whoever ends up holding the result hands it back to Home with
+// mempool.Recycle; on the serial engine it is a make. Every slot must
+// be written.
+func (e *Engine) Own(n int) []int32 { return mempool.Own[int32](e.mem(), n) }
+
+// Home returns the kit Own draws result arrays from and Recycle
+// returns them to — nil when they are GC-owned (serial engine, pool-off
+// runtime). Ask before Close.
+func (e *Engine) Home() *mempool.Kit {
+	if l := e.mem(); l != nil {
+		return l.Kit()
+	}
+	return nil
 }
 
 // queueWait returns the engine pool's accumulated morsel-queue wait

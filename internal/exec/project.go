@@ -18,20 +18,22 @@ import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
+	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/posjoin"
 )
 
 // FetchMany runs one Positional-Join per projection column view. Raw
 // columns gather by array lookup, compressed columns through the
 // worker's block cache; the dispatch is per morsel (fetchColInto).
-// Parallel runs gather every column over contiguous oid ranges.
+// Parallel runs gather every column over contiguous oid ranges. The
+// columns are result arrays (Engine.Own).
 func (e *Engine) FetchMany(cols []Col, oids []OID) ([][]int32, error) {
 	for _, c := range cols {
 		e.comp.noteInput(c.Enc)
 	}
 	out := make([][]int32, len(cols))
 	for c := range cols {
-		out[c] = make([]int32, len(oids))
+		out[c] = e.Own(len(oids))
 	}
 	if !e.parallel(len(oids)) {
 		for c := range cols {
@@ -76,13 +78,15 @@ func (e *Engine) fetchColInto(dst []int32, col Col, oids []OID, s *Scratch) erro
 // Clustered is the clustered Positional-Join over one column view:
 // each cluster confines its random access to one cache-sized region of
 // the source — for a compressed column, long runs against the same
-// decoded blocks. Parallel runs take cluster groups as morsels.
+// decoded blocks. Parallel runs take cluster groups as morsels. The
+// fetched column is an intermediate — Radix-Decluster reads it once —
+// and is leased.
 func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, error) {
 	e.comp.noteInput(col.Enc)
 	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
 		return nil, err
 	}
-	out := make([]int32, len(oids))
+	out := mempool.Slice[int32](e.mem(), len(oids))
 	if !e.parallel(len(oids)) {
 		for _, b := range borders {
 			if err := e.fetchColInto(out[b.Start:b.End], col, oids[b.Start:b.End], nil); err != nil {
@@ -112,7 +116,9 @@ func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, 
 // over its own clusters. windowTuples is the per-worker window size;
 // the caller divides the cache budget by the worker count. The
 // clusters of a group own a fixed subset of result positions, so
-// groups scatter into result without overlap.
+// groups scatter into result without overlap — and, ids being a
+// permutation, into every slot of it: the result array is drawn dirty
+// (mempool.Own) and never cleared.
 func (p *Pool) Decluster(values []int32, ids []OID, borders []bat.Border, windowTuples int) ([]int32, error) {
 	n := len(values)
 	if len(ids) != n {
@@ -124,7 +130,7 @@ func (p *Pool) Decluster(values []int32, ids []OID, borders []bat.Border, window
 	if err := bat.ValidateBorders(borders, n); err != nil {
 		return nil, err
 	}
-	result := make([]int32, n)
+	result := mempool.Own[int32](p.Mem(), n)
 	groups := groupBorders(borders, p.workers*morselsPerWorker, n)
 	errs := p.errSlots(len(groups))
 	p.Run(len(groups), func(_, t int, s *Scratch) {

@@ -50,9 +50,9 @@ func (p *Pool) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radi
 	if p.serialPreferred(n, o.Bits) {
 		return radix.ClusterRows(rows, width, keyCol, o)
 	}
-	// The clustered records flow onward GC-owned; a two-level fan-out
-	// scatters through a leased intermediate first.
-	out := make([]int32, len(rows))
+	// The clustered records are a join input, leased like the
+	// intermediate a two-level fan-out scatters through first.
+	out := mempool.Slice[int32](p.Mem(), len(rows))
 	buf := [2][]int32{out}
 	if o.Bits > maxFirstPassBits {
 		buf = [2][]int32{mempool.Slice[int32](p.Mem(), len(rows)), out}
@@ -187,14 +187,14 @@ func (p *Pool) probeRowsChunked(t *join.RowTable, larger []int32, lw, lkey, sw i
 // stitchRowParts concatenates per-morsel result-row buffers in morsel
 // order — a parallel prefix-sum copy into disjoint output ranges.
 func stitchRowParts(parts [][]int32, width int, p *Pool) *join.RowsResult {
-	// offs is transient (leased, dirty — offs[0] set explicitly); out
-	// flows onward as the result rows and stays GC-owned.
+	// offs is transient (leased, dirty — offs[0] set explicitly); out is
+	// the pre-projection strategies' result array (mempool.Own).
 	offs := mempool.Slice[int](p.Mem(), len(parts)+1)
 	offs[0] = 0
 	for i, part := range parts {
 		offs[i+1] = offs[i] + len(part)
 	}
-	out := make([]int32, offs[len(parts)])
+	out := mempool.Own[int32](p.Mem(), offs[len(parts)])
 	p.Run(len(parts), func(_, i int, _ *Scratch) {
 		copy(out[offs[i]:offs[i+1]], parts[i])
 	})
@@ -264,7 +264,7 @@ func (e *Engine) ScanColumn(v Rows, col int) ([]int32, error) {
 	}
 	e.comp.noteInput(v.Enc)
 	width := v.Rel.Width
-	out := make([]int32, v.Rel.Len())
+	out := mempool.Slice[int32](e.mem(), v.Rel.Len()) // join input: leased
 	err := e.SharedRanges(v.scanKey(), v.Rel.Len(), func(r Range) error {
 		if v.Enc == nil {
 			v.Rel.ScanColumnInto(out, col, r.Lo, r.Hi)
@@ -284,14 +284,15 @@ func (e *Engine) ScanColumn(v Rows, col int) ([]int32, error) {
 
 // ScanProject materialises the paper's "NSM projection routine" scan
 // as a narrower raw relation, chunked over record ranges and shareable
-// with every other scan over the same view (see ScanColumn).
+// with every other scan over the same view (see ScanColumn). Its
+// records are a join input and leased.
 func (e *Engine) ScanProject(v Rows, name string, cols []int) (*nsm.Relation, error) {
 	if err := v.check("ScanProject", cols...); err != nil {
 		return nil, err
 	}
 	e.comp.noteInput(v.Enc)
 	width, w := v.Rel.Width, len(cols)
-	out := nsm.New(name, v.Rel.Len(), w)
+	out := e.leasedRelation(name, v.Rel.Len(), w)
 	err := e.SharedRanges(v.scanKey(), v.Rel.Len(), func(r Range) error {
 		if v.Enc == nil {
 			v.Rel.ScanProjectInto(out, r.Lo, r.Hi, cols)
@@ -338,9 +339,16 @@ func (e *Engine) GatherProjectInto(v Rows, dst []int32, dstWidth, dstOff int, oi
 	})
 }
 
-// GatherProject is GatherProjectInto materialising a fresh relation.
+// leasedRelation is nsm.New over leased (dirty) records: for operator
+// outputs a later phase of the same pipeline consumes.
+func (e *Engine) leasedRelation(name string, n, width int) *nsm.Relation {
+	return &nsm.Relation{Name: name, Width: width, Data: mempool.Slice[int32](e.mem(), n*width)}
+}
+
+// GatherProject is GatherProjectInto materialising a fresh (leased)
+// relation.
 func (e *Engine) GatherProject(v Rows, name string, oids []OID, cols []int) (*nsm.Relation, error) {
-	out := nsm.New(name, len(oids), len(cols))
+	out := e.leasedRelation(name, len(oids), len(cols))
 	if err := e.GatherProjectInto(v, out.Data, len(cols), 0, oids, cols); err != nil {
 		return nil, err
 	}
@@ -348,12 +356,14 @@ func (e *Engine) GatherProject(v Rows, name string, oids []OID, cols []int) (*ns
 }
 
 // AppendFields glues two equal-cardinality relations side by side,
-// chunked over record ranges.
+// chunked over record ranges. The glued records are a result array
+// (Engine.Own): the Jive strategy's final assembly.
 func (e *Engine) AppendFields(name string, a, b *nsm.Relation) (*nsm.Relation, error) {
 	if a.Len() != b.Len() {
 		return nil, fmt.Errorf("nsm: AppendFields: %d vs %d records", a.Len(), b.Len())
 	}
-	out := nsm.New(name, a.Len(), a.Width+b.Width)
+	w := a.Width + b.Width
+	out := &nsm.Relation{Name: name, Width: w, Data: e.Own(a.Len() * w)}
 	err := e.ForRanges(a.Len(), func(r Range) error {
 		nsm.AppendFieldsInto(out, a, b, r.Lo, r.Hi)
 		return nil

@@ -523,7 +523,7 @@ type Options struct {
 	// either way; only allocation traffic changes.
 	MemPoolOff bool
 	// MemoryBudget caps the bytes the arena keeps resident in
-	// freelists (high-water trimming); <= 0 keeps mempool.DefaultLimit.
+	// kits (high-water trimming); <= 0 keeps mempool.DefaultLimit.
 	// The same figure feeds admission control as a second resource
 	// dimension at the public-API layer (costmodel.MemoryBound).
 	MemoryBudget int64
@@ -771,11 +771,6 @@ func (rt *Runtime) worker(w int, ready *sync.WaitGroup) {
 	}
 	ready.Done()
 	s := &Scratch{}
-	if rt.mem != nil {
-		// The worker-local arena stash: allocated after pinning so its
-		// first buffers fault in on the worker's node, like Scratch.
-		s.cache = rt.mem.NewCache()
-	}
 	for {
 		j, t, dist, ok := rt.nextTask(w)
 		if !ok {

@@ -12,23 +12,40 @@
 // every transient comes from a recycled buffer and goes back at query
 // end.
 //
-// Three layers:
+// Three types:
 //
-//   - Pool: the shared global arena. Buffers live in power-of-two
-//     size-class freelists (64 B … 64 MB); Get pops a class, Put
-//     pushes one back, and a high-water limit trims returns that
-//     would grow the held bytes past it (dropped to the GC, counted
-//     as trims). Everything above asks the Pool last.
-//   - Cache: a per-worker stash in front of the Pool. Single-
-//     goroutine by contract (it lives in the worker's Scratch), so
-//     get/put touch no lock at all; overflow spills to the Pool.
-//   - Lease: the per-query checkout ledger. Operators acquire every
-//     intra-query transient through the pipeline's Lease; Release —
-//     called exactly once when the pipeline completes, success or
-//     error — returns every buffer to the Pool in one sweep. The
-//     lease also keeps the per-query accounting (bytes newly
-//     allocated, bytes served from recycled buffers, peak bytes
-//     held) that surfaces as Timing.Mem.
+//   - Kit: a set of idle buffers in power-of-two size classes (64 B …
+//     64 MB) that circulates as a unit — what one query needs, kept
+//     together. Every buffer the arena knows belongs to exactly one kit.
+//   - Lease: the per-query checkout ledger. Opening one adopts an idle
+//     kit (or starts an empty one); operators acquire every intra-query
+//     transient through it, from the kit, allocating what the kit
+//     lacks; Release — called exactly once when the pipeline completes,
+//     success or error — puts every ledgered buffer back into the kit
+//     and the kit back with the Pool. The lease also keeps the
+//     per-query accounting (bytes acquired, bytes served by recycled
+//     buffers, peak bytes held) that surfaces as Timing.Mem.
+//   - Pool: the idle kits, the lifetime counters and the high-water
+//     limit: a buffer whose return would push the idle bytes past it is
+//     dropped to the GC instead (a trim).
+//
+// Why kits and not one shared freelist per class: queries of one shape
+// ask for the same buffers, so a lease that adopts a kit such a query
+// left never allocates, whatever else is running. The arena therefore
+// stops growing once as many kits exist as queries ever ran at once —
+// after the first overlap. A shared freelist grows to the largest
+// JOINT demand instead, which two queries only reach when they happen
+// to peak together: it kept allocating, 4 MB at a time, minutes into a
+// run. An acquisition also takes its kit's lock, not a global one.
+//
+// One buffer kind outlives its lease: a query's result arrays, which
+// the caller reads after the pipeline is gone. Own draws those through
+// the lease's accounting but keeps them off its ledger; they remember
+// nothing, so the holder keeps the kit they came from (Lease.Kit) and
+// hands them back with Recycle whenever it is done. A kit that is not
+// whole — owned buffers still out — is adopted last, so a query whose
+// predecessor's result was released finds a kit with everything in it.
+// An owned buffer that never comes back is ordinary garbage.
 //
 // Buffers are handed out DIRTY: a recycled buffer holds whatever the
 // previous query wrote. Callers must either fully overwrite
@@ -44,6 +61,7 @@ package mempool
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -58,14 +76,10 @@ const (
 	numClasses    = maxClassShift - minClassShift + 1
 
 	// DefaultLimit is the default high-water bound on bytes the Pool
-	// holds in freelists (not bytes checked out): 256 MB keeps a few
+	// holds idle in kits (not bytes checked out): 256 MB keeps a few
 	// concurrent queries' steady-state footprint resident without
 	// pinning an unbounded worst case.
 	DefaultLimit = 256 << 20
-
-	// cacheDepth is how many buffers a worker Cache stashes per class
-	// before spilling to the shared Pool.
-	cacheDepth = 4
 )
 
 // classFor returns the size class index for an n-byte ask, or -1 when
@@ -83,14 +97,14 @@ func classFor(n int) int {
 
 // Stats is a snapshot of the arena's lifetime counters.
 type Stats struct {
-	// Hits / Misses count buffer acquisitions served from a freelist
-	// vs. freshly allocated.
+	// Hits / Misses count buffer acquisitions served from a kit vs.
+	// freshly allocated.
 	Hits, Misses int64
 	// Trims counts buffers dropped to the GC because returning them
 	// would have pushed the held bytes past the limit.
 	Trims int64
-	// HeldBytes is the bytes currently sitting in freelists, ready
-	// for reuse.
+	// HeldBytes is the bytes currently sitting idle in kits, ready for
+	// reuse.
 	HeldBytes int64
 	// Leases is the number of live (unreleased) leases — nonzero at
 	// quiescence means a query leaked its lease.
@@ -105,13 +119,13 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// Pool is the shared size-classed arena. The zero value is not ready;
-// use New.
+// Pool is the arena: the idle kits, counters and retention limit. The
+// zero value is not ready; use New.
 type Pool struct {
 	mu   sync.Mutex
-	free [numClasses][][]byte
-	held int64 // bytes in freelists (guarded by mu)
+	kits []*Kit // idle, most recently released last (guarded by mu)
 
+	held   atomic.Int64 // idle bytes over all kits, adopted ones included
 	limit  atomic.Int64
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -119,14 +133,11 @@ type Pool struct {
 	leases atomic.Int64
 }
 
-// New creates a Pool whose freelists trim above limit bytes
+// New creates a Pool whose kits trim above limit idle bytes
 // (limit <= 0 selects DefaultLimit).
 func New(limit int64) *Pool {
 	p := &Pool{}
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
-	p.limit.Store(limit)
+	p.SetLimit(limit)
 	return p
 }
 
@@ -144,153 +155,113 @@ func (p *Pool) Limit() int64 { return p.limit.Load() }
 
 // Stats snapshots the lifetime counters.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	held := p.held
-	p.mu.Unlock()
 	return Stats{
 		Hits: p.hits.Load(), Misses: p.misses.Load(),
-		Trims: p.trims.Load(), HeldBytes: held,
+		Trims: p.trims.Load(), HeldBytes: p.held.Load(),
 		Leases: p.leases.Load(),
 	}
 }
 
-// get returns a dirty buffer of at least n bytes (len == cap ==
-// class size), and whether it was recycled. n beyond the largest
-// class falls through to a plain allocation.
-func (p *Pool) get(n int) (buf []byte, reused bool) {
+// Kit is a set of buffers that circulates as a unit: adopted whole by a
+// lease, returned whole at its release, and the home that owned buffers
+// drawn from it come back to.
+type Kit struct {
+	p    *Pool
+	mu   sync.Mutex
+	free [numClasses][][]byte
+	// idle is the bytes in free, peak the most it has ever been: a kit
+	// holding its peak has everything back, owned buffers included.
+	idle, peak int64
+}
+
+// whole reports whether every buffer the kit has ever held idle is
+// back in it.
+func (k *Kit) whole() bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.idle == k.peak
+}
+
+// Pool returns the arena the kit belongs to.
+func (k *Kit) Pool() *Pool { return k.p }
+
+// take returns a dirty buffer of at least n bytes (len == cap == class
+// size) and whether it was recycled; what the kit lacks — and anything
+// beyond the largest class — is a plain allocation.
+func (k *Kit) take(n int) (buf []byte, reused bool) {
 	c := classFor(n)
 	if c < 0 {
-		p.misses.Add(1)
+		k.p.misses.Add(1)
 		return make([]byte, n), false
 	}
-	p.mu.Lock()
-	if l := len(p.free[c]); l > 0 {
-		buf = p.free[c][l-1]
-		p.free[c][l-1] = nil
-		p.free[c] = p.free[c][:l-1]
-		p.held -= int64(cap(buf))
-		p.mu.Unlock()
-		p.hits.Add(1)
+	k.mu.Lock()
+	if l := len(k.free[c]); l > 0 {
+		buf = k.free[c][l-1]
+		k.free[c][l-1] = nil
+		k.free[c] = k.free[c][:l-1]
+		k.idle -= int64(cap(buf))
+	}
+	k.mu.Unlock()
+	if buf != nil {
+		k.p.held.Add(-int64(cap(buf)))
+		k.p.hits.Add(1)
 		return buf, true
 	}
-	p.mu.Unlock()
-	p.misses.Add(1)
+	k.p.misses.Add(1)
 	return make([]byte, 1<<(uint(c)+minClassShift)), false
 }
 
-// put returns a buffer to its freelist, dropping it instead when the
-// held bytes would exceed the limit (a trim).
-func (p *Pool) put(buf []byte) {
+// put adds an idle buffer to the kit, dropping it instead when the
+// pool's idle bytes would exceed the limit (a trim) or when it is no
+// whole class member (beyond-class or externally grown: the GC's).
+func (k *Kit) put(buf []byte) {
 	c := classFor(cap(buf))
 	if c < 0 || cap(buf) != 1<<(uint(c)+minClassShift) {
-		// Odd-sized (beyond-class or externally grown) buffers are
-		// not class members; let the GC have them.
 		return
 	}
-	p.mu.Lock()
-	if p.held+int64(cap(buf)) > p.limit.Load() {
-		p.mu.Unlock()
-		p.trims.Add(1)
+	if k.p.held.Load()+int64(cap(buf)) > k.p.limit.Load() {
+		k.p.trims.Add(1)
 		return
 	}
-	p.free[c] = append(p.free[c], buf[:cap(buf)])
-	p.held += int64(cap(buf))
-	p.mu.Unlock()
+	k.mu.Lock()
+	k.free[c] = append(k.free[c], buf[:cap(buf)])
+	k.idle += int64(cap(buf))
+	k.peak = max(k.peak, k.idle)
+	k.mu.Unlock()
+	k.p.held.Add(int64(cap(buf)))
 }
 
-// Cache is a per-worker stash in front of the Pool. It is single-
-// goroutine by contract — it lives in a worker's Scratch and is only
-// touched from that worker's loop — so get/put are lock-free.
-type Cache struct {
-	p    *Pool
-	free [numClasses][][]byte
-}
-
-// NewCache creates a worker cache over p.
-func (p *Pool) NewCache() *Cache { return &Cache{p: p} }
-
-// GetBytes returns a dirty buffer of at least n bytes from the stash,
-// falling back to the shared Pool.
-func (c *Cache) GetBytes(n int) []byte {
-	cl := classFor(n)
-	if cl >= 0 {
-		if l := len(c.free[cl]); l > 0 {
-			buf := c.free[cl][l-1]
-			c.free[cl][l-1] = nil
-			c.free[cl] = c.free[cl][:l-1]
-			c.p.hits.Add(1)
-			return buf
-		}
-	}
-	buf, _ := c.p.get(n)
-	return buf
-}
-
-// PutBytes stashes a buffer for this worker's next ask, spilling to
-// the shared Pool when the class stash is full.
-func (c *Cache) PutBytes(buf []byte) {
-	cl := classFor(cap(buf))
-	if cl >= 0 && cap(buf) == 1<<(uint(cl)+minClassShift) && len(c.free[cl]) < cacheDepth {
-		c.free[cl] = append(c.free[cl], buf[:cap(buf)])
-		return
-	}
-	c.p.put(buf)
-}
-
-// CacheSlice returns a dirty []T of length n from the worker cache
-// (nil cache falls back to make). Return it with CachePut when the
-// morsel is done. T must be pointer-free.
-func CacheSlice[T any](c *Cache, n int) []T {
-	if c == nil {
-		return make([]T, n)
-	}
+// backing reconstructs the byte buffer behind a slice that still
+// carries its full capacity (Own); nil for an empty one.
+func backing[T any](s []T) []byte {
 	var t T
 	esz := int(unsafe.Sizeof(t))
-	if n == 0 || esz == 0 {
-		return make([]T, n)
+	if cap(s) == 0 || esz == 0 {
+		return nil
 	}
-	buf := c.GetBytes(n * esz)
-	// Keep the full class capacity visible so CachePut can reconstruct
-	// the exact backing buffer (element sizes are powers of two, so
-	// cap(buf) divides evenly).
-	return unsafe.Slice((*T)(unsafe.Pointer(&buf[0])), cap(buf)/esz)[:n]
-}
-
-// CachePut returns a CacheSlice buffer to the worker cache.
-func CachePut[T any](c *Cache, s []T) {
-	if c == nil || cap(s) == 0 {
-		return
-	}
-	var t T
-	esz := int(unsafe.Sizeof(t))
-	if esz == 0 {
-		return
-	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[:cap(s)][0])), cap(s)*esz)
-	c.PutBytes(b)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), cap(s)*esz)
 }
 
 // LeaseStats is one query's memory accounting.
 type LeaseStats struct {
-	// Acquired is the total bytes of transient buffers the query
-	// checked out (class-rounded).
+	// Acquired is the total bytes of buffers the query checked out
+	// (class-rounded), owned ones included.
 	Acquired int64
 	// Reused is the portion of Acquired served from recycled arena
 	// buffers rather than fresh allocations — the allocation traffic
 	// the pool absorbed. Acquired - Reused is the fresh bytes.
 	Reused int64
 	// HighWater is the peak bytes the query had checked out at once —
-	// its transient footprint, the admission cost model's unit.
+	// its footprint, the admission cost model's unit.
 	HighWater int64
 }
 
-// Lease is one query's checkout ledger over the Pool. Acquire
-// through the generic Slice helpers (or Bytes); Release returns every
-// buffer in one sweep. Safe for concurrent acquisition from multiple
-// workers; Release must be called exactly once, after all acquirers
-// are done.
+// Lease is one query's checkout ledger over a kit. Acquire through the
+// generic Slice helpers (or Bytes); Release returns every buffer in one
+// sweep. Safe for concurrent acquisition from multiple workers; Release
+// must be called exactly once, after all acquirers are done.
 type Lease struct {
-	p        *Pool
+	kit      *Kit
 	mu       sync.Mutex
 	bufs     [][]byte
 	released bool
@@ -301,22 +272,52 @@ type Lease struct {
 	high     int64
 }
 
-// NewLease opens a checkout ledger on the pool.
+// NewLease opens a checkout ledger, adopting an idle kit: the most
+// recently released one that is whole (a query whose result is still
+// out has left its kit short by the owned buffers), else the most
+// recently released one, else an empty one.
 func (p *Pool) NewLease() *Lease {
 	p.leases.Add(1)
-	return &Lease{p: p}
+	p.mu.Lock()
+	pick := len(p.kits) - 1
+	for i := pick; i >= 0; i-- {
+		if p.kits[i].whole() {
+			pick = i
+			break
+		}
+	}
+	var k *Kit
+	if pick >= 0 {
+		k = p.kits[pick]
+		p.kits = slices.Delete(p.kits, pick, pick+1)
+	}
+	p.mu.Unlock()
+	if k == nil {
+		k = &Kit{p: p}
+	}
+	return &Lease{kit: k}
 }
+
+// Kit returns the kit the lease draws from: where buffers it Owns go
+// back to (Recycle).
+func (l *Lease) Kit() *Kit { return l.kit }
 
 // Bytes returns a dirty buffer of at least n bytes checked out until
 // Release.
-func (l *Lease) Bytes(n int) []byte {
-	buf, reused := l.p.get(n)
+func (l *Lease) Bytes(n int) []byte { return l.acquire(n, true) }
+
+// acquire draws a buffer from the kit and books it in the lease's
+// accounting; only a ledgered one goes back at Release.
+func (l *Lease) acquire(n int, ledgered bool) []byte {
+	buf, reused := l.kit.take(n)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.released {
-		l.mu.Unlock()
 		panic("mempool: acquisition on a released lease")
 	}
-	l.bufs = append(l.bufs, buf)
+	if ledgered {
+		l.bufs = append(l.bufs, buf)
+	}
 	l.acquired += int64(cap(buf))
 	if reused {
 		l.reused += int64(cap(buf))
@@ -325,13 +326,12 @@ func (l *Lease) Bytes(n int) []byte {
 	if l.held > l.high {
 		l.high = l.held
 	}
-	l.mu.Unlock()
 	return buf
 }
 
-// Release returns every checked-out buffer to the Pool. Calling it a
-// second time panics — a double release would hand buffers still
-// referenced by one query to another.
+// Release returns every ledgered buffer to the kit and the kit to the
+// Pool. Calling it a second time panics — a double release would hand
+// buffers still referenced by one query to another.
 func (l *Lease) Release() {
 	l.mu.Lock()
 	if l.released {
@@ -344,9 +344,13 @@ func (l *Lease) Release() {
 	l.held = 0
 	l.mu.Unlock()
 	for _, b := range bufs {
-		l.p.put(b)
+		l.kit.put(b)
 	}
-	l.p.leases.Add(-1)
+	p := l.kit.p
+	p.mu.Lock()
+	p.kits = append(p.kits, l.kit)
+	p.mu.Unlock()
+	p.leases.Add(-1)
 }
 
 // Stats snapshots the lease's accounting.
@@ -382,6 +386,35 @@ func SliceCap[T any](l *Lease, n, c int) []T {
 	}
 	buf := l.Bytes(c * esz)
 	return unsafe.Slice((*T)(unsafe.Pointer(&buf[0])), c)[:n:c]
+}
+
+// Own returns a dirty []T of length n whose buffer leaves with the
+// caller: it counts in the lease's statistics like any acquisition —
+// and as held until the lease is released — but is not on the ledger,
+// so Release does not take it back. The slice keeps the buffer's full
+// class capacity; hand exactly that slice (any length) and the lease's
+// Kit to Recycle when done, or drop it and the GC has it. A nil lease
+// is a plain make.
+func Own[T any](l *Lease, n int) []T {
+	var t T
+	esz := int(unsafe.Sizeof(t))
+	if l == nil || n == 0 || esz == 0 {
+		return make([]T, n)
+	}
+	buf := l.acquire(n*esz, false)
+	return unsafe.Slice((*T)(unsafe.Pointer(&buf[0])), cap(buf)/esz)[:n]
+}
+
+// Recycle returns an Own'd slice's buffer to the kit it was drawn from
+// (subject to the trim limit, like a lease's returns), idle or adopted
+// alike. The caller must hold no other reference: the next acquisition
+// overwrites it. Slices that are not a whole class-sized buffer — a
+// make from a nil lease, a re-sliced tail — are left to the GC; a nil
+// kit is a no-op.
+func Recycle[T any](k *Kit, s []T) {
+	if b := backing(s); k != nil && b != nil {
+		k.put(b)
+	}
 }
 
 // String renders the stats compactly (debug/report helper).

@@ -151,39 +151,63 @@ func TestBeyondClassFallsThrough(t *testing.T) {
 	}
 	l.Release()
 	if st := p.Stats(); st.HeldBytes != 0 {
-		t.Fatalf("beyond-class buffer must not enter freelists: %v", st)
+		t.Fatalf("beyond-class buffer must not enter a kit: %v", st)
 	}
 }
 
-func TestCacheRoundTrip(t *testing.T) {
-	p := New(0)
-	c := p.NewCache()
-	s := CacheSlice[int32](c, 100)
-	for i := range s {
-		s[i] = int32(i)
-	}
-	CachePut(c, s)
-	s2 := CacheSlice[int32](c, 100)
-	// Same class, single goroutine: the stash must serve the same
-	// backing buffer back without touching the shared pool.
-	if &s[0] != &s2[0] {
-		t.Fatal("cache did not recycle the worker-local buffer")
-	}
-	if p.Stats().Hits == 0 {
-		t.Fatal("cache hit not counted")
-	}
-}
-
-func TestNilLeaseAndCacheFallBackToGC(t *testing.T) {
+func TestNilLeaseFallsBackToGC(t *testing.T) {
 	s := Slice[uint32](nil, 10)
 	if len(s) != 10 {
 		t.Fatal("nil lease fallback broken")
 	}
-	cs := CacheSlice[uint32](nil, 10)
-	if len(cs) != 10 {
-		t.Fatal("nil cache fallback broken")
+}
+
+// A released lease's buffers stay together as a kit the next lease
+// adopts whole. Two leases of one shape that overlap at all — here
+// never at their peaks — leave two kits, and from then on no
+// interleaving of two such leases misses: the arena's size follows how
+// many leases ran at once, not how their demands happened to align (a
+// shared freelist per class would hold 8 buffers here and miss 8 more
+// the first time both leases peak together).
+func TestKitsMakeWarmUpIndependentOfAlignment(t *testing.T) {
+	p := New(0)
+	shape := func(l *Lease, from, to int) {
+		for i := from; i < to; i++ {
+			_ = Slice[int32](l, 1000+i) // 4096B class each
+		}
 	}
-	CachePut[uint32](nil, cs) // must not panic
+	// Overlap only at the very start: a opens, b opens, a runs to its
+	// end and closes before b acquires anything.
+	a, b := p.NewLease(), p.NewLease()
+	shape(a, 0, 8)
+	a.Release()
+	shape(b, 0, 8)
+	b.Release()
+	if st := p.Stats(); st.Misses != 16 || st.HeldBytes != 16*4096 {
+		t.Fatalf("two cold leases of 8 buffers: %v", st)
+	}
+	// Now both at their peaks at once: a joint demand never seen
+	// before.
+	a, b = p.NewLease(), p.NewLease()
+	shape(a, 0, 4)
+	shape(b, 0, 8)
+	shape(a, 4, 8)
+	if st := p.Stats(); st.Misses != 16 || st.HeldBytes != 0 {
+		t.Fatalf("warm leases of the same shape must not miss: %v", st)
+	}
+	if as, bs := a.Stats(), b.Stats(); as.Reused != as.Acquired || bs.Reused != bs.Acquired {
+		t.Fatalf("warm leases: %+v %+v", as, bs)
+	}
+	a.Release()
+	b.Release()
+	// A lease that outgrows its kit allocates the rest and leaves the
+	// bigger kit behind.
+	c := p.NewLease()
+	shape(c, 0, 10)
+	c.Release()
+	if st := p.Stats(); st.Misses != 18 || st.HeldBytes != 18*4096 || st.Leases != 0 {
+		t.Fatalf("outgrown kit: %v", st)
+	}
 }
 
 func TestConcurrentLeaseAcquire(t *testing.T) {
@@ -204,5 +228,114 @@ func TestConcurrentLeaseAcquire(t *testing.T) {
 	l.Release()
 	if st := p.Stats(); st.Leases != 0 {
 		t.Fatalf("leak after concurrent acquire: %v", st)
+	}
+}
+
+// Own'd buffers count in the lease's accounting but are off its ledger:
+// Release leaves them alone, Recycle returns the exact class buffer to
+// the kit it came from whatever the holder re-sliced, and an unreturned
+// one leaks nothing the pool tracks.
+func TestOwnRecycle(t *testing.T) {
+	p := New(0)
+	l := p.NewLease()
+	home := l.Kit()
+	kept := Own[int32](l, 1000) // 4000B -> 4096B class
+	_ = Slice[int32](l, 1000)
+	if len(kept) != 1000 || cap(kept) != 1024 {
+		t.Fatalf("Own: len=%d cap=%d, want 1000/1024", len(kept), cap(kept))
+	}
+	if st := l.Stats(); st.Acquired != 2*4096 || st.HighWater != 2*4096 {
+		t.Fatalf("owned bytes must count in the lease's accounting: %+v", st)
+	}
+	for i := range kept {
+		kept[i] = int32(i)
+	}
+	l.Release()
+	if st := p.Stats(); st.HeldBytes != 4096 || st.Leases != 0 {
+		t.Fatalf("Release must return the ledgered buffer only: %v", st)
+	}
+	// The owned buffer is untouched by whoever draws the ledgered one.
+	l2 := p.NewLease()
+	if l2.Kit() != home {
+		t.Fatal("the only idle kit was not adopted")
+	}
+	other := Slice[int32](l2, 1000)
+	for i := range other {
+		other[i] = -1
+	}
+	for i, v := range kept {
+		if v != int32(i) {
+			t.Fatalf("owned buffer clobbered at %d after its lease closed", i)
+		}
+	}
+	l2.Release()
+
+	// A re-sliced view is not the whole buffer and is left to the GC;
+	// the original slice goes back whole, and idempotence is the
+	// holder's job (a nil slice is a no-op).
+	Recycle(home, kept[10:500])
+	if st := p.Stats(); st.HeldBytes != 4096 {
+		t.Fatalf("partial slice must not enter the kit: %v", st)
+	}
+	Recycle(home, kept)
+	Recycle[int32](home, nil)
+	Recycle[int32](nil, kept[:0])
+	if st := p.Stats(); st.HeldBytes != 2*4096 {
+		t.Fatalf("owned buffer did not come back whole: %v", st)
+	}
+	l3 := p.NewLease()
+	again := Own[int32](l3, 1024)
+	if st := l3.Stats(); st.Reused != st.Acquired {
+		t.Fatalf("recycled owned buffer not reused: %+v", st)
+	}
+	l3.Release()
+	_ = again // never recycled: garbage, and no lease is left open
+	if st := p.Stats(); st.Leases != 0 {
+		t.Fatalf("leases leaked: %v", st)
+	}
+
+	// Pooling off: a nil lease is a plain make, a nil kit a no-op.
+	plain := Own[int32](nil, 10)
+	if len(plain) != 10 || cap(plain) != 10 {
+		t.Fatalf("nil-lease Own: len=%d cap=%d", len(plain), cap(plain))
+	}
+	Recycle[int32](nil, plain)
+}
+
+// A lease prefers a kit that has its owned buffers back: a query that
+// starts while another's result is still out must not adopt that
+// query's kit and find it short.
+func TestWholeKitAdoptedFirst(t *testing.T) {
+	p := New(0)
+	query := func() (*Kit, []int32) {
+		l := p.NewLease()
+		defer l.Release()
+		_ = Slice[int32](l, 1000)
+		return l.Kit(), Own[int32](l, 1000)
+	}
+	// Two kits come to exist and see one full cycle each, so each knows
+	// what having everything back looks like.
+	a, b := p.NewLease(), p.NewLease()
+	for _, l := range []*Lease{a, b} {
+		_ = Slice[int32](l, 1000)
+		res := Own[int32](l, 1000)
+		l.Release()
+		Recycle(l.Kit(), res)
+	}
+	before := p.Stats().Misses
+	k1, res1 := query()
+	k2, res2 := query() // res1 is still out: k1 is short, the other kit is not
+	if k2 == k1 {
+		t.Fatal("adopted the kit whose owned buffer is still out")
+	}
+	Recycle(k1, res1)
+	Recycle(k2, res2)
+	k3, res3 := query() // both whole again: most recently released first
+	if k3 != k2 {
+		t.Fatal("whole kits are adopted most recently released first")
+	}
+	Recycle(k3, res3)
+	if d := p.Stats().Misses - before; d != 0 {
+		t.Fatalf("%d misses after both kits were filled", d)
 	}
 }

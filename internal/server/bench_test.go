@@ -54,6 +54,7 @@ func benchResult(tb testing.TB) (*Server, *rd.Result) {
 // result throughput and the ns/op ratio is the encode speedup.
 func BenchmarkServeResult(b *testing.B) {
 	s, res := benchResult(b)
+	defer res.Release()
 	req := &QueryRequest{}
 	logical := int64(4 * res.N * len(res.Cols))
 

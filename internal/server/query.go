@@ -268,6 +268,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.succeeded.Add(1)
+	// The result columns are the arena's again once the response is
+	// written — or abandoned: stream complete, encode abort and client
+	// disconnect all leave through here.
+	defer res.Release()
 	if binary {
 		s.streamBinary(w, &req, res, wireComp)
 	} else {

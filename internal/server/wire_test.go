@@ -4,8 +4,10 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	rd "radixdecluster"
 
@@ -223,5 +225,67 @@ func TestStreamAbortsCounted(t *testing.T) {
 	}
 	if v := s.aborts.With("encode").Value(); v != 0 {
 		t.Fatalf("encode aborts = %v, want 0", v)
+	}
+}
+
+// A client that walks away mid-stream still gives the result columns
+// back: handleQuery releases on every exit after a successful
+// ProjectJoin, so the arena holds what it held when idle and no
+// goroutine is left behind.
+func TestDisconnectMidStreamReleasesResult(t *testing.T) {
+	s, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2},
+		Config{ChunkRows: 1024}, 256<<10, 2)
+	const body = `{"larger":"larger","smaller":"smaller","parallelism":2}`
+	idle := func() rd.MemPoolStats {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for s.active.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("handler still running 10 s after the client went away")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return s.cfg.Runtime.MemPoolStats()
+	}
+
+	// One query read to the end sets the idle figure: every buffer the
+	// shape needs, result columns included, is back in the arena.
+	resp := postBinary(t, ts.URL, body)
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	want := idle()
+	if want.HeldBytes == 0 || want.Leases != 0 {
+		t.Fatalf("idle arena after a complete response: %v", want)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	goroutines := runtime.NumGoroutine()
+
+	// 4 MiB of columns do not fit the socket buffers: the handler is
+	// blocked in a write when the connection closes under it.
+	resp = postBinary(t, ts.URL, body)
+	if _, err := io.CopyN(io.Discard, resp.Body, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	got := idle()
+	if v := s.aborts.With("disconnect").Value(); v != 1 {
+		t.Fatalf("disconnect aborts = %v, want 1", v)
+	}
+	if got.HeldBytes != want.HeldBytes || got.Leases != 0 {
+		t.Fatalf("arena after a disconnect holds %d bytes in %d leases, idle figure is %d in 0",
+			got.HeldBytes, got.Leases, want.HeldBytes)
+	}
+	if d := got.Misses - want.Misses; d != 0 {
+		t.Errorf("second identical query missed the arena %d times", d)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the disconnect", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -126,12 +126,7 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 		res.N = rr.Len()
 		return nil
 	})
-	tm, err := pl.Execute()
-	if err != nil {
-		return nil, err
-	}
-	res.Phases = phasesFromTimings(tm)
-	return res, nil
+	return res.run(pl)
 }
 
 // NSMPostDecluster runs post-projection over NSM storage with the
@@ -235,7 +230,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	})
 	pl.Then(exec.PhaseProjectLarger, "gather-larger", func(e *exec.Engine) error {
 		res.RowWidth = piL + piS
-		res.Rows = make([]int32, res.N*res.RowWidth)
+		res.Rows = e.Own(res.N * res.RowWidth)
 		key := cl.Key
 		cl.Key = nil
 		return e.GatherProjectInto(larger.view(useComp), res.Rows, res.RowWidth, 0, key, larger.ProjCols)
@@ -264,12 +259,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 				clustered.Data, piS, cl2.ResultPos, cl2.Borders, window)
 		})
 	}
-	tm, err := pl.Execute()
-	if err != nil {
-		return nil, err
-	}
-	res.Phases = phasesFromTimings(tm)
-	return res, nil
+	return res.run(pl)
 }
 
 // NSMPostJive runs post-projection with Jive-Join [LR99]: sort the
@@ -381,12 +371,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		res.Rows, res.RowWidth = combined.Data, combined.Width
 		return nil
 	})
-	tm, err := pl.Execute()
-	if err != nil {
-		return nil, err
-	}
-	res.Phases = phasesFromTimings(tm)
-	return res, nil
+	return res.run(pl)
 }
 
 // nsmAffinitySeed is the placement-hash salt of an NSM query: the

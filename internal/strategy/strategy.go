@@ -30,6 +30,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"radixdecluster/internal/bat"
@@ -189,7 +190,10 @@ func (p Phases) String() string {
 	return s
 }
 
-// Result is a completed project-join.
+// Result is a completed project-join. On a pooled runtime its result
+// arrays (LargerCols, SmallerCols, Rows) are drawn from the query's
+// arena kit and stay the holder's until Release hands them back; slices
+// may carry spare capacity beyond their length.
 type Result struct {
 	// N is the result cardinality.
 	N int
@@ -201,6 +205,10 @@ type Result struct {
 	// strategies); RowWidth is their width.
 	Rows     []int32
 	RowWidth int
+	// home is the arena kit the result arrays came from and Release
+	// returns them to; nil when they are GC-owned (serial runs, pool-off
+	// runtimes).
+	home *mempool.Kit
 	// Phases is the timing breakdown; the remaining fields record the
 	// planner's choices.
 	Phases        Phases
@@ -217,6 +225,71 @@ type Result struct {
 	// when the run executed over block-compressed column images
 	// (Config.Compress with encoded sides).
 	Compressed bool
+}
+
+// run executes the assembled pipeline and completes the result with
+// its timings and the kit its arrays were drawn from.
+func (r *Result) run(pl *exec.Pipeline) (*Result, error) {
+	tm, err := pl.Execute()
+	if err != nil {
+		return nil, err
+	}
+	r.Phases = phasesFromTimings(tm)
+	r.home = pl.Engine().Home()
+	return r, nil
+}
+
+// Columns returns the result column-wise in result order, the larger
+// side's projections first. A row-major result is decomposed on the
+// first call — each column a fresh result array, the row array handed
+// back to the arena — and the Result is columnar from then on (all
+// columns in LargerCols, Rows nil); Phases.Mem grows by the columns.
+// Not to be called after Release.
+func (r *Result) Columns() [][]int32 {
+	if r.LargerCols == nil && r.SmallerCols == nil && (r.Rows != nil || r.RowWidth > 0) {
+		// The pipeline's lease is closed: a lease of its own books the
+		// columns, and its kit is their home.
+		var l *mempool.Lease
+		if r.home != nil {
+			l = r.home.Pool().NewLease()
+		}
+		cols := make([][]int32, r.RowWidth)
+		for c := range cols {
+			col := mempool.Own[int32](l, r.N)
+			for i := range col {
+				col[i] = r.Rows[i*r.RowWidth+c]
+			}
+			cols[c] = col
+		}
+		mempool.Recycle(r.home, r.Rows)
+		if l != nil {
+			// The query held the row array and the columns at once, which
+			// may be its new peak.
+			st := l.Stats()
+			r.Phases.Mem.Acquired += st.Acquired
+			r.Phases.Mem.Reused += st.Reused
+			r.Phases.Mem.HighWater = max(r.Phases.Mem.HighWater, st.HighWater+int64(cap(r.Rows))*4)
+			r.home = l.Kit()
+			l.Release()
+		}
+		r.LargerCols, r.Rows = cols, nil
+	}
+	return slices.Concat(r.LargerCols, r.SmallerCols)
+}
+
+// Release hands the result arrays back to the kit they were drawn from
+// and drops the Result's references to them. The holder must not read
+// them afterwards: the next query overwrites them. Idempotent; never
+// calling it only costs the next query its arena hits.
+func (r *Result) Release() {
+	for _, col := range r.LargerCols {
+		mempool.Recycle(r.home, col)
+	}
+	for _, col := range r.SmallerCols {
+		mempool.Recycle(r.home, col)
+	}
+	mempool.Recycle(r.home, r.Rows)
+	r.LargerCols, r.SmallerCols, r.Rows = nil, nil, nil
 }
 
 // DSMSide describes one join side for the DSM strategies: the
@@ -486,12 +559,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			})
 		}
 	}
-	tm, err := pl.Execute()
-	if err != nil {
-		return nil, err
-	}
-	res.Phases = phasesFromTimings(tm)
-	return res, nil
+	return res.run(pl)
 }
 
 // DSMPre runs DSM pre-projection ("DSM-pre-phash"): the scans stitch
@@ -540,10 +608,5 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 		res.N = rr.Len()
 		return nil
 	})
-	tm, err := pl.Execute()
-	if err != nil {
-		return nil, err
-	}
-	res.Phases = phasesFromTimings(tm)
-	return res, nil
+	return res.run(pl)
 }

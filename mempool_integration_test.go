@@ -152,8 +152,9 @@ func TestWarmQueryAllocAccounting(t *testing.T) {
 		}
 		return res
 	}
-	run() // warm the arena
+	run().Release() // warm the arena, result columns included
 	res := run()
+	defer res.Release()
 	if res.Timing.Mem.Acquired <= 0 {
 		t.Fatal("warm run leased no bytes")
 	}
@@ -163,8 +164,8 @@ func TestWarmQueryAllocAccounting(t *testing.T) {
 	}
 
 	// Absolute ceiling on a warm query's allocations. The pooled
-	// steady state measures in the low hundreds (result columns, which
-	// stay GC-owned by contract, plus goroutine scheduling noise); the
+	// steady state measures in the low hundreds (bookkeeping plus
+	// goroutine scheduling noise; unreleased result columns miss); the
 	// ceiling sits far above that but far below the tens of thousands
 	// an unpooled run costs, so a regression that stops recycling the
 	// big transients trips it immediately.

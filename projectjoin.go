@@ -206,30 +206,37 @@ type Timing struct {
 	CompressedBytes      int64
 	CompressedSavedBytes int64
 	DecodeTime           time.Duration
-	// Mem is the query's transient-buffer accounting from the
-	// execution arena (see RuntimeConfig.MemPoolOff / MemoryBudget):
-	// how many bytes of scratch the run leased, how many of those were
-	// recycled buffers rather than fresh allocations, and the peak
-	// bytes held at once. Output columns are never leased — they are
-	// ordinary garbage-collected slices owned by the caller. All zero
-	// for serial runs and pool-off runtimes.
+	// Mem is the query's buffer accounting from the execution arena
+	// (see RuntimeConfig.MemPoolOff / MemoryBudget): how many bytes the
+	// run drew from it — leased scratch and the result columns alike —
+	// how many of those were recycled buffers rather than fresh
+	// allocations, and the peak bytes held at once. All zero for serial
+	// runs and pool-off runtimes.
 	Mem MemStats
 }
 
 // MemStats is one query's execution-arena accounting.
 type MemStats struct {
-	// Acquired is the total bytes of transient buffers the query
-	// leased; Reused is the portion served by recycled buffers.
+	// Acquired is the total bytes of buffers the query drew from the
+	// arena (transients and result columns); Reused is the portion
+	// served by recycled buffers.
 	Acquired, Reused int64
-	// HighWater is the peak leased bytes held at any one time — the
-	// query's transient working-set size, the quantity a memory budget
-	// or spill tier reasons about.
+	// HighWater is the peak arena bytes held at any one time — the
+	// query's working-set size, the quantity a memory budget or spill
+	// tier reasons about.
 	HighWater int64
 }
 
 // Result is a completed project-join. Columns appear in result order:
 // first the larger side's projections, then the smaller side's, named
 // "<relation>.<column>".
+//
+// On a runtime the columns are drawn from its arena and belong to the
+// caller until Release hands them back for the next query to reuse;
+// a column read after Release aliases another query's buffer. Never
+// calling Release is safe — the columns are garbage-collected and the
+// next query allocates afresh. Serial results are plain slices and
+// Release only drops them.
 type Result struct {
 	N      int
 	Names  []string
@@ -246,12 +253,34 @@ type Result struct {
 	// Trace holds the query's recorded span events when
 	// JoinQuery.Trace was set (nil otherwise); render it with
 	// Trace.WriteJSON or merge several with WriteTraces.
-	Trace   *Trace
-	runInfo *strategy.Result
+	Trace *Trace
+	// runInfo owns the arena buffers behind Cols — each Cols[c] is one
+	// of them cut to [:N:N], so an append reallocates instead of
+	// writing into arena slack — until Release returns them.
+	runInfo  *strategy.Result
+	released bool
+}
+
+// Release returns the result columns to the runtime's arena and sets
+// Cols to nil; whatever the caller did to Cols in the meantime, the
+// buffers go back whole. Idempotent, not safe for use concurrent with
+// readers of the columns.
+func (r *Result) Release() {
+	if r.released {
+		return
+	}
+	r.released = true
+	r.Cols = nil
+	if r.runInfo != nil {
+		r.runInfo.Release()
+	}
 }
 
 // Column returns the result column with the given qualified name.
 func (r *Result) Column(name string) ([]int32, error) {
+	if r.released {
+		return nil, fmt.Errorf("radixdecluster: Column(%q) on a released result", name)
+	}
 	for i, n := range r.Names {
 		if n == name {
 			return r.Cols[i], nil
@@ -262,6 +291,9 @@ func (r *Result) Column(name string) ([]int32, error) {
 
 // Row copies row i of the result into a fresh slice.
 func (r *Result) Row(i int) []int32 {
+	if r.released {
+		panic("radixdecluster: Row on a released result")
+	}
 	out := make([]int32, len(r.Cols))
 	for c := range r.Cols {
 		out[c] = r.Cols[c][i]
@@ -405,6 +437,10 @@ func nsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 }
 
 func buildResult(q JoinQuery, res *strategy.Result, tr *obs.Trace) (*Result, error) {
+	// A row-major result (pre-projection / NSM strategies) is decomposed
+	// back into columns for the uniform public shape; first, because the
+	// columns count in Phases.Mem.
+	cols := res.Columns()
 	out := &Result{
 		N:          res.N,
 		Workers:    res.Workers,
@@ -436,21 +472,8 @@ func buildResult(q JoinQuery, res *strategy.Result, tr *obs.Trace) (*Result, err
 	for _, n := range q.SmallerProject {
 		out.Names = append(out.Names, q.Smaller.Name+"."+n)
 	}
-	switch {
-	case res.LargerCols != nil || res.SmallerCols != nil:
-		out.Cols = append(out.Cols, res.LargerCols...)
-		out.Cols = append(out.Cols, res.SmallerCols...)
-	case res.Rows != nil || res.RowWidth > 0:
-		// Row-major result (pre-projection / NSM strategies):
-		// decompose back into columns for the uniform public shape.
-		out.Cols = make([][]int32, res.RowWidth)
-		for c := 0; c < res.RowWidth; c++ {
-			col := make([]int32, res.N)
-			for i := 0; i < res.N; i++ {
-				col[i] = res.Rows[i*res.RowWidth+c]
-			}
-			out.Cols[c] = col
-		}
+	for _, buf := range cols {
+		out.Cols = append(out.Cols, buf[:res.N:res.N])
 	}
 	if len(out.Cols) != len(out.Names) {
 		return nil, fmt.Errorf("radixdecluster: internal: %d result columns for %d names", len(out.Cols), len(out.Names))

@@ -1,0 +1,195 @@
+package radixdecluster
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"radixdecluster/internal/workload"
+)
+
+// sentinel is what a caller scribbles over result columns it owns
+// before releasing them: any slot of the next result that is drawn
+// dirty from the arena and not written shows it.
+const sentinel int32 = 0x5A5A5A5A
+
+// releaseCase is one plan of the release tests: a strategy and, for
+// DSM post-projection, a per-side method pair.
+type releaseCase struct {
+	st     Strategy
+	lm, sm ProjMethod
+}
+
+func (c releaseCase) String() string {
+	if c.lm == AutoMethod {
+		return c.st.String()
+	}
+	return fmt.Sprintf("%v/%c%c", c.st, c.lm, c.sm)
+}
+
+func releaseCases() []releaseCase {
+	return []releaseCase{
+		{st: DSMPostDecluster},
+		{DSMPostDecluster, UnsortedMethod, UnsortedMethod},
+		{DSMPostDecluster, ClusterMethod, UnsortedMethod},
+		{DSMPostDecluster, SortedMethod, UnsortedMethod},
+		{DSMPostDecluster, ClusterMethod, DeclusterMethod},
+		{st: DSMPre}, {st: NSMPreHash}, {st: NSMPrePhash},
+		{st: NSMPostDecluster}, {st: NSMPostJive},
+	}
+}
+
+func (c releaseCase) query(larger, smaller *Relation, pi int, comp Compression, rt *Runtime) JoinQuery {
+	return JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		Strategy: c.st, LargerMethod: c.lm, SmallerMethod: c.sm,
+		Parallelism: 2, Runtime: rt, Compression: comp,
+	}
+}
+
+// TestRecycledResultBuffersFullyWritten: result arrays come out of the
+// arena dirty, so every slot must be written by the operators. Query A
+// runs on a pooled runtime, its columns are overwritten with a
+// sentinel and released; query B — same shape, different data — then
+// draws those very buffers and must equal its pool-off run. N is below
+// the buffers' class size, so the slack beyond len must be unreachable
+// through Cols.
+func TestRecycledResultBuffersFullyWritten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs relations large enough for the parallel paths")
+	}
+	const pi, n = 2, 20000
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	rtOff := NewRuntime(RuntimeConfig{Workers: 2, MemPoolOff: true})
+	defer rtOff.Close()
+	for _, hit := range []float64{1, 0.3} {
+		la, sa := compressedRelations(t,
+			workload.Params{N: n, Omega: pi + 1, HitRate: hit, SelLarger: 1, SelSmaller: 1, Seed: 71}, pi)
+		lb, sb := compressedRelations(t,
+			workload.Params{N: n, Omega: pi + 1, HitRate: hit, SelLarger: 1, SelSmaller: 1, Seed: 72}, pi)
+		for _, comp := range []Compression{CompressionOff, CompressionOn} {
+			for _, c := range releaseCases() {
+				tag := fmt.Sprintf("%v/hit=%g/compression=%v", c, hit, comp)
+				a, err := ProjectJoin(c.query(la, sa, pi, comp, rt))
+				if err != nil {
+					t.Fatalf("%s: query A: %v", tag, err)
+				}
+				if a.N == 0 || len(a.Cols) != 2*pi {
+					t.Fatalf("%s: query A returned %d rows, %d columns", tag, a.N, len(a.Cols))
+				}
+				for i, col := range a.Cols {
+					if len(col) != a.N || cap(col) != a.N {
+						t.Fatalf("%s: column %d has len %d cap %d, want both %d", tag, i, len(col), cap(col), a.N)
+					}
+					for j := range col {
+						col[j] = sentinel
+					}
+				}
+				a.Release()
+
+				want, err := ProjectJoin(c.query(lb, sb, pi, comp, rtOff))
+				if err != nil {
+					t.Fatalf("%s: query B pool-off: %v", tag, err)
+				}
+				b, err := ProjectJoin(c.query(lb, sb, pi, comp, rt))
+				if err != nil {
+					t.Fatalf("%s: query B: %v", tag, err)
+				}
+				if b.N != want.N || !slices.EqualFunc(b.Cols, want.Cols, slices.Equal[[]int32]) {
+					t.Errorf("%s: result over recycled buffers differs from the pool-off run", tag)
+				}
+				b.Release()
+			}
+		}
+	}
+	if s := rt.MemPoolStats(); s.Leases != 0 {
+		t.Fatalf("%d leases still open", s.Leases)
+	}
+}
+
+// TestResultReleaseLifecycle walks what a caller may do with a result:
+// release it twice, release it after mangling Cols, never release it —
+// and what the arena shows for each.
+func TestResultReleaseLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs relations large enough for the parallel paths")
+	}
+	const pi = 2
+	larger, smaller := workloadRelations(t,
+		workload.Params{N: 32 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 73}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	for _, c := range releaseCases() {
+		t.Run(c.String(), func(t *testing.T) {
+			q := c.query(larger, smaller, pi, CompressionOff, rt)
+			run := func() *Result {
+				t.Helper()
+				res, err := ProjectJoin(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			sq := q
+			sq.Parallelism = 0
+			want, err := ProjectJoin(sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(tag string, got *Result) {
+				t.Helper()
+				requireSameResult(t, tag, got, want)
+			}
+
+			// Never released: the buffers are garbage, nothing stays
+			// open, and the next query is none the worse.
+			same("first", run())
+			if s := rt.MemPoolStats(); s.Leases != 0 {
+				t.Fatalf("unreleased result left %d leases open", s.Leases)
+			}
+
+			// Released after the caller re-sliced Cols: the buffers still
+			// go back whole. Released again: nothing happens.
+			second := run()
+			same("after an unreleased result", second)
+			second.Cols[0] = second.Cols[0][second.N/2:]
+			second.Cols = second.Cols[:1]
+			second.Release()
+			held := rt.MemPoolStats().HeldBytes
+			second.Release()
+			if second.Cols != nil {
+				t.Fatal("Release left Cols set")
+			}
+			if got := rt.MemPoolStats().HeldBytes; got != held {
+				t.Fatalf("second Release moved the arena's held bytes %d -> %d", held, got)
+			}
+			if _, err := second.Column("larger.a1"); err == nil || !strings.Contains(err.Error(), "released") {
+				t.Fatalf("Column on a released result: err = %v, want one that says released", err)
+			}
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "released") {
+						t.Fatalf("Row on a released result: panic %q, want one that says released", msg)
+					}
+				}()
+				second.Row(0)
+			}()
+
+			// Everything the second query drew is back, so an identical
+			// third one allocates nothing.
+			before := rt.MemPoolStats()
+			third := run()
+			same("after a released result", third)
+			if d := rt.MemPoolStats().Misses - before.Misses; d != 0 {
+				t.Errorf("third identical query missed the arena %d times", d)
+			}
+			if m := third.Timing.Mem; m.Acquired == 0 || m.Reused != m.Acquired {
+				t.Errorf("third identical query: acquired %d bytes, reused %d", m.Acquired, m.Reused)
+			}
+			third.Release()
+		})
+	}
+}

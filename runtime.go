@@ -306,7 +306,7 @@ type MemPoolStats struct {
 	// retention exceeded its limit (RuntimeConfig.MemoryBudget).
 	Trims int64
 	// HeldBytes is the bytes of recycled buffers currently idle in the
-	// arena's free lists.
+	// arena's kits.
 	HeldBytes int64
 	// Leases is the number of per-query leases currently open —
 	// non-zero between a query's first buffer request and its pipeline

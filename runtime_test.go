@@ -443,3 +443,40 @@ func TestDefaultRuntimeShared(t *testing.T) {
 	}
 	t.Logf("default runtime: %d workers (current GOMAXPROCS=%d)", a.Workers(), runtime.GOMAXPROCS(0))
 }
+
+// A host-shaped hierarchy (this box's sysfs: 48 KiB / 2 MiB / 260 MiB,
+// 4 KiB pages) passed as RuntimeConfig.Hier or JoinQuery.Hier used to
+// hang NewRuntime and the first planned query for minutes in the
+// bus-stream calibration (calibrator.MemStreams sweeping a simulated
+// 1 GiB); both must answer promptly.
+func TestHostShapedHierarchyAnswers(t *testing.T) {
+	host := Hierarchy{Levels: []CacheLevel{
+		{Name: "L1", SizeBytes: 48 << 10, LineBytes: 64, Assoc: 12, MissNanos: 4, SeqNanos: 1},
+		{Name: "L2", SizeBytes: 2 << 20, LineBytes: 64, Assoc: 16, MissNanos: 14, SeqNanos: 3},
+		{Name: "L3", SizeBytes: 260 << 20, LineBytes: 64, Assoc: 16, MissNanos: 90, SeqNanos: 9},
+		{Name: "TLB", SizeBytes: 1536 * 4096, LineBytes: 4096, MissNanos: 20, SeqNanos: 20, TLB: true},
+	}}
+	larger, smaller := buildRelations(t, 20000, 7)
+	done := make(chan error, 1)
+	go func() {
+		rt := NewRuntime(RuntimeConfig{Workers: 2, Hier: host})
+		defer rt.Close()
+		res, err := ProjectJoin(JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: []string{"a1"}, SmallerProject: []string{"a2"},
+			Parallelism: AutoParallelism, Runtime: rt, Hier: host,
+		})
+		if err == nil {
+			res.Release()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("NewRuntime + one planned query on a host-shaped hierarchy did not finish in 20 s")
+	}
+}
