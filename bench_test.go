@@ -162,10 +162,8 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 // tuples): the serial engine and the 2-worker morsel engine, at the
 // join fan-out the planner picks there (6 bits) and at the first-level
 // cap (12 bits). A tuple carries 8 payload bytes, so MB/s / 8 is
-// Mtuples/s; cmd/benchjson records both benchmarks with B/op.
-// ClusterPairs clusters a join input — since the engines do that into
-// BUNs, through ClusterBUNs; the name is kept so the trajectory file
-// stays comparable.
+// Mtuples/s. ClusterPairs clusters a join input — since the engines
+// do that into BUNs, through ClusterBUNs.
 func benchCluster(b *testing.B, fanouts []int, serial func(o radix.Opts) error, parallel func(p *exec.Pool, o radix.Opts) error) {
 	rt := exec.NewRuntime(2, 0)
 	defer rt.Close()
@@ -401,11 +399,11 @@ func benchJoinQueryOpts(tb testing.TB, n int, opts ...RelationOption) JoinQuery 
 
 // BenchmarkProjectJoinParallel sweeps the morsel-driven executor's
 // worker count on a 1M-tuple join (workers=0 is the serial paper-mode
-// baseline), so the perf trajectory captures parallel speedup. Each
-// sub-benchmark reports gomaxprocs/cpus so result archives carry the
-// machine shape: on a single-core box the sweep degenerates to
-// overhead measurement and multi-worker numbers must not be read as
-// speedup (see TestParallelSpeedupMultiCore).
+// baseline), so one run shows parallel speedup. Each sub-benchmark
+// reports gomaxprocs/cpus so its output carries the machine shape: on
+// a single-core box the sweep degenerates to overhead measurement and
+// multi-worker numbers must not be read as speedup (see
+// TestParallelSpeedupMultiCore).
 func BenchmarkProjectJoinParallel(b *testing.B) {
 	const n = 1 << 20
 	q := benchJoinQuery(b, n)
@@ -525,8 +523,7 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 	// compress=false/compress=true is the compressed-execution
 	// acceptance pair: the same 4-query concurrent load with
 	// CompressionAuto over block-compressed relations must be no worse
-	// than the raw leg. New legs only — the share= names above are the
-	// archived trajectory baseline and keep their identity.
+	// than the raw leg.
 	for _, comp := range []bool{false, true} {
 		b.Run(fmt.Sprintf("compress=%v", comp), func(b *testing.B) {
 			var opts []RelationOption

@@ -18,11 +18,11 @@
 // The service batches same-source query arrivals for -window before
 // dispatch so their scan phases co-schedule into one shared pass
 // (SharedScanHits on /v1/status counts the sweeps saved), answers 429
-// + Retry-After once the runtime's admission queue reaches -watermark,
-// and drains on SIGTERM/SIGINT: in-flight queries complete, new ones
-// get 503, then the process exits 0. See docs/OPERATIONS.md for the
-// full knob and metrics reference, and cmd/joinload for a load
-// generator that drives this daemon.
+// + Retry-After once the runtime's admission queue is twice the
+// admission bound deep, and drains on SIGTERM/SIGINT: in-flight
+// queries complete, new ones get 503, then the process exits 0. See
+// docs/OPERATIONS.md for the full knob and metrics reference, and
+// cmd/joinload for a load generator that drives this daemon.
 package main
 
 import (
@@ -49,53 +49,36 @@ func main() {
 	pi := flag.Int("pi", 2, "payload columns per relation (a1..a{pi})")
 	hitRate := flag.Float64("hitrate", 1, "join hit rate h (result ≈ h*N)")
 	pairs := flag.Int("pairs", 1, "relation pairs to register (larger0/smaller0, larger1/smaller1, ...)")
-	compressRel := flag.Bool("compressrel", true, "build relations with WithCompression so queries may run compressed (compression=auto|on)")
 	seed := flag.Uint64("seed", 1, "workload seed")
 
 	workers := flag.Int("workers", 0, "runtime worker pool size (0 = one per schedulable core)")
 	admit := flag.Int("admit", 0, "admission bound: concurrent parallel queries (0 = adaptive from the calibrated bus-stream budget)")
 	share := flag.Bool("share", true, "cooperative scan sharing (one circular pass feeds all same-source scans)")
-	steal := flag.String("steal", "topo", "work-stealing policy: topo | any | off")
-	pin := flag.Bool("pin", false, "pin runtime workers to cores (best-effort)")
-	memPoolOff := flag.Bool("mempooloff", false, "disable the execution-memory arena")
 	memBudget := flag.Int64("membudget", 0, "cap idle recycled arena bytes and add a memory admission ceiling (0 = default retention, no ceiling)")
 	pprofLabels := flag.Bool("pproflabels", false, "label morsel goroutines with (query, phase, worker) for CPU profiles")
 
 	window := flag.Duration("window", 2*time.Millisecond, "arrival-batching window: same-source queries arriving within it dispatch together as a shared-scan group (0 = off)")
-	watermark := flag.Int("watermark", 0, "backpressure watermark: 429 once the admission queue is this deep (0 = 2x the admission bound)")
-	maxBody := flag.Int64("maxbody", 0, "request body cap in bytes (0 = 1 MiB)")
-	chunkRows := flag.Int("chunkrows", 0, "result rows per streamed chunk, both encodings (0 = 8192)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	flag.Parse()
 
-	stealPolicy, err := rd.ParseStealPolicy(*steal)
-	if err != nil {
-		fail(err)
-	}
 	rt := rd.NewRuntime(rd.RuntimeConfig{
 		Workers: *workers, MaxConcurrentQueries: *admit,
-		ShareScans: *share, StealPolicy: stealPolicy, PinWorkers: *pin,
-		MemPoolOff: *memPoolOff, MemoryBudget: *memBudget,
+		ShareScans: *share, MemoryBudget: *memBudget,
 		PprofLabels: *pprofLabels,
 		Metrics:     true, // rendered on this daemon's own /metrics
 	})
 	defer rt.Close()
 
-	srv, err := server.New(server.Config{
-		Runtime: rt, BatchWindow: *window, QueueWatermark: *watermark,
-		MaxBodyBytes: *maxBody, ChunkRows: *chunkRows,
-	})
+	srv, err := server.New(server.Config{Runtime: rt, BatchWindow: *window})
 	if err != nil {
 		fail(err)
 	}
 
 	// Register -pairs independent larger/smaller pairs. Distinct pairs
 	// give load generators distinct scan sources, so shared-scan rates
-	// under a mixed workload mean something.
-	var opts []rd.RelationOption
-	if *compressRel {
-		opts = append(opts, rd.WithCompression())
-	}
+	// under a mixed workload mean something. Every relation carries a
+	// compressed image (encoded lazily, on the first query that asks for
+	// it) so compression=auto|on is always available.
 	for p := 0; p < *pairs; p++ {
 		pr, err := workload.GenPair(workload.Params{
 			N: *n, Omega: *pi + 1, HitRate: *hitRate,
@@ -112,7 +95,7 @@ func main() {
 			for j := 1; j <= *pi; j++ {
 				cols = append(cols, rd.Column{Name: fmt.Sprintf("a%d", j), Values: side.wr.PayloadCol(j)})
 			}
-			rel, err := rd.NewRelationOpts(side.name, cols, opts...)
+			rel, err := rd.NewRelationOpts(side.name, cols, rd.WithCompression())
 			if err != nil {
 				fail(err)
 			}
@@ -127,10 +110,9 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("joinserve: listening on http://%s\n", ln.Addr())
-	fmt.Printf("joinserve: %d relation pairs of N=%d pi=%d (compressed images: %v)\n",
-		*pairs, *n, *pi, *compressRel)
+	fmt.Printf("joinserve: %d relation pairs of N=%d pi=%d\n", *pairs, *n, *pi)
 	fmt.Printf("joinserve: runtime %d workers, admission bound %d, scan sharing %v; batch window %v, queue watermark %d\n",
-		rt.Workers(), rt.MaxConcurrentQueries(), rt.ShareScans(), *window, queueWatermark(*watermark, rt))
+		rt.Workers(), rt.MaxConcurrentQueries(), rt.ShareScans(), *window, srv.Status().Server.QueueWatermark)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
@@ -161,15 +143,6 @@ func main() {
 	fmt.Printf("joinserve: drained after %.1fs: %d accepted, %d ok, %d failed, %d rejected (429), %d rows streamed, %d shared-scan hits\n",
 		st.Server.UptimeSeconds, st.Server.Accepted, st.Server.Succeeded, st.Server.Failed,
 		st.Server.Rejected429, st.Server.RowsStreamed, st.SharedScanHits)
-}
-
-// queueWatermark mirrors the server's default derivation for the
-// startup banner.
-func queueWatermark(flagVal int, rt *rd.Runtime) int {
-	if flagVal > 0 {
-		return flagVal
-	}
-	return 2 * rt.MaxConcurrentQueries()
 }
 
 func fail(err error) {

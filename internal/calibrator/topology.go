@@ -95,8 +95,7 @@ func (t *Topology) Nodes() int {
 
 // FlatTopology is the fallback layout: n CPUs, each its own physical
 // core, all sharing one LLC on one node. Steal order under it is plain
-// nearest-index round-robin; nothing is pinned to a wrong place, only
-// no distance information is available.
+// nearest-index round-robin: no distance information is available.
 func FlatTopology(n int) *Topology {
 	if n < 1 {
 		n = 1

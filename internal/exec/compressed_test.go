@@ -60,8 +60,9 @@ func TestMaterializeColMatchesRaw(t *testing.T) {
 // arms run in one call: the result must be the all-raw views' (which
 // TestFetchManyMatchesSerial holds to posjoin).
 func TestFetchManyMatchesRaw(t *testing.T) {
-	cols := [][]int32{randVals(42, testN, false), randVals(43, testN, true)}
-	oids := randOIDs(44, testN, testN)
+	n := heavyN()
+	cols := [][]int32{randVals(42, n, false), randVals(43, n, true)}
+	oids := randOIDs(44, n, n)
 	views := []Col{{Enc: encode(t, cols[0])}, RawCol(cols[1])}
 	withEngines(t, func(t *testing.T, e *Engine) {
 		want, err := e.FetchMany([]Col{RawCol(cols[0]), RawCol(cols[1])}, oids)
@@ -82,16 +83,17 @@ func TestFetchManyMatchesRaw(t *testing.T) {
 }
 
 func TestClusteredMatchesRaw(t *testing.T) {
-	col := randVals(45, testN, false)
+	n := heavyN()
+	col := randVals(45, n, false)
 	// Clustered oids: borders over a partially-sorted oid order.
-	oids := randOIDs(46, testN, testN)
+	oids := randOIDs(46, n, n)
 	const parts = 64
 	borders := make([]bat.Border, parts)
-	per := testN / parts
+	per := n / parts
 	for i := range borders {
 		borders[i] = bat.Border{Start: i * per, End: (i + 1) * per}
 	}
-	borders[parts-1].End = testN
+	borders[parts-1].End = n
 	enc := encode(t, col)
 	withEngines(t, func(t *testing.T, e *Engine) {
 		want, err := e.Clustered(RawCol(col), oids, borders)
@@ -151,9 +153,10 @@ func TestScanProjectMatchesRaw(t *testing.T) {
 
 func TestGatherProjectMatchesRaw(t *testing.T) {
 	const width = 4
-	rel := testRelation(49, testN, width)
+	n := heavyN()
+	rel := testRelation(49, n, width)
 	view := Rows{Rel: rel, Enc: encode(t, rel.Data)}
-	oids := randOIDs(50, testN, testN)
+	oids := randOIDs(50, n, n)
 	cols := []int{2, 1}
 	withEngines(t, func(t *testing.T, e *Engine) {
 		want, err := e.GatherProject(Rows{Rel: rel}, "g", oids, cols)
@@ -183,12 +186,13 @@ func TestGatherProjectMatchesRaw(t *testing.T) {
 }
 
 func TestStitchRowsMatchesRaw(t *testing.T) {
-	keys := randVals(52, testN, false)
-	cols := [][]int32{randVals(53, testN, false), randVals(54, testN, true)}
-	oids := randOIDs(55, testN, testN)
+	n := heavyN()
+	keys := randVals(52, n, false)
+	cols := [][]int32{randVals(53, n, false), randVals(54, n, true)}
+	oids := randOIDs(55, n, n)
 	w := 1 + len(cols)
-	want := make([]int32, testN*w)
-	for i := 0; i < testN; i++ {
+	want := make([]int32, n*w)
+	for i := 0; i < n; i++ {
 		want[i*w] = keys[i]
 		for j, col := range cols {
 			want[i*w+1+j] = col[oids[i]]

@@ -149,27 +149,22 @@ func (p *Pool) Close() {
 }
 
 // Mem returns the pool's per-query buffer lease, opening it on first
-// use. nil when pooling is off (runtime Options.MemPoolOff) or the
-// pool is closed — every acquisition helper treats a nil lease as
-// "allocate from the GC", the escape hatch.
+// use. nil once the pool is closed — every acquisition helper treats a
+// nil lease as "allocate from the GC".
 func (p *Pool) Mem() *mempool.Lease {
-	a := p.rt.mem
-	if a == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
 		return nil
 	}
 	if p.memLs == nil {
-		p.memLs = a.NewLease()
+		p.memLs = p.rt.mem.NewLease()
 	}
 	return p.memLs
 }
 
-// memStats snapshots the query's lease accounting (zero when pooling
-// is off or nothing was acquired).
+// memStats snapshots the query's lease accounting (zero when nothing
+// was acquired).
 func (p *Pool) memStats() mempool.LeaseStats {
 	p.mu.Lock()
 	ml := p.memLs

@@ -18,6 +18,20 @@ import (
 // actually run.
 const testN = 1 << 16
 
+// heavyN is testN for the tests the race detector makes expensive —
+// skewed partitioned joins, whose match count is quadratic in the
+// input, and gathers through compressed columns, which decode a block
+// per random oid under instrumented loads. Under -race it is
+// 2*MinParallelN, the smallest size at which every input these tests
+// build (down to the half-size join side) still clears MinParallelN,
+// so the same parallel paths run on a quarter of the join work.
+func heavyN() int {
+	if raceEnabled {
+		return 2 * MinParallelN
+	}
+	return testN
+}
+
 // workerCounts are the NOMINAL parallelisms the equivalence tests
 // sweep. Every pool is a lease on a 2-worker test runtime, so nominal
 // 3, 4 and 8 run on fewer real workers than they name — exactly the
@@ -171,12 +185,13 @@ func TestSortOIDPairsMatchesSerial(t *testing.T) {
 }
 
 func TestPartitionedJoinMatchesSerial(t *testing.T) {
+	n := heavyN()
 	for _, skewed := range []bool{false, true} {
-		lo := randOIDs(7, testN, testN)
-		lk := randVals(8, testN, skewed)
-		so := randOIDs(9, testN/2, testN)
-		sk := make([]int32, testN/2)
-		copy(sk, lk[:testN/2]) // guarantee matches
+		lo := randOIDs(7, n, n)
+		lk := randVals(8, n, skewed)
+		so := randOIDs(9, n/2, n)
+		sk := make([]int32, n/2)
+		copy(sk, lk[:n/2]) // guarantee matches
 		for _, o := range []radix.Opts{{Bits: 0}, {Bits: 6}, {Bits: 13}} {
 			want, err := join.Partitioned(lo, lk, so, sk, o)
 			if err != nil {
@@ -331,8 +346,9 @@ func TestGroupBordersTile(t *testing.T) {
 func TestConcurrentStress(t *testing.T) {
 	p := testRuntime(t).NewPool(8)
 	defer p.Close()
-	heads := randOIDs(20, testN, testN)
-	vals := randVals(21, testN, true)
+	n := heavyN()
+	heads := randOIDs(20, n, n)
+	vals := randVals(21, n, true)
 	for i := 0; i < 3; i++ {
 		if _, err := p.ClusterBUNs(heads, vals, true, radix.Opts{Bits: 14}); err != nil {
 			t.Fatal(err)

@@ -64,23 +64,21 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 	m.phaseSeconds = reg.CounterVec("radixdecluster_phase_seconds_total",
 		"Wall-clock seconds spent executing pipeline phases, by phase kind.",
 		"phase")
-	if rt.MemPooled() {
-		reg.CounterFuncs("radixdecluster_mempool_requests_total",
-			"Arena buffer requests, by whether a recycled buffer satisfied them.",
-			"outcome", []obs.FuncSeries{
-				{Label: "hit", Fn: func() float64 { return float64(rt.MemStats().Hits) }},
-				{Label: "miss", Fn: func() float64 { return float64(rt.MemStats().Misses) }},
-			})
-		reg.CounterFunc("radixdecluster_mempool_trims_total",
-			"Buffers dropped to the GC because the arena was over its size limit.",
-			func() float64 { return float64(rt.MemStats().Trims) })
-		reg.GaugeFunc("radixdecluster_mempool_held_bytes",
-			"Bytes of recycled buffers currently idle in the arena's kits.",
-			func() float64 { return float64(rt.MemStats().HeldBytes) })
-		reg.GaugeFunc("radixdecluster_mempool_hit_rate",
-			"Lifetime arena hit rate — fraction of buffer requests served by recycling.",
-			func() float64 { return rt.MemStats().HitRate() })
-	}
+	reg.CounterFuncs("radixdecluster_mempool_requests_total",
+		"Arena buffer requests, by whether a recycled buffer satisfied them.",
+		"outcome", []obs.FuncSeries{
+			{Label: "hit", Fn: func() float64 { return float64(rt.MemStats().Hits) }},
+			{Label: "miss", Fn: func() float64 { return float64(rt.MemStats().Misses) }},
+		})
+	reg.CounterFunc("radixdecluster_mempool_trims_total",
+		"Buffers dropped to the GC because the arena was over its size limit.",
+		func() float64 { return float64(rt.MemStats().Trims) })
+	reg.GaugeFunc("radixdecluster_mempool_held_bytes",
+		"Bytes of recycled buffers currently idle in the arena's kits.",
+		func() float64 { return float64(rt.MemStats().HeldBytes) })
+	reg.GaugeFunc("radixdecluster_mempool_hit_rate",
+		"Lifetime arena hit rate — fraction of buffer requests served by recycling.",
+		func() float64 { return rt.MemStats().HitRate() })
 	reg.GaugeFunc("radixdecluster_sched_warm_hit_rate_lifetime",
 		"Lifetime warm-hit rate (local hits + sibling steals over all morsels).",
 		func() float64 { return rt.SchedStats().WarmHitRate() })

@@ -119,7 +119,7 @@ type Timings struct {
 	// drawn from the arena — transients and result arrays alike —
 	// (Acquired), the part of them served by recycled buffers (Reused),
 	// and the peak bytes held at once (HighWater). Zero on the serial
-	// engine and when pooling is off (Options.MemPoolOff).
+	// engine.
 	Mem mempool.LeaseStats
 }
 
@@ -301,8 +301,8 @@ func (e *Engine) Close() {
 	}
 }
 
-// mem returns the query's buffer lease: nil on the serial engine (and
-// on a pool-off runtime), where every acquisition is a plain make.
+// mem returns the query's buffer lease: nil on the serial engine,
+// where every acquisition is a plain make.
 func (e *Engine) mem() *mempool.Lease {
 	if e.pool == nil {
 		return nil
@@ -319,8 +319,8 @@ func (e *Engine) mem() *mempool.Lease {
 func (e *Engine) Own(n int) []int32 { return mempool.Own[int32](e.mem(), n) }
 
 // Home returns the kit Own draws result arrays from and Recycle
-// returns them to — nil when they are GC-owned (serial engine, pool-off
-// runtime). Ask before Close.
+// returns them to — nil when they are GC-owned (serial engine). Ask
+// before Close.
 func (e *Engine) Home() *mempool.Kit {
 	if l := e.mem(); l != nil {
 		return l.Kit()

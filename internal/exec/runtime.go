@@ -44,14 +44,10 @@ package exec
 // morsels are thousands of tuples each, so claim frequency is low and
 // the lock is never the bottleneck — what the refactor buys is
 // PLACEMENT (which worker's private caches service a partition), not
-// lock granularity. With Options.PinWorkers each worker locks its
-// goroutine to an OS thread and pins it to its topology slot
-// (best-effort sched_setaffinity; refusals leave the worker unpinned),
-// making homes physical cores. Per-worker Scratch is allocated inside
-// the worker goroutine after pinning, and scatter outputs are
-// first-written by the workers that own their cursor ranges — so with
-// affine placement, pages fault in on the NUMA node of the worker
-// that re-reads them (first-touch).
+// lock granularity. Per-worker Scratch is allocated inside the worker
+// goroutine, and scatter outputs are first-written by the workers that
+// own their cursor ranges — so with affine placement, pages fault in on
+// the NUMA node of the worker that re-reads them (first-touch).
 //
 // The byte-identical-output contract is untouched: a job's task
 // decomposition (chunking, per-worker windows) is fixed by the
@@ -73,44 +69,6 @@ import (
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
 )
-
-// StealPolicy selects how idle workers take work from other workers'
-// deques.
-type StealPolicy int
-
-const (
-	// StealTopo (the default) visits victims nearest-first in cache
-	// topology: SMT sibling, same LLC, same NUMA node, remote.
-	StealTopo StealPolicy = iota
-	// StealAny visits victims in plain ring order, ignoring topology —
-	// the classic randomized-ish work stealing baseline.
-	StealAny
-	// StealOff disables stealing: a morsel only ever runs on its home
-	// worker. Skewed placements idle workers; use for measurement.
-	StealOff
-)
-
-func (s StealPolicy) String() string {
-	switch s {
-	case StealTopo:
-		return "topo"
-	case StealAny:
-		return "any"
-	case StealOff:
-		return "off"
-	}
-	return fmt.Sprintf("StealPolicy(%d)", int(s))
-}
-
-// ParseStealPolicy maps a policy's String() name back to the constant.
-func ParseStealPolicy(s string) (StealPolicy, error) {
-	for _, p := range []StealPolicy{StealTopo, StealAny, StealOff} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("exec: unknown steal policy %q (want topo, any or off)", s)
-}
 
 // SchedStats is the affinity scheduler's counter set: how many morsels
 // ran on their home worker (private caches warm from earlier phases of
@@ -211,11 +169,10 @@ const schedWindowAlpha = 0.5
 // snapshot deltas folded into exponentially weighted moving averages.
 // Where the lifetime counters answer "what did this runtime do since
 // it started", the window answers "what is the schedule doing NOW" —
-// after a regime shift (a steal-policy change, a workload mix change,
-// a query burst) the lifetime average smears the old regime into the
-// new one indefinitely, while the EWMA forgets it geometrically. The
-// planner's affinity feedback reads the windowed rate for exactly
-// this reason.
+// after a regime shift (a workload mix change, a query burst) the
+// lifetime average smears the old regime into the new one
+// indefinitely, while the EWMA forgets it geometrically. The planner's
+// affinity feedback reads the windowed rate for exactly this reason.
 type SchedWindow struct {
 	// Last is the most recent complete window's counter delta.
 	Last SchedStats
@@ -287,19 +244,15 @@ type Runtime struct {
 	workers       int
 	maxConcurrent int
 	shareScans    bool
-	pin           bool
 	labels        bool // pprof-label worker morsels (Options.PprofLabels)
 
-	topo        *calibrator.Topology
-	cpuOf       []int          // worker -> logical CPU id (pin target)
-	victims     [][]stealEntry // per worker: steal order, topology-sorted
-	victimsRing [][]stealEntry // per worker: steal order, plain ring
-	workerTags  []string       // worker id pre-rendered for pprof labels
+	topo       *calibrator.Topology
+	victims    [][]stealEntry // per worker: steal order, nearest first
+	workerTags []string       // worker id pre-rendered for pprof labels
 
 	mu     sync.Mutex
-	work   *sync.Cond  // signals workers: placed morsels or shutdown
-	dq     []wdeque    // per-worker local deques (guarded by mu)
-	steal  StealPolicy // current policy (mutable via SetStealPolicy)
+	work   *sync.Cond // signals workers: placed morsels or shutdown
+	dq     []wdeque   // per-worker local deques (guarded by mu)
 	closed bool
 
 	admitted int             // leases currently held
@@ -312,7 +265,6 @@ type Runtime struct {
 
 	poolSeq atomic.Uint64 // default affinity-seed source
 	sched   schedCounters // process-wide scheduler counters
-	pinned  atomic.Int64  // workers whose pin succeeded
 
 	// Compressed-execution totals, accumulated per pipeline at
 	// Execute end (pipeline.go) — bus bytes avoided and decode wall
@@ -324,9 +276,7 @@ type Runtime struct {
 	metrics *rtMetrics   // Prometheus-style registry hooks (nil = off)
 
 	// mem is the execution-memory arena this runtime's query leases
-	// draw from (the process-wide sharedArena unless overridden); nil
-	// disables pooling (Options.MemPoolOff) and every transient falls
-	// back to the GC.
+	// draw from: the process-wide sharedArena.
 	mem *mempool.Pool
 
 	// jrFree recycles jobRun nodes (and their task slices) across
@@ -493,12 +443,6 @@ type Options struct {
 	// one circular pass (scanshare.go) instead of interleaving
 	// duplicate reads.
 	ShareScans bool
-	// Steal selects the work-stealing policy (default StealTopo).
-	Steal StealPolicy
-	// PinWorkers pins each worker's OS thread to its topology slot
-	// (Linux sched_setaffinity, best-effort: refused pins leave the
-	// worker unpinned and everything else working).
-	PinWorkers bool
 	// Topology overrides the machine layout (nil: DetectTopology —
 	// sysfs on Linux, flat fallback elsewhere). Tests inject synthetic
 	// topologies here.
@@ -517,11 +461,6 @@ type Options struct {
 	// one undifferentiated worker loop. Off by default: applying
 	// labels costs two goroutine-label swaps per morsel.
 	PprofLabels bool
-	// MemPoolOff disables the execution-memory arena for this
-	// runtime's queries: every transient buffer falls back to a plain
-	// GC allocation. The escape hatch — output bytes are identical
-	// either way; only allocation traffic changes.
-	MemPoolOff bool
 	// MemoryBudget caps the bytes the arena keeps resident in
 	// kits (high-water trimming); <= 0 keeps mempool.DefaultLimit.
 	// The same figure feeds admission control as a second resource
@@ -553,56 +492,36 @@ func NewRuntimeOpts(o Options) *Runtime {
 	if topo == nil {
 		topo = calibrator.DetectTopology()
 	}
-	if len(topo.CPUs) == 0 {
-		// Tolerate a degenerate injected topology the way Distance
-		// does, instead of dividing by zero in the worker→CPU fold.
-		topo = calibrator.FlatTopology(1)
-	}
 	rt := &Runtime{
 		workers: workers, maxConcurrent: maxConcurrent,
-		shareScans: o.ShareScans, steal: o.Steal, pin: o.PinWorkers,
-		labels: o.PprofLabels, topo: topo,
+		shareScans: o.ShareScans, labels: o.PprofLabels, topo: topo,
+		mem: sharedArena,
 	}
-	if !o.MemPoolOff {
-		rt.mem = sharedArena
-		if o.MemoryBudget > 0 {
-			rt.mem.SetLimit(o.MemoryBudget)
-		}
+	if o.MemoryBudget > 0 {
+		rt.mem.SetLimit(o.MemoryBudget)
 	}
 	rt.work = sync.NewCond(&rt.mu)
 	rt.dq = make([]wdeque, workers)
-	rt.cpuOf = make([]int, workers)
 	rt.workerTags = make([]string, workers)
-	for w := range rt.cpuOf {
-		rt.cpuOf[w] = topo.CPUs[w%len(topo.CPUs)].ID
+	for w := range rt.workerTags {
 		rt.workerTags[w] = strconv.Itoa(w)
 	}
-	// Both steal orders are precomputed so SetStealPolicy can switch
-	// between them at run time without rebuilding tables under load.
-	rt.victims = buildVictims(topo, workers, StealTopo)
-	rt.victimsRing = buildVictims(topo, workers, StealAny)
+	rt.victims = buildVictims(topo, workers)
 	if o.Metrics {
 		rt.metrics = newRTMetrics(rt)
 	}
 	rt.wg.Add(workers)
-	// Wait for every worker's pin attempt so PinnedWorkers is accurate
-	// the moment the constructor returns (pinning happens on the
-	// worker's own OS thread, so it cannot run here).
-	var ready sync.WaitGroup
-	ready.Add(workers)
 	for w := 0; w < workers; w++ {
-		go rt.worker(w, &ready)
+		go rt.worker(w)
 	}
-	ready.Wait()
 	return rt
 }
 
 // buildVictims precomputes each worker's steal order: every other
-// worker, sorted nearest-first by topology distance under StealTopo
-// (ring order within a distance class, so same-class victims spread),
-// or plain ring order under StealAny/StealOff. Distances ride along
-// either way — the counters always classify steals.
-func buildVictims(topo *calibrator.Topology, workers int, policy StealPolicy) [][]stealEntry {
+// worker, sorted nearest-first by topology distance (ring order within
+// a distance class, so same-class victims spread). Distances ride
+// along — the counters classify steals by them.
+func buildVictims(topo *calibrator.Topology, workers int) [][]stealEntry {
 	out := make([][]stealEntry, workers)
 	for w := range out {
 		vs := make([]stealEntry, 0, workers-1)
@@ -614,7 +533,7 @@ func buildVictims(topo *calibrator.Topology, workers int, policy StealPolicy) []
 		}
 		ring := func(v int) int { return (v - w + workers) % workers }
 		sort.SliceStable(vs, func(i, j int) bool {
-			if policy == StealTopo && vs[i].dist != vs[j].dist {
+			if vs[i].dist != vs[j].dist {
 				return vs[i].dist < vs[j].dist
 			}
 			return ring(vs[i].worker) < ring(vs[j].worker)
@@ -630,28 +549,6 @@ func (rt *Runtime) Workers() int { return rt.workers }
 // MaxConcurrent returns the admission bound: the maximum number of
 // pipelines executing at once.
 func (rt *Runtime) MaxConcurrent() int { return rt.maxConcurrent }
-
-// Steal returns the runtime's current work-stealing policy.
-func (rt *Runtime) Steal() StealPolicy {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.steal
-}
-
-// SetStealPolicy switches the work-stealing policy at run time.
-// In-flight morsels are unaffected; the next idle-worker decision
-// uses the new policy. Byte-identity holds under every policy, so
-// switching mid-workload is safe — it exists so operators (and the
-// windowed-stats tests) can force a scheduling regime shift without
-// rebuilding the runtime.
-func (rt *Runtime) SetStealPolicy(p StealPolicy) {
-	rt.mu.Lock()
-	rt.steal = p
-	rt.mu.Unlock()
-	// A policy change can make previously unreachable morsels
-	// stealable; wake sleeping workers so they re-evaluate.
-	rt.work.Broadcast()
-}
 
 // Topology returns the machine layout the scheduler places against.
 func (rt *Runtime) Topology() *calibrator.Topology { return rt.topo }
@@ -681,19 +578,9 @@ func (rt *Runtime) CompressedSavedBytes() int64 { return rt.compSaved.Load() }
 func (rt *Runtime) CompressedDecodeNanos() int64 { return rt.compDecodeNanos.Load() }
 
 // MemStats snapshots the execution-memory arena serving this
-// runtime's queries (zero when pooling is disabled). Counters are
-// process-wide: the arena is shared by every runtime that has
-// pooling on.
-func (rt *Runtime) MemStats() mempool.Stats {
-	if rt.mem == nil {
-		return mempool.Stats{}
-	}
-	return rt.mem.Stats()
-}
-
-// MemPooled reports whether this runtime's queries lease transient
-// buffers from the arena.
-func (rt *Runtime) MemPooled() bool { return rt.mem != nil }
+// runtime's queries. Counters are process-wide: the arena is shared by
+// every runtime.
+func (rt *Runtime) MemStats() mempool.Stats { return rt.mem.Stats() }
 
 // MetricsRegistry returns the runtime's metrics registry (nil unless
 // Options.Metrics). Serve it with obs.Serve, or mount obs.NewMux on
@@ -704,11 +591,6 @@ func (rt *Runtime) MetricsRegistry() *obs.Registry {
 	}
 	return rt.metrics.reg
 }
-
-// PinnedWorkers returns how many workers successfully pinned their OS
-// thread (0 unless Options.PinWorkers; possibly < Workers when the
-// kernel refuses some pins).
-func (rt *Runtime) PinnedWorkers() int { return int(rt.pinned.Load()) }
 
 // ActiveQueries returns the number of currently admitted pipelines —
 // the active-query count the cost model divides the cache share and
@@ -757,19 +639,8 @@ func (rt *Runtime) NewPool(workers int) *Pool {
 // worker is the shared-pool loop: drain the local deque (jobs
 // round-robin, LIFO within a job), steal in topology order when empty,
 // sleep when the whole machine is empty.
-func (rt *Runtime) worker(w int, ready *sync.WaitGroup) {
+func (rt *Runtime) worker(w int) {
 	defer rt.wg.Done()
-	if rt.pin {
-		// Pin before allocating Scratch: the worker's buffers then
-		// fault in on (first-touch) the pinned core's node.
-		runtime.LockOSThread()
-		if err := calibrator.PinThread(rt.cpuOf[w]); err != nil {
-			runtime.UnlockOSThread() // best-effort: run unpinned
-		} else {
-			rt.pinned.Add(1)
-		}
-	}
-	ready.Done()
 	s := &Scratch{}
 	for {
 		j, t, dist, ok := rt.nextTask(w)
@@ -817,16 +688,10 @@ func (rt *Runtime) nextTask(w int) (*rtJob, int, int, bool) {
 			rt.note(j, -1)
 			return j, t, -1, true
 		}
-		if rt.steal != StealOff {
-			victims := rt.victims[w]
-			if rt.steal == StealAny {
-				victims = rt.victimsRing[w]
-			}
-			for _, v := range victims {
-				if j, t, ok := rt.dq[v.worker].steal(rt); ok {
-					rt.note(j, v.dist)
-					return j, t, v.dist, true
-				}
+		for _, v := range rt.victims[w] {
+			if j, t, ok := rt.dq[v.worker].steal(rt); ok {
+				rt.note(j, v.dist)
+				return j, t, v.dist, true
 			}
 		}
 		if rt.closed {

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -28,35 +28,86 @@ func keyHomedOn(t *testing.T, seed uint64, worker, workers int) uint64 {
 	return 0
 }
 
+// holdWorkers parks n of rt's workers inside hostage morsels and
+// returns their ids — DISCOVERED at run time, whichever workers pick the
+// morsels up — and the function that lets them go (and waits for the
+// hostage job to finish). A blocked worker cannot claim a second
+// morsel, so n started morsels are n distinct stuck workers; with
+// n = rt.Workers() the whole runtime is stuck and whatever is submitted
+// next stays exactly where submit placed it until release.
+func holdWorkers(t *testing.T, rt *Runtime, n int) (busy []int, release func()) {
+	t.Helper()
+	hostage := rt.NewPool(n)
+	started := make(chan int)
+	free := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		hostage.Run(n, func(worker, _ int, _ *Scratch) {
+			started <- worker
+			<-free
+		})
+	}()
+	for len(busy) < n {
+		busy = append(busy, <-started)
+	}
+	return busy, func() {
+		close(free)
+		<-done
+		hostage.Close()
+	}
+}
+
+// placementOf reports where submit places the morsels of one
+// p.RunAff(ntasks, aff, ...) job: out[task] is the worker whose deque
+// holds the task while every worker is held hostage. The job then
+// runs to completion (stealing and all) before placementOf returns.
+func placementOf(t *testing.T, rt *Runtime, p *Pool, ntasks int, aff func(int) uint64) []int {
+	t.Helper()
+	_, release := holdWorkers(t, rt, rt.Workers())
+	var ran atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.RunAff(ntasks, aff, func(_, _ int, _ *Scratch) { ran.Add(1) })
+	}()
+	out := make([]int, ntasks)
+	for queued := 0; queued < ntasks; {
+		runtime.Gosched()
+		queued = 0
+		rt.mu.Lock()
+		for w := range rt.dq {
+			for _, r := range rt.dq[w].runs {
+				for _, task := range r.tasks {
+					out[task] = w
+					queued++
+				}
+			}
+		}
+		rt.mu.Unlock()
+	}
+	release()
+	<-done
+	if ran.Load() != int64(ntasks) {
+		t.Fatalf("ran %d of %d morsels", ran.Load(), ntasks)
+	}
+	return out
+}
+
 // TestStealRescuesStarvedWorker is the deterministic starved-worker
 // scenario: one worker is held hostage inside a long morsel, and a
 // whole job is then homed onto exactly that worker. Without stealing
 // the job could not run until the hostage released; with it, the idle
-// worker must steal every morsel. The hostage worker is DISCOVERED at
-// run time (whichever worker picks up the blocking morsel) and the
-// job's affinity key is chosen to home on it, so the test does not
+// worker must steal every morsel. The job's affinity key is chosen to
+// home on the worker holdWorkers found stuck, so the test does not
 // depend on scheduling races.
 func TestStealRescuesStarvedWorker(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 2, Steal: StealTopo,
-		Topology: calibrator.FlatTopology(2)})
+	rt := NewRuntimeOpts(Options{Workers: 2, Topology: calibrator.FlatTopology(2)})
 	defer rt.Close()
-	hostage := rt.NewPool(2)
-	defer hostage.Close()
 	victim := rt.NewPool(2)
 	defer victim.Close()
-
-	started := make(chan int)
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		hostage.Run(1, func(worker, _ int, _ *Scratch) {
-			started <- worker
-			<-release
-		})
-	}()
-	busy := <-started // this worker is now stuck until release
+	held, release := holdWorkers(t, rt, 1)
+	busy := held[0] // this worker is now stuck until release
 
 	const ntasks = 8
 	key := keyHomedOn(t, victim.affSeed, busy, 2)
@@ -64,8 +115,7 @@ func TestStealRescuesStarvedWorker(t *testing.T) {
 	victim.RunAff(ntasks, func(int) uint64 { return key }, func(worker, task int, _ *Scratch) {
 		ran[task] = worker
 	})
-	close(release)
-	wg.Wait()
+	release()
 
 	for task, worker := range ran {
 		if worker == busy {
@@ -81,62 +131,52 @@ func TestStealRescuesStarvedWorker(t *testing.T) {
 	}
 }
 
-// TestStealOffKeepsMorselsHome: with stealing disabled, every morsel
-// of a constant-key job runs on its home worker — all local hits, no
-// steals — and jobs homed on different workers still all complete.
-func TestStealOffKeepsMorselsHome(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 4, Steal: StealOff,
-		Topology: calibrator.FlatTopology(4)})
+// TestMorselsPlacedOnHome: submit puts every morsel on the deque of
+// rtJob.home — a constant-key job entirely on one worker, an
+// identity-keyed job spread over several — and every placed morsel is
+// then claimed exactly once, as a local hit or a steal.
+func TestMorselsPlacedOnHome(t *testing.T) {
+	rt := NewRuntimeOpts(Options{Workers: 4, Topology: calibrator.FlatTopology(4)})
 	defer rt.Close()
 	p := rt.NewPool(4)
 	defer p.Close()
 
 	const ntasks = 32
 	key := keyHomedOn(t, p.affSeed, 2, 4)
-	home := homeOf(p.affSeed, key, 4)
-	ran := make([]int, ntasks)
-	p.RunAff(ntasks, func(int) uint64 { return key }, func(worker, task int, _ *Scratch) {
-		ran[task] = worker
-	})
-	for task, worker := range ran {
-		if worker != home {
-			t.Fatalf("task %d ran on worker %d, home is %d (steal off)", task, worker, home)
+	for task, worker := range placementOf(t, rt, p, ntasks, func(int) uint64 { return key }) {
+		if worker != 2 {
+			t.Fatalf("task %d placed on worker %d, its key homes on 2", task, worker)
 		}
 	}
-	st := p.schedStats()
-	if st.LocalHits != ntasks || st.Steals() != 0 {
-		t.Fatalf("steal-off stats: %v, want %d local / 0 steals", st, ntasks)
+	if st := p.schedStats(); st.Tasks() != ntasks {
+		t.Fatalf("constant-key job stats: %v, want %d claims", st, ntasks)
 	}
 
-	// Identity-keyed jobs spread over all workers and still finish.
-	var mu sync.Mutex
 	seen := map[int]bool{}
-	p.Run(64, func(worker, _ int, _ *Scratch) {
-		mu.Lock()
+	for task, worker := range placementOf(t, rt, p, 64, nil) {
+		if want := homeOf(p.affSeed, uint64(task), 4); worker != want {
+			t.Fatalf("task %d placed on worker %d, home is %d", task, worker, want)
+		}
 		seen[worker] = true
-		mu.Unlock()
-	})
+	}
 	if len(seen) < 2 {
 		t.Fatalf("identity placement used %d workers, want several", len(seen))
 	}
 }
 
 // TestCrossPhaseAffinity pins the refactor's point: two jobs that
-// decompose the same domain into the same task count land task t on
-// the same worker both times (steal off makes the check exact — with
-// stealing the property is statistical).
+// decompose the same domain into the same task count have task t
+// placed on the same worker both times (where it then runs is
+// statistical — an idle worker may steal it).
 func TestCrossPhaseAffinity(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 4, Steal: StealOff,
-		Topology: calibrator.FlatTopology(4)})
+	rt := NewRuntimeOpts(Options{Workers: 4, Topology: calibrator.FlatTopology(4)})
 	defer rt.Close()
 	p := rt.NewPool(4)
 	defer p.Close()
 
 	const ntasks = 40
-	phase1 := make([]int, ntasks)
-	phase2 := make([]int, ntasks)
-	p.Run(ntasks, func(worker, task int, _ *Scratch) { phase1[task] = worker })
-	p.Run(ntasks, func(worker, task int, _ *Scratch) { phase2[task] = worker })
+	phase1 := placementOf(t, rt, p, ntasks, nil)
+	phase2 := placementOf(t, rt, p, ntasks, nil)
 	for task := range phase1 {
 		if phase1[task] != phase2[task] {
 			t.Fatalf("task %d moved: worker %d in phase 1, %d in phase 2",
@@ -156,7 +196,7 @@ func TestStealDistanceClassification(t *testing.T) {
 		{ID: 2, Core: 1, LLC: 0, Node: 0},
 		{ID: 3, Core: 2, LLC: 1, Node: 1},
 	}}
-	rt := NewRuntimeOpts(Options{Workers: 4, Steal: StealTopo, Topology: topo})
+	rt := NewRuntimeOpts(Options{Workers: 4, Topology: topo})
 	defer rt.Close()
 
 	// The victim orders must be topology-sorted: worker 0 steals from
@@ -182,27 +222,13 @@ func TestStealDistanceClassification(t *testing.T) {
 	// Drive one hostage scenario and check the stolen morsels were
 	// classified (any class — which thief wins depends on timing, but
 	// every steal must land in exactly one bucket).
-	hostage := rt.NewPool(4)
-	defer hostage.Close()
 	victim := rt.NewPool(4)
 	defer victim.Close()
-	started := make(chan int)
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		hostage.Run(1, func(worker, _ int, _ *Scratch) {
-			started <- worker
-			<-release
-		})
-	}()
-	busy := <-started
-	key := keyHomedOn(t, victim.affSeed, busy, 4)
+	held, release := holdWorkers(t, rt, 1)
+	key := keyHomedOn(t, victim.affSeed, held[0], 4)
 	const ntasks = 16
 	victim.RunAff(ntasks, func(int) uint64 { return key }, func(_, _ int, _ *Scratch) {})
-	close(release)
-	wg.Wait()
+	release()
 	st := victim.schedStats()
 	if st.Steals() != ntasks || st.LocalHits != 0 {
 		t.Fatalf("hostage job stats: %v, want all %d stolen", st, ntasks)
@@ -212,10 +238,9 @@ func TestStealDistanceClassification(t *testing.T) {
 	}
 }
 
-// TestEmptyTopologyNormalized: an injected empty topology must
-// normalize to the flat fallback, not divide by zero in the
-// worker→CPU fold (Distance already tolerates the empty case).
-func TestEmptyTopologyNormalized(t *testing.T) {
+// TestEmptyTopologyTolerated: an injected empty topology must still
+// schedule (Distance classes every pair of workers as LLC-sharing).
+func TestEmptyTopologyTolerated(t *testing.T) {
 	rt := NewRuntimeOpts(Options{Workers: 2, Topology: &calibrator.Topology{}})
 	defer rt.Close()
 	p := rt.NewPool(2)

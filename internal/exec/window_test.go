@@ -2,7 +2,6 @@ package exec
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,30 +11,35 @@ import (
 
 // TestSchedWindowRegimeShift is the reason windowed stats exist: a
 // scheduling-regime change must show up in the windowed rate while
-// the lifetime average smears it away. Regime A runs SchedWindowTasks
-// windows of pure local hits (steal off). Regime B switches the
-// runtime to topology stealing and forces every morsel to be stolen
-// at remote distance (hostage worker on a 2-node topology). After
-// equally many windows of each, the lifetime warm rate sits near 0.5
-// — useless as a signal of the CURRENT regime — while the windowed
-// EWMA has decayed toward the new regime's ~0.
+// the lifetime average smears it away. One of two workers is held
+// hostage throughout (on a 2-node topology, so every steal is remote
+// and none counts warm). Regime A homes SchedWindowTasks-sized
+// windows of morsels on the free worker — pure local hits; regime B
+// homes as many on the hostage — every one stolen. After equally many
+// windows of each, the lifetime warm rate sits near 0.5 — useless as
+// a signal of the CURRENT regime — while the windowed EWMA has
+// decayed toward the new regime's ~0. The hostage morsel's own claim
+// shifts the window boundaries by one morsel, which the bounds below
+// absorb.
 func TestSchedWindowRegimeShift(t *testing.T) {
-	// Two CPUs on different cores, LLCs and nodes: every steal is
-	// remote, so none count warm.
 	topo := &calibrator.Topology{Source: "test", CPUs: []calibrator.TopoCPU{
 		{ID: 0, Core: 0, LLC: 0, Node: 0},
 		{ID: 1, Core: 1, LLC: 1, Node: 1},
 	}}
-	rt := NewRuntimeOpts(Options{Workers: 2, Steal: StealOff, Topology: topo})
+	rt := NewRuntimeOpts(Options{Workers: 2, Topology: topo})
 	defer rt.Close()
 	p := rt.NewPool(2)
 	defer p.Close()
+	held, release := holdWorkers(t, rt, 1)
+	busy := held[0]
 
 	const nwin = 4
 	const regime = nwin * SchedWindowTasks
 
-	// Regime A: steal off — every morsel a local hit.
-	p.Run(regime, func(_, _ int, _ *Scratch) {})
+	// Regime A: every morsel homed on the free worker — a local hit
+	// (the only possible thief is stuck).
+	freeKey := keyHomedOn(t, p.affSeed, 1-busy, 2)
+	p.RunAff(regime, func(int) uint64 { return freeKey }, func(_, _ int, _ *Scratch) {})
 	winA := rt.SchedStatsWindow()
 	if winA.Windows != nwin {
 		t.Fatalf("regime A completed %d windows, want %d", winA.Windows, nwin)
@@ -47,30 +51,10 @@ func TestSchedWindowRegimeShift(t *testing.T) {
 		t.Fatalf("regime A last window %v, want %d pure local", winA.Last, SchedWindowTasks)
 	}
 
-	// Regime B: switch to stealing at runtime, hold one worker
-	// hostage, and home every morsel on it — all stolen remotely.
-	rt.SetStealPolicy(StealTopo)
-	if rt.Steal() != StealTopo {
-		t.Fatalf("steal policy did not switch: %v", rt.Steal())
-	}
-	hostage := rt.NewPool(2)
-	defer hostage.Close()
-	started := make(chan int)
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		hostage.Run(1, func(worker, _ int, _ *Scratch) {
-			started <- worker
-			<-release
-		})
-	}()
-	busy := <-started
-	key := keyHomedOn(t, p.affSeed, busy, 2)
-	p.RunAff(regime, func(int) uint64 { return key }, func(_, _ int, _ *Scratch) {})
-	close(release)
-	wg.Wait()
+	// Regime B: every morsel homed on the hostage — all stolen remotely.
+	busyKey := keyHomedOn(t, p.affSeed, busy, 2)
+	p.RunAff(regime, func(int) uint64 { return busyKey }, func(_, _ int, _ *Scratch) {})
+	release()
 
 	winB := rt.SchedStatsWindow()
 	if winB.Windows < 2*nwin {

@@ -362,9 +362,9 @@ func (l *Lease) Stats() LeaseStats {
 
 // Slice returns a dirty []T of length n (and capacity >= n) checked
 // out on the lease, or a plain make([]T, n) when l is nil — the
-// pooling-off escape hatch collapses to the GC path at every call
-// site. T must be pointer-free: the backing memory is untyped bytes
-// the GC will not scan for references.
+// serial engine, which has no lease, collapses to the GC path at every
+// call site. T must be pointer-free: the backing memory is untyped
+// bytes the GC will not scan for references.
 func Slice[T any](l *Lease, n int) []T {
 	return SliceCap[T](l, n, n)
 }

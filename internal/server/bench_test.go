@@ -85,8 +85,8 @@ func BenchmarkServeResult(b *testing.B) {
 // the same result at least 3x faster than NDJSON and with strictly
 // fewer allocations per response. The allocation half is exact and
 // always asserted; the wall-clock ratio is logged on every run and
-// asserted only under RADIX_ASSERT_SPEEDUP=1 (CI's benchjson -samerun
-// gate holds it on a quiet box).
+// asserted only under RADIX_ASSERT_SPEEDUP=1, which CI's multi-core
+// leg exports for this test alone.
 func TestServeResultEncodeEfficiency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -50,15 +50,18 @@ type QueryRequest struct {
 	// Strategy is a canonical strategy name ("auto",
 	// "DSM-post-decluster", "NSM-pre-phash", ...); empty means auto.
 	Strategy string `json:"strategy"`
-	// Parallelism: omitted lets the planner choose (AutoParallelism);
-	// 0 forces the serial paper mode; n >= 1 is explicit.
+	// Parallelism: omitted or -1 lets the planner choose
+	// (AutoParallelism); 0 forces the serial paper mode; n >= 1 is the
+	// explicit nominal worker count, at most maxParallelismPerWorker
+	// times the runtime's workers.
 	Parallelism *int `json:"parallelism"`
 	// Compression: "", "off", "auto" or "on".
 	Compression string `json:"compression"`
 	// Trace records span events; the footer reports the span count.
 	Trace bool `json:"trace"`
-	// Limit caps the rows streamed back (0 = all). The join still
-	// computes the full result; this only trims the transfer.
+	// Limit caps the rows streamed back (0 = all; negative is
+	// rejected). The join still computes the full result; this only
+	// trims the transfer.
 	Limit int `json:"limit"`
 	// OmitRows suppresses row chunks entirely — header and footer
 	// only. For load generators and capacity tests that want engine
@@ -83,6 +86,15 @@ type (
 type queryChunk struct {
 	Rows [][]int32 `json:"rows"`
 }
+
+// maxParallelismPerWorker bounds a request's nominal parallelism to
+// this multiple of the runtime's worker count. Nominal parallelism
+// fixes the morsel decomposition and the per-worker windows, so its
+// cost grows with the value whatever the runtime's size: on 2 workers
+// at N = 1 Mi, 2 ran 39 ms, 16384 ran 0.61 s and allocated 179 MB,
+// 131072 ran 6.3 s and allocated 1.39 GB. A few times the workers is
+// all oversubscription can use.
+const maxParallelismPerWorker = 8
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
@@ -236,6 +248,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q.Parallelism = rd.AutoParallelism
 	if req.Parallelism != nil {
 		q.Parallelism = *req.Parallelism
+	}
+	most := maxParallelismPerWorker * s.cfg.Runtime.Workers()
+	if q.Parallelism < rd.AutoParallelism || q.Parallelism > most {
+		jsonError(w, http.StatusBadRequest, fmt.Sprintf(
+			"parallelism %d out of range (want -1 for the planner's choice, 0 for serial, or 1..%d)",
+			q.Parallelism, most))
+		return
+	}
+	if req.Limit < 0 {
+		jsonError(w, http.StatusBadRequest, fmt.Sprintf("limit %d is negative (0 streams every row)", req.Limit))
+		return
 	}
 
 	// Backpressure: once the runtime's admission queue is deeper than

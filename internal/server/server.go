@@ -285,14 +285,12 @@ type Status struct {
 	ShareScans     bool  `json:"shareScans"`
 	SharedScanHits int64 `json:"sharedScanHits"`
 	// Scheduler counters (lifetime) and windowed rates.
-	Sched         rd.SchedStats `json:"sched"`
-	WarmHitRate   float64       `json:"warmHitRate"`
-	WindowedWarm  float64       `json:"windowedWarmHitRate"`
-	SchedWindows  int64         `json:"schedWindows"`
-	PinnedWorkers int           `json:"pinnedWorkers"`
+	Sched        rd.SchedStats `json:"sched"`
+	WarmHitRate  float64       `json:"warmHitRate"`
+	WindowedWarm float64       `json:"windowedWarmHitRate"`
+	SchedWindows int64         `json:"schedWindows"`
 	// Execution-memory arena.
-	MemPooled bool            `json:"memPooled"`
-	MemPool   rd.MemPoolStats `json:"memPool"`
+	MemPool rd.MemPoolStats `json:"memPool"`
 	// Server-level counters.
 	Server ServerStatus `json:"server"`
 }
@@ -348,8 +346,6 @@ func (s *Server) Status() Status {
 		WarmHitRate:          rt.SchedStats().WarmHitRate(),
 		WindowedWarm:         win.WarmHitRate(),
 		SchedWindows:         win.Windows,
-		PinnedWorkers:        rt.PinnedWorkers(),
-		MemPooled:            rt.MemPooled(),
 		MemPool:              rt.MemPoolStats(),
 		Server: ServerStatus{
 			UptimeSeconds:  time.Since(s.start).Seconds(),

@@ -200,22 +200,33 @@ func TestQueryStream(t *testing.T) {
 
 // The validation surface: wrong method, malformed body, unknown
 // field, unknown relation, bad strategy, bad compression, oversized
-// body.
+// body, parallelism outside [-1, maxParallelismPerWorker x workers],
+// negative limit — each answered with an error naming the offender.
 func TestQueryValidation(t *testing.T) {
 	_, ts := newTestServer(t, rd.RuntimeConfig{Workers: 1, MaxConcurrentQueries: 1},
 		Config{MaxBodyBytes: 512}, 64, 1)
 	cases := []struct {
 		name, body string
 		want       int
+		names      string // what the error message must mention
 	}{
-		{"bad strategy", `{"larger":"larger","smaller":"smaller","strategy":"DSM-quantum"}`, 400},
-		{"unknown relation", `{"larger":"nope","smaller":"smaller"}`, 404},
-		{"unknown smaller", `{"larger":"larger","smaller":"nope"}`, 404},
-		{"bad compression", `{"larger":"larger","smaller":"smaller","compression":"zstd"}`, 400},
-		{"unknown field", `{"larger":"larger","smaller":"smaller","turbo":true}`, 400},
-		{"syntax", `{"larger":`, 400},
-		{"unknown column", `{"larger":"larger","smaller":"smaller","largerProject":["zz"],"parallelism":0}`, 400},
-		{"oversized", `{"larger":"larger","smaller":"smaller","strategy":"` + strings.Repeat("x", 600) + `"}`, 413},
+		{"bad strategy", `{"larger":"larger","smaller":"smaller","strategy":"DSM-quantum"}`, 400, "strategy"},
+		{"unknown relation", `{"larger":"nope","smaller":"smaller"}`, 404, "nope"},
+		{"unknown smaller", `{"larger":"larger","smaller":"nope"}`, 404, "nope"},
+		{"bad compression", `{"larger":"larger","smaller":"smaller","compression":"zstd"}`, 400, "compression"},
+		{"unknown field", `{"larger":"larger","smaller":"smaller","turbo":true}`, 400, "turbo"},
+		{"syntax", `{"larger":`, 400, "bad request body"},
+		{"unknown column", `{"larger":"larger","smaller":"smaller","largerProject":["zz"],"parallelism":0}`, 400, "zz"},
+		{"oversized", `{"larger":"larger","smaller":"smaller","strategy":"` + strings.Repeat("x", 600) + `"}`, 413, "512 bytes"},
+		// One worker: nominal parallelism is legal up to
+		// maxParallelismPerWorker and no further, -1 is the planner's
+		// choice and nothing below it means anything.
+		{"parallelism huge", `{"larger":"larger","smaller":"smaller","parallelism":131072}`, 400, "parallelism 131072"},
+		{"parallelism just over", `{"larger":"larger","smaller":"smaller","parallelism":9}`, 400, "parallelism 9"},
+		{"parallelism negative", `{"larger":"larger","smaller":"smaller","parallelism":-7}`, 400, "parallelism -7"},
+		{"limit negative", `{"larger":"larger","smaller":"smaller","limit":-1}`, 400, "limit -1"},
+		{"parallelism at the bound", `{"larger":"larger","smaller":"smaller","parallelism":8}`, 200, ""},
+		{"parallelism auto", `{"larger":"larger","smaller":"smaller","parallelism":-1}`, 200, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -225,9 +236,12 @@ func TestQueryValidation(t *testing.T) {
 				b, _ := io.ReadAll(resp.Body)
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, c.want, b)
 			}
+			if c.want == 200 {
+				return
+			}
 			var e map[string]string
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
-				t.Fatalf("error body missing: %v %v", e, err)
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e["error"], c.names) {
+				t.Fatalf("error %q does not name %q (%v)", e["error"], c.names, err)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,35 @@ func TestBinaryNDJSONEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Nominal parallelism above the runtime's size stays legal up to the
+// validated bound: "parallelism": 8 on 2 workers runs as 8 nominal
+// workers (N is above exec.MinParallelN, so the parallel operators
+// genuinely run) and returns the serial run's bytes.
+func TestNominalParallelismAboveWorkers(t *testing.T) {
+	_, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2},
+		Config{}, 32<<10, 2)
+	run := func(parallelism string) *wire.Decoded {
+		resp := postBinary(t, ts.URL, `{"larger":"larger","smaller":"smaller","parallelism":`+parallelism+`}`)
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			b, _ := io.ReadAll(resp.Body)
+			t.Fatalf("parallelism %s: status %d: %s", parallelism, resp.StatusCode, b)
+		}
+		d, err := wire.Decode(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	want, got := run("0"), run("8")
+	if got.Header.Workers != 8 {
+		t.Fatalf("nominal 8 ran with workers=%d", got.Header.Workers)
+	}
+	if got.Header.N != want.Header.N || !slices.EqualFunc(got.Cols, want.Cols, slices.Equal[[]int32]) {
+		t.Fatal("nominal 8 on a 2-worker runtime differs from the serial bytes")
 	}
 }
 

@@ -168,7 +168,7 @@ type Phases struct {
 	Comp exec.CompStats
 	// Mem is the run's transient-buffer accounting from the execution
 	// arena: bytes acquired, bytes served by recycled buffers, and the
-	// peak bytes held at once. Zero for serial runs or pool-off runtimes.
+	// peak bytes held at once. Zero for serial runs.
 	Mem mempool.LeaseStats
 	// Total is the end-to-end time.
 	Total time.Duration
@@ -206,8 +206,7 @@ type Result struct {
 	Rows     []int32
 	RowWidth int
 	// home is the arena kit the result arrays came from and Release
-	// returns them to; nil when they are GC-owned (serial runs, pool-off
-	// runtimes).
+	// returns them to; nil when they are GC-owned (serial runs).
 	home *mempool.Kit
 	// Phases is the timing breakdown; the remaining fields record the
 	// planner's choices.

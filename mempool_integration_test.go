@@ -30,14 +30,14 @@ func memPoolQueries(t *testing.T) []JoinQuery {
 	return queries
 }
 
-// TestMemPoolOnOffByteIdentical is the arena's correctness contract:
-// a concurrent mixed-strategy hammer must produce exactly the serial
-// bytes both with buffer recycling on (the default) and through the
-// MemPoolOff escape hatch — the arena changes where transient backing
-// memory comes from, never what the operators write into it. It also
-// pins the accounting: pooled runs report leased bytes, pool-off runs
-// report none, and no lease survives its query (leak check).
-func TestMemPoolOnOffByteIdentical(t *testing.T) {
+// TestMemPoolByteIdentical is the arena's correctness contract: a
+// concurrent mixed-strategy hammer over recycled buffers must produce
+// exactly the bytes of the serial engine, the make-only reference —
+// the arena changes where transient backing memory comes from, never
+// what the operators write into it. It also pins the accounting:
+// pooled runs report leased bytes, and no lease survives its query
+// (leak check).
+func TestMemPoolByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test needs full-size relations")
 	}
@@ -50,90 +50,68 @@ func TestMemPoolOnOffByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", queries[i].Strategy, err)
 		}
+		if res.Timing.Mem.Acquired != 0 {
+			t.Fatalf("%s: serial run leased %d bytes", queries[i].Strategy, res.Timing.Mem.Acquired)
+		}
 		want[i] = res
 	}
 
-	for _, mode := range []struct {
-		name string
-		cfg  RuntimeConfig
-	}{
-		{"pool=on", RuntimeConfig{}},
-		{"pool=off", RuntimeConfig{MemPoolOff: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			rt := NewRuntime(mode.cfg)
-			defer rt.Close()
-			if rt.MemPooled() == mode.cfg.MemPoolOff {
-				t.Fatalf("MemPooled()=%v with MemPoolOff=%v", rt.MemPooled(), mode.cfg.MemPoolOff)
-			}
+	rt := NewRuntime(RuntimeConfig{})
+	defer rt.Close()
 
-			// Two rounds: the second runs against a warm arena, where
-			// recycled buffers (not correctness-neutral-by-luck fresh
-			// zeroed memory) back the operators.
-			for round := 0; round < 2; round++ {
-				var wg sync.WaitGroup
-				errs := make([]error, len(queries))
-				got := make([]*Result, len(queries))
-				for i, q := range queries {
-					wg.Add(1)
-					go func(i int, q JoinQuery) {
-						defer wg.Done()
-						q.Parallelism = 4
-						q.Runtime = rt
-						res, err := ProjectJoin(q)
-						if err != nil {
-							errs[i] = fmt.Errorf("%s: %w", q.Strategy, err)
-							return
-						}
-						got[i] = res
-					}(i, q)
+	// Two rounds: the second runs against a warm arena, where recycled
+	// buffers (not correctness-neutral-by-luck fresh zeroed memory) back
+	// the operators.
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(queries))
+		got := make([]*Result, len(queries))
+		for i, q := range queries {
+			wg.Add(1)
+			go func(i int, q JoinQuery) {
+				defer wg.Done()
+				q.Parallelism = 4
+				q.Runtime = rt
+				res, err := ProjectJoin(q)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %w", q.Strategy, err)
+					return
 				}
-				wg.Wait()
-				for i, err := range errs {
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got[i].Cols, want[i].Cols) {
-						t.Fatalf("round %d %s: result differs from serial bytes", round, queries[i].Strategy)
-					}
-					if mode.cfg.MemPoolOff && got[i].Timing.Mem.Acquired != 0 {
-						t.Fatalf("%s: pool-off run leased %d bytes", queries[i].Strategy, got[i].Timing.Mem.Acquired)
-					}
-					if !mode.cfg.MemPoolOff {
-						if got[i].Timing.Mem.Acquired <= 0 {
-							t.Fatalf("%s: pooled run leased no bytes", queries[i].Strategy)
-						}
-						if hw, acq := got[i].Timing.Mem.HighWater, got[i].Timing.Mem.Acquired; hw <= 0 || hw > acq {
-							t.Fatalf("%s: high-water %d outside (0, acquired=%d]", queries[i].Strategy, hw, acq)
-						}
-					}
-				}
+				got[i] = res
+			}(i, q)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(got[i].Cols, want[i].Cols) {
+				t.Fatalf("round %d %s: result differs from serial bytes", round, queries[i].Strategy)
+			}
+			if got[i].Timing.Mem.Acquired <= 0 {
+				t.Fatalf("%s: pooled run leased no bytes", queries[i].Strategy)
+			}
+			if hw, acq := got[i].Timing.Mem.HighWater, got[i].Timing.Mem.Acquired; hw <= 0 || hw > acq {
+				t.Fatalf("%s: high-water %d outside (0, acquired=%d]", queries[i].Strategy, hw, acq)
+			}
+		}
+	}
 
-			s := rt.MemPoolStats()
-			if mode.cfg.MemPoolOff {
-				if s != (MemPoolStats{}) {
-					t.Fatalf("pool-off runtime reported arena stats %v", s)
-				}
-				return
-			}
-			if s.Leases != 0 {
-				t.Fatalf("%d leases still open after all queries finished", s.Leases)
-			}
-			if s.HitRate() <= 0 {
-				t.Fatalf("no recycled buffers after a warm round (hits=%d misses=%d)", s.Hits, s.Misses)
-			}
-		})
+	s := rt.MemPoolStats()
+	if s.Leases != 0 {
+		t.Fatalf("%d leases still open after all queries finished", s.Leases)
+	}
+	if s.HitRate() <= 0 {
+		t.Fatalf("no recycled buffers after a warm round (hits=%d misses=%d)", s.Hits, s.Misses)
 	}
 }
 
 // TestWarmQueryAllocAccounting pins the zero-alloc-steady-state claim
 // from the accounting side: once the arena is warm, a repeated query
-// reports (almost) all of its leased bytes served by recycled buffers.
-// An allocs-per-op ceiling for the same shape lives in
-// BenchmarkConcurrentProjectJoin's CI gate (cmd/benchjson), which
-// measures it on a quiet process where testing.AllocsPerRun's
-// assumptions hold.
+// reports (almost) all of its leased bytes served by recycled buffers
+// and stays under an absolute allocation ceiling. The byte-volume
+// counterpart is the benchmark harness's alloc_mb_per_query, which CI
+// gates on a live joinserve.
 func TestWarmQueryAllocAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs full-size relations")

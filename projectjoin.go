@@ -207,11 +207,10 @@ type Timing struct {
 	CompressedSavedBytes int64
 	DecodeTime           time.Duration
 	// Mem is the query's buffer accounting from the execution arena
-	// (see RuntimeConfig.MemPoolOff / MemoryBudget): how many bytes the
-	// run drew from it — leased scratch and the result columns alike —
-	// how many of those were recycled buffers rather than fresh
-	// allocations, and the peak bytes held at once. All zero for serial
-	// runs and pool-off runtimes.
+	// (see RuntimeConfig.MemoryBudget): how many bytes the run drew
+	// from it — leased scratch and the result columns alike — how many
+	// of those were recycled buffers rather than fresh allocations, and
+	// the peak bytes held at once. All zero for serial runs.
 	Mem MemStats
 }
 

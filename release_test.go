@@ -53,9 +53,9 @@ func (c releaseCase) query(larger, smaller *Relation, pi int, comp Compression, 
 // arena dirty, so every slot must be written by the operators. Query A
 // runs on a pooled runtime, its columns are overwritten with a
 // sentinel and released; query B — same shape, different data — then
-// draws those very buffers and must equal its pool-off run. N is below
-// the buffers' class size, so the slack beyond len must be unreachable
-// through Cols.
+// draws those very buffers and must equal its serial run, the
+// make-only reference. N is below the buffers' class size, so the
+// slack beyond len must be unreachable through Cols.
 func TestRecycledResultBuffersFullyWritten(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs relations large enough for the parallel paths")
@@ -63,8 +63,6 @@ func TestRecycledResultBuffersFullyWritten(t *testing.T) {
 	const pi, n = 2, 20000
 	rt := NewRuntime(RuntimeConfig{Workers: 2})
 	defer rt.Close()
-	rtOff := NewRuntime(RuntimeConfig{Workers: 2, MemPoolOff: true})
-	defer rtOff.Close()
 	for _, hit := range []float64{1, 0.3} {
 		la, sa := compressedRelations(t,
 			workload.Params{N: n, Omega: pi + 1, HitRate: hit, SelLarger: 1, SelSmaller: 1, Seed: 71}, pi)
@@ -90,16 +88,18 @@ func TestRecycledResultBuffersFullyWritten(t *testing.T) {
 				}
 				a.Release()
 
-				want, err := ProjectJoin(c.query(lb, sb, pi, comp, rtOff))
+				serial := c.query(lb, sb, pi, comp, nil)
+				serial.Parallelism = 0
+				want, err := ProjectJoin(serial)
 				if err != nil {
-					t.Fatalf("%s: query B pool-off: %v", tag, err)
+					t.Fatalf("%s: query B serial: %v", tag, err)
 				}
 				b, err := ProjectJoin(c.query(lb, sb, pi, comp, rt))
 				if err != nil {
 					t.Fatalf("%s: query B: %v", tag, err)
 				}
 				if b.N != want.N || !slices.EqualFunc(b.Cols, want.Cols, slices.Equal[[]int32]) {
-					t.Errorf("%s: result over recycled buffers differs from the pool-off run", tag)
+					t.Errorf("%s: result over recycled buffers differs from the serial run", tag)
 				}
 				b.Release()
 			}

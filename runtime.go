@@ -36,21 +36,6 @@ type RuntimeConfig struct {
 	// either way; Timing.SharedScanHits reports how often a query's
 	// scans rode along on another query's pass.
 	ShareScans bool
-	// StealPolicy selects how idle workers take morsels homed on other
-	// workers: StealTopo (the default) visits victims nearest-first in
-	// cache topology (SMT sibling, same LLC, same NUMA node, remote),
-	// StealAny ignores topology, StealOff disables stealing entirely
-	// (morsels only ever run on their home worker). Results are
-	// byte-identical under every policy; Timing.Sched reports what the
-	// scheduler actually did.
-	StealPolicy StealPolicy
-	// PinWorkers pins each runtime worker's OS thread to its topology
-	// slot (Linux sched_setaffinity, best-effort — refused pins leave
-	// workers unpinned), so the affinity scheduler's "home worker" is
-	// a physical core with stable private caches. Off by default: the
-	// Go scheduler usually keeps busy workers on their cores anyway,
-	// and pinning a shared process can fight other pools.
-	PinWorkers bool
 	// Hier drives the adaptive admission derivation (zero value: the
 	// paper's Pentium 4, like every other planning default).
 	Hier Hierarchy
@@ -75,13 +60,6 @@ type RuntimeConfig struct {
 	// profiles of a busy runtime break down by query and phase. Off by
 	// default: labeling costs two label-set swaps per morsel.
 	PprofLabels bool
-	// MemPoolOff disables the execution-memory arena: every transient
-	// buffer (radix scatter targets, partition match lists, hash-table
-	// linkage, prefix-sum scratch) is allocated fresh from the GC
-	// instead of leased from the size-classed pool. Escape hatch —
-	// results are byte-identical either way; the arena only changes
-	// where the backing memory comes from.
-	MemPoolOff bool
 	// MemoryBudget caps the bytes of idle recycled buffers the arena
 	// retains (buffers beyond it are dropped to the GC) and, when
 	// MaxConcurrentQueries is derived, adds a memory ceiling to
@@ -90,28 +68,6 @@ type RuntimeConfig struct {
 	// inside the budget. <= 0 keeps the arena's default retention limit
 	// and imposes no admission ceiling.
 	MemoryBudget int64
-}
-
-// StealPolicy selects the runtime's work-stealing behaviour (see
-// RuntimeConfig.StealPolicy).
-type StealPolicy int
-
-const (
-	// StealTopo steals nearest-first in cache topology (default).
-	StealTopo StealPolicy = StealPolicy(exec.StealTopo)
-	// StealAny steals in plain ring order, ignoring topology.
-	StealAny StealPolicy = StealPolicy(exec.StealAny)
-	// StealOff disables stealing.
-	StealOff StealPolicy = StealPolicy(exec.StealOff)
-)
-
-func (s StealPolicy) String() string { return exec.StealPolicy(s).String() }
-
-// ParseStealPolicy maps a policy's String() name ("topo", "any",
-// "off") back to the constant.
-func ParseStealPolicy(s string) (StealPolicy, error) {
-	p, err := exec.ParseStealPolicy(s)
-	return StealPolicy(p), err
 }
 
 // SchedStats is the runtime scheduler's counter set: how many morsels
@@ -235,9 +191,8 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	}
 	r := &Runtime{rt: exec.NewRuntimeOpts(exec.Options{
 		Workers: workers, MaxConcurrent: admit, ShareScans: cfg.ShareScans,
-		Steal: exec.StealPolicy(cfg.StealPolicy), PinWorkers: cfg.PinWorkers,
 		Metrics: cfg.Metrics || cfg.MetricsAddr != "", PprofLabels: cfg.PprofLabels,
-		MemPoolOff: cfg.MemPoolOff, MemoryBudget: cfg.MemoryBudget,
+		MemoryBudget: cfg.MemoryBudget,
 	})}
 	if cfg.MetricsAddr != "" {
 		r.metricsSrv, r.metricsErr = obs.Serve(cfg.MetricsAddr, r.rt.MetricsRegistry())
@@ -294,9 +249,6 @@ func (r *Runtime) ShareScans() bool { return r.rt.ShareScans() }
 // their own memory traffic.
 func (r *Runtime) SharedScanHits() int64 { return r.rt.SharedScanHits() }
 
-// StealPolicy returns the runtime's work-stealing policy.
-func (r *Runtime) StealPolicy() StealPolicy { return StealPolicy(r.rt.Steal()) }
-
 // MemPoolStats is the execution-memory arena's lifetime counter set.
 type MemPoolStats struct {
 	// Hits counts buffer requests served by a recycled buffer; Misses
@@ -326,13 +278,8 @@ func (s MemPoolStats) String() string {
 	return fmt.Sprintf("hits=%d misses=%d trims=%d held=%dB leases=%d", s.Hits, s.Misses, s.Trims, s.HeldBytes, s.Leases)
 }
 
-// MemPooled reports whether this runtime leases transient execution
-// buffers from the recycling arena (false under
-// RuntimeConfig.MemPoolOff).
-func (r *Runtime) MemPooled() bool { return r.rt.MemPooled() }
-
 // MemPoolStats returns the arena counters accumulated across every
-// query this runtime has executed. All zero when the pool is off.
+// query this runtime has executed.
 func (r *Runtime) MemPoolStats() MemPoolStats {
 	s := r.rt.MemStats()
 	return MemPoolStats{Hits: s.Hits, Misses: s.Misses, Trims: s.Trims, HeldBytes: s.HeldBytes, Leases: s.Leases}
@@ -357,12 +304,6 @@ func (r *Runtime) SchedStatsWindow() SchedWindow {
 		Windows:   w.Windows,
 	}
 }
-
-// PinnedWorkers returns how many runtime workers successfully pinned
-// their OS thread to a core (0 unless RuntimeConfig.PinWorkers was
-// set; possibly fewer than Workers when the kernel refuses pins, e.g.
-// in a restricted container).
-func (r *Runtime) PinnedWorkers() int { return r.rt.PinnedWorkers() }
 
 // Close stops the runtime's workers and its metrics listener, if any.
 // The runtime must be idle (no executing or admission-waiting

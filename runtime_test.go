@@ -17,14 +17,10 @@ import (
 // TestConcurrentMixedStrategiesByteIdentical is the shared-runtime
 // stress test: at least 8 ProjectJoin queries of mixed strategies run
 // concurrently on one runtime, and every one must return exactly the
-// bytes its serial (paper-mode) execution returns. The matrix runs
-// once per scheduler configuration — topology-aware stealing (the
-// default), stealing disabled, and stealing with pinned workers — so
-// the affinity scheduler's every mode is pinned to the byte-identical
-// contract. Run under -race in CI, this is the correctness contract
-// of the process-wide executor: placement, stealing, fair
-// multiplexing and admission control change scheduling only, never
-// results.
+// bytes its serial (paper-mode) execution returns. Run under -race in
+// CI, this is the correctness contract of the process-wide executor:
+// placement, stealing, fair multiplexing and admission control change
+// scheduling only, never results.
 func TestConcurrentMixedStrategiesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test needs full-size relations")
@@ -61,8 +57,8 @@ func TestConcurrentMixedStrategiesByteIdentical(t *testing.T) {
 		t.Fatalf("stress needs >= 8 queries, have %d", len(queries))
 	}
 
-	// Serial references once, sequentially; every scheduler
-	// configuration below must reproduce these bytes.
+	// Serial references once, sequentially; the concurrent runs below
+	// must reproduce these bytes.
 	want := make([]*Result, len(queries))
 	for i, tq := range queries {
 		q := tq.q
@@ -74,69 +70,54 @@ func TestConcurrentMixedStrategiesByteIdentical(t *testing.T) {
 		want[i] = res
 	}
 
-	for _, mode := range []struct {
-		name string
-		cfg  RuntimeConfig
-	}{
-		{"steal=topo", RuntimeConfig{StealPolicy: StealTopo}},
-		{"steal=off", RuntimeConfig{StealPolicy: StealOff}},
-		{"steal=topo/pinned", RuntimeConfig{StealPolicy: StealTopo, PinWorkers: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			rt := NewRuntime(mode.cfg)
-			defer rt.Close()
+	rt := NewRuntime(RuntimeConfig{})
+	defer rt.Close()
 
-			// Fire everything at once on the shared runtime.
-			var wg sync.WaitGroup
-			errs := make([]error, len(queries))
-			got := make([]*Result, len(queries))
-			for i, tq := range queries {
-				wg.Add(1)
-				go func(i int, q JoinQuery, name string) {
-					defer wg.Done()
-					q.Parallelism = 4
-					q.Runtime = rt
-					res, err := ProjectJoin(q)
-					if err != nil {
-						errs[i] = fmt.Errorf("%s: %w", name, err)
-						return
-					}
-					got[i] = res
-				}(i, tq.q, tq.name)
+	// Fire everything at once on the shared runtime.
+	var wg sync.WaitGroup
+	errs := make([]error, len(queries))
+	got := make([]*Result, len(queries))
+	for i, tq := range queries {
+		wg.Add(1)
+		go func(i int, q JoinQuery, name string) {
+			defer wg.Done()
+			q.Parallelism = 4
+			q.Runtime = rt
+			res, err := ProjectJoin(q)
+			if err != nil {
+				errs[i] = fmt.Errorf("%s: %w", name, err)
+				return
 			}
-			wg.Wait()
-			var tasks, local int64
-			for i, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[i].N != want[i].N {
-					t.Fatalf("%s: concurrent N=%d, serial N=%d", queries[i].name, got[i].N, want[i].N)
-				}
-				if !reflect.DeepEqual(got[i].Cols, want[i].Cols) {
-					t.Fatalf("%s: concurrent result differs from serial bytes", queries[i].name)
-				}
-				if got[i].Timing.Queue < 0 || got[i].Timing.Queue > got[i].Timing.Total {
-					t.Fatalf("%s: queue time %v outside [0, total=%v]",
-						queries[i].name, got[i].Timing.Queue, got[i].Timing.Total)
-				}
-				sched := got[i].Timing.Sched
-				if got[i].Workers > 0 && sched.Tasks() == 0 {
-					t.Fatalf("%s: parallel run reported no scheduled morsels", queries[i].name)
-				}
-				if mode.cfg.StealPolicy == StealOff && sched.Steals() != 0 {
-					t.Fatalf("%s: %d steals under StealOff", queries[i].name, sched.Steals())
-				}
-				tasks += sched.Tasks()
-				local += sched.LocalHits
-			}
-			t.Logf("%s: %d morsels, %d local (%.0f%%), runtime-wide %v",
-				mode.name, tasks, local, 100*float64(local)/float64(max(tasks, 1)),
-				rt.SchedStats())
-			if rt.ActiveQueries() != 0 || rt.QueuedQueries() != 0 {
-				t.Fatalf("runtime not drained: %d active, %d queued", rt.ActiveQueries(), rt.QueuedQueries())
-			}
-		})
+			got[i] = res
+		}(i, tq.q, tq.name)
+	}
+	wg.Wait()
+	var tasks, local int64
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].N != want[i].N {
+			t.Fatalf("%s: concurrent N=%d, serial N=%d", queries[i].name, got[i].N, want[i].N)
+		}
+		if !reflect.DeepEqual(got[i].Cols, want[i].Cols) {
+			t.Fatalf("%s: concurrent result differs from serial bytes", queries[i].name)
+		}
+		if got[i].Timing.Queue < 0 || got[i].Timing.Queue > got[i].Timing.Total {
+			t.Fatalf("%s: queue time %v outside [0, total=%v]",
+				queries[i].name, got[i].Timing.Queue, got[i].Timing.Total)
+		}
+		sched := got[i].Timing.Sched
+		if got[i].Workers > 0 && sched.Tasks() == 0 {
+			t.Fatalf("%s: parallel run reported no scheduled morsels", queries[i].name)
+		}
+		tasks += sched.Tasks()
+		local += sched.LocalHits
+	}
+	t.Logf("%d morsels, %d local (%.0f%%), runtime-wide %v",
+		tasks, local, 100*float64(local)/float64(max(tasks, 1)), rt.SchedStats())
+	if rt.ActiveQueries() != 0 || rt.QueuedQueries() != 0 {
+		t.Fatalf("runtime not drained: %d active, %d queued", rt.ActiveQueries(), rt.QueuedQueries())
 	}
 }
 
@@ -288,11 +269,11 @@ func TestConcurrentThroughputMultiCore(t *testing.T) {
 // runtime must surface scheduler counters end to end (public
 // Timing.Sched and Runtime.SchedStats), and the placement must win
 // more often than it loses — a majority of morsels served by their
-// home worker. The rate is measured and logged on every run; the >50%
-// threshold — checked nowhere else (the CI joinrun smoke deliberately
-// gates on the weaker nonzero-local-hits check, with the full counters
-// printed for context) — is asserted under RADIX_ASSERT_SPEEDUP=1,
-// which CI's -cpu 1,4 leg exports: like every wall-clock contract it
+// home worker. That placement engaged at all (nonzero local hits) is
+// asserted on every run; the rate is measured and logged, and its >50%
+// threshold — checked nowhere else — is asserted under
+// RADIX_ASSERT_SPEEDUP=1, which CI's -cpu 1,4 leg exports: like every
+// wall-clock contract it
 // depends on the OS keeping both workers running, and a descheduled
 // worker's morsels are rightly stolen (47% once under a loaded
 // `go test ./...` against 70–89% idle). Even then it applies only on
@@ -307,9 +288,6 @@ func TestSchedStatsSameSourceWorkload(t *testing.T) {
 		workload.Params{N: 64 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 95}, pi)
 	rt := NewRuntime(RuntimeConfig{MaxConcurrentQueries: 4})
 	defer rt.Close()
-	if rt.StealPolicy() != StealTopo {
-		t.Fatalf("default steal policy %v, want topo", rt.StealPolicy())
-	}
 
 	q := JoinQuery{
 		Larger: larger, Smaller: smaller,
@@ -345,6 +323,9 @@ func TestSchedStatsSameSourceWorkload(t *testing.T) {
 		agg.Tasks(), 100*agg.LocalHitRate(), agg.StealsSibling, agg.StealsShared, agg.StealsRemote)
 	if agg.Tasks() == 0 {
 		t.Fatal("runtime-wide scheduler counters empty")
+	}
+	if agg.LocalHits == 0 {
+		t.Fatalf("no morsel ran on its home worker: %v", agg)
 	}
 	// The threshold needs workers on genuine cores: with GOMAXPROCS
 	// oversubscribing the physical CPUs (e.g. the -cpu 4 leg on a
@@ -389,35 +370,6 @@ func TestStrategyStringRoundTrip(t *testing.T) {
 	if _, err := ParseStrategy("nope"); err == nil {
 		t.Fatal("unknown names must error")
 	}
-}
-
-// TestStealPolicyRoundTrip pins the public scheduling knobs: every
-// policy has a distinct name that parses back, and the config reaches
-// the runtime.
-func TestStealPolicyRoundTrip(t *testing.T) {
-	for _, p := range []StealPolicy{StealTopo, StealAny, StealOff} {
-		back, err := ParseStealPolicy(p.String())
-		if err != nil {
-			t.Fatalf("ParseStealPolicy(%q): %v", p.String(), err)
-		}
-		if back != p {
-			t.Fatalf("ParseStealPolicy(%q) = %v, want %v", p.String(), back, p)
-		}
-	}
-	if _, err := ParseStealPolicy("nope"); err == nil {
-		t.Fatal("unknown policy names must error")
-	}
-	rt := NewRuntime(RuntimeConfig{Workers: 2, StealPolicy: StealOff})
-	defer rt.Close()
-	if rt.StealPolicy() != StealOff {
-		t.Fatalf("runtime policy %v, want off", rt.StealPolicy())
-	}
-	rtPin := NewRuntime(RuntimeConfig{Workers: 2, PinWorkers: true})
-	defer rtPin.Close()
-	if got := rtPin.PinnedWorkers(); got < 0 || got > 2 {
-		t.Fatalf("pinned workers %d outside [0,2]", got)
-	}
-	t.Logf("pinned %d of 2 workers (best-effort)", rtPin.PinnedWorkers())
 }
 
 // TestDefaultRuntimeShared pins the lazy process default: parallel
