@@ -1,8 +1,13 @@
 package radixdecluster
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"radixdecluster/internal/workload"
 )
 
 // buildRelations makes a larger/smaller pair joined on "key" with two
@@ -92,6 +97,108 @@ func TestProjectJoinAllStrategies(t *testing.T) {
 		}
 		if res.Plan == "" {
 			t.Fatalf("%v: no plan info", st)
+		}
+	}
+}
+
+// sortedRows returns the result's columns with the rows in
+// lexicographic order. A strategy fixes its own row order (the join
+// emits partition by partition, and the planned fan-out follows the
+// tuple width), so results of different strategies compare as row
+// multisets.
+func sortedRows(res *Result) [][]int32 {
+	idx := make([]int, res.N)
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		for _, col := range res.Cols {
+			if c := cmp.Compare(col[a], col[b]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	out := make([][]int32, len(res.Cols))
+	for c, col := range res.Cols {
+		out[c] = make([]int32, res.N)
+		for i, j := range idx {
+			out[c][i] = col[j]
+		}
+	}
+	return out
+}
+
+// TestProjectionShapes: the strategy changes wall-clock only, for every
+// projection shape — an empty list on either or both sides (a zero-width
+// row-major result still has a cardinality) and a repeated column. Each
+// of the six strategies must return the N, names and rows of serial
+// DSM post-projection, and on a 2-nominal lease, raw and compressed,
+// the bytes of its own serial raw run.
+func TestProjectionShapes(t *testing.T) {
+	const n = 32 << 10 // twice exec.MinParallelN: the leases run parallel
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: n, Omega: 3, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 17}, 2)
+	sameShape := func(tag string, got, want *Result) bool {
+		if got.N != want.N || len(got.Cols) != len(want.Cols) || !slices.Equal(got.Names, want.Names) {
+			t.Errorf("%s: N=%d with %d columns %v, want N=%d with %d columns %v",
+				tag, got.N, len(got.Cols), got.Names, want.N, len(want.Cols), want.Names)
+			return false
+		}
+		return true
+	}
+	for _, shape := range []struct {
+		name   string
+		lp, sp []string
+	}{
+		{"both empty", []string{}, []string{}},
+		{"larger only", []string{"a1", "a2"}, []string{}},
+		{"smaller only", []string{}, []string{"a2"}},
+		{"repeated column", []string{"a1", "a1"}, []string{"a2", "a1", "a2"}},
+	} {
+		q := JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: shape.lp, SmallerProject: shape.sp, Strategy: DSMPostDecluster,
+		}
+		ref, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatalf("%s: serial DSM-post-decluster: %v", shape.name, err)
+		}
+		if ref.N != n || len(ref.Cols) != len(shape.lp)+len(shape.sp) {
+			t.Fatalf("%s: reference has N=%d and %d columns", shape.name, ref.N, len(ref.Cols))
+		}
+		refRows := sortedRows(ref)
+		for _, st := range []Strategy{DSMPostDecluster, DSMPre, NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive} {
+			var own *Result // the strategy's serial raw run
+			for _, par := range []int{0, 2} {
+				for _, comp := range []Compression{CompressionOff, CompressionOn} {
+					tag := fmt.Sprintf("%s/%v/par=%d/%v", shape.name, st, par, comp)
+					q.Strategy, q.Parallelism, q.Compression = st, par, comp
+					got, err := ProjectJoin(q)
+					if err != nil {
+						t.Errorf("%s: %v", tag, err)
+						continue
+					}
+					if !sameShape(tag, got, ref) {
+						continue
+					}
+					if own == nil {
+						own = got
+						for c, col := range sortedRows(got) {
+							if !slices.Equal(col, refRows[c]) {
+								t.Errorf("%s: column %s differs from serial DSM-post-decluster", tag, ref.Names[c])
+							}
+						}
+						continue
+					}
+					for c := range own.Cols {
+						if !slices.Equal(got.Cols[c], own.Cols[c]) {
+							t.Errorf("%s: column %s differs from the strategy's serial raw run", tag, ref.Names[c])
+						}
+					}
+					got.Release()
+				}
+			}
 		}
 	}
 }

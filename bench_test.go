@@ -164,7 +164,7 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 // cap (12 bits). A tuple carries 8 payload bytes, so MB/s / 8 is
 // Mtuples/s. ClusterPairs clusters a join input — since the engines
 // do that into BUNs, through ClusterBUNs.
-func benchCluster(b *testing.B, fanouts []int, serial func(o radix.Opts) error, parallel func(p *exec.Pool, o radix.Opts) error) {
+func benchCluster(b *testing.B, fanouts []int, op func(e *exec.Engine, o radix.Opts) error) {
 	rt := exec.NewRuntime(2, 0)
 	defer rt.Close()
 	for _, workers := range []int{0, 2} {
@@ -178,17 +178,13 @@ func benchCluster(b *testing.B, fanouts []int, serial func(o radix.Opts) error, 
 				b.ReportAllocs()
 				b.SetBytes(clusterBenchN * 8)
 				for i := 0; i < b.N; i++ {
-					var err error
-					if workers == 0 {
-						err = serial(o)
-					} else {
-						// A lease per iteration: it returns the scatter
-						// targets to the arena at Close, as a query's
-						// pipeline does.
-						p := rt.NewPool(workers)
-						err = parallel(p, o)
-						p.Close()
-					}
+					// An engine per iteration — the serial paper engine at
+					// 0 workers, else a lease that returns the scatter
+					// targets to the arena at Close, as a query's pipeline
+					// does.
+					e := exec.NewEngine(rt, workers)
+					err := op(e, o)
+					e.Close()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -204,8 +200,7 @@ func BenchmarkClusterPairs(b *testing.B) {
 	heads, keys := benchPairs(b)
 	heads, keys = heads[:clusterBenchN], keys[:clusterBenchN]
 	benchCluster(b, []int{6, 12},
-		func(o radix.Opts) error { _, err := radix.ClusterBUNs(heads, keys, true, o); return err },
-		func(p *exec.Pool, o radix.Opts) error { _, err := p.ClusterBUNs(heads, keys, true, o); return err })
+		func(e *exec.Engine, o radix.Opts) error { _, err := e.ClusterBUNs(heads, keys, true, o); return err })
 }
 
 func BenchmarkClusterOIDPairs(b *testing.B) {
@@ -213,8 +208,7 @@ func BenchmarkClusterOIDPairs(b *testing.B) {
 	key = key[:clusterBenchN]
 	other := bat.Dense(clusterBenchN)
 	benchCluster(b, []int{6, 12},
-		func(o radix.Opts) error { _, err := radix.ClusterOIDPairs(key, other, o); return err },
-		func(p *exec.Pool, o radix.Opts) error { _, err := p.ClusterOIDPairs(key, other, o); return err })
+		func(e *exec.Engine, o radix.Opts) error { _, err := e.ClusterOIDPairs(key, other, o); return err })
 }
 
 // benchJoinSides is a 1 Mi ⋈ 1 Mi key–foreign-key join input: the
@@ -240,8 +234,7 @@ func benchJoinSides(b *testing.B) (lo []OID, lk []int32, so []OID, sk []int32) {
 func BenchmarkPartitionedJoin(b *testing.B) {
 	lo, lk, so, sk := benchJoinSides(b)
 	benchCluster(b, []int{6, 10},
-		func(o radix.Opts) error { _, err := join.Partitioned(lo, lk, so, sk, o); return err },
-		func(p *exec.Pool, o radix.Opts) error { _, err := p.Partitioned(lo, lk, so, sk, o); return err })
+		func(e *exec.Engine, o radix.Opts) error { _, err := e.PartitionedJoin(lo, lk, so, sk, o); return err })
 }
 
 // BenchmarkProbeBUNs times the per-partition kernel alone: build and

@@ -4,10 +4,11 @@
 //	SELECT larger.a1..aY, smaller.b1..bZ
 //	FROM larger, smaller WHERE larger.key = smaller.key
 //
-// with a chosen strategy, printing result cardinality, the planner's
-// choices and the per-phase timing breakdown.
+// through the public API (radixdecluster.ProjectJoin) with a chosen
+// strategy, printing result cardinality, the planner's choices
+// (Result.Plan) and the per-phase timing breakdown (Result.Timing).
 //
-// Every run executes on one runtime (one worker set, fair morsel
+// Every run builds one runtime (one worker set, fair morsel
 // scheduling, admission control — adaptive by default, see -admit):
 // -concurrency N fires N copies of the query at once against it and
 // prints per-query and aggregate throughput; the default N = 1 is the
@@ -18,6 +19,11 @@
 // of concurrent queries are served by one circular pass) and reports
 // per-query and total shared-scan hits.
 //
+// -strategy takes the canonical strategy names (auto,
+// DSM-post-decluster, DSM-pre, NSM-pre-hash, NSM-pre-phash,
+// NSM-post-decluster, NSM-post-jive); -lm / -sm pin the per-side
+// projection methods of DSM post-projection.
+//
 // Every query's phases line carries its scheduler counters (local
 // hits, steals by topology distance, local-hit rate) and its
 // execution-arena accounting (bytes leased, the recycled share, the
@@ -25,11 +31,11 @@
 // scheduler counters, lifetime and windowed, and every run prints the
 // runtime-wide arena counters.
 //
-// -compress auto|for|delta block-compresses the input columns (auto
-// picks the best scheme per column; for/delta pin one) and executes
-// the pipelines over the encoded bytes — results are byte-identical to
-// raw runs — printing each column's scheme and compression ratio up
-// front and the decode-time share of the run at the end.
+// -compress off|auto|on is JoinQuery.Compression: the relations carry
+// lazily built block-compressed images, auto lets the cost model pick
+// the cheaper representation and on forces the encoded one — results
+// are byte-identical to raw runs — and the decode-time share of the
+// run is printed at the end.
 //
 // Observability flags: -traceout FILE records every query's execution
 // as span events and writes one merged Chrome trace-event JSON
@@ -49,16 +55,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	goruntime "runtime"
 	"sync"
 	"time"
 
-	"radixdecluster/internal/compress"
-	"radixdecluster/internal/costmodel"
-	"radixdecluster/internal/exec"
-	"radixdecluster/internal/mem"
+	rd "radixdecluster"
+
 	"radixdecluster/internal/obs"
-	"radixdecluster/internal/strategy"
 	"radixdecluster/internal/workload"
 )
 
@@ -66,11 +68,10 @@ func main() {
 	n := flag.Int("n", 1<<20, "tuples per relation")
 	pi := flag.Int("pi", 4, "projection columns per relation")
 	hitRate := flag.Float64("hitrate", 1, "join hit rate h (result ≈ h*N)")
-	sel := flag.Float64("sel", 1, "selectivity: larger relation is this fraction of its base table")
-	strat := flag.String("strategy", "dsm-post", "dsm-post | dsm-pre | nsm-pre-hash | nsm-pre-phash | nsm-post-decluster | nsm-post-jive")
-	lm := flag.String("lm", "", "larger-side method for dsm-post: u, s or c (empty = auto)")
-	sm := flag.String("sm", "", "smaller-side method for dsm-post: u or d (empty = auto)")
-	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (block-compress each column with the best scheme) | for | delta (pin the scheme); results are byte-identical either way")
+	strat := flag.String("strategy", rd.DSMPostDecluster.String(), "auto | DSM-post-decluster | DSM-pre | NSM-pre-hash | NSM-pre-phash | NSM-post-decluster | NSM-post-jive")
+	lm := flag.String("lm", "", "larger-side method for DSM-post-decluster: u, s or c (empty = auto)")
+	sm := flag.String("sm", "", "smaller-side method for DSM-post-decluster: u or d (empty = auto)")
+	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (the cost model picks per strategy) | on (block-compressed wherever a column shrinks); results are byte-identical either way")
 	parallel := flag.Int("parallel", 0, "nominal workers per query on the morsel-driven executor (all strategies): 0 = serial paper mode (planner decides when -concurrency > 1), -1 = planner decides per strategy")
 	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the runtime (1 = single query)")
 	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = adaptive: derived from the calibrated bus-stream budget and the LLC share)")
@@ -82,131 +83,118 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	flag.Parse()
 
-	omega := *pi + 1
+	st, err := rd.ParseStrategy(*strat)
+	if err != nil {
+		fail(err)
+	}
+	comp, err := parseCompression(*compressFlag)
+	if err != nil {
+		fail(err)
+	}
 	pr, err := workload.GenPair(workload.Params{
-		N: *n, Omega: omega, HitRate: *hitRate,
-		SelLarger: *sel, SelSmaller: 1, Seed: *seed,
+		N: *n, Omega: *pi + 1, HitRate: *hitRate,
+		SelLarger: 1, SelSmaller: 1, Seed: *seed,
 	})
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("N=%d pi=%d h=%g sel=%g -> expecting %d result tuples\n",
-		*n, *pi, *hitRate, *sel, pr.ExpectedMatches)
+	fmt.Printf("N=%d pi=%d h=%g -> expecting %d result tuples\n", *n, *pi, *hitRate, pr.ExpectedMatches)
 
-	// Build the strategy inputs once — every concurrent query shares
-	// them (and the workload's memoized projection columns and NSM
-	// image behind them).
-	sd, err := buildSides(*strat, pr, *pi, *sel)
-	if err != nil {
+	// Build the relations once — every concurrent query shares them
+	// (and the NSM and compressed images they build lazily).
+	proj := make([]string, *pi)
+	for j := range proj {
+		proj[j] = fmt.Sprintf("a%d", j+1)
+	}
+	q := rd.JoinQuery{
+		LargerKey: "key", SmallerKey: "key", LargerProject: proj, SmallerProject: proj,
+		Strategy: st, LargerMethod: method(*lm), SmallerMethod: method(*sm),
+		Compression: comp, Trace: *traceOut != "",
+	}
+	if q.Larger, err = relation("larger", pr.Larger, proj); err != nil {
 		fail(err)
 	}
-	encFn, err := encoderFor(*compressFlag)
-	if err != nil {
+	if q.Smaller, err = relation("smaller", pr.Smaller, proj); err != nil {
 		fail(err)
-	}
-	if encFn != nil {
-		if err := sd.encode(encFn); err != nil {
-			fail(err)
-		}
-		sd.report()
-	}
-
-	runOnce := func(cfg strategy.Config) (*strategy.Result, error) {
-		if encFn != nil {
-			cfg.Compress = strategy.CompressOn
-		}
-		return runStrategy(*strat, sd, *lm, *sm, cfg)
 	}
 
 	// Firing N copies at once exists to exercise the shared executor,
 	// so N > 1 without -parallel defaults to the planner.
-	par := *parallel
-	if par == 0 && *concurrency > 1 {
-		par = strategy.AutoParallelism
+	q.Parallelism = *parallel
+	if q.Parallelism == 0 && *concurrency > 1 {
+		q.Parallelism = rd.AutoParallelism
 	}
 
-	admit := *maxConcurrent
-	if admit <= 0 {
-		admit = costmodel.AdaptiveAdmission(mem.Pentium4(), goruntime.GOMAXPROCS(0))
-	}
-	rt := exec.NewRuntimeOpts(exec.Options{MaxConcurrent: admit, ShareScans: *share,
-		Metrics: *metricsAddr != "", PprofLabels: *pprofLabels})
+	rt := rd.NewRuntime(rd.RuntimeConfig{
+		MaxConcurrentQueries: *maxConcurrent, ShareScans: *share,
+		MetricsAddr: *metricsAddr, PprofLabels: *pprofLabels,
+	})
 	defer rt.Close()
-	topo := rt.Topology()
-	fmt.Printf("runtime: %d workers, admission bound %d, scan sharing %v, topology %s (%d cpus, %d nodes)\n",
-		rt.Workers(), rt.MaxConcurrent(), rt.ShareScans(), topo.Source, len(topo.CPUs), topo.Nodes())
-
-	var metricsSrv *obs.Server
+	q.Runtime = rt
+	fmt.Printf("runtime: %d workers, admission bound %d, scan sharing %v\n",
+		rt.Workers(), rt.MaxConcurrentQueries(), rt.ShareScans())
+	if err := rt.MetricsError(); err != nil {
+		fail(err)
+	}
 	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, rt.MetricsRegistry())
-		if err != nil {
-			fail(err)
-		}
-		metricsSrv = srv
-		defer metricsSrv.Close()
-		fmt.Printf("metrics: http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
+		fmt.Printf("metrics: http://%s/metrics (pprof at /debug/pprof/)\n", rt.MetricsAddr())
 	}
 
 	type outcome struct {
-		res     *strategy.Result
+		res     *rd.Result
 		elapsed time.Duration
 		err     error
 	}
 	outs := make([]outcome, *concurrency)
-	var traces []*obs.Trace
-	if *traceOut != "" {
-		traces = make([]*obs.Trace, *concurrency)
-		for i := range traces {
-			traces[i] = obs.NewTrace(fmt.Sprintf("query %d (%s)", i, *strat))
-		}
-	}
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < *concurrency; i++ {
+	for i := range outs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			cfg := strategy.Config{Hier: mem.Pentium4(), Parallelism: par, Runtime: rt, QueryTag: *strat}
-			if traces != nil {
-				cfg.Trace = traces[i]
-			}
 			t0 := time.Now()
-			res, err := runOnce(cfg)
+			res, err := rd.ProjectJoin(q)
 			outs[i] = outcome{res: res, elapsed: time.Since(t0), err: err}
 			if err == nil {
-				// Only the cardinality, plan and phases are printed: the
-				// result arrays go back to the arena for the queries still
+				// Only the cardinality, plan and timing are printed: the
+				// result columns go back to the arena for the queries still
 				// waiting on admission.
 				res.Release()
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
 	total := 0
+	var traces []*rd.Trace
+	var compCols, compRead, compSaved int64
+	var decode time.Duration
 	for i, o := range outs {
 		if o.err != nil {
 			fail(o.err)
 		}
 		res := o.res
 		total += res.N
+		traces = append(traces, res.Trace)
+		tm := res.Timing
+		compCols += tm.CompressedCols
+		compRead += tm.CompressedBytes
+		compSaved += tm.CompressedSavedBytes
+		decode += tm.DecodeTime
 		fmt.Printf("query %d: strategy=%s result=%d tuples in %v (workers=%d queue=%v sharedscans=%d)\n",
-			i, *strat, res.N, o.elapsed.Round(time.Millisecond), res.Workers,
-			res.Phases.Queue.Round(time.Millisecond), res.Phases.SharedScanHits)
-		fmt.Printf("query %d plan: joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%v/%v workers=%d\n",
-			i, res.JoinBits, res.LargerBits, res.SmallerBits, res.Window, res.LargerMethod, res.SmallerMethod, res.Workers)
-		fmt.Printf("query %d phases: %s\n", i, res.Phases)
+			i, st, res.N, o.elapsed.Round(time.Millisecond), res.Workers,
+			tm.Queue.Round(time.Millisecond), tm.SharedScanHits)
+		fmt.Printf("query %d plan: %s\n", i, res.Plan)
+		fmt.Printf("query %d phases: %s\n", i, tm)
 	}
 	agg := float64(total) / wall.Seconds()
 	fmt.Printf("total: %d queries on the runtime in %v (%.0f tuples/s aggregate, %d shared-scan hits)\n",
 		*concurrency, wall.Round(time.Millisecond), agg, rt.SharedScanHits())
-	if encFn != nil {
-		var comp exec.CompStats
-		for _, o := range outs {
-			comp = comp.Add(o.res.Phases.Comp)
-		}
-		fmt.Printf("compressed: %s\n", compLine(comp, wall))
+	if comp != rd.CompressionOff {
+		fmt.Printf("compressed: cols=%d read=%dB saved=%dB decode=%v (%.1f%% of run)\n",
+			compCols, compRead, compSaved, decode.Round(time.Microsecond),
+			100*float64(decode)/float64(wall))
 	}
 	if *schedStats {
 		sched := rt.SchedStats()
@@ -215,25 +203,54 @@ func main() {
 			sched.WarmHitRate(), sched.LocalHitRate(), rt.SchedStatsWindow())
 	}
 	if *traceOut != "" {
-		writeTraces(*traceOut, traces...)
+		writeTraces(*traceOut, traces)
 	}
-	if metricsSrv != nil {
-		scrapeMetrics(metricsSrv.Addr())
+	if addr := rt.MetricsAddr(); addr != "" {
+		scrapeMetrics(addr)
 	}
-	fmt.Printf("memory: %v\n", rt.MemStats())
+	fmt.Printf("memory: %v\n", rt.MemPoolStats())
+}
+
+// relation builds one side of the pair: the key column plus the named
+// payload columns, with a (lazily encoded) compressed image so every
+// -compress mode is available.
+func relation(name string, wr *workload.Relation, proj []string) (*rd.Relation, error) {
+	cols := []rd.Column{{Name: "key", Values: wr.Key()}}
+	for j, p := range proj {
+		cols = append(cols, rd.Column{Name: p, Values: wr.PayloadCol(j + 1)})
+	}
+	return rd.NewRelationOpts(name, cols, rd.WithCompression())
+}
+
+// parseCompression maps the -compress flag onto the names
+// Compression.String returns.
+func parseCompression(s string) (rd.Compression, error) {
+	for _, c := range []rd.Compression{rd.CompressionOff, rd.CompressionAuto, rd.CompressionOn} {
+		if c.String() == s {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown -compress mode %q (want off, auto or on)", s)
+}
+
+func method(s string) rd.ProjMethod {
+	if s == "" {
+		return rd.AutoMethod
+	}
+	return rd.ProjMethod(s[0])
 }
 
 // writeTraces renders the traces as one Chrome trace-event JSON file.
-func writeTraces(path string, traces ...*obs.Trace) {
+func writeTraces(path string, traces []*rd.Trace) {
 	spans := 0
 	for _, t := range traces {
-		spans += t.Len()
+		spans += t.Spans()
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		fail(err)
 	}
-	if err := obs.WriteChrome(f, traces...); err != nil {
+	if err := rd.WriteTraces(f, traces...); err != nil {
 		f.Close()
 		fail(err)
 	}
@@ -259,137 +276,6 @@ func scrapeMetrics(addr string) {
 	samples := obs.ParseSamples(string(body))
 	fmt.Printf("metrics self-scrape: %d samples (queries_total=%g)\n",
 		len(samples), samples["radixdecluster_queries_total"])
-}
-
-// sides holds the query's strategy inputs, built once and shared by
-// every concurrent run.
-type sides struct {
-	dsm    bool
-	l, s   strategy.DSMSide
-	nl, ns strategy.NSMSide
-}
-
-func buildSides(strat string, pr *workload.Pair, pi int, sel float64) (*sides, error) {
-	switch strat {
-	case "dsm-post", "dsm-pre":
-		return &sides{dsm: true,
-			l: strategy.DSMSide{OIDs: pr.Larger.SelOIDs, Keys: pr.Larger.SelKeys,
-				Cols: pr.Larger.ProjCols(pi), BaseN: pr.Larger.BaseN},
-			s: strategy.DSMSide{OIDs: pr.Smaller.SelOIDs, Keys: pr.Smaller.SelKeys,
-				Cols: pr.Smaller.ProjCols(pi), BaseN: pr.Smaller.BaseN},
-		}, nil
-	case "nsm-pre-hash", "nsm-pre-phash", "nsm-post-decluster", "nsm-post-jive":
-		if sel != 1 {
-			return nil, fmt.Errorf("NSM strategies join whole base tables; use -sel 1")
-		}
-		cols := make([]int, pi)
-		for i := range cols {
-			cols[i] = i + 1
-		}
-		return &sides{
-			nl: strategy.NSMSide{Rel: pr.Larger.NSM(), KeyCol: 0, ProjCols: cols},
-			ns: strategy.NSMSide{Rel: pr.Smaller.NSM(), KeyCol: 0, ProjCols: cols},
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown strategy %q", strat)
-}
-
-// encode builds the sides' block-compressed images with the chosen
-// encoder (columns it cannot shrink stay raw-only).
-func (sd *sides) encode(enc func([]int32) (*compress.Encoded, error)) error {
-	if sd.dsm {
-		if err := sd.l.Encode(enc); err != nil {
-			return err
-		}
-		return sd.s.Encode(enc)
-	}
-	if err := sd.nl.Encode(enc); err != nil {
-		return err
-	}
-	return sd.ns.Encode(enc)
-}
-
-// report prints each column's scheme and compression ratio.
-func (sd *sides) report() {
-	if sd.dsm {
-		reportDSM("larger", sd.l)
-		reportDSM("smaller", sd.s)
-		return
-	}
-	reportEnc("larger.records", sd.nl.Enc)
-	reportEnc("smaller.records", sd.ns.Enc)
-}
-
-func reportDSM(name string, s strategy.DSMSide) {
-	reportEnc(name+".key", s.KeysEnc)
-	for i, e := range s.ColsEnc {
-		reportEnc(fmt.Sprintf("%s.a%d", name, i+1), e)
-	}
-}
-
-func reportEnc(name string, e *compress.Encoded) {
-	if e == nil {
-		fmt.Printf("compress: %-16s raw (incompressible)\n", name)
-		return
-	}
-	fmt.Printf("compress: %-16s scheme=%s ratio=%.3f (%d -> %d bytes)\n",
-		name, e.Scheme(), e.Ratio(), e.RawBytes(), e.CompressedBytes())
-}
-
-// encoderFor maps the -compress flag to a column encoder (nil = raw
-// execution).
-func encoderFor(mode string) (func([]int32) (*compress.Encoded, error), error) {
-	switch mode {
-	case "off":
-		return nil, nil
-	case "auto":
-		return compress.EncodeBest, nil
-	case "for":
-		return func(v []int32) (*compress.Encoded, error) { return compress.EncodeColumn(v, compress.FOR) }, nil
-	case "delta":
-		return func(v []int32) (*compress.Encoded, error) { return compress.EncodeColumn(v, compress.DeltaFOR) }, nil
-	}
-	return nil, fmt.Errorf("unknown -compress mode %q (want off, auto, for or delta)", mode)
-}
-
-// compLine renders a run's compressed-execution counters with the
-// decode share of its wall time.
-func compLine(c exec.CompStats, total time.Duration) string {
-	share := 0.0
-	if total > 0 {
-		share = 100 * float64(c.DecodeNanos) / float64(total)
-	}
-	return fmt.Sprintf("cols=%d read=%dB saved=%dB decode=%v (%.1f%% of run)",
-		c.Cols, c.CompressedBytes, c.SavedBytes,
-		time.Duration(c.DecodeNanos).Round(time.Microsecond), share)
-}
-
-// runStrategy executes one query with the named strategy on cfg's
-// engine (serial, or a lease on cfg.Runtime).
-func runStrategy(strat string, sd *sides, lm, sm string, cfg strategy.Config) (*strategy.Result, error) {
-	if sd.dsm {
-		if strat == "dsm-pre" {
-			return strategy.DSMPre(sd.l, sd.s, cfg)
-		}
-		return strategy.DSMPost(sd.l, sd.s, method(lm), method(sm), cfg)
-	}
-	switch strat {
-	case "nsm-pre-hash":
-		return strategy.NSMPre(sd.nl, sd.ns, false, cfg)
-	case "nsm-pre-phash":
-		return strategy.NSMPre(sd.nl, sd.ns, true, cfg)
-	case "nsm-post-decluster":
-		return strategy.NSMPostDecluster(sd.nl, sd.ns, cfg)
-	default:
-		return strategy.NSMPostJive(sd.nl, sd.ns, 0, cfg)
-	}
-}
-
-func method(s string) strategy.ProjMethod {
-	if s == "" {
-		return strategy.Auto
-	}
-	return strategy.ProjMethod(s[0])
 }
 
 func fail(err error) {

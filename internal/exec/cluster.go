@@ -14,7 +14,7 @@ package exec
 //     in input order — turns the histograms into disjoint insertion
 //     cursors: chunk k's slice of cluster c starts where chunk k-1's
 //     ends. Clusters are independent columns of the count matrix, so
-//     the sum itself runs chunked-parallel on the pool (serial only
+//     the sum itself runs chunked-parallel on the runtime (serial only
 //     below the fallback threshold).
 //  3. Workers scatter their chunks through their private cursors.
 //
@@ -40,6 +40,7 @@ import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
+	"radixdecluster/internal/core"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/radix"
@@ -67,70 +68,69 @@ const (
 // radix-clusters an [oid,value] BAT — a join input — on its value
 // column (hashed when hashVals is set) and produces the identical BUN
 // arrangement and offsets, in leased buffers (one per level).
-func (p *Pool) ClusterBUNs(heads []OID, vals []int32, hashVals bool, o radix.Opts) (*radix.BUNsResult, error) {
+func (e *Engine) ClusterBUNs(heads []OID, vals []int32, hashVals bool, o radix.Opts) (*radix.BUNsResult, error) {
+	if e.serial(len(heads)) || !scatterable(o.Bits) {
+		return radix.ClusterBUNs(heads, vals, hashVals, o)
+	}
 	if len(heads) != len(vals) {
 		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	if p.serialPreferred(len(heads), o.Bits) {
-		return radix.ClusterBUNs(heads, vals, hashVals, o)
-	}
-	n, ml := len(vals), p.Mem()
+	n, ml := len(vals), e.mem()
 	buf := [2][]uint64{mempool.Slice[uint64](ml, n)}
 	last := 0
 	if o.Bits > maxFirstPassBits {
 		buf[1], last = mempool.Slice[uint64](ml, n), 1
 	}
 	count, scatter := radix.BUNKernels(vals, heads, hashVals, buf)
-	return &radix.BUNsResult{BUNs: buf[last], Offsets: p.scatter2(n, o, count, scatter)}, nil
+	return &radix.BUNsResult{BUNs: buf[last], Offsets: e.scatter2(n, o, count, scatter)}, nil
 }
 
 // clusterPairs is the parallel engine behind ClusterOIDPairs:
 // radix.PairKernels driven by scatter2. The scatter targets — one pair
 // of columns, two when the fan-out takes a second level — and the
 // offsets are leased transients, every slot written.
-func clusterPairs[K, P radix.Word](p *Pool, keys []K, pay []P, hashed bool, o radix.Opts) ([]K, []P, []int) {
-	n, ml := len(keys), p.Mem()
+func clusterPairs[K, P radix.Word](e *Engine, keys []K, pay []P, hashed bool, o radix.Opts) ([]K, []P, []int) {
+	n, ml := len(keys), e.mem()
 	bufK, bufP := [2][]K{mempool.Slice[K](ml, n)}, [2][]P{mempool.Slice[P](ml, n)}
 	last := 0
 	if o.Bits > maxFirstPassBits {
 		bufK[1], bufP[1], last = mempool.Slice[K](ml, n), mempool.Slice[P](ml, n), 1
 	}
 	count, scatter := radix.PairKernels(keys, pay, hashed, bufK, bufP)
-	return bufK[last], bufP[last], p.scatter2(n, o, count, scatter)
+	return bufK[last], bufP[last], e.scatter2(n, o, count, scatter)
 }
 
 // ClusterOIDPairs is the parallel equivalent of radix.ClusterOIDPairs:
 // it radix-clusters an [oid,oid] BAT (e.g. a join-index) on the key
 // column and produces the identical arrangement and offsets.
-func (p *Pool) ClusterOIDPairs(key, other []OID, o radix.Opts) (*radix.OIDPairsResult, error) {
+func (e *Engine) ClusterOIDPairs(key, other []OID, o radix.Opts) (*radix.OIDPairsResult, error) {
+	if e.serial(len(key)) || !scatterable(o.Bits) {
+		return radix.ClusterOIDPairs(key, other, o)
+	}
 	if len(key) != len(other) {
 		return nil, fmt.Errorf("radix: ClusterOIDPairs: %d keys vs %d others", len(key), len(other))
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	if p.serialPreferred(len(key), o.Bits) {
-		return radix.ClusterOIDPairs(key, other, o)
-	}
 	// Dense oids are their own radix values (§3.1): no hashing.
-	outKey, outOther, offsets := clusterPairs(p, key, other, false, o)
+	outKey, outOther, offsets := clusterPairs(e, key, other, false, o)
 	return &radix.OIDPairsResult{Key: outKey, Other: outOther, Offsets: offsets}, nil
 }
 
 // SortOIDPairs is the parallel equivalent of radix.SortOIDPairs: a
 // full Radix-Sort of an [oid,oid] BAT on the key column.
-func (p *Pool) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPairsResult, error) {
-	// Don't route through serialPreferred: the sort's bit width is
-	// only known after the max scan below.
-	if p.workers == 1 || len(key) < MinParallelN {
+func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPairsResult, error) {
+	if e.serial(len(key)) {
 		return radix.SortOIDPairs(key, other, h)
 	}
-	chunks := p.chunksFor(len(key))
-	maxs := mempool.Slice[OID](p.Mem(), len(chunks))
-	p.Run(len(chunks), func(_, t int, _ *Scratch) {
+	// The sort's bit width is only known after this max scan.
+	chunks := e.chunksFor(len(key))
+	maxs := mempool.Slice[OID](e.mem(), len(chunks))
+	e.run(len(chunks), func(_, t int, _ *Scratch) {
 		m := OID(0)
 		for _, k := range key[chunks[t].Lo:chunks[t].Hi] {
 			if k > m {
@@ -152,7 +152,13 @@ func (p *Pool) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPairsR
 	if bits > maxParallelBits {
 		return radix.SortOIDPairs(key, other, h)
 	}
-	return p.ClusterOIDPairs(key, other, radix.Opts{Bits: bits})
+	return e.ClusterOIDPairs(key, other, radix.Opts{Bits: bits})
+}
+
+// ClusterForDecluster performs the Figure-4 re-clustering on this
+// engine's clustering operator.
+func (e *Engine) ClusterForDecluster(smallerOIDs []OID, o radix.Opts) (*core.Clustered, error) {
+	return core.ClusterForDeclusterWith(smallerOIDs, o, e.ClusterOIDPairs)
 }
 
 // prefixSumChunks turns per-chunk histograms (chunk-major: counts[k*h+c]
@@ -174,7 +180,7 @@ func prefixSumChunks(offsets, counts []int, h, nch int) []int {
 	return offsets
 }
 
-// prefixSumChunksParallel is prefixSumChunks decomposed for the pool —
+// prefixSumChunksParallel is prefixSumChunks decomposed for the runtime —
 // the last serial residue of the scatter planning. The (cluster,
 // chunk) sum is associative per cluster, so it splits into three
 // passes: per-cluster totals (clusters are disjoint columns of
@@ -184,14 +190,14 @@ func prefixSumChunks(offsets, counts []int, h, nch int) []int {
 // The arithmetic is identical to the serial walk, so the cursors —
 // and therefore the scatter output bytes — are identical too. The
 // offsets are leased like the counts they index.
-func (p *Pool) prefixSumChunksParallel(counts []int, h, nch int) []int {
-	offsets := mempool.Slice[int](p.Mem(), h+1)
-	if p.workers == 1 || h*nch < MinParallelN {
+func (e *Engine) prefixSumChunksParallel(counts []int, h, nch int) []int {
+	offsets := mempool.Slice[int](e.mem(), h+1)
+	if e.serial(h * nch) {
 		return prefixSumChunks(offsets, counts, h, nch)
 	}
-	totals := mempool.Slice[int](p.Mem(), h)
-	cchunks := p.chunksFor(h)
-	p.Run(len(cchunks), func(_, t int, _ *Scratch) {
+	totals := mempool.Slice[int](e.mem(), h)
+	cchunks := e.chunksFor(h)
+	e.run(len(cchunks), func(_, t int, _ *Scratch) {
 		for c := cchunks[t].Lo; c < cchunks[t].Hi; c++ {
 			s := 0
 			for k := 0; k < nch; k++ {
@@ -206,7 +212,7 @@ func (p *Pool) prefixSumChunksParallel(counts []int, h, nch int) []int {
 		pos += totals[c]
 	}
 	offsets[h] = pos
-	p.Run(len(cchunks), func(_, t int, _ *Scratch) {
+	e.run(len(cchunks), func(_, t int, _ *Scratch) {
 		for c := cchunks[t].Lo; c < cchunks[t].Hi; c++ {
 			cur := offsets[c]
 			for k := 0; k < nch; k++ {
@@ -230,12 +236,10 @@ func level1Shift(bits int) uint {
 	return 0
 }
 
-// serialPreferred reports whether the serial engine should handle this
-// clustering: tiny inputs, degenerate fan-outs, single-worker pools,
-// and bit widths beyond the two-level scheme.
-func (p *Pool) serialPreferred(n, bits int) bool {
-	return p.workers == 1 || n < MinParallelN || bits == 0 || bits > maxParallelBits
-}
+// scatterable reports whether scatter2 serves a B-bit fan-out: B = 0 is
+// an identity copy, and beyond the two-level scheme the serial
+// multi-pass engine takes over.
+func scatterable(bits int) bool { return bits > 0 && bits <= maxParallelBits }
 
 // scatter2 runs the two-level parallel clustering of n tuples through
 // a bound kernel pair (radix.PairKernels / BUNKernels / RowKernels):
@@ -243,18 +247,18 @@ func (p *Pool) serialPreferred(n, bits int) bool {
 // one kernel call per morsel; pass 1, when bits remain, clusters every
 // level-1 partition on the low bits as one chunk. It returns the final
 // 2^Bits+1 cluster offsets.
-func (p *Pool) scatter2(n int, o radix.Opts, count, scatter radix.ChunkFn) []int {
+func (e *Engine) scatter2(n int, o radix.Opts, count, scatter radix.ChunkFn) []int {
 	b1 := min(o.Bits, maxFirstPassBits)
 	rem := o.Bits - b1
 	h1 := 1 << b1
 	f1 := radix.Field{Shift: uint(o.Ignore + rem), Mask: uint32(h1 - 1)}
-	chunks := p.chunksFor(n)
+	chunks := e.chunksFor(n)
 	nch := len(chunks)
 
 	// Pass 0, count: per-chunk histograms (each task owns one row of
 	// counts). Leased buffers arrive dirty, so each task zeroes its row.
-	counts := mempool.Slice[int](p.Mem(), nch*h1)
-	p.Run(nch, func(_, t int, _ *Scratch) {
+	counts := mempool.Slice[int](e.mem(), nch*h1)
+	e.run(nch, func(_, t int, _ *Scratch) {
 		row := counts[t*h1 : (t+1)*h1]
 		clear(row)
 		count(0, chunks[t].Lo, chunks[t].Hi, f1, row)
@@ -263,11 +267,11 @@ func (p *Pool) scatter2(n int, o radix.Opts, count, scatter radix.ChunkFn) []int
 	// Prefix sum (chunked parallel beyond the fallback threshold):
 	// counts becomes the per-(chunk, cluster) insertion cursors, off1
 	// the level-1 cluster starts.
-	off1 := p.prefixSumChunksParallel(counts, h1, nch)
+	off1 := e.prefixSumChunksParallel(counts, h1, nch)
 
 	// Pass 0, scatter. Chunk cursors are disjoint by construction, so
 	// workers write to disjoint output positions.
-	p.Run(nch, func(_, t int, _ *Scratch) {
+	e.run(nch, func(_, t int, _ *Scratch) {
 		scatter(0, chunks[t].Lo, chunks[t].Hi, f1, counts[t*h1:(t+1)*h1])
 	})
 	if rem == 0 {
@@ -278,9 +282,9 @@ func (p *Pool) scatter2(n int, o radix.Opts, count, scatter radix.ChunkFn) []int
 	// Partitions are disjoint output ranges — independent morsels.
 	h2 := 1 << rem
 	f2 := radix.Field{Shift: uint(o.Ignore), Mask: uint32(h2 - 1)}
-	offsets := mempool.Slice[int](p.Mem(), h1*h2+1)
+	offsets := mempool.Slice[int](e.mem(), h1*h2+1)
 	offsets[h1*h2] = n
-	p.Run(h1, func(_, c int, s *Scratch) {
+	e.run(h1, func(_, c int, s *Scratch) {
 		lo, hi := off1[c], off1[c+1]
 		row := s.Ints(h2)
 		count(1, lo, hi, f2, row)

@@ -64,16 +64,6 @@ type CompStats struct {
 	DecodeNanos     int64
 }
 
-// Add returns the elementwise sum of a and b.
-func (a CompStats) Add(b CompStats) CompStats {
-	return CompStats{
-		Cols:            a.Cols + b.Cols,
-		CompressedBytes: a.CompressedBytes + b.CompressedBytes,
-		SavedBytes:      a.SavedBytes + b.SavedBytes,
-		DecodeNanos:     a.DecodeNanos + b.DecodeNanos,
-	}
-}
-
 // DecodeTime returns the decode wall time as a duration.
 func (a CompStats) DecodeTime() time.Duration { return time.Duration(a.DecodeNanos) }
 
@@ -136,7 +126,7 @@ type decoder struct {
 }
 
 // decoders pools decoder scratch for scan-shaped bodies that run
-// outside Pool.Run (shared scans serve chunks from whichever worker
+// outside Engine.run (shared scans serve chunks from whichever worker
 // holds a serve token, so the body cannot be bound to one worker's
 // Scratch up front).
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
@@ -251,7 +241,7 @@ func (s *Scratch) decoder() *decoder {
 }
 
 // serialDecoder is the engine-owned scratch for compressed operators
-// running without a pool (or below the parallel threshold).
+// running on the serial path (Engine.serial).
 func (e *Engine) serialDecoder() *decoder {
 	if e.sdec == nil {
 		e.sdec = new(decoder)

@@ -36,9 +36,9 @@
 // a strategy is assembled as an ordered list of Phases; phases run
 // strictly in order, so phase bodies may close over shared variables
 // without synchronisation; each phase body receives the run's single
-// Engine, which dispatches every substrate operator either to the
-// serial paper code (Workers() == 0) or to the lease-backed parallel
-// operators here, and all intra-phase data parallelism must go
+// Engine, whose operators run either the serial paper code or the
+// lease-backed parallel bodies here, and all intra-phase data
+// parallelism must go
 // through the Engine (operator methods or Engine.ForRanges) — no
 // strategy owns goroutines of its own. Each Phase carries a PhaseKind
 // that buckets its elapsed time into the paper's phase breakdown;
@@ -55,16 +55,19 @@
 // Every goroutine that executes a morsel belongs to a Runtime
 // (runtime.go): one worker set multiplexed over every concurrent
 // query's pipeline with fair, query-tagged morsel scheduling and
-// admission control. A Pool (Runtime.NewPool) is one query's lease on
-// that set and owns no goroutines; a lone query is a Runtime serving
-// one lease. There are two execution modes: the serial engine (no
-// pool, the paper's code, the tests' oracle) and a runtime lease. With
-// Options.ShareScans the runtime additionally coalesces concurrent
-// pipelines' same-source scans into one cooperative circular pass
-// (scanshare.go). Operator output bytes are a function of the pool's
-// nominal worker count only — never of the runtime's size, of which
-// worker ran a morsel, or of scan sharing — so both modes of the same
-// pipeline are byte-identical.
+// admission control. An Engine (NewEngine) is one query's handle and
+// owns no goroutines. There are two execution modes: the serial engine
+// (0 workers: no runtime, no lease, the paper's code, the tests'
+// oracle) and a lease on a runtime with a nominal worker count; a lone
+// query is a Runtime serving one lease. Every operator is one Engine
+// method whose first test is the one serial-fallback predicate
+// (Engine.serial), so the serial engine, a nominal-1 lease and an input
+// below MinParallelN all run the paper's code. With Options.ShareScans
+// the runtime additionally coalesces concurrent pipelines' same-source
+// scans into one cooperative circular pass (scanshare.go). Operator
+// output bytes are a function of the engine's nominal worker count only
+// — never of the runtime's size, of which worker ran a morsel, or of
+// scan sharing — so both modes of the same pipeline are byte-identical.
 //
 // Per-worker Scratch buffers keep the hot loops allocation-free.
 package exec
@@ -87,30 +90,42 @@ import (
 // query end, so a warmed-up executor's steady state stays off the GC.
 var sharedArena = mempool.New(0)
 
-// Pool is the handle every parallel operator runs on: one query's
-// lease on a Runtime (Runtime.NewPool). It owns no goroutines; Run
-// submits jobs to the runtime, which multiplexes all concurrent
-// queries over one worker set with fair, query-tagged morsel
-// scheduling and admission control.
+// Engine is one query's handle on the execution layer, shared by every
+// phase of its pipeline: the nominal parallelism, the admission slot
+// and buffer lease on a Runtime, the query's counters, and its
+// trace/label context. It owns no goroutines; run submits jobs to the
+// runtime, which multiplexes all concurrent queries over one worker set
+// with fair, query-tagged morsel scheduling and admission control.
 //
 // workers is the query's NOMINAL parallelism: morsel granularity
 // (chunksFor) and per-worker cache-budget divisions derive from it, so
 // an operator's output bytes are a function of the nominal count only —
 // never of the runtime's size or of which workers execute the morsels.
-// Close releases the admission slot and the query's buffers; a closed
-// Pool must not Run again.
-type Pool struct {
+// 0 is the serial paper engine: no runtime, no lease, no goroutine,
+// every operator the paper's code and every buffer a plain make — the
+// oracle the equivalence tests compare against. Close releases the
+// admission slot and the query's buffers; a closed Engine must not run
+// again.
+type Engine struct {
 	workers int
+	rt      *Runtime // nil on the serial engine
+	affSeed uint64   // placement-hash salt
 	closed  atomic.Bool
 
-	rt      *Runtime
-	affSeed uint64 // placement-hash salt
-	mu      sync.Mutex
-	ls      *lease         // admitted lease; acquired lazily on first Run
-	memLs   *mempool.Lease // per-query buffer lease; opened on first use
-	errbuf  []error        // reusable operator error slots (phases are sequential)
+	mu       sync.Mutex
+	admitted bool           // holds an admission slot; taken lazily on first run
+	memLs    *mempool.Lease // per-query buffer lease; opened on first use
+	errbuf   []error        // reusable operator error slots (phases are sequential)
 
+	// The query's counters, written by the runtime's claim accounting
+	// and by morsel bodies: queued accumulates the submission-to-first-
+	// morsel waits of its jobs (nanoseconds) — the morsel-queue
+	// component of the pipeline's queueing time.
+	queued     atomic.Int64
+	sched      schedCounters
 	sharedHits atomic.Int64 // scans served by another pipeline's pass
+	comp       compCounters // compressed-execution counters (compressed.go)
+	sdec       *decoder     // serial-path compressed scratch, lazy
 
 	// Observability context, set by the owning Pipeline before
 	// execution and captured into each submitted job: the per-query
@@ -124,180 +139,198 @@ type Pool struct {
 	labelsCtx context.Context
 }
 
-// Workers returns the pool's nominal worker count (the per-query
-// parallelism, not the runtime's size).
-func (p *Pool) Workers() int { return p.workers }
+// NewEngine creates a query handle: workers <= 0 selects the serial
+// paper engine (rt is not consulted), workers >= 1 a lease on rt with
+// that nominal parallelism — a nominal 8 on a 2-worker runtime computes
+// what a nominal 8 computes anywhere. The engine gets a fresh affinity
+// seed (Pipeline.SetAffinitySeed replaces it) so distinct queries
+// spread their homes differently. Admission is acquired on first use
+// (or explicitly by a pipeline's Execute) and released by Close.
+func NewEngine(rt *Runtime, workers int) *Engine {
+	if workers <= 0 {
+		return &Engine{}
+	}
+	return &Engine{workers: workers, rt: rt, affSeed: mix64(rt.seedSeq.Add(1))}
+}
+
+// Workers returns the nominal worker count (the per-query parallelism,
+// not the runtime's size), 0 for the serial engine.
+func (e *Engine) Workers() int { return e.workers }
+
+// serial is the one serial-fallback predicate: an n-item operator runs
+// the paper's code on the serial engine, on a nominal-1 lease, and
+// below the cardinality where fan-out overhead exceeds the win.
+func (e *Engine) serial(n int) bool { return e.workers <= 1 || n < MinParallelN }
 
 // Close returns the query's buffers to the arena and releases the
-// admission slot.
-func (p *Pool) Close() {
-	if !p.closed.CompareAndSwap(false, true) {
+// admission slot (both no-ops for the serial engine).
+func (e *Engine) Close() {
+	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	p.mu.Lock()
-	ml, ls := p.memLs, p.ls
-	p.memLs, p.ls = nil, nil
-	p.mu.Unlock()
+	e.mu.Lock()
+	ml, admitted := e.memLs, e.admitted
+	e.memLs, e.admitted = nil, false
+	e.mu.Unlock()
 	if ml != nil {
 		// The one-call release: every transient buffer the query
 		// checked out goes back to the arena together.
 		ml.Release()
 	}
-	if ls != nil {
-		p.rt.releaseLease()
+	if admitted {
+		e.rt.release()
 	}
 }
 
-// Mem returns the pool's per-query buffer lease, opening it on first
-// use. nil once the pool is closed — every acquisition helper treats a
-// nil lease as "allocate from the GC".
-func (p *Pool) Mem() *mempool.Lease {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
+// mem returns the query's buffer lease, opening it on first use: nil
+// on the serial engine and once the engine is closed — every
+// acquisition helper treats a nil lease as "allocate from the GC".
+func (e *Engine) mem() *mempool.Lease {
+	if e.rt == nil {
 		return nil
 	}
-	if p.memLs == nil {
-		p.memLs = p.rt.mem.NewLease()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
+		return nil
 	}
-	return p.memLs
+	if e.memLs == nil {
+		e.memLs = e.rt.mem.NewLease()
+	}
+	return e.memLs
 }
 
 // memStats snapshots the query's lease accounting (zero when nothing
 // was acquired).
-func (p *Pool) memStats() mempool.LeaseStats {
-	p.mu.Lock()
-	ml := p.memLs
-	p.mu.Unlock()
+func (e *Engine) memStats() mempool.LeaseStats {
+	e.mu.Lock()
+	ml := e.memLs
+	e.mu.Unlock()
 	if ml == nil {
 		return mempool.LeaseStats{}
 	}
 	return ml.Stats()
 }
 
-// errSlots returns a zeroed n-slot error slice reused across the
-// pool's operator invocations. Safe because phase bodies and operator
-// calls on one pool are strictly sequential (the Run contract forbids
-// nesting); only the slice's slots are written concurrently, by
-// disjoint tasks.
-func (p *Pool) errSlots(n int) []error {
-	if cap(p.errbuf) < n {
-		p.errbuf = make([]error, n)
+// Own returns a dirty n-value result array: the one buffer kind that
+// outlives the pipeline. On a runtime it is drawn from the query's kit
+// off the lease's ledger (mempool.Own), so it survives Close and
+// whoever ends up holding the result hands it back to Home with
+// mempool.Recycle; on the serial engine it is a make. Every slot must
+// be written.
+func (e *Engine) Own(n int) []int32 { return mempool.Own[int32](e.mem(), n) }
+
+// Home returns the kit Own draws result arrays from and Recycle
+// returns them to — nil when they are GC-owned (serial engine). Ask
+// before Close.
+func (e *Engine) Home() *mempool.Kit {
+	if l := e.mem(); l != nil {
+		return l.Kit()
 	}
-	e := p.errbuf[:n]
-	for i := range e {
-		e[i] = nil
-	}
-	return e
+	return nil
 }
 
-// attach acquires the pool's runtime lease, blocking on admission
-// control, and reports how long admission took.
-func (p *Pool) attach() time.Duration {
+// errSlots returns a zeroed n-slot error slice reused across the
+// engine's operator invocations. Safe because phase bodies and operator
+// calls on one engine are strictly sequential (the run contract forbids
+// nesting); only the slice's slots are written concurrently, by
+// disjoint tasks.
+func (e *Engine) errSlots(n int) []error {
+	if cap(e.errbuf) < n {
+		e.errbuf = make([]error, n)
+	}
+	errs := e.errbuf[:n]
+	for i := range errs {
+		errs[i] = nil
+	}
+	return errs
+}
+
+// admit takes the engine's admission slot on first use, blocking on
+// the runtime's admission control. A closed engine has given its slot
+// back: admitting again would take one nobody releases.
+func (e *Engine) admit() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
+		panic("exec: Run on a closed Engine")
+	}
+	if !e.admitted {
+		e.rt.admit()
+		e.admitted = true
+	}
+}
+
+// attach passes admission control ahead of the first phase and reports
+// how long it took (zero on the serial engine, which has none).
+func (e *Engine) attach() time.Duration {
+	if e.rt == nil {
+		return 0
+	}
 	start := time.Now()
-	p.lease()
+	e.admit()
 	d := time.Since(start)
-	if p.rt.metrics != nil {
-		p.rt.metrics.admissionWait.Observe(d.Seconds())
+	if e.rt.metrics != nil {
+		e.rt.metrics.admissionWait.Observe(d.Seconds())
 	}
 	return d
 }
 
-// setPhase records the pipeline's current phase name on the pool (and
+// setPhase records the pipeline's current phase name on the engine (and
 // rebuilds the phase's pprof label set when the runtime labels
 // morsels). Called by Pipeline.Execute between phases, on the same
 // goroutine that submits jobs.
-func (p *Pool) setPhase(name string) {
-	p.phase = name
-	p.labelsCtx = nil
-	if p.rt.labels {
-		tag := p.queryTag
+func (e *Engine) setPhase(name string) {
+	e.phase = name
+	e.labelsCtx = nil
+	if e.rt != nil && e.rt.labels {
+		tag := e.queryTag
 		if tag == "" {
 			tag = "query"
 		}
-		p.labelsCtx = pprof.WithLabels(context.Background(),
+		e.labelsCtx = pprof.WithLabels(context.Background(),
 			pprof.Labels("query", tag, "phase", name))
 	}
 }
 
-// curPhase returns the pipeline's current phase name.
-func (p *Pool) curPhase() string { return p.phase }
-
-// jobLabels returns the pprof label set jobs submitted in the current
-// phase should run under (nil when labeling is off).
-func (p *Pool) jobLabels() context.Context { return p.labelsCtx }
-
-// lease returns the admitted lease, admitting on first use. A closed
-// pool has given its slot back: admitting again would take one nobody
-// releases.
-func (p *Pool) lease() *lease {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
-		panic("exec: Run on a closed Pool")
-	}
-	if p.ls == nil {
-		p.ls = p.rt.admit()
-	}
-	return p.ls
-}
-
-// queueWait returns the accumulated morsel-queue wait of the pool's
-// jobs so far.
-func (p *Pool) queueWait() time.Duration {
-	p.mu.Lock()
-	ls := p.ls
-	p.mu.Unlock()
-	if ls == nil {
-		return 0
-	}
-	return time.Duration(ls.queued.Load())
-}
-
-// sharedScanHits returns how many of this pool's declared scans
-// attached to a pass another pipeline had already started.
-func (p *Pool) sharedScanHits() int64 { return p.sharedHits.Load() }
-
-// SetAffinitySeed replaces the pool's placement-hash salt. Strategies
-// seed it from the query's base-data identity so concurrent queries
-// over the same source home the same partitions on the same workers.
-// Call before the first Run.
-func (p *Pool) SetAffinitySeed(seed uint64) { p.affSeed = seed }
-
-// schedStats returns the pool's scheduler counters.
-func (p *Pool) schedStats() SchedStats {
-	p.mu.Lock()
-	ls := p.ls
-	p.mu.Unlock()
-	if ls == nil {
-		return SchedStats{}
-	}
-	return ls.sched.stats()
-}
-
-// Run executes fn(worker, task, scratch) for every task in
-// [0, ntasks), distributing tasks dynamically. Run returns when all
-// tasks have finished. fn must not call Run on the same pool (a
+// run executes fn(worker, task, scratch) for every task in
+// [0, ntasks), distributing tasks dynamically, and returns when all
+// tasks have finished. Callers test serial(n) first: the serial engine
+// has no runtime to run on. fn must not call run on the same engine (a
 // runtime job must not submit nested jobs from a morsel body). The
 // worker index passed to fn is a runtime worker id — operators must
 // treat it as a scratch key only, never as an index bounded by
 // Workers(). Placement uses the task index as its own affinity key:
 // jobs decomposing the same domain into the same task count land task
-// t on the same worker every phase (see RunAff).
-func (p *Pool) Run(ntasks int, fn func(worker, task int, s *Scratch)) {
-	p.RunAff(ntasks, nil, fn)
+// t on the same worker every phase (see runAff).
+func (e *Engine) run(ntasks int, fn func(worker, task int, s *Scratch)) {
+	e.runAff(ntasks, nil, fn)
 }
 
-// RunAff is Run with an explicit affinity mapping: aff(task) is the
+// runAff is run with an explicit affinity mapping: aff(task) is the
 // morsel's data-identity key (a radix partition id, a chunk index of
 // the underlying item space), and tasks with equal keys are homed on
 // the same runtime worker — across jobs, phases, and (under equal
 // seeds) queries. A nil aff uses the task index.
-func (p *Pool) RunAff(ntasks int, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
+func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
+	e.runSeeded(ntasks, e.affSeed, aff, fn)
+}
+
+// runSeeded is runAff under an explicit placement-hash salt (shared
+// scans place their serve tokens by the scan source, not the query).
+// The job carries the engine's observability context: trace buffer,
+// pprof labels, current phase name.
+func (e *Engine) runSeeded(ntasks int, seed uint64, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
 	if ntasks <= 0 {
 		return
 	}
-	p.lease().run(p, ntasks, p.affSeed, aff, fn)
+	e.admit()
+	j := &rtJob{ntasks: ntasks, fn: fn, aff: aff, seed: seed,
+		done: make(chan struct{}), enq: time.Now(), e: e,
+		trace: e.trace, labels: e.labelsCtx, phase: e.phase}
+	j.pending.Store(int64(ntasks))
+	e.rt.submit(j)
+	<-j.done
 }
 
 // Scratch holds per-worker reusable buffers so that hot loops stay
@@ -371,21 +404,21 @@ func Chunks(n, k int) []Range {
 // bookkeeping stays negligible.
 const morselsPerWorker = 8
 
-// chunksFor picks the chunking of an n-item range for this pool. The
+// chunksFor picks the chunking of an n-item range for this engine. The
 // slice is leased from the query's arena checkout (Range is pointer-
 // free) and fully written here, so recycled dirt never shows.
-func (p *Pool) chunksFor(n int) []Range {
+func (e *Engine) chunksFor(n int) []Range {
 	if n <= 0 {
 		return nil
 	}
-	k := p.workers * morselsPerWorker
+	k := e.workers * morselsPerWorker
 	if k < 1 {
 		k = 1
 	}
 	if k > n {
 		k = n
 	}
-	out := mempool.Slice[Range](p.Mem(), k)
+	out := mempool.Slice[Range](e.mem(), k)
 	base, rem := n/k, n%k
 	lo := 0
 	for i := range out {

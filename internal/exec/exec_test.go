@@ -33,7 +33,7 @@ func heavyN() int {
 }
 
 // workerCounts are the NOMINAL parallelisms the equivalence tests
-// sweep. Every pool is a lease on a 2-worker test runtime, so nominal
+// sweep. Every engine is a lease on a 2-worker test runtime, so nominal
 // 3, 4 and 8 run on fewer real workers than they name — exactly the
 // contract: output bytes follow the nominal count, never the runtime's
 // size.
@@ -47,13 +47,15 @@ func testRuntime(t testing.TB) *Runtime {
 	return rt
 }
 
-func withPools(t *testing.T, f func(t *testing.T, p *Pool)) {
+// withLeases runs f on a fresh lease per nominal worker count (the
+// serial engine is the caller's oracle; withEngines sweeps it too).
+func withLeases(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Helper()
 	rt := testRuntime(t)
 	for _, w := range workerCounts {
-		p := rt.NewPool(w)
-		t.Run("", func(t *testing.T) { f(t, p) })
-		p.Close()
+		e := NewEngine(rt, w)
+		t.Run("", func(t *testing.T) { f(t, e) })
+		e.Close()
 	}
 }
 
@@ -80,9 +82,9 @@ func randVals(seed uint64, n int, skewed bool) []int32 {
 }
 
 func TestPoolRunCoversAllTasks(t *testing.T) {
-	withPools(t, func(t *testing.T, p *Pool) {
+	withLeases(t, func(t *testing.T, p *Engine) {
 		hits := make([]int32, 10_000)
-		p.Run(len(hits), func(_, task int, _ *Scratch) { hits[task]++ })
+		p.run(len(hits), func(_, task int, _ *Scratch) { hits[task]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("task %d executed %d times", i, h)
@@ -127,7 +129,7 @@ func TestClusterBUNsMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			withPools(t, func(t *testing.T, p *Pool) {
+			withLeases(t, func(t *testing.T, p *Engine) {
 				got, err := p.ClusterBUNs(heads, vals, true, o)
 				if err != nil {
 					t.Fatal(err)
@@ -153,7 +155,7 @@ func TestClusterOIDPairsMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		withPools(t, func(t *testing.T, p *Pool) {
+		withLeases(t, func(t *testing.T, p *Engine) {
 			got, err := p.ClusterOIDPairs(key, other, o)
 			if err != nil {
 				t.Fatal(err)
@@ -173,7 +175,7 @@ func TestSortOIDPairsMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPools(t, func(t *testing.T, p *Pool) {
+	withLeases(t, func(t *testing.T, p *Engine) {
 		got, err := p.SortOIDPairs(key, other, h)
 		if err != nil {
 			t.Fatal(err)
@@ -197,8 +199,8 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			withPools(t, func(t *testing.T, p *Pool) {
-				got, err := p.Partitioned(lo, lk, so, sk, o)
+			withLeases(t, func(t *testing.T, p *Engine) {
+				got, err := p.PartitionedJoin(lo, lk, so, sk, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -293,13 +295,10 @@ func TestDeclusterMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		withPools(t, func(t *testing.T, p *Pool) {
-			// Identity must hold for any per-worker window size.
-			perWorker := window / p.Workers()
-			if perWorker < 1 {
-				perWorker = 1
-			}
-			got, err := p.Decluster(clustered, cl.ResultPos, cl.Borders, perWorker)
+		withLeases(t, func(t *testing.T, p *Engine) {
+			// Identity must hold for any per-worker window size: the
+			// engine divides the planned window by the nominal count.
+			got, err := p.Decluster(clustered, cl.ResultPos, cl.Borders, window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +310,7 @@ func TestDeclusterMatchesSerial(t *testing.T) {
 }
 
 func TestDeclusterRejectsBadInput(t *testing.T) {
-	p := testRuntime(t).NewPool(2)
+	p := NewEngine(testRuntime(t), 2)
 	defer p.Close()
 	vals := make([]int32, 8)
 	ids := make([]OID, 7)
@@ -321,6 +320,107 @@ func TestDeclusterRejectsBadInput(t *testing.T) {
 	ids = make([]OID, 8)
 	if _, err := p.Decluster(vals, ids, []bat.Border{{Start: 0, End: 8}}, 0); err == nil {
 		t.Fatal("missing bad-window error")
+	}
+}
+
+// TestSerialFallbackPredicate states the one predicate every operator
+// tests first (Engine.serial): a nominal-1 lease and an input one short
+// of MinParallelN submit no morsel — the paper's code runs on the
+// caller's goroutine — while the fetch operators still draw their
+// output from the lease; at MinParallelN a nominal-2 lease submits.
+func TestSerialFallbackPredicate(t *testing.T) {
+	const full = MinParallelN
+	oids, other := randOIDs(50, full, full), randOIDs(51, full, full)
+	vals := randVals(52, full, false)
+	rows := randRows(53, full, 2, false)
+	rel := testRelation(54, full, 2)
+	cl, err := core.ClusterForDecluster(oids, radix.Opts{Bits: 4, Ignore: radix.IgnoreBits(full, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := make([]OID, full)
+	for i := range sorted {
+		sorted[i] = OID(i)
+	}
+	h := mem.Pentium4()
+	rt := testRuntime(t)
+	for _, op := range []struct {
+		name   string
+		leased bool // draws a buffer from the lease even when it runs serially
+		run    func(e *Engine, n int) error
+	}{
+		{"ClusterBUNs", false, func(e *Engine, n int) error {
+			_, err := e.ClusterBUNs(oids[:n], vals[:n], true, radix.Opts{Bits: 4})
+			return err
+		}},
+		{"ClusterOIDPairs", false, func(e *Engine, n int) error {
+			_, err := e.ClusterOIDPairs(oids[:n], other[:n], radix.Opts{Bits: 4})
+			return err
+		}},
+		{"SortOIDPairs", false, func(e *Engine, n int) error {
+			_, err := e.SortOIDPairs(oids[:n], other[:n], h)
+			return err
+		}},
+		{"ClusterRows", false, func(e *Engine, n int) error {
+			_, err := e.ClusterRows(rows[:2*n], 2, 0, radix.Opts{Bits: 4})
+			return err
+		}},
+		// The joins' cardinality is both inputs together.
+		{"PartitionedJoin", false, func(e *Engine, n int) error {
+			_, err := e.PartitionedJoin(oids[:n-n/2], vals[:n-n/2], other[:n/2], vals[:n/2], radix.Opts{Bits: 4})
+			return err
+		}},
+		{"PartitionedRowsJoin", false, func(e *Engine, n int) error {
+			_, err := e.PartitionedRowsJoin(rows[:2*(n-n/2)], 2, 0, rows[:2*(n/2)], 2, 0, radix.Opts{Bits: 4})
+			return err
+		}},
+		{"HashRowsJoin", false, func(e *Engine, n int) error {
+			_, err := e.HashRowsJoin(rows[:2*(n-n/2)], 2, 0, rows[:2*(n/2)], 2, 0)
+			return err
+		}},
+		{"JiveLeft+JiveRight", false, func(e *Engine, n int) error {
+			ji := &join.Index{Larger: sorted[:n], Smaller: oids[:n]}
+			lr, err := e.JiveLeft(ji, rel, []int{1}, full, 3)
+			if err != nil {
+				return err
+			}
+			_, err = e.JiveRight(lr, rel, []int{1})
+			return err
+		}},
+		{"FetchMany", true, func(e *Engine, n int) error {
+			_, err := e.FetchMany([]Col{RawCol(vals)}, oids[:n])
+			return err
+		}},
+		{"Clustered", true, func(e *Engine, n int) error {
+			_, err := e.Clustered(RawCol(vals), oids[:n], []bat.Border{{Start: 0, End: n}})
+			return err
+		}},
+		{"Decluster", false, func(e *Engine, n int) error {
+			if n != full { // the clustering is a permutation of [0, full)
+				_, err := e.Decluster(vals[:n], sorted[:n], []bat.Border{{Start: 0, End: n}}, 64)
+				return err
+			}
+			_, err := e.Decluster(vals, cl.ResultPos, cl.Borders, 64)
+			return err
+		}},
+	} {
+		for _, c := range []struct {
+			workers, n int
+			parallel   bool
+		}{{2, full - 1, false}, {1, full, false}, {2, full, true}} {
+			e := NewEngine(rt, c.workers)
+			if err := op.run(e, c.n); err != nil {
+				t.Fatalf("%s nominal %d n=%d: %v", op.name, c.workers, c.n, err)
+			}
+			tasks, acquired := e.sched.stats().Tasks(), e.memStats().Acquired
+			e.Close()
+			if (tasks > 0) != c.parallel {
+				t.Errorf("%s nominal %d n=%d: %d morsels submitted, want parallel=%v", op.name, c.workers, c.n, tasks, c.parallel)
+			}
+			if (c.parallel || op.leased) && acquired == 0 {
+				t.Errorf("%s nominal %d n=%d: nothing drawn from the lease", op.name, c.workers, c.n)
+			}
+		}
 	}
 }
 
@@ -344,7 +444,7 @@ func TestGroupBordersTile(t *testing.T) {
 // TestConcurrentStress drives all operators once per worker count with
 // the race detector in mind (CI runs this package under -race).
 func TestConcurrentStress(t *testing.T) {
-	p := testRuntime(t).NewPool(8)
+	p := NewEngine(testRuntime(t), 8)
 	defer p.Close()
 	n := heavyN()
 	heads := randOIDs(20, n, n)
@@ -353,7 +453,7 @@ func TestConcurrentStress(t *testing.T) {
 		if _, err := p.ClusterBUNs(heads, vals, true, radix.Opts{Bits: 14}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Partitioned(heads, vals, heads, vals, radix.Opts{Bits: 8}); err != nil {
+		if _, err := p.PartitionedJoin(heads, vals, heads, vals, radix.Opts{Bits: 8}); err != nil {
 			t.Fatal(err)
 		}
 	}

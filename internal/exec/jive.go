@@ -19,16 +19,17 @@ import (
 	"radixdecluster/internal/nsm"
 )
 
-// JiveLeftRows is the parallel equivalent of jive.LeftRows: the
-// left-phase merge of the sorted join-index with the left relation,
-// fanning out into 2^bits clusters, chunked over join-index ranges.
-func (p *Pool) JiveLeftRows(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int) (*jive.LeftRowsResult, error) {
+// JiveLeft is the left Jive phase, the parallel equivalent of
+// jive.LeftRows: the left-phase merge of the sorted join-index with the
+// left relation, fanning out into 2^bits clusters, chunked over
+// join-index ranges.
+func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int) (*jive.LeftRowsResult, error) {
 	n := ji.Len()
 	// Beyond maxFirstPassBits the per-chunk histograms (chunks × 2^bits
 	// cursors) stop fitting private cache slices — and would balloon
 	// memory — so the serial left phase takes over, exactly like the
 	// clustering operators' fan-out cap.
-	if p.workers == 1 || n < MinParallelN || bits > maxFirstPassBits {
+	if e.serial(n) || bits > maxFirstPassBits {
 		return jive.LeftRows(ji, left, leftCols, rightLen, bits)
 	}
 	if bits < 0 {
@@ -36,14 +37,14 @@ func (p *Pool) JiveLeftRows(ji *join.Index, left *nsm.Relation, leftCols []int, 
 	}
 	shift := jive.ClusterShift(rightLen, bits)
 	h := 1 << bits
-	chunks := p.chunksFor(n)
+	chunks := e.chunksFor(n)
 	nch := len(chunks)
 
 	// Pass 1: per-chunk histograms. The leased counts arrive dirty, so
 	// each task zeroes its own row before counting into it.
-	counts := mempool.Slice[int](p.Mem(), nch*h)
-	errs := p.errSlots(nch)
-	p.Run(nch, func(_, t int, _ *Scratch) {
+	counts := mempool.Slice[int](e.mem(), nch*h)
+	errs := e.errSlots(nch)
+	e.run(nch, func(_, t int, _ *Scratch) {
 		row := counts[t*h : (t+1)*h]
 		for i := range row {
 			row[i] = 0
@@ -59,11 +60,11 @@ func (p *Pool) JiveLeftRows(ji *join.Index, left *nsm.Relation, leftCols []int, 
 	// counts becomes per-(chunk, cluster) insertion cursors, offsets
 	// the cluster starts — identical to the serial left phase's
 	// extents.
-	offsets := p.prefixSumChunksParallel(counts, h, nch)
+	offsets := e.prefixSumChunksParallel(counts, h, nch)
 
 	// Pass 2: chunk scatters through disjoint cursors.
 	out := jive.NewLeftRowsResult(left.Name+"_proj", n, leftCols, offsets, bits)
-	p.Run(nch, func(_, t int, _ *Scratch) {
+	e.run(nch, func(_, t int, _ *Scratch) {
 		errs[t] = jive.ScatterRowsChunk(out, ji, left, leftCols, counts[t*h:(t+1)*h], shift,
 			chunks[t].Lo, chunks[t].Hi)
 	})
@@ -73,19 +74,20 @@ func (p *Pool) JiveLeftRows(ji *join.Index, left *nsm.Relation, leftCols []int, 
 	return out, nil
 }
 
-// JiveRightRows is the parallel equivalent of jive.RightRows: cluster
-// groups are morsels, each sorting its clusters' oids and writing the
-// projected right fields into its own disjoint result ranges.
-func (p *Pool) JiveRightRows(lr *jive.LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
+// JiveRight is the right Jive phase, the parallel equivalent of
+// jive.RightRows: cluster groups are morsels, each sorting its
+// clusters' oids and writing the projected right fields into its own
+// disjoint result ranges.
+func (e *Engine) JiveRight(lr *jive.LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
 	n := len(lr.RightOIDs)
-	if p.workers == 1 || n < MinParallelN {
+	if e.serial(n) {
 		return jive.RightRows(lr, right, rightCols)
 	}
 	out := nsm.New(right.Name+"_proj", n, len(rightCols))
 	borders := bat.BordersFromOffsets(lr.Borders)
-	groups := groupBorders(borders, p.workers*morselsPerWorker, n)
-	errs := p.errSlots(len(groups))
-	p.Run(len(groups), func(_, t int, _ *Scratch) {
+	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
+	errs := e.errSlots(len(groups))
+	e.run(len(groups), func(_, t int, _ *Scratch) {
 		var perm []int // sort scratch reused across the group's clusters
 		for c := groups[t].Lo; c < groups[t].Hi; c++ {
 			if lr.Borders[c] == lr.Borders[c+1] {
@@ -103,20 +105,4 @@ func (p *Pool) JiveRightRows(lr *jive.LeftRowsResult, right *nsm.Relation, right
 		return nil, err
 	}
 	return out, nil
-}
-
-// JiveLeft is the engine front for the left Jive phase.
-func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int) (*jive.LeftRowsResult, error) {
-	if e.pool == nil {
-		return jive.LeftRows(ji, left, leftCols, rightLen, bits)
-	}
-	return e.pool.JiveLeftRows(ji, left, leftCols, rightLen, bits)
-}
-
-// JiveRight is the engine front for the right Jive phase.
-func (e *Engine) JiveRight(lr *jive.LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
-	if e.pool == nil {
-		return jive.RightRows(lr, right, rightCols)
-	}
-	return e.pool.JiveRightRows(lr, right, rightCols)
 }

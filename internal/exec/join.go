@@ -18,22 +18,22 @@ import (
 	"radixdecluster/internal/radix"
 )
 
-// Partitioned is the parallel equivalent of join.Partitioned: it
-// radix-clusters both inputs on o.Bits hashed key bits and hash-joins
-// matching partition pairs concurrently, producing the identical
-// join-index.
-func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*join.Index, error) {
+// PartitionedJoin is the Partitioned Hash-Join producing a join-index,
+// the parallel equivalent of join.Partitioned: it radix-clusters both
+// inputs on o.Bits hashed key bits and hash-joins matching partition
+// pairs concurrently, producing the identical join-index.
+func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*join.Index, error) {
+	if e.serial(len(largerOIDs) + len(smallerOIDs)) {
+		return join.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
+	}
 	if len(largerOIDs) != len(largerKeys) || len(smallerOIDs) != len(smallerKeys) {
 		return nil, fmt.Errorf("join: oid/key column length mismatch")
 	}
-	if p.workers == 1 || len(largerOIDs)+len(smallerOIDs) < MinParallelN {
-		return join.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
-	}
-	cl, err := p.ClusterBUNs(largerOIDs, largerKeys, true, o)
+	cl, err := e.ClusterBUNs(largerOIDs, largerKeys, true, o)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := p.ClusterBUNs(smallerOIDs, smallerKeys, true, o)
+	cs, err := e.ClusterBUNs(smallerOIDs, smallerKeys, true, o)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []O
 	// that cap, so the lists stay disjoint, and an overflowing partition
 	// (duplicate smaller keys) moves to a private GC slice instead of
 	// clobbering its neighbour.
-	ml := p.Mem()
+	ml := e.mem()
 	bigL := mempool.Slice[OID](ml, len(largerOIDs))
 	bigS := mempool.Slice[OID](ml, len(largerOIDs))
 	parts := make([]join.Index, h)
@@ -63,7 +63,7 @@ func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []O
 		parts[pt].Larger = bigL[ll:ll:lh]
 		parts[pt].Smaller = bigS[ll:ll:lh]
 	}
-	p.RunAff(h, aff, func(_, pt int, s *Scratch) {
+	e.runAff(h, aff, func(_, pt int, s *Scratch) {
 		ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
 		sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
 		if ll == lh || sl == sh {
@@ -93,7 +93,7 @@ func (p *Pool) Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []O
 		Larger:  mempool.Slice[OID](ml, offs[h]),
 		Smaller: mempool.Slice[OID](ml, offs[h]),
 	}
-	p.RunAff(h, aff, func(_, pt int, _ *Scratch) {
+	e.runAff(h, aff, func(_, pt int, _ *Scratch) {
 		copy(out.Larger[offs[pt]:offs[pt+1]], parts[pt].Larger)
 		copy(out.Smaller[offs[pt]:offs[pt+1]], parts[pt].Smaller)
 	})

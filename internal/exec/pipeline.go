@@ -2,22 +2,22 @@ package exec
 
 // Phase pipelines: the uniform execution layer all five project-join
 // strategies run on. A strategy is assembled as an ordered list of
-// Phases; each Phase body receives the Engine, which dispatches every
-// substrate operator either to the serial paper implementations
-// (internal/radix, internal/join, internal/posjoin, internal/core,
-// internal/nsm, internal/jive) or to their morsel-driven parallel
-// counterparts in this package, sharing one runtime lease and the
-// runtime workers' Scratch across all phases of a run.
+// Phases; each Phase body receives the Engine, whose operators run
+// either the serial paper implementations (internal/radix,
+// internal/join, internal/posjoin, internal/core, internal/nsm,
+// internal/jive) or their morsel-driven parallel bodies in this
+// package, sharing one runtime lease and the runtime workers' Scratch
+// across all phases of a run.
 //
 // The contract (see also the package comment in exec.go):
 //
 //   - Engine with 0 workers is the serial engine: every operator calls
-//     the paper code directly, no goroutines, no pool. Engine with
-//     n >= 1 workers holds a Pool — a lease on a Runtime; operators run
-//     parallel when the input clears MinParallelN and fall back to the
-//     serial code otherwise. Either way an operator's output is
-//     byte-identical to its serial counterpart — parallelism changes
-//     wall-clock only.
+//     the paper code directly, no goroutines, no lease. Engine with
+//     n >= 1 workers is a lease on a Runtime; operators run parallel
+//     when Engine.serial says so (nominal > 1, input at or above
+//     MinParallelN) and call the serial code otherwise. Either way an
+//     operator's output is byte-identical to its serial counterpart —
+//     parallelism changes wall-clock only.
 //   - Phases run strictly in order; a phase starts only after its
 //     predecessor finished, so phase bodies may close over shared
 //     variables without synchronisation. All intra-phase parallelism
@@ -32,13 +32,8 @@ package exec
 import (
 	"time"
 
-	"radixdecluster/internal/bat"
-	"radixdecluster/internal/core"
-	"radixdecluster/internal/join"
-	"radixdecluster/internal/mem"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
-	"radixdecluster/internal/radix"
 )
 
 // PhaseKind buckets a phase's elapsed time into the paper's
@@ -139,7 +134,7 @@ func (t Timings) Queue() time.Duration {
 const tracePipelineTID = 1000
 
 // Pipeline is an ordered list of phases bound to one Engine. Build it
-// with NewPipeline + Then, run it with Execute, release the pool with
+// with NewPipeline + Then, run it with Execute, release the lease with
 // Close.
 type Pipeline struct {
 	eng    *Engine
@@ -154,20 +149,14 @@ type Pipeline struct {
 // trace — the default — disables all emission. Call before Execute.
 func (p *Pipeline) SetTrace(t *obs.Trace) {
 	p.trace = t
-	if p.eng.pool != nil {
-		p.eng.pool.trace = t
-	}
+	p.eng.trace = t
 }
 
 // SetQueryTag names the query for pprof labels (e.g. the strategy
 // name): when the runtime runs with Options.PprofLabels, every morsel
 // of this pipeline executes under pprof.Labels("query", tag,
 // "phase", ..., "worker", ...). Call before Execute.
-func (p *Pipeline) SetQueryTag(tag string) {
-	if p.eng.pool != nil {
-		p.eng.pool.queryTag = tag
-	}
-}
+func (p *Pipeline) SetQueryTag(tag string) { p.eng.queryTag = tag }
 
 // NewPipeline creates a pipeline on a fresh engine (see NewEngine):
 // workers <= 0 is the serial paper mode; otherwise Execute first passes
@@ -185,15 +174,12 @@ func (p *Pipeline) Engine() *Engine { return p.eng }
 // base-data identity (e.g. a ScanKey seed), so concurrent pipelines
 // over the same source home equal partition keys on equal workers —
 // cross-query cache affinity on top of the cross-phase affinity every
-// pipeline gets. No-op for the serial engine. Call before Execute.
-func (p *Pipeline) SetAffinitySeed(seed uint64) {
-	if p.eng.pool != nil {
-		p.eng.pool.SetAffinitySeed(seed)
-	}
-}
+// pipeline gets. Nothing reads it on the serial engine. Call before
+// Execute.
+func (p *Pipeline) SetAffinitySeed(seed uint64) { p.eng.affSeed = seed }
 
 // Workers returns the engine's nominal worker count, 0 for serial.
-func (p *Pipeline) Workers() int { return p.eng.Workers() }
+func (p *Pipeline) Workers() int { return p.eng.workers }
 
 // Close releases the engine's runtime lease.
 func (p *Pipeline) Close() { p.eng.Close() }
@@ -214,176 +200,68 @@ func (p *Pipeline) Then(kind PhaseKind, name string, run func(e *Engine) error) 
 // metrics-enabled runtime each phase's elapsed seconds feed the
 // per-phase counter family.
 func (p *Pipeline) Execute() (Timings, error) {
+	e := p.eng
 	var tm Timings
 	start := time.Now()
-	if p.eng.pool != nil {
-		admStart := time.Now()
-		tm.Admission = p.eng.pool.attach()
-		if tm.Admission > 0 {
-			p.trace.Span("admission", "sched", tracePipelineTID, admStart, tm.Admission, nil)
-		}
+	if tm.Admission = e.attach(); tm.Admission > 0 {
+		p.trace.Span("admission", "sched", tracePipelineTID, start, tm.Admission, nil)
 	}
 	var err error
 	for _, ph := range p.phases {
-		if p.eng.pool != nil {
-			p.eng.pool.setPhase(ph.Kind.String())
-		}
+		e.setPhase(ph.Kind.String())
 		t := time.Now()
-		q0 := p.eng.queueWait()
-		sched0 := p.eng.schedStats()
-		hits0 := p.eng.sharedScanHits()
-		err = ph.Run(p.eng)
+		q0 := e.queued.Load()
+		sched0 := e.sched.stats()
+		hits0 := e.sharedHits.Load()
+		err = ph.Run(e)
 		elapsed := time.Since(t)
-		qw := p.eng.queueWait() - q0
+		qw := time.Duration(e.queued.Load() - q0)
 		tm.ByKind[ph.Kind] += elapsed
 		tm.QueueByKind[ph.Kind] += qw
 		if p.trace != nil {
 			p.trace.Span(ph.Name, ph.Kind.String(), tracePipelineTID, t, elapsed,
 				map[string]int64{
 					"queue_wait_ns":    int64(qw),
-					"morsels":          p.eng.schedStats().Sub(sched0).Tasks(),
-					"shared_scan_hits": p.eng.sharedScanHits() - hits0,
+					"morsels":          e.sched.stats().Sub(sched0).Tasks(),
+					"shared_scan_hits": e.sharedHits.Load() - hits0,
 				})
 		}
-		if m := p.eng.rtMetrics(); m != nil {
-			m.phaseSeconds.With(ph.Kind.String()).Add(elapsed.Seconds())
+		if e.rt != nil && e.rt.metrics != nil {
+			e.rt.metrics.phaseSeconds.With(ph.Kind.String()).Add(elapsed.Seconds())
 		}
 		if err != nil {
 			break
 		}
 	}
 	tm.Total = time.Since(start)
-	tm.SharedScanHits = p.eng.sharedScanHits()
-	tm.Sched = p.eng.schedStats()
-	tm.Comp = p.eng.comp.snapshot()
-	if pool := p.eng.pool; pool != nil {
-		// Snapshot before Close releases the lease: the accounting is
-		// the query's, the buffers go back to the arena.
-		tm.Mem = pool.memStats()
-		pool.rt.compSaved.Add(tm.Comp.SavedBytes)
-		pool.rt.compDecodeNanos.Add(tm.Comp.DecodeNanos)
+	tm.SharedScanHits = e.sharedHits.Load()
+	tm.Sched = e.sched.stats()
+	tm.Comp = e.comp.snapshot()
+	// Snapshot before Close releases the lease: the accounting is the
+	// query's, the buffers go back to the arena.
+	tm.Mem = e.memStats()
+	if e.rt != nil {
+		e.rt.compSaved.Add(tm.Comp.SavedBytes)
+		e.rt.compDecodeNanos.Add(tm.Comp.DecodeNanos)
 	}
 	return tm, err
 }
 
-// Engine dispatches substrate operators to the serial paper code (0
-// workers) or to their parallel counterparts on a runtime lease. One
-// Engine — and hence one lease — is shared by every phase of a
-// pipeline.
-type Engine struct {
-	pool *Pool
-	comp compCounters // compressed-execution counters (compressed.go)
-	sdec *decoder     // serial-path compressed scratch, lazy
-}
-
-// NewEngine creates an engine: workers <= 0 selects the serial paper
-// engine (no pool, no goroutines; rt is not consulted), workers >= 1 a
-// lease on rt with that nominal parallelism (see Runtime.NewPool).
-func NewEngine(rt *Runtime, workers int) *Engine {
-	if workers <= 0 {
-		return &Engine{}
-	}
-	return &Engine{pool: rt.NewPool(workers)}
-}
-
-// Workers returns the nominal worker count, 0 for the serial engine.
-func (e *Engine) Workers() int {
-	if e.pool == nil {
-		return 0
-	}
-	return e.pool.Workers()
-}
-
-// Close releases the runtime lease (no-op for the serial engine).
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
-}
-
-// mem returns the query's buffer lease: nil on the serial engine,
-// where every acquisition is a plain make.
-func (e *Engine) mem() *mempool.Lease {
-	if e.pool == nil {
-		return nil
-	}
-	return e.pool.Mem()
-}
-
-// Own returns a dirty n-value result array: the one buffer kind that
-// outlives the pipeline. On a runtime it is drawn from the query's kit
-// off the lease's ledger (mempool.Own), so it survives Close and
-// whoever ends up holding the result hands it back to Home with
-// mempool.Recycle; on the serial engine it is a make. Every slot must
-// be written.
-func (e *Engine) Own(n int) []int32 { return mempool.Own[int32](e.mem(), n) }
-
-// Home returns the kit Own draws result arrays from and Recycle
-// returns them to — nil when they are GC-owned (serial engine). Ask
-// before Close.
-func (e *Engine) Home() *mempool.Kit {
-	if l := e.mem(); l != nil {
-		return l.Kit()
-	}
-	return nil
-}
-
-// queueWait returns the engine pool's accumulated morsel-queue wait
-// (zero for the serial engine).
-func (e *Engine) queueWait() time.Duration {
-	if e.pool == nil {
-		return 0
-	}
-	return e.pool.queueWait()
-}
-
-// sharedScanHits returns the pool's cooperative-scan hit count (zero
-// for the serial engine).
-func (e *Engine) sharedScanHits() int64 {
-	if e.pool == nil {
-		return 0
-	}
-	return e.pool.sharedScanHits()
-}
-
-// schedStats returns the pool's scheduler counters (zero for the
-// serial engine).
-func (e *Engine) schedStats() SchedStats {
-	if e.pool == nil {
-		return SchedStats{}
-	}
-	return e.pool.schedStats()
-}
-
-// rtMetrics returns the runtime's metrics bundle, nil whenever the
-// engine is serial or the runtime was built without Options.Metrics.
-func (e *Engine) rtMetrics() *rtMetrics {
-	if e.pool == nil {
-		return nil
-	}
-	return e.pool.rt.metrics
-}
-
-// parallel reports whether an n-item operator should run on the pool.
-func (e *Engine) parallel(n int) bool {
-	return e.pool != nil && e.pool.Workers() > 1 && n >= MinParallelN
-}
-
 // ForRanges runs body over contiguous chunks of [0,n): a single
-// [0,n) chunk on the serial engine, pool-scheduled morsels otherwise.
-// The body must write only output slots derivable from its range
-// (disjoint per chunk) — the property that makes chunked scans,
-// stitches and gathers byte-identical to their serial loops.
+// [0,n) chunk when the engine runs it serially, runtime-scheduled
+// morsels otherwise. The body must write only output slots derivable
+// from its range (disjoint per chunk) — the property that makes chunked
+// scans, stitches and gathers byte-identical to their serial loops.
 func (e *Engine) ForRanges(n int, body func(r Range) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if !e.parallel(n) {
+	if e.serial(n) {
 		return body(Range{Lo: 0, Hi: n})
 	}
-	chunks := e.pool.chunksFor(n)
-	errs := e.pool.errSlots(len(chunks))
-	e.pool.Run(len(chunks), func(_, t int, _ *Scratch) {
+	chunks := e.chunksFor(n)
+	errs := e.errSlots(len(chunks))
+	e.run(len(chunks), func(_, t int, _ *Scratch) {
 		errs[t] = body(chunks[t])
 	})
 	return firstErr(errs)
@@ -399,60 +277,8 @@ func (e *Engine) ForRanges(n int, body func(r Range) error) error {
 // by construction; output bytes never depend on whether a pass was
 // shared.
 func (e *Engine) SharedRanges(key ScanKey, n int, body func(Range) error) error {
-	if key == (ScanKey{}) || !e.parallel(n) || !e.pool.rt.shareScans {
+	if key == (ScanKey{}) || e.serial(n) || !e.rt.shareScans {
 		return e.ForRanges(n, body)
 	}
-	return e.pool.sharedScan(key, n, body)
-}
-
-// PartitionedJoin is the Partitioned Hash-Join producing a join-index.
-func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*join.Index, error) {
-	if e.pool == nil {
-		return join.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
-	}
-	return e.pool.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
-}
-
-// ClusterOIDPairs radix-clusters an [oid,oid] BAT on the key column.
-func (e *Engine) ClusterOIDPairs(key, other []OID, o radix.Opts) (*radix.OIDPairsResult, error) {
-	if e.pool == nil {
-		return radix.ClusterOIDPairs(key, other, o)
-	}
-	return e.pool.ClusterOIDPairs(key, other, o)
-}
-
-// SortOIDPairs fully Radix-Sorts an [oid,oid] BAT on the key column.
-func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPairsResult, error) {
-	if e.pool == nil {
-		return radix.SortOIDPairs(key, other, h)
-	}
-	return e.pool.SortOIDPairs(key, other, h)
-}
-
-// ClusterForDecluster performs the Figure-4 re-clustering on this
-// engine's clustering operator.
-func (e *Engine) ClusterForDecluster(smallerOIDs []OID, o radix.Opts) (*core.Clustered, error) {
-	return core.ClusterForDeclusterWith(smallerOIDs, o, e.ClusterOIDPairs)
-}
-
-// Decluster runs Radix-Decluster with the planned (serial) window. The
-// parallel engine divides the window between its workers internally,
-// so the concurrently live window regions together still fit the
-// cache; output bytes never depend on the division.
-func (e *Engine) Decluster(values []int32, ids []OID, borders []bat.Border, windowTuples int) ([]int32, error) {
-	if !e.parallel(len(values)) {
-		return core.Decluster(values, ids, borders, windowTuples)
-	}
-	return e.pool.Decluster(values, ids, borders, perWorkerWindow(windowTuples, e.pool.Workers()))
-}
-
-// perWorkerWindow splits the planned insertion window across workers
-// (each worker's live region gets a 1/workers share of the cache
-// budget), clamped to at least one tuple.
-func perWorkerWindow(windowTuples, workers int) int {
-	w := windowTuples / workers
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return e.sharedScan(key, n, body)
 }

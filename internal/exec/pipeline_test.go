@@ -47,7 +47,7 @@ func TestClusterRowsMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			withPools(t, func(t *testing.T, p *Pool) {
+			withLeases(t, func(t *testing.T, p *Engine) {
 				got, err := p.ClusterRows(rows, width, 0, o)
 				if err != nil {
 					t.Fatal(err)
@@ -70,8 +70,8 @@ func TestPartitionedRowsMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		withPools(t, func(t *testing.T, p *Pool) {
-			got, err := p.PartitionedRows(larger, lw, 0, smaller, sw, 0, o)
+		withLeases(t, func(t *testing.T, p *Engine) {
+			got, err := p.PartitionedRowsJoin(larger, lw, 0, smaller, sw, 0, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,8 +90,8 @@ func TestHashRowsMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPools(t, func(t *testing.T, p *Pool) {
-		got, err := p.HashRows(larger, lw, 0, smaller, sw, 0)
+	withLeases(t, func(t *testing.T, p *Engine) {
+		got, err := p.HashRowsJoin(larger, lw, 0, smaller, sw, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,15 +120,15 @@ func TestJivePhasesMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		withPools(t, func(t *testing.T, p *Pool) {
-			gotL, err := p.JiveLeftRows(ji, left, leftCols, right.Len(), bits)
+		withLeases(t, func(t *testing.T, p *Engine) {
+			gotL, err := p.JiveLeft(ji, left, leftCols, right.Len(), bits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotL, wantL) {
 				t.Fatalf("workers=%d bits=%d: parallel left Jive differs from serial", p.Workers(), bits)
 			}
-			gotR, err := p.JiveRightRows(gotL, right, rightCols)
+			gotR, err := p.JiveRight(gotL, right, rightCols)
 			if err != nil {
 				t.Fatal(err)
 			}

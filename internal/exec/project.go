@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
+	"radixdecluster/internal/core"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/posjoin"
 )
@@ -35,7 +36,7 @@ func (e *Engine) FetchMany(cols []Col, oids []OID) ([][]int32, error) {
 	for c := range cols {
 		out[c] = e.Own(len(oids))
 	}
-	if !e.parallel(len(oids)) {
+	if e.serial(len(oids)) {
 		for c := range cols {
 			if err := e.fetchColInto(out[c], cols[c], oids, nil); err != nil {
 				return nil, fmt.Errorf("column %d: %w", c, err)
@@ -43,14 +44,14 @@ func (e *Engine) FetchMany(cols []Col, oids []OID) ([][]int32, error) {
 		}
 		return out, nil
 	}
-	chunks := e.pool.chunksFor(len(oids))
+	chunks := e.chunksFor(len(oids))
 	ntasks := len(cols) * len(chunks)
-	errs := e.pool.errSlots(ntasks)
+	errs := e.errSlots(ntasks)
 	// The affinity key is the oid-range chunk, not the (column, chunk)
 	// task: every column's fetch of the same oid range homes on one
 	// worker, which then holds that range of the join-index hot across
 	// all π columns.
-	e.pool.RunAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, s *Scratch) {
+	e.runAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, s *Scratch) {
 		c, r := t/len(chunks), chunks[t%len(chunks)]
 		if err := e.fetchColInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi], s); err != nil {
 			errs[t] = fmt.Errorf("column %d: %w", c, err)
@@ -87,7 +88,7 @@ func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, 
 		return nil, err
 	}
 	out := mempool.Slice[int32](e.mem(), len(oids))
-	if !e.parallel(len(oids)) {
+	if e.serial(len(oids)) {
 		for _, b := range borders {
 			if err := e.fetchColInto(out[b.Start:b.End], col, oids[b.Start:b.End], nil); err != nil {
 				return nil, err
@@ -95,9 +96,9 @@ func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, 
 		}
 		return out, nil
 	}
-	groups := groupBorders(borders, e.pool.workers*morselsPerWorker, len(oids))
-	errs := e.pool.errSlots(len(groups))
-	e.pool.Run(len(groups), func(_, t int, s *Scratch) {
+	groups := groupBorders(borders, e.workers*morselsPerWorker, len(oids))
+	errs := e.errSlots(len(groups))
+	e.run(len(groups), func(_, t int, s *Scratch) {
 		for _, b := range borders[groups[t].Lo:groups[t].Hi] {
 			if err := e.fetchColInto(out[b.Start:b.End], col, oids[b.Start:b.End], s); err != nil {
 				errs[t] = err
@@ -111,16 +112,21 @@ func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, 
 	return out, nil
 }
 
-// Decluster is the parallel equivalent of core.Decluster: cluster
-// groups are morsels, each running the Figure-6 insertion-window loop
-// over its own clusters. windowTuples is the per-worker window size;
-// the caller divides the cache budget by the worker count. The
+// Decluster runs Radix-Decluster with the planned (serial) window, the
+// parallel equivalent of core.Decluster: cluster groups are morsels,
+// each running the Figure-6 insertion-window loop over its own
+// clusters. The planned window is divided between the nominal workers
+// (perWorkerWindow), so the concurrently live window regions together
+// still fit the cache; output bytes never depend on the division. The
 // clusters of a group own a fixed subset of result positions, so
 // groups scatter into result without overlap — and, ids being a
 // permutation, into every slot of it: the result array is drawn dirty
 // (mempool.Own) and never cleared.
-func (p *Pool) Decluster(values []int32, ids []OID, borders []bat.Border, windowTuples int) ([]int32, error) {
+func (e *Engine) Decluster(values []int32, ids []OID, borders []bat.Border, windowTuples int) ([]int32, error) {
 	n := len(values)
+	if e.serial(n) {
+		return core.Decluster(values, ids, borders, windowTuples)
+	}
 	if len(ids) != n {
 		return nil, fmt.Errorf("core: Decluster: %d values vs %d ids", n, len(ids))
 	}
@@ -130,16 +136,28 @@ func (p *Pool) Decluster(values []int32, ids []OID, borders []bat.Border, window
 	if err := bat.ValidateBorders(borders, n); err != nil {
 		return nil, err
 	}
-	result := mempool.Own[int32](p.Mem(), n)
-	groups := groupBorders(borders, p.workers*morselsPerWorker, n)
-	errs := p.errSlots(len(groups))
-	p.Run(len(groups), func(_, t int, s *Scratch) {
-		errs[t] = declusterGroup(result, values, ids, borders[groups[t].Lo:groups[t].Hi], windowTuples, s)
+	result := e.Own(n)
+	window := perWorkerWindow(windowTuples, e.workers)
+	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
+	errs := e.errSlots(len(groups))
+	e.run(len(groups), func(_, t int, s *Scratch) {
+		errs[t] = declusterGroup(result, values, ids, borders[groups[t].Lo:groups[t].Hi], window, s)
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	return result, nil
+}
+
+// perWorkerWindow splits the planned insertion window across workers
+// (each worker's live region gets a 1/workers share of the cache
+// budget), clamped to at least one tuple.
+func perWorkerWindow(windowTuples, workers int) int {
+	w := windowTuples / workers
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // declusterGroup runs the windowed merge-scatter of Figure 6 over one

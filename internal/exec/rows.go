@@ -11,6 +11,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
@@ -22,7 +23,7 @@ import (
 )
 
 // checkRowsInput mirrors the rows validation of internal/join and
-// internal/radix so the parallel fronts reject exactly what the serial
+// internal/radix so the parallel bodies reject exactly what the serial
 // code would.
 func checkRowsInput(pkg string, rows []int32, width, key int) error {
 	if width <= 0 || len(rows)%width != 0 {
@@ -39,41 +40,41 @@ func checkRowsInput(pkg string, rows []int32, width, key int) error {
 // same two-level chunked count-then-scatter as ClusterOIDPairs, moving
 // whole records — the pre-projection "extra luggage" — and produces
 // the identical arrangement and offsets.
-func (p *Pool) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radix.RowsResult, error) {
+func (e *Engine) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radix.RowsResult, error) {
 	if err := checkRowsInput("radix: ClusterRows", rows, width, keyCol); err != nil {
 		return nil, err
+	}
+	n := len(rows) / width
+	if e.serial(n) || !scatterable(o.Bits) {
+		return radix.ClusterRows(rows, width, keyCol, o)
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(rows) / width
-	if p.serialPreferred(n, o.Bits) {
-		return radix.ClusterRows(rows, width, keyCol, o)
-	}
 	// The clustered records are a join input, leased like the
 	// intermediate a two-level fan-out scatters through first.
-	out := mempool.Slice[int32](p.Mem(), len(rows))
+	out := mempool.Slice[int32](e.mem(), len(rows))
 	buf := [2][]int32{out}
 	if o.Bits > maxFirstPassBits {
-		buf = [2][]int32{mempool.Slice[int32](p.Mem(), len(rows)), out}
+		buf = [2][]int32{mempool.Slice[int32](e.mem(), len(rows)), out}
 	}
 	count, scatter := radix.RowKernels(rows, width, keyCol, buf)
-	return &radix.RowsResult{Rows: out, Width: width, Offsets: p.scatter2(n, o, count, scatter)}, nil
+	return &radix.RowsResult{Rows: out, Width: width, Offsets: e.scatter2(n, o, count, scatter)}, nil
 }
 
-// PartitionedRows is the parallel equivalent of join.PartitionedRows:
-// both wide-tuple inputs are radix-clustered in parallel, partition
-// pairs are probed as morsels, and the per-partition result rows are
-// stitched in partition order — the order the serial loop appends
-// them.
-func (p *Pool) PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*join.RowsResult, error) {
+// PartitionedRowsJoin is the pre-projection Partitioned Hash-Join over
+// wide tuples, the parallel equivalent of join.PartitionedRows: both
+// wide-tuple inputs are radix-clustered in parallel, partition pairs
+// are probed as morsels, and the per-partition result rows are stitched
+// in partition order — the order the serial loop appends them.
+func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*join.RowsResult, error) {
 	if err := checkRowsInput("join", larger, lw, lkey); err != nil {
 		return nil, err
 	}
 	if err := checkRowsInput("join", smaller, sw, skey); err != nil {
 		return nil, err
 	}
-	if p.workers == 1 || len(larger)/lw+len(smaller)/sw < MinParallelN {
+	if e.serial(len(larger)/lw + len(smaller)/sw) {
 		return join.PartitionedRows(larger, lw, lkey, smaller, sw, skey, o)
 	}
 	if o.Bits == 0 {
@@ -85,33 +86,34 @@ func (p *Pool) PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw
 		if err := o.Validate(); err != nil {
 			return nil, err
 		}
-		t, err := p.buildRowsTable(smaller, sw, skey, uint(o.Ignore))
+		t, err := e.buildRowsTable(smaller, sw, skey, uint(o.Ignore))
 		if err != nil {
 			return nil, err
 		}
-		return p.probeRowsChunked(t, larger, lw, lkey, sw), nil
+		return e.probeRowsChunked(t, larger, lw, lkey, sw), nil
 	}
-	cl, err := p.ClusterRows(larger, lw, lkey, o)
+	cl, err := e.ClusterRows(larger, lw, lkey, o)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := p.ClusterRows(smaller, sw, skey, o)
+	cs, err := e.ClusterRows(smaller, sw, skey, o)
 	if err != nil {
 		return nil, err
 	}
 	h := len(cl.Offsets) - 1
 	shift := uint(o.Ignore + o.Bits)
 	// Partition morsels home on their level-1 radix parent's worker,
-	// exactly like the oid-pair join (see Pool.Partitioned).
+	// exactly like the oid-pair join (see PartitionedJoin).
 	l1 := level1Shift(o.Bits)
 	// Per-partition result buffers are carved from one leased arena at
 	// the partition's larger-side offset, capped (three-index) at one
 	// match per probe tuple — exact for key-FK joins; expanding joins
 	// (duplicate smaller keys) regrow onto a private GC slice.
 	rw := lw + sw - 2
-	arena := mempool.Slice[int32](p.Mem(), (len(larger)/lw)*rw)
+	arena := mempool.Slice[int32](e.mem(), (len(larger)/lw)*rw)
 	parts := make([][]int32, h)
-	p.RunAff(h, func(pt int) uint64 { return uint64(pt) >> l1 }, func(_, pt int, _ *Scratch) {
+	var matches atomic.Int64
+	e.runAff(h, func(pt int) uint64 { return uint64(pt) >> l1 }, func(_, pt int, _ *Scratch) {
 		ll, lh := cl.Offsets[pt]*lw, cl.Offsets[pt+1]*lw
 		sl, sh := cs.Offsets[pt]*sw, cs.Offsets[pt+1]*sw
 		if ll == lh || sl == sh {
@@ -119,104 +121,96 @@ func (p *Pool) PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw
 		}
 		blo, bhi := cl.Offsets[pt]*rw, cl.Offsets[pt+1]*rw
 		buf := arena[blo:blo:bhi]
-		parts[pt] = join.ProbeRowsPartition(cs.Rows[sl:sh], sw, skey,
+		var m int
+		parts[pt], m = join.ProbeRowsPartition(cs.Rows[sl:sh], sw, skey,
 			cl.Rows[ll:lh], lw, lkey, shift, buf)
+		matches.Add(int64(m))
 	})
-	return stitchRowParts(parts, rw, p), nil
+	return e.stitchRowParts(parts, rw, int(matches.Load())), nil
 }
 
-// HashRows is the parallel equivalent of join.HashRows: the hash
-// table over the smaller relation is built with a partitioned
-// per-worker-shard build (disjoint bucket ranges — byte-identical to
-// the serial build, so chain order still fixes duplicate-match
-// order), then chunks of the larger relation probe it concurrently
-// into private buffers stitched in chunk order.
-func (p *Pool) HashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*join.RowsResult, error) {
+// HashRowsJoin is the naive pre-projection Hash-Join over wide tuples,
+// the parallel equivalent of join.HashRows: the hash table over the
+// smaller relation is built with a partitioned per-worker-shard build
+// (disjoint bucket ranges — byte-identical to the serial build, so
+// chain order still fixes duplicate-match order), then chunks of the
+// larger relation probe it concurrently into private buffers stitched
+// in chunk order.
+func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*join.RowsResult, error) {
 	if err := checkRowsInput("join", larger, lw, lkey); err != nil {
 		return nil, err
 	}
-	if p.workers == 1 || len(larger)/lw+len(smaller)/sw < MinParallelN {
+	if err := checkRowsInput("join", smaller, sw, skey); err != nil {
+		return nil, err
+	}
+	if e.serial(len(larger)/lw + len(smaller)/sw) {
 		return join.HashRows(larger, lw, lkey, smaller, sw, skey)
 	}
-	t, err := p.buildRowsTable(smaller, sw, skey, 0)
+	t, err := e.buildRowsTable(smaller, sw, skey, 0)
 	if err != nil {
 		return nil, err
 	}
-	return p.probeRowsChunked(t, larger, lw, lkey, sw), nil
+	return e.probeRowsChunked(t, larger, lw, lkey, sw), nil
 }
 
-// buildRowsTable builds the wide-tuple hash table on the pool: the
+// buildRowsTable builds the wide-tuple hash table on the runtime: the
 // formerly serial residue of the naive rows join, sharded per worker
 // over disjoint bucket ranges (join.BuildRowsTableParallel). Small
 // inputs stay on the serial build.
-func (p *Pool) buildRowsTable(rows []int32, width, key int, shift uint) (*join.RowTable, error) {
-	if p.workers == 1 || len(rows)/width < MinParallelN {
+func (e *Engine) buildRowsTable(rows []int32, width, key int, shift uint) (*join.RowTable, error) {
+	if e.serial(len(rows) / width) {
 		return join.BuildRowsTable(rows, width, key, shift)
 	}
 	// The table's linkage arrays are intra-query transients (the probe
 	// reads them, the result rows don't): lease the backing, dirty.
 	n := len(rows) / width
-	ml := p.Mem()
+	ml := e.mem()
 	first := mempool.Slice[int32](ml, join.NumBuckets(n))
 	next := mempool.Slice[int32](ml, n)
 	bucketOf := mempool.Slice[uint32](ml, n)
-	return join.BuildRowsTableParallelBufs(rows, width, key, shift, p.workers,
+	return join.BuildRowsTableParallelBufs(rows, width, key, shift, e.workers,
 		func(ntasks int, body func(task int)) {
-			p.Run(ntasks, func(_, t int, _ *Scratch) { body(t) })
+			e.run(ntasks, func(_, t int, _ *Scratch) { body(t) })
 		}, first, next, bucketOf)
 }
 
 // probeRowsChunked probes larger-side chunks against a prebuilt row
 // table concurrently, stitching the per-chunk match buffers in chunk
 // (= input) order — the serial probe order.
-func (p *Pool) probeRowsChunked(t *join.RowTable, larger []int32, lw, lkey, sw int) *join.RowsResult {
-	chunks := p.chunksFor(len(larger) / lw)
+func (e *Engine) probeRowsChunked(t *join.RowTable, larger []int32, lw, lkey, sw int) *join.RowsResult {
+	chunks := e.chunksFor(len(larger) / lw)
 	// Per-chunk buffers carve one leased arena at the chunk's offset,
-	// capped at one match per probe tuple (see PartitionedRows).
+	// capped at one match per probe tuple (see PartitionedRowsJoin).
 	rw := lw + sw - 2
-	arena := mempool.Slice[int32](p.Mem(), (len(larger)/lw)*rw)
+	arena := mempool.Slice[int32](e.mem(), (len(larger)/lw)*rw)
 	parts := make([][]int32, len(chunks))
-	p.Run(len(chunks), func(_, c int, _ *Scratch) {
+	var matches atomic.Int64
+	e.run(len(chunks), func(_, c int, _ *Scratch) {
 		r := chunks[c]
 		buf := arena[r.Lo*rw : r.Lo*rw : r.Hi*rw]
-		parts[c] = t.ProbeRows(larger[r.Lo*lw:r.Hi*lw], lw, lkey, buf)
+		var m int
+		parts[c], m = t.ProbeRows(larger[r.Lo*lw:r.Hi*lw], lw, lkey, buf)
+		matches.Add(int64(m))
 	})
-	return stitchRowParts(parts, rw, p)
+	return e.stitchRowParts(parts, rw, int(matches.Load()))
 }
 
 // stitchRowParts concatenates per-morsel result-row buffers in morsel
-// order — a parallel prefix-sum copy into disjoint output ranges.
-func stitchRowParts(parts [][]int32, width int, p *Pool) *join.RowsResult {
+// order — a parallel prefix-sum copy into disjoint output ranges. n is
+// the morsels' total match count (zero-width rows cannot carry it).
+func (e *Engine) stitchRowParts(parts [][]int32, width, n int) *join.RowsResult {
 	// offs is transient (leased, dirty — offs[0] set explicitly); out is
 	// the pre-projection strategies' result array (mempool.Own).
-	offs := mempool.Slice[int](p.Mem(), len(parts)+1)
+	offs := mempool.Slice[int](e.mem(), len(parts)+1)
 	offs[0] = 0
 	for i, part := range parts {
 		offs[i+1] = offs[i] + len(part)
 	}
-	out := mempool.Own[int32](p.Mem(), offs[len(parts)])
-	p.Run(len(parts), func(_, i int, _ *Scratch) {
+	out := e.Own(offs[len(parts)])
+	e.run(len(parts), func(_, i int, _ *Scratch) {
 		copy(out[offs[i]:offs[i+1]], parts[i])
 	})
-	return &join.RowsResult{Rows: out, Width: width}
-}
-
-// PartitionedRowsJoin is the engine front for the pre-projection
-// Partitioned Hash-Join over wide tuples.
-func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*join.RowsResult, error) {
-	if e.pool == nil {
-		return join.PartitionedRows(larger, lw, lkey, smaller, sw, skey, o)
-	}
-	return e.pool.PartitionedRows(larger, lw, lkey, smaller, sw, skey, o)
-}
-
-// HashRowsJoin is the engine front for the naive pre-projection
-// Hash-Join over wide tuples.
-func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*join.RowsResult, error) {
-	if e.pool == nil {
-		return join.HashRows(larger, lw, lkey, smaller, sw, skey)
-	}
-	return e.pool.HashRows(larger, lw, lkey, smaller, sw, skey)
+	return &join.RowsResult{Rows: out, Width: width, N: n}
 }
 
 // Rows is a record-array execution view: a row-major NSM relation and,
@@ -357,14 +351,19 @@ func (e *Engine) GatherProject(v Rows, name string, oids []OID, cols []int) (*ns
 
 // AppendFields glues two equal-cardinality relations side by side,
 // chunked over record ranges. The glued records are a result array
-// (Engine.Own): the Jive strategy's final assembly.
+// (Engine.Own): the Jive strategy's final assembly. A side that
+// projects nothing has zero-width records and so no record count of its
+// own (nsm.Relation.Len); the other side's stands.
 func (e *Engine) AppendFields(name string, a, b *nsm.Relation) (*nsm.Relation, error) {
-	if a.Len() != b.Len() {
-		return nil, fmt.Errorf("nsm: AppendFields: %d vs %d records", a.Len(), b.Len())
+	n := a.Len()
+	if a.Width == 0 {
+		n = b.Len()
+	} else if b.Width > 0 && b.Len() != n {
+		return nil, fmt.Errorf("nsm: AppendFields: %d vs %d records", n, b.Len())
 	}
 	w := a.Width + b.Width
-	out := &nsm.Relation{Name: name, Width: w, Data: e.Own(a.Len() * w)}
-	err := e.ForRanges(a.Len(), func(r Range) error {
+	out := &nsm.Relation{Name: name, Width: w, Data: e.Own(n * w)}
+	err := e.ForRanges(n, func(r Range) error {
 		nsm.AppendFieldsInto(out, a, b, r.Lo, r.Hi)
 		return nil
 	})
@@ -384,7 +383,7 @@ func (e *Engine) DeclusterRowsInto(out []int32, outWidth, outOff int, values []i
 		return fmt.Errorf("core: DeclusterRowsInto: %d values not a multiple of width %d", len(values), width)
 	}
 	n := len(values) / width
-	if !e.parallel(n) {
+	if e.serial(n) {
 		return core.DeclusterRowsInto(out, outWidth, outOff, values, width, ids, borders, windowTuples)
 	}
 	if len(ids) != n {
@@ -402,11 +401,10 @@ func (e *Engine) DeclusterRowsInto(out []int32, outWidth, outOff int, values []i
 	if err := bat.ValidateBorders(borders, n); err != nil {
 		return err
 	}
-	pool := e.pool
-	window := perWorkerWindow(windowTuples, pool.Workers())
-	groups := groupBorders(borders, pool.Workers()*morselsPerWorker, n)
-	errs := pool.errSlots(len(groups))
-	pool.Run(len(groups), func(_, t int, s *Scratch) {
+	window := perWorkerWindow(windowTuples, e.workers)
+	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
+	errs := e.errSlots(len(groups))
+	e.run(len(groups), func(_, t int, s *Scratch) {
 		errs[t] = declusterRowsGroup(out, outWidth, outOff, values, width, ids,
 			borders[groups[t].Lo:groups[t].Hi], window, s)
 	})

@@ -10,12 +10,12 @@ package exec
 // Scheduling model (topology-aware since the per-worker-deque
 // refactor):
 //
-//   - Each executing pipeline holds a lease, granted by admission
-//     control: at most maxConcurrent pipelines run at once, the rest
-//     wait in FIFO order. The admitted count is exposed as
+//   - Each executing pipeline's Engine holds an admission slot: at
+//     most maxConcurrent pipelines run at once, the rest wait in FIFO
+//     order. The admitted count is exposed as
 //     ActiveQueries, the cost model's concurrency input (each query
 //     plans against a 1/Q cache share and a 1/Q bus-stream budget).
-//   - A lease's run submits one job — the task body plus an affinity
+//   - An engine's run submits one job — the task body plus an affinity
 //     key per morsel. Every morsel is placed on the local deque of its
 //     HOME worker: hash(pipeline seed, affinity key) mod workers. The
 //     key is the morsel's data identity — a radix partition id, a
@@ -51,7 +51,7 @@ package exec
 //
 // The byte-identical-output contract is untouched: a job's task
 // decomposition (chunking, per-worker windows) is fixed by the
-// lease-holding Pool's nominal worker count, and placement/stealing
+// submitting Engine's nominal worker count, and placement/stealing
 // only select which worker executes a morsel, never what it computes.
 
 import (
@@ -128,16 +128,6 @@ func (s SchedStats) WarmHitRate() float64 {
 	return 0
 }
 
-// Add returns the per-field sum of two counter sets.
-func (s SchedStats) Add(o SchedStats) SchedStats {
-	return SchedStats{
-		LocalHits:     s.LocalHits + o.LocalHits,
-		StealsSibling: s.StealsSibling + o.StealsSibling,
-		StealsShared:  s.StealsShared + o.StealsShared,
-		StealsRemote:  s.StealsRemote + o.StealsRemote,
-	}
-}
-
 // Sub returns the per-field difference s - prev: the counters
 // attributable to the work between two snapshots of a cumulative
 // counter set. This is how per-run (or per-window) numbers are
@@ -204,7 +194,7 @@ func (s SchedStats) String() string {
 }
 
 // schedCounters is the atomic accumulator behind SchedStats (one per
-// runtime, one per lease).
+// runtime, one per query Engine).
 type schedCounters struct {
 	local, sibling, shared, remote atomic.Int64
 }
@@ -238,7 +228,7 @@ func (c *schedCounters) stats() SchedStats {
 
 // Runtime owns the worker goroutines and the per-worker affinity
 // deques. Create one with NewRuntime, hand it to pipelines with
-// NewPipeline (or NewPool for direct operator use), release the
+// NewPipeline (or NewEngine for direct operator use), release the
 // workers with Close.
 type Runtime struct {
 	workers       int
@@ -246,7 +236,6 @@ type Runtime struct {
 	shareScans    bool
 	labels        bool // pprof-label worker morsels (Options.PprofLabels)
 
-	topo       *calibrator.Topology
 	victims    [][]stealEntry // per worker: steal order, nearest first
 	workerTags []string       // worker id pre-rendered for pprof labels
 
@@ -255,7 +244,7 @@ type Runtime struct {
 	dq     []wdeque   // per-worker local deques (guarded by mu)
 	closed bool
 
-	admitted int             // leases currently held
+	admitted int             // admission slots currently held
 	waiters  []chan struct{} // FIFO admission queue
 
 	// Windowed scheduler stats (guarded by mu — note already holds it).
@@ -263,7 +252,7 @@ type Runtime struct {
 	winPrev  SchedStats // cumulative counters at the last boundary
 	win      SchedWindow
 
-	poolSeq atomic.Uint64 // default affinity-seed source
+	seedSeq atomic.Uint64 // default affinity-seed source
 	sched   schedCounters // process-wide scheduler counters
 
 	// Compressed-execution totals, accumulated per pipeline at
@@ -293,7 +282,7 @@ type stealEntry struct {
 	dist   int // calibrator.Dist* of the victim from the thief
 }
 
-// rtJob is one run invocation on a lease: the task body plus the
+// rtJob is one run invocation of an Engine: the task body plus the
 // affinity mapping that placed its morsels.
 type rtJob struct {
 	ntasks  int
@@ -303,8 +292,8 @@ type rtJob struct {
 	pending atomic.Int64  // tasks not yet finished
 	done    chan struct{} // closed by the worker finishing the last task
 	enq     time.Time
-	started bool // first morsel claimed (guarded by Runtime.mu)
-	ls      *lease
+	started bool    // first morsel claimed (guarded by Runtime.mu)
+	e       *Engine // the submitting query: queue-wait and scheduler counters
 	// Observability (both nil/zero on the default fast path): trace
 	// receives one span per morsel, labels is the pprof label set
 	// (query, phase) workers apply around morsel bodies, phase the
@@ -494,7 +483,7 @@ func NewRuntimeOpts(o Options) *Runtime {
 	}
 	rt := &Runtime{
 		workers: workers, maxConcurrent: maxConcurrent,
-		shareScans: o.ShareScans, labels: o.PprofLabels, topo: topo,
+		shareScans: o.ShareScans, labels: o.PprofLabels,
 		mem: sharedArena,
 	}
 	if o.MemoryBudget > 0 {
@@ -549,9 +538,6 @@ func (rt *Runtime) Workers() int { return rt.workers }
 // MaxConcurrent returns the admission bound: the maximum number of
 // pipelines executing at once.
 func (rt *Runtime) MaxConcurrent() int { return rt.maxConcurrent }
-
-// Topology returns the machine layout the scheduler places against.
-func (rt *Runtime) Topology() *calibrator.Topology { return rt.topo }
 
 // SchedStats returns the process-wide scheduler counters accumulated
 // across every job this runtime has executed.
@@ -616,24 +602,6 @@ func (rt *Runtime) Close() {
 	rt.mu.Unlock()
 	rt.work.Broadcast()
 	rt.wg.Wait()
-}
-
-// NewPool returns a Pool: one query's lease, whose Run submits to this
-// runtime's affinity deques. workers (<= 0 selects the runtime's size)
-// sets the query's nominal parallelism: morsel granularity and
-// per-worker window division derive from it, so the output bytes
-// depend on it alone — a nominal 8 on a 2-worker runtime computes what
-// a nominal 8 computes anywhere — never on the workers actually
-// serving the morsels. The pool gets a
-// fresh affinity seed (replaceable with SetAffinitySeed before the
-// first Run) so distinct queries spread their homes differently.
-// Admission is acquired on first use (or explicitly via a pipeline's
-// Execute) and released by Close.
-func (rt *Runtime) NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = rt.workers
-	}
-	return &Pool{workers: workers, rt: rt, affSeed: mix64(rt.poolSeq.Add(1))}
 }
 
 // worker is the shared-pool loop: drain the local deque (jobs
@@ -702,15 +670,15 @@ func (rt *Runtime) nextTask(w int) (*rtJob, int, int, bool) {
 }
 
 // note records one claim under rt.mu: first-morsel queue wait plus the
-// runtime-wide and per-lease scheduler counters, and advances the
+// runtime-wide and per-query scheduler counters, and advances the
 // windowed-stats interval.
 func (rt *Runtime) note(j *rtJob, dist int) {
 	if !j.started {
 		j.started = true
-		j.ls.queued.Add(int64(time.Since(j.enq)))
+		j.e.queued.Add(int64(time.Since(j.enq)))
 	}
 	rt.sched.note(dist)
-	j.ls.sched.note(dist)
+	j.e.sched.note(dist)
 	rt.winSince++
 	if rt.winSince >= SchedWindowTasks {
 		rt.rollWindow()
@@ -751,37 +719,9 @@ func (rt *Runtime) submit(j *rtJob) {
 	rt.work.Broadcast()
 }
 
-// lease is one admitted pipeline's handle on the runtime. queued
-// accumulates the submission-to-first-morsel waits of its jobs — the
-// morsel-queue component of the pipeline's queueing time — and sched
-// the pipeline's scheduler counters.
-type lease struct {
-	rt     *Runtime
-	queued atomic.Int64 // nanoseconds
-	sched  schedCounters
-}
-
-// run executes fn over [0, ntasks) morsels on the shared workers and
-// returns when all have finished. aff maps a task to its affinity key
-// (nil: the task index); seed salts the placement hash per query/scan;
-// p is the submitting pool, carrying the job's observability context
-// (trace buffer, pprof labels, current phase name). Like Pool.Run, fn
-// must not submit nested jobs from within a morsel body.
-func (l *lease) run(p *Pool, ntasks int, seed uint64, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
-	if ntasks <= 0 {
-		return
-	}
-	j := &rtJob{ntasks: ntasks, fn: fn, aff: aff, seed: seed,
-		done: make(chan struct{}), enq: time.Now(), ls: l,
-		trace: p.trace, labels: p.jobLabels(), phase: p.curPhase()}
-	j.pending.Store(int64(ntasks))
-	l.rt.submit(j)
-	<-j.done
-}
-
 // admit blocks until admission control grants a slot (FIFO beyond
-// maxConcurrent concurrent pipelines) and returns the lease.
-func (rt *Runtime) admit() *lease {
+// maxConcurrent concurrent pipelines).
+func (rt *Runtime) admit() {
 	if rt.metrics != nil {
 		rt.metrics.queriesTotal.Inc()
 	}
@@ -793,18 +733,17 @@ func (rt *Runtime) admit() *lease {
 	if rt.admitted < rt.maxConcurrent && len(rt.waiters) == 0 {
 		rt.admitted++
 		rt.mu.Unlock()
-		return &lease{rt: rt}
+		return
 	}
 	ch := make(chan struct{})
 	rt.waiters = append(rt.waiters, ch)
 	rt.mu.Unlock()
 	<-ch
-	return &lease{rt: rt}
 }
 
-// releaseLease hands the slot to the longest-waiting pipeline, or
+// release hands an admission slot to the longest-waiting pipeline, or
 // frees it.
-func (rt *Runtime) releaseLease() {
+func (rt *Runtime) release() {
 	rt.mu.Lock()
 	if len(rt.waiters) > 0 {
 		ch := rt.waiters[0]

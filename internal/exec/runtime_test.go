@@ -30,7 +30,7 @@ func TestRuntimePoolMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := rt.NewPool(4)
+	p := NewEngine(rt, 4)
 	defer p.Close()
 	got, err := p.ClusterBUNs(heads, vals, true, o)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestRuntimeQueueTimings(t *testing.T) {
 	defer pl.Close()
 	ran := false
 	pl.Then(PhaseJoin, "work", func(e *Engine) error {
-		e.pool.Run(16, func(_, _ int, _ *Scratch) {})
+		e.run(16, func(_, _ int, _ *Scratch) {})
 		ran = true
 		return nil
 	})
@@ -127,12 +127,12 @@ func TestRuntimeConcurrentJobsExecuteAllMorsels(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := rt.NewPool(2)
+			p := NewEngine(rt, 2)
 			defer p.Close()
 			for round := 0; round < 5; round++ {
 				const ntasks = 37
 				var hits [ntasks]atomic.Int32
-				p.Run(ntasks, func(_, task int, _ *Scratch) {
+				p.run(ntasks, func(_, task int, _ *Scratch) {
 					hits[task].Add(1)
 				})
 				for i := range hits {
@@ -149,7 +149,7 @@ func TestRuntimeConcurrentJobsExecuteAllMorsels(t *testing.T) {
 // The chunked-parallel prefix sum must produce exactly the serial
 // cursors and offsets for any (cluster, chunk) shape.
 func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
-	p := testRuntime(t).NewPool(4)
+	p := NewEngine(testRuntime(t), 4)
 	defer p.Close()
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range []struct{ h, nch int }{
@@ -171,35 +171,35 @@ func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// A closed Pool has released its admission slot: running on it again
+// A closed Engine has released its admission slot: running on it again
 // must panic, as submitting to a closed Runtime does, instead of
 // admitting a second lease that nobody would release.
-func TestClosedPoolRunPanics(t *testing.T) {
+func TestClosedEngineRunPanics(t *testing.T) {
 	rt := testRuntime(t)
-	for name, use := range map[string]func(p *Pool){
-		"Run":    func(p *Pool) { p.Run(4, func(_, _ int, _ *Scratch) {}) },
-		"RunAff": func(p *Pool) { p.RunAff(4, func(int) uint64 { return 0 }, func(_, _ int, _ *Scratch) {}) },
-		"attach": func(p *Pool) { p.attach() },
+	for name, use := range map[string]func(e *Engine){
+		"run":    func(e *Engine) { e.run(4, func(_, _ int, _ *Scratch) {}) },
+		"runAff": func(e *Engine) { e.runAff(4, func(int) uint64 { return 0 }, func(_, _ int, _ *Scratch) {}) },
+		"attach": func(e *Engine) { e.attach() },
 	} {
-		p := rt.NewPool(2)
-		p.Run(4, func(_, _ int, _ *Scratch) {})
+		e := NewEngine(rt, 2)
+		e.run(4, func(_, _ int, _ *Scratch) {})
 		if got := rt.ActiveQueries(); got != 1 {
 			t.Fatalf("%s: %d active queries while the lease is held, want 1", name, got)
 		}
-		p.Close()
+		e.Close()
 		func() {
 			defer func() {
-				if r := recover(); r != "exec: Run on a closed Pool" {
-					t.Fatalf("%s on a closed Pool: recovered %v, want the closed-Pool panic", name, r)
+				if r := recover(); r != "exec: Run on a closed Engine" {
+					t.Fatalf("%s on a closed Engine: recovered %v, want the closed-Engine panic", name, r)
 				}
 			}()
-			use(p)
+			use(e)
 		}()
-		if p.Mem() != nil {
-			t.Fatalf("%s: closed Pool handed out a buffer lease", name)
+		if e.mem() != nil {
+			t.Fatalf("%s: closed Engine handed out a buffer lease", name)
 		}
 		if got := rt.ActiveQueries(); got != 0 {
-			t.Fatalf("%s on a closed Pool leaked an admission slot: %d active queries", name, got)
+			t.Fatalf("%s on a closed Engine leaked an admission slot: %d active queries", name, got)
 		}
 	}
 }

@@ -26,7 +26,7 @@ package exec
 //     an unshared run.
 //
 // Serving capacity comes from the consumers themselves: each attach
-// submits one lease job of len(chunks) "serve tokens" to the ordinary
+// submits one job of len(chunks) "serve tokens" to the ordinary
 // morsel queue. A token advances the wheel by one serve, or no-ops
 // when the pass has already covered every attached consumer (tokens
 // are always sufficient: a consumer attaches at wheel <= tokens
@@ -217,19 +217,19 @@ func (k ScanKey) Seed() uint64 {
 	return mix64(uint64(k.base) ^ uint64(k.n)<<8 ^ uint64(k.kind)<<56)
 }
 
-// sharedScan routes one declared scan of this pool through the
+// sharedScan routes one declared scan of this engine through the
 // runtime's registry: attach as a consumer, contribute len(chunks)
-// serve tokens under the pool's lease, wait until every chunk has been
-// applied to the consumer (possibly by other pipelines' tokens).
-func (p *Pool) sharedScan(key ScanKey, n int, body func(Range) error) error {
-	ls := p.lease() // admission first, exactly like any other job
-	sc, c, hit := p.rt.scanReg.attach(key, n, body)
+// serve tokens under the engine's lease, wait until every chunk has
+// been applied to the consumer (possibly by other pipelines' tokens).
+func (e *Engine) sharedScan(key ScanKey, n int, body func(Range) error) error {
+	e.admit() // admission first, exactly like any other job
+	sc, c, hit := e.rt.scanReg.attach(key, n, body)
 	if hit {
-		p.sharedHits.Add(1)
-		p.trace.Instant("shared-scan hit", "scan", tracePipelineTID, time.Now(),
+		e.sharedHits.Add(1)
+		e.trace.Instant("shared-scan hit", "scan", tracePipelineTID, time.Now(),
 			map[string]int64{"chunks": int64(len(sc.chunks))})
 	}
-	ls.run(p, len(sc.chunks), key.Seed(), nil, func(_, _ int, _ *Scratch) { p.rt.scanReg.serve(sc) })
+	e.runSeeded(len(sc.chunks), key.Seed(), nil, func(_, _ int, _ *Scratch) { e.rt.scanReg.serve(sc) })
 	// Our tokens have run, so every serve in c's window is claimed;
 	// stragglers claimed by other pipelines' tokens finish on their
 	// workers momentarily.

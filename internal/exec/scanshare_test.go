@@ -100,8 +100,8 @@ func TestSharedScanRuntimeTwoConsumersByteIdentical(t *testing.T) {
 		want[i] = src[i] * 3
 	}
 
-	e1 := &Engine{pool: rt.NewPool(2)}
-	e2 := &Engine{pool: rt.NewPool(2)}
+	e1 := NewEngine(rt, 2)
+	e2 := NewEngine(rt, 2)
 	defer e1.Close()
 	defer e2.Close()
 
@@ -155,8 +155,8 @@ func TestSharedScanRuntimeTwoConsumersByteIdentical(t *testing.T) {
 	if got := rt.SharedScanHits(); got != 1 {
 		t.Fatalf("runtime recorded %d shared hits, want 1", got)
 	}
-	if got := e1.sharedScanHits() + e2.sharedScanHits(); got != 1 {
-		t.Fatalf("pools recorded %d shared hits, want 1", got)
+	if got := e1.sharedHits.Load() + e2.sharedHits.Load(); got != 1 {
+		t.Fatalf("engines recorded %d shared hits, want 1", got)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestSharedScanConcurrentConsumersCoverAllItems(t *testing.T) {
 			if c%3 == 0 {
 				key = keyB
 			}
-			e := &Engine{pool: rt.NewPool(2)}
+			e := NewEngine(rt, 2)
 			defer e.Close()
 			seen := make([]atomic.Int32, n)
 			err := e.SharedRanges(key, n, func(r Range) error {
@@ -220,7 +220,7 @@ func TestSharedRangesDisabledFallsBackToForRanges(t *testing.T) {
 	defer rt.Close()
 	const n = MinParallelN
 	src := make([]int32, n)
-	e := &Engine{pool: rt.NewPool(2)}
+	e := NewEngine(rt, 2)
 	defer e.Close()
 	out := make([]int32, n)
 	if err := e.SharedRanges(ColumnScanKey(src, n), n, func(r Range) error {

@@ -28,7 +28,7 @@ func TestSchedWindowRegimeShift(t *testing.T) {
 	}}
 	rt := NewRuntimeOpts(Options{Workers: 2, Topology: topo})
 	defer rt.Close()
-	p := rt.NewPool(2)
+	p := NewEngine(rt, 2)
 	defer p.Close()
 	held, release := holdWorkers(t, rt, 1)
 	busy := held[0]
@@ -39,7 +39,7 @@ func TestSchedWindowRegimeShift(t *testing.T) {
 	// Regime A: every morsel homed on the free worker — a local hit
 	// (the only possible thief is stuck).
 	freeKey := keyHomedOn(t, p.affSeed, 1-busy, 2)
-	p.RunAff(regime, func(int) uint64 { return freeKey }, func(_, _ int, _ *Scratch) {})
+	p.runAff(regime, func(int) uint64 { return freeKey }, func(_, _ int, _ *Scratch) {})
 	winA := rt.SchedStatsWindow()
 	if winA.Windows != nwin {
 		t.Fatalf("regime A completed %d windows, want %d", winA.Windows, nwin)
@@ -53,7 +53,7 @@ func TestSchedWindowRegimeShift(t *testing.T) {
 
 	// Regime B: every morsel homed on the hostage — all stolen remotely.
 	busyKey := keyHomedOn(t, p.affSeed, busy, 2)
-	p.RunAff(regime, func(int) uint64 { return busyKey }, func(_, _ int, _ *Scratch) {})
+	p.runAff(regime, func(int) uint64 { return busyKey }, func(_, _ int, _ *Scratch) {})
 	release()
 
 	winB := rt.SchedStatsWindow()

@@ -19,7 +19,7 @@ func strategyMs(run func() (*strategy.Result, error)) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return float64(res.Phases.Total.Nanoseconds()) / 1e6, nil
+	return float64(res.Timings.Total.Nanoseconds()) / 1e6, nil
 }
 
 func dsmSides(pr *workload.Pair, pi int) (strategy.DSMSide, strategy.DSMSide) {
@@ -194,7 +194,7 @@ func Fig10c(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		row = append(row,
-			float64(autoRes.Phases.Total.Nanoseconds())/1e6,
+			float64(autoRes.Timings.Total.Nanoseconds())/1e6,
 			fmt.Sprintf("%c/%c", autoRes.LargerMethod, autoRes.SmallerMethod))
 		if n <= 250<<10 {
 			prW, err := workload.GenPair(workload.Params{N: n, Omega: 65, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: cfg.Seed})

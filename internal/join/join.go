@@ -236,19 +236,17 @@ const bucketsPerTuple = 4
 // RowsResult is the output of a payload-carrying (pre-projection)
 // join: row-major result records of Width = larger-payload-width +
 // smaller-payload-width. The keys do not appear in the output — the
-// query projects a1..aY, b1..bX only (§1.1).
+// query projects a1..aY, b1..bX only (§1.1). N is the match count: a
+// query that projects nothing has zero-width records, and its result
+// still has a cardinality.
 type RowsResult struct {
 	Rows  []int32
 	Width int
+	N     int
 }
 
 // Len returns the result cardinality.
-func (r *RowsResult) Len() int {
-	if r.Width == 0 {
-		return 0
-	}
-	return len(r.Rows) / r.Width
-}
+func (r *RowsResult) Len() int { return r.N }
 
 // rowTable hashes the smaller side's wide tuples on their key column.
 // shift discards the hash bits consumed by the partitioning (see
@@ -289,9 +287,10 @@ func buildRowTable(rows []int32, width, key int, shift uint) *rowTable {
 // probeRows joins larger wide tuples against the table, emitting
 // [larger-payload | smaller-payload] rows (key columns dropped). The
 // tuple-at-a-time copying with run-time attribute lists is the very
-// CPU overhead the paper attributes to pre-projection (§4.2).
-func (t *rowTable) probeRows(larger []int32, lw, lkey int, out []int32) []int32 {
-	n := len(larger) / lw
+// CPU overhead the paper attributes to pre-projection (§4.2). It
+// returns the extended rows and the number of matches appended.
+func (t *rowTable) probeRows(larger []int32, lw, lkey int, out []int32) ([]int32, int) {
+	n, matches := len(larger)/lw, 0
 	for i := 0; i < n; i++ {
 		rec := larger[i*lw : (i+1)*lw]
 		k := rec[lkey]
@@ -300,6 +299,7 @@ func (t *rowTable) probeRows(larger []int32, lw, lkey int, out []int32) []int32 
 			if t.rows[s+t.key] != k {
 				continue
 			}
+			matches++
 			for c := 0; c < lw; c++ {
 				if c != lkey {
 					out = append(out, rec[c])
@@ -313,7 +313,7 @@ func (t *rowTable) probeRows(larger []int32, lw, lkey int, out []int32) []int32 
 			}
 		}
 	}
-	return out
+	return out, matches
 }
 
 // RowTable is an exported handle over the wide-tuple hash table: the
@@ -422,9 +422,9 @@ func shardRange(n, nshards, shard int) (lo, hi int) {
 
 // ProbeRows joins larger wide tuples against the table, appending
 // [larger payload | smaller payload] rows to out in probe order and
-// returning the extended slice. Matches per probe follow chain order,
-// exactly as the serial HashRows loop emits them.
-func (t *RowTable) ProbeRows(larger []int32, lw, lkey int, out []int32) []int32 {
+// returning the extended slice and the match count. Matches per probe
+// follow chain order, exactly as the serial HashRows loop emits them.
+func (t *RowTable) ProbeRows(larger []int32, lw, lkey int, out []int32) ([]int32, int) {
 	return t.t.probeRows(larger, lw, lkey, out)
 }
 
@@ -432,7 +432,7 @@ func (t *RowTable) ProbeRows(larger []int32, lw, lkey int, out []int32) []int32 
 // smaller wide tuples and probes it with the matching larger
 // partition, appending result rows to out in probe order — the
 // per-partition morsel of the parallel pre-projection joins.
-func ProbeRowsPartition(smaller []int32, sw, skey int, larger []int32, lw, lkey int, shift uint, out []int32) []int32 {
+func ProbeRowsPartition(smaller []int32, sw, skey int, larger []int32, lw, lkey int, shift uint, out []int32) ([]int32, int) {
 	return buildRowTable(smaller, sw, skey, shift).probeRows(larger, lw, lkey, out)
 }
 
@@ -448,8 +448,8 @@ func HashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*Row
 	}
 	t := buildRowTable(smaller, sw, skey, 0)
 	out := make([]int32, 0, len(larger)/lw*(lw+sw-2))
-	out = t.probeRows(larger, lw, lkey, out)
-	return &RowsResult{Rows: out, Width: lw + sw - 2}, nil
+	out, n := t.probeRows(larger, lw, lkey, out)
+	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}, nil
 }
 
 // PartitionedRows is the pre-projection Partitioned Hash-Join
@@ -474,7 +474,7 @@ func PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int32, 0, len(larger)/lw*(lw+sw-2))
+	out, n := make([]int32, 0, len(larger)/lw*(lw+sw-2)), 0
 	h := len(cl.Offsets) - 1
 	for p := 0; p < h; p++ {
 		ll, lh := cl.Offsets[p]*lw, cl.Offsets[p+1]*lw
@@ -483,9 +483,11 @@ func PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int
 			continue
 		}
 		t := buildRowTable(cs.Rows[sl:sh], sw, skey, uint(o.Ignore+o.Bits))
-		out = t.probeRows(cl.Rows[ll:lh], lw, lkey, out)
+		var m int
+		out, m = t.probeRows(cl.Rows[ll:lh], lw, lkey, out)
+		n += m
 	}
-	return &RowsResult{Rows: out, Width: lw + sw - 2}, nil
+	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}, nil
 }
 
 func checkRows(rows []int32, width, key int) error {

@@ -346,9 +346,23 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	}
 }
 
+// A zero-width result (a query that projects nothing) carries its
+// cardinality: Len is the match count, not len(Rows)/Width.
 func TestRowsResultLenZeroWidth(t *testing.T) {
-	r := &RowsResult{}
-	if r.Len() != 0 {
-		t.Fatal("zero-width result must have length 0")
+	if (&RowsResult{}).Len() != 0 {
+		t.Fatal("the zero RowsResult must have length 0")
+	}
+	keys := []int32{3, 1, 2, 1}
+	for name, join := range map[string]func() (*RowsResult, error){
+		"HashRows":        func() (*RowsResult, error) { return HashRows(keys, 1, 0, keys[:3], 1, 0) },
+		"PartitionedRows": func() (*RowsResult, error) { return PartitionedRows(keys, 1, 0, keys[:3], 1, 0, radix.Opts{Bits: 1}) },
+	} {
+		r, err := join()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Width != 0 || len(r.Rows) != 0 || r.Len() != 4 {
+			t.Fatalf("%s of key-only tuples: width %d, %d values, Len %d — want 0, 0 and the 4 matches", name, r.Width, len(r.Rows), r.Len())
+		}
 	}
 }

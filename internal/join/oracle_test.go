@@ -140,9 +140,9 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	if got := sortedPairs(serial); !slices.Equal(got, want) {
 		t.Fatalf("%+v: serial join returned %d pairs, the oracle %d, or different ones", o, len(got), len(want))
 	}
-	p := rt.NewPool(2)
-	defer p.Close() // the parallel join-index is leased from the pool
-	parallel, err := p.Partitioned(lo, lk, so, sk, o)
+	e := exec.NewEngine(rt, 2)
+	defer e.Close() // the parallel join-index is leased from the engine
+	parallel, err := e.PartitionedJoin(lo, lk, so, sk, o)
 	if err != nil {
 		t.Fatalf("%+v: parallel: %v", o, err)
 	}

@@ -41,9 +41,9 @@ func TestBuildRowsTableParallelMatchesSerial(t *testing.T) {
 		probe := make([]int32, 2*w)
 		probe[0*w+key] = rows[key] // key of row 0
 		probe[1*w+key] = -1        // no match
-		wantOut := want.ProbeRows(probe, w, key, nil)
-		gotOut := got.ProbeRows(probe, w, key, nil)
-		if !reflect.DeepEqual(gotOut, wantOut) {
+		wantOut, wantN := want.ProbeRows(probe, w, key, nil)
+		gotOut, gotN := got.ProbeRows(probe, w, key, nil)
+		if !reflect.DeepEqual(gotOut, wantOut) || gotN != wantN {
 			t.Fatalf("shards=%d: probe output differs", shards)
 		}
 	}

@@ -330,7 +330,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // joinserve for its shutdown summary).
 func (s *Server) Status() Status {
 	rt := s.cfg.Runtime
-	win := rt.SchedStatsWindow()
+	sched, win := rt.SchedStats(), rt.SchedStatsWindow()
 	opened, riders := s.batch.stats()
 	s.relMu.RLock()
 	nrels := len(s.rels)
@@ -342,8 +342,8 @@ func (s *Server) Status() Status {
 		QueuedQueries:        rt.QueuedQueries(),
 		ShareScans:           rt.ShareScans(),
 		SharedScanHits:       rt.SharedScanHits(),
-		Sched:                rt.SchedStats(),
-		WarmHitRate:          rt.SchedStats().WarmHitRate(),
+		Sched:                sched,
+		WarmHitRate:          sched.WarmHitRate(),
 		WindowedWarm:         win.WarmHitRate(),
 		SchedWindows:         win.Windows,
 		MemPool:              rt.MemPoolStats(),

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -227,6 +229,11 @@ func TestQueryValidation(t *testing.T) {
 		{"limit negative", `{"larger":"larger","smaller":"smaller","limit":-1}`, 400, "limit -1"},
 		{"parallelism at the bound", `{"larger":"larger","smaller":"smaller","parallelism":8}`, 200, ""},
 		{"parallelism auto", `{"larger":"larger","smaller":"smaller","parallelism":-1}`, 200, ""},
+		// A query that projects nothing is legal and still has a
+		// cardinality: the strategy changes wall-clock only.
+		{"no projection", `{"larger":"larger","smaller":"smaller","largerProject":[],"smallerProject":[]}`, 200, ""},
+		{"no projection, DSM-pre", `{"larger":"larger","smaller":"smaller","largerProject":[],"smallerProject":[],"strategy":"DSM-pre"}`, 200, ""},
+		{"one side projected, NSM-post-jive", `{"larger":"larger","smaller":"smaller","smallerProject":[],"strategy":"NSM-post-jive"}`, 200, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -237,6 +244,11 @@ func TestQueryValidation(t *testing.T) {
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, c.want, b)
 			}
 			if c.want == 200 {
+				// Every accepted query above is the full key-FK join of
+				// the 64-row pair, whatever it projects.
+				if n := parseNDJSON(t, resp.Body).header.N; n != 64 {
+					t.Fatalf("header n = %d, want 64", n)
+				}
 				return
 			}
 			var e map[string]string
@@ -252,6 +264,76 @@ func TestQueryValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/query = %d, want 405", resp.StatusCode)
+	}
+}
+
+// jsonObject decodes one level of a JSON object.
+func jsonObject(t *testing.T, raw []byte) map[string]json.RawMessage {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatalf("not a JSON object: %v in %s", err, raw)
+	}
+	return obj
+}
+
+// TestStatusAndFooterWireShape pins the JSON key sets of the two
+// documents clients decode — /v1/status and the stream footer. The
+// scheduler and arena statistics in them are the engine's own records
+// (exec.SchedStats, mempool.Stats) under their public names; a field
+// renamed or tagged down there must not silently change the wire.
+func TestStatusAndFooterWireShape(t *testing.T) {
+	_, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2}, Config{}, 64, 1)
+	resp := postQuery(t, ts.URL, `{"larger":"larger","smaller":"smaller","trace":true}`)
+	var lastLine []byte
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	for sc.Scan() {
+		lastLine = append(lastLine[:0], sc.Bytes()...)
+	}
+	resp.Body.Close()
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	footer := jsonObject(t, lastLine)
+
+	sresp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := jsonObject(t, body)
+
+	for _, c := range []struct {
+		name string
+		doc  map[string]json.RawMessage
+		want []string
+	}{
+		{"status", status, []string{"activeQueries", "maxConcurrentQueries", "memPool", "queuedQueries",
+			"sched", "schedWindows", "server", "shareScans", "sharedScanHits", "warmHitRate",
+			"windowedWarmHitRate", "workers"}},
+		{"status.sched", jsonObject(t, status["sched"]), []string{"LocalHits", "StealsRemote", "StealsShared", "StealsSibling"}},
+		{"status.memPool", jsonObject(t, status["memPool"]), []string{"HeldBytes", "Hits", "Leases", "Misses", "Trims"}},
+		{"status.server", jsonObject(t, status["server"]), []string{"batchWindowMs", "batchWindows", "batchedQueries",
+			"draining", "inflight", "queriesAccepted", "queriesFailed", "queriesRejected",
+			"queriesRejectedDraining", "queriesSucceeded", "queueWatermark", "relations", "resultsBinary",
+			"resultsNDJSON", "rowsStreamed", "uptimeSeconds", "wireBytes", "wireCompressedBytes", "wireFrames"}},
+		{"footer", footer, []string{"rowsStreamed", "sharedScanHits", "timing", "traceSpans"}},
+		{"footer.timing", jsonObject(t, footer["timing"]), []string{"declusterMs", "joinMs", "projectLargerMs",
+			"projectSmallerMs", "queueMs", "reorderJIMs", "scanMs", "totalMs"}},
+	} {
+		got := make([]string, 0, len(c.doc))
+		for k := range c.doc {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s keys = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

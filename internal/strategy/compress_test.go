@@ -54,11 +54,11 @@ func TestCompressedStrategiesMatchRaw(t *testing.T) {
 				if !res.Compressed {
 					t.Fatalf("DSMPost c/%c: CompressOn run not marked compressed", sm)
 				}
-				if res.Phases.Comp.Cols == 0 {
+				if res.Timings.Comp.Cols == 0 {
 					t.Fatalf("DSMPost c/%c: no compressed columns consumed", sm)
 				}
-				if res.Phases.Comp.SavedBytes <= 0 {
-					t.Fatalf("DSMPost c/%c: SavedBytes = %d", sm, res.Phases.Comp.SavedBytes)
+				if res.Timings.Comp.SavedBytes <= 0 {
+					t.Fatalf("DSMPost c/%c: SavedBytes = %d", sm, res.Timings.Comp.SavedBytes)
 				}
 			}
 		}
@@ -66,7 +66,7 @@ func TestCompressedStrategiesMatchRaw(t *testing.T) {
 			t.Fatalf("mode=%v DSMPre: %v", mode, err)
 		} else {
 			compareRows(t, fmt.Sprintf("mode=%v DSMPre", mode), rowsResultRows(t, res, pi), want)
-			if mode == CompressOn && res.Phases.Comp.Cols == 0 {
+			if mode == CompressOn && res.Timings.Comp.Cols == 0 {
 				t.Fatal("DSMPre: no compressed columns consumed")
 			}
 		}
@@ -83,7 +83,7 @@ func TestCompressedStrategiesMatchRaw(t *testing.T) {
 			t.Fatalf("mode=%v NSMPostDecluster: %v", mode, err)
 		} else {
 			compareRows(t, fmt.Sprintf("mode=%v NSMPostDecluster", mode), rowsResultRows(t, res, pi), want)
-			if mode == CompressOn && nl.Enc != nil && res.Phases.Comp.Cols == 0 {
+			if mode == CompressOn && nl.Enc != nil && res.Timings.Comp.Cols == 0 {
 				t.Fatal("NSMPostDecluster: no compressed columns consumed")
 			}
 		}
@@ -106,8 +106,8 @@ func TestCompressOffIgnoresEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Compressed || res.Phases.Comp.Cols != 0 {
-		t.Fatalf("CompressOff run reports compressed execution: %+v", res.Phases.Comp)
+	if res.Compressed || res.Timings.Comp.Cols != 0 {
+		t.Fatalf("CompressOff run reports compressed execution: %+v", res.Timings.Comp)
 	}
 	compareRows(t, "off", dsmResultRows(t, res, pi), expectedRows(pr, pi))
 }

@@ -190,22 +190,3 @@ func (c Config) pipelineFor(joinInput int, affinitySeed uint64, plan func() int)
 	}
 	return pl
 }
-
-// phasesFromTimings maps the pipeline's per-kind buckets onto the
-// paper's wall-clock breakdown.
-func phasesFromTimings(t exec.Timings) Phases {
-	return Phases{
-		Scan:           t.ByKind[exec.PhaseScan],
-		Join:           t.ByKind[exec.PhaseJoin],
-		ReorderJI:      t.ByKind[exec.PhaseReorder],
-		ProjectLarger:  t.ByKind[exec.PhaseProjectLarger],
-		ProjectSmaller: t.ByKind[exec.PhaseProjectSmaller],
-		Decluster:      t.ByKind[exec.PhaseDecluster],
-		Queue:          t.Queue(),
-		SharedScanHits: t.SharedScanHits,
-		Sched:          t.Sched,
-		Comp:           t.Comp,
-		Mem:            t.Mem,
-		Total:          t.Total,
-	}
-}

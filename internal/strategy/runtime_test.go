@@ -26,12 +26,12 @@ func TestLoneQueryIsARuntimeOfOne(t *testing.T) {
 		if res.Workers != 2 {
 			t.Fatalf("run %d: workers = %d, want the nominal 2", i, res.Workers)
 		}
-		tasks := res.Phases.Sched.Tasks()
+		tasks := res.Timings.Sched.Tasks()
 		if tasks == 0 {
-			t.Fatalf("run %d: no morsels scheduled on a runtime (Phases.Sched is zero)", i)
+			t.Fatalf("run %d: no morsels scheduled on a runtime (Timings.Sched is zero)", i)
 		}
-		if res.Phases.Mem.Acquired == 0 {
-			t.Fatalf("run %d: no arena accounting (Phases.Mem is zero)", i)
+		if res.Timings.Mem.Acquired == 0 {
+			t.Fatalf("run %d: no arena accounting (Timings.Mem is zero)", i)
 		}
 		if got := rt.SchedStats().Sub(before).Tasks(); got != tasks {
 			t.Fatalf("run %d: the default runtime scheduled %d morsels, the run reports %d — it ran elsewhere", i, got, tasks)

@@ -31,7 +31,6 @@ package strategy
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
@@ -134,62 +133,6 @@ func (c Config) hier() mem.Hierarchy {
 	return c.Hier
 }
 
-// Phases is the wall-clock breakdown of one strategy run.
-type Phases struct {
-	// Scan: record scans / wide-tuple stitching / key extraction.
-	Scan time.Duration
-	// Join: clustering of the join inputs plus hash build/probe.
-	Join time.Duration
-	// ReorderJI: Radix-Sort or partial Radix-Cluster of the join-index.
-	ReorderJI time.Duration
-	// ProjectLarger / ProjectSmaller: the Positional-Joins.
-	ProjectLarger  time.Duration
-	ProjectSmaller time.Duration
-	// Decluster: the Radix-Decluster (or Jive right-phase scatter).
-	Decluster time.Duration
-	// Queue is the time spent waiting on the runtime rather than
-	// executing: the admission-control wait plus the accumulated
-	// morsel-queue waits of every phase. The morsel-queue component is
-	// contained in the phase wall-clocks above; the admission
-	// component precedes the first phase and is contained only in
-	// Total. Zero for serial runs.
-	Queue time.Duration
-	// SharedScanHits counts this run's scans that were served by a
-	// pass another concurrent query had already started (cooperative
-	// scans; zero without a scan-sharing runtime).
-	SharedScanHits int64
-	// Sched is the affinity scheduler's counter set for this run:
-	// morsels executed on their home worker (local hits) versus stolen
-	// by topology distance. Zero for serial runs.
-	Sched exec.SchedStats
-	// Comp counts this run's compressed execution: compressed column
-	// inputs consumed, encoded bytes read, raw bytes that traffic
-	// replaced, and wall time in block-decode loops. Zero for raw runs.
-	Comp exec.CompStats
-	// Mem is the run's transient-buffer accounting from the execution
-	// arena: bytes acquired, bytes served by recycled buffers, and the
-	// peak bytes held at once. Zero for serial runs.
-	Mem mempool.LeaseStats
-	// Total is the end-to-end time.
-	Total time.Duration
-}
-
-func (p Phases) String() string {
-	s := fmt.Sprintf("scan=%v join=%v reorder=%v projL=%v projS=%v declust=%v queue=%v sharedscans=%d sched[%v] total=%v",
-		p.Scan.Round(time.Microsecond), p.Join.Round(time.Microsecond),
-		p.ReorderJI.Round(time.Microsecond), p.ProjectLarger.Round(time.Microsecond),
-		p.ProjectSmaller.Round(time.Microsecond), p.Decluster.Round(time.Microsecond),
-		p.Queue.Round(time.Microsecond), p.SharedScanHits, p.Sched, p.Total.Round(time.Microsecond))
-	if p.Comp.Cols > 0 {
-		s += fmt.Sprintf(" comp[cols=%d saved=%dB decode=%v]",
-			p.Comp.Cols, p.Comp.SavedBytes, p.Comp.DecodeTime().Round(time.Microsecond))
-	}
-	if p.Mem.Acquired > 0 {
-		s += fmt.Sprintf(" mem[acq=%dB reuse=%dB high=%dB]", p.Mem.Acquired, p.Mem.Reused, p.Mem.HighWater)
-	}
-	return s
-}
-
 // Result is a completed project-join. On a pooled runtime its result
 // arrays (LargerCols, SmallerCols, Rows) are drawn from the query's
 // arena kit and stay the holder's until Release hands them back; slices
@@ -208,9 +151,9 @@ type Result struct {
 	// home is the arena kit the result arrays came from and Release
 	// returns them to; nil when they are GC-owned (serial runs).
 	home *mempool.Kit
-	// Phases is the timing breakdown; the remaining fields record the
-	// planner's choices.
-	Phases        Phases
+	// Timings is the pipeline's per-phase breakdown and counters; the
+	// remaining fields record the planner's choices.
+	Timings       exec.Timings
 	LargerMethod  ProjMethod
 	SmallerMethod ProjMethod
 	JoinBits      int
@@ -229,11 +172,10 @@ type Result struct {
 // run executes the assembled pipeline and completes the result with
 // its timings and the kit its arrays were drawn from.
 func (r *Result) run(pl *exec.Pipeline) (*Result, error) {
-	tm, err := pl.Execute()
-	if err != nil {
+	var err error
+	if r.Timings, err = pl.Execute(); err != nil {
 		return nil, err
 	}
-	r.Phases = phasesFromTimings(tm)
 	r.home = pl.Engine().Home()
 	return r, nil
 }
@@ -242,7 +184,7 @@ func (r *Result) run(pl *exec.Pipeline) (*Result, error) {
 // side's projections first. A row-major result is decomposed on the
 // first call — each column a fresh result array, the row array handed
 // back to the arena — and the Result is columnar from then on (all
-// columns in LargerCols, Rows nil); Phases.Mem grows by the columns.
+// columns in LargerCols, Rows nil); Timings.Mem grows by the columns.
 // Not to be called after Release.
 func (r *Result) Columns() [][]int32 {
 	if r.LargerCols == nil && r.SmallerCols == nil && (r.Rows != nil || r.RowWidth > 0) {
@@ -265,9 +207,9 @@ func (r *Result) Columns() [][]int32 {
 			// The query held the row array and the columns at once, which
 			// may be its new peak.
 			st := l.Stats()
-			r.Phases.Mem.Acquired += st.Acquired
-			r.Phases.Mem.Reused += st.Reused
-			r.Phases.Mem.HighWater = max(r.Phases.Mem.HighWater, st.HighWater+int64(cap(r.Rows))*4)
+			r.Timings.Mem.Acquired += st.Acquired
+			r.Timings.Mem.Reused += st.Reused
+			r.Timings.Mem.HighWater = max(r.Timings.Mem.HighWater, st.HighWater+int64(cap(r.Rows))*4)
 			r.home = l.Kit()
 			l.Release()
 		}

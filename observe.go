@@ -8,9 +8,9 @@ package radixdecluster
 // (RuntimeConfig.MetricsAddr, runtime.go).
 
 import (
-	"fmt"
 	"io"
 
+	"radixdecluster/internal/exec"
 	"radixdecluster/internal/obs"
 )
 
@@ -48,33 +48,13 @@ func WriteTraces(w io.Writer, traces ...*Trace) error {
 	return obs.WriteChrome(w, ts...)
 }
 
-// SchedWindow is the runtime scheduler's windowed statistics: counter
-// deltas over the most recent fixed-size morsel interval, and EWMA
-// rates folded across intervals. Unlike the lifetime SchedStats
-// averages — which smear regime shifts (an admission-mix change, a
-// steal-policy switch) across the runtime's whole history — the
-// windowed rates track the CURRENT scheduling regime, which is why
-// the planner's affinity feedback consumes them.
-type SchedWindow struct {
-	// Last is the counter delta over the most recent completed window.
-	Last SchedStats
-	// WarmEWMA / LocalEWMA are the exponentially weighted moving
-	// averages of the per-window warm- and local-hit rates.
-	WarmEWMA  float64
-	LocalEWMA float64
-	// Windows is the number of completed windows (0 = no signal yet;
-	// consumers should fall back to lifetime stats).
-	Windows int64
-}
-
-// WarmHitRate returns the windowed warm-hit rate — the planner's
-// affinity feedback signal.
-func (w SchedWindow) WarmHitRate() float64 { return w.WarmEWMA }
-
-// LocalHitRate returns the windowed local-hit rate.
-func (w SchedWindow) LocalHitRate() float64 { return w.LocalEWMA }
-
-func (w SchedWindow) String() string {
-	return fmt.Sprintf("warm=%.2f local=%.2f over %d windows (last %v)",
-		w.WarmEWMA, w.LocalEWMA, w.Windows, w.Last)
-}
+// SchedWindow is the runtime scheduler's windowed statistics: the
+// counter delta over the most recent completed fixed-size morsel
+// interval (Last), EWMA warm- and local-hit rates folded across
+// intervals, and the number of completed windows (0 = no signal yet;
+// consumers should fall back to lifetime stats). Unlike the lifetime
+// SchedStats averages — which smear a regime shift such as an
+// admission-mix change across the runtime's whole history — the
+// windowed rates track the CURRENT scheduling regime, which is why the
+// planner's affinity feedback consumes them.
+type SchedWindow = exec.SchedWindow

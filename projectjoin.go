@@ -8,7 +8,9 @@ import (
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
+	"radixdecluster/internal/exec"
 	"radixdecluster/internal/join"
+	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
 	"radixdecluster/internal/radix"
 	"radixdecluster/internal/strategy"
@@ -214,17 +216,30 @@ type Timing struct {
 	Mem MemStats
 }
 
-// MemStats is one query's execution-arena accounting.
-type MemStats struct {
-	// Acquired is the total bytes of buffers the query drew from the
-	// arena (transients and result columns); Reused is the portion
-	// served by recycled buffers.
-	Acquired, Reused int64
-	// HighWater is the peak arena bytes held at any one time — the
-	// query's working-set size, the quantity a memory budget or spill
-	// tier reasons about.
-	HighWater int64
+// String renders the breakdown on one line, phases first, then the
+// runtime counters a serial run leaves zero.
+func (t Timing) String() string {
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	s := fmt.Sprintf("scan=%v join=%v reorder=%v projL=%v projS=%v declust=%v queue=%v sharedscans=%d sched[%v] total=%v",
+		us(t.Scan), us(t.Join), us(t.ReorderJI), us(t.ProjectLarger), us(t.ProjectSmaller),
+		us(t.Decluster), us(t.Queue), t.SharedScanHits, t.Sched, us(t.Total))
+	if t.CompressedCols > 0 {
+		s += fmt.Sprintf(" comp[cols=%d saved=%dB decode=%v]",
+			t.CompressedCols, t.CompressedSavedBytes, us(t.DecodeTime))
+	}
+	if t.Mem.Acquired > 0 {
+		s += fmt.Sprintf(" mem[acq=%dB reuse=%dB high=%dB]", t.Mem.Acquired, t.Mem.Reused, t.Mem.HighWater)
+	}
+	return s
 }
+
+// MemStats is one query's execution-arena accounting: the total bytes
+// of buffers the query drew from the arena, transients and result
+// columns alike (Acquired), the portion served by recycled buffers
+// (Reused), and the peak bytes held at any one time (HighWater) — the
+// query's working-set size, the quantity a memory budget or spill tier
+// reasons about.
+type MemStats = mempool.LeaseStats
 
 // Result is a completed project-join. Columns appear in result order:
 // first the larger side's projections, then the smaller side's, named
@@ -438,24 +453,29 @@ func nsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 func buildResult(q JoinQuery, res *strategy.Result, tr *obs.Trace) (*Result, error) {
 	// A row-major result (pre-projection / NSM strategies) is decomposed
 	// back into columns for the uniform public shape; first, because the
-	// columns count in Phases.Mem.
+	// columns count in Timings.Mem.
 	cols := res.Columns()
+	tm := res.Timings
 	out := &Result{
 		N:          res.N,
 		Workers:    res.Workers,
 		Compressed: res.Compressed,
 		Timing: Timing{
-			Scan: res.Phases.Scan, Join: res.Phases.Join, ReorderJI: res.Phases.ReorderJI,
-			ProjectLarger: res.Phases.ProjectLarger, ProjectSmaller: res.Phases.ProjectSmaller,
-			Decluster: res.Phases.Decluster, Queue: res.Phases.Queue, Total: res.Phases.Total,
-			SharedScanHits:       res.Phases.SharedScanHits,
-			Sched:                schedFromExec(res.Phases.Sched),
-			CompressedCols:       res.Phases.Comp.Cols,
-			CompressedBytes:      res.Phases.Comp.CompressedBytes,
-			CompressedSavedBytes: res.Phases.Comp.SavedBytes,
-			DecodeTime:           time.Duration(res.Phases.Comp.DecodeNanos),
-			Mem: MemStats{Acquired: res.Phases.Mem.Acquired,
-				Reused: res.Phases.Mem.Reused, HighWater: res.Phases.Mem.HighWater},
+			Scan:                 tm.ByKind[exec.PhaseScan],
+			Join:                 tm.ByKind[exec.PhaseJoin],
+			ReorderJI:            tm.ByKind[exec.PhaseReorder],
+			ProjectLarger:        tm.ByKind[exec.PhaseProjectLarger],
+			ProjectSmaller:       tm.ByKind[exec.PhaseProjectSmaller],
+			Decluster:            tm.ByKind[exec.PhaseDecluster],
+			Queue:                tm.Queue(),
+			Total:                tm.Total,
+			SharedScanHits:       tm.SharedScanHits,
+			Sched:                tm.Sched,
+			CompressedCols:       tm.Comp.Cols,
+			CompressedBytes:      tm.Comp.CompressedBytes,
+			CompressedSavedBytes: tm.Comp.SavedBytes,
+			DecodeTime:           tm.Comp.DecodeTime(),
+			Mem:                  tm.Mem,
 		},
 		Plan: fmt.Sprintf("joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%c/%c workers=%d",
 			res.JoinBits, res.LargerBits, res.SmallerBits, res.Window,

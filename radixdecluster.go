@@ -27,27 +27,31 @@
 //
 // # Parallel execution
 //
-// By default every algorithm runs single-threaded, matching the
-// paper. Setting JoinQuery.Parallelism switches the DSM
-// post-projection strategy — the paper's winner — to a morsel-driven
-// parallel executor (internal/exec): a fixed worker
-// pool pulls radix partitions and cache-sized cluster regions from a
-// shared queue, exploiting that the paper's decomposition makes them
-// independent units of work — each partition of the Partitioned
-// Hash-Join and each fetch/decluster region of the post-projection
-// confines its random access to a private cache-sized slice. The
-// parallel operators reproduce the serial arrangement exactly, so a
-// parallel run returns results byte-identical to the serial one; each
-// worker's Radix-Decluster insertion window is the cache budget
-// divided by the worker count, keeping the concurrently live windows
-// inside the last-level cache.
+// There are two execution modes and every strategy runs in both.
+// JoinQuery.Parallelism 0 — the default — is the paper's mode: the
+// serial algorithms on the caller's goroutine, no runtime, every buffer
+// a plain allocation. Parallelism n >= 1 runs the same phase pipeline
+// as a lease on a shared Runtime (JoinQuery.Runtime, or the process
+// default) with a NOMINAL n workers: one fixed worker set serves every
+// concurrent query, pulling radix partitions and cache-sized cluster
+// regions — independent units of work by the paper's decomposition,
+// each confining its random access to a private cache-sized slice —
+// from per-worker deques under admission control, and the query's
+// buffers come from the runtime's arena (Result.Release hands the
+// result columns back). The nominal count alone fixes how the work is
+// cut (each worker's Radix-Decluster insertion window is the cache
+// budget divided by it), so the result bytes are identical in both
+// modes, for every n, on a runtime of any size; only wall-clock,
+// Timing.Queue / Sched / Mem and Result.Workers differ. A query whose
+// join inputs total fewer than 16 Ki tuples runs the serial code either
+// way and reports Workers 0.
 //
-// The planner chooses between serial and parallel plans when
-// Parallelism is AutoParallelism: the cost model extends Appendix A
-// with a per-core cache-capacity term
-// (costmodel.DSMPostDeclusterParallel) — adding workers divides the
-// work but also each worker's cache share, and the modeled optimum
-// (capped at runtime.GOMAXPROCS) wins. PlanJoin reports that
+// AutoParallelism leaves n to the planner: the cost model extends
+// Appendix A with a per-core cache-capacity term and a memory-bandwidth
+// ceiling — adding workers divides the work but also each worker's
+// cache share and the bus — divided again across the runtime's active
+// queries, and the modeled optimum (capped at runtime.GOMAXPROCS and
+// the runtime's size) wins; 1 means stay serial. PlanJoin reports that
 // recommendation as Plan.Parallelism without executing anything.
 //
 // Values are 4-byte integers and oids are dense uint32 record

@@ -8,6 +8,7 @@ import (
 
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
+	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
 	"radixdecluster/internal/strategy"
 )
@@ -73,74 +74,12 @@ type RuntimeConfig struct {
 // SchedStats is the runtime scheduler's counter set: how many morsels
 // ran on their home worker — the worker whose private caches their
 // partition was placed into, kept warm across phases — versus how many
-// an idle worker stole, by topology distance from the home.
-type SchedStats struct {
-	// LocalHits counts morsels executed by their home worker.
-	LocalHits int64
-	// StealsSibling counts steals by an SMT sibling of the home (same
-	// physical core, shared private caches — nearly free).
-	StealsSibling int64
-	// StealsShared counts steals within the home's last-level cache or
-	// NUMA node.
-	StealsShared int64
-	// StealsRemote counts steals across NUMA nodes.
-	StealsRemote int64
-}
-
-// Steals returns the total stolen morsels.
-func (s SchedStats) Steals() int64 { return s.StealsSibling + s.StealsShared + s.StealsRemote }
-
-// AffinityMisses returns the morsels that executed off their home
-// worker (equal to Steals: under pure work stealing, stealing is the
-// only way a morsel leaves home).
-func (s SchedStats) AffinityMisses() int64 { return s.Steals() }
-
-// Tasks returns the total morsels scheduled.
-func (s SchedStats) Tasks() int64 { return s.LocalHits + s.Steals() }
-
-// LocalHitRate returns LocalHits / Tasks, 0 when nothing ran.
-func (s SchedStats) LocalHitRate() float64 {
-	if t := s.Tasks(); t > 0 {
-		return float64(s.LocalHits) / float64(t)
-	}
-	return 0
-}
-
-// WarmHitRate returns the fraction of morsels that ran where their
-// partition's private caches were warm: local hits plus SMT-sibling
-// steals (same physical core, shared private caches) — the signal the
-// planner's affinity feedback uses.
-func (s SchedStats) WarmHitRate() float64 {
-	if t := s.Tasks(); t > 0 {
-		return float64(s.LocalHits+s.StealsSibling) / float64(t)
-	}
-	return 0
-}
-
-// Sub returns the counter deltas s − prev. Snapshot SchedStats before
-// a run and subtract after to isolate that run's scheduling outcome
-// from the runtime's lifetime counters.
-func (s SchedStats) Sub(prev SchedStats) SchedStats {
-	return SchedStats{
-		LocalHits:     s.LocalHits - prev.LocalHits,
-		StealsSibling: s.StealsSibling - prev.StealsSibling,
-		StealsShared:  s.StealsShared - prev.StealsShared,
-		StealsRemote:  s.StealsRemote - prev.StealsRemote,
-	}
-}
-
-func (s SchedStats) String() string {
-	return fmt.Sprintf("local=%d sib=%d shared=%d remote=%d", s.LocalHits, s.StealsSibling, s.StealsShared, s.StealsRemote)
-}
-
-func schedFromExec(s exec.SchedStats) SchedStats {
-	return SchedStats{
-		LocalHits:     s.LocalHits,
-		StealsSibling: s.StealsSibling,
-		StealsShared:  s.StealsShared,
-		StealsRemote:  s.StealsRemote,
-	}
-}
+// an idle worker stole, by topology distance from the home
+// (LocalHits, StealsSibling, StealsShared, StealsRemote). Snapshot it
+// before a run and Sub after to isolate that run from the runtime's
+// lifetime counters. It is the scheduler's own record, declared where
+// the morsels are counted.
+type SchedStats = exec.SchedStats
 
 // Runtime is the process-wide execution engine for concurrent
 // ProjectJoin queries: one fixed worker pool multiplexed over every
@@ -249,61 +188,30 @@ func (r *Runtime) ShareScans() bool { return r.rt.ShareScans() }
 // their own memory traffic.
 func (r *Runtime) SharedScanHits() int64 { return r.rt.SharedScanHits() }
 
-// MemPoolStats is the execution-memory arena's lifetime counter set.
-type MemPoolStats struct {
-	// Hits counts buffer requests served by a recycled buffer; Misses
-	// counts requests that fell through to a fresh allocation.
-	Hits, Misses int64
-	// Trims counts buffers dropped to the GC because the arena's idle
-	// retention exceeded its limit (RuntimeConfig.MemoryBudget).
-	Trims int64
-	// HeldBytes is the bytes of recycled buffers currently idle in the
-	// arena's kits.
-	HeldBytes int64
-	// Leases is the number of per-query leases currently open —
-	// non-zero between a query's first buffer request and its pipeline
-	// teardown, so a steady-state non-zero value indicates a leak.
-	Leases int64
-}
-
-// HitRate returns Hits / (Hits + Misses), 0 before any request.
-func (s MemPoolStats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
-func (s MemPoolStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d trims=%d held=%dB leases=%d", s.Hits, s.Misses, s.Trims, s.HeldBytes, s.Leases)
-}
+// MemPoolStats is the execution-memory arena's lifetime counter set:
+// buffer requests served by a recycled buffer (Hits) or a fresh
+// allocation (Misses), buffers dropped to the GC over the retention
+// limit (Trims, see RuntimeConfig.MemoryBudget), idle bytes held for
+// reuse (HeldBytes), and per-query leases currently open (Leases —
+// non-zero between a query's first buffer request and its pipeline
+// teardown, so a steady-state non-zero value indicates a leak).
+type MemPoolStats = mempool.Stats
 
 // MemPoolStats returns the arena counters accumulated across every
 // query this runtime has executed.
-func (r *Runtime) MemPoolStats() MemPoolStats {
-	s := r.rt.MemStats()
-	return MemPoolStats{Hits: s.Hits, Misses: s.Misses, Trims: s.Trims, HeldBytes: s.HeldBytes, Leases: s.Leases}
-}
+func (r *Runtime) MemPoolStats() MemPoolStats { return r.rt.MemStats() }
 
 // SchedStats returns the scheduler counters accumulated across every
 // query this runtime has executed: morsels served by their home
 // worker (warm private caches) versus steals by topology distance.
-func (r *Runtime) SchedStats() SchedStats { return schedFromExec(r.rt.SchedStats()) }
+func (r *Runtime) SchedStats() SchedStats { return r.rt.SchedStats() }
 
 // SchedStatsWindow returns the scheduler's windowed statistics: the
 // counter delta over the most recent fixed-size morsel interval and
 // EWMA hit rates across intervals. This is the signal the planner's
 // affinity feedback consumes — it tracks the current scheduling
 // regime where the lifetime averages of SchedStats smear history.
-func (r *Runtime) SchedStatsWindow() SchedWindow {
-	w := r.rt.SchedStatsWindow()
-	return SchedWindow{
-		Last:      schedFromExec(w.Last),
-		WarmEWMA:  w.WarmEWMA,
-		LocalEWMA: w.LocalEWMA,
-		Windows:   w.Windows,
-	}
-}
+func (r *Runtime) SchedStatsWindow() SchedWindow { return r.rt.SchedStatsWindow() }
 
 // Close stops the runtime's workers and its metrics listener, if any.
 // The runtime must be idle (no executing or admission-waiting
