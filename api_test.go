@@ -363,6 +363,7 @@ func TestPlanJoin(t *testing.T) {
 		Larger: larger, Smaller: smaller,
 		LargerKey: "key", SmallerKey: "key",
 		LargerProject: []string{"a1"}, SmallerProject: []string{"a1"},
+		SmallerMethod: DeclusterMethod,
 	})
 	if err != nil {
 		t.Fatal(err)

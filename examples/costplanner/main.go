@@ -66,7 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nplanned 100K-tuple join: joinbits=%d largerbits=%d smallerbits=%d window=%d\n",
-		plan.JoinBits, plan.LargerBits, plan.SmallerBits, plan.WindowTuples)
-	fmt.Printf("modeled DSM post-projection cost: %.2f ms (on the paper's hardware)\n", plan.ModeledMs)
+	fmt.Printf("\nplanned 100K-tuple join: %s\n", plan)
+	fmt.Printf("modeled cost of the plan: %.2f ms (on the paper's hardware)\n", plan.ModeledMs)
 }

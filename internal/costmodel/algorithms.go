@@ -230,124 +230,61 @@ func JivePost(m Model, nJI, leftN, rightN, omegaBytes, projBytes, bits int) Cost
 const cpuParallelFork = 20_000
 
 // parallelPerWorker is the morsel-driven executor's model applied to
-// any per-shape serial cost formula: each of W workers runs the
-// serial composition over a 1/W data share with a 1/W capacity share
-// of every cache level, plus a fork/stitch term linear in W. The
-// caller converts the result to elapsed time with ParallelNanos,
-// which adds the shared memory-bandwidth ceiling.
-func parallelPerWorker(m Model, workers int, per func(mw Model) Cost) Cost {
+// any strategy's cost: each of W workers runs the serial composition
+// over a 1/W data share (cost divides the cardinalities and the
+// insertion window itself) with a 1/W capacity share of every cache
+// level, plus a fork/stitch term linear in W. Two effects stop
+// parallelism from paying off indefinitely: once a worker's window and
+// partition regions no longer fit its shrunken cache share, random
+// misses return; and ParallelNanos, which converts the result to
+// elapsed time, adds the shared memory-bandwidth ceiling no worker
+// count can compress.
+func parallelPerWorker(m Model, workers int, cost func(m Model, w int) Cost) Cost {
 	mw := Model{H: m.H, Share: m.share() / float64(workers)}
-	return per(mw).Add(Cost{CPU: cpuParallelFork * float64(workers)})
+	return cost(mw, workers).Add(Cost{CPU: cpuParallelFork * float64(workers)})
 }
 
-// DSMPostDeclusterParallel models the DSM post-projection strategy
-// executed by the morsel-driven executor (internal/exec) with W
-// workers: work divides linearly, each worker sees a 1/W cache share
-// and a 1/W insertion window. Two effects stop parallelism from
-// paying off indefinitely: once a worker's window and partition
-// regions no longer fit its shrunken cache share, random misses
-// return; and (applied by ParallelNanos/ChooseParallelism) the job's
-// total memory traffic saturates the bus, which no worker count can
-// compress further.
-func DSMPostDeclusterParallel(m Model, workers, nJI, baseN, width, bits, pi, windowTuples int) Cost {
-	if workers <= 1 {
-		return DSMPostDecluster(m, nJI, baseN, width, bits, pi, windowTuples)
-	}
-	return parallelPerWorker(m, workers, func(mw Model) Cost {
-		return DSMPostDecluster(mw, ceilDiv(nJI, workers), ceilDiv(baseN, workers),
-			width, bits, pi, max(1, windowTuples/workers))
-	})
-}
-
-// PreProjectionRowsParallel models the pre-projection strategies on
-// the executor. With bits = 0 (the naive hash-join) only the probe
-// side divides — the executor builds the table serially — which the
-// 1/W data share approximates optimistically; the bandwidth ceiling
-// keeps the estimate honest.
-func PreProjectionRowsParallel(m Model, workers, nL, nS, lwBytes, swBytes, bits, nOut int) Cost {
-	if workers <= 1 {
-		return PreProjectionRows(m, nL, nS, lwBytes, swBytes, bits, nOut)
-	}
-	return parallelPerWorker(m, workers, func(mw Model) Cost {
-		return PreProjectionRows(mw, ceilDiv(nL, workers), ceilDiv(nS, workers),
-			lwBytes, swBytes, bits, ceilDiv(nOut, workers))
-	})
-}
-
-// NSMPostDeclusterParallel models the NSM post-projection strategy on
-// the executor.
-func NSMPostDeclusterParallel(m Model, workers, nJI, baseN, omegaBytes, projBytes, bits, windowTuples int) Cost {
-	if workers <= 1 {
-		return NSMPostDecluster(m, nJI, baseN, omegaBytes, projBytes, bits, windowTuples)
-	}
-	return parallelPerWorker(m, workers, func(mw Model) Cost {
-		return NSMPostDecluster(mw, ceilDiv(nJI, workers), ceilDiv(baseN, workers),
-			omegaBytes, projBytes, bits, max(1, windowTuples/workers))
-	})
-}
-
-// JivePostParallel models the Jive strategy on the executor.
-func JivePostParallel(m Model, workers, nJI, leftN, rightN, omegaBytes, projBytes, bits int) Cost {
-	if workers <= 1 {
-		return JivePost(m, nJI, leftN, rightN, omegaBytes, projBytes, bits)
-	}
-	return parallelPerWorker(m, workers, func(mw Model) Cost {
-		return JivePost(mw, ceilDiv(nJI, workers), ceilDiv(leftN, workers),
-			ceilDiv(rightN, workers), omegaBytes, projBytes, bits)
-	})
-}
-
-// chooseWorkers returns the worker count in {1, 2, 4, ...,
-// maxWorkers} with the lowest modeled elapsed time, evaluating
-// parallel candidates through the memory-bandwidth ceiling
-// (ParallelNanos with the serial cost as the traffic total).
-func chooseWorkers(m Model, maxWorkers int, serial Cost, parallel func(w int) Cost) int {
-	best := 1
-	bestNs := m.Nanos(serial)
+// Choose is the planner's one decision for one strategy: how many
+// workers, and over which representation. cost is the strategy's
+// Appendix-A formula with the work divided over w workers — at w = 1
+// the serial formula, at w > 1 the same formula over ceil(n/w)
+// cardinalities and a window/w insertion window (with bits = 0 for the
+// naive hash-join only the probe side really divides — the executor
+// builds the table serially — which the 1/w share approximates
+// optimistically; the bandwidth ceiling keeps the estimate honest).
+//
+// Under each representation the worker count in {1, 2, 4, ...,
+// maxWorkers} with the lowest modeled elapsed time wins, parallel
+// candidates priced through the memory-bandwidth ceiling
+// (ParallelNanos with the serial cost as the traffic total); the
+// cheaper representation wins, with its worker count. The compressed
+// candidates' sequential bus traffic is scaled by cp.Ratio — which is
+// where the win appears: a bandwidth-bound plan's floor drops to Ratio
+// of the raw floor, so compression both speeds the plan up and lets it
+// profitably use more workers. A disabled cp is the degenerate case:
+// the raw plan's worker count, uncompressed.
+func Choose(m Model, maxWorkers int, cost func(m Model, w int) Cost, cp Compression) (workers int, compressed bool) {
+	comp := cp.Enabled()
+	serial := cost(m, 1)
+	rawW, rawNs := 1, m.Nanos(serial)
+	compSerial := cp.Apply(m, serial, 1)
+	compW, compNs := 1, m.Nanos(compSerial)
 	for w := 2; w <= maxWorkers; w *= 2 {
-		if ns := m.ParallelNanos(parallel(w), serial, w); ns < bestNs {
-			best, bestNs = w, ns
+		per := parallelPerWorker(m, w, cost)
+		if ns := m.ParallelNanos(per, serial, w); ns < rawNs {
+			rawW, rawNs = w, ns
+		}
+		if !comp {
+			continue
+		}
+		if ns := m.ParallelNanos(cp.Apply(m, per, w), compSerial, w); ns < compNs {
+			compW, compNs = w, ns
 		}
 	}
-	return best
-}
-
-// ChooseParallelism is the planner's serial-vs-parallel decision for
-// the DSM post-projection strategy: linear work division vs the
-// shrinking per-core cache share (DSMPostDeclusterParallel) vs the
-// shared memory-bandwidth ceiling (ParallelNanos).
-func ChooseParallelism(m Model, maxWorkers, nJI, baseN, width, bits, pi, windowTuples int) int {
-	serial := DSMPostDecluster(m, nJI, baseN, width, bits, pi, windowTuples)
-	return chooseWorkers(m, maxWorkers, serial, func(w int) Cost {
-		return DSMPostDeclusterParallel(m, w, nJI, baseN, width, bits, pi, windowTuples)
-	})
-}
-
-// ChooseParallelismRows is the decision for the pre-projection
-// strategies (DSM-pre and both NSM-pre variants).
-func ChooseParallelismRows(m Model, maxWorkers, nL, nS, lwBytes, swBytes, bits int) int {
-	serial := PreProjectionRows(m, nL, nS, lwBytes, swBytes, bits, nL)
-	return chooseWorkers(m, maxWorkers, serial, func(w int) Cost {
-		return PreProjectionRowsParallel(m, w, nL, nS, lwBytes, swBytes, bits, nL)
-	})
-}
-
-// ChooseParallelismNSMPost is the decision for NSM post-projection
-// with the Radix algorithms.
-func ChooseParallelismNSMPost(m Model, maxWorkers, nJI, baseN, omegaBytes, projBytes, bits, windowTuples int) int {
-	serial := NSMPostDecluster(m, nJI, baseN, omegaBytes, projBytes, bits, windowTuples)
-	return chooseWorkers(m, maxWorkers, serial, func(w int) Cost {
-		return NSMPostDeclusterParallel(m, w, nJI, baseN, omegaBytes, projBytes, bits, windowTuples)
-	})
-}
-
-// ChooseParallelismJive is the decision for NSM post-projection with
-// Jive-Join.
-func ChooseParallelismJive(m Model, maxWorkers, nJI, leftN, rightN, omegaBytes, projBytes, bits int) int {
-	serial := JivePost(m, nJI, leftN, rightN, omegaBytes, projBytes, bits)
-	return chooseWorkers(m, maxWorkers, serial, func(w int) Cost {
-		return JivePostParallel(m, w, nJI, leftN, rightN, omegaBytes, projBytes, bits)
-	})
+	if comp && compNs < rawNs {
+		return compW, true
+	}
+	return rawW, false
 }
 
 func ceilDiv(a, b int) int {

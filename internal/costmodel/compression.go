@@ -67,29 +67,17 @@ func (cp Compression) decodeNs() float64 {
 	return decodeNanosFallback
 }
 
-// Apply adjusts a whole-pipeline cost for compressed base inputs: the
-// LLC-level sequential misses shrink to Ratio (only encoded bytes are
-// streamed from RAM; random misses still fetch whole decoded blocks
-// through the per-worker block cache, so they are left untouched), and
-// the CPU term grows by Values × DecodeNs. This deliberately treats
-// every sequential base-column stream as compressed — the planner's
-// per-strategy decision compares the transformed against the raw cost,
-// so overstating the saving merely sharpens the contrast for
-// bandwidth-bound plans.
-func (cp Compression) Apply(m Model, c Cost) Cost {
-	return cp.apply(m, c, float64(cp.Values))
-}
-
-// applyPerWorker is Apply for a per-worker cost: each of workers
-// workers decodes its 1/workers share of the values.
-func (cp Compression) applyPerWorker(m Model, c Cost, workers int) Cost {
-	if workers < 1 {
-		workers = 1
-	}
-	return cp.apply(m, c, float64(cp.Values)/float64(workers))
-}
-
-func (cp Compression) apply(m Model, c Cost, values float64) Cost {
+// Apply adjusts a cost for compressed base inputs: the LLC-level
+// sequential misses shrink to Ratio (only encoded bytes are streamed
+// from RAM; random misses still fetch whole decoded blocks through the
+// per-worker block cache, so they are left untouched), and the CPU
+// term grows by the decode work. c is what one of workers workers pays
+// (workers = 1: the whole pipeline), so it decodes a 1/workers share of
+// Values. This deliberately treats every sequential base-column stream
+// as compressed — the planner's per-strategy decision compares the
+// transformed against the raw cost, so overstating the saving merely
+// sharpens the contrast for bandwidth-bound plans.
+func (cp Compression) Apply(m Model, c Cost, workers int) Cost {
 	if !cp.Enabled() {
 		return c
 	}
@@ -100,41 +88,6 @@ func (cp Compression) apply(m Model, c Cost, values float64) Cost {
 			out.Levels[i].Seq *= cp.Ratio
 		}
 	}
-	out.CPU += values * cp.decodeNs()
+	out.CPU += float64(cp.Values) / float64(workers) * cp.decodeNs()
 	return out
-}
-
-// PlanCompressed is the planner's compressed-vs-raw decision for one
-// strategy: given the strategy's serial cost and per-worker parallel
-// cost family, it picks the best worker count under each
-// representation and returns whether the compressed plan is modeled
-// faster, together with the winning representation's worker count.
-// The compressed candidates run through the same ParallelNanos
-// bandwidth ceiling with their sequential bus traffic scaled by
-// Ratio — which is exactly where the win appears: a bandwidth-bound
-// plan's floor drops to Ratio of the raw floor, so compression both
-// speeds the plan up and lets it profitably use more workers.
-func PlanCompressed(m Model, maxWorkers int, serial Cost, parallel func(w int) Cost, cp Compression) (bool, int) {
-	rawW := chooseWorkers(m, maxWorkers, serial, parallel)
-	if !cp.Enabled() {
-		return false, rawW
-	}
-	rawNs := nanosAt(m, serial, parallel, rawW)
-	cSerial := cp.Apply(m, serial)
-	cParallel := func(w int) Cost { return cp.applyPerWorker(m, parallel(w), w) }
-	cW := chooseWorkers(m, maxWorkers, cSerial, cParallel)
-	cNs := nanosAt(m, cSerial, cParallel, cW)
-	if cNs < rawNs {
-		return true, cW
-	}
-	return false, rawW
-}
-
-// nanosAt evaluates a plan at a fixed worker count the way
-// chooseWorkers scores candidates.
-func nanosAt(m Model, serial Cost, parallel func(w int) Cost, w int) float64 {
-	if w <= 1 {
-		return m.Nanos(serial)
-	}
-	return m.ParallelNanos(parallel(w), serial, w)
 }

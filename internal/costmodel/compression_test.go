@@ -12,7 +12,7 @@ func TestCompressionApplyShrinksBusTraffic(t *testing.T) {
 	const n = 1 << 22
 	serial := DSMPostDecluster(m, n, n, 4, 10, 4, 1<<14)
 	cp := Compression{Ratio: 0.4, Values: 5 * n, DecodeNs: 1}
-	adj := cp.Apply(m, serial)
+	adj := cp.Apply(m, serial, 1)
 	if got, want := m.MemNanos(adj), m.MemNanos(serial); got >= want {
 		t.Fatalf("MemNanos after compression %g, want < raw %g", got, want)
 	}
@@ -44,7 +44,7 @@ func TestCompressionDisabled(t *testing.T) {
 		if cp.Enabled() {
 			t.Fatalf("%+v: Enabled, want disabled", cp)
 		}
-		if got := cp.Apply(m, c); got.CPU != c.CPU {
+		if got := cp.Apply(m, c, 1); got.CPU != c.CPU {
 			t.Fatalf("%+v: Apply changed a disabled term", cp)
 		}
 	}
@@ -57,12 +57,11 @@ func TestCompressionDisabled(t *testing.T) {
 func TestPlanCompressedBandwidthBound(t *testing.T) {
 	m := Model{H: mem.Pentium4(), Streams: 2}.ForQueries(4)
 	const n = 1 << 22
-	serial := DSMPostDecluster(m, n, n, 4, 10, 4, 1<<14)
-	parallel := func(w int) Cost {
-		return DSMPostDeclusterParallel(m, w, n, n, 4, 10, 4, 1<<14)
+	cost := func(m Model, w int) Cost {
+		return DSMPostDecluster(m, ceilDiv(n, w), ceilDiv(n, w), 4, 10, 4, (1<<14)/w)
 	}
 	cheap := Compression{Ratio: 0.3, Values: 5 * n, DecodeNs: 0.2}
-	useComp, w := PlanCompressed(m, 8, serial, parallel, cheap)
+	w, useComp := Choose(m, 8, cost, cheap)
 	if !useComp {
 		t.Fatal("bandwidth-bound plan with cheap decode: compressed not chosen")
 	}
@@ -70,7 +69,7 @@ func TestPlanCompressedBandwidthBound(t *testing.T) {
 		t.Fatalf("worker count %d out of range", w)
 	}
 	pricey := Compression{Ratio: 0.95, Values: 5 * n, DecodeNs: 5000}
-	if useComp, _ := PlanCompressed(m, 8, serial, parallel, pricey); useComp {
+	if _, useComp := Choose(m, 8, cost, pricey); useComp {
 		t.Fatal("near-incompressible data with expensive decode: compressed chosen")
 	}
 }

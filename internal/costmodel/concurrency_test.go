@@ -62,7 +62,7 @@ func TestParallelNanosConcurrentQueriesRaiseFloor(t *testing.T) {
 	for _, q := range []int{2, 4, 8} {
 		mq := base.ForQueries(q)
 		for _, w := range []int{4, 16, 64} {
-			per := DSMPostDeclusterParallel(base, w, n, n, 4, 8, 2, 64<<10)
+			per := parallelPerWorker(base, w, dsmPostCost(n, 8, 2))
 			sole := base.ParallelNanos(per, serial, w)
 			shared := mq.ParallelNanos(per, serial, w)
 			if shared < sole {
@@ -76,11 +76,11 @@ func TestParallelNanosConcurrentQueriesRaiseFloor(t *testing.T) {
 // Under heavy concurrency the chooser must not pick more workers than
 // it would for a sole query: less cache and less bandwidth per query
 // can only push the optimum down.
-func TestChooseParallelismShrinksUnderConcurrency(t *testing.T) {
+func TestChooseShrinksUnderConcurrency(t *testing.T) {
 	m := Model{H: mem.Pentium4(), Streams: 8}
 	const n = 4 << 20
-	sole := ChooseParallelism(m, 16, n, n, 4, 8, 2, 64<<10)
-	shared := ChooseParallelism(m.ForQueries(8), 16, n, n, 4, 8, 2, 64<<10)
+	sole, _ := Choose(m, 16, dsmPostCost(n, 8, 2), Compression{})
+	shared, _ := Choose(m.ForQueries(8), 16, dsmPostCost(n, 8, 2), Compression{})
 	if shared > sole {
 		t.Fatalf("8 concurrent queries chose %d workers, sole query %d", shared, sole)
 	}

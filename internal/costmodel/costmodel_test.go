@@ -213,7 +213,7 @@ func TestParallelNanosBandwidthCeiling(t *testing.T) {
 	floor := m.MemNanos(serial) / float64(m.MemStreams())
 	var last float64
 	for w := 2; w <= 64; w *= 2 {
-		last = m.ParallelNanos(DSMPostDeclusterParallel(m, w, n, n, 4, 8, 2, 64<<10), serial, w)
+		last = m.ParallelNanos(parallelPerWorker(m, w, dsmPostCost(n, 8, 2)), serial, w)
 		if last < floor-1 {
 			t.Fatalf("w=%d: %.0fns beats the bandwidth floor %.0fns", w, last, floor)
 		}
@@ -229,24 +229,15 @@ func TestParallelNanosBandwidthCeiling(t *testing.T) {
 func TestChoosersCoverEveryStrategy(t *testing.T) {
 	m := model()
 	const n = 1 << 20
-	checks := []struct {
-		name string
-		f    func(maxW int) int
-	}{
-		{"dsm-post", func(mw int) int { return ChooseParallelism(m, mw, n, n, 4, 8, 2, 64<<10) }},
-		{"rows", func(mw int) int { return ChooseParallelismRows(m, mw, n, n, 12, 12, 8) }},
-		{"rows-naive", func(mw int) int { return ChooseParallelismRows(m, mw, n, n, 12, 12, 0) }},
-		{"nsm-post", func(mw int) int { return ChooseParallelismNSMPost(m, mw, n, n, 16, 8, 8, 64<<10) }},
-		{"jive", func(mw int) int { return ChooseParallelismJive(m, mw, n, n, n, 16, 8, 8) }},
-	}
-	for _, c := range checks {
-		if got := c.f(1); got != 1 {
-			t.Fatalf("%s: one core must stay serial, got %d", c.name, got)
+	for _, sh := range goldenShapes {
+		cost := sh.cost(n, 8)
+		if got, _ := Choose(m, 1, cost, Compression{}); got != 1 {
+			t.Fatalf("%s: one core must stay serial, got %d", sh.name, got)
 		}
 		for _, mw := range []int{2, 8, 64} {
-			got := c.f(mw)
-			if got < 1 || got > mw {
-				t.Fatalf("%s: chose %d workers with max %d", c.name, got, mw)
+			got, comp := Choose(m, mw, cost, Compression{})
+			if got < 1 || got > mw || comp {
+				t.Fatalf("%s: chose %d workers (compressed=%v) with max %d and nothing encoded", sh.name, got, comp, mw)
 			}
 		}
 	}

@@ -6,19 +6,19 @@ package strategy
 // bytes — the memory bus carries the compressed stream while per-worker
 // scratch holds the L1-resident decoded spans, so a bandwidth-bound
 // plan's ceiling drops to the compression ratio. The decision is the
-// planner's: costmodel.PlanCompressed compares the raw plan against
-// the transformed one (sequential bus traffic scaled by the measured
-// ratio, CPU grown by the calibrated decode cost) at each
+// planner's (Config.decide): costmodel.Choose compares the raw plan
+// against the transformed one (sequential bus traffic scaled by the
+// measured ratio, CPU grown by the calibrated decode cost) at each
 // representation's best worker count. Output bytes are identical
 // either way — the raw arrays always coexist, and every compressed
 // operator decodes to exactly the same values.
 
 import (
+	"slices"
+
 	"radixdecluster/internal/compress"
-	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
-	"radixdecluster/internal/radix"
 )
 
 // CompressMode selects whether strategies execute over the sides'
@@ -31,7 +31,7 @@ const (
 	// CompressAuto lets the cost model decide per strategy: the
 	// compression term shrinks the modeled bus traffic by the measured
 	// ratio and charges the calibrated per-value decode cost, and the
-	// cheaper representation wins (costmodel.PlanCompressed).
+	// cheaper representation wins (costmodel.Choose).
 	CompressAuto
 	// CompressOn executes compressed whenever an encoding is present.
 	CompressOn
@@ -96,22 +96,13 @@ func (s *NSMSide) Encode(enc func([]int32) (*compress.Encoded, error)) error {
 	return nil
 }
 
-// hasEnc reports whether the side carries any compressed image.
-func (s DSMSide) hasEnc() bool {
-	if s.KeysEnc != nil {
-		return true
-	}
-	for _, e := range s.ColsEnc {
-		if e != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // encs lists the side's encodings (nil entries are fine — the
-// aggregator skips them).
+// aggregator skips them); a side without a key encoding allocates
+// nothing.
 func (s DSMSide) encs() []*compress.Encoded {
+	if s.KeysEnc == nil {
+		return s.ColsEnc
+	}
 	return append([]*compress.Encoded{s.KeysEnc}, s.ColsEnc...)
 }
 
@@ -146,16 +137,12 @@ func (s DSMSide) keysView(comp bool) exec.Col {
 // compressionTerm aggregates encodings into the cost model's
 // compression term: the byte-weighted compression ratio, the total
 // values one decode pass covers, and the value-weighted calibrated
-// decode cost. Zero (disabled) when the mode is off or nothing is
-// encoded.
-func (c Config) compressionTerm(encs ...*compress.Encoded) costmodel.Compression {
-	if c.Compress == CompressOff {
-		return costmodel.Compression{}
-	}
+// decode cost. Zero (disabled) when nothing is encoded.
+func compressionTerm(encs [][]*compress.Encoded) costmodel.Compression {
 	var raw, enc int64
 	var values int
 	var ns float64
-	for _, e := range encs {
+	for _, e := range slices.Concat(encs...) {
 		if e == nil || e.Len() == 0 {
 			continue
 		}
@@ -172,70 +159,4 @@ func (c Config) compressionTerm(encs ...*compress.Encoded) costmodel.Compression
 		Values:   values,
 		DecodeNs: ns / float64(values),
 	}
-}
-
-// decideCompress resolves Config.Compress for one strategy given its
-// serial cost and per-worker parallel cost family: whether to execute
-// compressed, and the AutoParallelism worker count under the winning
-// representation. CompressOn forces the representation but still takes
-// the model's worker count.
-func (c Config) decideCompress(m costmodel.Model, cp costmodel.Compression, serial costmodel.Cost, parallel func(int) costmodel.Cost) (bool, int) {
-	use, w := costmodel.PlanCompressed(m, c.maxWorkers(), serial, parallel, cp)
-	if c.Compress == CompressOn {
-		use = true
-	}
-	return use, w
-}
-
-// planDSMPost is PlanParallelism's shape derivation plus the
-// compressed-vs-raw decision for DSM post-projection.
-func (c Config) planDSMPost(nJI, baseN, pi int, cp costmodel.Compression) (bool, int) {
-	h := c.hier()
-	cache := h.LLC().Size
-	bits := c.LargerBits
-	if bits == 0 {
-		bits = radix.OptimalBits(baseN, 4, cache)
-	}
-	window := c.Window
-	if window == 0 {
-		window = core.PlanWindow(h, 4)
-	}
-	m := c.model()
-	b, p := max(1, bits), max(1, pi)
-	serial := costmodel.DSMPostDecluster(m, nJI, baseN, 4, b, p, window)
-	return c.decideCompress(m, cp, serial, func(w int) costmodel.Cost {
-		return costmodel.DSMPostDeclusterParallel(m, w, nJI, baseN, 4, b, p, window)
-	})
-}
-
-// planRowsComp is the compressed-vs-raw decision for the
-// pre-projection strategies.
-func (c Config) planRowsComp(nL, nS, lw, sw, bits int, cp costmodel.Compression) (bool, int) {
-	m := c.model()
-	serial := costmodel.PreProjectionRows(m, nL, nS, lw*4, sw*4, bits, nL)
-	return c.decideCompress(m, cp, serial, func(w int) costmodel.Cost {
-		return costmodel.PreProjectionRowsParallel(m, w, nL, nS, lw*4, sw*4, bits, nL)
-	})
-}
-
-// planNSMPostComp is the compressed-vs-raw decision for NSM
-// post-projection with the Radix algorithms.
-func (c Config) planNSMPostComp(nJI, baseN, omegaBytes, projBytes, bits, window int, cp costmodel.Compression) (bool, int) {
-	m := c.model()
-	b := max(1, bits)
-	serial := costmodel.NSMPostDecluster(m, nJI, baseN, omegaBytes, projBytes, b, window)
-	return c.decideCompress(m, cp, serial, func(w int) costmodel.Cost {
-		return costmodel.NSMPostDeclusterParallel(m, w, nJI, baseN, omegaBytes, projBytes, b, window)
-	})
-}
-
-// planJiveComp is the compressed-vs-raw decision for NSM
-// post-projection with Jive-Join.
-func (c Config) planJiveComp(nJI, leftN, rightN, omegaBytes, projBytes, bits int, cp costmodel.Compression) (bool, int) {
-	m := c.model()
-	b := max(1, bits)
-	serial := costmodel.JivePost(m, nJI, leftN, rightN, omegaBytes, projBytes, b)
-	return c.decideCompress(m, cp, serial, func(w int) costmodel.Cost {
-		return costmodel.JivePostParallel(m, w, nJI, leftN, rightN, omegaBytes, projBytes, b)
-	})
 }

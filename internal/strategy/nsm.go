@@ -6,10 +6,10 @@ import (
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
+	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/jive"
 	"radixdecluster/internal/join"
-	"radixdecluster/internal/mem"
 	"radixdecluster/internal/nsm"
 	"radixdecluster/internal/radix"
 )
@@ -44,6 +44,10 @@ func (s NSMSide) validate(name string) error {
 	return nil
 }
 
+// projBytes is the width of the side's projected record (one field's
+// width when nothing is projected).
+func (s NSMSide) projBytes() int { return max(len(s.ProjCols)*4, 4) }
+
 // view returns the side's records as an execution view: compressed
 // when requested and an encoding exists, raw otherwise (the NSM
 // counterpart of DSMSide.view).
@@ -69,53 +73,58 @@ func (s NSMSide) scanWide(e *exec.Engine, comp bool) ([]int32, error) {
 	return rel.Data, nil
 }
 
+// validateNSM checks both sides of an NSM strategy.
+func validateNSM(larger, smaller NSMSide) error {
+	if err := larger.validate("larger"); err != nil {
+		return err
+	}
+	return smaller.validate("smaller")
+}
+
+// PlanNSMPre is NSMPre's plan step.
+func PlanNSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (Plan, CostFn, error) {
+	if err := validateNSM(larger, smaller); err != nil {
+		return Plan{}, nil, err
+	}
+	lw, sw := 1+len(larger.ProjCols), 1+len(smaller.ProjCols)
+	p := Plan{LargerMethod: 'p', SmallerMethod: 'p'}
+	if partitioned {
+		p.JoinBits = join.PlanBits(smaller.Rel.Len(), sw*4, cfg.hier().LLC().Size)
+	}
+	cost := rowsCost(larger.Rel.Len(), smaller.Rel.Len(), lw, sw, p.JoinBits)
+	cfg.decide(&p, larger.Rel.Len()+smaller.Rel.Len(), cost, []*compress.Encoded{larger.Enc, smaller.Enc})
+	return p, cost, nil
+}
+
 // NSMPre runs NSM pre-projection: projection attributes are copied
 // out of the wide records during the scan and travel through the
 // join. partitioned=false is the naive "NSM-pre-hash" baseline of
 // Figure 10; true is the cache-conscious "NSM-pre-phash".
 func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, error) {
-	if err := larger.validate("larger"); err != nil {
-		return nil, err
-	}
-	if err := smaller.validate("smaller"); err != nil {
+	cfg.Runtime = cfg.rt()
+	p, _, err := PlanNSMPre(larger, smaller, partitioned, cfg)
+	if err != nil {
 		return nil, err
 	}
 	lw, sw := 1+len(larger.ProjCols), 1+len(smaller.ProjCols)
-	var jo radix.Opts
-	if partitioned {
-		jo = joinOpts(cfg, smaller.Rel.Len(), sw*4)
-	}
-	useComp, compW := false, 0
-	if cfg.Compress != CompressOff && (larger.Enc != nil || smaller.Enc != nil) {
-		cp := cfg.compressionTerm(larger.Enc, smaller.Enc)
-		useComp, compW = cfg.planRowsComp(larger.Rel.Len(), smaller.Rel.Len(), lw, sw, jo.Bits, cp)
-	}
-	pl := cfg.pipelineFor(larger.Rel.Len()+smaller.Rel.Len(), nsmAffinitySeed(larger), func() int {
-		if compW > 0 {
-			return compW
-		}
-		return planParallelismRows(larger.Rel.Len(), smaller.Rel.Len(), lw, sw, jo.Bits, cfg)
-	})
+	pl := cfg.pipeline(p, nsmAffinitySeed(larger))
 	defer pl.Close()
-	res := &Result{LargerMethod: 'p', SmallerMethod: 'p', Workers: pl.Workers(), Compressed: useComp}
-	if partitioned {
-		res.JoinBits = jo.Bits
-	}
+	res := &Result{Plan: p}
 
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "nsm-scan-project", func(e *exec.Engine) error {
 		var err error
-		if lRows, err = larger.scanWide(e, useComp); err != nil {
+		if lRows, err = larger.scanWide(e, p.Compressed); err != nil {
 			return err
 		}
-		sRows, err = smaller.scanWide(e, useComp)
+		sRows, err = smaller.scanWide(e, p.Compressed)
 		return err
 	})
 	pl.Then(exec.PhaseJoin, "rows-join", func(e *exec.Engine) error {
 		var rr *join.RowsResult
 		var err error
 		if partitioned {
-			rr, err = e.PartitionedRowsJoin(lRows, lw, 0, sRows, sw, 0, jo)
+			rr, err = e.PartitionedRowsJoin(lRows, lw, 0, sRows, sw, 0, joinOpts(p.JoinBits, cfg.hier()))
 		} else {
 			rr, err = e.HashRowsJoin(lRows, lw, 0, sRows, sw, 0)
 		}
@@ -129,6 +138,35 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 	return res.run(pl)
 }
 
+// PlanNSMPostDecluster is NSMPostDecluster's plan step: the cluster
+// granularity must fit whole-record spans in the cache, so the tuple
+// width counts in both bit counts.
+func PlanNSMPostDecluster(larger, smaller NSMSide, cfg Config) (Plan, CostFn, error) {
+	if err := validateNSM(larger, smaller); err != nil {
+		return Plan{}, nil, err
+	}
+	h := cfg.hier()
+	c := h.LLC().Size
+	nL, nS := larger.Rel.Len(), smaller.Rel.Len()
+	piL, piS := len(larger.ProjCols), len(smaller.ProjCols)
+	window := core.PlanWindow(h, smaller.projBytes())
+	p := Plan{
+		LargerMethod: PartialCluster, SmallerMethod: Declustered,
+		JoinBits:    join.PlanBits(nS, 4, c),
+		LargerBits:  radix.OptimalBits(nL, larger.Rel.TupleBytes(), c),
+		SmallerBits: declusterBits(nS, smaller.Rel.TupleBytes(), c, window),
+		Window:      window,
+	}
+	baseN := max(nL, nS)
+	omegaBytes := max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes())
+	projBytes, bits := max(piL, piS)*4, max(1, p.LargerBits)
+	cost := func(m costmodel.Model, w int) costmodel.Cost {
+		return costmodel.NSMPostDecluster(m, share(nL, w), share(baseN, w), omegaBytes, projBytes, bits, max(1, window/w))
+	}
+	cfg.decide(&p, nL+nS, cost, []*compress.Encoded{larger.Enc, smaller.Enc})
+	return p, cost, nil
+}
+
 // NSMPostDecluster runs post-projection over NSM storage with the
 // Radix algorithms: key columns are extracted for the join-index, the
 // join-index is partially clustered for the larger side's record
@@ -138,59 +176,16 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 // the tuple-width penalty that makes this strategy lag DSM
 // post-projection (§4.2).
 func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
-	if err := larger.validate("larger"); err != nil {
+	cfg.Runtime = cfg.rt()
+	p, _, err := PlanNSMPostDecluster(larger, smaller, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if err := smaller.validate("smaller"); err != nil {
-		return nil, err
-	}
-	h := cfg.hier()
-	c := h.LLC().Size
 	piL, piS := len(larger.ProjCols), len(smaller.ProjCols)
-
-	// Assembly-time planner decisions (identical on every engine).
-	jo := joinOpts(cfg, smaller.Rel.Len(), 4)
-	po := projOpts(cfg.LargerBits, larger.Rel.Len(), larger.Rel.TupleBytes(), c)
-	window := cfg.Window
-	if window == 0 {
-		w := piS * 4
-		if w == 0 {
-			w = 4
-		}
-		window = core.PlanWindow(h, w)
-	}
-	so := projOpts(cfg.SmallerBits, smaller.Rel.Len(), smaller.Rel.TupleBytes(), c)
-	if maxB := core.MaxBitsForWindow(window); so.Bits > maxB {
-		so = radix.Opts{Bits: maxB, Ignore: mem.Log2Ceil(smaller.Rel.Len()) - maxB}
-		if so.Ignore < 0 {
-			so.Ignore = 0
-		}
-	}
-
-	useComp, compW := false, 0
-	if cfg.Compress != CompressOff && (larger.Enc != nil || smaller.Enc != nil) {
-		cp := cfg.compressionTerm(larger.Enc, smaller.Enc)
-		useComp, compW = cfg.planNSMPostComp(larger.Rel.Len(),
-			max(larger.Rel.Len(), smaller.Rel.Len()),
-			max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes()),
-			max(piL, piS)*4, po.Bits, window, cp)
-	}
-	pl := cfg.pipelineFor(larger.Rel.Len()+smaller.Rel.Len(), nsmAffinitySeed(larger), func() int {
-		if compW > 0 {
-			return compW
-		}
-		return planParallelismNSMPost(larger.Rel.Len(),
-			max(larger.Rel.Len(), smaller.Rel.Len()),
-			max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes()),
-			max(piL, piS)*4, po.Bits, window, cfg)
-	})
+	pl := cfg.pipeline(p, nsmAffinitySeed(larger))
 	defer pl.Close()
-	res := &Result{
-		LargerMethod: PartialCluster, SmallerMethod: Declustered,
-		Workers: pl.Workers(), JoinBits: jo.Bits,
-		LargerBits: po.Bits, SmallerBits: so.Bits, Window: window,
-		Compressed: useComp,
-	}
+	res := &Result{Plan: p}
+	useComp := p.Compressed
 
 	// Key extraction scans.
 	var lKeys, sKeys []int32
@@ -210,7 +205,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		var err error
-		ji, err = e.PartitionedJoin(lOIDs, lKeys, sOIDs, sKeys, jo)
+		ji, err = e.PartitionedJoin(lOIDs, lKeys, sOIDs, sKeys, joinOpts(p.JoinBits, cfg.hier()))
 		if err != nil {
 			return err
 		}
@@ -219,12 +214,12 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	})
 
 	// Larger side: partial-cluster the join-index so each cluster's
-	// record span fits the cache (tuple width counts!), then gather
-	// the projected fields straight into the result records.
+	// record span fits the cache, then gather the projected fields
+	// straight into the result records.
 	var cl *radix.OIDPairsResult
 	pl.Then(exec.PhaseReorder, "partial-cluster-join-index", func(e *exec.Engine) error {
 		var err error
-		cl, err = e.ClusterOIDPairs(ji.Larger, ji.Smaller, po)
+		cl, err = e.ClusterOIDPairs(ji.Larger, ji.Smaller, clusterOpts(p.LargerBits, larger.Rel.Len()))
 		ji = nil // dead from here on, like DSMPost's intermediates
 		return err
 	})
@@ -244,7 +239,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		var cl2 *core.Clustered
 		pl.Then(exec.PhaseReorder, "recluster-smaller", func(e *exec.Engine) error {
 			var err error
-			cl2, err = e.ClusterForDecluster(cl.Other, so)
+			cl2, err = e.ClusterForDecluster(cl.Other, clusterOpts(p.SmallerBits, smaller.Rel.Len()))
 			cl = nil
 			return err
 		})
@@ -256,10 +251,46 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		})
 		pl.Then(exec.PhaseDecluster, "radix-decluster-rows", func(e *exec.Engine) error {
 			return e.DeclusterRowsInto(res.Rows, res.RowWidth, piL,
-				clustered.Data, piS, cl2.ResultPos, cl2.Borders, window)
+				clustered.Data, piS, cl2.ResultPos, cl2.Borders, p.Window)
 		})
 	}
 	return res.run(pl)
+}
+
+// jiveFanout sizes the Jive fan-out (jiveBits 0 = the planner's) so
+// one cluster's write-back region of the resultN-tuple result — the
+// right phase's random access — fits the cache.
+func jiveFanout(jiveBits, resultN, projBytes, cacheBytes int) int {
+	if jiveBits != 0 {
+		return jiveBits
+	}
+	return radix.OptimalBits(resultN, projBytes, cacheBytes)
+}
+
+// PlanNSMPostJive is NSMPostJive's plan step. The fan-out it records
+// (SmallerBits) assumes the result is as large as the larger input; the
+// run re-derives it from the actual result cardinality.
+func PlanNSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (Plan, CostFn, error) {
+	if err := validateNSM(larger, smaller); err != nil {
+		return Plan{}, nil, err
+	}
+	c := cfg.hier().LLC().Size
+	nL, nS := larger.Rel.Len(), smaller.Rel.Len()
+	p := Plan{
+		LargerMethod: 'j', SmallerMethod: 'j',
+		JoinBits:    join.PlanBits(nS, 4, c),
+		SmallerBits: jiveFanout(jiveBits, nL, smaller.projBytes(), c),
+	}
+	omegaBytes := max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes())
+	projBytes, bits := smaller.projBytes(), max(1, p.SmallerBits)
+	cost := func(m costmodel.Model, w int) costmodel.Cost {
+		return costmodel.JivePost(m, share(nL, w), share(nL, w), share(nS, w), omegaBytes, projBytes, bits)
+	}
+	// Compressed execution covers the key-extraction scans; the Jive
+	// left/right phases themselves stay over the raw records (their
+	// merge cursors and scatter regions are already cache-confined).
+	cfg.decide(&p, nL+nS, cost, []*compress.Encoded{larger.Enc, smaller.Enc})
+	return p, cost, nil
 }
 
 // NSMPostJive runs post-projection with Jive-Join [LR99]: sort the
@@ -267,53 +298,24 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 // records. jiveBits 0 lets the planner size the fan-out so each
 // cluster's write-back region fits the cache.
 func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, error) {
-	if err := larger.validate("larger"); err != nil {
-		return nil, err
-	}
-	if err := smaller.validate("smaller"); err != nil {
+	cfg.Runtime = cfg.rt()
+	p, _, err := PlanNSMPostJive(larger, smaller, jiveBits, cfg)
+	if err != nil {
 		return nil, err
 	}
 	h := cfg.hier()
-	jo := joinOpts(cfg, smaller.Rel.Len(), 4)
-	projBytes := len(smaller.ProjCols) * 4
-	if projBytes == 0 {
-		projBytes = 4
-	}
-	// Compressed execution covers the key-extraction scans; the Jive
-	// left/right phases themselves stay over the raw records (their
-	// merge cursors and scatter regions are already cache-confined).
-	useComp, compW := false, 0
-	if cfg.Compress != CompressOff && (larger.Enc != nil || smaller.Enc != nil) {
-		cp := cfg.compressionTerm(larger.Enc, smaller.Enc)
-		bits := jiveBits
-		if bits == 0 {
-			bits = radix.OptimalBits(larger.Rel.Len(), projBytes, h.LLC().Size)
-		}
-		useComp, compW = cfg.planJiveComp(larger.Rel.Len(), larger.Rel.Len(), smaller.Rel.Len(),
-			max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes()), projBytes, bits, cp)
-	}
-	pl := cfg.pipelineFor(larger.Rel.Len()+smaller.Rel.Len(), nsmAffinitySeed(larger), func() int {
-		if compW > 0 {
-			return compW
-		}
-		bits := jiveBits
-		if bits == 0 {
-			bits = radix.OptimalBits(larger.Rel.Len(), projBytes, h.LLC().Size)
-		}
-		return planParallelismJive(larger.Rel.Len(), larger.Rel.Len(), smaller.Rel.Len(),
-			max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes()), projBytes, bits, cfg)
-	})
+	pl := cfg.pipeline(p, nsmAffinitySeed(larger))
 	defer pl.Close()
-	res := &Result{LargerMethod: 'j', SmallerMethod: 'j', Workers: pl.Workers(), JoinBits: jo.Bits, Compressed: useComp}
+	res := &Result{Plan: p}
 
 	var lKeys, sKeys []int32
 	var lOIDs, sOIDs []OID
 	pl.Then(exec.PhaseScan, "key-extraction", func(e *exec.Engine) error {
 		var err error
-		if lKeys, err = e.ScanColumn(larger.view(useComp), larger.KeyCol); err != nil {
+		if lKeys, err = e.ScanColumn(larger.view(p.Compressed), larger.KeyCol); err != nil {
 			return err
 		}
-		if sKeys, err = e.ScanColumn(smaller.view(useComp), smaller.KeyCol); err != nil {
+		if sKeys, err = e.ScanColumn(smaller.view(p.Compressed), smaller.KeyCol); err != nil {
 			return err
 		}
 		lOIDs = bat.Dense(larger.Rel.Len())
@@ -323,7 +325,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		var err error
-		ji, err = e.PartitionedJoin(lOIDs, lKeys, sOIDs, sKeys, jo)
+		ji, err = e.PartitionedJoin(lOIDs, lKeys, sOIDs, sKeys, joinOpts(p.JoinBits, h))
 		if err != nil {
 			return err
 		}
@@ -344,15 +346,9 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 
 	var lr *jive.LeftRowsResult
 	pl.Then(exec.PhaseProjectLarger, "jive-left", func(e *exec.Engine) error {
-		bits := jiveBits
-		if bits == 0 {
-			// Size the fan-out so one cluster's result write-back region
-			// (right-phase random access) fits the cache.
-			bits = radix.OptimalBits(res.N, projBytes, h.LLC().Size)
-		}
-		res.SmallerBits = bits
+		res.SmallerBits = jiveFanout(jiveBits, res.N, smaller.projBytes(), h.LLC().Size)
 		var err error
-		lr, err = e.JiveLeft(sorted, larger.Rel, larger.ProjCols, smaller.Rel.Len(), bits)
+		lr, err = e.JiveLeft(sorted, larger.Rel, larger.ProjCols, smaller.Rel.Len(), res.SmallerBits)
 		sorted = nil
 		return err
 	})

@@ -1,28 +1,27 @@
 package strategy
 
-// Planner glue between the strategies and the cost model's
-// serial-vs-parallel decisions. Every strategy resolves
-// Config.Parallelism the same way: an explicit worker count is taken
-// as-is, AutoParallelism asks the matching costmodel.ChooseParallelism*
-// formula — the modeled elapsed time across worker counts up to
-// runtime.GOMAXPROCS (capped by the runtime's size), including the
-// per-core cache-share shrinkage and the shared memory-bandwidth
-// ceiling — and 0 stays on the serial paper path. Every parallel run
-// executes on a runtime: Config.Runtime, or the process default
-// (DefaultRuntime) when that is nil. The model is divided across the
-// runtime's active queries: each of Q concurrent queries plans against
-// a 1/Q cache share and a 1/Q share of the bus's saturation streams
-// (costmodel.Model.ForQueries), so a busy runtime steers individual
-// queries toward fewer workers. Inputs below the executor's
-// serial-fallback threshold (exec.MinParallelN) never enter runtime
-// admission: every operator would fall back to serial code anyway, so
-// the run reports Workers = 0.
+// The planner. A query is planned once, by its strategy's plan step
+// (PlanDSMPost ... PlanNSMPostJive), into one record — Plan — before a
+// phase is listed; the assembly only reads the record, and the root
+// package's PlanJoin asks the same step, so what it describes is what a
+// run executes. Methods, radix bits and the insertion window follow
+// from the paper's rules (§3.1, §4.1) and the hierarchy alone; the
+// worker count and the representation are resolved by Config.decide.
+//
+// Every parallel run executes on a runtime: Config.Runtime, or the
+// process default (DefaultRuntime) when that is nil. The run functions
+// resolve it before they plan, so a plan step only ever sees
+// Config.Runtime — and a caller that only plans never creates the
+// default.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
+	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
@@ -50,7 +49,7 @@ func DefaultRuntime() *exec.Runtime {
 	return defaultRuntime
 }
 
-// rt resolves the runtime this run plans against and executes on:
+// rt resolves the runtime a run plans against and executes on:
 // Config.Runtime when set, the process default for any other parallel
 // run, nil for a serial run (Parallelism 0 never creates the default).
 func (c Config) rt() *exec.Runtime {
@@ -60,30 +59,24 @@ func (c Config) rt() *exec.Runtime {
 	return DefaultRuntime()
 }
 
-// queries estimates how many queries will share the machine while
-// this one runs: the runtime's currently admitted pipelines plus this
-// query. A serial run without a runtime plans as the sole owner.
-func (c Config) queries() int {
-	rt := c.rt()
-	if rt == nil {
-		return 1
-	}
-	return rt.ActiveQueries() + 1
-}
-
 // affinityFeedbackMinTasks is how many morsels the runtime's
 // scheduler counters must cover before the planner trusts the
 // observed local-hit rate (early counters are all noise).
 const affinityFeedbackMinTasks = 256
 
-// model builds the cost model for one planning decision: the cache
-// share and bus-stream budget divided across active queries, and the
-// private-level share scaled by the runtime scheduler's OBSERVED warm
-// rate (costmodel.Model.ForAffinity) — a runtime whose morsels keep
-// landing on cores that never saw their partition plans with colder
-// private caches, steering toward fewer workers. The signal is
-// WarmHitRate, not LocalHitRate: sibling steals stay on the home's
-// physical core where the private caches really are warm.
+// model builds the cost model one planning decision is made on, and
+// the worker cap of its search (the machine, and the runtime's size: a
+// query cannot be served by more workers than the runtime owns). The
+// cache share and bus-stream budget are divided across the runtime's
+// admitted queries plus this one (costmodel.Model.ForQueries; without a
+// runtime the query plans as sole owner), so a busy runtime steers
+// individual queries toward fewer workers; and the private-level share
+// is scaled by the runtime scheduler's OBSERVED warm rate
+// (costmodel.Model.ForAffinity) — a runtime whose morsels keep landing
+// on cores that never saw their partition plans with colder private
+// caches. The signal is WarmHitRate, not LocalHitRate: sibling steals
+// stay on the home's physical core where the private caches really are
+// warm.
 //
 // The rate is the runtime's WINDOWED one (Runtime.SchedStatsWindow)
 // when at least one window has completed: an EWMA over the last few
@@ -91,9 +84,11 @@ const affinityFeedbackMinTasks = 256
 // a steal-policy switch — that the lifetime average smears away.
 // Before the first window completes, the lifetime rate (past the same
 // warm-up floor) is the fallback.
-func (c Config) model() costmodel.Model {
-	m := costmodel.Model{H: c.hier()}.ForQueries(c.queries())
-	if rt := c.rt(); rt != nil {
+func (c Config) model() (costmodel.Model, int) {
+	m, maxWorkers := costmodel.Model{H: c.hier()}, runtime.GOMAXPROCS(0)
+	if rt := c.Runtime; rt != nil {
+		m = m.ForQueries(rt.ActiveQueries() + 1)
+		maxWorkers = min(maxWorkers, rt.Workers())
 		// Clamp away from ForAffinity's 0-means-unknown sentinel: a
 		// measured warm rate of exactly 0 is the WORST schedule and
 		// must hit the cold floor, not read as "no data".
@@ -103,82 +98,100 @@ func (c Config) model() costmodel.Model {
 			m = m.ForAffinity(math.Max(st.WarmHitRate(), 1e-3))
 		}
 	}
-	return m
+	return m, maxWorkers
 }
 
-// maxWorkers bounds the planner's worker-count search: the machine,
-// and the runtime's size (a query cannot be served by more workers
-// than the runtime owns).
-func (c Config) maxWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if rt := c.rt(); rt != nil && rt.Workers() < w {
-		w = rt.Workers()
-	}
-	return w
+// Plan is the one record of a query's planner decisions: the plan step
+// fills it, the assembly reads it, Result embeds it, and its String is
+// the plan line the public API reports.
+type Plan struct {
+	// The per-side methods: u/s/c and u/d for DSM post-projection; p/p,
+	// c/d and j/j name the other strategies' fixed ones.
+	LargerMethod, SmallerMethod ProjMethod
+	// JoinBits is B of the Partitioned Hash-Join clustering (0 = naive
+	// hash join), LargerBits / SmallerBits B of the two projection
+	// phases' join-index (re-)clusterings (SmallerBits is NSMPostJive's
+	// fan-out), Window the Radix-Decluster insertion window in tuples.
+	// Zero where the plan has no such phase.
+	JoinBits, LargerBits, SmallerBits, Window int
+	// Workers is the executor: 0 = serial paper mode, n >= 1 = the
+	// morsel-driven parallel executor with a nominal n workers.
+	Workers int
+	// Compressed is the representation: true when the run executes over
+	// block-compressed column images.
+	Compressed bool
 }
 
-// PlanParallelism runs the cost model's serial-vs-parallel decision
-// for a DSM post-projection of the given shape. It returns the
-// winning worker count (1 = stay serial).
-func PlanParallelism(nJI, baseN, pi int, cfg Config) int {
-	h := cfg.hier()
-	c := h.LLC().Size
-	bits := cfg.LargerBits
-	if bits == 0 {
-		bits = radix.OptimalBits(baseN, 4, c)
-	}
-	window := cfg.Window
-	if window == 0 {
-		window = core.PlanWindow(h, 4)
-	}
-	return costmodel.ChooseParallelism(cfg.model(), cfg.maxWorkers(),
-		nJI, baseN, 4, max(1, bits), max(1, pi), window)
-}
-
-// planParallelismRows is the decision for the pre-projection
-// strategies (DSM-pre and both NSM-pre variants): nL/nS input
-// cardinalities, lw/sw wide-tuple widths in fields, bits the join
-// partitioning fan-out (0 = naive hash join).
-func planParallelismRows(nL, nS, lw, sw, bits int, cfg Config) int {
-	return costmodel.ChooseParallelismRows(cfg.model(), cfg.maxWorkers(),
-		nL, nS, lw*4, sw*4, bits)
-}
-
-// planParallelismNSMPost is the decision for NSM post-projection with
-// the Radix algorithms.
-func planParallelismNSMPost(nJI, baseN, omegaBytes, projBytes, bits, window int, cfg Config) int {
-	return costmodel.ChooseParallelismNSMPost(cfg.model(), cfg.maxWorkers(),
-		nJI, baseN, omegaBytes, projBytes, max(1, bits), window)
-}
-
-// planParallelismJive is the decision for NSM post-projection with
-// Jive-Join.
-func planParallelismJive(nJI, leftN, rightN, omegaBytes, projBytes, bits int, cfg Config) int {
-	return costmodel.ChooseParallelismJive(cfg.model(), cfg.maxWorkers(),
-		nJI, leftN, rightN, omegaBytes, projBytes, max(1, bits))
-}
-
-// pipelineFor resolves cfg.Parallelism into a pipeline for one
-// strategy run. plan supplies the strategy's cost-model decision
-// (consulted only for AutoParallelism); joinInput is the total join
-// input cardinality gating the runtime lease against exec.MinParallelN;
-// affinitySeed is the query's base-data identity (a ScanKey seed),
-// salting the runtime's placement hash so concurrent queries over the
-// same source home equal partitions on equal workers.
-func (c Config) pipelineFor(joinInput int, affinitySeed uint64, plan func() int) *exec.Pipeline {
-	w := 0
-	switch {
-	case c.Parallelism >= 1:
-		w = c.Parallelism
-	case c.Parallelism == AutoParallelism:
-		if pw := plan(); pw > 1 {
-			w = pw
+func (p Plan) String() string {
+	letter := func(m ProjMethod) byte {
+		if m == Auto {
+			return '-'
 		}
+		return byte(m)
 	}
-	if w > 0 && joinInput < exec.MinParallelN {
-		w = 0
+	s := fmt.Sprintf("joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%c/%c workers=%d",
+		p.JoinBits, p.LargerBits, p.SmallerBits, p.Window, letter(p.LargerMethod), letter(p.SmallerMethod), p.Workers)
+	if p.Compressed {
+		s += " compressed=true"
 	}
-	pl := exec.NewPipeline(c.rt(), w)
+	return s
+}
+
+// CostFn is a strategy's modeled cost for one query's shape: its
+// Appendix-A formula on model m, over one of w workers' share of every
+// cardinality and of the insertion window (w = 1: the serial formula).
+// The plan step hands it to costmodel.Choose; PlanJoin evaluates the
+// same function for its estimate.
+type CostFn func(m costmodel.Model, w int) costmodel.Cost
+
+// share is one of w workers' part of n tuples.
+func share(n, w int) int { return (n + w - 1) / w }
+
+// decide completes a plan with its worker count and representation,
+// the only reader of Config.Parallelism and Config.Compress. An explicit
+// worker count is taken as-is and 0 stays on the serial paper path; the
+// cost model (costmodel.Choose over the strategy's cost) is consulted
+// only when its answer is used — under AutoParallelism, or CompressAuto
+// with an encoding present — so no other query evaluates a formula or
+// triggers a calibration probe (costmodel.SaturationStreams,
+// DecodeNanos). encs are the sides' compressed images (nil entries are
+// raw-only columns). A joinInput (total join input cardinality) below the
+// executor's serial-fallback threshold is planned serial: every operator
+// would fall back to serial code anyway, so the query never enters
+// runtime admission and the plan says Workers = 0.
+func (c Config) decide(p *Plan, joinInput int, cost CostFn, encs ...[]*compress.Encoded) {
+	encoded := c.Compress != CompressOff && slices.ContainsFunc(encs, func(side []*compress.Encoded) bool {
+		return slices.ContainsFunc(side, func(e *compress.Encoded) bool { return e != nil })
+	})
+	auto := c.Parallelism == AutoParallelism
+	p.Workers = max(c.Parallelism, 0)
+	p.Compressed = encoded && c.Compress == CompressOn
+	if auto || (encoded && c.Compress == CompressAuto) {
+		var cp costmodel.Compression
+		if encoded {
+			cp = compressionTerm(encs)
+		}
+		m, maxWorkers := c.model()
+		w, comp := costmodel.Choose(m, maxWorkers, cost, cp)
+		if auto && w > 1 {
+			p.Workers = w
+		}
+		// CompressOn forces the representation but keeps the worker count
+		// of whichever representation the model priced cheaper — the raw
+		// plan's, when raw wins.
+		p.Compressed = p.Compressed || comp
+	}
+	if joinInput < exec.MinParallelN {
+		p.Workers = 0
+	}
+}
+
+// pipeline opens the engine the plan selects on the run's (resolved)
+// runtime. affinitySeed is the query's base-data identity (a ScanKey
+// seed), salting the runtime's placement hash so concurrent queries
+// over the same source home equal partitions on equal workers.
+func (c Config) pipeline(p Plan, affinitySeed uint64) *exec.Pipeline {
+	pl := exec.NewPipeline(c.Runtime, p.Workers)
 	if affinitySeed != 0 {
 		pl.SetAffinitySeed(affinitySeed)
 	}
@@ -189,4 +202,23 @@ func (c Config) pipelineFor(joinInput int, affinitySeed uint64, plan func() int)
 		pl.SetQueryTag(c.QueryTag)
 	}
 	return pl
+}
+
+// joinOpts is the Partitioned Hash-Join clustering for the planned B.
+func joinOpts(bits int, h mem.Hierarchy) radix.Opts {
+	return radix.Opts{Bits: bits, Passes: radix.SplitBits(bits, radix.MaxBitsPerPass(h))}
+}
+
+// clusterOpts is a join-index (re-)clustering on the planned B bits of
+// the oid, ignoring the rest of the oid domain's bits (§3.1).
+func clusterOpts(bits, baseN int) radix.Opts {
+	return radix.Opts{Bits: bits, Ignore: max(0, mem.Log2Ceil(baseN)-bits)}
+}
+
+// declusterBits plans the re-clustering that feeds Radix-Decluster: B
+// bits so one cluster's span in the projected base region fits the
+// cache, clamped so that w = |W|/2^B stays at or above the paper's
+// w = 32 guidance.
+func declusterBits(baseN, tupleBytes, cacheBytes, window int) int {
+	return min(radix.OptimalBits(baseN, tupleBytes, cacheBytes), core.MaxBitsForWindow(window))
 }

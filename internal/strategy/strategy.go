@@ -19,13 +19,14 @@
 //   - NSM post-projection with Radix-Decluster and with Jive-Join.
 //
 // Every strategy is assembled as a phase pipeline on the shared
-// execution engine (internal/exec): the strategy function makes the
-// planner decisions (methods, radix bits, window, worker count) and
-// lists the phases; the pipeline runs them — serially in the paper's
-// single-threaded mode, or morsel-driven parallel on a runtime lease
-// when Config.Parallelism selects workers — with byte-identical
-// results either way. Every run returns a phase-by-phase wall-clock breakdown
-// and the parameters (radix bits, window) the planner chose.
+// execution engine (internal/exec): the strategy's plan step makes the
+// planner decisions (methods, radix bits, window, worker count,
+// representation) into one Plan record, the strategy function lists
+// the phases the record calls for, and the pipeline runs them —
+// serially in the paper's single-threaded mode, or morsel-driven
+// parallel on a runtime lease when the plan has workers — with
+// byte-identical results either way. Every run returns a phase-by-phase
+// wall-clock breakdown and the plan it executed.
 package strategy
 
 import (
@@ -35,6 +36,7 @@ import (
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
+	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
@@ -73,21 +75,14 @@ func (m ProjMethod) String() string {
 }
 
 // AutoParallelism asks the planner to pick the worker count from the
-// cost model (costmodel.ChooseParallelism) and runtime.GOMAXPROCS.
+// cost model (costmodel.Choose over the strategy's cost) and
+// runtime.GOMAXPROCS.
 const AutoParallelism = -1
 
-// Config carries the hierarchy and optional planner overrides
-// (zero values mean "let the planner decide").
+// Config carries the hierarchy every planner rule is evaluated on and
+// the execution choices of one run.
 type Config struct {
 	Hier mem.Hierarchy
-	// JoinBits overrides B for the Partitioned Hash-Join clustering.
-	JoinBits int
-	// LargerBits / SmallerBits override B for the join-index
-	// (re-)clusterings of the two projection phases.
-	LargerBits  int
-	SmallerBits int
-	// Window overrides the Radix-Decluster insertion window (tuples).
-	Window int
 	// Parallelism selects the execution engine for every strategy:
 	// 0 = the paper's serial single-threaded mode (default), n >= 1 =
 	// morsel-driven parallel execution (internal/exec) with a nominal n
@@ -151,22 +146,10 @@ type Result struct {
 	// home is the arena kit the result arrays came from and Release
 	// returns them to; nil when they are GC-owned (serial runs).
 	home *mempool.Kit
-	// Timings is the pipeline's per-phase breakdown and counters; the
-	// remaining fields record the planner's choices.
-	Timings       exec.Timings
-	LargerMethod  ProjMethod
-	SmallerMethod ProjMethod
-	JoinBits      int
-	LargerBits    int
-	SmallerBits   int
-	Window        int
-	// Workers records the executor used: 0 = serial paper mode,
-	// n >= 1 = the morsel-driven parallel executor with n workers.
-	Workers int
-	// Compressed records the planner's representation decision: true
-	// when the run executed over block-compressed column images
-	// (Config.Compress with encoded sides).
-	Compressed bool
+	// Timings is the pipeline's per-phase breakdown and counters.
+	Timings exec.Timings
+	// Plan is the plan the run executed.
+	Plan
 }
 
 // run executes the assembled pipeline and completes the result with
@@ -277,6 +260,14 @@ func (s DSMSide) validate(name string) error {
 	return nil
 }
 
+// validateDSM checks both sides of a DSM strategy.
+func validateDSM(larger, smaller DSMSide) error {
+	if err := larger.validate("larger"); err != nil {
+		return err
+	}
+	return smaller.validate("smaller")
+}
+
 // resolveLarger picks the larger-side method (§4.1, Figure 8): fall
 // back to unsorted while one column still fits the cache; beyond
 // that, partial-cluster for few projection columns and full sort for
@@ -309,84 +300,68 @@ func resolveSmaller(m ProjMethod, pi, baseN int, c int) ProjMethod {
 	return Declustered
 }
 
-// joinOpts plans the Partitioned Hash-Join clustering.
-func joinOpts(cfg Config, smallerTuples, tupleBytes int) radix.Opts {
+// PlanDSMPost is DSMPost's plan step. The cost it prices uses the same
+// shape estimates whatever the methods — result cardinality ≈ the
+// larger input, π = the wider projection list, the c/d formula's bits
+// and window — so the worker count never depends on a method the model
+// has no formula for.
+func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
+	if err := validateDSM(larger, smaller); err != nil {
+		return Plan{}, nil, err
+	}
 	h := cfg.hier()
-	b := cfg.JoinBits
-	if b == 0 {
-		b = join.PlanBits(smallerTuples, tupleBytes, h.LLC().Size)
+	c := h.LLC().Size
+	p := Plan{
+		LargerMethod:  resolveLarger(lm, len(larger.Cols), larger.BaseN, c),
+		SmallerMethod: resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, c),
+		JoinBits:      join.PlanBits(len(smaller.OIDs), 4, c),
 	}
-	return radix.Opts{Bits: b, Passes: radix.SplitBits(b, radix.MaxBitsPerPass(h))}
-}
+	switch p.LargerMethod {
+	case Unsorted, SortedM:
+	case PartialCluster:
+		p.LargerBits = radix.OptimalBits(larger.BaseN, 4, c)
+	default:
+		return Plan{}, nil, fmt.Errorf("strategy: larger-side method %q (want u, s or c)", p.LargerMethod)
+	}
+	window := core.PlanWindow(h, 4)
+	switch p.SmallerMethod {
+	case Unsorted:
+	case Declustered:
+		p.Window = window
+		p.SmallerBits = declusterBits(smaller.BaseN, 4, c, window)
+	default:
+		return Plan{}, nil, fmt.Errorf("strategy: smaller-side method %q (want u or d)", p.SmallerMethod)
+	}
 
-// projOpts plans a join-index (re-)clustering: B bits so one cluster's
-// span in the projected base region fits the cache, ignoring the rest
-// of the oid domain's bits (§3.1).
-func projOpts(override, baseN, tupleBytes, cacheBytes int) radix.Opts {
-	b := override
-	if b == 0 {
-		b = radix.OptimalBits(baseN, tupleBytes, cacheBytes)
+	nJI := max(len(larger.OIDs), len(smaller.OIDs))
+	baseN := max(larger.BaseN, smaller.BaseN)
+	bits := max(1, radix.OptimalBits(baseN, 4, c))
+	pi := max(1, len(larger.Cols), len(smaller.Cols))
+	cost := func(m costmodel.Model, w int) costmodel.Cost {
+		return costmodel.DSMPostDecluster(m, share(nJI, w), share(baseN, w), 4, bits, pi, max(1, window/w))
 	}
-	i := mem.Log2Ceil(baseN) - b
-	if i < 0 {
-		i = 0
-	}
-	return radix.Opts{Bits: b, Ignore: i}
+	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), cost, larger.encs(), smaller.encs())
+	return p, cost, nil
 }
 
 // DSMPost runs the paper's headline strategy: DSM post-projection
 // with the given per-side methods (Auto to let the planner choose).
-// The assembly is a single phase pipeline; Config.Parallelism only
-// selects the engine the phases execute on.
+// The assembly is a single phase pipeline; the plan only selects the
+// engine the phases execute on and the representation they read.
 func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, error) {
-	if err := larger.validate("larger"); err != nil {
-		return nil, err
-	}
-	if err := smaller.validate("smaller"); err != nil {
+	cfg.Runtime = cfg.rt()
+	p, _, err := PlanDSMPost(larger, smaller, lm, sm, cfg)
+	if err != nil {
 		return nil, err
 	}
 	h := cfg.hier()
-	c := h.LLC().Size
-
-	// Assembly-time planner decisions: per-side methods, radix bits,
-	// insertion window. These are identical for every engine, so the
-	// reported plan never depends on the worker count.
-	lm = resolveLarger(lm, len(larger.Cols), larger.BaseN, c)
-	sm = resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, c)
-	if lm != Unsorted && lm != SortedM && lm != PartialCluster {
-		return nil, fmt.Errorf("strategy: larger-side method %q (want u, s or c)", lm)
-	}
-	if sm != Unsorted && sm != Declustered {
-		return nil, fmt.Errorf("strategy: smaller-side method %q (want u or d)", sm)
-	}
-
-	// Representation decision: when the sides carry compressed images
-	// and the mode allows it, the cost model's compression term picks
-	// compressed-vs-raw (and the worker count under the winner).
-	useComp, compW := false, 0
-	if cfg.Compress != CompressOff && (larger.hasEnc() || smaller.hasEnc()) {
-		cp := cfg.compressionTerm(append(larger.encs(), smaller.encs()...)...)
-		useComp, compW = cfg.planDSMPost(max(len(larger.OIDs), len(smaller.OIDs)),
-			max(larger.BaseN, smaller.BaseN),
-			max(len(larger.Cols), len(smaller.Cols)), cp)
-	}
-
-	// The auto decision uses the same shape estimates as PlanJoin
-	// (radixdecluster.PlanJoin): result cardinality ≈ the larger
-	// input, π = the wider projection list. The larger key column is
-	// the query's affinity identity: concurrent queries joining the
-	// same sides home the same partitions on the same workers.
-	pl := cfg.pipelineFor(len(larger.OIDs)+len(smaller.OIDs),
-		exec.ColumnScanKey(larger.Keys, len(larger.OIDs)).Seed(), func() int {
-			if compW > 0 {
-				return compW
-			}
-			return PlanParallelism(max(len(larger.OIDs), len(smaller.OIDs)),
-				max(larger.BaseN, smaller.BaseN),
-				max(len(larger.Cols), len(smaller.Cols)), cfg)
-		})
+	// The larger key column is the query's affinity identity: concurrent
+	// queries joining the same sides home the same partitions on the
+	// same workers.
+	pl := cfg.pipeline(p, exec.ColumnScanKey(larger.Keys, len(larger.OIDs)).Seed())
 	defer pl.Close()
-	res := &Result{Workers: pl.Workers(), LargerMethod: lm, SmallerMethod: sm, Compressed: useComp}
+	res := &Result{Plan: p}
+	useComp := p.Compressed
 
 	// Phase 1: join-index via Partitioned Hash-Join on the key BATs.
 	// Compressed key columns are materialised first — a scan-shaped
@@ -402,12 +377,10 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			return err
 		})
 	}
-	jo := joinOpts(cfg, len(smaller.OIDs), 4)
-	res.JoinBits = jo.Bits
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		var err error
-		ji, err = e.PartitionedJoin(larger.OIDs, lKeys, smaller.OIDs, sKeys, jo)
+		ji, err = e.PartitionedJoin(larger.OIDs, lKeys, smaller.OIDs, sKeys, joinOpts(p.JoinBits, h))
 		if err != nil {
 			return err
 		}
@@ -420,7 +393,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// dropped by the phase that reads it last, so a serial run's live
 	// heap does not carry them to the end of the pipeline.
 	var largerOIDs, smallerInResultOrder []OID
-	switch lm {
+	switch p.LargerMethod {
 	case Unsorted:
 		// Result order = join output order; nothing to reorder. The
 		// fetch-larger phase below picks the join-index up directly.
@@ -434,10 +407,8 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			return nil
 		})
 	case PartialCluster:
-		po := projOpts(cfg.LargerBits, larger.BaseN, 4, c)
-		res.LargerBits = po.Bits
 		pl.Then(exec.PhaseReorder, "partial-cluster-join-index", func(e *exec.Engine) error {
-			cl, err := e.ClusterOIDPairs(ji.Larger, ji.Smaller, po)
+			cl, err := e.ClusterOIDPairs(ji.Larger, ji.Smaller, clusterOpts(p.LargerBits, larger.BaseN))
 			if err != nil {
 				return err
 			}
@@ -446,7 +417,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		})
 	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
-		if lm == Unsorted {
+		if p.LargerMethod == Unsorted {
 			largerOIDs, smallerInResultOrder, ji = ji.Larger, ji.Smaller, nil
 		}
 		var err error
@@ -456,7 +427,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	})
 
 	// Phase 3: smaller-side projections.
-	switch sm {
+	switch p.SmallerMethod {
 	case Unsorted:
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
@@ -464,24 +435,10 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			return err
 		})
 	case Declustered:
-		window := cfg.Window
-		if window == 0 {
-			window = core.PlanWindow(h, 4)
-		}
-		res.Window = window
-		po := projOpts(cfg.SmallerBits, smaller.BaseN, 4, c)
-		if maxB := core.MaxBitsForWindow(window); po.Bits > maxB {
-			// Keep w = |W|/2^B at or above the paper's w=32 guidance.
-			po = radix.Opts{Bits: maxB, Ignore: mem.Log2Ceil(smaller.BaseN) - maxB}
-			if po.Ignore < 0 {
-				po.Ignore = 0
-			}
-		}
-		res.SmallerBits = po.Bits
 		var cl *core.Clustered
 		pl.Then(exec.PhaseReorder, "recluster-smaller", func(e *exec.Engine) error {
 			var err error
-			cl, err = e.ClusterForDecluster(smallerInResultOrder, po)
+			cl, err = e.ClusterForDecluster(smallerInResultOrder, clusterOpts(p.SmallerBits, smaller.BaseN))
 			smallerInResultOrder = nil
 			return err
 		})
@@ -495,7 +452,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			})
 			pl.Then(exec.PhaseDecluster, "radix-decluster", func(e *exec.Engine) error {
 				var err error
-				res.SmallerCols[k], err = e.Decluster(cv, cl.ResultPos, cl.Borders, window)
+				res.SmallerCols[k], err = e.Decluster(cv, cl.ResultPos, cl.Borders, p.Window)
 				return err
 			})
 		}
@@ -503,33 +460,46 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	return res.run(pl)
 }
 
+// rowsCost is the pre-projection strategies' cost (DSM-pre and both
+// NSM-pre variants): nL/nS input cardinalities, lw/sw wide-tuple widths
+// in fields, bits the join partitioning fan-out (0 = naive hash join);
+// the result cardinality is estimated as the larger input.
+func rowsCost(nL, nS, lw, sw, bits int) CostFn {
+	return func(m costmodel.Model, w int) costmodel.Cost {
+		return costmodel.PreProjectionRows(m, share(nL, w), share(nS, w), lw*4, sw*4, bits, share(nL, w))
+	}
+}
+
+// PlanDSMPre is DSMPre's plan step.
+func PlanDSMPre(larger, smaller DSMSide, cfg Config) (Plan, CostFn, error) {
+	if err := validateDSM(larger, smaller); err != nil {
+		return Plan{}, nil, err
+	}
+	lw, sw := 1+len(larger.Cols), 1+len(smaller.Cols)
+	p := Plan{
+		LargerMethod: 'p', SmallerMethod: 'p',
+		JoinBits: join.PlanBits(len(smaller.OIDs), sw*4, cfg.hier().LLC().Size),
+	}
+	cost := rowsCost(len(larger.OIDs), len(smaller.OIDs), lw, sw, p.JoinBits)
+	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), cost, larger.encs(), smaller.encs())
+	return p, cost, nil
+}
+
 // DSMPre runs DSM pre-projection ("DSM-pre-phash"): the scans stitch
 // [key|π] wide tuples out of the columns (column-at-a-time gathers
 // through the selection oids), and the wide tuples travel through a
 // partitioned hash-join.
 func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
-	if err := larger.validate("larger"); err != nil {
-		return nil, err
-	}
-	if err := smaller.validate("smaller"); err != nil {
+	cfg.Runtime = cfg.rt()
+	p, _, err := PlanDSMPre(larger, smaller, cfg)
+	if err != nil {
 		return nil, err
 	}
 	lw, sw := 1+len(larger.Cols), 1+len(smaller.Cols)
-	jo := joinOpts(cfg, len(smaller.OIDs), sw*4)
-	useComp, compW := false, 0
-	if cfg.Compress != CompressOff && (larger.hasEnc() || smaller.hasEnc()) {
-		cp := cfg.compressionTerm(append(larger.encs(), smaller.encs()...)...)
-		useComp, compW = cfg.planRowsComp(len(larger.OIDs), len(smaller.OIDs), lw, sw, jo.Bits, cp)
-	}
-	pl := cfg.pipelineFor(len(larger.OIDs)+len(smaller.OIDs),
-		exec.ColumnScanKey(larger.Keys, len(larger.OIDs)).Seed(), func() int {
-			if compW > 0 {
-				return compW
-			}
-			return planParallelismRows(len(larger.OIDs), len(smaller.OIDs), lw, sw, jo.Bits, cfg)
-		})
+	pl := cfg.pipeline(p, exec.ColumnScanKey(larger.Keys, len(larger.OIDs)).Seed())
 	defer pl.Close()
-	res := &Result{LargerMethod: 'p', SmallerMethod: 'p', Workers: pl.Workers(), JoinBits: jo.Bits, Compressed: useComp}
+	res := &Result{Plan: p}
+	useComp := p.Compressed
 
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "stitch-wide-tuples", func(e *exec.Engine) error {
@@ -541,7 +511,7 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 		return err
 	})
 	pl.Then(exec.PhaseJoin, "partitioned-rows-join", func(e *exec.Engine) error {
-		rr, err := e.PartitionedRowsJoin(lRows, lw, 0, sRows, sw, 0, jo)
+		rr, err := e.PartitionedRowsJoin(lRows, lw, 0, sRows, sw, 0, joinOpts(p.JoinBits, cfg.hier()))
 		if err != nil {
 			return err
 		}

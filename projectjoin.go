@@ -9,10 +9,8 @@ import (
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
-	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
-	"radixdecluster/internal/radix"
 	"radixdecluster/internal/strategy"
 )
 
@@ -135,12 +133,14 @@ type JoinQuery struct {
 	// Parallelism selects the execution engine: 0 (the default) is
 	// the paper's serial single-threaded mode; n >= 1 runs the chosen
 	// strategy with nominal parallelism n on the shared runtime's
-	// morsel-driven executor; AutoParallelism asks the runtime
-	// planner, which picks a worker count per strategy from the cost
-	// model — weighing the per-core cache share, the memory-bandwidth
-	// ceiling, and the runtime's active-query count (each of Q
-	// concurrent queries plans against a 1/Q cache and bus share) —
-	// capped by runtime.GOMAXPROCS and the shared pool size. Every
+	// morsel-driven executor; AutoParallelism asks the planner, which
+	// prices the strategy's Appendix-A cost across worker counts —
+	// weighing the per-core cache share, the memory-bandwidth ceiling,
+	// and the runtime's active-query count (each of Q concurrent queries
+	// plans against a 1/Q cache and bus share) — capped by
+	// runtime.GOMAXPROCS and the shared pool size. A query whose join
+	// inputs total fewer than 16 Ki tuples is planned serial whatever
+	// this says (PlanJoin shows the resolved count). Every
 	// strategy — DSM post- and pre-projection and all NSM plans —
 	// executes as a phase pipeline, and parallel runs return results
 	// byte-identical to serial runs regardless of how many queries
@@ -317,70 +317,106 @@ func (r *Result) Row(i int) []int32 {
 
 // ProjectJoin executes the query.
 func ProjectJoin(q JoinQuery) (*Result, error) {
-	if q.Larger == nil || q.Smaller == nil {
-		return nil, fmt.Errorf("radixdecluster: both relations are required")
+	b, err := q.bind()
+	if err != nil {
+		return nil, err
 	}
-	cfg := strategy.Config{
-		Hier: q.Hier.internal(), Parallelism: q.Parallelism, Runtime: q.execRuntime(),
-		Compress: strategy.CompressMode(q.Compression),
-	}
-	st := q.Strategy
-	if st == AutoStrategy {
-		st = DSMPostDecluster
-	}
+	cfg := q.config()
 	// The strategy name doubles as the pprof query tag; the trace
 	// label adds the relation names so Perfetto titles each query's
 	// process track recognizably.
-	cfg.QueryTag = st.String()
+	cfg.QueryTag = b.st.String()
 	if q.Trace {
-		cfg.Trace = obs.NewTrace(fmt.Sprintf("%s %s⋈%s", st, q.Larger.Name, q.Smaller.Name))
+		cfg.Trace = obs.NewTrace(fmt.Sprintf("%s %s⋈%s", b.st, q.Larger.Name, q.Smaller.Name))
 	}
-	switch st {
+	res, err := b.run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return buildResult(q, res, cfg.Trace)
+}
+
+// config is the engine configuration a run of q plans and executes
+// with. Its runtime is the query's explicit one: nil for serial runs
+// (paper-mode queries never touch a runtime) and for parallel runs
+// without one — those the engine places on the process default
+// (strategy.DefaultRuntime, the instance DefaultRuntime wraps).
+func (q JoinQuery) config() strategy.Config {
+	cfg := strategy.Config{
+		Hier: q.Hier.internal(), Parallelism: q.Parallelism,
+		Compress: strategy.CompressMode(q.Compression),
+	}
+	if q.Parallelism != 0 && q.Runtime != nil {
+		cfg.Runtime = q.Runtime.rt
+	}
+	return cfg
+}
+
+// boundJoin is a query bound to its strategy: the resolved strategy
+// and the join sides in the storage model it reads. ProjectJoin runs
+// it, PlanJoin only plans it — over the same sides, through the same
+// plan step.
+type boundJoin struct {
+	st     Strategy
+	lm, sm strategy.ProjMethod
+	dl, ds strategy.DSMSide
+	nl, ns strategy.NSMSide
+}
+
+func (q JoinQuery) bind() (boundJoin, error) {
+	if q.Larger == nil || q.Smaller == nil {
+		return boundJoin{}, fmt.Errorf("radixdecluster: both relations are required")
+	}
+	b := boundJoin{st: q.Strategy, lm: strategy.ProjMethod(q.LargerMethod), sm: strategy.ProjMethod(q.SmallerMethod)}
+	if b.st == AutoStrategy {
+		b.st = DSMPostDecluster
+	}
+	var err error
+	switch b.st {
 	case DSMPostDecluster, DSMPre:
-		l, err := dsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression)
-		if err != nil {
-			return nil, err
+		if b.dl, err = dsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression); err != nil {
+			return b, err
 		}
-		s, err := dsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression)
-		if err != nil {
-			return nil, err
-		}
-		var res *strategy.Result
-		if st == DSMPre {
-			res, err = strategy.DSMPre(l, s, cfg)
-		} else {
-			res, err = strategy.DSMPost(l, s, strategy.ProjMethod(q.LargerMethod), strategy.ProjMethod(q.SmallerMethod), cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return buildResult(q, res, cfg.Trace)
+		b.ds, err = dsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression)
 	case NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive:
-		l, err := nsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression)
-		if err != nil {
-			return nil, err
+		if b.nl, err = nsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression); err != nil {
+			return b, err
 		}
-		s, err := nsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression)
-		if err != nil {
-			return nil, err
-		}
-		var res *strategy.Result
-		switch st {
-		case NSMPreHash:
-			res, err = strategy.NSMPre(l, s, false, cfg)
-		case NSMPrePhash:
-			res, err = strategy.NSMPre(l, s, true, cfg)
-		case NSMPostDecluster:
-			res, err = strategy.NSMPostDecluster(l, s, cfg)
-		default:
-			res, err = strategy.NSMPostJive(l, s, 0, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return buildResult(q, res, cfg.Trace)
+		b.ns, err = nsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression)
+	default:
+		err = fmt.Errorf("radixdecluster: unknown strategy %v", q.Strategy)
 	}
-	return nil, fmt.Errorf("radixdecluster: unknown strategy %v", q.Strategy)
+	return b, err
+}
+
+func (b boundJoin) plan(cfg strategy.Config) (strategy.Plan, strategy.CostFn, error) {
+	switch b.st {
+	case DSMPostDecluster:
+		return strategy.PlanDSMPost(b.dl, b.ds, b.lm, b.sm, cfg)
+	case DSMPre:
+		return strategy.PlanDSMPre(b.dl, b.ds, cfg)
+	case NSMPreHash, NSMPrePhash:
+		return strategy.PlanNSMPre(b.nl, b.ns, b.st == NSMPrePhash, cfg)
+	case NSMPostDecluster:
+		return strategy.PlanNSMPostDecluster(b.nl, b.ns, cfg)
+	default:
+		return strategy.PlanNSMPostJive(b.nl, b.ns, 0, cfg)
+	}
+}
+
+func (b boundJoin) run(cfg strategy.Config) (*strategy.Result, error) {
+	switch b.st {
+	case DSMPostDecluster:
+		return strategy.DSMPost(b.dl, b.ds, b.lm, b.sm, cfg)
+	case DSMPre:
+		return strategy.DSMPre(b.dl, b.ds, cfg)
+	case NSMPreHash, NSMPrePhash:
+		return strategy.NSMPre(b.nl, b.ns, b.st == NSMPrePhash, cfg)
+	case NSMPostDecluster:
+		return strategy.NSMPostDecluster(b.nl, b.ns, cfg)
+	default:
+		return strategy.NSMPostJive(b.nl, b.ns, 0, cfg)
+	}
 }
 
 func dsmSide(r *Relation, key string, proj []string, comp Compression) (strategy.DSMSide, error) {
@@ -477,13 +513,8 @@ func buildResult(q JoinQuery, res *strategy.Result, tr *obs.Trace) (*Result, err
 			DecodeTime:           tm.Comp.DecodeTime(),
 			Mem:                  tm.Mem,
 		},
-		Plan: fmt.Sprintf("joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%c/%c workers=%d",
-			res.JoinBits, res.LargerBits, res.SmallerBits, res.Window,
-			printable(byte(res.LargerMethod)), printable(byte(res.SmallerMethod)), res.Workers),
+		Plan:    res.Plan.String(),
 		runInfo: res,
-	}
-	if res.Compressed {
-		out.Plan += " compressed=true"
 	}
 	for _, n := range q.LargerProject {
 		out.Names = append(out.Names, q.Larger.Name+"."+n)
@@ -503,75 +534,80 @@ func buildResult(q JoinQuery, res *strategy.Result, tr *obs.Trace) (*Result, err
 	return out, nil
 }
 
-func printable(b byte) byte {
-	if b == 0 {
-		return '-'
-	}
-	return b
-}
-
-// Plan describes what the planner would do for a query, with modeled
-// costs from the Appendix-A model — usable without running anything.
+// Plan describes what the planner would do for a query — the plan
+// ProjectJoin would execute for it — with the Appendix-A model's
+// estimate of that plan, usable without running anything.
 type Plan struct {
+	// JoinBits, LargerBits, SmallerBits and WindowTuples are the planned
+	// radix bits of the join clustering and of the two projection
+	// phases' join-index (re-)clusterings, and the Radix-Decluster
+	// insertion window — each 0 where the query's strategy and methods
+	// have no such phase (an unsorted projection clusters nothing; a plan
+	// without a decluster phase has no window).
 	JoinBits     int
 	LargerBits   int
 	SmallerBits  int
 	WindowTuples int
-	// ModeledMs is the Appendix-A estimate for the DSM post-projection
-	// strategy.
+	// ModeledMs is the Appendix-A estimate of the planned strategy run
+	// serially by a sole owner of the hierarchy: the cost function the
+	// planner prices worker counts with, evaluated at one worker.
 	ModeledMs float64
-	// Parallelism is the worker count the planner would choose for
-	// this query's DSM post-projection plan on this machine (1 = stay
-	// serial): the modeled minimum over worker counts up to
-	// runtime.GOMAXPROCS, weighing linear work division against the
-	// shrinking per-core cache share and the memory-bandwidth ceiling
-	// (costmodel.ChooseParallelism).
+	// Parallelism is the worker count AutoParallelism would choose for
+	// this query on this machine (1 = stay serial): the modeled minimum
+	// over worker counts up to runtime.GOMAXPROCS, weighing linear work
+	// division against the shrinking per-core cache share and the
+	// memory-bandwidth ceiling; 1 for inputs below the executor's
+	// parallel threshold. What the query itself asks for
+	// (JoinQuery.Parallelism) is in String's workers=.
 	Parallelism int
 	// ScalabilityLimit is the largest relation Radix-Decluster handles
 	// efficiently on this hierarchy (§6: C²/(32·width²)).
 	ScalabilityLimit int
+	plan             strategy.Plan
 }
+
+// String returns the plan line Result.Plan carries when the query is
+// run: bits, window, per-side methods, workers= as the run resolves
+// JoinQuery.Parallelism, and compressed=true for compressed execution.
+func (p *Plan) String() string { return p.plan.String() }
 
 // PlanJoin runs the planner and the cost model for a query without
-// executing it.
+// executing it: it binds the query to the sides ProjectJoin would read
+// (building and caching on the relations what a run would — the NSM
+// image, the compressed images) and asks the strategy's own plan step.
+// A query that names no Runtime is planned as the sole owner of the
+// machine; the process default is not consulted — planning alone must
+// not spin it up.
 func PlanJoin(q JoinQuery) (*Plan, error) {
-	if q.Larger == nil || q.Smaller == nil {
-		return nil, fmt.Errorf("radixdecluster: both relations are required")
+	b, err := q.bind()
+	if err != nil {
+		return nil, err
 	}
-	h := q.Hier.internal()
-	c := h.LLC().Size
-	nL, nS := q.Larger.Len(), q.Smaller.Len()
-	m := costmodel.Model{H: h}
-	p := &Plan{
-		WindowTuples:     core.PlanWindow(h, 4),
-		ScalabilityLimit: core.ScalabilityLimit(h, 4),
+	cfg := q.config()
+	sp, cost, err := b.plan(cfg)
+	if err != nil {
+		return nil, err
 	}
-	p.JoinBits = planJoinBits(nS, c)
-	p.LargerBits = planProjBits(nL, c)
-	p.SmallerBits = planProjBits(nS, c)
-	if p.SmallerBits > core.MaxBitsForWindow(p.WindowTuples) {
-		p.SmallerBits = core.MaxBitsForWindow(p.WindowTuples)
+	auto := sp
+	if q.Parallelism != AutoParallelism {
+		// Plan against the query's runtime: its pool size caps the worker
+		// search and its active-query count shrinks the modeled cache and
+		// bandwidth shares.
+		cfg.Parallelism = AutoParallelism
+		if q.Runtime != nil {
+			cfg.Runtime = q.Runtime.rt
+		}
+		if auto, _, err = b.plan(cfg); err != nil {
+			return nil, err
+		}
 	}
-	nOut := max(nL, nS) // hit rate unknown: assume 1
-	pi := max(len(q.LargerProject), len(q.SmallerProject))
-	p.ModeledMs = m.Millis(costmodel.DSMPostDecluster(m, nOut, max(nL, nS), 4,
-		max(p.LargerBits, 1), max(pi, 1), p.WindowTuples))
-	pcfg := strategy.Config{Hier: h}
-	if q.Runtime != nil {
-		// Plan against the query's runtime: its pool size caps the
-		// worker search and its active-query count shrinks the modeled
-		// cache and bandwidth shares. (The process default is not
-		// consulted here — planning alone must not spin it up.)
-		pcfg.Runtime = q.Runtime.rt
-	}
-	p.Parallelism = strategy.PlanParallelism(nOut, max(nL, nS), pi, pcfg)
-	return p, nil
-}
-
-func planJoinBits(smallerTuples, cacheBytes int) int {
-	return join.PlanBits(smallerTuples, 4, cacheBytes)
-}
-
-func planProjBits(baseN, cacheBytes int) int {
-	return radix.OptimalBits(baseN, 4, cacheBytes)
+	m := costmodel.Model{H: cfg.Hier}
+	return &Plan{
+		JoinBits: sp.JoinBits, LargerBits: sp.LargerBits, SmallerBits: sp.SmallerBits,
+		WindowTuples:     sp.Window,
+		ModeledMs:        m.Millis(cost(m, 1)),
+		Parallelism:      max(1, auto.Workers),
+		ScalabilityLimit: core.ScalabilityLimit(cfg.Hier, 4),
+		plan:             sp,
+	}, nil
 }

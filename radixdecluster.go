@@ -51,8 +51,9 @@
 // ceiling — adding workers divides the work but also each worker's
 // cache share and the bus — divided again across the runtime's active
 // queries, and the modeled optimum (capped at runtime.GOMAXPROCS and
-// the runtime's size) wins; 1 means stay serial. PlanJoin reports that
-// recommendation as Plan.Parallelism without executing anything.
+// the runtime's size) wins; 1 means stay serial. PlanJoin asks the same
+// planner without executing anything: Plan.String is the plan line a
+// run of the query would report, Plan.Parallelism that recommendation.
 //
 // Values are 4-byte integers and oids are dense uint32 record
 // numbers, the paper's data model.

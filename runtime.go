@@ -241,18 +241,6 @@ func DefaultRuntime() *Runtime {
 	return defaultRuntime
 }
 
-// execRuntime resolves the query's explicit runtime for the engine:
-// nil for serial runs (paper-mode queries never touch a runtime) and
-// for parallel runs without one — those the engine places on the
-// process default (strategy.DefaultRuntime, the instance
-// DefaultRuntime wraps).
-func (q JoinQuery) execRuntime() *exec.Runtime {
-	if q.Parallelism == 0 || q.Runtime == nil {
-		return nil
-	}
-	return q.Runtime.rt
-}
-
 // ParseStrategy maps a strategy's String() name (e.g. from a flag or
 // an API request) back to the constant. It accepts exactly the names
 // String returns.
