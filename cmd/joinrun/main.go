@@ -128,9 +128,11 @@ func main() {
 	rt := rd.NewRuntime(rd.RuntimeConfig{
 		MaxConcurrentQueries: *maxConcurrent, ShareScans: *share,
 		MetricsAddr: *metricsAddr, PprofLabels: *pprofLabels,
+		Hier: rd.HostHierarchy(),
 	})
 	defer rt.Close()
 	q.Runtime = rt
+	fmt.Printf("hierarchy: %v\n", rt.Hier())
 	fmt.Printf("runtime: %d workers, admission bound %d, scan sharing %v\n",
 		rt.Workers(), rt.MaxConcurrentQueries(), rt.ShareScans())
 	if err := rt.MetricsError(); err != nil {

@@ -66,6 +66,9 @@ func main() {
 		ShareScans: *share, MemoryBudget: *memBudget,
 		PprofLabels: *pprofLabels,
 		Metrics:     true, // rendered on this daemon's own /metrics
+		// The paper's declared levels size every plan; the host's own
+		// last-level cache decides which projection methods it uses.
+		Hier: rd.HostHierarchy(),
 	})
 	defer rt.Close()
 
@@ -111,6 +114,7 @@ func main() {
 	}
 	fmt.Printf("joinserve: listening on http://%s\n", ln.Addr())
 	fmt.Printf("joinserve: %d relation pairs of N=%d pi=%d\n", *pairs, *n, *pi)
+	fmt.Printf("joinserve: hierarchy: %v\n", rt.Hier())
 	fmt.Printf("joinserve: runtime %d workers, admission bound %d, scan sharing %v; batch window %v, queue watermark %d\n",
 		rt.Workers(), rt.MaxConcurrentQueries(), rt.ShareScans(), *window, srv.Status().Server.QueueWatermark)
 

@@ -131,26 +131,10 @@ func DetectTopology() *Topology {
 // "/sys"; split out so tests can point it at a fixture tree).
 func sysfsTopology(root string) (*Topology, error) {
 	cpuDir := root + "/devices/system/cpu"
-	entries, err := os.ReadDir(cpuDir)
+	ids, err := sysfsCPUIDs(cpuDir)
 	if err != nil {
 		return nil, err
 	}
-	var ids []int
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "cpu") {
-			continue
-		}
-		id, err := strconv.Atoi(name[3:])
-		if err != nil {
-			continue // cpufreq, cpuidle, ...
-		}
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("calibrator: no cpus under %s", cpuDir)
-	}
-	sort.Ints(ids)
 
 	nodeOf := sysfsNodeMap(root + "/devices/system/node")
 	t := &Topology{Source: "sysfs"}
@@ -173,13 +157,59 @@ func sysfsTopology(root string) (*Topology, error) {
 	return t, nil
 }
 
+// sysfsCPUIDs lists the logical CPU ids under cpuDir, ascending.
+func sysfsCPUIDs(cpuDir string) ([]int, error) {
+	entries, err := os.ReadDir(cpuDir)
+	if err != nil {
+		return nil, err
+	}
+	var ids []int
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, "cpu") {
+			continue
+		}
+		id, err := strconv.Atoi(name[3:])
+		if err != nil {
+			continue // cpufreq, cpuidle, ...
+		}
+		ids = append(ids, id)
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("calibrator: no cpus under %s", cpuDir)
+	}
+	sort.Ints(ids)
+	return ids, nil
+}
+
 // sysfsLLCGroup returns the id of the CPU's last-level-cache sharing
 // group: the smallest CPU id in the deepest cache's shared_cpu_list.
 func sysfsLLCGroup(cacheDir string, self int) int {
 	best, bestLevel := self, -1
+	forEachDataCache(cacheDir, func(base string, level int) {
+		if level <= bestLevel {
+			return
+		}
+		shared, err := os.ReadFile(base + "/shared_cpu_list")
+		if err != nil {
+			return
+		}
+		cpus, err := ParseCPUList(strings.TrimSpace(string(shared)))
+		if err != nil || len(cpus) == 0 {
+			return
+		}
+		bestLevel, best = level, cpus[0]
+	})
+	return best
+}
+
+// forEachDataCache calls fn with the directory and level of every
+// data or unified cache under one CPU's cache directory (instruction
+// caches and entries without a readable type are skipped).
+func forEachDataCache(cacheDir string, fn func(base string, level int)) {
 	entries, err := os.ReadDir(cacheDir)
 	if err != nil {
-		return best
+		return
 	}
 	for _, e := range entries {
 		if !strings.HasPrefix(e.Name(), "index") {
@@ -190,25 +220,68 @@ func sysfsLLCGroup(cacheDir string, self int) int {
 		if err != nil {
 			continue
 		}
-		kind := strings.TrimSpace(string(typ))
-		if kind != "Data" && kind != "Unified" {
+		if kind := strings.TrimSpace(string(typ)); kind != "Data" && kind != "Unified" {
 			continue
 		}
-		level := readSysfsInt(base+"/level", 0)
-		if level <= bestLevel {
-			continue
-		}
-		shared, err := os.ReadFile(base + "/shared_cpu_list")
-		if err != nil {
-			continue
-		}
-		cpus, err := ParseCPUList(strings.TrimSpace(string(shared)))
-		if err != nil || len(cpus) == 0 {
-			continue
-		}
-		bestLevel, best = level, cpus[0]
+		fn(base, readSysfsInt(base+"/level", 0))
 	}
-	return best
+}
+
+var (
+	llcOnce  sync.Once
+	llcBytes int
+)
+
+// DetectLLCBytes returns the size in bytes of the host's last-level
+// data cache as sysfs reports it for the first CPU, 0 when sysfs is
+// missing or masked. It is what the planner's residency test is fed on
+// a serving host (mem.Hierarchy.ResidentBytes); nothing is sized from
+// it. Read once per process, like DetectTopology.
+func DetectLLCBytes() int {
+	llcOnce.Do(func() { llcBytes = sysfsLLCBytes("/sys") })
+	return llcBytes
+}
+
+// sysfsLLCBytes reads the deepest data/unified cache's size from the
+// lowest-numbered CPU's cache/index*/{level,type,size} files under
+// root. Instruction caches are skipped; 0 when nothing parses.
+func sysfsLLCBytes(root string) int {
+	cpuDir := root + "/devices/system/cpu"
+	ids, err := sysfsCPUIDs(cpuDir)
+	if err != nil {
+		return 0
+	}
+	size, bestLevel := 0, -1
+	forEachDataCache(fmt.Sprintf("%s/cpu%d/cache", cpuDir, ids[0]), func(base string, level int) {
+		if level <= bestLevel {
+			return
+		}
+		buf, err := os.ReadFile(base + "/size")
+		if err != nil {
+			return
+		}
+		if n := parseCacheSize(strings.TrimSpace(string(buf))); n > 0 {
+			bestLevel, size = level, n
+		}
+	})
+	return size
+}
+
+// parseCacheSize parses the kernel's cache size format ("48K",
+// "2048K", "32M", plain bytes) into bytes; 0 for anything else.
+func parseCacheSize(s string) int {
+	shift := 0
+	switch {
+	case strings.HasSuffix(s, "K"):
+		s, shift = s[:len(s)-1], 10
+	case strings.HasSuffix(s, "M"):
+		s, shift = s[:len(s)-1], 20
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		return 0
+	}
+	return n << shift
 }
 
 // sysfsNodeMap maps CPU id -> NUMA node from node*/cpulist files.

@@ -68,12 +68,20 @@ func TestSysfsTopologyFixture(t *testing.T) {
 		base := filepath.Join(root, "devices/system/cpu", fmt.Sprintf("cpu%d", cpu))
 		mustWrite(t, filepath.Join(base, "topology/core_id"), fmt.Sprintf("%d\n", cpu/2))
 		mustWrite(t, filepath.Join(base, "topology/physical_package_id"), fmt.Sprintf("%d\n", cpu/4))
-		// index0: private L1 data; index2: node-wide L3.
+		// index0: private L1 data; index1: L1 instruction (never a data
+		// level, however deep and large it claims to be); index2:
+		// node-wide L3.
 		mustWrite(t, filepath.Join(base, "cache/index0/type"), "Data\n")
 		mustWrite(t, filepath.Join(base, "cache/index0/level"), "1\n")
+		mustWrite(t, filepath.Join(base, "cache/index0/size"), "48K\n")
 		mustWrite(t, filepath.Join(base, "cache/index0/shared_cpu_list"), fmt.Sprintf("%d-%d\n", cpu&^1, cpu|1))
+		mustWrite(t, filepath.Join(base, "cache/index1/type"), "Instruction\n")
+		mustWrite(t, filepath.Join(base, "cache/index1/level"), "4\n")
+		mustWrite(t, filepath.Join(base, "cache/index1/size"), "1048576K\n")
+		mustWrite(t, filepath.Join(base, "cache/index1/shared_cpu_list"), "0-7\n")
 		mustWrite(t, filepath.Join(base, "cache/index2/type"), "Unified\n")
 		mustWrite(t, filepath.Join(base, "cache/index2/level"), "3\n")
+		mustWrite(t, filepath.Join(base, "cache/index2/size"), "266240K\n")
 		llcLo := (cpu / 4) * 4
 		mustWrite(t, filepath.Join(base, "cache/index2/shared_cpu_list"), fmt.Sprintf("%d-%d\n", llcLo, llcLo+3))
 	}
@@ -90,6 +98,9 @@ func TestSysfsTopologyFixture(t *testing.T) {
 	if topo.Nodes() != 2 {
 		t.Fatalf("%d nodes, want 2", topo.Nodes())
 	}
+	if got := sysfsLLCBytes(root); got != 266240<<10 {
+		t.Errorf("sysfsLLCBytes = %d, want the L3's 266240K", got)
+	}
 	for _, c := range []struct {
 		a, b, want int
 	}{
@@ -103,6 +114,43 @@ func TestSysfsTopologyFixture(t *testing.T) {
 		if d := topo.Distance(c.a, c.b); d != c.want {
 			t.Errorf("Distance(%d,%d) = %d, want %d", c.a, c.b, d, c.want)
 		}
+	}
+}
+
+// TestSysfsLLCBytes: the size forms the kernel prints, a tree whose
+// deepest level has no readable size (the next one down answers), and
+// a masked tree (0: the planner keeps its declared threshold).
+func TestSysfsLLCBytes(t *testing.T) {
+	for in, want := range map[string]int{
+		"48K": 48 << 10, "2048K": 2 << 20, "266240K": 260 << 20, "32M": 32 << 20, "512": 512,
+		"": 0, "K": 0, "-4K": 0, "12Q": 0,
+	} {
+		if got := parseCacheSize(in); got != want {
+			t.Errorf("parseCacheSize(%q) = %d, want %d", in, got, want)
+		}
+	}
+
+	root := t.TempDir()
+	if got := sysfsLLCBytes(root); got != 0 {
+		t.Errorf("masked sysfs: %d bytes, want 0", got)
+	}
+	cache := filepath.Join(root, "devices/system/cpu/cpu0/cache")
+	for i, c := range []struct{ typ, level, size string }{
+		{"Data", "1", "48K"}, {"Instruction", "1", "32K"}, {"Unified", "2", "2048K"}, {"Unified", "3", ""},
+	} {
+		base := filepath.Join(cache, fmt.Sprintf("index%d", i))
+		mustWrite(t, filepath.Join(base, "type"), c.typ+"\n")
+		mustWrite(t, filepath.Join(base, "level"), c.level+"\n")
+		if c.size != "" {
+			mustWrite(t, filepath.Join(base, "size"), c.size+"\n")
+		}
+	}
+	if got := sysfsLLCBytes(root); got != 2<<20 {
+		t.Errorf("sizeless L3: %d bytes, want the L2's 2048K", got)
+	}
+	mustWrite(t, filepath.Join(cache, "index3/size"), "32M\n")
+	if got := sysfsLLCBytes(root); got != 32<<20 {
+		t.Errorf("sysfsLLCBytes = %d, want the L3's 32M", got)
 	}
 }
 

@@ -21,6 +21,7 @@ type rtMetrics struct {
 	queriesTotal  *obs.Counter
 	admissionWait *obs.Histogram
 	phaseSeconds  *obs.CounterVec
+	plans         *obs.CounterVec
 }
 
 // newRTMetrics builds the registry for rt. The pull-based series
@@ -64,6 +65,9 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 	m.phaseSeconds = reg.CounterVec("radixdecluster_phase_seconds_total",
 		"Wall-clock seconds spent executing pipeline phases, by phase kind.",
 		"phase")
+	m.plans = reg.CounterVec("radixdecluster_plans_total",
+		"Pipelines executed, by strategy and planned per-side projection methods (u/u, c/u, c/d, ...): the Figure-10c switch as the fleet throws it.",
+		"strategy", "methods")
 	reg.CounterFuncs("radixdecluster_mempool_requests_total",
 		"Arena buffer requests, by whether a recycled buffer satisfied them.",
 		"outcome", []obs.FuncSeries{
@@ -89,4 +93,14 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 		"Completed windowed-stats intervals.",
 		func() float64 { return float64(rt.SchedStatsWindow().Windows) })
 	return m
+}
+
+// CountPlan records one execution of a plan with the given per-side
+// methods under the engine's query tag (the strategy name) in the
+// runtime's radixdecluster_plans_total family. A no-op on the serial
+// engine and on runtimes without metrics.
+func (e *Engine) CountPlan(methods string) {
+	if e.rt != nil && e.rt.metrics != nil {
+		e.rt.metrics.plans.With(e.queryTag, methods).Inc()
+	}
 }

@@ -151,46 +151,54 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	}})
 }
 
-// CounterVec is a family of pushed counters distinguished by one
-// label.
+// CounterVec is a family of pushed counters distinguished by the
+// values of its labels.
 type CounterVec struct {
-	label string
-	mu    sync.Mutex
-	kids  map[string]*Counter
+	labels []string
+	mu     sync.Mutex
+	kids   map[string]*Counter // by label values, NUL-joined
 }
 
-// With returns the child counter for the given label value, creating
-// it on first use. Children are cached; instrumentation sites should
-// hold the *Counter rather than calling With per event when the
-// label value is fixed.
-func (v *CounterVec) With(value string) *Counter {
+// With returns the child counter for the given label values (one per
+// label, in declaration order), creating it on first use. Children are
+// cached; instrumentation sites should hold the *Counter rather than
+// calling With per event when the label values are fixed.
+func (v *CounterVec) With(values ...string) *Counter {
+	if len(values) != len(v.labels) {
+		panic(fmt.Sprintf("obs: %d label values for labels %v", len(values), v.labels))
+	}
+	key := strings.Join(values, "\x00")
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c := v.kids[value]
+	c := v.kids[key]
 	if c == nil {
 		c = &Counter{}
-		v.kids[value] = c
+		v.kids[key] = c
 	}
 	return c
 }
 
-// CounterVec registers a one-label counter family.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{label: label, kids: map[string]*Counter{}}
+// CounterVec registers a counter family with one or more labels.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	v := &CounterVec{labels: labels, kids: map[string]*Counter{}}
 	r.add(&family{name: name, help: help, typ: "counter", collect: func(w io.Writer) {
 		v.mu.Lock()
-		values := make([]string, 0, len(v.kids))
-		for val := range v.kids {
-			values = append(values, val)
+		keys := make([]string, 0, len(v.kids))
+		for key := range v.kids {
+			keys = append(keys, key)
 		}
-		sort.Strings(values)
-		kids := make([]*Counter, len(values))
-		for i, val := range values {
-			kids[i] = v.kids[val]
+		sort.Strings(keys)
+		kids := make([]*Counter, len(keys))
+		for i, key := range keys {
+			kids[i] = v.kids[key]
 		}
 		v.mu.Unlock()
-		for i, val := range values {
-			writeSample(w, name, fmt.Sprintf("{%s=%q}", v.label, val), kids[i].Value())
+		for i, key := range keys {
+			pairs := strings.Split(key, "\x00")
+			for j, val := range pairs {
+				pairs[j] = fmt.Sprintf("%s=%q", v.labels[j], val)
+			}
+			writeSample(w, name, "{"+strings.Join(pairs, ",")+"}", kids[i].Value())
 		}
 	}})
 	return v

@@ -23,6 +23,10 @@ func TestExpositionFormat(t *testing.T) {
 	v := r.CounterVec("test_phase_seconds_total", "Per-phase seconds.", "phase")
 	v.With("join").Add(1.5)
 	v.With("scan").Add(0.25)
+	v2 := r.CounterVec("test_plans_total", "Plans by strategy and methods.", "strategy", "methods")
+	v2.With("DSM-post", "u/u").Inc()
+	v2.With("DSM-post", "c/d").Add(2)
+	v2.With("DSM-post", "u/u").Inc()
 	r.CounterFuncs("test_morsels_total", "Morsels by placement.", "placement", []FuncSeries{
 		{Label: "local", Fn: func() float64 { return 10 }},
 		{Label: "steal_remote", Fn: func() float64 { return 2 }},
@@ -41,6 +45,8 @@ func TestExpositionFormat(t *testing.T) {
 		"test_workers 8",
 		`test_phase_seconds_total{phase="join"} 1.5`,
 		`test_phase_seconds_total{phase="scan"} 0.25`,
+		`test_plans_total{strategy="DSM-post",methods="c/d"} 2`,
+		`test_plans_total{strategy="DSM-post",methods="u/u"} 2`,
 		`test_morsels_total{placement="local"} 10`,
 		`test_morsels_total{placement="steal_remote"} 2`,
 		"# TYPE test_wait_seconds histogram",

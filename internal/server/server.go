@@ -281,6 +281,11 @@ type Status struct {
 	MaxConcurrentQueries int `json:"maxConcurrentQueries"`
 	ActiveQueries        int `json:"activeQueries"`
 	QueuedQueries        int `json:"queuedQueries"`
+	// The residency threshold queries on this runtime pick projection
+	// methods by (rd.Hierarchy.Residency): bytes, and "sysfs" when it is
+	// the host's detected last-level cache, "declared" otherwise.
+	ResidentBytes  int    `json:"residentBytes"`
+	ResidentSource string `json:"residentSource"`
 	// Scan sharing.
 	ShareScans     bool  `json:"shareScans"`
 	SharedScanHits int64 `json:"sharedScanHits"`
@@ -335,11 +340,14 @@ func (s *Server) Status() Status {
 	s.relMu.RLock()
 	nrels := len(s.rels)
 	s.relMu.RUnlock()
+	resident, residentSource := rt.Hier().Residency()
 	return Status{
 		Workers:              rt.Workers(),
 		MaxConcurrentQueries: rt.MaxConcurrentQueries(),
 		ActiveQueries:        rt.ActiveQueries(),
 		QueuedQueries:        rt.QueuedQueries(),
+		ResidentBytes:        resident,
+		ResidentSource:       residentSource,
 		ShareScans:           rt.ShareScans(),
 		SharedScanHits:       rt.SharedScanHits(),
 		Sched:                sched,

@@ -314,7 +314,7 @@ func TestStatusAndFooterWireShape(t *testing.T) {
 		want []string
 	}{
 		{"status", status, []string{"activeQueries", "maxConcurrentQueries", "memPool", "queuedQueries",
-			"sched", "schedWindows", "server", "shareScans", "sharedScanHits", "warmHitRate",
+			"residentBytes", "residentSource", "sched", "schedWindows", "server", "shareScans", "sharedScanHits", "warmHitRate",
 			"windowedWarmHitRate", "workers"}},
 		{"status.sched", jsonObject(t, status["sched"]), []string{"LocalHits", "StealsRemote", "StealsShared", "StealsSibling"}},
 		{"status.memPool", jsonObject(t, status["memPool"]), []string{"HeldBytes", "Hits", "Leases", "Misses", "Trims"}},

@@ -47,55 +47,6 @@ func (m CompressMode) String() string {
 	return "off"
 }
 
-// encodeShrinking returns enc(vals) when the encoding actually shrinks
-// the bytes; incompressible (or empty) columns return nil and simply
-// stay raw-only.
-func encodeShrinking(vals []int32, enc func([]int32) (*compress.Encoded, error)) (*compress.Encoded, error) {
-	if len(vals) == 0 {
-		return nil, nil
-	}
-	e, err := enc(vals)
-	if err != nil {
-		return nil, err
-	}
-	if e.Ratio() >= 1 {
-		return nil, nil
-	}
-	return e, nil
-}
-
-// Encode populates the side's compressed images with enc — typically
-// compress.EncodeBest, or a closure pinning one scheme. Columns the
-// encoding does not shrink stay raw-only.
-func (s *DSMSide) Encode(enc func([]int32) (*compress.Encoded, error)) error {
-	ke, err := encodeShrinking(s.Keys, enc)
-	if err != nil {
-		return err
-	}
-	s.KeysEnc = ke
-	s.ColsEnc = make([]*compress.Encoded, len(s.Cols))
-	for i, col := range s.Cols {
-		if s.ColsEnc[i], err = encodeShrinking(col, enc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Encode populates the side's compressed record image (Rel.Data,
-// row-major) when the encoding shrinks it.
-func (s *NSMSide) Encode(enc func([]int32) (*compress.Encoded, error)) error {
-	if s.Rel == nil {
-		return nil
-	}
-	e, err := encodeShrinking(s.Rel.Data, enc)
-	if err != nil {
-		return err
-	}
-	s.Enc = e
-	return nil
-}
-
 // encs lists the side's encodings (nil entries are fine — the
 // aggregator skips them); a side without a key encoding allocates
 // nothing.
@@ -104,6 +55,13 @@ func (s DSMSide) encs() []*compress.Encoded {
 		return s.ColsEnc
 	}
 	return append([]*compress.Encoded{s.KeysEnc}, s.ColsEnc...)
+}
+
+// colsEncoded reports whether any projection column carries an
+// encoding — whether a compressed plan reads this side's projections
+// through the block decoder.
+func (s DSMSide) colsEncoded() bool {
+	return slices.ContainsFunc(s.ColsEnc, func(e *compress.Encoded) bool { return e != nil })
 }
 
 // view returns projection column k as an execution view: compressed

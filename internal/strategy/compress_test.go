@@ -9,25 +9,42 @@ import (
 	"radixdecluster/internal/workload"
 )
 
-// encodeSides populates compressed images on every side, failing on
-// encode errors.
-func encodeSides(t *testing.T, l, s *DSMSide) {
+// encodeShrinking is compress.EncodeBest kept only when it shrinks the
+// bytes — what the root package's relations do; an incompressible (or
+// empty) column stays raw-only.
+func encodeShrinking(t *testing.T, vals []int32) *compress.Encoded {
 	t.Helper()
-	if err := l.Encode(compress.EncodeBest); err != nil {
+	if len(vals) == 0 {
+		return nil
+	}
+	e, err := compress.EncodeBest(vals)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Encode(compress.EncodeBest); err != nil {
-		t.Fatal(err)
+	if e.Ratio() >= 1 {
+		return nil
+	}
+	return e
+}
+
+// encodeSides populates compressed images on both DSM sides.
+func encodeSides(t *testing.T, sides ...*DSMSide) {
+	t.Helper()
+	for _, s := range sides {
+		s.KeysEnc = encodeShrinking(t, s.Keys)
+		s.ColsEnc = make([]*compress.Encoded, len(s.Cols))
+		for i, col := range s.Cols {
+			s.ColsEnc[i] = encodeShrinking(t, col)
+		}
 	}
 }
 
-func encodeNSMSides(t *testing.T, l, s *NSMSide) {
+// encodeNSMSides populates the compressed record image on both NSM
+// sides.
+func encodeNSMSides(t *testing.T, sides ...*NSMSide) {
 	t.Helper()
-	if err := l.Encode(compress.EncodeBest); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Encode(compress.EncodeBest); err != nil {
-		t.Fatal(err)
+	for _, s := range sides {
+		s.Enc = encodeShrinking(t, s.Rel.Data)
 	}
 }
 
@@ -44,21 +61,22 @@ func TestCompressedStrategiesMatchRaw(t *testing.T) {
 		cfg := Config{Hier: mem.Small(), Compress: mode}
 		l, s := dsmSides(pr, pi)
 		encodeSides(t, &l, &s)
-		for _, sm := range []ProjMethod{Unsorted, Declustered} {
-			res, err := DSMPost(l, s, PartialCluster, sm, cfg)
+		for _, m := range [][2]ProjMethod{{PartialCluster, Unsorted}, {PartialCluster, Declustered}, {Unsorted, Unsorted}} {
+			tag := fmt.Sprintf("mode=%v DSMPost %c/%c", mode, m[0], m[1])
+			res, err := DSMPost(l, s, m[0], m[1], cfg)
 			if err != nil {
-				t.Fatalf("mode=%v DSMPost c/%c: %v", mode, sm, err)
+				t.Fatalf("%s: %v", tag, err)
 			}
-			compareRows(t, fmt.Sprintf("mode=%v DSMPost c/%c", mode, sm), dsmResultRows(t, res, pi), want)
+			compareRows(t, tag, dsmResultRows(t, res, pi), want)
 			if mode == CompressOn {
 				if !res.Compressed {
-					t.Fatalf("DSMPost c/%c: CompressOn run not marked compressed", sm)
+					t.Fatalf("%s: CompressOn run not marked compressed", tag)
 				}
 				if res.Timings.Comp.Cols == 0 {
-					t.Fatalf("DSMPost c/%c: no compressed columns consumed", sm)
+					t.Fatalf("%s: no compressed columns consumed", tag)
 				}
 				if res.Timings.Comp.SavedBytes <= 0 {
-					t.Fatalf("DSMPost c/%c: SavedBytes = %d", sm, res.Timings.Comp.SavedBytes)
+					t.Fatalf("%s: SavedBytes = %d", tag, res.Timings.Comp.SavedBytes)
 				}
 			}
 		}
@@ -92,6 +110,41 @@ func TestCompressedStrategiesMatchRaw(t *testing.T) {
 		} else {
 			compareRows(t, fmt.Sprintf("mode=%v NSMPostJive", mode), rowsResultRows(t, res, pi), want)
 		}
+	}
+}
+
+// TestUnsortedCompressedDecodesOnce: an unsorted fetch over an encoded
+// column used to decode a block per tuple — the oids of a join-index in
+// join order span the whole column, so the block cache missed on nearly
+// every fetch. A compressed plan now materialises a u side's columns in
+// one scan-shaped pass, so the run reads each encoding exactly once:
+// the encoded bytes it consumed are the encodings' own size.
+func TestUnsortedCompressedDecodesOnce(t *testing.T) {
+	const pi = 2
+	pr := testPair(t, workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 74})
+	l, s := dsmSides(pr, pi)
+	encodeSides(t, &l, &s)
+	var encoded int64
+	for _, e := range append(l.encs(), s.encs()...) {
+		if e != nil {
+			encoded += int64(e.CompressedBytes())
+		}
+	}
+	if encoded == 0 {
+		t.Fatal("workload did not compress: the test observes nothing")
+	}
+	for _, par := range []int{0, 2} {
+		res, err := DSMPost(l, s, Unsorted, Unsorted, Config{Compress: CompressOn, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareRows(t, fmt.Sprintf("u/u compressed par=%d", par), dsmResultRows(t, res, pi), expectedRows(pr, pi))
+		// Parallel decode passes re-read the blocks that straddle their
+		// chunk borders; per-tuple decoding read hundreds of times more.
+		if got := res.Timings.Comp.CompressedBytes; got < encoded || got > 2*encoded || (par == 0 && got != encoded) {
+			t.Errorf("par=%d: run read %d encoded bytes, want each encoding once = %d", par, got, encoded)
+		}
+		res.Release()
 	}
 }
 

@@ -20,9 +20,9 @@ type NSMSide struct {
 	Rel      *nsm.Relation
 	KeyCol   int
 	ProjCols []int
-	// Enc is an optional block-compressed image of Rel.Data (populate
-	// with Encode); it must decode to exactly the raw records.
-	// Config.Compress selects whether scans and gathers read it.
+	// Enc is an optional block-compressed image of Rel.Data; it must
+	// decode to exactly the raw records. Config.Compress selects whether
+	// scans and gathers read it.
 	Enc *compress.Encoded
 }
 

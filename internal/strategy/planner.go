@@ -122,15 +122,21 @@ type Plan struct {
 	Compressed bool
 }
 
-func (p Plan) String() string {
+// Methods is the per-side method pair as the plan line prints it
+// ("u/u", "c/d", "p/p", "j/j").
+func (p Plan) Methods() string {
 	letter := func(m ProjMethod) byte {
 		if m == Auto {
 			return '-'
 		}
 		return byte(m)
 	}
-	s := fmt.Sprintf("joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%c/%c workers=%d",
-		p.JoinBits, p.LargerBits, p.SmallerBits, p.Window, letter(p.LargerMethod), letter(p.SmallerMethod), p.Workers)
+	return string([]byte{letter(p.LargerMethod), '/', letter(p.SmallerMethod)})
+}
+
+func (p Plan) String() string {
+	s := fmt.Sprintf("joinbits=%d largerbits=%d smallerbits=%d window=%d methods=%s workers=%d",
+		p.JoinBits, p.LargerBits, p.SmallerBits, p.Window, p.Methods(), p.Workers)
 	if p.Compressed {
 		s += " compressed=true"
 	}

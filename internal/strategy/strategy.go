@@ -108,16 +108,17 @@ type Config struct {
 	// buffer; export it with obs.WriteChrome. Tracing never changes
 	// the result bytes. Nil — the default — costs nothing.
 	Trace *obs.Trace
-	// QueryTag names the query for pprof goroutine labels (e.g. the
-	// strategy name) on runtimes built with PprofLabels.
+	// QueryTag names the query (the root package passes the strategy
+	// name): the pprof goroutine label on runtimes built with
+	// PprofLabels, and the strategy label of the runtime's
+	// radixdecluster_plans_total counter.
 	QueryTag string
 	// Compress selects compressed execution over the sides'
 	// block-compressed column images (DSMSide.KeysEnc/ColsEnc,
-	// NSMSide.Enc — populate them with the sides' Encode methods):
-	// CompressOff (default) runs raw, CompressAuto lets the cost
-	// model's compression term decide per strategy, CompressOn forces
-	// compressed execution wherever an encoding exists. Result bytes
-	// are identical in all modes.
+	// NSMSide.Enc): CompressOff (default) runs raw, CompressAuto lets
+	// the cost model's compression term decide per strategy, CompressOn
+	// forces compressed execution wherever an encoding exists. Result
+	// bytes are identical in all modes.
 	Compress CompressMode
 }
 
@@ -155,6 +156,7 @@ type Result struct {
 // run executes the assembled pipeline and completes the result with
 // its timings and the kit its arrays were drawn from.
 func (r *Result) run(pl *exec.Pipeline) (*Result, error) {
+	pl.Engine().CountPlan(r.Methods())
 	var err error
 	if r.Timings, err = pl.Execute(); err != nil {
 		return nil, err
@@ -227,9 +229,9 @@ type DSMSide struct {
 	// BaseN is the base-table cardinality; oids lie in [0, BaseN).
 	BaseN int
 	// KeysEnc / ColsEnc are optional block-compressed images of Keys
-	// and Cols (populate with Encode); nil entries stay raw-only. They
-	// must decode to exactly the raw values — Config.Compress selects
-	// whether execution reads them.
+	// and Cols; nil entries stay raw-only. They must decode to exactly
+	// the raw values — Config.Compress selects whether execution reads
+	// them.
 	KeysEnc *compress.Encoded
 	ColsEnc []*compress.Encoded
 }
@@ -269,13 +271,21 @@ func validateDSM(larger, smaller DSMSide) error {
 }
 
 // resolveLarger picks the larger-side method (§4.1, Figure 8): fall
-// back to unsorted while one column still fits the cache; beyond
-// that, partial-cluster for few projection columns and full sort for
-// many (the Figure-8 crossover at π ≈ 16), since the sort is paid
-// once but helps every column.
-func resolveLarger(m ProjMethod, pi, baseN int, c int) ProjMethod {
+// back to unsorted while one column stays cache-resident under random
+// access; beyond that, partial-cluster for few projection columns and
+// full sort for many (the Figure-8 crossover at π ≈ 16), since the sort
+// is paid once but helps every column. Resident is the hierarchy's
+// ResidentBytes — the host's real last-level cache on a serving
+// runtime — except for a side read through the block decoder: a
+// positional fetch over an encoded column pays a block decode per
+// miss, not a cache line, so residency of the raw bytes buys nothing
+// and the declared level c decides, as it does when ResidentBytes is 0.
+func resolveLarger(m ProjMethod, pi, baseN int, h mem.Hierarchy, c int, decoded bool) ProjMethod {
 	if m != Auto {
 		return m
+	}
+	if h.ResidentBytes > 0 && !decoded {
+		c = h.ResidentBytes
 	}
 	if pi == 0 || baseN*4 <= c {
 		return Unsorted
@@ -287,12 +297,16 @@ func resolveLarger(m ProjMethod, pi, baseN int, c int) ProjMethod {
 }
 
 // resolveSmaller picks the smaller-side method: unsorted while the
-// columns fit the cache, Radix-Decluster beyond (§4.1: "Radix-
-// Decluster is to be used only for the second (smaller) projection
-// table, with unsorted processing as the only alternative").
-func resolveSmaller(m ProjMethod, pi, baseN int, c int) ProjMethod {
+// columns stay cache-resident (resolveLarger's reading of it),
+// Radix-Decluster beyond (§4.1: "Radix-Decluster is to be used only for
+// the second (smaller) projection table, with unsorted processing as
+// the only alternative").
+func resolveSmaller(m ProjMethod, pi, baseN int, h mem.Hierarchy, c int, decoded bool) ProjMethod {
 	if m != Auto {
 		return m
+	}
+	if h.ResidentBytes > 0 && !decoded {
+		c = h.ResidentBytes
 	}
 	if pi == 0 || baseN*4 <= c {
 		return Unsorted
@@ -300,38 +314,25 @@ func resolveSmaller(m ProjMethod, pi, baseN int, c int) ProjMethod {
 	return Declustered
 }
 
-// PlanDSMPost is DSMPost's plan step. The cost it prices uses the same
-// shape estimates whatever the methods — result cardinality ≈ the
-// larger input, π = the wider projection list, the c/d formula's bits
-// and window — so the worker count never depends on a method the model
-// has no formula for.
+// PlanDSMPost is DSMPost's plan step. Two readings of the cache feed
+// it. Everything SIZED — the join's radix bits, the cluster bits of a
+// c or d side, the insertion window, and the shape the cost prices
+// (result cardinality ≈ the larger input, π = the wider projection
+// list, the c/d formula's bits and window, whatever the methods, so the
+// worker count never depends on a method the model has no formula for)
+// — reads the declared levels. Only the method switch asks whether a
+// column stays RESIDENT, which on a serving runtime is a fact about the
+// host (Hierarchy.ResidentBytes). The methods are resolved after
+// decide because the answer depends on the representation: a side
+// whose columns the plan reads encoded keeps the declared threshold.
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
 	if err := validateDSM(larger, smaller); err != nil {
 		return Plan{}, nil, err
 	}
 	h := cfg.hier()
 	c := h.LLC().Size
-	p := Plan{
-		LargerMethod:  resolveLarger(lm, len(larger.Cols), larger.BaseN, c),
-		SmallerMethod: resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, c),
-		JoinBits:      join.PlanBits(len(smaller.OIDs), 4, c),
-	}
-	switch p.LargerMethod {
-	case Unsorted, SortedM:
-	case PartialCluster:
-		p.LargerBits = radix.OptimalBits(larger.BaseN, 4, c)
-	default:
-		return Plan{}, nil, fmt.Errorf("strategy: larger-side method %q (want u, s or c)", p.LargerMethod)
-	}
+	p := Plan{JoinBits: join.PlanBits(len(smaller.OIDs), 4, c)}
 	window := core.PlanWindow(h, 4)
-	switch p.SmallerMethod {
-	case Unsorted:
-	case Declustered:
-		p.Window = window
-		p.SmallerBits = declusterBits(smaller.BaseN, 4, c, window)
-	default:
-		return Plan{}, nil, fmt.Errorf("strategy: smaller-side method %q (want u or d)", p.SmallerMethod)
-	}
 
 	nJI := max(len(larger.OIDs), len(smaller.OIDs))
 	baseN := max(larger.BaseN, smaller.BaseN)
@@ -341,6 +342,24 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 		return costmodel.DSMPostDecluster(m, share(nJI, w), share(baseN, w), 4, bits, pi, max(1, window/w))
 	}
 	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), cost, larger.encs(), smaller.encs())
+
+	p.LargerMethod = resolveLarger(lm, len(larger.Cols), larger.BaseN, h, c, p.Compressed && larger.colsEncoded())
+	p.SmallerMethod = resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, h, c, p.Compressed && smaller.colsEncoded())
+	switch p.LargerMethod {
+	case Unsorted, SortedM:
+	case PartialCluster:
+		p.LargerBits = radix.OptimalBits(larger.BaseN, 4, c)
+	default:
+		return Plan{}, nil, fmt.Errorf("strategy: larger-side method %q (want u, s or c)", p.LargerMethod)
+	}
+	switch p.SmallerMethod {
+	case Unsorted:
+	case Declustered:
+		p.Window = window
+		p.SmallerBits = declusterBits(smaller.BaseN, 4, c, window)
+	default:
+		return Plan{}, nil, fmt.Errorf("strategy: smaller-side method %q (want u or d)", p.SmallerMethod)
+	}
 	return p, cost, nil
 }
 
@@ -416,12 +435,16 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			return nil
 		})
 	}
+	lViews := larger.views(useComp)
+	if p.LargerMethod == Unsorted {
+		materializeEncoded(pl, "decompress-larger", lViews)
+	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if p.LargerMethod == Unsorted {
 			largerOIDs, smallerInResultOrder, ji = ji.Larger, ji.Smaller, nil
 		}
 		var err error
-		res.LargerCols, err = e.FetchMany(larger.views(useComp), largerOIDs)
+		res.LargerCols, err = e.FetchMany(lViews, largerOIDs)
 		largerOIDs = nil
 		return err
 	})
@@ -429,9 +452,11 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// Phase 3: smaller-side projections.
 	switch p.SmallerMethod {
 	case Unsorted:
+		sViews := smaller.views(useComp)
+		materializeEncoded(pl, "decompress-smaller", sViews)
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
-			res.SmallerCols, err = e.FetchMany(smaller.views(useComp), smallerInResultOrder)
+			res.SmallerCols, err = e.FetchMany(sViews, smallerInResultOrder)
 			return err
 		})
 	case Declustered:
@@ -458,6 +483,30 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		}
 	}
 	return res.run(pl)
+}
+
+// materializeEncoded prepares the views of a side fetched unsorted
+// (method u). Such a fetch over an encoded column would decode a block
+// per tuple — each morsel's oids span the whole column, so the
+// decoder's region rule never applies — so when any view carries an
+// encoding the pipeline gains a scan-shaped phase, like
+// decompress-keys, that materialises those columns once into leased
+// buffers and swaps the raw views in for the fetch to gather from. The
+// decode is still counted in Timings.Comp.
+func materializeEncoded(pl *exec.Pipeline, phase string, views []exec.Col) {
+	if !slices.ContainsFunc(views, func(v exec.Col) bool { return v.Enc != nil }) {
+		return
+	}
+	pl.Then(exec.PhaseScan, phase, func(e *exec.Engine) error {
+		for k, v := range views {
+			raw, err := e.MaterializeCol(v)
+			if err != nil {
+				return fmt.Errorf("column %d: %w", k, err)
+			}
+			views[k] = exec.RawCol(raw)
+		}
+		return nil
+	})
 }
 
 // rowsCost is the pre-projection strategies' cost (DSM-pre and both

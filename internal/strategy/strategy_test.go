@@ -226,6 +226,60 @@ func TestDSMPostAutoPlanner(t *testing.T) {
 	compareRows(t, "auto", dsmResultRows(t, res, pi), expectedRows(pr, pi))
 }
 
+// TestResidencyMovesOnlyTheMethodSwitch: Hierarchy.ResidentBytes is
+// read by the u/c and u/d switch and by nothing else. With columns
+// beyond the declared LLC but inside the residency threshold a raw plan
+// goes u/u at the join bits the declared levels give; a compressed
+// plan keeps the declared-level plan for every side it reads through
+// the block decoder, and only those sides; a threshold below the
+// columns changes nothing.
+func TestResidencyMovesOnlyTheMethodSwitch(t *testing.T) {
+	const pi = 1
+	pr := testPair(t, workload.Params{N: 6000, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 41})
+	l, s := dsmSides(pr, pi)
+	declared := Config{Hier: mem.Small()}
+	resident := declared
+	resident.Hier.ResidentBytes = 1 << 20
+	plan := func(l, s DSMSide, cfg Config) Plan {
+		t.Helper()
+		p, _, err := PlanDSMPost(l, s, Auto, Auto, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := plan(l, s, declared)
+	if base.Methods() != "c/d" {
+		t.Fatalf("declared plan is %v, want c/d", base)
+	}
+	if got, want := plan(l, s, resident), (Plan{LargerMethod: Unsorted, SmallerMethod: Unsorted, JoinBits: base.JoinBits}); got != want {
+		t.Errorf("resident raw plan = %v, want %v", got, want)
+	}
+	tooSmall := declared
+	tooSmall.Hier.ResidentBytes = 6000*4 - 1
+	if got := plan(l, s, tooSmall); got != base {
+		t.Errorf("threshold below the column: plan = %v, want the declared %v", got, base)
+	}
+
+	encodeSides(t, &l, &s)
+	declared.Compress, resident.Compress = CompressOn, CompressOn
+	base = plan(l, s, declared)
+	if got := plan(l, s, resident); got != base || !got.Compressed || got.Methods() != "c/d" {
+		t.Errorf("resident compressed plan = %v, want the declared %v", got, base)
+	}
+	// A side whose projection columns have no encoding is fetched raw
+	// even in a compressed plan, so residency decides for it.
+	s.ColsEnc = nil
+	if got := plan(l, s, resident); got.Methods() != "c/u" || !got.Compressed {
+		t.Errorf("compressed plan with a raw smaller side = %v, want c/u compressed", got)
+	}
+	res, err := DSMPost(l, s, Auto, Auto, resident)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRows(t, "resident c/u compressed", dsmResultRows(t, res, pi), expectedRows(pr, pi))
+}
+
 func TestDSMPostAutoPicksSortForManyColumns(t *testing.T) {
 	pi := 20
 	// 6000*4B columns exceed mem.Small's 8KB LLC, so reordering pays;

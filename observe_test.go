@@ -170,6 +170,10 @@ func TestRuntimeMetricsEndpoint(t *testing.T) {
 	if second["radixdecluster_admission_wait_seconds_count"] < 2 {
 		t.Fatal("admission wait histogram did not observe the queries")
 	}
+	// 384 KB columns on the Pentium 4's 512 KB L2: both runs planned u/u.
+	if got := second[`radixdecluster_plans_total{strategy="DSM-post-decluster",methods="u/u"}`]; got != 2 {
+		t.Fatalf("plans_total{DSM-post-decluster,u/u} = %g, want 2", got)
+	}
 	for name, v1 := range first {
 		if strings.HasSuffix(name, "_total") || strings.Contains(name, "_bucket") ||
 			strings.HasSuffix(name, "_count") {

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"os"
 	osexec "os/exec"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/mem"
@@ -95,10 +99,39 @@ func requirePlanAgrees(t *testing.T, name string, q JoinQuery) string {
 // folded into one step (testdata/plan_golden.txt), and PlanJoin to the
 // executed plan.
 func TestPlanGolden(t *testing.T) {
+	// The table's 1 Mi-tuple runs fill the execution arena — one per
+	// process, shared by every runtime — to its 256 MB retention limit,
+	// and a saturated arena trims what later tests in the process
+	// expect to find recycled (TestResultReleaseLifecycle counts
+	// misses). So the table runs in a process of its own.
+	if !inOwnProcess(t) {
+		return
+	}
+	golden := planGolden(t)
+	for _, c := range planCases(t, planTestRuntime(t), planGoldenNs(), []int{1, 4}, []int{0, 2}) {
+		want, ok := golden[c.name]
+		if !ok {
+			t.Fatalf("%s: no golden plan line", c.name)
+		}
+		if got := requirePlanAgrees(t, c.name, c.q); got != want {
+			t.Errorf("%s: plan moved:\n got  %s\n want %s", c.name, got, want)
+		}
+	}
+}
+
+// planGoldenNs is the table's cardinalities; the 1 Mi rows are skipped
+// where a run of them costs minutes.
+func planGoldenNs() []int {
 	ns := []int{4 << 10, 64 << 10, 1 << 20}
 	if testing.Short() || raceEnabled {
 		ns = ns[:2]
 	}
+	return ns
+}
+
+// planGolden reads testdata/plan_golden.txt: case name → plan line.
+func planGolden(t *testing.T) map[string]string {
+	t.Helper()
 	f, err := os.Open("testdata/plan_golden.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +142,58 @@ func TestPlanGolden(t *testing.T) {
 		name, plan, _ := strings.Cut(sc.Text(), "\t")
 		golden[name] = plan
 	}
-	for _, c := range planCases(t, planTestRuntime(t), ns, []int{1, 4}, []int{0, 2}) {
-		want, ok := golden[c.name]
-		if !ok {
-			t.Fatalf("%s: no golden plan line", c.name)
+	return golden
+}
+
+// TestPlanGoldenResident runs the same table on a runtime that declares
+// the Pentium 4's levels and a 64 MiB residency threshold — what
+// HostHierarchy gives a serving process — with every query's own Hier
+// left zero. Residency moves the method switch and nothing else: a raw
+// DSM post-projection query the Pentium 4 plans c/d becomes u/u with the
+// golden join bits and no cluster bits or window; a compressed one
+// keeps c/d (its fetches go through the block decoder); every other
+// line — other strategies, pinned methods, columns that already fit the
+// 512 KB L2 — is the Pentium 4 golden line, byte for byte. The same
+// query without the runtime is the Pentium 4 plan again.
+func TestPlanGoldenResident(t *testing.T) {
+	// In its own process, like TestPlanGolden.
+	if !inOwnProcess(t) {
+		return
+	}
+	hier := Pentium4()
+	hier.ResidentBytes = 64 << 20
+	rt := NewRuntime(RuntimeConfig{Workers: 2, Hier: hier})
+	t.Cleanup(rt.Close)
+	golden := planGolden(t)
+	clustered := regexp.MustCompile(`largerbits=\d+ smallerbits=\d+ window=\d+ methods=c/d`)
+	moved := 0
+	for _, c := range planCases(t, rt, planGoldenNs(), []int{1, 4}, []int{0, 2}) {
+		want := golden[c.name]
+		if c.q.Strategy == DSMPostDecluster && c.q.Compression == CompressionOff && clustered.MatchString(want) {
+			moved++
+			bare := c.q
+			bare.Runtime = nil
+			if got := requirePlanAgrees(t, c.name+"/no-runtime", bare); got != want {
+				t.Errorf("%s without the runtime: plan moved off the Pentium 4 line:\n got  %s\n want %s", c.name, got, want)
+			}
+			want = clustered.ReplaceAllString(want, "largerbits=0 smallerbits=0 window=0 methods=u/u")
 		}
-		if got := requirePlanAgrees(t, c.name, c.q); got != want {
-			t.Errorf("%s: plan moved:\n got  %s\n want %s", c.name, got, want)
+		// Only DSM post-projection reads the threshold: those queries
+		// run; the rest are planned (TestPlanGolden ran them).
+		var got string
+		if c.q.Strategy == DSMPostDecluster {
+			got = requirePlanAgrees(t, c.name, c.q)
+		} else if p, err := PlanJoin(c.q); err != nil {
+			t.Fatalf("%s: PlanJoin: %v", c.name, err)
+		} else {
+			got = p.String()
 		}
+		if got != want {
+			t.Errorf("%s: resident plan:\n got  %s\n want %s", c.name, got, want)
+		}
+	}
+	if len(planGoldenNs()) == 3 && moved != 4 {
+		t.Errorf("%d plans moved to u/u, want 4 (DSM-post auto raw at 1 Mi, pi 1 and 4, serial and 2 workers)", moved)
 	}
 }
 
@@ -169,6 +246,27 @@ func TestPlanJoinModeledMs(t *testing.T) {
 	}
 }
 
+// inOwnProcess re-executes the test binary for the calling test alone,
+// at the caller's GOMAXPROCS and -short, and reports whether the caller IS that
+// child: a parent logs the child's output, fails if it failed, and gets
+// false. For tests that observe or would disturb process-wide state.
+func inOwnProcess(t *testing.T) bool {
+	t.Helper()
+	const childEnv = "RADIX_TEST_CHILD"
+	if os.Getenv(childEnv) == t.Name() {
+		return true
+	}
+	cmd := osexec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.v",
+		fmt.Sprintf("-test.cpu=%d", runtime.GOMAXPROCS(0)), fmt.Sprintf("-test.short=%v", testing.Short()))
+	cmd.Env = append(os.Environ(), childEnv+"="+t.Name())
+	out, err := cmd.CombinedOutput()
+	t.Logf("in its own process:\n%s", out)
+	if err != nil {
+		t.Fatalf("child process: %v", err)
+	}
+	return false
+}
+
 // TestPlanJoinLeavesDefaultRuntimeUncreated: planning a parallel query
 // that names no runtime must not spin up the process default. Whether
 // it exists is only observable in a process no other test has run a
@@ -176,13 +274,7 @@ func TestPlanJoinModeledMs(t *testing.T) {
 // test alone and counts goroutines (the default runtime starts its
 // workers when created).
 func TestPlanJoinLeavesDefaultRuntimeUncreated(t *testing.T) {
-	const childEnv = "RADIX_PLANJOIN_CHILD"
-	if os.Getenv(childEnv) == "" {
-		cmd := osexec.Command(os.Args[0], "-test.run=^TestPlanJoinLeavesDefaultRuntimeUncreated$")
-		cmd.Env = append(os.Environ(), childEnv+"=1")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("child process: %v\n%s", err, out)
-		}
+	if !inOwnProcess(t) {
 		return
 	}
 	larger, smaller := workloadRelations(t,
@@ -209,5 +301,98 @@ func TestPlanJoinLeavesDefaultRuntimeUncreated(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after <= before {
 		t.Fatalf("a parallel run left the goroutine count at %d: the check above observes nothing", after)
+	}
+}
+
+// TestPlannerPickVsForced holds the method switch to the measurement it
+// is meant to follow: on a 2-worker runtime described by HostHierarchy
+// (the one test that reads the host's sysfs), N = 1 Mi raw, two callers
+// at once, the planner's own pick is timed against the four method
+// pairs a caller can force, in interleaved rounds after a warm-up
+// round. Every median is logged on every run; that the pick is within
+// 10 % of the best forced pair is asserted only under
+// RADIX_ASSERT_SPEEDUP=1 (CI's -cpu 1,4 leg runs it alone), like every
+// wall-clock contract here. It runs in a process of its own.
+func TestPlannerPickVsForced(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock comparison at 1 Mi tuples: not under -short or the race detector")
+	}
+	// The execution arena and its 256 MB retention limit are
+	// process-wide: two 1 Mi-tuple queries at once, on top of what
+	// earlier tests left in it, fill it, and from then on this test
+	// would time trims and every later test that counts arena hits
+	// would see misses.
+	if !inOwnProcess(t) {
+		return
+	}
+	const n, callers, rounds = 1 << 20, 2, 9
+	rt := NewRuntime(RuntimeConfig{Workers: 2, Hier: HostHierarchy()})
+	t.Cleanup(rt.Close)
+	t.Logf("hierarchy: %v", rt.Hier())
+	variants := []struct {
+		name   string
+		lm, sm ProjMethod
+	}{
+		{"auto", AutoMethod, AutoMethod},
+		{"u/u", UnsortedMethod, UnsortedMethod}, {"c/u", ClusterMethod, UnsortedMethod},
+		{"u/d", UnsortedMethod, DeclusterMethod}, {"c/d", ClusterMethod, DeclusterMethod},
+	}
+	for _, pi := range []int{2, 4} {
+		larger, smaller := workloadRelations(t,
+			workload.Params{N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 75}, pi)
+		q := JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			Parallelism: 2, Runtime: rt,
+		}
+		samples := make([][]time.Duration, len(variants))
+		var autoPlan string
+		for round := 0; round <= rounds; round++ { // round 0 warms the arena
+			for k := range variants {
+				// Rotate the order so no variant always follows the same one.
+				v := (k + round) % len(variants)
+				vr := variants[v]
+				q.LargerMethod, q.SmallerMethod = vr.lm, vr.sm
+				took := make([]time.Duration, callers)
+				var wg sync.WaitGroup
+				for c := range took {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						t0 := time.Now()
+						res, err := ProjectJoin(q)
+						took[c] = time.Since(t0)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if v == 0 && c == 0 {
+							autoPlan = res.Plan
+						}
+						res.Release()
+					}()
+				}
+				wg.Wait()
+				if round > 0 {
+					samples[v] = append(samples[v], took...)
+				}
+			}
+		}
+		if t.Failed() {
+			return
+		}
+		medians := make([]time.Duration, len(variants))
+		line := ""
+		for v, vr := range variants {
+			slices.Sort(samples[v])
+			medians[v] = samples[v][len(samples[v])/2]
+			line += fmt.Sprintf(" %s=%v", vr.name, medians[v].Round(10*time.Microsecond))
+		}
+		best := slices.Min(medians[1:])
+		t.Logf("pi=%d, %d callers, median of %d:%s | auto plans %s", pi, callers, callers*rounds, line, autoPlan)
+		if os.Getenv("RADIX_ASSERT_SPEEDUP") != "" && float64(medians[0]) > 1.10*float64(best) {
+			t.Errorf("pi=%d: the planner's pick (%s) runs %v, more than 10%% over the best forced pair's %v",
+				pi, autoPlan, medians[0], best)
+		}
 	}
 }

@@ -165,7 +165,11 @@ type JoinQuery struct {
 	// (Perfetto). Tracing never changes the result bytes; off (the
 	// default) it costs nothing.
 	Trace bool
-	// Hier drives all planning (zero value: the paper's Pentium 4).
+	// Hier drives all planning. The zero value means the Runtime's
+	// description (RuntimeConfig.Hier) for a query that names a Runtime,
+	// and the paper's Pentium 4 otherwise — so the library default plans
+	// exactly as the paper does, and a serving runtime built with
+	// HostHierarchy() picks projection methods for the host's cache.
 	Hier Hierarchy
 }
 
@@ -342,8 +346,12 @@ func ProjectJoin(q JoinQuery) (*Result, error) {
 // without one — those the engine places on the process default
 // (strategy.DefaultRuntime, the instance DefaultRuntime wraps).
 func (q JoinQuery) config() strategy.Config {
+	hier := q.Hier
+	if len(hier.Levels) == 0 && hier.ResidentBytes == 0 && q.Runtime != nil {
+		hier = q.Runtime.hier
+	}
 	cfg := strategy.Config{
-		Hier: q.Hier.internal(), Parallelism: q.Parallelism,
+		Hier: hier.internal(), Parallelism: q.Parallelism,
 		Compress: strategy.CompressMode(q.Compression),
 	}
 	if q.Parallelism != 0 && q.Runtime != nil {

@@ -61,6 +61,7 @@ package radixdecluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"radixdecluster/internal/bat"
@@ -91,14 +92,70 @@ type CacheLevel struct {
 
 // Hierarchy is an ordered memory-hierarchy description, innermost
 // level first. The zero value means "use Pentium4()".
+//
+// The planner reads it two ways. Everything it SIZES — radix bits,
+// cluster bits, the Radix-Decluster insertion window, clustering
+// passes, the cost model, a runtime's admission bound — comes from
+// Levels, the declared machine. The one thing it SWITCHES on — whether
+// a projection column stays cache-resident under random access, i.e.
+// which side of Figure 10c's u/u → c/u → c/d switch a DSM
+// post-projection query is on — comes from ResidentBytes.
 type Hierarchy struct {
+	// Levels are the declared levels; empty means Pentium4()'s.
 	Levels []CacheLevel
+	// ResidentBytes is the largest footprint one column may have and
+	// still be fetched unsorted (method u): 0 means the last declared
+	// cache level's size — the paper's rule on the paper's machine.
+	// HostHierarchy sets it to the host's real last-level cache. It
+	// never applies to a side a compressed plan reads through the block
+	// decoder, which keeps the declared threshold.
+	ResidentBytes int
 }
 
 // Pentium4 returns the paper's evaluation platform (§4): 16KB L1,
 // 512KB L2, 64-entry TLB, 2.2GHz.
 func Pentium4() Hierarchy {
 	return fromInternal(mem.Pentium4())
+}
+
+// HostHierarchy returns the description a serving process plans with:
+// Pentium4()'s declared levels — what every radix-bit, window and
+// cost-model decision is tuned and measured on — with ResidentBytes set
+// to the host's last-level cache size as Linux sysfs reports it (read
+// once per process; 0, i.e. plain Pentium4(), where sysfs is missing or
+// masked). cmd/joinserve and cmd/joinrun build their runtime with it;
+// the library default stays Pentium4().
+func HostHierarchy() Hierarchy {
+	h := Pentium4()
+	h.ResidentBytes = calibrator.DetectLLCBytes()
+	return h
+}
+
+// Residency returns the planner's residency threshold for h in bytes
+// and where it comes from: "sysfs" when ResidentBytes is the host's
+// detected last-level cache size (HostHierarchy), "declared" when it is
+// the last declared cache level's or a number the caller wrote.
+func (h Hierarchy) Residency() (bytes int, source string) {
+	if h.ResidentBytes > 0 {
+		if h.ResidentBytes == calibrator.DetectLLCBytes() {
+			return h.ResidentBytes, "sysfs"
+		}
+		return h.ResidentBytes, "declared"
+	}
+	caches := h.internal().Caches()
+	return caches[len(caches)-1].Size, "declared"
+}
+
+// String renders the description on one line: the declared levels,
+// then the residency threshold and its source.
+func (h Hierarchy) String() string {
+	var b strings.Builder
+	for _, l := range h.internal().Levels {
+		fmt.Fprintf(&b, "%s=%dKiB/%dB ", l.Name, l.Size>>10, l.LineSize)
+	}
+	bytes, source := h.Residency()
+	fmt.Fprintf(&b, "resident=%dKiB (%s)", bytes>>10, source)
+	return b.String()
 }
 
 // Calibrate recovers the hierarchy parameters by running the
@@ -118,7 +175,7 @@ func Calibrate(spec Hierarchy) (Hierarchy, error) {
 }
 
 func fromInternal(h mem.Hierarchy) Hierarchy {
-	out := Hierarchy{}
+	out := Hierarchy{ResidentBytes: h.ResidentBytes}
 	for _, l := range h.Levels {
 		out.Levels = append(out.Levels, CacheLevel{
 			Name: l.Name, SizeBytes: l.Size, LineBytes: l.LineSize, Assoc: l.Assoc,
@@ -130,9 +187,11 @@ func fromInternal(h mem.Hierarchy) Hierarchy {
 
 func (h Hierarchy) internal() mem.Hierarchy {
 	if len(h.Levels) == 0 {
-		return mem.Pentium4()
+		out := mem.Pentium4()
+		out.ResidentBytes = h.ResidentBytes
+		return out
 	}
-	out := mem.Hierarchy{ClockGHz: 1}
+	out := mem.Hierarchy{ClockGHz: 1, ResidentBytes: h.ResidentBytes}
 	for _, l := range h.Levels {
 		out.Levels = append(out.Levels, mem.Level{
 			Name: l.Name, Size: l.SizeBytes, LineSize: l.LineBytes, Assoc: l.Assoc,

@@ -37,8 +37,12 @@ type RuntimeConfig struct {
 	// either way; Timing.SharedScanHits reports how often a query's
 	// scans rode along on another query's pass.
 	ShareScans bool
-	// Hier drives the adaptive admission derivation (zero value: the
-	// paper's Pentium 4, like every other planning default).
+	// Hier is the runtime's description of the machine (zero value: the
+	// paper's Pentium 4, like every other planning default; a serving
+	// process passes HostHierarchy()). Its declared levels drive the
+	// adaptive admission derivation, and every query on this runtime
+	// that leaves JoinQuery.Hier zero is planned with it — so admission
+	// and planning read one description.
 	Hier Hierarchy
 	// MetricsAddr, when non-empty, serves the runtime's Prometheus-
 	// style metrics on an HTTP listener at this address ("/metrics",
@@ -96,6 +100,9 @@ type SchedStats = exec.SchedStats
 // serial and runtime, and on every runtime.
 type Runtime struct {
 	rt *exec.Runtime
+	// hier is RuntimeConfig.Hier: what a query with a zero
+	// JoinQuery.Hier on this runtime plans with.
+	hier Hierarchy
 	// metricsSrv is the HTTP listener serving /metrics and
 	// /debug/pprof when RuntimeConfig.MetricsAddr was set; metricsErr
 	// records a failed listen.
@@ -128,7 +135,7 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 			}
 		}
 	}
-	r := &Runtime{rt: exec.NewRuntimeOpts(exec.Options{
+	r := &Runtime{hier: cfg.Hier, rt: exec.NewRuntimeOpts(exec.Options{
 		Workers: workers, MaxConcurrent: admit, ShareScans: cfg.ShareScans,
 		Metrics: cfg.Metrics || cfg.MetricsAddr != "", PprofLabels: cfg.PprofLabels,
 		MemoryBudget: cfg.MemoryBudget,
@@ -161,6 +168,12 @@ func (r *Runtime) MetricsError() error { return r.metricsErr }
 // listener (cmd/joinserve concatenates these series with its
 // server-level ones on one /metrics endpoint).
 func (r *Runtime) WritePrometheus(w io.Writer) { r.rt.MetricsRegistry().WritePrometheus(w) }
+
+// Hier returns the hierarchy the runtime was configured with
+// (RuntimeConfig.Hier; the zero value reads as Pentium4()): what its
+// admission bound was derived from and what its queries plan with
+// unless they carry their own JoinQuery.Hier.
+func (r *Runtime) Hier() Hierarchy { return r.hier }
 
 // Workers returns the shared pool size.
 func (r *Runtime) Workers() int { return r.rt.Workers() }
