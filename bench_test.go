@@ -471,48 +471,12 @@ func TestParallelSpeedupMultiCore(t *testing.T) {
 }
 
 // BenchmarkConcurrentProjectJoin is the shared-runtime trajectory
-// benchmark: 4 concurrent same-source NSM queries per iteration, with
-// cooperative scan sharing off and on. The share=true/share=false pair
-// is the "sharing costs nothing and may reclaim bandwidth" acceptance
-// measurement; both report gomaxprocs/cpus so archived numbers carry
-// the machine shape.
+// benchmark: 4 concurrent same-source NSM queries per iteration, raw
+// (compress=false) and compressed; both legs report gomaxprocs/cpus so
+// archived numbers carry the machine shape.
 func BenchmarkConcurrentProjectJoin(b *testing.B) {
 	const n = 256 << 10
 	const queries = 4
-	for _, share := range []bool{false, true} {
-		b.Run(fmt.Sprintf("share=%v", share), func(b *testing.B) {
-			q := benchJoinQuery(b, n)
-			q.Strategy = NSMPostDecluster
-			q.Parallelism = 2
-			rt := NewRuntime(RuntimeConfig{MaxConcurrentQueries: queries, ShareScans: share})
-			defer rt.Close()
-			q.Runtime = rt
-			// Build the cached NSM images outside the timer.
-			if _, err := ProjectJoin(q); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(queries) * n * 8)
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for j := 0; j < queries; j++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						res, err := ProjectJoin(q)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						res.Release()
-					}()
-				}
-				wg.Wait()
-			}
-		})
-	}
 	// compress=false/compress=true is the compressed-execution
 	// acceptance pair: the same 4-query concurrent load with
 	// CompressionAuto over block-compressed relations must be no worse

@@ -1,8 +1,7 @@
 // Command joinload drives a running joinserve daemon with synthetic
 // query traffic and reports what the service delivered: latency
-// percentiles, achieved throughput, transfer bandwidth, backpressure
-// rejections, and the shared-scan hit count the daemon's arrival
-// batching produced.
+// percentiles, achieved throughput, transfer bandwidth and
+// backpressure rejections.
 //
 // Two load models:
 //
@@ -34,9 +33,9 @@
 //
 // -minqueries Q exits non-zero unless at least Q queries completed —
 // the CI assertion that the service under load genuinely executed
-// queries. What the counters must read (shared-scan hits, compressed
-// frames) is asserted by internal/server's tests, and latency is
-// judged by benchmark/, not from here.
+// queries. What the counters must read (compressed frames) is
+// asserted by internal/server's tests, and latency is judged by
+// benchmark/, not from here.
 package main
 
 import (
@@ -73,9 +72,8 @@ type request struct {
 // footer is the tail NDJSON line of a response (the binary leg's
 // footer frame carries the same document).
 type footer struct {
-	RowsStreamed   int   `json:"rowsStreamed"`
-	SharedScanHits int64 `json:"sharedScanHits"`
-	Timing         struct {
+	RowsStreamed int `json:"rowsStreamed"`
+	Timing       struct {
 		QueueMs float64 `json:"queueMs"`
 		TotalMs float64 `json:"totalMs"`
 	} `json:"timing"`
@@ -88,7 +86,6 @@ type tally struct {
 	queueMs    float64
 	serverMs   float64
 	rows       int64
-	hits       int64
 	bytes      int64 // response body bytes transferred
 	compFrames int64 // binary column chunks that arrived compressed
 
@@ -185,7 +182,6 @@ func main() {
 				return
 			}
 			foot.RowsStreamed = d.Footer.RowsStreamed
-			foot.SharedScanHits = d.Footer.SharedScanHits
 			foot.Timing.QueueMs = d.Footer.Timing.QueueMs
 			foot.Timing.TotalMs = d.Footer.Timing.TotalMs
 			nbytes = cr.n
@@ -216,7 +212,6 @@ func main() {
 		tl.queueMs += foot.Timing.QueueMs
 		tl.serverMs += foot.Timing.TotalMs
 		tl.rows += int64(foot.RowsStreamed)
-		tl.hits += foot.SharedScanHits
 		tl.bytes += nbytes
 		tl.compFrames += compFrames
 		tl.mu.Unlock()
@@ -298,26 +293,22 @@ func report(tl *tally, addr string, dur time.Duration, minQueries int) {
 		mib := float64(tl.bytes) / (1 << 20)
 		fmt.Printf("transfer: %d rows, %.1f MiB (%.1f MB/s), %d compressed frames\n",
 			tl.rows, mib, mib/dur.Seconds(), tl.compFrames)
-		fmt.Printf("server side: %.1fms engine time per query, %.1f%% of it queueing; %d shared-scan hits across responses\n",
-			tl.serverMs/float64(n), pctOf(tl.queueMs, tl.serverMs), tl.hits)
+		fmt.Printf("server side: %.1fms engine time per query, %.1f%% of it queueing\n",
+			tl.serverMs/float64(n), pctOf(tl.queueMs, tl.serverMs))
 	}
 
-	// The daemon's own view: lifetime shared-scan hits and counters.
+	// The daemon's own view: its lifetime counters.
 	var st struct {
-		SharedScanHits int64 `json:"sharedScanHits"`
-		Server         struct {
-			BatchWindows   int64 `json:"batchWindows"`
-			BatchedQueries int64 `json:"batchedQueries"`
-			Rejected       int64 `json:"queriesRejected"`
-			ResultsBinary  int64 `json:"resultsBinary"`
-			WireBytes      int64 `json:"wireBytes"`
+		Server struct {
+			Rejected      int64 `json:"queriesRejected"`
+			ResultsBinary int64 `json:"resultsBinary"`
+			WireBytes     int64 `json:"wireBytes"`
 		} `json:"server"`
 	}
 	resp, err := http.Get(addr + "/v1/status")
 	if err == nil {
 		if json.NewDecoder(resp.Body).Decode(&st) == nil {
-			fmt.Printf("daemon: %d shared-scan hits lifetime, %d batch windows, %d batched riders, %d rejected, %d binary results (%d wire bytes)\n",
-				st.SharedScanHits, st.Server.BatchWindows, st.Server.BatchedQueries,
+			fmt.Printf("daemon: %d rejected, %d binary results (%d wire bytes)\n",
 				st.Server.Rejected, st.Server.ResultsBinary, st.Server.WireBytes)
 		}
 		resp.Body.Close()

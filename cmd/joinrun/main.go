@@ -15,9 +15,7 @@
 // degenerate case, a runtime serving one query, and takes every flag
 // below. -parallel 0 keeps the queries on the serial paper engine (no
 // lease is taken; with N > 1 it defaults to the planner's choice
-// instead). -share enables cooperative scan sharing (same-source scans
-// of concurrent queries are served by one circular pass) and reports
-// per-query and total shared-scan hits.
+// instead).
 //
 // -strategy takes the canonical strategy names (auto,
 // DSM-post-decluster, DSM-pre, NSM-pre-hash, NSM-pre-phash,
@@ -75,7 +73,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "nominal workers per query on the morsel-driven executor (all strategies): 0 = serial paper mode (planner decides when -concurrency > 1), -1 = planner decides per strategy")
 	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the runtime (1 = single query)")
 	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = adaptive: derived from the calibrated bus-stream budget and the LLC share)")
-	share := flag.Bool("share", false, "enable cooperative scan sharing on the runtime (one pass feeds all queries scanning the same source)")
 	schedStats := flag.Bool("schedstats", false, "print the runtime-wide affinity-scheduler counters (local hits, steals by distance), lifetime and windowed; each query's own are on its phases line")
 	traceOut := flag.String("traceout", "", "write the run's execution trace(s) as Chrome trace-event JSON to this file (open in Perfetto)")
 	metricsAddr := flag.String("metricsaddr", "", "serve the runtime's Prometheus metrics and pprof on this address (e.g. :9090 or 127.0.0.1:0) and self-scrape once after the run")
@@ -126,15 +123,16 @@ func main() {
 	}
 
 	rt := rd.NewRuntime(rd.RuntimeConfig{
-		MaxConcurrentQueries: *maxConcurrent, ShareScans: *share,
-		MetricsAddr: *metricsAddr, PprofLabels: *pprofLabels,
-		Hier: rd.HostHierarchy(),
+		MaxConcurrentQueries: *maxConcurrent,
+		MetricsAddr:          *metricsAddr,
+		PprofLabels:          *pprofLabels,
+		Hier:                 rd.HostHierarchy(),
 	})
 	defer rt.Close()
 	q.Runtime = rt
 	fmt.Printf("hierarchy: %v\n", rt.Hier())
-	fmt.Printf("runtime: %d workers, admission bound %d, scan sharing %v\n",
-		rt.Workers(), rt.MaxConcurrentQueries(), rt.ShareScans())
+	fmt.Printf("runtime: %d workers, admission bound %d\n",
+		rt.Workers(), rt.MaxConcurrentQueries())
 	if err := rt.MetricsError(); err != nil {
 		fail(err)
 	}
@@ -184,15 +182,15 @@ func main() {
 		compRead += tm.CompressedBytes
 		compSaved += tm.CompressedSavedBytes
 		decode += tm.DecodeTime
-		fmt.Printf("query %d: strategy=%s result=%d tuples in %v (workers=%d queue=%v sharedscans=%d)\n",
+		fmt.Printf("query %d: strategy=%s result=%d tuples in %v (workers=%d queue=%v)\n",
 			i, st, res.N, o.elapsed.Round(time.Millisecond), res.Workers,
-			tm.Queue.Round(time.Millisecond), tm.SharedScanHits)
+			tm.Queue.Round(time.Millisecond))
 		fmt.Printf("query %d plan: %s\n", i, res.Plan)
 		fmt.Printf("query %d phases: %s\n", i, tm)
 	}
 	agg := float64(total) / wall.Seconds()
-	fmt.Printf("total: %d queries on the runtime in %v (%.0f tuples/s aggregate, %d shared-scan hits)\n",
-		*concurrency, wall.Round(time.Millisecond), agg, rt.SharedScanHits())
+	fmt.Printf("total: %d queries on the runtime in %v (%.0f tuples/s aggregate)\n",
+		*concurrency, wall.Round(time.Millisecond), agg)
 	if comp != rd.CompressionOff {
 		fmt.Printf("compressed: cols=%d read=%dB saved=%dB decode=%v (%.1f%% of run)\n",
 			compCols, compRead, compSaved, decode.Round(time.Microsecond),

@@ -1,8 +1,7 @@
 // Command joinserve runs the project-join engine as a long-lived
 // query service: one process-wide runtime (shared worker pool, fair
-// morsel scheduling, adaptive admission, cooperative scan sharing,
-// arena-pooled execution memory) behind an HTTP JSON API over named
-// synthetic relations.
+// morsel scheduling, adaptive admission, arena-pooled execution
+// memory) behind an HTTP JSON API over named synthetic relations.
 //
 // Endpoints, all on one listener:
 //
@@ -11,14 +10,12 @@
 //	                    (internal/wire) when the client sends
 //	                    Accept: application/x-radix-columnar
 //	GET  /v1/relations  the registered relations
-//	GET  /v1/status     queue depth, scheduler/arena/sharing counters
+//	GET  /v1/status     queue depth, scheduler and arena counters
 //	GET  /metrics       Prometheus exposition: runtime + server series
 //	GET  /debug/pprof/  the usual Go profiles
 //
-// The service batches same-source query arrivals for -window before
-// dispatch so their scan phases co-schedule into one shared pass
-// (SharedScanHits on /v1/status counts the sweeps saved), answers 429
-// + Retry-After once the runtime's admission queue is twice the
+// The service dispatches every query as it arrives, answers 429 +
+// Retry-After once the runtime's admission queue is twice the
 // admission bound deep, and drains on SIGTERM/SIGINT: in-flight
 // queries complete, new ones get 503, then the process exits 0. See
 // docs/OPERATIONS.md for the full knob and metrics reference, and
@@ -53,35 +50,31 @@ func main() {
 
 	workers := flag.Int("workers", 0, "runtime worker pool size (0 = one per schedulable core)")
 	admit := flag.Int("admit", 0, "admission bound: concurrent parallel queries (0 = adaptive from the calibrated bus-stream budget)")
-	share := flag.Bool("share", true, "cooperative scan sharing (one circular pass feeds all same-source scans)")
 	memBudget := flag.Int64("membudget", 0, "cap idle recycled arena bytes and add a memory admission ceiling (0 = default retention, no ceiling)")
 	pprofLabels := flag.Bool("pproflabels", false, "label morsel goroutines with (query, phase, worker) for CPU profiles")
 
-	window := flag.Duration("window", 2*time.Millisecond, "arrival-batching window: same-source queries arriving within it dispatch together as a shared-scan group (0 = off)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	flag.Parse()
 
 	rt := rd.NewRuntime(rd.RuntimeConfig{
 		Workers: *workers, MaxConcurrentQueries: *admit,
-		ShareScans: *share, MemoryBudget: *memBudget,
-		PprofLabels: *pprofLabels,
-		Metrics:     true, // rendered on this daemon's own /metrics
+		MemoryBudget: *memBudget, PprofLabels: *pprofLabels,
+		Metrics: true, // rendered on this daemon's own /metrics
 		// The paper's declared levels size every plan; the host's own
 		// last-level cache decides which projection methods it uses.
 		Hier: rd.HostHierarchy(),
 	})
 	defer rt.Close()
 
-	srv, err := server.New(server.Config{Runtime: rt, BatchWindow: *window})
+	srv, err := server.New(server.Config{Runtime: rt})
 	if err != nil {
 		fail(err)
 	}
 
-	// Register -pairs independent larger/smaller pairs. Distinct pairs
-	// give load generators distinct scan sources, so shared-scan rates
-	// under a mixed workload mean something. Every relation carries a
-	// compressed image (encoded lazily, on the first query that asks for
-	// it) so compression=auto|on is always available.
+	// Register -pairs independent larger/smaller pairs, so load
+	// generators can spread over distinct base data. Every relation
+	// carries a compressed image (encoded lazily, on the first query
+	// that asks for it) so compression=auto|on is always available.
 	for p := 0; p < *pairs; p++ {
 		pr, err := workload.GenPair(workload.Params{
 			N: *n, Omega: *pi + 1, HitRate: *hitRate,
@@ -115,8 +108,8 @@ func main() {
 	fmt.Printf("joinserve: listening on http://%s\n", ln.Addr())
 	fmt.Printf("joinserve: %d relation pairs of N=%d pi=%d\n", *pairs, *n, *pi)
 	fmt.Printf("joinserve: hierarchy: %v\n", rt.Hier())
-	fmt.Printf("joinserve: runtime %d workers, admission bound %d, scan sharing %v; batch window %v, queue watermark %d\n",
-		rt.Workers(), rt.MaxConcurrentQueries(), rt.ShareScans(), *window, srv.Status().Server.QueueWatermark)
+	fmt.Printf("joinserve: runtime %d workers, admission bound %d, queue watermark %d\n",
+		rt.Workers(), rt.MaxConcurrentQueries(), srv.Status().Server.QueueWatermark)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
@@ -144,9 +137,9 @@ func main() {
 		fail(err)
 	}
 	st := srv.Status()
-	fmt.Printf("joinserve: drained after %.1fs: %d accepted, %d ok, %d failed, %d rejected (429), %d rows streamed, %d shared-scan hits\n",
+	fmt.Printf("joinserve: drained after %.1fs: %d accepted, %d ok, %d failed, %d rejected (429), %d rows streamed\n",
 		st.Server.UptimeSeconds, st.Server.Accepted, st.Server.Succeeded, st.Server.Failed,
-		st.Server.Rejected429, st.Server.RowsStreamed, st.SharedScanHits)
+		st.Server.Rejected429, st.Server.RowsStreamed)
 }
 
 func fail(err error) {

@@ -10,7 +10,7 @@ import (
 
 // Compressed/raw byte-equivalence matrix: every strategy must return
 // results byte-identical to its raw run whether it executes serially,
-// on the default runtime, or on a scan-sharing one, and whether the
+// on the default runtime, or on an explicit one, and whether the
 // compression mode forces the encoded representation or leaves the
 // decision to the cost model. Strict equality, not set comparison —
 // compressed operators reproduce the raw arrangement exactly.
@@ -57,7 +57,7 @@ func TestCompressedEquivalenceMatrix(t *testing.T) {
 	const pi = 2
 	larger, smaller := compressedRelations(t,
 		workload.Params{N: equivalenceN, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 46}, pi)
-	rt := NewRuntime(RuntimeConfig{Workers: 4, MaxConcurrentQueries: 4, ShareScans: true})
+	rt := NewRuntime(RuntimeConfig{Workers: 4, MaxConcurrentQueries: 4})
 	defer rt.Close()
 	engines := []struct {
 		name string

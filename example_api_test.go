@@ -102,10 +102,8 @@ func ExampleTiming() {
 	fmt.Println("ran:", t.Total > 0)
 	fmt.Println("join within total:", t.Join <= t.Total)
 	fmt.Println("serial queue wait:", t.Queue)
-	fmt.Println("shared-scan hits:", t.SharedScanHits)
 	// Output:
 	// ran: true
 	// join within total: true
 	// serial queue wait: 0s
-	// shared-scan hits: 0
 }

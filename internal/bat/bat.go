@@ -49,16 +49,6 @@ func NewColumn(name string, values []int32) *Column {
 // Len returns the number of tuples.
 func (c *Column) Len() int { return len(c.Values) }
 
-// At returns the value at position oid.
-func (c *Column) At(o OID) int32 { return c.Values[o] }
-
-// Clone returns a deep copy.
-func (c *Column) Clone() *Column {
-	v := make([]int32, len(c.Values))
-	copy(v, c.Values)
-	return &Column{Name: c.Name, Values: v}
-}
-
 // OIDColumn is the tail of a [void,oid] BAT: positions map to oids
 // that point into some other table. JOIN_LARGER, CLUST_RESULT and
 // CLUST_SMALLER in the paper's Figures 3 and 4 are of this shape.

@@ -238,15 +238,3 @@ func DeclusterFixed(values []int32, ids []OID, borders []bat.Border, window, pag
 	}
 	return pool, nil
 }
-
-// Int32At reads back a fixed-width record as int32.
-func (p *Pool) Int32At(i int) (int32, error) {
-	b, err := p.Record(i)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) < 4 {
-		return 0, fmt.Errorf("buffer: record %d has %d bytes, want 4", i, len(b))
-	}
-	return int32(binary.LittleEndian.Uint32(b)), nil
-}

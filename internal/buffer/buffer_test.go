@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -131,12 +132,12 @@ func TestDeclusterFixedRoundTrip(t *testing.T) {
 		t.Fatalf("NumRecords = %d", pool.NumRecords())
 	}
 	for i := 0; i < n; i++ {
-		v, err := pool.Int32At(i)
+		rec, err := pool.Record(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v != int32(i)*3 {
-			t.Fatalf("record %d = %d, want %d", i, v, i*3)
+		if v := int32(binary.LittleEndian.Uint32(rec)); len(rec) != 4 || v != int32(i)*3 {
+			t.Fatalf("record %d = %d (%d bytes), want %d", i, v, len(rec), i*3)
 		}
 	}
 }

@@ -201,9 +201,6 @@ type Counts struct {
 	SeqMisses uint64
 }
 
-// RandMisses returns the misses without a sequential predecessor.
-func (c Counts) RandMisses() uint64 { return c.Misses - c.SeqMisses }
-
 // Counters returns per-level snapshots, data caches first, then the
 // TLB (named as in the hierarchy). It may be called while a trace is
 // running; the counters are read atomically.

@@ -114,10 +114,6 @@ func (e *Encoded) Len() int { return e.n }
 // Scheme returns the compression scheme of the column.
 func (e *Encoded) Scheme() Scheme { return e.scheme }
 
-// Bytes returns the underlying compressed stream. Callers must treat
-// it as read-only; it identifies the column for scan sharing.
-func (e *Encoded) Bytes() []byte { return e.data }
-
 // CompressedBytes returns the encoded size in bytes.
 func (e *Encoded) CompressedBytes() int { return len(e.data) }
 

@@ -87,15 +87,6 @@ func ClustPosJoin(m Model, nJI, colN, width, bits int) Cost {
 	return per.Scale(float64(h))
 }
 
-// SortedPosJoin models sort_pos_join: all three streams sequential.
-func SortedPosJoin(m Model, nJI, colN, width int) Cost {
-	shared := Model{H: m.H, Share: m.share() / 3}
-	return shared.STrav(Region{N: nJI, Width: 4}).
-		Add(shared.STrav(Region{N: colN, Width: width})).
-		Add(shared.STrav(Region{N: nJI, Width: width})).
-		Add(Cost{CPU: cpuPosJoin * float64(nJI)})
-}
-
 // Decluster models radix_decluster (Appendix A): per insertion window
 // k, sequential reads of (1/#w)-th of each of the 2^B clusters of
 // CLUST_VALUES and CLUST_RESULT, a repetitive random traversal of the

@@ -125,10 +125,9 @@ type decoder struct {
 	blkIdx int
 }
 
-// decoders pools decoder scratch for scan-shaped bodies that run
-// outside Engine.run (shared scans serve chunks from whichever worker
-// holds a serve token, so the body cannot be bound to one worker's
-// Scratch up front).
+// decoders pools decoder scratch for scan-shaped ForRanges bodies,
+// which see a range but no worker Scratch (and run on the caller's
+// goroutine when the engine is serial).
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
 func getDecoder() *decoder { return decoders.Get().(*decoder) }
@@ -249,16 +248,9 @@ func (e *Engine) serialDecoder() *decoder {
 	return e.sdec
 }
 
-// CompStats returns the engine's accumulated compressed-execution
-// counters.
-func (e *Engine) CompStats() CompStats { return e.comp.snapshot() }
-
 // MaterializeCol returns the column's raw values, decompressing
-// chunk-parallel when the column is compressed. The decode is a
-// scan-shaped pass (declared for scan sharing under the encoded
-// stream's identity), so concurrent pipelines materializing the same
-// compressed column are served by one circular pass. The decoded
-// values are leased: they live until the pipeline closes.
+// chunk-parallel when the column is compressed. The decoded values are
+// leased: they live until the pipeline closes.
 func (e *Engine) MaterializeCol(c Col) ([]int32, error) {
 	if c.Enc == nil {
 		return c.Raw, nil
@@ -266,7 +258,7 @@ func (e *Engine) MaterializeCol(c Col) ([]int32, error) {
 	enc := c.Enc
 	e.comp.cols.Add(1)
 	out := mempool.Slice[int32](e.mem(), enc.Len())
-	err := e.SharedRanges(EncScanKey(enc, enc.Len()), enc.Len(), func(r Range) error {
+	err := e.ForRanges(enc.Len(), func(r Range) error {
 		t := time.Now()
 		if err := enc.DecompressRangeInto(out[r.Lo:r.Hi], r.Lo, r.Hi); err != nil {
 			return err
@@ -357,9 +349,7 @@ func (e *Engine) gatherRecords(v Rows, dst []int32, dstWidth, dstOff int, oids [
 // scan from column views: the key column streams sequentially (decoded
 // in L1-sized spans when compressed) while the projection columns are
 // gathered through the selection oids, compressed ones via the
-// per-worker block cache. Declared for scan sharing under the key
-// stream's identity — encoded or raw — so concurrent pre-projection
-// queries over the same side are served by one pass.
+// per-worker block cache.
 func (e *Engine) StitchRows(keys Col, cols []Col, oids []OID) ([]int32, error) {
 	n := keys.Len()
 	if len(oids) != n {
@@ -371,11 +361,7 @@ func (e *Engine) StitchRows(keys Col, cols []Col, oids []OID) ([]int32, error) {
 	}
 	w := 1 + len(cols)
 	rows := mempool.Slice[int32](e.mem(), n*w) // join input: leased
-	key := ColumnScanKey(keys.Raw, n)
-	if keys.Compressed() {
-		key = EncScanKey(keys.Enc, n)
-	}
-	err := e.SharedRanges(key, n, func(r Range) error {
+	err := e.ForRanges(n, func(r Range) error {
 		d := getDecoder()
 		defer d.release()
 		if keys.Compressed() {

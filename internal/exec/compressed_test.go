@@ -21,7 +21,7 @@ func encode(t *testing.T, vals []int32) *compress.Encoded {
 }
 
 // withEngines runs f on the serial engine, on leases of every nominal
-// test worker count, and on a lease of a scan-sharing runtime — every
+// test worker count, and on a lease of a second runtime — every
 // operator must be byte-identical across all, whatever view it is fed.
 func withEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Helper()
@@ -31,11 +31,13 @@ func withEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) { f(t, e) })
 		e.Close()
 	}
-	shared := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 2, ShareScans: true})
-	defer shared.Close()
-	se := NewEngine(shared, 2)
-	defer se.Close()
-	t.Run("sharescans", func(t *testing.T) { f(t, se) })
+	// The leg keeps the subtest name it had when this runtime shared
+	// scans: the tier-1 floor list is keyed by it.
+	other := NewRuntime(2, 2)
+	defer other.Close()
+	oe := NewEngine(other, 2)
+	defer oe.Close()
+	t.Run("sharescans", func(t *testing.T) { f(t, oe) })
 }
 
 func TestMaterializeColMatchesRaw(t *testing.T) {
@@ -76,8 +78,8 @@ func TestFetchManyMatchesRaw(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: compressed FetchMany differs from raw", e.Workers())
 		}
-		if e.CompStats().Cols != 1 {
-			t.Fatalf("workers=%d: %d compressed columns accounted, want 1", e.Workers(), e.CompStats().Cols)
+		if e.comp.snapshot().Cols != 1 {
+			t.Fatalf("workers=%d: %d compressed columns accounted, want 1", e.Workers(), e.comp.snapshot().Cols)
 		}
 	})
 }
@@ -265,7 +267,7 @@ func TestCompStatsAccounting(t *testing.T) {
 	if _, err := e.MaterializeCol(Col{Enc: enc}); err != nil {
 		t.Fatal(err)
 	}
-	st := e.CompStats()
+	st := e.comp.snapshot()
 	if st.Cols != 1 {
 		t.Fatalf("Cols = %d, want 1", st.Cols)
 	}

@@ -62,12 +62,10 @@
 // query is a Runtime serving one lease. Every operator is one Engine
 // method whose first test is the one serial-fallback predicate
 // (Engine.serial), so the serial engine, a nominal-1 lease and an input
-// below MinParallelN all run the paper's code. With Options.ShareScans
-// the runtime additionally coalesces concurrent pipelines' same-source
-// scans into one cooperative circular pass (scanshare.go). Operator
-// output bytes are a function of the engine's nominal worker count only
-// — never of the runtime's size, of which worker ran a morsel, or of
-// scan sharing — so both modes of the same pipeline are byte-identical.
+// below MinParallelN all run the paper's code. Operator output bytes
+// are a function of the engine's nominal worker count only — never of
+// the runtime's size or of which worker ran a morsel — so both modes of
+// the same pipeline are byte-identical.
 //
 // Per-worker Scratch buffers keep the hot loops allocation-free.
 package exec
@@ -121,11 +119,10 @@ type Engine struct {
 	// and by morsel bodies: queued accumulates the submission-to-first-
 	// morsel waits of its jobs (nanoseconds) — the morsel-queue
 	// component of the pipeline's queueing time.
-	queued     atomic.Int64
-	sched      schedCounters
-	sharedHits atomic.Int64 // scans served by another pipeline's pass
-	comp       compCounters // compressed-execution counters (compressed.go)
-	sdec       *decoder     // serial-path compressed scratch, lazy
+	queued atomic.Int64
+	sched  schedCounters
+	comp   compCounters // compressed-execution counters (compressed.go)
+	sdec   *decoder     // serial-path compressed scratch, lazy
 
 	// Observability context, set by the owning Pipeline before
 	// execution and captured into each submitted job: the per-query
@@ -311,21 +308,15 @@ func (e *Engine) run(ntasks int, fn func(worker, task int, s *Scratch)) {
 // morsel's data-identity key (a radix partition id, a chunk index of
 // the underlying item space), and tasks with equal keys are homed on
 // the same runtime worker — across jobs, phases, and (under equal
-// seeds) queries. A nil aff uses the task index.
+// seeds) queries. A nil aff uses the task index. The job carries the
+// engine's observability context: trace buffer, pprof labels, current
+// phase name.
 func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
-	e.runSeeded(ntasks, e.affSeed, aff, fn)
-}
-
-// runSeeded is runAff under an explicit placement-hash salt (shared
-// scans place their serve tokens by the scan source, not the query).
-// The job carries the engine's observability context: trace buffer,
-// pprof labels, current phase name.
-func (e *Engine) runSeeded(ntasks int, seed uint64, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
 	if ntasks <= 0 {
 		return
 	}
 	e.admit()
-	j := &rtJob{ntasks: ntasks, fn: fn, aff: aff, seed: seed,
+	j := &rtJob{ntasks: ntasks, fn: fn, aff: aff, seed: e.affSeed,
 		done: make(chan struct{}), enq: time.Now(), e: e,
 		trace: e.trace, labels: e.labelsCtx, phase: e.phase}
 	j.pending.Store(int64(ntasks))
@@ -340,17 +331,6 @@ type Scratch struct {
 	ints  []int
 	dec   *decoder          // compressed-column scratch (compressed.go), lazy
 	tjoin join.TableScratch // partition hash-table build scratch
-	rows  []int32           // per-morsel row staging (pre-projection probes)
-}
-
-// Rows returns a length-0 []int32 with at least the given capacity,
-// reused across the worker's morsels (contents appended then copied
-// out each morsel).
-func (s *Scratch) Rows(capHint int) []int32 {
-	if cap(s.rows) < capHint {
-		s.rows = make([]int32, 0, capHint)
-	}
-	return s.rows[:0]
 }
 
 // Ints returns a zeroed []int of length n, reusing the worker's

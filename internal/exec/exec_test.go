@@ -244,7 +244,7 @@ func TestFetchManyMatchesSerial(t *testing.T) {
 		if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
 			t.Fatalf("workers=%d: raw-view fetch differs from posjoin", e.Workers())
 		}
-		if e.CompStats().Cols != 0 {
+		if e.comp.snapshot().Cols != 0 {
 			t.Fatalf("workers=%d: raw views accounted as compressed", e.Workers())
 		}
 		if _, err := e.FetchMany(views, bad); err == nil || err.Error() != wantErr.Error() {

@@ -7,7 +7,7 @@ package exec
 //   - Pull-based (CounterFunc/GaugeFunc): evaluated only at scrape
 //     time over the atomics and mutex-guarded state the runtime
 //     maintains regardless — scheduler counters, admission state,
-//     shared-scan hits, windowed rates.
+//     windowed rates.
 //   - Push-based: the admission-wait histogram (one Observe per
 //     admission, an event that already costs a mutex round-trip) and
 //     the per-phase seconds counters (one Add per phase, a handful
@@ -53,9 +53,6 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 			{Label: "steal_shared", Fn: func() float64 { return float64(rt.SchedStats().StealsShared) }},
 			{Label: "steal_remote", Fn: func() float64 { return float64(rt.SchedStats().StealsRemote) }},
 		})
-	reg.CounterFunc("radixdecluster_shared_scan_hits_total",
-		"Scans served by a cooperative pass another query had already started.",
-		func() float64 { return float64(rt.SharedScanHits()) })
 	reg.CounterFunc("radixdecluster_compressed_saved_bytes_total",
 		"Raw bytes pipelines avoided moving by executing over block-compressed columns.",
 		func() float64 { return float64(rt.CompressedSavedBytes()) })

@@ -95,11 +95,6 @@ type Timings struct {
 	QueueByKind [NumPhaseKinds]time.Duration
 	Admission   time.Duration
 	Total       time.Duration
-	// SharedScanHits counts the pipeline's declared scans that were
-	// served by a pass another concurrent pipeline had already started
-	// (cooperative scans; zero on the serial engine and on runtimes
-	// without ShareScans).
-	SharedScanHits int64
 	// Sched is the affinity scheduler's counter set for this
 	// pipeline's morsels: local hits (executed on the home worker
 	// whose caches the placement predicted warm) and steals by
@@ -129,8 +124,8 @@ func (t Timings) Queue() time.Duration {
 }
 
 // tracePipelineTID is the synthetic trace track (Chrome tid) carrying
-// pipeline-level spans — admission, whole phases, shared-scan hits —
-// kept clear of the worker tracks (worker ids are always far below it).
+// pipeline-level spans — admission, whole phases — kept clear of the
+// worker tracks (worker ids are always far below it).
 const tracePipelineTID = 1000
 
 // Pipeline is an ordered list of phases bound to one Engine. Build it
@@ -143,10 +138,10 @@ type Pipeline struct {
 }
 
 // SetTrace attaches a per-query trace buffer: Execute emits one span
-// per phase (with queue waits, morsel counts and shared-scan hits as
-// args) plus an admission span, and runtime workers emit one
-// span per morsel (with worker id, task and steal distance). A nil
-// trace — the default — disables all emission. Call before Execute.
+// per phase (with queue waits and morsel counts as args) plus an
+// admission span, and runtime workers emit one span per morsel (with
+// worker id, task and steal distance). A nil trace — the default —
+// disables all emission. Call before Execute.
 func (p *Pipeline) SetTrace(t *obs.Trace) {
 	p.trace = t
 	p.eng.trace = t
@@ -171,15 +166,12 @@ func NewPipeline(rt *Runtime, workers int) *Pipeline {
 func (p *Pipeline) Engine() *Engine { return p.eng }
 
 // SetAffinitySeed salts the runtime placement hash with the query's
-// base-data identity (e.g. a ScanKey seed), so concurrent pipelines
+// base-data identity (AffinitySeed), so concurrent pipelines
 // over the same source home equal partition keys on equal workers —
 // cross-query cache affinity on top of the cross-phase affinity every
 // pipeline gets. Nothing reads it on the serial engine. Call before
 // Execute.
 func (p *Pipeline) SetAffinitySeed(seed uint64) { p.eng.affSeed = seed }
-
-// Workers returns the engine's nominal worker count, 0 for serial.
-func (p *Pipeline) Workers() int { return p.eng.workers }
 
 // Close releases the engine's runtime lease.
 func (p *Pipeline) Close() { p.eng.Close() }
@@ -195,10 +187,9 @@ func (p *Pipeline) Then(kind PhaseKind, name string, run func(e *Engine) error) 
 // the timings gathered so far are returned alongside it.
 //
 // With a trace attached (SetTrace) each phase emits a span on the
-// pipeline track carrying its queue wait, morsel count and shared-
-// scan hits; admission emits its own span when it waited. On a
-// metrics-enabled runtime each phase's elapsed seconds feed the
-// per-phase counter family.
+// pipeline track carrying its queue wait and morsel count; admission
+// emits its own span when it waited. On a metrics-enabled runtime each
+// phase's elapsed seconds feed the per-phase counter family.
 func (p *Pipeline) Execute() (Timings, error) {
 	e := p.eng
 	var tm Timings
@@ -212,7 +203,6 @@ func (p *Pipeline) Execute() (Timings, error) {
 		t := time.Now()
 		q0 := e.queued.Load()
 		sched0 := e.sched.stats()
-		hits0 := e.sharedHits.Load()
 		err = ph.Run(e)
 		elapsed := time.Since(t)
 		qw := time.Duration(e.queued.Load() - q0)
@@ -221,9 +211,8 @@ func (p *Pipeline) Execute() (Timings, error) {
 		if p.trace != nil {
 			p.trace.Span(ph.Name, ph.Kind.String(), tracePipelineTID, t, elapsed,
 				map[string]int64{
-					"queue_wait_ns":    int64(qw),
-					"morsels":          e.sched.stats().Sub(sched0).Tasks(),
-					"shared_scan_hits": e.sharedHits.Load() - hits0,
+					"queue_wait_ns": int64(qw),
+					"morsels":       e.sched.stats().Sub(sched0).Tasks(),
 				})
 		}
 		if e.rt != nil && e.rt.metrics != nil {
@@ -234,7 +223,6 @@ func (p *Pipeline) Execute() (Timings, error) {
 		}
 	}
 	tm.Total = time.Since(start)
-	tm.SharedScanHits = e.sharedHits.Load()
 	tm.Sched = e.sched.stats()
 	tm.Comp = e.comp.snapshot()
 	// Snapshot before Close releases the lease: the accounting is the
@@ -265,20 +253,4 @@ func (e *Engine) ForRanges(n int, body func(r Range) error) error {
 		errs[t] = body(chunks[t])
 	})
 	return firstErr(errs)
-}
-
-// SharedRanges is ForRanges with a declared scan source: on a runtime
-// with scan sharing enabled, concurrent pipelines declaring equal keys
-// are served by one circular pass over the chunks (scanshare.go) —
-// late attachers start mid-circle and wrap. Everywhere else (the
-// serial engine, sharing off, zero key, sub-MinParallelN inputs) it is
-// exactly ForRanges. The body contract is the ForRanges
-// one plus chunk-order independence, which disjoint-write bodies have
-// by construction; output bytes never depend on whether a pass was
-// shared.
-func (e *Engine) SharedRanges(key ScanKey, n int, body func(Range) error) error {
-	if key == (ScanKey{}) || e.serial(n) || !e.rt.shareScans {
-		return e.ForRanges(n, body)
-	}
-	return e.sharedScan(key, n, body)
 }

@@ -210,7 +210,7 @@ func TestEngineScansMatchSerial(t *testing.T) {
 		if !reflect.DeepEqual(gotAB, wantAppend) {
 			t.Fatalf("workers=%d: AppendFields differs from serial", workers)
 		}
-		if e.CompStats().Cols != 0 {
+		if e.comp.snapshot().Cols != 0 {
 			t.Fatalf("workers=%d: raw views accounted as compressed", workers)
 		}
 	})
@@ -222,8 +222,8 @@ func TestEngineScansMatchSerial(t *testing.T) {
 func TestPipelinePhases(t *testing.T) {
 	pl := NewPipeline(nil, 0)
 	defer pl.Close()
-	if pl.Workers() != 0 {
-		t.Fatalf("serial pipeline reports %d workers", pl.Workers())
+	if pl.Engine().Workers() != 0 {
+		t.Fatalf("serial pipeline reports %d workers", pl.Engine().Workers())
 	}
 	var order []string
 	pl.Then(PhaseScan, "a", func(e *Engine) error {
@@ -255,8 +255,8 @@ func TestPipelinePhases(t *testing.T) {
 	boom := errors.New("boom")
 	pf := NewPipeline(testRuntime(t), 2)
 	defer pf.Close()
-	if pf.Workers() != 2 {
-		t.Fatalf("parallel pipeline reports %d workers", pf.Workers())
+	if pf.Engine().Workers() != 2 {
+		t.Fatalf("parallel pipeline reports %d workers", pf.Engine().Workers())
 	}
 	ran := 0
 	pf.Then(PhaseScan, "ok", func(e *Engine) error { ran++; return nil })

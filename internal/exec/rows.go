@@ -155,7 +155,7 @@ func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw,
 
 // buildRowsTable builds the wide-tuple hash table on the runtime: the
 // formerly serial residue of the naive rows join, sharded per worker
-// over disjoint bucket ranges (join.BuildRowsTableParallel). Small
+// over disjoint bucket ranges (join.BuildRowsTableParallelBufs). Small
 // inputs stay on the serial build.
 func (e *Engine) buildRowsTable(rows []int32, width, key int, shift uint) (*join.RowTable, error) {
 	if e.serial(len(rows) / width) {
@@ -236,20 +236,9 @@ func (v Rows) check(op string, cols ...int) error {
 	return nil
 }
 
-// scanKey is the view's scan-sharing identity — the byte stream a pass
-// over it reads: concurrent pipelines sweeping the same records (any
-// attribute, any projection list) in the same representation share
-// one pass on a scan-sharing runtime.
-func (v Rows) scanKey() ScanKey {
-	if v.Enc != nil {
-		return EncScanKey(v.Enc, v.Rel.Len())
-	}
-	return RowsScanKey(v.Rel.Data, v.Rel.Len())
-}
-
 // ScanColumn extracts one attribute of every record — the strided
 // key-extraction scan of the NSM post-projection strategies, chunked
-// over record ranges and declared for scan sharing (see Rows.scanKey).
+// over record ranges.
 // A compressed view decodes each morsel's records in L1-sized spans
 // and strides over the decoded span.
 func (e *Engine) ScanColumn(v Rows, col int) ([]int32, error) {
@@ -259,7 +248,7 @@ func (e *Engine) ScanColumn(v Rows, col int) ([]int32, error) {
 	e.comp.noteInput(v.Enc)
 	width := v.Rel.Width
 	out := mempool.Slice[int32](e.mem(), v.Rel.Len()) // join input: leased
-	err := e.SharedRanges(v.scanKey(), v.Rel.Len(), func(r Range) error {
+	err := e.ForRanges(v.Rel.Len(), func(r Range) error {
 		if v.Enc == nil {
 			v.Rel.ScanColumnInto(out, col, r.Lo, r.Hi)
 			return nil
@@ -287,7 +276,7 @@ func (e *Engine) ScanProject(v Rows, name string, cols []int) (*nsm.Relation, er
 	e.comp.noteInput(v.Enc)
 	width, w := v.Rel.Width, len(cols)
 	out := e.leasedRelation(name, v.Rel.Len(), w)
-	err := e.SharedRanges(v.scanKey(), v.Rel.Len(), func(r Range) error {
+	err := e.ForRanges(v.Rel.Len(), func(r Range) error {
 		if v.Enc == nil {
 			v.Rel.ScanProjectInto(out, r.Lo, r.Hi, cols)
 			return nil

@@ -57,6 +57,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -233,7 +234,6 @@ func (c *schedCounters) stats() SchedStats {
 type Runtime struct {
 	workers       int
 	maxConcurrent int
-	shareScans    bool
 	labels        bool // pprof-label worker morsels (Options.PprofLabels)
 
 	victims    [][]stealEntry // per worker: steal order, nearest first
@@ -261,8 +261,7 @@ type Runtime struct {
 	compSaved       atomic.Int64
 	compDecodeNanos atomic.Int64
 
-	scanReg scanRegistry // cooperative-scan registry (scanshare.go)
-	metrics *rtMetrics   // Prometheus-style registry hooks (nil = off)
+	metrics *rtMetrics // Prometheus-style registry hooks (nil = off)
 
 	// mem is the execution-memory arena this runtime's query leases
 	// draw from: the process-wide sharedArena.
@@ -322,6 +321,22 @@ func mix64(x uint64) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
+}
+
+// AffinitySeed is the placement-hash salt of a query's base data
+// (Pipeline.SetAffinitySeed): the backing array its driving scan sweeps
+// — a row-major relation's records, or a DSM side's key column — and
+// its cardinality. Queries over the same source get the same salt, so
+// their equal partition keys home on equal workers.
+func AffinitySeed(data []int32, n int, rowMajor bool) uint64 {
+	if len(data) == 0 || n <= 0 {
+		return 0
+	}
+	kind := uint64(2)
+	if rowMajor {
+		kind = 1
+	}
+	return mix64(uint64(reflect.ValueOf(data).Pointer()) ^ uint64(n)<<8 ^ kind<<56)
 }
 
 // jobRun is the slice of one job's morsels homed on one worker: the
@@ -427,21 +442,16 @@ type Options struct {
 	// bus-stream budget instead (costmodel.AdaptiveAdmission), which
 	// the public API does.
 	MaxConcurrent int
-	// ShareScans enables cooperative scans: concurrent pipelines
-	// declaring PhaseScan work over the same base data are served by
-	// one circular pass (scanshare.go) instead of interleaving
-	// duplicate reads.
-	ShareScans bool
 	// Topology overrides the machine layout (nil: DetectTopology —
 	// sysfs on Linux, flat fallback elsewhere). Tests inject synthetic
 	// topologies here.
 	Topology *calibrator.Topology
 	// Metrics creates a Prometheus-style metrics registry for this
 	// runtime (MetricsRegistry): active queries, admission queue depth
-	// and wait histogram, morsels by placement, shared-scan hits,
-	// per-phase seconds, windowed and lifetime hit rates. Almost every
-	// series is pull-based over counters the runtime keeps anyway, so
-	// the hot path is unchanged; off (the default) costs nothing.
+	// and wait histogram, morsels by placement, per-phase seconds,
+	// windowed and lifetime hit rates. Almost every series is
+	// pull-based over counters the runtime keeps anyway, so the hot
+	// path is unchanged; off (the default) costs nothing.
 	Metrics bool
 	// PprofLabels makes workers run every morsel under
 	// pprof.Labels("query", ..., "phase", ..., "worker", ...), so CPU
@@ -458,8 +468,7 @@ type Options struct {
 }
 
 // NewRuntime creates a runtime with the given worker count and
-// admission bound (see Options for the defaults), with scan sharing
-// off and default scheduling.
+// admission bound (see Options for the defaults).
 func NewRuntime(workers, maxConcurrent int) *Runtime {
 	return NewRuntimeOpts(Options{Workers: workers, MaxConcurrent: maxConcurrent})
 }
@@ -483,8 +492,7 @@ func NewRuntimeOpts(o Options) *Runtime {
 	}
 	rt := &Runtime{
 		workers: workers, maxConcurrent: maxConcurrent,
-		shareScans: o.ShareScans, labels: o.PprofLabels,
-		mem: sharedArena,
+		labels: o.PprofLabels, mem: sharedArena,
 	}
 	if o.MemoryBudget > 0 {
 		rt.mem.SetLimit(o.MemoryBudget)

@@ -123,7 +123,7 @@ func TestPipelineTraceSpans(t *testing.T) {
 	for _, e := range tr.Events() {
 		cats[e.Cat] = true
 		switch {
-		case e.TID == tracePipelineTID && e.Ph == "X" && e.Name != "admission":
+		case e.TID == tracePipelineTID && e.Name != "admission":
 			phaseSpans++
 			if e.Args["morsels"] <= 0 {
 				t.Fatalf("phase span %q has no morsel count: %v", e.Name, e.Args)

@@ -332,7 +332,7 @@ func BuildRowsTable(rows []int32, width, key int, shift uint) (*RowTable, error)
 	return &RowTable{t: buildRowTable(rows, width, key, shift)}, nil
 }
 
-// BuildRowsTableParallel builds the table BuildRowsTable would —
+// BuildRowsTableParallelBufs builds the table BuildRowsTable would —
 // bit for bit — with the bucket space cut into nshards disjoint
 // contiguous ranges built concurrently. run is the caller's parallel
 // for-loop (the executor's pool): run(n, body) must invoke body(task)
@@ -350,15 +350,12 @@ func BuildRowsTable(rows []int32, width, key int, shift uint) (*RowTable, error)
 // reads for zero coordination; with nshards ≈ workers the scan cost
 // stays linear per worker while the (formerly serial) chain linking
 // divides.
-func BuildRowsTableParallel(rows []int32, width, key int, shift uint, nshards int, run func(ntasks int, body func(task int))) (*RowTable, error) {
-	return BuildRowsTableParallelBufs(rows, width, key, shift, nshards, run, nil, nil, nil)
-}
-
-// BuildRowsTableParallelBufs is BuildRowsTableParallel over caller-
-// provided backing arrays (recycled execution memory): first sized ≥
-// NumBuckets(n), next and bucketOf sized ≥ n, all handed in dirty —
-// every slot is rewritten here (each shard zeroes its own bucket range
-// of first before linking). nil buffers fall back to fresh arrays.
+//
+// first, next and bucketOf are caller-provided backing arrays
+// (recycled execution memory): first sized ≥ NumBuckets(n), next and
+// bucketOf sized ≥ n, all handed in dirty — every slot is rewritten
+// here (each shard zeroes its own bucket range of first before
+// linking). nil buffers fall back to fresh arrays.
 func BuildRowsTableParallelBufs(rows []int32, width, key int, shift uint, nshards int, run func(ntasks int, body func(task int)), first, next []int32, bucketOf []uint32) (*RowTable, error) {
 	if err := checkRows(rows, width, key); err != nil {
 		return nil, err

@@ -28,7 +28,7 @@ func TestBuildRowsTableParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 3, 7, 16} {
-		got, err := BuildRowsTableParallel(rows, w, key, 0, shards, serialRun)
+		got, err := BuildRowsTableParallelBufs(rows, w, key, 0, shards, serialRun, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,9 +150,6 @@ func (p *Pool) SetLimit(limit int64) {
 	p.limit.Store(limit)
 }
 
-// Limit returns the current trim bound.
-func (p *Pool) Limit() int64 { return p.limit.Load() }
-
 // Stats snapshots the lifetime counters.
 func (p *Pool) Stats() Stats {
 	return Stats{

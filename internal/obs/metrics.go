@@ -223,13 +223,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
 // Histogram registers a histogram with the given ascending bucket
 // upper bounds (the +Inf bucket is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {

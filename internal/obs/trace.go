@@ -23,17 +23,15 @@ import (
 )
 
 // Event is one trace event in the Chrome trace-event model: a
-// complete span (Ph "X") or an instant (Ph "i") on a track identified
-// by TID, stamped with wall-clock nanoseconds.
+// complete span (phase type "X") on a track identified by TID, stamped
+// with wall-clock nanoseconds.
 type Event struct {
 	// Name is the event label (a phase name, "morsel", "admission").
 	Name string
 	// Cat is the category (phase kind, "sched", "scan", ...).
 	Cat string
-	// Ph is the Chrome phase type: "X" complete span, "i" instant.
-	Ph string
 	// TS is the start wall-clock in nanoseconds (UnixNano); Dur the
-	// span length in nanoseconds (0 for instants).
+	// span length in nanoseconds.
 	TS  int64
 	Dur int64
 	// TID is the track: a runtime worker id, or a synthetic track id
@@ -78,15 +76,7 @@ func (t *Trace) Span(name, cat string, tid int, start time.Time, d time.Duration
 	if t == nil {
 		return
 	}
-	t.append(Event{Name: name, Cat: cat, Ph: "X", TS: start.UnixNano(), Dur: int64(d), TID: tid, Args: args})
-}
-
-// Instant appends an instant event. No-op on a nil trace.
-func (t *Trace) Instant(name, cat string, tid int, at time.Time, args map[string]int64) {
-	if t == nil {
-		return
-	}
-	t.append(Event{Name: name, Cat: cat, Ph: "i", TS: at.UnixNano(), TID: tid, Args: args})
+	t.append(Event{Name: name, Cat: cat, TS: start.UnixNano(), Dur: int64(d), TID: tid, Args: args})
 }
 
 func (t *Trace) append(e Event) {
@@ -152,17 +142,11 @@ func WriteChrome(w io.Writer, traces ...*Trace) error {
 		}
 		for _, e := range t.Events() {
 			ce := map[string]any{
-				"name": e.Name, "ph": e.Ph, "pid": pid, "tid": e.TID,
-				"ts": float64(e.TS) / 1e3,
+				"name": e.Name, "ph": "X", "pid": pid, "tid": e.TID,
+				"ts": float64(e.TS) / 1e3, "dur": float64(e.Dur) / 1e3,
 			}
 			if e.Cat != "" {
 				ce["cat"] = e.Cat
-			}
-			switch e.Ph {
-			case "X":
-				ce["dur"] = float64(e.Dur) / 1e3
-			case "i":
-				ce["s"] = "t" // thread-scoped instant
 			}
 			if len(e.Args) > 0 {
 				ce["args"] = e.Args

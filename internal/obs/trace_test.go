@@ -19,8 +19,6 @@ func fixedTrace() *Trace {
 		map[string]int64{"queue_wait_ns": 1500, "morsels": 32})
 	tr.Span("morsel", "join", 2, t0.Add(time.Millisecond), 750*time.Microsecond,
 		map[string]int64{"task": 7, "dist": -1})
-	tr.Instant("shared-scan hit", "scan", 1000, t0.Add(2*time.Millisecond),
-		map[string]int64{"chunks": 16})
 	return tr
 }
 
@@ -81,8 +79,8 @@ func TestWriteChromeSchema(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 4 { // metadata + 2 spans + 1 instant
-		t.Fatalf("got %d events, want 4", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 3 { // metadata + 2 spans
+		t.Fatalf("got %d events, want 3", len(doc.TraceEvents))
 	}
 	meta := doc.TraceEvents[0]
 	if meta["ph"] != "M" || meta["name"] != "process_name" {
@@ -102,10 +100,6 @@ func TestWriteChromeSchema(t *testing.T) {
 	if span["ts"].(float64) != 1000*1e6 {
 		t.Fatalf("span ts %v µs, want %v", span["ts"], 1000*1e6)
 	}
-	inst := doc.TraceEvents[3]
-	if inst["ph"] != "i" || inst["s"] != "t" {
-		t.Fatalf("instant event malformed: %v", inst)
-	}
 }
 
 // TestNilTrace: every method of a nil trace no-ops — the tracing-off
@@ -113,7 +107,6 @@ func TestWriteChromeSchema(t *testing.T) {
 func TestNilTrace(t *testing.T) {
 	var tr *Trace
 	tr.Span("x", "y", 0, time.Now(), time.Second, nil)
-	tr.Instant("x", "y", 0, time.Now(), nil)
 	if tr.Len() != 0 || tr.Events() != nil || tr.Label() != "" {
 		t.Fatal("nil trace must be empty")
 	}

@@ -172,9 +172,6 @@ type RowsResult struct {
 	Offsets []int
 }
 
-// Borders converts the offsets into bat.Border form.
-func (r *RowsResult) Borders() []bat.Border { return bat.BordersFromOffsets(r.Offsets) }
-
 // ClusterRows radix-clusters width-wide NSM records on hash(record[keyCol]).
 // The whole record travels on every pass — the "extra luggage" of
 // pre-projection strategies (§1.1): fewer tuples fit per cluster and

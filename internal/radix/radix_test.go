@@ -321,11 +321,12 @@ func TestClusterRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bat.ValidateBorders(res.Borders(), n); err != nil {
+	borders := bat.BordersFromOffsets(res.Offsets)
+	if err := bat.ValidateBorders(borders, n); err != nil {
 		t.Fatal(err)
 	}
 	mask := uint32(1<<o.Bits - 1)
-	for c, b := range res.Borders() {
+	for c, b := range borders {
 		for i := b.Start; i < b.End; i++ {
 			key := res.Rows[i*w]
 			if got := hash.Int32(key) & mask; got != uint32(c) {

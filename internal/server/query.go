@@ -1,8 +1,8 @@
 package server
 
 // POST /v1/query: decode a query spec against registered relations,
-// apply backpressure and the arrival-batching window, execute on the
-// shared runtime, and stream the result in the negotiated encoding.
+// apply backpressure, execute on the shared runtime, and stream the
+// result in the negotiated encoding.
 //
 // Two encodings share one stream shape (header, row data in chunks of
 // Config.ChunkRows rows, footer) and one schema (wire.Header /
@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -263,24 +262,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Backpressure: once the runtime's admission queue is deeper than
 	// the watermark, queueing more work only grows every query's wait
-	// — tell the client to come back instead. Checked before the
-	// batching window so a rejected query never holds a window open.
+	// — tell the client to come back instead.
 	if s.cfg.QueueWatermark > 0 && s.cfg.Runtime.QueuedQueries() >= s.cfg.QueueWatermark {
 		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg)))
+		w.Header().Set("Retry-After", "1")
 		jsonError(w, http.StatusTooManyRequests, fmt.Sprintf(
 			"admission queue depth %d at watermark %d; retry later",
 			s.cfg.Runtime.QueuedQueries(), s.cfg.QueueWatermark))
 		return
 	}
 
-	// Arrival batching: hold until this source pair's window closes so
-	// same-source arrivals enter the runtime together and their scan
-	// phases co-schedule into one shared pass.
-	select {
-	case <-s.batch.arrive(req.Larger + "\x00" + req.Smaller):
-	case <-r.Context().Done():
-		return // client gone while waiting; nothing to answer
+	if r.Context().Err() != nil {
+		return // client already gone: nothing to execute or answer
 	}
 
 	s.accepted.Add(1)
@@ -300,16 +293,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.streamNDJSON(w, &req, res)
 	}
-}
-
-// retryAfterSeconds suggests a client wait: at least one second, or
-// the batching window rounded up when it is the longer of the two.
-func retryAfterSeconds(cfg Config) int {
-	secs := int((cfg.BatchWindow + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // streamRows resolves how many rows a response transfers (OmitRows
@@ -333,9 +316,8 @@ func resultHeader(res *rd.Result) queryHeader {
 
 func resultFooter(res *rd.Result, n int) queryFooter {
 	foot := queryFooter{
-		RowsStreamed:   n,
-		Timing:         toWire(res.Timing),
-		SharedScanHits: res.Timing.SharedScanHits,
+		RowsStreamed: n,
+		Timing:       toWire(res.Timing),
 	}
 	if res.Trace != nil {
 		foot.TraceSpans = res.Trace.Spans()

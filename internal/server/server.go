@@ -2,21 +2,19 @@
 // an HTTP front door for one process-wide radixdecluster.Runtime.
 //
 // The runtime is already a multi-tenant scheduler — fair query-tagged
-// morsel scheduling, adaptive admission, cooperative scan sharing,
-// arena-pooled execution memory — and this package adds the three
-// things a network service needs on top:
+// morsel scheduling, adaptive admission, arena-pooled execution
+// memory — and this package adds the three things a network service
+// needs on top:
 //
 //   - A JSON API over named, pre-registered relations: POST /v1/query
 //     executes a project-join with per-request strategy, parallelism,
 //     compression and trace options; GET /v1/relations lists what can
 //     be queried; GET /v1/status reports queue depth, scheduler and
 //     memory-pool statistics.
-//   - An arrival-batching window (batch.go) that coalesces
-//     same-source arrivals into shared-scan groups, and chunked
-//     result streaming — NDJSON by default, or the binary columnar
-//     wire format (internal/wire) when the client negotiates it via
-//     Accept — so large projections are encoded and flushed chunk by
-//     chunk instead of buffered whole.
+//   - Chunked result streaming — NDJSON by default, or the binary
+//     columnar wire format (internal/wire) when the client negotiates
+//     it via Accept — so large projections are encoded and flushed
+//     chunk by chunk instead of buffered whole.
 //   - Explicit backpressure and drain: 429 + Retry-After once the
 //     admission queue crosses a watermark, 503 during drain, and a
 //     Drain that waits for in-flight queries so SIGTERM never kills a
@@ -25,7 +23,7 @@
 // Telemetry reuses internal/obs end to end: the handler mux IS
 // obs.NewMux — /metrics renders the runtime's series (via the public
 // Runtime.WritePrometheus hook) concatenated with the server's own
-// HTTP/batching series, and /debug/pprof comes along for free.
+// HTTP series, and /debug/pprof comes along for free.
 package server
 
 import (
@@ -48,14 +46,9 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Runtime is the shared execution runtime every query runs on.
-	// Required. Build it with RuntimeConfig.Metrics (and usually
-	// ShareScans) so /metrics has runtime series to render.
+	// Required. Build it with RuntimeConfig.Metrics so /metrics has
+	// runtime series to render.
 	Runtime *rd.Runtime
-	// BatchWindow is the arrival-coalescing window: the first query
-	// over a source pair waits at most this long for same-source
-	// arrivals to line up into one shared-scan group. 0 disables
-	// batching (every query dispatches immediately).
-	BatchWindow time.Duration
 	// QueueWatermark is the backpressure threshold: when the runtime's
 	// admission queue depth reaches it, POST /v1/query answers 429
 	// with a Retry-After header instead of queueing more work behind
@@ -85,7 +78,6 @@ type Server struct {
 	rels  map[string]*rd.Relation
 	order []string // registration order, for stable listings
 
-	batch    *batcher
 	draining atomic.Bool
 	inflight sync.WaitGroup
 	active   atomic.Int64
@@ -135,7 +127,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		start:   time.Now(),
 		rels:    make(map[string]*rd.Relation),
-		batch:   newBatcher(cfg.BatchWindow),
 		reg:     obs.NewRegistry(),
 		encPool: mempool.New(0),
 	}
@@ -146,12 +137,6 @@ func New(cfg Config) (*Server, error) {
 	s.reg.CounterFunc("radixdecluster_server_queries_rejected_total",
 		"Queries rejected with 429 because the admission queue crossed the watermark.",
 		func() float64 { return float64(s.rejected.Load()) })
-	s.reg.CounterFunc("radixdecluster_server_batch_windows_total",
-		"Arrival-batching windows opened (group leaders).",
-		func() float64 { o, _ := s.batch.stats(); return float64(o) })
-	s.reg.CounterFunc("radixdecluster_server_batched_queries_total",
-		"Queries that joined an already-open batching window (shared-scan group riders).",
-		func() float64 { _, r := s.batch.stats(); return float64(r) })
 	s.reg.CounterFunc("radixdecluster_server_result_rows_total",
 		"Result rows streamed to clients.",
 		func() float64 { return float64(s.rows.Load()) })
@@ -236,9 +221,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // relation resolves a registered relation by name.
 func (s *Server) relation(name string) (*rd.Relation, bool) {
 	s.relMu.RLock()
@@ -274,7 +256,7 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 }
 
 // Status is the GET /v1/status document: the runtime's scheduling /
-// admission / sharing / memory counters plus the server's own.
+// admission / memory counters plus the server's own.
 type Status struct {
 	// Runtime capacity and load.
 	Workers              int `json:"workers"`
@@ -286,8 +268,8 @@ type Status struct {
 	// the host's detected last-level cache, "declared" otherwise.
 	ResidentBytes  int    `json:"residentBytes"`
 	ResidentSource string `json:"residentSource"`
-	// Scan sharing.
-	ShareScans     bool  `json:"shareScans"`
+	// Deprecated: SharedScanHits is always 0 (scan sharing was removed);
+	// it stays because benchmark/metrics.go reads it.
 	SharedScanHits int64 `json:"sharedScanHits"`
 	// Scheduler counters (lifetime) and windowed rates.
 	Sched        rd.SchedStats `json:"sched"`
@@ -302,25 +284,25 @@ type Status struct {
 
 // ServerStatus is the server-level half of Status.
 type ServerStatus struct {
-	UptimeSeconds  float64 `json:"uptimeSeconds"`
-	Draining       bool    `json:"draining"`
-	InflightNow    int64   `json:"inflight"`
-	Accepted       int64   `json:"queriesAccepted"`
-	Succeeded      int64   `json:"queriesSucceeded"`
-	Failed         int64   `json:"queriesFailed"`
-	Rejected429    int64   `json:"queriesRejected"`
-	RejectedDrain  int64   `json:"queriesRejectedDraining"`
-	RowsStreamed   int64   `json:"rowsStreamed"`
-	ResultsNDJSON  int64   `json:"resultsNDJSON"`
-	ResultsBinary  int64   `json:"resultsBinary"`
-	WireFrames     int64   `json:"wireFrames"`
-	WireBytes      int64   `json:"wireBytes"`
-	WireCompBytes  int64   `json:"wireCompressedBytes"`
-	BatchWindowMs  float64 `json:"batchWindowMs"`
-	BatchWindows   int64   `json:"batchWindows"`
-	BatchedQueries int64   `json:"batchedQueries"`
-	QueueWatermark int     `json:"queueWatermark"`
-	Relations      int     `json:"relations"`
+	UptimeSeconds float64 `json:"uptimeSeconds"`
+	Draining      bool    `json:"draining"`
+	InflightNow   int64   `json:"inflight"`
+	Accepted      int64   `json:"queriesAccepted"`
+	Succeeded     int64   `json:"queriesSucceeded"`
+	Failed        int64   `json:"queriesFailed"`
+	Rejected429   int64   `json:"queriesRejected"`
+	RejectedDrain int64   `json:"queriesRejectedDraining"`
+	RowsStreamed  int64   `json:"rowsStreamed"`
+	ResultsNDJSON int64   `json:"resultsNDJSON"`
+	ResultsBinary int64   `json:"resultsBinary"`
+	WireFrames    int64   `json:"wireFrames"`
+	WireBytes     int64   `json:"wireBytes"`
+	WireCompBytes int64   `json:"wireCompressedBytes"`
+	// Deprecated: BatchedQueries is always 0 (arrival batching was
+	// removed); it stays because benchmark/metrics.go reads it.
+	BatchedQueries int64 `json:"batchedQueries"`
+	QueueWatermark int   `json:"queueWatermark"`
+	Relations      int   `json:"relations"`
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -336,7 +318,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Status() Status {
 	rt := s.cfg.Runtime
 	sched, win := rt.SchedStats(), rt.SchedStatsWindow()
-	opened, riders := s.batch.stats()
 	s.relMu.RLock()
 	nrels := len(s.rels)
 	s.relMu.RUnlock()
@@ -348,8 +329,6 @@ func (s *Server) Status() Status {
 		QueuedQueries:        rt.QueuedQueries(),
 		ResidentBytes:        resident,
 		ResidentSource:       residentSource,
-		ShareScans:           rt.ShareScans(),
-		SharedScanHits:       rt.SharedScanHits(),
 		Sched:                sched,
 		WarmHitRate:          sched.WarmHitRate(),
 		WindowedWarm:         win.WarmHitRate(),
@@ -370,9 +349,6 @@ func (s *Server) Status() Status {
 			WireFrames:     s.wireFrames.Load(),
 			WireBytes:      s.wireBytes.Load(),
 			WireCompBytes:  s.wireCompBytes.Load(),
-			BatchWindowMs:  float64(s.cfg.BatchWindow) / float64(time.Millisecond),
-			BatchWindows:   opened,
-			BatchedQueries: riders,
 			QueueWatermark: s.cfg.QueueWatermark,
 			Relations:      nrels,
 		},

@@ -314,11 +314,11 @@ func TestStatusAndFooterWireShape(t *testing.T) {
 		want []string
 	}{
 		{"status", status, []string{"activeQueries", "maxConcurrentQueries", "memPool", "queuedQueries",
-			"residentBytes", "residentSource", "sched", "schedWindows", "server", "shareScans", "sharedScanHits", "warmHitRate",
+			"residentBytes", "residentSource", "sched", "schedWindows", "server", "sharedScanHits", "warmHitRate",
 			"windowedWarmHitRate", "workers"}},
 		{"status.sched", jsonObject(t, status["sched"]), []string{"LocalHits", "StealsRemote", "StealsShared", "StealsSibling"}},
 		{"status.memPool", jsonObject(t, status["memPool"]), []string{"HeldBytes", "Hits", "Leases", "Misses", "Trims"}},
-		{"status.server", jsonObject(t, status["server"]), []string{"batchWindowMs", "batchWindows", "batchedQueries",
+		{"status.server", jsonObject(t, status["server"]), []string{"batchedQueries",
 			"draining", "inflight", "queriesAccepted", "queriesFailed", "queriesRejected",
 			"queriesRejectedDraining", "queriesSucceeded", "queueWatermark", "relations", "resultsBinary",
 			"resultsNDJSON", "rowsStreamed", "uptimeSeconds", "wireBytes", "wireCompressedBytes", "wireFrames"}},
@@ -333,6 +333,16 @@ func TestStatusAndFooterWireShape(t *testing.T) {
 		sort.Strings(got)
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s keys = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// The three keys kept only for benchmark/'s decoders never move.
+	for name, v := range map[string]json.RawMessage{
+		"status.sharedScanHits":        status["sharedScanHits"],
+		"status.server.batchedQueries": jsonObject(t, status["server"])["batchedQueries"],
+		"footer.sharedScanHits":        footer["sharedScanHits"],
+	} {
+		if string(v) != "0" {
+			t.Errorf("%s = %s, want 0", name, v)
 		}
 	}
 }
@@ -392,58 +402,6 @@ func TestRelationsStatusMetrics(t *testing.T) {
 			t.Fatalf("/metrics missing %s:\n%s", series, mb)
 		}
 	}
-}
-
-// Two same-source arrivals inside one batching window must release
-// together and co-schedule their scans: SharedScanHits > 0. Sharing
-// needs the scan phases to overlap once released, so the assertion
-// retries a few times like the engine's own shared-scan test.
-func TestBatchingWindowSharesScans(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	s, ts := newTestServer(t, rd.RuntimeConfig{
-		Workers: 4, MaxConcurrentQueries: 4, ShareScans: true,
-	}, Config{BatchWindow: 30 * time.Millisecond}, 256<<10, 2)
-
-	body := `{"larger":"larger","smaller":"smaller","strategy":"NSM-post-decluster","parallelism":4,"omitRows":true}`
-	const streams = 4
-	for attempt := 0; attempt < 10; attempt++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, streams)
-		for i := 0; i < streams; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer resp.Body.Close()
-				if resp.StatusCode != 200 {
-					b, _ := io.ReadAll(resp.Body)
-					errs <- fmt.Errorf("status %d: %s", resp.StatusCode, b)
-					return
-				}
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-		st := getStatus(t, ts.URL)
-		if st.SharedScanHits > 0 {
-			if st.Server.BatchedQueries == 0 {
-				t.Fatalf("shared hits without batched riders: %+v", st.Server)
-			}
-			return
-		}
-	}
-	opened, riders := s.batch.stats()
-	t.Fatalf("no shared scan hits after 10 batched rounds (windows=%d riders=%d)", opened, riders)
 }
 
 // Once the admission queue reaches the watermark, POST /v1/query
@@ -508,42 +466,23 @@ func TestBackpressure(t *testing.T) {
 
 // Drain: in-flight queries complete with 200, new arrivals get 503,
 // and Drain returns once the last in-flight response finishes. The
-// batching window holds the first query in flight long enough to flip
-// the drain switch deterministically.
+// client stalls mid-response — ~11 MB of NDJSON do not fit the socket
+// buffers, so the handler is blocked in a write — which holds the query
+// in flight for as long as the test needs.
 func TestDrain(t *testing.T) {
+	const n = 256 << 10
 	s, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2},
-		Config{BatchWindow: 300 * time.Millisecond}, 1000, 1)
+		Config{}, n, 2)
 
-	type result struct {
-		code int
-		rows int
-		err  error
+	// The response headers are back, the body is not being read: the
+	// handler cannot finish.
+	inflight := postQuery(t, ts.URL, `{"larger":"larger","smaller":"smaller","parallelism":0}`)
+	defer inflight.Body.Close()
+	if inflight.StatusCode != 200 {
+		t.Fatalf("in-flight query: status %d, want 200", inflight.StatusCode)
 	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-			strings.NewReader(`{"larger":"larger","smaller":"smaller","parallelism":0}`))
-		if err != nil {
-			done <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			done <- result{code: resp.StatusCode}
-			return
-		}
-		got := parseNDJSON(t, resp.Body)
-		done <- result{code: 200, rows: len(got.rows)}
-	}()
-
-	// Wait until the query is in flight (it parks in the batch window
-	// for 300ms), then start draining.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.active.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("query never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
+	if got := s.active.Load(); got != 1 {
+		t.Fatalf("%d queries in flight with the reader stalled, want 1", got)
 	}
 	s.BeginDrain()
 
@@ -555,63 +494,45 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("during drain: status %d, want 503", resp.StatusCode)
 	}
 
-	// The in-flight query still completes, and Drain waits for it.
+	// Drain waits for the in-flight query...
+	short, cancelShort := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancelShort()
+	if err := s.Drain(short); err == nil {
+		t.Fatal("Drain returned while a response was still streaming")
+	}
+	// ...which still completes once its reader catches up.
+	if got := parseNDJSON(t, inflight.Body); len(got.rows) != n {
+		t.Fatalf("in-flight query streamed %d rows, want %d", len(got.rows), n)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
-	}
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.code != 200 || r.rows != 1000 {
-		t.Fatalf("in-flight query: code=%d rows=%d, want 200/1000", r.code, r.rows)
 	}
 	if st := getStatus(t, ts.URL); !st.Server.Draining || st.Server.RejectedDrain != 1 {
 		t.Fatalf("status after drain = %+v", st.Server)
 	}
 }
 
-// The batcher itself: leaders open windows, riders join, the group
-// releases together, and a closed window resets the key.
-func TestBatcherGrouping(t *testing.T) {
-	b := newBatcher(40 * time.Millisecond)
-	g1 := b.arrive("k")
-	g2 := b.arrive("k")
-	other := b.arrive("other")
-	select {
-	case <-g1:
-		t.Fatal("gate released before the window expired")
-	case <-time.After(5 * time.Millisecond):
+// A request whose client is already gone when the handler reaches
+// dispatch is not executed: nothing is accepted, no lease is opened,
+// nothing is answered.
+func TestCancelledBeforeDispatchNotExecuted(t *testing.T) {
+	s, _ := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2}, Config{}, 64, 1)
+	before := s.cfg.Runtime.MemPoolStats()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/query",
+		strings.NewReader(`{"larger":"larger","smaller":"smaller","parallelism":2}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Body.Len() != 0 {
+		t.Fatalf("cancelled request was answered: %s", rec.Body)
 	}
-	start := time.Now()
-	<-g1
-	<-g2
-	<-other
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("window never released")
+	if got := s.accepted.Load(); got != 0 {
+		t.Fatalf("queriesAccepted = %d after a cancelled request, want 0", got)
 	}
-	if opened, riders := b.stats(); opened != 2 || riders != 1 {
-		t.Fatalf("opened=%d riders=%d, want 2/1", opened, riders)
-	}
-	// After release the key starts a fresh window.
-	g3 := b.arrive("k")
-	select {
-	case <-g3:
-		t.Fatal("fresh window released immediately")
-	case <-time.After(5 * time.Millisecond):
-	}
-	<-g3
-	if opened, _ := b.stats(); opened != 3 {
-		t.Fatalf("opened=%d, want 3", opened)
-	}
-
-	// Batching off: the gate is pre-released.
-	off := newBatcher(0)
-	select {
-	case <-off.arrive("k"):
-	default:
-		t.Fatal("window<=0 must return a closed gate")
+	if after := s.cfg.Runtime.MemPoolStats(); after != before {
+		t.Fatalf("arena moved under a cancelled request: %v -> %v", before, after)
 	}
 }

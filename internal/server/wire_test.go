@@ -36,9 +36,8 @@ func postBinary(t *testing.T, url, body string) *http.Response {
 // NDJSON leg's — same header cardinality, same column values in the
 // same order, same footer row count. Run with -race in CI.
 func TestBinaryNDJSONEquivalence(t *testing.T) {
-	_, ts := newTestServer(t, rd.RuntimeConfig{
-		Workers: 2, MaxConcurrentQueries: 2, ShareScans: true,
-	}, Config{ChunkRows: 100}, 2000, 2)
+	_, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2},
+		Config{ChunkRows: 100}, 2000, 2)
 
 	strategies := []string{
 		"DSM-post-decluster", "DSM-pre", "NSM-pre-hash",

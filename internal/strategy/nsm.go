@@ -371,9 +371,8 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 }
 
 // nsmAffinitySeed is the placement-hash salt of an NSM query: the
-// larger relation's record array, the same identity its shared scans
-// carry — so concurrent queries over one relation home equal
-// partitions (and scan chunks) on equal workers.
+// larger relation's record array — so concurrent queries over one
+// relation home equal partitions (and scan chunks) on equal workers.
 func nsmAffinitySeed(larger NSMSide) uint64 {
-	return exec.RowsScanKey(larger.Rel.Data, larger.Rel.Len()).Seed()
+	return exec.AffinitySeed(larger.Rel.Data, larger.Rel.Len(), true)
 }

@@ -193,9 +193,10 @@ func (c Config) decide(p *Plan, joinInput int, cost CostFn, encs ...[]*compress.
 }
 
 // pipeline opens the engine the plan selects on the run's (resolved)
-// runtime. affinitySeed is the query's base-data identity (a ScanKey
-// seed), salting the runtime's placement hash so concurrent queries
-// over the same source home equal partitions on equal workers.
+// runtime. affinitySeed is the query's base-data identity
+// (exec.AffinitySeed), salting the runtime's placement hash so
+// concurrent queries over the same source home equal partitions on
+// equal workers.
 func (c Config) pipeline(p Plan, affinitySeed uint64) *exec.Pipeline {
 	pl := exec.NewPipeline(c.Runtime, p.Workers)
 	if affinitySeed != 0 {

@@ -104,8 +104,8 @@ type Config struct {
 	Runtime *exec.Runtime
 	// Trace, when set, collects this run's span events (per-phase
 	// spans with queue waits and morsel counts, per-morsel worker
-	// spans with steal distances, shared-scan hits) into the given
-	// buffer; export it with obs.WriteChrome. Tracing never changes
+	// spans with steal distances) into the given buffer; export it
+	// with obs.WriteChrome. Tracing never changes
 	// the result bytes. Nil — the default — costs nothing.
 	Trace *obs.Trace
 	// QueryTag names the query (the root package passes the strategy
@@ -377,7 +377,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// The larger key column is the query's affinity identity: concurrent
 	// queries joining the same sides home the same partitions on the
 	// same workers.
-	pl := cfg.pipeline(p, exec.ColumnScanKey(larger.Keys, len(larger.OIDs)).Seed())
+	pl := cfg.pipeline(p, exec.AffinitySeed(larger.Keys, len(larger.OIDs), false))
 	defer pl.Close()
 	res := &Result{Plan: p}
 	useComp := p.Compressed
@@ -545,7 +545,7 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	lw, sw := 1+len(larger.Cols), 1+len(smaller.Cols)
-	pl := cfg.pipeline(p, exec.ColumnScanKey(larger.Keys, len(larger.OIDs)).Seed())
+	pl := cfg.pipeline(p, exec.AffinitySeed(larger.Keys, len(larger.OIDs), false))
 	defer pl.Close()
 	res := &Result{Plan: p}
 	useComp := p.Compressed

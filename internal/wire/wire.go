@@ -48,8 +48,8 @@
 // between bands.
 //
 // Footer frame payload: the JSON-encoded Footer — the full Timing
-// breakdown in milliseconds, rows streamed, shared-scan hits — again
-// byte-for-byte the NDJSON footer document.
+// breakdown in milliseconds, rows streamed — again byte-for-byte the
+// NDJSON footer document.
 package wire
 
 import (
@@ -114,10 +114,12 @@ type Timing struct {
 // Footer is the stream's closing document, shared with the NDJSON
 // leg's last line.
 type Footer struct {
-	RowsStreamed   int    `json:"rowsStreamed"`
-	Timing         Timing `json:"timing"`
-	SharedScanHits int64  `json:"sharedScanHits"`
-	TraceSpans     int    `json:"traceSpans,omitempty"`
+	RowsStreamed int    `json:"rowsStreamed"`
+	Timing       Timing `json:"timing"`
+	// Deprecated: SharedScanHits is always 0 (scan sharing was removed);
+	// it stays because benchmark/client.go strict-decodes and reads it.
+	SharedScanHits int64 `json:"sharedScanHits"`
+	TraceSpans     int   `json:"traceSpans,omitempty"`
 }
 
 // Compression selects the writer's per-frame compression policy.

@@ -63,7 +63,7 @@ func encodeStream(t testing.TB, cols [][]int32, n, chunkRows int, comp Compressi
 			}
 		}
 	}
-	if err := w.WriteFooter(Footer{RowsStreamed: n, Timing: Timing{TotalMs: 1.5}, SharedScanHits: 3}); err != nil {
+	if err := w.WriteFooter(Footer{RowsStreamed: n, Timing: Timing{TotalMs: 1.5}}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), w.Stats()

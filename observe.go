@@ -15,11 +15,11 @@ import (
 )
 
 // Trace is one query's recorded span events: per-phase spans (with
-// queue waits, morsel counts and shared-scan hits), per-morsel worker
-// spans (with steal distances), and an admission span when the query
-// waited for admission control. Obtain one by setting JoinQuery.Trace;
-// render it with WriteJSON or merge several queries' traces into one
-// timeline with WriteTraces. Tracing never changes result bytes.
+// queue waits and morsel counts), per-morsel worker spans (with steal
+// distances), and an admission span when the query waited for
+// admission control. Obtain one by setting JoinQuery.Trace; render it
+// with WriteJSON or merge several queries' traces into one timeline
+// with WriteTraces. Tracing never changes result bytes.
 type Trace struct {
 	t *obs.Trace
 }

@@ -106,10 +106,10 @@ func TestTraceExport(t *testing.T) {
 
 // TestRuntimeMetricsEndpoint boots a metrics-enabled runtime, runs
 // queries on it, and scrapes the HTTP endpoint twice: the exposition
-// must parse, carry the admission/steal-distance/shared-scan series,
+// must parse, carry the admission/steal-distance series,
 // and every counter must be monotonic between the scrapes.
 func TestRuntimeMetricsEndpoint(t *testing.T) {
-	rt := NewRuntime(RuntimeConfig{Workers: 2, MetricsAddr: "127.0.0.1:0", ShareScans: true})
+	rt := NewRuntime(RuntimeConfig{Workers: 2, MetricsAddr: "127.0.0.1:0"})
 	defer rt.Close()
 	if err := rt.MetricsError(); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,6 @@ func TestRuntimeMetricsEndpoint(t *testing.T) {
 		"radixdecluster_admission_wait_seconds_count",
 		`radixdecluster_morsels_total{placement="local"}`,
 		`radixdecluster_morsels_total{placement="steal_remote"}`,
-		"radixdecluster_shared_scan_hits_total",
 		"radixdecluster_sched_warm_hit_rate_window",
 		"radixdecluster_sched_windows_total",
 	} {

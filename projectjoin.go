@@ -160,9 +160,8 @@ type JoinQuery struct {
 	Compression Compression
 	// Trace records this query's execution as span events — per-phase
 	// spans with queue waits and morsel counts, per-morsel worker
-	// spans with steal distances, admission waits, shared-scan hits —
-	// returned in Result.Trace for export as Chrome trace-event JSON
-	// (Perfetto). Tracing never changes the result bytes; off (the
+	// spans with steal distances, admission waits — returned in
+	// Result.Trace for export as Chrome trace-event JSON (Perfetto). Tracing never changes the result bytes; off (the
 	// default) it costs nothing.
 	Trace bool
 	// Hier drives all planning. The zero value means the Runtime's
@@ -193,10 +192,6 @@ type Timing struct {
 	Decluster      time.Duration
 	Queue          time.Duration
 	Total          time.Duration
-	// SharedScanHits counts this query's scans that were served by a
-	// cooperative pass another concurrent query had already started
-	// (zero unless the runtime has RuntimeConfig.ShareScans on).
-	SharedScanHits int64
 	// Sched is the runtime scheduler's counter set for this query:
 	// morsels executed on their home worker (whose private caches held
 	// their partition from earlier phases) versus steals by topology
@@ -224,9 +219,9 @@ type Timing struct {
 // runtime counters a serial run leaves zero.
 func (t Timing) String() string {
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
-	s := fmt.Sprintf("scan=%v join=%v reorder=%v projL=%v projS=%v declust=%v queue=%v sharedscans=%d sched[%v] total=%v",
+	s := fmt.Sprintf("scan=%v join=%v reorder=%v projL=%v projS=%v declust=%v queue=%v sched[%v] total=%v",
 		us(t.Scan), us(t.Join), us(t.ReorderJI), us(t.ProjectLarger), us(t.ProjectSmaller),
-		us(t.Decluster), us(t.Queue), t.SharedScanHits, t.Sched, us(t.Total))
+		us(t.Decluster), us(t.Queue), t.Sched, us(t.Total))
 	if t.CompressedCols > 0 {
 		s += fmt.Sprintf(" comp[cols=%d saved=%dB decode=%v]",
 			t.CompressedCols, t.CompressedSavedBytes, us(t.DecodeTime))
@@ -456,8 +451,7 @@ func dsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 func nsmSide(r *Relation, key string, proj []string, comp Compression) (strategy.NSMSide, error) {
 	// The NSM image of the relation — record scans will read the wide
 	// rows, as a row store would — is built once per Relation and
-	// shared by every query (nsmImage), so concurrent queries present
-	// one stable scan source to the runtime.
+	// shared by every query (nsmImage).
 	names := r.ColumnNames()
 	keyIdx := -1
 	projIdx := make([]int, 0, len(proj))
@@ -513,7 +507,6 @@ func buildResult(q JoinQuery, res *strategy.Result, tr *obs.Trace) (*Result, err
 			Decluster:            tm.ByKind[exec.PhaseDecluster],
 			Queue:                tm.Queue(),
 			Total:                tm.Total,
-			SharedScanHits:       tm.SharedScanHits,
 			Sched:                tm.Sched,
 			CompressedCols:       tm.Comp.Cols,
 			CompressedBytes:      tm.Comp.CompressedBytes,

@@ -218,9 +218,7 @@ type Relation struct {
 
 	// nsmOnce caches the row-major image NSM strategies scan, so every
 	// query over this relation — concurrent ones included — reads the
-	// same record array. That makes the image a stable scan source:
-	// with RuntimeConfig.ShareScans, concurrent NSM queries over one
-	// relation are served by a single cooperative pass.
+	// same record array (the identity of the NSM placement seed).
 	nsmOnce sync.Once
 	nsmRel  *nsm.Relation
 	nsmErr  error

@@ -29,13 +29,8 @@ type RuntimeConfig struct {
 	// cache levels — admission tracks what the bandwidth ceiling says
 	// the machine can actually overlap, instead of a static constant.
 	MaxConcurrentQueries int
-	// ShareScans enables cooperative scans: when concurrent queries
-	// declare scan work over the same base data (the same relation's
-	// records, the same DSM side), the runtime serves them with one
-	// circular pass instead of interleaving duplicate reads — late
-	// arrivals attach mid-circle and wrap. Results are byte-identical
-	// either way; Timing.SharedScanHits reports how often a query's
-	// scans rode along on another query's pass.
+	// Deprecated: ShareScans is ignored (cooperative scan sharing was
+	// removed); it stays only because benchmark/benchmark_test.go sets it.
 	ShareScans bool
 	// Hier is the runtime's description of the machine (zero value: the
 	// paper's Pentium 4, like every other planning default; a serving
@@ -136,7 +131,7 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 		}
 	}
 	r := &Runtime{hier: cfg.Hier, rt: exec.NewRuntimeOpts(exec.Options{
-		Workers: workers, MaxConcurrent: admit, ShareScans: cfg.ShareScans,
+		Workers: workers, MaxConcurrent: admit,
 		Metrics: cfg.Metrics || cfg.MetricsAddr != "", PprofLabels: cfg.PprofLabels,
 		MemoryBudget: cfg.MemoryBudget,
 	})}
@@ -190,16 +185,6 @@ func (r *Runtime) ActiveQueries() int { return r.rt.ActiveQueries() }
 // QueuedQueries returns the number of parallel queries waiting for
 // admission.
 func (r *Runtime) QueuedQueries() int { return r.rt.QueuedQueries() }
-
-// ShareScans reports whether this runtime coalesces same-source scans
-// of concurrent queries into one cooperative pass.
-func (r *Runtime) ShareScans() bool { return r.rt.ShareScans() }
-
-// SharedScanHits returns the total number of scans — across every
-// query this runtime has executed — that were served by a pass another
-// query had already started, i.e. base-data sweeps that did not pay
-// their own memory traffic.
-func (r *Runtime) SharedScanHits() int64 { return r.rt.SharedScanHits() }
 
 // MemPoolStats is the execution-memory arena's lifetime counter set:
 // buffer requests served by a recycled buffer (Hits) or a fresh

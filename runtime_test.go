@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
+	"radixdecluster/internal/mem"
 	"radixdecluster/internal/strategy"
 	"radixdecluster/internal/workload"
 )
@@ -430,5 +432,118 @@ func TestHostShapedHierarchyAnswers(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("NewRuntime + one planned query on a host-shaped hierarchy did not finish in 20 s")
+	}
+}
+
+// Same-source correctness matrix: concurrent queries whose scan
+// sources are identical, overlapping, or disjoint must all return
+// exactly the bytes of their serial (paper-mode) executions — the
+// root package's only same-source concurrency equivalence over the
+// cached NSM image. Run under -race in CI.
+func TestSameSourceConcurrentByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs full-size relations to clear MinParallelN")
+	}
+	const pi = 2
+	larger1, smaller1 := workloadRelations(t,
+		workload.Params{N: 48 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 201}, pi)
+	larger2, smaller2 := workloadRelations(t,
+		workload.Params{N: 32 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 202}, pi)
+
+	rt := NewRuntime(RuntimeConfig{Workers: 4, MaxConcurrentQueries: 8})
+	defer rt.Close()
+
+	type testQuery struct {
+		name string
+		q    JoinQuery
+	}
+	var queries []testQuery
+	add := func(name string, l, s *Relation, st Strategy) {
+		queries = append(queries, testQuery{name: name, q: JoinQuery{
+			Larger: l, Smaller: s,
+			LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			Strategy: st,
+		}})
+	}
+	// Identical sources: four queries scanning exactly the same pair.
+	for i := 0; i < 4; i++ {
+		add(fmt.Sprintf("identical/%d", i), larger1, smaller1, NSMPostDecluster)
+	}
+	// Overlapping sources: same larger relation, different smaller —
+	// and different strategies.
+	add("overlap/nsm-pre-hash", larger1, smaller2, NSMPreHash)
+	add("overlap/nsm-post-jive", larger1, smaller1, NSMPostJive)
+	// Disjoint sources, including a DSM pre-projection whose scan
+	// source is the key column rather than an NSM record array.
+	add("disjoint/nsm-pre-phash", larger2, smaller2, NSMPrePhash)
+	add("disjoint/dsm-pre", larger2, smaller2, DSMPre)
+
+	want := make([]*Result, len(queries))
+	for i, tq := range queries {
+		q := tq.q
+		q.Parallelism = 0
+		res, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatalf("%s serial: %v", tq.name, err)
+		}
+		want[i] = res
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, len(queries))
+	got := make([]*Result, len(queries))
+	for i, tq := range queries {
+		wg.Add(1)
+		go func(i int, q JoinQuery, name string) {
+			defer wg.Done()
+			q.Parallelism = 4
+			q.Runtime = rt
+			res, err := ProjectJoin(q)
+			if err != nil {
+				errs[i] = fmt.Errorf("%s: %w", name, err)
+				return
+			}
+			got[i] = res
+		}(i, tq.q, tq.name)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i].Cols, want[i].Cols) {
+			t.Fatalf("%s: concurrent result differs from serial bytes", queries[i].name)
+		}
+	}
+	if rt.ActiveQueries() != 0 || rt.QueuedQueries() != 0 {
+		t.Fatalf("runtime not drained: %d active, %d queued", rt.ActiveQueries(), rt.QueuedQueries())
+	}
+}
+
+// The public adaptive-admission surface: a zero MaxConcurrentQueries
+// derives the bound from the calibrated machine model instead of the
+// old static max(2, workers).
+func TestRuntimeAdaptiveAdmissionDefault(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8, 32} {
+		rt := NewRuntime(RuntimeConfig{Workers: workers})
+		want := costmodel.AdaptiveAdmission(mem.Pentium4(), workers)
+		got := rt.MaxConcurrentQueries()
+		rt.Close()
+		if got != want {
+			t.Fatalf("workers=%d: adaptive bound %d, want %d", workers, got, want)
+		}
+		if got < 2 {
+			t.Fatalf("workers=%d: bound %d below overlap floor", workers, got)
+		}
+		if workers >= 2 && got > workers {
+			t.Fatalf("workers=%d: bound %d exceeds workers", workers, got)
+		}
+	}
+	// An explicit bound still wins.
+	rt := NewRuntime(RuntimeConfig{Workers: 8, MaxConcurrentQueries: 3})
+	defer rt.Close()
+	if rt.MaxConcurrentQueries() != 3 {
+		t.Fatalf("explicit bound not honored: %d", rt.MaxConcurrentQueries())
 	}
 }
