@@ -9,7 +9,7 @@
 // (Result.Plan) and the per-phase timing breakdown (Result.Timing).
 //
 // Every run builds one runtime (one worker set, fair morsel
-// scheduling, admission control — adaptive by default, see -admit):
+// scheduling, admission control — see -admit):
 // -concurrency N fires N copies of the query at once against it and
 // prints per-query and aggregate throughput; the default N = 1 is the
 // degenerate case, a runtime serving one query, and takes every flag
@@ -23,11 +23,11 @@
 // projection methods of DSM post-projection.
 //
 // Every query's phases line carries its scheduler counters (local
-// hits, steals by topology distance, local-hit rate) and its
+// hits, stolen morsels, local-hit rate) and its
 // execution-arena accounting (bytes leased, the recycled share, the
 // high-water transient footprint); -schedstats adds the runtime-wide
-// scheduler counters, lifetime and windowed, and every run prints the
-// runtime-wide arena counters.
+// scheduler counters, and every run prints the runtime-wide arena
+// counters.
 //
 // -compress off|auto|on is JoinQuery.Compression: the relations carry
 // lazily built block-compressed images, auto lets the cost model pick
@@ -72,8 +72,8 @@ func main() {
 	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (the cost model picks per strategy) | on (block-compressed wherever a column shrinks); results are byte-identical either way")
 	parallel := flag.Int("parallel", 0, "nominal workers per query on the morsel-driven executor (all strategies): 0 = serial paper mode (planner decides when -concurrency > 1), -1 = planner decides per strategy")
 	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the runtime (1 = single query)")
-	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = adaptive: derived from the calibrated bus-stream budget and the LLC share)")
-	schedStats := flag.Bool("schedstats", false, "print the runtime-wide affinity-scheduler counters (local hits, steals by distance), lifetime and windowed; each query's own are on its phases line")
+	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = max(2, workers))")
+	schedStats := flag.Bool("schedstats", false, "print the runtime-wide affinity-scheduler counters (local hits, stolen morsels, local-hit rate); each query's own are on its phases line")
 	traceOut := flag.String("traceout", "", "write the run's execution trace(s) as Chrome trace-event JSON to this file (open in Perfetto)")
 	metricsAddr := flag.String("metricsaddr", "", "serve the runtime's Prometheus metrics and pprof on this address (e.g. :9090 or 127.0.0.1:0) and self-scrape once after the run")
 	pprofLabels := flag.Bool("pproflabels", false, "label every morsel's goroutine with (query, phase, worker) for CPU profiles")
@@ -197,10 +197,7 @@ func main() {
 			100*float64(decode)/float64(wall))
 	}
 	if *schedStats {
-		sched := rt.SchedStats()
-		fmt.Printf("runtime sched: %v (affinity misses %d)\n", sched, sched.AffinityMisses())
-		fmt.Printf("runtime sched rates: lifetime warm=%.2f local=%.2f | window %v\n",
-			sched.WarmHitRate(), sched.LocalHitRate(), rt.SchedStatsWindow())
+		fmt.Printf("runtime sched: %v\n", rt.SchedStats())
 	}
 	if *traceOut != "" {
 		writeTraces(*traceOut, traces)

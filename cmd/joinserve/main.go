@@ -1,6 +1,6 @@
 // Command joinserve runs the project-join engine as a long-lived
 // query service: one process-wide runtime (shared worker pool, fair
-// morsel scheduling, adaptive admission, arena-pooled execution
+// morsel scheduling, admission control, arena-pooled execution
 // memory) behind an HTTP JSON API over named synthetic relations.
 //
 // Endpoints, all on one listener:
@@ -49,7 +49,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 
 	workers := flag.Int("workers", 0, "runtime worker pool size (0 = one per schedulable core)")
-	admit := flag.Int("admit", 0, "admission bound: concurrent parallel queries (0 = adaptive from the calibrated bus-stream budget)")
+	admit := flag.Int("admit", 0, "admission bound: concurrent parallel queries (0 = max(2, workers))")
 	memBudget := flag.Int64("membudget", 0, "cap idle recycled arena bytes and add a memory admission ceiling (0 = default retention, no ceiling)")
 	pprofLabels := flag.Bool("pproflabels", false, "label morsel goroutines with (query, phase, worker) for CPU profiles")
 

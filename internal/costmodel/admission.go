@@ -2,53 +2,13 @@ package costmodel
 
 import "radixdecluster/internal/mem"
 
-// AdaptiveAdmission derives a Runtime admission bound from the
-// measured machine instead of a static constant: how many queries can
-// the hardware genuinely overlap?
-//
-// Two ceilings, both straight from the concurrency cost model:
-//
-//   - Bandwidth: the bus saturates after SaturationStreams concurrent
-//     access streams (the calibrated random/sequential per-access
-//     ratio, calibrator.MemStreams). Every admitted query drives at
-//     least one stream, so admitting more than the stream budget only
-//     divides bandwidth the admitted queries already saturate —
-//     exactly the floor Model.ParallelNanos charges.
-//   - Cache: Model.ForQueries(q) plans each of q queries against a 1/q
-//     LLC share. Once that share falls below the next-inner cache
-//     level, the shared LLC adds nothing over the private caches and
-//     every cache-conscious plan (cluster spans, decluster windows)
-//     collapses to inner-cache sizes.
-//
-// The bound is min(workers, streams, llcShare), floored at 2 so
-// admission can overlap one query's serial residues and phase
-// boundaries with another's execution, and capped at max(2, workers)
-// (more admitted queries than workers just grows every queue).
-func AdaptiveAdmission(h mem.Hierarchy, workers int) int {
-	if workers < 1 {
-		workers = 1
-	}
-	q := SaturationStreams(h)
-	if q > workers {
-		q = workers
-	}
-	if llcBound := llcShareBound(h); q > llcBound {
-		q = llcBound
-	}
-	if q < 2 {
-		q = 2
-	}
-	return q
-}
-
 // MemoryBound is the admission ceiling a transient-memory budget
 // imposes: how many queries can hold a perQuery-sized working set of
 // execution buffers (radix scatter targets, partition match lists,
 // hash-table linkage — the arena-leased transients) before their sum
-// exceeds the budget. It is a third resource dimension next to the
-// bandwidth and cache-share ceilings of AdaptiveAdmission: bytes of
-// pooled buffer space rather than streams or LLC shares. A
-// non-positive budget or estimate imposes no bound.
+// exceeds the budget. It is the ceiling RuntimeConfig.MemoryBudget puts
+// on the default admission bound. A non-positive budget or estimate
+// imposes no bound.
 func MemoryBound(budget, perQuery int64) int {
 	if budget <= 0 || perQuery <= 0 {
 		return int(^uint(0) >> 1)
@@ -67,29 +27,4 @@ func MemoryBound(budget, perQuery int64) int {
 // allocation.
 func PerQueryMemEstimate(h mem.Hierarchy) int64 {
 	return 4 * int64(h.LLC().Size)
-}
-
-// llcShareBound is the largest query count at which each query's
-// modeled LLC share (Model.ForQueries) still exceeds the next-inner
-// cache level. Hierarchies with a single data cache have no inner
-// level to compare against and impose no bound.
-func llcShareBound(h mem.Hierarchy) int {
-	llc := h.LLC()
-	inner := 0
-	for _, l := range h.Caches() {
-		if l.Size > inner && l.Size < llc.Size {
-			inner = l.Size
-		}
-	}
-	if inner <= 0 {
-		return int(^uint(0) >> 1)
-	}
-	q := 1
-	for {
-		m := Model{H: h}.ForQueries(q + 1)
-		if float64(llc.Size)*m.share() < float64(inner) {
-			return q
-		}
-		q++
-	}
 }

@@ -235,47 +235,33 @@ func parallelPerWorker(m Model, workers int, cost func(m Model, w int) Cost) Cos
 	return cost(mw, workers).Add(Cost{CPU: cpuParallelFork * float64(workers)})
 }
 
-// Choose is the planner's one decision for one strategy: how many
-// workers, and over which representation. cost is the strategy's
-// Appendix-A formula with the work divided over w workers — at w = 1
-// the serial formula, at w > 1 the same formula over ceil(n/w)
-// cardinalities and a window/w insertion window (with bits = 0 for the
-// naive hash-join only the probe side really divides — the executor
-// builds the table serially — which the 1/w share approximates
+// CompressedWins is the planner's one representation decision for one
+// strategy: whether the plan is modeled cheaper over block-compressed
+// inputs than over the raw arrays, at the worker count it runs with.
+// cost is the strategy's Appendix-A formula with the work divided over w
+// workers — at w = 1 the serial formula, at w > 1 the same formula over
+// ceil(n/w) cardinalities and a window/w insertion window (with bits = 0
+// for the naive hash-join only the probe side really divides — the
+// executor builds the table serially — which the 1/w share approximates
 // optimistically; the bandwidth ceiling keeps the estimate honest).
 //
-// Under each representation the worker count in {1, 2, 4, ...,
-// maxWorkers} with the lowest modeled elapsed time wins, parallel
-// candidates priced through the memory-bandwidth ceiling
-// (ParallelNanos with the serial cost as the traffic total); the
-// cheaper representation wins, with its worker count. The compressed
-// candidates' sequential bus traffic is scaled by cp.Ratio — which is
-// where the win appears: a bandwidth-bound plan's floor drops to Ratio
-// of the raw floor, so compression both speeds the plan up and lets it
-// profitably use more workers. A disabled cp is the degenerate case:
-// the raw plan's worker count, uncompressed.
-func Choose(m Model, maxWorkers int, cost func(m Model, w int) Cost, cp Compression) (workers int, compressed bool) {
-	comp := cp.Enabled()
+// A parallel plan (workers > 1) is priced through the memory-bandwidth
+// ceiling (ParallelNanos with the serial cost as the traffic total). The
+// compressed candidate's sequential bus traffic is scaled by cp.Ratio —
+// which is where the win appears: a bandwidth-bound plan's floor drops to
+// Ratio of the raw floor — and its CPU term grows by the decode work. A
+// disabled cp never wins.
+func CompressedWins(m Model, workers int, cost func(m Model, w int) Cost, cp Compression) bool {
+	if !cp.Enabled() {
+		return false
+	}
 	serial := cost(m, 1)
-	rawW, rawNs := 1, m.Nanos(serial)
 	compSerial := cp.Apply(m, serial, 1)
-	compW, compNs := 1, m.Nanos(compSerial)
-	for w := 2; w <= maxWorkers; w *= 2 {
-		per := parallelPerWorker(m, w, cost)
-		if ns := m.ParallelNanos(per, serial, w); ns < rawNs {
-			rawW, rawNs = w, ns
-		}
-		if !comp {
-			continue
-		}
-		if ns := m.ParallelNanos(cp.Apply(m, per, w), compSerial, w); ns < compNs {
-			compW, compNs = w, ns
-		}
+	if workers <= 1 {
+		return m.Nanos(compSerial) < m.Nanos(serial)
 	}
-	if comp && compNs < rawNs {
-		return compW, true
-	}
-	return rawW, false
+	per := parallelPerWorker(m, workers, cost)
+	return m.ParallelNanos(cp.Apply(m, per, workers), compSerial, workers) < m.ParallelNanos(per, serial, workers)
 }
 
 func ceilDiv(a, b int) int {

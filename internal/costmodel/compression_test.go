@@ -55,22 +55,20 @@ func TestCompressionDisabled(t *testing.T) {
 // streams, cheap decode), the compressed representation wins; when
 // decode is absurdly expensive, raw wins.
 func TestPlanCompressedBandwidthBound(t *testing.T) {
-	m := Model{H: mem.Pentium4(), Streams: 2}.ForQueries(4)
+	m := Model{H: mem.Pentium4(), Streams: 1}
 	const n = 1 << 22
 	cost := func(m Model, w int) Cost {
 		return DSMPostDecluster(m, ceilDiv(n, w), ceilDiv(n, w), 4, 10, 4, (1<<14)/w)
 	}
 	cheap := Compression{Ratio: 0.3, Values: 5 * n, DecodeNs: 0.2}
-	w, useComp := Choose(m, 8, cost, cheap)
-	if !useComp {
+	if !CompressedWins(m, 8, cost, cheap) {
 		t.Fatal("bandwidth-bound plan with cheap decode: compressed not chosen")
 	}
-	if w < 1 || w > 8 {
-		t.Fatalf("worker count %d out of range", w)
-	}
 	pricey := Compression{Ratio: 0.95, Values: 5 * n, DecodeNs: 5000}
-	if _, useComp := Choose(m, 8, cost, pricey); useComp {
-		t.Fatal("near-incompressible data with expensive decode: compressed chosen")
+	for _, w := range []int{0, 1, 8} {
+		if CompressedWins(m, w, cost, pricey) {
+			t.Fatalf("near-incompressible data with expensive decode: compressed chosen at %d workers", w)
+		}
 	}
 }
 

@@ -108,22 +108,10 @@ type Model struct {
 	H mem.Hierarchy
 	// Share is the fraction of each cache level available (0 = 1.0).
 	Share float64
-	// Queries is the number of concurrently active queries dividing
-	// the machine (0 or 1 = sole query). Set it with ForQueries: it
-	// scales Share and divides the memory bus's saturation-stream
-	// budget in ParallelNanos.
-	Queries int
 	// Streams overrides the bus saturation-stream count (see
 	// MemStreams); 0 selects the calibrated estimate for H, with the
 	// classic constant 4 as fallback.
 	Streams int
-	// AffinityHit is the scheduler's observed local-hit rate in (0,1]:
-	// the fraction of morsels that executed on the worker whose
-	// private caches their partition was placed into. Set it with
-	// ForAffinity; 0 means unknown and models as 1 (perfect affinity —
-	// the paper's single-threaded formulas, where the one worker
-	// trivially owns every partition).
-	AffinityHit float64
 }
 
 func (m Model) share() float64 {
@@ -133,73 +121,14 @@ func (m Model) share() float64 {
 	return m.Share
 }
 
-func (m Model) queries() int {
-	if m.Queries < 1 {
-		return 1
-	}
-	return m.Queries
-}
-
-// ForQueries returns the model one of q concurrently active queries
-// plans with: a 1/q capacity share of every cache level (on top of
-// any existing Share) and a 1/q share of the bus's saturation
-// streams. q <= 1 returns the model unchanged — the sole-owner
-// assumption of the paper's single-query formulas.
-func (m Model) ForQueries(q int) Model {
-	if q <= 1 {
-		return m
-	}
-	m.Share = m.share() / float64(q)
-	m.Queries = q
-	return m
-}
-
-// ForAffinity returns the model adjusted for the runtime scheduler's
-// observed affinity hit rate: the PRIVATE cache levels (everything
-// below the LLC, plus the TLB) only carry state from one morsel to
-// the next when successive morsels of a partition land on the same
-// core. A morsel that runs where its partition is cached (fraction
-// hit) sees the full private capacity; one landing on a cold core
-// starts over, which the capacity model approximates as half the
-// private share useful on average over its run. The effective private
-// share is therefore (1 + hit) / 2 — 1.0 under perfect affinity, 0.5
-// under a fully shuffled schedule. The LLC is shared by all cores, so
-// its share is untouched: steals within the socket still hit it. hit
-// outside (0,1] returns the model unchanged. Callers should pass a
-// CACHE-warmth rate, counting steals that stay on the home's physical
-// core (SMT siblings) as hits — exec.SchedStats.WarmHitRate — since
-// those find the private caches warm regardless of the worker id.
-func (m Model) ForAffinity(hit float64) Model {
-	if hit <= 0 || hit > 1 {
-		return m
-	}
-	m.AffinityHit = hit
-	return m
-}
-
-// privateShare is the affinity factor applied to non-LLC capacities.
-func (m Model) privateShare() float64 {
-	if m.AffinityHit <= 0 || m.AffinityHit > 1 {
-		return 1
-	}
-	return (1 + m.AffinityHit) / 2
-}
-
 // MemStreams returns the number of concurrent memory-access streams
-// this model's query may drive before the bus saturates: the
-// hierarchy's total (Streams if set, else the calibrated
-// SaturationStreams estimate) divided evenly among concurrent
-// queries, never below one.
+// that saturate the hierarchy's bus: Streams if set, else the
+// calibrated SaturationStreams estimate.
 func (m Model) MemStreams() int {
-	total := m.Streams
-	if total <= 0 {
-		total = SaturationStreams(m.H)
+	if m.Streams > 0 {
+		return m.Streams
 	}
-	s := total / m.queries()
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return SaturationStreams(m.H)
 }
 
 // Nanos converts a cost to nanoseconds using the hierarchy's
@@ -282,8 +211,7 @@ func hierKey(h mem.Hierarchy) string {
 // elapsed nanoseconds with a memory-bandwidth ceiling: workers
 // proceed concurrently, so elapsed time tracks the per-worker cost —
 // but the job's total LLC-miss traffic still streams over one bus
-// that saturates after MemStreams concurrent streams (the calibrated
-// hierarchy total divided across active queries). total is the serial
+// that saturates after MemStreams concurrent streams. total is the serial
 // (whole-job) cost whose memory component sets the floor. The ceiling
 // — not the shrinking per-core cache share — is what stops the
 // bandwidth-bound operators from scaling linearly.
@@ -297,26 +225,9 @@ func (m Model) ParallelNanos(perWorker, total Cost, workers int) float64 {
 }
 
 func (m Model) eachLevel(f func(l mem.Level, cap float64) LevelCost) Cost {
-	// The LLC is identified positionally — the last non-TLB level —
-	// not by name: Validate never constrains names, so empty or
-	// duplicate names must not disable or misapply affinity scaling.
-	llcIdx := -1
-	if m.privateShare() < 1 {
-		for i, l := range m.H.Levels {
-			if !l.IsTLB {
-				llcIdx = i
-			}
-		}
-	}
 	out := Cost{Levels: make([]LevelCost, len(m.H.Levels))}
 	for i, l := range m.H.Levels {
-		capacity := float64(l.Size) * m.share()
-		if llcIdx >= 0 && i != llcIdx {
-			// Private levels (and the per-core TLB) only stay warm
-			// across morsels under affine scheduling; see ForAffinity.
-			capacity *= m.privateShare()
-		}
-		lc := f(l, capacity)
+		lc := f(l, float64(l.Size)*m.share())
 		lc.Name = l.Name
 		out.Levels[i] = lc
 	}

@@ -224,20 +224,16 @@ func TestParallelNanosBandwidthCeiling(t *testing.T) {
 	}
 }
 
-// Every strategy's chooser must return a worker count within range
-// and pick serial when there is only one core.
+// Every strategy's cost shape goes through the representation decision,
+// and with nothing encoded raw wins at every worker count.
 func TestChoosersCoverEveryStrategy(t *testing.T) {
 	m := model()
 	const n = 1 << 20
 	for _, sh := range goldenShapes {
 		cost := sh.cost(n, 8)
-		if got, _ := Choose(m, 1, cost, Compression{}); got != 1 {
-			t.Fatalf("%s: one core must stay serial, got %d", sh.name, got)
-		}
-		for _, mw := range []int{2, 8, 64} {
-			got, comp := Choose(m, mw, cost, Compression{})
-			if got < 1 || got > mw || comp {
-				t.Fatalf("%s: chose %d workers (compressed=%v) with max %d and nothing encoded", sh.name, got, comp, mw)
+		for _, w := range []int{0, 1, 2, 8, 64} {
+			if CompressedWins(m, w, cost, Compression{}) {
+				t.Fatalf("%s: compressed chosen at %d workers with nothing encoded", sh.name, w)
 			}
 		}
 	}

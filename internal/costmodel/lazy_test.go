@@ -1,7 +1,6 @@
 package costmodel_test
 
 import (
-	"runtime"
 	"testing"
 
 	rd "radixdecluster"
@@ -10,9 +9,9 @@ import (
 
 // TestModelEvaluatedOnlyWhenItsAnswerIsUsed pins the planner's laziness
 // rule (strategy.Config.decide): a query consults the cost model — and
-// so pays for its calibration probes — only under AutoParallelism or
-// CompressionAuto with an encoding present. The serial paper mode, an
-// explicit worker count and forced compression evaluate nothing. The
+// so pays for its calibration probes — only under CompressionAuto with
+// an encoding present. The serial paper mode, an explicit worker count,
+// AutoParallelism and forced compression evaluate nothing. The
 // probes are memoized per hierarchy and per scheme, so on a hierarchy
 // no other test plans with, the memo's entry count shows whether one
 // ran.
@@ -47,7 +46,7 @@ func TestModelEvaluatedOnlyWhenItsAnswerIsUsed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v parallelism=%d compression=%v: %v", st, par, comp, err)
 			}
-			if want := comp == rd.CompressionOn; res.Compressed != want {
+			if want := comp == rd.CompressionOn; comp != rd.CompressionAuto && res.Compressed != want {
 				t.Fatalf("%v parallelism=%d compression=%v: Compressed = %v", st, par, comp, res.Compressed)
 			}
 			res.Release()
@@ -59,17 +58,18 @@ func TestModelEvaluatedOnlyWhenItsAnswerIsUsed(t *testing.T) {
 	run(2, rd.CompressionOff)
 	run(0, rd.CompressionOn)
 	run(2, rd.CompressionOn)
+	run(rd.AutoParallelism, rd.CompressionOff)
+	run(rd.AutoParallelism, rd.CompressionOn)
 	if s, d := costmodel.CalibrationEntries(); s != streams || d != decodes {
-		t.Fatalf("explicit-parallelism queries ran calibration probes: streams %d -> %d, decodes %d -> %d",
+		t.Fatalf("queries with nothing for the model to decide ran calibration probes: streams %d -> %d, decodes %d -> %d",
 			streams, s, decodes, d)
 	}
 
-	// The observable works: a worker search over two or more candidates
-	// prices the bandwidth ceiling, which measures the hierarchy.
-	if runtime.GOMAXPROCS(0) >= 2 {
-		run(rd.AutoParallelism, rd.CompressionOff)
-		if s, _ := costmodel.CalibrationEntries(); s != streams+1 {
-			t.Fatalf("AutoParallelism left the streams memo at %d entries, want %d", s, streams+1)
-		}
+	// The observable works: CompressionAuto prices both representations
+	// at the plan's two workers through the bandwidth ceiling, which
+	// measures the hierarchy.
+	run(2, rd.CompressionAuto)
+	if s, _ := costmodel.CalibrationEntries(); s != streams+1 {
+		t.Fatalf("CompressionAuto left the streams memo at %d entries, want %d", s, streams+1)
 	}
 }

@@ -352,20 +352,11 @@ type Range struct {
 // Len returns the number of items in the range.
 func (r Range) Len() int { return r.Hi - r.Lo }
 
-// Chunks splits [0, n) into at most k contiguous near-equal ranges.
-// The split is deterministic in (n, k).
-func Chunks(n, k int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	out := make([]Range, k)
-	base, rem := n/k, n%k
+// splitRange tiles [0, n) with len(out) contiguous near-equal ranges
+// (0 < len(out) <= n), writing every slot. The split is deterministic in
+// (n, len(out)).
+func splitRange(out []Range, n int) {
+	base, rem := n/len(out), n%len(out)
 	lo := 0
 	for i := range out {
 		hi := lo + base
@@ -375,7 +366,6 @@ func Chunks(n, k int) []Range {
 		out[i] = Range{Lo: lo, Hi: hi}
 		lo = hi
 	}
-	return out
 }
 
 // morselsPerWorker controls how many morsels Run-based operators carve
@@ -391,24 +381,8 @@ func (e *Engine) chunksFor(n int) []Range {
 	if n <= 0 {
 		return nil
 	}
-	k := e.workers * morselsPerWorker
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	out := mempool.Slice[Range](e.mem(), k)
-	base, rem := n/k, n%k
-	lo := 0
-	for i := range out {
-		hi := lo + base
-		if i < rem {
-			hi++
-		}
-		out[i] = Range{Lo: lo, Hi: hi}
-		lo = hi
-	}
+	out := mempool.Slice[Range](e.mem(), min(max(e.workers*morselsPerWorker, 1), n))
+	splitRange(out, n)
 	return out
 }
 

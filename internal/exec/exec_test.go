@@ -94,20 +94,24 @@ func TestPoolRunCoversAllTasks(t *testing.T) {
 }
 
 func TestChunksTile(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, testN} {
+	for _, n := range []int{1, 7, 100, testN} {
 		for _, k := range []int{1, 3, 8, 200} {
-			chunks := Chunks(n, k)
+			chunks := make([]Range, min(k, n))
+			splitRange(chunks, n)
 			pos := 0
 			for _, c := range chunks {
-				if c.Lo != pos || c.Hi < c.Lo {
-					t.Fatalf("Chunks(%d,%d): bad range %+v at pos %d", n, k, c, pos)
+				if c.Lo != pos || c.Len() < n/len(chunks) || c.Len() > n/len(chunks)+1 {
+					t.Fatalf("splitRange(%d into %d): bad range %+v at pos %d", n, len(chunks), c, pos)
 				}
 				pos = c.Hi
 			}
 			if pos != n {
-				t.Fatalf("Chunks(%d,%d): covers %d items", n, k, pos)
+				t.Fatalf("splitRange(%d into %d): covers %d items", n, len(chunks), pos)
 			}
 		}
+	}
+	if chunks := NewEngine(nil, 0).chunksFor(0); chunks != nil {
+		t.Fatalf("chunksFor(0) = %v, want no chunks", chunks)
 	}
 }
 

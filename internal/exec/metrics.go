@@ -6,8 +6,7 @@ package exec
 //
 //   - Pull-based (CounterFunc/GaugeFunc): evaluated only at scrape
 //     time over the atomics and mutex-guarded state the runtime
-//     maintains regardless — scheduler counters, admission state,
-//     windowed rates.
+//     maintains regardless — scheduler counters, admission state.
 //   - Push-based: the admission-wait histogram (one Observe per
 //     admission, an event that already costs a mutex round-trip) and
 //     the per-phase seconds counters (one Add per phase, a handful
@@ -46,12 +45,10 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 		"Time pipelines spent waiting for admission control.",
 		obs.ExpBuckets(1e-6, 4, 12))
 	reg.CounterFuncs("radixdecluster_morsels_total",
-		"Morsels scheduled, by placement outcome (local hit or steal distance).",
+		"Morsels scheduled, by placement outcome (run by the home worker or stolen).",
 		"placement", []obs.FuncSeries{
 			{Label: "local", Fn: func() float64 { return float64(rt.SchedStats().LocalHits) }},
-			{Label: "steal_sibling", Fn: func() float64 { return float64(rt.SchedStats().StealsSibling) }},
-			{Label: "steal_shared", Fn: func() float64 { return float64(rt.SchedStats().StealsShared) }},
-			{Label: "steal_remote", Fn: func() float64 { return float64(rt.SchedStats().StealsRemote) }},
+			{Label: "stolen", Fn: func() float64 { return float64(rt.SchedStats().Stolen) }},
 		})
 	reg.CounterFunc("radixdecluster_compressed_saved_bytes_total",
 		"Raw bytes pipelines avoided moving by executing over block-compressed columns.",
@@ -80,15 +77,6 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 	reg.GaugeFunc("radixdecluster_mempool_hit_rate",
 		"Lifetime arena hit rate — fraction of buffer requests served by recycling.",
 		func() float64 { return rt.MemStats().HitRate() })
-	reg.GaugeFunc("radixdecluster_sched_warm_hit_rate_lifetime",
-		"Lifetime warm-hit rate (local hits + sibling steals over all morsels).",
-		func() float64 { return rt.SchedStats().WarmHitRate() })
-	reg.GaugeFunc("radixdecluster_sched_warm_hit_rate_window",
-		"Windowed (EWMA) warm-hit rate — the planner's affinity feedback signal.",
-		func() float64 { return rt.SchedStatsWindow().WarmHitRate() })
-	reg.CounterFunc("radixdecluster_sched_windows_total",
-		"Completed windowed-stats intervals.",
-		func() float64 { return float64(rt.SchedStatsWindow().Windows) })
 	return m
 }
 

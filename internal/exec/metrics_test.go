@@ -5,82 +5,16 @@ import (
 	"testing"
 	"time"
 
-	"radixdecluster/internal/calibrator"
 	"radixdecluster/internal/obs"
 )
 
-// TestSchedWindowRegimeShift is the reason windowed stats exist: a
-// scheduling-regime change must show up in the windowed rate while
-// the lifetime average smears it away. One of two workers is held
-// hostage throughout (on a 2-node topology, so every steal is remote
-// and none counts warm). Regime A homes SchedWindowTasks-sized
-// windows of morsels on the free worker — pure local hits; regime B
-// homes as many on the hostage — every one stolen. After equally many
-// windows of each, the lifetime warm rate sits near 0.5 — useless as
-// a signal of the CURRENT regime — while the windowed EWMA has
-// decayed toward the new regime's ~0. The hostage morsel's own claim
-// shifts the window boundaries by one morsel, which the bounds below
-// absorb.
-func TestSchedWindowRegimeShift(t *testing.T) {
-	topo := &calibrator.Topology{Source: "test", CPUs: []calibrator.TopoCPU{
-		{ID: 0, Core: 0, LLC: 0, Node: 0},
-		{ID: 1, Core: 1, LLC: 1, Node: 1},
-	}}
-	rt := NewRuntimeOpts(Options{Workers: 2, Topology: topo})
-	defer rt.Close()
-	p := NewEngine(rt, 2)
-	defer p.Close()
-	held, release := holdWorkers(t, rt, 1)
-	busy := held[0]
-
-	const nwin = 4
-	const regime = nwin * SchedWindowTasks
-
-	// Regime A: every morsel homed on the free worker — a local hit
-	// (the only possible thief is stuck).
-	freeKey := keyHomedOn(t, p.affSeed, 1-busy, 2)
-	p.runAff(regime, func(int) uint64 { return freeKey }, func(_, _ int, _ *Scratch) {})
-	winA := rt.SchedStatsWindow()
-	if winA.Windows != nwin {
-		t.Fatalf("regime A completed %d windows, want %d", winA.Windows, nwin)
-	}
-	if winA.WarmHitRate() < 0.99 || winA.LocalHitRate() < 0.99 {
-		t.Fatalf("regime A windowed rates %v, want ~1", winA)
-	}
-	if winA.Last.Steals() != 0 || winA.Last.LocalHits != SchedWindowTasks {
-		t.Fatalf("regime A last window %v, want %d pure local", winA.Last, SchedWindowTasks)
-	}
-
-	// Regime B: every morsel homed on the hostage — all stolen remotely.
-	busyKey := keyHomedOn(t, p.affSeed, busy, 2)
-	p.runAff(regime, func(int) uint64 { return busyKey }, func(_, _ int, _ *Scratch) {})
-	release()
-
-	winB := rt.SchedStatsWindow()
-	if winB.Windows < 2*nwin {
-		t.Fatalf("regime B completed %d windows, want >= %d", winB.Windows, 2*nwin)
-	}
-	life := rt.SchedStats()
-	if r := life.WarmHitRate(); r < 0.4 || r > 0.6 {
-		t.Fatalf("lifetime warm rate %.3f, want ~0.5 (half the history each regime)", r)
-	}
-	// EWMA with alpha 0.5 over >= nwin all-steal windows: 1 * 0.5^4.
-	if r := winB.WarmHitRate(); r > 0.15 {
-		t.Fatalf("windowed warm rate %.3f did not track the regime shift (lifetime %.3f)",
-			r, life.WarmHitRate())
-	}
-	if winB.Last.LocalHits != 0 || winB.Last.Steals() != SchedWindowTasks {
-		t.Fatalf("regime B last window %v, want %d pure steals", winB.Last, SchedWindowTasks)
-	}
-}
-
-// TestSchedStatsSub pins the snapshot-delta algebra the windowed
-// roll and the CLI's per-leg reporting use.
+// TestSchedStatsSub pins the snapshot-delta algebra the CLI's and the
+// benchmark harness's per-leg reporting use.
 func TestSchedStatsSub(t *testing.T) {
-	cur := SchedStats{LocalHits: 10, StealsSibling: 4, StealsShared: 3, StealsRemote: 2}
-	prev := SchedStats{LocalHits: 6, StealsSibling: 1, StealsShared: 3, StealsRemote: 0}
+	cur := SchedStats{LocalHits: 10, Stolen: 9}
+	prev := SchedStats{LocalHits: 6, Stolen: 4}
 	d := cur.Sub(prev)
-	want := SchedStats{LocalHits: 4, StealsSibling: 3, StealsShared: 0, StealsRemote: 2}
+	want := SchedStats{LocalHits: 4, Stolen: 5}
 	if d != want {
 		t.Fatalf("Sub: %+v, want %+v", d, want)
 	}
@@ -96,7 +30,7 @@ func TestSchedStatsSub(t *testing.T) {
 // spans on the pipeline track and per-morsel spans on worker tracks,
 // and an untraced one records nothing.
 func TestPipelineTraceSpans(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 2, Topology: calibrator.FlatTopology(2)})
+	rt := NewRuntime(2, 0)
 	defer rt.Close()
 
 	run := func(tr *obs.Trace) {
@@ -153,8 +87,7 @@ func TestPipelineTraceSpans(t *testing.T) {
 // scheduler, admission and phase series, and the counters move when
 // pipelines run.
 func TestRuntimeMetricsEndToEnd(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 1, Metrics: true,
-		Topology: calibrator.FlatTopology(2)})
+	rt := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 1, Metrics: true})
 	defer rt.Close()
 	reg := rt.MetricsRegistry()
 	if reg == nil {
@@ -212,7 +145,7 @@ func TestRuntimeMetricsEndToEnd(t *testing.T) {
 // TestMetricsOffRegistryNil: without Options.Metrics the runtime
 // carries no registry and no push sites fire.
 func TestMetricsOffRegistryNil(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 1, Topology: calibrator.FlatTopology(1)})
+	rt := NewRuntime(1, 0)
 	defer rt.Close()
 	if rt.MetricsRegistry() != nil {
 		t.Fatal("metrics-off runtime must have a nil registry")

@@ -96,9 +96,8 @@ type Timings struct {
 	Admission   time.Duration
 	Total       time.Duration
 	// Sched is the affinity scheduler's counter set for this
-	// pipeline's morsels: local hits (executed on the home worker
-	// whose caches the placement predicted warm) and steals by
-	// topology distance. Zero on the serial engine.
+	// pipeline's morsels: local hits (executed on the home worker)
+	// and stolen morsels. Zero on the serial engine.
 	Sched SchedStats
 	// Comp is the pipeline's compressed-execution tally: compressed
 	// column inputs consumed, encoded bytes read, raw bytes that

@@ -7,14 +7,12 @@ package exec
 // owns exclusively. A lone query is the degenerate case: a Runtime
 // serving one lease.
 //
-// Scheduling model (topology-aware since the per-worker-deque
-// refactor):
+// Scheduling model:
 //
 //   - Each executing pipeline's Engine holds an admission slot: at
 //     most maxConcurrent pipelines run at once, the rest wait in FIFO
-//     order. The admitted count is exposed as
-//     ActiveQueries, the cost model's concurrency input (each query
-//     plans against a 1/Q cache share and a 1/Q bus-stream budget).
+//     order. The admitted count is exposed as ActiveQueries —
+//     observability only; no plan reads it.
 //   - An engine's run submits one job — the task body plus an affinity
 //     key per morsel. Every morsel is placed on the local deque of its
 //     HOME worker: hash(pipeline seed, affinity key) mod workers. The
@@ -28,12 +26,13 @@ package exec
 //     LOCAL HIT), round-robin across the jobs present so concurrent
 //     queries still interleave at morsel granularity, LIFO within a
 //     job (the most recently placed morsel is the one whose input the
-//     worker touched last). An idle worker STEALS: victims are visited
-//     in topology order — SMT sibling, then same-LLC core, then same
-//     node, then remote — and a thief takes the victim's OLDEST job's
-//     oldest morsel (FIFO), the one coldest in the victim's caches.
-//     Steals keep skew from idling the machine; the counters
-//     (SchedStats) report local hits and steals by distance.
+//     worker touched last). An idle worker STEALS: it walks the other
+//     workers in ring order from itself (workers are goroutines the Go
+//     scheduler migrates freely, so no worker is nearer than another)
+//     and takes the victim's OLDEST job's oldest morsel (FIFO), the one
+//     coldest in the victim's caches. Steals keep skew from idling the
+//     machine; the counters (SchedStats) report local hits and stolen
+//     morsels.
 //   - Each job records the time from submission to its first claimed
 //     morsel; pipelines surface the accumulated wait as per-phase
 //     queueing time in Timings, separating "waiting for the shared
@@ -42,12 +41,10 @@ package exec
 //
 // The deques are guarded by one runtime mutex, not per-worker locks:
 // morsels are thousands of tuples each, so claim frequency is low and
-// the lock is never the bottleneck — what the refactor buys is
-// PLACEMENT (which worker's private caches service a partition), not
+// the lock is never the bottleneck — what the per-worker deques buy is
+// PLACEMENT (which worker services a partition, phase after phase), not
 // lock granularity. Per-worker Scratch is allocated inside the worker
-// goroutine, and scatter outputs are first-written by the workers that
-// own their cursor ranges — so with affine placement, pages fault in on
-// the NUMA node of the worker that re-reads them (first-touch).
+// goroutine.
 //
 // The byte-identical-output contract is untouched: a job's task
 // decomposition (chunking, per-worker windows) is fixed by the
@@ -60,51 +57,33 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"radixdecluster/internal/calibrator"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
 )
 
 // SchedStats is the affinity scheduler's counter set: how many morsels
-// ran on their home worker (private caches warm from earlier phases of
-// the same partition) versus how many were stolen, by topology
-// distance of the thief from the home.
+// ran on their home worker (where earlier phases of the same partition
+// ran) versus how many an idle worker stole.
 type SchedStats struct {
 	// LocalHits counts morsels claimed by their home worker from its
 	// own deque.
 	LocalHits int64
-	// StealsSibling counts morsels stolen by an SMT sibling of the
-	// home (same physical core — private caches are largely shared, so
-	// these steals are nearly free).
-	StealsSibling int64
-	// StealsShared counts steals within the home's LLC or NUMA node
-	// (the partition re-streams from the shared cache or local DRAM).
-	StealsShared int64
-	// StealsRemote counts steals across NUMA nodes (the partition
-	// re-streams over the interconnect — the expensive case the
-	// topology order delays as long as possible).
-	StealsRemote int64
+	// Stolen counts morsels an idle worker took off another worker's
+	// deque.
+	Stolen int64
 }
 
-// Steals returns the total stolen morsels across all distances.
-func (s SchedStats) Steals() int64 {
-	return s.StealsSibling + s.StealsShared + s.StealsRemote
-}
-
-// AffinityMisses returns the morsels that executed off their home
-// worker. Under pure work stealing every miss is a steal, so this
-// equals Steals(); it is named for what it measures (the placement's
-// cache prediction failing), where Steals is named for the mechanism.
-func (s SchedStats) AffinityMisses() int64 { return s.Steals() }
+// Steals returns the total stolen morsels (the benchmark harness reads
+// the count through this method).
+func (s SchedStats) Steals() int64 { return s.Stolen }
 
 // Tasks returns the total morsels scheduled.
-func (s SchedStats) Tasks() int64 { return s.LocalHits + s.Steals() }
+func (s SchedStats) Tasks() int64 { return s.LocalHits + s.Stolen }
 
 // LocalHitRate returns LocalHits / Tasks, 0 when nothing ran yet.
 func (s SchedStats) LocalHitRate() float64 {
@@ -114,117 +93,36 @@ func (s SchedStats) LocalHitRate() float64 {
 	return 0
 }
 
-// WarmHitRate returns the fraction of morsels that ran where their
-// partition's private caches were warm: local hits PLUS sibling
-// steals, which stay on the home's physical core (SMT siblings share
-// L1/L2 — and whenever more workers than CPUs fold onto one core,
-// every "steal" between them is this class). This is the cost model's
-// affinity feedback signal (costmodel.Model.ForAffinity): charging
-// sibling steals as cold would shrink the modeled private caches for
-// misses that never happen.
-func (s SchedStats) WarmHitRate() float64 {
-	if t := s.Tasks(); t > 0 {
-		return float64(s.LocalHits+s.StealsSibling) / float64(t)
-	}
-	return 0
-}
-
 // Sub returns the per-field difference s - prev: the counters
 // attributable to the work between two snapshots of a cumulative
-// counter set. This is how per-run (or per-window) numbers are
-// recovered from the runtime's lifetime counters.
+// counter set. This is how per-run numbers are recovered from the
+// runtime's lifetime counters.
 func (s SchedStats) Sub(prev SchedStats) SchedStats {
-	return SchedStats{
-		LocalHits:     s.LocalHits - prev.LocalHits,
-		StealsSibling: s.StealsSibling - prev.StealsSibling,
-		StealsShared:  s.StealsShared - prev.StealsShared,
-		StealsRemote:  s.StealsRemote - prev.StealsRemote,
-	}
-}
-
-// SchedWindowTasks is the width, in morsels, of one windowed-stats
-// interval: every SchedWindowTasks scheduling decisions the runtime
-// snapshots the cumulative counters, takes the delta against the
-// previous snapshot, and folds the window's hit rates into an EWMA.
-// Small enough to turn around within one concurrent query batch,
-// large enough that a window's rates are not single-morsel noise.
-const SchedWindowTasks = 256
-
-// schedWindowAlpha is the EWMA weight of the newest window: 0.5
-// halves the influence of a window every subsequent window, so the
-// estimate tracks a regime shift within ~2 windows while still
-// smoothing single-window jitter.
-const schedWindowAlpha = 0.5
-
-// SchedWindow is the windowed counterpart of SchedStats: per-interval
-// snapshot deltas folded into exponentially weighted moving averages.
-// Where the lifetime counters answer "what did this runtime do since
-// it started", the window answers "what is the schedule doing NOW" —
-// after a regime shift (a workload mix change, a query burst) the
-// lifetime average smears the old regime into the new one
-// indefinitely, while the EWMA forgets it geometrically. The planner's
-// affinity feedback reads the windowed rate for exactly this reason.
-type SchedWindow struct {
-	// Last is the most recent complete window's counter delta.
-	Last SchedStats
-	// WarmEWMA / LocalEWMA are the exponentially weighted moving
-	// averages of the per-window WarmHitRate / LocalHitRate
-	// (newest-window weight schedWindowAlpha).
-	WarmEWMA  float64
-	LocalEWMA float64
-	// Windows counts complete windows folded in so far; 0 means no
-	// window has completed yet and the rates are meaningless.
-	Windows int64
-}
-
-// WarmHitRate returns the windowed warm-hit estimate — the
-// cache-warmth signal the planner feeds costmodel.Model.ForAffinity.
-func (w SchedWindow) WarmHitRate() float64 { return w.WarmEWMA }
-
-// LocalHitRate returns the windowed local-hit estimate.
-func (w SchedWindow) LocalHitRate() float64 { return w.LocalEWMA }
-
-func (w SchedWindow) String() string {
-	return fmt.Sprintf("warm=%.2f local=%.2f over %d windows of %d morsels (last %v)",
-		w.WarmEWMA, w.LocalEWMA, w.Windows, SchedWindowTasks, w.Last)
+	return SchedStats{LocalHits: s.LocalHits - prev.LocalHits, Stolen: s.Stolen - prev.Stolen}
 }
 
 func (s SchedStats) String() string {
-	return fmt.Sprintf("local=%d steals=%d(sib=%d shared=%d remote=%d) hitrate=%.2f",
-		s.LocalHits, s.Steals(), s.StealsSibling, s.StealsShared, s.StealsRemote, s.LocalHitRate())
+	return fmt.Sprintf("local=%d stolen=%d hitrate=%.2f", s.LocalHits, s.Stolen, s.LocalHitRate())
 }
 
 // schedCounters is the atomic accumulator behind SchedStats (one per
 // runtime, one per query Engine).
 type schedCounters struct {
-	local, sibling, shared, remote atomic.Int64
+	local, stolen atomic.Int64
 }
 
-// note records one claim: dist < 0 is a local hit, otherwise a
-// calibrator.Dist* class of the thief relative to the home worker.
+// note records one claim: dist < 0 is a local hit, anything else a
+// steal.
 func (c *schedCounters) note(dist int) {
-	switch {
-	case dist < 0:
+	if dist < 0 {
 		c.local.Add(1)
-	case dist <= calibrator.DistSibling:
-		// DistSelf appears when more workers than CPUs fold onto one
-		// core (every 1-core box): the "steal" stays on the same
-		// physical core, the cheapest class.
-		c.sibling.Add(1)
-	case dist <= calibrator.DistNode:
-		c.shared.Add(1)
-	default:
-		c.remote.Add(1)
+	} else {
+		c.stolen.Add(1)
 	}
 }
 
 func (c *schedCounters) stats() SchedStats {
-	return SchedStats{
-		LocalHits:     c.local.Load(),
-		StealsSibling: c.sibling.Load(),
-		StealsShared:  c.shared.Load(),
-		StealsRemote:  c.remote.Load(),
-	}
+	return SchedStats{LocalHits: c.local.Load(), Stolen: c.stolen.Load()}
 }
 
 // Runtime owns the worker goroutines and the per-worker affinity
@@ -236,8 +134,7 @@ type Runtime struct {
 	maxConcurrent int
 	labels        bool // pprof-label worker morsels (Options.PprofLabels)
 
-	victims    [][]stealEntry // per worker: steal order, nearest first
-	workerTags []string       // worker id pre-rendered for pprof labels
+	workerTags []string // worker id pre-rendered for pprof labels
 
 	mu     sync.Mutex
 	work   *sync.Cond // signals workers: placed morsels or shutdown
@@ -246,11 +143,6 @@ type Runtime struct {
 
 	admitted int             // admission slots currently held
 	waiters  []chan struct{} // FIFO admission queue
-
-	// Windowed scheduler stats (guarded by mu — note already holds it).
-	winSince int        // morsels since the last window boundary
-	winPrev  SchedStats // cumulative counters at the last boundary
-	win      SchedWindow
 
 	seedSeq atomic.Uint64 // default affinity-seed source
 	sched   schedCounters // process-wide scheduler counters
@@ -273,12 +165,6 @@ type Runtime struct {
 	jrFree []*jobRun
 
 	wg sync.WaitGroup
-}
-
-// stealEntry is one victim in a worker's steal order.
-type stealEntry struct {
-	worker int
-	dist   int // calibrator.Dist* of the victim from the thief
 }
 
 // rtJob is one run invocation of an Engine: the task body plus the
@@ -437,19 +323,14 @@ type Options struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// MaxConcurrent is the admission bound; <= 0 selects
-	// max(2, workers) — the static fallback. Callers with a memory
-	// hierarchy at hand should derive the bound from the calibrated
-	// bus-stream budget instead (costmodel.AdaptiveAdmission), which
-	// the public API does.
+	// max(2, workers): enough to overlap one query's serial residues
+	// and phase boundaries with another's execution, and no more
+	// admitted queries than workers to serve them.
 	MaxConcurrent int
-	// Topology overrides the machine layout (nil: DetectTopology —
-	// sysfs on Linux, flat fallback elsewhere). Tests inject synthetic
-	// topologies here.
-	Topology *calibrator.Topology
 	// Metrics creates a Prometheus-style metrics registry for this
 	// runtime (MetricsRegistry): active queries, admission queue depth
-	// and wait histogram, morsels by placement, per-phase seconds,
-	// windowed and lifetime hit rates. Almost every series is
+	// and wait histogram, morsels by placement, per-phase seconds.
+	// Almost every series is
 	// pull-based over counters the runtime keeps anyway, so the hot
 	// path is unchanged; off (the default) costs nothing.
 	Metrics bool
@@ -481,14 +362,7 @@ func NewRuntimeOpts(o Options) *Runtime {
 	}
 	maxConcurrent := o.MaxConcurrent
 	if maxConcurrent <= 0 {
-		maxConcurrent = workers
-		if maxConcurrent < 2 {
-			maxConcurrent = 2
-		}
-	}
-	topo := o.Topology
-	if topo == nil {
-		topo = calibrator.DetectTopology()
+		maxConcurrent = max(2, workers)
 	}
 	rt := &Runtime{
 		workers: workers, maxConcurrent: maxConcurrent,
@@ -503,7 +377,6 @@ func NewRuntimeOpts(o Options) *Runtime {
 	for w := range rt.workerTags {
 		rt.workerTags[w] = strconv.Itoa(w)
 	}
-	rt.victims = buildVictims(topo, workers)
 	if o.Metrics {
 		rt.metrics = newRTMetrics(rt)
 	}
@@ -512,32 +385,6 @@ func NewRuntimeOpts(o Options) *Runtime {
 		go rt.worker(w)
 	}
 	return rt
-}
-
-// buildVictims precomputes each worker's steal order: every other
-// worker, sorted nearest-first by topology distance (ring order within
-// a distance class, so same-class victims spread). Distances ride
-// along — the counters classify steals by them.
-func buildVictims(topo *calibrator.Topology, workers int) [][]stealEntry {
-	out := make([][]stealEntry, workers)
-	for w := range out {
-		vs := make([]stealEntry, 0, workers-1)
-		for v := 0; v < workers; v++ {
-			if v == w {
-				continue
-			}
-			vs = append(vs, stealEntry{worker: v, dist: topo.Distance(w, v)})
-		}
-		ring := func(v int) int { return (v - w + workers) % workers }
-		sort.SliceStable(vs, func(i, j int) bool {
-			if vs[i].dist != vs[j].dist {
-				return vs[i].dist < vs[j].dist
-			}
-			return ring(vs[i].worker) < ring(vs[j].worker)
-		})
-		out[w] = vs
-	}
-	return out
 }
 
 // Workers returns the size of the shared pool.
@@ -550,16 +397,6 @@ func (rt *Runtime) MaxConcurrent() int { return rt.maxConcurrent }
 // SchedStats returns the process-wide scheduler counters accumulated
 // across every job this runtime has executed.
 func (rt *Runtime) SchedStats() SchedStats { return rt.sched.stats() }
-
-// SchedStatsWindow returns the windowed scheduler stats: the last
-// complete SchedWindowTasks-morsel window's counter delta and the
-// EWMA hit rates across windows. Zero value (Windows == 0) until the
-// first window completes.
-func (rt *Runtime) SchedStatsWindow() SchedWindow {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.win
-}
 
 // CompressedSavedBytes returns the total raw bytes the runtime's
 // pipelines avoided moving by executing over block-compressed columns
@@ -586,9 +423,7 @@ func (rt *Runtime) MetricsRegistry() *obs.Registry {
 	return rt.metrics.reg
 }
 
-// ActiveQueries returns the number of currently admitted pipelines —
-// the active-query count the cost model divides the cache share and
-// memory-bandwidth budget by.
+// ActiveQueries returns the number of currently admitted pipelines.
 func (rt *Runtime) ActiveQueries() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -613,7 +448,7 @@ func (rt *Runtime) Close() {
 }
 
 // worker is the shared-pool loop: drain the local deque (jobs
-// round-robin, LIFO within a job), steal in topology order when empty,
+// round-robin, LIFO within a job), steal in ring order when empty,
 // sleep when the whole machine is empty.
 func (rt *Runtime) worker(w int) {
 	defer rt.wg.Done()
@@ -637,7 +472,8 @@ func (rt *Runtime) worker(w int) {
 // observedMorsel runs one morsel under the job's observability hooks:
 // pprof goroutine labels (query, phase, worker) around the body, and
 // a per-morsel trace span recording the worker, the task and the
-// steal distance (-1 = local hit on the home worker).
+// steal distance (-1 = local hit on the home worker, otherwise the
+// victim's ring offset from the thief).
 func (rt *Runtime) observedMorsel(j *rtJob, w, t, dist int, s *Scratch) {
 	if j.labels != nil {
 		pprof.SetGoroutineLabels(pprof.WithLabels(j.labels, pprof.Labels("worker", rt.workerTags[w])))
@@ -652,10 +488,10 @@ func (rt *Runtime) observedMorsel(j *rtJob, w, t, dist int, s *Scratch) {
 }
 
 // nextTask blocks until worker w claims a morsel — local deque first,
-// then steals in victim order — or the runtime closes. It reports the
-// claim's steal distance (-1 = local hit). Claim accounting (queue
-// waits, scheduler counters, windowed stats) happens here, under the
-// runtime mutex.
+// then the other workers' in ring order from w — or the runtime closes.
+// It reports the claim's steal distance (-1 = local hit, otherwise the
+// victim's ring offset). Claim accounting (queue waits, scheduler
+// counters) happens here, under the runtime mutex.
 func (rt *Runtime) nextTask(w int) (*rtJob, int, int, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -664,10 +500,10 @@ func (rt *Runtime) nextTask(w int) (*rtJob, int, int, bool) {
 			rt.note(j, -1)
 			return j, t, -1, true
 		}
-		for _, v := range rt.victims[w] {
-			if j, t, ok := rt.dq[v.worker].steal(rt); ok {
-				rt.note(j, v.dist)
-				return j, t, v.dist, true
+		for off := 1; off < rt.workers; off++ {
+			if j, t, ok := rt.dq[(w+off)%rt.workers].steal(rt); ok {
+				rt.note(j, off)
+				return j, t, off, true
 			}
 		}
 		if rt.closed {
@@ -678,8 +514,7 @@ func (rt *Runtime) nextTask(w int) (*rtJob, int, int, bool) {
 }
 
 // note records one claim under rt.mu: first-morsel queue wait plus the
-// runtime-wide and per-query scheduler counters, and advances the
-// windowed-stats interval.
+// runtime-wide and per-query scheduler counters.
 func (rt *Runtime) note(j *rtJob, dist int) {
 	if !j.started {
 		j.started = true
@@ -687,29 +522,6 @@ func (rt *Runtime) note(j *rtJob, dist int) {
 	}
 	rt.sched.note(dist)
 	j.e.sched.note(dist)
-	rt.winSince++
-	if rt.winSince >= SchedWindowTasks {
-		rt.rollWindow()
-	}
-}
-
-// rollWindow closes the current windowed-stats interval (under
-// rt.mu): snapshot the cumulative counters, fold the window's delta
-// rates into the EWMAs.
-func (rt *Runtime) rollWindow() {
-	cur := rt.sched.stats()
-	delta := cur.Sub(rt.winPrev)
-	rt.winPrev = cur
-	rt.winSince = 0
-	if rt.win.Windows == 0 {
-		rt.win.WarmEWMA = delta.WarmHitRate()
-		rt.win.LocalEWMA = delta.LocalHitRate()
-	} else {
-		rt.win.WarmEWMA = schedWindowAlpha*delta.WarmHitRate() + (1-schedWindowAlpha)*rt.win.WarmEWMA
-		rt.win.LocalEWMA = schedWindowAlpha*delta.LocalHitRate() + (1-schedWindowAlpha)*rt.win.LocalEWMA
-	}
-	rt.win.Last = delta
-	rt.win.Windows++
 }
 
 // submit places every morsel of j on its home worker's deque and wakes

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"radixdecluster/internal/calibrator"
 )
 
 // homeOf computes the placement of key under seed on a w-worker
@@ -102,7 +100,7 @@ func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int, aff func(int)
 // home on the worker holdWorkers found stuck, so the test does not
 // depend on scheduling races.
 func TestStealRescuesStarvedWorker(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 2, Topology: calibrator.FlatTopology(2)})
+	rt := NewRuntime(2, 0)
 	defer rt.Close()
 	victim := NewEngine(rt, 2)
 	defer victim.Close()
@@ -136,7 +134,7 @@ func TestStealRescuesStarvedWorker(t *testing.T) {
 // identity-keyed job spread over several — and every placed morsel is
 // then claimed exactly once, as a local hit or a steal.
 func TestMorselsPlacedOnHome(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 4, Topology: calibrator.FlatTopology(4)})
+	rt := NewRuntime(4, 0)
 	defer rt.Close()
 	p := NewEngine(rt, 4)
 	defer p.Close()
@@ -169,7 +167,7 @@ func TestMorselsPlacedOnHome(t *testing.T) {
 // placed on the same worker both times (where it then runs is
 // statistical — an idle worker may steal it).
 func TestCrossPhaseAffinity(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 4, Topology: calibrator.FlatTopology(4)})
+	rt := NewRuntime(4, 0)
 	defer rt.Close()
 	p := NewEngine(rt, 4)
 	defer p.Close()
@@ -185,85 +183,50 @@ func TestCrossPhaseAffinity(t *testing.T) {
 	}
 }
 
-// TestStealDistanceClassification: on a synthetic 2-node topology, a
-// steal's distance class matches the thief/home relationship. Workers
-// 0,1 are SMT siblings on node 0; worker 2 shares only their LLC;
-// worker 3 is on the remote node.
-func TestStealDistanceClassification(t *testing.T) {
-	topo := &calibrator.Topology{Source: "test", CPUs: []calibrator.TopoCPU{
-		{ID: 0, Core: 0, LLC: 0, Node: 0},
-		{ID: 1, Core: 0, LLC: 0, Node: 0},
-		{ID: 2, Core: 1, LLC: 0, Node: 0},
-		{ID: 3, Core: 2, LLC: 1, Node: 1},
-	}}
-	rt := NewRuntimeOpts(Options{Workers: 4, Topology: topo})
+// TestStealRingOrder: an idle worker visits the other workers in ring
+// order from itself and reports the victim's ring offset as the steal
+// distance. With all four workers held hostage, one morsel is placed on
+// each of two victims and the test claims in worker 1's place: the nearer
+// victim's morsel comes first, whichever was placed first.
+func TestStealRingOrder(t *testing.T) {
+	rt := NewRuntime(4, 4)
 	defer rt.Close()
-
-	// The victim orders must be topology-sorted: worker 0 steals from
-	// its sibling 1 first, 2 second, remote 3 last.
-	want := []int{1, 2, 3}
-	for i, v := range rt.victims[0] {
-		if v.worker != want[i] {
-			t.Fatalf("worker 0 victim order %v, want %v", rt.victims[0], want)
+	near, far := NewEngine(rt, 4), NewEngine(rt, 4)
+	defer near.Close()
+	defer far.Close()
+	_, release := holdWorkers(t, rt, 4)
+	defer release()
+	before := rt.SchedStats()
+	const thief = 1
+	nearJob := &rtJob{ntasks: 1, e: near, seed: near.affSeed}
+	farJob := &rtJob{ntasks: 1, e: far, seed: far.affSeed}
+	rt.mu.Lock()
+	rt.dq[(thief+3)%4].push(rt, farJob, 0) // placed first, three steps round the ring
+	rt.dq[(thief+2)%4].push(rt, nearJob, 0)
+	rt.mu.Unlock()
+	for _, want := range []struct {
+		j    *rtJob
+		dist int
+	}{{nearJob, 2}, {farJob, 3}} {
+		j, _, dist, ok := rt.nextTask(thief)
+		if !ok || j != want.j || dist != want.dist {
+			t.Fatalf("worker %d stole job %p at distance %d, want %p at %d", thief, j, dist, want.j, want.dist)
 		}
 	}
-	if rt.victims[0][0].dist != calibrator.DistSibling ||
-		rt.victims[0][1].dist != calibrator.DistShared ||
-		rt.victims[0][2].dist != calibrator.DistRemote {
-		t.Fatalf("worker 0 victim distances: %v", rt.victims[0])
-	}
-	// Worker 3's nearest victims are all remote (it is alone on node 1).
-	for _, v := range rt.victims[3] {
-		if v.dist != calibrator.DistRemote {
-			t.Fatalf("worker 3 victim %v should be remote", v)
-		}
-	}
-
-	// Drive one hostage scenario and check the stolen morsels were
-	// classified (any class — which thief wins depends on timing, but
-	// every steal must land in exactly one bucket).
-	victim := NewEngine(rt, 4)
-	defer victim.Close()
-	held, release := holdWorkers(t, rt, 1)
-	key := keyHomedOn(t, victim.affSeed, held[0], 4)
-	const ntasks = 16
-	victim.runAff(ntasks, func(int) uint64 { return key }, func(_, _ int, _ *Scratch) {})
-	release()
-	st := victim.sched.stats()
-	if st.Steals() != ntasks || st.LocalHits != 0 {
-		t.Fatalf("hostage job stats: %v, want all %d stolen", st, ntasks)
-	}
-	if st.AffinityMisses() != st.Steals() {
-		t.Fatalf("misses %d != steals %d", st.AffinityMisses(), st.Steals())
-	}
-}
-
-// TestEmptyTopologyTolerated: an injected empty topology must still
-// schedule (Distance classes every pair of workers as LLC-sharing).
-func TestEmptyTopologyTolerated(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 2, Topology: &calibrator.Topology{}})
-	defer rt.Close()
-	p := NewEngine(rt, 2)
-	defer p.Close()
-	var ran atomic.Int64
-	p.run(4, func(_, _ int, _ *Scratch) { ran.Add(1) })
-	if ran.Load() != 4 {
-		t.Fatalf("ran %d of 4 tasks", ran.Load())
+	if st := rt.SchedStats().Sub(before); st.Stolen != 2 || st.LocalHits != 0 {
+		t.Fatalf("runtime counters moved by %v over two steals", st)
 	}
 }
 
 // TestSchedStatsArithmetic pins the counter algebra the CLI and CI
 // smoke rely on.
 func TestSchedStatsArithmetic(t *testing.T) {
-	s := SchedStats{LocalHits: 6, StealsSibling: 1, StealsShared: 2, StealsRemote: 1}
-	if s.Steals() != 4 || s.Tasks() != 10 || s.AffinityMisses() != 4 {
+	s := SchedStats{LocalHits: 6, Stolen: 4}
+	if s.Steals() != 4 || s.Tasks() != 10 {
 		t.Fatalf("bad arithmetic: %+v", s)
 	}
 	if got := s.LocalHitRate(); got != 0.6 {
 		t.Fatalf("hit rate %g, want 0.6", got)
-	}
-	if got := s.WarmHitRate(); got != 0.7 {
-		t.Fatalf("warm rate %g, want 0.7 (sibling steals count warm)", got)
 	}
 	if (SchedStats{}).LocalHitRate() != 0 {
 		t.Fatal("empty stats must report rate 0")

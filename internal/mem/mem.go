@@ -68,8 +68,8 @@ type Hierarchy struct {
 	// declared cache level's size. A serving host sets it to its real
 	// last-level cache (calibrator.DetectLLCBytes) while Levels stay the
 	// declared ones: radix bits, the insertion window, the pass split,
-	// the cost model and admission are all sized from Levels, never
-	// from this number.
+	// the cost model and a memory budget's admission ceiling are all
+	// sized from Levels, never from this number.
 	ResidentBytes int
 }
 

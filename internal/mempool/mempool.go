@@ -26,8 +26,11 @@
 //     per-query accounting (bytes acquired, bytes served by recycled
 //     buffers, peak bytes held) that surfaces as Timing.Mem.
 //   - Pool: the idle kits, the lifetime counters and the high-water
-//     limit: a buffer whose return would push the idle bytes past it is
-//     dropped to the GC instead (a trim).
+//     limit: a buffer whose return would push the idle bytes past it
+//     first evicts the coldest idle kits — so a burst of big queries
+//     does not leave an arena that can retain nothing for the small
+//     ones after it — and is itself dropped to the GC only when no idle
+//     kit is left to evict (either way the dropped buffers are trims).
 //
 // Why kits and not one shared freelist per class: queries of one shape
 // ask for the same buffers, so a lease that adopts a kit such a query
@@ -100,8 +103,9 @@ type Stats struct {
 	// Hits / Misses count buffer acquisitions served from a kit vs.
 	// freshly allocated.
 	Hits, Misses int64
-	// Trims counts buffers dropped to the GC because returning them
-	// would have pushed the held bytes past the limit.
+	// Trims counts buffers dropped to the GC to keep the held bytes
+	// within the limit: those of evicted idle kits, and returning ones
+	// no eviction could make room for.
 	Trims int64
 	// HeldBytes is the bytes currently sitting idle in kits, ready for
 	// reuse.
@@ -142,7 +146,7 @@ func New(limit int64) *Pool {
 }
 
 // SetLimit replaces the high-water trim bound (<= 0 restores
-// DefaultLimit). Already-held buffers stay until returns trim them.
+// DefaultLimit). Already-held buffers stay until returns evict them.
 func (p *Pool) SetLimit(limit int64) {
 	if limit <= 0 {
 		limit = DefaultLimit
@@ -169,6 +173,10 @@ type Kit struct {
 	// idle is the bytes in free, peak the most it has ever been: a kit
 	// holding its peak has everything back, owned buffers included.
 	idle, peak int64
+	// evicted marks a kit the pool dropped to get back under its limit:
+	// no lease will adopt it again, so an owned buffer that still comes
+	// home to it goes to the GC. Set under mu.
+	evicted atomic.Bool
 }
 
 // whole reports whether every buffer the kit has ever held idle is
@@ -208,24 +216,65 @@ func (k *Kit) take(n int) (buf []byte, reused bool) {
 	return make([]byte, 1<<(uint(c)+minClassShift)), false
 }
 
-// put adds an idle buffer to the kit, dropping it instead when the
-// pool's idle bytes would exceed the limit (a trim) or when it is no
-// whole class member (beyond-class or externally grown: the GC's).
+// put adds an idle buffer to the kit, dropping it instead (a trim) when
+// the pool cannot make room for it under the limit or the kit has been
+// evicted, or when it is no whole class member (beyond-class or
+// externally grown: the GC's).
 func (k *Kit) put(buf []byte) {
 	c := classFor(cap(buf))
 	if c < 0 || cap(buf) != 1<<(uint(c)+minClassShift) {
 		return
 	}
-	if k.p.held.Load()+int64(cap(buf)) > k.p.limit.Load() {
+	fits := !k.evicted.Load() && k.p.makeRoom(int64(cap(buf)), k)
+	k.mu.Lock()
+	if !fits || k.evicted.Load() {
+		k.mu.Unlock()
 		k.p.trims.Add(1)
 		return
 	}
-	k.mu.Lock()
 	k.free[c] = append(k.free[c], buf[:cap(buf)])
 	k.idle += int64(cap(buf))
 	k.peak = max(k.peak, k.idle)
 	k.mu.Unlock()
 	k.p.held.Add(int64(cap(buf)))
+}
+
+// makeRoom reports whether n more idle bytes fit under the limit, first
+// evicting the coldest idle kits — the front of p.kits; never keep, where
+// the bytes are headed, and never an adopted kit, which is not in the
+// list — while they do not.
+func (p *Pool) makeRoom(n int64, keep *Kit) bool {
+	for p.held.Load()+n > p.limit.Load() {
+		p.mu.Lock()
+		i := slices.IndexFunc(p.kits, func(k *Kit) bool { return k != keep })
+		var coldest *Kit
+		if i >= 0 {
+			coldest = p.kits[i]
+			p.kits = slices.Delete(p.kits, i, i+1)
+		}
+		p.mu.Unlock()
+		if coldest == nil {
+			return false
+		}
+		coldest.evict()
+	}
+	return true
+}
+
+// evict drops every idle buffer of a kit the pool has just taken off
+// its list.
+func (k *Kit) evict() {
+	k.mu.Lock()
+	k.evicted.Store(true)
+	idle, dropped := k.idle, 0
+	for c := range k.free {
+		dropped += len(k.free[c])
+		k.free[c] = nil
+	}
+	k.idle = 0
+	k.mu.Unlock()
+	k.p.held.Add(-idle)
+	k.p.trims.Add(int64(dropped))
 }
 
 // backing reconstructs the byte buffer behind a slice that still

@@ -339,3 +339,71 @@ func TestWholeKitAdoptedFirst(t *testing.T) {
 		t.Fatalf("%d misses after both kits were filled", d)
 	}
 }
+
+// The retention limit is not sticky: after a burst has parked big kits
+// right up to it, a small query's returning buffers evict the coldest
+// idle kit instead of being dropped themselves, so from its second round
+// on the small query finds its kit with everything in it. Before the
+// eviction existed every round missed and trimmed: Hits stayed 0.
+func TestLimitEvictsColdestKitNotTheReturn(t *testing.T) {
+	const big, kits = 256 << 10, 4
+	p := New(kits * big)
+	burst := make([]*Lease, kits)
+	for i := range burst {
+		burst[i] = p.NewLease()
+		_ = burst[i].Bytes(big)
+	}
+	for _, l := range burst {
+		l.Release()
+	}
+	if st := p.Stats(); st.HeldBytes != kits*big || st.Trims != 0 {
+		t.Fatalf("after the burst: %v, want %d bytes held in %d kits and no trim", st, kits*big, kits)
+	}
+
+	const rounds = 100
+	before := p.Stats()
+	for range rounds {
+		l := p.NewLease()
+		_ = Slice[int32](l, 1000)
+		_ = Slice[int32](l, 100)
+		l.Release()
+	}
+	st := p.Stats()
+	// Round 1 allocates its two buffers and its release evicts one cold
+	// kit (one big buffer); every later round is served from the kit.
+	if hits, misses := st.Hits-before.Hits, st.Misses-before.Misses; hits != 2*(rounds-1) || misses != 2 {
+		t.Fatalf("%d small rounds: %d hits, %d misses, want %d and 2", rounds, hits, misses, 2*(rounds-1))
+	}
+	if trims := st.Trims - before.Trims; trims != 1 {
+		t.Fatalf("%d buffers trimmed, want the coldest kit's one", trims)
+	}
+	if st.HeldBytes > kits*big {
+		t.Fatalf("%d bytes held, over the %d limit", st.HeldBytes, kits*big)
+	}
+}
+
+// An owned buffer that comes home to a kit the pool has evicted is
+// dropped: the kit is off the list for good, and bytes parked in it
+// would count against the limit where no lease could ever find them.
+func TestRecycleIntoEvictedKitDrops(t *testing.T) {
+	const big = 64 << 10
+	p := New(big)
+	l, a, b := p.NewLease(), p.NewLease(), p.NewLease()
+	home, res := l.Kit(), Own[byte](l, big)
+	l.Release() // home is idle and the coldest kit; its one buffer is out
+	_ = a.Bytes(big)
+	_ = b.Bytes(big)
+	a.Release() // fills the arena to its limit
+	b.Release() // needs room: home goes, then a's kit
+	if st := p.Stats(); st.HeldBytes != big || st.Trims != 1 {
+		t.Fatalf("after the third return: %v, want one kit of %d bytes held and one buffer trimmed", st, big)
+	}
+	before := p.Stats()
+	Recycle(home, res)
+	if st := p.Stats(); st.HeldBytes != before.HeldBytes || st.Trims != before.Trims+1 {
+		t.Fatalf("recycle into an evicted kit: %v -> %v, want the buffer trimmed and nothing else moved", before, st)
+	}
+	if l := p.NewLease(); l.Kit() != b.Kit() {
+		t.Fatal("the kit that was kept is not the one adopted next")
+	}
+}

@@ -49,7 +49,7 @@ type QueryRequest struct {
 	// Strategy is a canonical strategy name ("auto",
 	// "DSM-post-decluster", "NSM-pre-phash", ...); empty means auto.
 	Strategy string `json:"strategy"`
-	// Parallelism: omitted or -1 lets the planner choose
+	// Parallelism: omitted or -1 is every worker the runtime has
 	// (AutoParallelism); 0 forces the serial paper mode; n >= 1 is the
 	// explicit nominal worker count, at most maxParallelismPerWorker
 	// times the runtime's workers.

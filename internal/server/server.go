@@ -2,7 +2,7 @@
 // an HTTP front door for one process-wide radixdecluster.Runtime.
 //
 // The runtime is already a multi-tenant scheduler — fair query-tagged
-// morsel scheduling, adaptive admission, arena-pooled execution
+// morsel scheduling, admission control, arena-pooled execution
 // memory — and this package adds the three things a network service
 // needs on top:
 //
@@ -271,11 +271,8 @@ type Status struct {
 	// Deprecated: SharedScanHits is always 0 (scan sharing was removed);
 	// it stays because benchmark/metrics.go reads it.
 	SharedScanHits int64 `json:"sharedScanHits"`
-	// Scheduler counters (lifetime) and windowed rates.
-	Sched        rd.SchedStats `json:"sched"`
-	WarmHitRate  float64       `json:"warmHitRate"`
-	WindowedWarm float64       `json:"windowedWarmHitRate"`
-	SchedWindows int64         `json:"schedWindows"`
+	// Scheduler counters (lifetime).
+	Sched rd.SchedStats `json:"sched"`
 	// Execution-memory arena.
 	MemPool rd.MemPoolStats `json:"memPool"`
 	// Server-level counters.
@@ -317,7 +314,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // joinserve for its shutdown summary).
 func (s *Server) Status() Status {
 	rt := s.cfg.Runtime
-	sched, win := rt.SchedStats(), rt.SchedStatsWindow()
 	s.relMu.RLock()
 	nrels := len(s.rels)
 	s.relMu.RUnlock()
@@ -329,10 +325,7 @@ func (s *Server) Status() Status {
 		QueuedQueries:        rt.QueuedQueries(),
 		ResidentBytes:        resident,
 		ResidentSource:       residentSource,
-		Sched:                sched,
-		WarmHitRate:          sched.WarmHitRate(),
-		WindowedWarm:         win.WarmHitRate(),
-		SchedWindows:         win.Windows,
+		Sched:                rt.SchedStats(),
 		MemPool:              rt.MemPoolStats(),
 		Server: ServerStatus{
 			UptimeSeconds:  time.Since(s.start).Seconds(),

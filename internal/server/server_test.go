@@ -314,9 +314,8 @@ func TestStatusAndFooterWireShape(t *testing.T) {
 		want []string
 	}{
 		{"status", status, []string{"activeQueries", "maxConcurrentQueries", "memPool", "queuedQueries",
-			"residentBytes", "residentSource", "sched", "schedWindows", "server", "sharedScanHits", "warmHitRate",
-			"windowedWarmHitRate", "workers"}},
-		{"status.sched", jsonObject(t, status["sched"]), []string{"LocalHits", "StealsRemote", "StealsShared", "StealsSibling"}},
+			"residentBytes", "residentSource", "sched", "server", "sharedScanHits", "workers"}},
+		{"status.sched", jsonObject(t, status["sched"]), []string{"LocalHits", "Stolen"}},
 		{"status.memPool", jsonObject(t, status["memPool"]), []string{"HeldBytes", "Hits", "Leases", "Misses", "Trims"}},
 		{"status.server", jsonObject(t, status["server"]), []string{"batchedQueries",
 			"draining", "inflight", "queriesAccepted", "queriesFailed", "queriesRejected",

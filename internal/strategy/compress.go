@@ -6,10 +6,10 @@ package strategy
 // bytes — the memory bus carries the compressed stream while per-worker
 // scratch holds the L1-resident decoded spans, so a bandwidth-bound
 // plan's ceiling drops to the compression ratio. The decision is the
-// planner's (Config.decide): costmodel.Choose compares the raw plan
-// against the transformed one (sequential bus traffic scaled by the
-// measured ratio, CPU grown by the calibrated decode cost) at each
-// representation's best worker count. Output bytes are identical
+// planner's (Config.decide): costmodel.CompressedWins compares the raw
+// plan against the transformed one (sequential bus traffic scaled by the
+// measured ratio, CPU grown by the calibrated decode cost) at the plan's
+// worker count. Output bytes are identical
 // either way — the raw arrays always coexist, and every compressed
 // operator decodes to exactly the same values.
 
@@ -31,7 +31,7 @@ const (
 	// CompressAuto lets the cost model decide per strategy: the
 	// compression term shrinks the modeled bus traffic by the measured
 	// ratio and charges the calibrated per-value decode cost, and the
-	// cheaper representation wins (costmodel.Choose).
+	// cheaper representation wins (costmodel.CompressedWins).
 	CompressAuto
 	// CompressOn executes compressed whenever an encoding is present.
 	CompressOn

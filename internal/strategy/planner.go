@@ -6,7 +6,9 @@ package strategy
 // package's PlanJoin asks the same step, so what it describes is what a
 // run executes. Methods, radix bits and the insertion window follow
 // from the paper's rules (§3.1, §4.1) and the hierarchy alone; the
-// worker count and the representation are resolved by Config.decide.
+// worker count and the representation are resolved by Config.decide —
+// from the query, the hierarchy and the runtime's size, never from what
+// else the runtime happens to be doing.
 //
 // Every parallel run executes on a runtime: Config.Runtime, or the
 // process default (DefaultRuntime) when that is nil. The run functions
@@ -16,7 +18,6 @@ package strategy
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -35,17 +36,12 @@ var (
 )
 
 // DefaultRuntime returns the lazily created process-wide runtime:
-// GOMAXPROCS workers, admission derived from the default hierarchy's
-// bus-stream budget (costmodel.AdaptiveAdmission). Every parallel run
-// whose Config.Runtime is nil executes on it, and the root package's
+// GOMAXPROCS workers and exec's default admission bound. Every parallel
+// run whose Config.Runtime is nil executes on it, and the root package's
 // DefaultRuntime wraps this same instance — a process has one default
 // worker set however its queries reach the engine. It is never closed.
 func DefaultRuntime() *exec.Runtime {
-	defaultRuntimeOnce.Do(func() {
-		defaultRuntime = exec.NewRuntimeOpts(exec.Options{
-			MaxConcurrent: costmodel.AdaptiveAdmission(mem.Pentium4(), runtime.GOMAXPROCS(0)),
-		})
-	})
+	defaultRuntimeOnce.Do(func() { defaultRuntime = exec.NewRuntimeOpts(exec.Options{}) })
 	return defaultRuntime
 }
 
@@ -59,46 +55,17 @@ func (c Config) rt() *exec.Runtime {
 	return DefaultRuntime()
 }
 
-// affinityFeedbackMinTasks is how many morsels the runtime's
-// scheduler counters must cover before the planner trusts the
-// observed local-hit rate (early counters are all noise).
-const affinityFeedbackMinTasks = 256
-
-// model builds the cost model one planning decision is made on, and
-// the worker cap of its search (the machine, and the runtime's size: a
-// query cannot be served by more workers than the runtime owns). The
-// cache share and bus-stream budget are divided across the runtime's
-// admitted queries plus this one (costmodel.Model.ForQueries; without a
-// runtime the query plans as sole owner), so a busy runtime steers
-// individual queries toward fewer workers; and the private-level share
-// is scaled by the runtime scheduler's OBSERVED warm rate
-// (costmodel.Model.ForAffinity) — a runtime whose morsels keep landing
-// on cores that never saw their partition plans with colder private
-// caches. The signal is WarmHitRate, not LocalHitRate: sibling steals
-// stay on the home's physical core where the private caches really are
-// warm.
-//
-// The rate is the runtime's WINDOWED one (Runtime.SchedStatsWindow)
-// when at least one window has completed: an EWMA over the last few
-// 256-morsel intervals tracks regime shifts — admission mix changes,
-// a steal-policy switch — that the lifetime average smears away.
-// Before the first window completes, the lifetime rate (past the same
-// warm-up floor) is the fallback.
-func (c Config) model() (costmodel.Model, int) {
-	m, maxWorkers := costmodel.Model{H: c.hier()}, runtime.GOMAXPROCS(0)
-	if rt := c.Runtime; rt != nil {
-		m = m.ForQueries(rt.ActiveQueries() + 1)
-		maxWorkers = min(maxWorkers, rt.Workers())
-		// Clamp away from ForAffinity's 0-means-unknown sentinel: a
-		// measured warm rate of exactly 0 is the WORST schedule and
-		// must hit the cold floor, not read as "no data".
-		if win := rt.SchedStatsWindow(); win.Windows > 0 {
-			m = m.ForAffinity(math.Max(win.WarmHitRate(), 1e-3))
-		} else if st := rt.SchedStats(); st.Tasks() >= affinityFeedbackMinTasks {
-			m = m.ForAffinity(math.Max(st.WarmHitRate(), 1e-3))
-		}
+// autoWorkers is what AutoParallelism resolves to: the runtime's size,
+// capped by the machine (a query cannot be served by more workers than
+// the runtime owns, nor run on more cores than the process has).
+// Morsel-driven execution already shares the workers between queries at
+// morsel granularity, so a per-query count has nothing further to decide.
+func (c Config) autoWorkers() int {
+	w := runtime.GOMAXPROCS(0)
+	if c.Runtime != nil {
+		w = min(w, c.Runtime.Workers())
 	}
-	return m, maxWorkers
+	return w
 }
 
 // Plan is the one record of a query's planner decisions: the plan step
@@ -146,8 +113,8 @@ func (p Plan) String() string {
 // CostFn is a strategy's modeled cost for one query's shape: its
 // Appendix-A formula on model m, over one of w workers' share of every
 // cardinality and of the insertion window (w = 1: the serial formula).
-// The plan step hands it to costmodel.Choose; PlanJoin evaluates the
-// same function for its estimate.
+// The plan step hands it to costmodel.CompressedWins; PlanJoin evaluates
+// the same function for its estimate.
 type CostFn func(m costmodel.Model, w int) costmodel.Cost
 
 // share is one of w workers' part of n tuples.
@@ -155,41 +122,32 @@ func share(n, w int) int { return (n + w - 1) / w }
 
 // decide completes a plan with its worker count and representation,
 // the only reader of Config.Parallelism and Config.Compress. An explicit
-// worker count is taken as-is and 0 stays on the serial paper path; the
-// cost model (costmodel.Choose over the strategy's cost) is consulted
-// only when its answer is used — under AutoParallelism, or CompressAuto
-// with an encoding present — so no other query evaluates a formula or
-// triggers a calibration probe (costmodel.SaturationStreams,
+// worker count is taken as-is, 0 stays on the serial paper path and
+// AutoParallelism is autoWorkers (a cap of 1 stays serial). A joinInput
+// (total join input cardinality) below the executor's serial-fallback
+// threshold is planned serial: every operator would fall back to serial
+// code anyway, so the query never enters runtime admission and the plan
+// says Workers = 0. The cost model (costmodel.CompressedWins over the
+// strategy's cost, at the plan's worker count) is consulted only for
+// CompressAuto with an encoding present, so no other query evaluates a
+// formula or triggers a calibration probe (costmodel.SaturationStreams,
 // DecodeNanos). encs are the sides' compressed images (nil entries are
-// raw-only columns). A joinInput (total join input cardinality) below the
-// executor's serial-fallback threshold is planned serial: every operator
-// would fall back to serial code anyway, so the query never enters
-// runtime admission and the plan says Workers = 0.
+// raw-only columns).
 func (c Config) decide(p *Plan, joinInput int, cost CostFn, encs ...[]*compress.Encoded) {
-	encoded := c.Compress != CompressOff && slices.ContainsFunc(encs, func(side []*compress.Encoded) bool {
-		return slices.ContainsFunc(side, func(e *compress.Encoded) bool { return e != nil })
-	})
-	auto := c.Parallelism == AutoParallelism
 	p.Workers = max(c.Parallelism, 0)
-	p.Compressed = encoded && c.Compress == CompressOn
-	if auto || (encoded && c.Compress == CompressAuto) {
-		var cp costmodel.Compression
-		if encoded {
-			cp = compressionTerm(encs)
-		}
-		m, maxWorkers := c.model()
-		w, comp := costmodel.Choose(m, maxWorkers, cost, cp)
-		if auto && w > 1 {
+	if c.Parallelism == AutoParallelism {
+		if w := c.autoWorkers(); w > 1 {
 			p.Workers = w
 		}
-		// CompressOn forces the representation but keeps the worker count
-		// of whichever representation the model priced cheaper — the raw
-		// plan's, when raw wins.
-		p.Compressed = p.Compressed || comp
 	}
 	if joinInput < exec.MinParallelN {
 		p.Workers = 0
 	}
+	encoded := c.Compress != CompressOff && slices.ContainsFunc(encs, func(side []*compress.Encoded) bool {
+		return slices.ContainsFunc(side, func(e *compress.Encoded) bool { return e != nil })
+	})
+	p.Compressed = encoded && (c.Compress == CompressOn ||
+		costmodel.CompressedWins(costmodel.Model{H: c.hier()}, p.Workers, cost, compressionTerm(encs)))
 }
 
 // pipeline opens the engine the plan selects on the run's (resolved)

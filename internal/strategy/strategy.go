@@ -74,9 +74,8 @@ func (m ProjMethod) String() string {
 	return string(rune(m))
 }
 
-// AutoParallelism asks the planner to pick the worker count from the
-// cost model (costmodel.Choose over the strategy's cost) and
-// runtime.GOMAXPROCS.
+// AutoParallelism runs the query on every worker its runtime has:
+// min(runtime.GOMAXPROCS, the runtime's size).
 const AutoParallelism = -1
 
 // Config carries the hierarchy every planner rule is evaluated on and
@@ -86,17 +85,16 @@ type Config struct {
 	// Parallelism selects the execution engine for every strategy:
 	// 0 = the paper's serial single-threaded mode (default), n >= 1 =
 	// morsel-driven parallel execution (internal/exec) with a nominal n
-	// workers, AutoParallelism = the planner decides per strategy from
-	// the cost model. All five strategies run as phase pipelines on the
+	// workers, AutoParallelism = as many as the runtime has. All five
+	// strategies run as phase pipelines on the
 	// shared executor, and parallel runs produce output byte-identical
 	// to serial runs.
 	Parallelism int
 	// Runtime is the execution runtime parallel pipelines lease their
 	// workers from: admission control bounds the number of concurrently
 	// executing pipelines, all queries multiplex over one worker set
-	// with fair morsel scheduling, and AutoParallelism plans against
-	// the runtime's active-query count (each of Q concurrent queries
-	// models a 1/Q cache share and bus budget). Nil selects the process
+	// with fair morsel scheduling, and AutoParallelism resolves to the
+	// runtime's size. Nil selects the process
 	// default (DefaultRuntime), created on the first parallel run — a
 	// lone query is that runtime serving one lease. Serial runs
 	// (Parallelism 0) never involve a runtime. The result bytes are

@@ -2,15 +2,13 @@ package radixdecluster
 
 // Public observability surface: per-query execution traces
 // (JoinQuery.Trace → Result.Trace, exported as Chrome trace-event
-// JSON for Perfetto), and the windowed scheduler statistics the
-// planner's affinity feedback runs on (Runtime.SchedStatsWindow).
-// The Prometheus-style metrics endpoint lives on the Runtime
+// JSON for Perfetto). The Prometheus-style metrics endpoint lives on
+// the Runtime
 // (RuntimeConfig.MetricsAddr, runtime.go).
 
 import (
 	"io"
 
-	"radixdecluster/internal/exec"
 	"radixdecluster/internal/obs"
 )
 
@@ -47,14 +45,3 @@ func WriteTraces(w io.Writer, traces ...*Trace) error {
 	}
 	return obs.WriteChrome(w, ts...)
 }
-
-// SchedWindow is the runtime scheduler's windowed statistics: the
-// counter delta over the most recent completed fixed-size morsel
-// interval (Last), EWMA warm- and local-hit rates folded across
-// intervals, and the number of completed windows (0 = no signal yet;
-// consumers should fall back to lifetime stats). Unlike the lifetime
-// SchedStats averages — which smear a regime shift such as an
-// admission-mix change across the runtime's whole history — the
-// windowed rates track the CURRENT scheduling regime, which is why the
-// planner's affinity feedback consumes them.
-type SchedWindow = exec.SchedWindow

@@ -106,7 +106,7 @@ func TestTraceExport(t *testing.T) {
 
 // TestRuntimeMetricsEndpoint boots a metrics-enabled runtime, runs
 // queries on it, and scrapes the HTTP endpoint twice: the exposition
-// must parse, carry the admission/steal-distance series,
+// must parse, carry the admission and placement series,
 // and every counter must be monotonic between the scrapes.
 func TestRuntimeMetricsEndpoint(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Workers: 2, MetricsAddr: "127.0.0.1:0"})
@@ -142,9 +142,7 @@ func TestRuntimeMetricsEndpoint(t *testing.T) {
 		"radixdecluster_queries_total",
 		"radixdecluster_admission_wait_seconds_count",
 		`radixdecluster_morsels_total{placement="local"}`,
-		`radixdecluster_morsels_total{placement="steal_remote"}`,
-		"radixdecluster_sched_warm_hit_rate_window",
-		"radixdecluster_sched_windows_total",
+		`radixdecluster_morsels_total{placement="stolen"}`,
 	} {
 		if _, ok := first[series]; !ok {
 			t.Fatalf("exposition missing series %s (have %d samples)", series, len(first))
@@ -190,43 +188,5 @@ func TestRuntimeNoMetricsAddr(t *testing.T) {
 	defer rt.Close()
 	if rt.MetricsAddr() != "" || rt.MetricsError() != nil {
 		t.Fatalf("metrics-off runtime: addr %q err %v", rt.MetricsAddr(), rt.MetricsError())
-	}
-}
-
-// TestSchedStatsWindowPublic: the public windowed stats mirror the
-// runtime's after real work, and the zero value reads as "no signal".
-func TestSchedStatsWindowPublic(t *testing.T) {
-	var zero SchedWindow
-	if zero.Windows != 0 || zero.WarmHitRate() != 0 {
-		t.Fatal("zero window must carry no signal")
-	}
-	rt := NewRuntime(RuntimeConfig{Workers: 2})
-	defer rt.Close()
-	q := observeQuery(t)
-	q.Parallelism = 2
-	q.Runtime = rt
-	// Enough queries to complete at least one 256-morsel window.
-	for i := 0; i < 4; i++ {
-		if _, err := ProjectJoin(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rt.SchedStats().Tasks() < 256 {
-		t.Skipf("only %d morsels ran; not enough for a window", rt.SchedStats().Tasks())
-	}
-	win := rt.SchedStatsWindow()
-	if win.Windows == 0 {
-		t.Fatalf("no windows completed after %d morsels", rt.SchedStats().Tasks())
-	}
-	if win.WarmHitRate() < 0 || win.WarmHitRate() > 1 {
-		t.Fatalf("windowed warm rate %g out of range", win.WarmHitRate())
-	}
-	if win.Last.Tasks() == 0 {
-		t.Fatal("last window is empty")
-	}
-	// Public Sub mirrors the exec-layer algebra.
-	s := SchedStats{LocalHits: 5, StealsRemote: 2}
-	if d := s.Sub(SchedStats{LocalHits: 3}); d.LocalHits != 2 || d.StealsRemote != 2 {
-		t.Fatalf("Sub: %+v", d)
 	}
 }

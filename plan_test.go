@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"radixdecluster/internal/costmodel"
+	"radixdecluster/internal/exec"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/workload"
 )
@@ -197,19 +198,43 @@ func TestPlanGoldenResident(t *testing.T) {
 	}
 }
 
-// TestPlanJoinAgreesAuto checks agreement where the plan depends on
-// the box (AutoParallelism weighs GOMAXPROCS and calibration, so there
-// is no golden line), and that a join below the executor's
-// serial-fallback threshold is planned serial, not merely run serial.
+// autoWorkersLine is the workers= field an AutoParallelism plan must
+// carry on rt: the runtime's size capped by GOMAXPROCS, and the serial
+// engine's 0 when that is one.
+func autoWorkersLine(rt *Runtime) string {
+	w := min(runtime.GOMAXPROCS(0), rt.Workers())
+	if w == 1 {
+		w = 0
+	}
+	return fmt.Sprintf("workers=%d", w)
+}
+
+// hasField reports whether the plan line carries the space-delimited
+// field.
+func hasField(plan, field string) bool { return slices.Contains(strings.Fields(plan), field) }
+
+// TestPlanJoinAgreesAuto checks agreement under AutoParallelism — every
+// worker the runtime has, at most GOMAXPROCS — and that a join below the
+// executor's serial-fallback threshold is planned serial, not merely run
+// serial.
 func TestPlanJoinAgreesAuto(t *testing.T) {
 	rt := planTestRuntime(t)
 	for _, c := range planCases(t, rt, []int{64 << 10}, []int{1}, []int{AutoParallelism}) {
-		requirePlanAgrees(t, c.name, c.q)
+		if plan := requirePlanAgrees(t, c.name, c.q); !hasField(plan, autoWorkersLine(rt)) {
+			t.Errorf("%s: planned %q, want %s", c.name, plan, autoWorkersLine(rt))
+		}
+		// Plan.Parallelism is the same number whatever the query asks for.
+		c.q.Parallelism = 0
+		if p, err := PlanJoin(c.q); err != nil {
+			t.Fatal(err)
+		} else if want := min(runtime.GOMAXPROCS(0), rt.Workers()); p.Parallelism != want {
+			t.Errorf("%s: Plan.Parallelism = %d, want %d", c.name, p.Parallelism, want)
+		}
 	}
 
 	small := planCases(t, rt, []int{1000}, []int{1}, []int{2})[0]
 	plan := requirePlanAgrees(t, small.name, small.q)
-	if !strings.Contains(plan, "workers=0") {
+	if !hasField(plan, "workers=0") {
 		t.Errorf("1000-tuple join ran as %q, want workers=0", plan)
 	}
 	small.q.Parallelism = AutoParallelism
@@ -219,6 +244,80 @@ func TestPlanJoinAgreesAuto(t *testing.T) {
 	}
 	if p.Parallelism != 1 {
 		t.Errorf("1000-tuple join: Parallelism = %d, want 1 (below the parallel threshold)", p.Parallelism)
+	}
+}
+
+// TestPlanIndependentOfRuntimeLoad: a plan is a function of the query,
+// the hierarchy and the runtime's size — not of what else the runtime is
+// doing when the query arrives. On a 4-worker runtime one AutoParallelism
+// query is planned and run idle, then with three of the four admission
+// slots held by parked queries (each also pins a worker, so the one left
+// steals most of what it runs), then after at least 4 × 256 stolen
+// morsels with the runtime idle again: the same plan line every time.
+func TestPlanIndependentOfRuntimeLoad(t *testing.T) {
+	rt := NewRuntime(RuntimeConfig{Workers: 4, MaxConcurrentQueries: 4})
+	t.Cleanup(rt.Close)
+	const pi = 2
+	larger, smaller := workloadRelations(t,
+		workload.Params{N: 64 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 76}, pi)
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		Parallelism: AutoParallelism, Runtime: rt,
+	}
+	idle := requirePlanAgrees(t, "idle", q)
+	if !hasField(idle, autoWorkersLine(rt)) {
+		t.Errorf("idle runtime: planned %q, want %s", idle, autoWorkersLine(rt))
+	}
+
+	// A parked query: admitted, one of its morsels blocked on a worker.
+	const parked = 3
+	started, free := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for range parked {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := exec.NewEngine(rt.rt, 2)
+			defer e.Close()
+			e.ForRanges(exec.MinParallelN, func(r exec.Range) error {
+				if r.Lo == 0 {
+					started <- struct{}{}
+					<-free
+				}
+				return nil
+			})
+		}()
+	}
+	for range parked {
+		<-started
+	}
+	if got := rt.ActiveQueries(); got != parked {
+		t.Fatalf("%d admission slots held, want %d", got, parked)
+	}
+	if loaded := requirePlanAgrees(t, "3 of 4 slots held", q); loaded != idle {
+		t.Errorf("plan moved with the runtime's load:\n idle   %s\n loaded %s", idle, loaded)
+	}
+	// Forced onto the runtime whatever GOMAXPROCS is: the one free worker
+	// is home to about a quarter of these morsels and steals the rest.
+	forced := q
+	forced.Parallelism = 4
+	before := rt.SchedStats()
+	for rounds := 0; rt.SchedStats().Sub(before).Stolen < 4*256; rounds++ {
+		if rounds == 200 {
+			t.Fatalf("200 queries stole only %v", rt.SchedStats().Sub(before))
+		}
+		res, err := ProjectJoin(forced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	close(free)
+	wg.Wait()
+	if after := requirePlanAgrees(t, "after the steals", q); after != idle {
+		t.Errorf("plan moved with the scheduler's history (%v):\n idle  %s\n after %s",
+			rt.SchedStats().Sub(before), idle, after)
 	}
 }
 

@@ -2,6 +2,7 @@ package radixdecluster
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"radixdecluster/internal/bat"
@@ -133,12 +134,11 @@ type JoinQuery struct {
 	// Parallelism selects the execution engine: 0 (the default) is
 	// the paper's serial single-threaded mode; n >= 1 runs the chosen
 	// strategy with nominal parallelism n on the shared runtime's
-	// morsel-driven executor; AutoParallelism asks the planner, which
-	// prices the strategy's Appendix-A cost across worker counts —
-	// weighing the per-core cache share, the memory-bandwidth ceiling,
-	// and the runtime's active-query count (each of Q concurrent queries
-	// plans against a 1/Q cache and bus share) — capped by
-	// runtime.GOMAXPROCS and the shared pool size. A query whose join
+	// morsel-driven executor; AutoParallelism runs it on every worker
+	// the runtime has — min(runtime.GOMAXPROCS, the shared pool size),
+	// serial when that is 1: the workers are shared between queries at
+	// morsel granularity, so the count depends on nothing else the
+	// runtime is doing. A query whose join
 	// inputs total fewer than 16 Ki tuples is planned serial whatever
 	// this says (PlanJoin shows the resolved count). Every
 	// strategy — DSM post- and pre-projection and all NSM plans —
@@ -172,9 +172,9 @@ type JoinQuery struct {
 	Hier Hierarchy
 }
 
-// AutoParallelism (as JoinQuery.Parallelism) asks the planner to
-// choose between the serial paper mode and the parallel executor
-// using the cost model's per-core cache-capacity tradeoff.
+// AutoParallelism (as JoinQuery.Parallelism) runs the query with as
+// many workers as its runtime has (at most runtime.GOMAXPROCS), and on
+// the serial paper path when that is one.
 const AutoParallelism = strategy.AutoParallelism
 
 // Timing is the per-phase wall-clock breakdown of a run. Queue is the
@@ -193,9 +193,9 @@ type Timing struct {
 	Queue          time.Duration
 	Total          time.Duration
 	// Sched is the runtime scheduler's counter set for this query:
-	// morsels executed on their home worker (whose private caches held
-	// their partition from earlier phases) versus steals by topology
-	// distance. Zero for serial runs.
+	// morsels executed on their home worker (where earlier phases ran
+	// the same partition) versus morsels an idle worker stole. Zero for
+	// serial runs.
 	Sched SchedStats
 	// CompressedCols counts the compressed column inputs the run's
 	// operators consumed; CompressedBytes the encoded bytes they read;
@@ -551,14 +551,12 @@ type Plan struct {
 	WindowTuples int
 	// ModeledMs is the Appendix-A estimate of the planned strategy run
 	// serially by a sole owner of the hierarchy: the cost function the
-	// planner prices worker counts with, evaluated at one worker.
+	// planner prices representations with, evaluated at one worker.
 	ModeledMs float64
-	// Parallelism is the worker count AutoParallelism would choose for
-	// this query on this machine (1 = stay serial): the modeled minimum
-	// over worker counts up to runtime.GOMAXPROCS, weighing linear work
-	// division against the shrinking per-core cache share and the
-	// memory-bandwidth ceiling; 1 for inputs below the executor's
-	// parallel threshold. What the query itself asks for
+	// Parallelism is the worker count AutoParallelism resolves to for
+	// this query (1 = stay serial): min(runtime.GOMAXPROCS, the size of
+	// JoinQuery.Runtime when one is named); 1 for inputs below the
+	// executor's parallel threshold. What the query itself asks for
 	// (JoinQuery.Parallelism) is in String's workers=.
 	Parallelism int
 	// ScalabilityLimit is the largest relation Radix-Decluster handles
@@ -589,25 +587,19 @@ func PlanJoin(q JoinQuery) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	auto := sp
-	if q.Parallelism != AutoParallelism {
-		// Plan against the query's runtime: its pool size caps the worker
-		// search and its active-query count shrinks the modeled cache and
-		// bandwidth shares.
-		cfg.Parallelism = AutoParallelism
-		if q.Runtime != nil {
-			cfg.Runtime = q.Runtime.rt
-		}
-		if auto, _, err = b.plan(cfg); err != nil {
-			return nil, err
-		}
+	par := runtime.GOMAXPROCS(0)
+	if q.Runtime != nil {
+		par = min(par, q.Runtime.Workers())
+	}
+	if q.Larger.Len()+q.Smaller.Len() < exec.MinParallelN {
+		par = 1
 	}
 	m := costmodel.Model{H: cfg.Hier}
 	return &Plan{
 		JoinBits: sp.JoinBits, LargerBits: sp.LargerBits, SmallerBits: sp.SmallerBits,
 		WindowTuples:     sp.Window,
 		ModeledMs:        m.Millis(cost(m, 1)),
-		Parallelism:      max(1, auto.Workers),
+		Parallelism:      par,
 		ScalabilityLimit: core.ScalabilityLimit(cfg.Hier, 4),
 		plan:             sp,
 	}, nil

@@ -46,14 +46,13 @@
 // join inputs total fewer than 16 Ki tuples runs the serial code either
 // way and reports Workers 0.
 //
-// AutoParallelism leaves n to the planner: the cost model extends
-// Appendix A with a per-core cache-capacity term and a memory-bandwidth
-// ceiling — adding workers divides the work but also each worker's
-// cache share and the bus — divided again across the runtime's active
-// queries, and the modeled optimum (capped at runtime.GOMAXPROCS and
-// the runtime's size) wins; 1 means stay serial. PlanJoin asks the same
-// planner without executing anything: Plan.String is the plan line a
-// run of the query would report, Plan.Parallelism that recommendation.
+// AutoParallelism sets n to the runtime's size (at most
+// runtime.GOMAXPROCS; serial when that is 1): the workers are shared
+// between queries at morsel granularity, so a query's plan depends on
+// the query, the hierarchy and the runtime's size and on nothing else
+// the runtime is doing. PlanJoin asks the same planner without
+// executing anything: Plan.String is the plan line a run of the query
+// would report, Plan.Parallelism what AutoParallelism resolves to.
 //
 // Values are 4-byte integers and oids are dense uint32 record
 // numbers, the paper's data model.
@@ -95,8 +94,8 @@ type CacheLevel struct {
 //
 // The planner reads it two ways. Everything it SIZES — radix bits,
 // cluster bits, the Radix-Decluster insertion window, clustering
-// passes, the cost model, a runtime's admission bound — comes from
-// Levels, the declared machine. The one thing it SWITCHES on — whether
+// passes, the cost model, the admission ceiling of a runtime's memory
+// budget — comes from Levels, the declared machine. The one thing it SWITCHES on — whether
 // a projection column stays cache-resident under random access, i.e.
 // which side of Figure 10c's u/u → c/u → c/d switch a DSM
 // post-projection query is on — comes from ResidentBytes.

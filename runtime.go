@@ -22,12 +22,10 @@ type RuntimeConfig struct {
 	Workers int
 	// MaxConcurrentQueries is the admission bound: at most this many
 	// parallel queries execute at once, the rest wait in FIFO order.
-	// <= 0 derives the bound from the machine itself
-	// (costmodel.AdaptiveAdmission on Hier): the calibrated number of
-	// access streams that saturate the memory bus, further capped so
-	// each admitted query's modeled LLC share stays above the inner
-	// cache levels — admission tracks what the bandwidth ceiling says
-	// the machine can actually overlap, instead of a static constant.
+	// <= 0 selects max(2, Workers) — enough to overlap one query's
+	// serial residues and phase boundaries with another's execution,
+	// no more than the workers can serve — lowered to what MemoryBudget
+	// allows when that is set.
 	MaxConcurrentQueries int
 	// Deprecated: ShareScans is ignored (cooperative scan sharing was
 	// removed); it stays only because benchmark/benchmark_test.go sets it.
@@ -62,8 +60,8 @@ type RuntimeConfig struct {
 	PprofLabels bool
 	// MemoryBudget caps the bytes of idle recycled buffers the arena
 	// retains (buffers beyond it are dropped to the GC) and, when
-	// MaxConcurrentQueries is derived, adds a memory ceiling to
-	// admission: at most MemoryBudget / costmodel.PerQueryMemEstimate
+	// MaxConcurrentQueries is left to its default, adds a memory ceiling
+	// to admission: at most MemoryBudget / costmodel.PerQueryMemEstimate
 	// queries run at once, so the combined transient working sets stay
 	// inside the budget. <= 0 keeps the arena's default retention limit
 	// and imposes no admission ceiling.
@@ -71,10 +69,9 @@ type RuntimeConfig struct {
 }
 
 // SchedStats is the runtime scheduler's counter set: how many morsels
-// ran on their home worker — the worker whose private caches their
-// partition was placed into, kept warm across phases — versus how many
-// an idle worker stole, by topology distance from the home
-// (LocalHits, StealsSibling, StealsShared, StealsRemote). Snapshot it
+// ran on their home worker — the worker their partition was placed on,
+// phase after phase — versus how many an idle worker stole (LocalHits,
+// Stolen). Snapshot it
 // before a run and Sub after to isolate that run from the runtime's
 // lifetime counters. It is the scheduler's own record, declared where
 // the morsels are counted.
@@ -118,17 +115,10 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	}
 	admit := cfg.MaxConcurrentQueries
 	if admit <= 0 {
-		admit = costmodel.AdaptiveAdmission(cfg.Hier.internal(), workers)
-		if cfg.MemoryBudget > 0 {
-			memBound := costmodel.MemoryBound(cfg.MemoryBudget,
-				costmodel.PerQueryMemEstimate(cfg.Hier.internal()))
-			if admit > memBound {
-				admit = memBound
-			}
-			if admit < 1 {
-				admit = 1
-			}
-		}
+		// exec's own default, written out because the memory ceiling
+		// (no bound without a budget) lowers it.
+		admit = min(max(2, workers), costmodel.MemoryBound(cfg.MemoryBudget,
+			costmodel.PerQueryMemEstimate(cfg.Hier.internal())))
 	}
 	r := &Runtime{hier: cfg.Hier, rt: exec.NewRuntimeOpts(exec.Options{
 		Workers: workers, MaxConcurrent: admit,
@@ -166,8 +156,7 @@ func (r *Runtime) WritePrometheus(w io.Writer) { r.rt.MetricsRegistry().WritePro
 
 // Hier returns the hierarchy the runtime was configured with
 // (RuntimeConfig.Hier; the zero value reads as Pentium4()): what its
-// admission bound was derived from and what its queries plan with
-// unless they carry their own JoinQuery.Hier.
+// queries plan with unless they carry their own JoinQuery.Hier.
 func (r *Runtime) Hier() Hierarchy { return r.hier }
 
 // Workers returns the shared pool size.
@@ -177,9 +166,7 @@ func (r *Runtime) Workers() int { return r.rt.Workers() }
 func (r *Runtime) MaxConcurrentQueries() int { return r.rt.MaxConcurrent() }
 
 // ActiveQueries returns the number of parallel queries currently
-// executing (admitted) on this runtime. The planner divides each new
-// query's modeled cache share and memory-bandwidth budget by this
-// count plus one.
+// executing (admitted) on this runtime.
 func (r *Runtime) ActiveQueries() int { return r.rt.ActiveQueries() }
 
 // QueuedQueries returns the number of parallel queries waiting for
@@ -201,15 +188,8 @@ func (r *Runtime) MemPoolStats() MemPoolStats { return r.rt.MemStats() }
 
 // SchedStats returns the scheduler counters accumulated across every
 // query this runtime has executed: morsels served by their home
-// worker (warm private caches) versus steals by topology distance.
+// worker versus morsels an idle worker stole.
 func (r *Runtime) SchedStats() SchedStats { return r.rt.SchedStats() }
-
-// SchedStatsWindow returns the scheduler's windowed statistics: the
-// counter delta over the most recent fixed-size morsel interval and
-// EWMA hit rates across intervals. This is the signal the planner's
-// affinity feedback consumes — it tracks the current scheduling
-// regime where the lifetime averages of SchedStats smear history.
-func (r *Runtime) SchedStatsWindow() SchedWindow { return r.rt.SchedStatsWindow() }
 
 // Close stops the runtime's workers and its metrics listener, if any.
 // The runtime must be idle (no executing or admission-waiting

@@ -9,9 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
-	"radixdecluster/internal/mem"
+	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/strategy"
 	"radixdecluster/internal/workload"
 )
@@ -321,8 +320,8 @@ func TestSchedStatsSameSourceWorkload(t *testing.T) {
 		}
 	}
 	agg := rt.SchedStats()
-	t.Logf("4 same-source queries: %d morsels, %.0f%% local (sib=%d shared=%d remote=%d)",
-		agg.Tasks(), 100*agg.LocalHitRate(), agg.StealsSibling, agg.StealsShared, agg.StealsRemote)
+	t.Logf("4 same-source queries: %d morsels, %.0f%% local (%d stolen)",
+		agg.Tasks(), 100*agg.LocalHitRate(), agg.Stolen)
 	if agg.Tasks() == 0 {
 		t.Fatal("runtime-wide scheduler counters empty")
 	}
@@ -400,9 +399,10 @@ func TestDefaultRuntimeShared(t *testing.T) {
 
 // A host-shaped hierarchy (this box's sysfs: 48 KiB / 2 MiB / 260 MiB,
 // 4 KiB pages) passed as RuntimeConfig.Hier or JoinQuery.Hier used to
-// hang NewRuntime and the first planned query for minutes in the
+// hang the first query that priced a parallel plan for minutes in the
 // bus-stream calibration (calibrator.MemStreams sweeping a simulated
-// 1 GiB); both must answer promptly.
+// 1 GiB). The one query that still prices one — CompressionAuto over
+// encoded relations on two workers — must answer promptly.
 func TestHostShapedHierarchyAnswers(t *testing.T) {
 	host := Hierarchy{Levels: []CacheLevel{
 		{Name: "L1", SizeBytes: 48 << 10, LineBytes: 64, Assoc: 12, MissNanos: 4, SeqNanos: 1},
@@ -410,15 +410,16 @@ func TestHostShapedHierarchyAnswers(t *testing.T) {
 		{Name: "L3", SizeBytes: 260 << 20, LineBytes: 64, Assoc: 16, MissNanos: 90, SeqNanos: 9},
 		{Name: "TLB", SizeBytes: 1536 * 4096, LineBytes: 4096, MissNanos: 20, SeqNanos: 20, TLB: true},
 	}}
-	larger, smaller := buildRelations(t, 20000, 7)
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: 20000, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 7}, 1)
 	done := make(chan error, 1)
 	go func() {
 		rt := NewRuntime(RuntimeConfig{Workers: 2, Hier: host})
 		defer rt.Close()
 		res, err := ProjectJoin(JoinQuery{
 			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
-			LargerProject: []string{"a1"}, SmallerProject: []string{"a2"},
-			Parallelism: AutoParallelism, Runtime: rt, Hier: host,
+			LargerProject: projNames(1), SmallerProject: projNames(1),
+			Parallelism: 2, Compression: CompressionAuto, Runtime: rt, Hier: host,
 		})
 		if err == nil {
 			res.Release()
@@ -521,29 +522,34 @@ func TestSameSourceConcurrentByteIdentical(t *testing.T) {
 	}
 }
 
-// The public adaptive-admission surface: a zero MaxConcurrentQueries
-// derives the bound from the calibrated machine model instead of the
-// old static max(2, workers).
-func TestRuntimeAdaptiveAdmissionDefault(t *testing.T) {
+// The default admission bound: a zero MaxConcurrentQueries is
+// max(2, workers), lowered to what MemoryBudget allows (budget over the
+// per-query estimate of four last-level caches), and an explicit bound
+// wins over both.
+func TestRuntimeAdmissionDefault(t *testing.T) {
+	bound := func(cfg RuntimeConfig) int {
+		rt := NewRuntime(cfg)
+		defer rt.Close()
+		return rt.MaxConcurrentQueries()
+	}
 	for _, workers := range []int{1, 2, 4, 8, 32} {
-		rt := NewRuntime(RuntimeConfig{Workers: workers})
-		want := costmodel.AdaptiveAdmission(mem.Pentium4(), workers)
-		got := rt.MaxConcurrentQueries()
-		rt.Close()
-		if got != want {
-			t.Fatalf("workers=%d: adaptive bound %d, want %d", workers, got, want)
-		}
-		if got < 2 {
-			t.Fatalf("workers=%d: bound %d below overlap floor", workers, got)
-		}
-		if workers >= 2 && got > workers {
-			t.Fatalf("workers=%d: bound %d exceeds workers", workers, got)
+		if got, want := bound(RuntimeConfig{Workers: workers}), max(2, workers); got != want {
+			t.Fatalf("workers=%d: default bound %d, want %d", workers, got, want)
 		}
 	}
-	// An explicit bound still wins.
-	rt := NewRuntime(RuntimeConfig{Workers: 8, MaxConcurrentQueries: 3})
-	defer rt.Close()
-	if rt.MaxConcurrentQueries() != 3 {
-		t.Fatalf("explicit bound not honored: %d", rt.MaxConcurrentQueries())
+	// The budget is the arena's own default retention limit, so setting
+	// it leaves the process-wide arena as every other test expects it; a
+	// declared 32 MiB last-level cache makes that two queries' worth.
+	big := Pentium4()
+	big.Levels[1].SizeBytes = 32 << 20
+	const budget = mempool.DefaultLimit
+	if got := bound(RuntimeConfig{Workers: 8, MemoryBudget: budget, Hier: big}); got != 2 {
+		t.Fatalf("256 MiB budget over 128 MiB per query: bound %d, want 2", got)
+	}
+	if got := bound(RuntimeConfig{Workers: 8, MemoryBudget: budget}); got != 8 {
+		t.Fatalf("256 MiB budget over the Pentium 4's 2 MiB per query: bound %d, want the default 8", got)
+	}
+	if got := bound(RuntimeConfig{Workers: 8, MaxConcurrentQueries: 3, MemoryBudget: budget, Hier: big}); got != 3 {
+		t.Fatalf("explicit bound not honored: %d", got)
 	}
 }
