@@ -318,13 +318,15 @@ func (r *Result) Hierarchy(pageSize int) mem.Hierarchy {
 
 // DecodeNanos measures the per-value CPU cost of block decompression
 // for the given scheme — the compression analogue of MemStreams'
-// bus-budget probe. Decompression is pure CPU work (the branch-light
-// bit-unpack loops of internal/compress), so unlike the cache-simulator
-// probes above this times real decodes: a synthetic clustered column is
-// encoded once, then decoded block-by-block into a reused scratch
-// buffer, and the best of several passes is taken to shed scheduler
-// noise. The result feeds the cost model's compression term (CPU grows
-// by n×DecodeNanos while bytes-moved shrink by the measured ratio).
+// bus-budget probe. Decompression is pure CPU work — internal/compress's
+// group kernel unpacks 8 values per bounds-checked window, a shift, a
+// mask and an add each, and DeltaFOR adds a prefix sum — so unlike the
+// cache-simulator probes above this times real decodes: a synthetic
+// clustered column (3-bit deltas) is encoded once, then decoded
+// block-by-block into a reused scratch buffer, and the best of several
+// passes is taken to shed scheduler noise. The result feeds the cost
+// model's compression term (CPU grows by n×DecodeNanos while
+// bytes-moved shrink by the measured ratio).
 func DecodeNanos(s compress.Scheme) (float64, error) {
 	const blocks = 64
 	vals := make([]int32, blocks*compress.BlockSize)

@@ -14,16 +14,26 @@
 //   - Delta+FOR: consecutive differences first, then FOR; ideal for
 //     sorted or partially clustered columns where deltas are tiny.
 //
-// Decompression is a tight, branch-free loop (the "negligible CPU
-// investment"), making the schemes suitable for the sequential bulk
-// reads and writes that the paper's algorithms exclusively issue
-// against DSM fragments.
+// Entries are packed LSB first at a fixed width w per block, so any 8
+// consecutive entries span exactly w bytes. The decoder exploits that:
+// it unpacks a block 8 entries per group, each group read through one
+// bounds-checked 40-byte window (an entry's 8-byte load starts at most
+// 28 bytes in) — a shift, a mask and an add per value, no per-entry
+// call or branch. Width 0 (a constant column for FOR, an arithmetic
+// series for DeltaFOR) skips the payload entirely, and DeltaFOR is the
+// same unpack followed by a prefix sum. The encoder mirrors it: a
+// 64-bit accumulator appends 32 bits at a time straight into the
+// output, and the scheme choice (Best) prices both schemes exactly
+// without packing either. That is what keeps the paper's "negligible
+// CPU investment" negligible for the sequential bulk reads and writes
+// its algorithms issue against DSM fragments.
 package compress
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // BlockSize is the number of values per compression block. One block
@@ -64,9 +74,10 @@ func (s Scheme) String() string {
 //	             outlier cannot inflate the block's bit width)
 const headerBytes = 12
 
-// Compress encodes a column block-by-block with the given scheme.
+// Compress encodes a column block-by-block with the given scheme into
+// one allocation of exactly EstimateBytes.
 func Compress(values []int32, scheme Scheme) ([]byte, error) {
-	return AppendCompress(nil, values, scheme)
+	return AppendCompress(make([]byte, 0, EstimateBytes(values, scheme)), values, scheme)
 }
 
 // AppendCompress encodes a column block-by-block with the given scheme,
@@ -78,11 +89,7 @@ func AppendCompress(dst []byte, values []int32, scheme Scheme) ([]byte, error) {
 		return nil, fmt.Errorf("compress: unknown scheme %d", scheme)
 	}
 	for start := 0; start < len(values); start += BlockSize {
-		end := start + BlockSize
-		if end > len(values) {
-			end = len(values)
-		}
-		dst = appendBlock(dst, values[start:end], scheme)
+		dst = appendBlock(dst, values[start:min(start+BlockSize, len(values))], scheme)
 	}
 	return dst, nil
 }
@@ -97,45 +104,7 @@ func AppendCompress(dst []byte, values []int32, scheme Scheme) ([]byte, error) {
 func EstimateBytes(values []int32, scheme Scheme) int {
 	total := 0
 	for start := 0; start < len(values); start += BlockSize {
-		end := start + BlockSize
-		if end > len(values) {
-			end = len(values)
-		}
-		block := values[start:end]
-		var lo, hi int32
-		packed := len(block)
-		if scheme == DeltaFOR {
-			packed = len(block) - 1
-			if packed > 0 {
-				d0 := block[1] - block[0]
-				lo, hi = d0, d0
-				for i := 2; i < len(block); i++ {
-					d := block[i] - block[i-1]
-					if d < lo {
-						lo = d
-					}
-					if d > hi {
-						hi = d
-					}
-				}
-			}
-		} else if packed > 0 {
-			lo, hi = block[0], block[0]
-			for _, v := range block[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-		}
-		width := 0
-		if packed > 0 {
-			// hi-lo wraps exactly as appendBlock's per-entry v-ref does,
-			// and uint32(hi-lo) is its maximum over the block.
-			width = bits.Len32(uint32(hi - lo))
-		}
+		packed, _, width := frame(values[start:min(start+BlockSize, len(values))], scheme)
 		total += headerBytes + (packed*width+7)/8
 	}
 	return total
@@ -158,63 +127,78 @@ func Decompress(data []byte) ([]int32, error) {
 	return out, nil
 }
 
-func appendBlock(out []byte, block []int32, scheme Scheme) []byte {
-	var work []int32
-	var first int32
+// frame prices one block: its packed entry count (n for FOR, n-1
+// deltas for DeltaFOR), the reference ref = min of those entries and
+// the bit width of their largest offset from it. The offsets wrap
+// exactly as the encoder's per-entry v-ref does, so uint32(hi-lo) is
+// their maximum over the block.
+func frame(block []int32, scheme Scheme) (packed int, ref int32, width int) {
+	var lo, hi int32
 	if scheme == DeltaFOR {
-		first = block[0]
-		work = make([]int32, len(block)-1)
-		for i := 1; i < len(block); i++ {
-			work[i-1] = block[i] - block[i-1]
+		packed = len(block) - 1
+		if packed > 0 {
+			lo = block[1] - block[0]
+			hi = lo
+			for i := 2; i < len(block); i++ {
+				d := block[i] - block[i-1]
+				lo, hi = min(lo, d), max(hi, d)
+			}
 		}
 	} else {
-		work = block
-	}
-	var ref int32
-	if len(work) > 0 {
-		ref = work[0]
-		for _, v := range work {
-			if v < ref {
-				ref = v
+		packed = len(block)
+		if packed > 0 {
+			lo, hi = block[0], block[0]
+			for _, v := range block[1:] {
+				lo, hi = min(lo, v), max(hi, v)
 			}
 		}
 	}
-	width := 0
-	for _, v := range work {
-		if w := bits.Len32(uint32(v - ref)); w > width {
-			width = w
-		}
+	if packed > 0 {
+		width = bits.Len32(uint32(hi - lo))
 	}
-	hdr := [headerBytes]byte{byte(scheme), byte(width)}
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(block)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(ref))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(first))
-	out = append(out, hdr[:]...)
-	payload := make([]byte, (len(work)*width+7)/8)
-	for i, v := range work {
-		writeBits(payload, i*width, width, uint32(v-ref))
-	}
-	return append(out, payload...)
+	return packed, lo, width
 }
 
-// writeBits stores the low `width` bits of v at bit offset off.
-func writeBits(buf []byte, off, width int, v uint32) {
-	for b := 0; b < width; b++ {
-		if v&(1<<b) != 0 {
-			buf[(off+b)/8] |= 1 << ((off + b) % 8)
+// appendBlock encodes one block onto out. The packer feeds each entry
+// into a 64-bit accumulator (at most 31 pending bits plus a 32-bit
+// entry never overflow it) and appends 32 bits at a time, LSB first —
+// the layout every decoder reads. out grows once, to the block's exact
+// size, so a caller's pre-sized buffer is never reallocated.
+func appendBlock(out []byte, block []int32, scheme Scheme) []byte {
+	packed, ref, width := frame(block, scheme)
+	delta := scheme == DeltaFOR
+	var first int32
+	start := 0
+	if delta {
+		first, start = block[0], 1
+	}
+	out = slices.Grow(out, headerBytes+(packed*width+7)/8)
+	out = append(out, byte(scheme), byte(width))
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(block)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(ref))
+	out = binary.LittleEndian.AppendUint32(out, uint32(first))
+	if width == 0 {
+		return out
+	}
+	var acc uint64
+	var pending uint
+	for i := start; i < len(block); i++ {
+		v := block[i] - ref
+		if delta {
+			v -= block[i-1]
+		}
+		acc |= uint64(uint32(v)) << pending
+		if pending += uint(width); pending >= 32 {
+			out = binary.LittleEndian.AppendUint32(out, uint32(acc))
+			acc >>= 32
+			pending -= 32
 		}
 	}
-}
-
-// readBits extracts `width` bits at bit offset off.
-func readBits(buf []byte, off, width int) uint32 {
-	var v uint32
-	for b := 0; b < width; b++ {
-		if buf[(off+b)/8]&(1<<((off+b)%8)) != 0 {
-			v |= 1 << b
-		}
+	for ; pending > 0; pending -= min(pending, 8) {
+		out = append(out, byte(acc))
+		acc >>= 8
 	}
-	return v
+	return out
 }
 
 // Ratio returns compressed bytes per original byte for a column under
@@ -233,17 +217,10 @@ func Ratio(values []int32, scheme Scheme) (float64, error) {
 
 // Best picks the scheme with the better ratio for a column — a
 // miniature version of the per-column scheme choice a DSM system
-// would make at load time.
+// would make at load time. It compares the two exact EstimateBytes
+// sizes, so choosing packs nothing; ties go to FOR.
 func Best(values []int32) (Scheme, error) {
-	rf, err := Ratio(values, FOR)
-	if err != nil {
-		return 0, err
-	}
-	rd, err := Ratio(values, DeltaFOR)
-	if err != nil {
-		return 0, err
-	}
-	if rd < rf {
+	if EstimateBytes(values, DeltaFOR) < EstimateBytes(values, FOR) {
 		return DeltaFOR, nil
 	}
 	return FOR, nil

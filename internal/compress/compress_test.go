@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -160,18 +161,64 @@ func TestCompressRejectsUnknownScheme(t *testing.T) {
 	}
 }
 
-func BenchmarkDecompressFOR(b *testing.B) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	vals := randSlice(rng, 1<<20, 1<<16)
-	c, err := Compress(vals, FOR)
-	if err != nil {
-		b.Fatal(err)
+// benchWidths are the kernel benchmarks' bit widths: 0 (the workload's
+// payload columns), a clustered-oid width, a wide one and the widest.
+var benchWidths = []int{0, 7, 20, 32}
+
+// benchBlocks returns a 1 Mi-value column packed at width under scheme
+// in every block.
+func benchBlocks(scheme Scheme, width int) []int32 {
+	return widthColumn(rand.New(rand.NewPCG(4, uint64(width))), 1<<20, width, scheme)
+}
+
+// BenchmarkDecompressBlockInto times the decode kernel: every block of
+// the column into one reused scratch block, as a morsel does.
+func BenchmarkDecompressBlockInto(b *testing.B) {
+	for _, scheme := range []Scheme{FOR, DeltaFOR} {
+		for _, width := range benchWidths {
+			b.Run(fmt.Sprintf("%v/w=%d", scheme, width), func(b *testing.B) {
+				vals := benchBlocks(scheme, width)
+				e, err := EncodeColumn(vals, scheme)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dst := make([]int32, BlockSize)
+				b.ReportAllocs()
+				b.SetBytes(int64(4 * len(vals)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for blk := 0; blk < e.BlockCount(); blk++ {
+						if _, err := e.DecompressBlockInto(dst, blk); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
 	}
-	b.SetBytes(int64(4 * len(vals)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(c); err != nil {
-			b.Fatal(err)
+}
+
+// benchEncoded keeps BenchmarkAppendCompress's result live.
+var benchEncoded []byte
+
+// BenchmarkAppendCompress times the encoder into a dst pre-sized by
+// EstimateBytes: 0 allocs/op.
+func BenchmarkAppendCompress(b *testing.B) {
+	for _, scheme := range []Scheme{FOR, DeltaFOR} {
+		for _, width := range benchWidths {
+			b.Run(fmt.Sprintf("%v/w=%d", scheme, width), func(b *testing.B) {
+				vals := benchBlocks(scheme, width)
+				dst := make([]byte, 0, EstimateBytes(vals, scheme))
+				b.ReportAllocs()
+				b.SetBytes(int64(4 * len(vals)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if benchEncoded, err = AppendCompress(dst, vals, scheme); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

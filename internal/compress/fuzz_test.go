@@ -6,7 +6,9 @@ import (
 )
 
 // FuzzRoundTrip checks Compress∘Decompress is the identity for
-// arbitrary columns under both schemes.
+// arbitrary columns under both schemes, and the two facts Best's
+// pack-free choice rests on: EstimateBytes is the encoded size exactly,
+// and Best picks the scheme with the smaller Ratio.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 255, 255, 255, 255}, true)
 	f.Add([]byte{}, false)
@@ -24,6 +26,9 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if est := EstimateBytes(vals, s); est != len(c) {
+			t.Fatalf("EstimateBytes %d, Compress wrote %d bytes", est, len(c))
+		}
 		got, err := Decompress(c)
 		if err != nil {
 			t.Fatal(err)
@@ -35,6 +40,21 @@ func FuzzRoundTrip(f *testing.F) {
 			if got[i] != vals[i] {
 				t.Fatalf("value %d: %d != %d", i, got[i], vals[i])
 			}
+		}
+		rf, err := Ratio(vals, FOR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := Ratio(vals, DeltaFOR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := FOR
+		if rd < rf {
+			want = DeltaFOR
+		}
+		if best, err := Best(vals); err != nil || best != want {
+			t.Fatalf("Best = %v, %v; the smaller Ratio is %v's (for %v, delta %v)", best, err, want, rf, rd)
 		}
 	})
 }

@@ -57,13 +57,6 @@ func (s DSMSide) encs() []*compress.Encoded {
 	return append([]*compress.Encoded{s.KeysEnc}, s.ColsEnc...)
 }
 
-// colsEncoded reports whether any projection column carries an
-// encoding — whether a compressed plan reads this side's projections
-// through the block decoder.
-func (s DSMSide) colsEncoded() bool {
-	return slices.ContainsFunc(s.ColsEnc, func(e *compress.Encoded) bool { return e != nil })
-}
-
 // view returns projection column k as an execution view: compressed
 // when requested and an encoding exists, raw otherwise.
 func (s DSMSide) view(k int, comp bool) exec.Col {

@@ -272,20 +272,13 @@ func validateDSM(larger, smaller DSMSide) error {
 // back to unsorted while one column stays cache-resident under random
 // access; beyond that, partial-cluster for few projection columns and
 // full sort for many (the Figure-8 crossover at π ≈ 16), since the sort
-// is paid once but helps every column. Resident is the hierarchy's
-// ResidentBytes — the host's real last-level cache on a serving
-// runtime — except for a side read through the block decoder: a
-// positional fetch over an encoded column pays a block decode per
-// miss, not a cache line, so residency of the raw bytes buys nothing
-// and the declared level c decides, as it does when ResidentBytes is 0.
-func resolveLarger(m ProjMethod, pi, baseN int, h mem.Hierarchy, c int, decoded bool) ProjMethod {
+// is paid once but helps every column. resident is PlanDSMPost's
+// residency threshold.
+func resolveLarger(m ProjMethod, pi, baseN, resident int) ProjMethod {
 	if m != Auto {
 		return m
 	}
-	if h.ResidentBytes > 0 && !decoded {
-		c = h.ResidentBytes
-	}
-	if pi == 0 || baseN*4 <= c {
+	if pi == 0 || baseN*4 <= resident {
 		return Unsorted
 	}
 	if pi > 16 {
@@ -299,14 +292,11 @@ func resolveLarger(m ProjMethod, pi, baseN int, h mem.Hierarchy, c int, decoded 
 // Radix-Decluster beyond (§4.1: "Radix-Decluster is to be used only for
 // the second (smaller) projection table, with unsorted processing as
 // the only alternative").
-func resolveSmaller(m ProjMethod, pi, baseN int, h mem.Hierarchy, c int, decoded bool) ProjMethod {
+func resolveSmaller(m ProjMethod, pi, baseN, resident int) ProjMethod {
 	if m != Auto {
 		return m
 	}
-	if h.ResidentBytes > 0 && !decoded {
-		c = h.ResidentBytes
-	}
-	if pi == 0 || baseN*4 <= c {
+	if pi == 0 || baseN*4 <= resident {
 		return Unsorted
 	}
 	return Declustered
@@ -320,9 +310,10 @@ func resolveSmaller(m ProjMethod, pi, baseN int, h mem.Hierarchy, c int, decoded
 // worker count never depends on a method the model has no formula for)
 // — reads the declared levels. Only the method switch asks whether a
 // column stays RESIDENT, which on a serving runtime is a fact about the
-// host (Hierarchy.ResidentBytes). The methods are resolved after
-// decide because the answer depends on the representation: a side
-// whose columns the plan reads encoded keeps the declared threshold.
+// host: the threshold is Hierarchy.ResidentBytes, or the declared level
+// c when that is 0. A compressed side reads the same threshold: a u
+// side is decoded once, scan-shaped, into a raw column before its fetch
+// (materializeEncoded), so the fetch is the raw one.
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
 	if err := validateDSM(larger, smaller); err != nil {
 		return Plan{}, nil, err
@@ -341,8 +332,12 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 	}
 	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), cost, larger.encs(), smaller.encs())
 
-	p.LargerMethod = resolveLarger(lm, len(larger.Cols), larger.BaseN, h, c, p.Compressed && larger.colsEncoded())
-	p.SmallerMethod = resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, h, c, p.Compressed && smaller.colsEncoded())
+	resident := c
+	if h.ResidentBytes > 0 {
+		resident = h.ResidentBytes
+	}
+	p.LargerMethod = resolveLarger(lm, len(larger.Cols), larger.BaseN, resident)
+	p.SmallerMethod = resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, resident)
 	switch p.LargerMethod {
 	case Unsorted, SortedM:
 	case PartialCluster:

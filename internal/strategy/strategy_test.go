@@ -229,10 +229,9 @@ func TestDSMPostAutoPlanner(t *testing.T) {
 // TestResidencyMovesOnlyTheMethodSwitch: Hierarchy.ResidentBytes is
 // read by the u/c and u/d switch and by nothing else. With columns
 // beyond the declared LLC but inside the residency threshold a raw plan
-// goes u/u at the join bits the declared levels give; a compressed
-// plan keeps the declared-level plan for every side it reads through
-// the block decoder, and only those sides; a threshold below the
-// columns changes nothing.
+// goes u/u at the join bits the declared levels give, and so does a
+// compressed plan (a u side is decoded once into a raw column before its
+// fetch); a threshold below the columns changes nothing.
 func TestResidencyMovesOnlyTheMethodSwitch(t *testing.T) {
 	const pi = 1
 	pr := testPair(t, workload.Params{N: 6000, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 41})
@@ -262,22 +261,23 @@ func TestResidencyMovesOnlyTheMethodSwitch(t *testing.T) {
 	}
 
 	encodeSides(t, &l, &s)
-	declared.Compress, resident.Compress = CompressOn, CompressOn
+	declared.Compress, resident.Compress, tooSmall.Compress = CompressOn, CompressOn, CompressOn
 	base = plan(l, s, declared)
-	if got := plan(l, s, resident); got != base || !got.Compressed || got.Methods() != "c/d" {
-		t.Errorf("resident compressed plan = %v, want the declared %v", got, base)
+	if !base.Compressed || base.Methods() != "c/d" {
+		t.Fatalf("declared compressed plan is %v, want c/d compressed", base)
 	}
-	// A side whose projection columns have no encoding is fetched raw
-	// even in a compressed plan, so residency decides for it.
-	s.ColsEnc = nil
-	if got := plan(l, s, resident); got.Methods() != "c/u" || !got.Compressed {
-		t.Errorf("compressed plan with a raw smaller side = %v, want c/u compressed", got)
+	want := Plan{LargerMethod: Unsorted, SmallerMethod: Unsorted, JoinBits: base.JoinBits, Compressed: true}
+	if got := plan(l, s, resident); got != want {
+		t.Errorf("resident compressed plan = %v, want %v", got, want)
+	}
+	if got := plan(l, s, tooSmall); got != base {
+		t.Errorf("compressed, threshold below the column: plan = %v, want the declared %v", got, base)
 	}
 	res, err := DSMPost(l, s, Auto, Auto, resident)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareRows(t, "resident c/u compressed", dsmResultRows(t, res, pi), expectedRows(pr, pi))
+	compareRows(t, "resident u/u compressed", dsmResultRows(t, res, pi), expectedRows(pr, pi))
 }
 
 func TestDSMPostAutoPicksSortForManyColumns(t *testing.T) {

@@ -149,10 +149,10 @@ func planGolden(t *testing.T) map[string]string {
 // TestPlanGoldenResident runs the same table on a runtime that declares
 // the Pentium 4's levels and a 64 MiB residency threshold — what
 // HostHierarchy gives a serving process — with every query's own Hier
-// left zero. Residency moves the method switch and nothing else: a raw
-// DSM post-projection query the Pentium 4 plans c/d becomes u/u with the
-// golden join bits and no cluster bits or window; a compressed one
-// keeps c/d (its fetches go through the block decoder); every other
+// left zero. Residency moves the method switch and nothing else: a DSM
+// post-projection query the Pentium 4 plans c/d — raw or compressed, a
+// compressed u side being decoded once into a raw column — becomes u/u
+// with the golden join bits and no cluster bits or window; every other
 // line — other strategies, pinned methods, columns that already fit the
 // 512 KB L2 — is the Pentium 4 golden line, byte for byte. The same
 // query without the runtime is the Pentium 4 plan again.
@@ -170,7 +170,7 @@ func TestPlanGoldenResident(t *testing.T) {
 	moved := 0
 	for _, c := range planCases(t, rt, planGoldenNs(), []int{1, 4}, []int{0, 2}) {
 		want := golden[c.name]
-		if c.q.Strategy == DSMPostDecluster && c.q.Compression == CompressionOff && clustered.MatchString(want) {
+		if c.q.Strategy == DSMPostDecluster && clustered.MatchString(want) {
 			moved++
 			bare := c.q
 			bare.Runtime = nil
@@ -193,8 +193,8 @@ func TestPlanGoldenResident(t *testing.T) {
 			t.Errorf("%s: resident plan:\n got  %s\n want %s", c.name, got, want)
 		}
 	}
-	if len(planGoldenNs()) == 3 && moved != 4 {
-		t.Errorf("%d plans moved to u/u, want 4 (DSM-post auto raw at 1 Mi, pi 1 and 4, serial and 2 workers)", moved)
+	if len(planGoldenNs()) == 3 && moved != 8 {
+		t.Errorf("%d plans moved to u/u, want 8 (DSM-post auto at 1 Mi, raw and compressed, pi 1 and 4, serial and 2 workers)", moved)
 	}
 }
 
@@ -405,10 +405,10 @@ func TestPlanJoinLeavesDefaultRuntimeUncreated(t *testing.T) {
 
 // TestPlannerPickVsForced holds the method switch to the measurement it
 // is meant to follow: on a 2-worker runtime described by HostHierarchy
-// (the one test that reads the host's sysfs), N = 1 Mi raw, two callers
-// at once, the planner's own pick is timed against the four method
-// pairs a caller can force, in interleaved rounds after a warm-up
-// round. Every median is logged on every run; that the pick is within
+// (the one test that reads the host's sysfs), N = 1 Mi raw at π = 2 and
+// 4 and compressed at π = 2, two callers at once, the planner's own pick
+// is timed against the four method pairs a caller can force, in
+// interleaved rounds after a warm-up round. Every median is logged on every run; that the pick is within
 // 10 % of the best forced pair is asserted only under
 // RADIX_ASSERT_SPEEDUP=1 (CI's -cpu 1,4 leg runs it alone), like every
 // wall-clock contract here. It runs in a process of its own.
@@ -436,13 +436,20 @@ func TestPlannerPickVsForced(t *testing.T) {
 		{"u/u", UnsortedMethod, UnsortedMethod}, {"c/u", ClusterMethod, UnsortedMethod},
 		{"u/d", UnsortedMethod, DeclusterMethod}, {"c/d", ClusterMethod, DeclusterMethod},
 	}
-	for _, pi := range []int{2, 4} {
-		larger, smaller := workloadRelations(t,
+	for _, pass := range []struct {
+		pi   int
+		comp Compression
+	}{{2, CompressionOff}, {4, CompressionOff}, {2, CompressionOn}} {
+		pi, relations := pass.pi, workloadRelations
+		if pass.comp == CompressionOn {
+			relations = compressedRelations
+		}
+		larger, smaller := relations(t,
 			workload.Params{N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 75}, pi)
 		q := JoinQuery{
 			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
 			LargerProject: projNames(pi), SmallerProject: projNames(pi),
-			Parallelism: 2, Runtime: rt,
+			Compression: pass.comp, Parallelism: 2, Runtime: rt,
 		}
 		samples := make([][]time.Duration, len(variants))
 		var autoPlan string
@@ -488,10 +495,10 @@ func TestPlannerPickVsForced(t *testing.T) {
 			line += fmt.Sprintf(" %s=%v", vr.name, medians[v].Round(10*time.Microsecond))
 		}
 		best := slices.Min(medians[1:])
-		t.Logf("pi=%d, %d callers, median of %d:%s | auto plans %s", pi, callers, callers*rounds, line, autoPlan)
+		t.Logf("pi=%d compression=%v, %d callers, median of %d:%s | auto plans %s", pi, pass.comp, callers, callers*rounds, line, autoPlan)
 		if os.Getenv("RADIX_ASSERT_SPEEDUP") != "" && float64(medians[0]) > 1.10*float64(best) {
-			t.Errorf("pi=%d: the planner's pick (%s) runs %v, more than 10%% over the best forced pair's %v",
-				pi, autoPlan, medians[0], best)
+			t.Errorf("pi=%d compression=%v: the planner's pick (%s) runs %v, more than 10%% over the best forced pair's %v",
+				pi, pass.comp, autoPlan, medians[0], best)
 		}
 	}
 }

@@ -105,9 +105,9 @@ type Hierarchy struct {
 	// ResidentBytes is the largest footprint one column may have and
 	// still be fetched unsorted (method u): 0 means the last declared
 	// cache level's size — the paper's rule on the paper's machine.
-	// HostHierarchy sets it to the host's real last-level cache. It
-	// never applies to a side a compressed plan reads through the block
-	// decoder, which keeps the declared threshold.
+	// HostHierarchy sets it to the host's real last-level cache. A
+	// compressed plan reads it the same way: its u sides are decoded
+	// once into raw columns before the fetch.
 	ResidentBytes int
 }
 
