@@ -472,15 +472,15 @@ func TestParallelSpeedupMultiCore(t *testing.T) {
 
 // BenchmarkConcurrentProjectJoin is the shared-runtime trajectory
 // benchmark: 4 concurrent same-source NSM queries per iteration, raw
-// (compress=false) and compressed; both legs report gomaxprocs/cpus so
-// archived numbers carry the machine shape.
+// (compress=false) and compressed (compress=true: CompressionOn, the
+// record images decoded ahead of the raw plan); both legs report
+// gomaxprocs/cpus so archived numbers carry the machine shape.
 func BenchmarkConcurrentProjectJoin(b *testing.B) {
 	const n = 256 << 10
 	const queries = 4
-	// compress=false/compress=true is the compressed-execution
-	// acceptance pair: the same 4-query concurrent load with
-	// CompressionAuto over block-compressed relations must be no worse
-	// than the raw leg.
+	// compress=false/compress=true is the compressed-execution pair: the
+	// same 4-query concurrent load raw and with CompressionOn over
+	// block-compressed relations.
 	for _, comp := range []bool{false, true} {
 		b.Run(fmt.Sprintf("compress=%v", comp), func(b *testing.B) {
 			var opts []RelationOption
@@ -491,7 +491,7 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 			q.Strategy = NSMPostDecluster
 			q.Parallelism = 2
 			if comp {
-				q.Compression = CompressionAuto
+				q.Compression = CompressionOn
 			}
 			rt := NewRuntime(RuntimeConfig{MaxConcurrentQueries: queries})
 			defer rt.Close()

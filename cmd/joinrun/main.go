@@ -30,10 +30,10 @@
 // counters.
 //
 // -compress off|auto|on is JoinQuery.Compression: the relations carry
-// lazily built block-compressed images, auto lets the cost model pick
-// the cheaper representation and on forces the encoded one — results
-// are byte-identical to raw runs — and the decode-time share of the
-// run is printed at the end.
+// lazily built block-compressed images; on decodes them in phases of
+// their own ahead of the raw plan — results are byte-identical to raw
+// runs — and prints the decode-time share of the run at the end; auto
+// resolves to raw, like off.
 //
 // Observability flags: -traceout FILE records every query's execution
 // as span events and writes one merged Chrome trace-event JSON
@@ -69,7 +69,7 @@ func main() {
 	strat := flag.String("strategy", rd.DSMPostDecluster.String(), "auto | DSM-post-decluster | DSM-pre | NSM-pre-hash | NSM-pre-phash | NSM-post-decluster | NSM-post-jive")
 	lm := flag.String("lm", "", "larger-side method for DSM-post-decluster: u, s or c (empty = auto)")
 	sm := flag.String("sm", "", "smaller-side method for DSM-post-decluster: u or d (empty = auto)")
-	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (the cost model picks per strategy) | on (block-compressed wherever a column shrinks); results are byte-identical either way")
+	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (resolves to raw) | on (decode the block-compressed images, then run the raw plan); results are byte-identical either way")
 	parallel := flag.Int("parallel", 0, "nominal workers per query on the morsel-driven executor (all strategies): 0 = serial paper mode (planner decides when -concurrency > 1), -1 = planner decides per strategy")
 	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the runtime (1 = single query)")
 	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = max(2, workers))")

@@ -74,7 +74,7 @@ func main() {
 	// Register -pairs independent larger/smaller pairs, so load
 	// generators can spread over distinct base data. Every relation
 	// carries a compressed image (encoded lazily, on the first query
-	// that asks for it) so compression=auto|on is always available.
+	// that asks for it) so compression=on is always available.
 	for p := 0; p < *pairs; p++ {
 		pr, err := workload.GenPair(workload.Params{
 			N: *n, Omega: *pi + 1, HitRate: *hitRate,

@@ -9,11 +9,11 @@ import (
 )
 
 // Compressed/raw byte-equivalence matrix: every strategy must return
-// results byte-identical to its raw run whether it executes serially,
-// on the default runtime, or on an explicit one, and whether the
-// compression mode forces the encoded representation or leaves the
-// decision to the cost model. Strict equality, not set comparison —
-// compressed operators reproduce the raw arrangement exactly.
+// results byte-identical to its raw serial run whether it executes
+// serially, on the default runtime, or on an explicit one, under
+// CompressionOn (decode phases plus the raw plan) and under
+// CompressionAuto (which resolves to raw). Strict equality, not set
+// comparison — a decode pass reproduces the raw arrays exactly.
 
 // compressedRelations is workloadRelations with block-compressed
 // column images enabled on both relations.
@@ -68,16 +68,35 @@ func TestCompressedEquivalenceMatrix(t *testing.T) {
 		{"parallel", 4, nil},
 		{"runtime", 2, rt},
 	}
+	// The planner's pick for every strategy, and DSM post-projection with
+	// each method pair forced: the clustered and sorted sides a
+	// compressed plan decodes ahead of their fetch.
+	type cell struct {
+		st     Strategy
+		lm, sm ProjMethod
+	}
+	var cells []cell
 	for _, st := range []Strategy{DSMPostDecluster, DSMPre, NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive} {
+		cells = append(cells, cell{st: st})
+	}
+	for _, m := range [][2]ProjMethod{{UnsortedMethod, UnsortedMethod}, {ClusterMethod, UnsortedMethod},
+		{SortedMethod, DeclusterMethod}, {ClusterMethod, DeclusterMethod}} {
+		cells = append(cells, cell{DSMPostDecluster, m[0], m[1]})
+	}
+	for _, c := range cells {
+		name := c.st.String()
+		if c.lm != AutoMethod {
+			name += fmt.Sprintf("/%c/%c", c.lm, c.sm)
+		}
 		q := JoinQuery{
 			Larger: larger, Smaller: smaller,
 			LargerKey: "key", SmallerKey: "key",
 			LargerProject: projNames(pi), SmallerProject: projNames(pi),
-			Strategy: st,
+			Strategy: c.st, LargerMethod: c.lm, SmallerMethod: c.sm,
 		}
 		want, err := ProjectJoin(q)
 		if err != nil {
-			t.Fatalf("%v: raw serial: %v", st, err)
+			t.Fatalf("%s: raw serial: %v", name, err)
 		}
 		for _, eng := range engines {
 			for _, mode := range []Compression{CompressionOn, CompressionAuto} {
@@ -85,18 +104,55 @@ func TestCompressedEquivalenceMatrix(t *testing.T) {
 				cq.Parallelism = eng.par
 				cq.Runtime = eng.rt
 				cq.Compression = mode
+				tag := fmt.Sprintf("%s/%s/%v", name, eng.name, mode)
 				got, err := ProjectJoin(cq)
 				if err != nil {
-					t.Fatalf("%v/%s/%v: %v", st, eng.name, mode, err)
+					t.Fatalf("%s: %v", tag, err)
 				}
-				requireSameResult(t, fmt.Sprintf("%v/%s/%v", st, eng.name, mode), got, want)
-				if mode == CompressionOn && !got.Compressed {
-					t.Fatalf("%v/%s: CompressionOn run not marked compressed", st, eng.name)
+				requireSameResult(t, tag, got, want)
+				if on := mode == CompressionOn; got.Compressed != on || (got.Timing.CompressedCols > 0) != on {
+					t.Fatalf("%s: Compressed = %v with %d decoded inputs, want compressed = %v",
+						tag, got.Compressed, got.Timing.CompressedCols, on)
 				}
-				if got.Compressed && got.Timing.CompressedCols == 0 {
-					t.Fatalf("%v/%s/%v: compressed run consumed no compressed columns", st, eng.name, mode)
-				}
+				got.Release()
 			}
+		}
+		want.Release()
+	}
+}
+
+// TestCompressionAutoRunsRaw: CompressionAuto resolves to raw execution,
+// so an Auto query over fresh WithCompression relations — every
+// strategy, serial and parallel — runs raw, decodes nothing, and never
+// pays for building the relations' encodings.
+func TestCompressionAutoRunsRaw(t *testing.T) {
+	const pi = 1
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: 20000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 48}, pi)
+	for _, st := range []Strategy{DSMPostDecluster, DSMPre, NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive} {
+		for _, par := range []int{0, 2} {
+			q := JoinQuery{
+				Larger: larger, Smaller: smaller,
+				LargerKey: "key", SmallerKey: "key",
+				LargerProject: projNames(pi), SmallerProject: projNames(pi),
+				Strategy: st, Parallelism: par, Compression: CompressionAuto,
+			}
+			if _, err := PlanJoin(q); err != nil {
+				t.Fatal(err)
+			}
+			res, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatalf("%v/par=%d: %v", st, par, err)
+			}
+			if res.Compressed || res.Timing.CompressedCols != 0 {
+				t.Fatalf("%v/par=%d: CompressionAuto ran compressed (%d decoded inputs)", st, par, res.Timing.CompressedCols)
+			}
+			res.Release()
+		}
+	}
+	for _, r := range []*Relation{larger, smaller} {
+		if r.colEnc != nil || r.recEnc != nil {
+			t.Fatalf("%s: CompressionAuto queries built the relation's encodings", r.Name)
 		}
 	}
 }

@@ -13,11 +13,8 @@ package calibrator
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"radixdecluster/internal/cachesim"
-	"radixdecluster/internal/compress"
 	"radixdecluster/internal/mem"
 )
 
@@ -64,142 +61,6 @@ func timePerAccess(h mem.Hierarchy, footprint, stride int) (float64, error) {
 		return 0, fmt.Errorf("calibrator: footprint %d too small for stride %d", footprint, stride)
 	}
 	return s.ModeledNanos() / float64(accesses), nil
-}
-
-// randomTimePerAccess mirrors timePerAccess but visits the strided
-// offsets in a fixed pseudo-random order, so prefetch-friendly
-// sequential misses become full random misses — the access pattern of
-// one uncovered stream hitting RAM.
-func randomTimePerAccess(h mem.Hierarchy, footprint, stride int) (float64, error) {
-	s, err := cachesim.New(h)
-	if err != nil {
-		return 0, err
-	}
-	r := s.Alloc("probe", footprint)
-	n := footprint / stride
-	if n == 0 {
-		return 0, fmt.Errorf("calibrator: footprint %d too small for stride %d", footprint, stride)
-	}
-	// Deterministic Fisher-Yates over the offset order (xorshift64;
-	// the calibration must be reproducible run to run).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i * stride
-	}
-	state := uint64(0x9E3779B97F4A7C15)
-	for i := n - 1; i > 0; i-- {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		j := int(state % uint64(i+1))
-		order[i], order[j] = order[j], order[i]
-	}
-	pass := func() {
-		for _, off := range order {
-			s.Load(r, off, 4)
-		}
-	}
-	pass() // warm up
-	s.Reset()
-	pass() // measure
-	return s.ModeledNanos() / float64(n), nil
-}
-
-// MemStreams estimates how many concurrent sequential access streams
-// saturate the memory bus. The simulator is single-threaded, so the
-// figure is derived the way the hardware argument goes: a lone random
-// stream completes one line transfer per full miss latency, while the
-// saturated bus serves lines at the sequential (prefetched, open-page)
-// rate — so it takes random-time/sequential-time concurrent streams to
-// draw full bandwidth. Both times are measured over a footprint of 4x
-// the last-level cache, where every access reaches RAM. On the paper's
-// Pentium 4 profile this lands near the "factor 10" sequential-vs-
-// random gap of §1.1; desktop parts with shallower gaps calibrate to
-// fewer streams.
-//
-// A hierarchy too large to sweep within probeBudget is probed as a
-// proportionally shrunk copy (probeScale): the ratio is taken where
-// every level thrashes, which depends on the levels' latencies and
-// line sizes, not on how big they are.
-func MemStreams(h mem.Hierarchy) (int, error) {
-	if err := h.Validate(); err != nil {
-		return 0, err
-	}
-	stride := 0
-	for _, l := range h.Levels {
-		if !l.IsTLB && l.LineSize > stride {
-			stride = l.LineSize
-		}
-	}
-	if stride == 0 {
-		return 0, fmt.Errorf("calibrator: no data caches")
-	}
-	h = probeScale(h, stride)
-	foot := 4 * h.LLC().Size
-	seq, err := timePerAccess(h, foot, stride)
-	if err != nil {
-		return 0, err
-	}
-	rnd, err := randomTimePerAccess(h, foot, stride)
-	if err != nil {
-		return 0, err
-	}
-	if seq <= 0 {
-		return 0, fmt.Errorf("calibrator: degenerate sequential time %g", seq)
-	}
-	streams := int(rnd/seq + 0.5)
-	if streams < 1 {
-		streams = 1
-	}
-	if streams > 64 {
-		streams = 64
-	}
-	return streams, nil
-}
-
-// probeBudget bounds the simulated work of one MemStreams call, in tag
-// comparisons (about a nanosecond each): the paper's Pentium 4 costs 5
-// million, a host-shaped hierarchy — a 260 MiB L3 behind a 1536-entry
-// fully associative TLB — 10^11 unscaled, minutes of spinning in the
-// first query that plans against it.
-const probeBudget = 1 << 27
-
-// probeWork estimates the tag comparisons of MemStreams' four sweeps
-// over 4x the LLC at the given stride: every access walks one set of
-// each level.
-func probeWork(h mem.Hierarchy, stride int) int64 {
-	ways := 0
-	for _, l := range h.Levels {
-		if l.Assoc > 0 && l.Assoc < l.Lines() {
-			ways += l.Assoc
-		} else {
-			ways += l.Lines()
-		}
-	}
-	return 4 * int64(4*h.LLC().Size/stride) * int64(ways)
-}
-
-// probeScale returns h with every level divided by the smallest power
-// of two for which the sweep fits probeBudget (h itself when it already
-// does). Sizes stay whole lines and the data caches stay ordered, so
-// the copy validates like h.
-func probeScale(h mem.Hierarchy, stride int) mem.Hierarchy {
-	full := h.Levels
-	for div := 2; probeWork(h, stride) > probeBudget && h.LLC().Size > stride; div *= 2 {
-		h.Levels = make([]mem.Level, len(full))
-		prev := 0
-		for i, l := range full {
-			l.Size = max(l.Size/div/l.LineSize, 1) * l.LineSize
-			if !l.IsTLB {
-				if l.Size < prev {
-					l.Size = (prev + l.LineSize - 1) / l.LineSize * l.LineSize
-				}
-				prev = l.Size
-			}
-			h.Levels[i] = l
-		}
-	}
-	return h
 }
 
 // Calibrate probes the hierarchy with footprint and stride sweeps and
@@ -314,51 +175,4 @@ func (r *Result) Hierarchy(pageSize int) mem.Hierarchy {
 		})
 	}
 	return mem.Hierarchy{Levels: levels, ClockGHz: 1}
-}
-
-// DecodeNanos measures the per-value CPU cost of block decompression
-// for the given scheme — the compression analogue of MemStreams'
-// bus-budget probe. Decompression is pure CPU work — internal/compress's
-// group kernel unpacks 8 values per bounds-checked window, a shift, a
-// mask and an add each, and DeltaFOR adds a prefix sum — so unlike the
-// cache-simulator probes above this times real decodes: a synthetic
-// clustered column (3-bit deltas) is encoded once, then decoded
-// block-by-block into a reused scratch buffer, and the best of several
-// passes is taken to shed scheduler noise. The result feeds the cost
-// model's compression term (CPU grows by n×DecodeNanos while
-// bytes-moved shrink by the measured ratio).
-func DecodeNanos(s compress.Scheme) (float64, error) {
-	const blocks = 64
-	vals := make([]int32, blocks*compress.BlockSize)
-	v := int32(0)
-	for i := range vals {
-		v += int32(i % 7) // mildly increasing: the clustered-column shape
-		vals[i] = v
-	}
-	enc, err := compress.EncodeColumn(vals, s)
-	if err != nil {
-		return 0, err
-	}
-	dst := make([]int32, compress.BlockSize)
-	best := math.MaxFloat64
-	for rep := 0; rep < 4; rep++ { // first pass doubles as warm-up
-		t0 := time.Now()
-		for b := 0; b < enc.BlockCount(); b++ {
-			if _, err := enc.DecompressBlockInto(dst, b); err != nil {
-				return 0, err
-			}
-		}
-		if ns := float64(time.Since(t0).Nanoseconds()) / float64(len(vals)); rep > 0 && ns < best {
-			best = ns
-		}
-	}
-	// Clamp to sane bounds: timer glitches must not make the planner
-	// believe decodes are free or catastrophically expensive.
-	if best < 0.05 {
-		best = 0.05
-	}
-	if best > 50 {
-		best = 50
-	}
-	return best, nil
 }

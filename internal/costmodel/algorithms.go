@@ -215,55 +215,6 @@ func JivePost(m Model, nJI, leftN, rightN, omegaBytes, projBytes, bits int) Cost
 	return scan.Add(jn).Add(srt).Add(left).Add(right)
 }
 
-// cpuParallelFork approximates the per-worker coordination cost of
-// the morsel-driven executor (pool fork, morsel-queue traffic, and
-// the partition-order stitch) in nanoseconds.
-const cpuParallelFork = 20_000
-
-// parallelPerWorker is the morsel-driven executor's model applied to
-// any strategy's cost: each of W workers runs the serial composition
-// over a 1/W data share (cost divides the cardinalities and the
-// insertion window itself) with a 1/W capacity share of every cache
-// level, plus a fork/stitch term linear in W. Two effects stop
-// parallelism from paying off indefinitely: once a worker's window and
-// partition regions no longer fit its shrunken cache share, random
-// misses return; and ParallelNanos, which converts the result to
-// elapsed time, adds the shared memory-bandwidth ceiling no worker
-// count can compress.
-func parallelPerWorker(m Model, workers int, cost func(m Model, w int) Cost) Cost {
-	mw := Model{H: m.H, Share: m.share() / float64(workers)}
-	return cost(mw, workers).Add(Cost{CPU: cpuParallelFork * float64(workers)})
-}
-
-// CompressedWins is the planner's one representation decision for one
-// strategy: whether the plan is modeled cheaper over block-compressed
-// inputs than over the raw arrays, at the worker count it runs with.
-// cost is the strategy's Appendix-A formula with the work divided over w
-// workers — at w = 1 the serial formula, at w > 1 the same formula over
-// ceil(n/w) cardinalities and a window/w insertion window (with bits = 0
-// for the naive hash-join only the probe side really divides — the
-// executor builds the table serially — which the 1/w share approximates
-// optimistically; the bandwidth ceiling keeps the estimate honest).
-//
-// A parallel plan (workers > 1) is priced through the memory-bandwidth
-// ceiling (ParallelNanos with the serial cost as the traffic total). The
-// compressed candidate's sequential bus traffic is scaled by cp.Ratio —
-// which is where the win appears: a bandwidth-bound plan's floor drops to
-// Ratio of the raw floor — and its CPU term grows by the decode work. A
-// disabled cp never wins.
-func CompressedWins(m Model, workers int, cost func(m Model, w int) Cost, cp Compression) bool {
-	if !cp.Enabled() {
-		return false
-	}
-	serial := cost(m, 1)
-	compSerial := cp.Apply(m, serial, 1)
-	if workers <= 1 {
-		return m.Nanos(compSerial) < m.Nanos(serial)
-	}
-	per := parallelPerWorker(m, workers, cost)
-	return m.ParallelNanos(cp.Apply(m, per, workers), compSerial, workers) < m.ParallelNanos(per, serial, workers)
-}
-
 func ceilDiv(a, b int) int {
 	if b <= 0 {
 		return a

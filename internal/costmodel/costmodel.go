@@ -25,10 +25,7 @@ package costmodel
 import (
 	"fmt"
 	"math"
-	"strings"
-	"sync"
 
-	"radixdecluster/internal/calibrator"
 	"radixdecluster/internal/mem"
 )
 
@@ -108,10 +105,6 @@ type Model struct {
 	H mem.Hierarchy
 	// Share is the fraction of each cache level available (0 = 1.0).
 	Share float64
-	// Streams overrides the bus saturation-stream count (see
-	// MemStreams); 0 selects the calibrated estimate for H, with the
-	// classic constant 4 as fallback.
-	Streams int
 }
 
 func (m Model) share() float64 {
@@ -119,16 +112,6 @@ func (m Model) share() float64 {
 		return 1
 	}
 	return m.Share
-}
-
-// MemStreams returns the number of concurrent memory-access streams
-// that saturate the hierarchy's bus: Streams if set, else the
-// calibrated SaturationStreams estimate.
-func (m Model) MemStreams() int {
-	if m.Streams > 0 {
-		return m.Streams
-	}
-	return SaturationStreams(m.H)
 }
 
 // Nanos converts a cost to nanoseconds using the hierarchy's
@@ -147,82 +130,6 @@ func (m Model) Nanos(c Cost) float64 {
 
 // Millis converts a cost to milliseconds.
 func (m Model) Millis(c Cost) float64 { return m.Nanos(c) / 1e6 }
-
-// MemNanos returns the time attributable to traffic below the
-// last-level cache — LLC misses served by RAM. This is the component
-// every core shares: private caches replicate per worker, but all
-// workers stream over one memory bus.
-func (m Model) MemNanos(c Cost) float64 {
-	llc := m.H.LLC()
-	t := 0.0
-	for _, lc := range c.Levels {
-		if lc.Name == llc.Name {
-			t += lc.Seq*llc.SeqLatency + lc.Rand*llc.MissLatency
-		}
-	}
-	return t
-}
-
-// memSaturationStreams is the fallback number of concurrent access
-// streams that saturate the memory bus when calibration is
-// unavailable: a few cores running the sequential-heavy radix
-// operators draw the full DRAM bandwidth, and additional workers only
-// divide it (STREAM-style scaling on desktop parts). The live figure
-// comes from SaturationStreams, which measures the hierarchy with
-// internal/calibrator.
-const memSaturationStreams = 4
-
-// streamsCache memoizes SaturationStreams per hierarchy fingerprint:
-// calibration sweeps the cache simulator and is far too slow to rerun
-// per cost evaluation.
-var streamsCache sync.Map // string -> int
-
-// SaturationStreams returns the number of concurrent sequential
-// access streams that saturate the hierarchy's memory bus, measured
-// at runtime by internal/calibrator (the ratio of random to
-// sequential per-access time over a thrashing footprint — each random
-// stream keeps one line transfer in flight per full miss latency, so
-// the bus is saturated once the aggregate matches the sequential
-// service rate). Results are cached per hierarchy; the classic
-// constant 4 is the fallback when calibration fails.
-func SaturationStreams(h mem.Hierarchy) int {
-	key := hierKey(h)
-	if v, ok := streamsCache.Load(key); ok {
-		return v.(int)
-	}
-	s, err := calibrator.MemStreams(h)
-	if err != nil || s < 1 {
-		s = memSaturationStreams
-	}
-	streamsCache.Store(key, s)
-	return s
-}
-
-// hierKey fingerprints a hierarchy for the calibration cache.
-func hierKey(h mem.Hierarchy) string {
-	var sb strings.Builder
-	for _, l := range h.Levels {
-		fmt.Fprintf(&sb, "%s:%d:%d:%g:%g:%v;", l.Name, l.Size, l.LineSize, l.MissLatency, l.SeqLatency, l.IsTLB)
-	}
-	return sb.String()
-}
-
-// ParallelNanos converts a per-worker parallel cost into modeled
-// elapsed nanoseconds with a memory-bandwidth ceiling: workers
-// proceed concurrently, so elapsed time tracks the per-worker cost —
-// but the job's total LLC-miss traffic still streams over one bus
-// that saturates after MemStreams concurrent streams. total is the serial
-// (whole-job) cost whose memory component sets the floor. The ceiling
-// — not the shrinking per-core cache share — is what stops the
-// bandwidth-bound operators from scaling linearly.
-func (m Model) ParallelNanos(perWorker, total Cost, workers int) float64 {
-	ns := m.Nanos(perWorker)
-	if workers <= 1 {
-		return ns
-	}
-	floor := m.MemNanos(total) / math.Min(float64(workers), float64(m.MemStreams()))
-	return math.Max(ns, floor)
-}
 
 func (m Model) eachLevel(f func(l mem.Level, cap float64) LevelCost) Cost {
 	out := Cost{Levels: make([]LevelCost, len(m.H.Levels))}

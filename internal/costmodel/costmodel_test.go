@@ -184,61 +184,6 @@ func TestDSMPostDeclusterScalesWithPi(t *testing.T) {
 	}
 }
 
-// MemNanos must isolate the LLC-miss (bus) component: it is positive
-// for memory-sized regions, no larger than the full cost, and zero
-// for an empty cost.
-func TestMemNanos(t *testing.T) {
-	m := model()
-	c := m.RTrav(Region{N: 4 << 20, Width: 4})
-	memNs := m.MemNanos(c)
-	if memNs <= 0 {
-		t.Fatal("no memory component for a 16MB random traversal")
-	}
-	if memNs > m.Nanos(c) {
-		t.Fatalf("memory component %.0fns exceeds total %.0fns", memNs, m.Nanos(c))
-	}
-	if m.MemNanos(Cost{}) != 0 {
-		t.Fatal("empty cost has memory time")
-	}
-}
-
-// The bandwidth ceiling must bind: with enough workers the modeled
-// elapsed time stops improving even though the per-worker cost keeps
-// shrinking, and it never drops below total memory time divided by
-// the saturation stream count.
-func TestParallelNanosBandwidthCeiling(t *testing.T) {
-	m := model()
-	const n = 8 << 20
-	serial := DSMPostDecluster(m, n, n, 4, 8, 2, 64<<10)
-	floor := m.MemNanos(serial) / float64(m.MemStreams())
-	var last float64
-	for w := 2; w <= 64; w *= 2 {
-		last = m.ParallelNanos(parallelPerWorker(m, w, dsmPostCost(n, 8, 2)), serial, w)
-		if last < floor-1 {
-			t.Fatalf("w=%d: %.0fns beats the bandwidth floor %.0fns", w, last, floor)
-		}
-	}
-	// At 64 workers the ceiling, not work division, must set the time.
-	if last > floor*4 {
-		t.Fatalf("64 workers (%.0fns) far above the bandwidth floor (%.0fns): ceiling not binding", last, floor)
-	}
-}
-
-// Every strategy's cost shape goes through the representation decision,
-// and with nothing encoded raw wins at every worker count.
-func TestChoosersCoverEveryStrategy(t *testing.T) {
-	m := model()
-	const n = 1 << 20
-	for _, sh := range goldenShapes {
-		cost := sh.cost(n, 8)
-		for _, w := range []int{0, 1, 2, 8, 64} {
-			if CompressedWins(m, w, cost, Compression{}) {
-				t.Fatalf("%s: compressed chosen at %d workers with nothing encoded", sh.name, w)
-			}
-		}
-	}
-}
-
 // The new strategy compositions must be monotone in their main size
 // parameter and strictly positive.
 func TestStrategyCostCompositions(t *testing.T) {

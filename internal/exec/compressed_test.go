@@ -20,9 +20,26 @@ func encode(t *testing.T, vals []int32) *compress.Encoded {
 	return e
 }
 
+// decoded is the decode pass of a compressed plan: enc materialised on e.
+func decoded(t *testing.T, e *Engine, enc *compress.Encoded) []int32 {
+	t.Helper()
+	raw, err := e.MaterializeCol(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// decodedRelation is rel's record image encoded, then decoded on e: what
+// a compressed NSM plan's later phases read.
+func decodedRelation(t *testing.T, e *Engine, rel *nsm.Relation) *nsm.Relation {
+	t.Helper()
+	return &nsm.Relation{Name: rel.Name, Width: rel.Width, Data: decoded(t, e, encode(t, rel.Data))}
+}
+
 // withEngines runs f on the serial engine, on leases of every nominal
 // test worker count, and on a lease of a second runtime — every
-// operator must be byte-identical across all, whatever view it is fed.
+// operator must be byte-identical across all, whatever it is fed.
 func withEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Helper()
 	rt := testRuntime(t)
@@ -44,42 +61,36 @@ func TestMaterializeColMatchesRaw(t *testing.T) {
 	vals := randVals(41, testN, false)
 	enc := encode(t, vals)
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.MaterializeCol(Col{Enc: enc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, vals) {
+		if got := decoded(t, e, enc); !reflect.DeepEqual(got, vals) {
 			t.Fatalf("workers=%d: materialized column differs from raw", e.Workers())
-		}
-		if raw, err := e.MaterializeCol(RawCol(vals)); err != nil || !reflect.DeepEqual(raw, vals) {
-			t.Fatalf("raw passthrough changed the column: %v", err)
 		}
 	})
 }
 
-// TestFetchManyMatchesRaw feeds the fetch operator a mixed list —
-// column 0 encoded only, column 1 raw — so both per-morsel dispatch
-// arms run in one call: the result must be the all-raw views' (which
-// TestFetchManyMatchesSerial holds to posjoin).
+// The MatchesRaw tests below hold each operator a compressed plan runs
+// after its decode pass to the same operator over the raw arrays: a
+// mixed input list — one column decoded, one raw — where the operator
+// takes several.
+
 func TestFetchManyMatchesRaw(t *testing.T) {
 	n := heavyN()
 	cols := [][]int32{randVals(42, n, false), randVals(43, n, true)}
 	oids := randOIDs(44, n, n)
-	views := []Col{{Enc: encode(t, cols[0])}, RawCol(cols[1])}
+	enc := encode(t, cols[0])
 	withEngines(t, func(t *testing.T, e *Engine) {
-		want, err := e.FetchMany([]Col{RawCol(cols[0]), RawCol(cols[1])}, oids)
+		want, err := e.FetchMany(cols, oids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.FetchMany(views, oids)
+		got, err := e.FetchMany([][]int32{decoded(t, e, enc), cols[1]}, oids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: compressed FetchMany differs from raw", e.Workers())
+			t.Fatalf("workers=%d: FetchMany over a decoded column differs from raw", e.Workers())
 		}
 		if e.comp.snapshot().Cols != 1 {
-			t.Fatalf("workers=%d: %d compressed columns accounted, want 1", e.Workers(), e.comp.snapshot().Cols)
+			t.Fatalf("workers=%d: %d decoded columns accounted, want 1", e.Workers(), e.comp.snapshot().Cols)
 		}
 	})
 }
@@ -98,16 +109,16 @@ func TestClusteredMatchesRaw(t *testing.T) {
 	borders[parts-1].End = n
 	enc := encode(t, col)
 	withEngines(t, func(t *testing.T, e *Engine) {
-		want, err := e.Clustered(RawCol(col), oids, borders)
+		want, err := e.Clustered(col, oids, borders)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Clustered(Col{Enc: enc}, oids, borders)
+		got, err := e.Clustered(decoded(t, e, enc), oids, borders)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: compressed Clustered differs from raw", e.Workers())
+			t.Fatalf("workers=%d: Clustered over a decoded column differs from raw", e.Workers())
 		}
 	})
 }
@@ -115,19 +126,18 @@ func TestClusteredMatchesRaw(t *testing.T) {
 func TestScanColumnMatchesRaw(t *testing.T) {
 	const width = 4
 	rel := testRelation(47, testN, width)
-	enc := encode(t, rel.Data)
 	for col := 0; col < width; col++ {
 		withEngines(t, func(t *testing.T, e *Engine) {
-			want, err := e.ScanColumn(Rows{Rel: rel}, col)
+			want, err := e.ScanColumn(rel, col)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.ScanColumn(Rows{Rel: rel, Enc: enc}, col)
+			got, err := e.ScanColumn(decodedRelation(t, e, rel), col)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d col=%d: compressed scan differs from raw", e.Workers(), col)
+				t.Fatalf("workers=%d col=%d: scan of the decoded image differs from raw", e.Workers(), col)
 			}
 		})
 	}
@@ -136,19 +146,18 @@ func TestScanColumnMatchesRaw(t *testing.T) {
 func TestScanProjectMatchesRaw(t *testing.T) {
 	const width = 5
 	rel := testRelation(48, testN, width)
-	enc := encode(t, rel.Data)
 	cols := []int{3, 0, 4}
 	withEngines(t, func(t *testing.T, e *Engine) {
-		want, err := e.ScanProject(Rows{Rel: rel}, "proj", cols)
+		want, err := e.ScanProject(rel, "proj", cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.ScanProject(Rows{Rel: rel, Enc: enc}, "proj", cols)
+		got, err := e.ScanProject(decodedRelation(t, e, rel), "proj", cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: compressed project scan differs from raw", e.Workers())
+			t.Fatalf("workers=%d: project scan of the decoded image differs from raw", e.Workers())
 		}
 	})
 }
@@ -157,24 +166,24 @@ func TestGatherProjectMatchesRaw(t *testing.T) {
 	const width = 4
 	n := heavyN()
 	rel := testRelation(49, n, width)
-	view := Rows{Rel: rel, Enc: encode(t, rel.Data)}
 	oids := randOIDs(50, n, n)
 	cols := []int{2, 1}
 	withEngines(t, func(t *testing.T, e *Engine) {
-		want, err := e.GatherProject(Rows{Rel: rel}, "g", oids, cols)
+		want, err := e.GatherProject(rel, "g", oids, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.GatherProject(view, "g", oids, cols)
+		image := decodedRelation(t, e, rel)
+		got, err := e.GatherProject(image, "g", oids, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: compressed gather differs from raw", e.Workers())
+			t.Fatalf("workers=%d: gather from the decoded image differs from raw", e.Workers())
 		}
 		// Strided in-place variant.
 		dst := make([]int32, len(oids)*3)
-		if err := e.GatherProjectInto(view, dst, 3, 1, oids, cols); err != nil {
+		if err := e.GatherProjectInto(image, dst, 3, 1, oids, cols); err != nil {
 			t.Fatal(err)
 		}
 		for i := range oids {
@@ -200,18 +209,16 @@ func TestStitchRowsMatchesRaw(t *testing.T) {
 			want[i*w+1+j] = col[oids[i]]
 		}
 	}
-	views := []Col{{Enc: encode(t, cols[0])}, RawCol(cols[1])}
-	keyCol := Col{Raw: keys, Enc: encode(t, keys)}
+	keyEnc, colEnc := encode(t, keys), encode(t, cols[0])
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.StitchRows(keyCol, views, oids)
+		got, err := e.StitchRows(decoded(t, e, keyEnc), [][]int32{decoded(t, e, colEnc), cols[1]}, oids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: compressed stitch differs from raw", e.Workers())
+			t.Fatalf("workers=%d: stitch over decoded columns differs from raw", e.Workers())
 		}
-		// All-raw views must match too (the fallback the strategies use).
-		raw, err := e.StitchRows(RawCol(keys), []Col{RawCol(cols[0]), RawCol(cols[1])}, oids)
+		raw, err := e.StitchRows(keys, cols, oids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,41 +228,39 @@ func TestStitchRowsMatchesRaw(t *testing.T) {
 	})
 }
 
+// TestCompressedOpErrors: the operators of a compressed plan reject bad
+// input over decoded arrays exactly as over raw ones.
 func TestCompressedOpErrors(t *testing.T) {
 	vals := randVals(51, 4*compress.BlockSize, false)
-	enc := encode(t, vals)
-	rel := nsm.New("rel", enc.Len()/4, 4)
+	rel := nsm.New("rel", len(vals)/4, 4)
 	copy(rel.Data, vals)
-	view := Rows{Rel: rel, Enc: enc}
 	e := NewEngine(nil, 0)
-	if _, err := e.ScanColumn(Rows{Rel: nsm.New("short", rel.Len()-1, 4), Enc: enc}, 0); err == nil {
-		t.Fatal("image that is not the relation's accepted")
-	}
-	for _, v := range []Rows{view, {Rel: rel}} {
-		if _, err := e.ScanColumn(v, 4); err == nil {
+	for _, r := range []*nsm.Relation{decodedRelation(t, e, rel), rel} {
+		if _, err := e.ScanColumn(r, 4); err == nil {
 			t.Fatal("column outside width accepted")
 		}
-		if _, err := e.ScanProject(v, "p", []int{0, -1}); err == nil {
+		if _, err := e.ScanProject(r, "p", []int{0, -1}); err == nil {
 			t.Fatal("negative projection column accepted")
 		}
-		if err := e.GatherProjectInto(v, make([]int32, 4), 2, 1, []OID{0, 1}, []int{0, 1}); err == nil {
+		if err := e.GatherProjectInto(r, make([]int32, 4), 2, 1, []OID{0, 1}, []int{0, 1}); err == nil {
 			t.Fatal("fields outside dst width accepted")
 		}
-		if err := e.GatherProjectInto(v, make([]int32, 3), 2, 0, []OID{0, 1}, []int{0, 1}); err == nil {
+		if err := e.GatherProjectInto(r, make([]int32, 3), 2, 0, []OID{0, 1}, []int{0, 1}); err == nil {
 			t.Fatal("short dst accepted")
 		}
 	}
-	if _, err := e.FetchMany([]Col{{Enc: enc}}, []OID{OID(enc.Len())}); err == nil {
+	col := decoded(t, e, encode(t, vals))
+	if _, err := e.FetchMany([][]int32{col}, []OID{OID(len(col))}); err == nil {
 		t.Fatal("out-of-range oid accepted")
 	}
-	if _, err := e.GatherProject(view, "g", []OID{OID(rel.Len())}, []int{0}); err == nil {
-		t.Fatal("out-of-range record accepted by the compressed gather")
+	if _, err := e.StitchRows(col, nil, []OID{0}); err == nil {
+		t.Fatal("oids that are not the keys' accepted")
 	}
 }
 
-// TestCompStatsAccounting pins the counter semantics: a compressed
-// materialize accounts the whole column's encoded bytes, a positive
-// saving for compressible data, and nonzero decode time.
+// TestCompStatsAccounting pins the counter semantics: a decode pass
+// accounts the whole column's encoded bytes, a positive saving for
+// compressible data, and nonzero decode time.
 func TestCompStatsAccounting(t *testing.T) {
 	vals := make([]int32, testN)
 	for i := range vals {
@@ -264,9 +269,7 @@ func TestCompStatsAccounting(t *testing.T) {
 	enc := encode(t, vals)
 	e := NewEngine(testRuntime(t), 2)
 	defer e.Close()
-	if _, err := e.MaterializeCol(Col{Enc: enc}); err != nil {
-		t.Fatal(err)
-	}
+	decoded(t, e, enc)
 	st := e.comp.snapshot()
 	if st.Cols != 1 {
 		t.Fatalf("Cols = %d, want 1", st.Cols)

@@ -121,8 +121,7 @@ type Engine struct {
 	// component of the pipeline's queueing time.
 	queued atomic.Int64
 	sched  schedCounters
-	comp   compCounters // compressed-execution counters (compressed.go)
-	sdec   *decoder     // serial-path compressed scratch, lazy
+	comp   compCounters // decode-pass counters (compressed.go)
 
 	// Observability context, set by the owning Pipeline before
 	// execution and captured into each submitted job: the per-query
@@ -329,7 +328,6 @@ func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, t
 // reused for the lifetime of the worker.
 type Scratch struct {
 	ints  []int
-	dec   *decoder          // compressed-column scratch (compressed.go), lazy
 	tjoin join.TableScratch // partition hash-table build scratch
 }
 

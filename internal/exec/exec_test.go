@@ -221,15 +221,13 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFetchManyMatchesSerial holds the one fetch operator, fed raw
-// views, to the paper's posjoin.FetchMany on every engine.
+// TestFetchManyMatchesSerial holds the one fetch operator to the
+// paper's posjoin.FetchMany on every engine.
 func TestFetchManyMatchesSerial(t *testing.T) {
 	oids := randOIDs(10, testN, testN)
 	cols := make([][]int32, 3)
-	views := make([]Col, len(cols))
 	for c := range cols {
 		cols[c] = randVals(uint64(11+c), testN, false)
-		views[c] = RawCol(cols[c])
 	}
 	want, err := posjoin.FetchMany(cols, oids)
 	if err != nil {
@@ -241,17 +239,17 @@ func TestFetchManyMatchesSerial(t *testing.T) {
 	bad[testN-1] = OID(testN + 5)
 	_, wantErr := posjoin.FetchMany(cols, bad)
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.FetchMany(views, oids)
+		got, err := e.FetchMany(cols, oids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
-			t.Fatalf("workers=%d: raw-view fetch differs from posjoin", e.Workers())
+			t.Fatalf("workers=%d: fetch differs from posjoin", e.Workers())
 		}
 		if e.comp.snapshot().Cols != 0 {
-			t.Fatalf("workers=%d: raw views accounted as compressed", e.Workers())
+			t.Fatalf("workers=%d: a raw fetch accounted as a decode", e.Workers())
 		}
-		if _, err := e.FetchMany(views, bad); err == nil || err.Error() != wantErr.Error() {
+		if _, err := e.FetchMany(cols, bad); err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("workers=%d: out-of-range error %v, want %v", e.Workers(), err, wantErr)
 		}
 	})
@@ -273,19 +271,19 @@ func clusteredFixture(t *testing.T, bits int) (*core.Clustered, []int32, []int32
 	return cl, col, clustered
 }
 
-// TestClusteredMatchesSerial holds the one clustered fetch, fed a raw
-// view, to posjoin.Clustered on every engine.
+// TestClusteredMatchesSerial holds the one clustered fetch to
+// posjoin.Clustered on every engine.
 func TestClusteredMatchesSerial(t *testing.T) {
 	cl, col, want := clusteredFixture(t, 8)
 	withEngines(t, func(t *testing.T, e *Engine) {
-		got, err := e.Clustered(RawCol(col), cl.SmallerOIDs, cl.Borders)
+		got, err := e.Clustered(col, cl.SmallerOIDs, cl.Borders)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("workers=%d: raw-view clustered fetch differs from posjoin", e.Workers())
+			t.Fatalf("workers=%d: clustered fetch differs from posjoin", e.Workers())
 		}
-		if _, err := e.Clustered(RawCol(col), cl.SmallerOIDs, cl.Borders[1:]); err == nil {
+		if _, err := e.Clustered(col, cl.SmallerOIDs, cl.Borders[1:]); err == nil {
 			t.Fatalf("workers=%d: borders that do not tile the oids accepted", e.Workers())
 		}
 	})
@@ -392,11 +390,11 @@ func TestSerialFallbackPredicate(t *testing.T) {
 			return err
 		}},
 		{"FetchMany", true, func(e *Engine, n int) error {
-			_, err := e.FetchMany([]Col{RawCol(vals)}, oids[:n])
+			_, err := e.FetchMany([][]int32{vals}, oids[:n])
 			return err
 		}},
 		{"Clustered", true, func(e *Engine, n int) error {
-			_, err := e.Clustered(RawCol(vals), oids[:n], []bat.Border{{Start: 0, End: n}})
+			_, err := e.Clustered(vals, oids[:n], []bat.Border{{Start: 0, End: n}})
 			return err
 		}},
 		{"Decluster", false, func(e *Engine, n int) error {

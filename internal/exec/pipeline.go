@@ -99,10 +99,9 @@ type Timings struct {
 	// pipeline's morsels: local hits (executed on the home worker)
 	// and stolen morsels. Zero on the serial engine.
 	Sched SchedStats
-	// Comp is the pipeline's compressed-execution tally: compressed
-	// column inputs consumed, encoded bytes read, raw bytes that
-	// traffic replaced, and wall time inside block-decode loops. Zero
-	// when every input executed raw.
+	// Comp is the pipeline's decode-pass tally: encoded inputs decoded,
+	// encoded bytes read, raw bytes that traffic replaced, and wall time
+	// inside block-decode loops. Zero when every input executed raw.
 	Comp CompStats
 	// Mem is the query's execution-memory accounting: bytes of buffers
 	// drawn from the arena — transients and result arrays alike —

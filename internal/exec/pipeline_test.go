@@ -187,16 +187,15 @@ func TestEngineScansMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := Rows{Rel: rel}
 	withEngines(t, func(t *testing.T, e *Engine) {
 		workers := e.Workers()
-		if got, err := e.ScanColumn(raw, 1); err != nil || !reflect.DeepEqual(got, wantCol) {
+		if got, err := e.ScanColumn(rel, 1); err != nil || !reflect.DeepEqual(got, wantCol) {
 			t.Fatalf("workers=%d: ScanColumn differs from serial (%v)", workers, err)
 		}
-		if got, err := e.ScanProject(raw, "w", cols); err != nil || !reflect.DeepEqual(got, wantProj) {
+		if got, err := e.ScanProject(rel, "w", cols); err != nil || !reflect.DeepEqual(got, wantProj) {
 			t.Fatalf("workers=%d: ScanProject differs from serial (%v)", workers, err)
 		}
-		got, err := e.GatherProject(raw, "g", oids, cols)
+		got, err := e.GatherProject(rel, "g", oids, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +210,7 @@ func TestEngineScansMatchSerial(t *testing.T) {
 			t.Fatalf("workers=%d: AppendFields differs from serial", workers)
 		}
 		if e.comp.snapshot().Cols != 0 {
-			t.Fatalf("workers=%d: raw views accounted as compressed", workers)
+			t.Fatalf("workers=%d: raw scans accounted as a decode", workers)
 		}
 	})
 }

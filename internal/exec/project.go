@@ -23,22 +23,17 @@ import (
 	"radixdecluster/internal/posjoin"
 )
 
-// FetchMany runs one Positional-Join per projection column view. Raw
-// columns gather by array lookup, compressed columns through the
-// worker's block cache; the dispatch is per morsel (fetchColInto).
-// Parallel runs gather every column over contiguous oid ranges. The
-// columns are result arrays (Engine.Own).
-func (e *Engine) FetchMany(cols []Col, oids []OID) ([][]int32, error) {
-	for _, c := range cols {
-		e.comp.noteInput(c.Enc)
-	}
+// FetchMany runs one Positional-Join per projection column:
+// out[c][i] = cols[c][oids[i]]. Parallel runs gather every column over
+// contiguous oid ranges. The columns are result arrays (Engine.Own).
+func (e *Engine) FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
 	out := make([][]int32, len(cols))
 	for c := range cols {
 		out[c] = e.Own(len(oids))
 	}
 	if e.serial(len(oids)) {
 		for c := range cols {
-			if err := e.fetchColInto(out[c], cols[c], oids, nil); err != nil {
+			if err := posjoin.FetchInto(out[c], cols[c], oids); err != nil {
 				return nil, fmt.Errorf("column %d: %w", c, err)
 			}
 		}
@@ -51,9 +46,9 @@ func (e *Engine) FetchMany(cols []Col, oids []OID) ([][]int32, error) {
 	// task: every column's fetch of the same oid range homes on one
 	// worker, which then holds that range of the join-index hot across
 	// all π columns.
-	e.runAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, s *Scratch) {
+	e.runAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, _ *Scratch) {
 		c, r := t/len(chunks), chunks[t%len(chunks)]
-		if err := e.fetchColInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi], s); err != nil {
+		if err := posjoin.FetchInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi]); err != nil {
 			errs[t] = fmt.Errorf("column %d: %w", c, err)
 		}
 	})
@@ -63,34 +58,19 @@ func (e *Engine) FetchMany(cols []Col, oids []OID) ([][]int32, error) {
 	return out, nil
 }
 
-// fetchColInto is one morsel of a Positional-Join: dst[i] =
-// col[oids[i]]. s is the executing worker's scratch, nil on the serial
-// path (which decodes through the engine's own scratch).
-func (e *Engine) fetchColInto(dst []int32, col Col, oids []OID, s *Scratch) error {
-	if col.Enc == nil {
-		return posjoin.FetchInto(dst, col.Raw, oids)
-	}
-	if s == nil {
-		return e.serialDecoder().gather(&e.comp, col.Enc, oids, dst)
-	}
-	return s.decoder().gather(&e.comp, col.Enc, oids, dst)
-}
-
-// Clustered is the clustered Positional-Join over one column view:
-// each cluster confines its random access to one cache-sized region of
-// the source — for a compressed column, long runs against the same
-// decoded blocks. Parallel runs take cluster groups as morsels. The
-// fetched column is an intermediate — Radix-Decluster reads it once —
-// and is leased.
-func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, error) {
-	e.comp.noteInput(col.Enc)
+// Clustered is the clustered Positional-Join over one column: each
+// cluster confines its random access to one cache-sized region of the
+// source. Parallel runs take cluster groups as morsels. The fetched
+// column is an intermediate — Radix-Decluster reads it once — and is
+// leased.
+func (e *Engine) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int32, error) {
 	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
 		return nil, err
 	}
 	out := mempool.Slice[int32](e.mem(), len(oids))
 	if e.serial(len(oids)) {
 		for _, b := range borders {
-			if err := e.fetchColInto(out[b.Start:b.End], col, oids[b.Start:b.End], nil); err != nil {
+			if err := posjoin.FetchInto(out[b.Start:b.End], col, oids[b.Start:b.End]); err != nil {
 				return nil, err
 			}
 		}
@@ -98,9 +78,9 @@ func (e *Engine) Clustered(col Col, oids []OID, borders []bat.Border) ([]int32, 
 	}
 	groups := groupBorders(borders, e.workers*morselsPerWorker, len(oids))
 	errs := e.errSlots(len(groups))
-	e.run(len(groups), func(_, t int, s *Scratch) {
+	e.run(len(groups), func(_, t int, _ *Scratch) {
 		for _, b := range borders[groups[t].Lo:groups[t].Hi] {
-			if err := e.fetchColInto(out[b.Start:b.End], col, oids[b.Start:b.End], s); err != nil {
+			if err := posjoin.FetchInto(out[b.Start:b.End], col, oids[b.Start:b.End]); err != nil {
 				errs[t] = err
 				return
 			}

@@ -2,8 +2,9 @@ package exec
 
 // Parallel operators over row-major (NSM / wide-tuple) data: the
 // radix-clustering of whole records, the payload-carrying
-// pre-projection joins, the record scans and gathers of the NSM
-// strategies, and the row variant of Radix-Decluster. Morsels are
+// pre-projection joins, the wide-tuple stitch of DSM pre-projection,
+// the record scans and gathers of the NSM strategies, and the row
+// variant of Radix-Decluster. Morsels are
 // contiguous record ranges (scans, stitches, probes), partitions
 // (joins), or cluster groups (gathers, decluster) — each writing a
 // disjoint slice of the output, so every operator reproduces its
@@ -14,7 +15,6 @@ import (
 	"sync/atomic"
 
 	"radixdecluster/internal/bat"
-	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
@@ -213,24 +213,11 @@ func (e *Engine) stitchRowParts(parts [][]int32, width, n int) *join.RowsResult 
 	return &join.RowsResult{Rows: out, Width: width, N: n}
 }
 
-// Rows is a record-array execution view: a row-major NSM relation and,
-// optionally, a block-compressed image of its Data. When Enc is
-// non-nil it is the execution format — scans and gathers read the
-// encoded stream, Rel supplies the shape — and it must decode to
-// exactly Rel.Data.
-type Rows struct {
-	Rel *nsm.Relation
-	Enc *compress.Encoded
-}
-
-// check validates the view and the attribute offsets an operator reads.
-func (v Rows) check(op string, cols ...int) error {
-	if v.Enc != nil && v.Enc.Len() != len(v.Rel.Data) {
-		return fmt.Errorf("exec: %s: compressed image holds %d values, the relation %d", op, v.Enc.Len(), len(v.Rel.Data))
-	}
+// checkCols validates the attribute offsets an operator reads.
+func checkCols(op string, rel *nsm.Relation, cols ...int) error {
 	for _, c := range cols {
-		if c < 0 || c >= v.Rel.Width {
-			return fmt.Errorf("exec: %s: column %d outside width %d", op, c, v.Rel.Width)
+		if c < 0 || c >= rel.Width {
+			return fmt.Errorf("exec: %s: column %d outside width %d", op, c, rel.Width)
 		}
 	}
 	return nil
@@ -239,25 +226,14 @@ func (v Rows) check(op string, cols ...int) error {
 // ScanColumn extracts one attribute of every record — the strided
 // key-extraction scan of the NSM post-projection strategies, chunked
 // over record ranges.
-// A compressed view decodes each morsel's records in L1-sized spans
-// and strides over the decoded span.
-func (e *Engine) ScanColumn(v Rows, col int) ([]int32, error) {
-	if err := v.check("ScanColumn", col); err != nil {
+func (e *Engine) ScanColumn(rel *nsm.Relation, col int) ([]int32, error) {
+	if err := checkCols("ScanColumn", rel, col); err != nil {
 		return nil, err
 	}
-	e.comp.noteInput(v.Enc)
-	width := v.Rel.Width
-	out := mempool.Slice[int32](e.mem(), v.Rel.Len()) // join input: leased
-	err := e.ForRanges(v.Rel.Len(), func(r Range) error {
-		if v.Enc == nil {
-			v.Rel.ScanColumnInto(out, col, r.Lo, r.Hi)
-			return nil
-		}
-		return e.decodeRecords(v, r, func(buf []int32, lo, hi int) {
-			for i, p := lo, col; i < hi; i, p = i+1, p+width {
-				out[i] = buf[p]
-			}
-		})
+	out := mempool.Slice[int32](e.mem(), rel.Len()) // join input: leased
+	err := e.ForRanges(rel.Len(), func(r Range) error {
+		rel.ScanColumnInto(out, col, r.Lo, r.Hi)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -266,30 +242,16 @@ func (e *Engine) ScanColumn(v Rows, col int) ([]int32, error) {
 }
 
 // ScanProject materialises the paper's "NSM projection routine" scan
-// as a narrower raw relation, chunked over record ranges and shareable
-// with every other scan over the same view (see ScanColumn). Its
-// records are a join input and leased.
-func (e *Engine) ScanProject(v Rows, name string, cols []int) (*nsm.Relation, error) {
-	if err := v.check("ScanProject", cols...); err != nil {
+// as a narrower relation, chunked over record ranges. Its records are a
+// join input and leased.
+func (e *Engine) ScanProject(rel *nsm.Relation, name string, cols []int) (*nsm.Relation, error) {
+	if err := checkCols("ScanProject", rel, cols...); err != nil {
 		return nil, err
 	}
-	e.comp.noteInput(v.Enc)
-	width, w := v.Rel.Width, len(cols)
-	out := e.leasedRelation(name, v.Rel.Len(), w)
-	err := e.ForRanges(v.Rel.Len(), func(r Range) error {
-		if v.Enc == nil {
-			v.Rel.ScanProjectInto(out, r.Lo, r.Hi, cols)
-			return nil
-		}
-		return e.decodeRecords(v, r, func(buf []int32, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rec := buf[(i-lo)*width : (i-lo)*width+width]
-				dst := out.Data[i*w : i*w+w]
-				for k, c := range cols {
-					dst[k] = rec[c]
-				}
-			}
-		})
+	out := e.leasedRelation(name, rel.Len(), len(cols))
+	err := e.ForRanges(rel.Len(), func(r Range) error {
+		rel.ScanProjectInto(out, r.Lo, r.Hi, cols)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -300,11 +262,9 @@ func (e *Engine) ScanProject(v Rows, name string, cols []int) (*nsm.Relation, er
 // GatherProjectInto fetches the attributes named by cols from the
 // records selected by oids into a row-major buffer of dstWidth-wide
 // records at field offset dstOff, chunked over oid ranges (disjoint
-// destination records). A compressed view reads records through the
-// region decode / block cache of gatherRecords; partially clustered
-// oid orders turn that into long same-block runs.
-func (e *Engine) GatherProjectInto(v Rows, dst []int32, dstWidth, dstOff int, oids []OID, cols []int) error {
-	if err := v.check("GatherProjectInto", cols...); err != nil {
+// destination records).
+func (e *Engine) GatherProjectInto(rel *nsm.Relation, dst []int32, dstWidth, dstOff int, oids []OID, cols []int) error {
+	if err := checkCols("GatherProjectInto", rel, cols...); err != nil {
 		return err
 	}
 	if dstOff < 0 || dstOff+len(cols) > dstWidth {
@@ -313,12 +273,8 @@ func (e *Engine) GatherProjectInto(v Rows, dst []int32, dstWidth, dstOff int, oi
 	if len(dst) != len(oids)*dstWidth {
 		return fmt.Errorf("exec: GatherProjectInto: dst holds %d records, want %d", len(dst)/dstWidth, len(oids))
 	}
-	e.comp.noteInput(v.Enc)
 	return e.ForRanges(len(oids), func(r Range) error {
-		if v.Enc == nil {
-			return v.Rel.GatherProjectInto(dst[r.Lo*dstWidth:r.Hi*dstWidth], dstWidth, dstOff, oids[r.Lo:r.Hi], cols)
-		}
-		return e.gatherRecords(v, dst, dstWidth, dstOff, oids, cols, r)
+		return rel.GatherProjectInto(dst[r.Lo*dstWidth:r.Hi*dstWidth], dstWidth, dstOff, oids[r.Lo:r.Hi], cols)
 	})
 }
 
@@ -330,12 +286,40 @@ func (e *Engine) leasedRelation(name string, n, width int) *nsm.Relation {
 
 // GatherProject is GatherProjectInto materialising a fresh (leased)
 // relation.
-func (e *Engine) GatherProject(v Rows, name string, oids []OID, cols []int) (*nsm.Relation, error) {
+func (e *Engine) GatherProject(rel *nsm.Relation, name string, oids []OID, cols []int) (*nsm.Relation, error) {
 	out := e.leasedRelation(name, len(oids), len(cols))
-	if err := e.GatherProjectInto(v, out.Data, len(cols), 0, oids, cols); err != nil {
+	if err := e.GatherProjectInto(rel, out.Data, len(cols), 0, oids, cols); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// StitchRows builds the [key | π] wide tuples of a DSM pre-projection
+// scan: the key column streams sequentially while the projection
+// columns are gathered through the selection oids, chunked over tuple
+// ranges. The tuples are a join input and leased.
+func (e *Engine) StitchRows(keys []int32, cols [][]int32, oids []OID) ([]int32, error) {
+	n := len(keys)
+	if len(oids) != n {
+		return nil, fmt.Errorf("exec: StitchRows: %d oids for %d keys", len(oids), n)
+	}
+	w := 1 + len(cols)
+	rows := mempool.Slice[int32](e.mem(), n*w)
+	err := e.ForRanges(n, func(r Range) error {
+		for i := r.Lo; i < r.Hi; i++ {
+			rows[i*w] = keys[i]
+		}
+		for j, col := range cols {
+			for i := r.Lo; i < r.Hi; i++ {
+				rows[i*w+1+j] = col[oids[i]]
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // AppendFields glues two equal-cardinality relations side by side,

@@ -54,7 +54,8 @@ type QueryRequest struct {
 	// explicit nominal worker count, at most maxParallelismPerWorker
 	// times the runtime's workers.
 	Parallelism *int `json:"parallelism"`
-	// Compression: "", "off", "auto" or "on".
+	// Compression: "", "off", "auto" or "on"; "auto" runs raw, like
+	// "off" (rd.CompressionAuto).
 	Compression string `json:"compression"`
 	// Trace records span events; the footer reports the span count.
 	Trace bool `json:"trace"`

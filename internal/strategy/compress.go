@@ -1,55 +1,30 @@
 package strategy
 
-// Compressed execution at the strategy layer (§5 footnote 5): when a
-// side carries block-compressed images of its columns, the strategies
-// can run their scans, gathers and clustered fetches over the encoded
-// bytes — the memory bus carries the compressed stream while per-worker
-// scratch holds the L1-resident decoded spans, so a bandwidth-bound
-// plan's ceiling drops to the compression ratio. The decision is the
-// planner's (Config.decide): costmodel.CompressedWins compares the raw
-// plan against the transformed one (sequential bus traffic scaled by the
-// measured ratio, CPU grown by the calibrated decode cost) at the plan's
-// worker count. Output bytes are identical
-// either way — the raw arrays always coexist, and every compressed
-// operator decodes to exactly the same values.
+// Compressed execution at the strategy layer is a decode pass plus the
+// raw plan. When Config.Compress is set and a side carries
+// block-compressed images, each encoded input is decoded by a
+// scan-shaped phase (exec.Engine.MaterializeCol) listed right before the
+// first phase that reads it — the join keys before the join, a DSM
+// side's projection columns before its fetch, a clustered side's column
+// before its fetch-clustered, DSM pre-projection's inputs before the
+// stitch, an NSM record image before key extraction — and every later
+// phase runs the raw plan over the decoded arrays. The plan itself (its
+// methods, bits and window) is the raw plan's, and output bytes are
+// identical either way: the decode reproduces the raw arrays exactly.
+// Compression is never chosen by the cost model: a decode pass plus the
+// raw plan cannot cost less than the raw plan alone, whose arrays always
+// coexist with the encodings.
 
 import (
+	"fmt"
 	"slices"
 
 	"radixdecluster/internal/compress"
-	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
 )
 
-// CompressMode selects whether strategies execute over the sides'
-// block-compressed column images.
-type CompressMode int
-
-const (
-	// CompressOff executes over the raw arrays (default).
-	CompressOff CompressMode = iota
-	// CompressAuto lets the cost model decide per strategy: the
-	// compression term shrinks the modeled bus traffic by the measured
-	// ratio and charges the calibrated per-value decode cost, and the
-	// cheaper representation wins (costmodel.CompressedWins).
-	CompressAuto
-	// CompressOn executes compressed whenever an encoding is present.
-	CompressOn
-)
-
-func (m CompressMode) String() string {
-	switch m {
-	case CompressAuto:
-		return "auto"
-	case CompressOn:
-		return "on"
-	}
-	return "off"
-}
-
-// encs lists the side's encodings (nil entries are fine — the
-// aggregator skips them); a side without a key encoding allocates
-// nothing.
+// encs lists the side's encodings (nil entries are fine — decide skips
+// them); a side without a key encoding allocates nothing.
 func (s DSMSide) encs() []*compress.Encoded {
 	if s.KeysEnc == nil {
 		return s.ColsEnc
@@ -57,57 +32,60 @@ func (s DSMSide) encs() []*compress.Encoded {
 	return append([]*compress.Encoded{s.KeysEnc}, s.ColsEnc...)
 }
 
-// view returns projection column k as an execution view: compressed
-// when requested and an encoding exists, raw otherwise.
-func (s DSMSide) view(k int, comp bool) exec.Col {
-	c := exec.RawCol(s.Cols[k])
-	if comp && k < len(s.ColsEnc) && s.ColsEnc[k] != nil {
-		c.Enc = s.ColsEnc[k]
-	}
-	return c
+// slot is one input of a compressed plan: the raw array the later
+// phases read, and the encoding a decode phase replaces it from (nil:
+// the input has none and stays raw).
+type slot struct {
+	raw *[]int32
+	enc *compress.Encoded
 }
 
-// views returns every projection column as an execution view.
-func (s DSMSide) views(comp bool) []exec.Col {
-	out := make([]exec.Col, len(s.Cols))
-	for k := range s.Cols {
-		out[k] = s.view(k, comp)
+// keySlot is the side's key column as a decode input.
+func (s *DSMSide) keySlot() slot { return slot{&s.Keys, s.KeysEnc} }
+
+// colSlots are the side's projection columns [lo,hi) as decode inputs.
+// A decode phase overwrites entries of s.Cols, so the run function first
+// gives the side a Cols list of its own.
+func (s *DSMSide) colSlots(lo, hi int) []slot {
+	out := make([]slot, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		var enc *compress.Encoded
+		if k < len(s.ColsEnc) {
+			enc = s.ColsEnc[k]
+		}
+		out = append(out, slot{&s.Cols[k], enc})
 	}
 	return out
 }
 
-// keysView returns the key column as an execution view.
-func (s DSMSide) keysView(comp bool) exec.Col {
-	c := exec.RawCol(s.Keys)
-	if comp && s.KeysEnc != nil {
-		c.Enc = s.KeysEnc
-	}
-	return c
+// recordSlot gives the side a relation header of its own and returns
+// its record image as a decode input: once the phase has run, every
+// later phase that reads s.Rel reads the decoded records.
+func (s *NSMSide) recordSlot() slot {
+	rel := *s.Rel
+	s.Rel = &rel
+	return slot{&rel.Data, s.Enc}
 }
 
-// compressionTerm aggregates encodings into the cost model's
-// compression term: the byte-weighted compression ratio, the total
-// values one decode pass covers, and the value-weighted calibrated
-// decode cost. Zero (disabled) when nothing is encoded.
-func compressionTerm(encs [][]*compress.Encoded) costmodel.Compression {
-	var raw, enc int64
-	var values int
-	var ns float64
-	for _, e := range slices.Concat(encs...) {
-		if e == nil || e.Len() == 0 {
-			continue
+// decodePhase lists the scan-shaped phase of a compressed plan that
+// decodes each slot's encoding into a leased raw array and swaps it in,
+// so the phases listed after it read raw arrays only. Slots none of
+// which is encoded list nothing.
+func decodePhase(pl *exec.Pipeline, name string, slots ...slot) {
+	if !slices.ContainsFunc(slots, func(s slot) bool { return s.enc != nil }) {
+		return
+	}
+	pl.Then(exec.PhaseScan, name, func(e *exec.Engine) error {
+		for _, s := range slots {
+			if s.enc == nil {
+				continue
+			}
+			raw, err := e.MaterializeCol(s.enc)
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			*s.raw = raw
 		}
-		raw += int64(e.RawBytes())
-		enc += int64(e.CompressedBytes())
-		values += e.Len()
-		ns += float64(e.Len()) * costmodel.DecodeNanos(e.Scheme())
-	}
-	if values == 0 || raw == 0 {
-		return costmodel.Compression{}
-	}
-	return costmodel.Compression{
-		Ratio:    float64(enc) / float64(raw),
-		Values:   values,
-		DecodeNs: ns / float64(values),
-	}
+		return nil
+	})
 }

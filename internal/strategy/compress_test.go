@@ -2,10 +2,13 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"radixdecluster/internal/compress"
+	"radixdecluster/internal/exec"
 	"radixdecluster/internal/mem"
+	"radixdecluster/internal/obs"
 	"radixdecluster/internal/workload"
 )
 
@@ -48,108 +51,184 @@ func encodeNSMSides(t *testing.T, sides ...*NSMSide) {
 	}
 }
 
-// TestCompressedStrategiesMatchRaw pins the tentpole contract: every
-// strategy produces the identical join whether it executes over raw
-// arrays or block-compressed images (CompressOn forces the compressed
-// paths; the workload's dense-oid payloads compress well, so the run
-// must actually consume compressed columns).
+// TestCompressedStrategiesMatchRaw pins the contract: every strategy
+// produces the identical join whether it runs raw or decodes
+// block-compressed images ahead of the raw plan (the workload's
+// dense-oid payloads compress well, so a compressed run must actually
+// decode). Compress false over the same encoded sides is what the root
+// package's CompressionAuto resolves to: it must run raw.
 func TestCompressedStrategiesMatchRaw(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 1500, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 71})
 	want := expectedRows(pr, pi)
-	for _, mode := range []CompressMode{CompressOn, CompressAuto} {
-		cfg := Config{Hier: mem.Small(), Compress: mode}
+	for _, comp := range []bool{true, false} {
+		cfg := Config{Hier: mem.Small(), Compress: comp}
+		check := func(tag string, res *Result) {
+			t.Helper()
+			if res.Compressed != comp {
+				t.Fatalf("%s: Compressed = %v", tag, res.Compressed)
+			}
+			if comp && (res.Timings.Comp.Cols == 0 || res.Timings.Comp.SavedBytes <= 0) {
+				t.Fatalf("%s: compressed run decoded nothing: %+v", tag, res.Timings.Comp)
+			}
+			if !comp && res.Timings.Comp != (exec.CompStats{}) {
+				t.Fatalf("%s: raw run decoded: %+v", tag, res.Timings.Comp)
+			}
+		}
 		l, s := dsmSides(pr, pi)
 		encodeSides(t, &l, &s)
 		for _, m := range [][2]ProjMethod{{PartialCluster, Unsorted}, {PartialCluster, Declustered}, {Unsorted, Unsorted}} {
-			tag := fmt.Sprintf("mode=%v DSMPost %c/%c", mode, m[0], m[1])
+			tag := fmt.Sprintf("compress=%v DSMPost %c/%c", comp, m[0], m[1])
 			res, err := DSMPost(l, s, m[0], m[1], cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
 			compareRows(t, tag, dsmResultRows(t, res, pi), want)
-			if mode == CompressOn {
-				if !res.Compressed {
-					t.Fatalf("%s: CompressOn run not marked compressed", tag)
-				}
-				if res.Timings.Comp.Cols == 0 {
-					t.Fatalf("%s: no compressed columns consumed", tag)
-				}
-				if res.Timings.Comp.SavedBytes <= 0 {
-					t.Fatalf("%s: SavedBytes = %d", tag, res.Timings.Comp.SavedBytes)
-				}
-			}
+			check(tag, res)
 		}
 		if res, err := DSMPre(l, s, cfg); err != nil {
-			t.Fatalf("mode=%v DSMPre: %v", mode, err)
+			t.Fatalf("compress=%v DSMPre: %v", comp, err)
 		} else {
-			compareRows(t, fmt.Sprintf("mode=%v DSMPre", mode), rowsResultRows(t, res, pi), want)
-			if mode == CompressOn && res.Timings.Comp.Cols == 0 {
-				t.Fatal("DSMPre: no compressed columns consumed")
-			}
+			tag := fmt.Sprintf("compress=%v DSMPre", comp)
+			compareRows(t, tag, rowsResultRows(t, res, pi), want)
+			check(tag, res)
 		}
 		nl, ns := nsmSides(pr, pi)
 		encodeNSMSides(t, &nl, &ns)
 		for _, partitioned := range []bool{false, true} {
 			if res, err := NSMPre(nl, ns, partitioned, cfg); err != nil {
-				t.Fatalf("mode=%v NSMPre part=%v: %v", mode, partitioned, err)
+				t.Fatalf("compress=%v NSMPre part=%v: %v", comp, partitioned, err)
 			} else {
-				compareRows(t, fmt.Sprintf("mode=%v NSMPre part=%v", mode, partitioned), rowsResultRows(t, res, pi), want)
+				tag := fmt.Sprintf("compress=%v NSMPre part=%v", comp, partitioned)
+				compareRows(t, tag, rowsResultRows(t, res, pi), want)
+				check(tag, res)
 			}
 		}
 		if res, err := NSMPostDecluster(nl, ns, cfg); err != nil {
-			t.Fatalf("mode=%v NSMPostDecluster: %v", mode, err)
+			t.Fatalf("compress=%v NSMPostDecluster: %v", comp, err)
 		} else {
-			compareRows(t, fmt.Sprintf("mode=%v NSMPostDecluster", mode), rowsResultRows(t, res, pi), want)
-			if mode == CompressOn && nl.Enc != nil && res.Timings.Comp.Cols == 0 {
-				t.Fatal("NSMPostDecluster: no compressed columns consumed")
-			}
+			tag := fmt.Sprintf("compress=%v NSMPostDecluster", comp)
+			compareRows(t, tag, rowsResultRows(t, res, pi), want)
+			check(tag, res)
 		}
 		if res, err := NSMPostJive(nl, ns, 0, cfg); err != nil {
-			t.Fatalf("mode=%v NSMPostJive: %v", mode, err)
+			t.Fatalf("compress=%v NSMPostJive: %v", comp, err)
 		} else {
-			compareRows(t, fmt.Sprintf("mode=%v NSMPostJive", mode), rowsResultRows(t, res, pi), want)
+			tag := fmt.Sprintf("compress=%v NSMPostJive", comp)
+			compareRows(t, tag, rowsResultRows(t, res, pi), want)
+			check(tag, res)
 		}
 	}
 }
 
-// TestUnsortedCompressedDecodesOnce: an unsorted fetch over an encoded
-// column used to decode a block per tuple — the oids of a join-index in
-// join order span the whole column, so the block cache missed on nearly
-// every fetch. A compressed plan now materialises a u side's columns in
-// one scan-shaped pass, so the run reads each encoding exactly once:
-// the encoded bytes it consumed are the encodings' own size.
-func TestUnsortedCompressedDecodesOnce(t *testing.T) {
+// phaseNames lists the pipeline phases a traced run executed, in order.
+func phaseNames(tr *obs.Trace) []string {
+	var out []string
+	for _, ev := range tr.Events() {
+		if ev.TID == tracePipelineTrack && ev.Name != "admission" {
+			out = append(out, ev.Name)
+		}
+	}
+	return out
+}
+
+// tracePipelineTrack is the trace track exec's pipeline writes phase
+// spans on.
+const tracePipelineTrack = 1000
+
+// TestCompressedDecodesEachInputOnce: a compressed plan is the raw plan
+// with a decode phase right before the first phase that reads each
+// encoded input, so a run reads every encoding it uses exactly once —
+// the encoded bytes a serial run consumes are the encodings' own size
+// (a parallel run's decode chunks re-read the blocks straddling their
+// borders, at most 2×). Per-tuple decoding inside the fetch and gather
+// operators once read a u side hundreds of times over. Covered: the
+// DSM post-projection method pairs u/u, c/u, s/d and c/d, DSM
+// pre-projection, and the four NSM strategies, each with its phase list.
+func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 74})
+	want := expectedRows(pr, pi)
 	l, s := dsmSides(pr, pi)
 	encodeSides(t, &l, &s)
-	var encoded int64
-	for _, e := range append(l.encs(), s.encs()...) {
-		if e != nil {
-			encoded += int64(e.CompressedBytes())
+	nl, ns := nsmSides(pr, pi)
+	encodeNSMSides(t, &nl, &ns)
+	encodedBytes := func(encs ...*compress.Encoded) (n int64) {
+		for _, e := range encs {
+			if e == nil {
+				t.Fatal("workload input did not compress: the phase lists below assume it does")
+			}
+			n += int64(e.CompressedBytes())
 		}
+		return n
 	}
-	if encoded == 0 {
-		t.Fatal("workload did not compress: the test observes nothing")
+	dsmBytes := encodedBytes(append(l.encs(), s.encs()...)...)
+	nsmBytes := encodedBytes(nl.Enc, ns.Enc)
+	dsmPost := func(lm, sm ProjMethod) func(Config) (*Result, error) {
+		return func(cfg Config) (*Result, error) { return DSMPost(l, s, lm, sm, cfg) }
 	}
-	for _, par := range []int{0, 2} {
-		res, err := DSMPost(l, s, Unsorted, Unsorted, Config{Compress: CompressOn, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
+	reorder := map[ProjMethod]string{PartialCluster: "partial-cluster-join-index", SortedM: "radix-sort-join-index"}
+	dsmPostPhases := func(lm, sm ProjMethod) []string {
+		ph := []string{"decompress-keys", "partitioned-hash-join"}
+		if lm != Unsorted {
+			ph = append(ph, reorder[lm])
 		}
-		compareRows(t, fmt.Sprintf("u/u compressed par=%d", par), dsmResultRows(t, res, pi), expectedRows(pr, pi))
-		// Parallel decode passes re-read the blocks that straddle their
-		// chunk borders; per-tuple decoding read hundreds of times more.
-		if got := res.Timings.Comp.CompressedBytes; got < encoded || got > 2*encoded || (par == 0 && got != encoded) {
-			t.Errorf("par=%d: run read %d encoded bytes, want each encoding once = %d", par, got, encoded)
+		ph = append(ph, "decompress-larger", "fetch-larger")
+		if sm == Unsorted {
+			return append(ph, "decompress-smaller", "fetch-smaller")
 		}
-		res.Release()
+		ph = append(ph, "recluster-smaller")
+		for range pi {
+			ph = append(ph, "decompress-smaller", "fetch-clustered", "radix-decluster")
+		}
+		return ph
+	}
+	cases := []struct {
+		name   string
+		run    func(Config) (*Result, error)
+		rows   func(*testing.T, *Result, int) map[string]int
+		bytes  int64
+		phases []string
+	}{
+		{"u/u", dsmPost(Unsorted, Unsorted), dsmResultRows, dsmBytes, dsmPostPhases(Unsorted, Unsorted)},
+		{"c/u", dsmPost(PartialCluster, Unsorted), dsmResultRows, dsmBytes, dsmPostPhases(PartialCluster, Unsorted)},
+		{"s/d", dsmPost(SortedM, Declustered), dsmResultRows, dsmBytes, dsmPostPhases(SortedM, Declustered)},
+		{"c/d", dsmPost(PartialCluster, Declustered), dsmResultRows, dsmBytes, dsmPostPhases(PartialCluster, Declustered)},
+		{"DSM-pre", func(cfg Config) (*Result, error) { return DSMPre(l, s, cfg) }, rowsResultRows, dsmBytes,
+			[]string{"decompress-inputs", "stitch-wide-tuples", "partitioned-rows-join"}},
+		{"NSM-pre-hash", func(cfg Config) (*Result, error) { return NSMPre(nl, ns, false, cfg) }, rowsResultRows, nsmBytes,
+			[]string{"decompress-records", "nsm-scan-project", "rows-join"}},
+		{"NSM-pre-phash", func(cfg Config) (*Result, error) { return NSMPre(nl, ns, true, cfg) }, rowsResultRows, nsmBytes,
+			[]string{"decompress-records", "nsm-scan-project", "rows-join"}},
+		{"NSM-post-decluster", func(cfg Config) (*Result, error) { return NSMPostDecluster(nl, ns, cfg) }, rowsResultRows, nsmBytes,
+			[]string{"decompress-records", "key-extraction", "partitioned-hash-join", "partial-cluster-join-index",
+				"gather-larger", "recluster-smaller", "gather-smaller", "radix-decluster-rows"}},
+		{"NSM-post-jive", func(cfg Config) (*Result, error) { return NSMPostJive(nl, ns, 0, cfg) }, rowsResultRows, nsmBytes,
+			[]string{"decompress-records", "key-extraction", "partitioned-hash-join", "sort-join-index",
+				"jive-left", "jive-right", "assemble-result"}},
+	}
+	for _, c := range cases {
+		for _, par := range []int{0, 2} {
+			tag := fmt.Sprintf("%s par=%d", c.name, par)
+			tr := obs.NewTrace(tag)
+			res, err := c.run(Config{Compress: true, Parallelism: par, Trace: tr})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			compareRows(t, tag, c.rows(t, res, pi), want)
+			if got := res.Timings.Comp.CompressedBytes; got < c.bytes || got > 2*c.bytes || (par == 0 && got != c.bytes) {
+				t.Errorf("%s: run read %d encoded bytes, want each encoding once = %d", tag, got, c.bytes)
+			}
+			if got := phaseNames(tr); !slices.Equal(got, c.phases) {
+				t.Errorf("%s: phases\n got  %v\n want %v", tag, got, c.phases)
+			}
+			res.Release()
+		}
 	}
 }
 
-// TestCompressOffIgnoresEncodings: encoded sides with the default mode
-// must run raw and report no compressed activity.
+// TestCompressOffIgnoresEncodings: encoded sides under the default
+// Compress false must run raw and report no compressed activity.
 func TestCompressOffIgnoresEncodings(t *testing.T) {
 	const pi = 1
 	pr := testPair(t, workload.Params{N: 900, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 72})
@@ -160,7 +239,7 @@ func TestCompressOffIgnoresEncodings(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Compressed || res.Timings.Comp.Cols != 0 {
-		t.Fatalf("CompressOff run reports compressed execution: %+v", res.Timings.Comp)
+		t.Fatalf("a raw run reports compressed execution: %+v", res.Timings.Comp)
 	}
 	compareRows(t, "off", dsmResultRows(t, res, pi), expectedRows(pr, pi))
 }

@@ -22,7 +22,7 @@ type NSMSide struct {
 	ProjCols []int
 	// Enc is an optional block-compressed image of Rel.Data; it must
 	// decode to exactly the raw records. Config.Compress selects whether
-	// scans and gathers read it.
+	// a run decodes it.
 	Enc *compress.Encoded
 }
 
@@ -48,25 +48,14 @@ func (s NSMSide) validate(name string) error {
 // width when nothing is projected).
 func (s NSMSide) projBytes() int { return max(len(s.ProjCols)*4, 4) }
 
-// view returns the side's records as an execution view: compressed
-// when requested and an encoding exists, raw otherwise (the NSM
-// counterpart of DSMSide.view).
-func (s NSMSide) view(comp bool) exec.Rows {
-	v := exec.Rows{Rel: s.Rel}
-	if comp {
-		v.Enc = s.Enc
-	}
-	return v
-}
-
 // scanWide extracts the [key | π] wide tuples of an NSM
 // pre-projection scan, record at a time (the paper's "NSM projection
 // routine"), chunked on the engine.
-func (s NSMSide) scanWide(e *exec.Engine, comp bool) ([]int32, error) {
+func (s NSMSide) scanWide(e *exec.Engine) ([]int32, error) {
 	cols := make([]int, 0, len(s.ProjCols)+1)
 	cols = append(cols, s.KeyCol)
 	cols = append(cols, s.ProjCols...)
-	rel, err := e.ScanProject(s.view(comp), s.Rel.Name+"_wide", cols)
+	rel, err := e.ScanProject(s.Rel, s.Rel.Name+"_wide", cols)
 	if err != nil {
 		return nil, err
 	}
@@ -92,14 +81,15 @@ func PlanNSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (Plan, Co
 		p.JoinBits = join.PlanBits(smaller.Rel.Len(), sw*4, cfg.hier().LLC().Size)
 	}
 	cost := rowsCost(larger.Rel.Len(), smaller.Rel.Len(), lw, sw, p.JoinBits)
-	cfg.decide(&p, larger.Rel.Len()+smaller.Rel.Len(), cost, []*compress.Encoded{larger.Enc, smaller.Enc})
+	cfg.decide(&p, larger.Rel.Len()+smaller.Rel.Len(), []*compress.Encoded{larger.Enc, smaller.Enc})
 	return p, cost, nil
 }
 
 // NSMPre runs NSM pre-projection: projection attributes are copied
 // out of the wide records during the scan and travel through the
 // join. partitioned=false is the naive "NSM-pre-hash" baseline of
-// Figure 10; true is the cache-conscious "NSM-pre-phash".
+// Figure 10; true is the cache-conscious "NSM-pre-phash". A compressed
+// plan decodes the record images ahead of the scan.
 func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanNSMPre(larger, smaller, partitioned, cfg)
@@ -111,13 +101,16 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 	defer pl.Close()
 	res := &Result{Plan: p}
 
+	if p.Compressed {
+		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
+	}
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "nsm-scan-project", func(e *exec.Engine) error {
 		var err error
-		if lRows, err = larger.scanWide(e, p.Compressed); err != nil {
+		if lRows, err = larger.scanWide(e); err != nil {
 			return err
 		}
-		sRows, err = smaller.scanWide(e, p.Compressed)
+		sRows, err = smaller.scanWide(e)
 		return err
 	})
 	pl.Then(exec.PhaseJoin, "rows-join", func(e *exec.Engine) error {
@@ -160,10 +153,10 @@ func PlanNSMPostDecluster(larger, smaller NSMSide, cfg Config) (Plan, CostFn, er
 	baseN := max(nL, nS)
 	omegaBytes := max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes())
 	projBytes, bits := max(piL, piS)*4, max(1, p.LargerBits)
-	cost := func(m costmodel.Model, w int) costmodel.Cost {
-		return costmodel.NSMPostDecluster(m, share(nL, w), share(baseN, w), omegaBytes, projBytes, bits, max(1, window/w))
+	cost := func(m costmodel.Model) costmodel.Cost {
+		return costmodel.NSMPostDecluster(m, nL, baseN, omegaBytes, projBytes, bits, window)
 	}
-	cfg.decide(&p, nL+nS, cost, []*compress.Encoded{larger.Enc, smaller.Enc})
+	cfg.decide(&p, nL+nS, []*compress.Encoded{larger.Enc, smaller.Enc})
 	return p, cost, nil
 }
 
@@ -174,7 +167,8 @@ func PlanNSMPostDecluster(larger, smaller NSMSide, cfg Config) (Plan, CostFn, er
 // Radix-Decluster. Because Positional-Joins now touch ω-wide records,
 // the cluster granularity must fit whole-record spans in the cache —
 // the tuple-width penalty that makes this strategy lag DSM
-// post-projection (§4.2).
+// post-projection (§4.2). A compressed plan decodes the record images
+// ahead of the key extraction.
 func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanNSMPostDecluster(larger, smaller, cfg)
@@ -185,17 +179,19 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	pl := cfg.pipeline(p, nsmAffinitySeed(larger))
 	defer pl.Close()
 	res := &Result{Plan: p}
-	useComp := p.Compressed
 
 	// Key extraction scans.
+	if p.Compressed {
+		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
+	}
 	var lKeys, sKeys []int32
 	var lOIDs, sOIDs []OID
 	pl.Then(exec.PhaseScan, "key-extraction", func(e *exec.Engine) error {
 		var err error
-		if lKeys, err = e.ScanColumn(larger.view(useComp), larger.KeyCol); err != nil {
+		if lKeys, err = e.ScanColumn(larger.Rel, larger.KeyCol); err != nil {
 			return err
 		}
-		if sKeys, err = e.ScanColumn(smaller.view(useComp), smaller.KeyCol); err != nil {
+		if sKeys, err = e.ScanColumn(smaller.Rel, smaller.KeyCol); err != nil {
 			return err
 		}
 		lOIDs = bat.Dense(larger.Rel.Len())
@@ -228,7 +224,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		res.Rows = e.Own(res.N * res.RowWidth)
 		key := cl.Key
 		cl.Key = nil
-		return e.GatherProjectInto(larger.view(useComp), res.Rows, res.RowWidth, 0, key, larger.ProjCols)
+		return e.GatherProjectInto(larger.Rel, res.Rows, res.RowWidth, 0, key, larger.ProjCols)
 	})
 
 	// Smaller side: re-cluster on the smaller oid, gather the fields
@@ -246,7 +242,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		var clustered *nsm.Relation
 		pl.Then(exec.PhaseProjectSmaller, "gather-smaller", func(e *exec.Engine) error {
 			var err error
-			clustered, err = e.GatherProject(smaller.view(useComp), "sproj", cl2.SmallerOIDs, smaller.ProjCols)
+			clustered, err = e.GatherProject(smaller.Rel, "sproj", cl2.SmallerOIDs, smaller.ProjCols)
 			return err
 		})
 		pl.Then(exec.PhaseDecluster, "radix-decluster-rows", func(e *exec.Engine) error {
@@ -283,20 +279,19 @@ func PlanNSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (Plan, C
 	}
 	omegaBytes := max(larger.Rel.TupleBytes(), smaller.Rel.TupleBytes())
 	projBytes, bits := smaller.projBytes(), max(1, p.SmallerBits)
-	cost := func(m costmodel.Model, w int) costmodel.Cost {
-		return costmodel.JivePost(m, share(nL, w), share(nL, w), share(nS, w), omegaBytes, projBytes, bits)
+	cost := func(m costmodel.Model) costmodel.Cost {
+		return costmodel.JivePost(m, nL, nL, nS, omegaBytes, projBytes, bits)
 	}
-	// Compressed execution covers the key-extraction scans; the Jive
-	// left/right phases themselves stay over the raw records (their
-	// merge cursors and scatter regions are already cache-confined).
-	cfg.decide(&p, nL+nS, cost, []*compress.Encoded{larger.Enc, smaller.Enc})
+	cfg.decide(&p, nL+nS, []*compress.Encoded{larger.Enc, smaller.Enc})
 	return p, cost, nil
 }
 
 // NSMPostJive runs post-projection with Jive-Join [LR99]: sort the
 // join-index on the larger oids, then Left/Right Jive over the NSM
 // records. jiveBits 0 lets the planner size the fan-out so each
-// cluster's write-back region fits the cache.
+// cluster's write-back region fits the cache. A compressed plan decodes
+// the record images ahead of the key extraction, and both Jive phases
+// read the decoded records.
 func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanNSMPostJive(larger, smaller, jiveBits, cfg)
@@ -308,14 +303,17 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 	defer pl.Close()
 	res := &Result{Plan: p}
 
+	if p.Compressed {
+		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
+	}
 	var lKeys, sKeys []int32
 	var lOIDs, sOIDs []OID
 	pl.Then(exec.PhaseScan, "key-extraction", func(e *exec.Engine) error {
 		var err error
-		if lKeys, err = e.ScanColumn(larger.view(p.Compressed), larger.KeyCol); err != nil {
+		if lKeys, err = e.ScanColumn(larger.Rel, larger.KeyCol); err != nil {
 			return err
 		}
-		if sKeys, err = e.ScanColumn(smaller.view(p.Compressed), smaller.KeyCol); err != nil {
+		if sKeys, err = e.ScanColumn(smaller.Rel, smaller.KeyCol); err != nil {
 			return err
 		}
 		lOIDs = bat.Dense(larger.Rel.Len())

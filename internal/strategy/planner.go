@@ -84,8 +84,8 @@ type Plan struct {
 	// Workers is the executor: 0 = serial paper mode, n >= 1 = the
 	// morsel-driven parallel executor with a nominal n workers.
 	Workers int
-	// Compressed is the representation: true when the run executes over
-	// block-compressed column images.
+	// Compressed is the representation: true when the run decodes
+	// block-compressed images ahead of the raw plan's phases.
 	Compressed bool
 }
 
@@ -110,15 +110,10 @@ func (p Plan) String() string {
 	return s
 }
 
-// CostFn is a strategy's modeled cost for one query's shape: its
-// Appendix-A formula on model m, over one of w workers' share of every
-// cardinality and of the insertion window (w = 1: the serial formula).
-// The plan step hands it to costmodel.CompressedWins; PlanJoin evaluates
-// the same function for its estimate.
-type CostFn func(m costmodel.Model, w int) costmodel.Cost
-
-// share is one of w workers' part of n tuples.
-func share(n, w int) int { return (n + w - 1) / w }
+// CostFn is a strategy's modeled cost for one query's shape: its serial
+// Appendix-A formula on model m. PlanJoin evaluates it for its estimate;
+// no planner decision reads it.
+type CostFn func(m costmodel.Model) costmodel.Cost
 
 // decide completes a plan with its worker count and representation,
 // the only reader of Config.Parallelism and Config.Compress. An explicit
@@ -127,13 +122,10 @@ func share(n, w int) int { return (n + w - 1) / w }
 // (total join input cardinality) below the executor's serial-fallback
 // threshold is planned serial: every operator would fall back to serial
 // code anyway, so the query never enters runtime admission and the plan
-// says Workers = 0. The cost model (costmodel.CompressedWins over the
-// strategy's cost, at the plan's worker count) is consulted only for
-// CompressAuto with an encoding present, so no other query evaluates a
-// formula or triggers a calibration probe (costmodel.SaturationStreams,
-// DecodeNanos). encs are the sides' compressed images (nil entries are
-// raw-only columns).
-func (c Config) decide(p *Plan, joinInput int, cost CostFn, encs ...[]*compress.Encoded) {
+// says Workers = 0. The plan is compressed when Compress asks for it and
+// an encoding is present; encs are the sides' compressed images (nil
+// entries are raw-only columns).
+func (c Config) decide(p *Plan, joinInput int, encs ...[]*compress.Encoded) {
 	p.Workers = max(c.Parallelism, 0)
 	if c.Parallelism == AutoParallelism {
 		if w := c.autoWorkers(); w > 1 {
@@ -143,11 +135,9 @@ func (c Config) decide(p *Plan, joinInput int, cost CostFn, encs ...[]*compress.
 	if joinInput < exec.MinParallelN {
 		p.Workers = 0
 	}
-	encoded := c.Compress != CompressOff && slices.ContainsFunc(encs, func(side []*compress.Encoded) bool {
+	p.Compressed = c.Compress && slices.ContainsFunc(encs, func(side []*compress.Encoded) bool {
 		return slices.ContainsFunc(side, func(e *compress.Encoded) bool { return e != nil })
 	})
-	p.Compressed = encoded && (c.Compress == CompressOn ||
-		costmodel.CompressedWins(costmodel.Model{H: c.hier()}, p.Workers, cost, compressionTerm(encs)))
 }
 
 // pipeline opens the engine the plan selects on the run's (resolved)

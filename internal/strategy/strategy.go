@@ -112,12 +112,12 @@ type Config struct {
 	// radixdecluster_plans_total counter.
 	QueryTag string
 	// Compress selects compressed execution over the sides'
-	// block-compressed column images (DSMSide.KeysEnc/ColsEnc,
-	// NSMSide.Enc): CompressOff (default) runs raw, CompressAuto lets
-	// the cost model's compression term decide per strategy, CompressOn
-	// forces compressed execution wherever an encoding exists. Result
-	// bytes are identical in all modes.
-	Compress CompressMode
+	// block-compressed images (DSMSide.KeysEnc/ColsEnc, NSMSide.Enc):
+	// each encoded input is decoded by a phase of its own and the raw
+	// plan runs over the decoded arrays (compress.go). False (default)
+	// runs raw and ignores the encodings. Result bytes are identical
+	// either way.
+	Compress bool
 }
 
 func (c Config) hier() mem.Hierarchy {
@@ -228,7 +228,7 @@ type DSMSide struct {
 	BaseN int
 	// KeysEnc / ColsEnc are optional block-compressed images of Keys
 	// and Cols; nil entries stay raw-only. They must decode to exactly
-	// the raw values — Config.Compress selects whether execution reads
+	// the raw values — Config.Compress selects whether a run decodes
 	// them.
 	KeysEnc *compress.Encoded
 	ColsEnc []*compress.Encoded
@@ -306,14 +306,14 @@ func resolveSmaller(m ProjMethod, pi, baseN, resident int) ProjMethod {
 // it. Everything SIZED — the join's radix bits, the cluster bits of a
 // c or d side, the insertion window, and the shape the cost prices
 // (result cardinality ≈ the larger input, π = the wider projection
-// list, the c/d formula's bits and window, whatever the methods, so the
-// worker count never depends on a method the model has no formula for)
+// list, the c/d formula's bits and window, whatever the methods: the
+// model has no formula for the others)
 // — reads the declared levels. Only the method switch asks whether a
 // column stays RESIDENT, which on a serving runtime is a fact about the
 // host: the threshold is Hierarchy.ResidentBytes, or the declared level
-// c when that is 0. A compressed side reads the same threshold: a u
-// side is decoded once, scan-shaped, into a raw column before its fetch
-// (materializeEncoded), so the fetch is the raw one.
+// c when that is 0. A compressed side reads the same threshold: its
+// columns are decoded into raw ones before their fetch (decodePhase), so
+// the fetch is the raw one.
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
 	if err := validateDSM(larger, smaller); err != nil {
 		return Plan{}, nil, err
@@ -327,10 +327,10 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 	baseN := max(larger.BaseN, smaller.BaseN)
 	bits := max(1, radix.OptimalBits(baseN, 4, c))
 	pi := max(1, len(larger.Cols), len(smaller.Cols))
-	cost := func(m costmodel.Model, w int) costmodel.Cost {
-		return costmodel.DSMPostDecluster(m, share(nJI, w), share(baseN, w), 4, bits, pi, max(1, window/w))
+	cost := func(m costmodel.Model) costmodel.Cost {
+		return costmodel.DSMPostDecluster(m, nJI, baseN, 4, bits, pi, window)
 	}
-	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), cost, larger.encs(), smaller.encs())
+	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), larger.encs(), smaller.encs())
 
 	resident := c
 	if h.ResidentBytes > 0 {
@@ -358,8 +358,9 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 
 // DSMPost runs the paper's headline strategy: DSM post-projection
 // with the given per-side methods (Auto to let the planner choose).
-// The assembly is a single phase pipeline; the plan only selects the
-// engine the phases execute on and the representation they read.
+// The assembly is a single phase pipeline; the plan selects the engine
+// the phases execute on, and a compressed plan adds the decode phases
+// ahead of the phases that read the decoded inputs.
 func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanDSMPost(larger, smaller, lm, sm, cfg)
@@ -373,26 +374,19 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	pl := cfg.pipeline(p, exec.AffinitySeed(larger.Keys, len(larger.OIDs), false))
 	defer pl.Close()
 	res := &Result{Plan: p}
-	useComp := p.Compressed
 
 	// Phase 1: join-index via Partitioned Hash-Join on the key BATs.
-	// Compressed key columns are materialised first — a scan-shaped
-	// decode pass that reads only the encoded bytes from RAM.
-	lKeys, sKeys := larger.Keys, smaller.Keys
-	if useComp && (larger.KeysEnc != nil || smaller.KeysEnc != nil) {
-		pl.Then(exec.PhaseScan, "decompress-keys", func(e *exec.Engine) error {
-			var err error
-			if lKeys, err = e.MaterializeCol(larger.keysView(true)); err != nil {
-				return err
-			}
-			sKeys, err = e.MaterializeCol(smaller.keysView(true))
-			return err
-		})
+	// Compressed key columns are decoded first — a scan-shaped pass that
+	// reads only the encoded bytes from RAM.
+	if p.Compressed {
+		// The decode phases swap decoded copies into the sides' inputs.
+		larger.Cols, smaller.Cols = slices.Clone(larger.Cols), slices.Clone(smaller.Cols)
+		decodePhase(pl, "decompress-keys", larger.keySlot(), smaller.keySlot())
 	}
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		var err error
-		ji, err = e.PartitionedJoin(larger.OIDs, lKeys, smaller.OIDs, sKeys, joinOpts(p.JoinBits, h))
+		ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, joinOpts(p.JoinBits, h))
 		if err != nil {
 			return err
 		}
@@ -428,16 +422,15 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			return nil
 		})
 	}
-	lViews := larger.views(useComp)
-	if p.LargerMethod == Unsorted {
-		materializeEncoded(pl, "decompress-larger", lViews)
+	if p.Compressed {
+		decodePhase(pl, "decompress-larger", larger.colSlots(0, len(larger.Cols))...)
 	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if p.LargerMethod == Unsorted {
 			largerOIDs, smallerInResultOrder, ji = ji.Larger, ji.Smaller, nil
 		}
 		var err error
-		res.LargerCols, err = e.FetchMany(lViews, largerOIDs)
+		res.LargerCols, err = e.FetchMany(larger.Cols, largerOIDs)
 		largerOIDs = nil
 		return err
 	})
@@ -445,11 +438,12 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// Phase 3: smaller-side projections.
 	switch p.SmallerMethod {
 	case Unsorted:
-		sViews := smaller.views(useComp)
-		materializeEncoded(pl, "decompress-smaller", sViews)
+		if p.Compressed {
+			decodePhase(pl, "decompress-smaller", smaller.colSlots(0, len(smaller.Cols))...)
+		}
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
-			res.SmallerCols, err = e.FetchMany(sViews, smallerInResultOrder)
+			res.SmallerCols, err = e.FetchMany(smaller.Cols, smallerInResultOrder)
 			return err
 		})
 	case Declustered:
@@ -462,10 +456,13 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		})
 		res.SmallerCols = make([][]int32, len(smaller.Cols))
 		for k := range smaller.Cols {
+			if p.Compressed {
+				decodePhase(pl, "decompress-smaller", smaller.colSlots(k, k+1)...)
+			}
 			var cv []int32
 			pl.Then(exec.PhaseProjectSmaller, "fetch-clustered", func(e *exec.Engine) error {
 				var err error
-				cv, err = e.Clustered(smaller.view(k, useComp), cl.SmallerOIDs, cl.Borders)
+				cv, err = e.Clustered(smaller.Cols[k], cl.SmallerOIDs, cl.Borders)
 				return err
 			})
 			pl.Then(exec.PhaseDecluster, "radix-decluster", func(e *exec.Engine) error {
@@ -478,37 +475,13 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	return res.run(pl)
 }
 
-// materializeEncoded prepares the views of a side fetched unsorted
-// (method u). Such a fetch over an encoded column would decode a block
-// per tuple — each morsel's oids span the whole column, so the
-// decoder's region rule never applies — so when any view carries an
-// encoding the pipeline gains a scan-shaped phase, like
-// decompress-keys, that materialises those columns once into leased
-// buffers and swaps the raw views in for the fetch to gather from. The
-// decode is still counted in Timings.Comp.
-func materializeEncoded(pl *exec.Pipeline, phase string, views []exec.Col) {
-	if !slices.ContainsFunc(views, func(v exec.Col) bool { return v.Enc != nil }) {
-		return
-	}
-	pl.Then(exec.PhaseScan, phase, func(e *exec.Engine) error {
-		for k, v := range views {
-			raw, err := e.MaterializeCol(v)
-			if err != nil {
-				return fmt.Errorf("column %d: %w", k, err)
-			}
-			views[k] = exec.RawCol(raw)
-		}
-		return nil
-	})
-}
-
 // rowsCost is the pre-projection strategies' cost (DSM-pre and both
 // NSM-pre variants): nL/nS input cardinalities, lw/sw wide-tuple widths
 // in fields, bits the join partitioning fan-out (0 = naive hash join);
 // the result cardinality is estimated as the larger input.
 func rowsCost(nL, nS, lw, sw, bits int) CostFn {
-	return func(m costmodel.Model, w int) costmodel.Cost {
-		return costmodel.PreProjectionRows(m, share(nL, w), share(nS, w), lw*4, sw*4, bits, share(nL, w))
+	return func(m costmodel.Model) costmodel.Cost {
+		return costmodel.PreProjectionRows(m, nL, nS, lw*4, sw*4, bits, nL)
 	}
 }
 
@@ -523,14 +496,15 @@ func PlanDSMPre(larger, smaller DSMSide, cfg Config) (Plan, CostFn, error) {
 		JoinBits: join.PlanBits(len(smaller.OIDs), sw*4, cfg.hier().LLC().Size),
 	}
 	cost := rowsCost(len(larger.OIDs), len(smaller.OIDs), lw, sw, p.JoinBits)
-	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), cost, larger.encs(), smaller.encs())
+	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), larger.encs(), smaller.encs())
 	return p, cost, nil
 }
 
 // DSMPre runs DSM pre-projection ("DSM-pre-phash"): the scans stitch
 // [key|π] wide tuples out of the columns (column-at-a-time gathers
 // through the selection oids), and the wide tuples travel through a
-// partitioned hash-join.
+// partitioned hash-join. A compressed plan decodes every encoded input
+// ahead of the stitch.
 func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanDSMPre(larger, smaller, cfg)
@@ -541,15 +515,21 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 	pl := cfg.pipeline(p, exec.AffinitySeed(larger.Keys, len(larger.OIDs), false))
 	defer pl.Close()
 	res := &Result{Plan: p}
-	useComp := p.Compressed
 
+	if p.Compressed {
+		// The decode phase swaps decoded copies into the sides' inputs.
+		larger.Cols, smaller.Cols = slices.Clone(larger.Cols), slices.Clone(smaller.Cols)
+		decodePhase(pl, "decompress-inputs", slices.Concat(
+			[]slot{larger.keySlot()}, larger.colSlots(0, len(larger.Cols)),
+			[]slot{smaller.keySlot()}, smaller.colSlots(0, len(smaller.Cols)))...)
+	}
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "stitch-wide-tuples", func(e *exec.Engine) error {
 		var err error
-		if lRows, err = e.StitchRows(larger.keysView(useComp), larger.views(useComp), larger.OIDs); err != nil {
+		if lRows, err = e.StitchRows(larger.Keys, larger.Cols, larger.OIDs); err != nil {
 			return err
 		}
-		sRows, err = e.StitchRows(smaller.keysView(useComp), smaller.views(useComp), smaller.OIDs)
+		sRows, err = e.StitchRows(smaller.Keys, smaller.Cols, smaller.OIDs)
 		return err
 	})
 	pl.Then(exec.PhaseJoin, "partitioned-rows-join", func(e *exec.Engine) error {

@@ -230,7 +230,7 @@ func TestDSMPostAutoPlanner(t *testing.T) {
 // read by the u/c and u/d switch and by nothing else. With columns
 // beyond the declared LLC but inside the residency threshold a raw plan
 // goes u/u at the join bits the declared levels give, and so does a
-// compressed plan (a u side is decoded once into a raw column before its
+// compressed plan (the raw plan over columns decoded before their
 // fetch); a threshold below the columns changes nothing.
 func TestResidencyMovesOnlyTheMethodSwitch(t *testing.T) {
 	const pi = 1
@@ -261,7 +261,7 @@ func TestResidencyMovesOnlyTheMethodSwitch(t *testing.T) {
 	}
 
 	encodeSides(t, &l, &s)
-	declared.Compress, resident.Compress, tooSmall.Compress = CompressOn, CompressOn, CompressOn
+	declared.Compress, resident.Compress, tooSmall.Compress = true, true, true
 	base = plan(l, s, declared)
 	if !base.Compressed || base.Methods() != "c/d" {
 		t.Fatalf("declared compressed plan is %v, want c/d compressed", base)

@@ -93,28 +93,38 @@ const (
 	DeclusterMethod ProjMethod = 'd'
 )
 
-// Compression selects whether ProjectJoin executes over the
-// relations' block-compressed column images (built by relations
-// constructed with WithCompression; relations without them always run
-// raw). Result bytes are identical in every mode — compression only
-// changes what the memory bus carries.
+// Compression selects whether ProjectJoin executes over the relations'
+// block-compressed images (built by relations constructed with
+// WithCompression; relations without them always run raw). Compressed
+// execution is decode phases plus the raw plan: each encoded input is
+// decoded into a raw array right before the first phase that reads it,
+// and the plan — methods, bits, window — is the raw one. Result bytes
+// are identical in every mode.
 type Compression int
 
 const (
 	// CompressionOff executes over the raw arrays (default).
 	CompressionOff Compression = iota
-	// CompressionAuto lets the cost model decide per strategy: modeled
-	// sequential bus traffic shrinks by the measured compression ratio
-	// while CPU grows by the calibrated per-value decode cost, and the
-	// cheaper representation wins.
+	// CompressionAuto resolves to raw execution, as CompressionOff: a
+	// decode pass plus the raw plan never costs less than the raw plan,
+	// and the cost-model choice it once named picked compressed in none
+	// of 120 measured joinrun shapes. It stays accepted so callers that
+	// set it keep working.
 	CompressionAuto
-	// CompressionOn forces compressed execution wherever an encoding
-	// exists.
+	// CompressionOn executes compressed wherever an encoding exists.
 	CompressionOn
 )
 
 // String returns "off", "auto" or "on".
-func (c Compression) String() string { return strategy.CompressMode(c).String() }
+func (c Compression) String() string {
+	switch c {
+	case CompressionAuto:
+		return "auto"
+	case CompressionOn:
+		return "on"
+	}
+	return "off"
+}
 
 // JoinQuery is the paper's §1.1 query:
 //
@@ -153,10 +163,9 @@ type JoinQuery struct {
 	// control. Serial runs (Parallelism 0) never involve a runtime.
 	Runtime *Runtime
 	// Compression selects the execution format when the relations carry
-	// block-compressed images (WithCompression): off (the default) runs
-	// raw, auto lets the cost model pick the cheaper representation per
-	// strategy, on forces compressed execution. Never changes result
-	// bytes.
+	// block-compressed images (WithCompression): on decodes them in
+	// phases of their own ahead of the raw plan; off (the default) and
+	// auto run raw and build no encoding. Never changes result bytes.
 	Compression Compression
 	// Trace records this query's execution as span events — per-phase
 	// spans with queue waits and morsel counts, per-morsel worker
@@ -197,9 +206,9 @@ type Timing struct {
 	// the same partition) versus morsels an idle worker stole. Zero for
 	// serial runs.
 	Sched SchedStats
-	// CompressedCols counts the compressed column inputs the run's
-	// operators consumed; CompressedBytes the encoded bytes they read;
-	// CompressedSavedBytes the raw bytes that traffic replaced
+	// CompressedCols counts the encoded inputs (columns, record images)
+	// the run's decode phases decoded; CompressedBytes the encoded bytes
+	// they read; CompressedSavedBytes the raw bytes that traffic replaced
 	// (accumulated per decode pass — bus traffic avoided, not storage);
 	// DecodeTime the wall time spent inside block-decode loops. All
 	// zero unless the run executed compressed (JoinQuery.Compression).
@@ -260,8 +269,8 @@ type Result struct {
 	// paper's serial mode, n >= 1 = the morsel-driven executor with n
 	// workers.
 	Workers int
-	// Compressed records the planner's representation decision: true
-	// when the run executed over block-compressed column images.
+	// Compressed records the representation: true when the run decoded
+	// block-compressed images ahead of the raw plan's phases.
 	Compressed bool
 	// Trace holds the query's recorded span events when
 	// JoinQuery.Trace was set (nil otherwise); render it with
@@ -347,7 +356,7 @@ func (q JoinQuery) config() strategy.Config {
 	}
 	cfg := strategy.Config{
 		Hier: hier.internal(), Parallelism: q.Parallelism,
-		Compress: strategy.CompressMode(q.Compression),
+		Compress: q.Compression == CompressionOn,
 	}
 	if q.Parallelism != 0 && q.Runtime != nil {
 		cfg.Runtime = q.Runtime.rt
@@ -434,7 +443,7 @@ func dsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 	// An unselected side's oid column is its void head: a read-only view
 	// of the shared dense slab.
 	side := strategy.DSMSide{OIDs: bat.Dense(len(keys)), Keys: keys, Cols: cols, BaseN: r.Len()}
-	if comp != CompressionOff && r.compressed {
+	if comp == CompressionOn && r.compressed {
 		encs, err := r.encodings()
 		if err != nil {
 			return strategy.DSMSide{}, err
@@ -480,7 +489,7 @@ func nsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 		return strategy.NSMSide{}, err
 	}
 	side := strategy.NSMSide{Rel: rel, KeyCol: keyIdx, ProjCols: projIdx}
-	if comp != CompressionOff && r.compressed {
+	if comp == CompressionOn && r.compressed {
 		if side.Enc, err = r.recordEncoding(); err != nil {
 			return strategy.NSMSide{}, err
 		}
@@ -550,8 +559,7 @@ type Plan struct {
 	SmallerBits  int
 	WindowTuples int
 	// ModeledMs is the Appendix-A estimate of the planned strategy run
-	// serially by a sole owner of the hierarchy: the cost function the
-	// planner prices representations with, evaluated at one worker.
+	// serially by a sole owner of the hierarchy.
 	ModeledMs float64
 	// Parallelism is the worker count AutoParallelism resolves to for
 	// this query (1 = stay serial): min(runtime.GOMAXPROCS, the size of
@@ -573,7 +581,8 @@ func (p *Plan) String() string { return p.plan.String() }
 // PlanJoin runs the planner and the cost model for a query without
 // executing it: it binds the query to the sides ProjectJoin would read
 // (building and caching on the relations what a run would — the NSM
-// image, the compressed images) and asks the strategy's own plan step.
+// image, and under CompressionOn the compressed images) and asks the
+// strategy's own plan step.
 // A query that names no Runtime is planned as the sole owner of the
 // machine; the process default is not consulted — planning alone must
 // not spin it up.
@@ -598,7 +607,7 @@ func PlanJoin(q JoinQuery) (*Plan, error) {
 	return &Plan{
 		JoinBits: sp.JoinBits, LargerBits: sp.LargerBits, SmallerBits: sp.SmallerBits,
 		WindowTuples:     sp.Window,
-		ModeledMs:        m.Millis(cost(m, 1)),
+		ModeledMs:        m.Millis(cost(m)),
 		Parallelism:      par,
 		ScalabilityLimit: core.ScalabilityLimit(cfg.Hier, 4),
 		plan:             sp,

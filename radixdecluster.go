@@ -106,8 +106,8 @@ type Hierarchy struct {
 	// still be fetched unsorted (method u): 0 means the last declared
 	// cache level's size — the paper's rule on the paper's machine.
 	// HostHierarchy sets it to the host's real last-level cache. A
-	// compressed plan reads it the same way: its u sides are decoded
-	// once into raw columns before the fetch.
+	// compressed plan reads it the same way: it is the raw plan with its
+	// encoded inputs decoded into raw columns first.
 	ResidentBytes int
 }
 
@@ -223,11 +223,11 @@ type Relation struct {
 	nsmErr  error
 
 	// compressed marks relations built with WithCompression: queries
-	// running with JoinQuery.Compression enabled may execute over
-	// block-compressed column images, built lazily on first use and
-	// shared by all queries (like the NSM image). The raw column slices
-	// always coexist — compression is an execution-format option, never
-	// a storage replacement — so results are byte-identical either way.
+	// running with CompressionOn decode block-compressed column images,
+	// built lazily on the first such query and shared by all queries
+	// (like the NSM image). The raw column slices always coexist —
+	// compression is an execution-format option, never a storage
+	// replacement — so results are byte-identical either way.
 	compressed bool
 	encOnce    sync.Once
 	colEnc     map[string]*compress.Encoded
@@ -241,9 +241,9 @@ type Relation struct {
 type RelationOption func(*Relation)
 
 // WithCompression builds block-compressed images of the relation's
-// columns (and, for NSM strategies, its record image) lazily on first
-// compressed query. Columns the encoder cannot shrink simply stay
-// raw-only. Queries opt in per run via JoinQuery.Compression.
+// columns (and, for NSM strategies, its record image) lazily on the
+// first CompressionOn query. Columns the encoder cannot shrink simply
+// stay raw-only. Queries opt in per run via JoinQuery.Compression.
 func WithCompression() RelationOption {
 	return func(r *Relation) { r.compressed = true }
 }

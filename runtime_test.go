@@ -397,12 +397,12 @@ func TestDefaultRuntimeShared(t *testing.T) {
 	t.Logf("default runtime: %d workers (current GOMAXPROCS=%d)", a.Workers(), runtime.GOMAXPROCS(0))
 }
 
-// A host-shaped hierarchy (this box's sysfs: 48 KiB / 2 MiB / 260 MiB,
-// 4 KiB pages) passed as RuntimeConfig.Hier or JoinQuery.Hier used to
-// hang the first query that priced a parallel plan for minutes in the
-// bus-stream calibration (calibrator.MemStreams sweeping a simulated
-// 1 GiB). The one query that still prices one — CompressionAuto over
-// encoded relations on two workers — must answer promptly.
+// A host-shaped hierarchy (48 KiB / 2 MiB / 260 MiB, 4 KiB pages)
+// passed as RuntimeConfig.Hier or JoinQuery.Hier once hung the first
+// query that priced a parallel plan for minutes in a bus-stream
+// calibration sweeping a simulated 1 GiB. No query runs a calibration
+// probe any more; a parallel CompressionAuto query over encoded
+// relations, the last one that did, must answer promptly.
 func TestHostShapedHierarchyAnswers(t *testing.T) {
 	host := Hierarchy{Levels: []CacheLevel{
 		{Name: "L1", SizeBytes: 48 << 10, LineBytes: 64, Assoc: 12, MissNanos: 4, SeqNanos: 1},
