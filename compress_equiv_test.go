@@ -23,18 +23,7 @@ func compressedRelations(t *testing.T, p workload.Params, pi int) (*Relation, *R
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(name string, wr *workload.Relation) *Relation {
-		cols := []Column{{Name: "key", Values: wr.Key()}}
-		for j := 1; j <= pi; j++ {
-			cols = append(cols, Column{Name: fmt.Sprintf("a%d", j), Values: wr.PayloadCol(j)})
-		}
-		rel, err := NewRelationOpts(name, cols, WithCompression())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rel
-	}
-	return mk("larger", pr.Larger), mk("smaller", pr.Smaller)
+	return pairRelations(t, pr, pi, WithCompression())
 }
 
 func requireSameResult(t *testing.T, tag string, got, want *Result) {

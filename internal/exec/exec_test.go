@@ -203,8 +203,22 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The probe half alone, over inputs clustered once outside the
+			// engine (a relation's join image), must produce the same index.
+			cl, err := radix.ClusterBUNs(lo, lk, true, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := radix.ClusterBUNs(so, sk, true, o)
+			if err != nil {
+				t.Fatal(err)
+			}
 			withLeases(t, func(t *testing.T, p *Engine) {
 				got, err := p.PartitionedJoin(lo, lk, so, sk, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probed, err := p.ProbePartitions(cl, cs, uint(o.Bits))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,9 +226,11 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 				// join-indexes millions of oids long, and DeepEqual's
 				// per-element reflection was most of this package's time
 				// under the race detector.
-				if !slices.Equal(got.Larger, want.Larger) || !slices.Equal(got.Smaller, want.Smaller) {
-					t.Fatalf("workers=%d bits=%d skewed=%v: parallel join-index differs from serial (%d vs %d matches)",
-						p.Workers(), o.Bits, skewed, got.Len(), want.Len())
+				for op, ix := range map[string]*join.Index{"PartitionedJoin": got, "ProbePartitions": probed} {
+					if !slices.Equal(ix.Larger, want.Larger) || !slices.Equal(ix.Smaller, want.Smaller) {
+						t.Fatalf("%s workers=%d bits=%d skewed=%v: parallel join-index differs from serial (%d vs %d matches)",
+							op, p.Workers(), o.Bits, skewed, ix.Len(), want.Len())
+					}
 				}
 			})
 		}
@@ -370,6 +386,19 @@ func TestSerialFallbackPredicate(t *testing.T) {
 		// The joins' cardinality is both inputs together.
 		{"PartitionedJoin", false, func(e *Engine, n int) error {
 			_, err := e.PartitionedJoin(oids[:n-n/2], vals[:n-n/2], other[:n/2], vals[:n/2], radix.Opts{Bits: 4})
+			return err
+		}},
+		{"ProbePartitions", false, func(e *Engine, n int) error {
+			o := radix.Opts{Bits: 4}
+			cl, err := radix.ClusterBUNs(oids[:n-n/2], vals[:n-n/2], true, o)
+			if err != nil {
+				return err
+			}
+			cs, err := radix.ClusterBUNs(other[:n/2], vals[:n/2], true, o)
+			if err != nil {
+				return err
+			}
+			_, err = e.ProbePartitions(cl, cs, uint(o.Bits))
 			return err
 		}},
 		{"PartitionedRowsJoin", false, func(e *Engine, n int) error {

@@ -7,11 +7,15 @@ package exec
 // queue (skewed partitions simply occupy a worker longer while the
 // others drain the queue), collect per-partition match lists, and the
 // lists are stitched into the join-index in partition order — the
-// exact order the serial loop in join.Partitioned appends them, so
-// the resulting join-index is byte-identical.
+// exact order the serial loop in join.PartitionedPreclustered appends
+// them, so the resulting join-index is byte-identical.
+//
+// The two halves are separate operators: PartitionedJoin clusters both
+// inputs and hands them to ProbePartitions, which a caller holding
+// inputs clustered once for many queries calls alone.
 
 import (
-	"fmt"
+	"math/bits"
 
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
@@ -21,13 +25,11 @@ import (
 // PartitionedJoin is the Partitioned Hash-Join producing a join-index,
 // the parallel equivalent of join.Partitioned: it radix-clusters both
 // inputs on o.Bits hashed key bits and hash-joins matching partition
-// pairs concurrently, producing the identical join-index.
+// pairs concurrently (ProbePartitions), producing the identical
+// join-index.
 func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*join.Index, error) {
 	if e.serial(len(largerOIDs) + len(smallerOIDs)) {
 		return join.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
-	}
-	if len(largerOIDs) != len(largerKeys) || len(smallerOIDs) != len(smallerKeys) {
-		return nil, fmt.Errorf("join: oid/key column length mismatch")
 	}
 	cl, err := e.ClusterBUNs(largerOIDs, largerKeys, true, o)
 	if err != nil {
@@ -37,14 +39,27 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 	if err != nil {
 		return nil, err
 	}
+	return e.ProbePartitions(cl, cs, uint(o.Ignore+o.Bits))
+}
+
+// ProbePartitions is the probe half of the Partitioned Hash-Join, the
+// parallel equivalent of join.PartitionedPreclustered: it hash-joins
+// every pair of matching partitions of two inputs radix-clustered on
+// the same bits (shift = the clustering's Ignore+Bits) concurrently and
+// returns the join-index in partition order. The inputs are only read.
+func (e *Engine) ProbePartitions(cl, cs *radix.BUNsResult, shift uint) (*join.Index, error) {
+	// The serial loop also reports mismatched partition counts.
+	if e.serial(len(cl.BUNs)+len(cs.BUNs)) || len(cl.Offsets) != len(cs.Offsets) {
+		return join.PartitionedPreclustered(cl, cs, shift)
+	}
 	h := len(cl.Offsets) - 1
-	shift := uint(o.Ignore + o.Bits)
 
 	// Each partition pair is one morsel producing a private match
 	// list, homed (affinity key) on the worker that owns its level-1
-	// radix parent — the partition's bytes are still in that worker's
-	// private caches from the clustering refinement.
-	l1 := level1Shift(o.Bits)
+	// radix parent — when this query clustered the inputs, the
+	// partition's bytes are still in that worker's private caches from
+	// the clustering refinement.
+	l1 := level1Shift(bits.Len(uint(h)) - 1)
 	aff := func(pt int) uint64 { return uint64(pt) >> l1 }
 
 	// parts holds slice headers the GC must scan, so it stays a plain
@@ -55,8 +70,8 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 	// (duplicate smaller keys) moves to a private GC slice instead of
 	// clobbering its neighbour.
 	ml := e.mem()
-	bigL := mempool.Slice[OID](ml, len(largerOIDs))
-	bigS := mempool.Slice[OID](ml, len(largerOIDs))
+	bigL := mempool.Slice[OID](ml, len(cl.BUNs))
+	bigS := mempool.Slice[OID](ml, len(cl.BUNs))
 	parts := make([]join.Index, h)
 	for pt := 0; pt < h; pt++ {
 		ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]

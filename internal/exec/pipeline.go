@@ -233,6 +233,18 @@ func (p *Pipeline) Execute() (Timings, error) {
 	return tm, err
 }
 
+// StepCat is the trace category of Step spans, which share the
+// pipeline track with the phase spans they nest in.
+const StepCat = "step"
+
+// Step records a span named name, from start until now, on the pipeline
+// track inside the running phase's span: a one-off part of a phase worth
+// telling apart in the trace (a first query building a shared image).
+// No-op untraced.
+func (e *Engine) Step(name string, start time.Time) {
+	e.trace.Span(name, StepCat, tracePipelineTID, start, time.Since(start), nil)
+}
+
 // ForRanges runs body over contiguous chunks of [0,n): a single
 // [0,n) chunk when the engine runs it serially, runtime-scheduled
 // morsels otherwise. The body must write only output slots derivable

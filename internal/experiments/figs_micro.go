@@ -254,7 +254,7 @@ func Fig9b(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			measured := timeIt(func() {
-				if _, err := join.PartitionedPreclustered(cl, cs); err != nil {
+				if _, err := join.PartitionedPreclustered(cl, cs, uint(bits)); err != nil {
 					panic(err)
 				}
 			})

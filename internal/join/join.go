@@ -111,24 +111,19 @@ func Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smalle
 	if err != nil {
 		return nil, err
 	}
-	return probePartitions(cl, cs, uint(o.Ignore+o.Bits)), nil
+	return PartitionedPreclustered(cl, cs, uint(o.Ignore+o.Bits))
 }
 
 // PartitionedPreclustered runs only the per-partition hash joins over
 // inputs that are already radix-clustered on matching bits — the
 // isolated join phase of Figure 9b, where clustering cost is studied
-// separately (Figure 9a).
-func PartitionedPreclustered(larger, smaller *radix.BUNsResult) (*Index, error) {
+// separately (Figure 9a): ProbeBUNs over every partition pair in order,
+// with one table scratch for all of them. shift is the clustering's
+// Ignore+Bits, the hash bits the partitioning consumed.
+func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*Index, error) {
 	if len(larger.Offsets) != len(smaller.Offsets) {
 		return nil, fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
 	}
-	h := len(larger.Offsets) - 1
-	return probePartitions(larger, smaller, uint(bits.Len(uint(h))-1)), nil // B from the partition count
-}
-
-// probePartitions is the serial join loop: ProbeBUNs over every
-// partition pair in order, with one table scratch for all of them.
-func probePartitions(larger, smaller *radix.BUNsResult, shift uint) *Index {
 	out := &Index{
 		Larger:  make([]OID, 0, len(larger.BUNs)),
 		Smaller: make([]OID, 0, len(larger.BUNs)),
@@ -142,7 +137,7 @@ func probePartitions(larger, smaller *radix.BUNsResult, shift uint) *Index {
 		}
 		ProbeBUNs(smaller.BUNs[sl:sh], larger.BUNs[ll:lh], shift, out, &ts)
 	}
-	return out
+	return out, nil
 }
 
 // TableScratch holds the hash-table arrays of ProbeBUNs so that a

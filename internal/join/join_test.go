@@ -331,7 +331,7 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PartitionedPreclustered(cl, cs)
+	got, err := PartitionedPreclustered(cl, cs, uint(o.Bits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	checkIndex(t, got, refJoin(lo, lk, so, sk))
 	// Mismatched partition counts must be rejected.
 	cs2, _ := radix.ClusterBUNs(so, sk, true, radix.Opts{Bits: 3})
-	if _, err := PartitionedPreclustered(cl, cs2); err == nil {
+	if _, err := PartitionedPreclustered(cl, cs2, uint(o.Bits)); err == nil {
 		t.Fatal("partition count mismatch not rejected")
 	}
 }

@@ -235,6 +235,9 @@ type RelationInfo struct {
 	Rows       int      `json:"rows"`
 	Columns    []string `json:"columns"`
 	Compressed bool     `json:"compressed"`
+	// JoinImageBytes is what the relation's join images hold
+	// (rd.Relation.JoinImageBytes): 0 until a runtime query joins it.
+	JoinImageBytes int64 `json:"joinImageBytes"`
 }
 
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
@@ -249,6 +252,7 @@ func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 		out = append(out, RelationInfo{
 			Name: name, Rows: rel.Len(),
 			Columns: rel.ColumnNames(), Compressed: rel.Compressed(),
+			JoinImageBytes: rel.JoinImageBytes(),
 		})
 	}
 	s.relMu.RUnlock()

@@ -353,26 +353,37 @@ func TestRelationsStatusMetrics(t *testing.T) {
 	_, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2},
 		Config{}, 256, 2)
 
-	resp, err := http.Get(ts.URL + "/v1/relations")
-	if err != nil {
-		t.Fatal(err)
+	relations := func() []RelationInfo {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/relations")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rels []RelationInfo
+		if err := json.NewDecoder(resp.Body).Decode(&rels); err != nil {
+			t.Fatal(err)
+		}
+		if len(rels) != 2 || rels[0].Name != "larger" || rels[1].Name != "smaller" {
+			t.Fatalf("relations = %+v", rels)
+		}
+		return rels
 	}
-	var rels []RelationInfo
-	if err := json.NewDecoder(resp.Body).Decode(&rels); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(rels) != 2 || rels[0].Name != "larger" || rels[1].Name != "smaller" {
-		t.Fatalf("relations = %+v", rels)
-	}
-	if rels[0].Rows != 256 || len(rels[0].Columns) != 3 {
+	rels := relations()
+	if rels[0].Rows != 256 || len(rels[0].Columns) != 3 || rels[0].JoinImageBytes != 0 {
 		t.Fatalf("larger info = %+v", rels[0])
 	}
 
-	// Run one query so the counters move.
+	// Run one query so the counters move. A paper-mode query builds no
+	// join image.
 	qresp := postQuery(t, ts.URL, `{"larger":"larger","smaller":"smaller","parallelism":0}`)
 	io.Copy(io.Discard, qresp.Body) //nolint:errcheck
 	qresp.Body.Close()
+	for _, r := range relations() {
+		if r.JoinImageBytes != 0 {
+			t.Fatalf("%s: a paper-mode query built a %d-byte join image", r.Name, r.JoinImageBytes)
+		}
+	}
 
 	st := getStatus(t, ts.URL)
 	if st.Workers != 2 || st.MaxConcurrentQueries != 2 {
@@ -399,6 +410,16 @@ func TestRelationsStatusMetrics(t *testing.T) {
 	} {
 		if !bytes.Contains(mb, []byte(series)) {
 			t.Fatalf("/metrics missing %s:\n%s", series, mb)
+		}
+	}
+
+	// A runtime query joins over join images: 8 B per key, plus offsets.
+	qresp = postQuery(t, ts.URL, `{"larger":"larger","smaller":"smaller","parallelism":2,"omitRows":true}`)
+	io.Copy(io.Discard, qresp.Body) //nolint:errcheck
+	qresp.Body.Close()
+	for _, r := range relations() {
+		if r.JoinImageBytes < 8*int64(r.Rows) {
+			t.Fatalf("%s: %d join-image bytes after a runtime query, want at least %d", r.Name, r.JoinImageBytes, 8*r.Rows)
 		}
 	}
 }

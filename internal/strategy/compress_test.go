@@ -9,6 +9,7 @@ import (
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/obs"
+	"radixdecluster/internal/radix"
 	"radixdecluster/internal/workload"
 )
 
@@ -121,15 +122,40 @@ func TestCompressedStrategiesMatchRaw(t *testing.T) {
 	}
 }
 
-// phaseNames lists the pipeline phases a traced run executed, in order.
+// phaseNames lists the pipeline phases a traced run executed, in order
+// (not the steps inside them).
 func phaseNames(tr *obs.Trace) []string {
 	var out []string
 	for _, ev := range tr.Events() {
-		if ev.TID == tracePipelineTrack && ev.Name != "admission" {
+		if ev.TID == tracePipelineTrack && ev.Name != "admission" && ev.Cat != exec.StepCat {
 			out = append(out, ev.Name)
 		}
 	}
 	return out
+}
+
+// stepCount counts a traced run's steps of the given name.
+func stepCount(tr *obs.Trace, name string) int {
+	n := 0
+	for _, ev := range tr.Events() {
+		if ev.Cat == exec.StepCat && ev.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// withJoinImages gives each side the join image a relation gives a
+// runtime query: its join input clustered outside the query. Each call
+// clusters afresh and reports a build.
+func withJoinImages(sides ...*DSMSide) {
+	for _, s := range sides {
+		oids, keys := s.OIDs, s.Keys
+		s.JoinImage = func(o radix.Opts) (*radix.BUNsResult, bool, error) {
+			img, err := radix.ClusterBUNs(oids, keys, true, o)
+			return img, true, err
+		}
+	}
 }
 
 // tracePipelineTrack is the trace track exec's pipeline writes phase
@@ -145,12 +171,17 @@ const tracePipelineTrack = 1000
 // operators once read a u side hundreds of times over. Covered: the
 // DSM post-projection method pairs u/u, c/u, s/d and c/d, DSM
 // pre-projection, and the four NSM strategies, each with its phase list.
+// A runtime DSM post-projection run joins over join images, as the root
+// package's runtime queries do: it decodes no key column, and each
+// image it builds is a step of its join phase.
 func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 74})
 	want := expectedRows(pr, pi)
 	l, s := dsmSides(pr, pi)
 	encodeSides(t, &l, &s)
+	li, si := l, s
+	withJoinImages(&li, &si)
 	nl, ns := nsmSides(pr, pi)
 	encodeNSMSides(t, &nl, &ns)
 	encodedBytes := func(encs ...*compress.Encoded) (n int64) {
@@ -163,9 +194,15 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 		return n
 	}
 	dsmBytes := encodedBytes(append(l.encs(), s.encs()...)...)
+	keyBytes := encodedBytes(l.KeysEnc, s.KeysEnc)
 	nsmBytes := encodedBytes(nl.Enc, ns.Enc)
 	dsmPost := func(lm, sm ProjMethod) func(Config) (*Result, error) {
-		return func(cfg Config) (*Result, error) { return DSMPost(l, s, lm, sm, cfg) }
+		return func(cfg Config) (*Result, error) {
+			if cfg.Parallelism != 0 {
+				return DSMPost(li, si, lm, sm, cfg)
+			}
+			return DSMPost(l, s, lm, sm, cfg)
+		}
 	}
 	reorder := map[ProjMethod]string{PartialCluster: "partial-cluster-join-index", SortedM: "radix-sort-join-index"}
 	dsmPostPhases := func(lm, sm ProjMethod) []string {
@@ -210,17 +247,26 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	for _, c := range cases {
 		for _, par := range []int{0, 2} {
 			tag := fmt.Sprintf("%s par=%d", c.name, par)
+			bytes, phases, builds := c.bytes, c.phases, 0
+			if par != 0 && slices.Contains(phases, "decompress-keys") {
+				bytes -= keyBytes
+				phases = slices.DeleteFunc(slices.Clone(phases), func(p string) bool { return p == "decompress-keys" })
+				builds = 2
+			}
 			tr := obs.NewTrace(tag)
 			res, err := c.run(Config{Compress: true, Parallelism: par, Trace: tr})
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
 			compareRows(t, tag, c.rows(t, res, pi), want)
-			if got := res.Timings.Comp.CompressedBytes; got < c.bytes || got > 2*c.bytes || (par == 0 && got != c.bytes) {
-				t.Errorf("%s: run read %d encoded bytes, want each encoding once = %d", tag, got, c.bytes)
+			if got := res.Timings.Comp.CompressedBytes; got < bytes || got > 2*bytes || (par == 0 && got != bytes) {
+				t.Errorf("%s: run read %d encoded bytes, want each encoding it uses once = %d", tag, got, bytes)
 			}
-			if got := phaseNames(tr); !slices.Equal(got, c.phases) {
-				t.Errorf("%s: phases\n got  %v\n want %v", tag, got, c.phases)
+			if got := phaseNames(tr); !slices.Equal(got, phases) {
+				t.Errorf("%s: phases\n got  %v\n want %v", tag, got, phases)
+			}
+			if got := stepCount(tr, "build-join-image"); got != builds {
+				t.Errorf("%s: %d build-join-image steps, want %d", tag, got, builds)
 			}
 			res.Release()
 		}

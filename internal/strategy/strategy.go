@@ -32,6 +32,7 @@ package strategy
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
@@ -232,6 +233,13 @@ type DSMSide struct {
 	// them.
 	KeysEnc *compress.Encoded
 	ColsEnc []*compress.Encoded
+	// JoinImage, when set on both sides, is DSMPost's join input
+	// clustered ahead of the query: it returns exactly what
+	// radix.ClusterBUNs(OIDs, Keys, true, o) would, from an image held
+	// outside the query and shared with other queries (built reports
+	// whether this call built it), and the join phase only probes. DSMPost
+	// never writes into it.
+	JoinImage func(o radix.Opts) (img *radix.BUNsResult, built bool, err error)
 }
 
 func (s DSMSide) validate(name string) error {
@@ -375,18 +383,28 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	defer pl.Close()
 	res := &Result{Plan: p}
 
-	// Phase 1: join-index via Partitioned Hash-Join on the key BATs.
-	// Compressed key columns are decoded first — a scan-shaped pass that
-	// reads only the encoded bytes from RAM.
+	// Phase 1: join-index via Partitioned Hash-Join on the key BATs —
+	// over the sides' join images when both carry one, so the phase only
+	// probes and no phase reads a key column. Otherwise compressed key
+	// columns are decoded first — a scan-shaped pass that reads only the
+	// encoded bytes from RAM.
+	images := larger.JoinImage != nil && smaller.JoinImage != nil
 	if p.Compressed {
 		// The decode phases swap decoded copies into the sides' inputs.
 		larger.Cols, smaller.Cols = slices.Clone(larger.Cols), slices.Clone(smaller.Cols)
-		decodePhase(pl, "decompress-keys", larger.keySlot(), smaller.keySlot())
+		if !images {
+			decodePhase(pl, "decompress-keys", larger.keySlot(), smaller.keySlot())
+		}
 	}
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
+		o := joinOpts(p.JoinBits, h)
 		var err error
-		ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, joinOpts(p.JoinBits, h))
+		if images {
+			ji, err = probeImages(e, larger, smaller, o)
+		} else {
+			ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, o)
+		}
 		if err != nil {
 			return err
 		}
@@ -473,6 +491,30 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		}
 	}
 	return res.run(pl)
+}
+
+// probeImages is DSMPost's join over the sides' join images: the
+// clustering half of the Partitioned Hash-Join is a lookup, and only
+// the per-partition probes run. A side whose image this query built
+// records the build as a step of the join phase.
+func probeImages(e *exec.Engine, larger, smaller DSMSide, o radix.Opts) (*join.Index, error) {
+	var imgs [2]*radix.BUNsResult
+	for i, s := range [2]DSMSide{larger, smaller} {
+		start := time.Now()
+		img, built, err := s.JoinImage(o)
+		if err != nil {
+			return nil, err
+		}
+		if built {
+			e.Step("build-join-image", start)
+		}
+		if len(img.BUNs) != len(s.OIDs) || len(img.Offsets) != 1<<o.Bits+1 {
+			return nil, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
+				len(img.BUNs), len(img.Offsets)-1, len(s.OIDs), 1<<o.Bits)
+		}
+		imgs[i] = img
+	}
+	return e.ProbePartitions(imgs[0], imgs[1], uint(o.Ignore+o.Bits))
 }
 
 // rowsCost is the pre-projection strategies' cost (DSM-pre and both

@@ -1,0 +1,328 @@
+package radixdecluster
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"radixdecluster/internal/exec"
+	"radixdecluster/internal/workload"
+)
+
+// Join images: a runtime DSM post-projection query joins over each
+// relation's key column radix-clustered once (Relation.joinImage) and
+// only probes; a paper-mode query clusters per query. The results are
+// the raw serial run's bytes either way.
+
+// traceSteps counts a traced result's steps of the given name.
+func traceSteps(res *Result, name string) int {
+	n := 0
+	for _, ev := range res.Trace.t.Events() {
+		if ev.Cat == exec.StepCat && ev.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// tracePhases lists a traced result's pipeline phases in order.
+func tracePhases(res *Result) []string {
+	var out []string
+	for _, ev := range res.Trace.t.Events() {
+		if ev.Cat != exec.StepCat && ev.Cat != "sched" && ev.Name != "morsel" {
+			out = append(out, ev.Name)
+		}
+	}
+	return out
+}
+
+// TestJoinImageEquivalence: runtime DSM post-projection over join
+// images equals the raw serial run byte for byte — the planner's pick
+// and the forced u/u, c/u, s/d and c/d pairs, raw and compressed, at
+// hit rates 0.3, 1 and 3, with inputs below the parallel threshold
+// (serial probe) and above it. Each cell runs on fresh relations: its
+// first query builds both images, its repeat builds none.
+func TestJoinImageEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("equivalence matrix needs full-size relations")
+	}
+	const pi = 2
+	big := 150000
+	if raceEnabled {
+		big = 40000
+	}
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	methods := [][2]ProjMethod{{AutoMethod, AutoMethod}, {UnsortedMethod, UnsortedMethod},
+		{ClusterMethod, UnsortedMethod}, {SortedMethod, DeclusterMethod}, {ClusterMethod, DeclusterMethod}}
+	for _, n := range []int{5000, big} {
+		for _, hit := range []float64{0.3, 1, 3} {
+			pr, err := workload.GenPair(workload.Params{N: n, Omega: pi + 1, HitRate: hit, SelLarger: 1, SelSmaller: 1, Seed: 81})
+			if err != nil {
+				t.Fatal(err)
+			}
+			larger, smaller := pairRelations(t, pr, pi)
+			for _, m := range methods {
+				q := JoinQuery{
+					Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+					LargerProject: projNames(pi), SmallerProject: projNames(pi),
+					Strategy: DSMPostDecluster, LargerMethod: m[0], SmallerMethod: m[1],
+				}
+				want, err := ProjectJoin(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, comp := range []Compression{CompressionOff, CompressionOn} {
+					rq := q
+					rq.Larger, rq.Smaller = pairRelations(t, pr, pi, WithCompression())
+					rq.Parallelism, rq.Runtime, rq.Compression, rq.Trace = 2, rt, comp, true
+					for rep, builds := range []int{2, 0} {
+						tag := fmt.Sprintf("N=%d hit=%g %v/%v compression=%v query %d", n, hit, m[0], m[1], comp, rep+1)
+						got, err := ProjectJoin(rq)
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						requireSameResult(t, tag, got, want)
+						if b := traceSteps(got, "build-join-image"); b != builds {
+							t.Fatalf("%s: %d build-join-image steps, want %d", tag, b, builds)
+						}
+						got.Release()
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinImageBuiltOnce: eight concurrent first queries on fresh
+// relations build one image per relation between them, and the image
+// holds 8 B per tuple plus its partition offsets.
+func TestJoinImageBuiltOnce(t *testing.T) {
+	const pi, queries = 1, 8
+	larger, smaller := workloadRelations(t,
+		workload.Params{N: 64 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 82}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: 2, MaxConcurrentQueries: queries})
+	defer rt.Close()
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		Parallelism: 2, Runtime: rt, Trace: true,
+	}
+	plan, err := PlanJoin(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, queries)
+	errs := make([]error, queries)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = ProjectJoin(q)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	builds := 0
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(res.Cols, results[0].Cols) {
+			t.Fatalf("query %d: result differs from query 0", i)
+		}
+		builds += traceSteps(res, "build-join-image")
+	}
+	if builds != 2 {
+		t.Fatalf("%d concurrent first queries built %d join images, want one per relation", queries, builds)
+	}
+	for _, r := range []*Relation{larger, smaller} {
+		if got, want := r.JoinImageBytes(), 8*int64(r.Len()+1<<plan.JoinBits+1); got != want {
+			t.Errorf("%s: JoinImageBytes = %d, want %d", r.Name, got, want)
+		}
+	}
+}
+
+// TestJoinImageTwoPartners: one relation joined with two partners of
+// different size is clustered on different join bits for each, so its
+// image is rebuilt whenever the partner changes — and every result
+// stays the serial run's.
+func TestJoinImageTwoPartners(t *testing.T) {
+	const n = 200000
+	rel := func(name string, rows int, key func(i int) int32) *Relation {
+		keys, vals := make([]int32, rows), make([]int32, rows)
+		for i := range keys {
+			keys[i], vals[i] = key(i), int32(3*i+1)
+		}
+		r, err := NewRelation(name, Column{Name: "key", Values: keys}, Column{Name: "a1", Values: vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	shared := rel("shared", n, func(i int) int32 { return int32(i * 7919 % n) })
+	partners := []*Relation{
+		rel("few", 50000, func(i int) int32 { return int32(4 * i) }),
+		rel("many", n, func(i int) int32 { return int32(n - 1 - i) }),
+	}
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	bits := map[int]bool{}
+	for round := range 3 {
+		for _, p := range partners {
+			q := JoinQuery{
+				Larger: shared, Smaller: p, LargerKey: "key", SmallerKey: "key",
+				LargerProject: []string{"a1"}, SmallerProject: []string{"a1"},
+			}
+			want, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Parallelism, q.Runtime = 2, rt
+			got, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("round %d, partner %s", round, p.Name), got, want)
+			plan, err := PlanJoin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits[plan.JoinBits] = true
+			got.Release()
+		}
+	}
+	if len(bits) != 2 {
+		t.Fatalf("the two partners planned join bits %v: the test needs two different values", bits)
+	}
+}
+
+// TestNSMPostAfterJoinImages: NSM post-projection queries that follow
+// runtime DSM queries on the same relations stay the serial run's bytes.
+// The images are keyed by relation and column, never by a slice
+// address: leased key buffers reuse addresses, and an address-keyed
+// cache once served NSM-post-jive a stale clustering.
+func TestNSMPostAfterJoinImages(t *testing.T) {
+	const pi = 2
+	larger, smaller := workloadRelations(t,
+		workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 83}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	base := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+	}
+	strategies := []Strategy{DSMPostDecluster, NSMPostJive, NSMPostDecluster, DSMPostDecluster, NSMPostJive}
+	want := map[Strategy]*Result{}
+	for _, st := range strategies {
+		if want[st] != nil {
+			continue
+		}
+		q := base
+		q.Strategy = st
+		res, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[st] = res
+	}
+	for round := range 2 {
+		for _, st := range strategies {
+			q := base
+			q.Strategy, q.Parallelism, q.Runtime = st, 2, rt
+			got, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("round %d %v", round, st), got, want[st])
+			got.Release()
+		}
+	}
+	if larger.JoinImageBytes() == 0 {
+		t.Fatal("the runtime DSM queries built no join image: the test observes nothing")
+	}
+}
+
+// TestPaperModeBuildsNoJoinImage: paper-mode queries cluster per query,
+// as the paper does — ten of them leave the relations without a join
+// image and lease nothing.
+func TestPaperModeBuildsNoJoinImage(t *testing.T) {
+	const pi = 1
+	larger, smaller := workloadRelations(t,
+		workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 84}, pi)
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+	}
+	for i := range 10 {
+		q.LargerMethod, q.SmallerMethod = AutoMethod, AutoMethod
+		if i%2 == 1 {
+			q.LargerMethod, q.SmallerMethod = UnsortedMethod, UnsortedMethod
+		}
+		res, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Timing.Mem.Acquired != 0 {
+			t.Fatalf("query %d: a serial run leased %d bytes", i, res.Timing.Mem.Acquired)
+		}
+	}
+	for _, r := range []*Relation{larger, smaller} {
+		if b := r.JoinImageBytes(); b != 0 {
+			t.Fatalf("%s: ten paper-mode queries left a %d-byte join image", r.Name, b)
+		}
+	}
+}
+
+// TestCompressedServicePhases pins the phases of the service's
+// compressed query shape (svc_engine_compressed: DSM post-projection,
+// u/u, CompressionOn, on a runtime): no phase reads a key column, so
+// none decodes one. The first query builds the images as steps inside
+// its join phase; a repeat builds none.
+func TestCompressedServicePhases(t *testing.T) {
+	const pi = 2
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 85}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
+		Compression: CompressionOn, Parallelism: 2, Runtime: rt, Trace: true,
+	}
+	wantPhases := []string{"partitioned-hash-join", "decompress-larger", "fetch-larger", "decompress-smaller", "fetch-smaller"}
+	for rep, builds := range []int{2, 0} {
+		res, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tracePhases(res); !slices.Equal(got, wantPhases) {
+			t.Errorf("query %d: phases %v, want %v", rep+1, got, wantPhases)
+		}
+		if b := traceSteps(res, "build-join-image"); b != builds {
+			t.Errorf("query %d: %d build-join-image steps, want %d", rep+1, b, builds)
+		}
+		// Each step lies inside the join phase's span.
+		var join, step [][2]int64
+		for _, ev := range res.Trace.t.Events() {
+			switch {
+			case ev.Name == "partitioned-hash-join":
+				join = append(join, [2]int64{ev.TS, ev.TS + ev.Dur})
+			case ev.Cat == exec.StepCat:
+				step = append(step, [2]int64{ev.TS, ev.TS + ev.Dur})
+			}
+		}
+		for _, s := range step {
+			if len(join) != 1 || s[0] < join[0][0] || s[1] > join[0][1] {
+				t.Errorf("query %d: step %v outside the join phase %v", rep+1, s, join)
+			}
+		}
+		res.Release()
+	}
+}

@@ -33,12 +33,19 @@ func workloadRelations(t *testing.T, p workload.Params, pi int) (*Relation, *Rel
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pairRelations(t, pr, pi)
+}
+
+// pairRelations builds fresh relations over a generated pair's columns
+// (not copied: relations built twice from one pair share them).
+func pairRelations(t *testing.T, pr *workload.Pair, pi int, opts ...RelationOption) (*Relation, *Relation) {
+	t.Helper()
 	mk := func(name string, wr *workload.Relation) *Relation {
 		cols := []Column{{Name: "key", Values: wr.Key()}}
 		for j := 1; j <= pi; j++ {
 			cols = append(cols, Column{Name: fmt.Sprintf("a%d", j), Values: wr.PayloadCol(j)})
 		}
-		rel, err := NewRelation(name, cols...)
+		rel, err := NewRelationOpts(name, cols, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

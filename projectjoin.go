@@ -12,6 +12,7 @@ import (
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
+	"radixdecluster/internal/radix"
 	"radixdecluster/internal/strategy"
 )
 
@@ -386,10 +387,13 @@ func (q JoinQuery) bind() (boundJoin, error) {
 	var err error
 	switch b.st {
 	case DSMPostDecluster, DSMPre:
-		if b.dl, err = dsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression); err != nil {
+		// Runtime queries join over the relations' join images; paper mode
+		// clusters per query, as the paper does.
+		images := b.st == DSMPostDecluster && q.Parallelism != 0
+		if b.dl, err = dsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression, images); err != nil {
 			return b, err
 		}
-		b.ds, err = dsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression)
+		b.ds, err = dsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression, images)
 	case NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive:
 		if b.nl, err = nsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression); err != nil {
 			return b, err
@@ -431,7 +435,7 @@ func (b boundJoin) run(cfg strategy.Config) (*strategy.Result, error) {
 	}
 }
 
-func dsmSide(r *Relation, key string, proj []string, comp Compression) (strategy.DSMSide, error) {
+func dsmSide(r *Relation, key string, proj []string, comp Compression, image bool) (strategy.DSMSide, error) {
 	keys, err := r.Column(key)
 	if err != nil {
 		return strategy.DSMSide{}, err
@@ -443,6 +447,9 @@ func dsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 	// An unselected side's oid column is its void head: a read-only view
 	// of the shared dense slab.
 	side := strategy.DSMSide{OIDs: bat.Dense(len(keys)), Keys: keys, Cols: cols, BaseN: r.Len()}
+	if image {
+		side.JoinImage = func(o radix.Opts) (*radix.BUNsResult, bool, error) { return r.joinImage(key, o) }
+	}
 	if comp == CompressionOn && r.compressed {
 		encs, err := r.encodings()
 		if err != nil {

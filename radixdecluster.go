@@ -68,6 +68,7 @@ import (
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/nsm"
+	"radixdecluster/internal/radix"
 )
 
 // OID is a dense object identifier: record number in [0,N).
@@ -235,6 +236,22 @@ type Relation struct {
 	recOnce    sync.Once
 	recEnc     *compress.Encoded
 	recErr     error
+
+	// joinImgs holds, per join-key column, the column radix-clustered as
+	// the Partitioned Hash-Join input of the last clustering a runtime
+	// query asked for (joinImage): built by the first such query, read
+	// by every later one, GC-owned — it outlives every query, so it is
+	// never drawn from a runtime's arena. Paper-mode queries cluster per
+	// query and never build one.
+	imgMu    sync.Mutex
+	joinImgs map[string]keyImage
+}
+
+// keyImage is one key column's join image: radix.ClusterBUNs over the
+// dense oids and the column's values, with the opts it was built for.
+type keyImage struct {
+	o   radix.Opts
+	img *radix.BUNsResult
 }
 
 // RelationOption configures NewRelationOpts.
@@ -383,6 +400,46 @@ func (r *Relation) recordEncoding() (*compress.Encoded, error) {
 		}
 	})
 	return r.recEnc, r.recErr
+}
+
+// joinImage returns the key column's join image for o, building it —
+// and replacing one built for other opts — under the relation's lock,
+// so concurrent first queries build it once; built reports whether this
+// call did. The clustering is stable, so the pass split does not change
+// its bytes: the image is keyed by the radix field alone.
+func (r *Relation) joinImage(key string, o radix.Opts) (*radix.BUNsResult, bool, error) {
+	r.imgMu.Lock()
+	defer r.imgMu.Unlock()
+	if ki, ok := r.joinImgs[key]; ok && ki.o.Bits == o.Bits && ki.o.Ignore == o.Ignore {
+		return ki.img, false, nil
+	}
+	keys, err := r.Column(key)
+	if err != nil {
+		return nil, false, err
+	}
+	img, err := radix.ClusterBUNs(bat.Dense(len(keys)), keys, true, o)
+	if err != nil {
+		return nil, false, err
+	}
+	if r.joinImgs == nil {
+		r.joinImgs = make(map[string]keyImage)
+	}
+	r.joinImgs[key] = keyImage{o: o, img: img}
+	return img, true, nil
+}
+
+// JoinImageBytes reports the bytes the relation's join images hold: 8
+// per tuple (plus the partition offsets) for each key column a runtime
+// query has joined on, 0 before the first one. They live outside every
+// runtime's arena and its MemoryBudget.
+func (r *Relation) JoinImageBytes() int64 {
+	r.imgMu.Lock()
+	defer r.imgMu.Unlock()
+	var n int64
+	for _, ki := range r.joinImgs {
+		n += 8 * int64(cap(ki.img.BUNs)+cap(ki.img.Offsets))
+	}
+	return n
 }
 
 func (r *Relation) columns(names []string) ([][]int32, error) {
