@@ -274,6 +274,43 @@ func BenchmarkProbeBUNs(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeKeys is BenchmarkProbeBUNs for the kernel runtime
+// queries run over join images: the same partitions as key columns,
+// emitting image positions.
+func BenchmarkProbeKeys(b *testing.B) {
+	_, lk, _, sk := benchJoinSides(b)
+	for _, c := range []struct {
+		name string
+		bits int
+	}{{"part=1Ki", 10}, {"part=16Ki", 6}} {
+		o := radix.Opts{Bits: c.bits}
+		lo, err := radix.KeyOffsets(lk, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		so, err := radix.KeyOffsets(sk, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lkeys, skeys := radix.Permute(lk, lk, o, lo), radix.Permute(sk, sk, o, so)
+		out := &join.Index{Larger: make([]OID, 0, clusterBenchN), Smaller: make([]OID, 0, clusterBenchN)}
+		var ts join.TableScratch
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(clusterBenchN * 8)
+			for i := 0; i < b.N; i++ {
+				out.Larger, out.Smaller = out.Larger[:0], out.Smaller[:0]
+				for p := 0; p < 1<<c.bits; p++ {
+					join.ProbeKeys(skeys[so[p]:so[p+1]], lkeys[lo[p]:lo[p+1]], so[p], lo[p], uint(c.bits), out, &ts)
+				}
+				if out.Len() != clusterBenchN {
+					b.Fatalf("%d matches, want %d", out.Len(), clusterBenchN)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkHashJoinNaive(b *testing.B) {
 	lo, lk := benchPairs(b)
 	so := make([]OID, benchN)

@@ -329,6 +329,7 @@ func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, t
 type Scratch struct {
 	ints  []int
 	tjoin join.TableScratch // partition hash-table build scratch
+	part  join.Index        // the match list a probe morsel fills
 }
 
 // Ints returns a zeroed []int of length n, reusing the worker's

@@ -190,6 +190,17 @@ func TestSortOIDPairsMatchesSerial(t *testing.T) {
 	})
 }
 
+// testImage is the join image of an [oid, key] input: its keys, oids
+// and offsets as a relation holds them.
+func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) *join.Image {
+	t.Helper()
+	offs, err := radix.KeyOffsets(keys, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &join.Image{Keys: radix.Permute(keys, keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
+}
+
 func TestPartitionedJoinMatchesSerial(t *testing.T) {
 	n := heavyN()
 	for _, skewed := range []bool{false, true} {
@@ -203,16 +214,13 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The probe half alone, over inputs clustered once outside the
-			// engine (a relation's join image), must produce the same index.
-			cl, err := radix.ClusterBUNs(lo, lk, true, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := radix.ClusterBUNs(so, sk, true, o)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The probe over join images — inputs clustered once outside the
+			// engine — must produce the same index when both sides emit
+			// oids, and image positions that name the same tuples when the
+			// larger side emits positions.
+			cl, cs := testImage(t, lo, lk, o), testImage(t, so, sk, o)
+			lpos := *cl
+			lpos.OIDs = nil
 			withLeases(t, func(t *testing.T, p *Engine) {
 				got, err := p.PartitionedJoin(lo, lk, so, sk, o)
 				if err != nil {
@@ -222,11 +230,18 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				positions, err := p.ProbePartitions(&lpos, cs, uint(o.Bits))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pos := range positions.Larger {
+					positions.Larger[i] = cl.OIDs[pos]
+				}
 				// slices.Equal, not reflect.DeepEqual: skew makes these
 				// join-indexes millions of oids long, and DeepEqual's
 				// per-element reflection was most of this package's time
 				// under the race detector.
-				for op, ix := range map[string]*join.Index{"PartitionedJoin": got, "ProbePartitions": probed} {
+				for op, ix := range map[string]*join.Index{"PartitionedJoin": got, "ProbePartitions": probed, "ProbePartitions(positions)": positions} {
 					if !slices.Equal(ix.Larger, want.Larger) || !slices.Equal(ix.Smaller, want.Smaller) {
 						t.Fatalf("%s workers=%d bits=%d skewed=%v: parallel join-index differs from serial (%d vs %d matches)",
 							op, p.Workers(), o.Bits, skewed, ix.Len(), want.Len())
@@ -390,15 +405,8 @@ func TestSerialFallbackPredicate(t *testing.T) {
 		}},
 		{"ProbePartitions", false, func(e *Engine, n int) error {
 			o := radix.Opts{Bits: 4}
-			cl, err := radix.ClusterBUNs(oids[:n-n/2], vals[:n-n/2], true, o)
-			if err != nil {
-				return err
-			}
-			cs, err := radix.ClusterBUNs(other[:n/2], vals[:n/2], true, o)
-			if err != nil {
-				return err
-			}
-			_, err = e.ProbePartitions(cl, cs, uint(o.Bits))
+			cl, cs := testImage(t, oids[:n-n/2], vals[:n-n/2], o), testImage(t, other[:n/2], vals[:n/2], o)
+			_, err := e.ProbePartitions(cl, cs, uint(o.Bits))
 			return err
 		}},
 		{"PartitionedRowsJoin", false, func(e *Engine, n int) error {

@@ -10,12 +10,13 @@ package exec
 // exact order the serial loop in join.PartitionedPreclustered appends
 // them, so the resulting join-index is byte-identical.
 //
-// The two halves are separate operators: PartitionedJoin clusters both
-// inputs and hands them to ProbePartitions, which a caller holding
-// inputs clustered once for many queries calls alone.
+// PartitionedJoin clusters both inputs per query; ProbePartitions joins
+// two inputs clustered once for many queries (join images), with the
+// same morsels and the same stitch.
 
 import (
 	"math/bits"
+	"sync"
 
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
@@ -25,7 +26,7 @@ import (
 // PartitionedJoin is the Partitioned Hash-Join producing a join-index,
 // the parallel equivalent of join.Partitioned: it radix-clusters both
 // inputs on o.Bits hashed key bits and hash-joins matching partition
-// pairs concurrently (ProbePartitions), producing the identical
+// pairs concurrently (join.ProbeBUNs), producing the identical
 // join-index.
 func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*join.Index, error) {
 	if e.serial(len(largerOIDs) + len(smallerOIDs)) {
@@ -39,20 +40,39 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 	if err != nil {
 		return nil, err
 	}
-	return e.ProbePartitions(cl, cs, uint(o.Ignore+o.Bits))
+	shift := uint(o.Ignore + o.Bits)
+	return e.probeEach(cl.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
+		ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
+		sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
+		if ll < lh && sl < sh {
+			join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, out, ts)
+		}
+	}), nil
 }
 
-// ProbePartitions is the probe half of the Partitioned Hash-Join, the
-// parallel equivalent of join.PartitionedPreclustered: it hash-joins
-// every pair of matching partitions of two inputs radix-clustered on
-// the same bits (shift = the clustering's Ignore+Bits) concurrently and
-// returns the join-index in partition order. The inputs are only read.
-func (e *Engine) ProbePartitions(cl, cs *radix.BUNsResult, shift uint) (*join.Index, error) {
+// ProbePartitions is the Partitioned Hash-Join over two join images,
+// the parallel equivalent of join.PartitionedImages: it hash-joins every
+// pair of matching partitions of two images clustered on the same bits
+// (shift = the clustering's Ignore+Bits) concurrently and returns the
+// join-index in partition order, each side holding image positions or,
+// where the image carries OIDs, oids. The images are only read.
+func (e *Engine) ProbePartitions(larger, smaller *join.Image, shift uint) (*join.Index, error) {
 	// The serial loop also reports mismatched partition counts.
-	if e.serial(len(cl.BUNs)+len(cs.BUNs)) || len(cl.Offsets) != len(cs.Offsets) {
-		return join.PartitionedPreclustered(cl, cs, shift)
+	if e.serial(len(larger.Keys)+len(smaller.Keys)) || len(larger.Offsets) != len(smaller.Offsets) {
+		return join.PartitionedImages(larger, smaller, shift)
 	}
-	h := len(cl.Offsets) - 1
+	return e.probeEach(larger.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
+		join.ProbeImage(larger, smaller, pt, shift, out, ts)
+	}), nil
+}
+
+// probeEach runs probe over every partition pair as one morsel, each
+// appending its matches to a private list, and stitches the lists into
+// the join-index in partition order. lOffs are the larger side's
+// partition offsets: a partition's list is sized for one match per
+// larger tuple.
+func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *join.TableScratch)) *join.Index {
+	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
 
 	// Each partition pair is one morsel producing a private match
 	// list, homed (affinity key) on the worker that owns its level-1
@@ -62,29 +82,35 @@ func (e *Engine) ProbePartitions(cl, cs *radix.BUNsResult, shift uint) (*join.In
 	l1 := level1Shift(bits.Len(uint(h)) - 1)
 	aff := func(pt int) uint64 { return uint64(pt) >> l1 }
 
-	// parts holds slice headers the GC must scan, so it stays a plain
-	// allocation; the match-list *backing* is leased. Each partition's
-	// list is carved from two big arenas at its larger-side offset with
-	// a hard cap (three-index): ProbeBUNs writes matches by index up to
-	// that cap, so the lists stay disjoint, and an overflowing partition
-	// (duplicate smaller keys) moves to a private GC slice instead of
-	// clobbering its neighbour.
+	// Each partition's list is carved from two leased arenas at its
+	// larger-side offset with a hard cap (three-index): the probe kernels
+	// write matches by index up to that cap, so the lists stay disjoint,
+	// and an overflowing partition (duplicate smaller keys) moves to a
+	// private GC slice instead of clobbering its neighbour. Per partition
+	// only the match count is kept — leased, nothing for the GC to scan —
+	// plus, rarely, the list that overflowed.
 	ml := e.mem()
-	bigL := mempool.Slice[OID](ml, len(cl.BUNs))
-	bigS := mempool.Slice[OID](ml, len(cl.BUNs))
-	parts := make([]join.Index, h)
-	for pt := 0; pt < h; pt++ {
-		ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
-		parts[pt].Larger = bigL[ll:ll:lh]
-		parts[pt].Smaller = bigS[ll:ll:lh]
-	}
+	bigL := mempool.Slice[OID](ml, n)
+	bigS := mempool.Slice[OID](ml, n)
+	counts := mempool.Slice[int](ml, h)
+	var (
+		mu       sync.Mutex
+		overflow map[int]join.Index
+	)
 	e.runAff(h, aff, func(_, pt int, s *Scratch) {
-		ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
-		sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
-		if ll == lh || sl == sh {
-			return
+		ll, lh := lOffs[pt], lOffs[pt+1]
+		s.part = join.Index{Larger: bigL[ll:ll:lh], Smaller: bigS[ll:ll:lh]}
+		probe(pt, &s.part, &s.tjoin)
+		counts[pt] = s.part.Len()
+		if counts[pt] > lh-ll {
+			mu.Lock()
+			if overflow == nil {
+				overflow = make(map[int]join.Index)
+			}
+			overflow[pt] = s.part
+			mu.Unlock()
 		}
-		join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, &parts[pt], &s.tjoin)
+		s.part = join.Index{} // the worker outlives the query's arrays
 	})
 
 	// Stitch in partition order: prefix-sum the match counts. When every
@@ -95,11 +121,11 @@ func (e *Engine) ProbePartitions(cl, cs *radix.BUNsResult, shift uint) (*join.In
 	offs[0] = 0
 	full := true
 	for pt := 0; pt < h; pt++ {
-		offs[pt+1] = offs[pt] + parts[pt].Len()
-		full = full && offs[pt+1] == cl.Offsets[pt+1]
+		offs[pt+1] = offs[pt] + counts[pt]
+		full = full && offs[pt+1] == lOffs[pt+1]
 	}
 	if full {
-		return &join.Index{Larger: bigL, Smaller: bigS}, nil
+		return &join.Index{Larger: bigL, Smaller: bigS}
 	}
 	// Otherwise copy each partition's list into its disjoint output
 	// range. The join-index never leaves the pipeline, so it is leased
@@ -109,8 +135,13 @@ func (e *Engine) ProbePartitions(cl, cs *radix.BUNsResult, shift uint) (*join.In
 		Smaller: mempool.Slice[OID](ml, offs[h]),
 	}
 	e.runAff(h, aff, func(_, pt int, _ *Scratch) {
-		copy(out.Larger[offs[pt]:offs[pt+1]], parts[pt].Larger)
-		copy(out.Smaller[offs[pt]:offs[pt+1]], parts[pt].Smaller)
+		part, ok := overflow[pt]
+		if !ok {
+			ll := lOffs[pt]
+			part = join.Index{Larger: bigL[ll : ll+counts[pt]], Smaller: bigS[ll : ll+counts[pt]]}
+		}
+		copy(out.Larger[offs[pt]:offs[pt+1]], part.Larger)
+		copy(out.Smaller[offs[pt]:offs[pt+1]], part.Smaller)
 	})
-	return out, nil
+	return out
 }

@@ -237,12 +237,12 @@ func (p *Pipeline) Execute() (Timings, error) {
 // pipeline track with the phase spans they nest in.
 const StepCat = "step"
 
-// Step records a span named name, from start until now, on the pipeline
+// Step records a span named name, from start to end, on the pipeline
 // track inside the running phase's span: a one-off part of a phase worth
 // telling apart in the trace (a first query building a shared image).
 // No-op untraced.
-func (e *Engine) Step(name string, start time.Time) {
-	e.trace.Span(name, StepCat, tracePipelineTID, start, time.Since(start), nil)
+func (e *Engine) Step(name string, start, end time.Time) {
+	e.trace.Span(name, StepCat, tracePipelineTID, start, end.Sub(start), nil)
 }
 
 // ForRanges runs body over contiguous chunks of [0,n): a single

@@ -140,6 +140,64 @@ func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*In
 	return out, nil
 }
 
+// Image is a join input radix-clustered once, outside any query (a
+// relation's join image): its keys in clustered order and the 2^B+1
+// cluster offsets (radix.KeyOffsets, radix.Permute). A match emits the
+// tuple's image position — its index in Keys — or, when OIDs is set,
+// OIDs at that position: with OIDs the clustered oid column, exactly
+// the oid a BUN probe of the same clustering emits.
+type Image struct {
+	Keys    []int32
+	Offsets []int
+	OIDs    []OID
+}
+
+// PartitionedImages is PartitionedPreclustered over two images:
+// ProbeImage over every partition pair in order, with one table scratch
+// for all of them. With both images' OIDs set it returns
+// PartitionedPreclustered's join-index over the same clustering.
+func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
+	if len(larger.Offsets) != len(smaller.Offsets) {
+		return nil, fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
+	}
+	out := &Index{
+		Larger:  make([]OID, 0, len(larger.Keys)),
+		Smaller: make([]OID, 0, len(larger.Keys)),
+	}
+	var ts TableScratch
+	for p := 0; p+1 < len(larger.Offsets); p++ {
+		ProbeImage(larger, smaller, p, shift, out, &ts)
+	}
+	return out, nil
+}
+
+// ProbeImage joins partition p of two images into out: ProbeKeys over
+// the partition pair, then each side that carries OIDs has its emitted
+// positions replaced by its oids — a pass over the partition's matches
+// that reads only the partition's slice of the oid column.
+func ProbeImage(larger, smaller *Image, p int, shift uint, out *Index, ts *TableScratch) {
+	ll, lh := larger.Offsets[p], larger.Offsets[p+1]
+	sl, sh := smaller.Offsets[p], smaller.Offsets[p+1]
+	if ll == lh || sl == sh {
+		return
+	}
+	m := len(out.Larger)
+	ProbeKeys(smaller.Keys[sl:sh], larger.Keys[ll:lh], sl, ll, shift, out, ts)
+	toOIDs(out.Larger[m:], larger.OIDs)
+	toOIDs(out.Smaller[m:], smaller.OIDs)
+}
+
+// toOIDs replaces image positions by the oids at them; nil oids leave
+// the positions.
+func toOIDs(pos, oids []OID) {
+	if oids == nil {
+		return
+	}
+	for i, p := range pos {
+		pos[i] = oids[p]
+	}
+}
+
 // TableScratch holds the hash-table arrays of ProbeBUNs so that a
 // worker probing many partitions in a row builds each table into the
 // same memory. The zero value is ready; the arrays grow to the largest
@@ -147,6 +205,21 @@ func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*In
 type TableScratch struct {
 	first []int32 // bucket head: index+1, 0 = empty
 	next  []int32 // chain: index+1, 0 = end
+}
+
+// table returns the bucket heads, cleared, and the chain links of a
+// table over n tuples, and the bucket mask.
+func (ts *TableScratch) table(n int) (first, next []int32, mask uint32) {
+	nb := bucketsPerTuple * NumBuckets(n)
+	if cap(ts.first) < nb {
+		ts.first = make([]int32, nb)
+	}
+	if cap(ts.next) < n {
+		ts.next = make([]int32, n)
+	}
+	first = ts.first[:nb]
+	clear(first) // next is fully rewritten by the insertion loop
+	return first, ts.next[:n], uint32(nb - 1)
 }
 
 // ProbeBUNs is the per-partition kernel of the Partitioned Hash-Join,
@@ -171,16 +244,7 @@ type TableScratch struct {
 // and only a partition with more matches than that grows out by
 // append, onto a fresh array when out was carved from a shared one.
 func ProbeBUNs(smaller, larger []uint64, shift uint, out *Index, ts *TableScratch) {
-	n := len(smaller)
-	nb := bucketsPerTuple * NumBuckets(n)
-	if cap(ts.first) < nb {
-		ts.first = make([]int32, nb)
-	}
-	if cap(ts.next) < n {
-		ts.next = make([]int32, n)
-	}
-	first, next, mask := ts.first[:nb], ts.next[:n], uint32(nb-1)
-	clear(first) // next is fully rewritten by the insertion loop
+	first, next, mask := ts.table(len(smaller))
 	for i, b := range smaller {
 		h := (hash.Mix(radix.BUNKey(b)) >> shift) & mask
 		next[i] = first[h]
@@ -201,6 +265,37 @@ func ProbeBUNs(smaller, larger []uint64, shift uint, out *Index, ts *TableScratc
 				outL, outS = grow(outL), grow(outS)
 			}
 			outL[m], outS[m] = radix.BUNOID(lb), radix.BUNOID(sb)
+			m++
+		}
+	}
+	out.Larger, out.Smaller = outL[:m], outS[:m]
+}
+
+// ProbeKeys is ProbeBUNs over one partition pair of key columns: the
+// same table, probe order and chain order, emitting each match's
+// positions — lbase+i for larger[i], sbase+j for smaller[j] — where
+// ProbeBUNs emits the BUNs' oids.
+func ProbeKeys(smaller, larger []int32, sbase, lbase int, shift uint, out *Index, ts *TableScratch) {
+	first, next, mask := ts.table(len(smaller))
+	for i, k := range smaller {
+		h := (hash.Mix(uint32(k)) >> shift) & mask
+		next[i] = first[h]
+		first[h] = int32(i) + 1
+	}
+
+	m := len(out.Larger)
+	lim := min(cap(out.Larger), cap(out.Smaller))
+	outL, outS := out.Larger[:lim], out.Smaller[:lim]
+	sb := OID(sbase) - 1 // chain entries count from 1
+	for i, k := range larger {
+		for e := first[(hash.Mix(uint32(k))>>shift)&mask]; e != 0; e = next[e-1] {
+			if smaller[e-1] != k {
+				continue
+			}
+			if m == len(outL) {
+				outL, outS = grow(outL), grow(outS)
+			}
+			outL[m], outS[m] = OID(lbase+i), sb+OID(e)
 			m++
 		}
 	}

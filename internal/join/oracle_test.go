@@ -129,8 +129,8 @@ func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so 
 }
 
 // checkAgainstOracle joins one input under one clustering with both
-// engines: each must return exactly the oracle's pair multiset, and the
-// two the identical sequence.
+// engines, over BUNs and over join images: each must return exactly the
+// oracle's pair multiset, and all of them the identical sequence.
 func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
 	t.Helper()
 	serial, err := join.Partitioned(lo, lk, so, sk, o)
@@ -148,6 +148,59 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	}
 	if !slices.Equal(parallel.Larger, serial.Larger) || !slices.Equal(parallel.Smaller, serial.Smaller) {
 		t.Fatalf("%+v: parallel join-index is not the serial sequence (%d vs %d pairs)", o, parallel.Len(), serial.Len())
+	}
+	// Over join images: sides emitting oids give the same sequence, and
+	// sides emitting image positions name the same tuples.
+	li, si := image(t, lo, lk, o), image(t, so, sk, o)
+	shift := uint(o.Ignore + o.Bits)
+	for _, par := range []bool{false, true} {
+		for _, emit := range []struct {
+			name string
+			l, s bool
+		}{{"oids", true, true}, {"positions", false, false}, {"larger positions", false, true}} {
+			l, s := *li, *si
+			if !emit.l {
+				l.OIDs = nil
+			}
+			if !emit.s {
+				s.OIDs = nil
+			}
+			probe := join.PartitionedImages
+			if par {
+				probe = func(l, s *join.Image, shift uint) (*join.Index, error) { return e.ProbePartitions(l, s, shift) }
+			}
+			got, err := probe(&l, &s, shift)
+			if err != nil {
+				t.Fatalf("%+v: images (parallel=%v, %s): %v", o, par, emit.name, err)
+			}
+			if !emit.l {
+				positionsToOIDs(got.Larger, li.OIDs)
+			}
+			if !emit.s {
+				positionsToOIDs(got.Smaller, si.OIDs)
+			}
+			if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
+				t.Fatalf("%+v: images (parallel=%v, %s): join-index is not the BUN probe's sequence (%d vs %d pairs)",
+					o, par, emit.name, got.Len(), serial.Len())
+			}
+		}
+	}
+}
+
+// image is the join image of an [oid, key] input, oids included.
+func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) *join.Image {
+	t.Helper()
+	offs, err := radix.KeyOffsets(keys, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &join.Image{Keys: radix.Permute(keys, keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
+}
+
+// positionsToOIDs replaces image positions by the oids at them.
+func positionsToOIDs(pos, oids []join.OID) {
+	for i, p := range pos {
+		pos[i] = oids[p]
 	}
 }
 

@@ -111,6 +111,20 @@ func ScatterPack[K, P Word](keys []K, oids []P, hashed bool, f Field, cur []int,
 	}
 }
 
+// ScatterPayload is Scatter for a column that follows a hashed key
+// clustering without its keys: pay[i] lands at cur[cluster of
+// hash.Int32(keys[i])], which advances.
+func ScatterPayload[P Word](keys []int32, pay []P, f Field, cur []int, dst []P) {
+	sh, mask := f.Shift, f.Mask
+	pay = pay[:len(keys)]
+	for i, k := range keys {
+		c := (hash.Mix(uint32(k)) >> sh) & mask
+		d := cur[c]
+		cur[c] = d + 1
+		dst[d] = pay[i]
+	}
+}
+
 // HistogramBUN is Histogram over the keys of BUNs.
 func HistogramBUN(buns []uint64, hashed bool, f Field, row []int) {
 	sh, mask := f.Shift, f.Mask

@@ -21,6 +21,7 @@ package radix
 
 import (
 	"fmt"
+	"slices"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/mem"
@@ -135,6 +136,40 @@ func ClusterBUNs(heads []OID, vals []int32, hashVals bool, o Opts) (*BUNsResult,
 	}
 	buns, offsets := clusterBUNs(vals, heads, hashVals, o)
 	return &BUNsResult{BUNs: buns, Offsets: offsets}, nil
+}
+
+// KeyOffsets returns the 2^Bits+1 cluster offsets of a hashed
+// Radix-Cluster of keys on o's radix field — the Offsets ClusterBUNs(_,
+// keys, true, o) returns, whatever o's pass split.
+func KeyOffsets(keys []int32, o Opts) ([]int, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	offsets := make([]int, 1<<o.Bits+1)
+	Histogram(keys, true, keyField(o), offsets[1:])
+	for c := 1; c < len(offsets); c++ {
+		offsets[c] += offsets[c-1]
+	}
+	return offsets, nil
+}
+
+// Permute returns col in the order ClusterBUNs(_, keys, true, o) puts
+// the tuples of keys: one stable scatter pass on the whole radix field,
+// with cursors from the clustering's offsets (KeyOffsets). A stable
+// clustering places every tuple where any pass split would, so
+// Permute(keys, oids, …) is the BUNs' oid half and Permute(keys, keys,
+// …) their key half — and any further column of the relation follows
+// without the permutation ever being stored.
+func Permute[P Word](keys []int32, col []P, o Opts, offsets []int) []P {
+	cur := slices.Clone(offsets[:len(offsets)-1])
+	out := make([]P, len(keys))
+	ScatterPayload(keys, col, keyField(o), cur, out)
+	return out
+}
+
+// keyField is the single-pass field of o's whole radix field.
+func keyField(o Opts) Field {
+	return Field{Shift: uint(o.Ignore), Mask: uint32(1<<o.Bits - 1)}
 }
 
 // OIDPairsResult is a radix-clustered [oid,oid] BAT (e.g. a

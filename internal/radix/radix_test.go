@@ -2,6 +2,7 @@ package radix
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,32 @@ func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 				t.Fatalf("passes %v: offsets differ at %d", passes, i)
 			}
 		}
+	}
+}
+
+// TestPermuteMatchesClusterBUNs: a join image built column-wise —
+// KeyOffsets plus one Permute per column — holds exactly the BUN
+// clustering's offsets, keys and oids, for every pass split, with
+// Ignore bits, and at zero bits.
+func TestPermuteMatchesClusterBUNs(t *testing.T) {
+	heads, vals := randomPairs(5000, 5)
+	for _, o := range []Opts{{Bits: 0}, {Bits: 6}, {Bits: 6, Passes: []int{2, 2, 2}}, {Bits: 5, Ignore: 3}, {Bits: 11, Passes: []int{6, 5}}} {
+		bres, err := ClusterBUNs(heads, vals, true, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := unpack(bres)
+		offs, err := KeyOffsets(vals, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(offs, want.Offsets) || !slices.Equal(Permute(vals, vals, o, offs), want.Vals) ||
+			!slices.Equal(Permute(vals, heads, o, offs), want.Heads) {
+			t.Fatalf("%+v: the column-wise image differs from ClusterBUNs", o)
+		}
+	}
+	if _, err := KeyOffsets(vals, Opts{Bits: -1}); err == nil {
+		t.Fatal("KeyOffsets accepted malformed opts")
 	}
 }
 

@@ -236,7 +236,11 @@ type RelationInfo struct {
 	Columns    []string `json:"columns"`
 	Compressed bool     `json:"compressed"`
 	// JoinImageBytes is what the relation's join images hold
-	// (rd.Relation.JoinImageBytes): 0 until a runtime query joins it.
+	// (rd.Relation.JoinImageBytes): per key column joined on, 4 B per
+	// tuple of keys plus 4 B per tuple for each column held in image
+	// order — every column runtime queries projected from it, and the
+	// oids once a c, s or compressed plan needed them — plus the
+	// partition offsets. 0 until a runtime query joins it.
 	JoinImageBytes int64 `json:"joinImageBytes"`
 }
 

@@ -413,13 +413,15 @@ func TestRelationsStatusMetrics(t *testing.T) {
 		}
 	}
 
-	// A runtime query joins over join images: 8 B per key, plus offsets.
+	// A runtime query joins over join images: 4 B per key and 4 B per
+	// tuple of each projected column (the two non-key ones by default),
+	// plus offsets.
 	qresp = postQuery(t, ts.URL, `{"larger":"larger","smaller":"smaller","parallelism":2,"omitRows":true}`)
 	io.Copy(io.Discard, qresp.Body) //nolint:errcheck
 	qresp.Body.Close()
 	for _, r := range relations() {
-		if r.JoinImageBytes < 8*int64(r.Rows) {
-			t.Fatalf("%s: %d join-image bytes after a runtime query, want at least %d", r.Name, r.JoinImageBytes, 8*r.Rows)
+		if want := 4 * int64(r.Rows) * int64(len(r.Columns)); r.JoinImageBytes < want {
+			t.Fatalf("%s: %d join-image bytes after a runtime query, want at least %d", r.Name, r.JoinImageBytes, want)
 		}
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/exec"
+	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/obs"
 	"radixdecluster/internal/radix"
@@ -146,16 +148,45 @@ func stepCount(tr *obs.Trace, name string) int {
 }
 
 // withJoinImages gives each side the join image a relation gives a
-// runtime query: its join input clustered outside the query. Each call
-// clusters afresh and reports a build.
+// runtime query: its join input and projection columns clustered
+// outside the query. Each call clusters afresh and reports a build.
 func withJoinImages(sides ...*DSMSide) {
 	for _, s := range sides {
-		oids, keys := s.OIDs, s.Keys
-		s.JoinImage = func(o radix.Opts) (*radix.BUNsResult, bool, error) {
-			img, err := radix.ClusterBUNs(oids, keys, true, o)
-			return img, true, err
+		oids, keys, base := s.OIDs, s.Keys, s.Cols
+		s.JoinImage = func(o radix.Opts, cols bool, step func(string, time.Time, time.Time)) (Image, error) {
+			start := time.Now()
+			img, err := clusterImage(oids, keys, base, o)
+			if err != nil {
+				return Image{}, err
+			}
+			step("build-join-image", start, time.Now())
+			if cols {
+				img.OIDs = nil
+			} else {
+				img.Cols = nil
+			}
+			return img, nil
 		}
 	}
+}
+
+// clusterImage is the join image of an [oid, key] input whose oids
+// point into the base columns: keys, oids and every column's values in
+// clustered order.
+func clusterImage(oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image, error) {
+	offs, err := radix.KeyOffsets(keys, o)
+	if err != nil {
+		return Image{}, err
+	}
+	img := Image{Image: join.Image{Keys: radix.Permute(keys, keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}}
+	for _, col := range base {
+		vals := make([]int32, len(img.OIDs))
+		for i, oid := range img.OIDs {
+			vals[i] = col[oid]
+		}
+		img.Cols = append(img.Cols, vals)
+	}
+	return img, nil
 }
 
 // tracePipelineTrack is the trace track exec's pipeline writes phase

@@ -233,13 +233,23 @@ type DSMSide struct {
 	// them.
 	KeysEnc *compress.Encoded
 	ColsEnc []*compress.Encoded
-	// JoinImage, when set on both sides, is DSMPost's join input
-	// clustered ahead of the query: it returns exactly what
-	// radix.ClusterBUNs(OIDs, Keys, true, o) would, from an image held
-	// outside the query and shared with other queries (built reports
-	// whether this call built it), and the join phase only probes. DSMPost
-	// never writes into it.
-	JoinImage func(o radix.Opts) (img *radix.BUNsResult, built bool, err error)
+	// JoinImage, when set on both sides, is DSMPost's join input — and
+	// what it projects — clustered ahead of the query, held outside it and
+	// shared with other queries, so the join phase only probes. For radix
+	// field o it returns the Image whose Keys and Offsets are
+	// radix.Permute(Keys, Keys, o, …) and radix.KeyOffsets(Keys, o); with
+	// cols, Cols[c] holds the values Cols[c][OIDs[i]] in that order, and
+	// without, OIDs holds the side's OIDs in that order. It reports each
+	// part it had to build, once built, through step. DSMPost never
+	// writes into it.
+	JoinImage func(o radix.Opts, cols bool, step func(name string, start, end time.Time)) (Image, error)
+}
+
+// Image is a side's join image as DSMPost reads it: the clustered join
+// input, and the projection columns in the same order.
+type Image struct {
+	join.Image
+	Cols [][]int32
 }
 
 func (s DSMSide) validate(name string) error {
@@ -396,12 +406,20 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			decodePhase(pl, "decompress-keys", larger.keySlot(), smaller.keySlot())
 		}
 	}
+	// Over join images a raw side whose oids do not fix the result order
+	// — a u larger side, any smaller side — projects from its image
+	// columns through image positions: the larger side's fetch becomes
+	// sequential, the smaller side's stays inside one partition's slice.
+	// A c or s larger side orders the result by its oids, and a compressed
+	// side decodes base-order columns, so those emit oids.
+	imgL := images && !p.Compressed && p.LargerMethod == Unsorted
+	imgS := images && !p.Compressed
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		o := joinOpts(p.JoinBits, h)
 		var err error
 		if images {
-			ji, err = probeImages(e, larger, smaller, o)
+			ji, err = probeImages(e, &larger, &smaller, imgL, imgS, o)
 		} else {
 			ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, o)
 		}
@@ -415,7 +433,9 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// Phase 2: larger-side reordering — it fixes the result order. Each
 	// intermediate (the join-index, the two reordered oid columns) is
 	// dropped by the phase that reads it last, so a serial run's live
-	// heap does not carry them to the end of the pipeline.
+	// heap does not carry them to the end of the pipeline. A side
+	// projected from its join image carries image positions in place of
+	// oids; the fetches read either the same way.
 	var largerOIDs, smallerInResultOrder []OID
 	switch p.LargerMethod {
 	case Unsorted:
@@ -495,26 +515,33 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 
 // probeImages is DSMPost's join over the sides' join images: the
 // clustering half of the Partitioned Hash-Join is a lookup, and only
-// the per-partition probes run. A side whose image this query built
-// records the build as a step of the join phase.
-func probeImages(e *exec.Engine, larger, smaller DSMSide, o radix.Opts) (*join.Index, error) {
-	var imgs [2]*radix.BUNsResult
-	for i, s := range [2]DSMSide{larger, smaller} {
-		start := time.Now()
-		img, built, err := s.JoinImage(o)
+// the per-partition probes run. A side that projects from its image
+// (imgL, imgS) emits image positions and has its projection columns
+// swapped for the image's; the other emits oids. Whatever a side's image
+// lacked is built as a step of the join phase.
+func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS bool, o radix.Opts) (*join.Index, error) {
+	var imgs [2]join.Image
+	sides := [2]*DSMSide{larger, smaller}
+	for i, fromImg := range [2]bool{imgL, imgS} {
+		s := sides[i]
+		img, err := s.JoinImage(o, fromImg, e.Step)
 		if err != nil {
 			return nil, err
 		}
-		if built {
-			e.Step("build-join-image", start)
-		}
-		if len(img.BUNs) != len(s.OIDs) || len(img.Offsets) != 1<<o.Bits+1 {
+		n := len(s.OIDs)
+		if len(img.Keys) != n || len(img.Offsets) != 1<<o.Bits+1 {
 			return nil, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
-				len(img.BUNs), len(img.Offsets)-1, len(s.OIDs), 1<<o.Bits)
+				len(img.Keys), len(img.Offsets)-1, n, 1<<o.Bits)
 		}
-		imgs[i] = img
+		if fromImg && len(img.Cols) != len(s.Cols) || !fromImg && len(img.OIDs) != n {
+			return nil, fmt.Errorf("strategy: join image lacks the %d columns or the oids asked for", len(s.Cols))
+		}
+		imgs[i] = img.Image
+		if fromImg {
+			s.Cols, imgs[i].OIDs = img.Cols, nil
+		}
 	}
-	return e.ProbePartitions(imgs[0], imgs[1], uint(o.Ignore+o.Bits))
+	return e.ProbePartitions(&imgs[0], &imgs[1], uint(o.Ignore+o.Bits))
 }
 
 // rowsCost is the pre-projection strategies' cost (DSM-pre and both

@@ -204,34 +204,37 @@ func TestDSMPostSparseSelection(t *testing.T) {
 }
 
 // TestDSMPostJoinImages: a join over the sides' join images — selected
-// sides included — returns the bytes of the serial run that clusters
-// per query, on the serial engine and on a runtime, and an image for
-// other bits is an error, not a wrong join.
+// sides included, projected from the images through image positions (u
+// larger, every smaller side) or fetched through oids (c and s larger)
+// — returns the bytes of the serial run that clusters per query, on the
+// serial engine and on a runtime, and an image for other bits is an
+// error, not a wrong join.
 func TestDSMPostJoinImages(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 30000, Omega: pi + 1, HitRate: 1, SelLarger: 0.5, SelSmaller: 1, Seed: 33})
 	l, s := dsmSides(pr, pi)
-	want, err := DSMPost(l, s, PartialCluster, Declustered, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	li, si := l, s
 	withJoinImages(&li, &si)
-	for _, par := range []int{0, 1, 2} {
-		got, err := DSMPost(li, si, PartialCluster, Declustered, Config{Parallelism: par})
+	for _, m := range [][2]ProjMethod{{PartialCluster, Declustered}, {Unsorted, Unsorted}, {Unsorted, Declustered}, {SortedM, Unsorted}} {
+		want, err := DSMPost(l, s, m[0], m[1], Config{})
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatal(err)
 		}
-		same := slices.Equal[[]int32]
-		if !slices.EqualFunc(got.LargerCols, want.LargerCols, same) || !slices.EqualFunc(got.SmallerCols, want.SmallerCols, same) {
-			t.Fatalf("par=%d: the join over join images differs from the serial per-query clustering", par)
+		for _, par := range []int{0, 1, 2} {
+			got, err := DSMPost(li, si, m[0], m[1], Config{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%c/%c par=%d: %v", m[0], m[1], par, err)
+			}
+			same := slices.Equal[[]int32]
+			if !slices.EqualFunc(got.LargerCols, want.LargerCols, same) || !slices.EqualFunc(got.SmallerCols, want.SmallerCols, same) {
+				t.Fatalf("%c/%c par=%d: the join over join images differs from the serial per-query clustering", m[0], m[1], par)
+			}
+			got.Release()
 		}
-		got.Release()
 	}
-	si.JoinImage = func(o radix.Opts) (*radix.BUNsResult, bool, error) {
+	si.JoinImage = func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
 		o.Bits++
-		img, err := radix.ClusterBUNs(s.OIDs, s.Keys, true, o)
-		return img, false, err
+		return clusterImage(s.OIDs, s.Keys, s.Cols, o)
 	}
 	if _, err := DSMPost(li, si, Unsorted, Unsorted, Config{Parallelism: 2}); err == nil {
 		t.Fatal("a join image clustered on other bits was accepted")

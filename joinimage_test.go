@@ -13,8 +13,9 @@ import (
 
 // Join images: a runtime DSM post-projection query joins over each
 // relation's key column radix-clustered once (Relation.joinImage) and
-// only probes; a paper-mode query clusters per query. The results are
-// the raw serial run's bytes either way.
+// only probes, and projects a u larger side and every raw smaller side
+// from image-order copies of its columns; a paper-mode query clusters
+// per query. The results are the raw serial run's bytes either way.
 
 // traceSteps counts a traced result's steps of the given name.
 func traceSteps(res *Result, name string) int {
@@ -43,7 +44,11 @@ func tracePhases(res *Result) []string {
 // and the forced u/u, c/u, s/d and c/d pairs, raw and compressed, at
 // hit rates 0.3, 1 and 3, with inputs below the parallel threshold
 // (serial probe) and above it. Each cell runs on fresh relations: its
-// first query builds both images, its repeat builds none.
+// first query builds both images, its repeat builds none. Then, on one
+// pair of relations shared by every query: projections of one column,
+// of all columns and of the key column alone; each relation in the
+// other role; and a query that projects a column the images lack,
+// which adds exactly that column to each and rebuilds nothing else.
 func TestJoinImageEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence matrix needs full-size relations")
@@ -94,13 +99,74 @@ func TestJoinImageEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	pr, err := workload.GenPair(workload.Params{N: big, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 86})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := pairRelations(t, pr, pi)
+	// run checks q over the shared relations against the serial run and
+	// returns its build steps: clusterings, column copies.
+	run := func(tag string, q JoinQuery) (int, int) {
+		t.Helper()
+		q.LargerKey, q.SmallerKey, q.Strategy = "key", "key", DSMPostDecluster
+		want, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Parallelism, q.Runtime, q.Trace = 2, rt, true
+		got, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		requireSameResult(t, tag, got, want)
+		defer got.Release()
+		return traceSteps(got, "build-join-image"), traceSteps(got, "build-image-column")
+	}
+	all := []string{"key", "a1", "a2"}
+	for _, c := range []struct {
+		name            string
+		larger          *Relation
+		lproj, sproj    []string
+		lm, sm          ProjMethod
+		wantCopies      int // column copies the query adds to the two images
+		wantClusterings int
+	}{
+		{"one column", a, []string{"a1"}, []string{"a1"}, UnsortedMethod, UnsortedMethod, 2, 2},
+		// The key column is the image's keys: projecting it copies nothing.
+		{"key column", a, []string{"key"}, []string{"key"}, UnsortedMethod, UnsortedMethod, 0, 0},
+		{"a column the images lack", a, []string{"a1", "a2"}, []string{"a2"}, UnsortedMethod, UnsortedMethod, 2, 0},
+		{"all columns, other roles", b, all, all, UnsortedMethod, DeclusterMethod, 0, 0},
+		// A c or s larger side emits oids: its image gains the oid column,
+		// once.
+		{"all columns, other roles, c/d", b, all, all, ClusterMethod, DeclusterMethod, 1, 0},
+		{"all columns, other roles, s/u", b, all, all, SortedMethod, UnsortedMethod, 0, 0},
+		{"one column, s/u", a, []string{"a2"}, []string{"a1"}, SortedMethod, UnsortedMethod, 1, 0},
+	} {
+		q := JoinQuery{Larger: c.larger, Smaller: a, LargerProject: c.lproj, SmallerProject: c.sproj, LargerMethod: c.lm, SmallerMethod: c.sm}
+		if c.larger == a {
+			q.Smaller = b
+		}
+		before := a.JoinImageBytes() + b.JoinImageBytes()
+		clusterings, copies := run(c.name, q)
+		if clusterings != c.wantClusterings || copies != c.wantCopies {
+			t.Fatalf("%s: %d clusterings and %d column copies, want %d and %d", c.name, clusterings, copies, c.wantClusterings, c.wantCopies)
+		}
+		if c.wantClusterings == 0 {
+			if grown := a.JoinImageBytes() + b.JoinImageBytes() - before; grown != 4*int64(big*copies) {
+				t.Fatalf("%s: the images grew by %d bytes for %d column copies of %d tuples", c.name, grown, copies, big)
+			}
+		}
+	}
 }
 
 // TestJoinImageBuiltOnce: eight concurrent first queries on fresh
-// relations build one image per relation between them, and the image
-// holds 8 B per tuple plus its partition offsets.
+// relations cluster each relation once and copy each projected column
+// once between them, and a raw u/u image holds 4 B per tuple of keys, 4
+// B per tuple per projected column — no oids — plus its partition
+// offsets.
 func TestJoinImageBuiltOnce(t *testing.T) {
-	const pi, queries = 1, 8
+	const pi, queries = 2, 8
 	larger, smaller := workloadRelations(t,
 		workload.Params{N: 64 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 82}, pi)
 	rt := NewRuntime(RuntimeConfig{Workers: 2, MaxConcurrentQueries: queries})
@@ -108,6 +174,7 @@ func TestJoinImageBuiltOnce(t *testing.T) {
 	q := JoinQuery{
 		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
 		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
 		Parallelism: 2, Runtime: rt, Trace: true,
 	}
 	plan, err := PlanJoin(q)
@@ -128,7 +195,7 @@ func TestJoinImageBuiltOnce(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	builds := 0
+	clusterings, copies := 0, 0
 	for i, res := range results {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -136,14 +203,66 @@ func TestJoinImageBuiltOnce(t *testing.T) {
 		if !reflect.DeepEqual(res.Cols, results[0].Cols) {
 			t.Fatalf("query %d: result differs from query 0", i)
 		}
-		builds += traceSteps(res, "build-join-image")
+		clusterings += traceSteps(res, "build-join-image")
+		copies += traceSteps(res, "build-image-column")
 	}
-	if builds != 2 {
-		t.Fatalf("%d concurrent first queries built %d join images, want one per relation", queries, builds)
+	if clusterings != 2 || copies != 2*pi {
+		t.Fatalf("%d concurrent first queries clustered %d times and copied %d columns, want 2 and %d",
+			queries, clusterings, copies, 2*pi)
 	}
 	for _, r := range []*Relation{larger, smaller} {
-		if got, want := r.JoinImageBytes(), 8*int64(r.Len()+1<<plan.JoinBits+1); got != want {
+		if got, want := r.JoinImageBytes(), 4*int64(r.Len()*(1+pi))+8*int64(1<<plan.JoinBits+1); got != want {
 			t.Errorf("%s: JoinImageBytes = %d, want %d", r.Name, got, want)
+		}
+	}
+}
+
+// TestJoinImageOidsOnlyWhenNeeded: raw u/u traffic leaves both images
+// without an oid column; a forced c/u query adds one to the larger
+// side's image only (a c side orders the result by its oids), and a
+// CompressionOn query to the smaller side's (a compressed side fetches
+// decoded base-order columns). Every result stays the serial run's.
+func TestJoinImageOidsOnlyWhenNeeded(t *testing.T) {
+	const pi = 2
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 87}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	heldOIDs := func(r *Relation) bool {
+		r.imgMu.Lock()
+		defer r.imgMu.Unlock()
+		return r.joinImgs["key"].oids != nil
+	}
+	for _, step := range []struct {
+		name            string
+		lm, sm          ProjMethod
+		comp            Compression
+		larger, smaller bool // whether each image holds oids afterwards
+	}{
+		{"u/u", UnsortedMethod, UnsortedMethod, CompressionOff, false, false},
+		{"auto", AutoMethod, AutoMethod, CompressionOff, false, false},
+		{"u/d", UnsortedMethod, DeclusterMethod, CompressionOff, false, false},
+		{"c/u", ClusterMethod, UnsortedMethod, CompressionOff, true, false},
+		{"u/u compressed", UnsortedMethod, UnsortedMethod, CompressionOn, true, true},
+	} {
+		q := JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			LargerMethod: step.lm, SmallerMethod: step.sm,
+		}
+		want, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Parallelism, q.Runtime, q.Compression = 2, rt, step.comp
+		got, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, step.name, got, want)
+		got.Release()
+		if l, s := heldOIDs(larger), heldOIDs(smaller); l != step.larger || s != step.smaller {
+			t.Fatalf("after %s: larger image holds oids %v, smaller %v; want %v, %v", step.name, l, s, step.larger, step.smaller)
 		}
 	}
 }

@@ -411,7 +411,9 @@ func TestPlanJoinLeavesDefaultRuntimeUncreated(t *testing.T) {
 // interleaved rounds after a warm-up round. Every median is logged on every run; that the pick is within
 // 10 % of the best forced pair is asserted only under
 // RADIX_ASSERT_SPEEDUP=1 (CI's -cpu 1,4 leg runs it alone), like every
-// wall-clock contract here. It runs in a process of its own.
+// wall-clock contract here, and only when GOMAXPROCS does not exceed
+// the CPU count (as TestParallelSpeedupMultiCore). It runs in a process
+// of its own.
 func TestPlannerPickVsForced(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("wall-clock comparison at 1 Mi tuples: not under -short or the race detector")
@@ -427,7 +429,11 @@ func TestPlannerPickVsForced(t *testing.T) {
 	const n, callers, rounds = 1 << 20, 2, 9
 	rt := NewRuntime(RuntimeConfig{Workers: 2, Hier: HostHierarchy()})
 	t.Cleanup(rt.Close)
-	t.Logf("hierarchy: %v", rt.Hier())
+	// With more Ps than CPUs the runtime's workers and the callers share
+	// fewer cores than they assume, and the medians measure the OS
+	// scheduler: they are logged, not asserted.
+	oversubscribed := runtime.GOMAXPROCS(0) > runtime.NumCPU()
+	t.Logf("hierarchy: %v; cpus=%d gomaxprocs=%d", rt.Hier(), runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	variants := []struct {
 		name   string
 		lm, sm ProjMethod
@@ -496,7 +502,7 @@ func TestPlannerPickVsForced(t *testing.T) {
 		}
 		best := slices.Min(medians[1:])
 		t.Logf("pi=%d compression=%v, %d callers, median of %d:%s | auto plans %s", pi, pass.comp, callers, callers*rounds, line, autoPlan)
-		if os.Getenv("RADIX_ASSERT_SPEEDUP") != "" && float64(medians[0]) > 1.10*float64(best) {
+		if os.Getenv("RADIX_ASSERT_SPEEDUP") != "" && !oversubscribed && float64(medians[0]) > 1.10*float64(best) {
 			t.Errorf("pi=%d compression=%v: the planner's pick (%s) runs %v, more than 10%% over the best forced pair's %v",
 				pi, pass.comp, autoPlan, medians[0], best)
 		}

@@ -62,13 +62,16 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/calibrator"
 	"radixdecluster/internal/compress"
+	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/nsm"
 	"radixdecluster/internal/radix"
+	"radixdecluster/internal/strategy"
 )
 
 // OID is a dense object identifier: record number in [0,N).
@@ -237,21 +240,27 @@ type Relation struct {
 	recEnc     *compress.Encoded
 	recErr     error
 
-	// joinImgs holds, per join-key column, the column radix-clustered as
-	// the Partitioned Hash-Join input of the last clustering a runtime
-	// query asked for (joinImage): built by the first such query, read
-	// by every later one, GC-owned — it outlives every query, so it is
-	// never drawn from a runtime's arena. Paper-mode queries cluster per
-	// query and never build one.
+	// joinImgs holds, per join-key column, the relation radix-clustered
+	// on it as the last runtime query asked (joinImage): built part by
+	// part by the queries that need each part, read by every later one,
+	// GC-owned — it outlives every query, so it is never drawn from a
+	// runtime's arena. Paper-mode queries cluster per query and never
+	// build one.
 	imgMu    sync.Mutex
-	joinImgs map[string]keyImage
+	joinImgs map[string]*keyImage
 }
 
-// keyImage is one key column's join image: radix.ClusterBUNs over the
-// dense oids and the column's values, with the opts it was built for.
+// keyImage is one key column's join image, column-wise: the cluster
+// offsets and the keys of radix.KeyOffsets/Permute for the radix field
+// it was built for, and image-order copies of the columns queries
+// projected from it (cols) and of the dense oids (oids), each added by
+// the first query that needs it.
 type keyImage struct {
-	o   radix.Opts
-	img *radix.BUNsResult
+	o       radix.Opts
+	offsets []int
+	keys    []int32
+	cols    map[string][]int32
+	oids    []OID
 }
 
 // RelationOption configures NewRelationOpts.
@@ -402,42 +411,94 @@ func (r *Relation) recordEncoding() (*compress.Encoded, error) {
 	return r.recEnc, r.recErr
 }
 
-// joinImage returns the key column's join image for o, building it —
-// and replacing one built for other opts — under the relation's lock,
-// so concurrent first queries build it once; built reports whether this
-// call did. The clustering is stable, so the pass split does not change
-// its bytes: the image is keyed by the radix field alone.
-func (r *Relation) joinImage(key string, o radix.Opts) (*radix.BUNsResult, bool, error) {
+// joinImage returns the key column's join image for o with the proj
+// columns (when cols) or the oids (otherwise) in image order. Under the
+// relation's lock it builds what the image lacks — all of it when the
+// image was built for another radix field — so concurrent first queries
+// build each part once; once the lock is released it reports each build
+// through step: the clustering as "build-join-image", a column or the
+// oids as "build-image-column". The clustering is stable, so the pass
+// split does not change its bytes: the image is keyed by the radix
+// field alone. A projected key column is the image's keys.
+func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
+	type build struct {
+		name       string
+		start, end time.Time
+	}
+	var builds []build
+	// Deferred before the lock, so it runs after the unlock.
+	defer func() {
+		for _, b := range builds {
+			step(b.name, b.start, b.end)
+		}
+	}()
 	r.imgMu.Lock()
 	defer r.imgMu.Unlock()
-	if ki, ok := r.joinImgs[key]; ok && ki.o.Bits == o.Bits && ki.o.Ignore == o.Ignore {
-		return ki.img, false, nil
-	}
 	keys, err := r.Column(key)
 	if err != nil {
-		return nil, false, err
+		return strategy.Image{}, err
 	}
-	img, err := radix.ClusterBUNs(bat.Dense(len(keys)), keys, true, o)
-	if err != nil {
-		return nil, false, err
+	ki := r.joinImgs[key]
+	if ki == nil || ki.o.Bits != o.Bits || ki.o.Ignore != o.Ignore {
+		start := time.Now()
+		offsets, err := radix.KeyOffsets(keys, o)
+		if err != nil {
+			return strategy.Image{}, err
+		}
+		ki = &keyImage{o: o, offsets: offsets, keys: radix.Permute(keys, keys, o, offsets), cols: map[string][]int32{}}
+		builds = append(builds, build{"build-join-image", start, time.Now()})
+		if r.joinImgs == nil {
+			r.joinImgs = make(map[string]*keyImage)
+		}
+		r.joinImgs[key] = ki
 	}
-	if r.joinImgs == nil {
-		r.joinImgs = make(map[string]keyImage)
+	img := strategy.Image{Image: join.Image{Keys: ki.keys, Offsets: ki.offsets}}
+	if !cols {
+		if ki.oids == nil {
+			start := time.Now()
+			ki.oids = radix.Permute(keys, bat.Dense(len(keys)), o, ki.offsets)
+			builds = append(builds, build{"build-image-column", start, time.Now()})
+		}
+		img.OIDs = ki.oids
+		return img, nil
 	}
-	r.joinImgs[key] = keyImage{o: o, img: img}
-	return img, true, nil
+	img.Cols = make([][]int32, 0, len(proj))
+	for _, name := range proj {
+		col, ok := ki.cols[name]
+		switch {
+		case name == key:
+			col = ki.keys
+		case !ok:
+			vals, err := r.Column(name)
+			if err != nil {
+				return strategy.Image{}, err
+			}
+			start := time.Now()
+			col = radix.Permute(keys, vals, o, ki.offsets)
+			ki.cols[name] = col
+			builds = append(builds, build{"build-image-column", start, time.Now()})
+		}
+		img.Cols = append(img.Cols, col)
+	}
+	return img, nil
 }
 
-// JoinImageBytes reports the bytes the relation's join images hold: 8
-// per tuple (plus the partition offsets) for each key column a runtime
-// query has joined on, 0 before the first one. They live outside every
-// runtime's arena and its MemoryBudget.
+// JoinImageBytes reports the bytes the relation's join images hold, 0
+// before the first runtime DSM post-projection query: per key column
+// joined on, 4 per tuple of keys plus 4 per tuple for each column held
+// in image order — the columns runtime queries projected from it, and
+// the oids once a c, s or compressed plan asked for them — plus 8 per
+// partition offset. They live outside every runtime's arena and its
+// MemoryBudget.
 func (r *Relation) JoinImageBytes() int64 {
 	r.imgMu.Lock()
 	defer r.imgMu.Unlock()
 	var n int64
 	for _, ki := range r.joinImgs {
-		n += 8 * int64(cap(ki.img.BUNs)+cap(ki.img.Offsets))
+		n += 4*int64(len(ki.keys)+len(ki.oids)) + 8*int64(len(ki.offsets))
+		for _, col := range ki.cols {
+			n += 4 * int64(len(col))
+		}
 	}
 	return n
 }
