@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"radixdecluster/internal/bat"
+	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/experiments"
@@ -17,6 +18,7 @@ import (
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/posjoin"
 	"radixdecluster/internal/radix"
+	"radixdecluster/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -307,6 +309,46 @@ func BenchmarkProbeKeys(b *testing.B) {
 					b.Fatalf("%d matches, want %d", out.Len(), clusterBenchN)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkDecodeImageOrder decodes one 1 Mi payload column of the
+// benchmark's relations (workload.PayloadValue) serially, block-encoded
+// in base order — what a compressed plan's c/s larger side decodes — and
+// in the image order of the planner's 1 Mi join clustering — what a
+// compressed image-fed side decodes. The image order interleaves the
+// oids of all partitions, so it encodes to a far larger ratio (reported)
+// and decodes more slowly per value. MB/s / 4 is Mvalues/s.
+func BenchmarkDecodeImageOrder(b *testing.B) {
+	pr, err := workload.GenPair(workload.Params{N: clusterBenchN, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys, col := pr.Larger.Key(), pr.Larger.PayloadCol(1)
+	o := radix.Opts{Bits: join.PlanBits(clusterBenchN, 4, mem.Pentium4().LLC().Size)}
+	offs, err := radix.KeyOffsets(keys, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]int32, clusterBenchN)
+	for _, c := range []struct {
+		name string
+		vals []int32
+	}{{"order=base", col}, {"order=image", radix.Permute(keys, col, o, offs)}} {
+		enc, err := compress.EncodeBest(c.vals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(clusterBenchN * 4)
+			for i := 0; i < b.N; i++ {
+				if err := enc.DecompressRangeInto(dst, 0, clusterBenchN); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(enc.Ratio(), "ratio")
 		})
 	}
 }

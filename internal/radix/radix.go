@@ -161,10 +161,16 @@ func KeyOffsets(keys []int32, o Opts) ([]int, error) {
 // …) their key half — and any further column of the relation follows
 // without the permutation ever being stored.
 func Permute[P Word](keys []int32, col []P, o Opts, offsets []int) []P {
+	return PermuteInto(make([]P, len(keys)), keys, col, o, offsets)
+}
+
+// PermuteInto is Permute writing every slot of dst[:len(keys)], which it
+// returns: a caller permuting several columns in turn reuses one buffer.
+func PermuteInto[P Word](dst []P, keys []int32, col []P, o Opts, offsets []int) []P {
 	cur := slices.Clone(offsets[:len(offsets)-1])
-	out := make([]P, len(keys))
-	ScatterPayload(keys, col, keyField(o), cur, out)
-	return out
+	dst = dst[:len(keys)]
+	ScatterPayload(keys, col, keyField(o), cur, dst)
+	return dst
 }
 
 // keyField is the single-pass field of o's whole radix field.

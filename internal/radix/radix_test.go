@@ -220,6 +220,11 @@ func TestPermuteMatchesClusterBUNs(t *testing.T) {
 			!slices.Equal(Permute(vals, heads, o, offs), want.Heads) {
 			t.Fatalf("%+v: the column-wise image differs from ClusterBUNs", o)
 		}
+		// A reused, dirty, oversized buffer is written in full.
+		dirty := slices.Repeat([]int32{-7}, len(vals)+3)
+		if got := PermuteInto(dirty, vals, vals, o, offs); !slices.Equal(got, want.Vals) {
+			t.Fatalf("%+v: PermuteInto into a dirty buffer differs from ClusterBUNs", o)
+		}
 	}
 	if _, err := KeyOffsets(vals, Opts{Bits: -1}); err == nil {
 		t.Fatal("KeyOffsets accepted malformed opts")

@@ -237,9 +237,10 @@ type RelationInfo struct {
 	Compressed bool     `json:"compressed"`
 	// JoinImageBytes is what the relation's join images hold
 	// (rd.Relation.JoinImageBytes): per key column joined on, 4 B per
-	// tuple of keys plus 4 B per tuple for each column held in image
-	// order — every column runtime queries projected from it, and the
-	// oids once a c, s or compressed plan needed them — plus the
+	// tuple of keys; 4 B per tuple for each column held raw in image
+	// order — every column raw runtime queries projected from it, and the
+	// oids once a c or s larger side needed them; the encoded bytes of
+	// each image-order column compressed queries projected; plus the
 	// partition offsets. 0 until a runtime query joins it.
 	JoinImageBytes int64 `json:"joinImageBytes"`
 }

@@ -23,7 +23,7 @@ import (
 
 // testRelations builds a registered larger/smaller pair from the
 // synthetic workload generator: "key" plus payload columns a1..a{pi}.
-func testRelations(t testing.TB, n, pi int) (*rd.Relation, *rd.Relation) {
+func testRelations(t testing.TB, n, pi int, opts ...rd.RelationOption) (*rd.Relation, *rd.Relation) {
 	t.Helper()
 	pr, err := workload.GenPair(workload.Params{
 		N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 42,
@@ -36,7 +36,7 @@ func testRelations(t testing.TB, n, pi int) (*rd.Relation, *rd.Relation) {
 		for j := 1; j <= pi; j++ {
 			cols = append(cols, rd.Column{Name: fmt.Sprintf("a%d", j), Values: wr.PayloadCol(j)})
 		}
-		rel, err := rd.NewRelation(name, cols...)
+		rel, err := rd.NewRelationOpts(name, cols, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,8 +45,9 @@ func testRelations(t testing.TB, n, pi int) (*rd.Relation, *rd.Relation) {
 	return mk("larger", pr.Larger), mk("smaller", pr.Smaller)
 }
 
-// newTestServer assembles runtime + server + httptest listener.
-func newTestServer(t testing.TB, rtCfg rd.RuntimeConfig, cfg Config, n, pi int) (*Server, *httptest.Server) {
+// newTestServer assembles runtime + server + httptest listener over a
+// testRelations pair built with opts.
+func newTestServer(t testing.TB, rtCfg rd.RuntimeConfig, cfg Config, n, pi int, opts ...rd.RelationOption) (*Server, *httptest.Server) {
 	t.Helper()
 	rtCfg.Metrics = true
 	rt := rd.NewRuntime(rtCfg)
@@ -56,7 +57,7 @@ func newTestServer(t testing.TB, rtCfg rd.RuntimeConfig, cfg Config, n, pi int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	larger, smaller := testRelations(t, n, pi)
+	larger, smaller := testRelations(t, n, pi, opts...)
 	if err := s.Register(larger); err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +349,12 @@ func TestStatusAndFooterWireShape(t *testing.T) {
 
 // /v1/relations lists registrations; /v1/status reports runtime and
 // server counters; /metrics renders both runtime and server series on
-// the one mux.
+// the one mux. joinImageBytes follows what runtime queries add to the
+// join images: raw image-order columns at 4 B per tuple, and for a
+// compressed query the encodings of those columns, not oids.
 func TestRelationsStatusMetrics(t *testing.T) {
 	_, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2},
-		Config{}, 256, 2)
+		Config{}, 256, 2, rd.WithCompression())
 
 	relations := func() []RelationInfo {
 		t.Helper()
@@ -419,9 +422,23 @@ func TestRelationsStatusMetrics(t *testing.T) {
 	qresp = postQuery(t, ts.URL, `{"larger":"larger","smaller":"smaller","parallelism":2,"omitRows":true}`)
 	io.Copy(io.Discard, qresp.Body) //nolint:errcheck
 	qresp.Body.Close()
-	for _, r := range relations() {
+	rawRels := relations()
+	for _, r := range rawRels {
 		if want := 4 * int64(r.Rows) * int64(len(r.Columns)); r.JoinImageBytes < want {
 			t.Fatalf("%s: %d join-image bytes after a runtime query, want at least %d", r.Name, r.JoinImageBytes, want)
+		}
+	}
+
+	// A compressed runtime query projects the same columns from the same
+	// images: it adds an encoding of each — fewer bytes than the 4 B per
+	// tuple an oid column would add.
+	qresp = postQuery(t, ts.URL, `{"larger":"larger","smaller":"smaller","parallelism":2,"omitRows":true,"compression":"on"}`)
+	io.Copy(io.Discard, qresp.Body) //nolint:errcheck
+	qresp.Body.Close()
+	for i, r := range relations() {
+		if grown := r.JoinImageBytes - rawRels[i].JoinImageBytes; grown <= 0 || grown >= 4*int64(r.Rows) {
+			t.Fatalf("%s: a compressed runtime query grew the join image by %d bytes, want encodings: more than 0, less than %d",
+				r.Name, grown, 4*r.Rows)
 		}
 	}
 }

@@ -8,12 +8,17 @@ package strategy
 // side's projection columns before its fetch, a clustered side's column
 // before its fetch-clustered, DSM pre-projection's inputs before the
 // stitch, an NSM record image before key extraction — and every later
-// phase runs the raw plan over the decoded arrays. The plan itself (its
-// methods, bits and window) is the raw plan's, and output bytes are
-// identical either way: the decode reproduces the raw arrays exactly.
-// Compression is never chosen by the cost model: a decode pass plus the
-// raw plan cannot cost less than the raw plan alone, whose arrays always
-// coexist with the encodings.
+// phase runs the raw plan over the decoded arrays. Over join images the
+// same holds: a compressed image plan is the decode pass plus the raw
+// image plan. A side projected from its join image is handed encodings
+// of its image-order columns in the join phase, its decode phase decodes
+// those, and the raw fetch reads them through image positions — the
+// larger side's sequentially, the smaller side's inside one partition.
+// The plan itself (its methods, bits and window) is the raw plan's, and
+// output bytes are identical either way: the decode reproduces the raw
+// arrays exactly. Compression is never chosen by the cost model: a
+// decode pass plus the raw plan cannot cost less than the raw plan
+// alone, whose arrays always coexist with the encodings.
 
 import (
 	"fmt"
@@ -32,28 +37,33 @@ func (s DSMSide) encs() []*compress.Encoded {
 	return append([]*compress.Encoded{s.KeysEnc}, s.ColsEnc...)
 }
 
+// ownInputs gives the side a Cols list of its own and a ColsEnc list of
+// its own as long as Cols, so the phases may swap image, decoded and
+// encoded arrays into them without writing into the caller's lists.
+func (s *DSMSide) ownInputs() {
+	encs := make([]*compress.Encoded, len(s.Cols))
+	copy(encs, s.ColsEnc)
+	s.Cols, s.ColsEnc = slices.Clone(s.Cols), encs
+}
+
 // slot is one input of a compressed plan: the raw array the later
-// phases read, and the encoding a decode phase replaces it from (nil:
-// the input has none and stays raw).
+// phases read, and where the encoding a decode phase replaces it from
+// is found (nil there: the input has none and stays raw). The encoding
+// is read when the phase runs, not when it is listed.
 type slot struct {
 	raw *[]int32
-	enc *compress.Encoded
+	enc **compress.Encoded
 }
 
 // keySlot is the side's key column as a decode input.
-func (s *DSMSide) keySlot() slot { return slot{&s.Keys, s.KeysEnc} }
+func (s *DSMSide) keySlot() slot { return slot{&s.Keys, &s.KeysEnc} }
 
-// colSlots are the side's projection columns [lo,hi) as decode inputs.
-// A decode phase overwrites entries of s.Cols, so the run function first
-// gives the side a Cols list of its own.
+// colSlots are the side's projection columns [lo,hi) as decode inputs;
+// the side's input lists must be its own (ownInputs).
 func (s *DSMSide) colSlots(lo, hi int) []slot {
 	out := make([]slot, 0, hi-lo)
 	for k := lo; k < hi; k++ {
-		var enc *compress.Encoded
-		if k < len(s.ColsEnc) {
-			enc = s.ColsEnc[k]
-		}
-		out = append(out, slot{&s.Cols[k], enc})
+		out = append(out, slot{&s.Cols[k], &s.ColsEnc[k]})
 	}
 	return out
 }
@@ -64,23 +74,26 @@ func (s *DSMSide) colSlots(lo, hi int) []slot {
 func (s *NSMSide) recordSlot() slot {
 	rel := *s.Rel
 	s.Rel = &rel
-	return slot{&rel.Data, s.Enc}
+	return slot{&rel.Data, &s.Enc}
 }
 
 // decodePhase lists the scan-shaped phase of a compressed plan that
 // decodes each slot's encoding into a leased raw array and swaps it in,
 // so the phases listed after it read raw arrays only. Slots none of
-// which is encoded list nothing.
-func decodePhase(pl *exec.Pipeline, name string, slots ...slot) {
-	if !slices.ContainsFunc(slots, func(s slot) bool { return s.enc != nil }) {
+// which is encoded list nothing — unless late: a side fed from its join
+// image learns its encodings only in the join phase, so its phase is
+// listed and decodes whatever the image handed it (nothing where every
+// column stayed raw).
+func decodePhase(pl *exec.Pipeline, name string, late bool, slots ...slot) {
+	if !late && !slices.ContainsFunc(slots, func(s slot) bool { return *s.enc != nil }) {
 		return
 	}
 	pl.Then(exec.PhaseScan, name, func(e *exec.Engine) error {
 		for _, s := range slots {
-			if s.enc == nil {
+			if *s.enc == nil {
 				continue
 			}
-			raw, err := e.MaterializeCol(s.enc)
+			raw, err := e.MaterializeCol(*s.enc)
 			if err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

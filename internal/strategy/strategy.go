@@ -113,7 +113,8 @@ type Config struct {
 	// radixdecluster_plans_total counter.
 	QueryTag string
 	// Compress selects compressed execution over the sides'
-	// block-compressed images (DSMSide.KeysEnc/ColsEnc, NSMSide.Enc):
+	// block-compressed images (DSMSide.KeysEnc/ColsEnc, NSMSide.Enc, and
+	// the encodings a join image hands a compressed plan, Image.ColsEnc):
 	// each encoded input is decoded by a phase of its own and the raw
 	// plan runs over the decoded arrays (compress.go). False (default)
 	// runs raw and ignores the encodings. Result bytes are identical
@@ -239,17 +240,21 @@ type DSMSide struct {
 	// field o it returns the Image whose Keys and Offsets are
 	// radix.Permute(Keys, Keys, o, …) and radix.KeyOffsets(Keys, o); with
 	// cols, Cols[c] holds the values Cols[c][OIDs[i]] in that order, and
-	// without, OIDs holds the side's OIDs in that order. It reports each
-	// part it had to build, once built, through step. DSMPost never
-	// writes into it.
-	JoinImage func(o radix.Opts, cols bool, step func(name string, start, end time.Time)) (Image, error)
+	// without, OIDs holds the side's OIDs in that order. A compressed plan
+	// (compressed) may be given ColsEnc[c], an encoding of those values, in
+	// place of Cols[c]; any other plan gets Cols only. It reports each part
+	// it had to build, once built, through step. DSMPost never writes into
+	// it.
+	JoinImage func(o radix.Opts, cols, compressed bool, step func(name string, start, end time.Time)) (Image, error)
 }
 
 // Image is a side's join image as DSMPost reads it: the clustered join
-// input, and the projection columns in the same order.
+// input, and the projection columns in the same order — each raw in Cols
+// or, for a compressed plan, encoded in ColsEnc with its Cols entry nil.
 type Image struct {
 	join.Image
-	Cols [][]int32
+	Cols    [][]int32
+	ColsEnc []*compress.Encoded
 }
 
 func (s DSMSide) validate(name string) error {
@@ -331,7 +336,8 @@ func resolveSmaller(m ProjMethod, pi, baseN, resident int) ProjMethod {
 // host: the threshold is Hierarchy.ResidentBytes, or the declared level
 // c when that is 0. A compressed side reads the same threshold: its
 // columns are decoded into raw ones before their fetch (decodePhase), so
-// the fetch is the raw one.
+// the fetch is the raw one — over join images, through the same image
+// positions.
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
 	if err := validateDSM(larger, smaller); err != nil {
 		return Plan{}, nil, err
@@ -399,27 +405,30 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// columns are decoded first — a scan-shaped pass that reads only the
 	// encoded bytes from RAM.
 	images := larger.JoinImage != nil && smaller.JoinImage != nil
-	if p.Compressed {
-		// The decode phases swap decoded copies into the sides' inputs.
-		larger.Cols, smaller.Cols = slices.Clone(larger.Cols), slices.Clone(smaller.Cols)
-		if !images {
-			decodePhase(pl, "decompress-keys", larger.keySlot(), smaller.keySlot())
-		}
+	if images || p.Compressed {
+		// The join and decode phases swap image and decoded arrays into the
+		// sides' inputs.
+		larger.ownInputs()
+		smaller.ownInputs()
 	}
-	// Over join images a raw side whose oids do not fix the result order
-	// — a u larger side, any smaller side — projects from its image
-	// columns through image positions: the larger side's fetch becomes
-	// sequential, the smaller side's stays inside one partition's slice.
-	// A c or s larger side orders the result by its oids, and a compressed
-	// side decodes base-order columns, so those emit oids.
-	imgL := images && !p.Compressed && p.LargerMethod == Unsorted
-	imgS := images && !p.Compressed
+	if p.Compressed && !images {
+		decodePhase(pl, "decompress-keys", false, larger.keySlot(), smaller.keySlot())
+	}
+	// Over join images a side whose oids do not fix the result order — a u
+	// larger side, any smaller side — projects from its image columns
+	// through image positions: the larger side's fetch becomes sequential,
+	// the smaller side's stays inside one partition's slice. A compressed
+	// plan decodes such a side's image encodings in place of its
+	// base-order ones, and the fetch is the raw one. A c or s larger side
+	// orders the result by its oids, so it emits oids.
+	imgL := images && p.LargerMethod == Unsorted
+	imgS := images
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		o := joinOpts(p.JoinBits, h)
 		var err error
 		if images {
-			ji, err = probeImages(e, &larger, &smaller, imgL, imgS, o)
+			ji, err = probeImages(e, &larger, &smaller, imgL, imgS, p.Compressed, o)
 		} else {
 			ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, o)
 		}
@@ -461,7 +470,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		})
 	}
 	if p.Compressed {
-		decodePhase(pl, "decompress-larger", larger.colSlots(0, len(larger.Cols))...)
+		decodePhase(pl, "decompress-larger", imgL, larger.colSlots(0, len(larger.Cols))...)
 	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if p.LargerMethod == Unsorted {
@@ -477,7 +486,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	switch p.SmallerMethod {
 	case Unsorted:
 		if p.Compressed {
-			decodePhase(pl, "decompress-smaller", smaller.colSlots(0, len(smaller.Cols))...)
+			decodePhase(pl, "decompress-smaller", imgS, smaller.colSlots(0, len(smaller.Cols))...)
 		}
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
@@ -495,7 +504,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		res.SmallerCols = make([][]int32, len(smaller.Cols))
 		for k := range smaller.Cols {
 			if p.Compressed {
-				decodePhase(pl, "decompress-smaller", smaller.colSlots(k, k+1)...)
+				decodePhase(pl, "decompress-smaller", imgS, smaller.colSlots(k, k+1)...)
 			}
 			var cv []int32
 			pl.Then(exec.PhaseProjectSmaller, "fetch-clustered", func(e *exec.Engine) error {
@@ -517,14 +526,17 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 // clustering half of the Partitioned Hash-Join is a lookup, and only
 // the per-partition probes run. A side that projects from its image
 // (imgL, imgS) emits image positions and has its projection columns
-// swapped for the image's; the other emits oids. Whatever a side's image
-// lacked is built as a step of the join phase.
-func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS bool, o radix.Opts) (*join.Index, error) {
+// swapped for the image's — and, in a compressed plan, its column
+// encodings for the image's, which its decode phase then reads; the
+// other side emits oids. Whatever a side's image lacked is built as a
+// step of the join phase. The sides' Cols and ColsEnc are their own
+// (ownInputs) and written in place: the decode slots point into them.
+func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS, compressed bool, o radix.Opts) (*join.Index, error) {
 	var imgs [2]join.Image
 	sides := [2]*DSMSide{larger, smaller}
 	for i, fromImg := range [2]bool{imgL, imgS} {
 		s := sides[i]
-		img, err := s.JoinImage(o, fromImg, e.Step)
+		img, err := s.JoinImage(o, fromImg, compressed, e.Step)
 		if err != nil {
 			return nil, err
 		}
@@ -537,9 +549,25 @@ func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS bool, o ra
 			return nil, fmt.Errorf("strategy: join image lacks the %d columns or the oids asked for", len(s.Cols))
 		}
 		imgs[i] = img.Image
-		if fromImg {
-			s.Cols, imgs[i].OIDs = img.Cols, nil
+		if !fromImg {
+			continue
 		}
+		if !compressed {
+			img.ColsEnc = nil
+		}
+		for c, col := range img.Cols {
+			var enc *compress.Encoded
+			if c < len(img.ColsEnc) {
+				enc = img.ColsEnc[c]
+			}
+			if col == nil && (enc == nil || enc.Len() != n) {
+				return nil, fmt.Errorf("strategy: join image column %d is neither raw nor a %d-value encoding", c, n)
+			}
+		}
+		copy(s.Cols, img.Cols)
+		clear(s.ColsEnc)
+		copy(s.ColsEnc, img.ColsEnc)
+		imgs[i].OIDs = nil
 	}
 	return e.ProbePartitions(&imgs[0], &imgs[1], uint(o.Ignore+o.Bits))
 }
@@ -587,8 +615,9 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 
 	if p.Compressed {
 		// The decode phase swaps decoded copies into the sides' inputs.
-		larger.Cols, smaller.Cols = slices.Clone(larger.Cols), slices.Clone(smaller.Cols)
-		decodePhase(pl, "decompress-inputs", slices.Concat(
+		larger.ownInputs()
+		smaller.ownInputs()
+		decodePhase(pl, "decompress-inputs", false, slices.Concat(
 			[]slot{larger.keySlot()}, larger.colSlots(0, len(larger.Cols)),
 			[]slot{smaller.keySlot()}, smaller.colSlots(0, len(smaller.Cols)))...)
 	}

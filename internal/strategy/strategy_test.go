@@ -214,7 +214,7 @@ func TestDSMPostJoinImages(t *testing.T) {
 	pr := testPair(t, workload.Params{N: 30000, Omega: pi + 1, HitRate: 1, SelLarger: 0.5, SelSmaller: 1, Seed: 33})
 	l, s := dsmSides(pr, pi)
 	li, si := l, s
-	withJoinImages(&li, &si)
+	withJoinImages(nil, &li, &si)
 	for _, m := range [][2]ProjMethod{{PartialCluster, Declustered}, {Unsorted, Unsorted}, {Unsorted, Declustered}, {SortedM, Unsorted}} {
 		want, err := DSMPost(l, s, m[0], m[1], Config{})
 		if err != nil {
@@ -232,7 +232,7 @@ func TestDSMPostJoinImages(t *testing.T) {
 			got.Release()
 		}
 	}
-	si.JoinImage = func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
+	si.JoinImage = func(o radix.Opts, _, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
 		o.Bits++
 		return clusterImage(s.OIDs, s.Keys, s.Cols, o)
 	}

@@ -2,8 +2,10 @@ package radixdecluster
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,9 +15,10 @@ import (
 
 // Join images: a runtime DSM post-projection query joins over each
 // relation's key column radix-clustered once (Relation.joinImage) and
-// only probes, and projects a u larger side and every raw smaller side
-// from image-order copies of its columns; a paper-mode query clusters
-// per query. The results are the raw serial run's bytes either way.
+// only probes, and projects a u larger side and every smaller side from
+// image-order copies of its columns — raw ones, or for a compressed plan
+// the decoded image-order encodings; a paper-mode query clusters per
+// query. The results are the raw serial run's bytes either way.
 
 // traceSteps counts a traced result's steps of the given name.
 func traceSteps(res *Result, name string) int {
@@ -39,12 +42,36 @@ func tracePhases(res *Result) []string {
 	return out
 }
 
+// decodedEncodings is what a CompressionOn runtime DSM post-projection
+// run of q with the given plan line decodes: every encoding its sides'
+// join images hold of the projected columns — the smaller side's, and a
+// u larger side's — plus, for a c or s larger side, which emits oids,
+// the base-order encodings of its projected columns.
+func decodedEncodings(t *testing.T, q JoinQuery, plan string) int {
+	t.Helper()
+	n := imageEncodings(q.Smaller, q.SmallerProject)
+	if strings.Contains(plan, "methods=u/") {
+		return n + imageEncodings(q.Larger, q.LargerProject)
+	}
+	base, err := q.Larger.encodings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range q.LargerProject {
+		if base[name] != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestJoinImageEquivalence: runtime DSM post-projection over join
 // images equals the raw serial run byte for byte — the planner's pick
 // and the forced u/u, c/u, s/d and c/d pairs, raw and compressed, at
 // hit rates 0.3, 1 and 3, with inputs below the parallel threshold
 // (serial probe) and above it. Each cell runs on fresh relations: its
-// first query builds both images, its repeat builds none. Then, on one
+// first query builds both images, its repeat builds none; a compressed
+// cell decodes exactly the encodings of decodedEncodings. Then, on one
 // pair of relations shared by every query: projections of one column,
 // of all columns and of the key column alone; each relation in the
 // other role; and a query that projects a column the images lack,
@@ -92,6 +119,11 @@ func TestJoinImageEquivalence(t *testing.T) {
 						requireSameResult(t, tag, got, want)
 						if b := traceSteps(got, "build-join-image"); b != builds {
 							t.Fatalf("%s: %d build-join-image steps, want %d", tag, b, builds)
+						}
+						if comp == CompressionOn {
+							if d, w := got.Timing.CompressedCols, decodedEncodings(t, rq, got.Plan); w == 0 || d != int64(w) {
+								t.Fatalf("%s: decoded %d encodings, want %d (> 0)", tag, d, w)
+							}
 						}
 						got.Release()
 					}
@@ -161,71 +193,121 @@ func TestJoinImageEquivalence(t *testing.T) {
 }
 
 // TestJoinImageBuiltOnce: eight concurrent first queries on fresh
-// relations cluster each relation once and copy each projected column
-// once between them, and a raw u/u image holds 4 B per tuple of keys, 4
-// B per tuple per projected column — no oids — plus its partition
-// offsets.
+// relations cluster each relation once and copy (raw) or encode
+// (CompressionOn) each projected column once between them. A raw u/u
+// image holds 4 B per tuple of keys, 4 B per tuple per projected column
+// — no oids — plus its partition offsets; a compressed one holds the
+// encodings' bytes in place of the column copies.
 func TestJoinImageBuiltOnce(t *testing.T) {
 	const pi, queries = 2, 8
-	larger, smaller := workloadRelations(t,
-		workload.Params{N: 64 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 82}, pi)
-	rt := NewRuntime(RuntimeConfig{Workers: 2, MaxConcurrentQueries: queries})
-	defer rt.Close()
-	q := JoinQuery{
-		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
-		LargerProject: projNames(pi), SmallerProject: projNames(pi),
-		LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
-		Parallelism: 2, Runtime: rt, Trace: true,
-	}
-	plan, err := PlanJoin(q)
+	pr, err := workload.GenPair(workload.Params{N: 64 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 82})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]*Result, queries)
-	errs := make([]error, queries)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			results[i], errs[i] = ProjectJoin(q)
-		}()
-	}
-	close(start)
-	wg.Wait()
-	clusterings, copies := 0, 0
-	for i, res := range results {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	rt := NewRuntime(RuntimeConfig{Workers: 2, MaxConcurrentQueries: queries})
+	defer rt.Close()
+	for _, comp := range []Compression{CompressionOff, CompressionOn} {
+		larger, smaller := pairRelations(t, pr, pi, WithCompression())
+		q := JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
+			Parallelism: 2, Runtime: rt, Compression: comp, Trace: true,
 		}
-		if !reflect.DeepEqual(res.Cols, results[0].Cols) {
-			t.Fatalf("query %d: result differs from query 0", i)
+		plan, err := PlanJoin(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		clusterings += traceSteps(res, "build-join-image")
-		copies += traceSteps(res, "build-image-column")
-	}
-	if clusterings != 2 || copies != 2*pi {
-		t.Fatalf("%d concurrent first queries clustered %d times and copied %d columns, want 2 and %d",
-			queries, clusterings, copies, 2*pi)
-	}
-	for _, r := range []*Relation{larger, smaller} {
-		if got, want := r.JoinImageBytes(), 4*int64(r.Len()*(1+pi))+8*int64(1<<plan.JoinBits+1); got != want {
-			t.Errorf("%s: JoinImageBytes = %d, want %d", r.Name, got, want)
+		results := make([]*Result, queries)
+		errs := make([]error, queries)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				results[i], errs[i] = ProjectJoin(q)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		clusterings, copies := 0, 0
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(res.Cols, results[0].Cols) {
+				t.Fatalf("compression=%v query %d: result differs from query 0", comp, i)
+			}
+			clusterings += traceSteps(res, "build-join-image")
+			copies += traceSteps(res, "build-image-column")
+		}
+		if clusterings != 2 || copies != 2*pi {
+			t.Fatalf("compression=%v: %d concurrent first queries clustered %d times and built %d columns, want 2 and %d",
+				comp, queries, clusterings, copies, 2*pi)
+		}
+		for _, r := range []*Relation{larger, smaller} {
+			cols := int64(4 * r.Len() * pi)
+			if comp == CompressionOn {
+				r.imgMu.Lock()
+				cols = 0
+				for _, name := range projNames(pi) {
+					cols += int64(r.joinImgs["key"].encs[name].CompressedBytes())
+				}
+				r.imgMu.Unlock()
+			}
+			if got, want := r.JoinImageBytes(), 4*int64(r.Len())+cols+8*int64(1<<plan.JoinBits+1); got != want {
+				t.Errorf("compression=%v %s: JoinImageBytes = %d, want %d", comp, r.Name, got, want)
+			}
 		}
 	}
 }
 
-// TestJoinImageOidsOnlyWhenNeeded: raw u/u traffic leaves both images
-// without an oid column; a forced c/u query adds one to the larger
-// side's image only (a c side orders the result by its oids), and a
-// CompressionOn query to the smaller side's (a compressed side fetches
-// decoded base-order columns). Every result stays the serial run's.
+// imageHolds reports, for each of the named columns, whether r's join
+// image on "key" holds a raw image-order copy of it and whether it holds
+// an encoding of that copy.
+func imageHolds(r *Relation, names []string) (raw, enc []bool) {
+	r.imgMu.Lock()
+	defer r.imgMu.Unlock()
+	ki := r.joinImgs["key"]
+	for _, n := range names {
+		raw, enc = append(raw, ki.cols[n] != nil), append(enc, ki.encs[n] != nil)
+	}
+	return raw, enc
+}
+
+// imageEncodings counts the named columns r's join image on "key" holds
+// encoded.
+func imageEncodings(r *Relation, names []string) int {
+	_, enc := imageHolds(r, names)
+	return countTrue(enc)
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJoinImageOidsOnlyWhenNeeded: on fresh relations per query, raw
+// u/u traffic leaves both images without an oid column, and so does
+// CompressionOn u/u traffic — a compressed side projects from its image
+// as a raw one does, and its image holds encodings of the projected
+// columns and no raw copies of them. A forced c/u query, raw or
+// compressed, adds an oid column to the larger side's image only (a c
+// side orders the result by its oids). Every result stays the serial
+// run's.
 func TestJoinImageOidsOnlyWhenNeeded(t *testing.T) {
 	const pi = 2
-	larger, smaller := compressedRelations(t,
-		workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 87}, pi)
+	pr, err := workload.GenPair(workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 87})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt := NewRuntime(RuntimeConfig{Workers: 2})
 	defer rt.Close()
 	heldOIDs := func(r *Relation) bool {
@@ -243,8 +325,10 @@ func TestJoinImageOidsOnlyWhenNeeded(t *testing.T) {
 		{"auto", AutoMethod, AutoMethod, CompressionOff, false, false},
 		{"u/d", UnsortedMethod, DeclusterMethod, CompressionOff, false, false},
 		{"c/u", ClusterMethod, UnsortedMethod, CompressionOff, true, false},
-		{"u/u compressed", UnsortedMethod, UnsortedMethod, CompressionOn, true, true},
+		{"u/u compressed", UnsortedMethod, UnsortedMethod, CompressionOn, false, false},
+		{"c/u compressed", ClusterMethod, UnsortedMethod, CompressionOn, true, false},
 	} {
+		larger, smaller := pairRelations(t, pr, pi, WithCompression())
 		q := JoinQuery{
 			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
 			LargerProject: projNames(pi), SmallerProject: projNames(pi),
@@ -264,7 +348,90 @@ func TestJoinImageOidsOnlyWhenNeeded(t *testing.T) {
 		if l, s := heldOIDs(larger), heldOIDs(smaller); l != step.larger || s != step.smaller {
 			t.Fatalf("after %s: larger image holds oids %v, smaller %v; want %v, %v", step.name, l, s, step.larger, step.smaller)
 		}
+		if step.name == "u/u compressed" {
+			for _, r := range []*Relation{larger, smaller} {
+				raw, enc := imageHolds(r, projNames(pi))
+				if countTrue(raw) != 0 || countTrue(enc) != pi {
+					t.Fatalf("after %s: %s image holds raw copies %v and encodings %v of %v, want encodings only",
+						step.name, r.Name, raw, enc, projNames(pi))
+				}
+			}
+		}
 	}
+}
+
+// TestJoinImageIncompressibleColumnStaysRaw: a column of full-range
+// random values does not shrink in image order, so a CompressionOn
+// query's image keeps it as a raw image-order copy and the query
+// projects it raw, beside an encoded payload column — byte-identical to
+// the raw serial run, with only the encoded column decoded and the
+// image's bytes counted at each part's size. A raw query that follows
+// adds a raw copy of the encoded column alone.
+func TestJoinImageIncompressibleColumnStaysRaw(t *testing.T) {
+	const n = 40000
+	pr, err := workload.GenPair(workload.Params{N: n, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 88})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(88, 89))
+	mk := func(name string, wr *workload.Relation) *Relation {
+		noise := make([]int32, len(wr.Key()))
+		for i := range noise {
+			noise[i] = int32(rng.Uint32())
+		}
+		cols := []Column{{Name: "key", Values: wr.Key()}, {Name: "a1", Values: wr.PayloadCol(1)}, {Name: "r", Values: noise}}
+		r, err := NewRelationOpts(name, cols, WithCompression())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	larger, smaller := mk("larger", pr.Larger), mk("smaller", pr.Smaller)
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	proj := []string{"a1", "r"}
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: proj, SmallerProject: proj,
+		LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
+	}
+	want, err := ProjectJoin(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Parallelism, q.Runtime, q.Compression, q.Trace = 2, rt, CompressionOn, true
+	got, err := ProjectJoin(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "compressed", got, want)
+	if got.Timing.CompressedCols != 2 {
+		t.Fatalf("compressed: decoded %d encodings, want 2 (a1 of each side)", got.Timing.CompressedCols)
+	}
+	got.Release()
+	for _, r := range []*Relation{larger, smaller} {
+		if raw, enc := imageHolds(r, proj); !slices.Equal(raw, []bool{false, true}) || !slices.Equal(enc, []bool{true, false}) {
+			t.Fatalf("%s: image holds raw copies %v and encodings %v of %v, want a1 encoded and r raw", r.Name, raw, enc, proj)
+		}
+		r.imgMu.Lock()
+		ki := r.joinImgs["key"]
+		wantBytes := 4*int64(2*r.Len()) + int64(ki.encs["a1"].CompressedBytes()) + 8*int64(len(ki.offsets))
+		r.imgMu.Unlock()
+		if b := r.JoinImageBytes(); b != wantBytes {
+			t.Fatalf("%s: JoinImageBytes = %d, want %d (keys and r raw, a1 encoded, offsets)", r.Name, b, wantBytes)
+		}
+	}
+
+	q.Compression = CompressionOff
+	got, err = ProjectJoin(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "raw after compressed", got, want)
+	if c := traceSteps(got, "build-image-column"); c != 2 || got.Timing.CompressedCols != 0 {
+		t.Fatalf("raw after compressed: %d column builds and %d decodes, want 2 (a1 of each side) and 0", c, got.Timing.CompressedCols)
+	}
+	got.Release()
 }
 
 // TestJoinImageTwoPartners: one relation joined with two partners of
@@ -401,8 +568,9 @@ func TestPaperModeBuildsNoJoinImage(t *testing.T) {
 // TestCompressedServicePhases pins the phases of the service's
 // compressed query shape (svc_engine_compressed: DSM post-projection,
 // u/u, CompressionOn, on a runtime): no phase reads a key column, so
-// none decodes one. The first query builds the images as steps inside
-// its join phase; a repeat builds none.
+// none decodes one. The first query builds the images — each relation's
+// clustering and an encoding of each projected column in image order —
+// as steps inside its join phase; a repeat builds none.
 func TestCompressedServicePhases(t *testing.T) {
 	const pi = 2
 	larger, smaller := compressedRelations(t,
@@ -426,6 +594,9 @@ func TestCompressedServicePhases(t *testing.T) {
 		}
 		if b := traceSteps(res, "build-join-image"); b != builds {
 			t.Errorf("query %d: %d build-join-image steps, want %d", rep+1, b, builds)
+		}
+		if b := traceSteps(res, "build-image-column"); b != builds*pi {
+			t.Errorf("query %d: %d build-image-column steps, want %d", rep+1, b, builds*pi)
 		}
 		// Each step lies inside the join phase's span.
 		var join, step [][2]int64

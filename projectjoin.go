@@ -448,8 +448,9 @@ func dsmSide(r *Relation, key string, proj []string, comp Compression, image boo
 	// of the shared dense slab.
 	side := strategy.DSMSide{OIDs: bat.Dense(len(keys)), Keys: keys, Cols: cols, BaseN: r.Len()}
 	if image {
-		side.JoinImage = func(o radix.Opts, cols bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
-			return r.joinImage(key, proj, o, cols, step)
+		// Only a relation built WithCompression has encodings to give.
+		side.JoinImage = func(o radix.Opts, cols, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
+			return r.joinImage(key, proj, o, cols, compressed && r.compressed, step)
 		}
 	}
 	if comp == CompressionOn && r.compressed {

@@ -252,14 +252,18 @@ type Relation struct {
 
 // keyImage is one key column's join image, column-wise: the cluster
 // offsets and the keys of radix.KeyOffsets/Permute for the radix field
-// it was built for, and image-order copies of the columns queries
-// projected from it (cols) and of the dense oids (oids), each added by
-// the first query that needs it.
+// it was built for, and image-order copies of the columns raw plans
+// projected from it (cols), block-compressed encodings of the image-order
+// copies of the columns compressed plans projected (encs) and the dense
+// oids (oids), each added by the first query that needs it. An encs entry
+// is nil when the column's image-order copy did not shrink: that copy is
+// then held raw in cols and compressed plans read it there.
 type keyImage struct {
 	o       radix.Opts
 	offsets []int
 	keys    []int32
 	cols    map[string][]int32
+	encs    map[string]*compress.Encoded
 	oids    []OID
 }
 
@@ -412,15 +416,19 @@ func (r *Relation) recordEncoding() (*compress.Encoded, error) {
 }
 
 // joinImage returns the key column's join image for o with the proj
-// columns (when cols) or the oids (otherwise) in image order. Under the
-// relation's lock it builds what the image lacks — all of it when the
-// image was built for another radix field — so concurrent first queries
-// build each part once; once the lock is released it reports each build
-// through step: the clustering as "build-join-image", a column or the
-// oids as "build-image-column". The clustering is stable, so the pass
-// split does not change its bytes: the image is keyed by the radix
-// field alone. A projected key column is the image's keys.
-func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
+// columns (when cols) or the oids (otherwise) in image order. For a
+// compressed plan (compressed) each projected column comes as the
+// block-compressed encoding of its image-order copy (Image.ColsEnc, the
+// raw entry nil), or raw where that copy does not shrink; other plans get
+// raw copies only. Under the relation's lock it builds what the image
+// lacks — all of it when the image was built for another radix field —
+// so concurrent first queries build each part once; once the lock is
+// released it reports each build through step: the clustering as
+// "build-join-image", a column, an encoding or the oids as
+// "build-image-column". The clustering is stable, so the pass split does
+// not change its bytes: the image is keyed by the radix field alone. A
+// projected key column is the image's keys, raw.
+func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
 	type build struct {
 		name       string
 		start, end time.Time
@@ -445,7 +453,8 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols bool,
 		if err != nil {
 			return strategy.Image{}, err
 		}
-		ki = &keyImage{o: o, offsets: offsets, keys: radix.Permute(keys, keys, o, offsets), cols: map[string][]int32{}}
+		ki = &keyImage{o: o, offsets: offsets, keys: radix.Permute(keys, keys, o, offsets),
+			cols: map[string][]int32{}, encs: map[string]*compress.Encoded{}}
 		builds = append(builds, build{"build-join-image", start, time.Now()})
 		if r.joinImgs == nil {
 			r.joinImgs = make(map[string]*keyImage)
@@ -462,34 +471,67 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols bool,
 		img.OIDs = ki.oids
 		return img, nil
 	}
-	img.Cols = make([][]int32, 0, len(proj))
-	for _, name := range proj {
-		col, ok := ki.cols[name]
-		switch {
-		case name == key:
-			col = ki.keys
-		case !ok:
-			vals, err := r.Column(name)
-			if err != nil {
+	img.Cols = make([][]int32, len(proj))
+	if compressed {
+		img.ColsEnc = make([]*compress.Encoded, len(proj))
+	}
+	// The encodings this call builds are each made from one image-order
+	// copy in scratch, reused column after column: no copy is allocated
+	// per encoded column, and scratch is garbage once the call returns
+	// (unless a copy that did not shrink keeps it).
+	var scratch []int32
+	for i, name := range proj {
+		if name == key {
+			img.Cols[i] = ki.keys
+			continue
+		}
+		vals, err := r.Column(name)
+		if err != nil {
+			return strategy.Image{}, err
+		}
+		enc, tried := ki.encs[name]
+		if compressed && !tried {
+			start := time.Now()
+			if scratch == nil {
+				scratch = make([]int32, len(keys))
+			}
+			perm := radix.PermuteInto(scratch, keys, vals, o, ki.offsets)
+			if enc, err = compress.EncodeBest(perm); err != nil {
 				return strategy.Image{}, err
 			}
+			if enc.Ratio() >= 1 {
+				enc = nil
+				if ki.cols[name] == nil {
+					ki.cols[name], scratch = perm, nil
+				}
+			}
+			ki.encs[name] = enc
+			builds = append(builds, build{"build-image-column", start, time.Now()})
+		}
+		if compressed && enc != nil {
+			img.ColsEnc[i] = enc
+			continue
+		}
+		col := ki.cols[name]
+		if col == nil {
 			start := time.Now()
 			col = radix.Permute(keys, vals, o, ki.offsets)
 			ki.cols[name] = col
 			builds = append(builds, build{"build-image-column", start, time.Now()})
 		}
-		img.Cols = append(img.Cols, col)
+		img.Cols[i] = col
 	}
 	return img, nil
 }
 
 // JoinImageBytes reports the bytes the relation's join images hold, 0
 // before the first runtime DSM post-projection query: per key column
-// joined on, 4 per tuple of keys plus 4 per tuple for each column held
-// in image order — the columns runtime queries projected from it, and
-// the oids once a c, s or compressed plan asked for them — plus 8 per
-// partition offset. They live outside every runtime's arena and its
-// MemoryBudget.
+// joined on, 4 per tuple of keys; 4 per tuple for each column held raw in
+// image order — the columns raw plans projected from it, and the oids
+// once a c or s larger side asked for them; the encoded bytes
+// (CompressedBytes) of each image-order column a compressed plan
+// projected; plus 8 per partition offset. They live outside every
+// runtime's arena and its MemoryBudget.
 func (r *Relation) JoinImageBytes() int64 {
 	r.imgMu.Lock()
 	defer r.imgMu.Unlock()
@@ -498,6 +540,11 @@ func (r *Relation) JoinImageBytes() int64 {
 		n += 4*int64(len(ki.keys)+len(ki.oids)) + 8*int64(len(ki.offsets))
 		for _, col := range ki.cols {
 			n += 4 * int64(len(col))
+		}
+		for _, enc := range ki.encs {
+			if enc != nil {
+				n += int64(enc.CompressedBytes())
+			}
 		}
 	}
 	return n
