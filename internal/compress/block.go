@@ -147,10 +147,10 @@ func (e *Encoded) BlockLen(b int) int {
 // of values written. dst must hold at least BlockLen(b) values or
 // ErrShortBuffer is returned; out-of-range b and corrupt block data
 // error instead of panicking. The decoder writes every slot of
-// dst[:BlockLen(b)] before it reads it (DeltaFOR's prefix sum reads the
-// deltas it just unpacked), so dst may hold stale values from a
-// previous decode — per-worker scratch buffers are reused across
-// morsels without clearing.
+// dst[:BlockLen(b)] and reads none (DeltaFOR sums in a register as it
+// unpacks), so dst may hold stale values from a previous decode —
+// per-worker scratch buffers are reused across morsels without
+// clearing.
 func (e *Encoded) DecompressBlockInto(dst []int32, b int) (int, error) {
 	if b < 0 || b >= e.BlockCount() {
 		return 0, fmt.Errorf("compress: block %d out of range [0,%d)", b, e.BlockCount())
@@ -196,8 +196,8 @@ func (e *Encoded) DecompressRangeInto(dst []int32, lo, hi int) error {
 
 // decodeBlock decodes the single block at the start of data into dst,
 // returning the value count and bytes consumed. It validates the
-// header and writes every slot of dst[:n] before it reads it, so
-// callers may pass reused scratch.
+// header — no width above 32 reaches a kernel — and writes every slot
+// of dst[:n] without reading any, so callers may pass reused scratch.
 func decodeBlock(data []byte, dst []int32) (int, int, error) {
 	scheme, n, payload, err := blockHeader(data)
 	if err != nil {
@@ -212,8 +212,12 @@ func decodeBlock(data []byte, dst []int32) (int, int, error) {
 	body := data[headerBytes : headerBytes+payload]
 	dst = dst[:n]
 	switch {
+	case scheme == FOR && width == 0:
+		for i := range dst {
+			dst[i] = ref
+		}
 	case scheme == FOR:
-		unpack(dst, body, width, ref)
+		decodeFOR(dst, body, width, ref)
 	case n == 0:
 	case width == 0:
 		// Every delta is ref: an arithmetic series from first, written 4
@@ -230,60 +234,9 @@ func decodeBlock(data []byte, dst []int32) (int, int, error) {
 		}
 	default:
 		dst[0] = first
-		unpack(dst[1:], body, width, ref)
-		for i := 1; i < len(dst); i++ {
-			first += dst[i]
-			dst[i] = first
-		}
+		decodeDelta(dst[1:], body, width, ref, first)
 	}
 	return n, headerBytes + payload, nil
-}
-
-// unpack writes ref plus each of the len(dst) width-bit entries packed
-// LSB first in body into dst. Eight entries span exactly width bytes,
-// so every group whose 40-byte window lies inside body decodes through
-// it; the tail — the last ceil(40/width) groups or fewer — goes through
-// readBits64. (Decoding the tail's full groups from a zero-padded copy
-// instead measured 13 % faster at width 3 and nothing at width 7.)
-func unpack(dst []int32, body []byte, width int, ref int32) {
-	if width == 0 {
-		for i := range dst {
-			dst[i] = ref
-		}
-		return
-	}
-	mask := uint64(1)<<width - 1
-	i := 0
-	for off := 0; i+8 <= len(dst) && off+40 <= len(body); i, off = i+8, off+width {
-		unpack8((*[8]int32)(dst[i:i+8]), (*[40]byte)(body[off:off+40]), uint(width), mask, ref)
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = ref + int32(readBits64(body, i*width, width))
-	}
-}
-
-// unpack8 decodes the 8 entries of one group from its window, unrolled
-// (a quarter faster than the loop form): entry j starts at bit
-// b = j*width <= 224, so its 8-byte load starts at most 28 bytes in —
-// the &31 proves that to the compiler, which then checks no bounds — and
-// its at most 7 + 32 bits fit the load.
-func unpack8(out *[8]int32, win *[40]byte, width uint, mask uint64, ref int32) {
-	le := binary.LittleEndian
-	b := width
-	out[0] = ref + int32(le.Uint64(win[:])&mask)
-	out[1] = ref + int32(le.Uint64(win[b>>3&31:])>>(b&7)&mask)
-	b += width
-	out[2] = ref + int32(le.Uint64(win[b>>3&31:])>>(b&7)&mask)
-	b += width
-	out[3] = ref + int32(le.Uint64(win[b>>3&31:])>>(b&7)&mask)
-	b += width
-	out[4] = ref + int32(le.Uint64(win[b>>3&31:])>>(b&7)&mask)
-	b += width
-	out[5] = ref + int32(le.Uint64(win[b>>3&31:])>>(b&7)&mask)
-	b += width
-	out[6] = ref + int32(le.Uint64(win[b>>3&31:])>>(b&7)&mask)
-	b += width
-	out[7] = ref + int32(le.Uint64(win[b>>3&31:])>>(b&7)&mask)
 }
 
 // readBits64 extracts the width (<= 32) bits at bit offset off with a

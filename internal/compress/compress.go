@@ -15,18 +15,21 @@
 //     sorted or partially clustered columns where deltas are tiny.
 //
 // Entries are packed LSB first at a fixed width w per block, so any 8
-// consecutive entries span exactly w bytes. The decoder exploits that:
-// it unpacks a block 8 entries per group, each group read through one
-// bounds-checked 40-byte window (an entry's 8-byte load starts at most
-// 28 bytes in) — a shift, a mask and an add per value, no per-entry
-// call or branch. Width 0 (a constant column for FOR, an arithmetic
-// series for DeltaFOR) skips the payload entirely, and DeltaFOR is the
-// same unpack followed by a prefix sum. The encoder mirrors it: a
-// 64-bit accumulator appends 32 bits at a time straight into the
-// output, and the scheme choice (Best) prices both schemes exactly
-// without packing either. That is what keeps the paper's "negligible
-// CPU investment" negligible for the sequential bulk reads and writes
-// its algorithms issue against DSM fragments.
+// consecutive entries span exactly w bytes. The decoder exploits that
+// with one kernel per scheme, compiled once for every width 1…32
+// (kernels.go): w is a constant inside each instantiation, so each of a
+// group's 8 entries is one 8-byte load at a constant offset into the
+// group's 40-byte window, a constant shift, a constant mask and an add
+// — no per-entry call, branch or bounds check. DeltaFOR's kernel sums
+// as it unpacks: each delta goes into a running value held in a
+// register, and dst is written once and never re-read. Width 0 (a
+// constant column for FOR, an arithmetic series for DeltaFOR) skips
+// the payload entirely. The encoder mirrors the layout: a 64-bit
+// accumulator appends 32 bits at a time straight into the output, and
+// the scheme choice (Best) prices both schemes exactly without packing
+// either. That is what keeps the paper's "negligible CPU investment"
+// negligible for the sequential bulk reads and writes its algorithms
+// issue against DSM fragments.
 package compress
 
 import (

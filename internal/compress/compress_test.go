@@ -161,9 +161,47 @@ func TestCompressRejectsUnknownScheme(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocatesNothing: decoding into caller memory allocates
+// nothing at any width under either scheme. An unaligned range decodes
+// its partial blocks through a stack buffer, which stays on the stack
+// only while no kernel call lets dst escape — dispatching the kernels
+// through a table of funcs does, and moves that buffer to the heap on
+// every call.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 30))
+	for _, scheme := range []Scheme{FOR, DeltaFOR} {
+		for width := 0; width <= 32; width++ {
+			vals := widthColumn(rng, 3*BlockSize, width, scheme)
+			e, err := EncodeColumn(vals, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := BlockSize/2+3, 2*BlockSize+BlockSize/3
+			dst := make([]int32, hi-lo) // also holds a whole block
+			if n := testing.AllocsPerRun(10, func() {
+				if err := e.DecompressRangeInto(dst, lo, hi); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%v width %d: DecompressRangeInto allocates %v times", scheme, width, n)
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				if _, err := e.DecompressBlockInto(dst, 1); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%v width %d: DecompressBlockInto allocates %v times", scheme, width, n)
+			}
+		}
+	}
+}
+
 // benchWidths are the kernel benchmarks' bit widths: 0 (the workload's
-// payload columns), a clustered-oid width, a wide one and the widest.
-var benchWidths = []int{0, 7, 20, 32}
+// payload columns in base order), a clustered-oid width, 14 and 25 (the
+// widths its image-order payload blocks are packed at), a wide one and
+// the widest. Every width decodes through its own kernel instantiation:
+// a toolchain that merged them would show here first.
+var benchWidths = []int{0, 7, 14, 20, 25, 32}
 
 // benchBlocks returns a 1 Mi-value column packed at width under scheme
 // in every block.

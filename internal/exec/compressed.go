@@ -67,20 +67,35 @@ func (c *compCounters) noteSpan(enc *compress.Encoded, lo, hi int) {
 }
 
 // MaterializeCol decodes an encoded column (or record image) into raw
-// values, chunk-parallel over contiguous value ranges. The decoded
-// values are leased: they live until the pipeline closes.
+// values, chunk-parallel over whole blocks: each chunk is a block range
+// [lo,hi) decoding values [lo·BlockSize, min(hi·BlockSize, n)), so no
+// block is decoded — or counted — by two chunks. The decoded values are
+// leased: they live until the pipeline closes.
 func (e *Engine) MaterializeCol(enc *compress.Encoded) ([]int32, error) {
 	e.comp.cols.Add(1)
-	out := mempool.Slice[int32](e.mem(), enc.Len())
-	err := e.ForRanges(enc.Len(), func(r Range) error {
+	n := enc.Len()
+	out := mempool.Slice[int32](e.mem(), n)
+	decode := func(lo, hi int) error {
 		t := time.Now()
-		if err := enc.DecompressRangeInto(out[r.Lo:r.Hi], r.Lo, r.Hi); err != nil {
+		if err := enc.DecompressRangeInto(out[lo:hi], lo, hi); err != nil {
 			return err
 		}
 		e.comp.decodeNanos.Add(time.Since(t).Nanoseconds())
-		e.comp.noteSpan(enc, r.Lo, r.Hi)
+		e.comp.noteSpan(enc, lo, hi)
 		return nil
-	})
+	}
+	var err error
+	if e.serial(n) {
+		err = decode(0, n)
+	} else {
+		chunks := e.chunksFor(enc.BlockCount())
+		errs := e.errSlots(len(chunks))
+		e.run(len(chunks), func(_, t int, _ *Scratch) {
+			r := chunks[t]
+			errs[t] = decode(r.Lo*compress.BlockSize, min(r.Hi*compress.BlockSize, n))
+		})
+		err = firstErr(errs)
+	}
 	if err != nil {
 		return nil, err
 	}

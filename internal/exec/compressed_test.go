@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"radixdecluster/internal/bat"
@@ -259,28 +260,36 @@ func TestCompressedOpErrors(t *testing.T) {
 }
 
 // TestCompStatsAccounting pins the counter semantics: a decode pass
-// accounts the whole column's encoded bytes, a positive saving for
-// compressible data, and nonzero decode time.
+// accounts the whole column's encoded bytes exactly once, a positive
+// saving for compressible data, and nonzero decode time — at every
+// parallelism, over a column whose length is no multiple of the
+// chunking (150 000 values: 147 blocks, the last partial), so chunks
+// that split a block would decode and count it twice.
 func TestCompStatsAccounting(t *testing.T) {
-	vals := make([]int32, testN)
+	vals := make([]int32, 150_000)
 	for i := range vals {
 		vals[i] = int32(i) // dense: compresses hard
 	}
 	enc := encode(t, vals)
-	e := NewEngine(testRuntime(t), 2)
-	defer e.Close()
-	decoded(t, e, enc)
-	st := e.comp.snapshot()
-	if st.Cols != 1 {
-		t.Fatalf("Cols = %d, want 1", st.Cols)
-	}
-	if st.CompressedBytes < int64(enc.CompressedBytes()) {
-		t.Fatalf("CompressedBytes = %d, want >= %d", st.CompressedBytes, enc.CompressedBytes())
-	}
-	if st.SavedBytes <= 0 {
-		t.Fatalf("SavedBytes = %d, want > 0 for dense data", st.SavedBytes)
-	}
-	if st.DecodeNanos <= 0 {
-		t.Fatalf("DecodeNanos = %d, want > 0", st.DecodeNanos)
+	rt := testRuntime(t)
+	for _, w := range []int{0, 2, 3, 8} {
+		e := NewEngine(rt, w)
+		if got := decoded(t, e, enc); !slices.Equal(got, vals) {
+			t.Fatalf("workers=%d: decoded column differs", w)
+		}
+		st := e.comp.snapshot()
+		e.Close()
+		if st.Cols != 1 {
+			t.Fatalf("workers=%d: Cols = %d, want 1", w, st.Cols)
+		}
+		if st.CompressedBytes != int64(enc.CompressedBytes()) {
+			t.Fatalf("workers=%d: CompressedBytes = %d, want %d", w, st.CompressedBytes, enc.CompressedBytes())
+		}
+		if want := int64(enc.RawBytes() - enc.CompressedBytes()); st.SavedBytes != want {
+			t.Fatalf("workers=%d: SavedBytes = %d, want %d", w, st.SavedBytes, want)
+		}
+		if st.DecodeNanos <= 0 {
+			t.Fatalf("workers=%d: DecodeNanos = %d, want > 0", w, st.DecodeNanos)
+		}
 	}
 }
