@@ -142,7 +142,7 @@ func BenchmarkRadixClusterSinglePass(b *testing.B) {
 	b.SetBytes(benchN * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := radix.ClusterBUNs(heads, keys, true, radix.Opts{Bits: 12}); err != nil {
+		if _, err := radix.ClusterBUNs(heads, keys, radix.Opts{Bits: 12}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 	b.SetBytes(benchN * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := radix.ClusterBUNs(heads, keys, true, radix.Opts{Bits: 12, Passes: []int{6, 6}}); err != nil {
+		if _, err := radix.ClusterBUNs(heads, keys, radix.Opts{Bits: 12, Passes: []int{6, 6}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func BenchmarkClusterPairs(b *testing.B) {
 	heads, keys := benchPairs(b)
 	heads, keys = heads[:clusterBenchN], keys[:clusterBenchN]
 	benchCluster(b, []int{6, 12},
-		func(e *exec.Engine, o radix.Opts) error { _, err := e.ClusterBUNs(heads, keys, true, o); return err })
+		func(e *exec.Engine, o radix.Opts) error { _, err := e.ClusterBUNs(heads, keys, o); return err })
 }
 
 func BenchmarkClusterOIDPairs(b *testing.B) {
@@ -249,11 +249,11 @@ func BenchmarkProbeBUNs(b *testing.B) {
 		bits int
 	}{{"part=1Ki", 10}, {"part=16Ki", 6}} {
 		o := radix.Opts{Bits: c.bits}
-		cl, err := radix.ClusterBUNs(lo, lk, true, o)
+		cl, err := radix.ClusterBUNs(lo, lk, o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cs, err := radix.ClusterBUNs(so, sk, true, o)
+		cs, err := radix.ClusterBUNs(so, sk, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,15 +276,16 @@ func BenchmarkProbeBUNs(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeKeys is BenchmarkProbeBUNs for the kernel runtime
-// queries run over join images: the same partitions as key columns,
-// emitting image positions.
-func BenchmarkProbeKeys(b *testing.B) {
+// BenchmarkProbeImage is BenchmarkProbeBUNs for the kernel runtime
+// queries run over join images: the same partitions as image hash
+// columns (join.Image.Hashes), emitting image positions, at 256-, 1 Ki-
+// and 16 Ki-tuple partitions.
+func BenchmarkProbeImage(b *testing.B) {
 	_, lk, _, sk := benchJoinSides(b)
 	for _, c := range []struct {
 		name string
 		bits int
-	}{{"part=1Ki", 10}, {"part=16Ki", 6}} {
+	}{{"part=256", 12}, {"part=1Ki", 10}, {"part=16Ki", 6}} {
 		o := radix.Opts{Bits: c.bits}
 		lo, err := radix.KeyOffsets(lk, o)
 		if err != nil {
@@ -294,7 +295,7 @@ func BenchmarkProbeKeys(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lkeys, skeys := radix.Permute(lk, lk, o, lo), radix.Permute(sk, sk, o, so)
+		lh, sh := radix.PermuteHashes(lk, o, lo), radix.PermuteHashes(sk, o, so)
 		out := &join.Index{Larger: make([]OID, 0, clusterBenchN), Smaller: make([]OID, 0, clusterBenchN)}
 		var ts join.TableScratch
 		b.Run(c.name, func(b *testing.B) {
@@ -303,7 +304,7 @@ func BenchmarkProbeKeys(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out.Larger, out.Smaller = out.Larger[:0], out.Smaller[:0]
 				for p := 0; p < 1<<c.bits; p++ {
-					join.ProbeKeys(skeys[so[p]:so[p+1]], lkeys[lo[p]:lo[p+1]], so[p], lo[p], uint(c.bits), out, &ts)
+					join.ProbeHashes(sh[so[p]:so[p+1]], lh[lo[p]:lo[p+1]], so[p], lo[p], uint(c.bits), out, &ts)
 				}
 				if out.Len() != clusterBenchN {
 					b.Fatalf("%d matches, want %d", out.Len(), clusterBenchN)

@@ -26,8 +26,9 @@ package exec
 // Steps 1 and 3 are internal/radix's chunk kernels — the same typed
 // tight loops the serial engine runs with one chunk per cluster range —
 // invoked once per morsel, reading the caller's columns where they lie
-// and deriving the clustering value (a key's hash, an oid's own bits)
-// inside the loop, so no radix column is materialised.
+// and deriving the clustering value (a key's hash, the hash a BUN
+// carries, an oid's own bits) inside the loop, so no radix column is
+// materialised.
 //
 // When B exceeds the single-pass fan-out budget, the remaining low
 // bits are clustered per level-1 partition: each partition is an
@@ -65,12 +66,12 @@ const (
 )
 
 // ClusterBUNs is the parallel equivalent of radix.ClusterBUNs: it
-// radix-clusters an [oid,value] BAT — a join input — on its value
-// column (hashed when hashVals is set) and produces the identical BUN
-// arrangement and offsets, in leased buffers (one per level).
-func (e *Engine) ClusterBUNs(heads []OID, vals []int32, hashVals bool, o radix.Opts) (*radix.BUNsResult, error) {
+// radix-clusters an [oid,value] BAT — a join input — on the hash of its
+// value column and produces the identical BUN arrangement (each value
+// carried as its hash) and offsets, in leased buffers (one per level).
+func (e *Engine) ClusterBUNs(heads []OID, vals []int32, o radix.Opts) (*radix.BUNsResult, error) {
 	if e.serial(len(heads)) || !scatterable(o.Bits) {
-		return radix.ClusterBUNs(heads, vals, hashVals, o)
+		return radix.ClusterBUNs(heads, vals, o)
 	}
 	if len(heads) != len(vals) {
 		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
@@ -84,7 +85,7 @@ func (e *Engine) ClusterBUNs(heads []OID, vals []int32, hashVals bool, o radix.O
 	if o.Bits > maxFirstPassBits {
 		buf[1], last = mempool.Slice[uint64](ml, n), 1
 	}
-	count, scatter := radix.BUNKernels(vals, heads, hashVals, buf)
+	count, scatter := radix.BUNKernels(vals, heads, buf)
 	return &radix.BUNsResult{BUNs: buf[last], Offsets: e.scatter2(n, o, count, scatter)}, nil
 }
 
@@ -92,14 +93,14 @@ func (e *Engine) ClusterBUNs(heads []OID, vals []int32, hashVals bool, o radix.O
 // radix.PairKernels driven by scatter2. The scatter targets — one pair
 // of columns, two when the fan-out takes a second level — and the
 // offsets are leased transients, every slot written.
-func clusterPairs[K, P radix.Word](e *Engine, keys []K, pay []P, hashed bool, o radix.Opts) ([]K, []P, []int) {
+func clusterPairs[K, P radix.Word](e *Engine, keys []K, pay []P, o radix.Opts) ([]K, []P, []int) {
 	n, ml := len(keys), e.mem()
 	bufK, bufP := [2][]K{mempool.Slice[K](ml, n)}, [2][]P{mempool.Slice[P](ml, n)}
 	last := 0
 	if o.Bits > maxFirstPassBits {
 		bufK[1], bufP[1], last = mempool.Slice[K](ml, n), mempool.Slice[P](ml, n), 1
 	}
-	count, scatter := radix.PairKernels(keys, pay, hashed, bufK, bufP)
+	count, scatter := radix.PairKernels(keys, pay, bufK, bufP)
 	return bufK[last], bufP[last], e.scatter2(n, o, count, scatter)
 }
 
@@ -117,7 +118,7 @@ func (e *Engine) ClusterOIDPairs(key, other []OID, o radix.Opts) (*radix.OIDPair
 		return nil, err
 	}
 	// Dense oids are their own radix values (§3.1): no hashing.
-	outKey, outOther, offsets := clusterPairs(e, key, other, false, o)
+	outKey, outOther, offsets := clusterPairs(e, key, other, o)
 	return &radix.OIDPairsResult{Key: outKey, Other: outOther, Offsets: offsets}, nil
 }
 

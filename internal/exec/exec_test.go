@@ -129,12 +129,12 @@ func TestClusterBUNsMatchesSerial(t *testing.T) {
 			{Bits: 14}, // two-level parallel path
 			{Bits: 17, Passes: []int{9, 8}},
 		} {
-			want, err := radix.ClusterBUNs(heads, vals, true, o)
+			want, err := radix.ClusterBUNs(heads, vals, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			withLeases(t, func(t *testing.T, p *Engine) {
-				got, err := p.ClusterBUNs(heads, vals, true, o)
+				got, err := p.ClusterBUNs(heads, vals, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,7 +198,7 @@ func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) *join.Image
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &join.Image{Keys: radix.Permute(keys, keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
+	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
 }
 
 func TestPartitionedJoinMatchesSerial(t *testing.T) {
@@ -383,7 +383,7 @@ func TestSerialFallbackPredicate(t *testing.T) {
 		run    func(e *Engine, n int) error
 	}{
 		{"ClusterBUNs", false, func(e *Engine, n int) error {
-			_, err := e.ClusterBUNs(oids[:n], vals[:n], true, radix.Opts{Bits: 4})
+			_, err := e.ClusterBUNs(oids[:n], vals[:n], radix.Opts{Bits: 4})
 			return err
 		}},
 		{"ClusterOIDPairs", false, func(e *Engine, n int) error {
@@ -489,7 +489,7 @@ func TestConcurrentStress(t *testing.T) {
 	heads := randOIDs(20, n, n)
 	vals := randVals(21, n, true)
 	for i := 0; i < 3; i++ {
-		if _, err := p.ClusterBUNs(heads, vals, true, radix.Opts{Bits: 14}); err != nil {
+		if _, err := p.ClusterBUNs(heads, vals, radix.Opts{Bits: 14}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.PartitionedJoin(heads, vals, heads, vals, radix.Opts{Bits: 8}); err != nil {

@@ -32,11 +32,11 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 	if e.serial(len(largerOIDs) + len(smallerOIDs)) {
 		return join.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
 	}
-	cl, err := e.ClusterBUNs(largerOIDs, largerKeys, true, o)
+	cl, err := e.ClusterBUNs(largerOIDs, largerKeys, o)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := e.ClusterBUNs(smallerOIDs, smallerKeys, true, o)
+	cs, err := e.ClusterBUNs(smallerOIDs, smallerKeys, o)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 // where the image carries OIDs, oids. The images are only read.
 func (e *Engine) ProbePartitions(larger, smaller *join.Image, shift uint) (*join.Index, error) {
 	// The serial loop also reports mismatched partition counts.
-	if e.serial(len(larger.Keys)+len(smaller.Keys)) || len(larger.Offsets) != len(smaller.Offsets) {
+	if e.serial(len(larger.Hashes)+len(smaller.Hashes)) || len(larger.Offsets) != len(smaller.Offsets) {
 		return join.PartitionedImages(larger, smaller, shift)
 	}
 	return e.probeEach(larger.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {

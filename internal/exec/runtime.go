@@ -57,6 +57,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -227,10 +228,12 @@ func AffinitySeed(data []int32, n int, rowMajor bool) uint64 {
 
 // jobRun is the slice of one job's morsels homed on one worker: the
 // owner pops the back (LIFO — warmest), thieves take the front (FIFO —
-// coldest).
+// coldest). Thieves advance head rather than re-slice tasks, so a
+// recycled node keeps its whole capacity.
 type jobRun struct {
 	j     *rtJob
-	tasks []int
+	tasks []int // tasks[head:] are queued
+	head  int
 }
 
 // wdeque is one worker's local run queue: per-job task runs in arrival
@@ -265,8 +268,8 @@ func (d *wdeque) popLocal(rt *Runtime) (*rtJob, int, bool) {
 		t := r.tasks[len(r.tasks)-1]
 		r.tasks = r.tasks[:len(r.tasks)-1]
 		j := r.j
-		if len(r.tasks) == 0 {
-			d.runs = append(d.runs[:d.rr], d.runs[d.rr+1:]...)
+		if len(r.tasks) == r.head {
+			d.runs = slices.Delete(d.runs, d.rr, d.rr+1)
 			rt.putJR(r)
 		} else {
 			d.rr++
@@ -282,11 +285,12 @@ func (d *wdeque) steal(rt *Runtime) (*rtJob, int, bool) {
 		return nil, 0, false
 	}
 	r := d.runs[0]
-	t := r.tasks[0]
-	r.tasks = r.tasks[1:]
+	t := r.tasks[r.head]
+	r.head++
 	j := r.j
-	if len(r.tasks) == 0 {
-		d.runs = d.runs[1:]
+	if len(r.tasks) == r.head {
+		// Shift down rather than re-slice: d.runs keeps its capacity.
+		d.runs = slices.Delete(d.runs, 0, 1)
 		if d.rr > 0 {
 			d.rr--
 		}
@@ -302,7 +306,7 @@ func (rt *Runtime) getJR(j *rtJob, t int) *jobRun {
 		r := rt.jrFree[l-1]
 		rt.jrFree[l-1] = nil
 		rt.jrFree = rt.jrFree[:l-1]
-		r.j = j
+		r.j, r.head = j, 0
 		r.tasks = append(r.tasks[:0], t)
 		return r
 	}

@@ -26,13 +26,13 @@ func TestRuntimePoolMatchesSerial(t *testing.T) {
 		vals[i] = int32(rng.Intn(n / 2))
 	}
 	o := radix.Opts{Bits: 6}
-	want, err := radix.ClusterBUNs(heads, vals, true, o)
+	want, err := radix.ClusterBUNs(heads, vals, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewEngine(rt, 4)
 	defer p.Close()
-	got, err := p.ClusterBUNs(heads, vals, true, o)
+	got, err := p.ClusterBUNs(heads, vals, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int, aff func(int)
 		rt.mu.Lock()
 		for w := range rt.dq {
 			for _, r := range rt.dq[w].runs {
-				for _, task := range r.tasks {
+				for _, task := range r.tasks[r.head:] {
 					out[task] = w
 					queued++
 				}
@@ -230,5 +230,45 @@ func TestSchedStatsArithmetic(t *testing.T) {
 	}
 	if (SchedStats{}).LocalHitRate() != 0 {
 		t.Fatal("empty stats must report rate 0")
+	}
+}
+
+// TestDequeCyclesAllocateNothing pins push's promise that steady-state
+// submission allocates nothing, across steals: a run thieves drained
+// goes back to the freelist with its whole task capacity, and the deque
+// keeps its run slots, so repeated submit → steal → drain cycles reuse
+// every array the first cycle grew.
+func TestDequeCyclesAllocateNothing(t *testing.T) {
+	rt := &Runtime{}
+	var d wdeque
+	jobs := []*rtJob{{}, {}, {}}
+	const perJob, stolen = 64, 96
+	cycle := func() {
+		for _, j := range jobs {
+			for task := range perJob {
+				d.push(rt, j, task)
+			}
+		}
+		// Thieves take the oldest job's whole run and half of the next
+		// one's; the owner pops the rest.
+		for range stolen {
+			if _, _, ok := d.steal(rt); !ok {
+				t.Fatal("steal found the deque empty")
+			}
+		}
+		popped := 0
+		for {
+			if _, _, ok := d.popLocal(rt); !ok {
+				break
+			}
+			popped++
+		}
+		if popped != len(jobs)*perJob-stolen || len(d.runs) != 0 {
+			t.Fatalf("owner popped %d morsels, %d runs left; want %d, 0", popped, len(d.runs), len(jobs)*perJob-stolen)
+		}
+	}
+	cycle() // grows the task arrays, the run slots and the freelist
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("submit → steal → drain allocates %v times per cycle, want 0", allocs)
 	}
 }

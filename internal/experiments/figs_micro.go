@@ -218,7 +218,7 @@ func Fig9a(cfg Config) (*Table, error) {
 		heads, keys := randomPairs(n, cfg.Seed)
 		for bits := 0; bits <= 20; bits += 2 {
 			measured := timeIt(func() {
-				if _, err := radix.ClusterBUNs(heads, keys, true, radix.Opts{Bits: bits}); err != nil {
+				if _, err := radix.ClusterBUNs(heads, keys, radix.Opts{Bits: bits}); err != nil {
 					panic(err)
 				}
 			})
@@ -245,11 +245,11 @@ func Fig9b(cfg Config) (*Table, error) {
 		}
 		for bits := 0; bits <= 20; bits += 2 {
 			o := radix.Opts{Bits: bits, Passes: radix.SplitBits(bits, radix.MaxBitsPerPass(h))}
-			cl, err := radix.ClusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, true, o)
+			cl, err := radix.ClusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, o)
 			if err != nil {
 				return nil, err
 			}
-			cs, err := radix.ClusterBUNs(pr.Smaller.SelOIDs, pr.Smaller.SelKeys, true, o)
+			cs, err := radix.ClusterBUNs(pr.Smaller.SelOIDs, pr.Smaller.SelKeys, o)
 			if err != nil {
 				return nil, err
 			}

@@ -15,6 +15,12 @@ package hash
 // constants). Every input bit influences every output bit, so the low
 // B bits of Mix(k) are usable as radix bits even for skewed or
 // clustered key domains.
+//
+// Mix is a bijection on uint32: each step (x ^= x >> s, x *= odd) is
+// invertible. Hash-domain join inputs depend on it — BUNs and join
+// images carry Mix(key) in place of the key from the first clustering
+// pass to the probe, which compares hashes: equal hashes are equal keys.
+// TestMixIsBijection pins it with an explicit inverse.
 func Mix(k uint32) uint32 {
 	k ^= k >> 16
 	k *= 0x85ebca6b

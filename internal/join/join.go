@@ -98,16 +98,18 @@ func HashJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKe
 // Partitioned runs the cache-conscious Partitioned Hash-Join:
 // radix-cluster both inputs, as BUNs, on `bits` bits of the hashed key
 // (with the given pass structure, nil = single pass), then hash-join
-// each pair of matching partitions (Figure 2).
+// each pair of matching partitions (Figure 2). Keys are hashed in the
+// first clustering pass only: the BUNs carry the hash from there to the
+// probe (radix.ClusterBUNs).
 func Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*Index, error) {
 	if len(largerOIDs) != len(largerKeys) || len(smallerOIDs) != len(smallerKeys) {
 		return nil, fmt.Errorf("join: oid/key column length mismatch")
 	}
-	cl, err := radix.ClusterBUNs(largerOIDs, largerKeys, true, o)
+	cl, err := radix.ClusterBUNs(largerOIDs, largerKeys, o)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := radix.ClusterBUNs(smallerOIDs, smallerKeys, true, o)
+	cs, err := radix.ClusterBUNs(smallerOIDs, smallerKeys, o)
 	if err != nil {
 		return nil, err
 	}
@@ -141,13 +143,14 @@ func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*In
 }
 
 // Image is a join input radix-clustered once, outside any query (a
-// relation's join image): its keys in clustered order and the 2^B+1
-// cluster offsets (radix.KeyOffsets, radix.Permute). A match emits the
-// tuple's image position — its index in Keys — or, when OIDs is set,
-// OIDs at that position: with OIDs the clustered oid column, exactly
-// the oid a BUN probe of the same clustering emits.
+// relation's join image): the hashes of its keys in clustered order —
+// the hash halves of the BUNs radix.ClusterBUNs would produce — and the
+// 2^B+1 cluster offsets (radix.KeyOffsets, radix.PermuteHashes). A match
+// emits the tuple's image position — its index in Hashes — or, when
+// OIDs is set, OIDs at that position: with OIDs the clustered oid
+// column, exactly the oid a BUN probe of the same clustering emits.
 type Image struct {
-	Keys    []int32
+	Hashes  []uint32
 	Offsets []int
 	OIDs    []OID
 }
@@ -161,8 +164,8 @@ func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
 		return nil, fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
 	}
 	out := &Index{
-		Larger:  make([]OID, 0, len(larger.Keys)),
-		Smaller: make([]OID, 0, len(larger.Keys)),
+		Larger:  make([]OID, 0, len(larger.Hashes)),
+		Smaller: make([]OID, 0, len(larger.Hashes)),
 	}
 	var ts TableScratch
 	for p := 0; p+1 < len(larger.Offsets); p++ {
@@ -171,7 +174,7 @@ func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
 	return out, nil
 }
 
-// ProbeImage joins partition p of two images into out: ProbeKeys over
+// ProbeImage joins partition p of two images into out: ProbeHashes over
 // the partition pair, then each side that carries OIDs has its emitted
 // positions replaced by its oids — a pass over the partition's matches
 // that reads only the partition's slice of the oid column.
@@ -182,7 +185,7 @@ func ProbeImage(larger, smaller *Image, p int, shift uint, out *Index, ts *Table
 		return
 	}
 	m := len(out.Larger)
-	ProbeKeys(smaller.Keys[sl:sh], larger.Keys[ll:lh], sl, ll, shift, out, ts)
+	ProbeHashes(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, ll, shift, out, ts)
 	toOIDs(out.Larger[m:], larger.OIDs)
 	toOIDs(out.Smaller[m:], smaller.OIDs)
 }
@@ -227,8 +230,10 @@ func (ts *TableScratch) table(n int) (first, next []int32, mask uint32) {
 // builds a bucket-chained hash table over one partition of the smaller
 // relation and probes it with the matching larger partition, adding
 // the matches to out in probe order. Both partitions are BUNs
-// (radix.ClusterBUNs), so the key a chain entry is compared on and the
-// oid it emits come from the one word the chain index points at.
+// (radix.ClusterBUNs), so the hash a chain entry is bucketed and
+// compared on and the oid it emits come from the one word the chain
+// index points at. Nothing is hashed here: hash.Mix is a bijection, so
+// two BUNs carry equal hashes exactly when their keys are equal.
 //
 // shift discards the low hash bits already consumed by the
 // Radix-Cluster partitioning: inside a B-bit partition every key
@@ -246,7 +251,7 @@ func (ts *TableScratch) table(n int) (first, next []int32, mask uint32) {
 func ProbeBUNs(smaller, larger []uint64, shift uint, out *Index, ts *TableScratch) {
 	first, next, mask := ts.table(len(smaller))
 	for i, b := range smaller {
-		h := (hash.Mix(radix.BUNKey(b)) >> shift) & mask
+		h := (radix.BUNHash(b) >> shift) & mask
 		next[i] = first[h]
 		first[h] = int32(i) + 1
 	}
@@ -255,10 +260,10 @@ func ProbeBUNs(smaller, larger []uint64, shift uint, out *Index, ts *TableScratc
 	lim := min(cap(out.Larger), cap(out.Smaller))
 	outL, outS := out.Larger[:lim], out.Smaller[:lim]
 	for _, lb := range larger {
-		k := radix.BUNKey(lb)
-		for e := first[(hash.Mix(k)>>shift)&mask]; e != 0; e = next[e-1] {
+		h := radix.BUNHash(lb)
+		for e := first[(h>>shift)&mask]; e != 0; e = next[e-1] {
 			sb := smaller[e-1]
-			if radix.BUNKey(sb) != k {
+			if radix.BUNHash(sb) != h {
 				continue
 			}
 			if m == len(outL) {
@@ -271,25 +276,25 @@ func ProbeBUNs(smaller, larger []uint64, shift uint, out *Index, ts *TableScratc
 	out.Larger, out.Smaller = outL[:m], outS[:m]
 }
 
-// ProbeKeys is ProbeBUNs over one partition pair of key columns: the
-// same table, probe order and chain order, emitting each match's
-// positions — lbase+i for larger[i], sbase+j for smaller[j] — where
-// ProbeBUNs emits the BUNs' oids.
-func ProbeKeys(smaller, larger []int32, sbase, lbase int, shift uint, out *Index, ts *TableScratch) {
+// ProbeHashes is ProbeBUNs over one partition pair of image hash columns
+// (Image.Hashes): the same table, probe order and chain order, emitting
+// each match's positions — lbase+i for larger[i], sbase+j for smaller[j]
+// — where ProbeBUNs emits the BUNs' oids.
+func ProbeHashes(smaller, larger []uint32, sbase, lbase int, shift uint, out *Index, ts *TableScratch) {
 	first, next, mask := ts.table(len(smaller))
-	for i, k := range smaller {
-		h := (hash.Mix(uint32(k)) >> shift) & mask
-		next[i] = first[h]
-		first[h] = int32(i) + 1
+	for i, h := range smaller {
+		b := (h >> shift) & mask
+		next[i] = first[b]
+		first[b] = int32(i) + 1
 	}
 
 	m := len(out.Larger)
 	lim := min(cap(out.Larger), cap(out.Smaller))
 	outL, outS := out.Larger[:lim], out.Smaller[:lim]
 	sb := OID(sbase) - 1 // chain entries count from 1
-	for i, k := range larger {
-		for e := first[(hash.Mix(uint32(k))>>shift)&mask]; e != 0; e = next[e-1] {
-			if smaller[e-1] != k {
+	for i, h := range larger {
+		for e := first[(h>>shift)&mask]; e != 0; e = next[e-1] {
+			if smaller[e-1] != h {
 				continue
 			}
 			if m == len(outL) {

@@ -290,7 +290,7 @@ func TestTableBucketsSkipClusteredBits(t *testing.T) {
 	part := make([]uint64, 0, 4096)
 	for k := int32(0); len(part) < cap(part); k++ {
 		if hash.Int32(k)&(1<<bits-1) == 0 {
-			part = append(part, radix.BUN(uint32(k), uint32(len(part))))
+			part = append(part, radix.BUN(hash.Int32(k), uint32(len(part))))
 		}
 	}
 	maxChain := func(shift uint) int {
@@ -323,11 +323,11 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := radix.ClusterBUNs(lo, lk, true, o)
+	cl, err := radix.ClusterBUNs(lo, lk, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := radix.ClusterBUNs(so, sk, true, o)
+	cs, err := radix.ClusterBUNs(so, sk, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	}
 	checkIndex(t, got, refJoin(lo, lk, so, sk))
 	// Mismatched partition counts must be rejected.
-	cs2, _ := radix.ClusterBUNs(so, sk, true, radix.Opts{Bits: 3})
+	cs2, _ := radix.ClusterBUNs(so, sk, radix.Opts{Bits: 3})
 	if _, err := PartitionedPreclustered(cl, cs2, uint(o.Bits)); err == nil {
 		t.Fatal("partition count mismatch not rejected")
 	}

@@ -2,11 +2,14 @@ package join_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
+	"radixdecluster/internal/bat"
 	"radixdecluster/internal/exec"
+	"radixdecluster/internal/hash"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/radix"
 )
@@ -45,13 +48,30 @@ func sortedPairs(ix *join.Index) []pair {
 	return out
 }
 
+// unmix inverts hash.Mix (internal/hash's TestMixIsBijection pins the
+// same inverse): it builds keys whose hashes are chosen.
+func unmix(h uint32) int32 {
+	h ^= h >> 16
+	h *= 0x7ed1b41d
+	h ^= h>>13 ^ h>>26
+	h *= 0xa5cb9243
+	h ^= h >> 16
+	return int32(h)
+}
+
+// edgeKeys are the int32 extremes and the values around 0.
+var edgeKeys = []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+
 // keyShapes draw the two key columns. Oids are a shuffled dense range
-// on each side, so a pair names its tuples unambiguously.
+// on each side, so a pair names its tuples unambiguously. capS, when
+// set, bounds the smaller side: a shape whose matches or chains grow
+// with |larger| × |smaller| keeps that product small.
 var keyShapes = []struct {
 	name string
+	capS int
 	gen  func(rng *rand.Rand, lk, sk []int32)
 }{
-	{"unique, hit rate 1", func(rng *rand.Rand, lk, sk []int32) {
+	{"unique, hit rate 1", 0, func(rng *rand.Rand, lk, sk []int32) {
 		for i := range sk {
 			sk[i] = int32(i) * 7
 		}
@@ -60,7 +80,7 @@ var keyShapes = []struct {
 			lk[i] = int32(rng.IntN(max(len(sk), 1))) * 7
 		}
 	}},
-	{"hit rate 3: every smaller key three times", func(rng *rand.Rand, lk, sk []int32) {
+	{"hit rate 3: every smaller key three times", 0, func(rng *rand.Rand, lk, sk []int32) {
 		domain := max(len(sk)/3, 1)
 		for i := range sk {
 			sk[i] = int32(i%domain) - 5
@@ -69,7 +89,7 @@ var keyShapes = []struct {
 			lk[i] = int32(rng.IntN(domain)) - 5
 		}
 	}},
-	{"hit rate 0.3", func(rng *rand.Rand, lk, sk []int32) {
+	{"hit rate 0.3", 0, func(rng *rand.Rand, lk, sk []int32) {
 		for i := range sk {
 			sk[i] = int32(i)
 		}
@@ -77,7 +97,7 @@ var keyShapes = []struct {
 			lk[i] = int32(rng.IntN(max(len(sk)*10/3, 1)))
 		}
 	}},
-	{"duplicates on both sides", func(rng *rand.Rand, lk, sk []int32) {
+	{"duplicates on both sides", 0, func(rng *rand.Rand, lk, sk []int32) {
 		for i := range sk {
 			sk[i] = int32(rng.IntN(max(len(sk)/2, 1))) << 12
 		}
@@ -85,7 +105,7 @@ var keyShapes = []struct {
 			lk[i] = int32(rng.IntN(max(len(sk)/2, 1))) << 12
 		}
 	}},
-	{"all equal", func(_ *rand.Rand, lk, sk []int32) {
+	{"all equal", 40, func(_ *rand.Rand, lk, sk []int32) {
 		// |larger| × |smaller| matches: keep one side tiny.
 		for i := range sk {
 			sk[i] = -1
@@ -97,7 +117,7 @@ var keyShapes = []struct {
 			lk[i] = -1
 		}
 	}},
-	{"Zipf-skewed larger keys", func(rng *rand.Rand, lk, sk []int32) {
+	{"Zipf-skewed larger keys", 0, func(rng *rand.Rand, lk, sk []int32) {
 		for i := range sk {
 			sk[i] = int32(i)
 		}
@@ -106,12 +126,47 @@ var keyShapes = []struct {
 			lk[i] = int32(z.Uint64())
 		}
 	}},
-	{"absent: disjoint key domains", func(rng *rand.Rand, lk, sk []int32) {
+	{"absent: disjoint key domains", 0, func(rng *rand.Rand, lk, sk []int32) {
 		for i := range sk {
 			sk[i] = int32(rng.Uint32() | 1)
 		}
 		for i := range lk {
 			lk[i] = int32(rng.Uint32() &^ 1)
+		}
+	}},
+	{"extreme values, each smaller one twice", 0, func(rng *rand.Rand, lk, sk []int32) {
+		for i := range sk {
+			sk[i] = int32(i)*7919 + 3
+			if i < 2*len(edgeKeys) {
+				sk[i] = edgeKeys[i%len(edgeKeys)]
+			}
+		}
+		for i := range lk {
+			lk[i] = edgeKeys[rng.IntN(len(edgeKeys))]
+			if len(sk) > 0 && rng.IntN(3) > 0 {
+				lk[i] = sk[rng.IntN(len(sk))]
+			}
+		}
+	}},
+	{"hashes sharing every bucket bit: one long chain", 64, func(rng *rand.Rand, lk, sk []int32) {
+		// Distinct keys whose hashes agree on their low 22 bits: every
+		// radix field (≤ 13 bits) puts them in one partition, and every
+		// table over ≤ 64 tuples (512 buckets past a ≤ 13-bit shift) in
+		// one bucket, so each probe walks the whole chain and only the
+		// hash compare tells the keys apart.
+		const low = 0x2a5a5a
+		key := func(i int) int32 {
+			k := unmix(uint32(i)<<22 | low)
+			if hash.Int32(k) != uint32(i)<<22|low {
+				panic("unmix does not invert hash.Mix")
+			}
+			return k
+		}
+		for i := range sk {
+			sk[i] = key(i)
+		}
+		for i := range lk {
+			lk[i] = key(rng.IntN(2*len(sk) + 1))
 		}
 	}},
 }
@@ -130,7 +185,8 @@ func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so 
 
 // checkAgainstOracle joins one input under one clustering with both
 // engines, over BUNs and over join images: each must return exactly the
-// oracle's pair multiset, and all of them the identical sequence.
+// oracle's pair multiset, and all of them the identical sequence. A nil
+// rt checks the serial engine alone.
 func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
 	t.Helper()
 	serial, err := join.Partitioned(lo, lk, so, sk, o)
@@ -140,20 +196,25 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	if got := sortedPairs(serial); !slices.Equal(got, want) {
 		t.Fatalf("%+v: serial join returned %d pairs, the oracle %d, or different ones", o, len(got), len(want))
 	}
-	e := exec.NewEngine(rt, 2)
-	defer e.Close() // the parallel join-index is leased from the engine
-	parallel, err := e.PartitionedJoin(lo, lk, so, sk, o)
-	if err != nil {
-		t.Fatalf("%+v: parallel: %v", o, err)
-	}
-	if !slices.Equal(parallel.Larger, serial.Larger) || !slices.Equal(parallel.Smaller, serial.Smaller) {
-		t.Fatalf("%+v: parallel join-index is not the serial sequence (%d vs %d pairs)", o, parallel.Len(), serial.Len())
+	engines := []bool{false}
+	var e *exec.Engine
+	if rt != nil {
+		e = exec.NewEngine(rt, 2)
+		defer e.Close() // the parallel join-index is leased from the engine
+		parallel, err := e.PartitionedJoin(lo, lk, so, sk, o)
+		if err != nil {
+			t.Fatalf("%+v: parallel: %v", o, err)
+		}
+		if !slices.Equal(parallel.Larger, serial.Larger) || !slices.Equal(parallel.Smaller, serial.Smaller) {
+			t.Fatalf("%+v: parallel join-index is not the serial sequence (%d vs %d pairs)", o, parallel.Len(), serial.Len())
+		}
+		engines = append(engines, true)
 	}
 	// Over join images: sides emitting oids give the same sequence, and
 	// sides emitting image positions name the same tuples.
 	li, si := image(t, lo, lk, o), image(t, so, sk, o)
 	shift := uint(o.Ignore + o.Bits)
-	for _, par := range []bool{false, true} {
+	for _, par := range engines {
 		for _, emit := range []struct {
 			name string
 			l, s bool
@@ -173,6 +234,9 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 			if err != nil {
 				t.Fatalf("%+v: images (parallel=%v, %s): %v", o, par, emit.name, err)
 			}
+			if !emit.s {
+				checkLIFO(t, got)
+			}
 			if !emit.l {
 				positionsToOIDs(got.Larger, li.OIDs)
 			}
@@ -187,6 +251,19 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	}
 }
 
+// checkLIFO checks the chain order of a join-index whose smaller side
+// holds image positions: the matches of one probe tuple are adjacent,
+// and a smaller key's duplicates match newest first — in descending
+// image position, since the image keeps input order within a partition.
+func checkLIFO(t *testing.T, ix *join.Index) {
+	t.Helper()
+	for i := 1; i < ix.Len(); i++ {
+		if ix.Larger[i] == ix.Larger[i-1] && ix.Smaller[i] >= ix.Smaller[i-1] {
+			t.Fatalf("match %d: smaller position %d follows %d for one probe tuple, want descending (LIFO chain)", i, ix.Smaller[i], ix.Smaller[i-1])
+		}
+	}
+}
+
 // image is the join image of an [oid, key] input, oids included.
 func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) *join.Image {
 	t.Helper()
@@ -194,7 +271,7 @@ func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) *join.Imag
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &join.Image{Keys: radix.Permute(keys, keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
+	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
 }
 
 // positionsToOIDs replaces image positions by the oids at them.
@@ -230,8 +307,8 @@ func TestPartitionedMatchesIndependentOracle(t *testing.T) {
 	for shape := range keyShapes {
 		for _, sz := range sizes {
 			nL, nS := sz[0], sz[1]
-			if keyShapes[shape].name == "all equal" {
-				nS = min(nS, 40)
+			if c := keyShapes[shape].capS; c > 0 {
+				nS = min(nS, c)
 			}
 			lo, lk, so, sk := genSides(rng, shape, nL, nS)
 			want := refEquiJoin(lo, lk, so, sk)
@@ -252,8 +329,8 @@ func TestPartitionedMatchesIndependentOracleRandom(t *testing.T) {
 	for range 40 {
 		shape := rng.IntN(len(keyShapes))
 		nL, nS := rng.IntN(3*exec.MinParallelN), rng.IntN(2*exec.MinParallelN)
-		if keyShapes[shape].name == "all equal" {
-			nS = min(nS, 40)
+		if c := keyShapes[shape].capS; c > 0 {
+			nS = min(nS, c)
 		}
 		bits := rng.IntN(14)
 		o := radix.Opts{Bits: bits}
@@ -265,11 +342,52 @@ func TestPartitionedMatchesIndependentOracleRandom(t *testing.T) {
 	}
 }
 
+// fuzzKey spreads a fuzzed byte over the int32 domain, with the two
+// extremes on the byte's extremes; equal bytes give equal keys.
+func fuzzKey(b byte) int32 {
+	switch b {
+	case 0:
+		return math.MinInt32
+	case 255:
+		return math.MaxInt32
+	}
+	return int32(int8(b)) * 0x01000193
+}
+
+// FuzzPartitionedJoin holds the serial engines — over BUNs and over join
+// images — to the map-based oracle on fuzzed keys, radix fields and pass
+// splits: the first half of raw keys the larger side, the rest the
+// smaller. Run with `go test -fuzz=FuzzPartitionedJoin
+// ./internal/join`; the seed corpus runs under plain `go test`.
+func FuzzPartitionedJoin(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{1, 2, 3, 1, 2, 3}, uint8(3), uint8(0))
+	f.Add([]byte{0, 255, 7, 7, 0, 255, 7, 7, 7, 0}, uint8(13), uint8(3))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 1, 2, 9, 9, 9}, uint8(6), uint8(5))
+	f.Add([]byte{128, 127, 129, 126, 1, 254, 128, 127, 200, 55}, uint8(10), uint8(9))
+	f.Fuzz(func(t *testing.T, raw []byte, bits8, split8 uint8) {
+		o := radix.Opts{Bits: int(bits8 % 14)}
+		if o.Bits > 1 && split8&1 == 1 {
+			o.Passes = radix.SplitBits(o.Bits, 1+int(split8>>1)%o.Bits)
+		}
+		half := len(raw) / 2
+		lk, sk := make([]int32, half), make([]int32, len(raw)-half)
+		for i, b := range raw[:half] {
+			lk[i] = fuzzKey(b)
+		}
+		for i, b := range raw[half:] {
+			sk[i] = fuzzKey(b)
+		}
+		lo, so := bat.Dense(len(lk)), bat.Dense(len(sk))
+		checkAgainstOracle(t, nil, lo, lk, so, sk, refEquiJoin(lo, lk, so, sk), o)
+	})
+}
+
 // A partition with more matches than its carved [lo:lo:hi] share of a
 // shared arena (duplicate smaller keys) must move to arrays of its own
 // and leave the neighbouring partition's list alone.
 func TestProbeBUNsOverflowLeavesNeighbourIntact(t *testing.T) {
-	bun := func(key int32, oid join.OID) uint64 { return radix.BUN(uint32(key), oid) }
+	bun := func(key int32, oid join.OID) uint64 { return radix.BUN(hash.Int32(key), oid) }
 	// Partition 0: 4 probes × 3 copies of their key = 12 matches into a
 	// carving of 4. Partition 1: key–foreign-key, fills its carving.
 	smaller0 := []uint64{bun(9, 0), bun(9, 1), bun(9, 2)}

@@ -20,14 +20,13 @@ package radix
 // and what the clustering value is — the drivers only schedule bits.
 type ChunkFn func(p, lo, hi int, f Field, row []int)
 
-// PairKernels binds the chunk kernels to a [key, payload] BAT and the
-// two buffers its passes ping-pong between: pass p scatters into
-// buf[p&1], so pass 0 reads the caller's slices where they lie, a
-// single-pass clustering needs only buf[0], and the result is the last
-// pass's buffer. hashed selects hash.Int32(key) over the key's own bits
-// as the clustering value. Both engines drive their pass schedule
-// through the returned pair.
-func PairKernels[K, P Word](keys []K, pay []P, hashed bool, bufK [2][]K, bufP [2][]P) (count, scatter ChunkFn) {
+// PairKernels binds the chunk kernels to an [oid, oid] BAT and the two
+// buffers its passes ping-pong between: pass p scatters into buf[p&1],
+// so pass 0 reads the caller's slices where they lie, a single-pass
+// clustering needs only buf[0], and the result is the last pass's
+// buffer. The clustering value is the key's own bits (§3.1). Both
+// engines drive their pass schedule through the returned pair.
+func PairKernels[K, P Word](keys []K, pay []P, bufK [2][]K, bufP [2][]P) (count, scatter ChunkFn) {
 	src := func(p int) ([]K, []P) {
 		if p == 0 {
 			return keys, pay
@@ -36,32 +35,33 @@ func PairKernels[K, P Word](keys []K, pay []P, hashed bool, bufK [2][]K, bufP [2
 	}
 	count = func(p, lo, hi int, f Field, row []int) {
 		k, _ := src(p)
-		Histogram(k[lo:hi], hashed, f, row)
+		Histogram(k[lo:hi], false, f, row)
 	}
 	scatter = func(p, lo, hi int, f Field, cur []int) {
 		k, v := src(p)
-		Scatter(k[lo:hi], v[lo:hi], hashed, f, cur, bufK[p&1], bufP[p&1])
+		Scatter(k[lo:hi], v[lo:hi], f, cur, bufK[p&1], bufP[p&1])
 	}
 	return count, scatter
 }
 
-// BUNKernels is PairKernels for a join input: pass 0 packs the caller's
-// [key, oid] columns into BUNs (kernel.go), later passes move BUNs, so
-// every pass writes one stream per cluster into buf[p&1].
-func BUNKernels[K, P Word](keys []K, oids []P, hashed bool, buf [2][]uint64) (count, scatter ChunkFn) {
+// BUNKernels is PairKernels for a join input, clustered on the hash of
+// its keys (§2.2): pass 0 hashes the caller's keys and packs them with
+// their oids into BUNs (kernel.go), later passes move BUNs on the hash
+// they carry, so every pass writes one stream per cluster into buf[p&1].
+func BUNKernels[K, P Word](keys []K, oids []P, buf [2][]uint64) (count, scatter ChunkFn) {
 	count = func(p, lo, hi int, f Field, row []int) {
 		if p == 0 {
-			Histogram(keys[lo:hi], hashed, f, row)
+			Histogram(keys[lo:hi], true, f, row)
 			return
 		}
-		HistogramBUN(buf[(p-1)&1][lo:hi], hashed, f, row)
+		HistogramBUN(buf[(p-1)&1][lo:hi], f, row)
 	}
 	scatter = func(p, lo, hi int, f Field, cur []int) {
 		if p == 0 {
-			ScatterPack(keys[lo:hi], oids[lo:hi], hashed, f, cur, buf[0])
+			ScatterPack(keys[lo:hi], oids[lo:hi], f, cur, buf[0])
 			return
 		}
-		ScatterBUN(buf[(p-1)&1][lo:hi], hashed, f, cur, buf[p&1])
+		ScatterBUN(buf[(p-1)&1][lo:hi], f, cur, buf[p&1])
 	}
 	return count, scatter
 }
@@ -122,9 +122,9 @@ func runPasses(n int, o Opts, count, scatter ChunkFn) []int {
 }
 
 // clusterPairs clusters a [key, payload] BAT on the radix field of its
-// keys (hashed or verbatim) and returns the clustered columns — always
-// fresh slices, the inputs are only read — plus the cluster offsets.
-func clusterPairs[K, P Word](keys []K, pay []P, hashed bool, o Opts) ([]K, []P, []int) {
+// keys' own bits and returns the clustered columns — always fresh
+// slices, the inputs are only read — plus the cluster offsets.
+func clusterPairs[K, P Word](keys []K, pay []P, o Opts) ([]K, []P, []int) {
 	n := len(keys)
 	np := len(o.passes())
 	bufK, bufP := [2][]K{make([]K, n)}, [2][]P{make([]P, n)}
@@ -136,25 +136,25 @@ func clusterPairs[K, P Word](keys []K, pay []P, hashed bool, o Opts) ([]K, []P, 
 	if np > 1 {
 		bufK[1], bufP[1] = make([]K, n), make([]P, n)
 	}
-	count, scatter := PairKernels(keys, pay, hashed, bufK, bufP)
+	count, scatter := PairKernels(keys, pay, bufK, bufP)
 	return bufK[(np-1)&1], bufP[(np-1)&1], runPasses(n, o, count, scatter)
 }
 
-// clusterBUNs is clusterPairs for a join input: the clustered tuples
-// come back as one fresh BUN array.
-func clusterBUNs[K, P Word](keys []K, oids []P, hashed bool, o Opts) ([]uint64, []int) {
+// clusterBUNs clusters a join input on the hash of its keys: the
+// clustered tuples come back as one fresh BUN array.
+func clusterBUNs[K, P Word](keys []K, oids []P, o Opts) ([]uint64, []int) {
 	n := len(keys)
 	np := len(o.passes())
 	buf := [2][]uint64{make([]uint64, n)}
 	if np == 0 || n == 0 {
-		// One cluster: pack in input order.
-		ScatterPack(keys, oids, false, Field{}, []int{0}, buf[0])
+		// One cluster: hash and pack in input order.
+		ScatterPack(keys, oids, Field{}, []int{0}, buf[0])
 		return buf[0], trivialOffsets(n, o.Bits)
 	}
 	if np > 1 {
 		buf[1] = make([]uint64, n)
 	}
-	count, scatter := BUNKernels(keys, oids, hashed, buf)
+	count, scatter := BUNKernels(keys, oids, buf)
 	return buf[(np-1)&1], runPasses(n, o, count, scatter)
 }
 

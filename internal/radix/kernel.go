@@ -6,7 +6,7 @@ package radix
 //
 //	clear(row); Histogram(chunk, hashed, f, row) // count: tuples per cluster
 //	row → insertion cursors                      // a prefix sum, the caller's
-//	Scatter(chunk, hashed, f, row, dst)          // stable move through the cursors
+//	Scatter(chunk, f, row, dst)                  // stable move through the cursors
 //
 // The serial engine (cluster.go) runs it with one chunk per current
 // cluster range; the parallel engine (internal/exec) with one chunk
@@ -18,14 +18,18 @@ package radix
 //
 // The kernels are typed tight loops over the caller's own slices: no
 // per-tuple call, no allocation, no staging copy. The clustering value
-// is derived from the key inside the loop (its own bits, or its hash),
-// so no radix column is materialised or carried between passes.
+// is derived inside the loop (a key's own bits, a key's hash, or the
+// hash a BUN carries), so no radix column is materialised.
 //
-// A join input travels as BUNs (§2.2): one uint64 per tuple holding key
-// and oid (BUN, BUNKey, BUNOID), so a clustering pass keeps
-// one write stream per cluster and a hash-table probe finds the key it
-// compares and the oid it emits in one load. ScatterPack packs the
-// caller's two columns during the first pass; join.ProbeBUNs unpacks.
+// A join input travels as BUNs (§2.2): one uint64 per tuple holding the
+// hash of its key and its oid (BUN, BUNHash, BUNOID), so a clustering
+// pass keeps one write stream per cluster and a hash-table probe finds
+// the hash it compares and the oid it emits in one load. Keys are
+// hashed in the first pass only — by its count and by ScatterPack,
+// which packs the caller's two columns: hash.Mix is a bijection, so
+// equal hashes mean equal keys, and every later pass and join.ProbeBUNs
+// read the radix bits and compare straight from the hash half.
+//
 // [oid, oid] clusterings stay columnar: their consumers (Positional-
 // Joins, Radix-Decluster) each read one of the two columns end to end.
 
@@ -59,19 +63,12 @@ func Histogram[K Word](keys []K, hashed bool, f Field, row []int) {
 }
 
 // Scatter moves the chunk's [key, payload] tuples into dstK/dstP in
-// input order: a tuple of cluster c lands at cur[c], which advances.
-func Scatter[K, P Word](keys []K, pay []P, hashed bool, f Field, cur []int, dstK []K, dstP []P) {
+// input order: a tuple of cluster c lands at cur[c], which advances. The
+// clustering value is the key's own bits: Scatter serves the [oid, oid]
+// clusterings, whose keys are dense oids (§3.1).
+func Scatter[K, P Word](keys []K, pay []P, f Field, cur []int, dstK []K, dstP []P) {
 	sh, mask := f.Shift, f.Mask
 	pay = pay[:len(keys)]
-	if hashed {
-		for i, k := range keys {
-			c := (hash.Mix(uint32(k)) >> sh) & mask
-			d := cur[c]
-			cur[c] = d + 1
-			dstK[d], dstP[d] = k, pay[i]
-		}
-		return
-	}
 	for i, k := range keys {
 		c := (uint32(k) >> sh) & mask
 		d := cur[c]
@@ -80,34 +77,27 @@ func Scatter[K, P Word](keys []K, pay []P, hashed bool, f Field, cur []int, dstK
 	}
 }
 
-// BUN packs a [key, oid] tuple: key in the high half, oid in the low.
-func BUN(key, oid uint32) uint64 { return uint64(key)<<32 | uint64(oid) }
+// BUN packs a join-input tuple: the hash of its key (hash.Int32) in the
+// high half, its oid in the low.
+func BUN(h, oid uint32) uint64 { return uint64(h)<<32 | uint64(oid) }
 
-// BUNKey returns the key half of a BUN.
-func BUNKey(b uint64) uint32 { return uint32(b >> 32) }
+// BUNHash returns the hash half of a BUN.
+func BUNHash(b uint64) uint32 { return uint32(b >> 32) }
 
 // BUNOID returns the oid half of a BUN.
 func BUNOID(b uint64) uint32 { return uint32(b) }
 
-// ScatterPack is Scatter for a join input: the [key, oid] tuples leave
-// as BUNs.
-func ScatterPack[K, P Word](keys []K, oids []P, hashed bool, f Field, cur []int, dst []uint64) {
+// ScatterPack is Scatter for a join input's first pass: it hashes each
+// key once and moves the [hash, oid] tuples as BUNs.
+func ScatterPack[K, P Word](keys []K, oids []P, f Field, cur []int, dst []uint64) {
 	sh, mask := f.Shift, f.Mask
 	oids = oids[:len(keys)]
-	if hashed {
-		for i, k := range keys {
-			c := (hash.Mix(uint32(k)) >> sh) & mask
-			d := cur[c]
-			cur[c] = d + 1
-			dst[d] = BUN(uint32(k), uint32(oids[i]))
-		}
-		return
-	}
 	for i, k := range keys {
-		c := (uint32(k) >> sh) & mask
+		h := hash.Mix(uint32(k))
+		c := (h >> sh) & mask
 		d := cur[c]
 		cur[c] = d + 1
-		dst[d] = BUN(uint32(k), uint32(oids[i]))
+		dst[d] = BUN(h, uint32(oids[i]))
 	}
 }
 
@@ -125,35 +115,34 @@ func ScatterPayload[P Word](keys []int32, pay []P, f Field, cur []int, dst []P) 
 	}
 }
 
-// HistogramBUN is Histogram over the keys of BUNs.
-func HistogramBUN(buns []uint64, hashed bool, f Field, row []int) {
+// ScatterHashes is ScatterPayload for the keys' hashes: hash.Int32(keys[i])
+// lands at cur[its cluster], which advances.
+func ScatterHashes(keys []int32, f Field, cur []int, dst []uint32) {
 	sh, mask := f.Shift, f.Mask
-	if hashed {
-		for _, b := range buns {
-			row[(hash.Mix(BUNKey(b))>>sh)&mask]++
-		}
-		return
+	for _, k := range keys {
+		h := hash.Mix(uint32(k))
+		c := (h >> sh) & mask
+		d := cur[c]
+		cur[c] = d + 1
+		dst[d] = h
 	}
+}
+
+// HistogramBUN is Histogram over BUNs: the clustering value is the
+// hash half, already computed.
+func HistogramBUN(buns []uint64, f Field, row []int) {
+	sh, mask := f.Shift, f.Mask
 	for _, b := range buns {
-		row[(BUNKey(b)>>sh)&mask]++
+		row[(BUNHash(b)>>sh)&mask]++
 	}
 }
 
 // ScatterBUN is Scatter for the BUNs HistogramBUN counted: the later
 // passes of a join-input clustering.
-func ScatterBUN(buns []uint64, hashed bool, f Field, cur []int, dst []uint64) {
+func ScatterBUN(buns []uint64, f Field, cur []int, dst []uint64) {
 	sh, mask := f.Shift, f.Mask
-	if hashed {
-		for _, b := range buns {
-			c := (hash.Mix(BUNKey(b)) >> sh) & mask
-			d := cur[c]
-			cur[c] = d + 1
-			dst[d] = b
-		}
-		return
-	}
 	for _, b := range buns {
-		c := (BUNKey(b) >> sh) & mask
+		c := (BUNHash(b) >> sh) & mask
 		d := cur[c]
 		cur[c] = d + 1
 		dst[d] = b

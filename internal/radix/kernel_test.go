@@ -64,14 +64,24 @@ func chunkedPass(n int, f Field, cuts []int, count, scatter func(lo, hi int, row
 	return offsets
 }
 
-// unpackBUNs splits BUNs back into the [key, payload] columns they
-// were packed from.
-func unpackBUNs[K, P Word](buns []uint64) ([]K, []P) {
-	keys, pay := make([]K, len(buns)), make([]P, len(buns))
+// unpackBUNs splits BUNs back into the [hash, payload] columns they
+// carry.
+func unpackBUNs[P Word](buns []uint64) ([]uint32, []P) {
+	hs, pay := make([]uint32, len(buns)), make([]P, len(buns))
 	for i, b := range buns {
-		keys[i], pay[i] = K(BUNKey(b)), P(BUNOID(b))
+		hs[i], pay[i] = BUNHash(b), P(BUNOID(b))
 	}
-	return keys, pay
+	return hs, pay
+}
+
+// hashWords returns hash.Mix of every key: the hash half a BUN carries
+// for it.
+func hashWords[K Word](keys []K) []uint32 {
+	out := make([]uint32, len(keys))
+	for i, k := range keys {
+		out[i] = hash.Mix(uint32(k))
+	}
+	return out
 }
 
 // compositions returns every ordered split of bits into passes for
@@ -130,16 +140,30 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 // checkPairs holds one [key, payload] input to the oracle through both
 // routes: the serial engine under every pass split, and one chunked
 // pass under arbitrary cuts (single-level fan-outs only — that is all
-// a chunked pass is used for) — each with the column kernels and with
-// the BUN kernels, whose unpacked output must be the same columns.
+// a chunked pass is used for). Unhashed, that is the column kernels of
+// the [oid, oid] clusterings; hashed, the BUN kernels of a join input,
+// whose unpacked output must be the reference's tuples with each key
+// replaced by its hash.
 func checkPairs[K, P Word](t *testing.T, rng *rand.Rand, keys []K, pay []P, hashed bool, bits, ignore int, splits [][]int) {
 	t.Helper()
 	n := len(keys)
 	wantK, wantP, wantOff := refCluster(keys, pay, hashed, bits, ignore)
+	wantH := hashWords(wantK)
+	fail := func(what string, passes ...int) {
+		t.Helper()
+		t.Fatalf("n=%d hashed=%v bits=%d ignore=%d passes=%v: %s differs from the stable-sort reference", n, hashed, bits, ignore, passes, what)
+	}
 	same := func(what string, gotK []K, gotP []P, gotOff []int, passes ...int) {
 		t.Helper()
 		if !slices.Equal(gotK, wantK) || !slices.Equal(gotP, wantP) || !slices.Equal(gotOff, wantOff) {
-			t.Fatalf("n=%d hashed=%v bits=%d ignore=%d passes=%v: %s differs from the stable-sort reference", n, hashed, bits, ignore, passes, what)
+			fail(what, passes...)
+		}
+	}
+	sameBUNs := func(what string, buns []uint64, gotOff []int, passes ...int) {
+		t.Helper()
+		gotH, gotP := unpackBUNs[P](buns)
+		if !slices.Equal(gotH, wantH) || !slices.Equal(gotP, wantP) || !slices.Equal(gotOff, wantOff) {
+			fail(what, passes...)
 		}
 	}
 	inK, inP := slices.Clone(keys), slices.Clone(pay)
@@ -148,38 +172,44 @@ func checkPairs[K, P Word](t *testing.T, rng *rand.Rand, keys []K, pay []P, hash
 		if err := o.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		gotK, gotP, gotOff := clusterPairs(keys, pay, hashed, o)
-		same("serial engine", gotK, gotP, gotOff, passes...)
-		buns, gotOff := clusterBUNs(keys, pay, hashed, o)
-		gotK, gotP = unpackBUNs[K, P](buns)
-		same("serial BUN engine (pack→BUN→BUN)", gotK, gotP, gotOff, passes...)
+		if !hashed {
+			gotK, gotP, gotOff := clusterPairs(keys, pay, o)
+			same("serial engine", gotK, gotP, gotOff, passes...)
+			continue
+		}
+		buns, gotOff := clusterBUNs(keys, pay, o)
+		sameBUNs("serial BUN engine (pack→BUN→BUN)", buns, gotOff, passes...)
 	}
 
 	f := Field{Shift: uint(ignore), Mask: uint32(1<<bits - 1)}
 	count := func(lo, hi int, row []int) { Histogram(keys[lo:hi], hashed, f, row) }
-	gotK, gotP := make([]K, n), make([]P, n)
-	gotOff := chunkedPass(n, f, randomCuts(rng, n, 5), count, func(lo, hi int, cur []int) {
-		Scatter(keys[lo:hi], pay[lo:hi], hashed, f, cur, gotK, gotP)
-	})
-	same("chunked pass", gotK, gotP, gotOff)
+	if !hashed {
+		gotK, gotP := make([]K, n), make([]P, n)
+		gotOff := chunkedPass(n, f, randomCuts(rng, n, 5), count, func(lo, hi int, cur []int) {
+			Scatter(keys[lo:hi], pay[lo:hi], f, cur, gotK, gotP)
+		})
+		same("chunked pass", gotK, gotP, gotOff)
+		if !slices.Equal(keys, inK) || !slices.Equal(pay, inP) {
+			t.Fatalf("n=%d bits=%d: clustering wrote to its input", n, bits)
+		}
+		return
+	}
 
 	packed := make([]uint64, n)
-	gotOff = chunkedPass(n, f, randomCuts(rng, n, 5), count, func(lo, hi int, cur []int) {
-		ScatterPack(keys[lo:hi], pay[lo:hi], hashed, f, cur, packed)
+	gotOff := chunkedPass(n, f, randomCuts(rng, n, 5), count, func(lo, hi int, cur []int) {
+		ScatterPack(keys[lo:hi], pay[lo:hi], f, cur, packed)
 	})
-	gotK, gotP = unpackBUNs[K, P](packed)
-	same("chunked ScatterPack pass", gotK, gotP, gotOff)
+	sameBUNs("chunked ScatterPack pass", packed, gotOff)
 
 	// BUN → BUN: pack in input order (a one-cluster pass, itself cut
-	// into chunks), then cluster the BUNs.
+	// into chunks), then cluster the BUNs on the hash they carry.
 	chunkedPass(n, Field{}, randomCuts(rng, n, 5), func(lo, hi int, row []int) { row[0] = hi - lo },
-		func(lo, hi int, cur []int) { ScatterPack(keys[lo:hi], pay[lo:hi], hashed, Field{}, cur, packed) })
+		func(lo, hi int, cur []int) { ScatterPack(keys[lo:hi], pay[lo:hi], Field{}, cur, packed) })
 	inB, moved := slices.Clone(packed), make([]uint64, n)
 	gotOff = chunkedPass(n, f, randomCuts(rng, n, 5),
-		func(lo, hi int, row []int) { HistogramBUN(packed[lo:hi], hashed, f, row) },
-		func(lo, hi int, cur []int) { ScatterBUN(packed[lo:hi], hashed, f, cur, moved) })
-	gotK, gotP = unpackBUNs[K, P](moved)
-	same("chunked BUN→BUN pass", gotK, gotP, gotOff)
+		func(lo, hi int, row []int) { HistogramBUN(packed[lo:hi], f, row) },
+		func(lo, hi int, cur []int) { ScatterBUN(packed[lo:hi], f, cur, moved) })
+	sameBUNs("chunked BUN→BUN pass", moved, gotOff)
 
 	if !slices.Equal(keys, inK) || !slices.Equal(pay, inP) || !slices.Equal(packed, inB) {
 		t.Fatalf("n=%d bits=%d: clustering wrote to its input", n, bits)
@@ -228,8 +258,8 @@ func checkRows(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, sp
 }
 
 // checkAll runs one key column through every kernel instantiation the
-// engines use: [int32 value, oid] pairs hashed and verbatim, [oid, oid]
-// pairs, an int32 payload, and records.
+// engines use, and a few more: [int32 value, oid] pairs as BUNs and
+// columns, [oid, oid] pairs, BUNs with an int32 payload, and records.
 func checkAll(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, splits [][]int) {
 	t.Helper()
 	vals, oids, ipay := make([]int32, len(keys)), make([]OID, len(keys)), make([]int32, len(keys))
@@ -286,41 +316,50 @@ func TestKernelsAllocateNothing(t *testing.T) {
 			row[c], pos = pos, pos+cnt
 		}
 	}
+	dstH := make([]uint32, n)
 	f := Field{Shift: 3, Mask: 63}
-	for _, hashed := range []bool{true, false} {
-		for name, run := range map[string]func(){
-			"pairs": func() {
-				clear(row)
-				Histogram(vals, hashed, f, row)
-				cursors()
-				Scatter(vals, oids, hashed, f, row, dstV, dstO)
-			},
-			"oid pairs": func() {
-				clear(row)
-				Histogram(oids, hashed, f, row)
-				cursors()
-				Scatter(oids, oids, hashed, f, row, dstO, dstO)
-			},
-			"BUN": func() {
-				clear(row)
-				Histogram(vals, hashed, f, row)
-				cursors()
-				ScatterPack(vals, oids, hashed, f, row, buns)
-				clear(row)
-				HistogramBUN(buns, hashed, f, row)
-				cursors()
-				ScatterBUN(buns, hashed, f, row, dstB)
-			},
-			"rows": func() {
-				clear(row)
-				HistogramRows(rows, width, 1, f, row)
-				cursors()
-				ScatterRows(rows, width, 1, f, row, dstRows)
-			},
-		} {
-			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-				t.Errorf("%s kernels (hash=%v): %v allocs per count+scatter, want 0", name, hashed, allocs)
-			}
+	for name, run := range map[string]func(){
+		"pairs": func() {
+			clear(row)
+			Histogram(vals, false, f, row)
+			cursors()
+			Scatter(vals, oids, f, row, dstV, dstO)
+		},
+		"oid pairs": func() {
+			clear(row)
+			Histogram(oids, false, f, row)
+			cursors()
+			Scatter(oids, oids, f, row, dstO, dstO)
+		},
+		"BUN": func() {
+			clear(row)
+			Histogram(vals, true, f, row)
+			cursors()
+			ScatterPack(vals, oids, f, row, buns)
+			clear(row)
+			HistogramBUN(buns, f, row)
+			cursors()
+			ScatterBUN(buns, f, row, dstB)
+		},
+		"image": func() {
+			clear(row)
+			Histogram(vals, true, f, row)
+			cursors()
+			ScatterHashes(vals, f, row, dstH)
+			clear(row)
+			Histogram(vals, true, f, row)
+			cursors()
+			ScatterPayload(vals, oids, f, row, dstO)
+		},
+		"rows": func() {
+			clear(row)
+			HistogramRows(rows, width, 1, f, row)
+			cursors()
+			ScatterRows(rows, width, 1, f, row, dstRows)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("%s kernels: %v allocs per count+scatter, want 0", name, allocs)
 		}
 	}
 }

@@ -123,24 +123,24 @@ type BUNsResult struct {
 	Offsets []int
 }
 
-// ClusterBUNs radix-clusters an [oid,value] BAT on its value column.
-// With hashVals set the radix comes from hash.Int32(value) — required
-// for join attributes so that skewed domains still spread over all
-// clusters (§2.2); without it the value's own bits are used.
-func ClusterBUNs(heads []OID, vals []int32, hashVals bool, o Opts) (*BUNsResult, error) {
+// ClusterBUNs radix-clusters an [oid,value] BAT — a join input — on
+// hash.Int32(value), so that skewed domains still spread over all
+// clusters (§2.2). The BUNs carry the hash in place of the value
+// (kernel.go): hash.Mix is a bijection, so the join compares hashes.
+func ClusterBUNs(heads []OID, vals []int32, o Opts) (*BUNsResult, error) {
 	if len(heads) != len(vals) {
 		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	buns, offsets := clusterBUNs(vals, heads, hashVals, o)
+	buns, offsets := clusterBUNs(vals, heads, o)
 	return &BUNsResult{BUNs: buns, Offsets: offsets}, nil
 }
 
 // KeyOffsets returns the 2^Bits+1 cluster offsets of a hashed
-// Radix-Cluster of keys on o's radix field — the Offsets ClusterBUNs(_,
-// keys, true, o) returns, whatever o's pass split.
+// Radix-Cluster of keys on o's radix field — the Offsets
+// ClusterBUNs(_, keys, o) returns, whatever o's pass split.
 func KeyOffsets(keys []int32, o Opts) ([]int, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -153,13 +153,12 @@ func KeyOffsets(keys []int32, o Opts) ([]int, error) {
 	return offsets, nil
 }
 
-// Permute returns col in the order ClusterBUNs(_, keys, true, o) puts
-// the tuples of keys: one stable scatter pass on the whole radix field,
+// Permute returns col in the order ClusterBUNs(_, keys, o) puts the
+// tuples of keys: one stable scatter pass on the whole radix field,
 // with cursors from the clustering's offsets (KeyOffsets). A stable
 // clustering places every tuple where any pass split would, so
-// Permute(keys, oids, …) is the BUNs' oid half and Permute(keys, keys,
-// …) their key half — and any further column of the relation follows
-// without the permutation ever being stored.
+// Permute(keys, oids, …) is the BUNs' oid half — and any column of the
+// relation follows without the permutation ever being stored.
 func Permute[P Word](keys []int32, col []P, o Opts, offsets []int) []P {
 	return PermuteInto(make([]P, len(keys)), keys, col, o, offsets)
 }
@@ -170,6 +169,15 @@ func PermuteInto[P Word](dst []P, keys []int32, col []P, o Opts, offsets []int) 
 	cur := slices.Clone(offsets[:len(offsets)-1])
 	dst = dst[:len(keys)]
 	ScatterPayload(keys, col, keyField(o), cur, dst)
+	return dst
+}
+
+// PermuteHashes returns hash.Int32 of keys in Permute's order: the BUNs'
+// hash half, the join input of a clustering done once (join.Image).
+func PermuteHashes(keys []int32, o Opts, offsets []int) []uint32 {
+	cur := slices.Clone(offsets[:len(offsets)-1])
+	dst := make([]uint32, len(keys))
+	ScatterHashes(keys, keyField(o), cur, dst)
 	return dst
 }
 
@@ -201,7 +209,7 @@ func ClusterOIDPairs(key, other []OID, o Opts) (*OIDPairsResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	outKey, outOther, offsets := clusterPairs(key, other, false, o)
+	outKey, outOther, offsets := clusterPairs(key, other, o)
 	return &OIDPairsResult{Key: outKey, Other: outOther, Offsets: offsets}, nil
 }
 

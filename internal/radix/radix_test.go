@@ -73,10 +73,11 @@ func TestMaxBitsPerPass(t *testing.T) {
 }
 
 // checkClusteredPairs verifies the three defining properties of a
-// radix clustering: (1) output is a multiset permutation of the
-// input; (2) every tuple lies in the cluster its radix value names;
-// (3) input order is preserved within each cluster.
-func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, bres *BUNsResult, hashVals bool, o Opts) {
+// join-input clustering: (1) output is a multiset permutation of the
+// input, each key carried as its hash; (2) every tuple lies in the
+// cluster its hash's radix field names; (3) input order is preserved
+// within each cluster.
+func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, bres *BUNsResult, o Opts) {
 	t.Helper()
 	n := len(heads)
 	res := unpack(bres)
@@ -87,31 +88,24 @@ func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, bres *BUNsResu
 	if err := bat.ValidateBorders(borders, n); err != nil {
 		t.Fatalf("bad borders: %v", err)
 	}
-	radixOf := func(v int32) uint32 {
-		r := uint32(v)
-		if hashVals {
-			r = hash.Int32(v)
-		}
-		return (r >> uint(o.Ignore)) & uint32(1<<o.Bits-1)
-	}
 	// (2) membership.
 	for c, b := range borders {
 		for i := b.Start; i < b.End; i++ {
-			if got := radixOf(res.Vals[i]); got != uint32(c) {
+			if got := (res.Hashes[i] >> uint(o.Ignore)) & uint32(1<<o.Bits-1); got != uint32(c) {
 				t.Fatalf("tuple %d in cluster %d has radix %d", i, c, got)
 			}
 		}
 	}
 	// (1) multiset equality via the head oids, which identify tuples
 	// uniquely in these tests.
-	seen := make(map[OID]int32, n)
+	seen := make(map[OID]uint32, n)
 	for i, h := range heads {
-		seen[h] = vals[i]
+		seen[h] = hash.Int32(vals[i])
 	}
 	for i, h := range res.Heads {
 		v, ok := seen[h]
-		if !ok || v != res.Vals[i] {
-			t.Fatalf("output tuple %d (%d,%d) not in input", i, h, res.Vals[i])
+		if !ok || v != res.Hashes[i] {
+			t.Fatalf("output tuple %d (%d,%#x) not in input", i, h, res.Hashes[i])
 		}
 		delete(seen, h)
 	}
@@ -139,16 +133,25 @@ func checkClusteredPairs(t *testing.T, heads []OID, vals []int32, bres *BUNsResu
 // unpacked is a BUNsResult split back into its two columns.
 type unpacked struct {
 	Heads   []OID
-	Vals    []int32
+	Hashes  []uint32
 	Offsets []int
 }
 
 func unpack(r *BUNsResult) unpacked {
-	u := unpacked{Heads: make([]OID, len(r.BUNs)), Vals: make([]int32, len(r.BUNs)), Offsets: r.Offsets}
+	u := unpacked{Heads: make([]OID, len(r.BUNs)), Hashes: make([]uint32, len(r.BUNs)), Offsets: r.Offsets}
 	for i, b := range r.BUNs {
-		u.Heads[i], u.Vals[i] = BUNOID(b), int32(BUNKey(b))
+		u.Heads[i], u.Hashes[i] = BUNOID(b), BUNHash(b)
 	}
 	return u
+}
+
+// hashes returns hash.Int32 of every key.
+func hashes(keys []int32) []uint32 {
+	out := make([]uint32, len(keys))
+	for i, k := range keys {
+		out[i] = hash.Int32(k)
+	}
+	return out
 }
 
 func randomPairs(n int, seed uint64) ([]OID, []int32) {
@@ -165,22 +168,22 @@ func randomPairs(n int, seed uint64) ([]OID, []int32) {
 func TestClusterBUNsSinglePass(t *testing.T) {
 	heads, vals := randomPairs(1000, 1)
 	o := Opts{Bits: 4}
-	res, err := ClusterBUNs(heads, vals, true, o)
+	res, err := ClusterBUNs(heads, vals, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkClusteredPairs(t, heads, vals, res, true, o)
+	checkClusteredPairs(t, heads, vals, res, o)
 }
 
 func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 	heads, vals := randomPairs(5000, 2)
-	bsingle, err := ClusterBUNs(heads, vals, true, Opts{Bits: 6})
+	bsingle, err := ClusterBUNs(heads, vals, Opts{Bits: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := unpack(bsingle)
 	for _, passes := range [][]int{{3, 3}, {2, 2, 2}, {4, 1, 1}, {1, 5}} {
-		bmulti, err := ClusterBUNs(heads, vals, true, Opts{Bits: 6, Passes: passes})
+		bmulti, err := ClusterBUNs(heads, vals, Opts{Bits: 6, Passes: passes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +191,7 @@ func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 		// Multi-pass MSB-first radix clustering is stable, so the
 		// result must be byte-identical to the single pass.
 		for i := range single.Heads {
-			if single.Heads[i] != multi.Heads[i] || single.Vals[i] != multi.Vals[i] {
+			if single.Heads[i] != multi.Heads[i] || single.Hashes[i] != multi.Hashes[i] {
 				t.Fatalf("passes %v: tuple %d differs from single pass", passes, i)
 			}
 		}
@@ -201,13 +204,13 @@ func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 }
 
 // TestPermuteMatchesClusterBUNs: a join image built column-wise —
-// KeyOffsets plus one Permute per column — holds exactly the BUN
-// clustering's offsets, keys and oids, for every pass split, with
-// Ignore bits, and at zero bits.
+// KeyOffsets, PermuteHashes and one Permute per column — holds exactly
+// the BUN clustering's offsets, hashes and oids, for every pass split,
+// with Ignore bits, and at zero bits.
 func TestPermuteMatchesClusterBUNs(t *testing.T) {
 	heads, vals := randomPairs(5000, 5)
 	for _, o := range []Opts{{Bits: 0}, {Bits: 6}, {Bits: 6, Passes: []int{2, 2, 2}}, {Bits: 5, Ignore: 3}, {Bits: 11, Passes: []int{6, 5}}} {
-		bres, err := ClusterBUNs(heads, vals, true, o)
+		bres, err := ClusterBUNs(heads, vals, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,14 +219,15 @@ func TestPermuteMatchesClusterBUNs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(offs, want.Offsets) || !slices.Equal(Permute(vals, vals, o, offs), want.Vals) ||
-			!slices.Equal(Permute(vals, heads, o, offs), want.Heads) {
+		keys := Permute(vals, vals, o, offs)
+		if !slices.Equal(offs, want.Offsets) || !slices.Equal(PermuteHashes(vals, o, offs), want.Hashes) ||
+			!slices.Equal(hashes(keys), want.Hashes) || !slices.Equal(Permute(vals, heads, o, offs), want.Heads) {
 			t.Fatalf("%+v: the column-wise image differs from ClusterBUNs", o)
 		}
 		// A reused, dirty, oversized buffer is written in full.
 		dirty := slices.Repeat([]int32{-7}, len(vals)+3)
-		if got := PermuteInto(dirty, vals, vals, o, offs); !slices.Equal(got, want.Vals) {
-			t.Fatalf("%+v: PermuteInto into a dirty buffer differs from ClusterBUNs", o)
+		if got := PermuteInto(dirty, vals, vals, o, offs); !slices.Equal(got, keys) {
+			t.Fatalf("%+v: PermuteInto into a dirty buffer differs from Permute", o)
 		}
 	}
 	if _, err := KeyOffsets(vals, Opts{Bits: -1}); err == nil {
@@ -231,19 +235,9 @@ func TestPermuteMatchesClusterBUNs(t *testing.T) {
 	}
 }
 
-func TestClusterBUNsUnhashed(t *testing.T) {
-	heads, vals := randomPairs(512, 3)
-	o := Opts{Bits: 3}
-	res, err := ClusterBUNs(heads, vals, false, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkClusteredPairs(t, heads, vals, res, false, o)
-}
-
 func TestClusterBUNsZeroBits(t *testing.T) {
 	heads, vals := randomPairs(64, 4)
-	bres, err := ClusterBUNs(heads, vals, true, Opts{Bits: 0})
+	bres, err := ClusterBUNs(heads, vals, Opts{Bits: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +246,14 @@ func TestClusterBUNsZeroBits(t *testing.T) {
 		t.Fatalf("offsets = %v", res.Offsets)
 	}
 	for i := range heads {
-		if res.Heads[i] != heads[i] || res.Vals[i] != vals[i] {
-			t.Fatal("B=0 must preserve the input order")
+		if res.Heads[i] != heads[i] || res.Hashes[i] != hash.Int32(vals[i]) {
+			t.Fatal("B=0 must preserve the input order and hash every key")
 		}
 	}
 }
 
 func TestClusterBUNsEmpty(t *testing.T) {
-	res, err := ClusterBUNs(nil, nil, true, Opts{Bits: 3})
+	res, err := ClusterBUNs(nil, nil, Opts{Bits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +263,7 @@ func TestClusterBUNsEmpty(t *testing.T) {
 }
 
 func TestClusterBUNsLengthMismatch(t *testing.T) {
-	if _, err := ClusterBUNs([]OID{1}, []int32{1, 2}, true, Opts{Bits: 1}); err == nil {
+	if _, err := ClusterBUNs([]OID{1}, []int32{1, 2}, Opts{Bits: 1}); err == nil {
 		t.Fatal("length mismatch not rejected")
 	}
 }
@@ -456,7 +450,7 @@ func TestClusterBUNsQuick(t *testing.T) {
 		maxPer := int(pass8%3) + 1
 		o := Opts{Bits: bits, Ignore: ignore, Passes: SplitBits(bits, maxPer)}
 		heads, vals := randomPairs(257, seed)
-		bres, err := ClusterBUNs(heads, vals, true, o)
+		bres, err := ClusterBUNs(heads, vals, o)
 		if err != nil {
 			return false
 		}
@@ -466,8 +460,8 @@ func TestClusterBUNsQuick(t *testing.T) {
 		}
 		var sumIn, sumOut int64
 		for i := range heads {
-			sumIn += int64(heads[i])*100003 + int64(vals[i])
-			sumOut += int64(res.Heads[i])*100003 + int64(res.Vals[i])
+			sumIn += int64(heads[i])*100003 + int64(hash.Int32(vals[i]))
+			sumOut += int64(res.Heads[i])*100003 + int64(res.Hashes[i])
 		}
 		return sumIn == sumOut
 	}

@@ -197,7 +197,7 @@ func clusterImage(oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image
 	if err != nil {
 		return Image{}, err
 	}
-	img := Image{Image: join.Image{Keys: radix.Permute(keys, keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}}
+	img := Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}}
 	for _, col := range base {
 		vals := make([]int32, len(img.OIDs))
 		for i, oid := range img.OIDs {

@@ -237,8 +237,8 @@ type DSMSide struct {
 	// JoinImage, when set on both sides, is DSMPost's join input — and
 	// what it projects — clustered ahead of the query, held outside it and
 	// shared with other queries, so the join phase only probes. For radix
-	// field o it returns the Image whose Keys and Offsets are
-	// radix.Permute(Keys, Keys, o, …) and radix.KeyOffsets(Keys, o); with
+	// field o it returns the Image whose Hashes and Offsets are
+	// radix.PermuteHashes(Keys, o, …) and radix.KeyOffsets(Keys, o); with
 	// cols, Cols[c] holds the values Cols[c][OIDs[i]] in that order, and
 	// without, OIDs holds the side's OIDs in that order. A compressed plan
 	// (compressed) may be given ColsEnc[c], an encoding of those values, in
@@ -541,9 +541,9 @@ func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS, compresse
 			return nil, err
 		}
 		n := len(s.OIDs)
-		if len(img.Keys) != n || len(img.Offsets) != 1<<o.Bits+1 {
+		if len(img.Hashes) != n || len(img.Offsets) != 1<<o.Bits+1 {
 			return nil, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
-				len(img.Keys), len(img.Offsets)-1, n, 1<<o.Bits)
+				len(img.Hashes), len(img.Offsets)-1, n, 1<<o.Bits)
 		}
 		if fromImg && len(img.Cols) != len(s.Cols) || !fromImg && len(img.OIDs) != n {
 			return nil, fmt.Errorf("strategy: join image lacks the %d columns or the oids asked for", len(s.Cols))

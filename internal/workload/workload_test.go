@@ -234,7 +234,7 @@ func TestSkewedKeysJoinAndPartitionBalance(t *testing.T) {
 	// Hashed radix clustering spreads the skewed keys: no partition
 	// should hold more than a few times its fair share... except the
 	// hot key's partition, which is bounded by the hot key count.
-	cl, err := radix.ClusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, true, radix.Opts{Bits: 4})
+	cl, err := radix.ClusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, radix.Opts{Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,8 +165,9 @@ func TestJoinImageEquivalence(t *testing.T) {
 		wantClusterings int
 	}{
 		{"one column", a, []string{"a1"}, []string{"a1"}, UnsortedMethod, UnsortedMethod, 2, 2},
-		// The key column is the image's keys: projecting it copies nothing.
-		{"key column", a, []string{"key"}, []string{"key"}, UnsortedMethod, UnsortedMethod, 0, 0},
+		// The images hold the keys' hashes, not the keys: a projected key
+		// column is copied like any other, once per image.
+		{"key column", a, []string{"key"}, []string{"key"}, UnsortedMethod, UnsortedMethod, 2, 0},
 		{"a column the images lack", a, []string{"a1", "a2"}, []string{"a2"}, UnsortedMethod, UnsortedMethod, 2, 0},
 		{"all columns, other roles", b, all, all, UnsortedMethod, DeclusterMethod, 0, 0},
 		// A c or s larger side emits oids: its image gains the oid column,
@@ -195,7 +196,7 @@ func TestJoinImageEquivalence(t *testing.T) {
 // TestJoinImageBuiltOnce: eight concurrent first queries on fresh
 // relations cluster each relation once and copy (raw) or encode
 // (CompressionOn) each projected column once between them. A raw u/u
-// image holds 4 B per tuple of keys, 4 B per tuple per projected column
+// image holds 4 B per tuple of key hashes, 4 B per tuple per projected column
 // — no oids — plus its partition offsets; a compressed one holds the
 // encodings' bytes in place of the column copies.
 func TestJoinImageBuiltOnce(t *testing.T) {
@@ -418,7 +419,7 @@ func TestJoinImageIncompressibleColumnStaysRaw(t *testing.T) {
 		wantBytes := 4*int64(2*r.Len()) + int64(ki.encs["a1"].CompressedBytes()) + 8*int64(len(ki.offsets))
 		r.imgMu.Unlock()
 		if b := r.JoinImageBytes(); b != wantBytes {
-			t.Fatalf("%s: JoinImageBytes = %d, want %d (keys and r raw, a1 encoded, offsets)", r.Name, b, wantBytes)
+			t.Fatalf("%s: JoinImageBytes = %d, want %d (key hashes and r raw, a1 encoded, offsets)", r.Name, b, wantBytes)
 		}
 	}
 

@@ -251,8 +251,8 @@ type Relation struct {
 }
 
 // keyImage is one key column's join image, column-wise: the cluster
-// offsets and the keys of radix.KeyOffsets/Permute for the radix field
-// it was built for, and image-order copies of the columns raw plans
+// offsets and the key hashes of radix.KeyOffsets/PermuteHashes for the
+// radix field it was built for, and image-order copies of the columns raw plans
 // projected from it (cols), block-compressed encodings of the image-order
 // copies of the columns compressed plans projected (encs) and the dense
 // oids (oids), each added by the first query that needs it. An encs entry
@@ -261,7 +261,7 @@ type Relation struct {
 type keyImage struct {
 	o       radix.Opts
 	offsets []int
-	keys    []int32
+	hashes  []uint32
 	cols    map[string][]int32
 	encs    map[string]*compress.Encoded
 	oids    []OID
@@ -427,7 +427,8 @@ func (r *Relation) recordEncoding() (*compress.Encoded, error) {
 // "build-join-image", a column, an encoding or the oids as
 // "build-image-column". The clustering is stable, so the pass split does
 // not change its bytes: the image is keyed by the radix field alone. A
-// projected key column is the image's keys, raw.
+// projected key column is a column like any other: the image holds the
+// key hashes the probe compares, not the keys.
 func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
 	type build struct {
 		name       string
@@ -453,7 +454,7 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, comp
 		if err != nil {
 			return strategy.Image{}, err
 		}
-		ki = &keyImage{o: o, offsets: offsets, keys: radix.Permute(keys, keys, o, offsets),
+		ki = &keyImage{o: o, offsets: offsets, hashes: radix.PermuteHashes(keys, o, offsets),
 			cols: map[string][]int32{}, encs: map[string]*compress.Encoded{}}
 		builds = append(builds, build{"build-join-image", start, time.Now()})
 		if r.joinImgs == nil {
@@ -461,7 +462,7 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, comp
 		}
 		r.joinImgs[key] = ki
 	}
-	img := strategy.Image{Image: join.Image{Keys: ki.keys, Offsets: ki.offsets}}
+	img := strategy.Image{Image: join.Image{Hashes: ki.hashes, Offsets: ki.offsets}}
 	if !cols {
 		if ki.oids == nil {
 			start := time.Now()
@@ -481,10 +482,6 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, comp
 	// (unless a copy that did not shrink keeps it).
 	var scratch []int32
 	for i, name := range proj {
-		if name == key {
-			img.Cols[i] = ki.keys
-			continue
-		}
 		vals, err := r.Column(name)
 		if err != nil {
 			return strategy.Image{}, err
@@ -526,9 +523,10 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, comp
 
 // JoinImageBytes reports the bytes the relation's join images hold, 0
 // before the first runtime DSM post-projection query: per key column
-// joined on, 4 per tuple of keys; 4 per tuple for each column held raw in
-// image order — the columns raw plans projected from it, and the oids
-// once a c or s larger side asked for them; the encoded bytes
+// joined on, 4 per tuple of key hashes; 4 per tuple for each column held
+// raw in image order — the columns raw plans projected from it (the key
+// column too, once a query projects it), and the oids once a c or s
+// larger side asked for them; the encoded bytes
 // (CompressedBytes) of each image-order column a compressed plan
 // projected; plus 8 per partition offset. They live outside every
 // runtime's arena and its MemoryBudget.
@@ -537,7 +535,7 @@ func (r *Relation) JoinImageBytes() int64 {
 	defer r.imgMu.Unlock()
 	var n int64
 	for _, ki := range r.joinImgs {
-		n += 4*int64(len(ki.keys)+len(ki.oids)) + 8*int64(len(ki.offsets))
+		n += 4*int64(len(ki.hashes)+len(ki.oids)) + 8*int64(len(ki.offsets))
 		for _, col := range ki.cols {
 			n += 4 * int64(len(col))
 		}
