@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"radixdecluster/internal/workload"
@@ -408,24 +408,15 @@ func TestHierarchyRoundTrip(t *testing.T) {
 	if err := zero.Validate(); err != nil {
 		t.Fatal("zero hierarchy must default to Pentium4")
 	}
-	// The residency threshold defaults to the last declared cache level
-	// and travels with the description, with or without levels.
-	if b, src := zero.Residency(); b != 512<<10 || src != "declared" {
-		t.Fatalf("zero hierarchy: residency %d (%s), want the Pentium 4's 512 KB, declared", b, src)
-	}
-	for _, h := range []Hierarchy{{ResidentBytes: 3 << 20}, {Levels: Pentium4().Levels, ResidentBytes: 3 << 20}} {
+	// The levels travel through the internal form, with or without
+	// being spelled out.
+	for _, h := range []Hierarchy{zero, {Levels: Pentium4().Levels}} {
 		in := h.internal()
-		if in.ResidentBytes != 3<<20 || len(in.Levels) != 3 || fromInternal(in).ResidentBytes != 3<<20 {
-			t.Fatalf("%+v: internal form %+v lost the levels or the residency threshold", h, in)
+		if len(in.Levels) != 3 || !reflect.DeepEqual(fromInternal(in).Levels, Pentium4().Levels) {
+			t.Fatalf("%+v: internal form %+v lost the levels", h, in)
 		}
-		if b, _ := h.Residency(); b != 3<<20 {
-			t.Fatalf("%+v: residency %d, want 3 MiB", h, b)
-		}
-		if got := h.String(); !strings.HasPrefix(got, "L1=16KiB/32B L2=512KiB/128B TLB=256KiB/4096B resident=3072KiB (") {
+		if got := h.String(); got != "L1=16KiB/32B L2=512KiB/128B TLB=256KiB/4096B" {
 			t.Fatalf("String() = %q", got)
 		}
-	}
-	if err := (Hierarchy{ResidentBytes: -1}).Validate(); err == nil {
-		t.Fatal("negative ResidentBytes accepted")
 	}
 }

@@ -126,7 +126,6 @@ func main() {
 		MaxConcurrentQueries: *maxConcurrent,
 		MetricsAddr:          *metricsAddr,
 		PprofLabels:          *pprofLabels,
-		Hier:                 rd.HostHierarchy(),
 	})
 	defer rt.Close()
 	q.Runtime = rt

@@ -60,9 +60,6 @@ func main() {
 		Workers: *workers, MaxConcurrentQueries: *admit,
 		MemoryBudget: *memBudget, PprofLabels: *pprofLabels,
 		Metrics: true, // rendered on this daemon's own /metrics
-		// The paper's declared levels size every plan; the host's own
-		// last-level cache decides which projection methods it uses.
-		Hier: rd.HostHierarchy(),
 	})
 	defer rt.Close()
 

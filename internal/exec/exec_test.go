@@ -190,15 +190,16 @@ func TestSortOIDPairsMatchesSerial(t *testing.T) {
 	})
 }
 
-// testImage is the join image of an [oid, key] input: its keys, oids
-// and offsets as a relation holds them.
-func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) *join.Image {
+// testImage is the join image of an [oid, key] input — its key hashes
+// and offsets as a relation holds them — and, beside it, the oids in
+// image order.
+func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) (*join.Image, []OID) {
 	t.Helper()
 	offs, err := radix.KeyOffsets(keys, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
+	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, radix.Permute(keys, oids, o, offs)
 }
 
 func TestPartitionedJoinMatchesSerial(t *testing.T) {
@@ -215,12 +216,10 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The probe over join images — inputs clustered once outside the
-			// engine — must produce the same index when both sides emit
-			// oids, and image positions that name the same tuples when the
-			// larger side emits positions.
-			cl, cs := testImage(t, lo, lk, o), testImage(t, so, sk, o)
-			lpos := *cl
-			lpos.OIDs = nil
+			// engine — must emit image positions that, mapped through the
+			// oids kept beside each image, name the same sequence.
+			cl, lOIDs := testImage(t, lo, lk, o)
+			cs, sOIDs := testImage(t, so, sk, o)
 			withLeases(t, func(t *testing.T, p *Engine) {
 				got, err := p.PartitionedJoin(lo, lk, so, sk, o)
 				if err != nil {
@@ -230,18 +229,17 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				positions, err := p.ProbePartitions(&lpos, cs, uint(o.Bits))
-				if err != nil {
-					t.Fatal(err)
+				for i, pos := range probed.Larger {
+					probed.Larger[i] = lOIDs[pos]
 				}
-				for i, pos := range positions.Larger {
-					positions.Larger[i] = cl.OIDs[pos]
+				for i, pos := range probed.Smaller {
+					probed.Smaller[i] = sOIDs[pos]
 				}
 				// slices.Equal, not reflect.DeepEqual: skew makes these
 				// join-indexes millions of oids long, and DeepEqual's
 				// per-element reflection was most of this package's time
 				// under the race detector.
-				for op, ix := range map[string]*join.Index{"PartitionedJoin": got, "ProbePartitions": probed, "ProbePartitions(positions)": positions} {
+				for op, ix := range map[string]*join.Index{"PartitionedJoin": got, "ProbePartitions": probed} {
 					if !slices.Equal(ix.Larger, want.Larger) || !slices.Equal(ix.Smaller, want.Smaller) {
 						t.Fatalf("%s workers=%d bits=%d skewed=%v: parallel join-index differs from serial (%d vs %d matches)",
 							op, p.Workers(), o.Bits, skewed, ix.Len(), want.Len())
@@ -405,7 +403,8 @@ func TestSerialFallbackPredicate(t *testing.T) {
 		}},
 		{"ProbePartitions", false, func(e *Engine, n int) error {
 			o := radix.Opts{Bits: 4}
-			cl, cs := testImage(t, oids[:n-n/2], vals[:n-n/2], o), testImage(t, other[:n/2], vals[:n/2], o)
+			cl, _ := testImage(t, oids[:n-n/2], vals[:n-n/2], o)
+			cs, _ := testImage(t, other[:n/2], vals[:n/2], o)
 			_, err := e.ProbePartitions(cl, cs, uint(o.Bits))
 			return err
 		}},

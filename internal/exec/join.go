@@ -54,8 +54,8 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 // the parallel equivalent of join.PartitionedImages: it hash-joins every
 // pair of matching partitions of two images clustered on the same bits
 // (shift = the clustering's Ignore+Bits) concurrently and returns the
-// join-index in partition order, each side holding image positions or,
-// where the image carries OIDs, oids. The images are only read.
+// join-index in partition order, each side holding image positions. The
+// images are only read.
 func (e *Engine) ProbePartitions(larger, smaller *join.Image, shift uint) (*join.Index, error) {
 	// The serial loop also reports mismatched partition counts.
 	if e.serial(len(larger.Hashes)+len(smaller.Hashes)) || len(larger.Offsets) != len(smaller.Offsets) {

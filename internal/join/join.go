@@ -146,19 +146,18 @@ func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*In
 // relation's join image): the hashes of its keys in clustered order —
 // the hash halves of the BUNs radix.ClusterBUNs would produce — and the
 // 2^B+1 cluster offsets (radix.KeyOffsets, radix.PermuteHashes). A match
-// emits the tuple's image position — its index in Hashes — or, when
-// OIDs is set, OIDs at that position: with OIDs the clustered oid
-// column, exactly the oid a BUN probe of the same clustering emits.
+// emits the tuple's image position, its index in Hashes: the holder of
+// the image keeps whatever it projects in the same order and reads it
+// there, so an image carries no oids.
 type Image struct {
 	Hashes  []uint32
 	Offsets []int
-	OIDs    []OID
 }
 
 // PartitionedImages is PartitionedPreclustered over two images:
 // ProbeImage over every partition pair in order, with one table scratch
-// for all of them. With both images' OIDs set it returns
-// PartitionedPreclustered's join-index over the same clustering.
+// for all of them. Mapped through the clustered oids, its join-index is
+// PartitionedPreclustered's over the same clustering.
 func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
 	if len(larger.Offsets) != len(smaller.Offsets) {
 		return nil, fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
@@ -175,30 +174,14 @@ func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
 }
 
 // ProbeImage joins partition p of two images into out: ProbeHashes over
-// the partition pair, then each side that carries OIDs has its emitted
-// positions replaced by its oids — a pass over the partition's matches
-// that reads only the partition's slice of the oid column.
+// the partition pair, emitting image positions.
 func ProbeImage(larger, smaller *Image, p int, shift uint, out *Index, ts *TableScratch) {
 	ll, lh := larger.Offsets[p], larger.Offsets[p+1]
 	sl, sh := smaller.Offsets[p], smaller.Offsets[p+1]
 	if ll == lh || sl == sh {
 		return
 	}
-	m := len(out.Larger)
 	ProbeHashes(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, ll, shift, out, ts)
-	toOIDs(out.Larger[m:], larger.OIDs)
-	toOIDs(out.Smaller[m:], smaller.OIDs)
-}
-
-// toOIDs replaces image positions by the oids at them; nil oids leave
-// the positions.
-func toOIDs(pos, oids []OID) {
-	if oids == nil {
-		return
-	}
-	for i, p := range pos {
-		pos[i] = oids[p]
-	}
 }
 
 // TableScratch holds the hash-table arrays of ProbeBUNs so that a

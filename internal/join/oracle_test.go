@@ -210,43 +210,26 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 		}
 		engines = append(engines, true)
 	}
-	// Over join images: sides emitting oids give the same sequence, and
-	// sides emitting image positions name the same tuples.
-	li, si := image(t, lo, lk, o), image(t, so, sk, o)
+	// Over join images: the image positions, mapped through the clustered
+	// oids kept beside each image, name the BUN probe's sequence.
+	li, lOIDs := image(t, lo, lk, o)
+	si, sOIDs := image(t, so, sk, o)
 	shift := uint(o.Ignore + o.Bits)
 	for _, par := range engines {
-		for _, emit := range []struct {
-			name string
-			l, s bool
-		}{{"oids", true, true}, {"positions", false, false}, {"larger positions", false, true}} {
-			l, s := *li, *si
-			if !emit.l {
-				l.OIDs = nil
-			}
-			if !emit.s {
-				s.OIDs = nil
-			}
-			probe := join.PartitionedImages
-			if par {
-				probe = func(l, s *join.Image, shift uint) (*join.Index, error) { return e.ProbePartitions(l, s, shift) }
-			}
-			got, err := probe(&l, &s, shift)
-			if err != nil {
-				t.Fatalf("%+v: images (parallel=%v, %s): %v", o, par, emit.name, err)
-			}
-			if !emit.s {
-				checkLIFO(t, got)
-			}
-			if !emit.l {
-				positionsToOIDs(got.Larger, li.OIDs)
-			}
-			if !emit.s {
-				positionsToOIDs(got.Smaller, si.OIDs)
-			}
-			if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
-				t.Fatalf("%+v: images (parallel=%v, %s): join-index is not the BUN probe's sequence (%d vs %d pairs)",
-					o, par, emit.name, got.Len(), serial.Len())
-			}
+		probe := join.PartitionedImages
+		if par {
+			probe = func(l, s *join.Image, shift uint) (*join.Index, error) { return e.ProbePartitions(l, s, shift) }
+		}
+		got, err := probe(li, si, shift)
+		if err != nil {
+			t.Fatalf("%+v: images (parallel=%v): %v", o, par, err)
+		}
+		checkLIFO(t, got)
+		positionsToOIDs(got.Larger, lOIDs)
+		positionsToOIDs(got.Smaller, sOIDs)
+		if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
+			t.Fatalf("%+v: images (parallel=%v): join-index is not the BUN probe's sequence (%d vs %d pairs)",
+				o, par, got.Len(), serial.Len())
 		}
 	}
 }
@@ -264,14 +247,15 @@ func checkLIFO(t *testing.T, ix *join.Index) {
 	}
 }
 
-// image is the join image of an [oid, key] input, oids included.
-func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) *join.Image {
+// image is the join image of an [oid, key] input and, beside it, the
+// oids in image order.
+func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) (*join.Image, []join.OID) {
 	t.Helper()
 	offs, err := radix.KeyOffsets(keys, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}
+	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, radix.Permute(keys, oids, o, offs)
 }
 
 // positionsToOIDs replaces image positions by the oids at them.

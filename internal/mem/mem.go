@@ -61,16 +61,6 @@ type Hierarchy struct {
 	// ClockGHz converts cycle counts from the literature into
 	// nanoseconds. Informational; all Level latencies are already ns.
 	ClockGHz float64
-	// ResidentBytes is the largest footprint one column may have and
-	// still stay cache-resident under random access on the machine the
-	// plan will run on — the one question the method switch of Figure
-	// 10c (u/u → c/u → c/d) asks of the hierarchy. 0 means the last
-	// declared cache level's size. A serving host sets it to its real
-	// last-level cache (calibrator.DetectLLCBytes) while Levels stay the
-	// declared ones: radix bits, the insertion window, the pass split,
-	// the cost model and a memory budget's admission ceiling are all
-	// sized from Levels, never from this number.
-	ResidentBytes int
 }
 
 // Pentium4 returns the hierarchy of the paper's evaluation platform
@@ -133,9 +123,6 @@ func Small() Hierarchy {
 func (h Hierarchy) Validate() error {
 	if len(h.Levels) == 0 {
 		return fmt.Errorf("mem: hierarchy has no levels")
-	}
-	if h.ResidentBytes < 0 {
-		return fmt.Errorf("mem: negative ResidentBytes %d", h.ResidentBytes)
 	}
 	prevSize := 0
 	for i, l := range h.Levels {

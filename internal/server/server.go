@@ -237,11 +237,11 @@ type RelationInfo struct {
 	Compressed bool     `json:"compressed"`
 	// JoinImageBytes is what the relation's join images hold
 	// (rd.Relation.JoinImageBytes): per key column joined on, 4 B per
-	// tuple of keys; 4 B per tuple for each column held raw in image
-	// order — every column raw runtime queries projected from it, and the
-	// oids once a c or s larger side needed them; the encoded bytes of
-	// each image-order column compressed queries projected; plus the
-	// partition offsets. 0 until a runtime query joins it.
+	// tuple of key hashes; 4 B per tuple for each column held raw in
+	// image order — every column raw runtime queries projected from it;
+	// the encoded bytes of each image-order column compressed queries
+	// projected; plus the partition offsets. 0 until a runtime u/u query
+	// (the Auto plan) joins it.
 	JoinImageBytes int64 `json:"joinImageBytes"`
 }
 
@@ -272,11 +272,6 @@ type Status struct {
 	MaxConcurrentQueries int `json:"maxConcurrentQueries"`
 	ActiveQueries        int `json:"activeQueries"`
 	QueuedQueries        int `json:"queuedQueries"`
-	// The residency threshold queries on this runtime pick projection
-	// methods by (rd.Hierarchy.Residency): bytes, and "sysfs" when it is
-	// the host's detected last-level cache, "declared" otherwise.
-	ResidentBytes  int    `json:"residentBytes"`
-	ResidentSource string `json:"residentSource"`
 	// Deprecated: SharedScanHits is always 0 (scan sharing was removed);
 	// it stays because benchmark/metrics.go reads it.
 	SharedScanHits int64 `json:"sharedScanHits"`
@@ -326,14 +321,11 @@ func (s *Server) Status() Status {
 	s.relMu.RLock()
 	nrels := len(s.rels)
 	s.relMu.RUnlock()
-	resident, residentSource := rt.Hier().Residency()
 	return Status{
 		Workers:              rt.Workers(),
 		MaxConcurrentQueries: rt.MaxConcurrentQueries(),
 		ActiveQueries:        rt.ActiveQueries(),
 		QueuedQueries:        rt.QueuedQueries(),
-		ResidentBytes:        resident,
-		ResidentSource:       residentSource,
 		Sched:                rt.SchedStats(),
 		MemPool:              rt.MemPoolStats(),
 		Server: ServerStatus{

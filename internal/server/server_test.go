@@ -315,7 +315,7 @@ func TestStatusAndFooterWireShape(t *testing.T) {
 		want []string
 	}{
 		{"status", status, []string{"activeQueries", "maxConcurrentQueries", "memPool", "queuedQueries",
-			"residentBytes", "residentSource", "sched", "server", "sharedScanHits", "workers"}},
+			"sched", "server", "sharedScanHits", "workers"}},
 		{"status.sched", jsonObject(t, status["sched"]), []string{"LocalHits", "Stolen"}},
 		{"status.memPool", jsonObject(t, status["memPool"]), []string{"HeldBytes", "Hits", "Leases", "Misses", "Trims"}},
 		{"status.server", jsonObject(t, status["server"]), []string{"batchedQueries",

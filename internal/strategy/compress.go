@@ -10,10 +10,10 @@ package strategy
 // stitch, an NSM record image before key extraction — and every later
 // phase runs the raw plan over the decoded arrays. Over join images the
 // same holds: a compressed image plan is the decode pass plus the raw
-// image plan. A side projected from its join image is handed encodings
-// of its image-order columns in the join phase, its decode phase decodes
-// those, and the raw fetch reads them through image positions — the
-// larger side's sequentially, the smaller side's inside one partition.
+// image plan (u/u): each side is handed encodings of its image-order
+// columns in the join phase, its decode phase decodes those, and the raw
+// fetch reads them through image positions — the larger side's
+// sequentially, the smaller side's inside one partition.
 // The plan itself (its methods, bits and window) is the raw plan's, and
 // output bytes are identical either way: the decode reproduces the raw
 // arrays exactly. Compression is never chosen by the cost model: a
@@ -80,12 +80,12 @@ func (s *NSMSide) recordSlot() slot {
 // decodePhase lists the scan-shaped phase of a compressed plan that
 // decodes each slot's encoding into a leased raw array and swaps it in,
 // so the phases listed after it read raw arrays only. Slots none of
-// which is encoded list nothing — unless late: a side fed from its join
-// image learns its encodings only in the join phase, so its phase is
-// listed and decodes whatever the image handed it (nothing where every
-// column stayed raw).
-func decodePhase(pl *exec.Pipeline, name string, late bool, slots ...slot) {
-	if !late && !slices.ContainsFunc(slots, func(s slot) bool { return *s.enc != nil }) {
+// which is encoded list nothing — unless images: a side fed from its
+// join image learns its encodings only in the join phase, so its phase
+// is listed and decodes whatever the image handed it (nothing where
+// every column stayed raw).
+func decodePhase(pl *exec.Pipeline, name string, images bool, slots ...slot) {
+	if !images && !slices.ContainsFunc(slots, func(s slot) bool { return *s.enc != nil }) {
 		return
 	}
 	pl.Then(exec.PhaseScan, name, func(e *exec.Engine) error {

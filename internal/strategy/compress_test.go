@@ -157,18 +157,13 @@ func stepCount(tr *obs.Trace, name string) int {
 func withJoinImages(encoded *int64, sides ...*DSMSide) {
 	for _, s := range sides {
 		oids, keys, base := s.OIDs, s.Keys, s.Cols
-		s.JoinImage = func(o radix.Opts, cols, compressed bool, step func(string, time.Time, time.Time)) (Image, error) {
+		s.JoinImage = func(o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (Image, error) {
 			start := time.Now()
 			img, err := clusterImage(oids, keys, base, o)
 			if err != nil {
 				return Image{}, err
 			}
 			step("build-join-image", start, time.Now())
-			if !cols {
-				img.Cols = nil
-				return img, nil
-			}
-			img.OIDs = nil
 			if compressed {
 				img.ColsEnc = make([]*compress.Encoded, len(img.Cols))
 				for c, col := range img.Cols {
@@ -190,17 +185,18 @@ func withJoinImages(encoded *int64, sides ...*DSMSide) {
 }
 
 // clusterImage is the join image of an [oid, key] input whose oids
-// point into the base columns: keys, oids and every column's values in
-// clustered order.
+// point into the base columns: the key hashes and every column's values
+// in clustered order.
 func clusterImage(oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image, error) {
 	offs, err := radix.KeyOffsets(keys, o)
 	if err != nil {
 		return Image{}, err
 	}
-	img := Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs, OIDs: radix.Permute(keys, oids, o, offs)}}
+	img := Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}}
+	clustered := radix.Permute(keys, oids, o, offs)
 	for _, col := range base {
-		vals := make([]int32, len(img.OIDs))
-		for i, oid := range img.OIDs {
+		vals := make([]int32, len(clustered))
+		for i, oid := range clustered {
 			vals[i] = col[oid]
 		}
 		img.Cols = append(img.Cols, vals)
@@ -222,11 +218,13 @@ const tracePipelineTrack = 1000
 // u side hundreds of times over. Covered: the
 // DSM post-projection method pairs u/u, c/u, s/d and c/d, DSM
 // pre-projection, and the four NSM strategies, each with its phase list.
-// A runtime DSM post-projection run joins over join images, as the root
-// package's runtime queries do: it decodes no key column, each image it
-// builds is a step of its join phase, and a side projected from its
-// image (a u larger side, the smaller side) decodes the image-order
-// encodings the join phase handed it in place of its base-order ones.
+// A runtime u/u DSM post-projection run joins over join images, as the
+// root package's runtime queries do: it decodes no key column, each
+// image it builds is a step of its join phase, and both sides decode the
+// image-order encodings the join phase handed them in place of their
+// base-order ones. The other runtime method pairs are handed the same
+// images but cluster per query, as paper mode does: they build none and
+// decode the base-order encodings.
 func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 74})
@@ -248,7 +246,6 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 		return n
 	}
 	dsmBytes := encodedBytes(append(l.encs(), s.encs()...)...)
-	largerColBytes := encodedBytes(l.ColsEnc...)
 	nsmBytes := encodedBytes(nl.Enc, ns.Enc)
 	dsmPost := func(lm, sm ProjMethod) func(Config) (*Result, error) {
 		return func(cfg Config) (*Result, error) {
@@ -302,15 +299,11 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 		for _, par := range []int{0, 2} {
 			tag := fmt.Sprintf("%s par=%d", c.name, par)
 			bytes, phases, builds := c.bytes, c.phases, 0
-			images := par != 0 && slices.Contains(phases, "decompress-keys")
+			images := par != 0 && c.name == "u/u"
 			if images {
-				// Only a c or s larger side (it has a reorder phase) still
-				// decodes base-order columns; the image encodings the join
-				// phase hands out are added once the run has them.
+				// No base-order encoding is read; the image encodings the
+				// join phase hands out are added once the run has them.
 				bytes = 0
-				if slices.Contains(phases, reorder[PartialCluster]) || slices.Contains(phases, reorder[SortedM]) {
-					bytes = largerColBytes
-				}
 				phases = slices.DeleteFunc(slices.Clone(phases), func(p string) bool { return p == "decompress-keys" })
 				builds = 2
 			}

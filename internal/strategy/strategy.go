@@ -25,8 +25,9 @@
 // the phases the record calls for, and the pipeline runs them —
 // serially in the paper's single-threaded mode, or morsel-driven
 // parallel on a runtime lease when the plan has workers — with
-// byte-identical results either way. Every run returns a phase-by-phase
-// wall-clock breakdown and the plan it executed.
+// byte-identical results for the same plan either way. Every run
+// returns a phase-by-phase wall-clock breakdown and the plan it
+// executed.
 package strategy
 
 import (
@@ -53,8 +54,8 @@ type OID = bat.OID
 type ProjMethod byte
 
 const (
-	// Auto lets the planner pick (the Figure-10c u/u → c/u → c/d
-	// switching behaviour).
+	// Auto lets the planner pick: the Figure-10c u/u → c/u → c/d
+	// switching behaviour, or u/u over join images (PlanDSMPost).
 	Auto ProjMethod = 0
 	// Unsorted: Positional-Joins straight from the join-index ("u").
 	Unsorted ProjMethod = 'u'
@@ -89,7 +90,7 @@ type Config struct {
 	// workers, AutoParallelism = as many as the runtime has. All five
 	// strategies run as phase pipelines on the
 	// shared executor, and parallel runs produce output byte-identical
-	// to serial runs.
+	// to serial runs of the same plan.
 	Parallelism int
 	// Runtime is the execution runtime parallel pipelines lease their
 	// workers from: admission control bounds the number of concurrently
@@ -98,8 +99,8 @@ type Config struct {
 	// runtime's size. Nil selects the process
 	// default (DefaultRuntime), created on the first parallel run — a
 	// lone query is that runtime serving one lease. Serial runs
-	// (Parallelism 0) never involve a runtime. The result bytes are
-	// identical in both modes and on every runtime.
+	// (Parallelism 0) never involve a runtime. The result bytes of one
+	// plan are identical in both modes and on every runtime.
 	Runtime *exec.Runtime
 	// Trace, when set, collects this run's span events (per-phase
 	// spans with queue waits and morsel counts, per-morsel worker
@@ -236,16 +237,16 @@ type DSMSide struct {
 	ColsEnc []*compress.Encoded
 	// JoinImage, when set on both sides, is DSMPost's join input — and
 	// what it projects — clustered ahead of the query, held outside it and
-	// shared with other queries, so the join phase only probes. For radix
+	// shared with other queries, so the join phase only probes. Auto plans
+	// u/u over it, and DSMPost reads it only for a u/u plan. For radix
 	// field o it returns the Image whose Hashes and Offsets are
-	// radix.PermuteHashes(Keys, o, …) and radix.KeyOffsets(Keys, o); with
-	// cols, Cols[c] holds the values Cols[c][OIDs[i]] in that order, and
-	// without, OIDs holds the side's OIDs in that order. A compressed plan
-	// (compressed) may be given ColsEnc[c], an encoding of those values, in
-	// place of Cols[c]; any other plan gets Cols only. It reports each part
-	// it had to build, once built, through step. DSMPost never writes into
-	// it.
-	JoinImage func(o radix.Opts, cols, compressed bool, step func(name string, start, end time.Time)) (Image, error)
+	// radix.PermuteHashes(Keys, o, …) and radix.KeyOffsets(Keys, o), and
+	// whose Cols[c] holds the values Cols[c][OIDs[i]] in that order. A
+	// compressed plan (compressed) may be given ColsEnc[c], an encoding of
+	// those values, in place of Cols[c]; any other plan gets Cols only. It
+	// reports each part it had to build, once built, through step. DSMPost
+	// never writes into it.
+	JoinImage func(o radix.Opts, compressed bool, step func(name string, start, end time.Time)) (Image, error)
 }
 
 // Image is a side's join image as DSMPost reads it: the clustered join
@@ -293,15 +294,15 @@ func validateDSM(larger, smaller DSMSide) error {
 
 // resolveLarger picks the larger-side method (§4.1, Figure 8): fall
 // back to unsorted while one column stays cache-resident under random
-// access; beyond that, partial-cluster for few projection columns and
-// full sort for many (the Figure-8 crossover at π ≈ 16), since the sort
-// is paid once but helps every column. resident is PlanDSMPost's
-// residency threshold.
-func resolveLarger(m ProjMethod, pi, baseN, resident int) ProjMethod {
+// access (baseN*4 <= c, the declared last cache level); beyond that,
+// partial-cluster for few projection columns and full sort for many (the
+// Figure-8 crossover at π ≈ 16), since the sort is paid once but helps
+// every column.
+func resolveLarger(m ProjMethod, pi, baseN, c int) ProjMethod {
 	if m != Auto {
 		return m
 	}
-	if pi == 0 || baseN*4 <= resident {
+	if pi == 0 || baseN*4 <= c {
 		return Unsorted
 	}
 	if pi > 16 {
@@ -315,29 +316,30 @@ func resolveLarger(m ProjMethod, pi, baseN, resident int) ProjMethod {
 // Radix-Decluster beyond (§4.1: "Radix-Decluster is to be used only for
 // the second (smaller) projection table, with unsorted processing as
 // the only alternative").
-func resolveSmaller(m ProjMethod, pi, baseN, resident int) ProjMethod {
+func resolveSmaller(m ProjMethod, pi, baseN, c int) ProjMethod {
 	if m != Auto {
 		return m
 	}
-	if pi == 0 || baseN*4 <= resident {
+	if pi == 0 || baseN*4 <= c {
 		return Unsorted
 	}
 	return Declustered
 }
 
-// PlanDSMPost is DSMPost's plan step. Two readings of the cache feed
-// it. Everything SIZED — the join's radix bits, the cluster bits of a
-// c or d side, the insertion window, and the shape the cost prices
-// (result cardinality ≈ the larger input, π = the wider projection
-// list, the c/d formula's bits and window, whatever the methods: the
-// model has no formula for the others)
-// — reads the declared levels. Only the method switch asks whether a
-// column stays RESIDENT, which on a serving runtime is a fact about the
-// host: the threshold is Hierarchy.ResidentBytes, or the declared level
-// c when that is 0. A compressed side reads the same threshold: its
-// columns are decoded into raw ones before their fetch (decodePhase), so
-// the fetch is the raw one — over join images, through the same image
-// positions.
+// PlanDSMPost is DSMPost's plan step. Everything it sizes — the join's
+// radix bits, the cluster bits of a c or d side, the insertion window,
+// and the shape the cost prices (result cardinality ≈ the larger input,
+// π = the wider projection list, the c/d formula's bits and window,
+// whatever the methods: the model has no formula for the others) — reads
+// the declared levels. Auto picks the methods two ways. When both sides
+// carry a JoinImage (the root attaches one to runtime queries only) it
+// plans u/u: over join images the larger side's fetch is sequential and
+// the smaller side's stays inside one partition, so the premise of the
+// §4.1 switch — u fetches a column that outgrows the cache at random —
+// no longer holds. Otherwise the §4.1 rule runs on the declared last
+// cache level (resolveLarger, resolveSmaller). A compressed side plans
+// like a raw one: its columns are decoded into raw ones before their
+// fetch (decodePhase), so the fetch is the raw one.
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
 	if err := validateDSM(larger, smaller); err != nil {
 		return Plan{}, nil, err
@@ -356,12 +358,16 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 	}
 	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), larger.encs(), smaller.encs())
 
-	resident := c
-	if h.ResidentBytes > 0 {
-		resident = h.ResidentBytes
+	if larger.JoinImage != nil && smaller.JoinImage != nil {
+		if lm == Auto {
+			lm = Unsorted
+		}
+		if sm == Auto {
+			sm = Unsorted
+		}
 	}
-	p.LargerMethod = resolveLarger(lm, len(larger.Cols), larger.BaseN, resident)
-	p.SmallerMethod = resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, resident)
+	p.LargerMethod = resolveLarger(lm, len(larger.Cols), larger.BaseN, c)
+	p.SmallerMethod = resolveSmaller(sm, len(smaller.Cols), smaller.BaseN, c)
 	switch p.LargerMethod {
 	case Unsorted, SortedM:
 	case PartialCluster:
@@ -400,11 +406,17 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	res := &Result{Plan: p}
 
 	// Phase 1: join-index via Partitioned Hash-Join on the key BATs —
-	// over the sides' join images when both carry one, so the phase only
-	// probes and no phase reads a key column. Otherwise compressed key
-	// columns are decoded first — a scan-shaped pass that reads only the
-	// encoded bytes from RAM.
-	images := larger.JoinImage != nil && smaller.JoinImage != nil
+	// over the sides' join images when the plan is u/u and both carry one,
+	// so the phase only probes and no phase reads a key column. Then the
+	// join-index holds image positions and each side projects from its
+	// image columns: the larger side's fetch becomes sequential, the
+	// smaller side's stays inside one partition's slice. A compressed plan
+	// decodes the image encodings in place of the base-order ones, and the
+	// fetch is the raw one. Any other plan clusters per query, as paper
+	// mode does, and its compressed key columns are decoded first — a
+	// scan-shaped pass that reads only the encoded bytes from RAM.
+	images := larger.JoinImage != nil && smaller.JoinImage != nil &&
+		p.LargerMethod == Unsorted && p.SmallerMethod == Unsorted
 	if images || p.Compressed {
 		// The join and decode phases swap image and decoded arrays into the
 		// sides' inputs.
@@ -414,21 +426,12 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	if p.Compressed && !images {
 		decodePhase(pl, "decompress-keys", false, larger.keySlot(), smaller.keySlot())
 	}
-	// Over join images a side whose oids do not fix the result order — a u
-	// larger side, any smaller side — projects from its image columns
-	// through image positions: the larger side's fetch becomes sequential,
-	// the smaller side's stays inside one partition's slice. A compressed
-	// plan decodes such a side's image encodings in place of its
-	// base-order ones, and the fetch is the raw one. A c or s larger side
-	// orders the result by its oids, so it emits oids.
-	imgL := images && p.LargerMethod == Unsorted
-	imgS := images
 	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		o := joinOpts(p.JoinBits, h)
 		var err error
 		if images {
-			ji, err = probeImages(e, &larger, &smaller, imgL, imgS, p.Compressed, o)
+			ji, err = probeImages(e, &larger, &smaller, p.Compressed, o)
 		} else {
 			ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, o)
 		}
@@ -442,9 +445,9 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// Phase 2: larger-side reordering — it fixes the result order. Each
 	// intermediate (the join-index, the two reordered oid columns) is
 	// dropped by the phase that reads it last, so a serial run's live
-	// heap does not carry them to the end of the pipeline. A side
-	// projected from its join image carries image positions in place of
-	// oids; the fetches read either the same way.
+	// heap does not carry them to the end of the pipeline. A u/u plan
+	// over join images carries image positions in place of oids; the
+	// fetches read either the same way.
 	var largerOIDs, smallerInResultOrder []OID
 	switch p.LargerMethod {
 	case Unsorted:
@@ -470,7 +473,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		})
 	}
 	if p.Compressed {
-		decodePhase(pl, "decompress-larger", imgL, larger.colSlots(0, len(larger.Cols))...)
+		decodePhase(pl, "decompress-larger", images, larger.colSlots(0, len(larger.Cols))...)
 	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if p.LargerMethod == Unsorted {
@@ -486,7 +489,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	switch p.SmallerMethod {
 	case Unsorted:
 		if p.Compressed {
-			decodePhase(pl, "decompress-smaller", imgS, smaller.colSlots(0, len(smaller.Cols))...)
+			decodePhase(pl, "decompress-smaller", images, smaller.colSlots(0, len(smaller.Cols))...)
 		}
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
@@ -504,7 +507,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		res.SmallerCols = make([][]int32, len(smaller.Cols))
 		for k := range smaller.Cols {
 			if p.Compressed {
-				decodePhase(pl, "decompress-smaller", imgS, smaller.colSlots(k, k+1)...)
+				decodePhase(pl, "decompress-smaller", false, smaller.colSlots(k, k+1)...)
 			}
 			var cv []int32
 			pl.Then(exec.PhaseProjectSmaller, "fetch-clustered", func(e *exec.Engine) error {
@@ -524,19 +527,16 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 
 // probeImages is DSMPost's join over the sides' join images: the
 // clustering half of the Partitioned Hash-Join is a lookup, and only
-// the per-partition probes run. A side that projects from its image
-// (imgL, imgS) emits image positions and has its projection columns
-// swapped for the image's — and, in a compressed plan, its column
-// encodings for the image's, which its decode phase then reads; the
-// other side emits oids. Whatever a side's image lacked is built as a
-// step of the join phase. The sides' Cols and ColsEnc are their own
-// (ownInputs) and written in place: the decode slots point into them.
-func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS, compressed bool, o radix.Opts) (*join.Index, error) {
+// the per-partition probes run. Each side emits image positions and has
+// its projection columns swapped for the image's — and, in a compressed
+// plan, its column encodings for the image's, which its decode phase
+// then reads. Whatever a side's image lacked is built as a step of the
+// join phase. The sides' Cols and ColsEnc are their own (ownInputs) and
+// written in place: the decode slots point into them.
+func probeImages(e *exec.Engine, larger, smaller *DSMSide, compressed bool, o radix.Opts) (*join.Index, error) {
 	var imgs [2]join.Image
-	sides := [2]*DSMSide{larger, smaller}
-	for i, fromImg := range [2]bool{imgL, imgS} {
-		s := sides[i]
-		img, err := s.JoinImage(o, fromImg, compressed, e.Step)
+	for i, s := range [2]*DSMSide{larger, smaller} {
+		img, err := s.JoinImage(o, compressed, e.Step)
 		if err != nil {
 			return nil, err
 		}
@@ -545,12 +545,8 @@ func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS, compresse
 			return nil, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
 				len(img.Hashes), len(img.Offsets)-1, n, 1<<o.Bits)
 		}
-		if fromImg && len(img.Cols) != len(s.Cols) || !fromImg && len(img.OIDs) != n {
-			return nil, fmt.Errorf("strategy: join image lacks the %d columns or the oids asked for", len(s.Cols))
-		}
-		imgs[i] = img.Image
-		if !fromImg {
-			continue
+		if len(img.Cols) != len(s.Cols) {
+			return nil, fmt.Errorf("strategy: join image holds %d columns, want %d", len(img.Cols), len(s.Cols))
 		}
 		if !compressed {
 			img.ColsEnc = nil
@@ -564,10 +560,10 @@ func probeImages(e *exec.Engine, larger, smaller *DSMSide, imgL, imgS, compresse
 				return nil, fmt.Errorf("strategy: join image column %d is neither raw nor a %d-value encoding", c, n)
 			}
 		}
+		imgs[i] = img.Image
 		copy(s.Cols, img.Cols)
 		clear(s.ColsEnc)
 		copy(s.ColsEnc, img.ColsEnc)
-		imgs[i].OIDs = nil
 	}
 	return e.ProbePartitions(&imgs[0], &imgs[1], uint(o.Ignore+o.Bits))
 }

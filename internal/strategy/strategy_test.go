@@ -8,6 +8,7 @@ import (
 
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/mem"
+	"radixdecluster/internal/obs"
 	"radixdecluster/internal/radix"
 	"radixdecluster/internal/workload"
 )
@@ -203,12 +204,12 @@ func TestDSMPostSparseSelection(t *testing.T) {
 	compareRows(t, "sparse smaller", dsmResultRows(t, res, pi), expectedRows(pr2, pi))
 }
 
-// TestDSMPostJoinImages: a join over the sides' join images — selected
-// sides included, projected from the images through image positions (u
-// larger, every smaller side) or fetched through oids (c and s larger)
-// — returns the bytes of the serial run that clusters per query, on the
-// serial engine and on a runtime, and an image for other bits is an
-// error, not a wrong join.
+// TestDSMPostJoinImages: a u/u join over the sides' join images —
+// selected sides included, projected from the images through image
+// positions — returns the bytes of the serial run that clusters per
+// query, on the serial engine and on a runtime; any other method pair
+// handed the same images clusters per query, as paper mode does, and
+// builds none. An image for other bits is an error, not a wrong join.
 func TestDSMPostJoinImages(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 30000, Omega: pi + 1, HitRate: 1, SelLarger: 0.5, SelSmaller: 1, Seed: 33})
@@ -220,8 +221,13 @@ func TestDSMPostJoinImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		builds := 0
+		if m == [2]ProjMethod{Unsorted, Unsorted} {
+			builds = 2
+		}
 		for _, par := range []int{0, 1, 2} {
-			got, err := DSMPost(li, si, m[0], m[1], Config{Parallelism: par})
+			tr := obs.NewTrace("images")
+			got, err := DSMPost(li, si, m[0], m[1], Config{Parallelism: par, Trace: tr})
 			if err != nil {
 				t.Fatalf("%c/%c par=%d: %v", m[0], m[1], par, err)
 			}
@@ -229,10 +235,13 @@ func TestDSMPostJoinImages(t *testing.T) {
 			if !slices.EqualFunc(got.LargerCols, want.LargerCols, same) || !slices.EqualFunc(got.SmallerCols, want.SmallerCols, same) {
 				t.Fatalf("%c/%c par=%d: the join over join images differs from the serial per-query clustering", m[0], m[1], par)
 			}
+			if n := stepCount(tr, "build-join-image"); n != builds {
+				t.Errorf("%c/%c par=%d: %d build-join-image steps, want %d", m[0], m[1], par, n, builds)
+			}
 			got.Release()
 		}
 	}
-	si.JoinImage = func(o radix.Opts, _, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
+	si.JoinImage = func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
 		o.Bits++
 		return clusterImage(s.OIDs, s.Keys, s.Cols, o)
 	}
@@ -266,58 +275,53 @@ func TestDSMPostAutoPlanner(t *testing.T) {
 	compareRows(t, "auto", dsmResultRows(t, res, pi), expectedRows(pr, pi))
 }
 
-// TestResidencyMovesOnlyTheMethodSwitch: Hierarchy.ResidentBytes is
-// read by the u/c and u/d switch and by nothing else. With columns
-// beyond the declared LLC but inside the residency threshold a raw plan
-// goes u/u at the join bits the declared levels give, and so does a
-// compressed plan (the raw plan over columns decoded before their
-// fetch); a threshold below the columns changes nothing.
-func TestResidencyMovesOnlyTheMethodSwitch(t *testing.T) {
+// TestJoinImagesPlanUnsorted: on one hierarchy, the same sides plan c/d
+// without join images (the §4.1 rule on the declared levels, columns
+// beyond the 8 KB LLC) and u/u with them, at the same join bits, raw and
+// compressed; a forced method is kept either way, with the bits it has
+// without images.
+func TestJoinImagesPlanUnsorted(t *testing.T) {
 	const pi = 1
 	pr := testPair(t, workload.Params{N: 6000, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 41})
 	l, s := dsmSides(pr, pi)
-	declared := Config{Hier: mem.Small()}
-	resident := declared
-	resident.Hier.ResidentBytes = 1 << 20
-	plan := func(l, s DSMSide, cfg Config) Plan {
+	plan := func(l, s DSMSide, lm, sm ProjMethod, cfg Config) Plan {
 		t.Helper()
-		p, _, err := PlanDSMPost(l, s, Auto, Auto, cfg)
+		p, _, err := PlanDSMPost(l, s, lm, sm, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	base := plan(l, s, declared)
-	if base.Methods() != "c/d" {
-		t.Fatalf("declared plan is %v, want c/d", base)
+	for _, comp := range []bool{false, true} {
+		if comp {
+			encodeSides(t, &l, &s)
+		}
+		li, si := l, s
+		withJoinImages(nil, &li, &si)
+		cfg := Config{Hier: mem.Small(), Compress: comp}
+		base := plan(l, s, Auto, Auto, cfg)
+		if base.Methods() != "c/d" || base.Compressed != comp {
+			t.Fatalf("compress=%v: plan without images is %v, want c/d", comp, base)
+		}
+		want := Plan{LargerMethod: Unsorted, SmallerMethod: Unsorted, JoinBits: base.JoinBits, Compressed: comp}
+		if got := plan(li, si, Auto, Auto, cfg); got != want {
+			t.Errorf("compress=%v: plan with images = %v, want %v", comp, got, want)
+		}
+		if got := plan(li, si, PartialCluster, Declustered, cfg); got != base {
+			t.Errorf("compress=%v: forced c/d with images = %v, want %v", comp, got, base)
+		}
+		if got, want := plan(li, si, PartialCluster, Auto, cfg), plan(l, s, PartialCluster, Unsorted, cfg); got != want {
+			t.Errorf("compress=%v: forced c, auto smaller with images = %v, want %v", comp, got, want)
+		}
+		res, err := DSMPost(li, si, Auto, Auto, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan != want {
+			t.Errorf("compress=%v: run over images executed %v, want %v", comp, res.Plan, want)
+		}
+		compareRows(t, fmt.Sprintf("compress=%v images u/u", comp), dsmResultRows(t, res, pi), expectedRows(pr, pi))
 	}
-	if got, want := plan(l, s, resident), (Plan{LargerMethod: Unsorted, SmallerMethod: Unsorted, JoinBits: base.JoinBits}); got != want {
-		t.Errorf("resident raw plan = %v, want %v", got, want)
-	}
-	tooSmall := declared
-	tooSmall.Hier.ResidentBytes = 6000*4 - 1
-	if got := plan(l, s, tooSmall); got != base {
-		t.Errorf("threshold below the column: plan = %v, want the declared %v", got, base)
-	}
-
-	encodeSides(t, &l, &s)
-	declared.Compress, resident.Compress, tooSmall.Compress = true, true, true
-	base = plan(l, s, declared)
-	if !base.Compressed || base.Methods() != "c/d" {
-		t.Fatalf("declared compressed plan is %v, want c/d compressed", base)
-	}
-	want := Plan{LargerMethod: Unsorted, SmallerMethod: Unsorted, JoinBits: base.JoinBits, Compressed: true}
-	if got := plan(l, s, resident); got != want {
-		t.Errorf("resident compressed plan = %v, want %v", got, want)
-	}
-	if got := plan(l, s, tooSmall); got != base {
-		t.Errorf("compressed, threshold below the column: plan = %v, want the declared %v", got, base)
-	}
-	res, err := DSMPost(l, s, Auto, Auto, resident)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRows(t, "resident u/u compressed", dsmResultRows(t, res, pi), expectedRows(pr, pi))
 }
 
 func TestDSMPostAutoPicksSortForManyColumns(t *testing.T) {

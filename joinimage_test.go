@@ -13,12 +13,13 @@ import (
 	"radixdecluster/internal/workload"
 )
 
-// Join images: a runtime DSM post-projection query joins over each
-// relation's key column radix-clustered once (Relation.joinImage) and
-// only probes, and projects a u larger side and every smaller side from
-// image-order copies of its columns — raw ones, or for a compressed plan
-// the decoded image-order encodings; a paper-mode query clusters per
-// query. The results are the raw serial run's bytes either way.
+// Join images: a runtime DSM post-projection query that plans u/u — the
+// Auto plan — joins over each relation's key column radix-clustered once
+// (Relation.joinImage) and only probes, and projects both sides from
+// image-order copies of their columns — raw ones, or for a compressed
+// plan the decoded image-order encodings. A paper-mode query, and a
+// runtime query with a forced non-u method, clusters per query. The
+// results are the raw serial run's bytes for the same plan line.
 
 // traceSteps counts a traced result's steps of the given name.
 func traceSteps(res *Result, name string) int {
@@ -43,39 +44,47 @@ func tracePhases(res *Result) []string {
 }
 
 // decodedEncodings is what a CompressionOn runtime DSM post-projection
-// run of q with the given plan line decodes: every encoding its sides'
-// join images hold of the projected columns — the smaller side's, and a
-// u larger side's — plus, for a c or s larger side, which emits oids,
-// the base-order encodings of its projected columns.
+// run of q with the given plan line decodes: for a u/u plan every
+// encoding its sides' join images hold of the projected columns; for
+// any other plan, which clusters per query, the base-order encodings of
+// both sides' key and projected columns.
 func decodedEncodings(t *testing.T, q JoinQuery, plan string) int {
 	t.Helper()
-	n := imageEncodings(q.Smaller, q.SmallerProject)
-	if strings.Contains(plan, "methods=u/") {
-		return n + imageEncodings(q.Larger, q.LargerProject)
+	if strings.Contains(plan, "methods=u/u") {
+		return imageEncodings(q.Smaller, q.SmallerProject) + imageEncodings(q.Larger, q.LargerProject)
 	}
-	base, err := q.Larger.encodings()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range q.LargerProject {
-		if base[name] != nil {
-			n++
+	n := 0
+	for _, side := range []struct {
+		r    *Relation
+		cols []string
+	}{{q.Larger, append([]string{q.LargerKey}, q.LargerProject...)}, {q.Smaller, append([]string{q.SmallerKey}, q.SmallerProject...)}} {
+		base, err := side.r.encodings()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range side.cols {
+			if base[name] != nil {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// TestJoinImageEquivalence: runtime DSM post-projection over join
-// images equals the raw serial run byte for byte — the planner's pick
-// and the forced u/u, c/u, s/d and c/d pairs, raw and compressed, at
-// hit rates 0.3, 1 and 3, with inputs below the parallel threshold
-// (serial probe) and above it. Each cell runs on fresh relations: its
-// first query builds both images, its repeat builds none; a compressed
-// cell decodes exactly the encodings of decodedEncodings. Then, on one
-// pair of relations shared by every query: projections of one column,
-// of all columns and of the key column alone; each relation in the
-// other role; and a query that projects a column the images lack,
-// which adds exactly that column to each and rebuilds nothing else.
+// TestJoinImageEquivalence: runtime DSM post-projection equals the raw
+// serial run of the same methods byte for byte — the planner's pick
+// (u/u over join images, so its reference is the serial u/u run) and
+// the forced u/u, c/u, s/d and c/d pairs, raw and compressed, at hit
+// rates 0.3, 1 and 3, with inputs below the parallel threshold (serial
+// probe) and above it. Each cell runs on fresh relations: a u/u cell's
+// first query builds both images and its repeat builds none; a forced
+// non-u cell clusters per query and builds none; a compressed cell
+// decodes exactly the encodings of decodedEncodings. Then, on one pair
+// of relations shared by every query: projections of one column, of all
+// columns and of the key column alone; each relation in the other role;
+// a query that projects a column the images lack, which adds exactly
+// that column to each and rebuilds nothing else; and forced non-u
+// queries, which leave the images as they are.
 func TestJoinImageEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence matrix needs full-size relations")
@@ -102,7 +111,13 @@ func TestJoinImageEquivalence(t *testing.T) {
 					LargerProject: projNames(pi), SmallerProject: projNames(pi),
 					Strategy: DSMPostDecluster, LargerMethod: m[0], SmallerMethod: m[1],
 				}
-				want, err := ProjectJoin(q)
+				ref, builds := q, []int{2, 0}
+				if m[0] == AutoMethod {
+					ref.LargerMethod, ref.SmallerMethod = UnsortedMethod, UnsortedMethod
+				} else if m != [2]ProjMethod{UnsortedMethod, UnsortedMethod} {
+					builds = []int{0, 0}
+				}
+				want, err := ProjectJoin(ref)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,13 +125,16 @@ func TestJoinImageEquivalence(t *testing.T) {
 					rq := q
 					rq.Larger, rq.Smaller = pairRelations(t, pr, pi, WithCompression())
 					rq.Parallelism, rq.Runtime, rq.Compression, rq.Trace = 2, rt, comp, true
-					for rep, builds := range []int{2, 0} {
+					for rep, builds := range builds {
 						tag := fmt.Sprintf("N=%d hit=%g %v/%v compression=%v query %d", n, hit, m[0], m[1], comp, rep+1)
 						got, err := ProjectJoin(rq)
 						if err != nil {
 							t.Fatalf("%s: %v", tag, err)
 						}
 						requireSameResult(t, tag, got, want)
+						if m[0] == AutoMethod && !strings.Contains(got.Plan, "methods=u/u") {
+							t.Fatalf("%s: the runtime planned %s, want methods=u/u", tag, got.Plan)
+						}
 						if b := traceSteps(got, "build-join-image"); b != builds {
 							t.Fatalf("%s: %d build-join-image steps, want %d", tag, b, builds)
 						}
@@ -169,12 +187,12 @@ func TestJoinImageEquivalence(t *testing.T) {
 		// column is copied like any other, once per image.
 		{"key column", a, []string{"key"}, []string{"key"}, UnsortedMethod, UnsortedMethod, 2, 0},
 		{"a column the images lack", a, []string{"a1", "a2"}, []string{"a2"}, UnsortedMethod, UnsortedMethod, 2, 0},
-		{"all columns, other roles", b, all, all, UnsortedMethod, DeclusterMethod, 0, 0},
-		// A c or s larger side emits oids: its image gains the oid column,
-		// once.
-		{"all columns, other roles, c/d", b, all, all, ClusterMethod, DeclusterMethod, 1, 0},
+		{"all columns, other roles", b, all, all, UnsortedMethod, UnsortedMethod, 0, 0},
+		// A forced non-u method clusters per query: the images do not grow.
+		{"all columns, other roles, u/d", b, all, all, UnsortedMethod, DeclusterMethod, 0, 0},
+		{"all columns, other roles, c/d", b, all, all, ClusterMethod, DeclusterMethod, 0, 0},
 		{"all columns, other roles, s/u", b, all, all, SortedMethod, UnsortedMethod, 0, 0},
-		{"one column, s/u", a, []string{"a2"}, []string{"a1"}, SortedMethod, UnsortedMethod, 1, 0},
+		{"one column, s/u", a, []string{"a2"}, []string{"a1"}, SortedMethod, UnsortedMethod, 0, 0},
 	} {
 		q := JoinQuery{Larger: c.larger, Smaller: a, LargerProject: c.lproj, SmallerProject: c.sproj, LargerMethod: c.lm, SmallerMethod: c.sm}
 		if c.larger == a {
@@ -295,15 +313,58 @@ func countTrue(bs []bool) int {
 	return n
 }
 
-// TestJoinImageOidsOnlyWhenNeeded: on fresh relations per query, raw
-// u/u traffic leaves both images without an oid column, and so does
-// CompressionOn u/u traffic — a compressed side projects from its image
-// as a raw one does, and its image holds encodings of the projected
-// columns and no raw copies of them. A forced c/u query, raw or
-// compressed, adds an oid column to the larger side's image only (a c
-// side orders the result by its oids). Every result stays the serial
-// run's.
-func TestJoinImageOidsOnlyWhenNeeded(t *testing.T) {
+// TestRuntimeAutoPlansUnsorted: at 200 Ki tuples a side, beyond the
+// Pentium 4's 512 KB L2, a DSM post-projection query with Auto methods
+// on a runtime that declares nothing (Pentium4()) plans u/u over join
+// images — raw and compressed, at π 1 and 4 — while the same query in
+// paper mode plans c/d by §4.1. PlanJoin agrees with each run, and the
+// runtime result is the serial u/u run's, byte for byte.
+func TestRuntimeAutoPlansUnsorted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs relations beyond the declared L2")
+	}
+	const n = 200 << 10
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	for _, pi := range []int{1, 4} {
+		larger, smaller := compressedRelations(t,
+			workload.Params{N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 89}, pi)
+		for _, comp := range []Compression{CompressionOff, CompressionOn} {
+			tag := fmt.Sprintf("pi=%d compression=%v", pi, comp)
+			q := JoinQuery{
+				Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+				LargerProject: projNames(pi), SmallerProject: projNames(pi), Compression: comp,
+			}
+			if got := requirePlanAgrees(t, tag+" paper mode", q); !strings.Contains(got, "methods=c/d") {
+				t.Errorf("%s: paper mode planned %s, want methods=c/d", tag, got)
+			}
+			ref := q
+			ref.LargerMethod, ref.SmallerMethod = UnsortedMethod, UnsortedMethod
+			want, err := ProjectJoin(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Parallelism, q.Runtime = 2, rt
+			if got := requirePlanAgrees(t, tag+" runtime", q); !strings.Contains(got, "methods=u/u") {
+				t.Errorf("%s: the runtime planned %s, want methods=u/u", tag, got)
+			}
+			got, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, tag, got, want)
+			got.Release()
+		}
+	}
+}
+
+// TestForcedMethodsBuildNoJoinImage: once u/u traffic has built both
+// images (a compressed query encodings of the projected columns and no
+// raw copies, a raw one the raw copies), forced c/u, u/d, s/d and c/d
+// queries on the runtime, raw and compressed, cluster per query as
+// paper mode does: they record no build-join-image step, leave
+// JoinImageBytes as it was and return their serial run's bytes.
+func TestForcedMethodsBuildNoJoinImage(t *testing.T) {
 	const pi = 2
 	pr, err := workload.GenPair(workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 87})
 	if err != nil {
@@ -311,51 +372,47 @@ func TestJoinImageOidsOnlyWhenNeeded(t *testing.T) {
 	}
 	rt := NewRuntime(RuntimeConfig{Workers: 2})
 	defer rt.Close()
-	heldOIDs := func(r *Relation) bool {
-		r.imgMu.Lock()
-		defer r.imgMu.Unlock()
-		return r.joinImgs["key"].oids != nil
-	}
-	for _, step := range []struct {
-		name            string
-		lm, sm          ProjMethod
-		comp            Compression
-		larger, smaller bool // whether each image holds oids afterwards
-	}{
-		{"u/u", UnsortedMethod, UnsortedMethod, CompressionOff, false, false},
-		{"auto", AutoMethod, AutoMethod, CompressionOff, false, false},
-		{"u/d", UnsortedMethod, DeclusterMethod, CompressionOff, false, false},
-		{"c/u", ClusterMethod, UnsortedMethod, CompressionOff, true, false},
-		{"u/u compressed", UnsortedMethod, UnsortedMethod, CompressionOn, false, false},
-		{"c/u compressed", ClusterMethod, UnsortedMethod, CompressionOn, true, false},
-	} {
-		larger, smaller := pairRelations(t, pr, pi, WithCompression())
+	larger, smaller := pairRelations(t, pr, pi, WithCompression())
+	run := func(tag string, lm, sm ProjMethod, comp Compression) *Result {
+		t.Helper()
 		q := JoinQuery{
 			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
 			LargerProject: projNames(pi), SmallerProject: projNames(pi),
-			LargerMethod: step.lm, SmallerMethod: step.sm,
+			LargerMethod: lm, SmallerMethod: sm,
 		}
 		want, err := ProjectJoin(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.Parallelism, q.Runtime, q.Compression = 2, rt, step.comp
+		q.Parallelism, q.Runtime, q.Compression, q.Trace = 2, rt, comp, true
 		got, err := ProjectJoin(q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tag, err)
 		}
-		requireSameResult(t, step.name, got, want)
-		got.Release()
-		if l, s := heldOIDs(larger), heldOIDs(smaller); l != step.larger || s != step.smaller {
-			t.Fatalf("after %s: larger image holds oids %v, smaller %v; want %v, %v", step.name, l, s, step.larger, step.smaller)
+		requireSameResult(t, tag, got, want)
+		return got
+	}
+	run("u/u compressed", UnsortedMethod, UnsortedMethod, CompressionOn).Release()
+	for _, r := range []*Relation{larger, smaller} {
+		raw, enc := imageHolds(r, projNames(pi))
+		if countTrue(raw) != 0 || countTrue(enc) != pi {
+			t.Fatalf("after u/u compressed: %s image holds raw copies %v and encodings %v of %v, want encodings only",
+				r.Name, raw, enc, projNames(pi))
 		}
-		if step.name == "u/u compressed" {
-			for _, r := range []*Relation{larger, smaller} {
-				raw, enc := imageHolds(r, projNames(pi))
-				if countTrue(raw) != 0 || countTrue(enc) != pi {
-					t.Fatalf("after %s: %s image holds raw copies %v and encodings %v of %v, want encodings only",
-						step.name, r.Name, raw, enc, projNames(pi))
-				}
+	}
+	run("u/u", UnsortedMethod, UnsortedMethod, CompressionOff).Release()
+	before := [2]int64{larger.JoinImageBytes(), smaller.JoinImageBytes()}
+	for _, m := range [][2]ProjMethod{{ClusterMethod, UnsortedMethod}, {UnsortedMethod, DeclusterMethod},
+		{SortedMethod, DeclusterMethod}, {ClusterMethod, DeclusterMethod}} {
+		for _, comp := range []Compression{CompressionOff, CompressionOn} {
+			tag := fmt.Sprintf("%v/%v compression=%v", m[0], m[1], comp)
+			got := run(tag, m[0], m[1], comp)
+			if b := traceSteps(got, "build-join-image") + traceSteps(got, "build-image-column"); b != 0 {
+				t.Errorf("%s: %d image build steps, want 0", tag, b)
+			}
+			got.Release()
+			if after := [2]int64{larger.JoinImageBytes(), smaller.JoinImageBytes()}; after != before {
+				t.Errorf("%s: JoinImageBytes moved from %v to %v", tag, before, after)
 			}
 		}
 	}
@@ -438,7 +495,7 @@ func TestJoinImageIncompressibleColumnStaysRaw(t *testing.T) {
 // TestJoinImageTwoPartners: one relation joined with two partners of
 // different size is clustered on different join bits for each, so its
 // image is rebuilt whenever the partner changes — and every result
-// stays the serial run's.
+// stays the serial run of the runtime's plan, u/u.
 func TestJoinImageTwoPartners(t *testing.T) {
 	const n = 200000
 	rel := func(name string, rows int, key func(i int) int32) *Relation {
@@ -465,12 +522,13 @@ func TestJoinImageTwoPartners(t *testing.T) {
 			q := JoinQuery{
 				Larger: shared, Smaller: p, LargerKey: "key", SmallerKey: "key",
 				LargerProject: []string{"a1"}, SmallerProject: []string{"a1"},
+				LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
 			}
 			want, err := ProjectJoin(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q.Parallelism, q.Runtime = 2, rt
+			q.Parallelism, q.Runtime, q.LargerMethod, q.SmallerMethod = 2, rt, AutoMethod, AutoMethod
 			got, err := ProjectJoin(q)
 			if err != nil {
 				t.Fatal(err)

@@ -10,8 +10,9 @@ import (
 )
 
 // Serial/parallel equivalence: ProjectJoin with Parallelism N must
-// return results byte-identical to the serial paper mode, for every
-// strategy, across uniform, skewed and sparse workloads. The parallel
+// return results byte-identical to the serial paper mode run of the same
+// plan line, for every strategy, across uniform, skewed and sparse
+// workloads. The parallel
 // operators are constructed to reproduce the serial arrangement
 // exactly (see internal/exec), so these are strict equality checks,
 // not set comparisons.
@@ -62,12 +63,24 @@ func projNames(pi int) []string {
 	return out
 }
 
-// runBoth executes q serially and with the given parallelism and
-// requires byte-identical results.
+// requireParallelEqual executes q with the given parallelism and
+// requires the bytes of the serial run of the same plan line: a DSM
+// post-projection query with Auto methods plans u/u on a runtime where
+// paper mode may plan c/d, so the serial reference is pinned to the
+// methods the parallel run plans.
 func requireParallelEqual(t *testing.T, q JoinQuery, par int, tag string) {
 	t.Helper()
-	q.Parallelism = 0
-	want, err := ProjectJoin(q)
+	ref := q
+	if st := q.Strategy; st == DSMPostDecluster || st == AutoStrategy {
+		q.Parallelism = par
+		p, err := PlanJoin(q)
+		if err != nil {
+			t.Fatalf("%s: PlanJoin: %v", tag, err)
+		}
+		ref.LargerMethod, ref.SmallerMethod = ProjMethod(p.plan.LargerMethod), ProjMethod(p.plan.SmallerMethod)
+	}
+	ref.Parallelism = 0
+	want, err := ProjectJoin(ref)
 	if err != nil {
 		t.Fatalf("%s: serial: %v", tag, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	osexec "os/exec"
-	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -95,10 +94,11 @@ func requirePlanAgrees(t *testing.T, name string, q JoinQuery) string {
 	return res.Plan
 }
 
-// TestPlanGolden pins every plan line of the table to the string the
-// five-layer planner family produced at the commit before it was
-// folded into one step (testdata/plan_golden.txt), and PlanJoin to the
-// executed plan.
+// TestPlanGolden pins every plan line of the table to
+// testdata/plan_golden.txt, and PlanJoin to the executed plan. Paper
+// mode (par=0) and a runtime plan the same line except for DSM
+// post-projection with Auto methods beyond the 512 KB L2, which the
+// runtime plans u/u over join images and paper mode c/d.
 func TestPlanGolden(t *testing.T) {
 	// The table's 1 Mi-tuple runs fill the execution arena — one per
 	// process, shared by every runtime — to its 256 MB retention limit,
@@ -144,58 +144,6 @@ func planGolden(t *testing.T) map[string]string {
 		golden[name] = plan
 	}
 	return golden
-}
-
-// TestPlanGoldenResident runs the same table on a runtime that declares
-// the Pentium 4's levels and a 64 MiB residency threshold — what
-// HostHierarchy gives a serving process — with every query's own Hier
-// left zero. Residency moves the method switch and nothing else: a DSM
-// post-projection query the Pentium 4 plans c/d — raw or compressed, a
-// compressed u side being decoded once into a raw column — becomes u/u
-// with the golden join bits and no cluster bits or window; every other
-// line — other strategies, pinned methods, columns that already fit the
-// 512 KB L2 — is the Pentium 4 golden line, byte for byte. The same
-// query without the runtime is the Pentium 4 plan again.
-func TestPlanGoldenResident(t *testing.T) {
-	// In its own process, like TestPlanGolden.
-	if !inOwnProcess(t) {
-		return
-	}
-	hier := Pentium4()
-	hier.ResidentBytes = 64 << 20
-	rt := NewRuntime(RuntimeConfig{Workers: 2, Hier: hier})
-	t.Cleanup(rt.Close)
-	golden := planGolden(t)
-	clustered := regexp.MustCompile(`largerbits=\d+ smallerbits=\d+ window=\d+ methods=c/d`)
-	moved := 0
-	for _, c := range planCases(t, rt, planGoldenNs(), []int{1, 4}, []int{0, 2}) {
-		want := golden[c.name]
-		if c.q.Strategy == DSMPostDecluster && clustered.MatchString(want) {
-			moved++
-			bare := c.q
-			bare.Runtime = nil
-			if got := requirePlanAgrees(t, c.name+"/no-runtime", bare); got != want {
-				t.Errorf("%s without the runtime: plan moved off the Pentium 4 line:\n got  %s\n want %s", c.name, got, want)
-			}
-			want = clustered.ReplaceAllString(want, "largerbits=0 smallerbits=0 window=0 methods=u/u")
-		}
-		// Only DSM post-projection reads the threshold: those queries
-		// run; the rest are planned (TestPlanGolden ran them).
-		var got string
-		if c.q.Strategy == DSMPostDecluster {
-			got = requirePlanAgrees(t, c.name, c.q)
-		} else if p, err := PlanJoin(c.q); err != nil {
-			t.Fatalf("%s: PlanJoin: %v", c.name, err)
-		} else {
-			got = p.String()
-		}
-		if got != want {
-			t.Errorf("%s: resident plan:\n got  %s\n want %s", c.name, got, want)
-		}
-	}
-	if len(planGoldenNs()) == 3 && moved != 8 {
-		t.Errorf("%d plans moved to u/u, want 8 (DSM-post auto at 1 Mi, raw and compressed, pi 1 and 4, serial and 2 workers)", moved)
-	}
 }
 
 // autoWorkersLine is the workers= field an AutoParallelism plan must
@@ -403,11 +351,11 @@ func TestPlanJoinLeavesDefaultRuntimeUncreated(t *testing.T) {
 	}
 }
 
-// TestPlannerPickVsForced holds the method switch to the measurement it
-// is meant to follow: on a 2-worker runtime described by HostHierarchy
-// (the one test that reads the host's sysfs), N = 1 Mi raw at π = 2 and
-// 4 and compressed at π = 2, two callers at once, the planner's own pick
-// is timed against the four method pairs a caller can force, in
+// TestPlannerPickVsForced holds the runtime's Auto plan to the
+// measurement it follows: on a plain 2-worker runtime, N = 1 Mi raw at
+// π = 2 and 4 and compressed at π = 2, two callers at once, the
+// planner's own pick (u/u over join images) is timed against the four
+// method pairs a caller can force (the non-u ones cluster per query), in
 // interleaved rounds after a warm-up round. Every median is logged on every run; that the pick is within
 // 10 % of the best forced pair is asserted only under
 // RADIX_ASSERT_SPEEDUP=1 (CI's -cpu 1,4 leg runs it alone), like every
@@ -427,7 +375,7 @@ func TestPlannerPickVsForced(t *testing.T) {
 		return
 	}
 	const n, callers, rounds = 1 << 20, 2, 9
-	rt := NewRuntime(RuntimeConfig{Workers: 2, Hier: HostHierarchy()})
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
 	t.Cleanup(rt.Close)
 	// With more Ps than CPUs the runtime's workers and the callers share
 	// fewer cores than they assume, and the medians measure the OS

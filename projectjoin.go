@@ -177,8 +177,10 @@ type JoinQuery struct {
 	// Hier drives all planning. The zero value means the Runtime's
 	// description (RuntimeConfig.Hier) for a query that names a Runtime,
 	// and the paper's Pentium 4 otherwise — so the library default plans
-	// exactly as the paper does, and a serving runtime built with
-	// HostHierarchy() picks projection methods for the host's cache.
+	// exactly as the paper does. It sizes every plan and picks paper
+	// mode's DSM post-projection methods; a runtime DSM post-projection
+	// query with Auto methods plans u/u over its join images whatever it
+	// says.
 	Hier Hierarchy
 }
 
@@ -352,7 +354,7 @@ func ProjectJoin(q JoinQuery) (*Result, error) {
 // (strategy.DefaultRuntime, the instance DefaultRuntime wraps).
 func (q JoinQuery) config() strategy.Config {
 	hier := q.Hier
-	if len(hier.Levels) == 0 && hier.ResidentBytes == 0 && q.Runtime != nil {
+	if len(hier.Levels) == 0 && q.Runtime != nil {
 		hier = q.Runtime.hier
 	}
 	cfg := strategy.Config{
@@ -387,8 +389,9 @@ func (q JoinQuery) bind() (boundJoin, error) {
 	var err error
 	switch b.st {
 	case DSMPostDecluster, DSMPre:
-		// Runtime queries join over the relations' join images; paper mode
-		// clusters per query, as the paper does.
+		// Runtime DSM post-projection queries may join over the relations'
+		// join images (Auto plans u/u over them); paper mode clusters per
+		// query, as the paper does.
 		images := b.st == DSMPostDecluster && q.Parallelism != 0
 		if b.dl, err = dsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression, images); err != nil {
 			return b, err
@@ -449,8 +452,8 @@ func dsmSide(r *Relation, key string, proj []string, comp Compression, image boo
 	side := strategy.DSMSide{OIDs: bat.Dense(len(keys)), Keys: keys, Cols: cols, BaseN: r.Len()}
 	if image {
 		// Only a relation built WithCompression has encodings to give.
-		side.JoinImage = func(o radix.Opts, cols, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
-			return r.joinImage(key, proj, o, cols, compressed && r.compressed, step)
+		side.JoinImage = func(o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
+			return r.joinImage(key, proj, o, compressed && r.compressed, step)
 		}
 	}
 	if comp == CompressionOn && r.compressed {

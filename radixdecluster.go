@@ -40,11 +40,15 @@
 // buffers come from the runtime's arena (Result.Release hands the
 // result columns back). The nominal count alone fixes how the work is
 // cut (each worker's Radix-Decluster insertion window is the cache
-// budget divided by it), so the result bytes are identical in both
-// modes, for every n, on a runtime of any size; only wall-clock,
-// Timing.Queue / Sched / Mem and Result.Workers differ. A query whose
-// join inputs total fewer than 16 Ki tuples runs the serial code either
-// way and reports Workers 0.
+// budget divided by it), so the result bytes are identical for the same
+// plan line in both modes, for every n, on a runtime of any size; only
+// wall-clock, Timing.Queue / Sched / Mem and Result.Workers differ. A
+// query whose join inputs total fewer than 16 Ki tuples runs the serial
+// code either way and reports Workers 0. The plan lines differ in one
+// place: a DSM post-projection query with Auto methods plans u/u over
+// join images on a runtime, where paper mode applies §4.1 to the
+// declared levels and plans c/d for columns beyond the cache (512 KB on
+// the Pentium 4) — the same rows, listed in another order.
 //
 // AutoParallelism sets n to the runtime's size (at most
 // runtime.GOMAXPROCS; serial when that is 1): the workers are shared
@@ -94,25 +98,16 @@ type CacheLevel struct {
 }
 
 // Hierarchy is an ordered memory-hierarchy description, innermost
-// level first. The zero value means "use Pentium4()".
-//
-// The planner reads it two ways. Everything it SIZES — radix bits,
-// cluster bits, the Radix-Decluster insertion window, clustering
-// passes, the cost model, the admission ceiling of a runtime's memory
-// budget — comes from Levels, the declared machine. The one thing it SWITCHES on — whether
-// a projection column stays cache-resident under random access, i.e.
-// which side of Figure 10c's u/u → c/u → c/d switch a DSM
-// post-projection query is on — comes from ResidentBytes.
+// level first. The zero value means "use Pentium4()". Everything the
+// planner sizes — radix bits, cluster bits, the Radix-Decluster
+// insertion window, clustering passes, the cost model, the admission
+// ceiling of a runtime's memory budget — comes from Levels, the declared
+// machine, and so does paper mode's u/u → c/u → c/d method switch
+// (Figure 10c). A runtime DSM post-projection query plans u/u over its
+// join images whatever the levels say.
 type Hierarchy struct {
 	// Levels are the declared levels; empty means Pentium4()'s.
 	Levels []CacheLevel
-	// ResidentBytes is the largest footprint one column may have and
-	// still be fetched unsorted (method u): 0 means the last declared
-	// cache level's size — the paper's rule on the paper's machine.
-	// HostHierarchy sets it to the host's real last-level cache. A
-	// compressed plan reads it the same way: it is the raw plan with its
-	// encoded inputs decoded into raw columns first.
-	ResidentBytes int
 }
 
 // Pentium4 returns the paper's evaluation platform (§4): 16KB L1,
@@ -121,43 +116,15 @@ func Pentium4() Hierarchy {
 	return fromInternal(mem.Pentium4())
 }
 
-// HostHierarchy returns the description a serving process plans with:
-// Pentium4()'s declared levels — what every radix-bit, window and
-// cost-model decision is tuned and measured on — with ResidentBytes set
-// to the host's last-level cache size as Linux sysfs reports it (read
-// once per process; 0, i.e. plain Pentium4(), where sysfs is missing or
-// masked). cmd/joinserve and cmd/joinrun build their runtime with it;
-// the library default stays Pentium4().
-func HostHierarchy() Hierarchy {
-	h := Pentium4()
-	h.ResidentBytes = calibrator.DetectLLCBytes()
-	return h
-}
-
-// Residency returns the planner's residency threshold for h in bytes
-// and where it comes from: "sysfs" when ResidentBytes is the host's
-// detected last-level cache size (HostHierarchy), "declared" when it is
-// the last declared cache level's or a number the caller wrote.
-func (h Hierarchy) Residency() (bytes int, source string) {
-	if h.ResidentBytes > 0 {
-		if h.ResidentBytes == calibrator.DetectLLCBytes() {
-			return h.ResidentBytes, "sysfs"
-		}
-		return h.ResidentBytes, "declared"
-	}
-	caches := h.internal().Caches()
-	return caches[len(caches)-1].Size, "declared"
-}
-
-// String renders the description on one line: the declared levels,
-// then the residency threshold and its source.
+// String renders the declared levels on one line.
 func (h Hierarchy) String() string {
 	var b strings.Builder
-	for _, l := range h.internal().Levels {
-		fmt.Fprintf(&b, "%s=%dKiB/%dB ", l.Name, l.Size>>10, l.LineSize)
+	for i, l := range h.internal().Levels {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%dKiB/%dB", l.Name, l.Size>>10, l.LineSize)
 	}
-	bytes, source := h.Residency()
-	fmt.Fprintf(&b, "resident=%dKiB (%s)", bytes>>10, source)
 	return b.String()
 }
 
@@ -178,7 +145,7 @@ func Calibrate(spec Hierarchy) (Hierarchy, error) {
 }
 
 func fromInternal(h mem.Hierarchy) Hierarchy {
-	out := Hierarchy{ResidentBytes: h.ResidentBytes}
+	var out Hierarchy
 	for _, l := range h.Levels {
 		out.Levels = append(out.Levels, CacheLevel{
 			Name: l.Name, SizeBytes: l.Size, LineBytes: l.LineSize, Assoc: l.Assoc,
@@ -190,11 +157,9 @@ func fromInternal(h mem.Hierarchy) Hierarchy {
 
 func (h Hierarchy) internal() mem.Hierarchy {
 	if len(h.Levels) == 0 {
-		out := mem.Pentium4()
-		out.ResidentBytes = h.ResidentBytes
-		return out
+		return mem.Pentium4()
 	}
-	out := mem.Hierarchy{ClockGHz: 1, ResidentBytes: h.ResidentBytes}
+	out := mem.Hierarchy{ClockGHz: 1}
 	for _, l := range h.Levels {
 		out.Levels = append(out.Levels, mem.Level{
 			Name: l.Name, Size: l.SizeBytes, LineSize: l.LineBytes, Assoc: l.Assoc,
@@ -252,19 +217,18 @@ type Relation struct {
 
 // keyImage is one key column's join image, column-wise: the cluster
 // offsets and the key hashes of radix.KeyOffsets/PermuteHashes for the
-// radix field it was built for, and image-order copies of the columns raw plans
-// projected from it (cols), block-compressed encodings of the image-order
-// copies of the columns compressed plans projected (encs) and the dense
-// oids (oids), each added by the first query that needs it. An encs entry
-// is nil when the column's image-order copy did not shrink: that copy is
-// then held raw in cols and compressed plans read it there.
+// radix field it was built for, image-order copies of the columns raw
+// plans projected from it (cols) and block-compressed encodings of the
+// image-order copies of the columns compressed plans projected (encs),
+// each added by the first query that needs it. An encs entry is nil when
+// the column's image-order copy did not shrink: that copy is then held
+// raw in cols and compressed plans read it there.
 type keyImage struct {
 	o       radix.Opts
 	offsets []int
 	hashes  []uint32
 	cols    map[string][]int32
 	encs    map[string]*compress.Encoded
-	oids    []OID
 }
 
 // RelationOption configures NewRelationOpts.
@@ -416,20 +380,19 @@ func (r *Relation) recordEncoding() (*compress.Encoded, error) {
 }
 
 // joinImage returns the key column's join image for o with the proj
-// columns (when cols) or the oids (otherwise) in image order. For a
-// compressed plan (compressed) each projected column comes as the
-// block-compressed encoding of its image-order copy (Image.ColsEnc, the
-// raw entry nil), or raw where that copy does not shrink; other plans get
-// raw copies only. Under the relation's lock it builds what the image
-// lacks — all of it when the image was built for another radix field —
-// so concurrent first queries build each part once; once the lock is
-// released it reports each build through step: the clustering as
-// "build-join-image", a column, an encoding or the oids as
-// "build-image-column". The clustering is stable, so the pass split does
+// columns in image order. For a compressed plan (compressed) each
+// projected column comes as the block-compressed encoding of its
+// image-order copy (Image.ColsEnc, the raw entry nil), or raw where that
+// copy does not shrink; other plans get raw copies only. Under the
+// relation's lock it builds what the image lacks — all of it when the
+// image was built for another radix field — so concurrent first queries
+// build each part once; once the lock is released it reports each build
+// through step: the clustering as "build-join-image", a column or an
+// encoding as "build-image-column". The clustering is stable, so the pass split does
 // not change its bytes: the image is keyed by the radix field alone. A
 // projected key column is a column like any other: the image holds the
 // key hashes the probe compares, not the keys.
-func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
+func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
 	type build struct {
 		name       string
 		start, end time.Time
@@ -463,15 +426,6 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, comp
 		r.joinImgs[key] = ki
 	}
 	img := strategy.Image{Image: join.Image{Hashes: ki.hashes, Offsets: ki.offsets}}
-	if !cols {
-		if ki.oids == nil {
-			start := time.Now()
-			ki.oids = radix.Permute(keys, bat.Dense(len(keys)), o, ki.offsets)
-			builds = append(builds, build{"build-image-column", start, time.Now()})
-		}
-		img.OIDs = ki.oids
-		return img, nil
-	}
 	img.Cols = make([][]int32, len(proj))
 	if compressed {
 		img.ColsEnc = make([]*compress.Encoded, len(proj))
@@ -522,12 +476,12 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, cols, comp
 }
 
 // JoinImageBytes reports the bytes the relation's join images hold, 0
-// before the first runtime DSM post-projection query: per key column
-// joined on, 4 per tuple of key hashes; 4 per tuple for each column held
-// raw in image order — the columns raw plans projected from it (the key
-// column too, once a query projects it), and the oids once a c or s
-// larger side asked for them; the encoded bytes
-// (CompressedBytes) of each image-order column a compressed plan
+// before the first runtime DSM post-projection query that plans u/u (the
+// Auto plan; a forced non-u method clusters per query and builds none):
+// per key column joined on, 4 per tuple of key hashes; 4 per tuple for
+// each column held raw in image order — the columns raw plans projected
+// from it (the key column too, once a query projects it); the encoded
+// bytes (CompressedBytes) of each image-order column a compressed plan
 // projected; plus 8 per partition offset. They live outside every
 // runtime's arena and its MemoryBudget.
 func (r *Relation) JoinImageBytes() int64 {
@@ -535,7 +489,7 @@ func (r *Relation) JoinImageBytes() int64 {
 	defer r.imgMu.Unlock()
 	var n int64
 	for _, ki := range r.joinImgs {
-		n += 4*int64(len(ki.hashes)+len(ki.oids)) + 8*int64(len(ki.offsets))
+		n += 4*int64(len(ki.hashes)) + 8*int64(len(ki.offsets))
 		for _, col := range ki.cols {
 			n += 4 * int64(len(col))
 		}

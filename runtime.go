@@ -31,11 +31,12 @@ type RuntimeConfig struct {
 	// removed); it stays only because benchmark/benchmark_test.go sets it.
 	ShareScans bool
 	// Hier is the runtime's description of the machine (zero value: the
-	// paper's Pentium 4, like every other planning default; a serving
-	// process passes HostHierarchy()). Its declared levels drive the
-	// adaptive admission derivation, and every query on this runtime
-	// that leaves JoinQuery.Hier zero is planned with it — so admission
-	// and planning read one description.
+	// paper's Pentium 4, like every other planning default, and what the
+	// serving binaries run with). Its declared levels drive the adaptive
+	// admission derivation, and every query on this runtime that leaves
+	// JoinQuery.Hier zero is sized with it — so admission and planning
+	// read one description. Its DSM post-projection queries plan u/u over
+	// join images whatever it says (JoinQuery.Hier).
 	Hier Hierarchy
 	// MetricsAddr, when non-empty, serves the runtime's Prometheus-
 	// style metrics on an HTTP listener at this address ("/metrics",
