@@ -324,6 +324,55 @@ func TestJoinImagesPlanUnsorted(t *testing.T) {
 	}
 }
 
+// TestOneJoinImagePlansLikeNone: the u/u rule needs images on both
+// sides. With an image on one side only, Auto plans what it plans with
+// none (c/d on the 8 KB LLC), and the run executes that plan without
+// asking the one side for its image.
+func TestOneJoinImagePlansLikeNone(t *testing.T) {
+	const pi = 1
+	pr := testPair(t, workload.Params{N: 6000, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 43})
+	l, s := dsmSides(pr, pi)
+	cfg := Config{Hier: mem.Small()}
+	base, _, err := PlanDSMPost(l, s, Auto, Auto, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Methods() != "c/d" {
+		t.Fatalf("plan without images is %v, want c/d", base)
+	}
+	for _, side := range []string{"larger", "smaller"} {
+		li, si := l, s
+		imaged := &li
+		if side == "smaller" {
+			imaged = &si
+		}
+		withJoinImages(nil, imaged)
+		built, img := 0, imaged.JoinImage
+		imaged.JoinImage = func(o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (Image, error) {
+			built++
+			return img(o, compressed, step)
+		}
+		got, _, err := PlanDSMPost(li, si, Auto, Auto, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != base {
+			t.Errorf("image on the %s side only: plan = %v, want %v", side, got, base)
+		}
+		res, err := DSMPost(li, si, Auto, Auto, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan != base {
+			t.Errorf("image on the %s side only: run executed %v, want %v", side, res.Plan, base)
+		}
+		if built != 0 {
+			t.Errorf("image on the %s side only: the run asked for it %d times", side, built)
+		}
+		compareRows(t, side+" image only", dsmResultRows(t, res, pi), expectedRows(pr, pi))
+	}
+}
+
 func TestDSMPostAutoPicksSortForManyColumns(t *testing.T) {
 	pi := 20
 	// 6000*4B columns exceed mem.Small's 8KB LLC, so reordering pays;
