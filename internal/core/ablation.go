@@ -58,14 +58,20 @@ func MergeDecluster[T any](values []T, ids []OID, borders []bat.Border) ([]T, er
 	if len(ids) != n {
 		return nil, fmt.Errorf("core: MergeDecluster: %d values vs %d ids", n, len(ids))
 	}
-	clusters, err := activeCursors(borders, n)
-	if err != nil {
+	if err := bat.ValidateBorders(borders, n); err != nil {
 		return nil, err
+	}
+	// The non-empty clusters, as cursors: Start advances.
+	var clusters []bat.Border
+	for _, b := range borders {
+		if b.Size() > 0 {
+			clusters = append(clusters, b)
+		}
 	}
 	result := make([]T, n)
 	h := make(mergeHeap, 0, len(clusters))
 	for c := range clusters {
-		h = append(h, mergeEntry{ids[clusters[c].start], c})
+		h = append(h, mergeEntry{ids[clusters[c].Start], c})
 	}
 	heap.Init(&h)
 	out := 0
@@ -78,11 +84,11 @@ func MergeDecluster[T any](values []T, ids []OID, borders []bat.Border) ([]T, er
 		if OID(out) != e.id {
 			return nil, fmt.Errorf("core: MergeDecluster: ids are not a within-cluster-sorted permutation (position %d yields id %d)", out, e.id)
 		}
-		result[out] = values[c.start]
+		result[out] = values[c.Start]
 		out++
-		c.start++
-		if c.start < c.end {
-			h[0] = mergeEntry{ids[c.start], e.cluster}
+		c.Start++
+		if c.Start < c.End {
+			h[0] = mergeEntry{ids[c.Start], e.cluster}
 			heap.Fix(&h, 0)
 		} else {
 			heap.Pop(&h)

@@ -201,35 +201,6 @@ func TestMergeDeclusterRandomised(t *testing.T) {
 	}
 }
 
-func TestDeclusterRows(t *testing.T) {
-	// Rows of width 3; same permutation logic as Decluster.
-	_, cl := declusterInput(512, 3, 9)
-	const w = 3
-	rows := make([]int32, 512*w)
-	for i, o := range cl.SmallerOIDs {
-		for j := 0; j < w; j++ {
-			rows[i*w+j] = int32(o)*10 + int32(j)
-		}
-	}
-	got, err := DeclusterRows(rows, w, cl.ResultPos, cl.Borders, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pos := range cl.ResultPos {
-		for j := 0; j < w; j++ {
-			if got[int(pos)*w+j] != rows[i*w+j] {
-				t.Fatalf("row at result pos %d field %d = %d, want %d", pos, j, got[int(pos)*w+j], rows[i*w+j])
-			}
-		}
-	}
-	if _, err := DeclusterRows(rows[:10], 3, cl.ResultPos, cl.Borders, 64); err == nil {
-		t.Fatal("ragged rows not rejected")
-	}
-	if _, err := DeclusterRows(rows, 0, cl.ResultPos, cl.Borders, 64); err == nil {
-		t.Fatal("zero width not rejected")
-	}
-}
-
 func TestDeclusterFunc(t *testing.T) {
 	vals, cl := declusterInput(300, 2, 5)
 	got := make([]int32, 300)
@@ -317,7 +288,38 @@ func TestClusteredValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// Whole width-3 records into a buffer of the same width: the NSM
+// record move, same permutation logic as Decluster.
+func TestDeclusterRows(t *testing.T) {
+	_, cl := declusterInput(512, 3, 9)
+	const w = 3
+	rows := make([]int32, 512*w)
+	for i, o := range cl.SmallerOIDs {
+		for j := 0; j < w; j++ {
+			rows[i*w+j] = int32(o)*10 + int32(j)
+		}
+	}
+	got := make([]int32, len(rows))
+	if err := DeclusterRowsInto(got, w, 0, rows, w, cl.ResultPos, cl.Borders, 64); err != nil {
+		t.Fatal(err)
+	}
+	for i, pos := range cl.ResultPos {
+		for j := 0; j < w; j++ {
+			if got[int(pos)*w+j] != rows[i*w+j] {
+				t.Fatalf("row at result pos %d field %d = %d, want %d", pos, j, got[int(pos)*w+j], rows[i*w+j])
+			}
+		}
+	}
+	if err := DeclusterRowsInto(got, w, 0, rows[:10], w, cl.ResultPos, cl.Borders, 64); err == nil {
+		t.Fatal("ragged rows not rejected")
+	}
+	if err := DeclusterRowsInto(got, w, 0, rows, 0, cl.ResultPos, cl.Borders, 64); err == nil {
+		t.Fatal("zero width not rejected")
+	}
+}
+
 func TestDeclusterRowsInto(t *testing.T) {
+	// Two fields into width-5 records at offset 3.
 	_, cl := declusterInput(256, 3, 13)
 	const w, outW, outOff = 2, 5, 3
 	rows := make([]int32, 256*w)
@@ -353,5 +355,14 @@ func TestDeclusterRowsInto(t *testing.T) {
 	}
 	if err := DeclusterRowsInto(out, outW, 0, rows[:5], w, cl.ResultPos, cl.Borders, 32); err == nil {
 		t.Fatal("ragged rows not rejected")
+	}
+	if err := DeclusterRowsInto(out, outW, 0, rows, 0, cl.ResultPos, cl.Borders, 32); err == nil {
+		t.Fatal("zero width not rejected")
+	}
+	if err := DeclusterRowsInto(out, outW, 0, rows, w, cl.ResultPos, cl.Borders, 0); err == nil {
+		t.Fatal("zero window not rejected")
+	}
+	if err := DeclusterRowsInto(out, outW, 0, rows, w, cl.ResultPos, cl.Borders[1:], 32); err == nil {
+		t.Fatal("borders not covering the input not rejected")
 	}
 }

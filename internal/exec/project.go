@@ -1,18 +1,16 @@
 package exec
 
-// Partition-wise post-projection: the clustered Positional-Join
-// fetches and the Radix-Decluster run over groups of radix clusters.
-// Every cluster confines its random access to one cache-sized region
-// of the source column (§3.1), so cluster groups are independent
-// morsels; and because the clustered result positions partition the
-// result permutation, each group declusters into a disjoint set of
-// result slots — workers share the output array without overlap, and
-// the scatter produces the same bytes the serial algorithm would.
-//
-// Each worker's insertion window is the serial window divided by the
-// number of active workers (the shared cache budget split per core),
-// so the concurrently live window regions together still fit the
-// last-level cache.
+// Partition-wise post-projection: the Positional-Join fetches and the
+// Radix-Decluster driver. Every cluster confines its random access to
+// one cache-sized region of the source column (§3.1), so cluster groups
+// are independent morsels. Radix-Decluster itself lives once, in
+// internal/core, as one sequential kernel per data shape; this file
+// only cuts the borders into cluster groups at run time, like the
+// radix kernels' morsels, and runs the kernel once per group. The
+// clustered result positions partition the result permutation, so each
+// group declusters into a disjoint set of result slots: workers share
+// the output array without overlap, and the scatter produces the same
+// bytes the serial algorithm would.
 
 import (
 	"fmt"
@@ -94,98 +92,45 @@ func (e *Engine) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int
 
 // Decluster runs Radix-Decluster with the planned (serial) window, the
 // parallel equivalent of core.Decluster: cluster groups are morsels,
-// each running the Figure-6 insertion-window loop over its own
-// clusters. The planned window is divided between the nominal workers
-// (perWorkerWindow), so the concurrently live window regions together
-// still fit the cache; output bytes never depend on the division. The
-// clusters of a group own a fixed subset of result positions, so
-// groups scatter into result without overlap — and, ids being a
-// permutation, into every slot of it: the result array is drawn dirty
-// (mempool.Own) and never cleared.
+// each running core.DeclusterKernel over its own clusters. The clusters
+// of a group own a fixed subset of result positions, so groups scatter
+// into result without overlap — and, ids being a permutation, into
+// every slot of it: the result array is drawn dirty (mempool.Own) and
+// never cleared.
 func (e *Engine) Decluster(values []int32, ids []OID, borders []bat.Border, windowTuples int) ([]int32, error) {
 	n := len(values)
 	if e.serial(n) {
 		return core.Decluster(values, ids, borders, windowTuples)
 	}
-	if len(ids) != n {
-		return nil, fmt.Errorf("core: Decluster: %d values vs %d ids", n, len(ids))
-	}
-	if windowTuples < 1 {
-		return nil, fmt.Errorf("core: Decluster: window of %d tuples", windowTuples)
-	}
-	if err := bat.ValidateBorders(borders, n); err != nil {
+	if err := core.CheckDecluster(n, ids, borders, windowTuples); err != nil {
 		return nil, err
 	}
 	result := e.Own(n)
-	window := perWorkerWindow(windowTuples, e.workers)
-	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
-	errs := e.errSlots(len(groups))
-	e.run(len(groups), func(_, t int, s *Scratch) {
-		errs[t] = declusterGroup(result, values, ids, borders[groups[t].Lo:groups[t].Hi], window, s)
+	err := e.declusterPerGroup(n, borders, windowTuples, func(group []bat.Border, window int, cur []int) error {
+		return core.DeclusterKernel(result, values, ids, group, window, cur)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return result, nil
 }
 
-// perWorkerWindow splits the planned insertion window across workers
-// (each worker's live region gets a 1/workers share of the cache
-// budget), clamped to at least one tuple.
-func perWorkerWindow(windowTuples, workers int) int {
-	w := windowTuples / workers
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// declusterGroup runs the windowed merge-scatter of Figure 6 over one
-// group of clusters. Cursor state lives in the worker's scratch so
-// the loop allocates nothing.
-func declusterGroup(result, values []int32, ids []OID, borders []bat.Border, window int, s *Scratch) error {
-	n := len(result)
-	// cur holds [start,end) cursor pairs of the non-empty clusters.
-	cur := s.Ints(2 * len(borders))
-	m := 0
-	minID := uint64(0)
-	for _, b := range borders {
-		if b.Size() > 0 {
-			if m == 0 || uint64(ids[b.Start]) < minID {
-				minID = uint64(ids[b.Start])
-			}
-			cur[2*m], cur[2*m+1] = b.Start, b.End
-			m++
-		}
-	}
-	// Fast-forward the window to the group's first result position:
-	// a group owning high result ids would otherwise sweep its
-	// cursors through many windows scattering nothing. The window
-	// boundaries stay on the same grid, so write locality per window
-	// is unchanged (and output bytes never depend on window placement).
-	for windowLimit := (minID/uint64(window))*uint64(window) + uint64(window); m > 0; windowLimit += uint64(window) {
-		for i := 0; i < m; i++ {
-			start, end := cur[2*i], cur[2*i+1]
-			for start < end {
-				id := ids[start]
-				if uint64(id) >= windowLimit {
-					break // outside this worker's insertion window
-				}
-				if int(id) >= n {
-					return fmt.Errorf("core: Decluster: id %d out of range [0,%d)", id, n)
-				}
-				result[id] = values[start]
-				start++
-			}
-			cur[2*i] = start
-			if start >= end {
-				m--
-				cur[2*i], cur[2*i+1] = cur[2*m], cur[2*m+1] // delete empty cluster
-				i--                                         // re-examine the swapped-in cluster
-			}
-		}
-	}
-	return nil
+// declusterPerGroup runs one Radix-Decluster kernel per cluster group of
+// borders (over n tuples) as morsels, handing each the per-worker
+// window and cursors from the worker's scratch. The planned window is
+// divided between the nominal workers (the shared cache budget split
+// per core), so the concurrently live window regions together still
+// fit the cache; output bytes never depend on the division.
+func (e *Engine) declusterPerGroup(n int, borders []bat.Border, windowTuples int,
+	kernel func(group []bat.Border, window int, cur []int) error) error {
+	window := max(windowTuples/e.workers, 1)
+	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
+	errs := e.errSlots(len(groups))
+	e.run(len(groups), func(_, t int, s *Scratch) {
+		group := borders[groups[t].Lo:groups[t].Hi]
+		errs[t] = kernel(group, window, s.Ints(2*len(group)))
+	})
+	return firstErr(errs)
 }
 
 // groupBorders cuts the cluster list into at most k contiguous groups

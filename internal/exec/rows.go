@@ -4,11 +4,14 @@ package exec
 // radix-clustering of whole records, the payload-carrying
 // pre-projection joins, the wide-tuple stitch of DSM pre-projection,
 // the record scans and gathers of the NSM strategies, and the row
-// variant of Radix-Decluster. Morsels are
-// contiguous record ranges (scans, stitches, probes), partitions
-// (joins), or cluster groups (gathers, decluster) — each writing a
-// disjoint slice of the output, so every operator reproduces its
-// serial counterpart byte for byte.
+// driver of Radix-Decluster. Morsels are contiguous record ranges
+// (scans, stitches, probes), partitions (joins), or cluster groups
+// (decluster), each writing a disjoint slice of the output, so every
+// operator reproduces its serial counterpart byte for byte. The
+// kernels are the serial ones: input checks are join.CheckRows and
+// core.CheckDeclusterRows, the naive join's hash table is one
+// join.BuildRowsTable, and each decluster morsel is one
+// core.DeclusterRowsKernel.
 
 import (
 	"fmt"
@@ -22,35 +25,18 @@ import (
 	"radixdecluster/internal/radix"
 )
 
-// checkRowsInput mirrors the rows validation of internal/join and
-// internal/radix so the parallel bodies reject exactly what the serial
-// code would.
-func checkRowsInput(pkg string, rows []int32, width, key int) error {
-	if width <= 0 || len(rows)%width != 0 {
-		return fmt.Errorf("%s: %d values is not a multiple of width %d", pkg, len(rows), width)
-	}
-	if key < 0 || key >= width {
-		return fmt.Errorf("%s: key column %d out of range [0,%d)", pkg, key, width)
-	}
-	return nil
-}
-
 // ClusterRows is the parallel equivalent of radix.ClusterRows: it
 // radix-clusters width-wide records on hash(record[keyCol]) with the
 // same two-level chunked count-then-scatter as ClusterOIDPairs, moving
 // whole records — the pre-projection "extra luggage" — and produces
 // the identical arrangement and offsets.
 func (e *Engine) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radix.RowsResult, error) {
-	if err := checkRowsInput("radix: ClusterRows", rows, width, keyCol); err != nil {
-		return nil, err
-	}
-	n := len(rows) / width
-	if e.serial(n) || !scatterable(o.Bits) {
+	// radix.ClusterRows rejects what the parallel body cannot run.
+	if join.CheckRows(rows, width, keyCol) != nil || o.Validate() != nil ||
+		e.serial(len(rows)/width) || !scatterable(o.Bits) {
 		return radix.ClusterRows(rows, width, keyCol, o)
 	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
+	n := len(rows) / width
 	// The clustered records are a join input, leased like the
 	// intermediate a two-level fan-out scatters through first.
 	out := mempool.Slice[int32](e.mem(), len(rows))
@@ -68,10 +54,10 @@ func (e *Engine) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*ra
 // are probed as morsels, and the per-partition result rows are stitched
 // in partition order — the order the serial loop appends them.
 func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*join.RowsResult, error) {
-	if err := checkRowsInput("join", larger, lw, lkey); err != nil {
+	if err := join.CheckRows(larger, lw, lkey); err != nil {
 		return nil, err
 	}
-	if err := checkRowsInput("join", smaller, sw, skey); err != nil {
+	if err := join.CheckRows(smaller, sw, skey); err != nil {
 		return nil, err
 	}
 	if e.serial(len(larger)/lw + len(smaller)/sw) {
@@ -86,11 +72,7 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 		if err := o.Validate(); err != nil {
 			return nil, err
 		}
-		t, err := e.buildRowsTable(smaller, sw, skey, uint(o.Ignore))
-		if err != nil {
-			return nil, err
-		}
-		return e.probeRowsChunked(t, larger, lw, lkey, sw), nil
+		return e.hashRowsChunked(larger, lw, lkey, smaller, sw, skey, uint(o.Ignore))
 	}
 	cl, err := e.ClusterRows(larger, lw, lkey, o)
 	if err != nil {
@@ -130,59 +112,40 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 }
 
 // HashRowsJoin is the naive pre-projection Hash-Join over wide tuples,
-// the parallel equivalent of join.HashRows: the hash table over the
-// smaller relation is built with a partitioned per-worker-shard build
-// (disjoint bucket ranges — byte-identical to the serial build, so
-// chain order still fixes duplicate-match order), then chunks of the
-// larger relation probe it concurrently into private buffers stitched
-// in chunk order.
+// the parallel equivalent of join.HashRows (see hashRowsChunked).
 func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*join.RowsResult, error) {
-	if err := checkRowsInput("join", larger, lw, lkey); err != nil {
+	if err := join.CheckRows(larger, lw, lkey); err != nil {
 		return nil, err
 	}
-	if err := checkRowsInput("join", smaller, sw, skey); err != nil {
+	if err := join.CheckRows(smaller, sw, skey); err != nil {
 		return nil, err
 	}
 	if e.serial(len(larger)/lw + len(smaller)/sw) {
 		return join.HashRows(larger, lw, lkey, smaller, sw, skey)
 	}
-	t, err := e.buildRowsTable(smaller, sw, skey, 0)
+	return e.hashRowsChunked(larger, lw, lkey, smaller, sw, skey, 0)
+}
+
+// hashRowsChunked joins through one hash table over the smaller
+// relation: join.BuildRowsTable builds it on the caller's goroutine
+// into leased (dirty) bucket-head and chain arrays — intra-query
+// transients the probe reads and the result rows don't — and chunks of
+// the larger relation probe it concurrently into per-chunk buffers,
+// stitched in chunk (= input) order: the serial probe order, with
+// duplicate matches in the table's chain order.
+func (e *Engine) hashRowsChunked(larger []int32, lw, lkey int, smaller []int32, sw, skey int, shift uint) (*join.RowsResult, error) {
+	ml := e.mem()
+	ns := len(smaller) / sw
+	t, err := join.BuildRowsTable(smaller, sw, skey, shift,
+		mempool.Slice[int32](ml, join.NumBuckets(ns)), mempool.Slice[int32](ml, ns))
 	if err != nil {
 		return nil, err
 	}
-	return e.probeRowsChunked(t, larger, lw, lkey, sw), nil
-}
-
-// buildRowsTable builds the wide-tuple hash table on the runtime: the
-// formerly serial residue of the naive rows join, sharded per worker
-// over disjoint bucket ranges (join.BuildRowsTableParallelBufs). Small
-// inputs stay on the serial build.
-func (e *Engine) buildRowsTable(rows []int32, width, key int, shift uint) (*join.RowTable, error) {
-	if e.serial(len(rows) / width) {
-		return join.BuildRowsTable(rows, width, key, shift)
-	}
-	// The table's linkage arrays are intra-query transients (the probe
-	// reads them, the result rows don't): lease the backing, dirty.
-	n := len(rows) / width
-	ml := e.mem()
-	first := mempool.Slice[int32](ml, join.NumBuckets(n))
-	next := mempool.Slice[int32](ml, n)
-	bucketOf := mempool.Slice[uint32](ml, n)
-	return join.BuildRowsTableParallelBufs(rows, width, key, shift, e.workers,
-		func(ntasks int, body func(task int)) {
-			e.run(ntasks, func(_, t int, _ *Scratch) { body(t) })
-		}, first, next, bucketOf)
-}
-
-// probeRowsChunked probes larger-side chunks against a prebuilt row
-// table concurrently, stitching the per-chunk match buffers in chunk
-// (= input) order — the serial probe order.
-func (e *Engine) probeRowsChunked(t *join.RowTable, larger []int32, lw, lkey, sw int) *join.RowsResult {
 	chunks := e.chunksFor(len(larger) / lw)
 	// Per-chunk buffers carve one leased arena at the chunk's offset,
 	// capped at one match per probe tuple (see PartitionedRowsJoin).
 	rw := lw + sw - 2
-	arena := mempool.Slice[int32](e.mem(), (len(larger)/lw)*rw)
+	arena := mempool.Slice[int32](ml, (len(larger)/lw)*rw)
 	parts := make([][]int32, len(chunks))
 	var matches atomic.Int64
 	e.run(len(chunks), func(_, c int, _ *Scratch) {
@@ -192,7 +155,7 @@ func (e *Engine) probeRowsChunked(t *join.RowTable, larger []int32, lw, lkey, sw
 		parts[c], m = t.ProbeRows(larger[r.Lo*lw:r.Hi*lw], lw, lkey, buf)
 		matches.Add(int64(m))
 	})
-	return e.stitchRowParts(parts, rw, int(matches.Load()))
+	return e.stitchRowParts(parts, rw, int(matches.Load())), nil
 }
 
 // stitchRowParts concatenates per-morsel result-row buffers in morsel
@@ -347,87 +310,20 @@ func (e *Engine) AppendFields(name string, a, b *nsm.Relation) (*nsm.Relation, e
 }
 
 // DeclusterRowsInto runs the row variant of Radix-Decluster into a
-// caller-provided row-major buffer at field offset outOff. Cluster
-// groups are morsels; each group's clusters own a disjoint set of
-// result records, and the parallel engine divides the insertion
-// window between workers exactly as Decluster does.
+// caller-provided row-major buffer at field offset outOff, the parallel
+// equivalent of core.DeclusterRowsInto: one core.DeclusterRowsKernel
+// per cluster group, each group's clusters owning a disjoint set of
+// result records, with the window divided between workers exactly as
+// Decluster divides it.
 func (e *Engine) DeclusterRowsInto(out []int32, outWidth, outOff int, values []int32, width int, ids []OID, borders []bat.Border, windowTuples int) error {
-	if width <= 0 || len(values)%width != 0 {
-		return fmt.Errorf("core: DeclusterRowsInto: %d values not a multiple of width %d", len(values), width)
-	}
-	n := len(values) / width
+	n := len(ids)
 	if e.serial(n) {
 		return core.DeclusterRowsInto(out, outWidth, outOff, values, width, ids, borders, windowTuples)
 	}
-	if len(ids) != n {
-		return fmt.Errorf("core: DeclusterRowsInto: %d records vs %d ids", n, len(ids))
-	}
-	if outOff < 0 || outOff+width > outWidth {
-		return fmt.Errorf("core: DeclusterRowsInto: fields [%d,%d) outside record width %d", outOff, outOff+width, outWidth)
-	}
-	if len(out) != n*outWidth {
-		return fmt.Errorf("core: DeclusterRowsInto: out holds %d records of width %d, want %d", len(out)/outWidth, outWidth, n)
-	}
-	if windowTuples < 1 {
-		return fmt.Errorf("core: DeclusterRowsInto: window of %d tuples", windowTuples)
-	}
-	if err := bat.ValidateBorders(borders, n); err != nil {
+	if err := core.CheckDeclusterRows(out, outWidth, outOff, values, width, ids, borders, windowTuples); err != nil {
 		return err
 	}
-	window := perWorkerWindow(windowTuples, e.workers)
-	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
-	errs := e.errSlots(len(groups))
-	e.run(len(groups), func(_, t int, s *Scratch) {
-		errs[t] = declusterRowsGroup(out, outWidth, outOff, values, width, ids,
-			borders[groups[t].Lo:groups[t].Hi], window, s)
+	return e.declusterPerGroup(n, borders, windowTuples, func(group []bat.Border, window int, cur []int) error {
+		return core.DeclusterRowsKernel(out, outWidth, outOff, values, width, ids, group, window, cur)
 	})
-	return firstErr(errs)
-}
-
-// declusterRowsGroup is declusterGroup (project.go) for row-major
-// records written at a field offset: the Figure-6 windowed
-// merge-scatter over one group of clusters, copying whole projected
-// records. The control loop is kept specialized rather than shared —
-// like internal/core's Decluster/DeclusterRows/DeclusterFunc trio —
-// because an emit closure or per-tuple memmove in the scalar variant
-// would tax the paper's hottest loop; change both in lockstep (the
-// *MatchesSerial tests pin each against the serial algorithm).
-func declusterRowsGroup(out []int32, outWidth, outOff int, values []int32, width int, ids []OID, borders []bat.Border, window int, s *Scratch) error {
-	n := len(ids)
-	cur := s.Ints(2 * len(borders))
-	m := 0
-	minID := uint64(0)
-	for _, b := range borders {
-		if b.Size() > 0 {
-			if m == 0 || uint64(ids[b.Start]) < minID {
-				minID = uint64(ids[b.Start])
-			}
-			cur[2*m], cur[2*m+1] = b.Start, b.End
-			m++
-		}
-	}
-	for windowLimit := (minID/uint64(window))*uint64(window) + uint64(window); m > 0; windowLimit += uint64(window) {
-		for i := 0; i < m; i++ {
-			start, end := cur[2*i], cur[2*i+1]
-			for start < end {
-				id := ids[start]
-				if uint64(id) >= windowLimit {
-					break
-				}
-				if int(id) >= n {
-					return fmt.Errorf("core: DeclusterRowsInto: id %d out of range [0,%d)", id, n)
-				}
-				copy(out[int(id)*outWidth+outOff:int(id)*outWidth+outOff+width],
-					values[start*width:(start+1)*width])
-				start++
-			}
-			cur[2*i] = start
-			if start >= end {
-				m--
-				cur[2*i], cur[2*i+1] = cur[2*m], cur[2*m+1]
-				i--
-			}
-		}
-	}
-	return nil
 }

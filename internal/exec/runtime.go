@@ -327,9 +327,7 @@ type Options struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// MaxConcurrent is the admission bound; <= 0 selects
-	// max(2, workers): enough to overlap one query's serial residues
-	// and phase boundaries with another's execution, and no more
-	// admitted queries than workers to serve them.
+	// DefaultMaxConcurrent(Workers).
 	MaxConcurrent int
 	// Metrics creates a Prometheus-style metrics registry for this
 	// runtime (MetricsRegistry): active queries, admission queue depth
@@ -352,6 +350,12 @@ type Options struct {
 	MemoryBudget int64
 }
 
+// DefaultMaxConcurrent is the admission bound of a runtime of workers
+// workers when none is configured: max(2, workers), enough to overlap
+// one query's serial residues and phase boundaries with another's
+// execution, and no more admitted queries than workers to serve them.
+func DefaultMaxConcurrent(workers int) int { return max(2, workers) }
+
 // NewRuntime creates a runtime with the given worker count and
 // admission bound (see Options for the defaults).
 func NewRuntime(workers, maxConcurrent int) *Runtime {
@@ -366,7 +370,7 @@ func NewRuntimeOpts(o Options) *Runtime {
 	}
 	maxConcurrent := o.MaxConcurrent
 	if maxConcurrent <= 0 {
-		maxConcurrent = max(2, workers)
+		maxConcurrent = DefaultMaxConcurrent(workers)
 	}
 	rt := &Runtime{
 		workers: workers, maxConcurrent: maxConcurrent,

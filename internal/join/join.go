@@ -296,8 +296,8 @@ func grow(s []OID) []OID { return append(s, make([]OID, len(s)+1)...) }
 
 // NumBuckets returns the bucket count a table over n tuples is sized
 // from: the next power of two above n. The naive and row tables use it
-// as is; callers providing build buffers
-// (BuildRowsTableParallelBufs) size them with it.
+// as is; callers providing build buffers (BuildRowsTable) size them
+// with it.
 func NumBuckets(n int) int {
 	if n <= 0 {
 		return 1
@@ -341,20 +341,24 @@ type rowTable struct {
 
 func buildRowTable(rows []int32, width, key int, shift uint) *rowTable {
 	n := len(rows) / width
-	nbuckets := 1
-	if n > 0 {
-		nbuckets = 1 << bits.Len(uint(n))
-	}
+	return linkRowTable(rows, width, key, shift, make([]int32, NumBuckets(n)), make([]int32, n))
+}
+
+// linkRowTable hashes the n = len(next) tuples of rows into the chains
+// of the zeroed bucket heads first (NumBuckets(n) long): each tuple is
+// pushed onto its bucket's chain in ascending order, so a chain lists
+// its tuples last first — the order duplicate matches are emitted in.
+func linkRowTable(rows []int32, width, key int, shift uint, first, next []int32) *rowTable {
 	t := &rowTable{
-		mask:  uint32(nbuckets - 1),
+		mask:  uint32(len(first) - 1),
 		shift: shift,
-		first: make([]int32, nbuckets),
-		next:  make([]int32, n),
+		first: first,
+		next:  next,
 		rows:  rows,
 		width: width,
 		key:   key,
 	}
-	for i := 0; i < n; i++ {
+	for i := range next {
 		b := (hash.Int32(rows[i*width+key]) >> shift) & t.mask
 		t.next[i] = t.first[b]
 		t.first[b] = int32(i) + 1
@@ -402,97 +406,18 @@ type RowTable struct{ t *rowTable }
 
 // BuildRowsTable hashes width-wide smaller tuples on their key column;
 // shift discards hash bits consumed by a radix partitioning (0 for the
-// naive join).
-func BuildRowsTable(rows []int32, width, key int, shift uint) (*RowTable, error) {
-	if err := checkRows(rows, width, key); err != nil {
+// naive join). first and next are the caller's backing arrays for the
+// bucket heads (capacity at least NumBuckets(n)) and the chain links
+// (at least n), handed in dirty: the build clears the heads and writes
+// every link. The table is the one HashRows builds, byte for byte.
+func BuildRowsTable(rows []int32, width, key int, shift uint, first, next []int32) (*RowTable, error) {
+	if err := CheckRows(rows, width, key); err != nil {
 		return nil, err
-	}
-	return &RowTable{t: buildRowTable(rows, width, key, shift)}, nil
-}
-
-// BuildRowsTableParallelBufs builds the table BuildRowsTable would —
-// bit for bit — with the bucket space cut into nshards disjoint
-// contiguous ranges built concurrently. run is the caller's parallel
-// for-loop (the executor's pool): run(n, body) must invoke body(task)
-// for every task in [0, n), possibly concurrently, and return only
-// after all complete.
-//
-// Two passes: the key hashes are computed once into a bucket array
-// (chunked over rows), then each shard walks that array and links
-// only the rows whose bucket falls in its range. first[b] and the
-// next[] entries of bucket b's rows are written solely by b's owner
-// shard, and each shard links its buckets' rows in ascending row
-// order — exactly the serial head-insertion layout, so duplicate-
-// match probe order is preserved and the table bytes are identical.
-// The whole-array walk per shard trades O(nshards · n) sequential
-// reads for zero coordination; with nshards ≈ workers the scan cost
-// stays linear per worker while the (formerly serial) chain linking
-// divides.
-//
-// first, next and bucketOf are caller-provided backing arrays
-// (recycled execution memory): first sized ≥ NumBuckets(n), next and
-// bucketOf sized ≥ n, all handed in dirty — every slot is rewritten
-// here (each shard zeroes its own bucket range of first before
-// linking). nil buffers fall back to fresh arrays.
-func BuildRowsTableParallelBufs(rows []int32, width, key int, shift uint, nshards int, run func(ntasks int, body func(task int)), first, next []int32, bucketOf []uint32) (*RowTable, error) {
-	if err := checkRows(rows, width, key); err != nil {
-		return nil, err
-	}
-	if nshards < 1 {
-		nshards = 1
 	}
 	n := len(rows) / width
-	nbuckets := NumBuckets(n)
-	if cap(first) < nbuckets {
-		first = make([]int32, nbuckets)
-	}
-	if cap(next) < n {
-		next = make([]int32, n)
-	}
-	if cap(bucketOf) < n {
-		bucketOf = make([]uint32, n)
-	}
-	t := &rowTable{
-		mask:  uint32(nbuckets - 1),
-		shift: shift,
-		first: first[:nbuckets],
-		next:  next[:n],
-		rows:  rows,
-		width: width,
-		key:   key,
-	}
-	bucketOf = bucketOf[:n]
-	run(nshards, func(shard int) {
-		lo, hi := shardRange(n, nshards, shard)
-		for i := lo; i < hi; i++ {
-			bucketOf[i] = (hash.Int32(rows[i*width+key]) >> shift) & t.mask
-		}
-	})
-	run(nshards, func(shard int) {
-		blo, bhi := shardRange(nbuckets, nshards, shard)
-		for b := blo; b < bhi; b++ {
-			t.first[b] = 0
-		}
-		for i := 0; i < n; i++ {
-			if b := bucketOf[i]; int(b) >= blo && int(b) < bhi {
-				t.next[i] = t.first[b]
-				t.first[b] = int32(i) + 1
-			}
-		}
-	})
-	return &RowTable{t: t}, nil
-}
-
-// shardRange cuts [0, n) into nshards near-equal contiguous ranges
-// and returns the shard-th one.
-func shardRange(n, nshards, shard int) (lo, hi int) {
-	base, rem := n/nshards, n%nshards
-	lo = shard*base + min(shard, rem)
-	hi = lo + base
-	if shard < rem {
-		hi++
-	}
-	return lo, hi
+	first = first[:NumBuckets(n)]
+	clear(first)
+	return &RowTable{t: linkRowTable(rows, width, key, shift, first, next[:n])}, nil
 }
 
 // ProbeRows joins larger wide tuples against the table, appending
@@ -515,10 +440,10 @@ func ProbeRowsPartition(smaller []int32, sw, skey int, larger []int32, lw, lkey 
 // ("NSM-pre-hash" in Figure 10): the projection columns travel as
 // extra luggage through an unpartitioned join.
 func HashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*RowsResult, error) {
-	if err := checkRows(larger, lw, lkey); err != nil {
+	if err := CheckRows(larger, lw, lkey); err != nil {
 		return nil, err
 	}
-	if err := checkRows(smaller, sw, skey); err != nil {
+	if err := CheckRows(smaller, sw, skey); err != nil {
 		return nil, err
 	}
 	t := buildRowTable(smaller, sw, skey, 0)
@@ -535,10 +460,10 @@ func HashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*Row
 // pre-projection needs more radix bits (and sooner multiple passes)
 // than post-projection at equal cardinality (§4.2).
 func PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*RowsResult, error) {
-	if err := checkRows(larger, lw, lkey); err != nil {
+	if err := CheckRows(larger, lw, lkey); err != nil {
 		return nil, err
 	}
-	if err := checkRows(smaller, sw, skey); err != nil {
+	if err := CheckRows(smaller, sw, skey); err != nil {
 		return nil, err
 	}
 	cl, err := radix.ClusterRows(larger, lw, lkey, o)
@@ -565,7 +490,10 @@ func PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int
 	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}, nil
 }
 
-func checkRows(rows []int32, width, key int) error {
+// CheckRows is the one check of a row-major join input, serial or
+// parallel: whole records of width fields, and a key column inside
+// them.
+func CheckRows(rows []int32, width, key int) error {
 	if width <= 0 || len(rows)%width != 0 {
 		return fmt.Errorf("join: %d values is not a multiple of width %d", len(rows), width)
 	}

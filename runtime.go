@@ -116,9 +116,9 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	}
 	admit := cfg.MaxConcurrentQueries
 	if admit <= 0 {
-		// exec's own default, written out because the memory ceiling
-		// (no bound without a budget) lowers it.
-		admit = min(max(2, workers), costmodel.MemoryBound(cfg.MemoryBudget,
+		// exec's default, lowered by the memory ceiling (no bound
+		// without a budget).
+		admit = min(exec.DefaultMaxConcurrent(workers), costmodel.MemoryBound(cfg.MemoryBudget,
 			costmodel.PerQueryMemEstimate(cfg.Hier.internal())))
 	}
 	r := &Runtime{hier: cfg.Hier, rt: exec.NewRuntimeOpts(exec.Options{
