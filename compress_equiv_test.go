@@ -11,7 +11,7 @@ import (
 // Compressed/raw byte-equivalence matrix: every strategy must return
 // results byte-identical to its raw serial run whether it executes
 // serially, on the default runtime, or on an explicit one, under
-// CompressionOn (decode phases plus the raw plan) and under
+// CompressionOn (the raw plan over decoded values) and under
 // CompressionAuto (which resolves to raw). Strict equality, not set
 // comparison — a decode pass reproduces the raw arrays exactly.
 

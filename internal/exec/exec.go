@@ -48,9 +48,9 @@
 //
 // Morsel kinds: contiguous tuple/record ranges (scans, stitches,
 // fetches, probe chunks of the naive rows join, Jive left-phase
-// chunks), radix partitions (hash-join partition pairs), and cluster
-// groups (clustered fetches, Radix-Decluster insertion regions, Jive
-// right-phase clusters).
+// chunks), radix partitions (hash-join partition pairs, fetches over
+// join images), and cluster groups (clustered fetches, Radix-Decluster
+// insertion regions, Jive right-phase clusters).
 //
 // Every goroutine that executes a morsel belongs to a Runtime
 // (runtime.go): one worker set multiplexed over every concurrent
@@ -328,6 +328,7 @@ func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, t
 // reused for the lifetime of the worker.
 type Scratch struct {
 	ints  []int
+	vals  []int32           // a partition's decoded image range (FetchImage)
 	tjoin join.TableScratch // partition hash-table build scratch
 	part  join.Index        // the match list a probe morsel fills
 }
@@ -341,6 +342,17 @@ func (s *Scratch) Ints(n int) []int {
 	s.ints = s.ints[:n]
 	clear(s.ints)
 	return s.ints
+}
+
+// Int32s returns a dirty []int32 of length n, reusing the worker's
+// buffer when capacity allows: like join.TableScratch it grows to the
+// largest request seen and never shrinks, and the caller writes every
+// slot it reads.
+func (s *Scratch) Int32s(n int) []int32 {
+	if cap(s.vals) < n {
+		s.vals = make([]int32, n)
+	}
+	return s.vals[:n]
 }
 
 // Range is a half-open interval of task indices or tuple positions.

@@ -41,46 +41,58 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 		return nil, err
 	}
 	shift := uint(o.Ignore + o.Bits)
-	return e.probeEach(cl.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
+	ix, _ := e.probeEach(cl.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
 		ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
 		sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
 		if ll < lh && sl < sh {
 			join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, out, ts)
 		}
-	}), nil
+	})
+	return ix, nil
 }
 
 // ProbePartitions is the Partitioned Hash-Join over two join images,
 // the parallel equivalent of join.PartitionedImages: it hash-joins every
 // pair of matching partitions of two images clustered on the same bits
 // (shift = the clustering's Ignore+Bits) concurrently and returns the
-// join-index in partition order, each side holding image positions. The
-// images are only read.
+// join-index in partition order, each side holding image positions, with
+// each partition's match range in Parts. The images are only read.
 func (e *Engine) ProbePartitions(larger, smaller *join.Image, shift uint) (*join.Index, error) {
 	// The serial loop also reports mismatched partition counts.
 	if e.serial(len(larger.Hashes)+len(smaller.Hashes)) || len(larger.Offsets) != len(smaller.Offsets) {
 		return join.PartitionedImages(larger, smaller, shift)
 	}
-	return e.probeEach(larger.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
+	ix, parts := e.probeEach(larger.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
 		join.ProbeImage(larger, smaller, pt, shift, out, ts)
-	}), nil
+	})
+	ix.Parts = parts
+	return ix, nil
+}
+
+// partitionAff is the affinity key of a morsel over one of h radix
+// partitions: the partition's level-1 radix parent. Every operator that
+// runs per partition homes partition p on the same worker — when this
+// query clustered the inputs, the partition's bytes are still in that
+// worker's private caches from the clustering refinement, and the fetch
+// after a probe finds the partition's match list where the probe wrote
+// it.
+func partitionAff(h int) func(pt int) uint64 {
+	l1 := level1Shift(bits.Len(uint(h)) - 1)
+	return func(pt int) uint64 { return uint64(pt) >> l1 }
 }
 
 // probeEach runs probe over every partition pair as one morsel, each
 // appending its matches to a private list, and stitches the lists into
 // the join-index in partition order. lOffs are the larger side's
 // partition offsets: a partition's list is sized for one match per
-// larger tuple.
-func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *join.TableScratch)) *join.Index {
+// larger tuple. It also returns the offsets of the partitions' lists in
+// the join-index (leased).
+func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *join.TableScratch)) (*join.Index, []int) {
 	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
 
 	// Each partition pair is one morsel producing a private match
-	// list, homed (affinity key) on the worker that owns its level-1
-	// radix parent — when this query clustered the inputs, the
-	// partition's bytes are still in that worker's private caches from
-	// the clustering refinement.
-	l1 := level1Shift(bits.Len(uint(h)) - 1)
-	aff := func(pt int) uint64 { return uint64(pt) >> l1 }
+	// list, homed on the worker that owns its level-1 radix parent.
+	aff := partitionAff(h)
 
 	// Each partition's list is carved from two leased arenas at its
 	// larger-side offset with a hard cap (three-index): the probe kernels
@@ -125,7 +137,7 @@ func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *
 		full = full && offs[pt+1] == lOffs[pt+1]
 	}
 	if full {
-		return &join.Index{Larger: bigL, Smaller: bigS}
+		return &join.Index{Larger: bigL, Smaller: bigS}, offs
 	}
 	// Otherwise copy each partition's list into its disjoint output
 	// range. The join-index never leaves the pipeline, so it is leased
@@ -143,5 +155,5 @@ func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *
 		copy(out.Larger[offs[pt]:offs[pt+1]], part.Larger)
 		copy(out.Smaller[offs[pt]:offs[pt+1]], part.Smaller)
 	})
-	return out
+	return out, offs
 }

@@ -54,7 +54,7 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 		"Raw bytes pipelines avoided moving by executing over block-compressed columns.",
 		func() float64 { return float64(rt.CompressedSavedBytes()) })
 	reg.CounterFunc("radixdecluster_compressed_decode_seconds_total",
-		"Wall-clock seconds pipelines spent in block-decode loops.",
+		"Seconds pipelines spent in block-decode loops, summed over the workers' decode loops (not wall time).",
 		func() float64 { return float64(rt.CompressedDecodeNanos()) / 1e9 })
 	m.phaseSeconds = reg.CounterVec("radixdecluster_phase_seconds_total",
 		"Wall-clock seconds spent executing pipeline phases, by phase kind.",

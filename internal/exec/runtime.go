@@ -411,9 +411,9 @@ func (rt *Runtime) SchedStats() SchedStats { return rt.sched.stats() }
 // (decoded minus encoded bytes, per decode).
 func (rt *Runtime) CompressedSavedBytes() int64 { return rt.compSaved.Load() }
 
-// CompressedDecodeNanos returns the total wall time the runtime's
-// pipelines spent inside block-decode loops — the CPU price paid for
-// the saved bandwidth.
+// CompressedDecodeNanos returns the total time the runtime's pipelines
+// spent inside block-decode loops, summed over the workers' decode loops
+// (not wall time) — the CPU price paid for the saved bandwidth.
 func (rt *Runtime) CompressedDecodeNanos() int64 { return rt.compDecodeNanos.Load() }
 
 // MemStats snapshots the execution-memory arena serving this

@@ -32,6 +32,11 @@ type OID = bat.OID
 type Index struct {
 	Larger  []OID
 	Smaller []OID
+	// Parts, set by the probes over join images, are the 2^B+1 offsets
+	// of the partitions' match lists: partition p's matches are
+	// [Parts[p], Parts[p+1]), so each side's positions there lie in its
+	// image's partition p.
+	Parts []int
 }
 
 // Len returns the number of matches (the join result cardinality).
@@ -156,7 +161,8 @@ type Image struct {
 
 // PartitionedImages is PartitionedPreclustered over two images:
 // ProbeImage over every partition pair in order, with one table scratch
-// for all of them. Mapped through the clustered oids, its join-index is
+// for all of them, recording each partition's matches in Parts. Mapped
+// through the clustered oids, its join-index is
 // PartitionedPreclustered's over the same clustering.
 func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
 	if len(larger.Offsets) != len(smaller.Offsets) {
@@ -165,10 +171,12 @@ func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
 	out := &Index{
 		Larger:  make([]OID, 0, len(larger.Hashes)),
 		Smaller: make([]OID, 0, len(larger.Hashes)),
+		Parts:   make([]int, 1, max(len(larger.Offsets), 1)),
 	}
 	var ts TableScratch
 	for p := 0; p+1 < len(larger.Offsets); p++ {
 		ProbeImage(larger, smaller, p, shift, out, &ts)
+		out.Parts = append(out.Parts, out.Len())
 	}
 	return out, nil
 }

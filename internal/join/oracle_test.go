@@ -225,6 +225,7 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 			t.Fatalf("%+v: images (parallel=%v): %v", o, par, err)
 		}
 		checkLIFO(t, got)
+		checkParts(t, got, li, si)
 		positionsToOIDs(got.Larger, lOIDs)
 		positionsToOIDs(got.Smaller, sOIDs)
 		if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
@@ -243,6 +244,25 @@ func checkLIFO(t *testing.T, ix *join.Index) {
 	for i := 1; i < ix.Len(); i++ {
 		if ix.Larger[i] == ix.Larger[i-1] && ix.Smaller[i] >= ix.Smaller[i-1] {
 			t.Fatalf("match %d: smaller position %d follows %d for one probe tuple, want descending (LIFO chain)", i, ix.Smaller[i], ix.Smaller[i-1])
+		}
+	}
+}
+
+// checkParts checks the partition offsets of a join-index over two
+// images: they tile the join-index, and each partition's matches hold
+// positions of that partition on both sides.
+func checkParts(t *testing.T, ix *join.Index, larger, smaller *join.Image) {
+	t.Helper()
+	h := len(larger.Offsets) - 1
+	if len(ix.Parts) != h+1 || ix.Parts[0] != 0 || ix.Parts[h] != ix.Len() {
+		t.Fatalf("partition offsets %v do not tile %d matches in %d partitions", ix.Parts, ix.Len(), h)
+	}
+	for p := range h {
+		for i := ix.Parts[p]; i < ix.Parts[p+1]; i++ {
+			l, s := int(ix.Larger[i]), int(ix.Smaller[i])
+			if l < larger.Offsets[p] || l >= larger.Offsets[p+1] || s < smaller.Offsets[p] || s >= smaller.Offsets[p+1] {
+				t.Fatalf("match %d in partition %d holds positions %d/%d outside it", i, p, l, s)
+			}
 		}
 	}
 }

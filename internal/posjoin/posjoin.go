@@ -43,16 +43,23 @@ func Fetch(col []int32, oids []OID) ([]int32, error) {
 }
 
 // FetchInto gathers into a caller-provided result column.
-func FetchInto(out, col []int32, oids []OID) error {
+func FetchInto(out, col []int32, oids []OID) error { return FetchWindowInto(out, col, 0, oids) }
+
+// FetchWindowInto is FetchInto over a window of a column: window holds
+// col[base : base+len(window)] and every oid must fall inside it —
+// out[i] = col[oids[i]] read from the window (FetchInto is base 0, the
+// whole column). The fetch over a join image reads one partition's range
+// this way, raw or decoded into scratch.
+func FetchWindowInto(out, window []int32, base OID, oids []OID) error {
 	if len(out) != len(oids) {
 		return fmt.Errorf("posjoin: out has %d slots for %d oids", len(out), len(oids))
 	}
-	n := uint32(len(col))
+	n := uint32(len(window))
 	for i, o := range oids {
-		if o >= n {
-			return fmt.Errorf("posjoin: oid %d out of range [0,%d)", o, n)
+		if o-base >= n { // an oid below base wraps past n
+			return fmt.Errorf("posjoin: oid %d out of range [%d,%d)", o, base, base+n)
 		}
-		out[i] = col[o]
+		out[i] = window[o-base]
 	}
 	return nil
 }

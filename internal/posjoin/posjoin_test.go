@@ -35,6 +35,32 @@ func TestFetchIntoSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestFetchWindowInto: a fetch from a window of a column reads what
+// FetchInto reads from the whole column, and rejects oids on either
+// side of the window.
+func TestFetchWindowInto(t *testing.T) {
+	col := []int32{10, 20, 30, 40, 50, 60}
+	oids := []OID{4, 2, 2, 3}
+	want := make([]int32, len(oids))
+	if err := FetchInto(want, col, oids); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int32, len(oids))
+	if err := FetchWindowInto(got, col[2:5], 2, oids); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+	for _, o := range []OID{1, 5} {
+		if err := FetchWindowInto(got[:1], col[2:5], 2, []OID{o}); err == nil {
+			t.Fatalf("oid %d outside the window [2,5) not rejected", o)
+		}
+	}
+}
+
 func TestFetchEmpty(t *testing.T) {
 	got, err := Fetch(nil, nil)
 	if err != nil || len(got) != 0 {

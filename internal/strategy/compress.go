@@ -1,24 +1,25 @@
 package strategy
 
-// Compressed execution at the strategy layer is a decode pass plus the
-// raw plan. When Config.Compress is set and a side carries
-// block-compressed images, each encoded input is decoded by a
-// scan-shaped phase (exec.Engine.MaterializeCol) listed right before the
-// first phase that reads it — the join keys before the join, a DSM
-// side's projection columns before its fetch, a clustered side's column
-// before its fetch-clustered, DSM pre-projection's inputs before the
-// stitch, an NSM record image before key extraction — and every later
-// phase runs the raw plan over the decoded arrays. Over join images the
-// same holds: a compressed image plan is the decode pass plus the raw
-// image plan (u/u): each side is handed encodings of its image-order
-// columns in the join phase, its decode phase decodes those, and the raw
-// fetch reads them through image positions — the larger side's
-// sequentially, the smaller side's inside one partition.
-// The plan itself (its methods, bits and window) is the raw plan's, and
-// output bytes are identical either way: the decode reproduces the raw
-// arrays exactly. Compression is never chosen by the cost model: a
-// decode pass plus the raw plan cannot cost less than the raw plan
-// alone, whose arrays always coexist with the encodings.
+// Compressed execution at the strategy layer comes in two shapes, both
+// running the raw plan's methods, bits and window. When Config.Compress
+// is set and a side carries block-compressed images, a plan over
+// base-order inputs decodes each encoded input by a scan-shaped phase
+// (exec.Engine.MaterializeCol) listed right before the first phase that
+// reads it — the join keys before the join, a DSM side's projection
+// columns before its fetch, a clustered side's column before its
+// fetch-clustered, DSM pre-projection's inputs before the stitch, an NSM
+// record image before key extraction — and every later phase runs over
+// the decoded arrays. A plan over join images (u/u) lists no decode
+// phase: each side is handed encodings of its image-order columns in the
+// join phase, and its fetch (exec.Engine.FetchImage, the raw image
+// plan's fetch too) decodes each partition's image range into a worker's
+// scratch where it gathers that partition's matches — the larger side's
+// reads sequential, the smaller side's inside one partition — so no
+// decoded column is leased. Output bytes are identical to the raw plan's
+// either way: the decode reproduces the raw values exactly. Compression
+// is never chosen by the cost model: decoding cannot make a plan cost
+// less than the raw plan, whose arrays always coexist with the
+// encodings.
 
 import (
 	"fmt"
@@ -77,15 +78,12 @@ func (s *NSMSide) recordSlot() slot {
 	return slot{&rel.Data, &s.Enc}
 }
 
-// decodePhase lists the scan-shaped phase of a compressed plan that
-// decodes each slot's encoding into a leased raw array and swaps it in,
-// so the phases listed after it read raw arrays only. Slots none of
-// which is encoded list nothing — unless images: a side fed from its
-// join image learns its encodings only in the join phase, so its phase
-// is listed and decodes whatever the image handed it (nothing where
-// every column stayed raw).
-func decodePhase(pl *exec.Pipeline, name string, images bool, slots ...slot) {
-	if !images && !slices.ContainsFunc(slots, func(s slot) bool { return *s.enc != nil }) {
+// decodePhase lists the scan-shaped phase of a compressed plan over
+// base-order inputs that decodes each slot's encoding into a leased raw
+// array and swaps it in, so the phases listed after it read raw arrays
+// only. Slots none of which is encoded list nothing.
+func decodePhase(pl *exec.Pipeline, name string, slots ...slot) {
+	if !slices.ContainsFunc(slots, func(s slot) bool { return *s.enc != nil }) {
 		return
 	}
 	pl.Then(exec.PhaseScan, name, func(e *exec.Engine) error {

@@ -152,8 +152,10 @@ func stepCount(tr *obs.Trace, name string) int {
 // outside the query — for a compressed plan each column whose
 // image-order copy shrinks as that copy's encoding instead, as a
 // relation built WithCompression hands them out. Each call clusters
-// afresh, reports a build and, when encoded is not nil, adds the bytes
-// of the encodings it hands out to *encoded.
+// afresh, reports a build and, when encoded is not nil, adds to
+// *encoded the bytes a fetch over the image decodes from the encodings
+// it hands out: the blocks of every non-empty partition's range, a
+// block straddling two partitions once for each.
 func withJoinImages(encoded *int64, sides ...*DSMSide) {
 	for _, s := range sides {
 		oids, keys, base := s.OIDs, s.Keys, s.Cols
@@ -174,7 +176,7 @@ func withJoinImages(encoded *int64, sides ...*DSMSide) {
 					if e.Ratio() < 1 {
 						img.Cols[c], img.ColsEnc[c] = nil, e
 						if encoded != nil {
-							*encoded += int64(e.CompressedBytes())
+							*encoded += partitionBlockBytes(e, img.Offsets)
 						}
 					}
 				}
@@ -182,6 +184,19 @@ func withJoinImages(encoded *int64, sides ...*DSMSide) {
 			return img, nil
 		}
 	}
+}
+
+// partitionBlockBytes is the encoded size of the blocks each non-empty
+// partition of offs touches, summed over the partitions.
+func partitionBlockBytes(e *compress.Encoded, offs []int) (n int64) {
+	for p := 0; p+1 < len(offs); p++ {
+		if lo, hi := offs[p], offs[p+1]; lo < hi {
+			for b := lo / compress.BlockSize; b*compress.BlockSize < hi; b++ {
+				n += int64(e.BlockBytes(b))
+			}
+		}
+	}
+	return n
 }
 
 // clusterImage is the join image of an [oid, key] input whose oids
@@ -208,23 +223,26 @@ func clusterImage(oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image
 // spans on.
 const tracePipelineTrack = 1000
 
-// TestCompressedDecodesEachInputOnce: a compressed plan is the raw plan
-// with a decode phase right before the first phase that reads each
-// encoded input, so a run reads every encoding it uses exactly once —
-// the encoded bytes a run consumes, serial or parallel, are the
-// encodings' own size (N = 40 000 is no multiple of a parallel decode
-// pass's chunking, so chunks that split a block would count it twice).
-// Per-tuple decoding inside the fetch and gather operators once read a
-// u side hundreds of times over. Covered: the
-// DSM post-projection method pairs u/u, c/u, s/d and c/d, DSM
+// TestCompressedDecodesEachInputOnce: a compressed plan over base-order
+// encodings is the raw plan with a decode phase right before the first
+// phase that reads each encoded input, so a run reads every encoding it
+// uses exactly once — the encoded bytes a run consumes, serial or
+// parallel, are the encodings' own size (N = 40 000 is no multiple of a
+// parallel decode pass's chunking, so chunks that split a block would
+// count it twice). Per-tuple decoding inside the fetch and gather
+// operators once read a u side hundreds of times over. Covered: the DSM
+// post-projection method pairs u/u, c/u, s/d and c/d, DSM
 // pre-projection, and the four NSM strategies, each with its phase list.
 // A runtime u/u DSM post-projection run joins over join images, as the
 // root package's runtime queries do: it decodes no key column, each
-// image it builds is a step of its join phase, and both sides decode the
-// image-order encodings the join phase handed them in place of their
-// base-order ones. The other runtime method pairs are handed the same
-// images but cluster per query, as paper mode does: they build none and
-// decode the base-order encodings.
+// image it builds is a step of its join phase, and it lists no decode
+// phase — each fetch decodes the image-order encodings the join phase
+// handed it one partition at a time, so it reads the blocks of every
+// partition's range, a block straddling two partitions once for each
+// (the small hierarchy gives the join at least 4 partitions, so some
+// do). The other runtime method pairs are handed the same images but
+// cluster per query, as paper mode does: they build none and decode the
+// base-order encodings.
 func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 74})
@@ -301,21 +319,25 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 			bytes, phases, builds := c.bytes, c.phases, 0
 			images := par != 0 && c.name == "u/u"
 			if images {
-				// No base-order encoding is read; the image encodings the
-				// join phase hands out are added once the run has them.
+				// No base-order encoding is read; the partitions' blocks of
+				// the image encodings the join phase hands out are added
+				// once the run has them.
 				bytes = 0
-				phases = slices.DeleteFunc(slices.Clone(phases), func(p string) bool { return p == "decompress-keys" })
+				phases = []string{"partitioned-hash-join", "fetch-larger", "fetch-smaller"}
 				builds = 2
 			}
 			imgBytes = 0
 			tr := obs.NewTrace(tag)
-			res, err := c.run(Config{Compress: true, Parallelism: par, Trace: tr})
+			res, err := c.run(Config{Hier: mem.Small(), Compress: true, Parallelism: par, Trace: tr})
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
 			if images {
 				if imgBytes == 0 {
 					t.Fatalf("%s: the join images handed out no encoding: the byte count below assumes they do", tag)
+				}
+				if res.JoinBits < 2 {
+					t.Fatalf("%s: %d join bits: the byte count below wants at least 4 partitions", tag, res.JoinBits)
 				}
 				bytes += imgBytes
 			}

@@ -102,7 +102,7 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 	res := &Result{Plan: p}
 
 	if p.Compressed {
-		decodePhase(pl, "decompress-records", false, larger.recordSlot(), smaller.recordSlot())
+		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
 	}
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "nsm-scan-project", func(e *exec.Engine) error {
@@ -182,7 +182,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 
 	// Key extraction scans.
 	if p.Compressed {
-		decodePhase(pl, "decompress-records", false, larger.recordSlot(), smaller.recordSlot())
+		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
 	}
 	var lKeys, sKeys []int32
 	var lOIDs, sOIDs []OID
@@ -304,7 +304,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 	res := &Result{Plan: p}
 
 	if p.Compressed {
-		decodePhase(pl, "decompress-records", false, larger.recordSlot(), smaller.recordSlot())
+		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
 	}
 	var lKeys, sKeys []int32
 	var lOIDs, sOIDs []OID

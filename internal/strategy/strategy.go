@@ -116,10 +116,11 @@ type Config struct {
 	// Compress selects compressed execution over the sides'
 	// block-compressed images (DSMSide.KeysEnc/ColsEnc, NSMSide.Enc, and
 	// the encodings a join image hands a compressed plan, Image.ColsEnc):
-	// each encoded input is decoded by a phase of its own and the raw
-	// plan runs over the decoded arrays (compress.go). False (default)
-	// runs raw and ignores the encodings. Result bytes are identical
-	// either way.
+	// a base-order encoded input is decoded by a phase of its own and the
+	// raw plan runs over the decoded arrays; a fetch over join images
+	// decodes each partition where it fetches it (compress.go). False
+	// (default) runs raw and ignores the encodings. Result bytes are
+	// identical either way.
 	Compress bool
 }
 
@@ -338,8 +339,9 @@ func resolveSmaller(m ProjMethod, pi, baseN, c int) ProjMethod {
 // §4.1 switch — u fetches a column that outgrows the cache at random —
 // no longer holds. Otherwise the §4.1 rule runs on the declared last
 // cache level (resolveLarger, resolveSmaller). A compressed side plans
-// like a raw one: its columns are decoded into raw ones before their
-// fetch (decodePhase), so the fetch is the raw one.
+// like a raw one: its fetch reads the values the raw plan's does, decoded
+// ahead of it (decodePhase) or, over join images, partition by partition
+// inside it (exec.Engine.FetchImage).
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
 	if err := validateDSM(larger, smaller); err != nil {
 		return Plan{}, nil, err
@@ -389,8 +391,9 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 // DSMPost runs the paper's headline strategy: DSM post-projection
 // with the given per-side methods (Auto to let the planner choose).
 // The assembly is a single phase pipeline; the plan selects the engine
-// the phases execute on, and a compressed plan adds the decode phases
-// ahead of the phases that read the decoded inputs.
+// the phases execute on, and a compressed plan over base-order inputs
+// adds the decode phases ahead of the phases that read the decoded
+// inputs (a plan over join images decodes inside its fetches).
 func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanDSMPost(larger, smaller, lm, sm, cfg)
@@ -408,30 +411,31 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// Phase 1: join-index via Partitioned Hash-Join on the key BATs —
 	// over the sides' join images when the plan is u/u and both carry one,
 	// so the phase only probes and no phase reads a key column. Then the
-	// join-index holds image positions and each side projects from its
-	// image columns: the larger side's fetch becomes sequential, the
-	// smaller side's stays inside one partition's slice. A compressed plan
-	// decodes the image encodings in place of the base-order ones, and the
-	// fetch is the raw one. Any other plan clusters per query, as paper
-	// mode does, and its compressed key columns are decoded first — a
-	// scan-shaped pass that reads only the encoded bytes from RAM.
+	// join-index holds image positions and each side fetches from its
+	// image, one partition at a time (exec.Engine.FetchImage): the larger
+	// side's reads are sequential, the smaller side's stay inside one
+	// partition's range, and a compressed plan decodes each partition's
+	// range where it fetches it. Any other plan clusters per query, as
+	// paper mode does, and its compressed key columns are decoded first —
+	// a scan-shaped pass that reads only the encoded bytes from RAM.
 	images := larger.JoinImage != nil && smaller.JoinImage != nil &&
 		p.LargerMethod == Unsorted && p.SmallerMethod == Unsorted
-	if images || p.Compressed {
-		// The join and decode phases swap image and decoded arrays into the
-		// sides' inputs.
+	decode := p.Compressed && !images
+	if decode {
+		// The decode phases swap decoded arrays into the sides' inputs.
 		larger.ownInputs()
 		smaller.ownInputs()
+		decodePhase(pl, "decompress-keys", larger.keySlot(), smaller.keySlot())
 	}
-	if p.Compressed && !images {
-		decodePhase(pl, "decompress-keys", false, larger.keySlot(), smaller.keySlot())
-	}
-	var ji *join.Index
+	var (
+		ji   *join.Index
+		imgs [2]Image
+	)
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		o := joinOpts(p.JoinBits, h)
 		var err error
 		if images {
-			ji, err = probeImages(e, &larger, &smaller, p.Compressed, o)
+			imgs, ji, err = probeImages(e, larger, smaller, p.Compressed, o)
 		} else {
 			ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, o)
 		}
@@ -446,9 +450,12 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// intermediate (the join-index, the two reordered oid columns) is
 	// dropped by the phase that reads it last, so a serial run's live
 	// heap does not carry them to the end of the pipeline. A u/u plan
-	// over join images carries image positions in place of oids; the
-	// fetches read either the same way.
-	var largerOIDs, smallerInResultOrder []OID
+	// over join images carries image positions in place of oids, which
+	// its fetches read partition by partition.
+	var (
+		largerOIDs, smallerInResultOrder []OID
+		parts                            []int // the image join-index's partition offsets
+	)
 	switch p.LargerMethod {
 	case Unsorted:
 		// Result order = join output order; nothing to reorder. The
@@ -472,15 +479,19 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			return nil
 		})
 	}
-	if p.Compressed {
-		decodePhase(pl, "decompress-larger", images, larger.colSlots(0, len(larger.Cols))...)
+	if decode {
+		decodePhase(pl, "decompress-larger", larger.colSlots(0, len(larger.Cols))...)
 	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if p.LargerMethod == Unsorted {
-			largerOIDs, smallerInResultOrder, ji = ji.Larger, ji.Smaller, nil
+			largerOIDs, smallerInResultOrder, parts, ji = ji.Larger, ji.Smaller, ji.Parts, nil
 		}
 		var err error
-		res.LargerCols, err = e.FetchMany(larger.Cols, largerOIDs)
+		if images {
+			res.LargerCols, err = e.FetchImage(imgs[0].Cols, imgs[0].ColsEnc, imgs[0].Offsets, parts, largerOIDs)
+		} else {
+			res.LargerCols, err = e.FetchMany(larger.Cols, largerOIDs)
+		}
 		largerOIDs = nil
 		return err
 	})
@@ -488,12 +499,16 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// Phase 3: smaller-side projections.
 	switch p.SmallerMethod {
 	case Unsorted:
-		if p.Compressed {
-			decodePhase(pl, "decompress-smaller", images, smaller.colSlots(0, len(smaller.Cols))...)
+		if decode {
+			decodePhase(pl, "decompress-smaller", smaller.colSlots(0, len(smaller.Cols))...)
 		}
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
-			res.SmallerCols, err = e.FetchMany(smaller.Cols, smallerInResultOrder)
+			if images {
+				res.SmallerCols, err = e.FetchImage(imgs[1].Cols, imgs[1].ColsEnc, imgs[1].Offsets, parts, smallerInResultOrder)
+			} else {
+				res.SmallerCols, err = e.FetchMany(smaller.Cols, smallerInResultOrder)
+			}
 			return err
 		})
 	case Declustered:
@@ -506,8 +521,8 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		})
 		res.SmallerCols = make([][]int32, len(smaller.Cols))
 		for k := range smaller.Cols {
-			if p.Compressed {
-				decodePhase(pl, "decompress-smaller", false, smaller.colSlots(k, k+1)...)
+			if decode {
+				decodePhase(pl, "decompress-smaller", smaller.colSlots(k, k+1)...)
 			}
 			var cv []int32
 			pl.Then(exec.PhaseProjectSmaller, "fetch-clustered", func(e *exec.Engine) error {
@@ -527,26 +542,24 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 
 // probeImages is DSMPost's join over the sides' join images: the
 // clustering half of the Partitioned Hash-Join is a lookup, and only
-// the per-partition probes run. Each side emits image positions and has
-// its projection columns swapped for the image's — and, in a compressed
-// plan, its column encodings for the image's, which its decode phase
-// then reads. Whatever a side's image lacked is built as a step of the
-// join phase. The sides' Cols and ColsEnc are their own (ownInputs) and
-// written in place: the decode slots point into them.
-func probeImages(e *exec.Engine, larger, smaller *DSMSide, compressed bool, o radix.Opts) (*join.Index, error) {
-	var imgs [2]join.Image
-	for i, s := range [2]*DSMSide{larger, smaller} {
+// the per-partition probes run. It returns the sides' images — a raw
+// plan's without encodings — and the join-index, which holds image
+// positions and each partition's match range. Whatever a side's image
+// lacked is built as a step of the join phase.
+func probeImages(e *exec.Engine, larger, smaller DSMSide, compressed bool, o radix.Opts) ([2]Image, *join.Index, error) {
+	var imgs [2]Image
+	for i, s := range [2]DSMSide{larger, smaller} {
 		img, err := s.JoinImage(o, compressed, e.Step)
 		if err != nil {
-			return nil, err
+			return imgs, nil, err
 		}
 		n := len(s.OIDs)
 		if len(img.Hashes) != n || len(img.Offsets) != 1<<o.Bits+1 {
-			return nil, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
+			return imgs, nil, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
 				len(img.Hashes), len(img.Offsets)-1, n, 1<<o.Bits)
 		}
 		if len(img.Cols) != len(s.Cols) {
-			return nil, fmt.Errorf("strategy: join image holds %d columns, want %d", len(img.Cols), len(s.Cols))
+			return imgs, nil, fmt.Errorf("strategy: join image holds %d columns, want %d", len(img.Cols), len(s.Cols))
 		}
 		if !compressed {
 			img.ColsEnc = nil
@@ -557,15 +570,13 @@ func probeImages(e *exec.Engine, larger, smaller *DSMSide, compressed bool, o ra
 				enc = img.ColsEnc[c]
 			}
 			if col == nil && (enc == nil || enc.Len() != n) {
-				return nil, fmt.Errorf("strategy: join image column %d is neither raw nor a %d-value encoding", c, n)
+				return imgs, nil, fmt.Errorf("strategy: join image column %d is neither raw nor a %d-value encoding", c, n)
 			}
 		}
-		imgs[i] = img.Image
-		copy(s.Cols, img.Cols)
-		clear(s.ColsEnc)
-		copy(s.ColsEnc, img.ColsEnc)
+		imgs[i] = img
 	}
-	return e.ProbePartitions(&imgs[0], &imgs[1], uint(o.Ignore+o.Bits))
+	ji, err := e.ProbePartitions(&imgs[0].Image, &imgs[1].Image, uint(o.Ignore+o.Bits))
+	return imgs, ji, err
 }
 
 // rowsCost is the pre-projection strategies' cost (DSM-pre and both
@@ -613,7 +624,7 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 		// The decode phase swaps decoded copies into the sides' inputs.
 		larger.ownInputs()
 		smaller.ownInputs()
-		decodePhase(pl, "decompress-inputs", false, slices.Concat(
+		decodePhase(pl, "decompress-inputs", slices.Concat(
 			[]slot{larger.keySlot()}, larger.colSlots(0, len(larger.Cols)),
 			[]slot{smaller.keySlot()}, smaller.colSlots(0, len(smaller.Cols)))...)
 	}

@@ -626,8 +626,10 @@ func TestPaperModeBuildsNoJoinImage(t *testing.T) {
 
 // TestCompressedServicePhases pins the phases of the service's
 // compressed query shape (svc_engine_compressed: DSM post-projection,
-// u/u, CompressionOn, on a runtime): no phase reads a key column, so
-// none decodes one. The first query builds the images — each relation's
+// u/u, CompressionOn, on a runtime): no phase reads a key column, and
+// each fetch decodes its image encodings partition by partition where it
+// reads them, so the plan lists no decode phase at all — the raw plan's
+// phases. The first query builds the images — each relation's
 // clustering and an encoding of each projected column in image order —
 // as steps inside its join phase; a repeat builds none.
 func TestCompressedServicePhases(t *testing.T) {
@@ -642,7 +644,7 @@ func TestCompressedServicePhases(t *testing.T) {
 		LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
 		Compression: CompressionOn, Parallelism: 2, Runtime: rt, Trace: true,
 	}
-	wantPhases := []string{"partitioned-hash-join", "decompress-larger", "fetch-larger", "decompress-smaller", "fetch-smaller"}
+	wantPhases := []string{"partitioned-hash-join", "fetch-larger", "fetch-smaller"}
 	for rep, builds := range []int{2, 0} {
 		res, err := ProjectJoin(q)
 		if err != nil {
@@ -674,4 +676,61 @@ func TestCompressedServicePhases(t *testing.T) {
 		}
 		res.Release()
 	}
+}
+
+// TestCompressedImageHighWater: a compressed u/u query over join images
+// leases no decoded column — each fetch decodes one partition at a time
+// into its worker's scratch — so a warmed query's peak leased bytes
+// (Timing.Mem.HighWater) are at most the raw query's plus that scratch,
+// one widest partition per worker. Whole-column decode phases held
+// 16 MiB more at 1 Mi × π = 2 (41 946 112 B against 25 167 872 B raw).
+func TestCompressedImageHighWater(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs full-size relations")
+	}
+	const pi, workers = 2, 2
+	n := 1 << 20
+	if raceEnabled {
+		n = equivalenceN
+	}
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 86}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: workers})
+	defer rt.Close()
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
+		Parallelism: workers, Runtime: rt,
+	}
+	highWater := func(c Compression) int64 {
+		q.Compression = c
+		var hw int64
+		// The first query builds the images and warms the arena.
+		for range 2 {
+			res, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Compressed != (c == CompressionOn) {
+				t.Fatalf("%v: Compressed = %v", c, res.Compressed)
+			}
+			hw = res.Timing.Mem.HighWater
+			res.Release()
+		}
+		return hw
+	}
+	raw, comp := highWater(CompressionOff), highWater(CompressionOn)
+	widest := 0
+	for _, r := range []*Relation{larger, smaller} {
+		offs := r.joinImgs["key"].offsets
+		for p := 0; p+1 < len(offs); p++ {
+			widest = max(widest, offs[p+1]-offs[p])
+		}
+	}
+	if scratch := int64(workers * 4 * widest); comp > raw+scratch {
+		t.Fatalf("compressed high water %d B, raw %d B: %d B over the raw query plus the per-worker scratch (%d B)",
+			comp, raw, comp-raw, scratch)
+	}
+	t.Logf("high water: compressed %d B, raw %d B, per-worker scratch %d B", comp, raw, workers*4*widest)
 }

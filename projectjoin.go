@@ -97,10 +97,12 @@ const (
 // Compression selects whether ProjectJoin executes over the relations'
 // block-compressed images (built by relations constructed with
 // WithCompression; relations without them always run raw). Compressed
-// execution is decode phases plus the raw plan: each encoded input is
-// decoded into a raw array right before the first phase that reads it,
-// and the plan — methods, bits, window — is the raw one. Result bytes
-// are identical in every mode.
+// execution runs the raw plan — methods, bits, window — over the
+// decoded values: a runtime u/u DSM post-projection query decodes each
+// partition of its join image's encodings where its fetch reads it, any
+// other plan decodes each encoded input into a raw array right before
+// the first phase that reads it. Result bytes are identical in every
+// mode.
 type Compression int
 
 const (
@@ -210,11 +212,15 @@ type Timing struct {
 	// serial runs.
 	Sched SchedStats
 	// CompressedCols counts the encoded inputs (columns, record images)
-	// the run's decode phases decoded; CompressedBytes the encoded bytes
-	// they read; CompressedSavedBytes the raw bytes that traffic replaced
-	// (accumulated per decode pass — bus traffic avoided, not storage);
-	// DecodeTime the wall time spent inside block-decode loops. All
-	// zero unless the run executed compressed (JoinQuery.Compression).
+	// the run decoded — in decode phases or, over join images, inside its
+	// fetch phases, partition by partition; CompressedBytes the encoded
+	// bytes they read (a block two image partitions share counts for
+	// each); CompressedSavedBytes the raw bytes that traffic replaced
+	// (accumulated per decoded span — bus traffic avoided, not storage);
+	// DecodeTime the time spent inside block-decode loops, summed over
+	// the workers' decode loops (not wall time: on a parallel run it can
+	// exceed the wall time decoding adds). All zero unless the run
+	// executed compressed (JoinQuery.Compression).
 	CompressedCols       int64
 	CompressedBytes      int64
 	CompressedSavedBytes int64
