@@ -39,6 +39,7 @@ package exec
 
 import (
 	"fmt"
+	"unsafe"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/core"
@@ -68,10 +69,17 @@ const (
 // ClusterBUNs is the parallel equivalent of radix.ClusterBUNs: it
 // radix-clusters an [oid,value] BAT — a join input — on the hash of its
 // value column and produces the identical BUN arrangement (each value
-// carried as its hash) and offsets, in leased buffers (one per level).
+// carried as its hash) and offsets, in leased buffers (one per level;
+// the one the result does not live in goes straight back).
 func (e *Engine) ClusterBUNs(heads []OID, vals []int32, o radix.Opts) (*radix.BUNsResult, error) {
 	if e.serial(len(heads)) || !scatterable(o.Bits) {
-		return radix.ClusterBUNs(heads, vals, o)
+		buf := leaseBufs[uint64](e, len(vals), o)
+		res, err := radix.ClusterBUNsInto(buf, heads, vals, o)
+		if err != nil {
+			return nil, err
+		}
+		returnSpare(e, buf, res.BUNs)
+		return res, nil
 	}
 	if len(heads) != len(vals) {
 		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
@@ -86,7 +94,31 @@ func (e *Engine) ClusterBUNs(heads []OID, vals []int32, o radix.Opts) (*radix.BU
 		buf[1], last = mempool.Slice[uint64](ml, n), 1
 	}
 	count, scatter := radix.BUNKernels(vals, heads, buf)
-	return &radix.BUNsResult{BUNs: buf[last], Offsets: e.scatter2(n, o, count, scatter)}, nil
+	offsets := e.scatter2(n, o, count, scatter)
+	returnSpare(e, buf, buf[last])
+	return &radix.BUNsResult{BUNs: buf[last], Offsets: offsets}, nil
+}
+
+// leaseBufs leases the ping-pong buffers a serial clustering of n
+// values on o scatters through (radix's ...Into forms): a second one
+// only when o takes more than one pass.
+func leaseBufs[T any](e *Engine, n int, o radix.Opts) [2][]T {
+	ml := e.mem()
+	buf := [2][]T{mempool.Slice[T](ml, n)}
+	if o.NumPasses() > 1 {
+		buf[1] = mempool.Slice[T](ml, n)
+	}
+	return buf
+}
+
+// returnSpare hands back the buffer of a clustering's ping-pong pair
+// its result does not live in: dead once the last pass has run.
+func returnSpare[T any](e *Engine, buf [2][]T, kept []T) {
+	for _, b := range buf {
+		if unsafe.SliceData(b) != unsafe.SliceData(kept) {
+			Return(e, b)
+		}
+	}
 }
 
 // clusterPairs is the parallel engine behind ClusterOIDPairs:
@@ -101,7 +133,10 @@ func clusterPairs[K, P radix.Word](e *Engine, keys []K, pay []P, o radix.Opts) (
 		bufK[1], bufP[1], last = mempool.Slice[K](ml, n), mempool.Slice[P](ml, n), 1
 	}
 	count, scatter := radix.PairKernels(keys, pay, bufK, bufP)
-	return bufK[last], bufP[last], e.scatter2(n, o, count, scatter)
+	offsets := e.scatter2(n, o, count, scatter)
+	returnSpare(e, bufK, bufK[last])
+	returnSpare(e, bufP, bufP[last])
+	return bufK[last], bufP[last], offsets
 }
 
 // ClusterOIDPairs is the parallel equivalent of radix.ClusterOIDPairs:
@@ -109,7 +144,7 @@ func clusterPairs[K, P radix.Word](e *Engine, keys []K, pay []P, o radix.Opts) (
 // column and produces the identical arrangement and offsets.
 func (e *Engine) ClusterOIDPairs(key, other []OID, o radix.Opts) (*radix.OIDPairsResult, error) {
 	if e.serial(len(key)) || !scatterable(o.Bits) {
-		return radix.ClusterOIDPairs(key, other, o)
+		return e.clusterOIDPairsSerial(key, other, o)
 	}
 	if len(key) != len(other) {
 		return nil, fmt.Errorf("radix: ClusterOIDPairs: %d keys vs %d others", len(key), len(other))
@@ -122,11 +157,23 @@ func (e *Engine) ClusterOIDPairs(key, other []OID, o radix.Opts) (*radix.OIDPair
 	return &radix.OIDPairsResult{Key: outKey, Other: outOther, Offsets: offsets}, nil
 }
 
+// clusterOIDPairsSerial is radix.ClusterOIDPairs into leased buffers.
+func (e *Engine) clusterOIDPairsSerial(key, other []OID, o radix.Opts) (*radix.OIDPairsResult, error) {
+	bufK, bufO := leaseBufs[OID](e, len(key), o), leaseBufs[OID](e, len(key), o)
+	res, err := radix.ClusterOIDPairsInto(bufK, bufO, key, other, o)
+	if err != nil {
+		return nil, err
+	}
+	returnSpare(e, bufK, res.Key)
+	returnSpare(e, bufO, res.Other)
+	return res, nil
+}
+
 // SortOIDPairs is the parallel equivalent of radix.SortOIDPairs: a
 // full Radix-Sort of an [oid,oid] BAT on the key column.
 func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPairsResult, error) {
 	if e.serial(len(key)) {
-		return radix.SortOIDPairs(key, other, h)
+		return e.clusterOIDPairsSerial(key, other, radix.SortOpts(key, h))
 	}
 	// The sort's bit width is only known after this max scan.
 	chunks := e.chunksFor(len(key))
@@ -151,7 +198,7 @@ func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPair
 		bits = 1
 	}
 	if bits > maxParallelBits {
-		return radix.SortOIDPairs(key, other, h)
+		return e.clusterOIDPairsSerial(key, other, radix.SortOpts(key, h))
 	}
 	return e.ClusterOIDPairs(key, other, radix.Opts{Bits: bits})
 }

@@ -236,6 +236,7 @@ func TestCompressedOpErrors(t *testing.T) {
 	rel := nsm.New("rel", len(vals)/4, 4)
 	copy(rel.Data, vals)
 	e := NewEngine(nil, 0)
+	defer e.Close()
 	for _, r := range []*nsm.Relation{decodedRelation(t, e, rel), rel} {
 		if _, err := e.ScanColumn(r, 4); err == nil {
 			t.Fatal("column outside width accepted")

@@ -57,15 +57,19 @@
 // query's pipeline with fair, query-tagged morsel scheduling and
 // admission control. An Engine (NewEngine) is one query's handle and
 // owns no goroutines. There are two execution modes: the serial engine
-// (0 workers: no runtime, no lease, the paper's code, the tests'
-// oracle) and a lease on a runtime with a nominal worker count; a lone
+// (0 workers: no runtime, the paper's code on the caller's goroutine)
+// and a lease on a runtime with a nominal worker count; a lone
 // query is a Runtime serving one lease. Every operator is one Engine
 // method whose first test is the one serial-fallback predicate
 // (Engine.serial), so the serial engine, a nominal-1 lease and an input
 // below MinParallelN all run the paper's code. Operator output bytes
 // are a function of the engine's nominal worker count only — never of
 // the runtime's size or of which worker ran a morsel — so both modes of
-// the same pipeline are byte-identical.
+// the same pipeline are byte-identical. Both modes take their buffers
+// the same way: every engine holds a lease on the process arena
+// (sharedArena), its operators draw every intermediate from it and
+// every result array from its kit (Engine.Own), and the strategies hand
+// each intermediate back right after its last reader (Return).
 //
 // Per-worker Scratch buffers keep the hot loops allocation-free.
 package exec
@@ -84,8 +88,9 @@ import (
 
 // sharedArena is the process-wide execution-memory pool (mempool):
 // every query's transient buffers — scatter targets, match lists,
-// histograms, table scratch — are leased from it and recycled at
-// query end, so a warmed-up executor's steady state stays off the GC.
+// histograms, table scratch — are leased from it, serial and runtime
+// queries alike, and recycled after their last reader or at query end,
+// so a warmed-up executor's steady state stays off the GC.
 var sharedArena = mempool.New(0)
 
 // Engine is one query's handle on the execution layer, shared by every
@@ -99,11 +104,10 @@ var sharedArena = mempool.New(0)
 // (chunksFor) and per-worker cache-budget divisions derive from it, so
 // an operator's output bytes are a function of the nominal count only —
 // never of the runtime's size or of which workers execute the morsels.
-// 0 is the serial paper engine: no runtime, no lease, no goroutine,
-// every operator the paper's code and every buffer a plain make — the
-// oracle the equivalence tests compare against. Close releases the
-// admission slot and the query's buffers; a closed Engine must not run
-// again.
+// 0 is the serial paper engine: no runtime, no admission, no goroutine,
+// every operator the paper's code — and, like any query, a lease on the
+// process arena for its buffers. Close releases the admission slot and
+// the query's buffers; a closed Engine must not run again.
 type Engine struct {
 	workers int
 	rt      *Runtime // nil on the serial engine
@@ -159,7 +163,7 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) serial(n int) bool { return e.workers <= 1 || n < MinParallelN }
 
 // Close returns the query's buffers to the arena and releases the
-// admission slot (both no-ops for the serial engine).
+// admission slot (the serial engine has none).
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
@@ -178,22 +182,37 @@ func (e *Engine) Close() {
 	}
 }
 
-// mem returns the query's buffer lease, opening it on first use: nil
-// on the serial engine and once the engine is closed — every
+// mem returns the query's buffer lease, opening it on first use on the
+// runtime's arena — the process arena, sharedArena, which the serial
+// engine leases from directly. Nil once the engine is closed: every
 // acquisition helper treats a nil lease as "allocate from the GC".
 func (e *Engine) mem() *mempool.Lease {
-	if e.rt == nil {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return nil
 	}
 	if e.memLs == nil {
-		e.memLs = e.rt.mem.NewLease()
+		arena := sharedArena
+		if e.rt != nil {
+			arena = e.rt.mem
+		}
+		e.memLs = arena.NewLease()
 	}
 	return e.memLs
+}
+
+// Return hands intermediates the engine's operators leased back to the
+// query's kit as soon as their last reader is done, instead of at Close
+// (mempool.Return): a pipeline's kit then holds its peak live set, not
+// the sum of its intermediates. The caller must hold no other reference
+// into them. Slices that are not leased intermediates — inputs, result
+// arrays, shared images — are left alone.
+func Return[T any](e *Engine, bufs ...[]T) {
+	e.mu.Lock()
+	ml := e.memLs
+	e.mu.Unlock()
+	mempool.Return(ml, bufs...)
 }
 
 // memStats snapshots the query's lease accounting (zero when nothing
@@ -209,16 +228,14 @@ func (e *Engine) memStats() mempool.LeaseStats {
 }
 
 // Own returns a dirty n-value result array: the one buffer kind that
-// outlives the pipeline. On a runtime it is drawn from the query's kit
-// off the lease's ledger (mempool.Own), so it survives Close and
-// whoever ends up holding the result hands it back to Home with
-// mempool.Recycle; on the serial engine it is a make. Every slot must
-// be written.
+// outlives the pipeline. It is drawn from the query's kit off the
+// lease's ledger (mempool.Own), always Go memory, so it survives Close
+// and whoever ends up holding the result hands it back to Home with
+// mempool.Recycle — or drops it to the GC. Every slot must be written.
 func (e *Engine) Own(n int) []int32 { return mempool.Own[int32](e.mem(), n) }
 
 // Home returns the kit Own draws result arrays from and Recycle
-// returns them to — nil when they are GC-owned (serial engine). Ask
-// before Close.
+// returns them to. Ask before Close (nil after it).
 func (e *Engine) Home() *mempool.Kit {
 	if l := e.mem(); l != nil {
 		return l.Kit()

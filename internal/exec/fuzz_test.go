@@ -117,7 +117,9 @@ func FuzzFetchImage(f *testing.F) {
 						t.Fatalf("%s: partition %d reads corrupt block %d of column %d, got error %v", tag, wantPt, badBlock, badCol, err)
 					}
 					// Every engine returns the serial loop's error.
-					_, serialErr := NewEngine(nil, 0).FetchImage(side.cols, side.encs, side.img.Offsets, ji.Parts, pos)
+					serial := NewEngine(nil, 0)
+					_, serialErr := serial.FetchImage(side.cols, side.encs, side.img.Offsets, ji.Parts, pos)
+					serial.Close()
 					if fmt.Sprint(err) != fmt.Sprint(serialErr) {
 						e.Close()
 						t.Fatalf("%s: error %v, the serial loop's %v", tag, err, serialErr)

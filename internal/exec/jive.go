@@ -22,15 +22,19 @@ import (
 // JiveLeft is the left Jive phase, the parallel equivalent of
 // jive.LeftRows: the left-phase merge of the sorted join-index with the
 // left relation, fanning out into 2^bits clusters, chunked over
-// join-index ranges.
+// join-index ranges. Its three arrays are intermediates the right
+// phase and the result assembly read, and leased.
 func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int) (*jive.LeftRowsResult, error) {
 	n := ji.Len()
+	ml := e.mem()
+	rightOIDs, resultPos := mempool.Slice[OID](ml, n), mempool.Slice[OID](ml, n)
+	leftRows := mempool.Slice[int32](ml, n*len(leftCols))
 	// Beyond maxFirstPassBits the per-chunk histograms (chunks × 2^bits
 	// cursors) stop fitting private cache slices — and would balloon
 	// memory — so the serial left phase takes over, exactly like the
 	// clustering operators' fan-out cap.
 	if e.serial(n) || bits > maxFirstPassBits {
-		return jive.LeftRows(ji, left, leftCols, rightLen, bits)
+		return jive.LeftRowsInto(ji, left, leftCols, rightLen, bits, rightOIDs, resultPos, leftRows)
 	}
 	if bits < 0 {
 		return nil, fmt.Errorf("jive: bad cluster bits %d", bits)
@@ -63,7 +67,7 @@ func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, ri
 	offsets := e.prefixSumChunksParallel(counts, h, nch)
 
 	// Pass 2: chunk scatters through disjoint cursors.
-	out := jive.NewLeftRowsResult(left.Name+"_proj", n, leftCols, offsets, bits)
+	out := jive.NewLeftRowsResult(left.Name+"_proj", n, leftCols, offsets, bits, rightOIDs, resultPos, leftRows)
 	e.run(nch, func(_, t int, _ *Scratch) {
 		errs[t] = jive.ScatterRowsChunk(out, ji, left, leftCols, counts[t*h:(t+1)*h], shift,
 			chunks[t].Lo, chunks[t].Hi)
@@ -77,13 +81,17 @@ func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, ri
 // JiveRight is the right Jive phase, the parallel equivalent of
 // jive.RightRows: cluster groups are morsels, each sorting its
 // clusters' oids and writing the projected right fields into its own
-// disjoint result ranges.
+// disjoint result ranges of a leased relation (the result assembly
+// reads it).
 func (e *Engine) JiveRight(lr *jive.LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
 	n := len(lr.RightOIDs)
+	out := e.leasedRelation(right.Name+"_proj", n, len(rightCols))
 	if e.serial(n) {
-		return jive.RightRows(lr, right, rightCols)
+		if err := jive.RightRowsInto(out, lr, right, rightCols); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
-	out := nsm.New(right.Name+"_proj", n, len(rightCols))
 	borders := bat.BordersFromOffsets(lr.Borders)
 	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
 	errs := e.errSlots(len(groups))

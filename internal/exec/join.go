@@ -27,10 +27,11 @@ import (
 // the parallel equivalent of join.Partitioned: it radix-clusters both
 // inputs on o.Bits hashed key bits and hash-joins matching partition
 // pairs concurrently (join.ProbeBUNs), producing the identical
-// join-index.
+// join-index. The clustered BUNs are leased and go back once the probe
+// has read them; the join-index is leased.
 func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*join.Index, error) {
-	if e.serial(len(largerOIDs) + len(smallerOIDs)) {
-		return join.Partitioned(largerOIDs, largerKeys, smallerOIDs, smallerKeys, o)
+	if err := join.CheckInputs(largerOIDs, largerKeys, smallerOIDs, smallerKeys); err != nil {
+		return nil, err
 	}
 	cl, err := e.ClusterBUNs(largerOIDs, largerKeys, o)
 	if err != nil {
@@ -41,14 +42,38 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 		return nil, err
 	}
 	shift := uint(o.Ignore + o.Bits)
-	ix, _ := e.probeEach(cl.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
-		ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
-		sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
-		if ll < lh && sl < sh {
-			join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, out, ts)
-		}
-	})
+	var ix *join.Index
+	if e.serial(len(largerOIDs) + len(smallerOIDs)) {
+		ix = e.leasedIndex(len(largerOIDs), 0)
+		ts, first, next := e.leasedTable(cs.Offsets)
+		err = join.PartitionedPreclusteredInto(ix, &ts, cl, cs, shift)
+		Return(e, first, next)
+	} else {
+		ix, _ = e.probeEach(cl.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
+			ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
+			sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
+			if ll < lh && sl < sh {
+				join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, out, ts)
+			}
+		})
+	}
+	Return(e, cl.BUNs, cs.BUNs)
+	if err != nil {
+		return nil, err
+	}
 	return ix, nil
+}
+
+// leasedIndex is an empty join-index on leased buffers with room for n
+// matches — the probes regrow it onto the GC heap only past that — and
+// for parts partition offsets.
+func (e *Engine) leasedIndex(n, parts int) *join.Index {
+	ml := e.mem()
+	ix := &join.Index{Larger: mempool.SliceCap[OID](ml, 0, n), Smaller: mempool.SliceCap[OID](ml, 0, n)}
+	if parts > 0 {
+		ix.Parts = mempool.SliceCap[int](ml, 0, parts)
+	}
+	return ix
 }
 
 // ProbePartitions is the Partitioned Hash-Join over two join images,
@@ -60,13 +85,34 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 func (e *Engine) ProbePartitions(larger, smaller *join.Image, shift uint) (*join.Index, error) {
 	// The serial loop also reports mismatched partition counts.
 	if e.serial(len(larger.Hashes)+len(smaller.Hashes)) || len(larger.Offsets) != len(smaller.Offsets) {
-		return join.PartitionedImages(larger, smaller, shift)
+		ix := e.leasedIndex(len(larger.Hashes), len(larger.Offsets))
+		ts, first, next := e.leasedTable(smaller.Offsets)
+		err := join.PartitionedImagesInto(ix, &ts, larger, smaller, shift)
+		Return(e, first, next)
+		if err != nil {
+			return nil, err
+		}
+		return ix, nil
 	}
 	ix, parts := e.probeEach(larger.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
 		join.ProbeImage(larger, smaller, pt, shift, out, ts)
 	})
 	ix.Parts = parts
 	return ix, nil
+}
+
+// leasedTable is the hash-table scratch of a serial partitioned probe
+// whose table side is partitioned at offs: leased arrays for its
+// largest partition, so no probe allocates. The arrays are returned
+// too, for Return once the probes are done.
+func (e *Engine) leasedTable(offs []int) (ts join.TableScratch, first, next []int32) {
+	m := 0
+	for p := 0; p+1 < len(offs); p++ {
+		m = max(m, offs[p+1]-offs[p])
+	}
+	ml := e.mem()
+	first, next = mempool.Slice[int32](ml, join.TableBuckets(m)), mempool.Slice[int32](ml, m)
+	return join.TableScratchOver(first, next), first, next
 }
 
 // partitionAff is the affinity key of a morsel over one of h radix
@@ -155,5 +201,6 @@ func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *
 		copy(out.Larger[offs[pt]:offs[pt+1]], part.Larger)
 		copy(out.Smaller[offs[pt]:offs[pt+1]], part.Smaller)
 	})
+	Return(e, bigL, bigS)
 	return out, offs
 }

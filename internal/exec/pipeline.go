@@ -12,7 +12,8 @@ package exec
 // The contract (see also the package comment in exec.go):
 //
 //   - Engine with 0 workers is the serial engine: every operator calls
-//     the paper code directly, no goroutines, no lease. Engine with
+//     the paper code directly, no goroutines, no runtime — its buffers
+//     leased from the process arena like a runtime query's. Engine with
 //     n >= 1 workers is a lease on a Runtime; operators run parallel
 //     when Engine.serial says so (nominal > 1, input at or above
 //     MinParallelN) and call the serial code otherwise. Either way an
@@ -106,8 +107,8 @@ type Timings struct {
 	// Mem is the query's execution-memory accounting: bytes of buffers
 	// drawn from the arena — transients and result arrays alike —
 	// (Acquired), the part of them served by recycled buffers (Reused),
-	// and the peak bytes held at once (HighWater). Zero on the serial
-	// engine.
+	// and the peak bytes held at once (HighWater), serial engine
+	// included.
 	Mem mempool.LeaseStats
 }
 

@@ -99,9 +99,6 @@ func (e *Engine) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int
 // never cleared.
 func (e *Engine) Decluster(values []int32, ids []OID, borders []bat.Border, windowTuples int) ([]int32, error) {
 	n := len(values)
-	if e.serial(n) {
-		return core.Decluster(values, ids, borders, windowTuples)
-	}
 	if err := core.CheckDecluster(n, ids, borders, windowTuples); err != nil {
 		return nil, err
 	}
@@ -120,9 +117,16 @@ func (e *Engine) Decluster(values []int32, ids []OID, borders []bat.Border, wind
 // window and cursors from the worker's scratch. The planned window is
 // divided between the nominal workers (the shared cache budget split
 // per core), so the concurrently live window regions together still
-// fit the cache; output bytes never depend on the division.
+// fit the cache; output bytes never depend on the division. A serial
+// run is one kernel over all the borders with the whole window — the
+// paper's algorithm, core.Decluster — on leased cursors.
 func (e *Engine) declusterPerGroup(n int, borders []bat.Border, windowTuples int,
 	kernel func(group []bat.Border, window int, cur []int) error) error {
+	if e.serial(n) {
+		cur := mempool.Slice[int](e.mem(), 2*len(borders))
+		defer Return(e, cur)
+		return kernel(borders, windowTuples, cur)
+	}
 	window := max(windowTuples/e.workers, 1)
 	groups := groupBorders(borders, e.workers*morselsPerWorker, n)
 	errs := e.errSlots(len(groups))

@@ -31,21 +31,30 @@ import (
 // whole records — the pre-projection "extra luggage" — and produces
 // the identical arrangement and offsets.
 func (e *Engine) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radix.RowsResult, error) {
-	// radix.ClusterRows rejects what the parallel body cannot run.
+	// The clustered records are a join input, leased like the
+	// intermediate a multi-pass fan-out scatters through first, which
+	// goes back once the last pass has run. radix.ClusterRowsInto
+	// rejects what the parallel body cannot run.
 	if join.CheckRows(rows, width, keyCol) != nil || o.Validate() != nil ||
 		e.serial(len(rows)/width) || !scatterable(o.Bits) {
-		return radix.ClusterRows(rows, width, keyCol, o)
+		buf := leaseBufs[int32](e, len(rows), o)
+		res, err := radix.ClusterRowsInto(buf, rows, width, keyCol, o)
+		if err != nil {
+			return nil, err
+		}
+		returnSpare(e, buf, res.Rows)
+		return res, nil
 	}
 	n := len(rows) / width
-	// The clustered records are a join input, leased like the
-	// intermediate a two-level fan-out scatters through first.
 	out := mempool.Slice[int32](e.mem(), len(rows))
 	buf := [2][]int32{out}
 	if o.Bits > maxFirstPassBits {
 		buf = [2][]int32{mempool.Slice[int32](e.mem(), len(rows)), out}
 	}
 	count, scatter := radix.RowKernels(rows, width, keyCol, buf)
-	return &radix.RowsResult{Rows: out, Width: width, Offsets: e.scatter2(n, o, count, scatter)}, nil
+	offsets := e.scatter2(n, o, count, scatter)
+	returnSpare(e, buf, out)
+	return &radix.RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
 }
 
 // PartitionedRowsJoin is the pre-projection Partitioned Hash-Join over
@@ -60,10 +69,8 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 	if err := join.CheckRows(smaller, sw, skey); err != nil {
 		return nil, err
 	}
-	if e.serial(len(larger)/lw + len(smaller)/sw) {
-		return join.PartitionedRows(larger, lw, lkey, smaller, sw, skey, o)
-	}
-	if o.Bits == 0 {
+	serial := e.serial(len(larger)/lw + len(smaller)/sw)
+	if o.Bits == 0 && !serial {
 		// Degenerate single partition: the B=0 clustering is an
 		// identity copy, so one partition pair would be one morsel —
 		// fully serial. Skip the copy and probe larger-side chunks
@@ -72,7 +79,7 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 		if err := o.Validate(); err != nil {
 			return nil, err
 		}
-		return e.hashRowsChunked(larger, lw, lkey, smaller, sw, skey, uint(o.Ignore))
+		return e.hashRows(larger, lw, lkey, smaller, sw, skey, uint(o.Ignore))
 	}
 	cl, err := e.ClusterRows(larger, lw, lkey, o)
 	if err != nil {
@@ -82,8 +89,13 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 	if err != nil {
 		return nil, err
 	}
-	h := len(cl.Offsets) - 1
+	defer Return(e, cl.Rows, cs.Rows) // read by the probes only
 	shift := uint(o.Ignore + o.Bits)
+	rw := lw + sw - 2
+	if serial {
+		return join.PartitionedRowsInto(e.Own((len(larger) / lw) * rw)[:0], cl, lkey, cs, skey, shift), nil
+	}
+	h := len(cl.Offsets) - 1
 	// Partition morsels home on their level-1 radix parent's worker,
 	// exactly like the oid-pair join (see PartitionedJoin).
 	l1 := level1Shift(o.Bits)
@@ -91,7 +103,6 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 	// the partition's larger-side offset, capped (three-index) at one
 	// match per probe tuple — exact for key-FK joins; expanding joins
 	// (duplicate smaller keys) regrow onto a private GC slice.
-	rw := lw + sw - 2
 	arena := mempool.Slice[int32](e.mem(), (len(larger)/lw)*rw)
 	parts := make([][]int32, h)
 	var matches atomic.Int64
@@ -108,7 +119,9 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 			cl.Rows[ll:lh], lw, lkey, shift, buf)
 		matches.Add(int64(m))
 	})
-	return e.stitchRowParts(parts, rw, int(matches.Load())), nil
+	res := e.stitchRowParts(parts, rw, int(matches.Load()))
+	Return(e, arena)
+	return res, nil
 }
 
 // HashRowsJoin is the naive pre-projection Hash-Join over wide tuples,
@@ -120,32 +133,35 @@ func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw,
 	if err := join.CheckRows(smaller, sw, skey); err != nil {
 		return nil, err
 	}
-	if e.serial(len(larger)/lw + len(smaller)/sw) {
-		return join.HashRows(larger, lw, lkey, smaller, sw, skey)
-	}
-	return e.hashRowsChunked(larger, lw, lkey, smaller, sw, skey, 0)
+	return e.hashRows(larger, lw, lkey, smaller, sw, skey, 0)
 }
 
-// hashRowsChunked joins through one hash table over the smaller
-// relation: join.BuildRowsTable builds it on the caller's goroutine
-// into leased (dirty) bucket-head and chain arrays — intra-query
-// transients the probe reads and the result rows don't — and chunks of
-// the larger relation probe it concurrently into per-chunk buffers,
-// stitched in chunk (= input) order: the serial probe order, with
-// duplicate matches in the table's chain order.
-func (e *Engine) hashRowsChunked(larger []int32, lw, lkey int, smaller []int32, sw, skey int, shift uint) (*join.RowsResult, error) {
+// hashRows joins through one hash table over the smaller relation:
+// join.BuildRowsTable builds it on the caller's goroutine into leased
+// (dirty) bucket-head and chain arrays — intra-query transients the
+// probe reads and the result rows don't, handed back after it. A serial
+// run probes the whole larger relation into the result array, as
+// join.HashRows does; otherwise chunks of it probe concurrently into
+// per-chunk buffers, stitched in chunk (= input) order: the serial
+// probe order, with duplicate matches in the table's chain order.
+func (e *Engine) hashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, shift uint) (*join.RowsResult, error) {
 	ml := e.mem()
 	ns := len(smaller) / sw
-	t, err := join.BuildRowsTable(smaller, sw, skey, shift,
-		mempool.Slice[int32](ml, join.NumBuckets(ns)), mempool.Slice[int32](ml, ns))
+	first, next := mempool.Slice[int32](ml, join.NumBuckets(ns)), mempool.Slice[int32](ml, ns)
+	t, err := join.BuildRowsTable(smaller, sw, skey, shift, first, next)
 	if err != nil {
 		return nil, err
 	}
-	chunks := e.chunksFor(len(larger) / lw)
+	defer Return(e, first, next)
+	nl, rw := len(larger)/lw, lw+sw-2
+	if e.serial(nl + ns) {
+		rows, m := t.ProbeRows(larger, lw, lkey, e.Own(nl * rw)[:0])
+		return &join.RowsResult{Rows: rows, Width: rw, N: m}, nil
+	}
+	chunks := e.chunksFor(nl)
 	// Per-chunk buffers carve one leased arena at the chunk's offset,
 	// capped at one match per probe tuple (see PartitionedRowsJoin).
-	rw := lw + sw - 2
-	arena := mempool.Slice[int32](ml, (len(larger)/lw)*rw)
+	arena := mempool.Slice[int32](ml, nl*rw)
 	parts := make([][]int32, len(chunks))
 	var matches atomic.Int64
 	e.run(len(chunks), func(_, c int, _ *Scratch) {
@@ -155,7 +171,9 @@ func (e *Engine) hashRowsChunked(larger []int32, lw, lkey int, smaller []int32, 
 		parts[c], m = t.ProbeRows(larger[r.Lo*lw:r.Hi*lw], lw, lkey, buf)
 		matches.Add(int64(m))
 	})
-	return e.stitchRowParts(parts, rw, int(matches.Load())), nil
+	res := e.stitchRowParts(parts, rw, int(matches.Load()))
+	Return(e, arena)
+	return res, nil
 }
 
 // stitchRowParts concatenates per-morsel result-row buffers in morsel
@@ -317,9 +335,6 @@ func (e *Engine) AppendFields(name string, a, b *nsm.Relation) (*nsm.Relation, e
 // Decluster divides it.
 func (e *Engine) DeclusterRowsInto(out []int32, outWidth, outOff int, values []int32, width int, ids []OID, borders []bat.Border, windowTuples int) error {
 	n := len(ids)
-	if e.serial(n) {
-		return core.DeclusterRowsInto(out, outWidth, outOff, values, width, ids, borders, windowTuples)
-	}
 	if err := core.CheckDeclusterRows(out, outWidth, outOff, values, width, ids, borders, windowTuples); err != nil {
 		return err
 	}

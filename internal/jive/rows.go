@@ -71,13 +71,16 @@ func ScatterRowsChunk(out *LeftRowsResult, ji *join.Index, left *nsm.Relation, l
 	return nil
 }
 
-// NewLeftRowsResult allocates the left-phase output for n join-index
-// entries, given the cluster offsets of the histogram pass.
-func NewLeftRowsResult(name string, n int, leftCols []int, offsets []int, bits int) *LeftRowsResult {
+// NewLeftRowsResult is the left-phase output for n join-index entries
+// over the caller's arrays, handed in dirty — the scatter writes every
+// slot: rightOIDs and resultPos of at least n entries, leftRows of at
+// least n records of len(leftCols) fields. offsets are the cluster
+// offsets of the histogram pass.
+func NewLeftRowsResult(name string, n int, leftCols []int, offsets []int, bits int, rightOIDs, resultPos []OID, leftRows []int32) *LeftRowsResult {
 	return &LeftRowsResult{
-		RightOIDs: make([]OID, n),
-		ResultPos: make([]OID, n),
-		LeftRows:  nsm.New(name, n, len(leftCols)),
+		RightOIDs: rightOIDs[:n],
+		ResultPos: resultPos[:n],
+		LeftRows:  &nsm.Relation{Name: name, Width: len(leftCols), Data: leftRows[:n*len(leftCols)]},
 		Borders:   offsets,
 		Bits:      bits,
 	}
@@ -86,6 +89,14 @@ func NewLeftRowsResult(name string, n int, leftCols []int, offsets []int, bits i
 // LeftRows runs the left phase against an NSM relation: ji must be
 // sorted on ji.Larger; leftCols names the record fields to project.
 func LeftRows(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int) (*LeftRowsResult, error) {
+	n := ji.Len()
+	return LeftRowsInto(ji, left, leftCols, rightLen, bits,
+		make([]OID, n), make([]OID, n), make([]int32, n*len(leftCols)))
+}
+
+// LeftRowsInto is LeftRows writing its output into the caller's arrays
+// (see NewLeftRowsResult).
+func LeftRowsInto(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int, rightOIDs, resultPos []OID, leftRows []int32) (*LeftRowsResult, error) {
 	n := ji.Len()
 	if bits < 0 || bits > 30 {
 		return nil, fmt.Errorf("jive: bad cluster bits %d", bits)
@@ -100,7 +111,7 @@ func LeftRows(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits
 	for c := 0; c < h; c++ {
 		offsets[c+1] = offsets[c] + counts[c]
 	}
-	out := NewLeftRowsResult(left.Name+"_proj", n, leftCols, offsets, bits)
+	out := NewLeftRowsResult(left.Name+"_proj", n, leftCols, offsets, bits, rightOIDs, resultPos, leftRows)
 	cursors := make([]int, h)
 	copy(cursors, offsets[:h])
 	if err := ScatterRowsChunk(out, ji, left, leftCols, cursors, shift, 0, n); err != nil {
@@ -137,6 +148,16 @@ func RightRowsCluster(out *nsm.Relation, lr *LeftRowsResult, right *nsm.Relation
 // the projected right fields as row-major records in result order.
 func RightRows(lr *LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
 	out := nsm.New(right.Name+"_proj", len(lr.RightOIDs), len(rightCols))
+	if err := RightRowsInto(out, lr, right, rightCols); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// RightRowsInto is RightRows writing into the caller's relation of
+// len(lr.RightOIDs) records of len(rightCols) fields, handed in dirty:
+// the clusters tile the records, and each writes all of its own.
+func RightRowsInto(out *nsm.Relation, lr *LeftRowsResult, right *nsm.Relation, rightCols []int) error {
 	var perm []int
 	var err error
 	for c := 0; c+1 < len(lr.Borders); c++ {
@@ -145,8 +166,8 @@ func RightRows(lr *LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.R
 		}
 		perm, err = RightRowsCluster(out, lr, right, rightCols, c, perm)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }

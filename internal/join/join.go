@@ -89,8 +89,8 @@ func (t *table) probe(largerOIDs []OID, largerKeys []int32, out *Index) {
 // relation exceeds the cache, every probe is an uncachable random
 // access — the baseline the cache-conscious algorithms beat.
 func HashJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32) (*Index, error) {
-	if len(largerOIDs) != len(largerKeys) || len(smallerOIDs) != len(smallerKeys) {
-		return nil, fmt.Errorf("join: oid/key column length mismatch")
+	if err := CheckInputs(largerOIDs, largerKeys, smallerOIDs, smallerKeys); err != nil {
+		return nil, err
 	}
 	out := &Index{
 		Larger:  make([]OID, 0, len(largerKeys)),
@@ -107,8 +107,8 @@ func HashJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKe
 // first clustering pass only: the BUNs carry the hash from there to the
 // probe (radix.ClusterBUNs).
 func Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*Index, error) {
-	if len(largerOIDs) != len(largerKeys) || len(smallerOIDs) != len(smallerKeys) {
-		return nil, fmt.Errorf("join: oid/key column length mismatch")
+	if err := CheckInputs(largerOIDs, largerKeys, smallerOIDs, smallerKeys); err != nil {
+		return nil, err
 	}
 	cl, err := radix.ClusterBUNs(largerOIDs, largerKeys, o)
 	if err != nil {
@@ -121,6 +121,15 @@ func Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smalle
 	return PartitionedPreclustered(cl, cs, uint(o.Ignore+o.Bits))
 }
 
+// CheckInputs is the one check of a join-index-producing join's
+// inputs, serial or parallel: one key per oid on each side.
+func CheckInputs(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32) error {
+	if len(largerOIDs) != len(largerKeys) || len(smallerOIDs) != len(smallerKeys) {
+		return fmt.Errorf("join: oid/key column length mismatch")
+	}
+	return nil
+}
+
 // PartitionedPreclustered runs only the per-partition hash joins over
 // inputs that are already radix-clustered on matching bits — the
 // isolated join phase of Figure 9b, where clustering cost is studied
@@ -128,23 +137,41 @@ func Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smalle
 // with one table scratch for all of them. shift is the clustering's
 // Ignore+Bits, the hash bits the partitioning consumed.
 func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*Index, error) {
-	if len(larger.Offsets) != len(smaller.Offsets) {
-		return nil, fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
-	}
-	out := &Index{
-		Larger:  make([]OID, 0, len(larger.BUNs)),
-		Smaller: make([]OID, 0, len(larger.BUNs)),
-	}
+	out := newIndex(len(larger.BUNs), 0)
 	var ts TableScratch
+	if err := PartitionedPreclusteredInto(out, &ts, larger, smaller, shift); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PartitionedPreclusteredInto is PartitionedPreclustered appending the
+// join-index to out, whose spare capacity — the caller's buffers, one
+// match per larger tuple for a key–foreign-key join — the probes write
+// into (ProbeBUNs), and building every partition's table in ts.
+func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *radix.BUNsResult, shift uint) error {
+	if len(larger.Offsets) != len(smaller.Offsets) {
+		return fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
+	}
 	for p := 0; p+1 < len(larger.Offsets); p++ {
 		ll, lh := larger.Offsets[p], larger.Offsets[p+1]
 		sl, sh := smaller.Offsets[p], smaller.Offsets[p+1]
 		if ll == lh || sl == sh {
 			continue
 		}
-		ProbeBUNs(smaller.BUNs[sl:sh], larger.BUNs[ll:lh], shift, out, &ts)
+		ProbeBUNs(smaller.BUNs[sl:sh], larger.BUNs[ll:lh], shift, out, ts)
 	}
-	return out, nil
+	return nil
+}
+
+// newIndex makes an empty join-index with room for n matches and, when
+// parts > 0, for parts partition offsets.
+func newIndex(n, parts int) *Index {
+	out := &Index{Larger: make([]OID, 0, n), Smaller: make([]OID, 0, n)}
+	if parts > 0 {
+		out.Parts = make([]int, 0, parts)
+	}
+	return out
 }
 
 // Image is a join input radix-clustered once, outside any query (a
@@ -165,20 +192,28 @@ type Image struct {
 // through the clustered oids, its join-index is
 // PartitionedPreclustered's over the same clustering.
 func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
-	if len(larger.Offsets) != len(smaller.Offsets) {
-		return nil, fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
-	}
-	out := &Index{
-		Larger:  make([]OID, 0, len(larger.Hashes)),
-		Smaller: make([]OID, 0, len(larger.Hashes)),
-		Parts:   make([]int, 1, max(len(larger.Offsets), 1)),
-	}
+	out := newIndex(len(larger.Hashes), max(len(larger.Offsets), 1))
 	var ts TableScratch
-	for p := 0; p+1 < len(larger.Offsets); p++ {
-		ProbeImage(larger, smaller, p, shift, out, &ts)
-		out.Parts = append(out.Parts, out.Len())
+	if err := PartitionedImagesInto(out, &ts, larger, smaller, shift); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// PartitionedImagesInto is PartitionedImages appending to out, which
+// starts empty: its Larger and Smaller capacity is written as in
+// PartitionedPreclusteredInto, every table is built in ts, and Parts
+// gets the partitions' 2^B+1 offsets.
+func PartitionedImagesInto(out *Index, ts *TableScratch, larger, smaller *Image, shift uint) error {
+	if len(larger.Offsets) != len(smaller.Offsets) {
+		return fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
+	}
+	out.Parts = append(out.Parts[:0], 0)
+	for p := 0; p+1 < len(larger.Offsets); p++ {
+		ProbeImage(larger, smaller, p, shift, out, ts)
+		out.Parts = append(out.Parts, out.Len())
+	}
+	return nil
 }
 
 // ProbeImage joins partition p of two images into out: ProbeHashes over
@@ -201,10 +236,22 @@ type TableScratch struct {
 	next  []int32 // chain: index+1, 0 = end
 }
 
+// TableScratchOver is a TableScratch over the caller's arrays, handed
+// in dirty: bucket heads of at least TableBuckets(n) entries and chain
+// links of at least n serve every partition of up to n tuples without
+// an allocation.
+func TableScratchOver(first, next []int32) TableScratch {
+	return TableScratch{first: first, next: next}
+}
+
+// TableBuckets is the bucket-head count of ProbeBUNs' table over n
+// tuples.
+func TableBuckets(n int) int { return bucketsPerTuple * NumBuckets(n) }
+
 // table returns the bucket heads, cleared, and the chain links of a
 // table over n tuples, and the bucket mask.
 func (ts *TableScratch) table(n int) (first, next []int32, mask uint32) {
-	nb := bucketsPerTuple * NumBuckets(n)
+	nb := TableBuckets(n)
 	if cap(ts.first) < nb {
 		ts.first = make([]int32, nb)
 	}
@@ -446,7 +493,8 @@ func ProbeRowsPartition(smaller []int32, sw, skey int, larger []int32, lw, lkey 
 
 // HashRows is the pre-projection naive Hash-Join over wide tuples
 // ("NSM-pre-hash" in Figure 10): the projection columns travel as
-// extra luggage through an unpartitioned join.
+// extra luggage through an unpartitioned join. BuildRowsTable and
+// ProbeRows are its caller-buffer form.
 func HashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*RowsResult, error) {
 	if err := CheckRows(larger, lw, lkey); err != nil {
 		return nil, err
@@ -482,20 +530,32 @@ func PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int
 	if err != nil {
 		return nil, err
 	}
-	out, n := make([]int32, 0, len(larger)/lw*(lw+sw-2)), 0
-	h := len(cl.Offsets) - 1
+	out := make([]int32, 0, len(larger)/lw*(lw+sw-2))
+	return PartitionedRowsInto(out, cl, lkey, cs, skey, uint(o.Ignore+o.Bits)), nil
+}
+
+// PartitionedRowsInto is the join half of PartitionedRows over inputs
+// already radix-clustered on matching bits (radix.ClusterRows, or
+// ClusterRowsInto into the caller's buffers): every partition pair is
+// hash-joined in order, the result rows appended to out — the caller's
+// buffer, regrown by append only past its capacity. shift is the
+// clustering's Ignore+Bits.
+func PartitionedRowsInto(out []int32, larger *radix.RowsResult, lkey int, smaller *radix.RowsResult, skey int, shift uint) *RowsResult {
+	lw, sw := larger.Width, smaller.Width
+	n := 0
+	h := len(larger.Offsets) - 1
 	for p := 0; p < h; p++ {
-		ll, lh := cl.Offsets[p]*lw, cl.Offsets[p+1]*lw
-		sl, sh := cs.Offsets[p]*sw, cs.Offsets[p+1]*sw
+		ll, lh := larger.Offsets[p]*lw, larger.Offsets[p+1]*lw
+		sl, sh := smaller.Offsets[p]*sw, smaller.Offsets[p+1]*sw
 		if ll == lh || sl == sh {
 			continue
 		}
-		t := buildRowTable(cs.Rows[sl:sh], sw, skey, uint(o.Ignore+o.Bits))
+		t := buildRowTable(smaller.Rows[sl:sh], sw, skey, shift)
 		var m int
-		out, m = t.probeRows(cl.Rows[ll:lh], lw, lkey, out)
+		out, m = t.probeRows(larger.Rows[ll:lh], lw, lkey, out)
 		n += m
 	}
-	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}, nil
+	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}
 }
 
 // CheckRows is the one check of a row-major join input, serial or

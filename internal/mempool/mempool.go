@@ -7,10 +7,12 @@
 // not instruction count, decides projection cost. Under concurrent
 // load the Go GC becomes a hidden extra query — allocation-heavy
 // steady state means mark/sweep competes for exactly the memory
-// bandwidth the cost model budgets to the real queries. The arena
-// makes the steady state of a warmed-up runtime near-allocation-free:
-// every transient comes from a recycled buffer and goes back at query
-// end.
+// bandwidth the cost model budgets to the real queries, and a fresh
+// buffer is zeroed memory traffic no algorithm asked for. The arena
+// makes the steady state of a warmed-up executor — a runtime's queries
+// and the serial paper engine's alike — near-allocation-free: every
+// transient comes from a recycled buffer and goes back after its last
+// reader or at query end.
 //
 // Three types:
 //
@@ -20,17 +22,20 @@
 //   - Lease: the per-query checkout ledger. Opening one adopts an idle
 //     kit (or starts an empty one); operators acquire every intra-query
 //     transient through it, from the kit, allocating what the kit
-//     lacks; Release — called exactly once when the pipeline completes,
-//     success or error — puts every ledgered buffer back into the kit
-//     and the kit back with the Pool. The lease also keeps the
-//     per-query accounting (bytes acquired, bytes served by recycled
-//     buffers, peak bytes held) that surfaces as Timing.Mem.
+//     lacks; Return hands one back to the kit as soon as its last
+//     reader is done, and Release — called exactly once when the
+//     pipeline completes, success or error — puts every ledgered buffer
+//     still out back into the kit and the kit back with the Pool. The
+//     lease also keeps the per-query accounting (bytes acquired, bytes
+//     served by recycled buffers, peak bytes held) that surfaces as
+//     Timing.Mem.
 //   - Pool: the idle kits, the lifetime counters and the high-water
 //     limit: a buffer whose return would push the idle bytes past it
 //     first evicts the coldest idle kits — so a burst of big queries
 //     does not leave an arena that can retain nothing for the small
-//     ones after it — and is itself dropped to the GC only when no idle
-//     kit is left to evict (either way the dropped buffers are trims).
+//     ones after it — and is itself dropped only when no idle kit is
+//     left to evict (either way the dropped buffers are trims). The
+//     limit bounds the idle bytes of every kit in the process.
 //
 // Why kits and not one shared freelist per class: queries of one shape
 // ask for the same buffers, so a lease that adopts a kit such a query
@@ -41,14 +46,34 @@
 // to peak together: it kept allocating, 4 MB at a time, minutes into a
 // run. An acquisition also takes its kit's lock, not a global one.
 //
-// One buffer kind outlives its lease: a query's result arrays, which
-// the caller reads after the pipeline is gone. Own draws those through
-// the lease's accounting but keeps them off its ledger; they remember
-// nothing, so the holder keeps the kit they came from (Lease.Kit) and
-// hands them back with Recycle whenever it is done. A kit that is not
-// whole — owned buffers still out — is adopted last, so a query whose
-// predecessor's result was released finds a kit with everything in it.
-// An owned buffer that never comes back is ordinary garbage.
+// Two buffer kinds, kept on separate free lists of each kit because
+// they live in different memory:
+//
+//   - Ledgered buffers (Slice, SliceCap, Bytes) are a query's
+//     transients — scatter targets, join-indexes, clustered columns. The
+//     lease's ledger takes them back at Release, or one at a time before
+//     it (Return) once the phase that reads one last is done, so a kit
+//     holds a pipeline's peak live set rather than the sum of its
+//     intermediates. From the 64 KiB class up they are anonymous
+//     mappings outside the Go heap (mmap on unix systems, unmapped when
+//     a buffer is trimmed or its kit evicted; a make elsewhere): the GC
+//     pacer counts idle heap bytes as live, so a kit held on the heap
+//     costs about twice its size in RSS — measured, 24 MiB of Go-heap
+//     kit raised paper mode's RSS by 28 MB. Race builds keep them
+//     on the Go heap, because the race detector ignores every address
+//     outside it, and fill every ledgered buffer handed back with a
+//     fixed pattern, so a phase reading an intermediate after returning
+//     it reads garbage the equivalence tests catch.
+//   - Owned buffers (Own) are a query's result arrays, which the caller
+//     reads after the pipeline is gone. Own draws them through the
+//     lease's accounting but keeps them off its ledger; they remember
+//     nothing, so the holder keeps the kit they came from (Lease.Kit)
+//     and hands them back with Recycle whenever it is done. They are
+//     always Go memory: a result that is never recycled is ordinary
+//     garbage, as the result's Release contract promises. A kit that is
+//     not whole — owned buffers still out — is adopted last, so a query
+//     whose predecessor's result was released finds a kit with
+//     everything in it.
 //
 // Buffers are handed out DIRTY: a recycled buffer holds whatever the
 // previous query wrote. Callers must either fully overwrite
@@ -77,6 +102,10 @@ const (
 	minClassShift = 6
 	maxClassShift = 26
 	numClasses    = maxClassShift - minClassShift + 1
+	// offHeapClass is the smallest class a ledgered buffer is mapped
+	// outside the Go heap in (64 KiB): below it a mapping's page
+	// granularity and system call cost outweigh what the GC would charge.
+	offHeapClass = 16 - minClassShift
 
 	// DefaultLimit is the default high-water bound on bytes the Pool
 	// holds idle in kits (not bytes checked out): 256 MB keeps a few
@@ -98,14 +127,18 @@ func classFor(n int) int {
 	return c
 }
 
+// classBytes is the size of class c's buffers.
+func classBytes(c int) int { return 1 << (uint(c) + minClassShift) }
+
 // Stats is a snapshot of the arena's lifetime counters.
 type Stats struct {
 	// Hits / Misses count buffer acquisitions served from a kit vs.
 	// freshly allocated.
 	Hits, Misses int64
-	// Trims counts buffers dropped to the GC to keep the held bytes
-	// within the limit: those of evicted idle kits, and returning ones
-	// no eviction could make room for.
+	// Trims counts buffers dropped — to the GC, or unmapped when they
+	// are off-heap transients — to keep the held bytes within the
+	// limit: those of evicted idle kits, and returning ones no eviction
+	// could make room for.
 	Trims int64
 	// HeldBytes is the bytes currently sitting idle in kits, ready for
 	// reuse.
@@ -135,6 +168,9 @@ type Pool struct {
 	misses atomic.Int64
 	trims  atomic.Int64
 	leases atomic.Int64
+	// unmapped counts off-heap buffers given back to the system (trims
+	// and evictions of mapped ledgered buffers).
+	unmapped atomic.Int64
 }
 
 // New creates a Pool whose kits trim above limit idle bytes
@@ -167,11 +203,13 @@ func (p *Pool) Stats() Stats {
 // lease, returned whole at its release, and the home that owned buffers
 // drawn from it come back to.
 type Kit struct {
-	p    *Pool
-	mu   sync.Mutex
-	free [numClasses][][]byte
-	// idle is the bytes in free, peak the most it has ever been: a kit
-	// holding its peak has everything back, owned buffers included.
+	p  *Pool
+	mu sync.Mutex
+	// free holds the idle ledgered buffers, owned the idle owned ones,
+	// per size class (see the package comment for why they are apart).
+	free, owned [numClasses][][]byte
+	// idle is the bytes in both lists, peak the most it has ever been: a
+	// kit holding its peak has everything back, owned buffers included.
 	idle, peak int64
 	// evicted marks a kit the pool dropped to get back under its limit:
 	// no lease will adopt it again, so an owned buffer that still comes
@@ -190,20 +228,31 @@ func (k *Kit) whole() bool {
 // Pool returns the arena the kit belongs to.
 func (k *Kit) Pool() *Pool { return k.p }
 
+// list returns the kit's free list of class c for the buffer kind.
+func (k *Kit) list(c int, owned bool) *[][]byte {
+	if owned {
+		return &k.owned[c]
+	}
+	return &k.free[c]
+}
+
 // take returns a dirty buffer of at least n bytes (len == cap == class
 // size) and whether it was recycled; what the kit lacks — and anything
-// beyond the largest class — is a plain allocation.
-func (k *Kit) take(n int) (buf []byte, reused bool) {
+// beyond the largest class — is a fresh allocation: Go memory for an
+// owned buffer, an off-heap mapping for a ledgered one of offHeapClass
+// or more (newTransient).
+func (k *Kit) take(n int, owned bool) (buf []byte, reused bool) {
 	c := classFor(n)
 	if c < 0 {
 		k.p.misses.Add(1)
 		return make([]byte, n), false
 	}
 	k.mu.Lock()
-	if l := len(k.free[c]); l > 0 {
-		buf = k.free[c][l-1]
-		k.free[c][l-1] = nil
-		k.free[c] = k.free[c][:l-1]
+	if l := k.list(c, owned); len(*l) > 0 {
+		last := len(*l) - 1
+		buf = (*l)[last]
+		(*l)[last] = nil
+		*l = (*l)[:last]
 		k.idle -= int64(cap(buf))
 	}
 	k.mu.Unlock()
@@ -213,30 +262,73 @@ func (k *Kit) take(n int) (buf []byte, reused bool) {
 		return buf, true
 	}
 	k.p.misses.Add(1)
-	return make([]byte, 1<<(uint(c)+minClassShift)), false
+	if owned {
+		return make([]byte, classBytes(c)), false
+	}
+	return newTransient(c), false
+}
+
+// newTransient allocates a ledgered buffer of class c: mapped outside
+// the Go heap from offHeapClass up (except in race builds), else — and
+// when the system refuses the mapping — a make.
+func newTransient(c int) []byte {
+	if c >= offHeapClass && !raceBuild {
+		if b := mapBytes(classBytes(c)); b != nil {
+			return b
+		}
+	}
+	return make([]byte, classBytes(c))
 }
 
 // put adds an idle buffer to the kit, dropping it instead (a trim) when
 // the pool cannot make room for it under the limit or the kit has been
 // evicted, or when it is no whole class member (beyond-class or
-// externally grown: the GC's).
-func (k *Kit) put(buf []byte) {
+// externally grown: the GC's). A ledgered buffer is poisoned first in
+// race builds, and unmapped when dropped.
+func (k *Kit) put(buf []byte, owned bool) {
 	c := classFor(cap(buf))
-	if c < 0 || cap(buf) != 1<<(uint(c)+minClassShift) {
+	if c < 0 || cap(buf) != classBytes(c) {
 		return
+	}
+	buf = buf[:cap(buf)]
+	if raceBuild && !owned {
+		poison(buf)
 	}
 	fits := !k.evicted.Load() && k.p.makeRoom(int64(cap(buf)), k)
 	k.mu.Lock()
 	if !fits || k.evicted.Load() {
 		k.mu.Unlock()
 		k.p.trims.Add(1)
+		if !owned {
+			k.p.drop(buf)
+		}
 		return
 	}
-	k.free[c] = append(k.free[c], buf[:cap(buf)])
+	l := k.list(c, owned)
+	*l = append(*l, buf)
 	k.idle += int64(cap(buf))
 	k.peak = max(k.peak, k.idle)
 	k.mu.Unlock()
 	k.p.held.Add(int64(cap(buf)))
+}
+
+// poisonByte is the pattern race builds fill returned ledgered buffers
+// with: as an int32 or oid it is far out of any column's range.
+const poisonByte = 0xA5
+
+// poison fills b with poisonByte.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
+// drop gives a ledgered buffer leaving the arena back to the system
+// when it is a mapping; a Go-heap one is the GC's.
+func (p *Pool) drop(b []byte) {
+	if cap(b) >= classBytes(offHeapClass) && unmapBytes(b) {
+		p.unmapped.Add(1)
+	}
 }
 
 // makeRoom reports whether n more idle bytes fit under the limit, first
@@ -262,17 +354,22 @@ func (p *Pool) makeRoom(n int64, keep *Kit) bool {
 }
 
 // evict drops every idle buffer of a kit the pool has just taken off
-// its list.
+// its list, unmapping the ledgered ones that are mappings.
 func (k *Kit) evict() {
 	k.mu.Lock()
 	k.evicted.Store(true)
 	idle, dropped := k.idle, 0
+	var ledgered [][]byte
 	for c := range k.free {
-		dropped += len(k.free[c])
-		k.free[c] = nil
+		dropped += len(k.free[c]) + len(k.owned[c])
+		ledgered = append(ledgered, k.free[c]...)
+		k.free[c], k.owned[c] = nil, nil
 	}
 	k.idle = 0
 	k.mu.Unlock()
+	for _, b := range ledgered {
+		k.p.drop(b)
+	}
 	k.p.held.Add(-idle)
 	k.p.trims.Add(int64(dropped))
 }
@@ -303,9 +400,11 @@ type LeaseStats struct {
 }
 
 // Lease is one query's checkout ledger over a kit. Acquire through the
-// generic Slice helpers (or Bytes); Release returns every buffer in one
-// sweep. Safe for concurrent acquisition from multiple workers; Release
-// must be called exactly once, after all acquirers are done.
+// generic Slice helpers (or Bytes); Return hands single buffers back
+// early, Release every one still out in one sweep. Safe for concurrent
+// acquisition from multiple workers; Release must be called exactly
+// once, after all acquirers are done — a ledgered buffer of a lease
+// never released is never unmapped.
 type Lease struct {
 	kit      *Kit
 	mu       sync.Mutex
@@ -349,13 +448,13 @@ func (p *Pool) NewLease() *Lease {
 func (l *Lease) Kit() *Kit { return l.kit }
 
 // Bytes returns a dirty buffer of at least n bytes checked out until
-// Release.
+// Release or Return.
 func (l *Lease) Bytes(n int) []byte { return l.acquire(n, true) }
 
 // acquire draws a buffer from the kit and books it in the lease's
 // accounting; only a ledgered one goes back at Release.
 func (l *Lease) acquire(n int, ledgered bool) []byte {
-	buf, reused := l.kit.take(n)
+	buf, reused := l.kit.take(n, !ledgered)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.released {
@@ -390,13 +489,30 @@ func (l *Lease) Release() {
 	l.held = 0
 	l.mu.Unlock()
 	for _, b := range bufs {
-		l.kit.put(b)
+		l.kit.put(b, false)
 	}
 	p := l.kit.p
 	p.mu.Lock()
 	p.kits = append(p.kits, l.kit)
 	p.mu.Unlock()
 	p.leases.Add(-1)
+}
+
+// giveBack takes the ledgered buffer starting at p off the ledger and
+// puts it back into the kit; a p no ledgered buffer starts at is left
+// alone.
+func (l *Lease) giveBack(p unsafe.Pointer) {
+	l.mu.Lock()
+	i := slices.IndexFunc(l.bufs, func(b []byte) bool { return unsafe.Pointer(unsafe.SliceData(b)) == p })
+	if i < 0 {
+		l.mu.Unlock()
+		return
+	}
+	buf := l.bufs[i]
+	l.bufs = slices.Delete(l.bufs, i, i+1)
+	l.held -= int64(cap(buf))
+	l.mu.Unlock()
+	l.kit.put(buf, false)
 }
 
 // Stats snapshots the lease's accounting.
@@ -407,10 +523,10 @@ func (l *Lease) Stats() LeaseStats {
 }
 
 // Slice returns a dirty []T of length n (and capacity >= n) checked
-// out on the lease, or a plain make([]T, n) when l is nil — the
-// serial engine, which has no lease, collapses to the GC path at every
-// call site. T must be pointer-free: the backing memory is untyped
-// bytes the GC will not scan for references.
+// out on the lease until Release or Return, or a plain make([]T, n)
+// when l is nil (an engine already closed). T must be pointer-free: the
+// backing memory is untyped bytes — off the Go heap from 64 KiB up —
+// the GC will not scan for references.
 func Slice[T any](l *Lease, n int) []T {
 	return SliceCap[T](l, n, n)
 }
@@ -437,10 +553,10 @@ func SliceCap[T any](l *Lease, n, c int) []T {
 // Own returns a dirty []T of length n whose buffer leaves with the
 // caller: it counts in the lease's statistics like any acquisition —
 // and as held until the lease is released — but is not on the ledger,
-// so Release does not take it back. The slice keeps the buffer's full
-// class capacity; hand exactly that slice (any length) and the lease's
-// Kit to Recycle when done, or drop it and the GC has it. A nil lease
-// is a plain make.
+// so Release does not take it back, and it is always Go memory. The
+// slice keeps the buffer's full class capacity; hand exactly that slice
+// (any length) and the lease's Kit to Recycle when done, or drop it and
+// the GC has it. A nil lease is a plain make.
 func Own[T any](l *Lease, n int) []T {
 	var t T
 	esz := int(unsafe.Sizeof(t))
@@ -451,6 +567,25 @@ func Own[T any](l *Lease, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&buf[0])), cap(buf)/esz)[:n]
 }
 
+// Return hands the ledgered buffers behind bufs — slices Slice or
+// SliceCap returned on l, at any length — back to the kit before
+// Release: the lease stops counting them as held, and a later
+// acquisition, of this query or another, may be given them dirty (in
+// race builds, poisoned). The caller must hold no other reference into
+// them. A slice that does not start a ledgered buffer of l — a make,
+// an owned or shared array, one already returned — is left alone, as
+// is everything on a nil lease.
+func Return[T any](l *Lease, bufs ...[]T) {
+	if l == nil {
+		return
+	}
+	for _, s := range bufs {
+		if cap(s) > 0 {
+			l.giveBack(unsafe.Pointer(unsafe.SliceData(s)))
+		}
+	}
+}
+
 // Recycle returns an Own'd slice's buffer to the kit it was drawn from
 // (subject to the trim limit, like a lease's returns), idle or adopted
 // alike. The caller must hold no other reference: the next acquisition
@@ -459,7 +594,7 @@ func Own[T any](l *Lease, n int) []T {
 // kit is a no-op.
 func Recycle[T any](k *Kit, s []T) {
 	if b := backing(s); k != nil && b != nil {
-		k.put(b)
+		k.put(b, true)
 	}
 }
 

@@ -407,3 +407,119 @@ func TestRecycleIntoEvictedKitDrops(t *testing.T) {
 		t.Fatal("the kit that was kept is not the one adopted next")
 	}
 }
+
+// Return takes a ledgered buffer off the ledger before Release: the
+// lease stops holding it, the next acquisition of its class reuses it,
+// and Release does not hand it back a second time. Anything that does
+// not start a ledgered buffer of the lease is left alone.
+func TestReturnHandsBackEarly(t *testing.T) {
+	p := New(0)
+	l := p.NewLease()
+	a := Slice[int32](l, 1000) // 4096B class
+	b := Slice[int32](l, 1000)
+	Return(l, a[:10])
+	if st := l.Stats(); st.HighWater != 2*4096 {
+		t.Fatalf("HighWater = %d after a return, want the peak %d", st.HighWater, 2*4096)
+	}
+	if st := p.Stats(); st.HeldBytes != 4096 {
+		t.Fatalf("returned buffer not idle in the kit: %v", st)
+	}
+	c := Slice[int32](l, 1000)
+	if &c[0] != &a[0] || p.Stats().Hits != 1 {
+		t.Fatalf("the next acquisition of the class did not reuse the returned buffer: %v", p.Stats())
+	}
+	Return(l, a[1:], b[:0:0], make([]int32, 1000), Own[int32](l, 1000))
+	Return[int32](nil, b)
+	if st := p.Stats(); st.HeldBytes != 0 {
+		t.Fatalf("a slice not starting a ledgered buffer was taken back: %v", st)
+	}
+	l.Release()
+	if st := p.Stats(); st.HeldBytes != 2*4096 || st.Leases != 0 {
+		t.Fatalf("Release must hand back b and c once each: %v", st)
+	}
+	Return(l, b) // after Release: nothing on the ledger
+	if st := p.Stats(); st.HeldBytes != 2*4096 {
+		t.Fatalf("a return after Release moved bytes: %v", st)
+	}
+}
+
+// offHeapTransients reports whether ledgered buffers from offHeapClass
+// up are mappings in this build: on unix systems, outside race builds.
+func offHeapTransients() bool {
+	b := mapBytes(classBytes(offHeapClass))
+	return b != nil && unmapBytes(b) && !raceBuild
+}
+
+// Own's buffers are Go memory whatever the kit holds: a fresh one is no
+// mapping, and a ledgered mapping idle in the kit never serves one.
+func TestOwnIsNeverOffHeap(t *testing.T) {
+	p := New(0)
+	l := p.NewLease()
+	owned := Own[int32](l, 1<<18) // 1 MiB class
+	led := Slice[int32](l, 1<<18)
+	l.Release()
+	if unmapBytes(backing(owned)) {
+		t.Fatal("Own returned a mapping")
+	}
+	l = p.NewLease()
+	again := Own[int32](l, 1<<18)
+	if &again[0] == &led[0] || unmapBytes(backing(again)) {
+		t.Fatal("Own was served the idle ledgered buffer")
+	}
+	if st := l.Stats(); st.Reused != 0 {
+		t.Fatalf("Own reused a ledgered buffer: %+v", st)
+	}
+	l.Release()
+}
+
+// Ledgered mappings leaving the arena go back to the system: a return
+// the limit has no room for, and the idle buffers of an evicted kit.
+func TestOffHeapTrimsAndEvictionsUnmap(t *testing.T) {
+	const big = 256 << 10
+	want := int64(0)
+	if offHeapTransients() {
+		want = 1
+	}
+	p := New(big)
+	l := p.NewLease()
+	_ = l.Bytes(big)
+	_ = l.Bytes(big)
+	l.Release() // one fits the limit, the other is trimmed
+	if st := p.Stats(); st.Trims != 1 || p.unmapped.Load() != want {
+		t.Fatalf("trim: %v, %d unmapped, want 1 trim and %d unmapped", st, p.unmapped.Load(), want)
+	}
+	// A second kit's return needs the room: the first kit is evicted.
+	l = p.NewLease()
+	other := p.NewLease()
+	_ = other.Bytes(big)
+	l.Release() // adopted kit back in the list, still holding its buffer
+	other.Release()
+	if st := p.Stats(); st.Trims != 2 || st.HeldBytes != big || p.unmapped.Load() != 2*want {
+		t.Fatalf("eviction: %v, %d unmapped, want 2 trims and %d unmapped", st, p.unmapped.Load(), 2*want)
+	}
+}
+
+// Race builds poison what Return and Release hand back, so a phase that
+// reads an intermediate after returning it reads the pattern, not the
+// values it expects.
+func TestReturnedTransientsArePoisoned(t *testing.T) {
+	if !raceBuild {
+		t.Skip("only race builds poison returned buffers")
+	}
+	const pattern = int32(-0x5a5a5a5b) // 0xA5A5A5A5
+	p := New(0)
+	l := p.NewLease()
+	early, late := Slice[int32](l, 1<<14), Slice[int32](l, 100)
+	for i := range early {
+		early[i] = int32(i)
+	}
+	Return(l, early)
+	l.Release()
+	for _, s := range [][]int32{early, late} {
+		for i, v := range s {
+			if v != pattern {
+				t.Fatalf("read after return at %d: %#x, want the pattern", i, uint32(v))
+			}
+		}
+	}
+}

@@ -122,54 +122,57 @@ func runPasses(n int, o Opts, count, scatter ChunkFn) []int {
 }
 
 // clusterPairs clusters a [key, payload] BAT on the radix field of its
-// keys' own bits and returns the clustered columns — always fresh
-// slices, the inputs are only read — plus the cluster offsets.
-func clusterPairs[K, P Word](keys []K, pay []P, o Opts) ([]K, []P, []int) {
+// keys' own bits into the caller's ping-pong buffers and returns the
+// clustered columns — the inputs are only read — plus the cluster
+// offsets.
+func clusterPairs[K, P Word](bufK [2][]K, bufP [2][]P, keys []K, pay []P, o Opts) ([]K, []P, []int) {
 	n := len(keys)
-	np := len(o.passes())
-	bufK, bufP := [2][]K{make([]K, n)}, [2][]P{make([]P, n)}
+	np := o.NumPasses()
+	bufK, bufP = [2][]K{bufK[0][:n], bufK[1]}, [2][]P{bufP[0][:n], bufP[1]}
 	if np == 0 || n == 0 {
 		copy(bufK[0], keys)
 		copy(bufP[0], pay)
 		return bufK[0], bufP[0], trivialOffsets(n, o.Bits)
 	}
 	if np > 1 {
-		bufK[1], bufP[1] = make([]K, n), make([]P, n)
+		bufK[1], bufP[1] = bufK[1][:n], bufP[1][:n]
 	}
 	count, scatter := PairKernels(keys, pay, bufK, bufP)
 	return bufK[(np-1)&1], bufP[(np-1)&1], runPasses(n, o, count, scatter)
 }
 
-// clusterBUNs clusters a join input on the hash of its keys: the
-// clustered tuples come back as one fresh BUN array.
-func clusterBUNs[K, P Word](keys []K, oids []P, o Opts) ([]uint64, []int) {
+// clusterBUNs clusters a join input on the hash of its keys into the
+// caller's ping-pong buffers: the clustered tuples come back as one
+// BUN array.
+func clusterBUNs[K, P Word](buf [2][]uint64, keys []K, oids []P, o Opts) ([]uint64, []int) {
 	n := len(keys)
-	np := len(o.passes())
-	buf := [2][]uint64{make([]uint64, n)}
+	np := o.NumPasses()
+	buf[0] = buf[0][:n]
 	if np == 0 || n == 0 {
 		// One cluster: hash and pack in input order.
 		ScatterPack(keys, oids, Field{}, []int{0}, buf[0])
 		return buf[0], trivialOffsets(n, o.Bits)
 	}
 	if np > 1 {
-		buf[1] = make([]uint64, n)
+		buf[1] = buf[1][:n]
 	}
 	count, scatter := BUNKernels(keys, oids, buf)
 	return buf[(np-1)&1], runPasses(n, o, count, scatter)
 }
 
 // clusterRows clusters row-major width-wide records on the hash of
-// their key column. rows is not modified.
-func clusterRows(rows []int32, width, keyCol int, o Opts) ([]int32, []int) {
+// their key column into the caller's ping-pong buffers. rows is not
+// modified.
+func clusterRows(buf [2][]int32, rows []int32, width, keyCol int, o Opts) ([]int32, []int) {
 	n := len(rows) / width
-	np := len(o.passes())
-	buf := [2][]int32{make([]int32, len(rows))}
+	np := o.NumPasses()
+	buf[0] = buf[0][:len(rows)]
 	if np == 0 || n == 0 {
 		copy(buf[0], rows)
 		return buf[0], trivialOffsets(n, o.Bits)
 	}
 	if np > 1 {
-		buf[1] = make([]int32, len(rows))
+		buf[1] = buf[1][:len(rows)]
 	}
 	count, scatter := RowKernels(rows, width, keyCol, buf)
 	return buf[(np-1)&1], runPasses(n, o, count, scatter)

@@ -173,11 +173,11 @@ func checkPairs[K, P Word](t *testing.T, rng *rand.Rand, keys []K, pay []P, hash
 			t.Fatal(err)
 		}
 		if !hashed {
-			gotK, gotP, gotOff := clusterPairs(keys, pay, o)
+			gotK, gotP, gotOff := clusterPairs(pingPong[K](n, o), pingPong[P](n, o), keys, pay, o)
 			same("serial engine", gotK, gotP, gotOff, passes...)
 			continue
 		}
-		buns, gotOff := clusterBUNs(keys, pay, o)
+		buns, gotOff := clusterBUNs(pingPong[uint64](n, o), keys, pay, o)
 		sameBUNs("serial BUN engine (pack→BUN→BUN)", buns, gotOff, passes...)
 	}
 

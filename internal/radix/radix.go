@@ -42,6 +42,11 @@ type Opts struct {
 	Passes []int
 }
 
+// NumPasses is how many passes the clustering takes: 0 for B = 0 (a
+// copy), 1 for a single pass, len(Passes) otherwise. The ...Into forms
+// need a second buffer when it exceeds one.
+func (o Opts) NumPasses() int { return len(o.passes()) }
+
 func (o Opts) passes() []int {
 	if o.Passes == nil {
 		if o.Bits == 0 {
@@ -128,14 +133,44 @@ type BUNsResult struct {
 // clusters (§2.2). The BUNs carry the hash in place of the value
 // (kernel.go): hash.Mix is a bijection, so the join compares hashes.
 func ClusterBUNs(heads []OID, vals []int32, o Opts) (*BUNsResult, error) {
+	return ClusterBUNsInto(pingPong[uint64](len(vals), o), heads, vals, o)
+}
+
+// ClusterBUNsInto is ClusterBUNs scattering into the caller's buffers,
+// handed in dirty: buf[0] of at least len(vals) BUNs, and buf[1] too
+// when o takes more than one pass (NumPasses) — the passes ping-pong
+// between them. The result's BUNs are a prefix of one of the two; the
+// other holds nothing the result needs.
+func ClusterBUNsInto(buf [2][]uint64, heads []OID, vals []int32, o Opts) (*BUNsResult, error) {
 	if len(heads) != len(vals) {
 		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	buns, offsets := clusterBUNs(vals, heads, o)
+	if err := checkBufs(buf, len(vals), o); err != nil {
+		return nil, err
+	}
+	buns, offsets := clusterBUNs(buf, vals, heads, o)
 	return &BUNsResult{BUNs: buns, Offsets: offsets}, nil
+}
+
+// pingPong makes the buffers a clustering of n tuples on o scatters
+// through (see ClusterBUNsInto).
+func pingPong[T any](n int, o Opts) [2][]T {
+	buf := [2][]T{make([]T, n)}
+	if o.NumPasses() > 1 {
+		buf[1] = make([]T, n)
+	}
+	return buf
+}
+
+// checkBufs reports ping-pong buffers too short for n tuples on o.
+func checkBufs[T any](buf [2][]T, n int, o Opts) error {
+	if len(buf[0]) < n || (o.NumPasses() > 1 && len(buf[1]) < n) {
+		return fmt.Errorf("radix: buffers of %d and %d for %d tuples in %d passes", len(buf[0]), len(buf[1]), n, o.NumPasses())
+	}
+	return nil
 }
 
 // KeyOffsets returns the 2^Bits+1 cluster offsets of a hashed
@@ -203,13 +238,26 @@ func (r *OIDPairsResult) Borders() []bat.Border { return bat.BordersFromOffsets(
 // one (Ignore > 0) yields the cache-sized disjoint ranges that
 // clustered Positional-Joins need.
 func ClusterOIDPairs(key, other []OID, o Opts) (*OIDPairsResult, error) {
+	return ClusterOIDPairsInto(pingPong[OID](len(key), o), pingPong[OID](len(key), o), key, other, o)
+}
+
+// ClusterOIDPairsInto is ClusterOIDPairs scattering into the caller's
+// buffers, one ping-pong pair per column (see ClusterBUNsInto): the
+// result's columns are prefixes of one buffer of each pair.
+func ClusterOIDPairsInto(bufK, bufO [2][]OID, key, other []OID, o Opts) (*OIDPairsResult, error) {
 	if len(key) != len(other) {
 		return nil, fmt.Errorf("radix: ClusterOIDPairs: %d keys vs %d others", len(key), len(other))
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	outKey, outOther, offsets := clusterPairs(key, other, o)
+	if err := checkBufs(bufK, len(key), o); err != nil {
+		return nil, err
+	}
+	if err := checkBufs(bufO, len(key), o); err != nil {
+		return nil, err
+	}
+	outKey, outOther, offsets := clusterPairs(bufK, bufO, key, other, o)
 	return &OIDPairsResult{Key: outKey, Other: outOther, Offsets: offsets}, nil
 }
 
@@ -226,6 +274,12 @@ type RowsResult struct {
 // pre-projection strategies (§1.1): fewer tuples fit per cluster and
 // per cache line, which is exactly the effect the paper measures.
 func ClusterRows(rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
+	return ClusterRowsInto(pingPong[int32](len(rows), o), rows, width, keyCol, o)
+}
+
+// ClusterRowsInto is ClusterRows scattering into the caller's buffers
+// of at least len(rows) values each (see ClusterBUNsInto).
+func ClusterRowsInto(buf [2][]int32, rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
 	if width <= 0 || len(rows)%width != 0 {
 		return nil, fmt.Errorf("radix: ClusterRows: %d values is not a multiple of width %d", len(rows), width)
 	}
@@ -235,7 +289,10 @@ func ClusterRows(rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	out, offsets := clusterRows(rows, width, keyCol, o)
+	if err := checkBufs(buf, len(rows), o); err != nil {
+		return nil, err
+	}
+	out, offsets := clusterRows(buf, rows, width, keyCol, o)
 	return &RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
 }
 
@@ -277,6 +334,14 @@ func Count(oids []OID, bits, ignore int) ([]bat.Border, error) {
 // radix-clustering on all significant bits (Radix-Sort, §3.1), using
 // as many passes as the hierarchy's per-pass fanout limit demands.
 func SortOIDPairs(key, other []OID, h mem.Hierarchy) (*OIDPairsResult, error) {
+	return ClusterOIDPairs(key, other, SortOpts(key, h))
+}
+
+// SortOpts is the clustering SortOIDPairs runs over key: every
+// significant bit of its largest oid (at least one), split into passes
+// of at most MaxBitsPerPass(h) bits. ClusterOIDPairsInto with it is
+// SortOIDPairs into the caller's buffers.
+func SortOpts(key []OID, h mem.Hierarchy) Opts {
 	maxKey := OID(0)
 	for _, k := range key {
 		if k > maxKey {
@@ -287,8 +352,7 @@ func SortOIDPairs(key, other []OID, h mem.Hierarchy) (*OIDPairsResult, error) {
 	if bits == 0 {
 		bits = 1
 	}
-	o := Opts{Bits: bits, Passes: SplitBits(bits, MaxBitsPerPass(h))}
-	return ClusterOIDPairs(key, other, o)
+	return Opts{Bits: bits, Passes: SplitBits(bits, MaxBitsPerPass(h))}
 }
 
 // OptimalBits computes the paper's §3.1 cluster-granularity formula

@@ -121,6 +121,7 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 		} else {
 			rr, err = e.HashRowsJoin(lRows, lw, 0, sRows, sw, 0)
 		}
+		exec.Return(e, lRows, sRows)
 		if err != nil {
 			return err
 		}
@@ -202,6 +203,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		var err error
 		ji, err = e.PartitionedJoin(lOIDs, lKeys, sOIDs, sKeys, joinOpts(p.JoinBits, cfg.hier()))
+		exec.Return(e, lKeys, sKeys)
 		if err != nil {
 			return err
 		}
@@ -216,15 +218,17 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	pl.Then(exec.PhaseReorder, "partial-cluster-join-index", func(e *exec.Engine) error {
 		var err error
 		cl, err = e.ClusterOIDPairs(ji.Larger, ji.Smaller, clusterOpts(p.LargerBits, larger.Rel.Len()))
-		ji = nil // dead from here on, like DSMPost's intermediates
+		exec.Return(e, ji.Larger, ji.Smaller) // dead from here on, like DSMPost's intermediates
+		ji = nil
 		return err
 	})
 	pl.Then(exec.PhaseProjectLarger, "gather-larger", func(e *exec.Engine) error {
 		res.RowWidth = piL + piS
 		res.Rows = e.Own(res.N * res.RowWidth)
-		key := cl.Key
+		err := e.GatherProjectInto(larger.Rel, res.Rows, res.RowWidth, 0, cl.Key, larger.ProjCols)
+		exec.Return(e, cl.Key)
 		cl.Key = nil
-		return e.GatherProjectInto(larger.Rel, res.Rows, res.RowWidth, 0, key, larger.ProjCols)
+		return err
 	})
 
 	// Smaller side: re-cluster on the smaller oid, gather the fields
@@ -236,6 +240,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		pl.Then(exec.PhaseReorder, "recluster-smaller", func(e *exec.Engine) error {
 			var err error
 			cl2, err = e.ClusterForDecluster(cl.Other, clusterOpts(p.SmallerBits, smaller.Rel.Len()))
+			exec.Return(e, cl.Other)
 			cl = nil
 			return err
 		})
@@ -246,8 +251,11 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 			return err
 		})
 		pl.Then(exec.PhaseDecluster, "radix-decluster-rows", func(e *exec.Engine) error {
-			return e.DeclusterRowsInto(res.Rows, res.RowWidth, piL,
+			err := e.DeclusterRowsInto(res.Rows, res.RowWidth, piL,
 				clustered.Data, piS, cl2.ResultPos, cl2.Borders, p.Window)
+			exec.Return(e, clustered.Data)
+			exec.Return(e, cl2.SmallerOIDs, cl2.ResultPos)
+			return err
 		})
 	}
 	return res.run(pl)
@@ -324,6 +332,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
 		var err error
 		ji, err = e.PartitionedJoin(lOIDs, lKeys, sOIDs, sKeys, joinOpts(p.JoinBits, h))
+		exec.Return(e, lKeys, sKeys)
 		if err != nil {
 			return err
 		}
@@ -338,6 +347,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		if err != nil {
 			return err
 		}
+		exec.Return(e, ji.Larger, ji.Smaller)
 		sorted, ji = &join.Index{Larger: srt.Key, Smaller: srt.Other}, nil
 		return nil
 	})
@@ -347,6 +357,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		res.SmallerBits = jiveFanout(jiveBits, res.N, smaller.projBytes(), h.LLC().Size)
 		var err error
 		lr, err = e.JiveLeft(sorted, larger.Rel, larger.ProjCols, smaller.Rel.Len(), res.SmallerBits)
+		exec.Return(e, sorted.Larger, sorted.Smaller)
 		sorted = nil
 		return err
 	})
@@ -354,11 +365,13 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 	pl.Then(exec.PhaseProjectSmaller, "jive-right", func(e *exec.Engine) error {
 		var err error
 		rr, err = e.JiveRight(lr, smaller.Rel, smaller.ProjCols)
+		exec.Return(e, lr.RightOIDs, lr.ResultPos)
 		return err
 	})
 	pl.Then(exec.PhaseDecluster, "assemble-result", func(e *exec.Engine) error {
 		// Result assembly, kept out of the projection phases.
 		combined, err := e.AppendFields("result", lr.LeftRows, rr)
+		exec.Return(e, lr.LeftRows.Data, rr.Data)
 		if err != nil {
 			return err
 		}

@@ -99,7 +99,8 @@ type Config struct {
 	// runtime's size. Nil selects the process
 	// default (DefaultRuntime), created on the first parallel run — a
 	// lone query is that runtime serving one lease. Serial runs
-	// (Parallelism 0) never involve a runtime. The result bytes of one
+	// (Parallelism 0) never involve a runtime; they lease from the
+	// process arena every runtime shares. The result bytes of one
 	// plan are identical in both modes and on every runtime.
 	Runtime *exec.Runtime
 	// Trace, when set, collects this run's span events (per-phase
@@ -131,10 +132,10 @@ func (c Config) hier() mem.Hierarchy {
 	return c.Hier
 }
 
-// Result is a completed project-join. On a pooled runtime its result
-// arrays (LargerCols, SmallerCols, Rows) are drawn from the query's
-// arena kit and stay the holder's until Release hands them back; slices
-// may carry spare capacity beyond their length.
+// Result is a completed project-join. Its result arrays (LargerCols,
+// SmallerCols, Rows) are drawn from the query's arena kit and stay the
+// holder's until Release hands them back; slices may carry spare
+// capacity beyond their length.
 type Result struct {
 	// N is the result cardinality.
 	N int
@@ -147,7 +148,7 @@ type Result struct {
 	Rows     []int32
 	RowWidth int
 	// home is the arena kit the result arrays came from and Release
-	// returns them to; nil when they are GC-owned (serial runs).
+	// returns them to, in both modes.
 	home *mempool.Kit
 	// Timings is the pipeline's per-phase breakdown and counters.
 	Timings exec.Timings
@@ -447,9 +448,10 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	})
 
 	// Phase 2: larger-side reordering — it fixes the result order. Each
-	// intermediate (the join-index, the two reordered oid columns) is
-	// dropped by the phase that reads it last, so a serial run's live
-	// heap does not carry them to the end of the pipeline. A u/u plan
+	// intermediate (the join-index, the two reordered oid columns, each
+	// clustered fetch) goes back to the query's kit right after the phase
+	// that reads it last (exec.Return), so the kit holds the pipeline's
+	// peak live set, not the sum of its intermediates. A u/u plan
 	// over join images carries image positions in place of oids, which
 	// its fetches read partition by partition.
 	var (
@@ -466,6 +468,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			if err != nil {
 				return err
 			}
+			exec.Return(e, ji.Larger, ji.Smaller)
 			largerOIDs, smallerInResultOrder, ji = srt.Key, srt.Other, nil
 			return nil
 		})
@@ -475,6 +478,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			if err != nil {
 				return err
 			}
+			exec.Return(e, ji.Larger, ji.Smaller)
 			largerOIDs, smallerInResultOrder, ji = cl.Key, cl.Other, nil
 			return nil
 		})
@@ -492,6 +496,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		} else {
 			res.LargerCols, err = e.FetchMany(larger.Cols, largerOIDs)
 		}
+		exec.Return(e, largerOIDs)
 		largerOIDs = nil
 		return err
 	})
@@ -509,6 +514,8 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			} else {
 				res.SmallerCols, err = e.FetchMany(smaller.Cols, smallerInResultOrder)
 			}
+			exec.Return(e, smallerInResultOrder)
+			exec.Return(e, parts)
 			return err
 		})
 	case Declustered:
@@ -516,6 +523,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		pl.Then(exec.PhaseReorder, "recluster-smaller", func(e *exec.Engine) error {
 			var err error
 			cl, err = e.ClusterForDecluster(smallerInResultOrder, clusterOpts(p.SmallerBits, smaller.BaseN))
+			exec.Return(e, smallerInResultOrder)
 			smallerInResultOrder = nil
 			return err
 		})
@@ -533,6 +541,10 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			pl.Then(exec.PhaseDecluster, "radix-decluster", func(e *exec.Engine) error {
 				var err error
 				res.SmallerCols[k], err = e.Decluster(cv, cl.ResultPos, cl.Borders, p.Window)
+				exec.Return(e, cv)
+				if k == len(smaller.Cols)-1 {
+					exec.Return(e, cl.SmallerOIDs, cl.ResultPos)
+				}
 				return err
 			})
 		}
@@ -639,6 +651,7 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 	})
 	pl.Then(exec.PhaseJoin, "partitioned-rows-join", func(e *exec.Engine) error {
 		rr, err := e.PartitionedRowsJoin(lRows, lw, 0, sRows, sw, 0, joinOpts(p.JoinBits, cfg.hier()))
+		exec.Return(e, lRows, sRows)
 		if err != nil {
 			return err
 		}

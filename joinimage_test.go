@@ -594,15 +594,15 @@ func TestNSMPostAfterJoinImages(t *testing.T) {
 }
 
 // TestPaperModeBuildsNoJoinImage: paper-mode queries cluster per query,
-// as the paper does — ten of them leave the relations without a join
-// image and lease nothing.
+// as the paper does — ten of them record no build-join-image step and
+// leave the relations without a join image.
 func TestPaperModeBuildsNoJoinImage(t *testing.T) {
 	const pi = 1
 	larger, smaller := workloadRelations(t,
 		workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 84}, pi)
 	q := JoinQuery{
 		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
-		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		LargerProject: projNames(pi), SmallerProject: projNames(pi), Trace: true,
 	}
 	for i := range 10 {
 		q.LargerMethod, q.SmallerMethod = AutoMethod, AutoMethod
@@ -613,8 +613,8 @@ func TestPaperModeBuildsNoJoinImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Timing.Mem.Acquired != 0 {
-			t.Fatalf("query %d: a serial run leased %d bytes", i, res.Timing.Mem.Acquired)
+		if b := traceSteps(res, "build-join-image"); b != 0 {
+			t.Fatalf("query %d: a serial run recorded %d build-join-image steps", i, b)
 		}
 	}
 	for _, r := range []*Relation{larger, smaller} {

@@ -2,7 +2,10 @@ package radixdecluster
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,11 +35,13 @@ func memPoolQueries(t *testing.T) []JoinQuery {
 
 // TestMemPoolByteIdentical is the arena's correctness contract: a
 // concurrent mixed-strategy hammer over recycled buffers must produce
-// exactly the bytes of the serial engine, the make-only reference —
-// the arena changes where transient backing memory comes from, never
-// what the operators write into it. It also pins the accounting:
-// pooled runs report leased bytes, and no lease survives its query
-// (leak check).
+// exactly the bytes of the serial engine — the arena changes where
+// transient backing memory comes from, never what the operators write
+// into it. The serial engine leases from the same arena, so it is no
+// make-only reference; TestSerialMatchesMapOracle holds its results to
+// an arena-free one. It also pins the accounting: serial and pooled
+// runs report leased bytes, and no lease survives its query (leak
+// check).
 func TestMemPoolByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test needs full-size relations")
@@ -50,14 +55,19 @@ func TestMemPoolByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", queries[i].Strategy, err)
 		}
-		if res.Timing.Mem.Acquired != 0 {
-			t.Fatalf("%s: serial run leased %d bytes", queries[i].Strategy, res.Timing.Mem.Acquired)
+		if res.Timing.Mem.Acquired <= 0 {
+			t.Fatalf("%s: serial run leased no bytes", queries[i].Strategy)
 		}
 		want[i] = res
 	}
 
 	rt := NewRuntime(RuntimeConfig{})
 	defer rt.Close()
+	// Every runtime draws from the one process arena the serial engine
+	// leases from.
+	if s := rt.MemPoolStats(); s.Leases != 0 {
+		t.Fatalf("%d leases still open after the serial queries", s.Leases)
+	}
 
 	// Two rounds: the second runs against a warm arena, where recycled
 	// buffers (not correctness-neutral-by-luck fresh zeroed memory) back
@@ -150,5 +160,55 @@ func TestWarmQueryAllocAccounting(t *testing.T) {
 	const allocCeiling = 2000
 	if allocs := testing.AllocsPerRun(3, func() { run() }); allocs > allocCeiling {
 		t.Fatalf("warm query allocated %.0f objects per run, ceiling %d", allocs, allocCeiling)
+	}
+}
+
+// TestSerialWarmQueryAllocation pins what paper mode costs the Go heap
+// once the arena is warm: a serial DSM post-projection c/d query —
+// unreleased results, as a caller that never recycles them — allocates
+// its result columns and little else, because every intermediate is a
+// recycled arena buffer (Timing.Mem.Reused covers every byte that is not
+// a result column) handed back after its last reader. Making each
+// intermediate fresh cost about twice the result bytes on top.
+func TestSerialWarmQueryAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs full-size relations")
+	}
+	const pi, slack = 2, 1 << 20
+	larger, smaller := workloadRelations(t,
+		workload.Params{N: 256 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 93}, pi)
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		Strategy: DSMPostDecluster, LargerMethod: ClusterMethod, SmallerMethod: DeclusterMethod,
+	}
+	run := func() *Result {
+		res, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run()
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := run()
+	runtime.ReadMemStats(&after)
+	if !strings.Contains(res.Plan, "methods=c/d") || res.Workers != 0 {
+		t.Fatalf("plan %q on %d workers, want serial c/d", res.Plan, res.Workers)
+	}
+	// A result column is one arena class: the next power of two of its
+	// bytes.
+	colBytes := int64(1) << bits.Len(uint(4*res.N-1))
+	resultBytes := int64(len(res.Cols)) * colBytes
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("warm query: %d B allocated, %d B of result columns; leased %+v", alloc, resultBytes, res.Timing.Mem)
+	if alloc > resultBytes+slack {
+		t.Errorf("warm serial query allocated %d B of Go memory, want at most its %d B of result columns + %d", alloc, resultBytes, slack)
+	}
+	m := res.Timing.Mem
+	if transient := m.Acquired - resultBytes; transient <= 0 || m.Reused < transient {
+		t.Errorf("warm serial query: %d B acquired, %d B reused; its %d B of intermediates must all be recycled", m.Acquired, m.Reused, transient)
 	}
 }

@@ -229,7 +229,8 @@ type Timing struct {
 	// (see RuntimeConfig.MemoryBudget): how many bytes the run drew
 	// from it — leased scratch and the result columns alike — how many
 	// of those were recycled buffers rather than fresh allocations, and
-	// the peak bytes held at once. All zero for serial runs.
+	// the peak bytes held at once. Serial runs lease from the same
+	// process arena and report it too.
 	Mem MemStats
 }
 
@@ -262,12 +263,12 @@ type MemStats = mempool.LeaseStats
 // first the larger side's projections, then the smaller side's, named
 // "<relation>.<column>".
 //
-// On a runtime the columns are drawn from its arena and belong to the
-// caller until Release hands them back for the next query to reuse;
+// The columns are drawn from the execution arena — a runtime's, or for
+// a serial run the process arena every runtime shares — and belong to
+// the caller until Release hands them back for the next query to reuse;
 // a column read after Release aliases another query's buffer. Never
-// calling Release is safe — the columns are garbage-collected and the
-// next query allocates afresh. Serial results are plain slices and
-// Release only drops them.
+// calling Release is safe — the columns are Go memory, garbage-collected
+// like any slice, and the next query allocates afresh.
 type Result struct {
 	N      int
 	Names  []string
@@ -292,7 +293,7 @@ type Result struct {
 	released bool
 }
 
-// Release returns the result columns to the runtime's arena and sets
+// Release returns the result columns to the arena they came from and sets
 // Cols to nil; whatever the caller did to Cols in the meantime, the
 // buffers go back whole. Idempotent, not safe for use concurrent with
 // readers of the columns.

@@ -30,17 +30,18 @@
 // There are two execution modes and every strategy runs in both.
 // JoinQuery.Parallelism 0 — the default — is the paper's mode: the
 // serial algorithms on the caller's goroutine, no runtime, every buffer
-// a plain allocation. Parallelism n >= 1 runs the same phase pipeline
+// drawn from the process's execution arena like a runtime query's
+// (Result.Release hands the result columns back). Parallelism n >= 1
+// runs the same phase pipeline
 // as a lease on a shared Runtime (JoinQuery.Runtime, or the process
 // default) with a NOMINAL n workers: one fixed worker set serves every
 // concurrent query, pulling radix partitions and cache-sized cluster
 // regions — independent units of work by the paper's decomposition,
 // each confining its random access to a private cache-sized slice —
 // from per-worker deques under admission control, and the query's
-// buffers come from the runtime's arena (Result.Release hands the
-// result columns back). The nominal count alone fixes how the work is
-// cut (each worker's Radix-Decluster insertion window is the cache
-// budget divided by it), so the result bytes are identical for the same
+// buffers come from the runtime's arena. The nominal count alone fixes
+// how the work is cut (each worker's Radix-Decluster insertion window
+// is the cache budget divided by it), so the result bytes are identical for the same
 // plan line in both modes, for every n, on a runtime of any size; only
 // wall-clock, Timing.Queue / Sched / Mem and Result.Workers differ. A
 // query whose join inputs total fewer than 16 Ki tuples runs the serial

@@ -60,7 +60,10 @@ type RuntimeConfig struct {
 	// default: labeling costs two label-set swaps per morsel.
 	PprofLabels bool
 	// MemoryBudget caps the bytes of idle recycled buffers the arena
-	// retains (buffers beyond it are dropped to the GC) and, when
+	// retains (buffers beyond it are dropped). The arena is the
+	// process's, shared by every runtime and by serial paper-mode
+	// queries, so the limit bounds their kits too; the last runtime
+	// built with a budget sets it. When
 	// MaxConcurrentQueries is left to its default, adds a memory ceiling
 	// to admission: at most MemoryBudget / costmodel.PerQueryMemEstimate
 	// queries run at once, so the combined transient working sets stay
@@ -89,7 +92,8 @@ type SchedStats = exec.SchedStats
 // a Runtime: the one in JoinQuery.Runtime, or the lazily-initialized
 // process default (DefaultRuntime) — a lone query is a runtime serving
 // one query. Serial runs (Parallelism 0, the paper's mode) never
-// involve a runtime. Results are byte-identical across the two modes,
+// involve a runtime, though they lease from the same process arena.
+// Results are byte-identical across the two modes,
 // serial and runtime, and on every runtime.
 type Runtime struct {
 	rt *exec.Runtime
