@@ -551,10 +551,12 @@ func TestParallelSpeedupMultiCore(t *testing.T) {
 }
 
 // BenchmarkConcurrentProjectJoin is the shared-runtime trajectory
-// benchmark: 4 concurrent same-source NSM queries per iteration, raw
-// (compress=false) and compressed (compress=true: CompressionOn, the
-// record images decoded ahead of the raw plan); both legs report
-// gomaxprocs/cpus so archived numbers carry the machine shape.
+// benchmark: 4 concurrent same-source DSM post-projection queries per
+// iteration on the runtime, which plans them u/u over the relations'
+// join images — raw (compress=false) and compressed (compress=true:
+// CompressionOn, each fetch decoding the image-order encodings one
+// partition at a time); both legs report gomaxprocs/cpus so archived
+// numbers carry the machine shape.
 func BenchmarkConcurrentProjectJoin(b *testing.B) {
 	const n = 256 << 10
 	const queries = 4
@@ -568,7 +570,6 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 				opts = append(opts, WithCompression())
 			}
 			q := benchJoinQueryOpts(b, n, opts...)
-			q.Strategy = NSMPostDecluster
 			q.Parallelism = 2
 			if comp {
 				q.Compression = CompressionOn
@@ -576,10 +577,15 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 			rt := NewRuntime(RuntimeConfig{MaxConcurrentQueries: queries})
 			defer rt.Close()
 			q.Runtime = rt
-			// Build the cached NSM and compressed images outside the timer.
-			if _, err := ProjectJoin(q); err != nil {
+			// Build the join images (and their encodings) outside the timer.
+			res, err := ProjectJoin(q)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if res.Compressed != comp {
+				b.Fatalf("plan %s: Compressed = %v, want %v", res.Plan, res.Compressed, comp)
+			}
+			res.Release()
 			b.SetBytes(int64(queries) * n * 8)
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 			b.ReportMetric(float64(runtime.NumCPU()), "cpus")

@@ -29,11 +29,12 @@
 // scheduler counters, and every run prints the runtime-wide arena
 // counters.
 //
-// -compress off|auto|on is JoinQuery.Compression: the relations carry
-// lazily built block-compressed images; on decodes them in phases of
-// their own ahead of the raw plan — results are byte-identical to raw
-// runs — and prints the decode-time share of the run at the end; auto
-// resolves to raw, like off.
+// -compress off|auto|on is JoinQuery.Compression: on runs a runtime u/u
+// DSM post-projection (the default strategy with -parallel != 0) over
+// block-compressed encodings of the relations' join images, each fetch
+// decoding a partition where it gathers from it — results are
+// byte-identical to raw runs — and prints the decode-time share of the
+// run at the end; every other plan, and auto, runs raw, like off.
 //
 // Observability flags: -traceout FILE records every query's execution
 // as span events and writes one merged Chrome trace-event JSON
@@ -69,7 +70,7 @@ func main() {
 	strat := flag.String("strategy", rd.DSMPostDecluster.String(), "auto | DSM-post-decluster | DSM-pre | NSM-pre-hash | NSM-pre-phash | NSM-post-decluster | NSM-post-jive")
 	lm := flag.String("lm", "", "larger-side method for DSM-post-decluster: u, s or c (empty = auto)")
 	sm := flag.String("sm", "", "smaller-side method for DSM-post-decluster: u or d (empty = auto)")
-	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (resolves to raw) | on (decode the block-compressed images, then run the raw plan); results are byte-identical either way")
+	compressFlag := flag.String("compress", "off", "execution format: off (raw) | auto (resolves to raw) | on (a runtime u/u DSM post-projection fetches from block-compressed join images, decoding per partition; every other plan runs raw); results are byte-identical either way")
 	parallel := flag.Int("parallel", 0, "nominal workers per query on the morsel-driven executor (all strategies): 0 = serial paper mode (planner decides when -concurrency > 1), -1 = planner decides per strategy")
 	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the runtime (1 = single query)")
 	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = max(2, workers))")
@@ -98,7 +99,7 @@ func main() {
 	fmt.Printf("N=%d pi=%d h=%g -> expecting %d result tuples\n", *n, *pi, *hitRate, pr.ExpectedMatches)
 
 	// Build the relations once — every concurrent query shares them
-	// (and the NSM and compressed images they build lazily).
+	// (and the NSM and join images they build lazily).
 	proj := make([]string, *pi)
 	for j := range proj {
 		proj[j] = fmt.Sprintf("a%d", j+1)
@@ -208,8 +209,8 @@ func main() {
 }
 
 // relation builds one side of the pair: the key column plus the named
-// payload columns, with a (lazily encoded) compressed image so every
-// -compress mode is available.
+// payload columns, built WithCompression so every -compress mode is
+// available.
 func relation(name string, wr *workload.Relation, proj []string) (*rd.Relation, error) {
 	cols := []rd.Column{{Name: "key", Values: wr.Key()}}
 	for j, p := range proj {

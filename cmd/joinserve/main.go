@@ -69,9 +69,10 @@ func main() {
 	}
 
 	// Register -pairs independent larger/smaller pairs, so load
-	// generators can spread over distinct base data. Every relation
-	// carries a compressed image (encoded lazily, on the first query
-	// that asks for it) so compression=on is always available.
+	// generators can spread over distinct base data. Every relation is
+	// built WithCompression, so compression=on is always available: a
+	// u/u DSM post-projection query adds encodings of its image-order
+	// columns to the relation's join image (joinImageBytes).
 	for p := 0; p < *pairs; p++ {
 		pr, err := workload.GenPair(workload.Params{
 			N: *n, Omega: *pi + 1, HitRate: *hitRate,

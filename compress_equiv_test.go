@@ -3,6 +3,7 @@ package radixdecluster
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"radixdecluster/internal/workload"
@@ -11,9 +12,10 @@ import (
 // Compressed/raw byte-equivalence matrix: every strategy must return
 // results byte-identical to its raw serial run whether it executes
 // serially, on the default runtime, or on an explicit one, under
-// CompressionOn (the raw plan over decoded values) and under
+// CompressionOn (compressed where a runtime u/u DSM post-projection
+// fetches from join images, raw everywhere else) and under
 // CompressionAuto (which resolves to raw). Strict equality, not set
-// comparison — a decode pass reproduces the raw arrays exactly.
+// comparison — a decode reproduces the raw arrays exactly.
 
 // compressedRelations is workloadRelations with block-compressed
 // column images enabled on both relations.
@@ -58,8 +60,8 @@ func TestCompressedEquivalenceMatrix(t *testing.T) {
 		{"runtime", 2, rt},
 	}
 	// The planner's pick for every strategy, and DSM post-projection with
-	// each method pair forced: the clustered and sorted sides a
-	// compressed plan decodes ahead of their fetch.
+	// each method pair forced: only u/u on a runtime joins over join
+	// images, so only it (and the Auto pick there) runs compressed.
 	type cell struct {
 		st     Strategy
 		lm, sm ProjMethod
@@ -88,6 +90,8 @@ func TestCompressedEquivalenceMatrix(t *testing.T) {
 			t.Fatalf("%s: raw serial: %v", name, err)
 		}
 		for _, eng := range engines {
+			images := eng.par != 0 && c.st == DSMPostDecluster &&
+				(c.lm == AutoMethod || c.lm == UnsortedMethod && c.sm == UnsortedMethod)
 			for _, mode := range []Compression{CompressionOn, CompressionAuto} {
 				cq := q
 				cq.Parallelism = eng.par
@@ -99,7 +103,7 @@ func TestCompressedEquivalenceMatrix(t *testing.T) {
 					t.Fatalf("%s: %v", tag, err)
 				}
 				requireSameResult(t, tag, got, want)
-				if on := mode == CompressionOn; got.Compressed != on || (got.Timing.CompressedCols > 0) != on {
+				if on := mode == CompressionOn && images; got.Compressed != on || (got.Timing.CompressedCols > 0) != on {
 					t.Fatalf("%s: Compressed = %v with %d decoded inputs, want compressed = %v",
 						tag, got.Compressed, got.Timing.CompressedCols, on)
 				}
@@ -113,43 +117,47 @@ func TestCompressedEquivalenceMatrix(t *testing.T) {
 // TestCompressionAutoRunsRaw: CompressionAuto resolves to raw execution,
 // so an Auto query over fresh WithCompression relations — every
 // strategy, serial and parallel — runs raw, decodes nothing, and never
-// pays for building the relations' encodings.
+// pays for building an encoding: the relations' JoinImageBytes end where
+// the same queries under CompressionOff leave them.
 func TestCompressionAutoRunsRaw(t *testing.T) {
 	const pi = 1
-	larger, smaller := compressedRelations(t,
-		workload.Params{N: 20000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 48}, pi)
-	for _, st := range []Strategy{DSMPostDecluster, DSMPre, NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive} {
-		for _, par := range []int{0, 2} {
-			q := JoinQuery{
-				Larger: larger, Smaller: smaller,
-				LargerKey: "key", SmallerKey: "key",
-				LargerProject: projNames(pi), SmallerProject: projNames(pi),
-				Strategy: st, Parallelism: par, Compression: CompressionAuto,
+	var imageBytes [2][2]int64
+	for m, mode := range []Compression{CompressionOff, CompressionAuto} {
+		larger, smaller := compressedRelations(t,
+			workload.Params{N: 20000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 48}, pi)
+		for _, st := range []Strategy{DSMPostDecluster, DSMPre, NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive} {
+			for _, par := range []int{0, 2} {
+				q := JoinQuery{
+					Larger: larger, Smaller: smaller,
+					LargerKey: "key", SmallerKey: "key",
+					LargerProject: projNames(pi), SmallerProject: projNames(pi),
+					Strategy: st, Parallelism: par, Compression: mode,
+				}
+				if _, err := PlanJoin(q); err != nil {
+					t.Fatal(err)
+				}
+				res, err := ProjectJoin(q)
+				if err != nil {
+					t.Fatalf("%v/%v/par=%d: %v", mode, st, par, err)
+				}
+				if res.Compressed || res.Timing.CompressedCols != 0 {
+					t.Fatalf("%v/%v/par=%d: ran compressed (%d decoded inputs)", mode, st, par, res.Timing.CompressedCols)
+				}
+				res.Release()
 			}
-			if _, err := PlanJoin(q); err != nil {
-				t.Fatal(err)
-			}
-			res, err := ProjectJoin(q)
-			if err != nil {
-				t.Fatalf("%v/par=%d: %v", st, par, err)
-			}
-			if res.Compressed || res.Timing.CompressedCols != 0 {
-				t.Fatalf("%v/par=%d: CompressionAuto ran compressed (%d decoded inputs)", st, par, res.Timing.CompressedCols)
-			}
-			res.Release()
 		}
+		imageBytes[m] = [2]int64{larger.JoinImageBytes(), smaller.JoinImageBytes()}
 	}
-	for _, r := range []*Relation{larger, smaller} {
-		if r.colEnc != nil || r.recEnc != nil {
-			t.Fatalf("%s: CompressionAuto queries built the relation's encodings", r.Name)
-		}
+	if imageBytes[1] != imageBytes[0] {
+		t.Fatalf("CompressionAuto left JoinImageBytes at %v, CompressionOff at %v", imageBytes[1], imageBytes[0])
 	}
 }
 
-// TestCompressedPlanAndCounters pins the observable surface: the Plan
-// string advertises the representation, the Timing counters report the
-// decode work, and relations without WithCompression always run raw
-// even when the query asks for compression.
+// TestCompressedPlanAndCounters pins the observable surface of a
+// runtime query, which joins over join images: the Plan string
+// advertises the representation, the Timing counters report the decode
+// work, and relations without WithCompression always run raw even when
+// the query asks for compression.
 func TestCompressedPlanAndCounters(t *testing.T) {
 	const pi = 1
 	larger, smaller := compressedRelations(t,
@@ -159,6 +167,7 @@ func TestCompressedPlanAndCounters(t *testing.T) {
 		LargerKey: "key", SmallerKey: "key",
 		LargerProject: projNames(pi), SmallerProject: projNames(pi),
 		Strategy:    DSMPostDecluster,
+		Parallelism: AutoParallelism,
 		Compression: CompressionOn,
 	}
 	res, err := ProjectJoin(q)
@@ -185,5 +194,102 @@ func TestCompressedPlanAndCounters(t *testing.T) {
 	}
 	if res.Compressed || res.Timing.CompressedCols != 0 {
 		t.Fatalf("plain relations ran compressed: %+v", res.Timing)
+	}
+}
+
+// TestCompressionOnlyOverJoinImages pins where CompressionOn acts: only a
+// runtime u/u DSM post-projection, whose fetches decode the relations'
+// join images partition by partition, runs compressed. Every strategy in
+// paper mode, every other strategy on the runtime and every forced
+// non-u/u DSM post-projection on the runtime runs raw over
+// WithCompression relations: Compressed false, every Compressed* counter
+// and DecodeTime zero, no decompress-* step or phase, and PlanJoin then
+// ProjectJoin leave JoinImageBytes where the raw query leaves it — the
+// relations hold no encoding outside their join images. Every result is
+// the raw serial run's, byte for byte.
+func TestCompressionOnlyOverJoinImages(t *testing.T) {
+	const pi = 2
+	p := workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 49}
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	type cell struct {
+		st     Strategy
+		lm, sm ProjMethod
+		par    int
+	}
+	var cells []cell
+	for _, st := range []Strategy{DSMPostDecluster, DSMPre, NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive} {
+		cells = append(cells, cell{st: st}, cell{st: st, par: 2})
+	}
+	for _, m := range [][2]ProjMethod{{ClusterMethod, UnsortedMethod}, {UnsortedMethod, DeclusterMethod},
+		{SortedMethod, DeclusterMethod}, {ClusterMethod, DeclusterMethod}, {UnsortedMethod, UnsortedMethod}} {
+		cells = append(cells, cell{DSMPostDecluster, m[0], m[1], 0}, cell{DSMPostDecluster, m[0], m[1], 2})
+	}
+	for _, c := range cells {
+		tag := fmt.Sprintf("%v/par=%d", c.st, c.par)
+		if c.lm != AutoMethod {
+			tag += fmt.Sprintf("/%c/%c", c.lm, c.sm)
+		}
+		images := c.par != 0 && c.st == DSMPostDecluster &&
+			(c.lm == AutoMethod || c.lm == UnsortedMethod && c.sm == UnsortedMethod)
+		larger, smaller := compressedRelations(t, p, pi)
+		ref := JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			Strategy: c.st, LargerMethod: c.lm, SmallerMethod: c.sm,
+		}
+		if images {
+			ref.LargerMethod, ref.SmallerMethod = UnsortedMethod, UnsortedMethod
+		}
+		want, err := ProjectJoin(ref)
+		if err != nil {
+			t.Fatalf("%s: raw serial: %v", tag, err)
+		}
+		// run plans and runs the cell on fresh relations and returns the
+		// result and the join image bytes the relations hold after it.
+		run := func(mode Compression) (*Result, [2]int64) {
+			t.Helper()
+			l, s := compressedRelations(t, p, pi)
+			q := ref
+			q.Larger, q.Smaller = l, s
+			q.LargerMethod, q.SmallerMethod = c.lm, c.sm
+			q.Parallelism, q.Compression, q.Trace = c.par, mode, true
+			if c.par != 0 {
+				q.Runtime = rt
+			}
+			if _, err := PlanJoin(q); err != nil {
+				t.Fatalf("%s: PlanJoin: %v", tag, err)
+			}
+			res, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			requireSameResult(t, fmt.Sprintf("%s/%v", tag, mode), res, want)
+			return res, [2]int64{l.JoinImageBytes(), s.JoinImageBytes()}
+		}
+		raw, rawBytes := run(CompressionOff)
+		raw.Release()
+		got, gotBytes := run(CompressionOn)
+		tm := got.Timing
+		if images {
+			if !got.Compressed || tm.CompressedCols == 0 {
+				t.Errorf("%s: runtime u/u ran Compressed = %v with %d decoded columns, want compressed", tag, got.Compressed, tm.CompressedCols)
+			}
+		} else {
+			if got.Compressed || tm.CompressedCols != 0 || tm.CompressedBytes != 0 ||
+				tm.CompressedSavedBytes != 0 || tm.DecodeTime != 0 {
+				t.Errorf("%s: ran compressed: Compressed = %v, %s", tag, got.Compressed, tm)
+			}
+			for _, ev := range got.Trace.t.Events() {
+				if strings.HasPrefix(ev.Name, "decompress-") {
+					t.Errorf("%s: lists %q", tag, ev.Name)
+				}
+			}
+			if gotBytes != rawBytes {
+				t.Errorf("%s: JoinImageBytes %v, the raw query leaves %v", tag, gotBytes, rawBytes)
+			}
+		}
+		got.Release()
+		want.Release()
 	}
 }

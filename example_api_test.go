@@ -28,9 +28,11 @@ func seqRelation(name string, n int) *rd.Relation {
 }
 
 // ExampleNewRelationOpts opts a relation into block compression and
-// forces a query to execute over the encoded bytes. Encodings are
-// built lazily on the first compressed query; result bytes are
-// identical to a raw run — only Result.Compressed tells them apart.
+// runs a runtime DSM post-projection query over the encoded bytes: its
+// fetches decode the relations' join images partition by partition.
+// The encodings are built into the join images by the first compressed
+// query; result bytes are identical to a raw run — only
+// Result.Compressed tells them apart.
 func ExampleNewRelationOpts() {
 	orders := seqRelation("orders", 4096)
 	customers := seqRelation("customers", 4096)
@@ -39,6 +41,7 @@ func ExampleNewRelationOpts() {
 		LargerKey: "key", SmallerKey: "key",
 		LargerProject:  []string{"val"},
 		SmallerProject: []string{"val"},
+		Parallelism:    rd.AutoParallelism,
 		Compression:    rd.CompressionOn,
 	})
 	if err != nil {

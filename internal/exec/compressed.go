@@ -2,15 +2,13 @@ package exec
 
 // Compressed execution reads block-compressed encodings in this file
 // only: every other operator takes raw []int32 / *nsm.Relation operands.
-// Two operators read an encoding. MaterializeCol decodes a whole input
-// into a leased raw array — the scan-shaped decode phase a compressed
-// plan lists right before the first phase that reads a base-order input.
-// FetchImage is the fetch over join images, raw or compressed: per radix
-// partition it decodes each encoded column's image range into the
-// worker's scratch and gathers the partition's matches from there, so an
-// image plan decodes where it fetches and leases no decoded column.
-// Either way the decoded values are the raw ones, so a compressed run is
-// byte-identical to the raw run of the same plan.
+// One operator reads an encoding: FetchImage, the fetch over join
+// images, raw or compressed. Per radix partition it decodes each encoded
+// column's image range into the worker's scratch and gathers the
+// partition's matches from there, so a compressed plan decodes where it
+// fetches and leases no decoded column. The decoded values are the raw
+// ones, so a compressed run is byte-identical to the raw run of the
+// same plan.
 
 import (
 	"fmt"
@@ -24,7 +22,7 @@ import (
 )
 
 // CompStats counts a pipeline's compressed execution: how many encoded
-// inputs it decoded (an image fetch counts each encoded column once),
+// columns its image fetches decoded (each counted once per fetch),
 // the encoded bytes the decode loops read (a block an image fetch
 // decodes for two partitions counts twice), the raw bytes that traffic
 // replaced (SavedBytes = decoded - encoded, accumulated per decoded
@@ -81,33 +79,6 @@ func (c *compCounters) decode(dst []int32, enc *compress.Encoded, lo, hi int) er
 	c.compressedBytes.Add(int64(comp))
 	c.savedBytes.Add(int64(raw - comp))
 	return nil
-}
-
-// MaterializeCol decodes an encoded column (or record image) into raw
-// values, chunk-parallel over whole blocks: each chunk is a block range
-// [lo,hi) decoding values [lo·BlockSize, min(hi·BlockSize, n)), so no
-// block is decoded — or counted — by two chunks. The decoded values are
-// leased: they live until the pipeline closes.
-func (e *Engine) MaterializeCol(enc *compress.Encoded) ([]int32, error) {
-	e.comp.cols.Add(1)
-	n := enc.Len()
-	out := mempool.Slice[int32](e.mem(), n)
-	var err error
-	if e.serial(n) {
-		err = e.comp.decode(out, enc, 0, n)
-	} else {
-		chunks := e.chunksFor(enc.BlockCount())
-		errs := e.errSlots(len(chunks))
-		e.run(len(chunks), func(_, t int, _ *Scratch) {
-			lo, hi := chunks[t].Lo*compress.BlockSize, min(chunks[t].Hi*compress.BlockSize, n)
-			errs[t] = e.comp.decode(out[lo:hi], enc, lo, hi)
-		})
-		err = firstErr(errs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // FetchImage is the Positional-Join over one side of a join image, one

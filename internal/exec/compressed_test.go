@@ -21,18 +21,28 @@ func encode(t *testing.T, vals []int32) *compress.Encoded {
 	return e
 }
 
-// decoded is the decode pass of a compressed plan: enc materialised on e.
-func decoded(t *testing.T, e *Engine, enc *compress.Encoded) []int32 {
+// denseFetch decodes enc on e through the one operator that reads an
+// encoding: FetchImage over an image whose partitions start at offs
+// (closed by enc.Len()) and match each of their tuples once, in order —
+// the dense case, decoded straight into the result.
+func denseFetch(t *testing.T, e *Engine, enc *compress.Encoded, offs ...int) []int32 {
 	t.Helper()
-	raw, err := e.MaterializeCol(enc)
+	n := enc.Len()
+	offs = append(slices.Clone(offs), n)
+	cols, err := e.FetchImage([][]int32{nil}, []*compress.Encoded{enc}, offs, offs, bat.Dense(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	return cols[0]
 }
 
-// decodedRelation is rel's record image encoded, then decoded on e: what
-// a compressed NSM plan's later phases read.
+// decoded is enc decoded on e, the whole column as one partition.
+func decoded(t *testing.T, e *Engine, enc *compress.Encoded) []int32 {
+	t.Helper()
+	return denseFetch(t, e, enc, 0)
+}
+
+// decodedRelation is rel's record image encoded, then decoded on e.
 func decodedRelation(t *testing.T, e *Engine, rel *nsm.Relation) *nsm.Relation {
 	t.Helper()
 	return &nsm.Relation{Name: rel.Name, Width: rel.Width, Data: decoded(t, e, encode(t, rel.Data))}
@@ -58,20 +68,30 @@ func withEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Run("sharescans", func(t *testing.T) { f(t, oe) })
 }
 
+// TestMaterializeColMatchesRaw: a dense FetchImage over an encoded
+// column reproduces the raw column — over one partition, and over
+// 1000-value partitions whose edges split blocks, so neighbouring
+// partitions decode a shared block each.
 func TestMaterializeColMatchesRaw(t *testing.T) {
 	vals := randVals(41, testN, false)
 	enc := encode(t, vals)
+	var offs []int
+	for lo := 0; lo < len(vals); lo += 1000 {
+		offs = append(offs, lo)
+	}
 	withEngines(t, func(t *testing.T, e *Engine) {
-		if got := decoded(t, e, enc); !reflect.DeepEqual(got, vals) {
-			t.Fatalf("workers=%d: materialized column differs from raw", e.Workers())
+		if got := decoded(t, e, enc); !slices.Equal(got, vals) {
+			t.Fatalf("workers=%d: column decoded by one partition differs from raw", e.Workers())
+		}
+		if got := denseFetch(t, e, enc, offs...); !slices.Equal(got, vals) {
+			t.Fatalf("workers=%d: column decoded by %d partitions differs from raw", e.Workers(), len(offs))
 		}
 	})
 }
 
-// The MatchesRaw tests below hold each operator a compressed plan runs
-// after its decode pass to the same operator over the raw arrays: a
-// mixed input list — one column decoded, one raw — where the operator
-// takes several.
+// The MatchesRaw tests below hold each operator to itself over decoded
+// and over raw arrays: a mixed input list — one column decoded, one
+// raw — where the operator takes several.
 
 func TestFetchManyMatchesRaw(t *testing.T) {
 	n := heavyN()
@@ -229,8 +249,8 @@ func TestStitchRowsMatchesRaw(t *testing.T) {
 	})
 }
 
-// TestCompressedOpErrors: the operators of a compressed plan reject bad
-// input over decoded arrays exactly as over raw ones.
+// TestCompressedOpErrors: the operators reject bad input over decoded
+// arrays exactly as over raw ones.
 func TestCompressedOpErrors(t *testing.T) {
 	vals := randVals(51, 4*compress.BlockSize, false)
 	rel := nsm.New("rel", len(vals)/4, 4)
@@ -260,22 +280,26 @@ func TestCompressedOpErrors(t *testing.T) {
 	}
 }
 
-// TestCompStatsAccounting pins the counter semantics: a decode pass
-// accounts the whole column's encoded bytes exactly once, a positive
-// saving for compressible data, and nonzero decode time — at every
-// parallelism, over a column whose length is no multiple of the
-// chunking (150 000 values: 147 blocks, the last partial), so chunks
-// that split a block would decode and count it twice.
+// TestCompStatsAccounting pins the counter semantics: a dense image
+// fetch over partitions on block edges accounts the whole column's
+// encoded bytes exactly once, a positive saving for compressible data,
+// and nonzero decode time — at every parallelism, over a column of
+// 150 000 values (147 blocks, the last partial) cut into 16-block
+// partitions, the last one short.
 func TestCompStatsAccounting(t *testing.T) {
 	vals := make([]int32, 150_000)
 	for i := range vals {
 		vals[i] = int32(i) // dense: compresses hard
 	}
 	enc := encode(t, vals)
+	var offs []int
+	for lo := 0; lo < len(vals); lo += 16 * compress.BlockSize {
+		offs = append(offs, lo)
+	}
 	rt := testRuntime(t)
 	for _, w := range []int{0, 2, 3, 8} {
 		e := NewEngine(rt, w)
-		if got := decoded(t, e, enc); !slices.Equal(got, vals) {
+		if got := denseFetch(t, e, enc, offs...); !slices.Equal(got, vals) {
 			t.Fatalf("workers=%d: decoded column differs", w)
 		}
 		st := e.comp.snapshot()

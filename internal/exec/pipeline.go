@@ -100,9 +100,10 @@ type Timings struct {
 	// pipeline's morsels: local hits (executed on the home worker)
 	// and stolen morsels. Zero on the serial engine.
 	Sched SchedStats
-	// Comp is the pipeline's decode-pass tally: encoded inputs decoded,
-	// encoded bytes read, raw bytes that traffic replaced, and wall time
-	// inside block-decode loops. Zero when every input executed raw.
+	// Comp is the pipeline's decode tally (CompStats): encoded image
+	// columns its fetches decoded, encoded bytes read, raw bytes that
+	// traffic replaced, and time inside block-decode loops. Zero when
+	// every input executed raw.
 	Comp CompStats
 	// Mem is the query's execution-memory accounting: bytes of buffers
 	// drawn from the arena — transients and result arrays alike —

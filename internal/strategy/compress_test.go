@@ -33,78 +33,63 @@ func encodeShrinking(t *testing.T, vals []int32) *compress.Encoded {
 	return e
 }
 
-// encodeSides populates compressed images on both DSM sides.
-func encodeSides(t *testing.T, sides ...*DSMSide) {
-	t.Helper()
-	for _, s := range sides {
-		s.KeysEnc = encodeShrinking(t, s.Keys)
-		s.ColsEnc = make([]*compress.Encoded, len(s.Cols))
-		for i, col := range s.Cols {
-			s.ColsEnc[i] = encodeShrinking(t, col)
-		}
-	}
-}
-
-// encodeNSMSides populates the compressed record image on both NSM
-// sides.
-func encodeNSMSides(t *testing.T, sides ...*NSMSide) {
-	t.Helper()
-	for _, s := range sides {
-		s.Enc = encodeShrinking(t, s.Rel.Data)
-	}
-}
-
 // TestCompressedStrategiesMatchRaw pins the contract: every strategy
-// produces the identical join whether it runs raw or decodes
-// block-compressed images ahead of the raw plan (the workload's
-// dense-oid payloads compress well, so a compressed run must actually
-// decode). Compress false over the same encoded sides is what the root
-// package's CompressionAuto resolves to: it must run raw.
+// produces the identical join under Compress as without it, and only a
+// u/u plan over join images runs compressed — its fetches decode the
+// image-order encodings the join phase hands them (the workload's
+// dense-oid payloads compress well, so it must actually decode). Every
+// other strategy and method pair runs raw under Compress and reports no
+// compressed activity. Compress false over the same sides is what the
+// root package's CompressionAuto resolves to: it must run raw.
 func TestCompressedStrategiesMatchRaw(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 1500, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 71})
 	want := expectedRows(pr, pi)
 	for _, comp := range []bool{true, false} {
 		cfg := Config{Hier: mem.Small(), Compress: comp}
-		check := func(tag string, res *Result) {
+		check := func(tag string, res *Result, images bool) {
 			t.Helper()
-			if res.Compressed != comp {
-				t.Fatalf("%s: Compressed = %v", tag, res.Compressed)
-			}
-			if comp && (res.Timings.Comp.Cols == 0 || res.Timings.Comp.SavedBytes <= 0) {
+			if on := comp && images; res.Compressed != on {
+				t.Fatalf("%s: Compressed = %v, want %v", tag, res.Compressed, on)
+			} else if on && (res.Timings.Comp.Cols == 0 || res.Timings.Comp.SavedBytes <= 0) {
 				t.Fatalf("%s: compressed run decoded nothing: %+v", tag, res.Timings.Comp)
-			}
-			if !comp && res.Timings.Comp != (exec.CompStats{}) {
+			} else if !on && res.Timings.Comp != (exec.CompStats{}) {
 				t.Fatalf("%s: raw run decoded: %+v", tag, res.Timings.Comp)
 			}
 		}
 		l, s := dsmSides(pr, pi)
-		encodeSides(t, &l, &s)
+		li, si := l, s
+		withJoinImages(nil, &li, &si)
 		for _, m := range [][2]ProjMethod{{PartialCluster, Unsorted}, {PartialCluster, Declustered}, {Unsorted, Unsorted}} {
-			tag := fmt.Sprintf("compress=%v DSMPost %c/%c", comp, m[0], m[1])
-			res, err := DSMPost(l, s, m[0], m[1], cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
+			for _, images := range []bool{false, true} {
+				tag := fmt.Sprintf("compress=%v DSMPost %c/%c images=%v", comp, m[0], m[1], images)
+				run := [2]DSMSide{l, s}
+				if images {
+					run = [2]DSMSide{li, si}
+				}
+				res, err := DSMPost(run[0], run[1], m[0], m[1], cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				compareRows(t, tag, dsmResultRows(t, res, pi), want)
+				check(tag, res, images && m == [2]ProjMethod{Unsorted, Unsorted})
 			}
-			compareRows(t, tag, dsmResultRows(t, res, pi), want)
-			check(tag, res)
 		}
 		if res, err := DSMPre(l, s, cfg); err != nil {
 			t.Fatalf("compress=%v DSMPre: %v", comp, err)
 		} else {
 			tag := fmt.Sprintf("compress=%v DSMPre", comp)
 			compareRows(t, tag, rowsResultRows(t, res, pi), want)
-			check(tag, res)
+			check(tag, res, false)
 		}
 		nl, ns := nsmSides(pr, pi)
-		encodeNSMSides(t, &nl, &ns)
 		for _, partitioned := range []bool{false, true} {
 			if res, err := NSMPre(nl, ns, partitioned, cfg); err != nil {
 				t.Fatalf("compress=%v NSMPre part=%v: %v", comp, partitioned, err)
 			} else {
 				tag := fmt.Sprintf("compress=%v NSMPre part=%v", comp, partitioned)
 				compareRows(t, tag, rowsResultRows(t, res, pi), want)
-				check(tag, res)
+				check(tag, res, false)
 			}
 		}
 		if res, err := NSMPostDecluster(nl, ns, cfg); err != nil {
@@ -112,14 +97,14 @@ func TestCompressedStrategiesMatchRaw(t *testing.T) {
 		} else {
 			tag := fmt.Sprintf("compress=%v NSMPostDecluster", comp)
 			compareRows(t, tag, rowsResultRows(t, res, pi), want)
-			check(tag, res)
+			check(tag, res, false)
 		}
 		if res, err := NSMPostJive(nl, ns, 0, cfg); err != nil {
 			t.Fatalf("compress=%v NSMPostJive: %v", comp, err)
 		} else {
 			tag := fmt.Sprintf("compress=%v NSMPostJive", comp)
 			compareRows(t, tag, rowsResultRows(t, res, pi), want)
-			check(tag, res)
+			check(tag, res, false)
 		}
 	}
 }
@@ -223,48 +208,27 @@ func clusterImage(oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image
 // spans on.
 const tracePipelineTrack = 1000
 
-// TestCompressedDecodesEachInputOnce: a compressed plan over base-order
-// encodings is the raw plan with a decode phase right before the first
-// phase that reads each encoded input, so a run reads every encoding it
-// uses exactly once — the encoded bytes a run consumes, serial or
-// parallel, are the encodings' own size (N = 40 000 is no multiple of a
-// parallel decode pass's chunking, so chunks that split a block would
-// count it twice). Per-tuple decoding inside the fetch and gather
-// operators once read a u side hundreds of times over. Covered: the DSM
-// post-projection method pairs u/u, c/u, s/d and c/d, DSM
-// pre-projection, and the four NSM strategies, each with its phase list.
-// A runtime u/u DSM post-projection run joins over join images, as the
-// root package's runtime queries do: it decodes no key column, each
-// image it builds is a step of its join phase, and it lists no decode
-// phase — each fetch decodes the image-order encodings the join phase
-// handed it one partition at a time, so it reads the blocks of every
-// partition's range, a block straddling two partitions once for each
-// (the small hierarchy gives the join at least 4 partitions, so some
-// do). The other runtime method pairs are handed the same images but
-// cluster per query, as paper mode does: they build none and decode the
-// base-order encodings.
+// TestCompressedDecodesEachInputOnce: under Compress only a runtime u/u
+// DSM post-projection run over join images decodes, as the root
+// package's runtime queries do: it decodes no key column, each image it
+// builds is a step of its join phase, and it lists no decode phase —
+// each fetch decodes the image-order encodings the join phase handed it
+// one partition at a time, so it reads the blocks of every partition's
+// range, a block straddling two partitions once for each (the small
+// hierarchy gives the join at least 4 partitions, so some do). Every
+// other case — the DSM post-projection method pairs u/u, c/u, s/d and
+// c/d in paper mode and the non-u pairs on the runtime (handed the same
+// images, they cluster per query), DSM pre-projection and the four NSM
+// strategies — runs its raw phase list and reads no encoded byte.
 func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	const pi = 2
 	pr := testPair(t, workload.Params{N: 40000, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 74})
 	want := expectedRows(pr, pi)
 	l, s := dsmSides(pr, pi)
-	encodeSides(t, &l, &s)
 	li, si := l, s
 	var imgBytes int64
 	withJoinImages(&imgBytes, &li, &si)
 	nl, ns := nsmSides(pr, pi)
-	encodeNSMSides(t, &nl, &ns)
-	encodedBytes := func(encs ...*compress.Encoded) (n int64) {
-		for _, e := range encs {
-			if e == nil {
-				t.Fatal("workload input did not compress: the phase lists below assume it does")
-			}
-			n += int64(e.CompressedBytes())
-		}
-		return n
-	}
-	dsmBytes := encodedBytes(append(l.encs(), s.encs()...)...)
-	nsmBytes := encodedBytes(nl.Enc, ns.Enc)
 	dsmPost := func(lm, sm ProjMethod) func(Config) (*Result, error) {
 		return func(cfg Config) (*Result, error) {
 			if cfg.Parallelism != 0 {
@@ -275,17 +239,17 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	}
 	reorder := map[ProjMethod]string{PartialCluster: "partial-cluster-join-index", SortedM: "radix-sort-join-index"}
 	dsmPostPhases := func(lm, sm ProjMethod) []string {
-		ph := []string{"decompress-keys", "partitioned-hash-join"}
+		ph := []string{"partitioned-hash-join"}
 		if lm != Unsorted {
 			ph = append(ph, reorder[lm])
 		}
-		ph = append(ph, "decompress-larger", "fetch-larger")
+		ph = append(ph, "fetch-larger")
 		if sm == Unsorted {
-			return append(ph, "decompress-smaller", "fetch-smaller")
+			return append(ph, "fetch-smaller")
 		}
 		ph = append(ph, "recluster-smaller")
 		for range pi {
-			ph = append(ph, "decompress-smaller", "fetch-clustered", "radix-decluster")
+			ph = append(ph, "fetch-clustered", "radix-decluster")
 		}
 		return ph
 	}
@@ -293,37 +257,31 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 		name   string
 		run    func(Config) (*Result, error)
 		rows   func(*testing.T, *Result, int) map[string]int
-		bytes  int64
 		phases []string
 	}{
-		{"u/u", dsmPost(Unsorted, Unsorted), dsmResultRows, dsmBytes, dsmPostPhases(Unsorted, Unsorted)},
-		{"c/u", dsmPost(PartialCluster, Unsorted), dsmResultRows, dsmBytes, dsmPostPhases(PartialCluster, Unsorted)},
-		{"s/d", dsmPost(SortedM, Declustered), dsmResultRows, dsmBytes, dsmPostPhases(SortedM, Declustered)},
-		{"c/d", dsmPost(PartialCluster, Declustered), dsmResultRows, dsmBytes, dsmPostPhases(PartialCluster, Declustered)},
-		{"DSM-pre", func(cfg Config) (*Result, error) { return DSMPre(l, s, cfg) }, rowsResultRows, dsmBytes,
-			[]string{"decompress-inputs", "stitch-wide-tuples", "partitioned-rows-join"}},
-		{"NSM-pre-hash", func(cfg Config) (*Result, error) { return NSMPre(nl, ns, false, cfg) }, rowsResultRows, nsmBytes,
-			[]string{"decompress-records", "nsm-scan-project", "rows-join"}},
-		{"NSM-pre-phash", func(cfg Config) (*Result, error) { return NSMPre(nl, ns, true, cfg) }, rowsResultRows, nsmBytes,
-			[]string{"decompress-records", "nsm-scan-project", "rows-join"}},
-		{"NSM-post-decluster", func(cfg Config) (*Result, error) { return NSMPostDecluster(nl, ns, cfg) }, rowsResultRows, nsmBytes,
-			[]string{"decompress-records", "key-extraction", "partitioned-hash-join", "partial-cluster-join-index",
+		{"u/u", dsmPost(Unsorted, Unsorted), dsmResultRows, dsmPostPhases(Unsorted, Unsorted)},
+		{"c/u", dsmPost(PartialCluster, Unsorted), dsmResultRows, dsmPostPhases(PartialCluster, Unsorted)},
+		{"s/d", dsmPost(SortedM, Declustered), dsmResultRows, dsmPostPhases(SortedM, Declustered)},
+		{"c/d", dsmPost(PartialCluster, Declustered), dsmResultRows, dsmPostPhases(PartialCluster, Declustered)},
+		{"DSM-pre", func(cfg Config) (*Result, error) { return DSMPre(l, s, cfg) }, rowsResultRows,
+			[]string{"stitch-wide-tuples", "partitioned-rows-join"}},
+		{"NSM-pre-hash", func(cfg Config) (*Result, error) { return NSMPre(nl, ns, false, cfg) }, rowsResultRows,
+			[]string{"nsm-scan-project", "rows-join"}},
+		{"NSM-pre-phash", func(cfg Config) (*Result, error) { return NSMPre(nl, ns, true, cfg) }, rowsResultRows,
+			[]string{"nsm-scan-project", "rows-join"}},
+		{"NSM-post-decluster", func(cfg Config) (*Result, error) { return NSMPostDecluster(nl, ns, cfg) }, rowsResultRows,
+			[]string{"key-extraction", "partitioned-hash-join", "partial-cluster-join-index",
 				"gather-larger", "recluster-smaller", "gather-smaller", "radix-decluster-rows"}},
-		{"NSM-post-jive", func(cfg Config) (*Result, error) { return NSMPostJive(nl, ns, 0, cfg) }, rowsResultRows, nsmBytes,
-			[]string{"decompress-records", "key-extraction", "partitioned-hash-join", "sort-join-index",
+		{"NSM-post-jive", func(cfg Config) (*Result, error) { return NSMPostJive(nl, ns, 0, cfg) }, rowsResultRows,
+			[]string{"key-extraction", "partitioned-hash-join", "sort-join-index",
 				"jive-left", "jive-right", "assemble-result"}},
 	}
 	for _, c := range cases {
 		for _, par := range []int{0, 2} {
 			tag := fmt.Sprintf("%s par=%d", c.name, par)
-			bytes, phases, builds := c.bytes, c.phases, 0
 			images := par != 0 && c.name == "u/u"
+			builds := 0
 			if images {
-				// No base-order encoding is read; the partitions' blocks of
-				// the image encodings the join phase hands out are added
-				// once the run has them.
-				bytes = 0
-				phases = []string{"partitioned-hash-join", "fetch-larger", "fetch-smaller"}
 				builds = 2
 			}
 			imgBytes = 0
@@ -339,14 +297,16 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 				if res.JoinBits < 2 {
 					t.Fatalf("%s: %d join bits: the byte count below wants at least 4 partitions", tag, res.JoinBits)
 				}
-				bytes += imgBytes
 			}
 			compareRows(t, tag, c.rows(t, res, pi), want)
-			if got := res.Timings.Comp.CompressedBytes; got != bytes {
-				t.Errorf("%s: run read %d encoded bytes, want each encoding it uses once = %d", tag, got, bytes)
+			if res.Compressed != images {
+				t.Errorf("%s: Compressed = %v, want %v", tag, res.Compressed, images)
 			}
-			if got := phaseNames(tr); !slices.Equal(got, phases) {
-				t.Errorf("%s: phases\n got  %v\n want %v", tag, got, phases)
+			if got := res.Timings.Comp.CompressedBytes; got != imgBytes {
+				t.Errorf("%s: run read %d encoded bytes, want %d", tag, got, imgBytes)
+			}
+			if got := phaseNames(tr); !slices.Equal(got, c.phases) {
+				t.Errorf("%s: phases\n got  %v\n want %v", tag, got, c.phases)
 			}
 			if got := stepCount(tr, "build-join-image"); got != builds {
 				t.Errorf("%s: %d build-join-image steps, want %d", tag, got, builds)
@@ -356,24 +316,68 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 	}
 }
 
-// TestCompressOffIgnoresEncodings: encoded sides under the default
-// Compress false must run raw and report no compressed activity.
+// withEncodedJoinImages gives each side a join image that hands out
+// every column raw and, where its image-order copy shrinks, encoded as
+// well, whatever the plan asks for; *handed counts the encodings handed
+// out.
+func withEncodedJoinImages(handed *int, sides ...*DSMSide) {
+	for _, s := range sides {
+		oids, keys, base := s.OIDs, s.Keys, s.Cols
+		s.JoinImage = func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
+			img, err := clusterImage(oids, keys, base, o)
+			if err != nil {
+				return Image{}, err
+			}
+			img.ColsEnc = make([]*compress.Encoded, len(img.Cols))
+			for c, col := range img.Cols {
+				e, err := compress.EncodeBest(col)
+				if err != nil {
+					return Image{}, err
+				}
+				if e.Ratio() < 1 {
+					img.ColsEnc[c] = e
+					*handed++
+				}
+			}
+			return img, nil
+		}
+	}
+}
+
+// TestCompressOffIgnoresEncodings: a u/u run over join images that hand
+// out encodings must, under the default Compress false, drop them, run
+// raw and report no compressed activity; under Compress it decodes them.
 func TestCompressOffIgnoresEncodings(t *testing.T) {
 	const pi = 1
 	pr := testPair(t, workload.Params{N: 900, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 72})
 	l, s := dsmSides(pr, pi)
-	encodeSides(t, &l, &s)
-	res, err := DSMPost(l, s, PartialCluster, Declustered, Config{Hier: mem.Small()})
-	if err != nil {
-		t.Fatal(err)
+	handed := 0
+	withEncodedJoinImages(&handed, &l, &s)
+	for _, comp := range []bool{false, true} {
+		handed = 0
+		res, err := DSMPost(l, s, Unsorted, Unsorted, Config{Hier: mem.Small(), Compress: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if handed == 0 {
+			t.Fatal("the join images handed out no encoding: the test assumes they do")
+		}
+		if comp {
+			if !res.Compressed || res.Timings.Comp.Cols != int64(handed) {
+				t.Fatalf("a compressed run decoded %d of %d encodings", res.Timings.Comp.Cols, handed)
+			}
+		} else if res.Compressed || res.Timings.Comp != (exec.CompStats{}) {
+			t.Fatalf("a raw run reports compressed execution: %+v", res.Timings.Comp)
+		}
+		compareRows(t, fmt.Sprintf("compress=%v", comp), dsmResultRows(t, res, pi), expectedRows(pr, pi))
+		res.Release()
 	}
-	if res.Compressed || res.Timings.Comp.Cols != 0 {
-		t.Fatalf("a raw run reports compressed execution: %+v", res.Timings.Comp)
-	}
-	compareRows(t, "off", dsmResultRows(t, res, pi), expectedRows(pr, pi))
 }
 
-// TestSideEncodingValidation: mismatched encodings must be rejected.
+// TestSideEncodingValidation: probeImages rejects a join image column
+// that a plan cannot read — an encoding of the wrong length handed to a
+// compressed plan, and an encoding alone (no raw column) handed to a raw
+// plan, which ignores encodings.
 func TestSideEncodingValidation(t *testing.T) {
 	pr := testPair(t, workload.Params{N: 600, Omega: 2, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 73})
 	l, s := dsmSides(pr, 1)
@@ -381,18 +385,29 @@ func TestSideEncodingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.KeysEnc = bad
-	if _, err := DSMPost(l, s, Unsorted, Unsorted, Config{Hier: mem.Small()}); err == nil {
-		t.Fatal("mismatched key encoding accepted")
+	withJoinImages(nil, &s)
+	// encodedOnly hands the larger side's only column out as enc alone.
+	oids, keys, base := l.OIDs, l.Keys, l.Cols
+	encodedOnly := func(enc *compress.Encoded) func(radix.Opts, bool, func(string, time.Time, time.Time)) (Image, error) {
+		return func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
+			img, err := clusterImage(oids, keys, base, o)
+			if err != nil {
+				return Image{}, err
+			}
+			img.Cols[0], img.ColsEnc = nil, []*compress.Encoded{enc}
+			return img, nil
+		}
 	}
-	l.KeysEnc = nil
-	l.ColsEnc = []*compress.Encoded{bad}
-	if _, err := DSMPost(l, s, Unsorted, Unsorted, Config{Hier: mem.Small()}); err == nil {
-		t.Fatal("mismatched column encoding accepted")
+	l.JoinImage = encodedOnly(bad)
+	if _, err := DSMPost(l, s, Unsorted, Unsorted, Config{Hier: mem.Small(), Compress: true}); err == nil {
+		t.Fatal("mismatched image encoding accepted")
 	}
-	nl, ns := nsmSides(pr, 1)
-	nl.Enc = bad
-	if _, err := NSMPostDecluster(nl, ns, Config{Hier: mem.Small()}); err == nil {
-		t.Fatal("mismatched record encoding accepted")
+	good, err := compress.EncodeBest(make([]int32, len(l.OIDs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.JoinImage = encodedOnly(good)
+	if _, err := DSMPost(l, s, Unsorted, Unsorted, Config{Hier: mem.Small()}); err == nil {
+		t.Fatal("a raw plan accepted an image column held only encoded")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
-	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
@@ -20,10 +19,6 @@ type NSMSide struct {
 	Rel      *nsm.Relation
 	KeyCol   int
 	ProjCols []int
-	// Enc is an optional block-compressed image of Rel.Data; it must
-	// decode to exactly the raw records. Config.Compress selects whether
-	// a run decodes it.
-	Enc *compress.Encoded
 }
 
 func (s NSMSide) validate(name string) error {
@@ -37,9 +32,6 @@ func (s NSMSide) validate(name string) error {
 		if c < 0 || c >= s.Rel.Width {
 			return fmt.Errorf("strategy: %s: projection column %d outside width %d", name, c, s.Rel.Width)
 		}
-	}
-	if s.Enc != nil && s.Enc.Len() != len(s.Rel.Data) {
-		return fmt.Errorf("strategy: %s: record encoding holds %d values, want %d", name, s.Enc.Len(), len(s.Rel.Data))
 	}
 	return nil
 }
@@ -81,15 +73,14 @@ func PlanNSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (Plan, Co
 		p.JoinBits = join.PlanBits(smaller.Rel.Len(), sw*4, cfg.hier().LLC().Size)
 	}
 	cost := rowsCost(larger.Rel.Len(), smaller.Rel.Len(), lw, sw, p.JoinBits)
-	cfg.decide(&p, larger.Rel.Len()+smaller.Rel.Len(), []*compress.Encoded{larger.Enc, smaller.Enc})
+	cfg.decide(&p, larger.Rel.Len()+smaller.Rel.Len())
 	return p, cost, nil
 }
 
 // NSMPre runs NSM pre-projection: projection attributes are copied
 // out of the wide records during the scan and travel through the
 // join. partitioned=false is the naive "NSM-pre-hash" baseline of
-// Figure 10; true is the cache-conscious "NSM-pre-phash". A compressed
-// plan decodes the record images ahead of the scan.
+// Figure 10; true is the cache-conscious "NSM-pre-phash".
 func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanNSMPre(larger, smaller, partitioned, cfg)
@@ -101,9 +92,6 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 	defer pl.Close()
 	res := &Result{Plan: p}
 
-	if p.Compressed {
-		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
-	}
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "nsm-scan-project", func(e *exec.Engine) error {
 		var err error
@@ -157,7 +145,7 @@ func PlanNSMPostDecluster(larger, smaller NSMSide, cfg Config) (Plan, CostFn, er
 	cost := func(m costmodel.Model) costmodel.Cost {
 		return costmodel.NSMPostDecluster(m, nL, baseN, omegaBytes, projBytes, bits, window)
 	}
-	cfg.decide(&p, nL+nS, []*compress.Encoded{larger.Enc, smaller.Enc})
+	cfg.decide(&p, nL+nS)
 	return p, cost, nil
 }
 
@@ -168,8 +156,7 @@ func PlanNSMPostDecluster(larger, smaller NSMSide, cfg Config) (Plan, CostFn, er
 // Radix-Decluster. Because Positional-Joins now touch ω-wide records,
 // the cluster granularity must fit whole-record spans in the cache —
 // the tuple-width penalty that makes this strategy lag DSM
-// post-projection (§4.2). A compressed plan decodes the record images
-// ahead of the key extraction.
+// post-projection (§4.2).
 func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanNSMPostDecluster(larger, smaller, cfg)
@@ -182,9 +169,6 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	res := &Result{Plan: p}
 
 	// Key extraction scans.
-	if p.Compressed {
-		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
-	}
 	var lKeys, sKeys []int32
 	var lOIDs, sOIDs []OID
 	pl.Then(exec.PhaseScan, "key-extraction", func(e *exec.Engine) error {
@@ -290,16 +274,14 @@ func PlanNSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (Plan, C
 	cost := func(m costmodel.Model) costmodel.Cost {
 		return costmodel.JivePost(m, nL, nL, nS, omegaBytes, projBytes, bits)
 	}
-	cfg.decide(&p, nL+nS, []*compress.Encoded{larger.Enc, smaller.Enc})
+	cfg.decide(&p, nL+nS)
 	return p, cost, nil
 }
 
 // NSMPostJive runs post-projection with Jive-Join [LR99]: sort the
 // join-index on the larger oids, then Left/Right Jive over the NSM
 // records. jiveBits 0 lets the planner size the fan-out so each
-// cluster's write-back region fits the cache. A compressed plan decodes
-// the record images ahead of the key extraction, and both Jive phases
-// read the decoded records.
+// cluster's write-back region fits the cache.
 func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanNSMPostJive(larger, smaller, jiveBits, cfg)
@@ -311,9 +293,6 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 	defer pl.Close()
 	res := &Result{Plan: p}
 
-	if p.Compressed {
-		decodePhase(pl, "decompress-records", larger.recordSlot(), smaller.recordSlot())
-	}
 	var lKeys, sKeys []int32
 	var lOIDs, sOIDs []OID
 	pl.Then(exec.PhaseScan, "key-extraction", func(e *exec.Engine) error {

@@ -6,9 +6,10 @@ package strategy
 // package's PlanJoin asks the same step, so what it describes is what a
 // run executes. Methods, radix bits and the insertion window follow
 // from the paper's rules (§3.1, §4.1) and the hierarchy alone; the
-// worker count and the representation are resolved by Config.decide —
-// from the query, the hierarchy and the runtime's size, never from what
-// else the runtime happens to be doing.
+// worker count is resolved by Config.decide — from the query, the
+// hierarchy and the runtime's size, never from what else the runtime
+// happens to be doing — and the representation follows from the methods
+// (PlanDSMPost: compressed only over join images).
 //
 // Every parallel run executes on a runtime: Config.Runtime, or the
 // process default (DefaultRuntime) when that is nil. The run functions
@@ -19,10 +20,8 @@ package strategy
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
-	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
@@ -84,8 +83,10 @@ type Plan struct {
 	// Workers is the executor: 0 = serial paper mode, n >= 1 = the
 	// morsel-driven parallel executor with a nominal n workers.
 	Workers int
-	// Compressed is the representation: true when the run decodes
-	// block-compressed images ahead of the raw plan's phases.
+	// Compressed is the representation: true when the run's fetches
+	// decode block-compressed join images partition by partition (a
+	// DSM post-projection u/u plan over join images under
+	// Config.Compress).
 	Compressed bool
 }
 
@@ -115,17 +116,15 @@ func (p Plan) String() string {
 // no planner decision reads it.
 type CostFn func(m costmodel.Model) costmodel.Cost
 
-// decide completes a plan with its worker count and representation,
-// the only reader of Config.Parallelism and Config.Compress. An explicit
+// decide completes a plan with its worker count, the only reader of
+// Config.Parallelism. An explicit
 // worker count is taken as-is, 0 stays on the serial paper path and
 // AutoParallelism is autoWorkers (a cap of 1 stays serial). A joinInput
 // (total join input cardinality) below the executor's serial-fallback
 // threshold is planned serial: every operator would fall back to serial
 // code anyway, so the query never enters runtime admission and the plan
-// says Workers = 0. The plan is compressed when Compress asks for it and
-// an encoding is present; encs are the sides' compressed images (nil
-// entries are raw-only columns).
-func (c Config) decide(p *Plan, joinInput int, encs ...[]*compress.Encoded) {
+// says Workers = 0.
+func (c Config) decide(p *Plan, joinInput int) {
 	p.Workers = max(c.Parallelism, 0)
 	if c.Parallelism == AutoParallelism {
 		if w := c.autoWorkers(); w > 1 {
@@ -135,9 +134,6 @@ func (c Config) decide(p *Plan, joinInput int, encs ...[]*compress.Encoded) {
 	if joinInput < exec.MinParallelN {
 		p.Workers = 0
 	}
-	p.Compressed = c.Compress && slices.ContainsFunc(encs, func(side []*compress.Encoded) bool {
-		return slices.ContainsFunc(side, func(e *compress.Encoded) bool { return e != nil })
-	})
 }
 
 // pipeline opens the engine the plan selects on the run's (resolved)

@@ -114,14 +114,13 @@ type Config struct {
 	// PprofLabels, and the strategy label of the runtime's
 	// radixdecluster_plans_total counter.
 	QueryTag string
-	// Compress selects compressed execution over the sides'
-	// block-compressed images (DSMSide.KeysEnc/ColsEnc, NSMSide.Enc, and
-	// the encodings a join image hands a compressed plan, Image.ColsEnc):
-	// a base-order encoded input is decoded by a phase of its own and the
-	// raw plan runs over the decoded arrays; a fetch over join images
-	// decodes each partition where it fetches it (compress.go). False
-	// (default) runs raw and ignores the encodings. Result bytes are
-	// identical either way.
+	// Compress selects compressed execution where it can save traffic:
+	// a DSM post-projection u/u plan over join images is handed encodings
+	// of the image-order columns (Image.ColsEnc), and each of its fetches
+	// decodes a partition's image range where it gathers from it
+	// (exec.Engine.FetchImage). Every other plan runs raw under it. False
+	// (default) runs raw everywhere. Result bytes are identical either
+	// way.
 	Compress bool
 }
 
@@ -231,12 +230,6 @@ type DSMSide struct {
 	Cols [][]int32
 	// BaseN is the base-table cardinality; oids lie in [0, BaseN).
 	BaseN int
-	// KeysEnc / ColsEnc are optional block-compressed images of Keys
-	// and Cols; nil entries stay raw-only. They must decode to exactly
-	// the raw values — Config.Compress selects whether a run decodes
-	// them.
-	KeysEnc *compress.Encoded
-	ColsEnc []*compress.Encoded
 	// JoinImage, when set on both sides, is DSMPost's join input — and
 	// what it projects — clustered ahead of the query, held outside it and
 	// shared with other queries, so the join phase only probes. Auto plans
@@ -270,17 +263,6 @@ func (s DSMSide) validate(name string) error {
 	for c, col := range s.Cols {
 		if len(col) != s.BaseN {
 			return fmt.Errorf("strategy: %s: column %d has %d values, want BaseN=%d", name, c, len(col), s.BaseN)
-		}
-	}
-	if s.KeysEnc != nil && s.KeysEnc.Len() != len(s.Keys) {
-		return fmt.Errorf("strategy: %s: key encoding holds %d values, want %d", name, s.KeysEnc.Len(), len(s.Keys))
-	}
-	if len(s.ColsEnc) > len(s.Cols) {
-		return fmt.Errorf("strategy: %s: %d column encodings for %d columns", name, len(s.ColsEnc), len(s.Cols))
-	}
-	for c, e := range s.ColsEnc {
-		if e != nil && e.Len() != s.BaseN {
-			return fmt.Errorf("strategy: %s: column %d encoding holds %d values, want BaseN=%d", name, c, e.Len(), s.BaseN)
 		}
 	}
 	return nil
@@ -339,10 +321,12 @@ func resolveSmaller(m ProjMethod, pi, baseN, c int) ProjMethod {
 // the smaller side's stays inside one partition, so the premise of the
 // §4.1 switch — u fetches a column that outgrows the cache at random —
 // no longer holds. Otherwise the §4.1 rule runs on the declared last
-// cache level (resolveLarger, resolveSmaller). A compressed side plans
-// like a raw one: its fetch reads the values the raw plan's does, decoded
-// ahead of it (decodePhase) or, over join images, partition by partition
-// inside it (exec.Engine.FetchImage).
+// cache level (resolveLarger, resolveSmaller). The plan is compressed
+// only over join images (overImages): there each fetch decodes a
+// partition's image range where it gathers from it
+// (exec.Engine.FetchImage), with the raw plan's methods and bits. Any
+// other plan would have to decode whole base-order columns next to the
+// raw arrays they copy, so it runs raw.
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
 	if err := validateDSM(larger, smaller); err != nil {
 		return Plan{}, nil, err
@@ -359,7 +343,7 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 	cost := func(m costmodel.Model) costmodel.Cost {
 		return costmodel.DSMPostDecluster(m, nJI, baseN, 4, bits, pi, window)
 	}
-	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), larger.encs(), smaller.encs())
+	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs))
 
 	if larger.JoinImage != nil && smaller.JoinImage != nil {
 		if lm == Auto {
@@ -386,15 +370,22 @@ func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, 
 	default:
 		return Plan{}, nil, fmt.Errorf("strategy: smaller-side method %q (want u or d)", p.SmallerMethod)
 	}
+	p.Compressed = cfg.Compress && overImages(larger, smaller, p)
 	return p, cost, nil
+}
+
+// overImages reports whether the plan joins over the sides' join images:
+// both sides carry one and both methods are u.
+func overImages(larger, smaller DSMSide, p Plan) bool {
+	return larger.JoinImage != nil && smaller.JoinImage != nil &&
+		p.LargerMethod == Unsorted && p.SmallerMethod == Unsorted
 }
 
 // DSMPost runs the paper's headline strategy: DSM post-projection
 // with the given per-side methods (Auto to let the planner choose).
 // The assembly is a single phase pipeline; the plan selects the engine
-// the phases execute on, and a compressed plan over base-order inputs
-// adds the decode phases ahead of the phases that read the decoded
-// inputs (a plan over join images decodes inside its fetches).
+// the phases execute on. A compressed plan, which is over join images,
+// lists the raw plan's phases and decodes inside its fetches.
 func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanDSMPost(larger, smaller, lm, sm, cfg)
@@ -417,17 +408,8 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// side's reads are sequential, the smaller side's stay inside one
 	// partition's range, and a compressed plan decodes each partition's
 	// range where it fetches it. Any other plan clusters per query, as
-	// paper mode does, and its compressed key columns are decoded first —
-	// a scan-shaped pass that reads only the encoded bytes from RAM.
-	images := larger.JoinImage != nil && smaller.JoinImage != nil &&
-		p.LargerMethod == Unsorted && p.SmallerMethod == Unsorted
-	decode := p.Compressed && !images
-	if decode {
-		// The decode phases swap decoded arrays into the sides' inputs.
-		larger.ownInputs()
-		smaller.ownInputs()
-		decodePhase(pl, "decompress-keys", larger.keySlot(), smaller.keySlot())
-	}
+	// paper mode does.
+	images := overImages(larger, smaller, p)
 	var (
 		ji   *join.Index
 		imgs [2]Image
@@ -483,9 +465,6 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			return nil
 		})
 	}
-	if decode {
-		decodePhase(pl, "decompress-larger", larger.colSlots(0, len(larger.Cols))...)
-	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if p.LargerMethod == Unsorted {
 			largerOIDs, smallerInResultOrder, parts, ji = ji.Larger, ji.Smaller, ji.Parts, nil
@@ -504,9 +483,6 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// Phase 3: smaller-side projections.
 	switch p.SmallerMethod {
 	case Unsorted:
-		if decode {
-			decodePhase(pl, "decompress-smaller", smaller.colSlots(0, len(smaller.Cols))...)
-		}
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
 			if images {
@@ -529,9 +505,6 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		})
 		res.SmallerCols = make([][]int32, len(smaller.Cols))
 		for k := range smaller.Cols {
-			if decode {
-				decodePhase(pl, "decompress-smaller", smaller.colSlots(k, k+1)...)
-			}
 			var cv []int32
 			pl.Then(exec.PhaseProjectSmaller, "fetch-clustered", func(e *exec.Engine) error {
 				var err error
@@ -612,15 +585,14 @@ func PlanDSMPre(larger, smaller DSMSide, cfg Config) (Plan, CostFn, error) {
 		JoinBits: join.PlanBits(len(smaller.OIDs), sw*4, cfg.hier().LLC().Size),
 	}
 	cost := rowsCost(len(larger.OIDs), len(smaller.OIDs), lw, sw, p.JoinBits)
-	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs), larger.encs(), smaller.encs())
+	cfg.decide(&p, len(larger.OIDs)+len(smaller.OIDs))
 	return p, cost, nil
 }
 
 // DSMPre runs DSM pre-projection ("DSM-pre-phash"): the scans stitch
 // [key|π] wide tuples out of the columns (column-at-a-time gathers
 // through the selection oids), and the wide tuples travel through a
-// partitioned hash-join. A compressed plan decodes every encoded input
-// ahead of the stitch.
+// partitioned hash-join.
 func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanDSMPre(larger, smaller, cfg)
@@ -632,14 +604,6 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 	defer pl.Close()
 	res := &Result{Plan: p}
 
-	if p.Compressed {
-		// The decode phase swaps decoded copies into the sides' inputs.
-		larger.ownInputs()
-		smaller.ownInputs()
-		decodePhase(pl, "decompress-inputs", slices.Concat(
-			[]slot{larger.keySlot()}, larger.colSlots(0, len(larger.Cols)),
-			[]slot{smaller.keySlot()}, smaller.colSlots(0, len(smaller.Cols)))...)
-	}
 	var lRows, sRows []int32
 	pl.Then(exec.PhaseScan, "stitch-wide-tuples", func(e *exec.Engine) error {
 		var err error

@@ -355,7 +355,8 @@ func TestPlanJoinLeavesDefaultRuntimeUncreated(t *testing.T) {
 // measurement it follows: on a plain 2-worker runtime, N = 1 Mi raw at
 // π = 2 and 4 and compressed at π = 2, two callers at once, the
 // planner's own pick (u/u over join images) is timed against the four
-// method pairs a caller can force (the non-u ones cluster per query), in
+// method pairs a caller can force (the non-u ones cluster per query and,
+// in the compressed pass, run raw: only the u/u plans decode), in
 // interleaved rounds after a warm-up round. Every median is logged on every run; that the pick is within
 // 10 % of the best forced pair is asserted only under
 // RADIX_ASSERT_SPEEDUP=1 (CI's -cpu 1,4 leg runs it alone), like every

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"radixdecluster/internal/bat"
-	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
@@ -94,27 +93,31 @@ const (
 	DeclusterMethod ProjMethod = 'd'
 )
 
-// Compression selects whether ProjectJoin executes over the relations'
-// block-compressed images (built by relations constructed with
-// WithCompression; relations without them always run raw). Compressed
-// execution runs the raw plan — methods, bits, window — over the
-// decoded values: a runtime u/u DSM post-projection query decodes each
-// partition of its join image's encodings where its fetch reads it, any
-// other plan decodes each encoded input into a raw array right before
-// the first phase that reads it. Result bytes are identical in every
-// mode.
+// Compression selects whether ProjectJoin executes over block-compressed
+// encodings of the relations' join images (relations constructed
+// without WithCompression always run raw). Compressed execution exists
+// where it can save memory traffic: a runtime u/u DSM post-projection
+// query — the Auto plan on a runtime — runs the raw plan's methods, bits
+// and window, and each of its fetches decodes a partition of its join
+// image's encodings where it gathers from it. Every other plan (paper
+// mode, a forced non-u method, DSM pre-projection, every NSM strategy)
+// runs raw under every mode: decoding a whole column next to the raw
+// one it copies cannot cost less than reading the raw one. Result bytes
+// are identical in every mode.
 type Compression int
 
 const (
 	// CompressionOff executes over the raw arrays (default).
 	CompressionOff Compression = iota
-	// CompressionAuto resolves to raw execution, as CompressionOff: a
-	// decode pass plus the raw plan never costs less than the raw plan,
-	// and the cost-model choice it once named picked compressed in none
-	// of 120 measured joinrun shapes. It stays accepted so callers that
-	// set it keep working.
+	// CompressionAuto resolves to raw execution, as CompressionOff: the
+	// cost-model choice it once named picked compressed in none of 120
+	// measured joinrun shapes. It stays accepted so callers that set it
+	// keep working.
 	CompressionAuto
-	// CompressionOn executes compressed wherever an encoding exists.
+	// CompressionOn executes a runtime u/u DSM post-projection over
+	// WithCompression relations compressed: its join images hold
+	// encodings of the image-order columns, counted in JoinImageBytes.
+	// Every other plan runs raw.
 	CompressionOn
 )
 
@@ -165,9 +168,10 @@ type JoinQuery struct {
 	// automatically share a single worker pool under admission
 	// control. Serial runs (Parallelism 0) never involve a runtime.
 	Runtime *Runtime
-	// Compression selects the execution format when the relations carry
-	// block-compressed images (WithCompression): on decodes them in
-	// phases of their own ahead of the raw plan; off (the default) and
+	// Compression selects the execution format when the relations were
+	// built WithCompression: on runs a runtime u/u DSM post-projection
+	// over encodings of its join images, decoded partition by partition
+	// inside its fetches, and every other plan raw; off (the default) and
 	// auto run raw and build no encoding. Never changes result bytes.
 	Compression Compression
 	// Trace records this query's execution as span events — per-phase
@@ -211,9 +215,8 @@ type Timing struct {
 	// the same partition) versus morsels an idle worker stole. Zero for
 	// serial runs.
 	Sched SchedStats
-	// CompressedCols counts the encoded inputs (columns, record images)
-	// the run decoded — in decode phases or, over join images, inside its
-	// fetch phases, partition by partition; CompressedBytes the encoded
+	// CompressedCols counts the encoded join image columns the run's
+	// fetches decoded, partition by partition; CompressedBytes the encoded
 	// bytes they read (a block two image partitions share counts for
 	// each); CompressedSavedBytes the raw bytes that traffic replaced
 	// (accumulated per decoded span — bus traffic avoided, not storage);
@@ -279,8 +282,9 @@ type Result struct {
 	// paper's serial mode, n >= 1 = the morsel-driven executor with n
 	// workers.
 	Workers int
-	// Compressed records the representation: true when the run decoded
-	// block-compressed images ahead of the raw plan's phases.
+	// Compressed records the representation: true when the run's
+	// fetches decoded block-compressed join images partition by
+	// partition (a runtime u/u DSM post-projection under CompressionOn).
 	Compressed bool
 	// Trace holds the query's recorded span events when
 	// JoinQuery.Trace was set (nil otherwise); render it with
@@ -366,7 +370,7 @@ func (q JoinQuery) config() strategy.Config {
 	}
 	cfg := strategy.Config{
 		Hier: hier.internal(), Parallelism: q.Parallelism,
-		Compress: q.Compression == CompressionOn,
+		Compress: q.Compression == CompressionOn && (q.Larger.compressed || q.Smaller.compressed),
 	}
 	if q.Parallelism != 0 && q.Runtime != nil {
 		cfg.Runtime = q.Runtime.rt
@@ -400,15 +404,15 @@ func (q JoinQuery) bind() (boundJoin, error) {
 		// join images (Auto plans u/u over them); paper mode clusters per
 		// query, as the paper does.
 		images := b.st == DSMPostDecluster && q.Parallelism != 0
-		if b.dl, err = dsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression, images); err != nil {
+		if b.dl, err = dsmSide(q.Larger, q.LargerKey, q.LargerProject, images); err != nil {
 			return b, err
 		}
-		b.ds, err = dsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression, images)
+		b.ds, err = dsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, images)
 	case NSMPreHash, NSMPrePhash, NSMPostDecluster, NSMPostJive:
-		if b.nl, err = nsmSide(q.Larger, q.LargerKey, q.LargerProject, q.Compression); err != nil {
+		if b.nl, err = nsmSide(q.Larger, q.LargerKey, q.LargerProject); err != nil {
 			return b, err
 		}
-		b.ns, err = nsmSide(q.Smaller, q.SmallerKey, q.SmallerProject, q.Compression)
+		b.ns, err = nsmSide(q.Smaller, q.SmallerKey, q.SmallerProject)
 	default:
 		err = fmt.Errorf("radixdecluster: unknown strategy %v", q.Strategy)
 	}
@@ -445,7 +449,7 @@ func (b boundJoin) run(cfg strategy.Config) (*strategy.Result, error) {
 	}
 }
 
-func dsmSide(r *Relation, key string, proj []string, comp Compression, image bool) (strategy.DSMSide, error) {
+func dsmSide(r *Relation, key string, proj []string, image bool) (strategy.DSMSide, error) {
 	keys, err := r.Column(key)
 	if err != nil {
 		return strategy.DSMSide{}, err
@@ -463,21 +467,10 @@ func dsmSide(r *Relation, key string, proj []string, comp Compression, image boo
 			return r.joinImage(key, proj, o, compressed && r.compressed, step)
 		}
 	}
-	if comp == CompressionOn && r.compressed {
-		encs, err := r.encodings()
-		if err != nil {
-			return strategy.DSMSide{}, err
-		}
-		side.KeysEnc = encs[key]
-		side.ColsEnc = make([]*compress.Encoded, len(proj))
-		for i, p := range proj {
-			side.ColsEnc[i] = encs[p]
-		}
-	}
 	return side, nil
 }
 
-func nsmSide(r *Relation, key string, proj []string, comp Compression) (strategy.NSMSide, error) {
+func nsmSide(r *Relation, key string, proj []string) (strategy.NSMSide, error) {
 	// The NSM image of the relation — record scans will read the wide
 	// rows, as a row store would — is built once per Relation and
 	// shared by every query (nsmImage).
@@ -508,13 +501,7 @@ func nsmSide(r *Relation, key string, proj []string, comp Compression) (strategy
 	if err != nil {
 		return strategy.NSMSide{}, err
 	}
-	side := strategy.NSMSide{Rel: rel, KeyCol: keyIdx, ProjCols: projIdx}
-	if comp == CompressionOn && r.compressed {
-		if side.Enc, err = r.recordEncoding(); err != nil {
-			return strategy.NSMSide{}, err
-		}
-	}
-	return side, nil
+	return strategy.NSMSide{Rel: rel, KeyCol: keyIdx, ProjCols: projIdx}, nil
 }
 
 func buildResult(q JoinQuery, res *strategy.Result, tr *obs.Trace) (*Result, error) {
@@ -600,9 +587,9 @@ func (p *Plan) String() string { return p.plan.String() }
 
 // PlanJoin runs the planner and the cost model for a query without
 // executing it: it binds the query to the sides ProjectJoin would read
-// (building and caching on the relations what a run would — the NSM
-// image, and under CompressionOn the compressed images) and asks the
-// strategy's own plan step.
+// (building and caching the NSM image an NSM strategy reads; join
+// images, and the encodings in them, are built only by a run) and asks
+// the strategy's own plan step.
 // A query that names no Runtime is planned as the sole owner of the
 // machine; the process default is not consulted — planning alone must
 // not spin it up.

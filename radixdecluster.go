@@ -192,19 +192,13 @@ type Relation struct {
 	nsmRel  *nsm.Relation
 	nsmErr  error
 
-	// compressed marks relations built with WithCompression: queries
-	// running with CompressionOn decode block-compressed column images,
-	// built lazily on the first such query and shared by all queries
-	// (like the NSM image). The raw column slices always coexist —
+	// compressed marks relations built with WithCompression: a runtime
+	// u/u DSM post-projection query running with CompressionOn projects
+	// from block-compressed encodings of its join image's columns
+	// (keyImage.encs). The raw column slices always coexist —
 	// compression is an execution-format option, never a storage
 	// replacement — so results are byte-identical either way.
 	compressed bool
-	encOnce    sync.Once
-	colEnc     map[string]*compress.Encoded
-	encErr     error
-	recOnce    sync.Once
-	recEnc     *compress.Encoded
-	recErr     error
 
 	// joinImgs holds, per join-key column, the relation radix-clustered
 	// on it as the last runtime query asked (joinImage): built part by
@@ -235,10 +229,13 @@ type keyImage struct {
 // RelationOption configures NewRelationOpts.
 type RelationOption func(*Relation)
 
-// WithCompression builds block-compressed images of the relation's
-// columns (and, for NSM strategies, its record image) lazily on the
-// first CompressionOn query. Columns the encoder cannot shrink simply
-// stay raw-only. Queries opt in per run via JoinQuery.Compression.
+// WithCompression lets CompressionOn queries run compressed: a runtime
+// u/u DSM post-projection query adds block-compressed encodings of the
+// image-order columns it projects to the relation's join image (counted
+// in JoinImageBytes). An image-order column the encoder cannot shrink
+// stays raw. Every other plan runs raw, and the relation holds no
+// encoding outside its join images. Queries opt in per run via
+// JoinQuery.Compression.
 func WithCompression() RelationOption {
 	return func(r *Relation) { r.compressed = true }
 }
@@ -319,65 +316,6 @@ func (r *Relation) nsmImage() (*nsm.Relation, error) {
 		r.nsmRel, r.nsmErr = nsm.FromColumns(r.Name, cols...)
 	})
 	return r.nsmRel, r.nsmErr
-}
-
-// encodings returns the relation's per-column block-compressed images
-// (nil for relations built without WithCompression), building them on
-// first use. Incompressible or empty columns have no entry.
-func (r *Relation) encodings() (map[string]*compress.Encoded, error) {
-	if !r.compressed {
-		return nil, nil
-	}
-	r.encOnce.Do(func() {
-		r.colEnc = make(map[string]*compress.Encoded, r.Width())
-		for _, n := range r.ColumnNames() {
-			vals, err := r.Column(n)
-			if err != nil {
-				r.encErr = err
-				return
-			}
-			if len(vals) == 0 {
-				continue
-			}
-			e, err := compress.EncodeBest(vals)
-			if err != nil {
-				r.encErr = err
-				return
-			}
-			if e.Ratio() < 1 {
-				r.colEnc[n] = e
-			}
-		}
-	})
-	return r.colEnc, r.encErr
-}
-
-// recordEncoding returns the block-compressed image of the relation's
-// row-major record array (nil when absent or incompressible), built on
-// first NSM-strategy compressed use.
-func (r *Relation) recordEncoding() (*compress.Encoded, error) {
-	if !r.compressed {
-		return nil, nil
-	}
-	r.recOnce.Do(func() {
-		rel, err := r.nsmImage()
-		if err != nil {
-			r.recErr = err
-			return
-		}
-		if len(rel.Data) == 0 {
-			return
-		}
-		e, err := compress.EncodeBest(rel.Data)
-		if err != nil {
-			r.recErr = err
-			return
-		}
-		if e.Ratio() < 1 {
-			r.recEnc = e
-		}
-	})
-	return r.recEnc, r.recErr
 }
 
 // joinImage returns the key column's join image for o with the proj
@@ -484,7 +422,8 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed
 // from it (the key column too, once a query projects it); the encoded
 // bytes (CompressedBytes) of each image-order column a compressed plan
 // projected; plus 8 per partition offset. They live outside every
-// runtime's arena and its MemoryBudget.
+// runtime's arena and its MemoryBudget. A relation holds encodings in
+// its join images only, so this counts every encoded byte it holds.
 func (r *Relation) JoinImageBytes() int64 {
 	r.imgMu.Lock()
 	defer r.imgMu.Unlock()
