@@ -610,6 +610,56 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkProjectJoinImages is one query alone on a 2-worker runtime:
+// 1 Mi ⋈ 1 Mi, π = 2 per side, the runtime's DSM post-projection (u/u
+// over join images, built outside the timer). hit=1 is key-FK: each
+// partition's rows are written in place, and the larger columns are
+// the join image's own (raw) or decoded into the result (compressed).
+// hit=3 (duplicate smaller keys) and hit=0.3 (misses) are not, so they
+// pay the fallback — the stitched join-index and two per-partition
+// fetches — after the probe.
+func BenchmarkProjectJoinImages(b *testing.B) {
+	const n, pi = 1 << 20, 2
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	for _, leg := range []struct {
+		hit  float64
+		comp Compression
+	}{{1, CompressionOff}, {1, CompressionOn}, {3, CompressionOff}, {0.3, CompressionOff}} {
+		repr := "raw"
+		if leg.comp == CompressionOn {
+			repr = "compressed"
+		}
+		b.Run(fmt.Sprintf("hit=%g/%s", leg.hit, repr), func(b *testing.B) {
+			larger, smaller := compressedRelations(b,
+				workload.Params{N: n, Omega: pi + 1, HitRate: leg.hit, SelLarger: 1, SelSmaller: 1, Seed: 89}, pi)
+			q := JoinQuery{
+				Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+				LargerProject: projNames(pi), SmallerProject: projNames(pi),
+				Parallelism: 2, Runtime: rt, Compression: leg.comp,
+			}
+			// Build the join images (and their encodings) outside the timer.
+			res, err := ProjectJoin(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Compressed != (leg.comp == CompressionOn) {
+				b.Fatalf("plan %s: Compressed = %v", res.Plan, res.Compressed)
+			}
+			res.Release()
+			b.SetBytes(n * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := ProjectJoin(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Release()
+			}
+		})
+	}
+}
+
 // End-to-end public API benchmark: the paper's query through the
 // winning strategy.
 func BenchmarkProjectJoinDSMPost(b *testing.B) {

@@ -19,7 +19,7 @@ import (
 
 // compressedRelations is workloadRelations with block-compressed
 // column images enabled on both relations.
-func compressedRelations(t *testing.T, p workload.Params, pi int) (*Relation, *Relation) {
+func compressedRelations(t testing.TB, p workload.Params, pi int) (*Relation, *Relation) {
 	t.Helper()
 	pr, err := workload.GenPair(p)
 	if err != nil {

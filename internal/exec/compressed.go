@@ -2,21 +2,26 @@ package exec
 
 // Compressed execution reads block-compressed encodings in this file
 // only: every other operator takes raw []int32 / *nsm.Relation operands.
-// One operator reads an encoding: FetchImage, the fetch over join
-// images, raw or compressed. Per radix partition it decodes each encoded
-// column's image range into the worker's scratch and gathers the
-// partition's matches from there, so a compressed plan decodes where it
-// fetches and leases no decoded column. The decoded values are the raw
-// ones, so a compressed run is byte-identical to the raw run of the
-// same plan.
+// The operators over join images read them, raw or compressed:
+// ProjectImages, the one-pass u/u post-projection that probes and
+// fetches each radix partition in one morsel, and FetchImage, the fetch
+// it falls back to when the join is not key-FK. Per partition each
+// decodes an encoded column's image range into the worker's scratch and
+// gathers the partition's matches from there — or, for a larger
+// partition matched exactly once, decodes it straight into the result —
+// so a compressed plan decodes where it fetches and leases no decoded
+// column. The decoded values are the raw ones, so a compressed run is
+// byte-identical to the raw run of the same plan.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"radixdecluster/internal/compress"
+	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/posjoin"
 )
@@ -87,109 +92,263 @@ func (c *compCounters) decode(dst []int32, enc *compress.Encoded, lo, hi int) er
 // [offs[p], offs[p+1]) (join.Index.Parts, join.Image.Offsets). Per
 // column the morsel takes that range — decoded from encs[c] into the
 // worker's scratch where the column is encoded, else cols[c]'s own
-// values — and gathers the partition's matches from it
-// (posjoin.FetchWindowInto); where the matches are the whole range in
-// order (every tuple matched once, as a key-FK join's larger side does)
-// the range is decoded straight into the result, or copied. A partition
-// without matches decodes nothing; a block straddling two partitions is
-// decoded, and counted, by each. Morsels home on the worker that probed the partition
-// (partitionAff). The bytes are posjoin.FetchInto's over the decoded
-// columns on every engine, and an error is the serial loop's: the first
-// in partition, then column, order. The columns are result arrays
-// (Engine.Own).
+// values — and gathers the partition's matches from it (fetchRange). A
+// partition without matches decodes nothing; a block straddling two
+// partitions is decoded, and counted, by each. Morsels home on the
+// worker that probed the partition (partitionAff). The bytes are posjoin.FetchInto's over
+// the decoded columns on every engine, and an error is the serial
+// loop's: the first in partition, then column, order. The columns are
+// result arrays (Engine.Own).
 func (e *Engine) FetchImage(cols [][]int32, encs []*compress.Encoded, offs, parts []int, pos []OID) ([][]int32, error) {
 	h := len(offs) - 1
 	if h < 0 || len(parts) != len(offs) || parts[0] != 0 || parts[h] != len(pos) || offs[0] != 0 {
 		return nil, fmt.Errorf("exec: image fetch: %d partition offsets and %d match offsets over %d positions",
 			len(offs), len(parts), len(pos))
 	}
-	widest := 0
 	for p := range h {
 		if offs[p] > offs[p+1] || parts[p] > parts[p+1] {
 			return nil, fmt.Errorf("exec: image fetch: partition %d: offsets descend", p)
 		}
-		widest = max(widest, offs[p+1]-offs[p])
 	}
-	encoded := false
-	for c, col := range cols {
-		n := len(col)
-		if enc := encAt(encs, c); enc != nil {
-			e.comp.cols.Add(1)
-			n, encoded = enc.Len(), true
-		}
-		if n != offs[h] {
-			return nil, fmt.Errorf("exec: image fetch: column %d holds %d values, the image %d", c, n, offs[h])
-		}
+	encoded, err := checkImageCols("image fetch", cols, encs, offs[h])
+	if err != nil {
+		return nil, err
 	}
+	e.comp.cols.Add(int64(encoded))
 
 	out := make([][]int32, len(cols))
 	for c := range out {
 		out[c] = e.Own(len(pos))
 	}
-	fetch := func(p int, s *Scratch) error {
-		lo, hi, a, b := offs[p], offs[p+1], parts[p], parts[p+1]
-		if a == b {
-			return nil
-		}
-		// Every tuple of the partition matched once, in image order (the
-		// larger side of a key-FK join): the fetch is the range itself,
-		// decoded straight into the result or copied.
-		dense := identity(pos[a:b], lo, hi)
-		for c, col := range cols {
-			dst, enc := out[c][a:b], encAt(encs, c)
-			var err error
-			switch {
-			case enc != nil && dense:
-				err = e.comp.decode(dst, enc, lo, hi)
-			case enc != nil:
-				src := s.Int32s(hi - lo)
-				if err = e.comp.decode(src, enc, lo, hi); err == nil {
-					err = posjoin.FetchWindowInto(dst, src, OID(lo), pos[a:b])
-				}
-			case dense:
-				copy(dst, col[lo:hi])
-			default:
-				err = posjoin.FetchWindowInto(dst, col[lo:hi], OID(lo), pos[a:b])
-			}
-			if err != nil {
-				return fmt.Errorf("partition %d, column %d: %w", p, c, err)
-			}
-		}
-		return nil
-	}
+	var s *Scratch
 	if e.serial(len(pos)) {
 		// One scratch as wide as the widest partition serves them all.
-		var s Scratch
-		if encoded {
-			s.vals = mempool.Slice[int32](e.mem(), widest)
+		s = &Scratch{}
+		if encoded > 0 {
+			s.vals = mempool.Slice[int32](e.mem(), widest(offs))
 		}
-		for p := range h {
-			if err := fetch(p, &s); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
 	}
 	// The lowest failing partition's error is kept — no per-partition
 	// error slots.
 	var (
 		mu    sync.Mutex
 		errPt = h
-		err   error
+		ferr  error
 	)
-	e.runAff(h, partitionAff(h), func(_, p int, s *Scratch) {
-		if perr := fetch(p, s); perr != nil {
-			mu.Lock()
-			if p < errPt {
-				errPt, err = p, perr
+	e.eachPartition(h, s, func(p int, s *Scratch) {
+		lo, hi, a, b := offs[p], offs[p+1], parts[p], parts[p+1]
+		if a == b {
+			return
+		}
+		for c, col := range cols {
+			if err := e.fetchRange(out[c][a:b], col, encAt(encs, c), lo, hi, pos[a:b], s); err != nil {
+				mu.Lock()
+				if p < errPt {
+					errPt, ferr = p, fmt.Errorf("partition %d, column %d: %w", p, c, err)
+				}
+				mu.Unlock()
+				return
 			}
-			mu.Unlock()
 		}
 	})
-	if err != nil {
-		return nil, err
+	if ferr != nil {
+		return nil, ferr
 	}
 	return out, nil
+}
+
+// fetchRange gathers pos, image positions in [lo,hi), into dst from
+// col's values there — or, where the column is encoded in enc, from
+// those values decoded into s's scratch.
+func (e *Engine) fetchRange(dst, col []int32, enc *compress.Encoded, lo, hi int, pos []OID, s *Scratch) error {
+	if enc == nil {
+		return posjoin.FetchWindowInto(dst, col[lo:hi], OID(lo), pos)
+	}
+	src := s.Int32s(hi - lo)
+	if err := e.comp.decode(src, enc, lo, hi); err != nil {
+		return err
+	}
+	return posjoin.FetchWindowInto(dst, src, OID(lo), pos)
+}
+
+// Image is one side of a join over join images as the engine reads it:
+// the clustered join input and the projection columns in the same
+// order, each raw in Cols or encoded in ColsEnc with its Cols entry nil.
+type Image struct {
+	join.Image
+	Cols    [][]int32
+	ColsEnc []*compress.Encoded
+}
+
+// ImageProjection is ProjectImages' result: the cardinality and each
+// side's result arrays (Engine.Own) — except where Views[c] is set:
+// Larger[c] is then the larger image's column itself, cut to [:N:N], a
+// read-only view that no holder may write or hand to an arena.
+type ImageProjection struct {
+	N               int
+	Larger, Smaller [][]int32
+	Views           []bool
+}
+
+// ProjectImages is the u/u DSM post-projection over two join images in
+// one pass, one morsel per radix partition homed by partitionAff. Each
+// morsel probes its partition pair (join.ProbeImage) and, while the
+// match list is in the worker's caches, checks whether the larger
+// matches are the partition's image range in order (key-FK). If so it
+// writes the partition's result rows in place at that range: smaller
+// columns gathered from the partition's image range (fetchRange),
+// encoded larger columns decoded straight into the result. When every
+// partition was key-FK, each raw larger column is the image column
+// itself (Views), neither copied nor leased. The first partition that
+// is not (or a decode error) stops the in-place writes, and the query
+// finishes with the stitched join-index and two FetchImage passes. The
+// bytes and the error are those of FetchImage over the join-index of
+// join.PartitionedImagesInto either way. The in-morsel fetch times
+// apportion the pass's wall time to PhaseProjectLarger and
+// PhaseProjectSmaller (attribute); the probe's share stays with the
+// calling phase's kind.
+func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProjection, error) {
+	lOffs, sOffs := larger.Offsets, smaller.Offsets
+	if len(lOffs) != len(sOffs) || len(lOffs) == 0 {
+		return ImageProjection{}, fmt.Errorf("exec: image projection: partition counts differ: %d vs %d", len(lOffs)-1, len(sOffs)-1)
+	}
+	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
+	lEnc, err := checkImageCols("image projection", larger.Cols, larger.ColsEnc, n)
+	if err != nil {
+		return ImageProjection{}, err
+	}
+	sEnc, err := checkImageCols("image projection", smaller.Cols, smaller.ColsEnc, sOffs[h])
+	if err != nil {
+		return ImageProjection{}, err
+	}
+
+	// The result arrays of the in-place writes: every smaller column and
+	// every encoded larger column, N = n rows when every partition is
+	// dense. A raw larger column needs none.
+	res := ImageProjection{N: n, Larger: make([][]int32, len(larger.Cols)), Smaller: make([][]int32, len(smaller.Cols))}
+	for c := range res.Larger {
+		if encAt(larger.ColsEnc, c) != nil {
+			res.Larger[c] = e.Own(n)
+		}
+	}
+	for c := range res.Smaller {
+		res.Smaller[c] = e.Own(n)
+	}
+	var s *Scratch
+	if e.serial(n + sOffs[h]) {
+		// A serial run probes every partition in one leased table and
+		// decodes into one leased scratch, each as wide as the widest.
+		ts, first, next := e.leasedTable(sOffs)
+		s = &Scratch{tjoin: ts}
+		if sEnc > 0 {
+			s.vals = mempool.Slice[int32](e.mem(), widest(sOffs))
+		}
+		defer Return(e, first, next, s.vals)
+	}
+
+	var (
+		sparse                       atomic.Bool
+		probeNs, largerNs, smallerNs atomic.Int64
+	)
+	probe := func(pt int, out *join.Index, ts *join.TableScratch) {
+		t := time.Now()
+		join.ProbeImage(&larger.Image, &smaller.Image, pt, shift, out, ts)
+		probeNs.Add(int64(time.Since(t)))
+	}
+	then := func(pt int, part join.Index, s *Scratch) {
+		ll, lh := lOffs[pt], lOffs[pt+1]
+		if ll == lh || sparse.Load() {
+			return
+		}
+		// The key-FK test is the probe's: a raw larger side fetches
+		// nothing.
+		t0 := time.Now()
+		ok := identity(part.Larger, ll, lh)
+		t1 := time.Now()
+		for c, enc := range larger.ColsEnc {
+			ok = ok && (enc == nil || e.comp.decode(res.Larger[c][ll:lh], enc, ll, lh) == nil)
+		}
+		t2 := time.Now()
+		sl, sh := sOffs[pt], sOffs[pt+1]
+		for c, col := range smaller.Cols {
+			ok = ok && e.fetchRange(res.Smaller[c][ll:lh], col, encAt(smaller.ColsEnc, c), sl, sh, part.Smaller, s) == nil
+		}
+		probeNs.Add(int64(t1.Sub(t0)))
+		largerNs.Add(int64(t2.Sub(t1)))
+		smallerNs.Add(int64(time.Since(t2)))
+		if !ok {
+			sparse.Store(true)
+		}
+	}
+	start := time.Now()
+	ix, parts := e.probeEach(lOffs, s, probe, then)
+	if sum := float64(probeNs.Load() + largerNs.Load() + smallerNs.Load()); sum > 0 {
+		wall := float64(time.Since(start))
+		e.attribute(PhaseProjectLarger, time.Duration(wall*float64(largerNs.Load())/sum))
+		e.attribute(PhaseProjectSmaller, time.Duration(wall*float64(smallerNs.Load())/sum))
+	}
+
+	if !sparse.Load() {
+		Return(e, ix.Larger, ix.Smaller)
+		Return(e, parts)
+		res.Views = make([]bool, len(larger.Cols))
+		for c, col := range larger.Cols {
+			if encAt(larger.ColsEnc, c) == nil {
+				res.Larger[c], res.Views[c] = col[:n:n], true
+			}
+		}
+		e.comp.cols.Add(int64(lEnc + sEnc))
+		return res, nil
+	}
+
+	// Not every larger partition was matched exactly once: the in-place
+	// rows are void, and each side is fetched from the stitched
+	// join-index.
+	home := e.Home()
+	for _, col := range slices.Concat(res.Larger, res.Smaller) {
+		mempool.Recycle(home, col)
+	}
+	out := ImageProjection{N: ix.Len()}
+	t := time.Now()
+	out.Larger, err = e.FetchImage(larger.Cols, larger.ColsEnc, lOffs, parts, ix.Larger)
+	Return(e, ix.Larger)
+	e.attribute(PhaseProjectLarger, time.Since(t))
+	if err == nil {
+		t = time.Now()
+		out.Smaller, err = e.FetchImage(smaller.Cols, smaller.ColsEnc, sOffs, parts, ix.Smaller)
+		e.attribute(PhaseProjectSmaller, time.Since(t))
+	}
+	Return(e, ix.Smaller)
+	Return(e, parts)
+	if err != nil {
+		return ImageProjection{}, err
+	}
+	return out, nil
+}
+
+// checkImageCols checks that every column of an image side holds n
+// values, raw or encoded, and counts the encoded ones.
+func checkImageCols(op string, cols [][]int32, encs []*compress.Encoded, n int) (encoded int, err error) {
+	for c, col := range cols {
+		m := len(col)
+		if enc := encAt(encs, c); enc != nil {
+			m = enc.Len()
+			encoded++
+		}
+		if m != n {
+			return 0, fmt.Errorf("exec: %s: column %d holds %d values, the image %d", op, c, m, n)
+		}
+	}
+	return encoded, nil
+}
+
+// widest is the largest partition of offsets offs.
+func widest(offs []int) int {
+	w := 0
+	for p := 0; p+1 < len(offs); p++ {
+		w = max(w, offs[p+1]-offs[p])
+	}
+	return w
 }
 
 // identity reports whether pos is lo, lo+1, …, hi-1.

@@ -126,6 +126,9 @@ type Engine struct {
 	queued atomic.Int64
 	sched  schedCounters
 	comp   compCounters // decode-pass counters (compressed.go)
+	// booked is the running phase's wall time an operator attributed to
+	// other kinds (attribute); Pipeline.Execute reads and clears it.
+	booked [NumPhaseKinds]time.Duration
 
 	// Observability context, set by the owning Pipeline before
 	// execution and captured into each submitted job: the per-query
@@ -345,7 +348,7 @@ func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, t
 // reused for the lifetime of the worker.
 type Scratch struct {
 	ints  []int
-	vals  []int32           // a partition's decoded image range (FetchImage)
+	vals  []int32           // a partition's decoded image range (FetchImage, ProjectImages)
 	tjoin join.TableScratch // partition hash-table build scratch
 	part  join.Index        // the match list a probe morsel fills
 }

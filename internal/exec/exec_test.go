@@ -191,15 +191,19 @@ func TestSortOIDPairsMatchesSerial(t *testing.T) {
 }
 
 // testImage is the join image of an [oid, key] input — its key hashes
-// and offsets as a relation holds them — and, beside it, the oids in
+// and offsets as a relation holds them — with one column, the oids in
 // image order.
-func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) (*join.Image, []OID) {
+func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) *Image {
 	t.Helper()
 	offs, err := radix.KeyOffsets(keys, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, radix.Permute(keys, oids, o, offs)
+	col := make([]int32, len(oids))
+	for i, oid := range radix.Permute(keys, oids, o, offs) {
+		col[i] = int32(oid)
+	}
+	return &Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, Cols: [][]int32{col}}
 }
 
 func TestPartitionedJoinMatchesSerial(t *testing.T) {
@@ -215,31 +219,28 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The probe over join images — inputs clustered once outside the
-			// engine — must emit image positions that, mapped through the
-			// oids kept beside each image, name the same sequence.
-			cl, lOIDs := testImage(t, lo, lk, o)
-			cs, sOIDs := testImage(t, so, sk, o)
+			// The projection over join images — inputs clustered once
+			// outside the engine — of the oids kept in image order must
+			// name the same sequence.
+			cl, cs := testImage(t, lo, lk, o), testImage(t, so, sk, o)
 			withLeases(t, func(t *testing.T, p *Engine) {
 				got, err := p.PartitionedJoin(lo, lk, so, sk, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				probed, err := p.ProbePartitions(cl, cs, uint(o.Bits))
+				pr, err := p.ProjectImages(cl, cs, uint(o.Bits))
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, pos := range probed.Larger {
-					probed.Larger[i] = lOIDs[pos]
-				}
-				for i, pos := range probed.Smaller {
-					probed.Smaller[i] = sOIDs[pos]
+				probed := &join.Index{Larger: make([]OID, pr.N), Smaller: make([]OID, pr.N)}
+				for i := range pr.N {
+					probed.Larger[i], probed.Smaller[i] = OID(pr.Larger[0][i]), OID(pr.Smaller[0][i])
 				}
 				// slices.Equal, not reflect.DeepEqual: skew makes these
 				// join-indexes millions of oids long, and DeepEqual's
 				// per-element reflection was most of this package's time
 				// under the race detector.
-				for op, ix := range map[string]*join.Index{"PartitionedJoin": got, "ProbePartitions": probed} {
+				for op, ix := range map[string]*join.Index{"PartitionedJoin": got, "ProjectImages": probed} {
 					if !slices.Equal(ix.Larger, want.Larger) || !slices.Equal(ix.Smaller, want.Smaller) {
 						t.Fatalf("%s workers=%d bits=%d skewed=%v: parallel join-index differs from serial (%d vs %d matches)",
 							op, p.Workers(), o.Bits, skewed, ix.Len(), want.Len())
@@ -401,11 +402,9 @@ func TestSerialFallbackPredicate(t *testing.T) {
 			_, err := e.PartitionedJoin(oids[:n-n/2], vals[:n-n/2], other[:n/2], vals[:n/2], radix.Opts{Bits: 4})
 			return err
 		}},
-		{"ProbePartitions", false, func(e *Engine, n int) error {
+		{"ProjectImages", false, func(e *Engine, n int) error {
 			o := radix.Opts{Bits: 4}
-			cl, _ := testImage(t, oids[:n-n/2], vals[:n-n/2], o)
-			cs, _ := testImage(t, other[:n/2], vals[:n/2], o)
-			_, err := e.ProbePartitions(cl, cs, uint(o.Bits))
+			_, err := e.ProjectImages(testImage(t, oids[:n-n/2], vals[:n-n/2], o), testImage(t, other[:n/2], vals[:n/2], o), uint(o.Bits))
 			return err
 		}},
 		{"PartitionedRowsJoin", false, func(e *Engine, n int) error {

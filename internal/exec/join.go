@@ -10,9 +10,9 @@ package exec
 // exact order the serial loop in join.PartitionedPreclustered appends
 // them, so the resulting join-index is byte-identical.
 //
-// PartitionedJoin clusters both inputs per query; ProbePartitions joins
-// two inputs clustered once for many queries (join images), with the
-// same morsels and the same stitch.
+// PartitionedJoin clusters both inputs per query; ProjectImages probes
+// join images, clustered once for many queries, with the same morsels
+// and stitch, and fetches each partition in its probe's morsel.
 
 import (
 	"math/bits"
@@ -44,60 +44,26 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 	shift := uint(o.Ignore + o.Bits)
 	var ix *join.Index
 	if e.serial(len(largerOIDs) + len(smallerOIDs)) {
-		ix = e.leasedIndex(len(largerOIDs), 0)
+		// Leased room for one match per larger tuple: the probes regrow
+		// the join-index onto the GC heap only past that.
+		ml, n := e.mem(), len(largerOIDs)
+		ix = &join.Index{Larger: mempool.SliceCap[OID](ml, 0, n), Smaller: mempool.SliceCap[OID](ml, 0, n)}
 		ts, first, next := e.leasedTable(cs.Offsets)
 		err = join.PartitionedPreclusteredInto(ix, &ts, cl, cs, shift)
 		Return(e, first, next)
 	} else {
-		ix, _ = e.probeEach(cl.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
+		ix, _ = e.probeEach(cl.Offsets, nil, func(pt int, out *join.Index, ts *join.TableScratch) {
 			ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
 			sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
 			if ll < lh && sl < sh {
 				join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, out, ts)
 			}
-		})
+		}, nil)
 	}
 	Return(e, cl.BUNs, cs.BUNs)
 	if err != nil {
 		return nil, err
 	}
-	return ix, nil
-}
-
-// leasedIndex is an empty join-index on leased buffers with room for n
-// matches — the probes regrow it onto the GC heap only past that — and
-// for parts partition offsets.
-func (e *Engine) leasedIndex(n, parts int) *join.Index {
-	ml := e.mem()
-	ix := &join.Index{Larger: mempool.SliceCap[OID](ml, 0, n), Smaller: mempool.SliceCap[OID](ml, 0, n)}
-	if parts > 0 {
-		ix.Parts = mempool.SliceCap[int](ml, 0, parts)
-	}
-	return ix
-}
-
-// ProbePartitions is the Partitioned Hash-Join over two join images,
-// the parallel equivalent of join.PartitionedImages: it hash-joins every
-// pair of matching partitions of two images clustered on the same bits
-// (shift = the clustering's Ignore+Bits) concurrently and returns the
-// join-index in partition order, each side holding image positions, with
-// each partition's match range in Parts. The images are only read.
-func (e *Engine) ProbePartitions(larger, smaller *join.Image, shift uint) (*join.Index, error) {
-	// The serial loop also reports mismatched partition counts.
-	if e.serial(len(larger.Hashes)+len(smaller.Hashes)) || len(larger.Offsets) != len(smaller.Offsets) {
-		ix := e.leasedIndex(len(larger.Hashes), len(larger.Offsets))
-		ts, first, next := e.leasedTable(smaller.Offsets)
-		err := join.PartitionedImagesInto(ix, &ts, larger, smaller, shift)
-		Return(e, first, next)
-		if err != nil {
-			return nil, err
-		}
-		return ix, nil
-	}
-	ix, parts := e.probeEach(larger.Offsets, func(pt int, out *join.Index, ts *join.TableScratch) {
-		join.ProbeImage(larger, smaller, pt, shift, out, ts)
-	})
-	ix.Parts = parts
 	return ix, nil
 }
 
@@ -127,18 +93,29 @@ func partitionAff(h int) func(pt int) uint64 {
 	return func(pt int) uint64 { return uint64(pt) >> l1 }
 }
 
-// probeEach runs probe over every partition pair as one morsel, each
-// appending its matches to a private list, and stitches the lists into
-// the join-index in partition order. lOffs are the larger side's
-// partition offsets: a partition's list is sized for one match per
-// larger tuple. It also returns the offsets of the partitions' lists in
-// the join-index (leased).
-func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *join.TableScratch)) (*join.Index, []int) {
-	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
+// eachPartition runs body over partitions 0..h-1: in order on the
+// caller's goroutine with s when s is set (a serial run), else as one
+// morsel per partition on the workers' scratch, homed by partitionAff.
+func (e *Engine) eachPartition(h int, s *Scratch, body func(pt int, s *Scratch)) {
+	if s != nil {
+		for pt := range h {
+			body(pt, s)
+		}
+		return
+	}
+	e.runAff(h, partitionAff(h), func(_, pt int, ws *Scratch) { body(pt, ws) })
+}
 
-	// Each partition pair is one morsel producing a private match
-	// list, homed on the worker that owns its level-1 radix parent.
-	aff := partitionAff(h)
+// probeEach runs probe over every partition pair, each appending its
+// matches to a private list — then, when set, runs over the list while
+// it is still in the worker's caches — and stitches the lists into the
+// join-index in partition order. Partitions run as eachPartition runs
+// them: serially with s, else one morsel each. lOffs are the larger
+// side's partition offsets: a partition's list is sized for one match
+// per larger tuple. It also returns the offsets of the partitions' lists
+// in the join-index (leased).
+func (e *Engine) probeEach(lOffs []int, s *Scratch, probe func(pt int, out *join.Index, ts *join.TableScratch), then func(pt int, part join.Index, s *Scratch)) (*join.Index, []int) {
+	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
 
 	// Each partition's list is carved from two leased arenas at its
 	// larger-side offset with a hard cap (three-index): the probe kernels
@@ -155,7 +132,7 @@ func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *
 		mu       sync.Mutex
 		overflow map[int]join.Index
 	)
-	e.runAff(h, aff, func(_, pt int, s *Scratch) {
+	e.eachPartition(h, s, func(pt int, s *Scratch) {
 		ll, lh := lOffs[pt], lOffs[pt+1]
 		s.part = join.Index{Larger: bigL[ll:ll:lh], Smaller: bigS[ll:ll:lh]}
 		probe(pt, &s.part, &s.tjoin)
@@ -167,6 +144,9 @@ func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *
 			}
 			overflow[pt] = s.part
 			mu.Unlock()
+		}
+		if then != nil {
+			then(pt, s.part, s)
 		}
 		s.part = join.Index{} // the worker outlives the query's arrays
 	})
@@ -192,7 +172,7 @@ func (e *Engine) probeEach(lOffs []int, probe func(pt int, out *join.Index, ts *
 		Larger:  mempool.Slice[OID](ml, offs[h]),
 		Smaller: mempool.Slice[OID](ml, offs[h]),
 	}
-	e.runAff(h, aff, func(_, pt int, _ *Scratch) {
+	e.eachPartition(h, s, func(pt int, _ *Scratch) {
 		part, ok := overflow[pt]
 		if !ok {
 			ll := lOffs[pt]

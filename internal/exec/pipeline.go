@@ -183,8 +183,10 @@ func (p *Pipeline) Then(kind PhaseKind, name string, run func(e *Engine) error) 
 }
 
 // Execute runs the phases in order, accumulating each phase's elapsed
-// time into its kind's bucket. The first phase error aborts the run;
-// the timings gathered so far are returned alongside it.
+// time into its kind's bucket — less what its operators attributed to
+// other kinds (a fused pass), which goes to theirs. The first phase
+// error aborts the run; the timings gathered so far are returned
+// alongside it.
 //
 // With a trace attached (SetTrace) each phase emits a span on the
 // pipeline track carrying its queue wait and morsel count; admission
@@ -206,7 +208,15 @@ func (p *Pipeline) Execute() (Timings, error) {
 		err = ph.Run(e)
 		elapsed := time.Since(t)
 		qw := time.Duration(e.queued.Load() - q0)
-		tm.ByKind[ph.Kind] += elapsed
+		byKind, own := e.booked, elapsed
+		e.booked = [NumPhaseKinds]time.Duration{}
+		for _, d := range byKind {
+			own -= d
+		}
+		byKind[ph.Kind] += own
+		for k, d := range byKind {
+			tm.ByKind[k] += d
+		}
 		tm.QueueByKind[ph.Kind] += qw
 		if p.trace != nil {
 			p.trace.Span(ph.Name, ph.Kind.String(), tracePipelineTID, t, elapsed,
@@ -216,7 +226,11 @@ func (p *Pipeline) Execute() (Timings, error) {
 				})
 		}
 		if e.rt != nil && e.rt.metrics != nil {
-			e.rt.metrics.phaseSeconds.With(ph.Kind.String()).Add(elapsed.Seconds())
+			for k, d := range byKind {
+				if d != 0 {
+					e.rt.metrics.phaseSeconds.With(PhaseKind(k).String()).Add(d.Seconds())
+				}
+			}
 		}
 		if err != nil {
 			break
@@ -234,6 +248,12 @@ func (p *Pipeline) Execute() (Timings, error) {
 	}
 	return tm, err
 }
+
+// attribute books d of the running phase's wall time under kind k
+// instead of the phase's own kind: an operator that fuses the work of
+// several kinds into one phase apportions its wall time this way, so
+// Timings.ByKind still tiles the run. Called from the phase body.
+func (e *Engine) attribute(k PhaseKind, d time.Duration) { e.booked[k] += d }
 
 // StepCat is the trace category of Step spans, which share the
 // pipeline track with the phase spans they nest in.

@@ -137,7 +137,8 @@ func CheckInputs(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smalle
 // with one table scratch for all of them. shift is the clustering's
 // Ignore+Bits, the hash bits the partitioning consumed.
 func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*Index, error) {
-	out := newIndex(len(larger.BUNs), 0)
+	n := len(larger.BUNs)
+	out := &Index{Larger: make([]OID, 0, n), Smaller: make([]OID, 0, n)}
 	var ts TableScratch
 	if err := PartitionedPreclusteredInto(out, &ts, larger, smaller, shift); err != nil {
 		return nil, err
@@ -164,16 +165,6 @@ func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *
 	return nil
 }
 
-// newIndex makes an empty join-index with room for n matches and, when
-// parts > 0, for parts partition offsets.
-func newIndex(n, parts int) *Index {
-	out := &Index{Larger: make([]OID, 0, n), Smaller: make([]OID, 0, n)}
-	if parts > 0 {
-		out.Parts = make([]int, 0, parts)
-	}
-	return out
-}
-
 // Image is a join input radix-clustered once, outside any query (a
 // relation's join image): the hashes of its keys in clustered order —
 // the hash halves of the BUNs radix.ClusterBUNs would produce — and the
@@ -186,24 +177,13 @@ type Image struct {
 	Offsets []int
 }
 
-// PartitionedImages is PartitionedPreclustered over two images:
-// ProbeImage over every partition pair in order, with one table scratch
-// for all of them, recording each partition's matches in Parts. Mapped
-// through the clustered oids, its join-index is
+// PartitionedImagesInto is PartitionedPreclustered over two images,
+// appending to out, which starts empty: ProbeImage over every partition
+// pair in order, writing out's Larger and Smaller capacity as
+// PartitionedPreclusteredInto does and building every table in ts, and
+// each partition's match offset appended to Parts (2^B+1 offsets).
+// Mapped through the clustered oids, its join-index is
 // PartitionedPreclustered's over the same clustering.
-func PartitionedImages(larger, smaller *Image, shift uint) (*Index, error) {
-	out := newIndex(len(larger.Hashes), max(len(larger.Offsets), 1))
-	var ts TableScratch
-	if err := PartitionedImagesInto(out, &ts, larger, smaller, shift); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PartitionedImagesInto is PartitionedImages appending to out, which
-// starts empty: its Larger and Smaller capacity is written as in
-// PartitionedPreclusteredInto, every table is built in ts, and Parts
-// gets the partitions' 2^B+1 offsets.
 func PartitionedImagesInto(out *Index, ts *TableScratch, larger, smaller *Image, shift uint) error {
 	if len(larger.Offsets) != len(smaller.Offsets) {
 		return fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)

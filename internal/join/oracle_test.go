@@ -216,16 +216,19 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	si, sOIDs := image(t, so, sk, o)
 	shift := uint(o.Ignore + o.Bits)
 	for _, par := range engines {
-		probe := join.PartitionedImages
+		got := &join.Index{}
 		if par {
-			probe = func(l, s *join.Image, shift uint) (*join.Index, error) { return e.ProbePartitions(l, s, shift) }
-		}
-		got, err := probe(li, si, shift)
-		if err != nil {
-			t.Fatalf("%+v: images (parallel=%v): %v", o, par, err)
+			// The engine projects each side's image positions: its result
+			// columns are the join-index.
+			got = projectPositions(t, e, li, si, shift)
+		} else {
+			var ts join.TableScratch
+			if err := join.PartitionedImagesInto(got, &ts, li, si, shift); err != nil {
+				t.Fatalf("%+v: images: %v", o, err)
+			}
+			checkParts(t, got, li, si)
 		}
 		checkLIFO(t, got)
-		checkParts(t, got, li, si)
 		positionsToOIDs(got.Larger, lOIDs)
 		positionsToOIDs(got.Smaller, sOIDs)
 		if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
@@ -233,6 +236,30 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 				o, par, got.Len(), serial.Len())
 		}
 	}
+}
+
+// projectPositions runs the engine's u/u projection over two images
+// whose one column holds each tuple's image position, and returns the
+// projected positions as a join-index.
+func projectPositions(t *testing.T, e *exec.Engine, larger, smaller *join.Image, shift uint) *join.Index {
+	t.Helper()
+	positions := func(n int) [][]int32 {
+		col := make([]int32, n)
+		for i := range col {
+			col[i] = int32(i)
+		}
+		return [][]int32{col}
+	}
+	pr, err := e.ProjectImages(&exec.Image{Image: *larger, Cols: positions(len(larger.Hashes))},
+		&exec.Image{Image: *smaller, Cols: positions(len(smaller.Hashes))}, shift)
+	if err != nil {
+		t.Fatalf("images (parallel): %v", err)
+	}
+	ix := &join.Index{Larger: make([]join.OID, pr.N), Smaller: make([]join.OID, pr.N)}
+	for i := range pr.N {
+		ix.Larger[i], ix.Smaller[i] = join.OID(pr.Larger[0][i]), join.OID(pr.Smaller[0][i])
+	}
+	return ix
 }
 
 // checkLIFO checks the chain order of a join-index whose smaller side

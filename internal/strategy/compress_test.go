@@ -211,10 +211,10 @@ const tracePipelineTrack = 1000
 // TestCompressedDecodesEachInputOnce: under Compress only a runtime u/u
 // DSM post-projection run over join images decodes, as the root
 // package's runtime queries do: it decodes no key column, each image it
-// builds is a step of its join phase, and it lists no decode phase —
-// each fetch decodes the image-order encodings the join phase handed it
-// one partition at a time, so it reads the blocks of every partition's
-// range, a block straddling two partitions once for each (the small
+// builds is a step of its one phase (probe-fetch-images), and it lists
+// no decode phase — each partition's morsel decodes the image-order
+// encodings where it fetches them, so it reads the blocks of every
+// partition's range, a block straddling two partitions once for each (the small
 // hierarchy gives the join at least 4 partitions, so some do). Every
 // other case — the DSM post-projection method pairs u/u, c/u, s/d and
 // c/d in paper mode and the non-u pairs on the runtime (handed the same
@@ -305,8 +305,13 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 			if got := res.Timings.Comp.CompressedBytes; got != imgBytes {
 				t.Errorf("%s: run read %d encoded bytes, want %d", tag, got, imgBytes)
 			}
-			if got := phaseNames(tr); !slices.Equal(got, c.phases) {
-				t.Errorf("%s: phases\n got  %v\n want %v", tag, got, c.phases)
+			// Over join images the probe and both fetches are one phase.
+			phases := c.phases
+			if images {
+				phases = []string{"probe-fetch-images"}
+			}
+			if got := phaseNames(tr); !slices.Equal(got, phases) {
+				t.Errorf("%s: phases\n got  %v\n want %v", tag, got, phases)
 			}
 			if got := stepCount(tr, "build-join-image"); got != builds {
 				t.Errorf("%s: %d build-join-image steps, want %d", tag, got, builds)

@@ -116,9 +116,9 @@ type Config struct {
 	QueryTag string
 	// Compress selects compressed execution where it can save traffic:
 	// a DSM post-projection u/u plan over join images is handed encodings
-	// of the image-order columns (Image.ColsEnc), and each of its fetches
-	// decodes a partition's image range where it gathers from it
-	// (exec.Engine.FetchImage). Every other plan runs raw under it. False
+	// of the image-order columns (Image.ColsEnc), and each partition's
+	// morsel decodes its image range where it fetches from it
+	// (exec.Engine.ProjectImages). Every other plan runs raw under it. False
 	// (default) runs raw everywhere. Result bytes are identical either
 	// way.
 	Compress bool
@@ -134,7 +134,9 @@ func (c Config) hier() mem.Hierarchy {
 // Result is a completed project-join. Its result arrays (LargerCols,
 // SmallerCols, Rows) are drawn from the query's arena kit and stay the
 // holder's until Release hands them back; slices may carry spare
-// capacity beyond their length.
+// capacity beyond their length. The one exception: a raw larger column
+// of a key-FK u/u plan over join images is a read-only view of the
+// larger side's join image (views), which Release leaves alone.
 type Result struct {
 	// N is the result cardinality.
 	N int
@@ -149,6 +151,9 @@ type Result struct {
 	// home is the arena kit the result arrays came from and Release
 	// returns them to, in both modes.
 	home *mempool.Kit
+	// views[c] is set where LargerCols[c] is the larger join image's
+	// column itself (exec.ImageProjection.Views), not a result array.
+	views []bool
 	// Timings is the pipeline's per-phase breakdown and counters.
 	Timings exec.Timings
 	// Plan is the plan the run executed.
@@ -207,17 +212,22 @@ func (r *Result) Columns() [][]int32 {
 
 // Release hands the result arrays back to the kit they were drawn from
 // and drops the Result's references to them. The holder must not read
-// them afterwards: the next query overwrites them. Idempotent; never
-// calling it only costs the next query its arena hits.
+// them afterwards: the next query overwrites them. A larger column that
+// is a view of the join image is never handed to the kit: the image
+// outlives the query. Idempotent; never calling it only costs the next
+// query its arena hits.
 func (r *Result) Release() {
-	for _, col := range r.LargerCols {
+	for c, col := range r.LargerCols {
+		if c < len(r.views) && r.views[c] {
+			continue
+		}
 		mempool.Recycle(r.home, col)
 	}
 	for _, col := range r.SmallerCols {
 		mempool.Recycle(r.home, col)
 	}
 	mempool.Recycle(r.home, r.Rows)
-	r.LargerCols, r.SmallerCols, r.Rows = nil, nil, nil
+	r.LargerCols, r.SmallerCols, r.Rows, r.views = nil, nil, nil, nil
 }
 
 // DSMSide describes one join side for the DSM strategies: the
@@ -232,7 +242,7 @@ type DSMSide struct {
 	BaseN int
 	// JoinImage, when set on both sides, is DSMPost's join input — and
 	// what it projects — clustered ahead of the query, held outside it and
-	// shared with other queries, so the join phase only probes. Auto plans
+	// shared with other queries, so the query never clusters. Auto plans
 	// u/u over it, and DSMPost reads it only for a u/u plan. For radix
 	// field o it returns the Image whose Hashes and Offsets are
 	// radix.PermuteHashes(Keys, o, …) and radix.KeyOffsets(Keys, o), and
@@ -240,18 +250,15 @@ type DSMSide struct {
 	// compressed plan (compressed) may be given ColsEnc[c], an encoding of
 	// those values, in place of Cols[c]; any other plan gets Cols only. It
 	// reports each part it had to build, once built, through step. DSMPost
-	// never writes into it.
+	// never writes into it; a key-FK result's raw larger columns are views
+	// of it (Result.views).
 	JoinImage func(o radix.Opts, compressed bool, step func(name string, start, end time.Time)) (Image, error)
 }
 
 // Image is a side's join image as DSMPost reads it: the clustered join
 // input, and the projection columns in the same order — each raw in Cols
 // or, for a compressed plan, encoded in ColsEnc with its Cols entry nil.
-type Image struct {
-	join.Image
-	Cols    [][]int32
-	ColsEnc []*compress.Encoded
-}
+type Image = exec.Image
 
 func (s DSMSide) validate(name string) error {
 	if len(s.OIDs) != len(s.Keys) {
@@ -322,9 +329,9 @@ func resolveSmaller(m ProjMethod, pi, baseN, c int) ProjMethod {
 // §4.1 switch — u fetches a column that outgrows the cache at random —
 // no longer holds. Otherwise the §4.1 rule runs on the declared last
 // cache level (resolveLarger, resolveSmaller). The plan is compressed
-// only over join images (overImages): there each fetch decodes a
-// partition's image range where it gathers from it
-// (exec.Engine.FetchImage), with the raw plan's methods and bits. Any
+// only over join images (overImages): there each partition's morsel
+// decodes its image range where it fetches from it
+// (exec.Engine.ProjectImages), with the raw plan's methods and bits. Any
 // other plan would have to decode whole base-order columns next to the
 // raw arrays they copy, so it runs raw.
 func PlanDSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (Plan, CostFn, error) {
@@ -384,8 +391,9 @@ func overImages(larger, smaller DSMSide, p Plan) bool {
 // DSMPost runs the paper's headline strategy: DSM post-projection
 // with the given per-side methods (Auto to let the planner choose).
 // The assembly is a single phase pipeline; the plan selects the engine
-// the phases execute on. A compressed plan, which is over join images,
-// lists the raw plan's phases and decodes inside its fetches.
+// the phases execute on. A u/u plan over join images is one phase,
+// probe-fetch-images; a compressed plan, which is over join images,
+// decodes inside it.
 func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, error) {
 	cfg.Runtime = cfg.rt()
 	p, _, err := PlanDSMPost(larger, smaller, lm, sm, cfg)
@@ -400,28 +408,37 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	defer pl.Close()
 	res := &Result{Plan: p}
 
-	// Phase 1: join-index via Partitioned Hash-Join on the key BATs —
-	// over the sides' join images when the plan is u/u and both carry one,
-	// so the phase only probes and no phase reads a key column. Then the
-	// join-index holds image positions and each side fetches from its
-	// image, one partition at a time (exec.Engine.FetchImage): the larger
-	// side's reads are sequential, the smaller side's stay inside one
-	// partition's range, and a compressed plan decodes each partition's
-	// range where it fetches it. Any other plan clusters per query, as
-	// paper mode does.
-	images := overImages(larger, smaller, p)
-	var (
-		ji   *join.Index
-		imgs [2]Image
-	)
+	// Over the sides' join images (a u/u plan with both images) the
+	// query is one phase: each radix partition is probed and projected in
+	// one morsel (exec.Engine.ProjectImages). The clustering half of the
+	// Partitioned Hash-Join is a lookup, no phase reads a key column, the
+	// larger side's reads are sequential and the smaller side's stay
+	// inside one partition's range; a compressed plan decodes each
+	// partition's range where it reads it. A key-FK join's raw larger
+	// columns are the larger image's own (Result.views).
+	if overImages(larger, smaller, p) {
+		pl.Then(exec.PhaseJoin, "probe-fetch-images", func(e *exec.Engine) error {
+			o := joinOpts(p.JoinBits, h)
+			imgs, err := sideImages(e, larger, smaller, p.Compressed, o)
+			if err != nil {
+				return err
+			}
+			pr, err := e.ProjectImages(&imgs[0], &imgs[1], uint(o.Ignore+o.Bits))
+			if err != nil {
+				return err
+			}
+			res.N, res.LargerCols, res.SmallerCols, res.views = pr.N, pr.Larger, pr.Smaller, pr.Views
+			return nil
+		})
+		return res.run(pl)
+	}
+
+	// Phase 1: join-index via Partitioned Hash-Join on the key BATs,
+	// clustered per query, as paper mode does.
+	var ji *join.Index
 	pl.Then(exec.PhaseJoin, "partitioned-hash-join", func(e *exec.Engine) error {
-		o := joinOpts(p.JoinBits, h)
 		var err error
-		if images {
-			imgs, ji, err = probeImages(e, larger, smaller, p.Compressed, o)
-		} else {
-			ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, o)
-		}
+		ji, err = e.PartitionedJoin(larger.OIDs, larger.Keys, smaller.OIDs, smaller.Keys, joinOpts(p.JoinBits, h))
 		if err != nil {
 			return err
 		}
@@ -433,13 +450,8 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	// intermediate (the join-index, the two reordered oid columns, each
 	// clustered fetch) goes back to the query's kit right after the phase
 	// that reads it last (exec.Return), so the kit holds the pipeline's
-	// peak live set, not the sum of its intermediates. A u/u plan
-	// over join images carries image positions in place of oids, which
-	// its fetches read partition by partition.
-	var (
-		largerOIDs, smallerInResultOrder []OID
-		parts                            []int // the image join-index's partition offsets
-	)
+	// peak live set, not the sum of its intermediates.
+	var largerOIDs, smallerInResultOrder []OID
 	switch p.LargerMethod {
 	case Unsorted:
 		// Result order = join output order; nothing to reorder. The
@@ -467,14 +479,10 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	}
 	pl.Then(exec.PhaseProjectLarger, "fetch-larger", func(e *exec.Engine) error {
 		if p.LargerMethod == Unsorted {
-			largerOIDs, smallerInResultOrder, parts, ji = ji.Larger, ji.Smaller, ji.Parts, nil
+			largerOIDs, smallerInResultOrder, ji = ji.Larger, ji.Smaller, nil
 		}
 		var err error
-		if images {
-			res.LargerCols, err = e.FetchImage(imgs[0].Cols, imgs[0].ColsEnc, imgs[0].Offsets, parts, largerOIDs)
-		} else {
-			res.LargerCols, err = e.FetchMany(larger.Cols, largerOIDs)
-		}
+		res.LargerCols, err = e.FetchMany(larger.Cols, largerOIDs)
 		exec.Return(e, largerOIDs)
 		largerOIDs = nil
 		return err
@@ -485,13 +493,8 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	case Unsorted:
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
-			if images {
-				res.SmallerCols, err = e.FetchImage(imgs[1].Cols, imgs[1].ColsEnc, imgs[1].Offsets, parts, smallerInResultOrder)
-			} else {
-				res.SmallerCols, err = e.FetchMany(smaller.Cols, smallerInResultOrder)
-			}
+			res.SmallerCols, err = e.FetchMany(smaller.Cols, smallerInResultOrder)
 			exec.Return(e, smallerInResultOrder)
-			exec.Return(e, parts)
 			return err
 		})
 	case Declustered:
@@ -525,26 +528,23 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	return res.run(pl)
 }
 
-// probeImages is DSMPost's join over the sides' join images: the
-// clustering half of the Partitioned Hash-Join is a lookup, and only
-// the per-partition probes run. It returns the sides' images — a raw
-// plan's without encodings — and the join-index, which holds image
-// positions and each partition's match range. Whatever a side's image
-// lacked is built as a step of the join phase.
-func probeImages(e *exec.Engine, larger, smaller DSMSide, compressed bool, o radix.Opts) ([2]Image, *join.Index, error) {
+// sideImages returns the sides' join images for radix field o, checked
+// against the sides — a raw plan's without encodings. Whatever a side's
+// image lacked is built as a step of the running phase.
+func sideImages(e *exec.Engine, larger, smaller DSMSide, compressed bool, o radix.Opts) ([2]Image, error) {
 	var imgs [2]Image
 	for i, s := range [2]DSMSide{larger, smaller} {
 		img, err := s.JoinImage(o, compressed, e.Step)
 		if err != nil {
-			return imgs, nil, err
+			return imgs, err
 		}
 		n := len(s.OIDs)
 		if len(img.Hashes) != n || len(img.Offsets) != 1<<o.Bits+1 {
-			return imgs, nil, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
+			return imgs, fmt.Errorf("strategy: join image holds %d tuples in %d partitions, want %d in %d",
 				len(img.Hashes), len(img.Offsets)-1, n, 1<<o.Bits)
 		}
 		if len(img.Cols) != len(s.Cols) {
-			return imgs, nil, fmt.Errorf("strategy: join image holds %d columns, want %d", len(img.Cols), len(s.Cols))
+			return imgs, fmt.Errorf("strategy: join image holds %d columns, want %d", len(img.Cols), len(s.Cols))
 		}
 		if !compressed {
 			img.ColsEnc = nil
@@ -555,13 +555,12 @@ func probeImages(e *exec.Engine, larger, smaller DSMSide, compressed bool, o rad
 				enc = img.ColsEnc[c]
 			}
 			if col == nil && (enc == nil || enc.Len() != n) {
-				return imgs, nil, fmt.Errorf("strategy: join image column %d is neither raw nor a %d-value encoding", c, n)
+				return imgs, fmt.Errorf("strategy: join image column %d is neither raw nor a %d-value encoding", c, n)
 			}
 		}
 		imgs[i] = img
 	}
-	ji, err := e.ProbePartitions(&imgs[0].Image, &imgs[1].Image, uint(o.Ignore+o.Bits))
-	return imgs, ji, err
+	return imgs, nil
 }
 
 // rowsCost is the pre-projection strategies' cost (DSM-pre and both

@@ -2,12 +2,14 @@ package radixdecluster
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/workload"
@@ -610,12 +612,13 @@ func TestPaperModeBuildsNoJoinImage(t *testing.T) {
 
 // TestCompressedServicePhases pins the phases of the service's
 // compressed query shape (svc_engine_compressed: DSM post-projection,
-// u/u, CompressionOn, on a runtime): no phase reads a key column, and
-// each fetch decodes its image encodings partition by partition where it
-// reads them, so the plan lists no decode phase at all — the raw plan's
-// phases. The first query builds the images — each relation's
-// clustering and an encoding of each projected column in image order —
-// as steps inside its join phase; a repeat builds none.
+// u/u, CompressionOn, on a runtime): one phase, probe-fetch-images, in
+// which each partition's morsel probes and then decodes its image
+// encodings where it fetches them — no phase reads a key column, and
+// the plan lists no decode phase at all. The first query builds the
+// images — each relation's clustering and an encoding of each
+// projected column in image order — as steps inside that phase; a
+// repeat builds none.
 func TestCompressedServicePhases(t *testing.T) {
 	const pi = 2
 	larger, smaller := compressedRelations(t,
@@ -628,7 +631,7 @@ func TestCompressedServicePhases(t *testing.T) {
 		LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
 		Compression: CompressionOn, Parallelism: 2, Runtime: rt, Trace: true,
 	}
-	wantPhases := []string{"partitioned-hash-join", "fetch-larger", "fetch-smaller"}
+	wantPhases := []string{"probe-fetch-images"}
 	for rep, builds := range []int{2, 0} {
 		res, err := ProjectJoin(q)
 		if err != nil {
@@ -643,11 +646,11 @@ func TestCompressedServicePhases(t *testing.T) {
 		if b := traceSteps(res, "build-image-column"); b != builds*pi {
 			t.Errorf("query %d: %d build-image-column steps, want %d", rep+1, b, builds*pi)
 		}
-		// Each step lies inside the join phase's span.
+		// Each step lies inside the first phase's span.
 		var join, step [][2]int64
 		for _, ev := range res.Trace.t.Events() {
 			switch {
-			case ev.Name == "partitioned-hash-join":
+			case ev.Name == wantPhases[0]:
 				join = append(join, [2]int64{ev.TS, ev.TS + ev.Dur})
 			case ev.Cat == exec.StepCat:
 				step = append(step, [2]int64{ev.TS, ev.TS + ev.Dur})
@@ -663,11 +666,17 @@ func TestCompressedServicePhases(t *testing.T) {
 }
 
 // TestCompressedImageHighWater: a compressed u/u query over join images
-// leases no decoded column — each fetch decodes one partition at a time
-// into its worker's scratch — so a warmed query's peak leased bytes
-// (Timing.Mem.HighWater) are at most the raw query's plus that scratch,
-// one widest partition per worker. Whole-column decode phases held
-// 16 MiB more at 1 Mi × π = 2 (41 946 112 B against 25 167 872 B raw).
+// leases no decoded column — each partition's morsel decodes one
+// partition at a time into its worker's scratch — so a warmed query's
+// peak leased bytes (Timing.Mem.HighWater) are at most the raw query's
+// plus that scratch, one widest partition per worker, plus the raw
+// query's larger result columns, π × 4 B × N (class-rounded, as the
+// arena leased them): a key-FK raw query serves
+// those as views of the join image and leases none, while the
+// compressed query decodes its larger columns into result arrays.
+// Whole-column decode phases held 16 MiB more at 1 Mi × π = 2
+// (41 946 112 B against 25 167 872 B raw, when the raw query still
+// leased its larger columns).
 func TestCompressedImageHighWater(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs full-size relations")
@@ -712,9 +721,59 @@ func TestCompressedImageHighWater(t *testing.T) {
 			widest = max(widest, offs[p+1]-offs[p])
 		}
 	}
-	if scratch := int64(workers * 4 * widest); comp > raw+scratch {
-		t.Fatalf("compressed high water %d B, raw %d B: %d B over the raw query plus the per-worker scratch (%d B)",
-			comp, raw, comp-raw, scratch)
+	// Each view replaced an arena buffer of 4 B × N rounded up to the
+	// arena's size class, a power of two.
+	scratch, views := int64(workers*4*widest), int64(pi)<<bits.Len(uint(4*n-1))
+	if comp > raw+scratch+views {
+		t.Fatalf("compressed high water %d B, raw %d B: %d B over the raw query plus the per-worker scratch (%d B) and the larger columns the raw query serves as views (%d B)",
+			comp, raw, comp-raw, scratch, views)
 	}
-	t.Logf("high water: compressed %d B, raw %d B, per-worker scratch %d B", comp, raw, workers*4*widest)
+	t.Logf("high water: compressed %d B, raw %d B, per-worker scratch %d B, raw larger views %d B", comp, raw, scratch, views)
+}
+
+// TestImageQueryTimingTiles: a runtime u/u query over join images runs
+// as one phase, whose wall time is apportioned to Join, ProjectLarger
+// and ProjectSmaller by the probe and fetch time summed inside its
+// morsels. The three plus Queue still tile Total, within 5 %, with no
+// time in any other kind, and the smaller side's gathers show in
+// ProjectSmaller — raw and compressed, the first query building the
+// images inside the phase.
+func TestImageQueryTimingTiles(t *testing.T) {
+	const pi = 2
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: equivalenceN, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 88}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	for _, comp := range []Compression{CompressionOff, CompressionOn} {
+		q := JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			Parallelism: 2, Runtime: rt, Compression: comp,
+		}
+		for range 2 {
+			res, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm := res.Timing
+			// Queue's morsel-queue waits lie inside the phase times
+			// (Timing): counted once, the parts tile Total.
+			var inPhases time.Duration
+			for _, d := range res.runInfo.Timings.QueueByKind {
+				inPhases += d
+			}
+			res.Release()
+			if tm.Scan != 0 || tm.ReorderJI != 0 || tm.Decluster != 0 {
+				t.Fatalf("%v: time outside the fused kinds: %v", comp, tm)
+			}
+			if tm.ProjectSmaller <= 0 {
+				t.Fatalf("%v: no smaller-side fetch time: %v", comp, tm)
+			}
+			sum := tm.Join + tm.ProjectLarger + tm.ProjectSmaller + tm.Queue - inPhases
+			if d := sum - tm.Total; d > tm.Total/20 || -d > tm.Total/20 {
+				t.Fatalf("%v: join+projL+projS+queue = %v (%v of the queue inside the phases), total %v: more than 5 %% apart (%v)",
+					comp, sum, inPhases, tm.Total, tm)
+			}
+		}
+	}
 }

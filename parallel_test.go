@@ -28,7 +28,7 @@ func parallelismLevels() []int {
 // workloadRelations turns a generated workload pair into public API
 // relations carrying the key and pi payload columns of each base
 // table.
-func workloadRelations(t *testing.T, p workload.Params, pi int) (*Relation, *Relation) {
+func workloadRelations(t testing.TB, p workload.Params, pi int) (*Relation, *Relation) {
 	t.Helper()
 	pr, err := workload.GenPair(p)
 	if err != nil {
@@ -39,7 +39,7 @@ func workloadRelations(t *testing.T, p workload.Params, pi int) (*Relation, *Rel
 
 // pairRelations builds fresh relations over a generated pair's columns
 // (not copied: relations built twice from one pair share them).
-func pairRelations(t *testing.T, pr *workload.Pair, pi int, opts ...RelationOption) (*Relation, *Relation) {
+func pairRelations(t testing.TB, pr *workload.Pair, pi int, opts ...RelationOption) (*Relation, *Relation) {
 	t.Helper()
 	mk := func(name string, wr *workload.Relation) *Relation {
 		cols := []Column{{Name: "key", Values: wr.Key()}}

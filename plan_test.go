@@ -252,8 +252,8 @@ func TestPlanIndependentOfRuntimeLoad(t *testing.T) {
 	forced.Parallelism = 4
 	before := rt.SchedStats()
 	for rounds := 0; rt.SchedStats().Sub(before).Stolen < 4*256; rounds++ {
-		if rounds == 200 {
-			t.Fatalf("200 queries stole only %v", rt.SchedStats().Sub(before))
+		if rounds == 600 {
+			t.Fatalf("600 queries stole only %v", rt.SchedStats().Sub(before))
 		}
 		res, err := ProjectJoin(forced)
 		if err != nil {

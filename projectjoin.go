@@ -272,6 +272,13 @@ type MemStats = mempool.LeaseStats
 // a column read after Release aliases another query's buffer. Never
 // calling Release is safe — the columns are Go memory, garbage-collected
 // like any slice, and the next query allocates afresh.
+//
+// Columns are read-only. A runtime DSM post-projection over join images
+// (the u/u plan) whose every larger tuple matched exactly once — a
+// key–foreign-key join — serves each raw larger column as a view of the
+// larger relation's join image, cut to [:N:N]: shared with every such
+// query, never drawn from or returned to the arena, and like the
+// relation's own columns not to be mutated (see NewRelation).
 type Result struct {
 	N      int
 	Names  []string
@@ -291,16 +298,18 @@ type Result struct {
 	// Trace.WriteJSON or merge several with WriteTraces.
 	Trace *Trace
 	// runInfo owns the arena buffers behind Cols — each Cols[c] is one
-	// of them cut to [:N:N], so an append reallocates instead of
-	// writing into arena slack — until Release returns them.
+	// of them, or a view of a join image column, cut to [:N:N], so an
+	// append reallocates instead of writing into arena slack or the
+	// image — until Release returns them.
 	runInfo  *strategy.Result
 	released bool
 }
 
 // Release returns the result columns to the arena they came from and sets
 // Cols to nil; whatever the caller did to Cols in the meantime, the
-// buffers go back whole. Idempotent, not safe for use concurrent with
-// readers of the columns.
+// buffers go back whole. A column that is a view of a join image is left
+// alone: the image outlives the query. Idempotent, not safe for use
+// concurrent with readers of the columns.
 func (r *Result) Release() {
 	if r.released {
 		return
@@ -312,7 +321,8 @@ func (r *Result) Release() {
 	}
 }
 
-// Column returns the result column with the given qualified name.
+// Column returns the result column with the given qualified name: the
+// column itself, read-only (see Result), not a copy.
 func (r *Result) Column(name string) ([]int32, error) {
 	if r.released {
 		return nil, fmt.Errorf("radixdecluster: Column(%q) on a released result", name)

@@ -204,8 +204,9 @@ type Relation struct {
 	// on it as the last runtime query asked (joinImage): built part by
 	// part by the queries that need each part, read by every later one,
 	// GC-owned — it outlives every query, so it is never drawn from a
-	// runtime's arena. Paper-mode queries cluster per query and never
-	// build one.
+	// runtime's arena, and a key-FK query's larger result columns are
+	// views of its columns. Paper-mode queries cluster per query and
+	// never build one.
 	imgMu    sync.Mutex
 	joinImgs map[string]*keyImage
 }
@@ -244,7 +245,9 @@ func WithCompression() RelationOption {
 // slices must not be mutated once the relation has been queried:
 // queries read the live slices (DSM strategies) and a row-major image
 // cached on first NSM-strategy use (nsmImage), so post-query mutation
-// would make the two storage views disagree.
+// would make the two storage views disagree. The same holds for the
+// join images runtime queries build from them: a result column may be a
+// view of one (see Result), and must not be mutated either.
 func NewRelation(name string, cols ...Column) (*Relation, error) {
 	bcols := make([]*bat.Column, len(cols))
 	for i, c := range cols {

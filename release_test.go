@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"radixdecluster/internal/workload"
 )
@@ -192,4 +193,92 @@ func TestResultReleaseLifecycle(t *testing.T) {
 			third.Release()
 		})
 	}
+}
+
+// TestImageViewReleaseKeepsImage pins the view contract of a key-FK
+// runtime query over join images: each larger result column is the
+// larger relation's join image column itself — the same memory, capped
+// at N, so an append reallocates — and no arena buffer; the smaller
+// columns are result arrays. Release must leave the image alone. N is a
+// power of two, so an image column is a class-sized arena buffer the
+// arena would take: released, it would be the scratch of the four
+// queries that run next and draw buffers of that size — compressed,
+// NSM, paper mode and a second raw query. Afterwards every join image
+// column and hash array checksums as before and the query still equals
+// the serial run.
+func TestImageViewReleaseKeepsImage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs full-size relations")
+	}
+	const pi = 2
+	n := 1 << 20
+	if raceEnabled {
+		n = 1 << 16
+	}
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 87}, pi)
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	q := JoinQuery{
+		Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+		LargerProject: projNames(pi), SmallerProject: projNames(pi),
+		Parallelism: 2, Runtime: rt,
+	}
+	// The serial run of the plan the runtime picks, u/u.
+	serial := q
+	serial.Parallelism, serial.Runtime = 0, nil
+	serial.LargerMethod, serial.SmallerMethod = UnsortedMethod, UnsortedMethod
+	want, err := ProjectJoin(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ProjectJoin(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "raw", res, want)
+	for c, name := range projNames(pi) {
+		img := larger.joinImgs["key"].cols[name]
+		if col := res.Cols[c]; unsafe.SliceData(col) != unsafe.SliceData(img) || len(col) != n || cap(col) != n {
+			t.Fatalf("larger column %s: not the join image column capped at N (len %d cap %d)", name, len(col), cap(col))
+		}
+		if col := res.Cols[pi+c]; unsafe.SliceData(col) == unsafe.SliceData(smaller.joinImgs["key"].cols[name]) {
+			t.Fatalf("smaller column %s is the join image column", name)
+		}
+	}
+	sums := imageChecksums(larger, smaller)
+	res.Release()
+
+	for _, o := range []struct {
+		name string
+		edit func(*JoinQuery)
+	}{
+		{"compressed", func(q *JoinQuery) { q.Compression = CompressionOn }},
+		{"NSM", func(q *JoinQuery) { q.Strategy = NSMPostDecluster }},
+		{"paper mode", func(q *JoinQuery) { q.Parallelism, q.Runtime = 0, nil }},
+		{"raw", func(*JoinQuery) {}},
+	} {
+		oq := q
+		o.edit(&oq)
+		r, err := ProjectJoin(oq)
+		if err != nil {
+			t.Fatalf("%s: %v", o.name, err)
+		}
+		if r.Timing.Mem.Acquired < int64(4*n) {
+			t.Fatalf("%s: drew %d bytes from the arena, want at least one %d-byte buffer", o.name, r.Timing.Mem.Acquired, 4*n)
+		}
+		r.Release()
+	}
+	after := imageChecksums(larger, smaller)
+	for name, sum := range sums {
+		if after[name] != sum {
+			t.Errorf("join image %s changed after the view was released", name)
+		}
+	}
+	res, err = ProjectJoin(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "after the release", res, want)
+	res.Release()
 }
