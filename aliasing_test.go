@@ -39,7 +39,7 @@ func imageChecksums(rels ...*Relation) map[string]uint64 {
 		r.imgMu.Lock()
 		for key, ki := range r.joinImgs {
 			var s uint64
-			for _, h := range ki.hashes {
+			for _, h := range ki.Hashes {
 				s = s*1099511628211 + uint64(h)
 			}
 			sums[r.Name+"."+key+"/hashes"] = s

@@ -279,7 +279,9 @@ func BenchmarkProbeBUNs(b *testing.B) {
 // BenchmarkProbeImage is BenchmarkProbeBUNs for the kernel runtime
 // queries run over join images: the same partitions as image hash
 // columns (join.Image.Hashes), emitting image positions, at 256-, 1 Ki-
-// and 16 Ki-tuple partitions.
+// and 16 Ki-tuple partitions. The smaller keys are a bijection, so both
+// legs apply: distinct=false walks every chain to its end, and
+// distinct=true stops each probe at its first match (Image.Distinct).
 func BenchmarkProbeImage(b *testing.B) {
 	_, lk, _, sk := benchJoinSides(b)
 	for _, c := range []struct {
@@ -296,21 +298,26 @@ func BenchmarkProbeImage(b *testing.B) {
 			b.Fatal(err)
 		}
 		lh, sh := radix.PermuteHashes(lk, o, lo), radix.PermuteHashes(sk, o, so)
+		if !join.DistinctHashes(&join.Image{Hashes: sh, Offsets: so}, uint(c.bits)) {
+			b.Fatal("the smaller keys are not distinct")
+		}
 		out := &join.Index{Larger: make([]OID, 0, clusterBenchN), Smaller: make([]OID, 0, clusterBenchN)}
 		var ts join.TableScratch
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(clusterBenchN * 8)
-			for i := 0; i < b.N; i++ {
-				out.Larger, out.Smaller = out.Larger[:0], out.Smaller[:0]
-				for p := 0; p < 1<<c.bits; p++ {
-					join.ProbeHashes(sh[so[p]:so[p+1]], lh[lo[p]:lo[p+1]], so[p], lo[p], uint(c.bits), out, &ts)
+		for _, distinct := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/distinct=%v", c.name, distinct), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(clusterBenchN * 8)
+				for i := 0; i < b.N; i++ {
+					out.Larger, out.Smaller = out.Larger[:0], out.Smaller[:0]
+					for p := 0; p < 1<<c.bits; p++ {
+						join.ProbeHashes(sh[so[p]:so[p+1]], lh[lo[p]:lo[p+1]], so[p], lo[p], uint(c.bits), distinct, out, &ts)
+					}
+					if out.Len() != clusterBenchN {
+						b.Fatalf("%d matches, want %d", out.Len(), clusterBenchN)
+					}
 				}
-				if out.Len() != clusterBenchN {
-					b.Fatalf("%d matches, want %d", out.Len(), clusterBenchN)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -615,9 +622,12 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 // over join images, built outside the timer). hit=1 is key-FK: each
 // partition's rows are written in place, and the larger columns are
 // the join image's own (raw) or decoded into the result (compressed).
-// hit=3 (duplicate smaller keys) and hit=0.3 (misses) are not, so they
-// pay the fallback — the stitched join-index and two per-partition
-// fetches — after the probe.
+// Its smaller keys are distinct, so every probe stops at its first
+// match and each partition's key-FK test is a count. hit=3 (duplicate
+// smaller keys: its image is not Distinct, and every chain is walked
+// to its end) and hit=0.3 (distinct, but with misses) are not key-FK,
+// so they pay the fallback — the stitched join-index and two
+// per-partition fetches — after the probe.
 func BenchmarkProjectJoinImages(b *testing.B) {
 	const n, pi = 1 << 20, 2
 	rt := NewRuntime(RuntimeConfig{Workers: 2})

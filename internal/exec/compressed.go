@@ -194,8 +194,10 @@ type ImageProjection struct {
 // one pass, one morsel per radix partition homed by partitionAff. Each
 // morsel probes its partition pair (join.ProbeImage) and, while the
 // match list is in the worker's caches, checks whether the larger
-// matches are the partition's image range in order (key-FK). If so it
-// writes the partition's result rows in place at that range: smaller
+// matches are the partition's image range in order (key-FK): by their
+// count alone when the smaller image is Distinct, since each probe then
+// emits at most one match, in probe order; else match by match. If so
+// it writes the partition's result rows in place at that range: smaller
 // columns gathered from the partition's image range (fetchRange),
 // encoded larger columns decoded straight into the result. When every
 // partition was key-FK, each raw larger column is the image column
@@ -261,9 +263,9 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 			return
 		}
 		// The key-FK test is the probe's: a raw larger side fetches
-		// nothing.
+		// nothing. Past a distinct smaller side the count decides it.
 		t0 := time.Now()
-		ok := identity(part.Larger, ll, lh)
+		ok := smaller.Distinct && len(part.Larger) == lh-ll || identity(part.Larger, ll, lh)
 		t1 := time.Now()
 		for c, enc := range larger.ColsEnc {
 			ok = ok && (enc == nil || e.comp.decode(res.Larger[c][ll:lh], enc, ll, lh) == nil)

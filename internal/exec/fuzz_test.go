@@ -100,15 +100,20 @@ func FuzzFetchImage(f *testing.F) {
 // (Engine.ProjectImages) to join.PartitionedImagesInto followed by
 // posjoin.FetchInto over the fully decoded columns, on the serial engine
 // and at nominal parallelism 1, 2 and 8 on a 2-worker runtime. The sides
-// are FuzzFetchImage's images, with four key shapes: random, duplicate
+// are FuzzFetchImage's images, with six key shapes: random, duplicate
 // smaller keys, key-FK (every larger partition matched exactly once, in
 // order, so the larger result is written in place and a raw larger
-// column is the image's own), and mixed — key-FK in the lower half of
+// column is the image's own), mixed — key-FK in the lower half of
 // the partitions only, while each upper partition has one match per
 // larger tuple yet misses some and matches others twice, so the
 // fallback runs after in-place writes (on the serial engine always) and
-// a match count alone cannot tell. Columns are raw or encoded as the
-// input picks. With
+// a match count alone cannot tell — distinct with misses: key-FK in
+// the lower half, misses in the upper — and key-FK over a smaller side
+// that is not Distinct, whose matches are scanned. Each image is
+// Distinct exactly when join.DistinctHashes finds it so, and the
+// reference probe runs before that is set: the early exit of a distinct
+// smaller side (with its count-based key-FK test) is held to the full
+// chain walk. Columns are raw or encoded as the input picks. With
 // corruption on, one block of an encoded column gets an unknown scheme
 // byte, and every engine must return the error of the serial loop — the
 // serial fetch of the larger side, then of the smaller — or, where no
@@ -130,13 +135,28 @@ func FuzzProbeFetchImages(f *testing.F) {
 	f.Add(uint64(12), uint32(3*MinParallelN/2), uint8(2), uint8(9), uint8(0o41), uint16(30))
 	f.Add(uint64(13), uint32(2*MinParallelN), uint8(6), uint8(6), uint8(0o77), uint16(21))
 	f.Add(uint64(14), uint32(MinParallelN+500), uint8(5), uint8(9), uint8(0o00), uint16(0))
+	// Distinct key-FK: every partition's count test passes, in place.
+	f.Add(uint64(15), uint32(2*MinParallelN), uint8(7), uint8(6), uint8(0o00), uint16(0))
+	f.Add(uint64(16), uint32(3*MinParallelN/2), uint8(5), uint8(7), uint8(0o52), uint16(0))
+	// Distinct with misses: the fallback runs after early-exit probes.
+	f.Add(uint64(17), uint32(2*MinParallelN-9), uint8(6), uint8(12), uint8(0o00), uint16(0))
+	f.Add(uint64(18), uint32(MinParallelN+2000), uint8(4), uint8(13), uint8(0o25), uint16(0))
+	// Key-FK past a smaller duplicate no larger key finds: in place after
+	// the full chain walk and the match-by-match test.
+	f.Add(uint64(19), uint32(2*MinParallelN), uint8(6), uint8(15), uint8(0o00), uint16(0))
 	rt := NewRuntime(2, 0)
 	f.Cleanup(rt.Close)
 	f.Fuzz(func(t *testing.T, seed uint64, size uint32, bits8, shape8, mix8 uint8, corrupt uint16) {
 		n := int(size % (2*MinParallelN + 1))
-		bits, layout, keys := int(bits8%11), int(shape8%3), int(shape8/3%4)
+		bits, layout, keys := int(bits8%11), int(shape8%3), int(shape8/3%6)
 		larger, smaller := fuzzSides(seed, n, bits, layout, keys, mix8)
 		ix := probeImages(t, &larger, &smaller, bits)
+		for _, side := range []*imageSide{&larger, &smaller} {
+			side.img.Distinct = join.DistinctHashes(&side.img, uint(bits))
+		}
+		if (keys == 2 || keys == 4) && !smaller.img.Distinct || keys == 5 && n >= 4 && smaller.img.Distinct {
+			t.Fatalf("keys=%d: the smaller side found Distinct=%v", keys, smaller.img.Distinct)
+		}
 		corruptOne(&larger, &smaller, corrupt)
 		wantL, wantS := larger.fetch(t, ix.Larger), smaller.fetch(t, ix.Smaller)
 
@@ -197,8 +217,10 @@ func FuzzProbeFetchImages(f *testing.F) {
 // each (see fuzzImage). The keys are random over a domain of n+1
 // (keys 0), duplicate smaller keys from a domain a quarter of the
 // smaller side's size (1), key-FK: the smaller keys a permutation of the
-// larger's domain (2), or mixed: key-FK in the lower half of the
-// partitions only (3).
+// larger's domain (2), mixed: key-FK in the lower half of the
+// partitions only (3), distinct with misses: key-FK but for every
+// other larger tuple of the upper half of the partitions (4), or key-FK
+// with one smaller key twice, a key no larger tuple carries (5).
 func fuzzSides(seed uint64, n, bits, layout, keys int, mix uint8) (larger, smaller imageSide) {
 	rng := rand.New(rand.NewPCG(seed, 35))
 	const ncols = 3
@@ -218,6 +240,22 @@ func fuzzSides(seed uint64, n, bits, layout, keys int, mix uint8) (larger, small
 		lk, sk = randKeys(n, nS/4+1), randKeys(nS, nS/4+1)
 	case 2:
 		lk, sk = randKeys(n, nS), rng.Perm(nS)
+	case 4:
+		// Key-FK, but in the upper half of the partitions every other
+		// larger key moves past the smaller domain, within its
+		// partition, and misses.
+		lk, sk = randKeys(n, nS), rng.Perm(nS)
+		h := 1 << bits
+		for i, k := range lk {
+			if partOf(k, bits, layout) >= h/2 && i%2 == 0 {
+				lk[i] = k + h*(nS/h+1)
+			}
+		}
+	case 5:
+		lk, sk = randKeys(n, max(nS-2, 1)), rng.Perm(nS)
+		if nS >= 3 {
+			sk[slices.Index(sk, nS-1)] = nS - 2
+		}
 	default:
 		// Distinct keys on both sides, each larger key matched once —
 		// but in the upper half of the partitions key k+h, which lies in

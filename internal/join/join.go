@@ -171,10 +171,37 @@ func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *
 // 2^B+1 cluster offsets (radix.KeyOffsets, radix.PermuteHashes). A match
 // emits the tuple's image position, its index in Hashes: the holder of
 // the image keeps whatever it projects in the same order and reads it
-// there, so an image carries no oids.
+// there, so an image carries no oids. Distinct records that no two
+// Hashes are equal (DistinctHashes) — hash.Mix is a bijection, so that
+// the key column is a key: probed as the smaller side, a larger tuple
+// matches it at most once, and ProbeImage stops each chain walk there.
 type Image struct {
-	Hashes  []uint32
-	Offsets []int
+	Hashes   []uint32
+	Offsets  []int
+	Distinct bool
+}
+
+// DistinctHashes reports whether no two of img's hashes are equal, the
+// fact Image.Distinct records. Equal hashes share a partition, so it
+// chains each partition into one ProbeHashes table (shift as the probe
+// buckets) and looks for every hash in its bucket before adding it.
+func DistinctHashes(img *Image, shift uint) bool {
+	var ts TableScratch
+	for p := 0; p+1 < len(img.Offsets); p++ {
+		part := img.Hashes[img.Offsets[p]:img.Offsets[p+1]]
+		first, next, mask := ts.table(len(part))
+		for i, h := range part {
+			b := (h >> shift) & mask
+			for e := first[b]; e != 0; e = next[e-1] {
+				if part[e-1] == h {
+					return false
+				}
+			}
+			next[i] = first[b]
+			first[b] = int32(i) + 1
+		}
+	}
+	return true
 }
 
 // PartitionedImagesInto is PartitionedPreclustered over two images,
@@ -197,14 +224,15 @@ func PartitionedImagesInto(out *Index, ts *TableScratch, larger, smaller *Image,
 }
 
 // ProbeImage joins partition p of two images into out: ProbeHashes over
-// the partition pair, emitting image positions.
+// the partition pair, emitting image positions, each probe stopping at
+// its first match when the smaller image is Distinct.
 func ProbeImage(larger, smaller *Image, p int, shift uint, out *Index, ts *TableScratch) {
 	ll, lh := larger.Offsets[p], larger.Offsets[p+1]
 	sl, sh := smaller.Offsets[p], smaller.Offsets[p+1]
 	if ll == lh || sl == sh {
 		return
 	}
-	ProbeHashes(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, ll, shift, out, ts)
+	ProbeHashes(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, ll, shift, smaller.Distinct, out, ts)
 }
 
 // TableScratch holds the hash-table arrays of ProbeBUNs so that a
@@ -297,8 +325,12 @@ func ProbeBUNs(smaller, larger []uint64, shift uint, out *Index, ts *TableScratc
 // ProbeHashes is ProbeBUNs over one partition pair of image hash columns
 // (Image.Hashes): the same table, probe order and chain order, emitting
 // each match's positions — lbase+i for larger[i], sbase+j for smaller[j]
-// — where ProbeBUNs emits the BUNs' oids.
-func ProbeHashes(smaller, larger []uint32, sbase, lbase int, shift uint, out *Index, ts *TableScratch) {
+// — where ProbeBUNs emits the BUNs' oids. distinct says no two smaller
+// hashes are equal (Image.Distinct): each probe then stops its chain
+// walk at its first match, the only one it can find, and the matches
+// are those of the full walk. Handed for a side with a duplicate, it
+// drops the duplicate's further matches.
+func ProbeHashes(smaller, larger []uint32, sbase, lbase int, shift uint, distinct bool, out *Index, ts *TableScratch) {
 	first, next, mask := ts.table(len(smaller))
 	for i, h := range smaller {
 		b := (h >> shift) & mask
@@ -320,13 +352,20 @@ func ProbeHashes(smaller, larger []uint32, sbase, lbase int, shift uint, out *In
 			}
 			outL[m], outS[m] = OID(lbase+i), sb+OID(e)
 			m++
+			if distinct {
+				break
+			}
 		}
 	}
 	out.Larger, out.Smaller = outL[:m], outS[:m]
 }
 
 // grow returns s at more than twice its length, reallocated when that
-// exceeds its capacity.
+// exceeds its capacity. It stays out of line: only a partition with more
+// matches than probes takes it, and inlined into the probe loops it
+// spills their registers on every chain step.
+//
+//go:noinline
 func grow(s []OID) []OID { return append(s, make([]OID, len(s)+1)...) }
 
 // NumBuckets returns the bucket count a table over n tuples is sized

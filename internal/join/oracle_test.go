@@ -39,6 +39,19 @@ func refEquiJoin(lo []join.OID, lk []int32, so []join.OID, sk []int32) []pair {
 	return out
 }
 
+// refDistinct is the independent distinctness oracle: whether no key
+// occurs twice, by a map of the keys seen.
+func refDistinct(keys []int32) bool {
+	seen := make(map[int32]bool, len(keys))
+	for _, k := range keys {
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+	}
+	return true
+}
+
 func sortedPairs(ix *join.Index) []pair {
 	out := make([]pair, ix.Len())
 	for i := range out {
@@ -185,8 +198,12 @@ func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so 
 
 // checkAgainstOracle joins one input under one clustering with both
 // engines, over BUNs and over join images: each must return exactly the
-// oracle's pair multiset, and all of them the identical sequence. A nil
-// rt checks the serial engine alone.
+// oracle's pair multiset, and all of them the identical sequence. Each
+// image's distinctness check (join.DistinctHashes) must agree with the
+// map oracle's, and over a distinct smaller side the image probes run
+// twice — walking every chain to its end, and stopping each probe at
+// its first match (Image.Distinct). A nil rt checks the serial engine
+// alone.
 func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
 	t.Helper()
 	serial, err := join.Partitioned(lo, lk, so, sk, o)
@@ -215,25 +232,38 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	li, lOIDs := image(t, lo, lk, o)
 	si, sOIDs := image(t, so, sk, o)
 	shift := uint(o.Ignore + o.Bits)
-	for _, par := range engines {
-		got := &join.Index{}
-		if par {
-			// The engine projects each side's image positions: its result
-			// columns are the join-index.
-			got = projectPositions(t, e, li, si, shift)
-		} else {
-			var ts join.TableScratch
-			if err := join.PartitionedImagesInto(got, &ts, li, si, shift); err != nil {
-				t.Fatalf("%+v: images: %v", o, err)
-			}
-			checkParts(t, got, li, si)
+	for i, img := range []*join.Image{li, si} {
+		keys := [2][]int32{lk, sk}[i]
+		if got, want := join.DistinctHashes(img, shift), refDistinct(keys); got != want {
+			t.Fatalf("%+v: side %d: DistinctHashes = %v over %d keys, the map oracle %v", o, i, got, len(keys), want)
 		}
-		checkLIFO(t, got)
-		positionsToOIDs(got.Larger, lOIDs)
-		positionsToOIDs(got.Smaller, sOIDs)
-		if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
-			t.Fatalf("%+v: images (parallel=%v): join-index is not the BUN probe's sequence (%d vs %d pairs)",
-				o, par, got.Len(), serial.Len())
+	}
+	walks := []bool{false}
+	if refDistinct(sk) {
+		walks = append(walks, true)
+	}
+	for _, par := range engines {
+		for _, distinct := range walks {
+			si.Distinct = distinct
+			got := &join.Index{}
+			if par {
+				// The engine projects each side's image positions: its result
+				// columns are the join-index.
+				got = projectPositions(t, e, li, si, shift)
+			} else {
+				var ts join.TableScratch
+				if err := join.PartitionedImagesInto(got, &ts, li, si, shift); err != nil {
+					t.Fatalf("%+v: images: %v", o, err)
+				}
+				checkParts(t, got, li, si)
+			}
+			checkLIFO(t, got)
+			positionsToOIDs(got.Larger, lOIDs)
+			positionsToOIDs(got.Smaller, sOIDs)
+			if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
+				t.Fatalf("%+v: images (parallel=%v, distinct=%v): join-index is not the BUN probe's sequence (%d vs %d pairs)",
+					o, par, distinct, got.Len(), serial.Len())
+			}
 		}
 	}
 }
@@ -386,9 +416,10 @@ func fuzzKey(b byte) int32 {
 }
 
 // FuzzPartitionedJoin holds the serial engines — over BUNs and over join
-// images — to the map-based oracle on fuzzed keys, radix fields and pass
-// splits: the first half of raw keys the larger side, the rest the
-// smaller. Run with `go test -fuzz=FuzzPartitionedJoin
+// images, with the early exit of a distinct smaller image too — and the
+// images' distinctness check to the map-based oracles on fuzzed keys,
+// radix fields and pass splits: the first half of raw keys the larger
+// side, the rest the smaller. Run with `go test -fuzz=FuzzPartitionedJoin
 // ./internal/join`; the seed corpus runs under plain `go test`.
 func FuzzPartitionedJoin(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
@@ -396,6 +427,13 @@ func FuzzPartitionedJoin(f *testing.F) {
 	f.Add([]byte{0, 255, 7, 7, 0, 255, 7, 7, 7, 0}, uint8(13), uint8(3))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 1, 2, 9, 9, 9}, uint8(6), uint8(5))
 	f.Add([]byte{128, 127, 129, 126, 1, 254, 128, 127, 200, 55}, uint8(10), uint8(9))
+	// A smaller duplicate behind another entry of its bucket chain: keys
+	// 1 and 10 share partition 3 of 4 and their 16-bucket table's bucket,
+	// so the second 1 finds 10 at the chain head and the first 1 behind it.
+	f.Add([]byte{1, 10, 5, 1, 10, 1}, uint8(2), uint8(0))
+	// A smaller duplicate in the last partition: key 3 lies in partition
+	// 7 of 8, the other keys in partitions 1, 4 and 5.
+	f.Add([]byte{3, 2, 5, 6, 13, 2, 5, 3, 6, 3}, uint8(3), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, bits8, split8 uint8) {
 		o := radix.Opts{Bits: int(bits8 % 14)}
 		if o.Bits > 1 && split8&1 == 1 {

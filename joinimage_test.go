@@ -459,7 +459,7 @@ func TestJoinImageIncompressibleColumnStaysRaw(t *testing.T) {
 		}
 		r.imgMu.Lock()
 		ki := r.joinImgs["key"]
-		wantBytes := 4*int64(2*r.Len()) + int64(ki.encs["a1"].CompressedBytes()) + 8*int64(len(ki.offsets))
+		wantBytes := 4*int64(2*r.Len()) + int64(ki.encs["a1"].CompressedBytes()) + 8*int64(len(ki.Offsets))
 		r.imgMu.Unlock()
 		if b := r.JoinImageBytes(); b != wantBytes {
 			t.Fatalf("%s: JoinImageBytes = %d, want %d (key hashes and r raw, a1 encoded, offsets)", r.Name, b, wantBytes)
@@ -610,6 +610,84 @@ func TestPaperModeBuildsNoJoinImage(t *testing.T) {
 	}
 }
 
+// TestJoinImageOneDuplicateKey: a join image's distinctness is checked,
+// never assumed. The benchmark's 1 Mi hit-rate-1 pair, whose smaller
+// image is Distinct, but with one smaller key written over by the key of
+// another smaller tuple — one the first larger tuple carries — so that
+// exactly one key is repeated: that image is not Distinct, every probe
+// walks its chain to the end, and the runtime u/u result is the serial
+// u/u run's, the larger tuples of the repeated key matched twice.
+func TestJoinImageOneDuplicateKey(t *testing.T) {
+	const pi = 2
+	n := 1 << 20
+	if raceEnabled {
+		n = 1 << 16
+	}
+	pr, err := workload.GenPair(workload.Params{N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	lk, sk := pr.Larger.Key(), pr.Smaller.Key()
+	keyed, err := NewRelation("smaller", Column{Name: "key", Values: slices.Clone(sk)},
+		Column{Name: "a1", Values: pr.Smaller.PayloadCol(1)}, Column{Name: "a2", Values: pr.Smaller.PayloadCol(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := lk[0]
+	i := (slices.Index(sk, dup) + 1) % n
+	gone := sk[i]
+	sk[i] = dup
+	larger, smaller := pairRelations(t, pr, pi)
+	want := n
+	for _, k := range lk {
+		if k == dup {
+			want++
+		} else if k == gone {
+			want--
+		}
+	}
+
+	for _, c := range []struct {
+		smaller  *Relation
+		distinct bool
+		rows     int
+	}{{keyed, true, n}, {smaller, false, want}} {
+		q := JoinQuery{
+			Larger: larger, Smaller: c.smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi), Strategy: DSMPostDecluster,
+			Parallelism: 2, Runtime: rt,
+		}
+		got, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(got.Plan, "methods=u/u") {
+			t.Fatalf("the runtime planned %s, want methods=u/u", got.Plan)
+		}
+		c.smaller.imgMu.Lock()
+		distinct := c.smaller.joinImgs["key"].Distinct
+		c.smaller.imgMu.Unlock()
+		tag := fmt.Sprintf("smaller side distinct=%v", c.distinct)
+		if distinct != c.distinct {
+			t.Fatalf("%s: the image's Distinct is %v", tag, distinct)
+		}
+		if got.N != c.rows {
+			t.Fatalf("%s: %d rows, the map count %d", tag, got.N, c.rows)
+		}
+		ref := q
+		ref.Parallelism, ref.Runtime = 0, nil
+		ref.LargerMethod, ref.SmallerMethod = UnsortedMethod, UnsortedMethod
+		wantRes, err := ProjectJoin(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, tag, got, wantRes)
+		got.Release()
+	}
+}
+
 // TestCompressedServicePhases pins the phases of the service's
 // compressed query shape (svc_engine_compressed: DSM post-projection,
 // u/u, CompressionOn, on a runtime): one phase, probe-fetch-images, in
@@ -716,7 +794,7 @@ func TestCompressedImageHighWater(t *testing.T) {
 	raw, comp := highWater(CompressionOff), highWater(CompressionOn)
 	widest := 0
 	for _, r := range []*Relation{larger, smaller} {
-		offs := r.joinImgs["key"].offsets
+		offs := r.joinImgs["key"].Offsets
 		for p := 0; p+1 < len(offs); p++ {
 			widest = max(widest, offs[p+1]-offs[p])
 		}

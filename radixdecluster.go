@@ -213,18 +213,18 @@ type Relation struct {
 
 // keyImage is one key column's join image, column-wise: the cluster
 // offsets and the key hashes of radix.KeyOffsets/PermuteHashes for the
-// radix field it was built for, image-order copies of the columns raw
-// plans projected from it (cols) and block-compressed encodings of the
-// image-order copies of the columns compressed plans projected (encs),
-// each added by the first query that needs it. An encs entry is nil when
-// the column's image-order copy did not shrink: that copy is then held
-// raw in cols and compressed plans read it there.
+// radix field it was built for and whether those hashes are distinct
+// (join.DistinctHashes, checked once at the build), image-order copies
+// of the columns raw plans projected from it (cols) and block-compressed
+// encodings of the image-order copies of the columns compressed plans
+// projected (encs), each added by the first query that needs it. An
+// encs entry is nil when the column's image-order copy did not shrink:
+// that copy is then held raw in cols and compressed plans read it there.
 type keyImage struct {
-	o       radix.Opts
-	offsets []int
-	hashes  []uint32
-	cols    map[string][]int32
-	encs    map[string]*compress.Encoded
+	join.Image
+	o    radix.Opts
+	cols map[string][]int32
+	encs map[string]*compress.Encoded
 }
 
 // RelationOption configures NewRelationOpts.
@@ -359,15 +359,16 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed
 		if err != nil {
 			return strategy.Image{}, err
 		}
-		ki = &keyImage{o: o, offsets: offsets, hashes: radix.PermuteHashes(keys, o, offsets),
-			cols: map[string][]int32{}, encs: map[string]*compress.Encoded{}}
+		ki = &keyImage{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offsets), Offsets: offsets},
+			o: o, cols: map[string][]int32{}, encs: map[string]*compress.Encoded{}}
+		ki.Distinct = join.DistinctHashes(&ki.Image, uint(o.Ignore+o.Bits))
 		builds = append(builds, build{"build-join-image", start, time.Now()})
 		if r.joinImgs == nil {
 			r.joinImgs = make(map[string]*keyImage)
 		}
 		r.joinImgs[key] = ki
 	}
-	img := strategy.Image{Image: join.Image{Hashes: ki.hashes, Offsets: ki.offsets}}
+	img := strategy.Image{Image: ki.Image}
 	img.Cols = make([][]int32, len(proj))
 	if compressed {
 		img.ColsEnc = make([]*compress.Encoded, len(proj))
@@ -388,7 +389,7 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed
 			if scratch == nil {
 				scratch = make([]int32, len(keys))
 			}
-			perm := radix.PermuteInto(scratch, keys, vals, o, ki.offsets)
+			perm := radix.PermuteInto(scratch, keys, vals, o, ki.Offsets)
 			if enc, err = compress.EncodeBest(perm); err != nil {
 				return strategy.Image{}, err
 			}
@@ -408,7 +409,7 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed
 		col := ki.cols[name]
 		if col == nil {
 			start := time.Now()
-			col = radix.Permute(keys, vals, o, ki.offsets)
+			col = radix.Permute(keys, vals, o, ki.Offsets)
 			ki.cols[name] = col
 			builds = append(builds, build{"build-image-column", start, time.Now()})
 		}
@@ -432,7 +433,7 @@ func (r *Relation) JoinImageBytes() int64 {
 	defer r.imgMu.Unlock()
 	var n int64
 	for _, ki := range r.joinImgs {
-		n += 4*int64(len(ki.hashes)) + 8*int64(len(ki.offsets))
+		n += 4*int64(len(ki.Hashes)) + 8*int64(len(ki.Offsets))
 		for _, col := range ki.cols {
 			n += 4 * int64(len(col))
 		}
