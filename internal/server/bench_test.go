@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 
@@ -77,6 +78,30 @@ func BenchmarkServeResult(b *testing.B) {
 		b.SetBytes(logical)
 		for i := 0; i < b.N; i++ {
 			s.streamBinary(&nullResponseWriter{}, req, res, wire.CompressAuto)
+		}
+	})
+	// The binary leg through a loopback socket and the decoder: the
+	// writes, flushes and reads a served answer pays, in-process.
+	b.Run("wire=binary-loopback", func(b *testing.B) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			s.streamBinary(w, req, res, wire.CompressOff)
+		}))
+		defer ts.Close()
+		b.ReportAllocs()
+		b.SetBytes(logical)
+		for i := 0; i < b.N; i++ {
+			resp, err := http.Get(ts.URL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := wire.Decode(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if d.Rows != res.N {
+				b.Fatalf("decoded %d rows of %d", d.Rows, res.N)
+			}
 		}
 	})
 }

@@ -4,19 +4,20 @@ package server
 // apply backpressure, execute on the shared runtime, and stream the
 // result in the negotiated encoding.
 //
-// Two encodings share one stream shape (header, row data in chunks of
-// Config.ChunkRows rows, footer) and one schema (wire.Header /
-// wire.Footer):
+// Two encodings share one stream shape (header, row data in chunks,
+// footer) and one schema (wire.Header / wire.Footer):
 //
-//   - NDJSON (the default): one header line, row-chunk lines, a
-//     footer line. Every chunk is flushed as it encodes, so transfer
-//     memory stays bounded by the chunk size and clients consume rows
-//     before the encode finishes.
+//   - NDJSON (the default): one header line, row-chunk lines of 8192
+//     rows, a footer line. Every chunk is flushed as it encodes, so
+//     transfer memory stays bounded by the chunk size and clients
+//     consume rows before the encode finishes.
 //   - Binary columnar (Accept: application/x-radix-columnar): the
-//     internal/wire frame stream. Column chunks are written straight
-//     from the result columns' memory — no per-value re-encoding, no
-//     per-row allocation — with encode scratch leased per request
-//     from the server's mempool arena and released on handler exit.
+//     internal/wire frame stream, in row bands whose column frames
+//     each carry binaryFrameBytes of values. Column chunks are
+//     written straight from the result columns' memory — no
+//     per-value re-encoding, no per-row allocation — with encode
+//     scratch leased per request from the server's mempool arena and
+//     released on handler exit.
 //     wireCompression=auto additionally block-compresses chunks that
 //     shrink, trading a little CPU for wire bytes the same way the
 //     engine trades it for bus bytes.
@@ -86,6 +87,16 @@ type (
 type queryChunk struct {
 	Rows [][]int32 `json:"rows"`
 }
+
+// binaryFrameBytes is the column values one binary column frame
+// carries by default (64 Ki rows of 4 bytes). A frame that fits an L2
+// cache lets the writer's CRC pass and the socket copy read the same
+// cache-resident bytes, and moves a result in few large writes: a
+// 16 MiB, 4-column answer is 66 frames, where 8192-row bands make 514.
+// On a 2 vCPU Xeon, 256 KiB frames streamed that answer no slower
+// than 128 KiB or 1 MiB ones, and 256 KiB also fits the declared
+// Pentium 4's 512 KB L2.
+const binaryFrameBytes = 256 << 10
 
 // maxParallelismPerWorker bounds a request's nominal parallelism to
 // this multiple of the runtime's worker count. Nominal parallelism
@@ -357,11 +368,8 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, req *QueryRequest, res *rd.
 	}
 
 	n := streamRows(req, res)
-	for lo := 0; lo < n; lo += s.cfg.ChunkRows {
-		hi := lo + s.cfg.ChunkRows
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < n; lo += s.ndjsonRows {
+		hi := min(lo+s.ndjsonRows, n)
 		chunk := queryChunk{Rows: make([][]int32, 0, hi-lo)}
 		for i := lo; i < hi; i++ {
 			row := make([]int32, len(res.Cols))
@@ -390,10 +398,11 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, req *QueryRequest, res *rd.
 }
 
 // streamBinary encodes res as a binary columnar frame stream: header
-// frame, column-chunk frames in row bands of Config.ChunkRows
-// (written straight from the result columns' memory, optionally
-// block-compressed per frame), footer frame. Encode scratch leases
-// from the server's arena for the life of the request.
+// frame, column-chunk frames in row bands of binaryFrameBytes/4 rows
+// or an explicit Config.ChunkRows (written straight from the result
+// columns' memory, optionally block-compressed per frame), footer
+// frame. Encode scratch leases from the server's arena for the life
+// of the request.
 func (s *Server) streamBinary(w http.ResponseWriter, req *QueryRequest, res *rd.Result, comp wire.Compression) {
 	s.resultsBinary.Add(1)
 	w.Header().Set("Content-Type", wire.ContentType)
@@ -415,11 +424,8 @@ func (s *Server) streamBinary(w http.ResponseWriter, req *QueryRequest, res *rd.
 	}
 
 	n := streamRows(req, res)
-	for lo := 0; lo < n; lo += s.cfg.ChunkRows {
-		hi := lo + s.cfg.ChunkRows
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < n; lo += s.binaryRows {
+		hi := min(lo+s.binaryRows, n)
 		for c := range res.Cols {
 			if err := bw.WriteColumn(c, lo, res.Cols[c][lo:hi]); err != nil {
 				s.abort(err)

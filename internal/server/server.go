@@ -61,8 +61,11 @@ type Config struct {
 	// that a misdirected bulk upload cannot balloon the daemon.
 	MaxBodyBytes int64
 	// ChunkRows is the number of result rows encoded and flushed per
-	// NDJSON chunk. <= 0 selects 8192 (~64 KiB chunks for a 2-column
-	// result).
+	// chunk, on both encodings: per NDJSON row-chunk line, and per
+	// binary row band (one column frame per column). <= 0 selects
+	// 8192 rows for NDJSON (~64 KiB chunks for a 2-column result) and
+	// 64 Ki rows for binary, so each column frame carries 256 KiB of
+	// values.
 	ChunkRows int
 }
 
@@ -99,6 +102,10 @@ type Server struct {
 	wireBytes     atomic.Int64
 	wireCompBytes atomic.Int64
 
+	// ndjsonRows and binaryRows are the row chunk of each encoding
+	// (Config.ChunkRows, or each encoding's default).
+	ndjsonRows, binaryRows int
+
 	// encPool backs per-request binary encode scratch: each streaming
 	// handler takes a lease, compressed frames encode into recycled
 	// size-classed buffers, and the lease releases on handler exit.
@@ -120,15 +127,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	if cfg.ChunkRows <= 0 {
-		cfg.ChunkRows = 8192
-	}
 	s := &Server{
-		cfg:     cfg,
-		start:   time.Now(),
-		rels:    make(map[string]*rd.Relation),
-		reg:     obs.NewRegistry(),
-		encPool: mempool.New(0),
+		cfg:        cfg,
+		start:      time.Now(),
+		rels:       make(map[string]*rd.Relation),
+		reg:        obs.NewRegistry(),
+		encPool:    mempool.New(0),
+		ndjsonRows: cfg.ChunkRows,
+		binaryRows: cfg.ChunkRows,
+	}
+	if cfg.ChunkRows <= 0 {
+		s.ndjsonRows, s.binaryRows = 8192, binaryFrameBytes/4
 	}
 	s.hm = obs.NewHTTPMetrics(s.reg, "radixdecluster_server")
 	s.reg.CounterFunc("radixdecluster_server_queries_accepted_total",

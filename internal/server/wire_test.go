@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -316,5 +318,50 @@ func TestDisconnectMidStreamReleasesResult(t *testing.T) {
 			t.Fatalf("%d goroutines, %d before the disconnect", runtime.NumGoroutine(), goroutines)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// The default binary response streams cache-sized column frames: a
+// result of N >= 256 Ki rows is header + footer + one frame per column
+// per band of binaryFrameBytes/4 rows, no column frame carries more
+// than binaryFrameBytes of values, and /v1/status counts the same
+// frames. 8192-row (32 KiB) frames fail it.
+func TestBinaryFrameShape(t *testing.T) {
+	if binaryFrameBytes < 256<<10 {
+		t.Fatalf("binaryFrameBytes = %d, below the 256 KiB a cache-sized frame starts at", binaryFrameBytes)
+	}
+	_, ts := newTestServer(t, rd.RuntimeConfig{Workers: 2, MaxConcurrentQueries: 2},
+		Config{}, 1<<18+1000, 2)
+	resp := postBinary(t, ts.URL, `{"larger":"larger","smaller":"smaller"}`)
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := wire.Decode(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	band := binaryFrameBytes / 4
+	want := int64(2 + len(d.Cols)*((d.Rows+band-1)/band))
+	if d.Rows < 256<<10 || d.Stats.Frames != want {
+		t.Fatalf("%d rows × %d columns in %d frames, want %d", d.Rows, len(d.Cols), d.Stats.Frames, want)
+	}
+	// Walk the envelopes (wire's stream layout: type, flags, uint32 LE
+	// payload length, CRC, then the payload; a column payload opens
+	// with a 12-byte prefix).
+	frames := int64(0)
+	for off := 0; off < len(stream); frames++ {
+		n := int(binary.LittleEndian.Uint32(stream[off+2:]))
+		if stream[off] == 'C' && n-12 > binaryFrameBytes {
+			t.Fatalf("column frame %d carries %d bytes of values, above %d", frames, n-12, binaryFrameBytes)
+		}
+		off += 10 + n
+	}
+	if frames != want {
+		t.Fatalf("walked %d frames, want %d", frames, want)
+	}
+	if st := getStatus(t, ts.URL); st.Server.WireFrames != want {
+		t.Fatalf("/v1/status wireFrames = %d, want %d", st.Server.WireFrames, want)
 	}
 }

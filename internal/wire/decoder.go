@@ -34,8 +34,16 @@ type Decoded struct {
 // that the footer's row count matches the rows received. Raw column
 // payloads are read directly into the reassembled columns' memory on
 // little-endian machines — the zero-copy path in reverse.
+//
+// Each column is sized once, at the header's N, when r reports the
+// bytes it still holds (a Len() int method, as *bytes.Reader and
+// *bytes.Buffer have) and those bytes could carry every column at N
+// rows raw. Otherwise a column's capacity doubles with the rows that
+// arrive, from 64 Ki rows and never past N. A header's N alone thus
+// never sizes an allocation: a lying header cannot make one larger
+// than the reader's bytes or the doubling's first step.
 func Decode(r io.Reader) (*Decoded, error) {
-	d := &decoder{r: r}
+	d := &decoder{r: r, firstCap: 1 << 16}
 	if err := d.run(); err != nil {
 		return nil, err
 	}
@@ -43,9 +51,14 @@ func Decode(r io.Reader) (*Decoded, error) {
 }
 
 type decoder struct {
-	r       io.Reader
-	out     Decoded
-	scratch []byte // compressed payloads and big-endian fallback reads
+	r        io.Reader
+	out      Decoded
+	scratch  []byte // compressed payloads and big-endian fallback reads
+	firstCap int    // a column's first capacity, before the cap at N
+	// env and prefix receive each frame's envelope and column prefix;
+	// as decoder fields they are not a heap allocation per frame.
+	env     [envelopeBytes]byte
+	prefix  [columnPrefixBytes]byte
 	sawHdr  bool
 	sawFoot bool
 }
@@ -81,8 +94,8 @@ func (d *decoder) run() error {
 
 // frame reads and dispatches one frame.
 func (d *decoder) frame() error {
-	var env [envelopeBytes]byte
-	if _, err := io.ReadFull(d.r, env[:]); err != nil {
+	env := d.env[:]
+	if _, err := io.ReadFull(d.r, env); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return fmt.Errorf("%w: truncated before footer", ErrCorrupt)
 		}
@@ -166,6 +179,10 @@ func (d *decoder) header(payload []byte) error {
 		return fmt.Errorf("%w: header n=%d ncols=%d", ErrCorrupt, h.N, len(h.Names))
 	}
 	d.out.Cols = make([][]int32, len(h.Names))
+	if r, ok := d.r.(interface{ Len() int }); ok && len(h.Names) > 0 &&
+		h.N <= r.Len()/4/len(h.Names) {
+		d.firstCap = h.N
+	}
 	d.sawHdr = true
 	return nil
 }
@@ -173,11 +190,11 @@ func (d *decoder) header(payload []byte) error {
 // column reads one chunk frame, growing the target column and reading
 // raw payloads straight into its memory.
 func (d *decoder) column(flags byte, n int, crc, want uint32) error {
-	var prefix [columnPrefixBytes]byte
-	if _, err := io.ReadFull(d.r, prefix[:]); err != nil {
+	prefix := d.prefix[:]
+	if _, err := io.ReadFull(d.r, prefix); err != nil {
 		return fmt.Errorf("%w: truncated column prefix", ErrCorrupt)
 	}
-	crc = crc32.Update(crc, castagnoli, prefix[:])
+	crc = crc32.Update(crc, castagnoli, prefix)
 	col := int(binary.LittleEndian.Uint16(prefix[0:]))
 	start := int(binary.LittleEndian.Uint32(prefix[4:]))
 	cnt := int(binary.LittleEndian.Uint32(prefix[8:]))
@@ -193,12 +210,13 @@ func (d *decoder) column(flags byte, n int, crc, want uint32) error {
 		return fmt.Errorf("%w: column %d chunk [%d,%d) exceeds n=%d",
 			ErrCorrupt, col, start, start+cnt, d.out.Header.N)
 	}
-	dst := d.grow(col, cnt)
-
+	// The row count is checked against the frame's bytes before the
+	// column grows, so a lying prefix cannot size the allocation.
 	if flags&flagCompressed == 0 {
 		if body != 4*cnt {
 			return fmt.Errorf("%w: raw chunk of %d rows carries %d bytes", ErrCorrupt, cnt, body)
 		}
+		dst := d.grow(col, cnt)
 		raw, err := d.readInto(dst)
 		if err != nil {
 			return err
@@ -225,7 +243,7 @@ func (d *decoder) column(flags byte, n int, crc, want uint32) error {
 		return fmt.Errorf("%w: compressed chunk decodes %d rows, prefix says %d",
 			ErrCorrupt, enc.Len(), cnt)
 	}
-	if err := enc.DecompressRangeInto(dst, 0, cnt); err != nil {
+	if err := enc.DecompressRangeInto(d.grow(col, cnt), 0, cnt); err != nil {
 		return fmt.Errorf("%w: column %d chunk: %v", ErrCorrupt, col, err)
 	}
 	d.out.Stats.CompressedFrames++
@@ -235,21 +253,13 @@ func (d *decoder) column(flags byte, n int, crc, want uint32) error {
 }
 
 // grow extends column col by cnt rows and returns the extension.
+// The caller has checked len+cnt <= Header.N, so capping the new
+// capacity at N still leaves room.
 func (d *decoder) grow(col, cnt int) []int32 {
 	c := d.out.Cols[col]
 	need := len(c) + cnt
 	if cap(c) < need {
-		// Size toward the declared cardinality, but bounded by actual
-		// arrivals (doubling), so a lying header cannot force a giant
-		// allocation up front.
-		newCap := max(2*need, 1<<16)
-		if newCap > d.out.Header.N {
-			newCap = d.out.Header.N
-		}
-		if newCap < need {
-			newCap = need
-		}
-		nc := make([]int32, len(c), newCap)
+		nc := make([]int32, len(c), min(max(2*need, d.firstCap), d.out.Header.N))
 		copy(nc, c)
 		c = nc
 	}

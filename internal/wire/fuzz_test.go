@@ -97,6 +97,7 @@ func FuzzWireDecodeRobust(f *testing.F) {
 	f.Add([]byte{'C', 1, 12, 0, 0, 0, 0, 0, 0, 0})     // chunk before header
 	f.Add([]byte{'X', 0, 0, 0, 0, 0, 0, 0, 0, 0})      // unknown type
 	f.Add([]byte{'H', 0, 255, 255, 255, 255, 0, 0, 0}) // giant length, truncated
+	f.Add(lyingStream(f, 64))                          // n = 1<<30, one tiny chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Decode(bytes.NewReader(data))
 		if err == nil && d == nil {

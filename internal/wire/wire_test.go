@@ -2,7 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -299,3 +305,167 @@ func TestRawEncodeZeroAlloc(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// A chunk whose frame payload passes the decoder's limit is refused
+// before anything is written: Decode would reject the frame, and past
+// 4 GiB its uint32 length field would wrap.
+func TestWriteColumnRejectsOversizedFrame(t *testing.T) {
+	// 12 prefix bytes + 4 per row is 4 bytes over the limit. The
+	// slice is never read, so its pages stay untouched.
+	big := make([]int32, (maxFrameBytes-columnPrefixBytes)/4+1)
+	var buf bytes.Buffer
+	w := NewWriter(&buf, nil, CompressOff)
+	if err := w.WriteHeader(Header{N: len(big), Names: names(1)}); err != nil {
+		t.Fatal(err)
+	}
+	before := buf.Len()
+	err := w.WriteColumn(0, 0, big)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized chunk: err = %v", err)
+	}
+	if buf.Len() != before || w.Stats().Frames != 1 {
+		t.Fatalf("oversized chunk wrote %d bytes, %d frames", buf.Len()-before, w.Stats().Frames)
+	}
+}
+
+// readerKinds are the two ways Decode meets its input: a reader that
+// reports the bytes it still holds, and a plain one that does not.
+var readerKinds = []struct {
+	name string
+	wrap func(*bytes.Reader) io.Reader
+}{
+	{"bytes.Reader", func(r *bytes.Reader) io.Reader { return r }},
+	{"plain", func(r *bytes.Reader) io.Reader { return struct{ io.Reader }{r} }},
+}
+
+// lyingStream is a stream whose header claims 1<<30 rows of ncols
+// columns and which then delivers one 4-row chunk and a footer.
+func lyingStream(tb testing.TB, ncols int) []byte {
+	tb.Helper()
+	nm := make([]string, ncols)
+	for i := range nm {
+		nm[i] = fmt.Sprint("c", i)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, nil, CompressOff)
+	if err := w.WriteHeader(Header{N: 1 << 30, Names: nm}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.WriteColumn(0, 0, []int32{1, 2, 3, 4}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.WriteFooter(Footer{RowsStreamed: 4}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A header's N sizes no allocation the stream cannot back with bytes:
+// through a reader that reports its length and through one that does
+// not, a lying header costs the stream's bytes plus the doubling
+// path's first capacity (64 Ki rows), not N × columns. Nor does a
+// chunk prefix that claims more rows than its frame carries.
+func TestDecodeAllocationBound(t *testing.T) {
+	header := lyingStream(t, 1024)
+	// The column frame follows the header frame; its prefix's row
+	// count sits 8 bytes into the prefix.
+	chunk := bytes.Clone(header)
+	cnt := envelopeBytes + int(binary.LittleEndian.Uint32(chunk[2:])) + envelopeBytes + 8
+	binary.LittleEndian.PutUint32(chunk[cnt:], 1<<29)
+	for _, stream := range []struct {
+		name  string
+		bytes []byte
+	}{{"lying header", header}, {"lying chunk", chunk}} {
+		// 256 KiB of first capacity, the rest for the header's decoded
+		// names and the column slice headers.
+		limit := uint64(len(stream.bytes)) + 512<<10
+		for _, reader := range readerKinds {
+			r := reader.wrap(bytes.NewReader(stream.bytes))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(r)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s via %s: err = %v, want ErrCorrupt", stream.name, reader.name, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+				t.Errorf("%s via %s: decoding %d bytes allocated %d, limit %d",
+					stream.name, reader.name, len(stream.bytes), got, limit)
+			}
+		}
+	}
+}
+
+// A stream read from memory decodes into one allocation per column:
+// 1 Mi rows × 4 columns cost the 16 MiB of columns, not the doubling
+// path's copies, at the server's band and at the old 8192-row band.
+// A plain reader decodes the same bytes by doubling.
+func TestDecodeSizesColumnsOnce(t *testing.T) {
+	if !isLittle {
+		t.Skip("raw payloads read straight into the columns on little-endian only")
+	}
+	const n, ncols = 1 << 20, 4
+	cols := testCols(n, ncols, false)
+	for _, band := range []int{8192, 1 << 16} {
+		stream, _ := encodeStream(t, cols, n, band, CompressOff, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := Decode(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		colBytes := uint64(4 * n * ncols)
+		if got := after.TotalAlloc - before.TotalAlloc; got > colBytes+colBytes/10 {
+			t.Errorf("band %d: decode allocated %d bytes for %d bytes of columns", band, got, colBytes)
+		}
+		plain, err := Decode(readerKinds[1].wrap(bytes.NewReader(stream)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range cols {
+			if cap(d.Cols[c]) != n || !slices.Equal(d.Cols[c], cols[c]) || !slices.Equal(plain.Cols[c], cols[c]) {
+				t.Fatalf("band %d: column %d differs (cap %d)", band, c, cap(d.Cols[c]))
+			}
+		}
+	}
+}
+
+// goldenCols is the content of testdata/v1-8192rows.rdxc: a smooth
+// column that CompressAuto block-compresses and a noise column it
+// keeps raw, 10 000 rows each.
+func goldenCols() (cols [][]int32, n, band int) {
+	const rows = 10_000
+	return [][]int32{testCols(rows, 1, true)[0], testCols(rows, 1, false)[0]}, rows, 8192
+}
+
+// The format is version 1 on both sides of the frame-size change.
+// testdata/v1-8192rows.rdxc was written by the writer that preceded it,
+// in the 8192-row bands the server then used: this decoder reads it
+// through either reader kind, and this writer reproduces it byte for
+// byte, so decoders that read those streams read this writer's.
+func TestFormatCompatibility(t *testing.T) {
+	golden, err := os.ReadFile("testdata/v1-8192rows.rdxc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, n, band := goldenCols()
+	for _, reader := range readerKinds {
+		d, err := Decode(reader.wrap(bytes.NewReader(golden)))
+		if err != nil {
+			t.Fatalf("%s: %v", reader.name, err)
+		}
+		if d.Rows != n || d.Stats.CompressedFrames == 0 || d.Stats.CompressedFrames == d.Stats.Frames-2 {
+			t.Fatalf("%s: rows %d, stats %+v; want both raw and compressed frames", reader.name, d.Rows, d.Stats)
+		}
+		for c := range cols {
+			if !slices.Equal(d.Cols[c], cols[c]) {
+				t.Fatalf("%s: golden column %d differs", reader.name, c)
+			}
+		}
+	}
+	stream, _ := encodeStream(t, cols, n, band, CompressAuto, nil)
+	if !bytes.Equal(stream, golden) {
+		t.Fatalf("writer emits %d bytes that differ from the %d golden v1 bytes", len(stream), len(golden))
+	}
+}

@@ -44,8 +44,13 @@ func NewWriter(w io.Writer, lease *mempool.Lease, comp Compression) *Writer {
 func (w *Writer) Stats() Stats { return w.st }
 
 // writeFrame emits one frame: envelope (with CRC over its head and
-// every payload part) followed by the parts.
+// every payload part) followed by the parts. A payload past
+// maxFrameBytes is refused: Decode would reject it, and past 4 GiB
+// its uint32 length field would wrap.
 func (w *Writer) writeFrame(typ, flags byte, headLen int, body []byte) error {
+	if n := headLen + len(body); n > maxFrameBytes {
+		return fmt.Errorf("wire: frame payload of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
+	}
 	head := w.env[:envelopeBytes+headLen]
 	head[0] = typ
 	head[1] = flags
@@ -93,7 +98,9 @@ func (w *Writer) WriteHeader(h Header) error {
 // [rowStart, rowStart+len(values)) of column col. Under CompressAuto
 // the chunk is block-compressed when the encoded form is at least one
 // eighth smaller than raw; otherwise the payload is the caller's
-// slice memory written directly.
+// slice memory written directly. A chunk whose frame payload would
+// exceed the decoder's frame limit (256 MiB) is an error: band the
+// column into smaller chunks.
 func (w *Writer) WriteColumn(col, rowStart int, values []int32) error {
 	if !w.wroteHeader {
 		return fmt.Errorf("wire: WriteColumn before WriteHeader")
