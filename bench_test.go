@@ -139,10 +139,11 @@ func benchPairs(b *testing.B) ([]OID, []int32) {
 
 func BenchmarkRadixClusterSinglePass(b *testing.B) {
 	heads, keys := benchPairs(b)
+	buf := [2][]uint64{make([]uint64, benchN)}
 	b.SetBytes(benchN * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := radix.ClusterBUNs(heads, keys, radix.Opts{Bits: 12}); err != nil {
+		if _, err := radix.ClusterBUNsInto(buf, heads, keys, radix.Opts{Bits: 12}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,10 +151,11 @@ func BenchmarkRadixClusterSinglePass(b *testing.B) {
 
 func BenchmarkRadixClusterTwoPass(b *testing.B) {
 	heads, keys := benchPairs(b)
+	buf := [2][]uint64{make([]uint64, benchN), make([]uint64, benchN)}
 	b.SetBytes(benchN * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := radix.ClusterBUNs(heads, keys, radix.Opts{Bits: 12, Passes: []int{6, 6}}); err != nil {
+		if _, err := radix.ClusterBUNsInto(buf, heads, keys, radix.Opts{Bits: 12, Passes: []int{6, 6}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +169,7 @@ func BenchmarkRadixClusterTwoPass(b *testing.B) {
 // Mtuples/s. ClusterPairs clusters a join input — since the engines
 // do that into BUNs, through ClusterBUNs.
 func benchCluster(b *testing.B, fanouts []int, op func(e *exec.Engine, o radix.Opts) error) {
-	rt := exec.NewRuntime(2, 0)
+	rt := exec.NewRuntimeOpts(exec.Options{Workers: 2})
 	defer rt.Close()
 	for _, workers := range []int{0, 2} {
 		name := "serial"
@@ -249,11 +251,11 @@ func BenchmarkProbeBUNs(b *testing.B) {
 		bits int
 	}{{"part=1Ki", 10}, {"part=16Ki", 6}} {
 		o := radix.Opts{Bits: c.bits}
-		cl, err := radix.ClusterBUNs(lo, lk, o)
+		cl, err := radix.ClusterBUNsInto([2][]uint64{make([]uint64, len(lk))}, lo, lk, o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cs, err := radix.ClusterBUNs(so, sk, o)
+		cs, err := radix.ClusterBUNsInto([2][]uint64{make([]uint64, len(sk))}, so, sk, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -343,7 +345,7 @@ func BenchmarkDecodeImageOrder(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		vals []int32
-	}{{"order=base", col}, {"order=image", radix.Permute(keys, col, o, offs)}} {
+	}{{"order=base", col}, {"order=image", radix.PermuteInto(make([]int32, len(keys)), keys, col, o, offs)}} {
 		enc, err := compress.EncodeBest(c.vals)
 		if err != nil {
 			b.Fatal(err)
@@ -386,7 +388,12 @@ func BenchmarkHashJoinPartitioned(b *testing.B) {
 	b.SetBytes(benchN * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := join.Partitioned(lo, lk, so, sk, radix.Opts{Bits: bits}); err != nil {
+		// The serial paper engine, on buffers leased from the arena and
+		// handed back at Close, as a query's pipeline does.
+		e := exec.NewEngine(nil, 0)
+		_, err := e.PartitionedJoin(lo, lk, so, sk, radix.Opts{Bits: bits})
+		e.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -408,10 +415,11 @@ func benchPosJoinOIDs(b *testing.B) ([]OID, []int32) {
 
 func BenchmarkPosJoinUnsorted(b *testing.B) {
 	oids, col := benchPosJoinOIDs(b)
+	out := make([]int32, benchN)
 	b.SetBytes(benchN * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := posjoin.Unsorted(col, oids); err != nil {
+		if err := posjoin.FetchInto(out, col, oids); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -430,10 +438,11 @@ func BenchmarkPosJoinClustered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	out := make([]int32, benchN)
 	b.SetBytes(benchN * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := posjoin.Clustered(col, cl.Key, cl.Borders()); err != nil {
+		if err := posjoin.ClusteredInto(out, col, cl.Key, cl.Borders()); err != nil {
 			b.Fatal(err)
 		}
 	}

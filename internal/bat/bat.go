@@ -11,11 +11,12 @@
 // BATs with two materialised columns.
 //
 // This package keeps the same model with Go slices: a Column is the
-// tail array of a [void,value] BAT, an OIDColumn is the tail of a
-// [void,oid] BAT, and Pairs is a materialised [oid,oid] BAT. The
-// mark() operator of the paper — replace the head of a BAT by a fresh
-// densely ascending oid sequence — is the Mark* family below; because
-// void heads are virtual, marking is O(1) and returns views.
+// tail array of a [void,value] BAT, and an []OID is the tail of a
+// [void,oid] BAT. A join-index is two such tails of equal length
+// (join.Index). The mark() operator of the paper — replace the head of
+// a BAT by a fresh densely ascending oid sequence — is free: void heads
+// are virtual, so a marked column is the tail slice itself, and Dense
+// materialises a void head for the operators that read one.
 package bat
 
 import (
@@ -48,52 +49,6 @@ func NewColumn(name string, values []int32) *Column {
 
 // Len returns the number of tuples.
 func (c *Column) Len() int { return len(c.Values) }
-
-// OIDColumn is the tail of a [void,oid] BAT: positions map to oids
-// that point into some other table. JOIN_LARGER, CLUST_RESULT and
-// CLUST_SMALLER in the paper's Figures 3 and 4 are of this shape.
-type OIDColumn struct {
-	Name string
-	OIDs []OID
-}
-
-// Len returns the number of entries.
-func (c *OIDColumn) Len() int { return len(c.OIDs) }
-
-// Pairs is a materialised [oid,oid] BAT, e.g. a join-index of
-// [larger-oid, smaller-oid] matches (paper §3, [Val87]).
-type Pairs struct {
-	Left  []OID
-	Right []OID
-}
-
-// NewPairs wraps two equally long oid slices.
-func NewPairs(left, right []OID) (*Pairs, error) {
-	if len(left) != len(right) {
-		return nil, fmt.Errorf("bat: pair columns differ in length: %d vs %d", len(left), len(right))
-	}
-	return &Pairs{Left: left, Right: right}, nil
-}
-
-// Len returns the number of pairs.
-func (p *Pairs) Len() int { return len(p.Left) }
-
-// Clone returns a deep copy.
-func (p *Pairs) Clone() *Pairs {
-	l := make([]OID, len(p.Left))
-	r := make([]OID, len(p.Right))
-	copy(l, p.Left)
-	copy(r, p.Right)
-	return &Pairs{Left: l, Right: r}
-}
-
-// MarkLeft is the paper's mark() applied after reordering a join-index:
-// it returns the [void,oid] view whose tail is the left column. The
-// fresh densely ascending head is virtual, so this is O(1).
-func (p *Pairs) MarkLeft(name string) *OIDColumn { return &OIDColumn{Name: name, OIDs: p.Left} }
-
-// MarkRight returns the [void,oid] view over the right column.
-func (p *Pairs) MarkRight(name string) *OIDColumn { return &OIDColumn{Name: name, OIDs: p.Right} }
 
 // denseSlab backs Dense: one process-wide materialisation of the void
 // head, replaced by a longer one when a caller asks past its end.
@@ -135,16 +90,6 @@ func Dense(n int) []OID {
 	}
 	denseSlab.oids.Store(&s)
 	return s[:n:n]
-}
-
-// IsDense reports whether oids form the dense sequence base,base+1,...
-func IsDense(oids []OID, base OID) bool {
-	for i, o := range oids {
-		if o != base+OID(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // IsPermutation reports whether oids is a permutation of [0,len).
@@ -244,6 +189,3 @@ func (c *VarColumn) At(o OID) []byte { return c.Heap[c.Offsets[o]:c.Offsets[o+1]
 
 // Size returns the byte length of entry o.
 func (c *VarColumn) Size(o OID) int { return int(c.Offsets[o+1] - c.Offsets[o]) }
-
-// StringAt returns entry o as a string (copies).
-func (c *VarColumn) StringAt(o OID) string { return string(c.At(o)) }

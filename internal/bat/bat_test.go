@@ -17,43 +17,14 @@ func TestColumnBasics(t *testing.T) {
 	}
 }
 
-func TestNewPairsLengthMismatch(t *testing.T) {
-	if _, err := NewPairs([]OID{1, 2}, []OID{1}); err == nil {
-		t.Fatal("expected error for mismatched pair lengths")
+// ascending reports whether oids are 0,1,...,len-1.
+func ascending(oids []OID) bool {
+	for i, o := range oids {
+		if o != OID(i) {
+			return false
+		}
 	}
-}
-
-func TestPairsMarkViews(t *testing.T) {
-	p, err := NewPairs([]OID{5, 6}, []OID{7, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, r := p.MarkLeft("l"), p.MarkRight("r")
-	if l.OIDs[0] != 5 || r.OIDs[1] != 8 {
-		t.Fatalf("mark views wrong: %v %v", l.OIDs, r.OIDs)
-	}
-	// mark() returns views: mutating the pair must show through.
-	p.Left[0] = 100
-	if l.OIDs[0] != 100 {
-		t.Fatal("MarkLeft is not a view")
-	}
-	cl := p.Clone()
-	cl.Left[0] = 0
-	if p.Left[0] != 100 {
-		t.Fatal("Clone aliases original storage")
-	}
-}
-
-func TestIsDense(t *testing.T) {
-	if !IsDense([]OID{3, 4, 5}, 3) {
-		t.Fatal("3,4,5 base 3 should be dense")
-	}
-	if IsDense([]OID{3, 5}, 3) {
-		t.Fatal("3,5 should not be dense")
-	}
-	if !IsDense(nil, 0) {
-		t.Fatal("empty sequence is dense")
-	}
+	return true
 }
 
 // Dense views must read 0..n-1 at every size, survive the slab growing
@@ -71,14 +42,14 @@ func TestDense(t *testing.T) {
 			defer wg.Done()
 			for _, n := range []int{1, 1000, 1 << 12, 1<<16 + g} {
 				v := Dense(n)
-				if len(v) != n || cap(v) != n || !IsDense(v, 0) {
-					t.Errorf("Dense(%d): len %d cap %d dense %v", n, len(v), cap(v), IsDense(v, 0))
+				if len(v) != n || cap(v) != n || !ascending(v) {
+					t.Errorf("Dense(%d): len %d cap %d dense %v", n, len(v), cap(v), ascending(v))
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if !IsDense(small, 0) || len(small) != 5 {
+	if !ascending(small) || len(small) != 5 {
 		t.Fatalf("a view taken before the slab grew reads %v", small)
 	}
 	grown := append(small, 99)
@@ -165,16 +136,16 @@ func TestVarColumn(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", c.Len())
 	}
-	if got := c.StringAt(0); got != "fast" {
+	if got := string(c.At(0)); got != "fast" {
 		t.Fatalf("At(0) = %q", got)
 	}
-	if got := c.StringAt(1); got != "" {
+	if got := string(c.At(1)); got != "" {
 		t.Fatalf("At(1) = %q, want empty", got)
 	}
 	if got := c.Size(2); got != len("hashing") {
 		t.Fatalf("Size(2) = %d", got)
 	}
-	if got := c.StringAt(3); got != "great" {
+	if got := string(c.At(3)); got != "great" {
 		t.Fatalf("At(3) = %q", got)
 	}
 }

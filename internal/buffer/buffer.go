@@ -53,8 +53,6 @@ type Page struct {
 	used int
 }
 
-func (p *Page) capacity() int { return len(p.Buf) - HeaderSize }
-
 // setSlot stores the data-area offset of record slot s.
 func (p *Page) setSlot(s int, off int) {
 	pos := len(p.Buf) - (s+1)*slotSize

@@ -41,7 +41,7 @@ type OID = bat.OID
 // Decluster is the Figure-6 algorithm. values holds the projection
 // column in clustered order (CLUST_VALUES), ids the final result
 // position of each tuple (CLUST_RESULT), borders the cluster extents
-// (CLUST_BORDERS, from radix.Count or the clustering itself), and
+// (CLUST_BORDERS, the clustering's offsets as borders), and
 // windowTuples the insertion-window size |W| in tuples (see
 // PlanWindow). It returns the column in result order.
 //
@@ -59,20 +59,6 @@ func Decluster[T any](values []T, ids []OID, borders []bat.Border, windowTuples 
 	return result, nil
 }
 
-// DeclusterRowsInto is Decluster for row-major records of the given
-// width (tuple i occupies values[i*width:(i+1)*width]) writing into a
-// caller-provided row-major buffer of outWidth-wide records at field
-// offset outOff: tuple with result position p lands in
-// out[p*outWidth+outOff : p*outWidth+outOff+width]. This lets the NSM
-// post-projection strategy decluster the smaller side's fields straight
-// into the combined result records, without an extra copy pass.
-func DeclusterRowsInto(out []int32, outWidth, outOff int, values []int32, width int, ids []OID, borders []bat.Border, windowTuples int) error {
-	if err := CheckDeclusterRows(out, outWidth, outOff, values, width, ids, borders, windowTuples); err != nil {
-		return err
-	}
-	return DeclusterRowsKernel(out, outWidth, outOff, values, width, ids, borders, windowTuples, make([]int, 2*len(borders)))
-}
-
 // CheckDecluster is the one input check of a Radix-Decluster over n
 // values, serial or parallel: one id per value, a window of at least
 // one tuple, and borders that tile [0,n).
@@ -86,9 +72,10 @@ func CheckDecluster(n int, ids []OID, borders []bat.Border, windowTuples int) er
 	return bat.ValidateBorders(borders, n)
 }
 
-// CheckDeclusterRows is CheckDecluster for DeclusterRowsInto's
-// arguments: whole records of width, one id per record, and an out of
-// one outWidth-wide record per id with room for width fields at outOff.
+// CheckDeclusterRows is CheckDecluster for the row variant of
+// Radix-Decluster (DeclusterRowsKernel): whole records of width, one id
+// per record, and an out of one outWidth-wide record per id with room
+// for width fields at outOff.
 func CheckDeclusterRows(out []int32, outWidth, outOff int, values []int32, width int, ids []OID, borders []bat.Border, windowTuples int) error {
 	if width <= 0 || len(values)%width != 0 {
 		return fmt.Errorf("core: DeclusterRowsInto: %d values not a multiple of width %d", len(values), width)
@@ -163,12 +150,14 @@ func DeclusterKernel[T any](result, values []T, ids []OID, borders []bat.Border,
 	return nil
 }
 
-// DeclusterRowsKernel is DeclusterKernel for row-major records: the
-// width fields of clustered tuple i land in out's record ids[i] (of
-// outWidth fields) at field offset outOff. Inputs are
-// CheckDeclusterRows'. The loop is DeclusterKernel's, kept specialised
-// rather than run through DeclusterFunc: the per-tuple closure call
-// measured about 1.6× slower.
+// DeclusterRowsKernel is DeclusterKernel for row-major records (tuple i
+// occupies values[i*width:(i+1)*width]): the width fields of clustered
+// tuple i land in out's record ids[i] (of outWidth fields) at field
+// offset outOff, so the NSM post-projection strategy declusters the
+// smaller side's fields straight into the combined result records,
+// without an extra copy pass. Inputs are CheckDeclusterRows'. The loop
+// is DeclusterKernel's, kept specialised rather than run through
+// DeclusterFunc: the per-tuple closure call measured about 1.6× slower.
 func DeclusterRowsKernel(out []int32, outWidth, outOff int, values []int32, width int, ids []OID, borders []bat.Border, windowTuples int, cur []int) error {
 	n := len(ids)
 	m, windowLimit := openCursors(cur, ids, borders, windowTuples)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -300,7 +301,10 @@ func TestDeclusterRows(t *testing.T) {
 		}
 	}
 	got := make([]int32, len(rows))
-	if err := DeclusterRowsInto(got, w, 0, rows, w, cl.ResultPos, cl.Borders, 64); err != nil {
+	if err := CheckDeclusterRows(got, w, 0, rows, w, cl.ResultPos, cl.Borders, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := DeclusterRowsKernel(got, w, 0, rows, w, cl.ResultPos, cl.Borders, 64, make([]int, 2*len(cl.Borders))); err != nil {
 		t.Fatal(err)
 	}
 	for i, pos := range cl.ResultPos {
@@ -310,10 +314,10 @@ func TestDeclusterRows(t *testing.T) {
 			}
 		}
 	}
-	if err := DeclusterRowsInto(got, w, 0, rows[:10], w, cl.ResultPos, cl.Borders, 64); err == nil {
+	if err := CheckDeclusterRows(got, w, 0, rows[:10], w, cl.ResultPos, cl.Borders, 64); err == nil {
 		t.Fatal("ragged rows not rejected")
 	}
-	if err := DeclusterRowsInto(got, w, 0, rows, 0, cl.ResultPos, cl.Borders, 64); err == nil {
+	if err := CheckDeclusterRows(got, w, 0, rows, 0, cl.ResultPos, cl.Borders, 64); err == nil {
 		t.Fatal("zero width not rejected")
 	}
 }
@@ -328,7 +332,12 @@ func TestDeclusterRowsInto(t *testing.T) {
 		rows[i*w+1] = int32(o) + 1
 	}
 	out := make([]int32, 256*outW)
-	if err := DeclusterRowsInto(out, outW, outOff, rows, w, cl.ResultPos, cl.Borders, 32); err != nil {
+	if err := CheckDeclusterRows(out, outW, outOff, rows, w, cl.ResultPos, cl.Borders, 32); err != nil {
+		t.Fatal(err)
+	}
+	// A dirty cursor array serves: the kernel opens every cursor.
+	cur := slices.Repeat([]int{-1}, 2*len(cl.Borders))
+	if err := DeclusterRowsKernel(out, outW, outOff, rows, w, cl.ResultPos, cl.Borders, 32, cur); err != nil {
 		t.Fatal(err)
 	}
 	for i, pos := range cl.ResultPos {
@@ -344,25 +353,25 @@ func TestDeclusterRowsInto(t *testing.T) {
 			}
 		}
 	}
-	if err := DeclusterRowsInto(out, outW, 4, rows, w, cl.ResultPos, cl.Borders, 32); err == nil {
+	if err := CheckDeclusterRows(out, outW, 4, rows, w, cl.ResultPos, cl.Borders, 32); err == nil {
 		t.Fatal("fields outside record width not rejected")
 	}
-	if err := DeclusterRowsInto(out[:10], outW, 0, rows, w, cl.ResultPos, cl.Borders, 32); err == nil {
+	if err := CheckDeclusterRows(out[:10], outW, 0, rows, w, cl.ResultPos, cl.Borders, 32); err == nil {
 		t.Fatal("short output not rejected")
 	}
-	if err := DeclusterRowsInto(out, outW, 0, rows[:6], w, cl.ResultPos, cl.Borders, 32); err == nil {
+	if err := CheckDeclusterRows(out, outW, 0, rows[:6], w, cl.ResultPos, cl.Borders, 32); err == nil {
 		t.Fatal("record/id count mismatch not rejected")
 	}
-	if err := DeclusterRowsInto(out, outW, 0, rows[:5], w, cl.ResultPos, cl.Borders, 32); err == nil {
+	if err := CheckDeclusterRows(out, outW, 0, rows[:5], w, cl.ResultPos, cl.Borders, 32); err == nil {
 		t.Fatal("ragged rows not rejected")
 	}
-	if err := DeclusterRowsInto(out, outW, 0, rows, 0, cl.ResultPos, cl.Borders, 32); err == nil {
+	if err := CheckDeclusterRows(out, outW, 0, rows, 0, cl.ResultPos, cl.Borders, 32); err == nil {
 		t.Fatal("zero width not rejected")
 	}
-	if err := DeclusterRowsInto(out, outW, 0, rows, w, cl.ResultPos, cl.Borders, 0); err == nil {
+	if err := CheckDeclusterRows(out, outW, 0, rows, w, cl.ResultPos, cl.Borders, 0); err == nil {
 		t.Fatal("zero window not rejected")
 	}
-	if err := DeclusterRowsInto(out, outW, 0, rows, w, cl.ResultPos, cl.Borders[1:], 32); err == nil {
+	if err := CheckDeclusterRows(out, outW, 0, rows, w, cl.ResultPos, cl.Borders[1:], 32); err == nil {
 		t.Fatal("borders not covering the input not rejected")
 	}
 }

@@ -66,11 +66,11 @@ const (
 	MinParallelN = 1 << 14
 )
 
-// ClusterBUNs is the parallel equivalent of radix.ClusterBUNs: it
-// radix-clusters an [oid,value] BAT — a join input — on the hash of its
-// value column and produces the identical BUN arrangement (each value
-// carried as its hash) and offsets, in leased buffers (one per level;
-// the one the result does not live in goes straight back).
+// ClusterBUNs radix-clusters an [oid,value] BAT — a join input — on the
+// hash of its value column: serially radix.ClusterBUNsInto, else the
+// chunked count-then-scatter producing the identical BUN arrangement
+// (each value carried as its hash) and offsets, in leased buffers (one
+// per level; the one the result does not live in goes straight back).
 func (e *Engine) ClusterBUNs(heads []OID, vals []int32, o radix.Opts) (*radix.BUNsResult, error) {
 	if e.serial(len(heads)) || !scatterable(o.Bits) {
 		buf := leaseBufs[uint64](e, len(vals), o)

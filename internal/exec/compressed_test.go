@@ -61,7 +61,7 @@ func withEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	}
 	// The leg keeps the subtest name it had when this runtime shared
 	// scans: the tier-1 floor list is keyed by it.
-	other := NewRuntime(2, 2)
+	other := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 2})
 	defer other.Close()
 	oe := NewEngine(other, 2)
 	defer oe.Close()

@@ -81,6 +81,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"radixdecluster/internal/hash"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
@@ -153,7 +154,7 @@ func NewEngine(rt *Runtime, workers int) *Engine {
 	if workers <= 0 {
 		return &Engine{}
 	}
-	return &Engine{workers: workers, rt: rt, affSeed: mix64(rt.seedSeq.Add(1))}
+	return &Engine{workers: workers, rt: rt, affSeed: hash.Mix64(rt.seedSeq.Add(1))}
 }
 
 // Workers returns the nominal worker count (the per-query parallelism,

@@ -42,9 +42,20 @@ var workerCounts = []int{1, 2, 3, 4, 8}
 // testRuntime returns a 2-worker runtime that is closed with the test.
 func testRuntime(t testing.TB) *Runtime {
 	t.Helper()
-	rt := NewRuntime(2, 0)
+	rt := NewRuntimeOpts(Options{Workers: 2})
 	t.Cleanup(rt.Close)
 	return rt
+}
+
+// serialEngine is the serial paper engine, the equivalence tests'
+// reference: it runs the substrate's caller-buffer forms on leased
+// buffers. It is closed with the test, so its results stay readable
+// until then.
+func serialEngine(t testing.TB) *Engine {
+	t.Helper()
+	e := NewEngine(nil, 0)
+	t.Cleanup(e.Close)
+	return e
 }
 
 // withLeases runs f on a fresh lease per nominal worker count (the
@@ -116,8 +127,9 @@ func TestChunksTile(t *testing.T) {
 }
 
 // TestClusterBUNsMatchesSerial checks byte-identity of the parallel
-// join-input clustering against internal/radix across bit widths
-// (including the two-level B > maxFirstPassBits path) and skew.
+// join-input clustering against the serial engine's
+// (radix.ClusterBUNsInto) across bit widths (including the two-level
+// B > maxFirstPassBits path) and skew.
 func TestClusterBUNsMatchesSerial(t *testing.T) {
 	heads := randOIDs(1, testN, testN)
 	for _, skewed := range []bool{false, true} {
@@ -129,7 +141,7 @@ func TestClusterBUNsMatchesSerial(t *testing.T) {
 			{Bits: 14}, // two-level parallel path
 			{Bits: 17, Passes: []int{9, 8}},
 		} {
-			want, err := radix.ClusterBUNs(heads, vals, o)
+			want, err := serialEngine(t).ClusterBUNs(heads, vals, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +212,7 @@ func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) *Image {
 		t.Fatal(err)
 	}
 	col := make([]int32, len(oids))
-	for i, oid := range radix.Permute(keys, oids, o, offs) {
+	for i, oid := range radix.PermuteInto(make([]OID, len(keys)), keys, oids, o, offs) {
 		col[i] = int32(oid)
 	}
 	return &Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, Cols: [][]int32{col}}
@@ -215,7 +227,7 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 		sk := make([]int32, n/2)
 		copy(sk, lk[:n/2]) // guarantee matches
 		for _, o := range []radix.Opts{{Bits: 0}, {Bits: 6}, {Bits: 13}} {
-			want, err := join.Partitioned(lo, lk, so, sk, o)
+			want, err := serialEngine(t).PartitionedJoin(lo, lk, so, sk, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,22 +264,26 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 }
 
 // TestFetchManyMatchesSerial holds the one fetch operator to the
-// paper's posjoin.FetchMany on every engine.
+// paper's posjoin.FetchInto, column by column, on every engine.
 func TestFetchManyMatchesSerial(t *testing.T) {
 	oids := randOIDs(10, testN, testN)
 	cols := make([][]int32, 3)
+	want := make([][]int32, len(cols))
 	for c := range cols {
 		cols[c] = randVals(uint64(11+c), testN, false)
-	}
-	want, err := posjoin.FetchMany(cols, oids)
-	if err != nil {
-		t.Fatal(err)
+		want[c] = make([]int32, testN)
+		if err := posjoin.FetchInto(want[c], cols[c], oids); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Out-of-range oids must surface the serial error.
 	bad := make([]OID, testN)
 	copy(bad, oids)
 	bad[testN-1] = OID(testN + 5)
-	_, wantErr := posjoin.FetchMany(cols, bad)
+	_, wantErr := serialEngine(t).FetchMany(cols, bad)
+	if wantErr == nil {
+		t.Fatal("serial engine accepted an out-of-range oid")
+	}
 	withEngines(t, func(t *testing.T, e *Engine) {
 		got, err := e.FetchMany(cols, oids)
 		if err != nil {
@@ -294,15 +310,15 @@ func clusteredFixture(t *testing.T, bits int) (*core.Clustered, []int32, []int32
 		t.Fatal(err)
 	}
 	col := randVals(13, testN, false)
-	clustered, err := posjoin.Clustered(col, cl.SmallerOIDs, cl.Borders)
-	if err != nil {
+	clustered := make([]int32, testN)
+	if err := posjoin.ClusteredInto(clustered, col, cl.SmallerOIDs, cl.Borders); err != nil {
 		t.Fatal(err)
 	}
 	return cl, col, clustered
 }
 
 // TestClusteredMatchesSerial holds the one clustered fetch to
-// posjoin.Clustered on every engine.
+// posjoin.ClusteredInto on every engine.
 func TestClusteredMatchesSerial(t *testing.T) {
 	cl, col, want := clusteredFixture(t, 8)
 	withEngines(t, func(t *testing.T, e *Engine) {

@@ -42,7 +42,7 @@ func FuzzFetchImage(f *testing.F) {
 	f.Add(uint64(10), uint32(2*MinParallelN-100), uint8(6), uint8(6), uint8(0o25), uint16(0))
 	f.Add(uint64(11), uint32(MinParallelN+77), uint8(10), uint8(7), uint8(0o77), uint16(0))
 	f.Add(uint64(12), uint32(3*MinParallelN/2), uint8(2), uint8(8), uint8(0o41), uint16(30))
-	rt := NewRuntime(2, 0)
+	rt := NewRuntimeOpts(Options{Workers: 2})
 	f.Cleanup(rt.Close)
 	f.Fuzz(func(t *testing.T, seed uint64, size uint32, bits8, shape8, mix8 uint8, corrupt uint16) {
 		n := int(size % (2*MinParallelN + 1))
@@ -144,7 +144,7 @@ func FuzzProbeFetchImages(f *testing.F) {
 	// Key-FK past a smaller duplicate no larger key finds: in place after
 	// the full chain walk and the match-by-match test.
 	f.Add(uint64(19), uint32(2*MinParallelN), uint8(6), uint8(15), uint8(0o00), uint16(0))
-	rt := NewRuntime(2, 0)
+	rt := NewRuntimeOpts(Options{Workers: 2})
 	f.Cleanup(rt.Close)
 	f.Fuzz(func(t *testing.T, seed uint64, size uint32, bits8, shape8, mix8 uint8, corrupt uint16) {
 		n := int(size % (2*MinParallelN + 1))

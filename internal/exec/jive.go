@@ -19,10 +19,9 @@ import (
 	"radixdecluster/internal/nsm"
 )
 
-// JiveLeft is the left Jive phase, the parallel equivalent of
-// jive.LeftRows: the left-phase merge of the sorted join-index with the
-// left relation, fanning out into 2^bits clusters, chunked over
-// join-index ranges. Its three arrays are intermediates the right
+// JiveLeft is the left Jive phase: the left-phase merge of the sorted
+// join-index with the left relation, fanning out into 2^bits clusters —
+// serially jive.LeftRowsInto, else chunked over join-index ranges. Its three arrays are intermediates the right
 // phase and the result assembly read, and leased.
 func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int) (*jive.LeftRowsResult, error) {
 	n := ji.Len()
@@ -78,11 +77,10 @@ func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, ri
 	return out, nil
 }
 
-// JiveRight is the right Jive phase, the parallel equivalent of
-// jive.RightRows: cluster groups are morsels, each sorting its
-// clusters' oids and writing the projected right fields into its own
-// disjoint result ranges of a leased relation (the result assembly
-// reads it).
+// JiveRight is the right Jive phase — serially jive.RightRowsInto, else
+// cluster groups as morsels, each sorting its clusters' oids and
+// writing the projected right fields into its own disjoint result
+// ranges of a leased relation (the result assembly reads it).
 func (e *Engine) JiveRight(lr *jive.LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
 	n := len(lr.RightOIDs)
 	out := e.leasedRelation(right.Name+"_proj", n, len(rightCols))

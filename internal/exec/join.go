@@ -7,8 +7,8 @@ package exec
 // queue (skewed partitions simply occupy a worker longer while the
 // others drain the queue), collect per-partition match lists, and the
 // lists are stitched into the join-index in partition order — the
-// exact order the serial loop in join.PartitionedPreclustered appends
-// them, so the resulting join-index is byte-identical.
+// exact order the serial loop in join.PartitionedPreclusteredInto
+// appends them, so the resulting join-index is byte-identical.
 //
 // PartitionedJoin clusters both inputs per query; ProjectImages probes
 // join images, clustered once for many queries, with the same morsels
@@ -23,11 +23,11 @@ import (
 	"radixdecluster/internal/radix"
 )
 
-// PartitionedJoin is the Partitioned Hash-Join producing a join-index,
-// the parallel equivalent of join.Partitioned: it radix-clusters both
-// inputs on o.Bits hashed key bits and hash-joins matching partition
-// pairs concurrently (join.ProbeBUNs), producing the identical
-// join-index. The clustered BUNs are leased and go back once the probe
+// PartitionedJoin is the Partitioned Hash-Join producing a join-index
+// (Figure 2): it radix-clusters both inputs on o.Bits hashed key bits
+// (ClusterBUNs) and hash-joins matching partition pairs — serially
+// through join.PartitionedPreclusteredInto, else concurrently
+// (join.ProbeBUNs per partition), producing the identical join-index. The clustered BUNs are leased and go back once the probe
 // has read them; the join-index is leased.
 func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*join.Index, error) {
 	if err := join.CheckInputs(largerOIDs, largerKeys, smallerOIDs, smallerKeys); err != nil {

@@ -30,7 +30,7 @@ func TestSchedStatsSub(t *testing.T) {
 // spans on the pipeline track and per-morsel spans on worker tracks,
 // and an untraced one records nothing.
 func TestPipelineTraceSpans(t *testing.T) {
-	rt := NewRuntime(2, 0)
+	rt := NewRuntimeOpts(Options{Workers: 2})
 	defer rt.Close()
 
 	run := func(tr *obs.Trace) {
@@ -145,7 +145,7 @@ func TestRuntimeMetricsEndToEnd(t *testing.T) {
 // TestMetricsOffRegistryNil: without Options.Metrics the runtime
 // carries no registry and no push sites fire.
 func TestMetricsOffRegistryNil(t *testing.T) {
-	rt := NewRuntime(1, 0)
+	rt := NewRuntimeOpts(Options{Workers: 1})
 	defer rt.Close()
 	if rt.MetricsRegistry() != nil {
 		t.Fatal("metrics-off runtime must have a nil registry")

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"radixdecluster/internal/core"
-	"radixdecluster/internal/jive"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/nsm"
 	"radixdecluster/internal/radix"
@@ -43,7 +42,7 @@ func TestClusterRowsMatchesSerial(t *testing.T) {
 			{Bits: 10, Passes: []int{5, 5}},
 			{Bits: 14}, // two-level parallel path
 		} {
-			want, err := radix.ClusterRows(rows, width, 0, o)
+			want, err := serialEngine(t).ClusterRows(rows, width, 0, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +65,7 @@ func TestPartitionedRowsMatchesSerial(t *testing.T) {
 	larger := randRows(22, testN, lw, false)
 	smaller := randRows(23, testN/2, sw, true)
 	for _, o := range []radix.Opts{{Bits: 0}, {Bits: 6}, {Bits: 13}} {
-		want, err := join.PartitionedRows(larger, lw, 0, smaller, sw, 0, o)
+		want, err := serialEngine(t).PartitionedRowsJoin(larger, lw, 0, smaller, sw, 0, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +85,7 @@ func TestHashRowsMatchesSerial(t *testing.T) {
 	const lw, sw = 2, 3
 	larger := randRows(24, testN, lw, false)
 	smaller := randRows(25, testN/4, sw, true)
-	want, err := join.HashRows(larger, lw, 0, smaller, sw, 0)
+	want, err := serialEngine(t).HashRowsJoin(larger, lw, 0, smaller, sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +111,12 @@ func TestJivePhasesMatchSerial(t *testing.T) {
 	}
 	leftCols, rightCols := []int{1, 2}, []int{2}
 	for _, bits := range []int{0, 3, 8, 14} { // 14 > maxFirstPassBits: serial fallback
-		wantL, err := jive.LeftRows(ji, left, leftCols, right.Len(), bits)
+		se := serialEngine(t)
+		wantL, err := se.JiveLeft(ji, left, leftCols, right.Len(), bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantR, err := jive.RightRows(wantL, right, rightCols)
+		wantR, err := se.JiveRight(wantL, right, rightCols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func TestEngineDeclusterRowsIntoMatchesSerial(t *testing.T) {
 	}
 	for _, window := range []int{1, 64, testN} {
 		want := make([]int32, testN*outWidth)
-		if err := core.DeclusterRowsInto(want, outWidth, outOff, values, width, cl.ResultPos, cl.Borders, window); err != nil {
+		if err := serialEngine(t).DeclusterRowsInto(want, outWidth, outOff, values, width, cl.ResultPos, cl.Borders, window); err != nil {
 			t.Fatal(err)
 		}
 		rt := testRuntime(t)
-		for _, workers := range append([]int{0}, workerCounts...) {
+		for _, workers := range workerCounts {
 			e := NewEngine(rt, workers)
 			got := make([]int32, testN*outWidth)
 			err := e.DeclusterRowsInto(got, outWidth, outOff, values, width, cl.ResultPos, cl.Borders, window)
@@ -178,12 +178,22 @@ func TestEngineScansMatchSerial(t *testing.T) {
 	rel := testRelation(30, testN, omega)
 	oids := randOIDs(31, testN/2, testN)
 	cols := []int{2, 0}
-	wantCol := rel.ScanColumn(1)
-	wantProj := rel.ScanProject("w", cols)
-	wantGather := rel.GatherProject("g", oids, cols)
 	a := testRelation(32, testN/4, 2)
 	b := testRelation(33, testN/4, 1)
-	wantAppend, err := nsm.AppendFields("ab", a, b)
+	se := serialEngine(t)
+	wantCol, err := se.ScanColumn(rel, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantProj, err := se.ScanProject(rel, "w", cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantGather, err := se.GatherProject(rel, "g", oids, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAppend, err := se.AppendFields("ab", a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +218,9 @@ func TestEngineScansMatchSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotAB, wantAppend) {
 			t.Fatalf("workers=%d: AppendFields differs from serial", workers)
+		}
+		if _, err := e.AppendFields("bad", a, testRelation(34, testN/4+1, 1)); err == nil {
+			t.Fatalf("workers=%d: AppendFields accepted sides of unequal cardinality", workers)
 		}
 		if e.comp.snapshot().Cols != 0 {
 			t.Fatalf("workers=%d: raw scans accounted as a decode", workers)

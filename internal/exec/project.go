@@ -67,10 +67,8 @@ func (e *Engine) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int
 	}
 	out := mempool.Slice[int32](e.mem(), len(oids))
 	if e.serial(len(oids)) {
-		for _, b := range borders {
-			if err := posjoin.FetchInto(out[b.Start:b.End], col, oids[b.Start:b.End]); err != nil {
-				return nil, err
-			}
+		if err := posjoin.ClusteredInto(out, col, oids, borders); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}

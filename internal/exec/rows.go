@@ -25,11 +25,11 @@ import (
 	"radixdecluster/internal/radix"
 )
 
-// ClusterRows is the parallel equivalent of radix.ClusterRows: it
-// radix-clusters width-wide records on hash(record[keyCol]) with the
-// same two-level chunked count-then-scatter as ClusterOIDPairs, moving
-// whole records — the pre-projection "extra luggage" — and produces
-// the identical arrangement and offsets.
+// ClusterRows radix-clusters width-wide records on hash(record[keyCol]):
+// serially radix.ClusterRowsInto, else the same two-level chunked
+// count-then-scatter as ClusterOIDPairs, moving whole records — the
+// pre-projection "extra luggage" — and producing the identical
+// arrangement and offsets.
 func (e *Engine) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radix.RowsResult, error) {
 	// The clustered records are a join input, leased like the
 	// intermediate a multi-pass fan-out scatters through first, which
@@ -58,8 +58,9 @@ func (e *Engine) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*ra
 }
 
 // PartitionedRowsJoin is the pre-projection Partitioned Hash-Join over
-// wide tuples, the parallel equivalent of join.PartitionedRows: both
-// wide-tuple inputs are radix-clustered in parallel, partition pairs
+// wide tuples ("NSM-pre-phash" / "DSM-pre-phash"): both wide-tuple
+// inputs are radix-clustered (ClusterRows), and serially
+// join.PartitionedRowsInto joins the partition pairs; otherwise they
 // are probed as morsels, and the per-partition result rows are stitched
 // in partition order — the order the serial loop appends them.
 func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*join.RowsResult, error) {
@@ -124,8 +125,9 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 	return res, nil
 }
 
-// HashRowsJoin is the naive pre-projection Hash-Join over wide tuples,
-// the parallel equivalent of join.HashRows (see hashRowsChunked).
+// HashRowsJoin is the naive pre-projection Hash-Join over wide tuples
+// ("NSM-pre-hash" in Figure 10): the projection columns travel as extra
+// luggage through an unpartitioned join (see hashRows).
 func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*join.RowsResult, error) {
 	if err := join.CheckRows(larger, lw, lkey); err != nil {
 		return nil, err
@@ -140,8 +142,8 @@ func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw,
 // join.BuildRowsTable builds it on the caller's goroutine into leased
 // (dirty) bucket-head and chain arrays — intra-query transients the
 // probe reads and the result rows don't, handed back after it. A serial
-// run probes the whole larger relation into the result array, as
-// join.HashRows does; otherwise chunks of it probe concurrently into
+// run probes the whole larger relation into the result array in one
+// RowTable.ProbeRows; otherwise chunks of it probe concurrently into
 // per-chunk buffers, stitched in chunk (= input) order: the serial
 // probe order, with duplicate matches in the table's chain order.
 func (e *Engine) hashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, shift uint) (*join.RowsResult, error) {
@@ -328,11 +330,12 @@ func (e *Engine) AppendFields(name string, a, b *nsm.Relation) (*nsm.Relation, e
 }
 
 // DeclusterRowsInto runs the row variant of Radix-Decluster into a
-// caller-provided row-major buffer at field offset outOff, the parallel
-// equivalent of core.DeclusterRowsInto: one core.DeclusterRowsKernel
-// per cluster group, each group's clusters owning a disjoint set of
-// result records, with the window divided between workers exactly as
-// Decluster divides it.
+// caller-provided row-major buffer at field offset outOff: tuple with
+// result position p lands in out[p*outWidth+outOff :
+// p*outWidth+outOff+width]. It is the one row driver: one
+// core.DeclusterRowsKernel per cluster group (one group when serial),
+// each group's clusters owning a disjoint set of result records, with
+// the window divided between workers exactly as Decluster divides it.
 func (e *Engine) DeclusterRowsInto(out []int32, outWidth, outOff int, values []int32, width int, ids []OID, borders []bat.Border, windowTuples int) error {
 	n := len(ids)
 	if err := core.CheckDeclusterRows(out, outWidth, outOff, values, width, ids, borders, windowTuples); err != nil {

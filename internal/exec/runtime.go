@@ -63,6 +63,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"radixdecluster/internal/hash"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
 )
@@ -127,7 +128,7 @@ func (c *schedCounters) stats() SchedStats {
 }
 
 // Runtime owns the worker goroutines and the per-worker affinity
-// deques. Create one with NewRuntime, hand it to pipelines with
+// deques. Create one with NewRuntimeOpts, hand it to pipelines with
 // NewPipeline (or NewEngine for direct operator use), release the
 // workers with Close.
 type Runtime struct {
@@ -196,18 +197,7 @@ func (j *rtJob) home(t, workers int) int {
 	if j.aff != nil {
 		key = j.aff(t)
 	}
-	return int(mix64(j.seed+key*0x9E3779B97F4A7C15) % uint64(workers))
-}
-
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed hash
-// for placement decisions.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return int(hash.Mix64(j.seed+key*0x9E3779B97F4A7C15) % uint64(workers))
 }
 
 // AffinitySeed is the placement-hash salt of a query's base data
@@ -223,7 +213,7 @@ func AffinitySeed(data []int32, n int, rowMajor bool) uint64 {
 	if rowMajor {
 		kind = 1
 	}
-	return mix64(uint64(reflect.ValueOf(data).Pointer()) ^ uint64(n)<<8 ^ kind<<56)
+	return hash.Mix64(uint64(reflect.ValueOf(data).Pointer()) ^ uint64(n)<<8 ^ kind<<56)
 }
 
 // jobRun is the slice of one job's morsels homed on one worker: the
@@ -355,12 +345,6 @@ type Options struct {
 // one query's serial residues and phase boundaries with another's
 // execution, and no more admitted queries than workers to serve them.
 func DefaultMaxConcurrent(workers int) int { return max(2, workers) }
-
-// NewRuntime creates a runtime with the given worker count and
-// admission bound (see Options for the defaults).
-func NewRuntime(workers, maxConcurrent int) *Runtime {
-	return NewRuntimeOpts(Options{Workers: workers, MaxConcurrent: maxConcurrent})
-}
 
 // NewRuntimeOpts creates a runtime from Options.
 func NewRuntimeOpts(o Options) *Runtime {

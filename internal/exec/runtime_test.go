@@ -15,7 +15,7 @@ import (
 // runtime of any size — the scheduler changes who executes a morsel,
 // never what it computes.
 func TestRuntimePoolMatchesSerial(t *testing.T) {
-	rt := NewRuntime(4, 0)
+	rt := NewRuntimeOpts(Options{Workers: 4})
 	defer rt.Close()
 	const n = MinParallelN * 2
 	rng := rand.New(rand.NewSource(7))
@@ -26,7 +26,7 @@ func TestRuntimePoolMatchesSerial(t *testing.T) {
 		vals[i] = int32(rng.Intn(n / 2))
 	}
 	o := radix.Opts{Bits: 6}
-	want, err := radix.ClusterBUNs(heads, vals, o)
+	want, err := serialEngine(t).ClusterBUNs(heads, vals, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRuntimePoolMatchesSerial(t *testing.T) {
 func TestRuntimeAdmissionBoundsPipelines(t *testing.T) {
 	const bound = 2
 	const pipelines = 7
-	rt := NewRuntime(4, bound)
+	rt := NewRuntimeOpts(Options{Workers: 4, MaxConcurrent: bound})
 	defer rt.Close()
 
 	var inFlight, maxInFlight atomic.Int64
@@ -91,7 +91,7 @@ func TestRuntimeAdmissionBoundsPipelines(t *testing.T) {
 // the queue components exist, are non-negative, and stay within the
 // phase wall-clocks they are contained in.
 func TestRuntimeQueueTimings(t *testing.T) {
-	rt := NewRuntime(2, 0)
+	rt := NewRuntimeOpts(Options{Workers: 2})
 	defer rt.Close()
 	pl := NewPipeline(rt, 2)
 	defer pl.Close()
@@ -120,7 +120,7 @@ func TestRuntimeQueueTimings(t *testing.T) {
 // Concurrent pipelines from many goroutines must all complete with
 // correct per-job execution counts (every morsel exactly once).
 func TestRuntimeConcurrentJobsExecuteAllMorsels(t *testing.T) {
-	rt := NewRuntime(3, 4)
+	rt := NewRuntimeOpts(Options{Workers: 3, MaxConcurrent: 4})
 	defer rt.Close()
 	var wg sync.WaitGroup
 	for q := 0; q < 8; q++ {

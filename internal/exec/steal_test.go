@@ -100,7 +100,7 @@ func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int, aff func(int)
 // home on the worker holdWorkers found stuck, so the test does not
 // depend on scheduling races.
 func TestStealRescuesStarvedWorker(t *testing.T) {
-	rt := NewRuntime(2, 0)
+	rt := NewRuntimeOpts(Options{Workers: 2})
 	defer rt.Close()
 	victim := NewEngine(rt, 2)
 	defer victim.Close()
@@ -134,7 +134,7 @@ func TestStealRescuesStarvedWorker(t *testing.T) {
 // identity-keyed job spread over several — and every placed morsel is
 // then claimed exactly once, as a local hit or a steal.
 func TestMorselsPlacedOnHome(t *testing.T) {
-	rt := NewRuntime(4, 0)
+	rt := NewRuntimeOpts(Options{Workers: 4})
 	defer rt.Close()
 	p := NewEngine(rt, 4)
 	defer p.Close()
@@ -167,7 +167,7 @@ func TestMorselsPlacedOnHome(t *testing.T) {
 // placed on the same worker both times (where it then runs is
 // statistical — an idle worker may steal it).
 func TestCrossPhaseAffinity(t *testing.T) {
-	rt := NewRuntime(4, 0)
+	rt := NewRuntimeOpts(Options{Workers: 4})
 	defer rt.Close()
 	p := NewEngine(rt, 4)
 	defer p.Close()
@@ -189,7 +189,7 @@ func TestCrossPhaseAffinity(t *testing.T) {
 // each of two victims and the test claims in worker 1's place: the nearer
 // victim's morsel comes first, whichever was placed first.
 func TestStealRingOrder(t *testing.T) {
-	rt := NewRuntime(4, 4)
+	rt := NewRuntimeOpts(Options{Workers: 4, MaxConcurrent: 4})
 	defer rt.Close()
 	near, far := NewEngine(rt, 4), NewEngine(rt, 4)
 	defer near.Close()

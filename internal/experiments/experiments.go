@@ -176,9 +176,40 @@ func makeJoinIndex(n int, seed uint64, h mem.Hierarchy) (*join.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := join.PlanBits(n, 4, h.LLC().Size)
+	return joinPair(pr, h)
+}
+
+// joinPair runs the Partitioned Hash-Join of a workload pair's selected
+// tuples on the bits join.PlanBits picks for h, into fresh buffers.
+func joinPair(pr *workload.Pair, h mem.Hierarchy) (*join.Index, error) {
+	b := join.PlanBits(pr.Smaller.N(), 4, h.LLC().Size)
 	o := radix.Opts{Bits: b, Passes: radix.SplitBits(b, radix.MaxBitsPerPass(h))}
-	return join.Partitioned(pr.Larger.SelOIDs, pr.Larger.SelKeys, pr.Smaller.SelOIDs, pr.Smaller.SelKeys, o)
+	cl, err := clusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, o)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := clusterBUNs(pr.Smaller.SelOIDs, pr.Smaller.SelKeys, o)
+	if err != nil {
+		return nil, err
+	}
+	ix := &join.Index{Larger: make([]OID, 0, len(cl.BUNs)), Smaller: make([]OID, 0, len(cl.BUNs))}
+	ts := tableFor(cs.Offsets)
+	return ix, join.PartitionedPreclusteredInto(ix, &ts, cl, cs, uint(o.Ignore+o.Bits))
+}
+
+// clusterBUNs radix-clusters a join input into fresh ping-pong buffers.
+func clusterBUNs(oids []OID, keys []int32, o radix.Opts) (*radix.BUNsResult, error) {
+	return radix.ClusterBUNsInto([2][]uint64{make([]uint64, len(keys)), make([]uint64, len(keys))}, oids, keys, o)
+}
+
+// tableFor is a hash-table scratch sized for the largest partition of
+// offsets, so the probes over them allocate no table.
+func tableFor(offsets []int) join.TableScratch {
+	m := 0
+	for p := 0; p+1 < len(offsets); p++ {
+		m = max(m, offsets[p+1]-offsets[p])
+	}
+	return join.TableScratchOver(make([]int32, join.TableBuckets(m)), make([]int32, m))
 }
 
 // Runner is a named experiment.

@@ -94,20 +94,14 @@ func Fig7b(cfg Config) (*Table, error) {
 				panic(err)
 			}
 		})
-		var fetched []int32
+		fetched, result, cur := make([]int32, ji.Len()), make([]int32, ji.Len()), make([]int, 2*len(cl.Borders))
 		posMs := timeIt(func() {
-			var err error
-			fetched, err = posjoin.Clustered(col, cl.SmallerOIDs, cl.Borders)
-			if err != nil {
+			if err := posjoin.ClusteredInto(fetched, col, cl.SmallerOIDs, cl.Borders); err != nil {
 				panic(err)
 			}
 		})
 		window := core.PlanWindow(h, 4)
-		declMs := timeIt(func() {
-			if _, err := core.Decluster(fetched, cl.ResultPos, cl.Borders, window); err != nil {
-				panic(err)
-			}
-		})
+		declMs := timeIt(func() { decluster(result, fetched, cl, window, cur) })
 		modeled := m.Millis(costmodel.RadixCluster(m, ji.Len(), 8, []int{max(bits, 1)}).
 			Add(costmodel.ClustPosJoin(m, ji.Len(), n, 4, bits)).
 			Add(costmodel.Decluster(m, ji.Len(), 4, bits, window)))
@@ -144,10 +138,13 @@ func Fig8(cfg Config) (*Table, error) {
 		bits := radix.OptimalBits(n, 4, h.LLC().Size)
 		o := radix.Opts{Bits: bits, Ignore: radix.IgnoreBits(n, bits)}
 		window := core.PlanWindow(h, 4)
+		// One output column (and one Radix-Decluster result and cursor
+		// array) serves every projection column of every strategy.
+		out, result, cur := make([]int32, ji.Len()), make([]int32, ji.Len()), make([]int, 2<<bits)
 		for _, pi := range pis {
 			uMs := timeIt(func() {
 				for k := 0; k < pi; k++ {
-					if _, err := posjoin.Unsorted(col, ji.Larger); err != nil {
+					if err := posjoin.FetchInto(out, col, ji.Larger); err != nil {
 						panic(err)
 					}
 				}
@@ -158,7 +155,7 @@ func Fig8(cfg Config) (*Table, error) {
 					panic(err)
 				}
 				for k := 0; k < pi; k++ {
-					if _, err := posjoin.Sorted(col, srt.Key); err != nil {
+					if err := posjoin.FetchInto(out, col, srt.Key); err != nil {
 						panic(err)
 					}
 				}
@@ -169,7 +166,7 @@ func Fig8(cfg Config) (*Table, error) {
 					panic(err)
 				}
 				for k := 0; k < pi; k++ {
-					if _, err := posjoin.Clustered(col, cl.Key, cl.Borders()); err != nil {
+					if err := posjoin.ClusteredInto(out, col, cl.Key, cl.Borders()); err != nil {
 						panic(err)
 					}
 				}
@@ -180,13 +177,10 @@ func Fig8(cfg Config) (*Table, error) {
 					panic(err)
 				}
 				for k := 0; k < pi; k++ {
-					fetched, err := posjoin.Clustered(col, cl.SmallerOIDs, cl.Borders)
-					if err != nil {
+					if err := posjoin.ClusteredInto(out, col, cl.SmallerOIDs, cl.Borders); err != nil {
 						panic(err)
 					}
-					if _, err := core.Decluster(fetched, cl.ResultPos, cl.Borders, window); err != nil {
-						panic(err)
-					}
+					decluster(result, out, cl, window, cur)
 				}
 			})
 			t.Append(n, pi, uMs, sMs, cMs, dMs)
@@ -216,9 +210,10 @@ func Fig9a(cfg Config) (*Table, error) {
 	}
 	for _, n := range fig9Cards(cfg) {
 		heads, keys := randomPairs(n, cfg.Seed)
+		buf := [2][]uint64{make([]uint64, n)} // single pass: one buffer
 		for bits := 0; bits <= 20; bits += 2 {
 			measured := timeIt(func() {
-				if _, err := radix.ClusterBUNs(heads, keys, radix.Opts{Bits: bits}); err != nil {
+				if _, err := radix.ClusterBUNsInto(buf, heads, keys, radix.Opts{Bits: bits}); err != nil {
 					panic(err)
 				}
 			})
@@ -245,16 +240,18 @@ func Fig9b(cfg Config) (*Table, error) {
 		}
 		for bits := 0; bits <= 20; bits += 2 {
 			o := radix.Opts{Bits: bits, Passes: radix.SplitBits(bits, radix.MaxBitsPerPass(h))}
-			cl, err := radix.ClusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, o)
+			cl, err := clusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, o)
 			if err != nil {
 				return nil, err
 			}
-			cs, err := radix.ClusterBUNs(pr.Smaller.SelOIDs, pr.Smaller.SelKeys, o)
+			cs, err := clusterBUNs(pr.Smaller.SelOIDs, pr.Smaller.SelKeys, o)
 			if err != nil {
 				return nil, err
 			}
+			ix := &join.Index{Larger: make([]OID, 0, n), Smaller: make([]OID, 0, n)}
+			ts := tableFor(cs.Offsets)
 			measured := timeIt(func() {
-				if _, err := join.PartitionedPreclustered(cl, cs, uint(bits)); err != nil {
+				if err := join.PartitionedPreclusteredInto(ix, &ts, cl, cs, uint(bits)); err != nil {
 					panic(err)
 				}
 			})
@@ -286,8 +283,9 @@ func Fig9c(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			out := make([]int32, ji.Len())
 			measured := timeIt(func() {
-				if _, err := posjoin.Clustered(col, cl.Key, cl.Borders()); err != nil {
+				if err := posjoin.ClusteredInto(out, col, cl.Key, cl.Borders()); err != nil {
 					panic(err)
 				}
 			})
@@ -405,14 +403,12 @@ func Fig11(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := join.PlanBits(n, 4, h.LLC().Size)
-		ji, err := join.Partitioned(pr.Larger.SelOIDs, pr.Larger.SelKeys,
-			pr.Smaller.SelOIDs, pr.Smaller.SelKeys,
-			radix.Opts{Bits: b, Passes: radix.SplitBits(b, radix.MaxBitsPerPass(h))})
+		ji, err := joinPair(pr, h)
 		if err != nil {
 			return nil, err
 		}
 		col := pr.Larger.PayloadCol(1)
+		out := make([]int32, ji.Len())
 		for bits := 0; bits <= 20; bits += 2 {
 			o := radix.Opts{Bits: bits, Ignore: max(mem.Log2Ceil(pr.Larger.BaseN)-bits, 0)}
 			cl, err := radix.ClusterOIDPairs(ji.Larger, ji.Smaller, o)
@@ -420,7 +416,7 @@ func Fig11(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			measured := timeIt(func() {
-				if _, err := posjoin.Clustered(col, cl.Key, cl.Borders()); err != nil {
+				if err := posjoin.ClusteredInto(out, col, cl.Key, cl.Borders()); err != nil {
 					panic(err)
 				}
 			})
@@ -478,4 +474,16 @@ func sortedJoinIndex(n int, seed uint64, h mem.Hierarchy) (*join.Index, error) {
 		return nil, err
 	}
 	return &join.Index{Larger: srt.Key, Smaller: srt.Other}, nil
+}
+
+// decluster is Radix-Decluster into the caller's result and cursor
+// arrays (core.DeclusterKernel after its input check), so a timed
+// region running it allocates nothing.
+func decluster(result, values []int32, cl *core.Clustered, window int, cur []int) {
+	if err := core.CheckDecluster(len(values), cl.ResultPos, cl.Borders, window); err != nil {
+		panic(err)
+	}
+	if err := core.DeclusterKernel(result, values, cl.ResultPos, cl.Borders, window, cur); err != nil {
+		panic(err)
+	}
 }

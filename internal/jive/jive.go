@@ -71,7 +71,7 @@ func Left(ji *join.Index, leftCols [][]int32, rightLen, bits int) (*LeftResult, 
 	if bits < 0 || bits > 30 {
 		return nil, fmt.Errorf("jive: bad cluster bits %d", bits)
 	}
-	shift := clusterShift(rightLen, bits)
+	shift := ClusterShift(rightLen, bits)
 	h := 1 << bits
 	// Histogram pass fixes the cluster extents (the disk version sizes
 	// its output files the same way).
@@ -160,9 +160,10 @@ func Right(lr *LeftResult, rightCols [][]int32) ([][]int32, error) {
 	return out, nil
 }
 
-// clusterShift maps right oids of a table with rightLen tuples onto
-// 2^bits clusters by their top bits.
-func clusterShift(rightLen, bits int) uint {
+// ClusterShift maps right oids of a table with rightLen tuples onto
+// 2^bits clusters by their top bits; the parallel executor partitions
+// with it exactly like the serial left phase.
+func ClusterShift(rightLen, bits int) uint {
 	sig := 1
 	for 1<<sig < rightLen {
 		sig++

@@ -132,16 +132,14 @@ func TestJiveRowsEndToEnd(t *testing.T) {
 		right.Set(i, 0, int32(i)*7)
 		right.Set(i, 1, -1)
 	}
-	lr, err := LeftRows(ji, left, []int{0, 1}, rightLen, 3)
+	lr, err := LeftRowsInto(ji, left, []int{0, 1}, rightLen, 3,
+		make([]OID, nJI), make([]OID, nJI), make([]int32, nJI*2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := RightRows(lr, right, []int{0})
-	if err != nil {
+	rres := nsm.New("R_proj", nJI, 1)
+	if err := RightRowsInto(rres, lr, right, []int{0}); err != nil {
 		t.Fatal(err)
-	}
-	if rres.Len() != nJI || rres.Width != 1 {
-		t.Fatalf("right rows %dx%d", rres.Len(), rres.Width)
 	}
 	type trip struct{ a, b, c int32 }
 	want := map[trip]int{}
@@ -165,11 +163,11 @@ func TestJiveRowsEndToEnd(t *testing.T) {
 
 func TestClusterShift(t *testing.T) {
 	// 1024-tuple table, 3 bits → shift 7 (top 3 of 10 significant bits).
-	if s := clusterShift(1024, 3); s != 7 {
-		t.Fatalf("clusterShift(1024,3) = %d, want 7", s)
+	if s := ClusterShift(1024, 3); s != 7 {
+		t.Fatalf("ClusterShift(1024,3) = %d, want 7", s)
 	}
 	// More bits than significant: everything in distinct clusters.
-	if s := clusterShift(4, 10); s != 0 {
-		t.Fatalf("clusterShift(4,10) = %d, want 0", s)
+	if s := ClusterShift(4, 10); s != 0 {
+		t.Fatalf("ClusterShift(4,10) = %d, want 0", s)
 	}
 }

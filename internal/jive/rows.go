@@ -14,10 +14,11 @@ import (
 // effect behind Jive-Join's O(C²/T²) scalability bound (§4.2).
 //
 // Both phases are expressed over chunk-safe kernels (CountRowsChunk,
-// ScatterRowsChunk, RightRowsCluster) so the serial entry points here
-// and the morsel-driven executor (internal/exec) share one code path:
-// the executor schedules join-index chunks / clusters as morsels, the
-// serial functions run the same kernels over a single chunk.
+// ScatterRowsChunk, RightRowsCluster) so the serial forms here
+// (LeftRowsInto, RightRowsInto) and the morsel-driven executor
+// (internal/exec) share one code path: the executor schedules
+// join-index chunks / clusters as morsels, the serial forms run the
+// same kernels over a single chunk.
 
 // LeftRowsResult mirrors LeftResult with the left projection held as
 // row-major records.
@@ -28,11 +29,6 @@ type LeftRowsResult struct {
 	Borders   []int         // cluster offsets, len 2^bits+1
 	Bits      int
 }
-
-// ClusterShift maps right oids of a table with rightLen tuples onto
-// 2^bits clusters by their top bits — exported so the parallel
-// executor partitions exactly like the serial left phase.
-func ClusterShift(rightLen, bits int) uint { return clusterShift(rightLen, bits) }
 
 // CountRowsChunk histograms the right oids of join-index positions
 // [lo,hi) into counts (len 2^bits). Chunks of one histogram pass use
@@ -86,22 +82,15 @@ func NewLeftRowsResult(name string, n int, leftCols []int, offsets []int, bits i
 	}
 }
 
-// LeftRows runs the left phase against an NSM relation: ji must be
-// sorted on ji.Larger; leftCols names the record fields to project.
-func LeftRows(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int) (*LeftRowsResult, error) {
-	n := ji.Len()
-	return LeftRowsInto(ji, left, leftCols, rightLen, bits,
-		make([]OID, n), make([]OID, n), make([]int32, n*len(leftCols)))
-}
-
-// LeftRowsInto is LeftRows writing its output into the caller's arrays
-// (see NewLeftRowsResult).
+// LeftRowsInto runs the left phase against an NSM relation, writing
+// its output into the caller's arrays (see NewLeftRowsResult): ji must
+// be sorted on ji.Larger; leftCols names the record fields to project.
 func LeftRowsInto(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int, rightOIDs, resultPos []OID, leftRows []int32) (*LeftRowsResult, error) {
 	n := ji.Len()
 	if bits < 0 || bits > 30 {
 		return nil, fmt.Errorf("jive: bad cluster bits %d", bits)
 	}
-	shift := clusterShift(rightLen, bits)
+	shift := ClusterShift(rightLen, bits)
 	h := 1 << bits
 	counts := make([]int, h)
 	if err := CountRowsChunk(counts, ji.Smaller, shift, rightLen, 0, n); err != nil {
@@ -144,19 +133,10 @@ func RightRowsCluster(out *nsm.Relation, lr *LeftRowsResult, right *nsm.Relation
 	return perm, nil
 }
 
-// RightRows runs the right phase against an NSM relation, returning
-// the projected right fields as row-major records in result order.
-func RightRows(lr *LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
-	out := nsm.New(right.Name+"_proj", len(lr.RightOIDs), len(rightCols))
-	if err := RightRowsInto(out, lr, right, rightCols); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RightRowsInto is RightRows writing into the caller's relation of
-// len(lr.RightOIDs) records of len(rightCols) fields, handed in dirty:
-// the clusters tile the records, and each writes all of its own.
+// RightRowsInto runs the right phase against an NSM relation, writing
+// the projected right fields in result order into the caller's relation
+// of len(lr.RightOIDs) records of len(rightCols) fields, handed in
+// dirty: the clusters tile the records, and each writes all of its own.
 func RightRowsInto(out *nsm.Relation, lr *LeftRowsResult, right *nsm.Relation, rightCols []int) error {
 	var perm []int
 	var err error

@@ -19,6 +19,7 @@ import (
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/hash"
+	"radixdecluster/internal/mem"
 	"radixdecluster/internal/radix"
 )
 
@@ -100,27 +101,6 @@ func HashJoin(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKe
 	return out, nil
 }
 
-// Partitioned runs the cache-conscious Partitioned Hash-Join:
-// radix-cluster both inputs, as BUNs, on `bits` bits of the hashed key
-// (with the given pass structure, nil = single pass), then hash-join
-// each pair of matching partitions (Figure 2). Keys are hashed in the
-// first clustering pass only: the BUNs carry the hash from there to the
-// probe (radix.ClusterBUNs).
-func Partitioned(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32, o radix.Opts) (*Index, error) {
-	if err := CheckInputs(largerOIDs, largerKeys, smallerOIDs, smallerKeys); err != nil {
-		return nil, err
-	}
-	cl, err := radix.ClusterBUNs(largerOIDs, largerKeys, o)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := radix.ClusterBUNs(smallerOIDs, smallerKeys, o)
-	if err != nil {
-		return nil, err
-	}
-	return PartitionedPreclustered(cl, cs, uint(o.Ignore+o.Bits))
-}
-
 // CheckInputs is the one check of a join-index-producing join's
 // inputs, serial or parallel: one key per oid on each side.
 func CheckInputs(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smallerKeys []int32) error {
@@ -130,26 +110,15 @@ func CheckInputs(largerOIDs []OID, largerKeys []int32, smallerOIDs []OID, smalle
 	return nil
 }
 
-// PartitionedPreclustered runs only the per-partition hash joins over
-// inputs that are already radix-clustered on matching bits — the
-// isolated join phase of Figure 9b, where clustering cost is studied
-// separately (Figure 9a): ProbeBUNs over every partition pair in order,
-// with one table scratch for all of them. shift is the clustering's
-// Ignore+Bits, the hash bits the partitioning consumed.
-func PartitionedPreclustered(larger, smaller *radix.BUNsResult, shift uint) (*Index, error) {
-	n := len(larger.BUNs)
-	out := &Index{Larger: make([]OID, 0, n), Smaller: make([]OID, 0, n)}
-	var ts TableScratch
-	if err := PartitionedPreclusteredInto(out, &ts, larger, smaller, shift); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PartitionedPreclusteredInto is PartitionedPreclustered appending the
-// join-index to out, whose spare capacity — the caller's buffers, one
-// match per larger tuple for a key–foreign-key join — the probes write
-// into (ProbeBUNs), and building every partition's table in ts.
+// PartitionedPreclusteredInto runs the per-partition hash joins of the
+// Partitioned Hash-Join (Figure 2) over inputs already radix-clustered,
+// as BUNs, on matching bits — the isolated join phase of Figure 9b,
+// where clustering cost is studied separately (Figure 9a): ProbeBUNs
+// over every partition pair in order, building every partition's table
+// in ts. It appends the join-index to out, whose spare capacity — the
+// caller's buffers, one match per larger tuple for a key–foreign-key
+// join — the probes write into. shift is the clustering's Ignore+Bits,
+// the hash bits the partitioning consumed.
 func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *radix.BUNsResult, shift uint) error {
 	if len(larger.Offsets) != len(smaller.Offsets) {
 		return fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
@@ -167,7 +136,7 @@ func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *
 
 // Image is a join input radix-clustered once, outside any query (a
 // relation's join image): the hashes of its keys in clustered order —
-// the hash halves of the BUNs radix.ClusterBUNs would produce — and the
+// the hash halves of the BUNs radix.ClusterBUNsInto would produce — and the
 // 2^B+1 cluster offsets (radix.KeyOffsets, radix.PermuteHashes). A match
 // emits the tuple's image position, its index in Hashes: the holder of
 // the image keeps whatever it projects in the same order and reads it
@@ -204,13 +173,13 @@ func DistinctHashes(img *Image, shift uint) bool {
 	return true
 }
 
-// PartitionedImagesInto is PartitionedPreclustered over two images,
+// PartitionedImagesInto is PartitionedPreclusteredInto over two images,
 // appending to out, which starts empty: ProbeImage over every partition
 // pair in order, writing out's Larger and Smaller capacity as
 // PartitionedPreclusteredInto does and building every table in ts, and
 // each partition's match offset appended to Parts (2^B+1 offsets).
 // Mapped through the clustered oids, its join-index is
-// PartitionedPreclustered's over the same clustering.
+// PartitionedPreclusteredInto's over the same clustering.
 func PartitionedImagesInto(out *Index, ts *TableScratch, larger, smaller *Image, shift uint) error {
 	if len(larger.Offsets) != len(smaller.Offsets) {
 		return fmt.Errorf("join: partition counts differ: %d vs %d", len(larger.Offsets)-1, len(smaller.Offsets)-1)
@@ -276,7 +245,7 @@ func (ts *TableScratch) table(n int) (first, next []int32, mask uint32) {
 // builds a bucket-chained hash table over one partition of the smaller
 // relation and probes it with the matching larger partition, adding
 // the matches to out in probe order. Both partitions are BUNs
-// (radix.ClusterBUNs), so the hash a chain entry is bucketed and
+// (radix.ClusterBUNsInto), so the hash a chain entry is bucketed and
 // compared on and the oid it emits come from the one word the chain
 // index points at. Nothing is hashed here: hash.Mix is a bijection, so
 // two BUNs carry equal hashes exactly when their keys are equal.
@@ -400,10 +369,12 @@ type RowsResult struct {
 // Len returns the result cardinality.
 func (r *RowsResult) Len() int { return r.N }
 
-// rowTable hashes the smaller side's wide tuples on their key column.
+// RowTable hashes the smaller side's wide tuples on their key column.
 // shift discards the hash bits consumed by the partitioning (see
-// ProbeBUNs).
-type rowTable struct {
+// ProbeBUNs). Probing is read-only: the parallel executor builds one
+// table over the smaller relation (BuildRowsTable) and probes chunks of
+// the larger relation on any worker.
+type RowTable struct {
 	mask  uint32
 	shift uint
 	first []int32
@@ -413,7 +384,7 @@ type rowTable struct {
 	key   int
 }
 
-func buildRowTable(rows []int32, width, key int, shift uint) *rowTable {
+func buildRowTable(rows []int32, width, key int, shift uint) *RowTable {
 	n := len(rows) / width
 	return linkRowTable(rows, width, key, shift, make([]int32, NumBuckets(n)), make([]int32, n))
 }
@@ -422,8 +393,8 @@ func buildRowTable(rows []int32, width, key int, shift uint) *rowTable {
 // of the zeroed bucket heads first (NumBuckets(n) long): each tuple is
 // pushed onto its bucket's chain in ascending order, so a chain lists
 // its tuples last first — the order duplicate matches are emitted in.
-func linkRowTable(rows []int32, width, key int, shift uint, first, next []int32) *rowTable {
-	t := &rowTable{
+func linkRowTable(rows []int32, width, key int, shift uint, first, next []int32) *RowTable {
+	t := &RowTable{
 		mask:  uint32(len(first) - 1),
 		shift: shift,
 		first: first,
@@ -440,12 +411,14 @@ func linkRowTable(rows []int32, width, key int, shift uint, first, next []int32)
 	return t
 }
 
-// probeRows joins larger wide tuples against the table, emitting
-// [larger-payload | smaller-payload] rows (key columns dropped). The
-// tuple-at-a-time copying with run-time attribute lists is the very
-// CPU overhead the paper attributes to pre-projection (§4.2). It
-// returns the extended rows and the number of matches appended.
-func (t *rowTable) probeRows(larger []int32, lw, lkey int, out []int32) ([]int32, int) {
+// ProbeRows joins larger wide tuples against the table, appending
+// [larger-payload | smaller-payload] rows (key columns dropped) to out
+// in probe order and returning the extended slice and the match count.
+// Matches per probe follow chain order, so a chunked probe stitched in
+// chunk order emits the rows of one probe of the whole larger relation.
+// The tuple-at-a-time copying with run-time attribute lists is the
+// very CPU overhead the paper attributes to pre-projection (§4.2).
+func (t *RowTable) ProbeRows(larger []int32, lw, lkey int, out []int32) ([]int32, int) {
 	n, matches := len(larger)/lw, 0
 	for i := 0; i < n; i++ {
 		rec := larger[i*lw : (i+1)*lw]
@@ -472,18 +445,12 @@ func (t *rowTable) probeRows(larger []int32, lw, lkey int, out []int32) ([]int32
 	return out, matches
 }
 
-// RowTable is an exported handle over the wide-tuple hash table: the
-// parallel executor builds it once over the smaller relation and
-// probes chunks of the larger relation concurrently (probing is
-// read-only, so chunk probes can run on any worker).
-type RowTable struct{ t *rowTable }
-
 // BuildRowsTable hashes width-wide smaller tuples on their key column;
 // shift discards hash bits consumed by a radix partitioning (0 for the
 // naive join). first and next are the caller's backing arrays for the
 // bucket heads (capacity at least NumBuckets(n)) and the chain links
 // (at least n), handed in dirty: the build clears the heads and writes
-// every link. The table is the one HashRows builds, byte for byte.
+// every link.
 func BuildRowsTable(rows []int32, width, key int, shift uint, first, next []int32) (*RowTable, error) {
 	if err := CheckRows(rows, width, key); err != nil {
 		return nil, err
@@ -491,15 +458,7 @@ func BuildRowsTable(rows []int32, width, key int, shift uint, first, next []int3
 	n := len(rows) / width
 	first = first[:NumBuckets(n)]
 	clear(first)
-	return &RowTable{t: linkRowTable(rows, width, key, shift, first, next[:n])}, nil
-}
-
-// ProbeRows joins larger wide tuples against the table, appending
-// [larger payload | smaller payload] rows to out in probe order and
-// returning the extended slice and the match count. Matches per probe
-// follow chain order, exactly as the serial HashRows loop emits them.
-func (t *RowTable) ProbeRows(larger []int32, lw, lkey int, out []int32) ([]int32, int) {
-	return t.t.probeRows(larger, lw, lkey, out)
+	return linkRowTable(rows, width, key, shift, first, next[:n]), nil
 }
 
 // ProbeRowsPartition builds a hash table on one partition of the
@@ -507,58 +466,19 @@ func (t *RowTable) ProbeRows(larger []int32, lw, lkey int, out []int32) ([]int32
 // partition, appending result rows to out in probe order — the
 // per-partition morsel of the parallel pre-projection joins.
 func ProbeRowsPartition(smaller []int32, sw, skey int, larger []int32, lw, lkey int, shift uint, out []int32) ([]int32, int) {
-	return buildRowTable(smaller, sw, skey, shift).probeRows(larger, lw, lkey, out)
+	return buildRowTable(smaller, sw, skey, shift).ProbeRows(larger, lw, lkey, out)
 }
 
-// HashRows is the pre-projection naive Hash-Join over wide tuples
-// ("NSM-pre-hash" in Figure 10): the projection columns travel as
-// extra luggage through an unpartitioned join. BuildRowsTable and
-// ProbeRows are its caller-buffer form.
-func HashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*RowsResult, error) {
-	if err := CheckRows(larger, lw, lkey); err != nil {
-		return nil, err
-	}
-	if err := CheckRows(smaller, sw, skey); err != nil {
-		return nil, err
-	}
-	t := buildRowTable(smaller, sw, skey, 0)
-	out := make([]int32, 0, len(larger)/lw*(lw+sw-2))
-	out, n := t.probeRows(larger, lw, lkey, out)
-	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}, nil
-}
-
-// PartitionedRows is the pre-projection Partitioned Hash-Join
-// ("NSM-pre-phash" / "DSM-pre-phash"): both wide-tuple inputs are
-// radix-clustered — the whole record moves on every pass — and each
-// partition pair is hash-joined. Because the payload inflates the
-// tuple width, fewer tuples fit per cluster, which is why
-// pre-projection needs more radix bits (and sooner multiple passes)
-// than post-projection at equal cardinality (§4.2).
-func PartitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*RowsResult, error) {
-	if err := CheckRows(larger, lw, lkey); err != nil {
-		return nil, err
-	}
-	if err := CheckRows(smaller, sw, skey); err != nil {
-		return nil, err
-	}
-	cl, err := radix.ClusterRows(larger, lw, lkey, o)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := radix.ClusterRows(smaller, sw, skey, o)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, 0, len(larger)/lw*(lw+sw-2))
-	return PartitionedRowsInto(out, cl, lkey, cs, skey, uint(o.Ignore+o.Bits)), nil
-}
-
-// PartitionedRowsInto is the join half of PartitionedRows over inputs
-// already radix-clustered on matching bits (radix.ClusterRows, or
-// ClusterRowsInto into the caller's buffers): every partition pair is
-// hash-joined in order, the result rows appended to out — the caller's
-// buffer, regrown by append only past its capacity. shift is the
-// clustering's Ignore+Bits.
+// PartitionedRowsInto is the pre-projection Partitioned Hash-Join
+// ("NSM-pre-phash" / "DSM-pre-phash") over wide-tuple inputs already
+// radix-clustered on matching bits (radix.ClusterRowsInto; CheckRows
+// is the caller's): every partition pair is hash-joined in order, the
+// result rows appended to out — the caller's buffer, regrown by append
+// only past its capacity. shift is the clustering's Ignore+Bits.
+// Because the payload inflates the tuple width, fewer tuples fit per
+// cluster, which is why pre-projection needs more radix bits (and
+// sooner multiple passes) than post-projection at equal cardinality
+// (§4.2).
 func PartitionedRowsInto(out []int32, larger *radix.RowsResult, lkey int, smaller *radix.RowsResult, skey int, shift uint) *RowsResult {
 	lw, sw := larger.Width, smaller.Width
 	n := 0
@@ -571,7 +491,7 @@ func PartitionedRowsInto(out []int32, larger *radix.RowsResult, lkey int, smalle
 		}
 		t := buildRowTable(smaller.Rows[sl:sh], sw, skey, shift)
 		var m int
-		out, m = t.probeRows(larger.Rows[ll:lh], lw, lkey, out)
+		out, m = t.ProbeRows(larger.Rows[ll:lh], lw, lkey, out)
 		n += m
 	}
 	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}
@@ -608,16 +528,9 @@ func PlanBits(smallerTuples, tupleBytes, cacheBytes int) int {
 	if smallerTuples <= fit {
 		return 0
 	}
-	b := 1 + log2floor(smallerTuples) - log2floor(fit)
+	b := 1 + mem.Log2Floor(smallerTuples) - mem.Log2Floor(fit)
 	if b < 0 {
 		b = 0
 	}
 	return b
-}
-
-func log2floor(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n)) - 1
 }

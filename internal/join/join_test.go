@@ -59,6 +59,67 @@ func genSides(nL, nS, keyRange int, seed uint64) ([]OID, []int32, []OID, []int32
 	return lo, lk, so, sk
 }
 
+// clusterBUNs is radix.ClusterBUNsInto into fresh ping-pong buffers.
+func clusterBUNs(oids []OID, keys []int32, o radix.Opts) (*radix.BUNsResult, error) {
+	return radix.ClusterBUNsInto([2][]uint64{make([]uint64, len(keys)), make([]uint64, len(keys))}, oids, keys, o)
+}
+
+// partitioned is the Partitioned Hash-Join from its caller-buffer
+// forms: both inputs clustered as BUNs, then
+// PartitionedPreclusteredInto into fresh buffers.
+func partitioned(lo []OID, lk []int32, so []OID, sk []int32, o radix.Opts) (*Index, error) {
+	if err := CheckInputs(lo, lk, so, sk); err != nil {
+		return nil, err
+	}
+	cl, err := clusterBUNs(lo, lk, o)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := clusterBUNs(so, sk, o)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{Larger: make([]OID, 0, len(lo)), Smaller: make([]OID, 0, len(lo))}
+	var ts TableScratch
+	return ix, PartitionedPreclusteredInto(ix, &ts, cl, cs, uint(o.Ignore+o.Bits))
+}
+
+// hashRows is the naive pre-projection Hash-Join from its caller-buffer
+// forms: one BuildRowsTable over the smaller tuples, one ProbeRows.
+func hashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*RowsResult, error) {
+	if err := CheckRows(larger, lw, lkey); err != nil {
+		return nil, err
+	}
+	ns := len(smaller) / max(sw, 1)
+	t, err := BuildRowsTable(smaller, sw, skey, 0, make([]int32, NumBuckets(ns)), make([]int32, ns))
+	if err != nil {
+		return nil, err
+	}
+	rows, n := t.ProbeRows(larger, lw, lkey, nil)
+	return &RowsResult{Rows: rows, Width: lw + sw - 2, N: n}, nil
+}
+
+// partitionedRows is the pre-projection Partitioned Hash-Join from its
+// caller-buffer forms: radix.ClusterRowsInto on both sides, then
+// PartitionedRowsInto.
+func partitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*RowsResult, error) {
+	if err := CheckRows(larger, lw, lkey); err != nil {
+		return nil, err
+	}
+	if err := CheckRows(smaller, sw, skey); err != nil {
+		return nil, err
+	}
+	cl, err := radix.ClusterRowsInto([2][]int32{make([]int32, len(larger)), make([]int32, len(larger))}, larger, lw, lkey, o)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := radix.ClusterRowsInto([2][]int32{make([]int32, len(smaller)), make([]int32, len(smaller))}, smaller, sw, skey, o)
+	if err != nil {
+		return nil, err
+	}
+	return PartitionedRowsInto(nil, cl, lkey, cs, skey, uint(o.Ignore+o.Bits)), nil
+}
+
 func TestHashJoinSmall(t *testing.T) {
 	lo := []OID{0, 1, 2, 3}
 	lk := []int32{7, 8, 7, 9}
@@ -109,7 +170,7 @@ func TestPartitionedMatchesHashJoin(t *testing.T) {
 		{Bits: 6, Passes: []int{3, 3}},
 		{Bits: 8, Passes: []int{3, 3, 2}},
 	} {
-		ix, err := Partitioned(lo, lk, so, sk, o)
+		ix, err := partitioned(lo, lk, so, sk, o)
 		if err != nil {
 			t.Fatalf("bits=%d: %v", o.Bits, err)
 		}
@@ -129,7 +190,7 @@ func TestPartitionedSkewedKeys(t *testing.T) {
 		lo[i], so[i] = OID(i), OID(i)
 		lk[i], sk[i] = 42, 42
 	}
-	ix, err := Partitioned(lo, lk, so, sk, radix.Opts{Bits: 4})
+	ix, err := partitioned(lo, lk, so, sk, radix.Opts{Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +203,7 @@ func TestPartitionedQuick(t *testing.T) {
 	f := func(seed uint64, bits8 uint8) bool {
 		bits := int(bits8 % 7)
 		lo, lk, so, sk := genSides(400, 300, 50, seed)
-		ix, err := Partitioned(lo, lk, so, sk, radix.Opts{Bits: bits})
+		ix, err := partitioned(lo, lk, so, sk, radix.Opts{Bits: bits})
 		if err != nil {
 			return false
 		}
@@ -196,7 +257,7 @@ func TestHashRows(t *testing.T) {
 		7, 10, 11,
 		9, 20, 21,
 	}
-	res, err := HashRows(larger, 2, 0, smaller, 3, 0)
+	res, err := hashRows(larger, 2, 0, smaller, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +295,11 @@ func TestPartitionedRowsMatchesHashRows(t *testing.T) {
 			smaller[i*sw+j] = int32(-(i*10 + j))
 		}
 	}
-	want, err := HashRows(larger, lw, 0, smaller, sw, 0)
+	want, err := hashRows(larger, lw, 0, smaller, sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PartitionedRows(larger, lw, 0, smaller, sw, 0, radix.Opts{Bits: 5, Passes: []int{3, 2}})
+	got, err := partitionedRows(larger, lw, 0, smaller, sw, 0, radix.Opts{Bits: 5, Passes: []int{3, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +317,17 @@ func TestPartitionedRowsMatchesHashRows(t *testing.T) {
 }
 
 func TestRowsErrors(t *testing.T) {
-	if _, err := HashRows([]int32{1, 2, 3}, 2, 0, []int32{1, 2}, 2, 0); err == nil {
-		t.Fatal("ragged larger not rejected")
+	if err := CheckRows([]int32{1, 2, 3}, 2, 0); err == nil {
+		t.Fatal("ragged rows not rejected")
 	}
-	if _, err := HashRows([]int32{1, 2}, 2, 5, []int32{1, 2}, 2, 0); err == nil {
+	if err := CheckRows([]int32{1, 2}, 2, 5); err == nil {
 		t.Fatal("bad key column not rejected")
 	}
-	if _, err := PartitionedRows([]int32{1}, 2, 0, nil, 2, 0, radix.Opts{Bits: 1}); err == nil {
-		t.Fatal("ragged rows not rejected")
+	if err := CheckRows([]int32{1, 2}, 0, 0); err == nil {
+		t.Fatal("zero width not rejected")
+	}
+	if _, err := radix.ClusterRowsInto([2][]int32{make([]int32, 1)}, []int32{1}, 2, 0, radix.Opts{Bits: 1}); err == nil {
+		t.Fatal("ragged rows not rejected by the clustering")
 	}
 }
 
@@ -319,20 +383,22 @@ func TestTableBucketsSkipClusteredBits(t *testing.T) {
 func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	lo, lk, so, sk := genSides(2000, 1500, 600, 9)
 	o := radix.Opts{Bits: 5}
-	want, err := Partitioned(lo, lk, so, sk, o)
+	want, err := HashJoin(lo, lk, so, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := radix.ClusterBUNs(lo, lk, o)
+	cl, err := clusterBUNs(lo, lk, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := radix.ClusterBUNs(so, sk, o)
+	cs, err := clusterBUNs(so, sk, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PartitionedPreclustered(cl, cs, uint(o.Bits))
-	if err != nil {
+	// Into empty buffers: every partition's matches grow them.
+	got := &Index{}
+	var ts TableScratch
+	if err := PartitionedPreclusteredInto(got, &ts, cl, cs, uint(o.Bits)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != want.Len() {
@@ -340,8 +406,8 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	}
 	checkIndex(t, got, refJoin(lo, lk, so, sk))
 	// Mismatched partition counts must be rejected.
-	cs2, _ := radix.ClusterBUNs(so, sk, radix.Opts{Bits: 3})
-	if _, err := PartitionedPreclustered(cl, cs2, uint(o.Bits)); err == nil {
+	cs2, _ := clusterBUNs(so, sk, radix.Opts{Bits: 3})
+	if err := PartitionedPreclusteredInto(&Index{}, &ts, cl, cs2, uint(o.Bits)); err == nil {
 		t.Fatal("partition count mismatch not rejected")
 	}
 }
@@ -354,8 +420,8 @@ func TestRowsResultLenZeroWidth(t *testing.T) {
 	}
 	keys := []int32{3, 1, 2, 1}
 	for name, join := range map[string]func() (*RowsResult, error){
-		"HashRows":        func() (*RowsResult, error) { return HashRows(keys, 1, 0, keys[:3], 1, 0) },
-		"PartitionedRows": func() (*RowsResult, error) { return PartitionedRows(keys, 1, 0, keys[:3], 1, 0, radix.Opts{Bits: 1}) },
+		"hashRows":        func() (*RowsResult, error) { return hashRows(keys, 1, 0, keys[:3], 1, 0) },
+		"partitionedRows": func() (*RowsResult, error) { return partitionedRows(keys, 1, 0, keys[:3], 1, 0, radix.Opts{Bits: 1}) },
 	} {
 		r, err := join()
 		if err != nil {

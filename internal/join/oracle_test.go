@@ -206,7 +206,9 @@ func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so 
 // alone.
 func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
 	t.Helper()
-	serial, err := join.Partitioned(lo, lk, so, sk, o)
+	se := exec.NewEngine(nil, 0) // the serial paper engine
+	defer se.Close()             // its join-index is leased too
+	serial, err := se.PartitionedJoin(lo, lk, so, sk, o)
 	if err != nil {
 		t.Fatalf("%+v: serial: %v", o, err)
 	}
@@ -332,7 +334,7 @@ func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) (*join.Ima
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, radix.Permute(keys, oids, o, offs)
+	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, radix.PermuteInto(make([]join.OID, len(keys)), keys, oids, o, offs)
 }
 
 // positionsToOIDs replaces image positions by the oids at them.
@@ -357,7 +359,7 @@ func optsFor(i int) []radix.Opts {
 }
 
 func TestPartitionedMatchesIndependentOracle(t *testing.T) {
-	rt := exec.NewRuntime(2, 0)
+	rt := exec.NewRuntimeOpts(exec.Options{Workers: 2})
 	defer rt.Close()
 	// Sizes straddle exec.MinParallelN (the parallel engine's serial
 	// fallback is decided on |larger| + |smaller|), with empty sides.
@@ -384,7 +386,7 @@ func TestPartitionedMatchesIndependentOracle(t *testing.T) {
 }
 
 func TestPartitionedMatchesIndependentOracleRandom(t *testing.T) {
-	rt := exec.NewRuntime(2, 0)
+	rt := exec.NewRuntimeOpts(exec.Options{Workers: 2})
 	defer rt.Close()
 	rng := rand.New(rand.NewPCG(13, 2))
 	for range 40 {

@@ -7,7 +7,7 @@ import (
 )
 
 // BuildRowsTable into dirty caller arrays must produce the table
-// HashRows builds into fresh ones — same bucket heads, same chain
+// buildRowTable builds into fresh ones — same bucket heads, same chain
 // links — so probes emit duplicate matches in exactly the serial order.
 func TestBuildRowsTableDirtyBuffersMatchFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -37,13 +37,13 @@ func TestBuildRowsTableDirtyBuffersMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.t.first, want.first) || !slices.Equal(got.t.next, want.next) {
+		if !slices.Equal(got.first, want.first) || !slices.Equal(got.next, want.next) {
 			t.Fatalf("%s buffers: table differs from a fresh build", bufs.name)
 		}
 		probe := make([]int32, 2*w)
 		probe[0*w+key] = rows[key] // key of row 0
 		probe[1*w+key] = -1        // no match
-		wantOut, wantN := want.probeRows(probe, w, key, nil)
+		wantOut, wantN := want.ProbeRows(probe, w, key, nil)
 		gotOut, gotN := got.ProbeRows(probe, w, key, nil)
 		if !slices.Equal(gotOut, wantOut) || gotN != wantN {
 			t.Fatalf("%s buffers: probe output differs", bufs.name)

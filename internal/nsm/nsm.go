@@ -75,20 +75,12 @@ func (r *Relation) Set(i, j int, v int32) { r.Data[i*r.Width+j] = v }
 // O(C²/T²)).
 func (r *Relation) TupleBytes() int { return 4 * r.Width }
 
-// ScanColumn extracts attribute col into a fresh column array — a
-// strided scan over the wide records. This is how the NSM
+// ScanColumnInto extracts attribute col of records [lo,hi) into
+// out[lo:hi] — a strided scan over the wide records, how the NSM
 // post-projection strategies obtain the join-key column before
-// computing the join-index.
-func (r *Relation) ScanColumn(col int) []int32 {
-	out := make([]int32, r.Len())
-	r.ScanColumnInto(out, col, 0, r.Len())
-	return out
-}
-
-// ScanColumnInto is the chunk-safe kernel behind ScanColumn: it
-// extracts attribute col of records [lo,hi) into out[lo:hi]. Chunks of
-// one scan write disjoint ranges of out, so the parallel executor can
-// hand record ranges to different workers.
+// computing the join-index. Chunks of one scan write disjoint ranges of
+// out, so the parallel executor can hand record ranges to different
+// workers.
 func (r *Relation) ScanColumnInto(out []int32, col, lo, hi int) {
 	w := r.Width
 	for i, p := lo, lo*w+col; i < hi; i, p = i+1, p+w {
@@ -106,55 +98,22 @@ func (r *Relation) ProjectRecord(dst []int32, i int, cols []int) {
 	}
 }
 
-// ScanProject materialises the projection of the given attribute
-// offsets as a new (narrower) NSM relation, iterating record-at-a-time.
-// Pre-projection strategies use this to build the wide tuples that
-// travel through the join.
-func (r *Relation) ScanProject(name string, cols []int) *Relation {
-	out := New(name, r.Len(), len(cols))
-	r.ScanProjectInto(out, 0, r.Len(), cols)
-	return out
-}
-
-// ScanProjectInto is the chunk-safe kernel behind ScanProject: it
-// projects records [lo,hi) of r into the matching records of out
-// (which must be len(cols) wide and at least hi records long). Chunks
-// of one scan write disjoint record ranges of out.
+// ScanProjectInto projects records [lo,hi) of r into the matching
+// records of out (which must be len(cols) wide and at least hi records
+// long), record-at-a-time: pre-projection strategies build the wide
+// tuples that travel through the join this way. Chunks of one scan
+// write disjoint record ranges of out.
 func (r *Relation) ScanProjectInto(out *Relation, lo, hi int, cols []int) {
 	for i := lo; i < hi; i++ {
 		r.ProjectRecord(out.Record(i), i, cols)
 	}
 }
 
-// Gather builds a new relation from the records of r selected by oids
-// (in oid order), copying whole records. The NSM analogue of a
-// Positional-Join: each lookup drags the full ω-wide record through
-// the cache even if the caller needs one attribute.
-func (r *Relation) Gather(name string, oids []uint32) *Relation {
-	out := New(name, len(oids), r.Width)
-	w := r.Width
-	for i, o := range oids {
-		copy(out.Data[i*w:(i+1)*w], r.Data[int(o)*w:int(o)*w+w])
-	}
-	return out
-}
-
-// GatherProject fetches only the attributes named by cols from the
-// records selected by oids, writing len(cols)-wide records into a new
-// relation. The cache lines touched still belong to the wide source
-// records.
-func (r *Relation) GatherProject(name string, oids []uint32, cols []int) *Relation {
-	out := New(name, len(oids), len(cols))
-	for i, o := range oids {
-		r.ProjectRecord(out.Record(i), int(o), cols)
-	}
-	return out
-}
-
 // GatherProjectInto fetches the attributes named by cols from the
 // records selected by oids and writes them into a row-major buffer of
-// dstWidth-wide records at field offset dstOff — the strided variant
-// that assembles combined join results in place.
+// dstWidth-wide records at field offset dstOff, assembling combined
+// join results in place. The NSM analogue of a Positional-Join: the
+// cache lines touched still belong to the wide source records.
 func (r *Relation) GatherProjectInto(dst []int32, dstWidth, dstOff int, oids []uint32, cols []int) error {
 	if dstOff < 0 || dstOff+len(cols) > dstWidth {
 		return fmt.Errorf("nsm: GatherProjectInto: fields [%d,%d) outside record width %d", dstOff, dstOff+len(cols), dstWidth)
@@ -168,32 +127,10 @@ func (r *Relation) GatherProjectInto(dst []int32, dstWidth, dstOff int, oids []u
 	return nil
 }
 
-// Column materialises attribute col of every record selected by oids.
-func (r *Relation) Column(oids []uint32, col int) []int32 {
-	out := make([]int32, len(oids))
-	w := r.Width
-	for i, o := range oids {
-		out[i] = r.Data[int(o)*w+col]
-	}
-	return out
-}
-
-// AppendFields glues rows of a (widthA) and b (widthB) side by side
-// into a new relation of width widthA+widthB; a and b must have equal
-// cardinality. Used to assemble the final NSM join result from the
-// two projection halves.
-func AppendFields(name string, a, b *Relation) (*Relation, error) {
-	if a.Len() != b.Len() {
-		return nil, fmt.Errorf("nsm: AppendFields: %d vs %d records", a.Len(), b.Len())
-	}
-	out := New(name, a.Len(), a.Width+b.Width)
-	AppendFieldsInto(out, a, b, 0, a.Len())
-	return out, nil
-}
-
-// AppendFieldsInto is the chunk-safe kernel behind AppendFields: it
-// glues records [lo,hi) of a and b side by side into the matching
-// records of out (of width a.Width+b.Width). Chunks of one assembly
+// AppendFieldsInto glues records [lo,hi) of a and b side by side into
+// the matching records of out (of width a.Width+b.Width), assembling
+// the final NSM join result from the two projection halves; the caller
+// checks that a and b have equal cardinality. Chunks of one assembly
 // write disjoint record ranges of out.
 func AppendFieldsInto(out, a, b *Relation, lo, hi int) {
 	for i := lo; i < hi; i++ {

@@ -52,32 +52,41 @@ func TestRecordIsView(t *testing.T) {
 
 func TestScanColumn(t *testing.T) {
 	r := testRel(t)
-	got := r.ScanColumn(2)
+	got := make([]int32, r.Len())
+	r.ScanColumnInto(got, 2, 0, 2) // two chunks of one scan
+	r.ScanColumnInto(got, 2, 2, r.Len())
 	want := []int32{30, 31, 32, 33}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ScanColumn(2)[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("ScanColumnInto(2)[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 }
 
 func TestScanProject(t *testing.T) {
 	r := testRel(t)
-	p := r.ScanProject("p", []int{2, 0})
-	if p.Width != 2 || p.Len() != 4 {
-		t.Fatalf("Width=%d Len=%d", p.Width, p.Len())
-	}
+	p := New("p", r.Len(), 2)
+	r.ScanProjectInto(p, 0, r.Len(), []int{2, 0})
 	if p.At(3, 0) != 33 || p.At(3, 1) != 13 {
 		t.Fatalf("record 3 = %v", p.Record(3))
 	}
 }
 
+// gather is GatherProjectInto into a fresh relation of len(cols)-wide
+// records.
+func gather(t *testing.T, r *Relation, oids []uint32, cols []int) *Relation {
+	t.Helper()
+	g := New("g", len(oids), len(cols))
+	if err := r.GatherProjectInto(g.Data, len(cols), 0, oids, cols); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// A gather of every field copies whole records.
 func TestGather(t *testing.T) {
 	r := testRel(t)
-	g := r.Gather("g", []uint32{3, 1, 1})
-	if g.Len() != 3 {
-		t.Fatalf("Len = %d", g.Len())
-	}
+	g := gather(t, r, []uint32{3, 1, 1}, []int{0, 1, 2})
 	if g.At(0, 0) != 13 || g.At(1, 2) != 31 || g.At(2, 0) != 11 {
 		t.Fatalf("gather wrong: %v", g.Data)
 	}
@@ -85,18 +94,30 @@ func TestGather(t *testing.T) {
 
 func TestGatherProject(t *testing.T) {
 	r := testRel(t)
-	g := r.GatherProject("g", []uint32{2, 0}, []int{1})
-	if g.Width != 1 {
-		t.Fatalf("Width = %d", g.Width)
-	}
+	g := gather(t, r, []uint32{2, 0}, []int{1})
 	if g.At(0, 0) != 22 || g.At(1, 0) != 20 {
 		t.Fatalf("gather-project wrong: %v", g.Data)
 	}
+	// Into a wider record at a field offset, leaving the other fields.
+	dst := []int32{-1, -1, -1, -1}
+	if err := r.GatherProjectInto(dst, 2, 1, []uint32{3, 0}, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0] != -1 || dst[1] != 33 || dst[2] != -1 || dst[3] != 30 {
+		t.Fatalf("strided gather-project wrong: %v", dst)
+	}
+	if err := r.GatherProjectInto(dst, 2, 2, []uint32{3, 0}, []int{2}); err == nil {
+		t.Fatal("fields outside the record width not rejected")
+	}
+	if err := r.GatherProjectInto(dst[:3], 2, 1, []uint32{3, 0}, []int{2}); err == nil {
+		t.Fatal("short dst not rejected")
+	}
 }
 
+// A gather of one field materialises one attribute column.
 func TestColumn(t *testing.T) {
 	r := testRel(t)
-	got := r.Column([]uint32{1, 3}, 0)
+	got := gather(t, r, []uint32{1, 3}, []int{0}).Data
 	if got[0] != 11 || got[1] != 13 {
 		t.Fatalf("Column = %v", got)
 	}
@@ -105,25 +126,20 @@ func TestColumn(t *testing.T) {
 func TestAppendFields(t *testing.T) {
 	a, _ := FromColumns("a", []int32{1, 2})
 	b, _ := FromColumns("b", []int32{10, 20}, []int32{100, 200})
-	out, err := AppendFields("ab", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Width != 3 {
-		t.Fatalf("Width = %d", out.Width)
-	}
+	out := New("ab", 2, 3)
+	AppendFieldsInto(out, a, b, 0, 1) // two chunks of one assembly
+	AppendFieldsInto(out, a, b, 1, 2)
 	rec := out.Record(1)
 	if rec[0] != 2 || rec[1] != 20 || rec[2] != 200 {
 		t.Fatalf("record 1 = %v", rec)
 	}
-	c, _ := FromColumns("c", []int32{1})
-	if _, err := AppendFields("bad", a, c); err == nil {
-		t.Fatal("cardinality mismatch not rejected")
+	if rec := out.Record(0); rec[0] != 1 || rec[1] != 10 || rec[2] != 100 {
+		t.Fatalf("record 0 = %v", rec)
 	}
 }
 
-// Decompose/recompose round trip: FromColumns followed by ScanColumn
-// must return the original columns for arbitrary data.
+// Decompose/recompose round trip: FromColumns followed by
+// ScanColumnInto must return the original columns for arbitrary data.
 func TestRoundTripQuick(t *testing.T) {
 	f := func(a, b []int32) bool {
 		n := min(len(a), len(b))
@@ -135,7 +151,9 @@ func TestRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ga, gb := r.ScanColumn(0), r.ScanColumn(1)
+		ga, gb := make([]int32, n), make([]int32, n)
+		r.ScanColumnInto(ga, 0, 0, n)
+		r.ScanColumnInto(gb, 1, 0, n)
 		for i := 0; i < n; i++ {
 			if ga[i] != a[i] || gb[i] != b[i] {
 				return false

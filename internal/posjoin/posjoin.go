@@ -18,9 +18,10 @@
 //     skip over most of the column, wasting cache-line words (§4.2,
 //     Figure 11).
 //
-// All variants compute the same result; the named entry points keep
-// the experiment code and the cost model honest about which pattern
-// they exercise.
+// All variants compute the same result, out[i] = col[oids[i]]: the
+// caller names the pattern by the oids it hands in (FetchInto for u
+// and s, ClusteredInto for c), and the experiments and cost model by
+// the pattern they exercise.
 package posjoin
 
 import (
@@ -32,17 +33,8 @@ import (
 // OID mirrors bat.OID.
 type OID = bat.OID
 
-// Fetch is the Positional-Join kernel: out[i] = col[oids[i]].
-// It allocates the result column.
-func Fetch(col []int32, oids []OID) ([]int32, error) {
-	out := make([]int32, len(oids))
-	if err := FetchInto(out, col, oids); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FetchInto gathers into a caller-provided result column.
+// FetchInto is the Positional-Join kernel, out[i] = col[oids[i]], into
+// a caller-provided result column of len(oids) values.
 func FetchInto(out, col []int32, oids []OID) error { return FetchWindowInto(out, col, 0, oids) }
 
 // FetchWindowInto is FetchInto over a window of a column: window holds
@@ -64,67 +56,22 @@ func FetchWindowInto(out, window []int32, base OID, oids []OID) error {
 	return nil
 }
 
-// Unsorted is Fetch under its strategy name (code "u" in §4.1): one
-// Positional-Join straight from the join-index, random access on col.
-func Unsorted(col []int32, oids []OID) ([]int32, error) { return Fetch(col, oids) }
-
-// Sorted is Fetch after the join-index has been fully Radix-Sorted
-// (code "s"): oids ascend, access is sequential. The caller is
-// responsible for the oids actually being sorted; CheckSorted
-// verifies it in tests.
-func Sorted(col []int32, oids []OID) ([]int32, error) { return Fetch(col, oids) }
-
-// Clustered processes a partially radix-clustered oid column cluster
-// by cluster (code "c"), restricting each inner loop to one
-// cache-sized region of col. borders must tile the oid column.
-func Clustered(col []int32, oids []OID, borders []bat.Border) ([]int32, error) {
-	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(oids))
-	if err := ClusteredInto(out, col, oids, borders); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ClusteredInto is the chunk-safe kernel behind Clustered: it gathers
-// the clusters listed in borders into the matching [Start,End) ranges
-// of out. The parallel executor hands disjoint border groups of one
-// clustering to different workers; each call writes only the ranges
-// its borders name, so concurrent calls over a partition of the
-// borders never overlap.
+// ClusteredInto processes a partially radix-clustered oid column
+// cluster by cluster (code "c"), restricting each inner loop to one
+// cache-sized region of col: it gathers every cluster of borders, which
+// must tile the oid column, into the matching [Start,End) range of out
+// (len(oids) values).
 func ClusteredInto(out, col []int32, oids []OID, borders []bat.Border) error {
+	if len(out) != len(oids) {
+		return fmt.Errorf("posjoin: out has %d slots for %d oids", len(out), len(oids))
+	}
+	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
+		return err
+	}
 	for _, b := range borders {
 		if err := FetchInto(out[b.Start:b.End], col, oids[b.Start:b.End]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// FetchMany runs one Positional-Join per projection column — the
-// column-at-a-time execution of DSM post-projection, where each
-// operator is a hard-coded tight loop over one array.
-func FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
-	out := make([][]int32, len(cols))
-	for c, col := range cols {
-		var err error
-		out[c], err = Fetch(col, oids)
-		if err != nil {
-			return nil, fmt.Errorf("column %d: %w", c, err)
-		}
-	}
-	return out, nil
-}
-
-// CheckSorted reports whether oids ascend — the precondition of the
-// Sorted pattern.
-func CheckSorted(oids []OID) bool {
-	for i := 1; i < len(oids); i++ {
-		if oids[i] < oids[i-1] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package posjoin
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"radixdecluster/internal/bat"
@@ -11,8 +12,8 @@ import (
 
 func TestFetch(t *testing.T) {
 	col := []int32{10, 20, 30, 40}
-	got, err := Fetch(col, []OID{3, 0, 0, 2})
-	if err != nil {
+	got := make([]int32, 4)
+	if err := FetchInto(got, col, []OID{3, 0, 0, 2}); err != nil {
 		t.Fatal(err)
 	}
 	want := []int32{40, 10, 10, 30}
@@ -24,7 +25,7 @@ func TestFetch(t *testing.T) {
 }
 
 func TestFetchOutOfRange(t *testing.T) {
-	if _, err := Fetch([]int32{1}, []OID{1}); err == nil {
+	if err := FetchInto(make([]int32, 1), []int32{1}, []OID{1}); err == nil {
 		t.Fatal("out-of-range oid not rejected")
 	}
 }
@@ -62,15 +63,14 @@ func TestFetchWindowInto(t *testing.T) {
 }
 
 func TestFetchEmpty(t *testing.T) {
-	got, err := Fetch(nil, nil)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v", got, err)
+	if err := FetchInto(nil, nil, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestAllVariantsAgree(t *testing.T) {
-	// Unsorted, Sorted (after sort) and Clustered (after partial
-	// cluster) must produce consistent projections: the value fetched
+	// Unsorted and sorted (after sort) FetchInto and ClusteredInto
+	// (after partial cluster) must produce consistent projections: the value fetched
 	// for a given join-index entry is the same, only the order of the
 	// result column follows the oid reordering.
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -83,8 +83,8 @@ func TestAllVariantsAgree(t *testing.T) {
 	for i := range oids {
 		oids[i] = OID(rng.IntN(n))
 	}
-	uns, err := Unsorted(col, oids)
-	if err != nil {
+	uns := make([]int32, len(oids))
+	if err := FetchInto(uns, col, oids); err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range oids {
@@ -101,11 +101,11 @@ func TestAllVariantsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !CheckSorted(srt.Key) {
+	if !slices.IsSorted(srt.Key) {
 		t.Fatal("radix sort did not sort")
 	}
-	sv, err := Sorted(col, srt.Key)
-	if err != nil {
+	sv := make([]int32, len(oids))
+	if err := FetchInto(sv, col, srt.Key); err != nil {
 		t.Fatal(err)
 	}
 	for i := range sv {
@@ -119,8 +119,8 @@ func TestAllVariantsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := Clustered(col, cl.Key, cl.Borders())
-	if err != nil {
+	cv := make([]int32, len(oids))
+	if err := ClusteredInto(cv, col, cl.Key, cl.Borders()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range cv {
@@ -133,37 +133,15 @@ func TestAllVariantsAgree(t *testing.T) {
 func TestClusteredErrors(t *testing.T) {
 	col := []int32{1, 2}
 	oids := []OID{0, 1}
-	if _, err := Clustered(col, oids, []bat.Border{{Start: 0, End: 1}}); err == nil {
+	out := make([]int32, 2)
+	if err := ClusteredInto(out, col, oids, []bat.Border{{Start: 0, End: 1}}); err == nil {
 		t.Fatal("bad borders not rejected")
 	}
 	borders := []bat.Border{{Start: 0, End: 2}}
-	if _, err := Clustered(col, []OID{0, 9}, borders); err == nil {
+	if err := ClusteredInto(out, col, []OID{0, 9}, borders); err == nil {
 		t.Fatal("out-of-range oid not rejected")
 	}
-}
-
-func TestFetchMany(t *testing.T) {
-	cols := [][]int32{{1, 2, 3}, {10, 20, 30}}
-	got, err := FetchMany(cols, []OID{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0][0] != 3 || got[0][1] != 1 || got[1][0] != 30 || got[1][1] != 10 {
-		t.Fatalf("got %v", got)
-	}
-	if _, err := FetchMany([][]int32{{1}}, []OID{4}); err == nil {
-		t.Fatal("column error not propagated")
-	}
-}
-
-func TestCheckSorted(t *testing.T) {
-	if !CheckSorted([]OID{0, 1, 1, 5}) {
-		t.Fatal("ascending with duplicates is sorted")
-	}
-	if CheckSorted([]OID{1, 0}) {
-		t.Fatal("descending is not sorted")
-	}
-	if !CheckSorted(nil) {
-		t.Fatal("empty is sorted")
+	if err := ClusteredInto(out[:1], col, oids, borders); err == nil {
+		t.Fatal("short out not rejected")
 	}
 }

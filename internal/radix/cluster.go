@@ -1,7 +1,7 @@
 package radix
 
 // This file holds the serial multi-pass engine behind the
-// ClusterBUNs / ClusterOIDPairs / ClusterRows front ends: the chunk
+// ClusterBUNsInto / ClusterOIDPairsInto / ClusterRowsInto front ends: the chunk
 // kernels of kernel.go with one chunk per current cluster range.
 //
 // Each pass p consumes the next Bp most-significant bits of the radix

@@ -236,12 +236,12 @@ func checkRows(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, sp
 	}
 	in := slices.Clone(rows)
 	for _, passes := range splits {
-		res, err := ClusterRows(rows, width, keyCol, Opts{Bits: bits, Ignore: ignore, Passes: passes})
+		res, err := freshRows(rows, width, keyCol, Opts{Bits: bits, Ignore: ignore, Passes: passes})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(res.Rows, want) || !slices.Equal(res.Offsets, wantOff) {
-			t.Fatalf("n=%d bits=%d ignore=%d passes=%v: ClusterRows differs from the stable-sort reference", n, bits, ignore, passes)
+			t.Fatalf("n=%d bits=%d ignore=%d passes=%v: ClusterRowsInto differs from the stable-sort reference", n, bits, ignore, passes)
 		}
 	}
 	f := Field{Shift: uint(ignore), Mask: uint32(1<<bits - 1)}
@@ -253,7 +253,7 @@ func checkRows(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, sp
 		t.Fatalf("n=%d bits=%d ignore=%d: chunked rows pass differs from the one-chunk result", n, bits, ignore)
 	}
 	if !slices.Equal(rows, in) {
-		t.Fatalf("n=%d bits=%d: ClusterRows wrote to its input records", n, bits)
+		t.Fatalf("n=%d bits=%d: ClusterRowsInto wrote to its input records", n, bits)
 	}
 }
 

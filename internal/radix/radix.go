@@ -128,19 +128,15 @@ type BUNsResult struct {
 	Offsets []int
 }
 
-// ClusterBUNs radix-clusters an [oid,value] BAT — a join input — on
-// hash.Int32(value), so that skewed domains still spread over all
+// ClusterBUNsInto radix-clusters an [oid,value] BAT — a join input —
+// on hash.Int32(value), so that skewed domains still spread over all
 // clusters (§2.2). The BUNs carry the hash in place of the value
 // (kernel.go): hash.Mix is a bijection, so the join compares hashes.
-func ClusterBUNs(heads []OID, vals []int32, o Opts) (*BUNsResult, error) {
-	return ClusterBUNsInto(pingPong[uint64](len(vals), o), heads, vals, o)
-}
-
-// ClusterBUNsInto is ClusterBUNs scattering into the caller's buffers,
-// handed in dirty: buf[0] of at least len(vals) BUNs, and buf[1] too
-// when o takes more than one pass (NumPasses) — the passes ping-pong
-// between them. The result's BUNs are a prefix of one of the two; the
-// other holds nothing the result needs.
+// It scatters into the caller's buffers, handed in dirty: buf[0] of at
+// least len(vals) BUNs, and buf[1] too when o takes more than one pass
+// (NumPasses) — the passes ping-pong between them. The result's BUNs
+// are a prefix of one of the two; the other holds nothing the result
+// needs.
 func ClusterBUNsInto(buf [2][]uint64, heads []OID, vals []int32, o Opts) (*BUNsResult, error) {
 	if len(heads) != len(vals) {
 		return nil, fmt.Errorf("radix: ClusterBUNs: %d heads vs %d values", len(heads), len(vals))
@@ -175,7 +171,7 @@ func checkBufs[T any](buf [2][]T, n int, o Opts) error {
 
 // KeyOffsets returns the 2^Bits+1 cluster offsets of a hashed
 // Radix-Cluster of keys on o's radix field — the Offsets
-// ClusterBUNs(_, keys, o) returns, whatever o's pass split.
+// ClusterBUNsInto(_, _, keys, o) returns, whatever o's pass split.
 func KeyOffsets(keys []int32, o Opts) ([]int, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -188,18 +184,14 @@ func KeyOffsets(keys []int32, o Opts) ([]int, error) {
 	return offsets, nil
 }
 
-// Permute returns col in the order ClusterBUNs(_, keys, o) puts the
-// tuples of keys: one stable scatter pass on the whole radix field,
-// with cursors from the clustering's offsets (KeyOffsets). A stable
-// clustering places every tuple where any pass split would, so
-// Permute(keys, oids, …) is the BUNs' oid half — and any column of the
-// relation follows without the permutation ever being stored.
-func Permute[P Word](keys []int32, col []P, o Opts, offsets []int) []P {
-	return PermuteInto(make([]P, len(keys)), keys, col, o, offsets)
-}
-
-// PermuteInto is Permute writing every slot of dst[:len(keys)], which it
-// returns: a caller permuting several columns in turn reuses one buffer.
+// PermuteInto writes col into dst[:len(keys)], which it returns, in the
+// order ClusterBUNsInto(_, _, keys, o) puts the tuples of keys: one
+// stable scatter pass on the whole radix field, with cursors from the
+// clustering's offsets (KeyOffsets). A stable clustering places every
+// tuple where any pass split would, so PermuteInto(_, keys, oids, …) is
+// the BUNs' oid half — and any column of the relation follows without
+// the permutation ever being stored. Every slot is written: a caller
+// permuting several columns in turn reuses one buffer.
 func PermuteInto[P Word](dst []P, keys []int32, col []P, o Opts, offsets []int) []P {
 	cur := slices.Clone(offsets[:len(offsets)-1])
 	dst = dst[:len(keys)]
@@ -207,8 +199,9 @@ func PermuteInto[P Word](dst []P, keys []int32, col []P, o Opts, offsets []int) 
 	return dst
 }
 
-// PermuteHashes returns hash.Int32 of keys in Permute's order: the BUNs'
-// hash half, the join input of a clustering done once (join.Image).
+// PermuteHashes returns hash.Int32 of keys in PermuteInto's order: the
+// BUNs' hash half, the join input of a clustering done once
+// (join.Image).
 func PermuteHashes(keys []int32, o Opts, offsets []int) []uint32 {
 	cur := slices.Clone(offsets[:len(offsets)-1])
 	dst := make([]uint32, len(keys))
@@ -269,16 +262,12 @@ type RowsResult struct {
 	Offsets []int
 }
 
-// ClusterRows radix-clusters width-wide NSM records on hash(record[keyCol]).
-// The whole record travels on every pass — the "extra luggage" of
-// pre-projection strategies (§1.1): fewer tuples fit per cluster and
-// per cache line, which is exactly the effect the paper measures.
-func ClusterRows(rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
-	return ClusterRowsInto(pingPong[int32](len(rows), o), rows, width, keyCol, o)
-}
-
-// ClusterRowsInto is ClusterRows scattering into the caller's buffers
-// of at least len(rows) values each (see ClusterBUNsInto).
+// ClusterRowsInto radix-clusters width-wide NSM records on
+// hash(record[keyCol]), scattering into the caller's buffers of at
+// least len(rows) values each (see ClusterBUNsInto). The whole record
+// travels on every pass — the "extra luggage" of pre-projection
+// strategies (§1.1): fewer tuples fit per cluster and per cache line,
+// which is exactly the effect the paper measures.
 func ClusterRowsInto(buf [2][]int32, rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
 	if width <= 0 || len(rows)%width != 0 {
 		return nil, fmt.Errorf("radix: ClusterRows: %d values is not a multiple of width %d", len(rows), width)
@@ -294,40 +283,6 @@ func ClusterRowsInto(buf [2][]int32, rows []int32, width, keyCol int, o Opts) (*
 	}
 	out, offsets := clusterRows(buf, rows, width, keyCol, o)
 	return &RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
-}
-
-// Count is the radix_count operator of Figure 4: it analyses a
-// (partially) radix-clustered oid column and returns the actual
-// cluster borders, which Radix-Decluster needs to initialise its
-// cluster cursor array. B and I must match the clustering that
-// produced the column.
-func Count(oids []OID, bits, ignore int) ([]bat.Border, error) {
-	if bits < 0 || ignore < 0 || bits+ignore > 32 {
-		return nil, fmt.Errorf("radix: Count: bad bits=%d ignore=%d", bits, ignore)
-	}
-	h := 1 << bits
-	counts := make([]int, h)
-	mask := uint32(h - 1)
-	sh := uint(ignore)
-	for _, o := range oids {
-		counts[(o>>sh)&mask]++
-	}
-	borders := make([]bat.Border, h)
-	pos := 0
-	for c := 0; c < h; c++ {
-		borders[c] = bat.Border{Start: pos, End: pos + counts[c]}
-		pos += counts[c]
-	}
-	// A clustered column must be non-decreasing in its radix field.
-	prev := uint32(0)
-	for i, o := range oids {
-		r := (o >> sh) & mask
-		if i > 0 && r < prev {
-			return nil, fmt.Errorf("radix: Count: column not clustered on bits [%d,%d) at position %d", ignore, ignore+bits, i)
-		}
-		prev = r
-	}
-	return borders, nil
 }
 
 // SortOIDPairs fully sorts an [oid,oid] BAT on the key column by

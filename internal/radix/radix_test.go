@@ -154,6 +154,16 @@ func hashes(keys []int32) []uint32 {
 	return out
 }
 
+// freshBUNs is ClusterBUNsInto into fresh ping-pong buffers.
+func freshBUNs(heads []OID, vals []int32, o Opts) (*BUNsResult, error) {
+	return ClusterBUNsInto(pingPong[uint64](len(vals), o), heads, vals, o)
+}
+
+// freshRows is ClusterRowsInto into fresh ping-pong buffers.
+func freshRows(rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
+	return ClusterRowsInto(pingPong[int32](len(rows), o), rows, width, keyCol, o)
+}
+
 func randomPairs(n int, seed uint64) ([]OID, []int32) {
 	rng := rand.New(rand.NewPCG(seed, 99))
 	heads := make([]OID, n)
@@ -168,7 +178,7 @@ func randomPairs(n int, seed uint64) ([]OID, []int32) {
 func TestClusterBUNsSinglePass(t *testing.T) {
 	heads, vals := randomPairs(1000, 1)
 	o := Opts{Bits: 4}
-	res, err := ClusterBUNs(heads, vals, o)
+	res, err := freshBUNs(heads, vals, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +187,13 @@ func TestClusterBUNsSinglePass(t *testing.T) {
 
 func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 	heads, vals := randomPairs(5000, 2)
-	bsingle, err := ClusterBUNs(heads, vals, Opts{Bits: 6})
+	bsingle, err := freshBUNs(heads, vals, Opts{Bits: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := unpack(bsingle)
 	for _, passes := range [][]int{{3, 3}, {2, 2, 2}, {4, 1, 1}, {1, 5}} {
-		bmulti, err := ClusterBUNs(heads, vals, Opts{Bits: 6, Passes: passes})
+		bmulti, err := freshBUNs(heads, vals, Opts{Bits: 6, Passes: passes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +214,13 @@ func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 }
 
 // TestPermuteMatchesClusterBUNs: a join image built column-wise —
-// KeyOffsets, PermuteHashes and one Permute per column — holds exactly
+// KeyOffsets, PermuteHashes and one PermuteInto per column — holds exactly
 // the BUN clustering's offsets, hashes and oids, for every pass split,
 // with Ignore bits, and at zero bits.
 func TestPermuteMatchesClusterBUNs(t *testing.T) {
 	heads, vals := randomPairs(5000, 5)
 	for _, o := range []Opts{{Bits: 0}, {Bits: 6}, {Bits: 6, Passes: []int{2, 2, 2}}, {Bits: 5, Ignore: 3}, {Bits: 11, Passes: []int{6, 5}}} {
-		bres, err := ClusterBUNs(heads, vals, o)
+		bres, err := freshBUNs(heads, vals, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,15 +229,16 @@ func TestPermuteMatchesClusterBUNs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := Permute(vals, vals, o, offs)
+		keys := PermuteInto(make([]int32, len(vals)), vals, vals, o, offs)
+		oids := PermuteInto(make([]OID, len(vals)), vals, heads, o, offs)
 		if !slices.Equal(offs, want.Offsets) || !slices.Equal(PermuteHashes(vals, o, offs), want.Hashes) ||
-			!slices.Equal(hashes(keys), want.Hashes) || !slices.Equal(Permute(vals, heads, o, offs), want.Heads) {
-			t.Fatalf("%+v: the column-wise image differs from ClusterBUNs", o)
+			!slices.Equal(hashes(keys), want.Hashes) || !slices.Equal(oids, want.Heads) {
+			t.Fatalf("%+v: the column-wise image differs from ClusterBUNsInto", o)
 		}
 		// A reused, dirty, oversized buffer is written in full.
 		dirty := slices.Repeat([]int32{-7}, len(vals)+3)
 		if got := PermuteInto(dirty, vals, vals, o, offs); !slices.Equal(got, keys) {
-			t.Fatalf("%+v: PermuteInto into a dirty buffer differs from Permute", o)
+			t.Fatalf("%+v: PermuteInto into a dirty buffer differs from a fresh one", o)
 		}
 	}
 	if _, err := KeyOffsets(vals, Opts{Bits: -1}); err == nil {
@@ -237,7 +248,7 @@ func TestPermuteMatchesClusterBUNs(t *testing.T) {
 
 func TestClusterBUNsZeroBits(t *testing.T) {
 	heads, vals := randomPairs(64, 4)
-	bres, err := ClusterBUNs(heads, vals, Opts{Bits: 0})
+	bres, err := freshBUNs(heads, vals, Opts{Bits: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +264,7 @@ func TestClusterBUNsZeroBits(t *testing.T) {
 }
 
 func TestClusterBUNsEmpty(t *testing.T) {
-	res, err := ClusterBUNs(nil, nil, Opts{Bits: 3})
+	res, err := freshBUNs(nil, nil, Opts{Bits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +274,7 @@ func TestClusterBUNsEmpty(t *testing.T) {
 }
 
 func TestClusterBUNsLengthMismatch(t *testing.T) {
-	if _, err := ClusterBUNs([]OID{1}, []int32{1, 2}, Opts{Bits: 1}); err == nil {
+	if _, err := freshBUNs([]OID{1}, []int32{1, 2}, Opts{Bits: 1}); err == nil {
 		t.Fatal("length mismatch not rejected")
 	}
 }
@@ -343,7 +354,7 @@ func TestClusterRows(t *testing.T) {
 		}
 	}
 	o := Opts{Bits: 3, Passes: []int{2, 1}}
-	res, err := ClusterRows(rows, w, 0, o)
+	res, err := freshRows(rows, w, 0, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,16 +384,18 @@ func TestClusterRows(t *testing.T) {
 }
 
 func TestClusterRowsErrors(t *testing.T) {
-	if _, err := ClusterRows(make([]int32, 10), 3, 0, Opts{Bits: 1}); err == nil {
+	if _, err := freshRows(make([]int32, 10), 3, 0, Opts{Bits: 1}); err == nil {
 		t.Fatal("non-multiple length not rejected")
 	}
-	if _, err := ClusterRows(make([]int32, 9), 3, 3, Opts{Bits: 1}); err == nil {
+	if _, err := freshRows(make([]int32, 9), 3, 3, Opts{Bits: 1}); err == nil {
 		t.Fatal("key column out of range not rejected")
 	}
 }
 
 func TestCount(t *testing.T) {
-	// Cluster, then Count must reproduce the cluster borders.
+	// The radix_count of Figure 4 is the clustering's own offsets: they
+	// must be the per-cluster counts of the clustered column's radix
+	// field, which is non-decreasing.
 	key := make([]OID, 500)
 	other := make([]OID, 500)
 	rng := rand.New(rand.NewPCG(3, 3))
@@ -395,24 +408,22 @@ func TestCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	borders, err := Count(res.Key, o.Bits, o.Ignore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.Borders()
-	if len(borders) != len(want) {
-		t.Fatalf("%d borders, want %d", len(borders), len(want))
-	}
-	for i := range borders {
-		if borders[i] != want[i] {
-			t.Fatalf("border %d = %v, want %v", i, borders[i], want[i])
+	counts := make([]int, 1<<o.Bits)
+	for i, k := range res.Key {
+		r := int(k>>o.Ignore) & (1<<o.Bits - 1)
+		if i > 0 && r < int(res.Key[i-1]>>o.Ignore)&(1<<o.Bits-1) {
+			t.Fatalf("clustered column decreases in its radix field at %d", i)
 		}
+		counts[r]++
 	}
-}
-
-func TestCountRejectsUnclustered(t *testing.T) {
-	if _, err := Count([]OID{3, 0, 7, 1}, 2, 0); err == nil {
-		t.Fatal("unclustered column not rejected")
+	borders := res.Borders()
+	if len(borders) != len(counts) {
+		t.Fatalf("%d borders, want %d", len(borders), len(counts))
+	}
+	for c, b := range borders {
+		if b.Size() != counts[c] {
+			t.Fatalf("border %d = %v, holds %d tuples of its radix value", c, b, counts[c])
+		}
 	}
 }
 
@@ -450,7 +461,7 @@ func TestClusterBUNsQuick(t *testing.T) {
 		maxPer := int(pass8%3) + 1
 		o := Opts{Bits: bits, Ignore: ignore, Passes: SplitBits(bits, maxPer)}
 		heads, vals := randomPairs(257, seed)
-		bres, err := ClusterBUNs(heads, vals, o)
+		bres, err := freshBUNs(heads, vals, o)
 		if err != nil {
 			return false
 		}

@@ -256,7 +256,7 @@ type RelationInfo struct {
 
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "use GET")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.relMu.RLock()
@@ -317,7 +317,7 @@ type ServerStatus struct {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "use GET")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.Status())
@@ -369,6 +369,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // jsonError renders {"error": msg}.
 func jsonError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// methodNotAllowed answers 405 with the Allow header RFC 9110 requires
+// of it, naming the one method the endpoint serves.
+func methodNotAllowed(w http.ResponseWriter, allow string) {
+	w.Header().Set("Allow", allow)
+	jsonError(w, http.StatusMethodNotAllowed, "use "+allow)
 }
 
 // sortedNames returns the registered relation names (for error

@@ -219,6 +219,10 @@ func TestQueryValidation(t *testing.T) {
 		{"bad compression", `{"larger":"larger","smaller":"smaller","compression":"zstd"}`, 400, "compression"},
 		{"unknown field", `{"larger":"larger","smaller":"smaller","turbo":true}`, 400, "turbo"},
 		{"syntax", `{"larger":`, 400, "bad request body"},
+		// A body is one object: bytes after it reject the request.
+		{"trailing garbage", `{"larger":"larger","smaller":"smaller"} garbage`, 400, "bad request body"},
+		{"two objects", `{"larger":"larger","smaller":"smaller"}{"larger":"larger","smaller":"smaller"}`, 400, "data after the request object"},
+		{"trailing white space", `{"larger":"larger","smaller":"smaller"}` + " \n\t", 200, ""},
 		{"unknown column", `{"larger":"larger","smaller":"smaller","largerProject":["zz"],"parallelism":0}`, 400, "zz"},
 		{"oversized", `{"larger":"larger","smaller":"smaller","strategy":"` + strings.Repeat("x", 600) + `"}`, 413, "512 bytes"},
 		// One worker: nominal parallelism is legal up to
@@ -258,13 +262,26 @@ func TestQueryValidation(t *testing.T) {
 			}
 		})
 	}
-	resp, err := http.Get(ts.URL + "/v1/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/query = %d, want 405", resp.StatusCode)
+	// A wrong method is answered 405 with the Allow header (RFC 9110).
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/query", http.MethodPost},
+		{http.MethodPut, "/v1/query", http.MethodPost},
+		{http.MethodPost, "/v1/relations", http.MethodGet},
+		{http.MethodDelete, "/v1/status", http.MethodGet},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != c.allow {
+			t.Fatalf("%s %s = %d with Allow %q, want 405 with Allow %q",
+				c.method, c.path, resp.StatusCode, resp.Header.Get("Allow"), c.allow)
+		}
 	}
 }
 

@@ -193,7 +193,7 @@ func clusterImage(oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image
 		return Image{}, err
 	}
 	img := Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}}
-	clustered := radix.Permute(keys, oids, o, offs)
+	clustered := radix.PermuteInto(make([]OID, len(keys)), keys, oids, o, offs)
 	for _, col := range base {
 		vals := make([]int32, len(clustered))
 		for i, oid := range clustered {

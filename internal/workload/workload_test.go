@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"radixdecluster/internal/bat"
+	"radixdecluster/internal/exec"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/radix"
 )
@@ -120,7 +122,7 @@ func TestDenseSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bat.IsDense(pr.Larger.SelOIDs, 0) {
+	if !slices.Equal(pr.Larger.SelOIDs, bat.Dense(100)) {
 		t.Fatal("s=1 must give dense oids")
 	}
 	if pr.Larger.BaseN != 100 {
@@ -189,7 +191,9 @@ func TestGenPairThroughPartitionedJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := join.Partitioned(pr.Larger.SelOIDs, pr.Larger.SelKeys,
+	e := exec.NewEngine(nil, 0) // the serial paper engine
+	defer e.Close()
+	ix, err := e.PartitionedJoin(pr.Larger.SelOIDs, pr.Larger.SelKeys,
 		pr.Smaller.SelOIDs, pr.Smaller.SelKeys, radix.Opts{Bits: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +238,8 @@ func TestSkewedKeysJoinAndPartitionBalance(t *testing.T) {
 	// Hashed radix clustering spreads the skewed keys: no partition
 	// should hold more than a few times its fair share... except the
 	// hot key's partition, which is bounded by the hot key count.
-	cl, err := radix.ClusterBUNs(pr.Larger.SelOIDs, pr.Larger.SelKeys, radix.Opts{Bits: 4})
+	cl, err := radix.ClusterBUNsInto([2][]uint64{make([]uint64, len(pr.Larger.SelKeys))},
+		pr.Larger.SelOIDs, pr.Larger.SelKeys, radix.Opts{Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

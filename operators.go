@@ -1,11 +1,10 @@
 package radixdecluster
 
 import (
-	"fmt"
-
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/buffer"
 	"radixdecluster/internal/core"
+	"radixdecluster/internal/posjoin"
 	"radixdecluster/internal/radix"
 )
 
@@ -74,12 +73,8 @@ func Decluster[T any](values []T, ids []OID, clusters []Cluster, windowTuples in
 // of col.
 func Fetch(col []int32, oids []OID) ([]int32, error) {
 	out := make([]int32, len(oids))
-	n := uint32(len(col))
-	for i, o := range oids {
-		if o >= n {
-			return nil, fmt.Errorf("radixdecluster: oid %d outside column of %d values", o, n)
-		}
-		out[i] = col[o]
+	if err := posjoin.FetchInto(out, col, oids); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -409,7 +409,7 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed
 		col := ki.cols[name]
 		if col == nil {
 			start := time.Now()
-			col = radix.Permute(keys, vals, o, ki.Offsets)
+			col = radix.PermuteInto(make([]int32, len(keys)), keys, vals, o, ki.Offsets)
 			ki.cols[name] = col
 			builds = append(builds, build{"build-image-column", start, time.Now()})
 		}

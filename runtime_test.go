@@ -223,7 +223,7 @@ func TestConcurrentThroughputMultiCore(t *testing.T) {
 		Cols: pr.Larger.ProjCols(pi), BaseN: pr.Larger.BaseN}
 	s := strategy.DSMSide{OIDs: pr.Smaller.SelOIDs, Keys: pr.Smaller.SelKeys,
 		Cols: pr.Smaller.ProjCols(pi), BaseN: pr.Smaller.BaseN}
-	rt := exec.NewRuntime(0, 0)
+	rt := exec.NewRuntimeOpts(exec.Options{})
 	defer rt.Close()
 	runOne := func() {
 		cfg := strategy.Config{Parallelism: strategy.AutoParallelism, Runtime: rt}
