@@ -281,9 +281,13 @@ func BenchmarkProbeBUNs(b *testing.B) {
 // BenchmarkProbeImage is BenchmarkProbeBUNs for the kernel runtime
 // queries run over join images: the same partitions as image hash
 // columns (join.Image.Hashes), emitting image positions, at 256-, 1 Ki-
-// and 16 Ki-tuple partitions. The smaller keys are a bijection, so both
-// legs apply: distinct=false walks every chain to its end, and
-// distinct=true stops each probe at its first match (Image.Distinct).
+// and 16 Ki-tuple partitions. The smaller keys are a bijection, so all
+// three legs apply: distinct=false walks every chain to its end
+// (join.ProbeHashes), distinct=true is join.ProbeImage over a Distinct
+// smaller image — the first-match probe compacted into the join-index —
+// and first is join.ProbeFirst alone, one smaller position per probe
+// and no larger one, what a key-FK partition of Engine.ProjectImages
+// writes.
 func BenchmarkProbeImage(b *testing.B) {
 	_, lk, _, sk := benchJoinSides(b)
 	for _, c := range []struct {
@@ -299,23 +303,31 @@ func BenchmarkProbeImage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lh, sh := radix.PermuteHashes(lk, o, lo), radix.PermuteHashes(sk, o, so)
-		if !join.DistinctHashes(&join.Image{Hashes: sh, Offsets: so}, uint(c.bits)) {
+		li := &join.Image{Hashes: radix.PermuteHashes(lk, o, lo), Offsets: lo}
+		si := &join.Image{Hashes: radix.PermuteHashes(sk, o, so), Offsets: so}
+		if !join.DistinctHashes(si, uint(c.bits)) {
 			b.Fatal("the smaller keys are not distinct")
 		}
 		out := &join.Index{Larger: make([]OID, 0, clusterBenchN), Smaller: make([]OID, 0, clusterBenchN)}
 		var ts join.TableScratch
-		for _, distinct := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/distinct=%v", c.name, distinct), func(b *testing.B) {
+		for _, leg := range []string{"distinct=false", "distinct=true", "first"} {
+			si.Distinct = leg == "distinct=true"
+			b.Run(c.name+"/"+leg, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(clusterBenchN * 8)
 				for i := 0; i < b.N; i++ {
 					out.Larger, out.Smaller = out.Larger[:0], out.Smaller[:0]
+					hits := 0
 					for p := 0; p < 1<<c.bits; p++ {
-						join.ProbeHashes(sh[so[p]:so[p+1]], lh[lo[p]:lo[p+1]], so[p], lo[p], uint(c.bits), distinct, out, &ts)
+						if leg == "first" {
+							hits += join.ProbeFirst(si.Hashes[so[p]:so[p+1]], li.Hashes[lo[p]:lo[p+1]], so[p], uint(c.bits), out.Smaller[lo[p]:lo[p+1]], &ts)
+						} else {
+							join.ProbeImage(li, si, p, uint(c.bits), out, &ts)
+							hits = out.Len()
+						}
 					}
-					if out.Len() != clusterBenchN {
-						b.Fatalf("%d matches, want %d", out.Len(), clusterBenchN)
+					if hits != clusterBenchN {
+						b.Fatalf("%d matches, want %d", hits, clusterBenchN)
 					}
 				}
 			})

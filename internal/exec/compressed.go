@@ -171,6 +171,35 @@ func (e *Engine) fetchRange(dst, col []int32, enc *compress.Encoded, lo, hi int,
 	return posjoin.FetchWindowInto(dst, src, OID(lo), pos)
 }
 
+// fetchRanges is fetchRange over every column of one side, writing
+// column c's values at dsts[c][at:at+len(pos)]: raw columns gather two at
+// a time (posjoin.FetchWindowPairInto, one pass over pos per pair),
+// encoded ones and an odd raw one alone.
+func (e *Engine) fetchRanges(dsts [][]int32, at int, cols [][]int32, encs []*compress.Encoded, lo, hi int, pos []OID, s *Scratch) error {
+	end := at + len(pos)
+	held := -1 // a raw column waiting for its pair
+	for c, col := range cols {
+		if enc := encAt(encs, c); enc != nil {
+			if err := e.fetchRange(dsts[c][at:end], nil, enc, lo, hi, pos, s); err != nil {
+				return err
+			}
+			continue
+		}
+		if held < 0 {
+			held = c
+			continue
+		}
+		if err := posjoin.FetchWindowPairInto(dsts[held][at:end], dsts[c][at:end], cols[held][lo:hi], col[lo:hi], OID(lo), pos); err != nil {
+			return err
+		}
+		held = -1
+	}
+	if held >= 0 {
+		return posjoin.FetchWindowInto(dsts[held][at:end], cols[held][lo:hi], OID(lo), pos)
+	}
+	return nil
+}
+
 // Image is one side of a join over join images as the engine reads it:
 // the clustered join input and the projection columns in the same
 // order, each raw in Cols or encoded in ColsEnc with its Cols entry nil.
@@ -192,23 +221,25 @@ type ImageProjection struct {
 
 // ProjectImages is the u/u DSM post-projection over two join images in
 // one pass, one morsel per radix partition homed by partitionAff. Each
-// morsel probes its partition pair (join.ProbeImage) and, while the
-// match list is in the worker's caches, checks whether the larger
-// matches are the partition's image range in order (key-FK): by their
-// count alone when the smaller image is Distinct, since each probe then
-// emits at most one match, in probe order; else match by match. If so
-// it writes the partition's result rows in place at that range: smaller
-// columns gathered from the partition's image range (fetchRange),
-// encoded larger columns decoded straight into the result. When every
-// partition was key-FK, each raw larger column is the image column
-// itself (Views), neither copied nor leased. The first partition that
-// is not (or a decode error) stops the in-place writes, and the query
-// finishes with the stitched join-index and two FetchImage passes. The
-// bytes and the error are those of FetchImage over the join-index of
-// join.PartitionedImagesInto either way. The in-morsel fetch times
-// apportion the pass's wall time to PhaseProjectLarger and
-// PhaseProjectSmaller (attribute); the probe's share stays with the
-// calling phase's kind.
+// morsel probes its partition pair and, while the match list is in the
+// worker's caches, checks whether the larger matches are the
+// partition's image range in order (key-FK). Over a Distinct smaller
+// image the probe is join.ProbeFirst (probeFirst): one smaller position
+// per larger tuple, and the partition is key-FK when every probe
+// matched — its larger positions, the image range, are then never
+// written. Otherwise join.ProbeImage emits the match list, checked
+// match by match. A key-FK partition's result rows are written in place
+// at that range: smaller columns gathered from the partition's image
+// range (fetchRanges), encoded larger columns decoded straight into the
+// result. When every partition was key-FK, each raw larger column is
+// the image column itself (Views), neither copied nor leased. The first
+// partition that is not (or a decode error) stops the in-place writes,
+// and the query finishes with the stitched join-index and two
+// FetchImage passes. The bytes and the error are those of FetchImage
+// over the join-index of join.PartitionedImagesInto either way. The
+// in-morsel fetch times apportion the pass's wall time to
+// PhaseProjectLarger and PhaseProjectSmaller (attribute); the probe's
+// share stays with the calling phase's kind.
 func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProjection, error) {
 	lOffs, sOffs := larger.Offsets, smaller.Offsets
 	if len(lOffs) != len(sOffs) || len(lOffs) == 0 {
@@ -254,7 +285,11 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 	)
 	probe := func(pt int, out *join.Index, ts *join.TableScratch) {
 		t := time.Now()
-		join.ProbeImage(&larger.Image, &smaller.Image, pt, shift, out, ts)
+		if smaller.Distinct {
+			probeFirst(&larger.Image, &smaller.Image, pt, shift, out, ts)
+		} else {
+			join.ProbeImage(&larger.Image, &smaller.Image, pt, shift, out, ts)
+		}
 		probeNs.Add(int64(time.Since(t)))
 	}
 	then := func(pt int, part join.Index, s *Scratch) {
@@ -263,7 +298,8 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 			return
 		}
 		// The key-FK test is the probe's: a raw larger side fetches
-		// nothing. Past a distinct smaller side the count decides it.
+		// nothing. Past a distinct smaller side the hit count decides
+		// it, and never reads the unwritten larger positions.
 		t0 := time.Now()
 		ok := smaller.Distinct && len(part.Larger) == lh-ll || identity(part.Larger, ll, lh)
 		t1 := time.Now()
@@ -271,10 +307,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 			ok = ok && (enc == nil || e.comp.decode(res.Larger[c][ll:lh], enc, ll, lh) == nil)
 		}
 		t2 := time.Now()
-		sl, sh := sOffs[pt], sOffs[pt+1]
-		for c, col := range smaller.Cols {
-			ok = ok && e.fetchRange(res.Smaller[c][ll:lh], col, encAt(smaller.ColsEnc, c), sl, sh, part.Smaller, s) == nil
-		}
+		ok = ok && e.fetchRanges(res.Smaller, ll, smaller.Cols, smaller.ColsEnc, sOffs[pt], sOffs[pt+1], part.Smaller, s) == nil
 		probeNs.Add(int64(t1.Sub(t0)))
 		largerNs.Add(int64(t2.Sub(t1)))
 		smallerNs.Add(int64(time.Since(t2)))
@@ -283,7 +316,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 		}
 	}
 	start := time.Now()
-	ix, parts := e.probeEach(lOffs, s, probe, then)
+	lists := e.probeEach(lOffs, s, probe, then)
 	if sum := float64(probeNs.Load() + largerNs.Load() + smallerNs.Load()); sum > 0 {
 		wall := float64(time.Since(start))
 		e.attribute(PhaseProjectLarger, time.Duration(wall*float64(largerNs.Load())/sum))
@@ -291,8 +324,8 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 	}
 
 	if !sparse.Load() {
-		Return(e, ix.Larger, ix.Smaller)
-		Return(e, parts)
+		Return(e, lists.larger, lists.smaller)
+		Return(e, lists.counts)
 		res.Views = make([]bool, len(larger.Cols))
 		for c, col := range larger.Cols {
 			if encAt(larger.ColsEnc, c) == nil {
@@ -305,11 +338,23 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 
 	// Not every larger partition was matched exactly once: the in-place
 	// rows are void, and each side is fetched from the stitched
-	// join-index.
+	// join-index — after the larger positions the first-match probes left
+	// unwritten, those of the key-FK partitions, are written.
 	home := e.Home()
 	for _, col := range slices.Concat(res.Larger, res.Smaller) {
 		mempool.Recycle(home, col)
 	}
+	if smaller.Distinct {
+		e.eachPartition(h, s, func(pt int, _ *Scratch) {
+			ll, lh := lOffs[pt], lOffs[pt+1]
+			if lists.counts[pt] == lh-ll {
+				for i := ll; i < lh; i++ {
+					lists.larger[i] = OID(i)
+				}
+			}
+		})
+	}
+	ix, parts := e.stitch(lOffs, lists, s)
 	out := ImageProjection{N: ix.Len()}
 	t := time.Now()
 	out.Larger, err = e.FetchImage(larger.Cols, larger.ColsEnc, lOffs, parts, ix.Larger)
@@ -326,6 +371,29 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 		return ImageProjection{}, err
 	}
 	return out, nil
+}
+
+// probeFirst probes partition pt of two images whose smaller side is
+// Distinct into out, a carving of the join-index with room for one match
+// per larger tuple: join.ProbeFirst writes the smaller positions into
+// out.Smaller's slots. A key-FK partition — every probe matched — keeps
+// them as they are and leaves out.Larger's positions, the partition's
+// image range, unwritten, with out at the full length; any other one is
+// compacted (join.CompactFirst) into the match list join.ProbeImage
+// emits.
+func probeFirst(larger, smaller *join.Image, pt int, shift uint, out *join.Index, ts *join.TableScratch) {
+	ll, lh := larger.Offsets[pt], larger.Offsets[pt+1]
+	sl, sh := smaller.Offsets[pt], smaller.Offsets[pt+1]
+	if ll == lh || sl == sh {
+		return
+	}
+	k := lh - ll
+	slots := out.Smaller[:k]
+	hits := join.ProbeFirst(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, shift, slots, ts)
+	if hits < k {
+		hits = join.CompactFirst(slots, out.Larger[:k], ll)
+	}
+	out.Larger, out.Smaller = out.Larger[:hits], slots[:hits]
 }
 
 // checkImageCols checks that every column of an image side holds n

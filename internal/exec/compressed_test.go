@@ -2,12 +2,14 @@ package exec
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
+	"radixdecluster/internal/join"
 	"radixdecluster/internal/nsm"
 )
 
@@ -315,6 +317,71 @@ func TestCompStatsAccounting(t *testing.T) {
 		}
 		if st.DecodeNanos <= 0 {
 			t.Fatalf("workers=%d: DecodeNanos = %d, want > 0", w, st.DecodeNanos)
+		}
+	}
+}
+
+// TestProjectImagesLastPartitionSparse: over a Distinct smaller image,
+// a join that is key-FK in every partition but the last, where one
+// larger tuple misses. The first-match probes leave the larger
+// positions of every earlier partition unwritten, so the fallback must
+// write them before it fetches; and the last partition's slots must be
+// compacted into its match list. On the serial engine and on a 2-worker
+// runtime, the bytes must be posjoin.FetchInto's over
+// join.PartitionedImagesInto's join-index, with no column a view. The
+// smaller side pairs its raw columns, alone (three raw: a pair and an
+// odd one) or around an encoded one.
+func TestProjectImagesLastPartitionSparse(t *testing.T) {
+	const bits, n = 4, 2 * MinParallelN
+	h := 1 << bits
+	rt := testRuntime(t)
+	for _, mix := range []uint8{0, 0b010} {
+		rng := rand.New(rand.NewPCG(41, uint64(mix)))
+		sk, lk := rng.Perm(n), make([]int, n)
+		for i := range lk {
+			lk[i] = rng.IntN(n)
+		}
+		// One larger key of the last partition moves past the smaller
+		// domain, within its partition, and misses.
+		last := slices.IndexFunc(lk, func(k int) bool { return partOf(k, bits, 0) == h-1 })
+		lk[last] += h * (n/h + 1)
+		larger := fuzzImage(rng, lk, bits, 0, 3, 0b001)
+		smaller := fuzzImage(rng, sk, bits, 0, 3, mix)
+		smaller.img.Distinct = join.DistinctHashes(&smaller.img, bits)
+		if !smaller.img.Distinct {
+			t.Fatal("the smaller keys are not distinct")
+		}
+		ix := probeImages(t, &larger, &smaller, bits)
+		lOffs := larger.img.Offsets
+		for p := range h {
+			dense := ix.Parts[p+1]-ix.Parts[p] == lOffs[p+1]-lOffs[p]
+			if dense != (p < h-1) {
+				t.Fatalf("partition %d of %d: %d matches over %d tuples", p, h, ix.Parts[p+1]-ix.Parts[p], lOffs[p+1]-lOffs[p])
+			}
+		}
+		wantL, wantS := larger.fetch(t, ix.Larger), smaller.fetch(t, ix.Smaller)
+		li := &Image{Image: larger.img, Cols: larger.cols, ColsEnc: larger.encs}
+		si := &Image{Image: smaller.img, Cols: smaller.cols, ColsEnc: smaller.encs}
+		for _, e := range []*Engine{NewEngine(nil, 0), NewEngine(rt, 2)} {
+			got, err := e.ProjectImages(li, si, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("mix %03b, workers %d", mix, e.workers)
+			if got.N != ix.Len() || slices.Contains(got.Views, true) {
+				t.Fatalf("%s: %d rows (views %v), the join-index %d", tag, got.N, got.Views, ix.Len())
+			}
+			for c := range wantL {
+				if !slices.Equal(got.Larger[c], wantL[c]) {
+					t.Fatalf("%s: larger column %d differs from FetchInto over the join-index", tag, c)
+				}
+			}
+			for c := range wantS {
+				if !slices.Equal(got.Smaller[c], wantS[c]) {
+					t.Fatalf("%s: smaller column %d differs from FetchInto over the join-index", tag, c)
+				}
+			}
+			e.Close()
 		}
 	}
 }

@@ -52,13 +52,15 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 		err = join.PartitionedPreclusteredInto(ix, &ts, cl, cs, shift)
 		Return(e, first, next)
 	} else {
-		ix, _ = e.probeEach(cl.Offsets, nil, func(pt int, out *join.Index, ts *join.TableScratch) {
+		var parts []int
+		ix, parts = e.stitch(cl.Offsets, e.probeEach(cl.Offsets, nil, func(pt int, out *join.Index, ts *join.TableScratch) {
 			ll, lh := cl.Offsets[pt], cl.Offsets[pt+1]
 			sl, sh := cs.Offsets[pt], cs.Offsets[pt+1]
 			if ll < lh && sl < sh {
 				join.ProbeBUNs(cs.BUNs[sl:sh], cl.BUNs[ll:lh], shift, out, ts)
 			}
-		}, nil)
+		}, nil), nil)
+		Return(e, parts)
 	}
 	Return(e, cl.BUNs, cs.BUNs)
 	if err != nil {
@@ -106,15 +108,22 @@ func (e *Engine) eachPartition(h int, s *Scratch, body func(pt int, s *Scratch))
 	e.runAff(h, partitionAff(h), func(_, pt int, ws *Scratch) { body(pt, ws) })
 }
 
+// matchLists are probeEach's per-partition match lists before the
+// stitch: partition p's list is larger/smaller[lOffs[p] : lOffs[p]+counts[p]]
+// of two leased arenas — or overflow[p], when it outgrew that carving.
+type matchLists struct {
+	larger, smaller []OID
+	counts          []int
+	overflow        map[int]join.Index
+}
+
 // probeEach runs probe over every partition pair, each appending its
 // matches to a private list — then, when set, runs over the list while
-// it is still in the worker's caches — and stitches the lists into the
-// join-index in partition order. Partitions run as eachPartition runs
-// them: serially with s, else one morsel each. lOffs are the larger
-// side's partition offsets: a partition's list is sized for one match
-// per larger tuple. It also returns the offsets of the partitions' lists
-// in the join-index (leased).
-func (e *Engine) probeEach(lOffs []int, s *Scratch, probe func(pt int, out *join.Index, ts *join.TableScratch), then func(pt int, part join.Index, s *Scratch)) (*join.Index, []int) {
+// it is still in the worker's caches. Partitions run as eachPartition
+// runs them: serially with s, else one morsel each. lOffs are the
+// larger side's partition offsets: a partition's list is sized for one
+// match per larger tuple. stitch makes the lists the join-index.
+func (e *Engine) probeEach(lOffs []int, s *Scratch, probe func(pt int, out *join.Index, ts *join.TableScratch), then func(pt int, part join.Index, s *Scratch)) matchLists {
 	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
 
 	// Each partition's list is carved from two leased arenas at its
@@ -125,24 +134,23 @@ func (e *Engine) probeEach(lOffs []int, s *Scratch, probe func(pt int, out *join
 	// only the match count is kept — leased, nothing for the GC to scan —
 	// plus, rarely, the list that overflowed.
 	ml := e.mem()
-	bigL := mempool.Slice[OID](ml, n)
-	bigS := mempool.Slice[OID](ml, n)
-	counts := mempool.Slice[int](ml, h)
-	var (
-		mu       sync.Mutex
-		overflow map[int]join.Index
-	)
+	m := matchLists{
+		larger:  mempool.Slice[OID](ml, n),
+		smaller: mempool.Slice[OID](ml, n),
+		counts:  mempool.Slice[int](ml, h),
+	}
+	var mu sync.Mutex
 	e.eachPartition(h, s, func(pt int, s *Scratch) {
 		ll, lh := lOffs[pt], lOffs[pt+1]
-		s.part = join.Index{Larger: bigL[ll:ll:lh], Smaller: bigS[ll:ll:lh]}
+		s.part = join.Index{Larger: m.larger[ll:ll:lh], Smaller: m.smaller[ll:ll:lh]}
 		probe(pt, &s.part, &s.tjoin)
-		counts[pt] = s.part.Len()
-		if counts[pt] > lh-ll {
+		m.counts[pt] = s.part.Len()
+		if m.counts[pt] > lh-ll {
 			mu.Lock()
-			if overflow == nil {
-				overflow = make(map[int]join.Index)
+			if m.overflow == nil {
+				m.overflow = make(map[int]join.Index)
 			}
-			overflow[pt] = s.part
+			m.overflow[pt] = s.part
 			mu.Unlock()
 		}
 		if then != nil {
@@ -150,20 +158,28 @@ func (e *Engine) probeEach(lOffs []int, s *Scratch, probe func(pt int, out *join
 		}
 		s.part = join.Index{} // the worker outlives the query's arrays
 	})
+	return m
+}
 
-	// Stitch in partition order: prefix-sum the match counts. When every
-	// list filled its carving exactly — the key-FK case: one match per
-	// probe tuple, so none overflowed — the arenas already are the
-	// join-index in partition order.
+// stitch makes probeEach's lists the join-index, in partition order,
+// and returns it with the offsets of the partitions' lists in it
+// (leased), handing the arenas back when it copies them.
+func (e *Engine) stitch(lOffs []int, m matchLists, s *Scratch) (*join.Index, []int) {
+	// Prefix-sum the match counts. When every list filled its carving
+	// exactly — the key-FK case: one match per probe tuple, so none
+	// overflowed — the arenas already are the join-index in partition
+	// order.
+	h, ml := len(lOffs)-1, e.mem()
 	offs := mempool.Slice[int](ml, h+1)
 	offs[0] = 0
 	full := true
 	for pt := 0; pt < h; pt++ {
-		offs[pt+1] = offs[pt] + counts[pt]
+		offs[pt+1] = offs[pt] + m.counts[pt]
 		full = full && offs[pt+1] == lOffs[pt+1]
 	}
+	Return(e, m.counts)
 	if full {
-		return &join.Index{Larger: bigL, Smaller: bigS}, offs
+		return &join.Index{Larger: m.larger, Smaller: m.smaller}, offs
 	}
 	// Otherwise copy each partition's list into its disjoint output
 	// range. The join-index never leaves the pipeline, so it is leased
@@ -173,14 +189,14 @@ func (e *Engine) probeEach(lOffs []int, s *Scratch, probe func(pt int, out *join
 		Smaller: mempool.Slice[OID](ml, offs[h]),
 	}
 	e.eachPartition(h, s, func(pt int, _ *Scratch) {
-		part, ok := overflow[pt]
+		part, ok := m.overflow[pt]
 		if !ok {
-			ll := lOffs[pt]
-			part = join.Index{Larger: bigL[ll : ll+counts[pt]], Smaller: bigS[ll : ll+counts[pt]]}
+			ll, k := lOffs[pt], offs[pt+1]-offs[pt]
+			part = join.Index{Larger: m.larger[ll : ll+k], Smaller: m.smaller[ll : ll+k]}
 		}
 		copy(out.Larger[offs[pt]:offs[pt+1]], part.Larger)
 		copy(out.Smaller[offs[pt]:offs[pt+1]], part.Smaller)
 	})
-	Return(e, bigL, bigS)
+	Return(e, m.larger, m.smaller)
 	return out, offs
 }

@@ -16,6 +16,7 @@ package join
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/hash"
@@ -143,7 +144,7 @@ func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *
 // there, so an image carries no oids. Distinct records that no two
 // Hashes are equal (DistinctHashes) — hash.Mix is a bijection, so that
 // the key column is a key: probed as the smaller side, a larger tuple
-// matches it at most once, and ProbeImage stops each chain walk there.
+// matches it at most once, and ProbeImage probes it with ProbeFirst.
 type Image struct {
 	Hashes   []uint32
 	Offsets  []int
@@ -193,15 +194,25 @@ func PartitionedImagesInto(out *Index, ts *TableScratch, larger, smaller *Image,
 }
 
 // ProbeImage joins partition p of two images into out: ProbeHashes over
-// the partition pair, emitting image positions, each probe stopping at
-// its first match when the smaller image is Distinct.
+// the partition pair, emitting image positions — or, when the smaller
+// image is Distinct, ProbeFirst into out's spare capacity compacted by
+// CompactFirst, the same matches in the same order.
 func ProbeImage(larger, smaller *Image, p int, shift uint, out *Index, ts *TableScratch) {
 	ll, lh := larger.Offsets[p], larger.Offsets[p+1]
 	sl, sh := smaller.Offsets[p], smaller.Offsets[p+1]
 	if ll == lh || sl == sh {
 		return
 	}
-	ProbeHashes(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, ll, shift, smaller.Distinct, out, ts)
+	if !smaller.Distinct {
+		ProbeHashes(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, ll, shift, out, ts)
+		return
+	}
+	m, k := out.Len(), lh-ll
+	out.Larger, out.Smaller = slices.Grow(out.Larger, k), slices.Grow(out.Smaller, k)
+	slots := out.Smaller[m : m+k]
+	ProbeFirst(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, shift, slots, ts)
+	hits := CompactFirst(slots, out.Larger[m:m+k], ll)
+	out.Larger, out.Smaller = out.Larger[:m+hits], out.Smaller[:m+hits]
 }
 
 // TableScratch holds the hash-table arrays of ProbeBUNs so that a
@@ -238,6 +249,19 @@ func (ts *TableScratch) table(n int) (first, next []int32, mask uint32) {
 	first = ts.first[:nb]
 	clear(first) // next is fully rewritten by the insertion loop
 	return first, ts.next[:n], uint32(nb - 1)
+}
+
+// hashTable builds ProbeHashes' table over one partition of image hash
+// columns: each hash chained at the head of its bucket, on the bits
+// above shift.
+func (ts *TableScratch) hashTable(smaller []uint32, shift uint) (first, next []int32, mask uint32) {
+	first, next, mask = ts.table(len(smaller))
+	for i, h := range smaller {
+		b := (h >> shift) & mask
+		next[i] = first[b]
+		first[b] = int32(i) + 1
+	}
+	return first, next, mask
 }
 
 // ProbeBUNs is the per-partition kernel of the Partitioned Hash-Join,
@@ -294,19 +318,9 @@ func ProbeBUNs(smaller, larger []uint64, shift uint, out *Index, ts *TableScratc
 // ProbeHashes is ProbeBUNs over one partition pair of image hash columns
 // (Image.Hashes): the same table, probe order and chain order, emitting
 // each match's positions — lbase+i for larger[i], sbase+j for smaller[j]
-// — where ProbeBUNs emits the BUNs' oids. distinct says no two smaller
-// hashes are equal (Image.Distinct): each probe then stops its chain
-// walk at its first match, the only one it can find, and the matches
-// are those of the full walk. Handed for a side with a duplicate, it
-// drops the duplicate's further matches.
-func ProbeHashes(smaller, larger []uint32, sbase, lbase int, shift uint, distinct bool, out *Index, ts *TableScratch) {
-	first, next, mask := ts.table(len(smaller))
-	for i, h := range smaller {
-		b := (h >> shift) & mask
-		next[i] = first[b]
-		first[b] = int32(i) + 1
-	}
-
+// — where ProbeBUNs emits the BUNs' oids.
+func ProbeHashes(smaller, larger []uint32, sbase, lbase int, shift uint, out *Index, ts *TableScratch) {
+	first, next, mask := ts.hashTable(smaller, shift)
 	m := len(out.Larger)
 	lim := min(cap(out.Larger), cap(out.Smaller))
 	outL, outS := out.Larger[:lim], out.Smaller[:lim]
@@ -321,12 +335,78 @@ func ProbeHashes(smaller, larger []uint32, sbase, lbase int, shift uint, distinc
 			}
 			outL[m], outS[m] = OID(lbase+i), sb+OID(e)
 			m++
-			if distinct {
-				break
-			}
 		}
 	}
 	out.Larger, out.Smaller = outL[:m], outS[:m]
+}
+
+// NoMatch is the slot ProbeFirst writes for a probe without a match: no
+// image position, which is below the image's length, reaches it.
+const NoMatch = ^OID(0)
+
+// ProbeFirst is the first-match probe of one partition pair of image
+// hash columns, for a smaller side that is Distinct: over ProbeHashes'
+// table it writes into out[i] (len(larger) slots, handed in dirty) the
+// image position sbase+j of the smaller hash larger[i] equals, or
+// NoMatch, and returns how many probes matched. The larger positions
+// are implicit — slot i belongs to larger[i] — so when every probe
+// matched (hits == len(larger), a key-FK partition) out is the smaller
+// half of ProbeHashes' join-index and the larger half is the
+// partition's positions in order, which nothing writes; otherwise
+// CompactFirst turns the slots into that join-index. Over a smaller
+// side with a duplicate it keeps only each probe's first match in chain
+// order, the duplicate inserted last.
+func ProbeFirst(smaller, larger []uint32, sbase int, shift uint, out []OID, ts *TableScratch) (hits int) {
+	// Masked, a shift of 32 buckets on all bits instead of none: another
+	// table with the same matches, since build and probe share it.
+	shift &= 31
+	first, next, _ := ts.hashTable(smaller, shift)
+	return probeFirst(first, next, smaller, larger, OID(sbase)-1, shift, out)
+}
+
+// probeFirst is ProbeFirst's loop. It stays out of line and holds
+// nothing but the probe — no append, no growth branch, no larger
+// position — so few of its values spill to the stack; shift&31 lets the
+// compiler drop the over-shift guard of h>>shift, and the mask derived
+// from len(first) the bounds check of the bucket heads.
+//
+//go:noinline
+func probeFirst(first, next []int32, smaller, larger []uint32, sb OID, shift uint, out []OID) (hits int) {
+	if len(first) == 0 { // never: TableBuckets is 4 at least
+		return 0
+	}
+	shift &= 31
+	mask := uint(len(first)) - 1 // a power of two buckets
+	next, out = next[:len(smaller)], out[:len(larger)]
+	for i, h := range larger {
+		e := first[uint(h>>shift)&mask]
+		for e != 0 && smaller[e-1] != h {
+			e = next[e-1]
+		}
+		if e == 0 {
+			out[i] = NoMatch
+			continue
+		}
+		out[i] = sb + OID(e)
+		hits++
+	}
+	return hits
+}
+
+// CompactFirst turns ProbeFirst's slots, those of the larger positions
+// lbase, lbase+1, …, into ProbeHashes' join-index over the same
+// partition pair, in place: the matched slots move to the front of
+// slots, in order, and larger[j] gets the position of the j-th matching
+// probe. It returns the match count; larger needs room for it.
+func CompactFirst(slots, larger []OID, lbase int) int {
+	m := 0
+	for i, o := range slots {
+		if o != NoMatch {
+			larger[m], slots[m] = OID(lbase+i), o
+			m++
+		}
+	}
+	return m
 }
 
 // grow returns s at more than twice its length, reallocated when that

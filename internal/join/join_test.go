@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -430,5 +431,37 @@ func TestRowsResultLenZeroWidth(t *testing.T) {
 		if r.Width != 0 || len(r.Rows) != 0 || r.Len() != 4 {
 			t.Fatalf("%s of key-only tuples: width %d, %d values, Len %d — want 0, 0 and the 4 matches", name, r.Width, len(r.Rows), r.Len())
 		}
+	}
+}
+
+// TestProbeFirstSlots: ProbeFirst writes one slot per probe — the
+// image position of its match, NoMatch for a miss — and counts the
+// hits; CompactFirst turns the slots into ProbeHashes' join-index over
+// the same partition pair. Over a warm TableScratch the probe allocates
+// nothing.
+func TestProbeFirstSlots(t *testing.T) {
+	// Smaller image positions 10..13, larger 100..105; shift 2 buckets on
+	// the bits above the two a partitioning would have consumed.
+	smaller := []uint32{4, 8, 12, 40}
+	larger := []uint32{12, 5, 4, 40, 8, 9}
+	const sbase, lbase, shift = 10, 100, 2
+	var ts TableScratch
+	slots := make([]OID, len(larger))
+	hits := ProbeFirst(smaller, larger, sbase, shift, slots, &ts)
+	wantSlots := []OID{12, NoMatch, 10, 13, 11, NoMatch}
+	if hits != 4 || !slices.Equal(slots, wantSlots) {
+		t.Fatalf("ProbeFirst: %d hits, slots %v; want 4, %v", hits, slots, wantSlots)
+	}
+	want := &Index{Larger: make([]OID, 0, len(larger)), Smaller: make([]OID, 0, len(larger))}
+	ProbeHashes(smaller, larger, sbase, lbase, shift, want, &ts)
+	lpos := make([]OID, len(larger))
+	m := CompactFirst(slots, lpos, lbase)
+	if m != hits || !slices.Equal(lpos[:m], want.Larger) || !slices.Equal(slots[:m], want.Smaller) {
+		t.Fatalf("CompactFirst: %d matches %v / %v; ProbeHashes %v / %v", m, lpos[:m], slots[:m], want.Larger, want.Smaller)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ProbeFirst(smaller, larger, sbase, shift, slots, &ts)
+	}); allocs != 0 {
+		t.Fatalf("ProbeFirst over a warm TableScratch: %v allocations per run", allocs)
 	}
 }

@@ -202,8 +202,9 @@ func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so 
 // image's distinctness check (join.DistinctHashes) must agree with the
 // map oracle's, and over a distinct smaller side the image probes run
 // twice — walking every chain to its end, and stopping each probe at
-// its first match (Image.Distinct). A nil rt checks the serial engine
-// alone.
+// its first match (Image.Distinct) — and join.ProbeFirst over every
+// partition pair, compacted, must give that sequence too. A nil rt
+// checks the serial engine alone.
 func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
 	t.Helper()
 	se := exec.NewEngine(nil, 0) // the serial paper engine
@@ -243,6 +244,14 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	walks := []bool{false}
 	if refDistinct(sk) {
 		walks = append(walks, true)
+		// ProbeFirst over every partition pair, compacted: the oracle's
+		// pairs, in the BUN probe's sequence.
+		got := probeFirstAll(t, li, si, shift)
+		positionsToOIDs(got.Larger, lOIDs)
+		positionsToOIDs(got.Smaller, sOIDs)
+		if !slices.Equal(got.Larger, serial.Larger) || !slices.Equal(got.Smaller, serial.Smaller) {
+			t.Fatalf("%+v: ProbeFirst, compacted: join-index is not the BUN probe's sequence (%d vs %d pairs)", o, got.Len(), serial.Len())
+		}
 	}
 	for _, par := range engines {
 		for _, distinct := range walks {
@@ -268,6 +277,31 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 			}
 		}
 	}
+}
+
+// probeFirstAll is join.ProbeFirst over every partition pair of two
+// images, each partition's slots compacted by join.CompactFirst and
+// appended: over a distinct smaller side, the join-index of
+// join.PartitionedImagesInto. Each probe's hit count must be its
+// compaction's.
+func probeFirstAll(t *testing.T, larger, smaller *join.Image, shift uint) *join.Index {
+	t.Helper()
+	n := len(larger.Hashes)
+	ix := &join.Index{Larger: make([]join.OID, n), Smaller: make([]join.OID, n)}
+	var ts join.TableScratch
+	m := 0
+	for p := 0; p+1 < len(larger.Offsets); p++ {
+		ll, lh := larger.Offsets[p], larger.Offsets[p+1]
+		sl, sh := smaller.Offsets[p], smaller.Offsets[p+1]
+		slots := ix.Smaller[m : m+lh-ll]
+		hits := join.ProbeFirst(smaller.Hashes[sl:sh], larger.Hashes[ll:lh], sl, shift, slots, &ts)
+		if got := join.CompactFirst(slots, ix.Larger[m:], ll); got != hits {
+			t.Fatalf("partition %d: ProbeFirst counted %d hits, its slots hold %d", p, hits, got)
+		}
+		m += hits
+	}
+	ix.Larger, ix.Smaller = ix.Larger[:m], ix.Smaller[:m]
+	return ix
 }
 
 // projectPositions runs the engine's u/u projection over two images
@@ -418,7 +452,8 @@ func fuzzKey(b byte) int32 {
 }
 
 // FuzzPartitionedJoin holds the serial engines — over BUNs and over join
-// images, with the early exit of a distinct smaller image too — and the
+// images, with the first-match probe of a distinct smaller image too,
+// through join.ProbeImage and as join.ProbeFirst compacted — and the
 // images' distinctness check to the map-based oracles on fuzzed keys,
 // radix fields and pass splits: the first half of raw keys the larger
 // side, the rest the smaller. Run with `go test -fuzz=FuzzPartitionedJoin

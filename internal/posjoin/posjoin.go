@@ -56,6 +56,29 @@ func FetchWindowInto(out, window []int32, base OID, oids []OID) error {
 	return nil
 }
 
+// FetchWindowPairInto is FetchWindowInto over two windows of one range,
+// in one pass over oids: out0[i] = w0[oids[i]-base] and out1[i] =
+// w1[oids[i]-base], each oid range-checked once, as FetchWindowInto
+// checks it. The fetch over a join image gathers two columns of a
+// partition this way, reading each position once.
+func FetchWindowPairInto(out0, out1, w0, w1 []int32, base OID, oids []OID) error {
+	if len(out0) != len(oids) || len(out1) != len(oids) {
+		return fmt.Errorf("posjoin: out has %d and %d slots for %d oids", len(out0), len(out1), len(oids))
+	}
+	if len(w0) != len(w1) {
+		return fmt.Errorf("posjoin: windows of %d and %d values", len(w0), len(w1))
+	}
+	out0, out1, w1 = out0[:len(oids)], out1[:len(oids)], w1[:len(w0)]
+	for i, o := range oids {
+		j := uint(o - base)
+		if j >= uint(len(w0)) { // an oid below base wraps past the window
+			return fmt.Errorf("posjoin: oid %d out of range [%d,%d)", o, base, base+OID(len(w0)))
+		}
+		out0[i], out1[i] = w0[j], w1[j]
+	}
+	return nil
+}
+
 // ClusteredInto processes a partially radix-clustered oid column
 // cluster by cluster (code "c"), restricting each inner loop to one
 // cache-sized region of col: it gathers every cluster of borders, which

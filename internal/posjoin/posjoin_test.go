@@ -62,6 +62,74 @@ func TestFetchWindowInto(t *testing.T) {
 	}
 }
 
+// TestFetchWindowPairInto: a paired fetch reads from each window what
+// FetchWindowInto reads, from the window's first value to its last, and
+// rejects the oids on either side of it and windows or outputs of
+// unequal lengths.
+func TestFetchWindowPairInto(t *testing.T) {
+	col0 := []int32{10, 20, 30, 40, 50, 60}
+	col1 := []int32{-1, -2, -3, -4, -5, -6}
+	oids := []OID{4, 2, 2, 3, 4}
+	got0, got1 := make([]int32, len(oids)), make([]int32, len(oids))
+	if err := FetchWindowPairInto(got0, got1, col0[2:5], col1[2:5], 2, oids); err != nil {
+		t.Fatal(err)
+	}
+	for c, got := range [][]int32{got0, got1} {
+		want := make([]int32, len(oids))
+		if err := FetchWindowInto(want, [][]int32{col0, col1}[c][2:5], 2, oids); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("window %d: got %v, want %v", c, got, want)
+		}
+	}
+	for _, o := range []OID{1, 5} {
+		if err := FetchWindowPairInto(got0[:1], got1[:1], col0[2:5], col1[2:5], 2, []OID{o}); err == nil {
+			t.Fatalf("oid %d outside the window [2,5) not rejected", o)
+		}
+	}
+	if err := FetchWindowPairInto(got0[:1], got1[:1], col0[2:5], col1[2:4], 2, []OID{2}); err == nil {
+		t.Fatal("windows of unequal lengths not rejected")
+	}
+	if err := FetchWindowPairInto(got0[:1], got1[:2], col0[2:5], col1[2:5], 2, []OID{2}); err == nil {
+		t.Fatal("an output of the wrong length not rejected")
+	}
+}
+
+// BenchmarkFetchWindowPair gathers two columns' values at 16 Ki random
+// positions of one 16 Ki window — one radix partition of the fetch over
+// a join image — in one FetchWindowPairInto pass, and in two
+// FetchWindowInto passes.
+func BenchmarkFetchWindowPair(b *testing.B) {
+	const n = 16 << 10
+	rng := rand.New(rand.NewPCG(7, 7))
+	w0, w1 := make([]int32, n), make([]int32, n)
+	oids := make([]OID, n)
+	for i := range n {
+		w0[i], w1[i], oids[i] = rng.Int32(), rng.Int32(), OID(rng.IntN(n))
+	}
+	out0, out1 := make([]int32, n), make([]int32, n)
+	b.Run("pair", func(b *testing.B) {
+		b.SetBytes(2 * n * 4)
+		for i := 0; i < b.N; i++ {
+			if err := FetchWindowPairInto(out0, out1, w0, w1, 0, oids); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("single", func(b *testing.B) {
+		b.SetBytes(2 * n * 4)
+		for i := 0; i < b.N; i++ {
+			if err := FetchWindowInto(out0, w0, 0, oids); err != nil {
+				b.Fatal(err)
+			}
+			if err := FetchWindowInto(out1, w1, 0, oids); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func TestFetchEmpty(t *testing.T) {
 	if err := FetchInto(nil, nil, nil); err != nil {
 		t.Fatal(err)

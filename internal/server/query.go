@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -141,18 +142,29 @@ func parseWireCompression(s string) (wire.Compression, error) {
 }
 
 // wantsBinary reports whether the request negotiated the binary
-// columnar encoding: any Accept member with the wire media type.
+// columnar encoding: any Accept member with the wire media type and a
+// weight above zero — q=0 means "not acceptable" (RFC 9110 §12.4.2).
 // NDJSON stays the default for absent or other Accept values.
 func wantsBinary(r *http.Request) bool {
 	for _, accept := range r.Header.Values("Accept") {
 		for _, member := range strings.Split(accept, ",") {
-			mt := strings.TrimSpace(member)
-			if i := strings.IndexByte(mt, ';'); i >= 0 { // strip q-params
-				mt = strings.TrimSpace(mt[:i])
-			}
-			if strings.EqualFold(mt, wire.ContentType) {
+			mt, params, _ := strings.Cut(member, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), wire.ContentType) && !zeroWeight(params) {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// zeroWeight reports whether an Accept member's parameters carry the
+// weight q=0 (any of 0, 0., 0.0, 0.00, 0.000).
+func zeroWeight(params string) bool {
+	for _, p := range strings.Split(params, ";") {
+		name, v, ok := strings.Cut(strings.TrimSpace(p), "=")
+		if ok && strings.EqualFold(name, "q") {
+			q, err := strconv.ParseFloat(v, 64)
+			return err == nil && q == 0
 		}
 	}
 	return false

@@ -162,6 +162,26 @@ func TestBinaryNegotiationAndSemantics(t *testing.T) {
 	io.Copy(io.Discard, nresp.Body) //nolint:errcheck
 	nresp.Body.Close()
 
+	// A weight of zero marks the binary type not acceptable (RFC 9110
+	// §12.4.2): NDJSON. Any weight above zero still selects it.
+	for _, c := range []struct{ accept, want string }{
+		{wire.ContentType + ";q=0, application/x-ndjson", "application/x-ndjson"},
+		{wire.ContentType + "; Q=0.000", "application/x-ndjson"},
+		{wire.ContentType + ";q=0.001, application/x-ndjson;q=0", wire.ContentType},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", strings.NewReader(base+`}`))
+		req.Header.Set("Accept", c.accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != c.want {
+			t.Fatalf("Accept %q: Content-Type = %q, want %q", c.accept, ct, c.want)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+	}
+
 	// Bad wireCompression is a 400.
 	bresp := postBinary(t, ts.URL, base+`,"wireCompression":"zstd"}`)
 	if bresp.StatusCode != 400 {
@@ -205,7 +225,7 @@ func TestBinaryNegotiationAndSemantics(t *testing.T) {
 	}
 
 	st := getStatus(t, ts.URL)
-	if st.Server.ResultsBinary != 4 || st.Server.ResultsNDJSON != 1 {
+	if st.Server.ResultsBinary != 5 || st.Server.ResultsNDJSON != 3 {
 		t.Fatalf("results counters = %+v", st.Server)
 	}
 	if st.Server.WireFrames == 0 || st.Server.WireBytes == 0 || st.Server.WireCompBytes == 0 {

@@ -221,6 +221,11 @@ func TestPlanIndependentOfRuntimeLoad(t *testing.T) {
 	// A parked query: admitted, one of its morsels blocked on a worker.
 	const parked = 3
 	started, free := make(chan struct{}), make(chan struct{})
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(free) }) }
+	// A failed check must unpark the queries too: the runtime's Close in
+	// Cleanup waits for their workers.
+	defer unpark()
 	var wg sync.WaitGroup
 	for range parked {
 		wg.Add(1)
@@ -261,7 +266,7 @@ func TestPlanIndependentOfRuntimeLoad(t *testing.T) {
 		}
 		res.Release()
 	}
-	close(free)
+	unpark()
 	wg.Wait()
 	if after := requirePlanAgrees(t, "after the steals", q); after != idle {
 		t.Errorf("plan moved with the scheduler's history (%v):\n idle  %s\n after %s",
