@@ -95,9 +95,9 @@ func (c *compCounters) decode(dst []int32, enc *compress.Encoded, lo, hi int) er
 // values — and gathers the partition's matches from it (fetchRange). A
 // partition without matches decodes nothing; a block straddling two
 // partitions is decoded, and counted, by each. Morsels home on the
-// worker that probed the partition (partitionAff). The bytes are posjoin.FetchInto's over
-// the decoded columns on every engine, and an error is the serial
-// loop's: the first in partition, then column, order. The columns are
+// worker that probed the partition (partitionAff). The bytes are
+// posjoin.FetchInto's over the decoded columns on every engine, and an
+// error is the first in partition, then column, order. The columns are
 // result arrays (Engine.Own).
 func (e *Engine) FetchImage(cols [][]int32, encs []*compress.Encoded, offs, parts []int, pos []OID) ([][]int32, error) {
 	h := len(offs) - 1
@@ -120,14 +120,6 @@ func (e *Engine) FetchImage(cols [][]int32, encs []*compress.Encoded, offs, part
 	for c := range out {
 		out[c] = e.Own(len(pos))
 	}
-	var s *Scratch
-	if e.serial(len(pos)) {
-		// One scratch as wide as the widest partition serves them all.
-		s = &Scratch{}
-		if encoded > 0 {
-			s.vals = mempool.Slice[int32](e.mem(), widest(offs))
-		}
-	}
 	// The lowest failing partition's error is kept — no per-partition
 	// error slots.
 	var (
@@ -135,7 +127,7 @@ func (e *Engine) FetchImage(cols [][]int32, encs []*compress.Encoded, offs, part
 		errPt = h
 		ferr  error
 	)
-	e.eachPartition(h, s, func(p int, s *Scratch) {
+	e.run(len(pos), h, partitionAff(h), func(p int, s *Scratch) {
 		lo, hi, a, b := offs[p], offs[p+1], parts[p], parts[p+1]
 		if a == b {
 			return
@@ -267,18 +259,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 	for c := range res.Smaller {
 		res.Smaller[c] = e.Own(n)
 	}
-	var s *Scratch
-	if e.serial(n + sOffs[h]) {
-		// A serial run probes every partition in one leased table and
-		// decodes into one leased scratch, each as wide as the widest.
-		ts, first, next := e.leasedTable(sOffs)
-		s = &Scratch{tjoin: ts}
-		if sEnc > 0 {
-			s.vals = mempool.Slice[int32](e.mem(), widest(sOffs))
-		}
-		defer Return(e, first, next, s.vals)
-	}
-
+	items := n + sOffs[h]
 	var (
 		sparse                       atomic.Bool
 		probeNs, largerNs, smallerNs atomic.Int64
@@ -316,7 +297,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 		}
 	}
 	start := time.Now()
-	lists := e.probeEach(lOffs, s, probe, then)
+	lists := e.probeEach(items, lOffs, sOffs, probe, then)
 	if sum := float64(probeNs.Load() + largerNs.Load() + smallerNs.Load()); sum > 0 {
 		wall := float64(time.Since(start))
 		e.attribute(PhaseProjectLarger, time.Duration(wall*float64(largerNs.Load())/sum))
@@ -325,7 +306,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 
 	if !sparse.Load() {
 		Return(e, lists.larger, lists.smaller)
-		Return(e, lists.counts)
+		Return(e, lists.starts, lists.counts)
 		res.Views = make([]bool, len(larger.Cols))
 		for c, col := range larger.Cols {
 			if encAt(larger.ColsEnc, c) == nil {
@@ -345,16 +326,17 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 		mempool.Recycle(home, col)
 	}
 	if smaller.Distinct {
-		e.eachPartition(h, s, func(pt int, _ *Scratch) {
-			ll, lh := lOffs[pt], lOffs[pt+1]
-			if lists.counts[pt] == lh-ll {
-				for i := ll; i < lh; i++ {
-					lists.larger[i] = OID(i)
+		e.run(items, h, partitionAff(h), func(pt int, _ *Scratch) {
+			ll, k := lOffs[pt], lOffs[pt+1]-lOffs[pt]
+			if lists.counts[pt] == k {
+				at := lists.starts[pt]
+				for i := range k {
+					lists.larger[at+i] = OID(ll + i)
 				}
 			}
 		})
 	}
-	ix, parts := e.stitch(lOffs, lists, s)
+	ix, parts := e.stitch(items, lOffs, lists)
 	out := ImageProjection{N: ix.Len()}
 	t := time.Now()
 	out.Larger, err = e.FetchImage(larger.Cols, larger.ColsEnc, lOffs, parts, ix.Larger)
@@ -410,15 +392,6 @@ func checkImageCols(op string, cols [][]int32, encs []*compress.Encoded, n int) 
 		}
 	}
 	return encoded, nil
-}
-
-// widest is the largest partition of offsets offs.
-func widest(offs []int) int {
-	w := 0
-	for p := 0; p+1 < len(offs); p++ {
-		w = max(w, offs[p+1]-offs[p])
-	}
-	return w
 }
 
 // identity reports whether pos is lo, lo+1, …, hi-1.

@@ -11,67 +11,69 @@
 // Hash-Join and every cache-sized region of the post-projection
 // (clustered Positional-Join fetch, Radix-Decluster insertion window)
 // is an independent unit of work whose random access is confined to a
-// private cache-sized region. The parallel operators in this package
-// exploit exactly that decomposition and are constructed so that
-// their output is byte-identical to the serial operators in
-// internal/radix, internal/join, internal/posjoin and internal/core:
+// private cache-sized region. Each operator here is one set of morsel
+// bodies over exactly that decomposition, built from the substrate's
+// kernels in internal/radix, internal/join, internal/posjoin and
+// internal/core, and its output does not depend on how many morsels
+// run or where:
 //
-//   - Parallel Radix-Cluster (cluster.go): a chunked count-then-
-//     scatter pass over the most-significant radix bits — per-chunk
-//     histograms give every chunk disjoint insertion cursors, and
-//     chunks are contiguous input ranges, so each cluster receives
-//     its tuples in global input order, reproducing the serial
-//     stable clustering exactly.
-//   - Parallel Partitioned Hash-Join (join.go): partitions are
-//     morsels; per-partition match lists are stitched into the
-//     join-index in partition order.
+//   - Radix-Cluster (cluster.go): radix.Cluster, the one pass driver —
+//     a chunked count-then-scatter first pass whose per-chunk
+//     histograms give every chunk disjoint insertion cursors, chunks
+//     being contiguous input ranges, so each cluster receives its
+//     tuples in global input order: the stable clustering.
+//   - Partitioned Hash-Join (join.go): partitions are morsels;
+//     per-partition match lists are stitched into the join-index in
+//     partition order.
 //   - Partition-wise post-projection (project.go): clustered fetches
-//     and Radix-Decluster run per cluster group, each worker
-//     scattering only into result positions owned by its clusters
-//     (the cluster contents partition the result permutation, so
-//     writes are disjoint) within a per-worker insertion window.
+//     and Radix-Decluster run per cluster group, each group scattering
+//     only into result positions owned by its clusters (the cluster
+//     contents partition the result permutation, so writes are
+//     disjoint) within its share of the insertion window.
 //
 // Beyond the operators, the package defines the Phase/Pipeline layer
 // every project-join strategy executes on (pipeline.go). The contract:
 // a strategy is assembled as an ordered list of Phases; phases run
 // strictly in order, so phase bodies may close over shared variables
 // without synchronisation; each phase body receives the run's single
-// Engine, whose operators run either the serial paper code or the
-// lease-backed parallel bodies here, and all intra-phase data
-// parallelism must go
-// through the Engine (operator methods or Engine.ForRanges) — no
-// strategy owns goroutines of its own. Each Phase carries a PhaseKind
-// that buckets its elapsed time into the paper's phase breakdown;
-// Pipeline.Execute returns the accumulated Timings. Parallel and
-// serial assemblies of the same pipeline produce byte-identical
-// results; worker count changes wall-clock only.
+// Engine, and all intra-phase data parallelism must go through the
+// Engine (operator methods or Engine.ForRanges) — no strategy owns
+// goroutines of its own. Each Phase carries a PhaseKind that buckets
+// its elapsed time into the paper's phase breakdown; Pipeline.Execute
+// returns the accumulated Timings. Parallel and serial assemblies of
+// the same pipeline produce byte-identical results; worker count
+// changes wall-clock only.
 //
 // Morsel kinds: contiguous tuple/record ranges (scans, stitches,
-// fetches, probe chunks of the naive rows join, Jive left-phase
-// chunks), radix partitions (hash-join partition pairs, fetches over
-// join images), and cluster groups (clustered fetches, Radix-Decluster
-// insertion regions, Jive right-phase clusters).
+// fetches, probe chunks of the naive rows join, Radix-Cluster and Jive
+// left-phase chunks), radix partitions (hash-join partition pairs,
+// fetches over join images, Radix-Cluster refinement), and cluster
+// groups (clustered fetches, Radix-Decluster insertion regions, Jive
+// right-phase clusters).
 //
 // Every goroutine that executes a morsel belongs to a Runtime
 // (runtime.go): one worker set multiplexed over every concurrent
 // query's pipeline with fair, query-tagged morsel scheduling and
 // admission control. An Engine (NewEngine) is one query's handle and
 // owns no goroutines. There are two execution modes: the serial engine
-// (0 workers: no runtime, the paper's code on the caller's goroutine)
-// and a lease on a runtime with a nominal worker count; a lone
-// query is a Runtime serving one lease. Every operator is one Engine
-// method whose first test is the one serial-fallback predicate
-// (Engine.serial), so the serial engine, a nominal-1 lease and an input
-// below MinParallelN all run the paper's code. Operator output bytes
-// are a function of the engine's nominal worker count only — never of
-// the runtime's size or of which worker ran a morsel — so both modes of
-// the same pipeline are byte-identical. Both modes take their buffers
-// the same way: every engine holds a lease on the process arena
-// (sharedArena), its operators draw every intermediate from it and
-// every result array from its kit (Engine.Own), and the strategies hand
-// each intermediate back right after its last reader (Return).
+// (0 workers: no runtime) and a lease on a runtime with a nominal
+// worker count; a lone query is a Runtime serving one lease. Both run
+// the same morsel bodies: every operator does its work through
+// Engine.run, whose one serial test (Engine.serial) sends the serial
+// engine, a nominal-1 lease and an input below MinParallelN down the
+// inline path — the bodies in task order on the caller's goroutine, one
+// morsel per chunked range — so the serial engine is the one-worker
+// case of the runtime code. Operator output bytes are a function of
+// the engine's nominal worker count only — never of the runtime's size
+// or of which worker ran a morsel — so both modes of the same pipeline
+// are byte-identical. Both modes take their buffers the same way: every
+// engine holds a lease on the process arena (sharedArena), its
+// operators draw every intermediate from it and every result array
+// from its kit (Engine.Own), and the strategies hand each intermediate
+// back right after its last reader (Return).
 //
-// Per-worker Scratch buffers keep the hot loops allocation-free.
+// Scratch buffers keep the hot loops allocation-free: each worker's
+// grow on the heap, the engine's own inline one on the query's lease.
 package exec
 
 import (
@@ -85,6 +87,7 @@ import (
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
+	"radixdecluster/internal/radix"
 )
 
 // sharedArena is the process-wide execution-memory pool (mempool):
@@ -102,13 +105,14 @@ var sharedArena = mempool.New(0)
 // with fair, query-tagged morsel scheduling and admission control.
 //
 // workers is the query's NOMINAL parallelism: morsel granularity
-// (chunksFor) and per-worker cache-budget divisions derive from it, so
-// an operator's output bytes are a function of the nominal count only —
-// never of the runtime's size or of which workers execute the morsels.
-// 0 is the serial paper engine: no runtime, no admission, no goroutine,
-// every operator the paper's code — and, like any query, a lease on the
-// process arena for its buffers. Close releases the admission slot and
-// the query's buffers; a closed Engine must not run again.
+// (morsels, chunksFor) and per-worker cache-budget divisions derive
+// from it, so an operator's output bytes are a function of the nominal
+// count only — never of the runtime's size or of which workers execute
+// the morsels. 0 is the serial paper engine: no runtime, no admission,
+// no goroutine — the same morsel bodies, run inline (run) — and, like
+// any query, a lease on the process arena for its buffers. Close
+// releases the admission slot and the query's buffers; a closed Engine
+// must not run again.
 type Engine struct {
 	workers int
 	rt      *Runtime // nil on the serial engine
@@ -119,6 +123,7 @@ type Engine struct {
 	admitted bool           // holds an admission slot; taken lazily on first run
 	memLs    *mempool.Lease // per-query buffer lease; opened on first use
 	errbuf   []error        // reusable operator error slots (phases are sequential)
+	own      Scratch        // run's inline scratch, on the query's lease
 
 	// The query's counters, written by the runtime's claim accounting
 	// and by morsel bodies: queued accumulates the submission-to-first-
@@ -161,9 +166,10 @@ func NewEngine(rt *Runtime, workers int) *Engine {
 // not the runtime's size), 0 for the serial engine.
 func (e *Engine) Workers() int { return e.workers }
 
-// serial is the one serial-fallback predicate: an n-item operator runs
-// the paper's code on the serial engine, on a nominal-1 lease, and
-// below the cardinality where fan-out overhead exceeds the win.
+// serial is the one serial predicate, asked by run and morsels only:
+// an n-item operator runs its morsel bodies inline, as one morsel per
+// chunked range, on the serial engine, on a nominal-1 lease, and below
+// the cardinality where fan-out overhead exceeds the win.
 func (e *Engine) serial(n int) bool { return e.workers <= 1 || n < MinParallelN }
 
 // Close returns the query's buffers to the arena and releases the
@@ -176,6 +182,7 @@ func (e *Engine) Close() {
 	ml, admitted := e.memLs, e.admitted
 	e.memLs, e.admitted = nil, false
 	e.mu.Unlock()
+	e.own = Scratch{} // its buffers go back with the lease
 	if ml != nil {
 		// The one-call release: every transient buffer the query
 		// checked out goes back to the arena together.
@@ -310,28 +317,42 @@ func (e *Engine) setPhase(name string) {
 	}
 }
 
-// run executes fn(worker, task, scratch) for every task in
-// [0, ntasks), distributing tasks dynamically, and returns when all
-// tasks have finished. Callers test serial(n) first: the serial engine
-// has no runtime to run on. fn must not call run on the same engine (a
-// runtime job must not submit nested jobs from a morsel body). The
-// worker index passed to fn is a runtime worker id — operators must
-// treat it as a scratch key only, never as an index bounded by
-// Workers(). Placement uses the task index as its own affinity key:
-// jobs decomposing the same domain into the same task count land task
-// t on the same worker every phase (see runAff).
-func (e *Engine) run(ntasks int, fn func(worker, task int, s *Scratch)) {
-	e.runAff(ntasks, nil, fn)
+// run is the one way an operator does work: fn(task, s) for every
+// task in [0, ntasks) of an n-item operator. When serial(n) holds — the
+// serial engine, a nominal-1 lease, n below MinParallelN — the tasks
+// run inline on the calling goroutine, in task order, on the engine's
+// own Scratch, whose buffers are leased from the query's arena: no
+// runtime, no admission, no scheduler counter. Otherwise they run as
+// morsels on the runtime (submit), homed by aff (nil: the task index
+// is its own key). fn must not call run on the same engine.
+func (e *Engine) run(n, ntasks int, aff func(task int) uint64, fn func(task int, s *Scratch)) {
+	if ntasks <= 0 {
+		return
+	}
+	if e.serial(n) {
+		if e.own.ml == nil {
+			e.own.ml = e.mem()
+		}
+		for t := range ntasks {
+			fn(t, &e.own)
+		}
+		return
+	}
+	e.submit(ntasks, aff, func(_, t int, s *Scratch) { fn(t, s) })
 }
 
-// runAff is run with an explicit affinity mapping: aff(task) is the
-// morsel's data-identity key (a radix partition id, a chunk index of
-// the underlying item space), and tasks with equal keys are homed on
-// the same runtime worker — across jobs, phases, and (under equal
-// seeds) queries. A nil aff uses the task index. The job carries the
-// engine's observability context: trace buffer, pprof labels, current
-// phase name.
-func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
+// submit runs fn(worker, task, scratch) for every task in [0, ntasks)
+// as one runtime job and returns when all tasks have finished. The
+// worker index is a runtime worker id — a scratch key only, never an
+// index bounded by Workers(). aff(task) is the morsel's data-identity
+// key (a radix partition id, a chunk index of the underlying item
+// space), and tasks with equal keys are homed on the same runtime
+// worker — across jobs, phases, and (under equal seeds) queries; a nil
+// aff uses the task index, so jobs decomposing the same domain into the
+// same task count land task t on the same worker every phase. The job
+// carries the engine's observability context: trace buffer, pprof
+// labels, current phase name.
+func (e *Engine) submit(ntasks int, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
 	if ntasks <= 0 {
 		return
 	}
@@ -344,36 +365,60 @@ func (e *Engine) runAff(ntasks int, aff func(task int) uint64, fn func(worker, t
 	<-j.done
 }
 
-// Scratch holds per-worker reusable buffers so that hot loops stay
+// Scratch holds a worker's reusable buffers so that hot loops stay
 // allocation-free across morsels. Buffers grow monotonically and are
-// reused for the lifetime of the worker.
+// reused for the lifetime of the worker. The engine's own Scratch, on
+// which run executes inline, grows on the query's lease instead (ml),
+// handing an outgrown buffer back, so an inline run draws its scratch
+// from the arena like every other transient.
 type Scratch struct {
-	ints  []int
-	vals  []int32           // a partition's decoded image range (FetchImage, ProjectImages)
-	tjoin join.TableScratch // partition hash-table build scratch
-	part  join.Index        // the match list a probe morsel fills
+	ml          *mempool.Lease // set on the engine's own Scratch only
+	ints        []int
+	vals        []int32           // a partition's decoded image range (FetchImage, ProjectImages)
+	tjoin       join.TableScratch // partition hash-table build scratch
+	first, next []int32           // tjoin's arrays, when leased
+	part        join.Index        // the match list a probe morsel fills
+	cont        continuation      // where its last carved list ended
 }
 
-// Ints returns a zeroed []int of length n, reusing the worker's
-// buffer when capacity allows.
-func (s *Scratch) Ints(n int) []int {
-	if cap(s.ints) < n {
-		s.ints = make([]int, n)
+// grow returns buf resliced to n when it holds n, else a dirty n-slice:
+// leased on ml, with buf handed back, or made when ml is nil.
+func grow[T any](ml *mempool.Lease, buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
 	}
-	s.ints = s.ints[:n]
-	clear(s.ints)
+	if ml == nil {
+		return make([]T, n)
+	}
+	mempool.Return(ml, buf)
+	return mempool.Slice[T](ml, n)
+}
+
+// Ints returns a dirty []int of length n, reusing the scratch's buffer
+// when capacity allows; the caller writes every slot it reads.
+func (s *Scratch) Ints(n int) []int {
+	s.ints = grow(s.ml, s.ints, n)
 	return s.ints
 }
 
-// Int32s returns a dirty []int32 of length n, reusing the worker's
+// Int32s returns a dirty []int32 of length n, reusing the scratch's
 // buffer when capacity allows: like join.TableScratch it grows to the
 // largest request seen and never shrinks, and the caller writes every
 // slot it reads.
 func (s *Scratch) Int32s(n int) []int32 {
-	if cap(s.vals) < n {
-		s.vals = make([]int32, n)
+	s.vals = grow(s.ml, s.vals, n)
+	return s.vals
+}
+
+// table returns the hash-table scratch for a partition of n tuples. A
+// worker's grows inside the probe kernels; the engine's own is sized
+// here, on the lease, so no probe allocates.
+func (s *Scratch) table(n int) *join.TableScratch {
+	if s.ml != nil && (cap(s.next) < n || cap(s.first) < join.TableBuckets(n)) {
+		s.first, s.next = grow(s.ml, s.first, join.TableBuckets(n)), grow(s.ml, s.next, n)
+		s.tjoin = join.TableScratchOver(s.first, s.next)
 	}
-	return s.vals[:n]
+	return &s.tjoin
 }
 
 // Range is a half-open interval of task indices or tuple positions.
@@ -385,18 +430,12 @@ type Range struct {
 func (r Range) Len() int { return r.Hi - r.Lo }
 
 // splitRange tiles [0, n) with len(out) contiguous near-equal ranges
-// (0 < len(out) <= n), writing every slot. The split is deterministic in
-// (n, len(out)).
+// (0 < len(out) <= n), writing every slot: radix.Chunk's tiling, so a
+// scan's chunk k and a clustering's chunk k are the same range, homed
+// on the same worker.
 func splitRange(out []Range, n int) {
-	base, rem := n/len(out), n%len(out)
-	lo := 0
 	for i := range out {
-		hi := lo + base
-		if i < rem {
-			hi++
-		}
-		out[i] = Range{Lo: lo, Hi: hi}
-		lo = hi
+		out[i].Lo, out[i].Hi = radix.Chunk(n, len(out), i)
 	}
 }
 
@@ -406,20 +445,31 @@ func splitRange(out []Range, n int) {
 // bookkeeping stays negligible.
 const morselsPerWorker = 8
 
-// chunksFor picks the chunking of an n-item range for this engine. The
-// slice is leased from the query's arena checkout (Range is pointer-
-// free) and fully written here, so recycled dirt never shows.
+// morsels is how many morsels an n-item operator is cut into: one when
+// serial(n) holds — run then executes it inline — else morselsPerWorker
+// per nominal worker, at most n.
+func (e *Engine) morsels(n int) int {
+	if e.serial(n) {
+		return 1
+	}
+	return min(e.workers*morselsPerWorker, n)
+}
+
+// chunksFor picks the chunking of an n-item range for this engine:
+// morsels(n) chunks. The slice is leased from the query's arena
+// checkout (Range is pointer-free) and fully written here, so recycled
+// dirt never shows.
 func (e *Engine) chunksFor(n int) []Range {
 	if n <= 0 {
 		return nil
 	}
-	out := mempool.Slice[Range](e.mem(), min(max(e.workers*morselsPerWorker, 1), n))
+	out := mempool.Slice[Range](e.mem(), e.morsels(n))
 	splitRange(out, n)
 	return out
 }
 
-// firstErr returns the first non-nil error in task order, so parallel
-// operators report the same error the serial operator would.
+// firstErr returns the first non-nil error in task order, so an
+// operator reports the error an inline run, in task order, meets first.
 func firstErr(errs []error) error {
 	for _, e := range errs {
 		if e != nil {

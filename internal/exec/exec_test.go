@@ -92,10 +92,12 @@ func randVals(seed uint64, n int, skewed bool) []int32 {
 	return out
 }
 
+// run executes every task exactly once: inline on a nominal-1 lease,
+// as runtime morsels on the others.
 func TestPoolRunCoversAllTasks(t *testing.T) {
 	withLeases(t, func(t *testing.T, p *Engine) {
 		hits := make([]int32, 10_000)
-		p.run(len(hits), func(_, task int, _ *Scratch) { hits[task]++ })
+		p.run(MinParallelN, len(hits), nil, func(task int, _ *Scratch) { hits[task]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("task %d executed %d times", i, h)
@@ -127,9 +129,8 @@ func TestChunksTile(t *testing.T) {
 }
 
 // TestClusterBUNsMatchesSerial checks byte-identity of the parallel
-// join-input clustering against the serial engine's
-// (radix.ClusterBUNsInto) across bit widths (including the two-level
-// B > maxFirstPassBits path) and skew.
+// join-input clustering against the serial engine's across bit widths
+// (including the two-pass B > maxFirstPassBits runtime split) and skew.
 func TestClusterBUNsMatchesSerial(t *testing.T) {
 	heads := randOIDs(1, testN, testN)
 	for _, skewed := range []bool{false, true} {
@@ -138,7 +139,7 @@ func TestClusterBUNsMatchesSerial(t *testing.T) {
 			{Bits: 4},
 			{Bits: 8, Passes: []int{4, 4}},
 			{Bits: 12},
-			{Bits: 14}, // two-level parallel path
+			{Bits: 14}, // a two-pass runtime split
 			{Bits: 17, Passes: []int{9, 8}},
 		} {
 			want, err := serialEngine(t).ClusterBUNs(heads, vals, o)
@@ -165,7 +166,7 @@ func TestClusterOIDPairsMatchesSerial(t *testing.T) {
 	for _, o := range []radix.Opts{
 		{Bits: 6, Ignore: 10},
 		{Bits: 10, Ignore: 6},
-		{Bits: 16, Ignore: 0}, // full sort via the two-level path
+		{Bits: 16, Ignore: 0}, // full sort via a two-pass runtime split
 	} {
 		want, err := radix.ClusterOIDPairs(key, other, o)
 		if err != nil {
@@ -260,6 +261,43 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSerialStitchHandsOn: an inline run carves each partition's list
+// where the one before it ended (Scratch.carve), so a serial join whose
+// partitions match fewer tuples than they probe — hit rate 1/2 here —
+// leaves its lists back to back and the stitch hands the arenas on
+// instead of copying them: the join-index keeps the probe arenas' room
+// for one match per larger tuple, the rows join the result array sized
+// for one row per larger record.
+func TestSerialStitchHandsOn(t *testing.T) {
+	const n = 4096
+	lk, sk := make([]int32, n), make([]int32, n/2)
+	larger, smaller := make([]int32, 0, 2*n), make([]int32, 0, 3*n/2)
+	for i := range lk {
+		lk[i] = int32(i)
+		larger = append(larger, int32(i), int32(-i))
+	}
+	for i := range sk {
+		sk[i] = int32(i)
+		smaller = append(smaller, int32(i), int32(i), int32(2*i))
+	}
+	e := serialEngine(t)
+	o := radix.Opts{Bits: 6}
+	ix, err := e.PartitionedJoin(bat.Dense(n), lk, bat.Dense(n/2), sk, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != n/2 || cap(ix.Larger) != n || cap(ix.Smaller) != n {
+		t.Fatalf("join-index of %d matches in arrays of %d and %d: want %d matches left in the probe arenas of %d", ix.Len(), cap(ix.Larger), cap(ix.Smaller), n/2, n)
+	}
+	res, err := e.PartitionedRowsJoin(larger, 2, 0, smaller, 3, 0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.N != n/2 || cap(res.Rows) < 3*n {
+		t.Fatalf("rows join of %d matches in an array of %d values: want %d matches left in the result array of %d rows", res.N, cap(res.Rows), n/2, n)
 	}
 }
 

@@ -3,22 +3,22 @@ package exec
 // Phase pipelines: the uniform execution layer all five project-join
 // strategies run on. A strategy is assembled as an ordered list of
 // Phases; each Phase body receives the Engine, whose operators run
-// either the serial paper implementations (internal/radix,
+// morsel bodies built from the substrate's kernels (internal/radix,
 // internal/join, internal/posjoin, internal/core, internal/nsm,
-// internal/jive) or their morsel-driven parallel bodies in this
-// package, sharing one runtime lease and the runtime workers' Scratch
-// across all phases of a run.
+// internal/jive), sharing one runtime lease and the runtime workers'
+// Scratch across all phases of a run.
 //
 // The contract (see also the package comment in exec.go):
 //
-//   - Engine with 0 workers is the serial engine: every operator calls
-//     the paper code directly, no goroutines, no runtime — its buffers
-//     leased from the process arena like a runtime query's. Engine with
-//     n >= 1 workers is a lease on a Runtime; operators run parallel
-//     when Engine.serial says so (nominal > 1, input at or above
-//     MinParallelN) and call the serial code otherwise. Either way an
-//     operator's output is byte-identical to its serial counterpart —
-//     parallelism changes wall-clock only.
+//   - Engine with 0 workers is the serial engine: every operator runs
+//     the same morsel bodies inline, one morsel per chunked range, no
+//     goroutines, no runtime — its buffers leased from the process
+//     arena like a runtime query's. Engine with n >= 1 workers is a
+//     lease on a Runtime; an operator's morsels run on it when
+//     Engine.serial says so (nominal > 1, input at or above
+//     MinParallelN) and inline otherwise. Either way an operator's
+//     output bytes are the serial engine's — parallelism changes
+//     wall-clock only.
 //   - Phases run strictly in order; a phase starts only after its
 //     predecessor finished, so phase bodies may close over shared
 //     variables without synchronisation. All intra-phase parallelism
@@ -267,21 +267,15 @@ func (e *Engine) Step(name string, start, end time.Time) {
 	e.trace.Span(name, StepCat, tracePipelineTID, start, end.Sub(start), nil)
 }
 
-// ForRanges runs body over contiguous chunks of [0,n): a single
-// [0,n) chunk when the engine runs it serially, runtime-scheduled
-// morsels otherwise. The body must write only output slots derivable
-// from its range (disjoint per chunk) — the property that makes chunked
-// scans, stitches and gathers byte-identical to their serial loops.
+// ForRanges runs body over contiguous chunks of [0,n) as morsels (one
+// [0,n) chunk, inline, when the engine runs n items serially). The
+// body must write only output slots derivable from its range (disjoint
+// per chunk) — the property that makes chunked scans, stitches and
+// gathers byte-identical to one loop over the whole range.
 func (e *Engine) ForRanges(n int, body func(r Range) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if e.serial(n) {
-		return body(Range{Lo: 0, Hi: n})
-	}
 	chunks := e.chunksFor(n)
 	errs := e.errSlots(len(chunks))
-	e.run(len(chunks), func(_, t int, _ *Scratch) {
+	e.run(n, len(chunks), nil, func(t int, _ *Scratch) {
 		errs[t] = body(chunks[t])
 	})
 	return firstErr(errs)

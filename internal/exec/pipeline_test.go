@@ -40,7 +40,7 @@ func TestClusterRowsMatchesSerial(t *testing.T) {
 		for _, o := range []radix.Opts{
 			{Bits: 4},
 			{Bits: 10, Passes: []int{5, 5}},
-			{Bits: 14}, // two-level parallel path
+			{Bits: 14}, // a two-pass runtime split
 		} {
 			want, err := serialEngine(t).ClusterRows(rows, width, 0, o)
 			if err != nil {
@@ -110,7 +110,7 @@ func TestJivePhasesMatchSerial(t *testing.T) {
 		ji.Larger[i] = OID(i)
 	}
 	leftCols, rightCols := []int{1, 2}, []int{2}
-	for _, bits := range []int{0, 3, 8, 14} { // 14 > maxFirstPassBits: serial fallback
+	for _, bits := range []int{0, 3, 8, 14} { // 14 > maxFirstPassBits: one chunk
 		se := serialEngine(t)
 		wantL, err := se.JiveLeft(ji, left, leftCols, right.Len(), bits)
 		if err != nil {

@@ -1,21 +1,23 @@
 package exec
 
-// Parallel operators over row-major (NSM / wide-tuple) data: the
+// Operators over row-major (NSM / wide-tuple) data: the
 // radix-clustering of whole records, the payload-carrying
 // pre-projection joins, the wide-tuple stitch of DSM pre-projection,
 // the record scans and gathers of the NSM strategies, and the row
 // driver of Radix-Decluster. Morsels are contiguous record ranges
 // (scans, stitches, probes), partitions (joins), or cluster groups
-// (decluster), each writing a disjoint slice of the output, so every
-// operator reproduces its serial counterpart byte for byte. The
-// kernels are the serial ones: input checks are join.CheckRows and
+// (decluster), each writing a disjoint slice of the output, so the
+// bytes do not depend on how many run. The kernels are the
+// substrate's: input checks are join.CheckRows and
 // core.CheckDeclusterRows, the naive join's hash table is one
-// join.BuildRowsTable, and each decluster morsel is one
+// join.BuildRowsTable, a partition pair is one
+// join.ProbeRowsPartition, and each decluster morsel is one
 // core.DeclusterRowsKernel.
 
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/core"
@@ -25,44 +27,33 @@ import (
 	"radixdecluster/internal/radix"
 )
 
-// ClusterRows radix-clusters width-wide records on hash(record[keyCol]):
-// serially radix.ClusterRowsInto, else the same two-level chunked
-// count-then-scatter as ClusterOIDPairs, moving whole records — the
-// pre-projection "extra luggage" — and producing the identical
-// arrangement and offsets.
+// ClusterRows radix-clusters width-wide records on hash(record[keyCol])
+// into leased records and offsets (radix.RowKernels): the same
+// clustering as ClusterOIDPairs, moving whole records — the
+// pre-projection "extra luggage".
 func (e *Engine) ClusterRows(rows []int32, width, keyCol int, o radix.Opts) (*radix.RowsResult, error) {
-	// The clustered records are a join input, leased like the
-	// intermediate a multi-pass fan-out scatters through first, which
-	// goes back once the last pass has run. radix.ClusterRowsInto
-	// rejects what the parallel body cannot run.
-	if join.CheckRows(rows, width, keyCol) != nil || o.Validate() != nil ||
-		e.serial(len(rows)/width) || !scatterable(o.Bits) {
-		buf := leaseBufs[int32](e, len(rows), o)
-		res, err := radix.ClusterRowsInto(buf, rows, width, keyCol, o)
-		if err != nil {
-			return nil, err
-		}
-		returnSpare(e, buf, res.Rows)
-		return res, nil
+	if width <= 0 || len(rows)%width != 0 {
+		return nil, fmt.Errorf("radix: ClusterRows: %d values is not a multiple of width %d", len(rows), width)
+	}
+	if keyCol < 0 || keyCol >= width {
+		return nil, fmt.Errorf("radix: ClusterRows: key column %d out of range [0,%d)", keyCol, width)
+	}
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	n := len(rows) / width
-	out := mempool.Slice[int32](e.mem(), len(rows))
-	buf := [2][]int32{out}
-	if o.Bits > maxFirstPassBits {
-		buf = [2][]int32{mempool.Slice[int32](e.mem(), len(rows)), out}
-	}
+	nch, passes := e.split(n, o)
+	buf := leaseBufs[int32](e, len(rows), passes)
 	count, scatter := radix.RowKernels(rows, width, keyCol, buf)
-	offsets := e.scatter2(n, o, count, scatter)
-	returnSpare(e, buf, out)
-	return &radix.RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
+	offsets := e.cluster(n, o, nch, passes, count, scatter)
+	return &radix.RowsResult{Rows: keep(e, buf, passes), Width: width, Offsets: offsets}, nil
 }
 
 // PartitionedRowsJoin is the pre-projection Partitioned Hash-Join over
 // wide tuples ("NSM-pre-phash" / "DSM-pre-phash"): both wide-tuple
-// inputs are radix-clustered (ClusterRows), and serially
-// join.PartitionedRowsInto joins the partition pairs; otherwise they
-// are probed as morsels, and the per-partition result rows are stitched
-// in partition order — the order the serial loop appends them.
+// inputs are radix-clustered (ClusterRows), every partition pair is
+// probed as a morsel (join.ProbeRowsPartition), and the per-partition
+// result rows are stitched in partition order.
 func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*join.RowsResult, error) {
 	if err := join.CheckRows(larger, lw, lkey); err != nil {
 		return nil, err
@@ -70,16 +61,14 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 	if err := join.CheckRows(smaller, sw, skey); err != nil {
 		return nil, err
 	}
-	serial := e.serial(len(larger)/lw + len(smaller)/sw)
-	if o.Bits == 0 && !serial {
-		// Degenerate single partition: the B=0 clustering is an
-		// identity copy, so one partition pair would be one morsel —
-		// fully serial. Skip the copy and probe larger-side chunks
-		// concurrently instead (chunks in input order reproduce the
-		// serial probe order exactly).
-		if err := o.Validate(); err != nil {
-			return nil, err
-		}
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	if o.Bits == 0 {
+		// Degenerate single partition: the B=0 clustering is an identity
+		// copy and its one partition pair the whole join, so the inputs
+		// are probed where they lie (hashRows) — in the partition's
+		// probe order.
 		return e.hashRows(larger, lw, lkey, smaller, sw, skey, uint(o.Ignore))
 	}
 	cl, err := e.ClusterRows(larger, lw, lkey, o)
@@ -92,37 +81,31 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 	}
 	defer Return(e, cl.Rows, cs.Rows) // read by the probes only
 	shift := uint(o.Ignore + o.Bits)
-	rw := lw + sw - 2
-	if serial {
-		return join.PartitionedRowsInto(e.Own((len(larger) / lw) * rw)[:0], cl, lkey, cs, skey, shift), nil
-	}
-	h := len(cl.Offsets) - 1
-	// Partition morsels home on their level-1 radix parent's worker,
-	// exactly like the oid-pair join (see PartitionedJoin).
-	l1 := level1Shift(o.Bits)
-	// Per-partition result buffers are carved from one leased arena at
-	// the partition's larger-side offset, capped (three-index) at one
-	// match per probe tuple — exact for key-FK joins; expanding joins
-	// (duplicate smaller keys) regrow onto a private GC slice.
-	arena := mempool.Slice[int32](e.mem(), (len(larger)/lw)*rw)
+	nl, rw, h := len(larger)/lw, lw+sw-2, len(cl.Offsets)-1
+	n := nl + len(smaller)/sw
+	// Each partition's rows are carved from one result array at the
+	// partition's larger-side offset (or where the scratch's rows of the
+	// partition before it ended, Scratch.carve), capped (three-index) at
+	// the next partition's offset — room for one match per probe tuple,
+	// exact for key-FK joins; expanding joins (duplicate smaller keys)
+	// regrow onto a private GC slice.
+	arena := e.Own(nl * rw)
 	parts := make([][]int32, h)
 	var matches atomic.Int64
-	e.runAff(h, func(pt int) uint64 { return uint64(pt) >> l1 }, func(_, pt int, _ *Scratch) {
+	seq := carvings.Add(1)
+	e.run(n, h, partitionAff(h), func(pt int, s *Scratch) {
 		ll, lh := cl.Offsets[pt]*lw, cl.Offsets[pt+1]*lw
 		sl, sh := cs.Offsets[pt]*sw, cs.Offsets[pt+1]*sw
-		if ll == lh || sl == sh {
-			return
+		at, bhi := s.carve(seq, pt, cl.Offsets[pt]*rw), cl.Offsets[pt+1]*rw
+		if ll < lh && sl < sh {
+			var m int
+			parts[pt], m = join.ProbeRowsPartition(cs.Rows[sl:sh], sw, skey,
+				cl.Rows[ll:lh], lw, lkey, shift, arena[at:at:bhi])
+			matches.Add(int64(m))
 		}
-		blo, bhi := cl.Offsets[pt]*rw, cl.Offsets[pt+1]*rw
-		buf := arena[blo:blo:bhi]
-		var m int
-		parts[pt], m = join.ProbeRowsPartition(cs.Rows[sl:sh], sw, skey,
-			cl.Rows[ll:lh], lw, lkey, shift, buf)
-		matches.Add(int64(m))
+		s.carved(seq, pt, at+len(parts[pt]), len(parts[pt]) <= bhi-at)
 	})
-	res := e.stitchRowParts(parts, rw, int(matches.Load()))
-	Return(e, arena)
-	return res, nil
+	return e.stitchRowParts(n, arena, parts, rw, int(matches.Load())), nil
 }
 
 // HashRowsJoin is the naive pre-projection Hash-Join over wide tuples
@@ -141,11 +124,11 @@ func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw,
 // hashRows joins through one hash table over the smaller relation:
 // join.BuildRowsTable builds it on the caller's goroutine into leased
 // (dirty) bucket-head and chain arrays — intra-query transients the
-// probe reads and the result rows don't, handed back after it. A serial
-// run probes the whole larger relation into the result array in one
-// RowTable.ProbeRows; otherwise chunks of it probe concurrently into
-// per-chunk buffers, stitched in chunk (= input) order: the serial
-// probe order, with duplicate matches in the table's chain order.
+// probe reads and the result rows don't, handed back after it. Chunks
+// of the larger relation probe it as morsels, each into its carving of
+// the result array, stitched in chunk (= input) order: the probe order
+// of one loop over the whole relation, with duplicate matches in the
+// table's chain order.
 func (e *Engine) hashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, shift uint) (*join.RowsResult, error) {
 	ml := e.mem()
 	ns := len(smaller) / sw
@@ -156,44 +139,55 @@ func (e *Engine) hashRows(larger []int32, lw, lkey int, smaller []int32, sw, ske
 	}
 	defer Return(e, first, next)
 	nl, rw := len(larger)/lw, lw+sw-2
-	if e.serial(nl + ns) {
-		rows, m := t.ProbeRows(larger, lw, lkey, e.Own(nl * rw)[:0])
-		return &join.RowsResult{Rows: rows, Width: rw, N: m}, nil
-	}
-	chunks := e.chunksFor(nl)
-	// Per-chunk buffers carve one leased arena at the chunk's offset,
-	// capped at one match per probe tuple (see PartitionedRowsJoin).
-	arena := mempool.Slice[int32](ml, nl*rw)
+	// The chunking follows the join's cardinality, both sides together.
+	chunks := mempool.Slice[Range](ml, min(e.morsels(nl+ns), max(nl, 1)))
+	splitRange(chunks, nl)
+	arena := e.Own(nl * rw)
 	parts := make([][]int32, len(chunks))
 	var matches atomic.Int64
-	e.run(len(chunks), func(_, c int, _ *Scratch) {
+	e.run(nl+ns, len(chunks), nil, func(c int, _ *Scratch) {
 		r := chunks[c]
-		buf := arena[r.Lo*rw : r.Lo*rw : r.Hi*rw]
 		var m int
-		parts[c], m = t.ProbeRows(larger[r.Lo*lw:r.Hi*lw], lw, lkey, buf)
+		parts[c], m = t.ProbeRows(larger[r.Lo*lw:r.Hi*lw], lw, lkey, arena[r.Lo*rw:r.Lo*rw:r.Hi*rw])
 		matches.Add(int64(m))
 	})
-	res := e.stitchRowParts(parts, rw, int(matches.Load()))
-	Return(e, arena)
-	return res, nil
+	return e.stitchRowParts(nl+ns, arena, parts, rw, int(matches.Load())), nil
 }
 
-// stitchRowParts concatenates per-morsel result-row buffers in morsel
-// order — a parallel prefix-sum copy into disjoint output ranges. n is
-// the morsels' total match count (zero-width rows cannot carry it).
-func (e *Engine) stitchRowParts(parts [][]int32, width, n int) *join.RowsResult {
-	// offs is transient (leased, dirty — offs[0] set explicitly); out is
-	// the pre-projection strategies' result array (mempool.Own).
+// stitchRowParts concatenates the result rows of an n-item join's
+// morsels in morsel order; each was carved from arena, a result array
+// (Engine.Own). When every part lies where the concatenation puts it —
+// each filled its carving, as in a key-FK join, or the parts of an
+// inline run lie back to back (Scratch.carve) — arena is the result, and
+// a lone part that outgrew its carving is handed on as it is; otherwise
+// the parts are copied into a fresh result array, disjoint ranges as
+// morsels. m is the morsels' total match count (zero-width rows cannot
+// carry it).
+func (e *Engine) stitchRowParts(n int, arena []int32, parts [][]int32, width, m int) *join.RowsResult {
+	// offs is transient (leased, dirty — offs[0] set explicitly).
 	offs := mempool.Slice[int](e.mem(), len(parts)+1)
 	offs[0] = 0
+	inPlace := true
 	for i, part := range parts {
 		offs[i+1] = offs[i] + len(part)
+		inPlace = inPlace && (len(part) == 0 ||
+			offs[i+1] <= len(arena) && unsafe.SliceData(part) == unsafe.SliceData(arena[offs[i]:]))
 	}
-	out := e.Own(offs[len(parts)])
-	e.run(len(parts), func(_, i int, _ *Scratch) {
-		copy(out[offs[i]:offs[i+1]], parts[i])
-	})
-	return &join.RowsResult{Rows: out, Width: width, N: n}
+	res := &join.RowsResult{Width: width, N: m}
+	switch {
+	case inPlace:
+		res.Rows = arena[:offs[len(parts)]]
+		return res
+	case len(parts) == 1:
+		res.Rows = parts[0]
+	default:
+		res.Rows = e.Own(offs[len(parts)])
+		e.run(n, len(parts), nil, func(i int, _ *Scratch) {
+			copy(res.Rows[offs[i]:offs[i+1]], parts[i])
+		})
+	}
+	mempool.Recycle(e.Home(), arena)
+	return res
 }
 
 // checkCols validates the attribute offsets an operator reads.

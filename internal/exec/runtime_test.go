@@ -97,7 +97,7 @@ func TestRuntimeQueueTimings(t *testing.T) {
 	defer pl.Close()
 	ran := false
 	pl.Then(PhaseJoin, "work", func(e *Engine) error {
-		e.run(16, func(_, _ int, _ *Scratch) {})
+		e.run(MinParallelN, 16, nil, func(int, *Scratch) {})
 		ran = true
 		return nil
 	})
@@ -132,7 +132,7 @@ func TestRuntimeConcurrentJobsExecuteAllMorsels(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				const ntasks = 37
 				var hits [ntasks]atomic.Int32
-				p.run(ntasks, func(_, task int, _ *Scratch) {
+				p.submit(ntasks, nil, func(_, task int, _ *Scratch) {
 					hits[task].Add(1)
 				})
 				for i := range hits {
@@ -146,8 +146,10 @@ func TestRuntimeConcurrentJobsExecuteAllMorsels(t *testing.T) {
 	wg.Wait()
 }
 
-// The chunked-parallel prefix sum must produce exactly the serial
-// cursors and offsets for any (cluster, chunk) shape.
+// The (cluster, chunk) prefix sum (radix.ChunkCursors), run as morsels
+// on the runtime, must produce exactly the cursors and cluster starts of
+// one walk over clusters outermost, chunks in input order, for any
+// (cluster, chunk) shape.
 func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
 	p := NewEngine(testRuntime(t), 4)
 	defer p.Close()
@@ -155,18 +157,30 @@ func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
 	for _, shape := range []struct{ h, nch int }{
 		{1, 1}, {8, 3}, {256, 64}, {1 << 10, 32}, {1 << 12, 40},
 	} {
-		counts := make([]int, shape.h*shape.nch)
+		h, nch := shape.h, shape.nch
+		counts := make([]int, h*nch)
 		for i := range counts {
 			counts[i] = rng.Intn(5)
 		}
-		serialCounts := append([]int(nil), counts...)
-		wantOff := prefixSumChunks(make([]int, shape.h+1), serialCounts, shape.h, shape.nch)
-		gotOff := p.prefixSumChunksParallel(counts, shape.h, shape.nch)
-		if !reflect.DeepEqual(gotOff, wantOff) {
-			t.Fatalf("h=%d nch=%d: offsets differ", shape.h, shape.nch)
+		wantCur, wantOff := append([]int(nil), counts...), make([]int, h)
+		pos := 0
+		for c := 0; c < h; c++ {
+			wantOff[c] = pos
+			for k := 0; k < nch; k++ {
+				wantCur[k*h+c], pos = pos, pos+wantCur[k*h+c]
+			}
 		}
-		if !reflect.DeepEqual(counts, serialCounts) {
-			t.Fatalf("h=%d nch=%d: cursors differ", shape.h, shape.nch)
+		gotOff := make([]int, h)
+		tasks := p.sched.stats().Tasks()
+		radix.ChunkCursors(counts, h, nch, gotOff, 1, p.runner())
+		if !reflect.DeepEqual(gotOff, wantOff) {
+			t.Fatalf("h=%d nch=%d: offsets differ", h, nch)
+		}
+		if !reflect.DeepEqual(counts, wantCur) {
+			t.Fatalf("h=%d nch=%d: cursors differ", h, nch)
+		}
+		if ran := p.sched.stats().Tasks() - tasks; (ran > 0) != (h*nch >= MinParallelN) {
+			t.Fatalf("h=%d nch=%d: %d morsels, want the runtime exactly from MinParallelN items", h, nch, ran)
 		}
 	}
 }
@@ -177,12 +191,12 @@ func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
 func TestClosedEngineRunPanics(t *testing.T) {
 	rt := testRuntime(t)
 	for name, use := range map[string]func(e *Engine){
-		"run":    func(e *Engine) { e.run(4, func(_, _ int, _ *Scratch) {}) },
-		"runAff": func(e *Engine) { e.runAff(4, func(int) uint64 { return 0 }, func(_, _ int, _ *Scratch) {}) },
+		"run":    func(e *Engine) { e.run(MinParallelN, 4, nil, func(int, *Scratch) {}) },
+		"submit": func(e *Engine) { e.submit(4, func(int) uint64 { return 0 }, func(_, _ int, _ *Scratch) {}) },
 		"attach": func(e *Engine) { e.attach() },
 	} {
 		e := NewEngine(rt, 2)
-		e.run(4, func(_, _ int, _ *Scratch) {})
+		e.run(MinParallelN, 4, nil, func(int, *Scratch) {})
 		if got := rt.ActiveQueries(); got != 1 {
 			t.Fatalf("%s: %d active queries while the lease is held, want 1", name, got)
 		}

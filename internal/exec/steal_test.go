@@ -41,7 +41,7 @@ func holdWorkers(t *testing.T, rt *Runtime, n int) (busy []int, release func()) 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		hostage.run(n, func(worker, _ int, _ *Scratch) {
+		hostage.submit(n, nil, func(worker, _ int, _ *Scratch) {
 			started <- worker
 			<-free
 		})
@@ -57,7 +57,7 @@ func holdWorkers(t *testing.T, rt *Runtime, n int) (busy []int, release func()) 
 }
 
 // placementOf reports where submit places the morsels of one
-// p.runAff(ntasks, aff, ...) job: out[task] is the worker whose deque
+// p.submit(ntasks, aff, ...) job: out[task] is the worker whose deque
 // holds the task while every worker is held hostage. The job then
 // runs to completion (stealing and all) before placementOf returns.
 func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int, aff func(int) uint64) []int {
@@ -67,7 +67,7 @@ func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int, aff func(int)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.runAff(ntasks, aff, func(_, _ int, _ *Scratch) { ran.Add(1) })
+		p.submit(ntasks, aff, func(_, _ int, _ *Scratch) { ran.Add(1) })
 	}()
 	out := make([]int, ntasks)
 	for queued := 0; queued < ntasks; {
@@ -110,7 +110,7 @@ func TestStealRescuesStarvedWorker(t *testing.T) {
 	const ntasks = 8
 	key := keyHomedOn(t, victim.affSeed, busy, 2)
 	ran := make([]int, ntasks)
-	victim.runAff(ntasks, func(int) uint64 { return key }, func(worker, task int, _ *Scratch) {
+	victim.submit(ntasks, func(int) uint64 { return key }, func(worker, task int, _ *Scratch) {
 		ran[task] = worker
 	})
 	release()

@@ -6,7 +6,6 @@ import (
 
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
-	"radixdecluster/internal/nsm"
 	"radixdecluster/internal/radix"
 )
 
@@ -114,50 +113,6 @@ func TestJiveErrors(t *testing.T) {
 	}
 	if _, err := Right(lrOK, [][]int32{{1}}); err == nil {
 		t.Fatal("right oid outside column not rejected in Right")
-	}
-}
-
-func TestJiveRowsEndToEnd(t *testing.T) {
-	const nJI, leftLen, rightLen = 400, 300, 200
-	ji := buildSortedJI(nJI, leftLen, rightLen, 4)
-	// left: records [id*2, id*2+1, junk]; right: [id*7, junk].
-	left := nsm.New("L", leftLen, 3)
-	for i := 0; i < leftLen; i++ {
-		left.Set(i, 0, int32(i)*2)
-		left.Set(i, 1, int32(i)*2+1)
-		left.Set(i, 2, -1)
-	}
-	right := nsm.New("R", rightLen, 2)
-	for i := 0; i < rightLen; i++ {
-		right.Set(i, 0, int32(i)*7)
-		right.Set(i, 1, -1)
-	}
-	lr, err := LeftRowsInto(ji, left, []int{0, 1}, rightLen, 3,
-		make([]OID, nJI), make([]OID, nJI), make([]int32, nJI*2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rres := nsm.New("R_proj", nJI, 1)
-	if err := RightRowsInto(rres, lr, right, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	type trip struct{ a, b, c int32 }
-	want := map[trip]int{}
-	for i := range ji.Larger {
-		lo, ro := ji.Larger[i], ji.Smaller[i]
-		want[trip{int32(lo) * 2, int32(lo)*2 + 1, int32(ro) * 7}]++
-	}
-	got := map[trip]int{}
-	for i := 0; i < nJI; i++ {
-		got[trip{lr.LeftRows.At(i, 0), lr.LeftRows.At(i, 1), rres.At(i, 0)}]++
-	}
-	for p, c := range want {
-		if got[p] != c {
-			t.Fatalf("row %v appears %d times, want %d", p, got[p], c)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d distinct rows, want %d", len(got), len(want))
 	}
 }
 

@@ -14,11 +14,9 @@ import (
 // effect behind Jive-Join's O(C²/T²) scalability bound (§4.2).
 //
 // Both phases are expressed over chunk-safe kernels (CountRowsChunk,
-// ScatterRowsChunk, RightRowsCluster) so the serial forms here
-// (LeftRowsInto, RightRowsInto) and the morsel-driven executor
-// (internal/exec) share one code path: the executor schedules
-// join-index chunks / clusters as morsels, the serial forms run the
-// same kernels over a single chunk.
+// ScatterRowsChunk, RightRowsCluster) that the engine (internal/exec,
+// Engine.JiveLeft and JiveRight) schedules as morsels: join-index
+// chunks and cluster groups, one of each when it runs serially.
 
 // LeftRowsResult mirrors LeftResult with the left projection held as
 // row-major records.
@@ -82,33 +80,6 @@ func NewLeftRowsResult(name string, n int, leftCols []int, offsets []int, bits i
 	}
 }
 
-// LeftRowsInto runs the left phase against an NSM relation, writing
-// its output into the caller's arrays (see NewLeftRowsResult): ji must
-// be sorted on ji.Larger; leftCols names the record fields to project.
-func LeftRowsInto(ji *join.Index, left *nsm.Relation, leftCols []int, rightLen, bits int, rightOIDs, resultPos []OID, leftRows []int32) (*LeftRowsResult, error) {
-	n := ji.Len()
-	if bits < 0 || bits > 30 {
-		return nil, fmt.Errorf("jive: bad cluster bits %d", bits)
-	}
-	shift := ClusterShift(rightLen, bits)
-	h := 1 << bits
-	counts := make([]int, h)
-	if err := CountRowsChunk(counts, ji.Smaller, shift, rightLen, 0, n); err != nil {
-		return nil, err
-	}
-	offsets := make([]int, h+1)
-	for c := 0; c < h; c++ {
-		offsets[c+1] = offsets[c] + counts[c]
-	}
-	out := NewLeftRowsResult(left.Name+"_proj", n, leftCols, offsets, bits, rightOIDs, resultPos, leftRows)
-	cursors := make([]int, h)
-	copy(cursors, offsets[:h])
-	if err := ScatterRowsChunk(out, ji, left, leftCols, cursors, shift, 0, n); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RightRowsCluster runs the right phase over one cluster c: sort the
 // cluster's oids for sequential(ish) access to the right relation,
 // project the fields, and write them to the cluster's result records.
@@ -131,23 +102,4 @@ func RightRowsCluster(out *nsm.Relation, lr *LeftRowsResult, right *nsm.Relation
 		right.ProjectRecord(out.Record(int(lr.ResultPos[i])), int(oids[i]), rightCols)
 	}
 	return perm, nil
-}
-
-// RightRowsInto runs the right phase against an NSM relation, writing
-// the projected right fields in result order into the caller's relation
-// of len(lr.RightOIDs) records of len(rightCols) fields, handed in
-// dirty: the clusters tile the records, and each writes all of its own.
-func RightRowsInto(out *nsm.Relation, lr *LeftRowsResult, right *nsm.Relation, rightCols []int) error {
-	var perm []int
-	var err error
-	for c := 0; c+1 < len(lr.Borders); c++ {
-		if lr.Borders[c] == lr.Borders[c+1] {
-			continue
-		}
-		perm, err = RightRowsCluster(out, lr, right, rightCols, c, perm)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

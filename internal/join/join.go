@@ -549,34 +549,6 @@ func ProbeRowsPartition(smaller []int32, sw, skey int, larger []int32, lw, lkey 
 	return buildRowTable(smaller, sw, skey, shift).ProbeRows(larger, lw, lkey, out)
 }
 
-// PartitionedRowsInto is the pre-projection Partitioned Hash-Join
-// ("NSM-pre-phash" / "DSM-pre-phash") over wide-tuple inputs already
-// radix-clustered on matching bits (radix.ClusterRowsInto; CheckRows
-// is the caller's): every partition pair is hash-joined in order, the
-// result rows appended to out — the caller's buffer, regrown by append
-// only past its capacity. shift is the clustering's Ignore+Bits.
-// Because the payload inflates the tuple width, fewer tuples fit per
-// cluster, which is why pre-projection needs more radix bits (and
-// sooner multiple passes) than post-projection at equal cardinality
-// (§4.2).
-func PartitionedRowsInto(out []int32, larger *radix.RowsResult, lkey int, smaller *radix.RowsResult, skey int, shift uint) *RowsResult {
-	lw, sw := larger.Width, smaller.Width
-	n := 0
-	h := len(larger.Offsets) - 1
-	for p := 0; p < h; p++ {
-		ll, lh := larger.Offsets[p]*lw, larger.Offsets[p+1]*lw
-		sl, sh := smaller.Offsets[p]*sw, smaller.Offsets[p+1]*sw
-		if ll == lh || sl == sh {
-			continue
-		}
-		t := buildRowTable(smaller.Rows[sl:sh], sw, skey, shift)
-		var m int
-		out, m = t.ProbeRows(larger.Rows[ll:lh], lw, lkey, out)
-		n += m
-	}
-	return &RowsResult{Rows: out, Width: lw + sw - 2, N: n}
-}
-
 // CheckRows is the one check of a row-major join input, serial or
 // parallel: whole records of width fields, and a key column inside
 // them.

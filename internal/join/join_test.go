@@ -100,26 +100,12 @@ func hashRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int) (*Row
 	return &RowsResult{Rows: rows, Width: lw + sw - 2, N: n}, nil
 }
 
-// partitionedRows is the pre-projection Partitioned Hash-Join from its
-// caller-buffer forms: radix.ClusterRowsInto on both sides, then
-// PartitionedRowsInto.
-func partitionedRows(larger []int32, lw, lkey int, smaller []int32, sw, skey int, o radix.Opts) (*RowsResult, error) {
-	if err := CheckRows(larger, lw, lkey); err != nil {
-		return nil, err
-	}
-	if err := CheckRows(smaller, sw, skey); err != nil {
-		return nil, err
-	}
-	cl, err := radix.ClusterRowsInto([2][]int32{make([]int32, len(larger)), make([]int32, len(larger))}, larger, lw, lkey, o)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := radix.ClusterRowsInto([2][]int32{make([]int32, len(smaller)), make([]int32, len(smaller))}, smaller, sw, skey, o)
-	if err != nil {
-		return nil, err
-	}
-	return PartitionedRowsInto(nil, cl, lkey, cs, skey, uint(o.Ignore+o.Bits)), nil
-}
+// Exported to the external row-join tests (rows_test.go), which run
+// the engine's joins against these references.
+var (
+	HashRowsRef = hashRows
+	RowsToPairs = rowsToPairs
+)
 
 func TestHashJoinSmall(t *testing.T) {
 	lo := []OID{0, 1, 2, 3}
@@ -279,59 +265,6 @@ func TestHashRows(t *testing.T) {
 	}
 }
 
-func TestPartitionedRowsMatchesHashRows(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	const nL, nS, lw, sw = 500, 300, 4, 3
-	larger := make([]int32, nL*lw)
-	for i := 0; i < nL; i++ {
-		larger[i*lw] = int32(rng.IntN(100))
-		for j := 1; j < lw; j++ {
-			larger[i*lw+j] = int32(i*10 + j)
-		}
-	}
-	smaller := make([]int32, nS*sw)
-	for i := 0; i < nS; i++ {
-		smaller[i*sw] = int32(rng.IntN(100))
-		for j := 1; j < sw; j++ {
-			smaller[i*sw+j] = int32(-(i*10 + j))
-		}
-	}
-	want, err := hashRows(larger, lw, 0, smaller, sw, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := partitionedRows(larger, lw, 0, smaller, sw, 0, radix.Opts{Bits: 5, Passes: []int{3, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != want.Len() || got.Width != want.Width {
-		t.Fatalf("got %dx%d, want %dx%d", got.Len(), got.Width, want.Len(), want.Width)
-	}
-	gp, wp := rowsToPairs(got), rowsToPairs(want)
-	for i := range wp {
-		for k := range wp[i] {
-			if gp[i][k] != wp[i][k] {
-				t.Fatalf("row %d: got %v, want %v", i, gp[i], wp[i])
-			}
-		}
-	}
-}
-
-func TestRowsErrors(t *testing.T) {
-	if err := CheckRows([]int32{1, 2, 3}, 2, 0); err == nil {
-		t.Fatal("ragged rows not rejected")
-	}
-	if err := CheckRows([]int32{1, 2}, 2, 5); err == nil {
-		t.Fatal("bad key column not rejected")
-	}
-	if err := CheckRows([]int32{1, 2}, 0, 0); err == nil {
-		t.Fatal("zero width not rejected")
-	}
-	if _, err := radix.ClusterRowsInto([2][]int32{make([]int32, 1)}, []int32{1}, 2, 0, radix.Opts{Bits: 1}); err == nil {
-		t.Fatal("ragged rows not rejected by the clustering")
-	}
-}
-
 func TestPlanBits(t *testing.T) {
 	// 1M 4-byte tuples, 512KB cache: each tuple needs ~12 bytes with
 	// table overhead → ~43K fit → B = 1+19-15 = 5.
@@ -410,27 +343,6 @@ func TestPartitionedPreclusteredMatchesPartitioned(t *testing.T) {
 	cs2, _ := clusterBUNs(so, sk, radix.Opts{Bits: 3})
 	if err := PartitionedPreclusteredInto(&Index{}, &ts, cl, cs2, uint(o.Bits)); err == nil {
 		t.Fatal("partition count mismatch not rejected")
-	}
-}
-
-// A zero-width result (a query that projects nothing) carries its
-// cardinality: Len is the match count, not len(Rows)/Width.
-func TestRowsResultLenZeroWidth(t *testing.T) {
-	if (&RowsResult{}).Len() != 0 {
-		t.Fatal("the zero RowsResult must have length 0")
-	}
-	keys := []int32{3, 1, 2, 1}
-	for name, join := range map[string]func() (*RowsResult, error){
-		"hashRows":        func() (*RowsResult, error) { return hashRows(keys, 1, 0, keys[:3], 1, 0) },
-		"partitionedRows": func() (*RowsResult, error) { return partitionedRows(keys, 1, 0, keys[:3], 1, 0, radix.Opts{Bits: 1}) },
-	} {
-		r, err := join()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Width != 0 || len(r.Rows) != 0 || r.Len() != 4 {
-			t.Fatalf("%s of key-only tuples: width %d, %d values, Len %d — want 0, 0 and the 4 matches", name, r.Width, len(r.Rows), r.Len())
-		}
 	}
 }
 

@@ -8,12 +8,12 @@ package radix
 //	row → insertion cursors                      // a prefix sum, the caller's
 //	Scatter(chunk, f, row, dst)                  // stable move through the cursors
 //
-// The serial engine (cluster.go) runs it with one chunk per current
-// cluster range; the parallel engine (internal/exec) with one chunk
-// per morsel and cursors from the (cluster, chunk) prefix sum, which
-// hands chunk k of a cluster the slice right after chunk k-1's. Either
+// The one pass driver (Cluster, cluster.go) runs it with one chunk per
+// morsel of the first pass — cursors from the (cluster, chunk) prefix
+// sum, which hands chunk k of a cluster the slice right after chunk
+// k-1's — and with one chunk per current cluster range after it. Either
 // way a cluster receives its tuples in input order — the stability
-// Radix-Decluster depends on (§3.2) — so the two engines, and any two
+// Radix-Decluster depends on (§3.2) — so both engines, and any two
 // chunkings, produce the same bytes.
 //
 // The kernels are typed tight loops over the caller's own slices: no

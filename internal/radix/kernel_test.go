@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -61,6 +62,21 @@ func chunkedPass(n int, f Field, cuts []int, count, scatter func(lo, hi int, row
 	for k := range rows {
 		scatter(bounds[k], bounds[k+1], rows[k])
 	}
+	return offsets
+}
+
+// chunkedCluster runs the pass driver on o's passes with its first pass
+// cut into nch chunks, every task inline and in reverse order — any
+// order must give the same bytes — and returns the offsets.
+func chunkedCluster(n int, o Opts, nch int, count, scatter ChunkFn) []int {
+	passes := o.Schedule()
+	offsets := make([]int, 1<<o.Bits+1)
+	reversed := func(_, ntasks, rowLen int, body func(t int, row []int)) {
+		for t := ntasks - 1; t >= 0; t-- {
+			body(t, make([]int, rowLen))
+		}
+	}
+	Cluster(offsets, make([]int, nch<<passes[0]), n, o.Ignore, passes, nch, reversed, count, scatter)
 	return offsets
 }
 
@@ -172,13 +188,22 @@ func checkPairs[K, P Word](t *testing.T, rng *rand.Rand, keys []K, pay []P, hash
 		if err := o.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		r, nch := Result(o.Schedule()), 1+rng.IntN(4)
 		if !hashed {
 			gotK, gotP, gotOff := clusterPairs(pingPong[K](n, o), pingPong[P](n, o), keys, pay, o)
 			same("serial engine", gotK, gotP, gotOff, passes...)
+			bufK, bufP := pingPong[K](n, o), pingPong[P](n, o)
+			count, scatter := PairKernels(keys, pay, bufK, bufP)
+			gotOff = chunkedCluster(n, o, nch, count, scatter)
+			same(fmt.Sprintf("driver over %d chunks", nch), bufK[r], bufP[r], gotOff, passes...)
 			continue
 		}
 		buns, gotOff := clusterBUNs(pingPong[uint64](n, o), keys, pay, o)
 		sameBUNs("serial BUN engine (pack→BUN→BUN)", buns, gotOff, passes...)
+		buf := pingPong[uint64](n, o)
+		count, scatter := BUNKernels(keys, pay, buf)
+		gotOff = chunkedCluster(n, o, nch, count, scatter)
+		sameBUNs(fmt.Sprintf("BUN driver over %d chunks", nch), buf[r], gotOff, passes...)
 	}
 
 	f := Field{Shift: uint(ignore), Mask: uint32(1<<bits - 1)}
@@ -236,12 +261,17 @@ func checkRows(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, sp
 	}
 	in := slices.Clone(rows)
 	for _, passes := range splits {
-		res, err := freshRows(rows, width, keyCol, Opts{Bits: bits, Ignore: ignore, Passes: passes})
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := Opts{Bits: bits, Ignore: ignore, Passes: passes}
+		res := freshRows(rows, width, keyCol, o)
 		if !slices.Equal(res.Rows, want) || !slices.Equal(res.Offsets, wantOff) {
-			t.Fatalf("n=%d bits=%d ignore=%d passes=%v: ClusterRowsInto differs from the stable-sort reference", n, bits, ignore, passes)
+			t.Fatalf("n=%d bits=%d ignore=%d passes=%v: the row clustering differs from the stable-sort reference", n, bits, ignore, passes)
+		}
+		nch := 1 + rng.IntN(4)
+		buf := pingPong[int32](len(rows), o)
+		count, scatter := RowKernels(rows, width, keyCol, buf)
+		gotOff := chunkedCluster(n, o, nch, count, scatter)
+		if !slices.Equal(buf[Result(o.Schedule())], want) || !slices.Equal(gotOff, wantOff) {
+			t.Fatalf("n=%d bits=%d ignore=%d passes=%v nch=%d: the chunked row clustering differs from the stable-sort reference", n, bits, ignore, passes, nch)
 		}
 	}
 	f := Field{Shift: uint(ignore), Mask: uint32(1<<bits - 1)}
@@ -253,7 +283,7 @@ func checkRows(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, sp
 		t.Fatalf("n=%d bits=%d ignore=%d: chunked rows pass differs from the one-chunk result", n, bits, ignore)
 	}
 	if !slices.Equal(rows, in) {
-		t.Fatalf("n=%d bits=%d: ClusterRowsInto wrote to its input records", n, bits)
+		t.Fatalf("n=%d bits=%d: the row clustering wrote to its input records", n, bits)
 	}
 }
 

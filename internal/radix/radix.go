@@ -42,16 +42,14 @@ type Opts struct {
 	Passes []int
 }
 
-// NumPasses is how many passes the clustering takes: 0 for B = 0 (a
-// copy), 1 for a single pass, len(Passes) otherwise. The ...Into forms
-// need a second buffer when it exceeds one.
-func (o Opts) NumPasses() int { return len(o.passes()) }
+// NumPasses is how many passes the clustering takes: len(Schedule()).
+// The ...Into forms need a second buffer when it exceeds one.
+func (o Opts) NumPasses() int { return len(o.Schedule()) }
 
-func (o Opts) passes() []int {
-	if o.Passes == nil {
-		if o.Bits == 0 {
-			return nil
-		}
+// Schedule is o's pass split as Cluster takes it: Passes, or one pass
+// of all Bits when Passes is empty — for B = 0 one 0-bit pass, a copy.
+func (o Opts) Schedule() []int {
+	if len(o.Passes) == 0 {
 		return []int{o.Bits}
 	}
 	return o.Passes
@@ -255,54 +253,31 @@ func ClusterOIDPairsInto(bufK, bufO [2][]OID, key, other []OID, o Opts) (*OIDPai
 }
 
 // RowsResult is a radix-clustered NSM fragment: row-major records of
-// the given width, plus cluster offsets (in records).
+// the given width, plus cluster offsets (in records). The whole record
+// travels on every pass — the "extra luggage" of pre-projection
+// strategies (§1.1): fewer tuples fit per cluster and per cache line,
+// which is exactly the effect the paper measures.
 type RowsResult struct {
 	Rows    []int32
 	Width   int
 	Offsets []int
 }
 
-// ClusterRowsInto radix-clusters width-wide NSM records on
-// hash(record[keyCol]), scattering into the caller's buffers of at
-// least len(rows) values each (see ClusterBUNsInto). The whole record
-// travels on every pass — the "extra luggage" of pre-projection
-// strategies (§1.1): fewer tuples fit per cluster and per cache line,
-// which is exactly the effect the paper measures.
-func ClusterRowsInto(buf [2][]int32, rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
-	if width <= 0 || len(rows)%width != 0 {
-		return nil, fmt.Errorf("radix: ClusterRows: %d values is not a multiple of width %d", len(rows), width)
-	}
-	if keyCol < 0 || keyCol >= width {
-		return nil, fmt.Errorf("radix: ClusterRows: key column %d out of range [0,%d)", keyCol, width)
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkBufs(buf, len(rows), o); err != nil {
-		return nil, err
-	}
-	out, offsets := clusterRows(buf, rows, width, keyCol, o)
-	return &RowsResult{Rows: out, Width: width, Offsets: offsets}, nil
-}
-
 // SortOIDPairs fully sorts an [oid,oid] BAT on the key column by
 // radix-clustering on all significant bits (Radix-Sort, §3.1), using
 // as many passes as the hierarchy's per-pass fanout limit demands.
 func SortOIDPairs(key, other []OID, h mem.Hierarchy) (*OIDPairsResult, error) {
-	return ClusterOIDPairs(key, other, SortOpts(key, h))
-}
-
-// SortOpts is the clustering SortOIDPairs runs over key: every
-// significant bit of its largest oid (at least one), split into passes
-// of at most MaxBitsPerPass(h) bits. ClusterOIDPairsInto with it is
-// SortOIDPairs into the caller's buffers.
-func SortOpts(key []OID, h mem.Hierarchy) Opts {
 	maxKey := OID(0)
 	for _, k := range key {
-		if k > maxKey {
-			maxKey = k
-		}
+		maxKey = max(maxKey, k)
 	}
+	return ClusterOIDPairs(key, other, SortOpts(maxKey, h))
+}
+
+// SortOpts is the clustering SortOIDPairs runs over a key column whose
+// largest oid is maxKey: every significant bit of it (at least one),
+// split into passes of at most MaxBitsPerPass(h) bits.
+func SortOpts(maxKey OID, h mem.Hierarchy) Opts {
 	bits := mem.Log2Ceil(int(maxKey) + 1)
 	if bits == 0 {
 		bits = 1

@@ -159,9 +159,14 @@ func freshBUNs(heads []OID, vals []int32, o Opts) (*BUNsResult, error) {
 	return ClusterBUNsInto(pingPong[uint64](len(vals), o), heads, vals, o)
 }
 
-// freshRows is ClusterRowsInto into fresh ping-pong buffers.
-func freshRows(rows []int32, width, keyCol int, o Opts) (*RowsResult, error) {
-	return ClusterRowsInto(pingPong[int32](len(rows), o), rows, width, keyCol, o)
+// freshRows clusters width-wide records through RowKernels and the
+// pass driver on the caller's goroutine, on o's own passes, into fresh
+// ping-pong buffers.
+func freshRows(rows []int32, width, keyCol int, o Opts) *RowsResult {
+	buf := pingPong[int32](len(rows), o)
+	count, scatter := RowKernels(rows, width, keyCol, buf)
+	offsets := clusterInline(len(rows)/width, o, count, scatter)
+	return &RowsResult{Rows: buf[Result(o.Schedule())], Width: width, Offsets: offsets}
 }
 
 func randomPairs(n int, seed uint64) ([]OID, []int32) {
@@ -340,55 +345,6 @@ func TestSortOIDPairsDuplicatesStable(t *testing.T) {
 		if res.Key[i] != wantKey[i] || res.Other[i] != wantOther[i] {
 			t.Fatalf("got (%v,%v), want (%v,%v)", res.Key, res.Other, wantKey, wantOther)
 		}
-	}
-}
-
-func TestClusterRows(t *testing.T) {
-	const n, w = 300, 4
-	rng := rand.New(rand.NewPCG(11, 0))
-	rows := make([]int32, n*w)
-	for i := 0; i < n; i++ {
-		rows[i*w] = int32(rng.Uint32() % 1000) // key column 0
-		for j := 1; j < w; j++ {
-			rows[i*w+j] = int32(i) // row id in payload
-		}
-	}
-	o := Opts{Bits: 3, Passes: []int{2, 1}}
-	res, err := freshRows(rows, w, 0, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	borders := bat.BordersFromOffsets(res.Offsets)
-	if err := bat.ValidateBorders(borders, n); err != nil {
-		t.Fatal(err)
-	}
-	mask := uint32(1<<o.Bits - 1)
-	for c, b := range borders {
-		for i := b.Start; i < b.End; i++ {
-			key := res.Rows[i*w]
-			if got := hash.Int32(key) & mask; got != uint32(c) {
-				t.Fatalf("row %d in cluster %d has radix %d", i, c, got)
-			}
-			// Row must be intact: payload carries the original row id.
-			id := res.Rows[i*w+1]
-			for j := 2; j < w; j++ {
-				if res.Rows[i*w+j] != id {
-					t.Fatalf("row %d torn apart", i)
-				}
-			}
-			if rows[int(id)*w] != key {
-				t.Fatalf("row %d key does not match origin %d", i, id)
-			}
-		}
-	}
-}
-
-func TestClusterRowsErrors(t *testing.T) {
-	if _, err := freshRows(make([]int32, 10), 3, 0, Opts{Bits: 1}); err == nil {
-		t.Fatal("non-multiple length not rejected")
-	}
-	if _, err := freshRows(make([]int32, 9), 3, 3, Opts{Bits: 1}); err == nil {
-		t.Fatal("key column out of range not rejected")
 	}
 }
 

@@ -121,9 +121,9 @@ type CostFn func(m costmodel.Model) costmodel.Cost
 // worker count is taken as-is, 0 stays on the serial paper path and
 // AutoParallelism is autoWorkers (a cap of 1 stays serial). A joinInput
 // (total join input cardinality) below the executor's serial-fallback
-// threshold is planned serial: every operator would fall back to serial
-// code anyway, so the query never enters runtime admission and the plan
-// says Workers = 0.
+// threshold is planned serial: every operator would run its morsels
+// inline anyway, so the query never enters runtime admission and the
+// plan says Workers = 0.
 func (c Config) decide(p *Plan, joinInput int) {
 	p.Workers = max(c.Parallelism, 0)
 	if c.Parallelism == AutoParallelism {

@@ -53,10 +53,9 @@ func TestModelAndSimAgreeOnDeclusterWindowTrend(t *testing.T) {
 	}
 }
 
-// The model plane must agree with the simulator plane (which
-// TestPosJoinClusteredBeatsUnsorted establishes at the same scale)
-// that clustered Positional-Joins beat unsorted ones by a large
-// factor on an out-of-cache column.
+// The model plane must show that clustered Positional-Joins beat
+// unsorted ones by a large factor on an out-of-cache column (Figure 9c
+// against the unclustered fetch).
 func TestModelAgreesOnPosJoinTrend(t *testing.T) {
 	h := mem.Pentium4()
 	const colLen = 512 << 10 // 2MB column, 4x L2

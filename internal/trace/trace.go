@@ -1,27 +1,25 @@
-// Package trace replays the memory access patterns of the paper's
-// algorithms against the cache simulator, standing in for the
-// hardware-counter instrumentation of §4.1.
+// Package trace replays the memory access pattern of Radix-Decluster
+// against the cache simulator, standing in for the hardware-counter
+// instrumentation of §4.1.
 //
-// Each replayer mirrors its algorithm's loop structure exactly —
+// The replayer mirrors the algorithm's loop structure exactly —
 // including the data-dependent control flow (cluster cursors advance
 // according to the actual oid values) — but touches simulated regions
-// instead of real arrays. The resulting per-level miss counts are the
-// "measured events" series of Figures 7a and 9.
+// instead of real arrays. Its per-level miss counts are the "measured
+// events" series of Figure 7a (internal/experiments).
 package trace
 
 import (
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/cachesim"
-	"radixdecluster/internal/hash"
 )
 
 // OID mirrors bat.OID.
 type OID = bat.OID
 
 const (
-	oidBytes  = 4
-	valBytes  = 4
-	pairBytes = 8
+	oidBytes = 4
+	valBytes = 4
 	// borderBytes is the {int start, end} cluster entry of Figure 6.
 	borderBytes = 16
 )
@@ -69,123 +67,4 @@ func Decluster(s *cachesim.Sim, ids []OID, borders []bat.Border, windowTuples in
 		}
 	}
 	return nil
-}
-
-// ClusterPairs replays one multi-pass Radix-Cluster over [oid,value]
-// pairs: per pass a sequential read of the input and appends to 2^Bp
-// output cluster cursors (the nest pattern whose fan-out limit causes
-// the Figure-9a thrashing).
-func ClusterPairs(s *cachesim.Sim, vals []int32, bits, ignore int, passes []int) {
-	n := len(vals)
-	rad := make([]uint32, n)
-	for i, v := range vals {
-		rad[i] = hash.Int32(v)
-	}
-	src := s.Alloc("cluster_src", n*pairBytes)
-	dst := s.Alloc("cluster_dst", n*pairBytes)
-
-	bounds := []int{0, n}
-	used := 0
-	order := make([]int, n) // positions of tuples in current arrangement
-	for i := range order {
-		order[i] = i
-	}
-	next := make([]int, n)
-	for _, bp := range passes {
-		used += bp
-		shift := uint(ignore + bits - used)
-		h := 1 << bp
-		mask := uint32(h - 1)
-		newBounds := make([]int, 0, (len(bounds)-1)*h+1)
-		for k := 0; k+1 < len(bounds); k++ {
-			lo, hi := bounds[k], bounds[k+1]
-			counts := make([]int, h)
-			for i := lo; i < hi; i++ {
-				counts[(rad[order[i]]>>shift)&mask]++
-			}
-			cursors := make([]int, h)
-			pos := lo
-			for c := 0; c < h; c++ {
-				cursors[c] = pos
-				newBounds = append(newBounds, pos)
-				pos += counts[c]
-			}
-			for i := lo; i < hi; i++ {
-				t := order[i]
-				c := (rad[t] >> shift) & mask
-				d := cursors[c]
-				cursors[c] = d + 1
-				s.Load(src, i*pairBytes, pairBytes)  // sequential input scan
-				s.Store(dst, d*pairBytes, pairBytes) // append at cluster cursor
-				next[d] = t
-			}
-		}
-		newBounds = append(newBounds, n)
-		bounds = newBounds
-		order, next = next, order
-		src, dst = dst, src
-	}
-}
-
-// PosJoinUnsorted replays a Positional-Join with arbitrary oid order:
-// sequential join-index read, random column access, sequential write.
-func PosJoinUnsorted(s *cachesim.Sim, oids []OID, colLen int) {
-	ji := s.Alloc("joinindex", len(oids)*oidBytes)
-	col := s.Alloc("column", colLen*valBytes)
-	out := s.Alloc("out", len(oids)*valBytes)
-	for i, o := range oids {
-		s.Load(ji, i*oidBytes, oidBytes)
-		s.Load(col, int(o)*valBytes, valBytes)
-		s.Store(out, i*valBytes, valBytes)
-	}
-}
-
-// PosJoinClustered replays the partially clustered variant: identical
-// loop, but the oids passed in are cluster-ordered, so each stretch
-// of the column accesses stays inside one cache-sized range.
-func PosJoinClustered(s *cachesim.Sim, oids []OID, borders []bat.Border, colLen int) {
-	ji := s.Alloc("joinindex", len(oids)*oidBytes)
-	col := s.Alloc("column", colLen*valBytes)
-	out := s.Alloc("out", len(oids)*valBytes)
-	for _, b := range borders {
-		for i := b.Start; i < b.End; i++ {
-			s.Load(ji, i*oidBytes, oidBytes)
-			s.Load(col, int(oids[i])*valBytes, valBytes)
-			s.Store(out, i*valBytes, valBytes)
-		}
-	}
-}
-
-// HashJoin replays build (random stores into the hash table region)
-// plus probe (random loads of table and inner values) of one
-// (partition of a) hash join. tableBytesPerTuple approximates the
-// bucket+chain overhead of the real structure.
-func HashJoin(s *cachesim.Sim, innerKeys, outerKeys []int32, name string) {
-	const tableBytesPerTuple = 12
-	nI := len(innerKeys)
-	inner := s.Alloc(name+"_inner", maxInt(1, nI*pairBytes))
-	table := s.Alloc(name+"_table", maxInt(1, nI*tableBytesPerTuple))
-	outer := s.Alloc(name+"_outer", maxInt(1, len(outerKeys)*pairBytes))
-	out := s.Alloc(name+"_out", maxInt(1, len(outerKeys)*pairBytes))
-	if nI == 0 {
-		return
-	}
-	for i, k := range innerKeys {
-		s.Load(inner, i*pairBytes, pairBytes)
-		b := int(hash.Int32(k)) % nI
-		s.Store(table, b*tableBytesPerTuple, tableBytesPerTuple)
-	}
-	for i, k := range outerKeys {
-		s.Load(outer, i*pairBytes, pairBytes)
-		b := int(hash.Int32(k)) % nI
-		s.Load(table, b*tableBytesPerTuple, tableBytesPerTuple)
-		s.Store(out, i*pairBytes, pairBytes)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

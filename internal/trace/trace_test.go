@@ -79,88 +79,3 @@ func TestDeclusterWindowTLBThreshold(t *testing.T) {
 		t.Fatalf("TLB misses beyond reach = %d, want well above %d", beyond, inside)
 	}
 }
-
-// The Figure-9a effect: single-pass Radix-Cluster thrashes once 2^B
-// cursors exceed the cache/TLB capacity, and a 2-pass clustering with
-// the same total B avoids it.
-func TestClusterPassTradeoffMatchesFig9a(t *testing.T) {
-	h := mem.Pentium4()
-	rng := rand.New(rand.NewPCG(7, 1))
-	const n = 128 << 10
-	vals := make([]int32, n)
-	for i := range vals {
-		vals[i] = int32(rng.Uint32())
-	}
-	run := func(passes []int) uint64 {
-		s := sim(t, h)
-		ClusterPairs(s, vals, 14, 0, passes)
-		return s.MissesOf("TLB")
-	}
-	single := run([]int{14})   // 16384 cursors ≫ 64 TLB entries
-	double := run([]int{7, 7}) // 128 cursors per pass
-	if single < double {
-		t.Fatalf("single-pass 14-bit cluster TLB misses = %d, expected to exceed 2-pass = %d", single, double)
-	}
-}
-
-// Positional-Join: clustered access must miss far less than unsorted
-// access when the column exceeds the cache (Figure 9c vs unclustered).
-func TestPosJoinClusteredBeatsUnsorted(t *testing.T) {
-	h := mem.Pentium4()
-	const colLen = 512 << 10 // 2MB column, 4x L2
-	const nJI = 128 << 10
-	rng := rand.New(rand.NewPCG(9, 9))
-	oids := make([]OID, nJI)
-	for i := range oids {
-		oids[i] = OID(rng.IntN(colLen))
-	}
-	sU := sim(t, h)
-	PosJoinUnsorted(sU, oids, colLen)
-
-	pos := make([]OID, nJI)
-	for i := range pos {
-		pos[i] = OID(i)
-	}
-	bits := radix.OptimalBits(colLen, 4, h.LLC().Size)
-	cl, err := radix.ClusterOIDPairs(oids, pos, radix.Opts{Bits: bits, Ignore: mem.Log2Ceil(colLen) - bits})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sC := sim(t, h)
-	PosJoinClustered(sC, cl.Key, cl.Borders(), colLen)
-
-	u, c := sU.MissesOf("L2"), sC.MissesOf("L2")
-	if c*2 > u {
-		t.Fatalf("clustered L2 misses = %d, want well below unsorted = %d", c, u)
-	}
-}
-
-// Hash join on a cache-resident inner side must miss far less than on
-// an oversized one — the partitioning rationale of §2.1.
-func TestHashJoinPartitionEffect(t *testing.T) {
-	h := mem.Pentium4()
-	rng := rand.New(rand.NewPCG(11, 3))
-	outer := make([]int32, 64<<10)
-	for i := range outer {
-		outer[i] = int32(rng.Uint32())
-	}
-	smallInner := make([]int32, 8<<10) // 8K tuples: table+values fit L2
-	for i := range smallInner {
-		smallInner[i] = int32(rng.Uint32())
-	}
-	bigInner := make([]int32, 256<<10) // 256K tuples: 3MB table+values
-	for i := range bigInner {
-		bigInner[i] = int32(rng.Uint32())
-	}
-	sSmall := sim(t, h)
-	HashJoin(sSmall, smallInner, outer, "small")
-	sBig := sim(t, h)
-	HashJoin(sBig, bigInner, outer, "big")
-	// Compare probe-phase miss rate per outer tuple via total misses,
-	// normalising build cost away by construction (same outer).
-	small := float64(sSmall.MissesOf("L2"))
-	big := float64(sBig.MissesOf("L2"))
-	if big < small*2 {
-		t.Fatalf("oversized inner L2 misses = %.0f, want ≫ cache-resident = %.0f", big, small)
-	}
-}

@@ -199,9 +199,9 @@ func TestPlanJoinAgreesAuto(t *testing.T) {
 // the hierarchy and the runtime's size — not of what else the runtime is
 // doing when the query arrives. On a 4-worker runtime one AutoParallelism
 // query is planned and run idle, then with three of the four admission
-// slots held by parked queries (each also pins a worker, so the one left
-// steals most of what it runs), then after at least 4 × 256 stolen
-// morsels with the runtime idle again: the same plan line every time.
+// slots held by parked queries (each also pins a worker), then, after a
+// chunked job has had the one free worker steal at least 4 × 256
+// morsels, with the runtime idle again: the same plan line every time.
 func TestPlanIndependentOfRuntimeLoad(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Workers: 4, MaxConcurrentQueries: 4})
 	t.Cleanup(rt.Close)
@@ -251,21 +251,22 @@ func TestPlanIndependentOfRuntimeLoad(t *testing.T) {
 	if loaded := requirePlanAgrees(t, "3 of 4 slots held", q); loaded != idle {
 		t.Errorf("plan moved with the runtime's load:\n idle   %s\n loaded %s", idle, loaded)
 	}
-	// Forced onto the runtime whatever GOMAXPROCS is: the one free worker
-	// is home to about a quarter of these morsels and steals the rest.
-	forced := q
-	forced.Parallelism = 4
+	// The steals come from a job the test controls: a nominal-4 engine's
+	// ForRanges cuts 32 chunk morsels, homed by the engine's affinity
+	// seed across the four workers, so about three quarters of them sit
+	// on the parked workers' deques and the one free worker steals them —
+	// every round, whatever GOMAXPROCS is.
+	thief := exec.NewEngine(rt.rt, 4)
 	before := rt.SchedStats()
 	for rounds := 0; rt.SchedStats().Sub(before).Stolen < 4*256; rounds++ {
 		if rounds == 600 {
-			t.Fatalf("600 queries stole only %v", rt.SchedStats().Sub(before))
+			t.Fatalf("600 jobs stole only %v", rt.SchedStats().Sub(before))
 		}
-		res, err := ProjectJoin(forced)
-		if err != nil {
+		if err := thief.ForRanges(exec.MinParallelN, func(exec.Range) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		res.Release()
 	}
+	thief.Close()
 	unpark()
 	wg.Wait()
 	if after := requirePlanAgrees(t, "after the steals", q); after != idle {
