@@ -74,7 +74,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "nominal workers per query on the morsel-driven executor (all strategies): 0 = serial paper mode (planner decides when -concurrency > 1), -1 = planner decides per strategy")
 	concurrency := flag.Int("concurrency", 1, "queries to fire at once against the runtime (1 = single query)")
 	maxConcurrent := flag.Int("admit", 0, "admission bound of the runtime (0 = max(2, workers))")
-	schedStats := flag.Bool("schedstats", false, "print the runtime-wide affinity-scheduler counters (local hits, stolen morsels, local-hit rate); each query's own are on its phases line")
+	schedStats := flag.Bool("schedstats", false, "print the runtime-wide scheduler counters (local hits, stolen morsels, local-hit rate); each query's own are on its phases line")
 	traceOut := flag.String("traceout", "", "write the run's execution trace(s) as Chrome trace-event JSON to this file (open in Perfetto)")
 	metricsAddr := flag.String("metricsaddr", "", "serve the runtime's Prometheus metrics and pprof on this address (e.g. :9090 or 127.0.0.1:0) and self-scrape once after the run")
 	pprofLabels := flag.Bool("pproflabels", false, "label every morsel's goroutine with (query, phase, worker) for CPU profiles")
@@ -125,7 +125,7 @@ func main() {
 
 	rt := rd.NewRuntime(rd.RuntimeConfig{
 		MaxConcurrentQueries: *maxConcurrent,
-		MetricsAddr:          *metricsAddr,
+		Metrics:              *metricsAddr != "",
 		PprofLabels:          *pprofLabels,
 	})
 	defer rt.Close()
@@ -133,11 +133,13 @@ func main() {
 	fmt.Printf("hierarchy: %v\n", rt.Hier())
 	fmt.Printf("runtime: %d workers, admission bound %d\n",
 		rt.Workers(), rt.MaxConcurrentQueries())
-	if err := rt.MetricsError(); err != nil {
-		fail(err)
-	}
+	var metrics *obs.Server
 	if *metricsAddr != "" {
-		fmt.Printf("metrics: http://%s/metrics (pprof at /debug/pprof/)\n", rt.MetricsAddr())
+		if metrics, err = obs.Serve(*metricsAddr, rt); err != nil {
+			fail(err)
+		}
+		defer metrics.Close()
+		fmt.Printf("metrics: http://%s/metrics (pprof at /debug/pprof/)\n", metrics.Addr())
 	}
 
 	type outcome struct {
@@ -202,8 +204,8 @@ func main() {
 	if *traceOut != "" {
 		writeTraces(*traceOut, traces)
 	}
-	if addr := rt.MetricsAddr(); addr != "" {
-		scrapeMetrics(addr)
+	if metrics != nil {
+		scrapeMetrics(metrics.Addr())
 	}
 	fmt.Printf("memory: %v\n", rt.MemPoolStats())
 }

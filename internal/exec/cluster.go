@@ -109,7 +109,7 @@ func (e *Engine) cluster(n int, o radix.Opts, nch int, passes []int, count, scat
 // run, and a task's row is its scratch's.
 func (e *Engine) runner() radix.Runner {
 	return func(items, ntasks, rowLen int, body func(t int, row []int)) {
-		e.run(items, ntasks, nil, func(t int, s *Scratch) { body(t, s.Ints(rowLen)) })
+		e.run(items, ntasks, func(t int, s *Scratch) { body(t, s.Ints(rowLen)) })
 	}
 }
 
@@ -156,7 +156,7 @@ func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPair
 	// The sort's bit width is only known after this max scan.
 	chunks := e.chunksFor(len(key))
 	maxs := mempool.Slice[OID](e.mem(), len(chunks))
-	e.run(len(key), len(chunks), nil, func(t int, _ *Scratch) {
+	e.run(len(key), len(chunks), func(t int, _ *Scratch) {
 		m := OID(0)
 		for _, k := range key[chunks[t].Lo:chunks[t].Hi] {
 			m = max(m, k)
@@ -174,17 +174,4 @@ func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPair
 // engine's clustering operator.
 func (e *Engine) ClusterForDecluster(smallerOIDs []OID, o radix.Opts) (*core.Clustered, error) {
 	return core.ClusterForDeclusterWith(smallerOIDs, o, e.ClusterOIDPairs)
-}
-
-// level1Shift returns how many low radix bits a chunked clustering
-// refines after its first pass for a B-bit fan-out (Engine.split): final
-// partition pt descends from first-pass partition pt >>
-// level1Shift(B). Partition-morsel jobs over the final fan-out use it
-// as their affinity key, so a partition is probed on the worker that
-// just refined (and therefore still caches) its first-pass parent.
-func level1Shift(bits int) uint {
-	if bits > maxFirstPassBits {
-		return uint(bits - maxFirstPassBits)
-	}
-	return 0
 }

@@ -94,8 +94,8 @@ func (c *compCounters) decode(dst []int32, enc *compress.Encoded, lo, hi int) er
 // worker's scratch where the column is encoded, else cols[c]'s own
 // values — and gathers the partition's matches from it (fetchRange). A
 // partition without matches decodes nothing; a block straddling two
-// partitions is decoded, and counted, by each. Morsels home on the
-// worker that probed the partition (partitionAff). The bytes are
+// partitions is decoded, and counted, by each. Partition p is task p,
+// homed on the worker that probed it. The bytes are
 // posjoin.FetchInto's over the decoded columns on every engine, and an
 // error is the first in partition, then column, order. The columns are
 // result arrays (Engine.Own).
@@ -127,7 +127,7 @@ func (e *Engine) FetchImage(cols [][]int32, encs []*compress.Encoded, offs, part
 		errPt = h
 		ferr  error
 	)
-	e.run(len(pos), h, partitionAff(h), func(p int, s *Scratch) {
+	e.run(len(pos), h, func(p int, s *Scratch) {
 		lo, hi, a, b := offs[p], offs[p+1], parts[p], parts[p+1]
 		if a == b {
 			return
@@ -212,7 +212,7 @@ type ImageProjection struct {
 }
 
 // ProjectImages is the u/u DSM post-projection over two join images in
-// one pass, one morsel per radix partition homed by partitionAff. Each
+// one pass, one morsel per radix partition (task p is partition p). Each
 // morsel probes its partition pair and, while the match list is in the
 // worker's caches, checks whether the larger matches are the
 // partition's image range in order (key-FK). Over a Distinct smaller
@@ -326,7 +326,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 		mempool.Recycle(home, col)
 	}
 	if smaller.Distinct {
-		e.run(items, h, partitionAff(h), func(pt int, _ *Scratch) {
+		e.run(items, h, func(pt int, _ *Scratch) {
 			ll, k := lOffs[pt], lOffs[pt+1]-lOffs[pt]
 			if lists.counts[pt] == k {
 				at := lists.starts[pt]

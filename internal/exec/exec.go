@@ -2,9 +2,9 @@
 // radix-declustered project-join, in the spirit of Leis et al.'s
 // morsel-driven parallelism: a fixed set of long-lived workers pulls
 // small units of work ("morsels" — here, radix partitions or
-// contiguous tuple ranges) from per-worker deques and steals when
-// idle, so load imbalance from skewed partitions self-corrects without
-// a central scheduler.
+// contiguous tuple ranges), each homed on one worker by rotation, and
+// steals when idle, so load imbalance from skewed partitions
+// self-corrects without a central scheduler.
 //
 // The paper's key property makes its operators embarrassingly
 // parallel: after Radix-Cluster, every partition of the Partitioned
@@ -83,7 +83,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"radixdecluster/internal/hash"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
@@ -116,7 +115,7 @@ var sharedArena = mempool.New(0)
 type Engine struct {
 	workers int
 	rt      *Runtime // nil on the serial engine
-	affSeed uint64   // placement-hash salt
+	rot     int      // task t of every job homes on runtime worker (t + rot) mod rt.workers
 	closed  atomic.Bool
 
 	mu       sync.Mutex
@@ -151,15 +150,15 @@ type Engine struct {
 // NewEngine creates a query handle: workers <= 0 selects the serial
 // paper engine (rt is not consulted), workers >= 1 a lease on rt with
 // that nominal parallelism — a nominal 8 on a 2-worker runtime computes
-// what a nominal 8 computes anywhere. The engine gets a fresh affinity
-// seed (Pipeline.SetAffinitySeed replaces it) so distinct queries
-// spread their homes differently. Admission is acquired on first use
+// what a nominal 8 computes anywhere. The engine draws the next
+// rotation from the runtime, so successive queries home their first
+// morsels on successive workers. Admission is acquired on first use
 // (or explicitly by a pipeline's Execute) and released by Close.
 func NewEngine(rt *Runtime, workers int) *Engine {
 	if workers <= 0 {
 		return &Engine{}
 	}
-	return &Engine{workers: workers, rt: rt, affSeed: hash.Mix64(rt.seedSeq.Add(1))}
+	return &Engine{workers: workers, rt: rt, rot: int(rt.rotSeq.Add(1) % uint64(rt.workers))}
 }
 
 // Workers returns the nominal worker count (the per-query parallelism,
@@ -323,9 +322,9 @@ func (e *Engine) setPhase(name string) {
 // run inline on the calling goroutine, in task order, on the engine's
 // own Scratch, whose buffers are leased from the query's arena: no
 // runtime, no admission, no scheduler counter. Otherwise they run as
-// morsels on the runtime (submit), homed by aff (nil: the task index
-// is its own key). fn must not call run on the same engine.
-func (e *Engine) run(n, ntasks int, aff func(task int) uint64, fn func(task int, s *Scratch)) {
+// morsels on the runtime (submit). fn must not call run on the same
+// engine.
+func (e *Engine) run(n, ntasks int, fn func(task int, s *Scratch)) {
 	if ntasks <= 0 {
 		return
 	}
@@ -338,31 +337,26 @@ func (e *Engine) run(n, ntasks int, aff func(task int) uint64, fn func(task int,
 		}
 		return
 	}
-	e.submit(ntasks, aff, func(_, t int, s *Scratch) { fn(t, s) })
+	e.submit(ntasks, fn)
 }
 
-// submit runs fn(worker, task, scratch) for every task in [0, ntasks)
-// as one runtime job and returns when all tasks have finished. The
-// worker index is a runtime worker id — a scratch key only, never an
-// index bounded by Workers(). aff(task) is the morsel's data-identity
-// key (a radix partition id, a chunk index of the underlying item
-// space), and tasks with equal keys are homed on the same runtime
-// worker — across jobs, phases, and (under equal seeds) queries; a nil
-// aff uses the task index, so jobs decomposing the same domain into the
-// same task count land task t on the same worker every phase. The job
-// carries the engine's observability context: trace buffer, pprof
-// labels, current phase name.
-func (e *Engine) submit(ntasks int, aff func(task int) uint64, fn func(worker, task int, s *Scratch)) {
+// submit runs fn(task, scratch) for every task in [0, ntasks) as one
+// runtime job and returns when all tasks have finished. Task t homes on
+// runtime worker (t + e.rot) mod workers, so every job of the engine
+// that decomposes the same domain into tasks the same way lands task t
+// on the same worker, phase after phase. The job carries the engine's
+// observability context: trace buffer, pprof labels, current phase
+// name.
+func (e *Engine) submit(ntasks int, fn func(task int, s *Scratch)) {
 	if ntasks <= 0 {
 		return
 	}
 	e.admit()
-	j := &rtJob{ntasks: ntasks, fn: fn, aff: aff, seed: e.affSeed,
-		done: make(chan struct{}), enq: time.Now(), e: e,
+	j := &rtJob{ntasks: ntasks, fn: fn, rot: e.rot, enq: time.Now(), e: e,
 		trace: e.trace, labels: e.labelsCtx, phase: e.phase}
-	j.pending.Store(int64(ntasks))
+	j.done.Add(ntasks)
 	e.rt.submit(j)
-	<-j.done
+	j.done.Wait()
 }
 
 // Scratch holds a worker's reusable buffers so that hot loops stay
@@ -372,6 +366,7 @@ func (e *Engine) submit(ntasks int, aff func(task int) uint64, fn func(worker, t
 // handing an outgrown buffer back, so an inline run draws its scratch
 // from the arena like every other transient.
 type Scratch struct {
+	worker      int            // the runtime worker owning it (0 on the engine's own)
 	ml          *mempool.Lease // set on the engine's own Scratch only
 	ints        []int
 	vals        []int32           // a partition's decoded image range (FetchImage, ProjectImages)
@@ -431,8 +426,8 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 
 // splitRange tiles [0, n) with len(out) contiguous near-equal ranges
 // (0 < len(out) <= n), writing every slot: radix.Chunk's tiling, so a
-// scan's chunk k and a clustering's chunk k are the same range, homed
-// on the same worker.
+// scan's chunk k and a clustering's chunk k are the same range, task k
+// of their jobs, homed on the same worker.
 func splitRange(out []Range, n int) {
 	for i := range out {
 		out[i].Lo, out[i].Hi = radix.Chunk(n, len(out), i)

@@ -97,7 +97,7 @@ func randVals(seed uint64, n int, skewed bool) []int32 {
 func TestPoolRunCoversAllTasks(t *testing.T) {
 	withLeases(t, func(t *testing.T, p *Engine) {
 		hits := make([]int32, 10_000)
-		p.run(MinParallelN, len(hits), nil, func(task int, _ *Scratch) { hits[task]++ })
+		p.run(MinParallelN, len(hits), func(task int, _ *Scratch) { hits[task]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("task %d executed %d times", i, h)
@@ -515,19 +515,98 @@ func TestSerialFallbackPredicate(t *testing.T) {
 	}
 }
 
+// TestGroupBordersTile: clusterGroups tiles the cluster list, in both
+// shapes — bat borders and cluster offsets, which it cuts into the same
+// groups — on every engine: skewed and empty clusters, and equal
+// clusters whose every cut lands exactly on the target followed by
+// empty clusters, the one case that needs a group beyond morsels(n).
 func TestGroupBordersTile(t *testing.T) {
-	borders := bat.BordersFromOffsets([]int{0, 5, 5, 100, 180, 256})
-	for _, k := range []int{1, 2, 7, 100} {
-		groups := groupBorders(borders, k, 256)
-		pos := 0
-		for _, g := range groups {
-			if g.Lo != pos {
-				t.Fatalf("k=%d: group %+v does not continue at %d", k, g, pos)
+	const n = testN
+	rng := rand.New(rand.NewPCG(5, 9))
+	skewed := []int{0, n / 3}
+	for skewed[len(skewed)-1] < n {
+		skewed = append(skewed, min(n, skewed[len(skewed)-1]+rng.IntN(3000)))
+	}
+	var even []int
+	for c := range 17 {
+		even = append(even, c*n/16)
+	}
+	even[16] = n
+	even = append(even, n)
+	withEngines(t, func(t *testing.T, e *Engine) {
+		for _, offsets := range [][]int{skewed, even} {
+			borders := bat.BordersFromOffsets(offsets)
+			h := len(borders)
+			groups := e.clusterGroups(n, h, func(c int) int { return borders[c].End })
+			if got := e.clusterGroups(n, h, func(c int) int { return offsets[c+1] }); !slices.Equal(got, groups) {
+				t.Fatalf("offsets cut %v, borders %v", got, groups)
 			}
-			pos = g.Hi
+			if len(groups) > e.morsels(n)+1 {
+				t.Fatalf("%d groups for %d morsels", len(groups), e.morsels(n))
+			}
+			pos := 0
+			for _, g := range groups {
+				if g.Lo != pos || g.Hi <= g.Lo {
+					t.Fatalf("group %+v does not continue at %d", g, pos)
+				}
+				pos = g.Hi
+			}
+			if pos != h {
+				t.Fatalf("groups cover %d of %d clusters", pos, h)
+			}
 		}
-		if pos != len(borders) {
-			t.Fatalf("k=%d: groups cover %d of %d borders", k, pos, len(borders))
+	})
+}
+
+// TestGroupedOperatorsAllocations pins what the cluster-group
+// operators allocate on the GC in a steady-state serial query — a fresh
+// engine per run, its buffers back in the arena at Close: the engine,
+// its lease and the operator's closures, nothing per cluster. The
+// groups are leased and cut straight from JiveRight's offsets, and
+// JiveRight's sort scratch is the worker's.
+func TestGroupedOperatorsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds keep leased transients on the Go heap")
+	}
+	cl, col, clustered := clusteredFixture(t, 8)
+	window := core.PlanWindow(mem.Pentium4(), 4)
+	sorted := make([]OID, testN)
+	for i := range sorted {
+		sorted[i] = OID(i)
+	}
+	rel := testRelation(54, testN, 2)
+	lr, err := serialEngine(t).JiveLeft(&join.Index{Larger: sorted, Smaller: cl.SmallerOIDs}, rel, []int{1}, testN, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name   string
+		allocs float64
+		run    func(e *Engine) error
+	}{
+		{"Clustered", 6, func(e *Engine) error {
+			_, err := e.Clustered(col, cl.SmallerOIDs, cl.Borders)
+			return err
+		}},
+		{"Decluster", 8, func(e *Engine) error {
+			_, err := e.Decluster(clustered, cl.ResultPos, cl.Borders, window)
+			return err
+		}},
+		{"JiveRight", 10, func(e *Engine) error {
+			_, err := e.JiveRight(lr, rel, []int{1})
+			return err
+		}},
+	} {
+		query := func() {
+			e := NewEngine(nil, 0)
+			defer e.Close()
+			if err := op.run(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query() // warms the arena's kit
+		if got := testing.AllocsPerRun(20, query); got > op.allocs {
+			t.Errorf("%s: %v allocations per serial query, want at most %v", op.name, got, op.allocs)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package exec
 import (
 	"fmt"
 
-	"radixdecluster/internal/bat"
 	"radixdecluster/internal/jive"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
@@ -48,7 +47,7 @@ func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, ri
 	// each task zeroes its own row before counting into it.
 	counts := mempool.Slice[int](ml, nch*h)
 	errs := e.errSlots(nch)
-	e.run(n, nch, nil, func(t int, _ *Scratch) {
+	e.run(n, nch, func(t int, _ *Scratch) {
 		row := counts[t*h : (t+1)*h]
 		clear(row)
 		lo, hi := radix.Chunk(n, nch, t)
@@ -66,7 +65,7 @@ func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, ri
 
 	// Pass 2: chunk scatters through disjoint cursors.
 	out := jive.NewLeftRowsResult(left.Name+"_proj", n, leftCols, offsets, bits, rightOIDs, resultPos, leftRows)
-	e.run(n, nch, nil, func(t int, _ *Scratch) {
+	e.run(n, nch, func(t int, _ *Scratch) {
 		lo, hi := radix.Chunk(n, nch, t)
 		errs[t] = jive.ScatterRowsChunk(out, ji, left, leftCols, counts[t*h:(t+1)*h], shift, lo, hi)
 	})
@@ -83,11 +82,14 @@ func (e *Engine) JiveLeft(ji *join.Index, left *nsm.Relation, leftCols []int, ri
 func (e *Engine) JiveRight(lr *jive.LeftRowsResult, right *nsm.Relation, rightCols []int) (*nsm.Relation, error) {
 	n := len(lr.RightOIDs)
 	out := e.leasedRelation(right.Name+"_proj", n, len(rightCols))
-	borders := bat.BordersFromOffsets(lr.Borders)
-	groups := groupBorders(borders, e.morsels(n), n)
+	groups := e.clusterGroups(n, len(lr.Borders)-1, func(c int) int { return lr.Borders[c+1] })
 	errs := e.errSlots(len(groups))
-	e.run(n, len(groups), nil, func(t int, _ *Scratch) {
-		var perm []int // sort scratch reused across the group's clusters
+	e.run(n, len(groups), func(t int, s *Scratch) {
+		largest := 0
+		for c := groups[t].Lo; c < groups[t].Hi; c++ {
+			largest = max(largest, lr.Borders[c+1]-lr.Borders[c])
+		}
+		perm := s.Ints(largest) // sort scratch for the group's clusters
 		for c := groups[t].Lo; c < groups[t].Hi; c++ {
 			if lr.Borders[c] == lr.Borders[c+1] {
 				continue

@@ -15,7 +15,6 @@ package exec
 // and stitch, and fetches each partition in its probe's morsel.
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -54,18 +53,6 @@ func (e *Engine) PartitionedJoin(largerOIDs []OID, largerKeys []int32, smallerOI
 	Return(e, parts)
 	Return(e, cl.BUNs, cs.BUNs)
 	return ix, nil
-}
-
-// partitionAff is the affinity key of a morsel over one of h radix
-// partitions: the partition's level-1 radix parent. Every operator that
-// runs per partition homes partition p on the same worker — when this
-// query clustered the inputs, the partition's bytes are still in that
-// worker's private caches from the clustering refinement, and the fetch
-// after a probe finds the partition's match list where the probe wrote
-// it.
-func partitionAff(h int) func(pt int) uint64 {
-	l1 := level1Shift(bits.Len(uint(h)) - 1)
-	return func(pt int) uint64 { return uint64(pt) >> l1 }
 }
 
 // matchLists are probeEach's per-partition match lists before the
@@ -114,7 +101,7 @@ func (s *Scratch) carved(seq uint64, pt, end int, ok bool) {
 }
 
 // probeEach runs probe over every partition pair of an n-item join, one
-// morsel per partition homed by partitionAff, each appending its matches
+// morsel per partition (task p is partition p), each appending its matches
 // to a private list — then, when set, runs then over the list while it
 // is still in the worker's caches. lOffs and sOffs are the two sides'
 // partition offsets: a partition's list has room for at least one match
@@ -141,7 +128,7 @@ func (e *Engine) probeEach(n int, lOffs, sOffs []int, probe func(pt int, out *jo
 	}
 	var mu sync.Mutex
 	seq := carvings.Add(1)
-	e.run(n, h, partitionAff(h), func(pt int, s *Scratch) {
+	e.run(n, h, func(pt int, s *Scratch) {
 		at, lh := s.carve(seq, pt, lOffs[pt]), lOffs[pt+1]
 		s.part = join.Index{Larger: m.larger[at:at:lh], Smaller: m.smaller[at:at:lh]}
 		probe(pt, &s.part, s.table(sOffs[pt+1]-sOffs[pt]))
@@ -191,7 +178,7 @@ func (e *Engine) stitch(n int, lOffs []int, m matchLists) (*join.Index, []int) {
 		Larger:  mempool.Slice[OID](ml, offs[h]),
 		Smaller: mempool.Slice[OID](ml, offs[h]),
 	}
-	e.run(n, h, partitionAff(h), func(pt int, _ *Scratch) {
+	e.run(n, h, func(pt int, _ *Scratch) {
 		part, ok := m.overflow[pt]
 		if !ok {
 			at := m.starts[pt]

@@ -96,7 +96,7 @@ type Timings struct {
 	QueueByKind [NumPhaseKinds]time.Duration
 	Admission   time.Duration
 	Total       time.Duration
-	// Sched is the affinity scheduler's counter set for this
+	// Sched is the scheduler's counter set for this
 	// pipeline's morsels: local hits (executed on the home worker)
 	// and stolen morsels. Zero on the serial engine.
 	Sched SchedStats
@@ -164,14 +164,6 @@ func NewPipeline(rt *Runtime, workers int) *Pipeline {
 
 // Engine exposes the pipeline's engine (for assembly-time decisions).
 func (p *Pipeline) Engine() *Engine { return p.eng }
-
-// SetAffinitySeed salts the runtime placement hash with the query's
-// base-data identity (AffinitySeed), so concurrent pipelines
-// over the same source home equal partition keys on equal workers —
-// cross-query cache affinity on top of the cross-phase affinity every
-// pipeline gets. Nothing reads it on the serial engine. Call before
-// Execute.
-func (p *Pipeline) SetAffinitySeed(seed uint64) { p.eng.affSeed = seed }
 
 // Close releases the engine's runtime lease.
 func (p *Pipeline) Close() { p.eng.Close() }
@@ -275,7 +267,7 @@ func (e *Engine) Step(name string, start, end time.Time) {
 func (e *Engine) ForRanges(n int, body func(r Range) error) error {
 	chunks := e.chunksFor(n)
 	errs := e.errSlots(len(chunks))
-	e.run(n, len(chunks), nil, func(t int, _ *Scratch) {
+	e.run(n, len(chunks), func(t int, _ *Scratch) {
 		errs[t] = body(chunks[t])
 	})
 	return firstErr(errs)

@@ -32,11 +32,12 @@ func (e *Engine) FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
 	chunks := e.chunksFor(len(oids))
 	ntasks := len(cols) * len(chunks)
 	errs := e.errSlots(ntasks)
-	// The affinity key is the oid-range chunk, not the (column, chunk)
-	// task: every column's fetch of the same oid range homes on one
-	// worker, which then holds that range of the join-index hot across
-	// all π columns.
-	e.run(len(oids), ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(t int, _ *Scratch) {
+	// Column-major tasks: column c's fetch of chunk k is task
+	// c·len(chunks) + k, which homes on chunk k's worker whenever the
+	// runtime's worker count divides the chunk count (8 per nominal
+	// worker), so that worker holds the chunk's join-index range hot
+	// across all π columns.
+	e.run(len(oids), ntasks, func(t int, _ *Scratch) {
 		c, r := t/len(chunks), chunks[t%len(chunks)]
 		if err := posjoin.FetchInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi]); err != nil {
 			errs[t] = fmt.Errorf("column %d: %w", c, err)
@@ -57,9 +58,9 @@ func (e *Engine) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int
 		return nil, err
 	}
 	out := mempool.Slice[int32](e.mem(), len(oids))
-	groups := groupBorders(borders, e.morsels(len(oids)), len(oids))
+	groups := e.clusterGroups(len(oids), len(borders), func(c int) int { return borders[c].End })
 	errs := e.errSlots(len(groups))
-	e.run(len(oids), len(groups), nil, func(t int, _ *Scratch) {
+	e.run(len(oids), len(groups), func(t int, _ *Scratch) {
 		for _, b := range borders[groups[t].Lo:groups[t].Hi] {
 			if err := posjoin.FetchInto(out[b.Start:b.End], col, oids[b.Start:b.End]); err != nil {
 				errs[t] = err
@@ -104,35 +105,41 @@ func (e *Engine) Decluster(values []int32, ids []OID, borders []bat.Border, wind
 // bytes never depend on the division.
 func (e *Engine) declusterPerGroup(n int, borders []bat.Border, windowTuples int,
 	kernel func(group []bat.Border, window int, cur []int) error) error {
-	groups := groupBorders(borders, e.morsels(n), n)
+	groups := e.clusterGroups(n, len(borders), func(c int) int { return borders[c].End })
 	window := max(windowTuples/min(max(e.workers, 1), max(len(groups), 1)), 1)
 	errs := e.errSlots(len(groups))
-	e.run(n, len(groups), nil, func(t int, s *Scratch) {
+	e.run(n, len(groups), func(t int, s *Scratch) {
 		group := borders[groups[t].Lo:groups[t].Hi]
 		errs[t] = kernel(group, window, s.Ints(2*len(group)))
 	})
 	return firstErr(errs)
 }
 
-// groupBorders cuts the cluster list into at most k contiguous groups
-// of roughly n/k tuples each, so morsels stay balanced even when the
-// clustering is skewed; k = 1 is the whole list, one group.
-func groupBorders(borders []bat.Border, k, n int) []Range {
+// clusterGroups cuts h contiguous clusters over n tuples, cluster c
+// ending at position end(c), into groups of roughly n/k tuples each, k
+// = morsels(n), so morsels stay balanced even when the clustering is
+// skewed; one group holds every cluster when k = 1. The groups are
+// leased from the query's arena like chunksFor's and fully written.
+func (e *Engine) clusterGroups(n, h int, end func(c int) int) []Range {
+	k := e.morsels(n)
+	// At most k groups reach the target; trailing empty clusters make
+	// one more.
+	out := mempool.Slice[Range](e.mem(), max(min(k+1, h), 1))
 	if k <= 1 {
-		return []Range{{Lo: 0, Hi: len(borders)}}
+		out[0] = Range{Lo: 0, Hi: h}
+		return out[:1]
 	}
 	target := max((n+k-1)/k, 1)
-	var out []Range
-	lo, acc := 0, 0
-	for i, b := range borders {
-		acc += b.Size()
-		if acc >= target {
-			out = append(out, Range{Lo: lo, Hi: i + 1})
-			lo, acc = i+1, 0
+	g, lo, from := 0, 0, 0
+	for c := range h {
+		if end(c)-from >= target {
+			out[g] = Range{Lo: lo, Hi: c + 1}
+			g, lo, from = g+1, c+1, end(c)
 		}
 	}
-	if lo < len(borders) {
-		out = append(out, Range{Lo: lo, Hi: len(borders)})
+	if lo < h {
+		out[g] = Range{Lo: lo, Hi: h}
+		g++
 	}
-	return out
+	return out[:g]
 }

@@ -93,7 +93,7 @@ func (e *Engine) PartitionedRowsJoin(larger []int32, lw, lkey int, smaller []int
 	parts := make([][]int32, h)
 	var matches atomic.Int64
 	seq := carvings.Add(1)
-	e.run(n, h, partitionAff(h), func(pt int, s *Scratch) {
+	e.run(n, h, func(pt int, s *Scratch) {
 		ll, lh := cl.Offsets[pt]*lw, cl.Offsets[pt+1]*lw
 		sl, sh := cs.Offsets[pt]*sw, cs.Offsets[pt+1]*sw
 		at, bhi := s.carve(seq, pt, cl.Offsets[pt]*rw), cl.Offsets[pt+1]*rw
@@ -145,7 +145,7 @@ func (e *Engine) hashRows(larger []int32, lw, lkey int, smaller []int32, sw, ske
 	arena := e.Own(nl * rw)
 	parts := make([][]int32, len(chunks))
 	var matches atomic.Int64
-	e.run(nl+ns, len(chunks), nil, func(c int, _ *Scratch) {
+	e.run(nl+ns, len(chunks), func(c int, _ *Scratch) {
 		r := chunks[c]
 		var m int
 		parts[c], m = t.ProbeRows(larger[r.Lo*lw:r.Hi*lw], lw, lkey, arena[r.Lo*rw:r.Lo*rw:r.Hi*rw])
@@ -182,7 +182,7 @@ func (e *Engine) stitchRowParts(n int, arena []int32, parts [][]int32, width, m 
 		res.Rows = parts[0]
 	default:
 		res.Rows = e.Own(offs[len(parts)])
-		e.run(n, len(parts), nil, func(i int, _ *Scratch) {
+		e.run(n, len(parts), func(i int, _ *Scratch) {
 			copy(res.Rows[offs[i]:offs[i+1]], parts[i])
 		})
 	}

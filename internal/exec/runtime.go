@@ -13,38 +13,37 @@ package exec
 //     most maxConcurrent pipelines run at once, the rest wait in FIFO
 //     order. The admitted count is exposed as ActiveQueries —
 //     observability only; no plan reads it.
-//   - An engine's run submits one job — the task body plus an affinity
-//     key per morsel. Every morsel is placed on the local deque of its
-//     HOME worker: hash(pipeline seed, affinity key) mod workers. The
-//     key is the morsel's data identity — a radix partition id, a
-//     scan-chunk index, or the task index as fallback — so successive
-//     phases of one pipeline land the same partition on the same
-//     worker, whose private caches still hold it; and pipelines
-//     seeded from the same base data co-locate the same partition
-//     across queries.
-//   - A worker drains its own deque first (every claim there is a
-//     LOCAL HIT), round-robin across the jobs present so concurrent
-//     queries still interleave at morsel granularity, LIFO within a
-//     job (the most recently placed morsel is the one whose input the
-//     worker touched last). An idle worker STEALS: it walks the other
+//   - An engine's run submits one job: the task body and a task count.
+//     Task t HOMES on worker (t + rot) mod workers, rot drawn once per
+//     engine from the runtime's counter. Partition p and chunk k are
+//     task p and task k of every job of a query, so successive phases
+//     land them on the same worker, whose private caches still hold
+//     them, while successive queries' small jobs start on successive
+//     workers. Rotation is the declustering allocation with additive
+//     discrepancy at most one (Doerr, Hebbinghaus & Werth): the workers'
+//     shares of a job differ by at most one morsel.
+//   - A job's tasks on one worker are one residue class, so a job
+//     stores no task: it keeps one claim cursor per worker, the class's
+//     next unclaimed task. The runtime keeps the jobs with unclaimed
+//     tasks in submission order. A worker claims its own classes first
+//     (every such claim is a LOCAL HIT), ascending within a class and
+//     round-robin across the jobs, so concurrent queries interleave at
+//     morsel granularity. An idle worker STEALS: it walks the other
 //     workers in ring order from itself (workers are goroutines the Go
 //     scheduler migrates freely, so no worker is nearer than another)
-//     and takes the victim's OLDEST job's oldest morsel (FIFO), the one
-//     coldest in the victim's caches. Steals keep skew from idling the
-//     machine; the counters (SchedStats) report local hits and stolen
-//     morsels.
+//     and takes the next task of the victim's class in the oldest job
+//     that has one. Steals keep skew from idling the machine; the
+//     counters (SchedStats) report local hits and stolen morsels.
 //   - Each job records the time from submission to its first claimed
 //     morsel; pipelines surface the accumulated wait as per-phase
 //     queueing time in Timings, separating "waiting for the shared
-//     engine" from "executing" — exactly as under the old central
-//     queue.
+//     engine" from "executing".
 //
-// The deques are guarded by one runtime mutex, not per-worker locks:
-// morsels are thousands of tuples each, so claim frequency is low and
-// the lock is never the bottleneck — what the per-worker deques buy is
-// PLACEMENT (which worker services a partition, phase after phase), not
-// lock granularity. Per-worker Scratch is allocated inside the worker
-// goroutine.
+// The cursors are guarded by one runtime mutex: morsels are thousands
+// of tuples each, so claim frequency is low and the lock is never the
+// bottleneck — what homing buys is PLACEMENT (which worker services a
+// partition, phase after phase), not lock granularity. Per-worker
+// Scratch is allocated inside the worker goroutine.
 //
 // The byte-identical-output contract is untouched: a job's task
 // decomposition (chunking, per-worker windows) is fixed by the
@@ -54,7 +53,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -63,20 +61,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"radixdecluster/internal/hash"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
 )
 
-// SchedStats is the affinity scheduler's counter set: how many morsels
-// ran on their home worker (where earlier phases of the same partition
-// ran) versus how many an idle worker stole.
+// SchedStats is the scheduler's counter set: how many morsels ran on
+// their home worker (where earlier phases of the same partition ran)
+// versus how many an idle worker stole.
 type SchedStats struct {
-	// LocalHits counts morsels claimed by their home worker from its
-	// own deque.
+	// LocalHits counts morsels claimed by their home worker.
 	LocalHits int64
-	// Stolen counts morsels an idle worker took off another worker's
-	// deque.
+	// Stolen counts morsels an idle worker took from another worker's
+	// share.
 	Stolen int64
 }
 
@@ -127,8 +123,8 @@ func (c *schedCounters) stats() SchedStats {
 	return SchedStats{LocalHits: c.local.Load(), Stolen: c.stolen.Load()}
 }
 
-// Runtime owns the worker goroutines and the per-worker affinity
-// deques. Create one with NewRuntimeOpts, hand it to pipelines with
+// Runtime owns the worker goroutines and the jobs they claim from.
+// Create one with NewRuntimeOpts, hand it to pipelines with
 // NewPipeline (or NewEngine for direct operator use), release the
 // workers with Close.
 type Runtime struct {
@@ -139,15 +135,16 @@ type Runtime struct {
 	workerTags []string // worker id pre-rendered for pprof labels
 
 	mu     sync.Mutex
-	work   *sync.Cond // signals workers: placed morsels or shutdown
-	dq     []wdeque   // per-worker local deques (guarded by mu)
+	work   *sync.Cond // signals workers: submitted jobs or shutdown
+	active []*rtJob   // jobs with unclaimed tasks, oldest first (guarded by mu)
+	rr     []int      // per worker: the active job its next local claim tries first (guarded by mu)
 	closed bool
 
 	admitted int             // admission slots currently held
 	waiters  []chan struct{} // FIFO admission queue
 
-	seedSeq atomic.Uint64 // default affinity-seed source
-	sched   schedCounters // process-wide scheduler counters
+	rotSeq atomic.Uint64 // rotation source: one draw per engine
+	sched  schedCounters // process-wide scheduler counters
 
 	// Compressed-execution totals, accumulated per pipeline at
 	// Execute end (pipeline.go) — bus bytes avoided and decode wall
@@ -161,23 +158,18 @@ type Runtime struct {
 	// draw from: the process-wide sharedArena.
 	mem *mempool.Pool
 
-	// jrFree recycles jobRun nodes (and their task slices) across
-	// submissions — the deque bookkeeping would otherwise allocate one
-	// node per (job, worker) on every Run (guarded by mu).
-	jrFree []*jobRun
-
 	wg sync.WaitGroup
 }
 
-// rtJob is one run invocation of an Engine: the task body plus the
-// affinity mapping that placed its morsels.
+// rtJob is one run invocation of an Engine: the task body and, per
+// worker, the claim cursor of the worker's residue class.
 type rtJob struct {
 	ntasks  int
-	fn      func(worker, task int, s *Scratch)
-	aff     func(task int) uint64 // nil: the task index is its own key
-	seed    uint64
-	pending atomic.Int64  // tasks not yet finished
-	done    chan struct{} // closed by the worker finishing the last task
+	fn      func(task int, s *Scratch)
+	rot     int   // task t homes on worker (t + rot) mod workers
+	next    []int // per worker: its class's next unclaimed task (guarded by Runtime.mu)
+	left    int   // unclaimed tasks (guarded by Runtime.mu)
+	done    sync.WaitGroup
 	enq     time.Time
 	started bool    // first morsel claimed (guarded by Runtime.mu)
 	e       *Engine // the submitting query: queue-wait and scheduler counters
@@ -188,127 +180,6 @@ type rtJob struct {
 	trace  *obs.Trace
 	labels context.Context
 	phase  string
-}
-
-// home places one task: hash(seed, key) mod workers. Equal keys under
-// equal seeds land on equal workers — across jobs, phases and queries.
-func (j *rtJob) home(t, workers int) int {
-	key := uint64(t)
-	if j.aff != nil {
-		key = j.aff(t)
-	}
-	return int(hash.Mix64(j.seed+key*0x9E3779B97F4A7C15) % uint64(workers))
-}
-
-// AffinitySeed is the placement-hash salt of a query's base data
-// (Pipeline.SetAffinitySeed): the backing array its driving scan sweeps
-// — a row-major relation's records, or a DSM side's key column — and
-// its cardinality. Queries over the same source get the same salt, so
-// their equal partition keys home on equal workers.
-func AffinitySeed(data []int32, n int, rowMajor bool) uint64 {
-	if len(data) == 0 || n <= 0 {
-		return 0
-	}
-	kind := uint64(2)
-	if rowMajor {
-		kind = 1
-	}
-	return hash.Mix64(uint64(reflect.ValueOf(data).Pointer()) ^ uint64(n)<<8 ^ kind<<56)
-}
-
-// jobRun is the slice of one job's morsels homed on one worker: the
-// owner pops the back (LIFO — warmest), thieves take the front (FIFO —
-// coldest). Thieves advance head rather than re-slice tasks, so a
-// recycled node keeps its whole capacity.
-type jobRun struct {
-	j     *rtJob
-	tasks []int // tasks[head:] are queued
-	head  int
-}
-
-// wdeque is one worker's local run queue: per-job task runs in arrival
-// order, with a round-robin cursor so the owner interleaves concurrent
-// queries at morsel granularity (the fairness the central queue had).
-type wdeque struct {
-	runs []*jobRun
-	rr   int
-}
-
-// push appends task t of job j (called under Runtime.mu). Emptied
-// jobRun nodes recycle through rt's freelist, so steady-state
-// submission allocates nothing.
-func (d *wdeque) push(rt *Runtime, j *rtJob, t int) {
-	for _, r := range d.runs {
-		if r.j == j {
-			r.tasks = append(r.tasks, t)
-			return
-		}
-	}
-	d.runs = append(d.runs, rt.getJR(j, t))
-}
-
-// popLocal claims the owner's next morsel: jobs round-robin, LIFO
-// within the chosen job.
-func (d *wdeque) popLocal(rt *Runtime) (*rtJob, int, bool) {
-	for len(d.runs) > 0 {
-		if d.rr >= len(d.runs) {
-			d.rr = 0
-		}
-		r := d.runs[d.rr]
-		t := r.tasks[len(r.tasks)-1]
-		r.tasks = r.tasks[:len(r.tasks)-1]
-		j := r.j
-		if len(r.tasks) == r.head {
-			d.runs = slices.Delete(d.runs, d.rr, d.rr+1)
-			rt.putJR(r)
-		} else {
-			d.rr++
-		}
-		return j, t, true
-	}
-	return nil, 0, false
-}
-
-// steal claims the oldest job's oldest morsel (FIFO on both axes).
-func (d *wdeque) steal(rt *Runtime) (*rtJob, int, bool) {
-	if len(d.runs) == 0 {
-		return nil, 0, false
-	}
-	r := d.runs[0]
-	t := r.tasks[r.head]
-	r.head++
-	j := r.j
-	if len(r.tasks) == r.head {
-		// Shift down rather than re-slice: d.runs keeps its capacity.
-		d.runs = slices.Delete(d.runs, 0, 1)
-		if d.rr > 0 {
-			d.rr--
-		}
-		rt.putJR(r)
-	}
-	return j, t, true
-}
-
-// getJR takes a jobRun node off the freelist (or allocates one) and
-// initialises it with the first task. Called under rt.mu.
-func (rt *Runtime) getJR(j *rtJob, t int) *jobRun {
-	if l := len(rt.jrFree); l > 0 {
-		r := rt.jrFree[l-1]
-		rt.jrFree[l-1] = nil
-		rt.jrFree = rt.jrFree[:l-1]
-		r.j, r.head = j, 0
-		r.tasks = append(r.tasks[:0], t)
-		return r
-	}
-	r := &jobRun{j: j, tasks: make([]int, 0, 16)}
-	r.tasks = append(r.tasks, t)
-	return r
-}
-
-// putJR recycles an emptied jobRun node. Called under rt.mu.
-func (rt *Runtime) putJR(r *jobRun) {
-	r.j = nil
-	rt.jrFree = append(rt.jrFree, r)
 }
 
 // Options configures NewRuntimeOpts.
@@ -364,7 +235,7 @@ func NewRuntimeOpts(o Options) *Runtime {
 		rt.mem.SetLimit(o.MemoryBudget)
 	}
 	rt.work = sync.NewCond(&rt.mu)
-	rt.dq = make([]wdeque, workers)
+	rt.rr = make([]int, workers)
 	rt.workerTags = make([]string, workers)
 	for w := range rt.workerTags {
 		rt.workerTags[w] = strconv.Itoa(w)
@@ -439,25 +310,23 @@ func (rt *Runtime) Close() {
 	rt.wg.Wait()
 }
 
-// worker is the shared-pool loop: drain the local deque (jobs
-// round-robin, LIFO within a job), steal in ring order when empty,
-// sleep when the whole machine is empty.
+// worker is the shared-pool loop: claim a morsel (own classes first,
+// then the other workers' in ring order), run it, and sleep when the
+// whole machine is empty.
 func (rt *Runtime) worker(w int) {
 	defer rt.wg.Done()
-	s := &Scratch{}
+	s := &Scratch{worker: w}
 	for {
 		j, t, dist, ok := rt.nextTask(w)
 		if !ok {
 			return
 		}
 		if j.trace == nil && j.labels == nil {
-			j.fn(w, t, s) // the default fast path: no timing, no labels
+			j.fn(t, s) // the default fast path: no timing, no labels
 		} else {
-			rt.observedMorsel(j, w, t, dist, s)
+			rt.observedMorsel(j, t, dist, s)
 		}
-		if j.pending.Add(-1) == 0 {
-			close(j.done)
-		}
+		j.done.Done()
 	}
 }
 
@@ -466,36 +335,42 @@ func (rt *Runtime) worker(w int) {
 // a per-morsel trace span recording the worker, the task and the
 // steal distance (-1 = local hit on the home worker, otherwise the
 // victim's ring offset from the thief).
-func (rt *Runtime) observedMorsel(j *rtJob, w, t, dist int, s *Scratch) {
+func (rt *Runtime) observedMorsel(j *rtJob, t, dist int, s *Scratch) {
 	if j.labels != nil {
-		pprof.SetGoroutineLabels(pprof.WithLabels(j.labels, pprof.Labels("worker", rt.workerTags[w])))
+		pprof.SetGoroutineLabels(pprof.WithLabels(j.labels, pprof.Labels("worker", rt.workerTags[s.worker])))
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
 	start := time.Now()
-	j.fn(w, t, s)
+	j.fn(t, s)
 	if j.trace != nil {
-		j.trace.Span("morsel", j.phase, w, start, time.Since(start),
+		j.trace.Span("morsel", j.phase, s.worker, start, time.Since(start),
 			map[string]int64{"task": int64(t), "dist": int64(dist)})
 	}
 }
 
-// nextTask blocks until worker w claims a morsel — local deque first,
-// then the other workers' in ring order from w — or the runtime closes.
-// It reports the claim's steal distance (-1 = local hit, otherwise the
-// victim's ring offset). Claim accounting (queue waits, scheduler
-// counters) happens here, under the runtime mutex.
+// nextTask blocks until worker w claims a morsel — its own classes
+// first, round-robin over the active jobs, then the other workers'
+// classes in ring order from w, oldest job first — or the runtime
+// closes. It reports the claim's steal distance (-1 = local hit,
+// otherwise the victim's ring offset).
 func (rt *Runtime) nextTask(w int) (*rtJob, int, int, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for {
-		if j, t, ok := rt.dq[w].popLocal(rt); ok {
-			rt.note(j, -1)
-			return j, t, -1, true
+		for k := range len(rt.active) {
+			if i := (rt.rr[w] + k) % len(rt.active); rt.active[i].next[w] < rt.active[i].ntasks {
+				rt.rr[w] = i + 1
+				j, t := rt.claim(i, w, -1)
+				return j, t, -1, true
+			}
 		}
 		for off := 1; off < rt.workers; off++ {
-			if j, t, ok := rt.dq[(w+off)%rt.workers].steal(rt); ok {
-				rt.note(j, off)
-				return j, t, off, true
+			v := (w + off) % rt.workers
+			for i, j := range rt.active {
+				if j.next[v] < j.ntasks {
+					j, t := rt.claim(i, v, off)
+					return j, t, off, true
+				}
 			}
 		}
 		if rt.closed {
@@ -505,28 +380,45 @@ func (rt *Runtime) nextTask(w int) (*rtJob, int, int, bool) {
 	}
 }
 
-// note records one claim under rt.mu: first-morsel queue wait plus the
-// runtime-wide and per-query scheduler counters.
-func (rt *Runtime) note(j *rtJob, dist int) {
+// claim takes the next task of worker v's class in active job i, under
+// rt.mu: it advances the class cursor, books the claim — first-morsel
+// queue wait, runtime-wide and per-query scheduler counters — and
+// retires the job from the active list with its last task.
+func (rt *Runtime) claim(i, v, dist int) (*rtJob, int) {
+	j := rt.active[i]
+	t := j.next[v]
+	j.next[v] += rt.workers
+	if j.left--; j.left == 0 {
+		rt.active = slices.Delete(rt.active, i, i+1)
+		for w, r := range rt.rr {
+			if r > i {
+				rt.rr[w] = r - 1
+			}
+		}
+	}
 	if !j.started {
 		j.started = true
 		j.e.queued.Add(int64(time.Since(j.enq)))
 	}
 	rt.sched.note(dist)
 	j.e.sched.note(dist)
+	return j, t
 }
 
-// submit places every morsel of j on its home worker's deque and wakes
-// the workers.
+// submit sets every worker's claim cursor on j to the first task of its
+// class, appends j to the active jobs and wakes the workers.
 func (rt *Runtime) submit(j *rtJob) {
+	j.next = make([]int, rt.workers)
+	for w := range j.next {
+		j.next[w] = (w - j.rot + rt.workers) % rt.workers
+	}
+	j.left = j.ntasks
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
 		panic("exec: Run on a closed Runtime")
 	}
-	for t := 0; t < j.ntasks; t++ {
-		rt.dq[j.home(t, rt.workers)].push(rt, j, t)
-	}
+	rt.active = append(rt.active, j)
 	rt.mu.Unlock()
 	rt.work.Broadcast()
 }

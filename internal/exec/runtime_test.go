@@ -97,7 +97,7 @@ func TestRuntimeQueueTimings(t *testing.T) {
 	defer pl.Close()
 	ran := false
 	pl.Then(PhaseJoin, "work", func(e *Engine) error {
-		e.run(MinParallelN, 16, nil, func(int, *Scratch) {})
+		e.run(MinParallelN, 16, func(int, *Scratch) {})
 		ran = true
 		return nil
 	})
@@ -132,7 +132,7 @@ func TestRuntimeConcurrentJobsExecuteAllMorsels(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				const ntasks = 37
 				var hits [ntasks]atomic.Int32
-				p.submit(ntasks, nil, func(_, task int, _ *Scratch) {
+				p.submit(ntasks, func(task int, _ *Scratch) {
 					hits[task].Add(1)
 				})
 				for i := range hits {
@@ -191,12 +191,12 @@ func TestPrefixSumChunksParallelMatchesSerial(t *testing.T) {
 func TestClosedEngineRunPanics(t *testing.T) {
 	rt := testRuntime(t)
 	for name, use := range map[string]func(e *Engine){
-		"run":    func(e *Engine) { e.run(MinParallelN, 4, nil, func(int, *Scratch) {}) },
-		"submit": func(e *Engine) { e.submit(4, func(int) uint64 { return 0 }, func(_, _ int, _ *Scratch) {}) },
+		"run":    func(e *Engine) { e.run(MinParallelN, 4, func(int, *Scratch) {}) },
+		"submit": func(e *Engine) { e.submit(4, func(int, *Scratch) {}) },
 		"attach": func(e *Engine) { e.attach() },
 	} {
 		e := NewEngine(rt, 2)
-		e.run(MinParallelN, 4, nil, func(int, *Scratch) {})
+		e.run(MinParallelN, 4, func(int, *Scratch) {})
 		if got := rt.ActiveQueries(); got != 1 {
 			t.Fatalf("%s: %d active queries while the lease is held, want 1", name, got)
 		}

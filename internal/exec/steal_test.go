@@ -2,29 +2,10 @@ package exec
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-// homeOf computes the placement of key under seed on a w-worker
-// runtime — the same hash submit uses.
-func homeOf(seed, key uint64, workers int) int {
-	j := &rtJob{seed: seed, aff: func(int) uint64 { return key }}
-	return j.home(0, workers)
-}
-
-// keyHomedOn searches for an affinity key whose home is the given
-// worker (tiny: the hash spreads, so a handful of probes suffice).
-func keyHomedOn(t *testing.T, seed uint64, worker, workers int) uint64 {
-	t.Helper()
-	for key := uint64(0); key < 1024; key++ {
-		if homeOf(seed, key, workers) == worker {
-			return key
-		}
-	}
-	t.Fatal("no key homes on the worker — placement hash broken")
-	return 0
-}
 
 // holdWorkers parks n of rt's workers inside hostage morsels and
 // returns their ids — DISCOVERED at run time, whichever workers pick the
@@ -32,7 +13,7 @@ func keyHomedOn(t *testing.T, seed uint64, worker, workers int) uint64 {
 // hostage job to finish). A blocked worker cannot claim a second
 // morsel, so n started morsels are n distinct stuck workers; with
 // n = rt.Workers() the whole runtime is stuck and whatever is submitted
-// next stays exactly where submit placed it until release.
+// next stays unclaimed until release.
 func holdWorkers(t *testing.T, rt *Runtime, n int) (busy []int, release func()) {
 	t.Helper()
 	hostage := NewEngine(rt, n)
@@ -41,8 +22,8 @@ func holdWorkers(t *testing.T, rt *Runtime, n int) (busy []int, release func()) 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		hostage.submit(n, nil, func(worker, _ int, _ *Scratch) {
-			started <- worker
+		hostage.submit(n, func(_ int, s *Scratch) {
+			started <- s.worker
 			<-free
 		})
 	}()
@@ -56,29 +37,30 @@ func holdWorkers(t *testing.T, rt *Runtime, n int) (busy []int, release func()) 
 	}
 }
 
-// placementOf reports where submit places the morsels of one
-// p.submit(ntasks, aff, ...) job: out[task] is the worker whose deque
-// holds the task while every worker is held hostage. The job then
-// runs to completion (stealing and all) before placementOf returns.
-func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int, aff func(int) uint64) []int {
+// placementOf reports where one p.submit(ntasks, ...) job homes its
+// tasks: out[task] is the worker whose class holds the task, read off
+// the job's claim cursors while every worker is held hostage. The job
+// then runs to completion (stealing and all), and placementOf checks
+// that every task was placed once and ran once.
+func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int) []int {
 	t.Helper()
 	_, release := holdWorkers(t, rt, rt.Workers())
-	var ran atomic.Int64
+	ran := make([]atomic.Int32, ntasks)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.submit(ntasks, aff, func(_, _ int, _ *Scratch) { ran.Add(1) })
+		p.submit(ntasks, func(task int, _ *Scratch) { ran[task].Add(1) })
 	}()
-	out := make([]int, ntasks)
-	for queued := 0; queued < ntasks; {
+	out, placed := make([]int, ntasks), make([]int, ntasks)
+	for submitted := false; !submitted; {
 		runtime.Gosched()
-		queued = 0
 		rt.mu.Lock()
-		for w := range rt.dq {
-			for _, r := range rt.dq[w].runs {
-				for _, task := range r.tasks[r.head:] {
+		if submitted = len(rt.active) == 1; submitted {
+			j := rt.active[0]
+			for w, next := range j.next {
+				for task := next; task < j.ntasks; task += rt.workers {
 					out[task] = w
-					queued++
+					placed[task]++
 				}
 			}
 		}
@@ -86,19 +68,59 @@ func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int, aff func(int)
 	}
 	release()
 	<-done
-	if ran.Load() != int64(ntasks) {
-		t.Fatalf("ran %d of %d morsels", ran.Load(), ntasks)
+	for task := range ran {
+		if placed[task] != 1 || ran[task].Load() != 1 {
+			t.Fatalf("task %d of %d placed %d times and ran %d times, want once each", task, ntasks, placed[task], ran[task].Load())
+		}
 	}
 	return out
 }
 
+// TestRuntimePlacesByRotation pins placement: task t of an engine's job
+// sits in the class of worker (t + rot) mod W, every task is placed
+// once and claimed once (as a local hit or a steal), equal task indices
+// of one engine's jobs share a worker however the jobs decompose, and
+// the one-task jobs of two successive engines land on different
+// workers.
+func TestRuntimePlacesByRotation(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, nominal := range []int{1, 2, 8} {
+			rt := NewRuntimeOpts(Options{Workers: workers, MaxConcurrent: 4})
+			e := NewEngine(rt, nominal)
+			ntasks := nominal * morselsPerWorker
+			first := placementOf(t, rt, e, ntasks)
+			for task, w := range first {
+				if want := (task + e.rot) % workers; w != want {
+					t.Fatalf("W=%d nominal %d: task %d placed on worker %d, want %d", workers, nominal, task, w, want)
+				}
+			}
+			second := placementOf(t, rt, e, ntasks+3)
+			for task := range first {
+				if first[task] != second[task] {
+					t.Fatalf("W=%d nominal %d: task %d moved from worker %d to %d between jobs", workers, nominal, task, first[task], second[task])
+				}
+			}
+			if st := e.sched.stats(); st.Tasks() != int64(2*ntasks+3) {
+				t.Fatalf("W=%d nominal %d: %v, want %d claims", workers, nominal, st, 2*ntasks+3)
+			}
+			e.Close()
+			a, b := NewEngine(rt, nominal), NewEngine(rt, nominal)
+			if pa, pb := placementOf(t, rt, a, 1), placementOf(t, rt, b, 1); workers > 1 && pa[0] == pb[0] {
+				t.Fatalf("W=%d nominal %d: successive engines' one-task jobs both on worker %d", workers, nominal, pa[0])
+			}
+			a.Close()
+			b.Close()
+			rt.Close()
+		}
+	}
+}
+
 // TestStealRescuesStarvedWorker is the deterministic starved-worker
-// scenario: one worker is held hostage inside a long morsel, and a
-// whole job is then homed onto exactly that worker. Without stealing
-// the job could not run until the hostage released; with it, the idle
-// worker must steal every morsel. The job's affinity key is chosen to
-// home on the worker holdWorkers found stuck, so the test does not
-// depend on scheduling races.
+// scenario: one worker is held hostage inside a long morsel, and a job
+// is then submitted whose tasks rotation spreads over both workers.
+// Without stealing the job could not finish until the hostage released;
+// with it, the idle worker runs its own class and steals every morsel
+// of the hostage's.
 func TestStealRescuesStarvedWorker(t *testing.T) {
 	rt := NewRuntimeOpts(Options{Workers: 2})
 	defer rt.Close()
@@ -108,86 +130,33 @@ func TestStealRescuesStarvedWorker(t *testing.T) {
 	busy := held[0] // this worker is now stuck until release
 
 	const ntasks = 8
-	key := keyHomedOn(t, victim.affSeed, busy, 2)
 	ran := make([]int, ntasks)
-	victim.submit(ntasks, func(int) uint64 { return key }, func(worker, task int, _ *Scratch) {
-		ran[task] = worker
-	})
+	victim.submit(ntasks, func(task int, s *Scratch) { ran[task] = s.worker })
 	release()
 
+	homed := 0 // tasks in the hostage's class
 	for task, worker := range ran {
 		if worker == busy {
 			t.Fatalf("task %d ran on the hostage worker %d", task, busy)
 		}
+		if (task+victim.rot)%2 == busy {
+			homed++
+		}
 	}
 	st := victim.sched.stats()
-	if st.LocalHits != 0 || st.Steals() != ntasks {
-		t.Fatalf("starved job stats: %v, want 0 local / %d steals", st, ntasks)
+	if homed != ntasks/2 || st.Steals() != int64(homed) || st.LocalHits != int64(ntasks-homed) {
+		t.Fatalf("starved job stats: %v, want %d local / %d steals", st, ntasks-homed, homed)
 	}
 	if got := rt.SchedStats(); got.Tasks() < ntasks+1 {
 		t.Fatalf("runtime-wide counters missed tasks: %v", got)
 	}
 }
 
-// TestMorselsPlacedOnHome: submit puts every morsel on the deque of
-// rtJob.home — a constant-key job entirely on one worker, an
-// identity-keyed job spread over several — and every placed morsel is
-// then claimed exactly once, as a local hit or a steal.
-func TestMorselsPlacedOnHome(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 4})
-	defer rt.Close()
-	p := NewEngine(rt, 4)
-	defer p.Close()
-
-	const ntasks = 32
-	key := keyHomedOn(t, p.affSeed, 2, 4)
-	for task, worker := range placementOf(t, rt, p, ntasks, func(int) uint64 { return key }) {
-		if worker != 2 {
-			t.Fatalf("task %d placed on worker %d, its key homes on 2", task, worker)
-		}
-	}
-	if st := p.sched.stats(); st.Tasks() != ntasks {
-		t.Fatalf("constant-key job stats: %v, want %d claims", st, ntasks)
-	}
-
-	seen := map[int]bool{}
-	for task, worker := range placementOf(t, rt, p, 64, nil) {
-		if want := homeOf(p.affSeed, uint64(task), 4); worker != want {
-			t.Fatalf("task %d placed on worker %d, home is %d", task, worker, want)
-		}
-		seen[worker] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("identity placement used %d workers, want several", len(seen))
-	}
-}
-
-// TestCrossPhaseAffinity pins the refactor's point: two jobs that
-// decompose the same domain into the same task count have task t
-// placed on the same worker both times (where it then runs is
-// statistical — an idle worker may steal it).
-func TestCrossPhaseAffinity(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 4})
-	defer rt.Close()
-	p := NewEngine(rt, 4)
-	defer p.Close()
-
-	const ntasks = 40
-	phase1 := placementOf(t, rt, p, ntasks, nil)
-	phase2 := placementOf(t, rt, p, ntasks, nil)
-	for task := range phase1 {
-		if phase1[task] != phase2[task] {
-			t.Fatalf("task %d moved: worker %d in phase 1, %d in phase 2",
-				task, phase1[task], phase2[task])
-		}
-	}
-}
-
 // TestStealRingOrder: an idle worker visits the other workers in ring
 // order from itself and reports the victim's ring offset as the steal
-// distance. With all four workers held hostage, one morsel is placed on
-// each of two victims and the test claims in worker 1's place: the nearer
-// victim's morsel comes first, whichever was placed first.
+// distance. With all four workers held hostage, two one-task jobs are
+// rotated onto two victims and the test claims in worker 1's place: the
+// nearer victim's morsel comes first, whichever job was submitted first.
 func TestStealRingOrder(t *testing.T) {
 	rt := NewRuntimeOpts(Options{Workers: 4, MaxConcurrent: 4})
 	defer rt.Close()
@@ -198,12 +167,16 @@ func TestStealRingOrder(t *testing.T) {
 	defer release()
 	before := rt.SchedStats()
 	const thief = 1
-	nearJob := &rtJob{ntasks: 1, e: near, seed: near.affSeed}
-	farJob := &rtJob{ntasks: 1, e: far, seed: far.affSeed}
-	rt.mu.Lock()
-	rt.dq[(thief+3)%4].push(rt, farJob, 0) // placed first, three steps round the ring
-	rt.dq[(thief+2)%4].push(rt, nearJob, 0)
-	rt.mu.Unlock()
+	// Runnable one-task jobs, so a worker released after a failed check
+	// can finish whichever the test did not claim.
+	oneTask := func(e *Engine, rot int) *rtJob {
+		j := &rtJob{ntasks: 1, fn: func(int, *Scratch) {}, e: e, rot: rot}
+		j.done.Add(1)
+		return j
+	}
+	nearJob, farJob := oneTask(near, (thief+2)%4), oneTask(far, (thief+3)%4)
+	rt.submit(farJob) // submitted first, three steps round the ring
+	rt.submit(nearJob)
 	for _, want := range []struct {
 		j    *rtJob
 		dist int
@@ -233,42 +206,55 @@ func TestSchedStatsArithmetic(t *testing.T) {
 	}
 }
 
-// TestDequeCyclesAllocateNothing pins push's promise that steady-state
-// submission allocates nothing, across steals: a run thieves drained
-// goes back to the freelist with its whole task capacity, and the deque
-// keeps its run slots, so repeated submit → steal → drain cycles reuse
-// every array the first cycle grew.
-func TestDequeCyclesAllocateNothing(t *testing.T) {
-	rt := &Runtime{}
-	var d wdeque
-	jobs := []*rtJob{{}, {}, {}}
-	const perJob, stolen = 64, 96
-	cycle := func() {
-		for _, j := range jobs {
-			for task := range perJob {
-				d.push(rt, j, task)
-			}
-		}
-		// Thieves take the oldest job's whole run and half of the next
-		// one's; the owner pops the rest.
-		for range stolen {
-			if _, _, ok := d.steal(rt); !ok {
-				t.Fatal("steal found the deque empty")
-			}
-		}
-		popped := 0
-		for {
-			if _, _, ok := d.popLocal(rt); !ok {
-				break
-			}
-			popped++
-		}
-		if popped != len(jobs)*perJob-stolen || len(d.runs) != 0 {
-			t.Fatalf("owner popped %d morsels, %d runs left; want %d, 0", popped, len(d.runs), len(jobs)*perJob-stolen)
+// TestSchedRoundRobinAcrossJobs pins the owner's fairness: a worker's
+// local claims go round-robin over the active jobs in submission order,
+// and a job retiring with its last task does not make the next claim
+// skip the job after it.
+func TestSchedRoundRobinAcrossJobs(t *testing.T) {
+	rt := &Runtime{workers: 1, rr: make([]int, 1)}
+	rt.work = sync.NewCond(&rt.mu)
+	e := &Engine{}
+	a, b, c := &rtJob{ntasks: 1, e: e}, &rtJob{ntasks: 2, e: e}, &rtJob{ntasks: 2, e: e}
+	for _, j := range []*rtJob{a, b, c} {
+		rt.submit(j)
+	}
+	for i, want := range []*rtJob{a, b, c, b, c} {
+		if j, _, dist, _ := rt.nextTask(0); j != want || dist != -1 {
+			t.Fatalf("claim %d: job %p at distance %d, want %p locally", i, j, dist, want)
 		}
 	}
-	cycle() // grows the task arrays, the run slots and the freelist
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Fatalf("submit → steal → drain allocates %v times per cycle, want 0", allocs)
+}
+
+// TestRuntimeClaimCycleAllocatesOnlyJobs pins that the runtime stores
+// no task: a steady-state submit → claim cycle (local claims, and steals
+// of the class of a worker that never claims) allocates each job's
+// record and its claim cursors and nothing else — the active list and
+// the round-robin cursors keep their capacity.
+func TestRuntimeClaimCycleAllocatesOnlyJobs(t *testing.T) {
+	const workers, jobs, ntasks = 3, 3, 64
+	rt := &Runtime{workers: workers, rr: make([]int, workers)}
+	rt.work = sync.NewCond(&rt.mu)
+	e := &Engine{}
+	cycle := func() {
+		for k := range jobs {
+			rt.submit(&rtJob{ntasks: ntasks, e: e, rot: k})
+		}
+		// Workers 0 and 1 claim alternately; worker 2's classes are
+		// stolen.
+		for k := range jobs * ntasks {
+			if _, _, _, ok := rt.nextTask(k % 2); !ok {
+				t.Fatal("runtime closed")
+			}
+		}
+		if len(rt.active) != 0 {
+			t.Fatalf("%d jobs still active after every task was claimed", len(rt.active))
+		}
+	}
+	cycle() // grows the active list
+	if allocs := testing.AllocsPerRun(20, cycle); allocs > 2*jobs {
+		t.Fatalf("submit → claim allocates %v times per cycle, want at most %d (each job's record and cursors)", allocs, 2*jobs)
+	}
+	if st := e.sched.stats(); st.Stolen == 0 || st.LocalHits == 0 {
+		t.Fatalf("cycle claimed %v, want local hits and steals", st)
 	}
 }

@@ -1,8 +1,9 @@
 package jive
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/nsm"
@@ -93,7 +94,7 @@ func RightRowsCluster(out *nsm.Relation, lr *LeftRowsResult, right *nsm.Relation
 		perm = append(perm, i)
 	}
 	oids := lr.RightOIDs
-	sort.Slice(perm, func(x, y int) bool { return oids[perm[x]] < oids[perm[y]] })
+	slices.SortFunc(perm, func(x, y int) int { return cmp.Compare(oids[x], oids[y]) })
 	nRight := right.Len()
 	for _, i := range perm {
 		if int(oids[i]) >= nRight {

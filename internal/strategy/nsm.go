@@ -88,7 +88,7 @@ func NSMPre(larger, smaller NSMSide, partitioned bool, cfg Config) (*Result, err
 		return nil, err
 	}
 	lw, sw := 1+len(larger.ProjCols), 1+len(smaller.ProjCols)
-	pl := cfg.pipeline(p, nsmAffinitySeed(larger))
+	pl := cfg.pipeline(p)
 	defer pl.Close()
 	res := &Result{Plan: p}
 
@@ -164,7 +164,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	piL, piS := len(larger.ProjCols), len(smaller.ProjCols)
-	pl := cfg.pipeline(p, nsmAffinitySeed(larger))
+	pl := cfg.pipeline(p)
 	defer pl.Close()
 	res := &Result{Plan: p}
 
@@ -289,7 +289,7 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		return nil, err
 	}
 	h := cfg.hier()
-	pl := cfg.pipeline(p, nsmAffinitySeed(larger))
+	pl := cfg.pipeline(p)
 	defer pl.Close()
 	res := &Result{Plan: p}
 
@@ -358,11 +358,4 @@ func NSMPostJive(larger, smaller NSMSide, jiveBits int, cfg Config) (*Result, er
 		return nil
 	})
 	return res.run(pl)
-}
-
-// nsmAffinitySeed is the placement-hash salt of an NSM query: the
-// larger relation's record array — so concurrent queries over one
-// relation home equal partitions (and scan chunks) on equal workers.
-func nsmAffinitySeed(larger NSMSide) uint64 {
-	return exec.AffinitySeed(larger.Rel.Data, larger.Rel.Len(), true)
 }

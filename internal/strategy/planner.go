@@ -137,15 +137,9 @@ func (c Config) decide(p *Plan, joinInput int) {
 }
 
 // pipeline opens the engine the plan selects on the run's (resolved)
-// runtime. affinitySeed is the query's base-data identity
-// (exec.AffinitySeed), salting the runtime's placement hash so
-// concurrent queries over the same source home equal partitions on
-// equal workers.
-func (c Config) pipeline(p Plan, affinitySeed uint64) *exec.Pipeline {
+// runtime.
+func (c Config) pipeline(p Plan) *exec.Pipeline {
 	pl := exec.NewPipeline(c.Runtime, p.Workers)
-	if affinitySeed != 0 {
-		pl.SetAffinitySeed(affinitySeed)
-	}
 	if c.Trace != nil {
 		pl.SetTrace(c.Trace)
 	}

@@ -401,10 +401,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 		return nil, err
 	}
 	h := cfg.hier()
-	// The larger key column is the query's affinity identity: concurrent
-	// queries joining the same sides home the same partitions on the
-	// same workers.
-	pl := cfg.pipeline(p, exec.AffinitySeed(larger.Keys, len(larger.OIDs), false))
+	pl := cfg.pipeline(p)
 	defer pl.Close()
 	res := &Result{Plan: p}
 
@@ -599,7 +596,7 @@ func DSMPre(larger, smaller DSMSide, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	lw, sw := 1+len(larger.Cols), 1+len(smaller.Cols)
-	pl := cfg.pipeline(p, exec.AffinitySeed(larger.Keys, len(larger.OIDs), false))
+	pl := cfg.pipeline(p)
 	defer pl.Close()
 	res := &Result{Plan: p}
 

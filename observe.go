@@ -2,9 +2,9 @@ package radixdecluster
 
 // Public observability surface: per-query execution traces
 // (JoinQuery.Trace → Result.Trace, exported as Chrome trace-event
-// JSON for Perfetto). The Prometheus-style metrics endpoint lives on
-// the Runtime
-// (RuntimeConfig.MetricsAddr, runtime.go).
+// JSON for Perfetto). The runtime's Prometheus-style metric series
+// are rendered by Runtime.WritePrometheus (RuntimeConfig.Metrics,
+// runtime.go).
 
 import (
 	"io"

@@ -104,22 +104,23 @@ func TestTraceExport(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsEndpoint boots a metrics-enabled runtime, runs
-// queries on it, and scrapes the HTTP endpoint twice: the exposition
-// must parse, carry the admission and placement series,
-// and every counter must be monotonic between the scrapes.
+// TestRuntimeMetricsEndpoint boots a metrics-enabled runtime, serves
+// it the way cmd/joinrun -metricsaddr does (obs.Serve over the runtime's
+// WritePrometheus hook), runs queries on it, and scrapes the HTTP
+// endpoint twice: the exposition must parse, carry the admission and
+// placement series, and every counter must be monotonic between the
+// scrapes.
 func TestRuntimeMetricsEndpoint(t *testing.T) {
-	rt := NewRuntime(RuntimeConfig{Workers: 2, MetricsAddr: "127.0.0.1:0"})
+	rt := NewRuntime(RuntimeConfig{Workers: 2, Metrics: true})
 	defer rt.Close()
-	if err := rt.MetricsError(); err != nil {
+	srv, err := obs.Serve("127.0.0.1:0", rt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.MetricsAddr() == "" {
-		t.Fatal("metrics listener has no address")
-	}
+	defer srv.Close()
 
 	scrape := func() map[string]float64 {
-		resp, err := http.Get("http://" + rt.MetricsAddr() + "/metrics")
+		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,12 +182,14 @@ func TestRuntimeMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRuntimeNoMetricsAddr: the default runtime config serves nothing
-// and reports no error.
-func TestRuntimeNoMetricsAddr(t *testing.T) {
+// TestRuntimeMetricsOffRendersNothing: the default runtime config keeps
+// no registry, so its exposition hook renders an empty document.
+func TestRuntimeMetricsOffRendersNothing(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Workers: 1})
 	defer rt.Close()
-	if rt.MetricsAddr() != "" || rt.MetricsError() != nil {
-		t.Fatalf("metrics-off runtime: addr %q err %v", rt.MetricsAddr(), rt.MetricsError())
+	var buf strings.Builder
+	rt.WritePrometheus(&buf)
+	if buf.Len() != 0 {
+		t.Fatalf("metrics-off runtime rendered %q", buf.String())
 	}
 }

@@ -252,10 +252,10 @@ func TestPlanIndependentOfRuntimeLoad(t *testing.T) {
 		t.Errorf("plan moved with the runtime's load:\n idle   %s\n loaded %s", idle, loaded)
 	}
 	// The steals come from a job the test controls: a nominal-4 engine's
-	// ForRanges cuts 32 chunk morsels, homed by the engine's affinity
-	// seed across the four workers, so about three quarters of them sit
-	// on the parked workers' deques and the one free worker steals them —
-	// every round, whatever GOMAXPROCS is.
+	// ForRanges cuts 32 chunk morsels, rotated over the four workers
+	// eight apiece, so exactly 24 of them sit in the three parked
+	// workers' classes and the one free worker steals them — 24 steals
+	// every round, whatever GOMAXPROCS is, so 43 rounds reach the 1 024.
 	thief := exec.NewEngine(rt.rt, 4)
 	before := rt.SchedStats()
 	for rounds := 0; rt.SchedStats().Sub(before).Stolen < 4*256; rounds++ {

@@ -35,11 +35,11 @@
 // runs the same phase pipeline
 // as a lease on a shared Runtime (JoinQuery.Runtime, or the process
 // default) with a NOMINAL n workers: one fixed worker set serves every
-// concurrent query, pulling radix partitions and cache-sized cluster
+// concurrent query, claiming radix partitions and cache-sized cluster
 // regions — independent units of work by the paper's decomposition,
-// each confining its random access to a private cache-sized slice —
-// from per-worker deques under admission control, and the query's
-// buffers come from the runtime's arena. The nominal count alone fixes
+// each confining its random access to a private cache-sized slice and
+// homed on a worker by rotation — under admission control, and the
+// query's buffers come from the runtime's arena. The nominal count alone fixes
 // how the work is cut (each worker's Radix-Decluster insertion window
 // is the cache budget divided by it), so the result bytes are identical for the same
 // plan line in both modes, for every n, on a runtime of any size; only

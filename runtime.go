@@ -9,7 +9,6 @@ import (
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
 	"radixdecluster/internal/mempool"
-	"radixdecluster/internal/obs"
 	"radixdecluster/internal/strategy"
 )
 
@@ -38,21 +37,13 @@ type RuntimeConfig struct {
 	// read one description. Its DSM post-projection queries plan u/u over
 	// join images whatever it says (JoinQuery.Hier).
 	Hier Hierarchy
-	// MetricsAddr, when non-empty, serves the runtime's Prometheus-
-	// style metrics on an HTTP listener at this address ("/metrics",
-	// text exposition) along with the Go pprof handlers
-	// ("/debug/pprof/"). Use ":0" to let the kernel pick a port and
-	// read it back with Runtime.MetricsAddr. The metric series are
+	// Metrics maintains the runtime's Prometheus-style metrics
+	// registry, rendered by Runtime.WritePrometheus: a program serves
+	// it on its own listener (cmd/joinserve on its HTTP front door,
+	// cmd/joinrun -metricsaddr on a telemetry one). The series are
 	// almost entirely pull-based — closures over counters the runtime
-	// maintains regardless — so serving metrics costs nothing on the
-	// morsel hot path. A failed listen is recorded in
-	// Runtime.MetricsError, not fatal: the runtime still executes.
-	MetricsAddr string
-	// Metrics maintains the runtime's metrics registry without binding
-	// a listener: daemons that own an HTTP front door (cmd/joinserve)
-	// set it and render the series into their own /metrics endpoint
-	// via Runtime.WritePrometheus, instead of running a second
-	// telemetry listener. A non-empty MetricsAddr implies Metrics.
+	// maintains regardless — so keeping them costs nothing on the
+	// morsel hot path.
 	Metrics bool
 	// PprofLabels attaches pprof goroutine labels (query, phase,
 	// worker) to every morsel a runtime worker executes, so CPU
@@ -73,8 +64,8 @@ type RuntimeConfig struct {
 }
 
 // SchedStats is the runtime scheduler's counter set: how many morsels
-// ran on their home worker — the worker their partition was placed on,
-// phase after phase — versus how many an idle worker stole (LocalHits,
+// ran on their home worker — the worker their partition is rotated
+// onto, phase after phase — versus how many an idle worker stole (LocalHits,
 // Stolen). Snapshot it
 // before a run and Sub after to isolate that run from the runtime's
 // lifetime counters. It is the scheduler's own record, declared where
@@ -100,11 +91,6 @@ type Runtime struct {
 	// hier is RuntimeConfig.Hier: what a query with a zero
 	// JoinQuery.Hier on this runtime plans with.
 	hier Hierarchy
-	// metricsSrv is the HTTP listener serving /metrics and
-	// /debug/pprof when RuntimeConfig.MetricsAddr was set; metricsErr
-	// records a failed listen.
-	metricsSrv *obs.Server
-	metricsErr error
 }
 
 // NewRuntime creates a runtime. Most programs never call this — the
@@ -125,38 +111,19 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 		admit = min(exec.DefaultMaxConcurrent(workers), costmodel.MemoryBound(cfg.MemoryBudget,
 			costmodel.PerQueryMemEstimate(cfg.Hier.internal())))
 	}
-	r := &Runtime{hier: cfg.Hier, rt: exec.NewRuntimeOpts(exec.Options{
+	return &Runtime{hier: cfg.Hier, rt: exec.NewRuntimeOpts(exec.Options{
 		Workers: workers, MaxConcurrent: admit,
-		Metrics: cfg.Metrics || cfg.MetricsAddr != "", PprofLabels: cfg.PprofLabels,
+		Metrics: cfg.Metrics, PprofLabels: cfg.PprofLabels,
 		MemoryBudget: cfg.MemoryBudget,
 	})}
-	if cfg.MetricsAddr != "" {
-		r.metricsSrv, r.metricsErr = obs.Serve(cfg.MetricsAddr, r.rt.MetricsRegistry())
-	}
-	return r
 }
-
-// MetricsAddr returns the bound address of the runtime's metrics
-// listener ("" when RuntimeConfig.MetricsAddr was unset or the listen
-// failed) — with ":0" configured, this is where the kernel put it.
-func (r *Runtime) MetricsAddr() string {
-	if r.metricsSrv == nil {
-		return ""
-	}
-	return r.metricsSrv.Addr()
-}
-
-// MetricsError returns the error from binding the metrics listener,
-// nil when it bound (or was never requested).
-func (r *Runtime) MetricsError() error { return r.metricsErr }
 
 // WritePrometheus renders the runtime's metric series in the
-// Prometheus text exposition format — the same document the
-// MetricsAddr listener serves on /metrics. It renders nothing unless
-// metrics were enabled (RuntimeConfig.Metrics or MetricsAddr). This
-// is the embedding hook for daemons that mount metrics on their own
-// listener (cmd/joinserve concatenates these series with its
-// server-level ones on one /metrics endpoint).
+// Prometheus text exposition format. It renders nothing unless
+// RuntimeConfig.Metrics was set. This is the one exposition hook:
+// programs mount it on their own listener (cmd/joinserve concatenates
+// these series with its server-level ones on one /metrics endpoint;
+// cmd/joinrun -metricsaddr hands the runtime to obs.Serve).
 func (r *Runtime) WritePrometheus(w io.Writer) { r.rt.MetricsRegistry().WritePrometheus(w) }
 
 // Hier returns the hierarchy the runtime was configured with
@@ -196,15 +163,10 @@ func (r *Runtime) MemPoolStats() MemPoolStats { return r.rt.MemStats() }
 // worker versus morsels an idle worker stole.
 func (r *Runtime) SchedStats() SchedStats { return r.rt.SchedStats() }
 
-// Close stops the runtime's workers and its metrics listener, if any.
-// The runtime must be idle (no executing or admission-waiting
-// queries). The process default runtime is never closed.
-func (r *Runtime) Close() {
-	if r.metricsSrv != nil {
-		r.metricsSrv.Close()
-	}
-	r.rt.Close()
-}
+// Close stops the runtime's workers. The runtime must be idle (no
+// executing or admission-waiting queries). The process default runtime
+// is never closed.
+func (r *Runtime) Close() { r.rt.Close() }
 
 var (
 	defaultRuntimeOnce sync.Once

@@ -266,7 +266,7 @@ func TestConcurrentThroughputMultiCore(t *testing.T) {
 }
 
 // TestSchedStatsSameSourceWorkload is the acceptance check for the
-// affinity scheduler: 4 concurrent queries over the SAME source on one
+// scheduler: 4 concurrent queries over the SAME source on one
 // runtime must surface scheduler counters end to end (public
 // Timing.Sched and Runtime.SchedStats), and the placement must win
 // more often than it loses — a majority of morsels served by their
