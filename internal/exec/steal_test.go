@@ -76,32 +76,47 @@ func placementOf(t *testing.T, rt *Runtime, p *Engine, ntasks int) []int {
 	return out
 }
 
-// TestRuntimePlacesByRotation pins placement: task t of an engine's job
-// sits in the class of worker (t + rot) mod W, every task is placed
-// once and claimed once (as a local hit or a steal), equal task indices
-// of one engine's jobs share a worker however the jobs decompose, and
-// the one-task jobs of two successive engines land on different
-// workers.
-func TestRuntimePlacesByRotation(t *testing.T) {
+// TestMorselsPlacedOnHome pins placement: task t of an engine's job
+// sits in the class of worker (t + rot) mod W, and every task is placed
+// once and claimed once (as a local hit or a steal), for every runtime
+// width and job size.
+func TestMorselsPlacedOnHome(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4} {
 		for _, nominal := range []int{1, 2, 8} {
 			rt := NewRuntimeOpts(Options{Workers: workers, MaxConcurrent: 4})
 			e := NewEngine(rt, nominal)
 			ntasks := nominal * morselsPerWorker
-			first := placementOf(t, rt, e, ntasks)
-			for task, w := range first {
+			for task, w := range placementOf(t, rt, e, ntasks) {
 				if want := (task + e.rot) % workers; w != want {
 					t.Fatalf("W=%d nominal %d: task %d placed on worker %d, want %d", workers, nominal, task, w, want)
 				}
 			}
-			second := placementOf(t, rt, e, ntasks+3)
-			for task := range first {
-				if first[task] != second[task] {
-					t.Fatalf("W=%d nominal %d: task %d moved from worker %d to %d between jobs", workers, nominal, task, first[task], second[task])
-				}
+			if st := e.sched.stats(); st.Tasks() != int64(ntasks) {
+				t.Fatalf("W=%d nominal %d: %v, want %d claims", workers, nominal, st, ntasks)
 			}
-			if st := e.sched.stats(); st.Tasks() != int64(2*ntasks+3) {
-				t.Fatalf("W=%d nominal %d: %v, want %d claims", workers, nominal, st, 2*ntasks+3)
+			e.Close()
+			rt.Close()
+		}
+	}
+}
+
+// TestCrossPhaseAffinity pins the point of rotation placement: equal
+// task indices of one engine's jobs share a worker however the jobs
+// decompose (where a task then runs is statistical — an idle worker may
+// steal it), and the one-task jobs of two successive engines land on
+// different workers.
+func TestCrossPhaseAffinity(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, nominal := range []int{1, 2, 8} {
+			rt := NewRuntimeOpts(Options{Workers: workers, MaxConcurrent: 4})
+			e := NewEngine(rt, nominal)
+			ntasks := nominal * morselsPerWorker
+			phase1 := placementOf(t, rt, e, ntasks)
+			phase2 := placementOf(t, rt, e, ntasks+3)
+			for task := range phase1 {
+				if phase1[task] != phase2[task] {
+					t.Fatalf("W=%d nominal %d: task %d moved from worker %d to %d between jobs", workers, nominal, task, phase1[task], phase2[task])
+				}
 			}
 			e.Close()
 			a, b := NewEngine(rt, nominal), NewEngine(rt, nominal)
