@@ -278,6 +278,23 @@ func BenchmarkProbeBUNs(b *testing.B) {
 	}
 }
 
+// buildImage is the serial engine's join image of keys for o, with the
+// given columns raw in image order.
+func buildImage(tb testing.TB, keys []int32, o radix.Opts, cols ...[]int32) exec.ImageBuild {
+	tb.Helper()
+	se := exec.NewEngine(nil, 0)
+	defer se.Close()
+	ic := make([]exec.ImageCol, len(cols))
+	for j, c := range cols {
+		ic[j].Vals = c
+	}
+	b, err := se.BuildImage(keys, o, true, ic)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // BenchmarkProbeImage is BenchmarkProbeBUNs for the kernel runtime
 // queries run over join images: the same partitions as image hash
 // columns (join.Image.Hashes), emitting image positions, at 256-, 1 Ki-
@@ -295,17 +312,10 @@ func BenchmarkProbeImage(b *testing.B) {
 		bits int
 	}{{"part=256", 12}, {"part=1Ki", 10}, {"part=16Ki", 6}} {
 		o := radix.Opts{Bits: c.bits}
-		lo, err := radix.KeyOffsets(lk, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		so, err := radix.KeyOffsets(sk, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		li := &join.Image{Hashes: radix.PermuteHashes(lk, o, lo), Offsets: lo}
-		si := &join.Image{Hashes: radix.PermuteHashes(sk, o, so), Offsets: so}
-		if !join.DistinctHashes(si, uint(c.bits)) {
+		lb, sb := buildImage(b, lk, o), buildImage(b, sk, o)
+		li, si := &lb.Image, &sb.Image
+		lo, so := li.Offsets, si.Offsets
+		if !si.Distinct {
 			b.Fatal("the smaller keys are not distinct")
 		}
 		out := &join.Index{Larger: make([]OID, 0, clusterBenchN), Smaller: make([]OID, 0, clusterBenchN)}
@@ -349,15 +359,11 @@ func BenchmarkDecodeImageOrder(b *testing.B) {
 	}
 	keys, col := pr.Larger.Key(), pr.Larger.PayloadCol(1)
 	o := radix.Opts{Bits: join.PlanBits(clusterBenchN, 4, mem.Pentium4().LLC().Size)}
-	offs, err := radix.KeyOffsets(keys, o)
-	if err != nil {
-		b.Fatal(err)
-	}
 	dst := make([]int32, clusterBenchN)
 	for _, c := range []struct {
 		name string
 		vals []int32
-	}{{"order=base", col}, {"order=image", radix.PermuteInto(make([]int32, len(keys)), keys, col, o, offs)}} {
+	}{{"order=base", col}, {"order=image", buildImage(b, keys, o, col).Cols[0].Raw}} {
 		enc, err := compress.EncodeBest(c.vals)
 		if err != nil {
 			b.Fatal(err)
@@ -373,6 +379,59 @@ func BenchmarkDecodeImageOrder(b *testing.B) {
 			b.ReportMetric(enc.Ratio(), "ratio")
 		})
 	}
+}
+
+// BenchmarkJoinImageBuild times what a relation's join images cost the
+// query that builds them. The first/ legs run one query per op on fresh
+// 1 Mi relations (π = 2, hit rate 1; building the relations is outside
+// the timer), raw and compressed, at parallelism 1 — every morsel
+// inline, as the serial engine runs them — and 2, both on a 2-worker
+// runtime. The alternate leg is the sequence that rebuilds an image on
+// every query: one 1 Mi relation joined in turn with a 1 Mi partner and
+// a 64 Ki one (π = 2, parallelism 2 on 2 workers), whose radix fields
+// differ; one op is one query.
+func BenchmarkJoinImageBuild(b *testing.B) {
+	const pi = 2
+	gen := func(n int, seed uint64) *workload.Pair {
+		pr, err := workload.GenPair(workload.Params{N: n, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pr
+	}
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
+	defer rt.Close()
+	query := func(larger, smaller *Relation, par int, comp Compression) {
+		res, err := ProjectJoin(JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			Parallelism: par, Runtime: rt, Compression: comp,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Release()
+	}
+	pr := gen(clusterBenchN, 91)
+	for _, comp := range []Compression{CompressionOff, CompressionOn} {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("first/compression=%v/parallelism=%d", comp, par), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					larger, smaller := pairRelations(b, pr, pi, WithCompression())
+					b.StartTimer()
+					query(larger, smaller, par, comp)
+				}
+			})
+		}
+	}
+	b.Run("alternate/parallelism=2", func(b *testing.B) {
+		big, partner := pairRelations(b, pr, pi)
+		_, small := pairRelations(b, gen(64<<10, 92), pi)
+		for i := 0; i < b.N; i++ {
+			query(big, [2]*Relation{partner, small}[i%2], 2, CompressionOff)
+		}
+	})
 }
 
 func BenchmarkHashJoinNaive(b *testing.B) {

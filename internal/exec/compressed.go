@@ -1,8 +1,10 @@
 package exec
 
-// Compressed execution reads block-compressed encodings in this file
-// only: every other operator takes raw []int32 / *nsm.Relation operands.
-// The operators over join images read them, raw or compressed:
+// Compressed execution reads and writes block-compressed encodings in
+// this file only: every other operator takes raw []int32 / *nsm.Relation
+// operands. BuildImage builds a relation's join image, its encodings
+// included, and the operators over join images read them, raw or
+// compressed:
 // ProjectImages, the one-pass u/u post-projection that probes and
 // fetches each radix partition in one morsel, and FetchImage, the fetch
 // it falls back to when the join is not key-FK. Per partition each
@@ -24,6 +26,7 @@ import (
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/posjoin"
+	"radixdecluster/internal/radix"
 )
 
 // CompStats counts a pipeline's compressed execution: how many encoded
@@ -190,6 +193,158 @@ func (e *Engine) fetchRanges(dsts [][]int32, at int, cols [][]int32, encs []*com
 		return posjoin.FetchWindowInto(dsts[held][at:end], cols[held][lo:hi], OID(lo), pos)
 	}
 	return nil
+}
+
+// ImageCol is a column a join-image build writes in image order: its
+// values in base order, and whether the build encodes the image-order
+// copy (compress.EncodeBest) in place of keeping it.
+type ImageCol struct {
+	Vals   []int32
+	Encode bool
+}
+
+// BuiltCol is one column of an ImageBuild: the image-order copy (Raw),
+// or for an encoded column its encoding (Enc) — a copy that did not
+// shrink comes as Raw with Enc nil — and when it was done.
+type BuiltCol struct {
+	Raw  []int32
+	Enc  *compress.Encoded
+	Done time.Time
+}
+
+// ImageBuild is what BuildImage built: the clustering, when it was asked
+// for — key hashes, offsets and Distinct, done at Clustered — and the
+// columns in the order asked.
+type ImageBuild struct {
+	join.Image
+	Clustered time.Time
+	Cols      []BuiltCol
+}
+
+// BuildImage builds a relation's join image of keys for radix field o —
+// with cluster false only columns to add to an image built before — in
+// three steps, each through run:
+//
+//  1. Cluster: radix.Cluster over radix.ImageKernels on split's chunks
+//     and passes, so each chunk's count task histograms the key hashes
+//     and its scatter task writes the hashes and every column in stable
+//     order; a field wider than maxFirstPassBits is refined per
+//     first-pass cluster. A column-only build recounts and scatters the
+//     columns alone (carrying the hashes from pass to pass in leased
+//     buffers when it takes more than one).
+//  2. Distinct: one task per partition looks for two equal hashes
+//     (join.DistinctHashes on the task's table scratch); once one is
+//     found, the tasks still to run stop at once.
+//  3. Encode: one task per column to encode runs compress.EncodeBest on
+//     its image-order copy, which is leased and handed back — or, when
+//     the encoding does not shrink it, kept raw.
+//
+// What it returns is GC-owned, since an image outlives the query; the
+// rest is leased. A stable clustering places every tuple where any
+// chunking and pass split would, so the bytes, and Distinct, are the
+// same on every engine.
+func (e *Engine) BuildImage(keys []int32, o radix.Opts, cluster bool, cols []ImageCol) (ImageBuild, error) {
+	if err := o.Validate(); err != nil {
+		return ImageBuild{}, err
+	}
+	n := len(keys)
+	vals := make([][]int32, len(cols))
+	for j, c := range cols {
+		if len(c.Vals) != n {
+			return ImageBuild{}, fmt.Errorf("exec: image build: column %d holds %d values, the keys %d", j, len(c.Vals), n)
+		}
+		vals[j] = c.Vals
+	}
+	nch, passes := e.split(n, o)
+	var hs [2][]uint32
+	if cluster || len(passes) > 1 {
+		hs = imageBufs[uint32](e, n, passes, cluster)
+	}
+	bufs := make([][2][]int32, len(cols))
+	for j, c := range cols {
+		bufs[j] = imageBufs[int32](e, n, passes, !c.Encode)
+	}
+	count, scatter := radix.ImageKernels(keys, vals, hs, bufs)
+	offsets := e.cluster(n, o, nch, passes, count, scatter)
+	scattered := time.Now()
+	r := radix.Result(passes)
+	Return(e, hs[1-r])
+	for _, b := range bufs {
+		Return(e, b[1-r])
+	}
+
+	var b ImageBuild
+	if cluster {
+		b.Image = join.Image{Hashes: hs[r], Offsets: slices.Clone(offsets)}
+		b.Distinct = e.distinct(&b.Image, uint(o.Ignore+o.Bits))
+		b.Clustered = time.Now()
+	} else {
+		Return(e, hs[r])
+	}
+	Return(e, offsets)
+
+	b.Cols = make([]BuiltCol, len(cols))
+	var encode []int
+	for j, c := range cols {
+		if c.Encode {
+			encode = append(encode, j)
+			continue
+		}
+		b.Cols[j] = BuiltCol{Raw: bufs[j][r], Done: scattered}
+	}
+	errs := e.errSlots(len(encode))
+	e.run(n*len(encode), len(encode), func(t int, _ *Scratch) {
+		j := encode[t]
+		enc, err := compress.EncodeBest(bufs[j][r])
+		if errs[t] = err; err != nil {
+			return
+		}
+		if enc.Ratio() < 1 {
+			b.Cols[j].Enc = enc
+		} else {
+			b.Cols[j].Raw = slices.Clone(bufs[j][r])
+		}
+		b.Cols[j].Done = time.Now()
+	})
+	for _, j := range encode {
+		Return(e, bufs[j][r])
+	}
+	if err := firstErr(errs); err != nil {
+		return ImageBuild{}, err
+	}
+	return b, nil
+}
+
+// imageBufs makes the ping-pong buffers of an image build's column on
+// passes: the one the last pass leaves the column in (radix.Result) is a
+// make when the image keeps it (own), else leased like the other, which
+// exists only for more than one pass.
+func imageBufs[T any](e *Engine, n int, passes []int, own bool) [2][]T {
+	r := radix.Result(passes)
+	var buf [2][]T
+	if own {
+		buf[r] = make([]T, n)
+	} else {
+		buf[r] = mempool.Slice[T](e.mem(), n)
+	}
+	if len(passes) > 1 {
+		buf[1-r] = mempool.Slice[T](e.mem(), n)
+	}
+	return buf
+}
+
+// distinct reports whether no two of img's hashes are equal, one task
+// per partition (Image.Distinct).
+func (e *Engine) distinct(img *join.Image, shift uint) bool {
+	var dup atomic.Bool
+	offs := img.Offsets
+	e.run(len(img.Hashes), len(offs)-1, func(p int, s *Scratch) {
+		part := img.Hashes[offs[p]:offs[p+1]]
+		if !dup.Load() && !join.DistinctHashes(part, shift, s.table(len(part))) {
+			dup.Store(true)
+		}
+	})
+	return !dup.Load()
 }
 
 // Image is one side of a join over join images as the engine reads it:

@@ -9,8 +9,9 @@ import (
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
-	"radixdecluster/internal/join"
 	"radixdecluster/internal/nsm"
+	"radixdecluster/internal/radix"
+	"radixdecluster/internal/workload"
 )
 
 // encode compresses a column under Best, failing the test on error.
@@ -347,7 +348,7 @@ func TestProjectImagesLastPartitionSparse(t *testing.T) {
 		lk[last] += h * (n/h + 1)
 		larger := fuzzImage(rng, lk, bits, 0, 3, 0b001)
 		smaller := fuzzImage(rng, sk, bits, 0, 3, mix)
-		smaller.img.Distinct = join.DistinctHashes(&smaller.img, bits)
+		smaller.img.Distinct = imageDistinct(t, rt, &smaller.img, bits)
 		if !smaller.img.Distinct {
 			t.Fatal("the smaller keys are not distinct")
 		}
@@ -383,5 +384,81 @@ func TestProjectImagesLastPartitionSparse(t *testing.T) {
 			}
 			e.Close()
 		}
+	}
+}
+
+// TestBuildImageMatchesSerial: a join image built on a 2-worker runtime,
+// at nominal 2 and 8, is the serial engine's build byte for byte —
+// offsets, hashes, Distinct, raw columns and encodings — and so is a
+// column added to it later; below MinParallelN (every step inline) and
+// above it, at join bits 0, 6 and 13 (13 refines per first-pass cluster
+// on the runtime), hit rates 0.3, 1 and 3, on both sides. The serial
+// reference runs one pass of all bits and, past 6 bits, passes of at
+// most 6 too, which must agree.
+func TestBuildImageMatchesSerial(t *testing.T) {
+	big := 150000
+	if raceEnabled {
+		big = 40000
+	}
+	rt := testRuntime(t)
+	build := func(e *Engine, keys []int32, o radix.Opts, cluster bool, cols []ImageCol) ImageBuild {
+		t.Helper()
+		b, err := e.BuildImage(keys, o, cluster, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	same := func(tag string, got, want ImageBuild) {
+		t.Helper()
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Hashes, want.Hashes) || got.Distinct != want.Distinct {
+			t.Fatalf("%s: offsets, hashes or Distinct (%v, want %v) differ from the serial build", tag, got.Distinct, want.Distinct)
+		}
+		for j := range want.Cols {
+			g, w := got.Cols[j], want.Cols[j]
+			if !slices.Equal(g.Raw, w.Raw) || (g.Enc == nil) != (w.Enc == nil) || g.Enc != nil && !reflect.DeepEqual(*g.Enc, *w.Enc) {
+				t.Fatalf("%s: column %d differs from the serial build", tag, j)
+			}
+		}
+	}
+	seen := map[bool]bool{}
+	for _, n := range []int{MinParallelN - 1, big} {
+		for _, hit := range []float64{0.3, 1, 3} {
+			pr, err := workload.GenPair(workload.Params{N: n, Omega: 3, HitRate: hit, SelLarger: 1, SelSmaller: 1, Seed: 45})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, side := range []*workload.Relation{pr.Larger, pr.Smaller} {
+				keys, a1, a2 := side.Key(), side.PayloadCol(1), side.PayloadCol(2)
+				// a1 raw, a2 and the key column encoded; a2 raw added later.
+				cols := []ImageCol{{Vals: a1}, {Vals: a2, Encode: true}, {Vals: keys, Encode: true}}
+				added := []ImageCol{{Vals: a2}}
+				for _, bits := range []int{0, 6, 13} {
+					o := radix.Opts{Bits: bits}
+					se := NewEngine(nil, 0)
+					want, wantAdd := build(se, keys, o, true, cols), build(se, keys, o, false, added)
+					if bits > 6 {
+						multi := radix.Opts{Bits: bits, Passes: radix.SplitBits(bits, 6)}
+						same(fmt.Sprintf("N=%d hit=%g side %d bits=%d serial passes %v", n, hit, s, bits, multi.Passes),
+							build(se, keys, multi, true, cols), want)
+					}
+					se.Close()
+					seen[want.Distinct] = true
+					for _, w := range []int{2, 8} {
+						tag := fmt.Sprintf("N=%d hit=%g side %d bits=%d nominal %d", n, hit, s, bits, w)
+						e := NewEngine(rt, w)
+						same(tag, build(e, keys, o, true, cols), want)
+						got := build(e, keys, o, false, added)
+						if got.Hashes != nil || got.Offsets != nil || !slices.Equal(got.Cols[0].Raw, wantAdd.Cols[0].Raw) {
+							t.Fatalf("%s: the added column differs from the serial build's", tag)
+						}
+						e.Close()
+					}
+				}
+			}
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("the matrix built Distinct images %v and non-distinct ones %v: it must build both", seen[true], seen[false])
 	}
 }

@@ -204,19 +204,21 @@ func TestSortOIDPairsMatchesSerial(t *testing.T) {
 }
 
 // testImage is the join image of an [oid, key] input — its key hashes
-// and offsets as a relation holds them — with one column, the oids in
-// image order.
+// and offsets as a relation holds them, built by the serial engine — with
+// one column, the oids in image order.
 func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) *Image {
 	t.Helper()
-	offs, err := radix.KeyOffsets(keys, o)
+	col := make([]int32, len(oids))
+	for i, oid := range oids {
+		col[i] = int32(oid)
+	}
+	se := NewEngine(nil, 0)
+	defer se.Close()
+	b, err := se.BuildImage(keys, o, true, []ImageCol{{Vals: col}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := make([]int32, len(oids))
-	for i, oid := range radix.PermuteInto(make([]OID, len(keys)), keys, oids, o, offs) {
-		col[i] = int32(oid)
-	}
-	return &Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, Cols: [][]int32{col}}
+	return &Image{Image: b.Image, Cols: [][]int32{b.Cols[0].Raw}}
 }
 
 func TestPartitionedJoinMatchesSerial(t *testing.T) {

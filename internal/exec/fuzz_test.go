@@ -110,8 +110,9 @@ func FuzzFetchImage(f *testing.F) {
 // a match count alone cannot tell — distinct with misses: key-FK in
 // the lower half, misses in the upper — and key-FK over a smaller side
 // that is not Distinct, whose matches are scanned. Each image is
-// Distinct exactly when join.DistinctHashes finds it so, and the
-// reference probe runs before that is set: the early exit of a distinct
+// Distinct exactly when the image build's per-partition check finds it
+// so (serial and on a 2-worker runtime alike), and the reference probe
+// runs before that is set: the early exit of a distinct
 // smaller side (with its count-based key-FK test) is held to the full
 // chain walk. Columns are raw or encoded as the input picks. With
 // corruption on, one block of an encoded column gets an unknown scheme
@@ -152,7 +153,7 @@ func FuzzProbeFetchImages(f *testing.F) {
 		larger, smaller := fuzzSides(seed, n, bits, layout, keys, mix8)
 		ix := probeImages(t, &larger, &smaller, bits)
 		for _, side := range []*imageSide{&larger, &smaller} {
-			side.img.Distinct = join.DistinctHashes(&side.img, uint(bits))
+			side.img.Distinct = imageDistinct(t, rt, &side.img, uint(bits))
 		}
 		if (keys == 2 || keys == 4) && !smaller.img.Distinct || keys == 5 && n >= 4 && smaller.img.Distinct {
 			t.Fatalf("keys=%d: the smaller side found Distinct=%v", keys, smaller.img.Distinct)
@@ -285,6 +286,21 @@ func probeImages(t *testing.T, larger, smaller *imageSide, bits int) *join.Index
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// imageDistinct is the distinctness check of an image build over img,
+// which must not depend on the engine: the serial engine's answer, held
+// to a 2-worker lease's.
+func imageDistinct(t *testing.T, rt *Runtime, img *join.Image, shift uint) bool {
+	t.Helper()
+	se, pe := NewEngine(nil, 0), NewEngine(rt, 2)
+	defer se.Close()
+	defer pe.Close()
+	d := se.distinct(img, shift)
+	if pd := pe.distinct(img, shift); pd != d {
+		t.Fatalf("distinct: the serial engine found %v, a 2-worker lease %v", d, pd)
+	}
+	return d
 }
 
 // corruptOne gives, when corrupt is set, one block of the first encoded

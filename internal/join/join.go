@@ -138,38 +138,37 @@ func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *
 // Image is a join input radix-clustered once, outside any query (a
 // relation's join image): the hashes of its keys in clustered order —
 // the hash halves of the BUNs radix.ClusterBUNsInto would produce — and the
-// 2^B+1 cluster offsets (radix.KeyOffsets, radix.PermuteHashes). A match
+// 2^B+1 cluster offsets (exec.Engine.BuildImage builds one). A match
 // emits the tuple's image position, its index in Hashes: the holder of
 // the image keeps whatever it projects in the same order and reads it
 // there, so an image carries no oids. Distinct records that no two
-// Hashes are equal (DistinctHashes) — hash.Mix is a bijection, so that
-// the key column is a key: probed as the smaller side, a larger tuple
-// matches it at most once, and ProbeImage probes it with ProbeFirst.
+// Hashes are equal (DistinctHashes, per partition) — hash.Mix is a
+// bijection, so that the key column is a key: probed as the smaller
+// side, a larger tuple matches it at most once, and ProbeImage probes it
+// with ProbeFirst.
 type Image struct {
 	Hashes   []uint32
 	Offsets  []int
 	Distinct bool
 }
 
-// DistinctHashes reports whether no two of img's hashes are equal, the
-// fact Image.Distinct records. Equal hashes share a partition, so it
-// chains each partition into one ProbeHashes table (shift as the probe
-// buckets) and looks for every hash in its bucket before adding it.
-func DistinctHashes(img *Image, shift uint) bool {
-	var ts TableScratch
-	for p := 0; p+1 < len(img.Offsets); p++ {
-		part := img.Hashes[img.Offsets[p]:img.Offsets[p+1]]
-		first, next, mask := ts.table(len(part))
-		for i, h := range part {
-			b := (h >> shift) & mask
-			for e := first[b]; e != 0; e = next[e-1] {
-				if part[e-1] == h {
-					return false
-				}
+// DistinctHashes reports whether no two of part's hashes are equal:
+// part is one partition of an image (equal hashes share a partition),
+// so an image is Distinct when every partition is. It chains the
+// partition into one ProbeHashes table in ts (shift as the probe
+// buckets) and looks for every hash in its bucket before adding it,
+// stopping at the first it finds.
+func DistinctHashes(part []uint32, shift uint, ts *TableScratch) bool {
+	first, next, mask := ts.table(len(part))
+	for i, h := range part {
+		b := (h >> shift) & mask
+		for e := first[b]; e != 0; e = next[e-1] {
+			if part[e-1] == h {
+				return false
 			}
-			next[i] = first[b]
-			first[b] = int32(i) + 1
 		}
+		next[i] = first[b]
+		first[b] = int32(i) + 1
 	}
 	return true
 }

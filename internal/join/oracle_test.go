@@ -199,12 +199,13 @@ func genSides(rng *rand.Rand, shape, nL, nS int) (lo []join.OID, lk []int32, so 
 // checkAgainstOracle joins one input under one clustering with both
 // engines, over BUNs and over join images: each must return exactly the
 // oracle's pair multiset, and all of them the identical sequence. Each
-// image's distinctness check (join.DistinctHashes) must agree with the
-// map oracle's, and over a distinct smaller side the image probes run
-// twice — walking every chain to its end, and stopping each probe at
-// its first match (Image.Distinct) — and join.ProbeFirst over every
-// partition pair, compacted, must give that sequence too. A nil rt
-// checks the serial engine alone.
+// image's distinctness check (join.DistinctHashes per partition, and the
+// image build's Distinct) must agree with the map oracle's, and over a
+// distinct smaller side the image probes run twice — walking every chain
+// to its end, and stopping each probe at its first match
+// (Image.Distinct) — and join.ProbeFirst over every partition pair,
+// compacted, must give that sequence too. A nil rt checks the serial
+// engine alone.
 func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int32, so []join.OID, sk []int32, want []pair, o radix.Opts) {
 	t.Helper()
 	se := exec.NewEngine(nil, 0) // the serial paper engine
@@ -237,8 +238,9 @@ func checkAgainstOracle(t *testing.T, rt *exec.Runtime, lo []join.OID, lk []int3
 	shift := uint(o.Ignore + o.Bits)
 	for i, img := range []*join.Image{li, si} {
 		keys := [2][]int32{lk, sk}[i]
-		if got, want := join.DistinctHashes(img, shift), refDistinct(keys); got != want {
-			t.Fatalf("%+v: side %d: DistinctHashes = %v over %d keys, the map oracle %v", o, i, got, len(keys), want)
+		if got, want := distinctParts(img, shift), refDistinct(keys); got != want || img.Distinct != want {
+			t.Fatalf("%+v: side %d: DistinctHashes over every partition = %v, the image build's Distinct %v, over %d keys; the map oracle %v",
+				o, i, got, img.Distinct, len(keys), want)
 		}
 	}
 	walks := []bool{false}
@@ -360,15 +362,38 @@ func checkParts(t *testing.T, ix *join.Index, larger, smaller *join.Image) {
 	}
 }
 
-// image is the join image of an [oid, key] input and, beside it, the
-// oids in image order.
+// image is the join image of an [oid, key] input, as the serial engine
+// builds it (exec.Engine.BuildImage, its distinctness check included),
+// and, beside it, the oids in image order.
 func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) (*join.Image, []join.OID) {
 	t.Helper()
-	offs, err := radix.KeyOffsets(keys, o)
+	col := make([]int32, len(oids))
+	for i, oid := range oids {
+		col[i] = int32(oid)
+	}
+	se := exec.NewEngine(nil, 0)
+	defer se.Close() // the build's transients are leased
+	b, err := se.BuildImage(keys, o, true, []exec.ImageCol{{Vals: col}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}, radix.PermuteInto(make([]join.OID, len(keys)), keys, oids, o, offs)
+	clustered := make([]join.OID, len(keys))
+	for i, v := range b.Cols[0].Raw {
+		clustered[i] = join.OID(v)
+	}
+	return &b.Image, clustered
+}
+
+// distinctParts is join.DistinctHashes over every partition of img, on
+// one table scratch: whether no two of its hashes are equal.
+func distinctParts(img *join.Image, shift uint) bool {
+	var ts join.TableScratch
+	for p := 0; p+1 < len(img.Offsets); p++ {
+		if !join.DistinctHashes(img.Hashes[img.Offsets[p]:img.Offsets[p+1]], shift, &ts) {
+			return false
+		}
+	}
+	return true
 }
 
 // positionsToOIDs replaces image positions by the oids at them.

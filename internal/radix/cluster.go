@@ -18,7 +18,8 @@ import "slices"
 // ChunkFn applies one chunk kernel to tuples [lo,hi) of pass p's
 // input, with the pass's radix bits and the chunk's histogram or
 // cursor row. Pass p reads what pass p-1 wrote (pass 0 the caller's
-// columns); PairKernels, BUNKernels and RowKernels bind where that is,
+// columns); PairKernels, BUNKernels, RowKernels and ImageKernels bind
+// where that is,
 // and what the clustering value is — the driver only schedules bits.
 type ChunkFn func(p, lo, hi int, f Field, row []int)
 
@@ -228,6 +229,41 @@ func RowKernels(rows []int32, width, keyCol int, buf [2][]int32) (count, scatter
 	}
 	scatter = func(p, lo, hi int, f Field, cur []int) {
 		ScatterRows(src(p, lo, hi), width, keyCol, f, cur, buf[p&1])
+	}
+	return count, scatter
+}
+
+// ImageKernels binds the chunk kernels to a join image's build: the
+// clustering value is the hash of keys (§2.2), and every pass moves the
+// hashes and the columns cols together (ScatterImage), so one clustering
+// writes the image's hashes and all its columns. Pass p scatters into
+// hs[p&1] and bufs[j][p&1], each pair like PairKernels' buffers: the
+// result is the last pass's buffers (Result). With hs[0] nil a
+// single-pass clustering moves the columns alone — a column added to a
+// built image, whose hashes the count and the scatter recompute from
+// keys; a clustering of more passes needs hs, whose hashes carry the
+// clustering value from pass to pass.
+func ImageKernels(keys []int32, cols [][]int32, hs [2][]uint32, bufs [][2][]int32) (count, scatter ChunkFn) {
+	var out [2][][]int32 // the columns pass p scatters into: out[p&1]
+	for i := range out {
+		out[i] = make([][]int32, len(bufs))
+		for j, b := range bufs {
+			out[i][j] = b[i]
+		}
+	}
+	count = func(p, lo, hi int, f Field, row []int) {
+		if p == 0 {
+			Histogram(keys[lo:hi], true, f, row)
+			return
+		}
+		Histogram(hs[(p-1)&1][lo:hi], false, f, row)
+	}
+	scatter = func(p, lo, hi int, f Field, cur []int) {
+		if p == 0 {
+			ScatterImage(keys[lo:hi], true, cols, lo, f, cur, hs[0], out[0])
+			return
+		}
+		ScatterImage(hs[(p-1)&1][lo:hi], false, out[(p-1)&1], lo, f, cur, hs[p&1], out[p&1])
 	}
 	return count, scatter
 }

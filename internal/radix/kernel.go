@@ -101,30 +101,72 @@ func ScatterPack[K, P Word](keys []K, oids []P, f Field, cur []int, dst []uint64
 	}
 }
 
-// ScatterPayload is Scatter for a column that follows a hashed key
-// clustering without its keys: pay[i] lands at cur[cluster of
-// hash.Int32(keys[i])], which advances.
-func ScatterPayload[P Word](keys []int32, pay []P, f Field, cur []int, dst []P) {
-	sh, mask := f.Shift, f.Mask
-	pay = pay[:len(keys)]
-	for i, k := range keys {
-		c := (hash.Mix(uint32(k)) >> sh) & mask
-		d := cur[c]
-		cur[c] = d + 1
-		dst[d] = pay[i]
+// ScatterImage is Scatter for a join image: each tuple's clustering
+// value — hash.Mix of its key when hashed, else the key itself, a hash
+// an earlier pass computed — lands at cur[its cluster], which advances,
+// in dstH unless dstH is nil (hashed only), and the tuple's value of
+// every column cols[j] (read at lo+i for keys[i]: keys is the chunk,
+// cols whole) lands at the same position of dsts[j]. It moves one
+// output at a time — the hashes, then each column from the cursors the
+// chunk started with — so each loop writes one stream per cluster
+// however many columns there are; a column's loop derives the cluster
+// again, which costs less than remembering it.
+func ScatterImage[K Word](keys []K, hashed bool, cols [][]int32, lo int, f Field, cur []int, dstH []uint32, dsts [][]int32) {
+	var start []int // the chunk's first cursors, when more than one output needs them
+	if len(cols) > 1 || len(cols) == 1 && dstH != nil {
+		var small [64]int // up to 64 clusters' cursors stay on the stack
+		start = append(small[:0], cur...)
+	}
+	if dstH != nil {
+		scatterHash(keys, hashed, f, cur, dstH)
+	}
+	for j, col := range cols {
+		if j > 0 || dstH != nil {
+			copy(cur, start)
+		}
+		scatterCol(keys, hashed, col[lo:lo+len(keys)], f, cur, dsts[j])
 	}
 }
 
-// ScatterHashes is ScatterPayload for the keys' hashes: hash.Int32(keys[i])
-// lands at cur[its cluster], which advances.
-func ScatterHashes(keys []int32, f Field, cur []int, dst []uint32) {
+// scatterHash is ScatterImage's loop over the clustering values.
+func scatterHash[K Word](keys []K, hashed bool, f Field, cur []int, dst []uint32) {
 	sh, mask := f.Shift, f.Mask
+	if hashed {
+		for _, k := range keys {
+			h := hash.Mix(uint32(k))
+			c := (h >> sh) & mask
+			d := cur[c]
+			cur[c] = d + 1
+			dst[d] = h
+		}
+		return
+	}
 	for _, k := range keys {
-		h := hash.Mix(uint32(k))
-		c := (h >> sh) & mask
+		c := (uint32(k) >> sh) & mask
 		d := cur[c]
 		cur[c] = d + 1
-		dst[d] = h
+		dst[d] = uint32(k)
+	}
+}
+
+// scatterCol is ScatterImage's loop over one column.
+func scatterCol[K Word](keys []K, hashed bool, src []int32, f Field, cur []int, dst []int32) {
+	sh, mask := f.Shift, f.Mask
+	src = src[:len(keys)]
+	if hashed {
+		for i, k := range keys {
+			c := (hash.Mix(uint32(k)) >> sh) & mask
+			d := cur[c]
+			cur[c] = d + 1
+			dst[d] = src[i]
+		}
+		return
+	}
+	for i, k := range keys {
+		c := (uint32(k) >> sh) & mask
+		d := cur[c]
+		cur[c] = d + 1
+		dst[d] = src[i]
 	}
 }
 

@@ -287,9 +287,39 @@ func checkRows(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, sp
 	}
 }
 
+// checkImage holds the join-image kernels to the oracle: over every
+// pass split and a few chunkings, ImageKernels must leave the hashes of
+// the reference's keys and the reference's order of both columns — and,
+// over one pass and with no hash buffer, of a column moved alone.
+func checkImage(t *testing.T, rng *rand.Rand, keys, pay []int32, bits, ignore int, splits [][]int) {
+	t.Helper()
+	n := len(keys)
+	wantK, wantP, wantOff := refCluster(keys, pay, true, bits, ignore)
+	wantH := hashWords(wantK)
+	for _, passes := range splits {
+		o := Opts{Bits: bits, Ignore: ignore, Passes: passes}
+		r, nch := Result(o.Schedule()), 1+rng.IntN(4)
+		hs, bufs := pingPong[uint32](n, o), [][2][]int32{pingPong[int32](n, o), pingPong[int32](n, o)}
+		count, scatter := ImageKernels(keys, [][]int32{keys, pay}, hs, bufs)
+		gotOff := chunkedCluster(n, o, nch, count, scatter)
+		if !slices.Equal(hs[r], wantH) || !slices.Equal(bufs[0][r], wantK) || !slices.Equal(bufs[1][r], wantP) || !slices.Equal(gotOff, wantOff) {
+			t.Fatalf("n=%d bits=%d ignore=%d passes=%v nch=%d: the image clustering differs from the stable-sort reference", n, bits, ignore, passes, nch)
+		}
+		if o.NumPasses() > 1 {
+			continue
+		}
+		bufs = [][2][]int32{pingPong[int32](n, o)}
+		count, scatter = ImageKernels(keys, [][]int32{pay}, [2][]uint32{}, bufs)
+		if gotOff := chunkedCluster(n, o, nch, count, scatter); !slices.Equal(bufs[0][0], wantP) || !slices.Equal(gotOff, wantOff) {
+			t.Fatalf("n=%d bits=%d ignore=%d nch=%d: a column moved alone differs from the stable-sort reference", n, bits, ignore, nch)
+		}
+	}
+}
+
 // checkAll runs one key column through every kernel instantiation the
 // engines use, and a few more: [int32 value, oid] pairs as BUNs and
-// columns, [oid, oid] pairs, BUNs with an int32 payload, and records.
+// columns, [oid, oid] pairs, BUNs with an int32 payload, records, and a
+// join image's hashes and columns.
 func checkAll(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, splits [][]int) {
 	t.Helper()
 	vals, oids, ipay := make([]int32, len(keys)), make([]OID, len(keys)), make([]int32, len(keys))
@@ -301,6 +331,7 @@ func checkAll(t *testing.T, rng *rand.Rand, keys []uint32, bits, ignore int, spl
 	checkPairs(t, rng, keys, oids, false, bits, ignore, splits)
 	checkPairs(t, rng, keys, ipay, true, bits, ignore, splits)
 	checkRows(t, rng, keys, bits, ignore, splits)
+	checkImage(t, rng, vals, ipay, bits, ignore, splits)
 }
 
 func TestKernelsMatchStableSort(t *testing.T) {
@@ -346,7 +377,9 @@ func TestKernelsAllocateNothing(t *testing.T) {
 			row[c], pos = pos, pos+cnt
 		}
 	}
-	dstH := make([]uint32, n)
+	dstH, hashesOut := make([]uint32, n), make([]uint32, n)
+	cols := [][]int32{vals, rows[:n]}
+	dstCols, movedCols := [][]int32{make([]int32, n), make([]int32, n)}, [][]int32{dstV, rows[n : 2*n]}
 	f := Field{Shift: 3, Mask: 63}
 	for name, run := range map[string]func(){
 		"pairs": func() {
@@ -375,11 +408,11 @@ func TestKernelsAllocateNothing(t *testing.T) {
 			clear(row)
 			Histogram(vals, true, f, row)
 			cursors()
-			ScatterHashes(vals, f, row, dstH)
+			ScatterImage(vals, true, cols, 0, f, row, dstH, dstCols)
 			clear(row)
-			Histogram(vals, true, f, row)
+			Histogram(dstH, false, f, row)
 			cursors()
-			ScatterPayload(vals, oids, f, row, dstO)
+			ScatterImage(dstH, false, dstCols, 0, f, row, hashesOut, movedCols)
 		},
 		"rows": func() {
 			clear(row)

@@ -21,7 +21,6 @@ package radix
 
 import (
 	"fmt"
-	"slices"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/mem"
@@ -165,51 +164,6 @@ func checkBufs[T any](buf [2][]T, n int, o Opts) error {
 		return fmt.Errorf("radix: buffers of %d and %d for %d tuples in %d passes", len(buf[0]), len(buf[1]), n, o.NumPasses())
 	}
 	return nil
-}
-
-// KeyOffsets returns the 2^Bits+1 cluster offsets of a hashed
-// Radix-Cluster of keys on o's radix field — the Offsets
-// ClusterBUNsInto(_, _, keys, o) returns, whatever o's pass split.
-func KeyOffsets(keys []int32, o Opts) ([]int, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	offsets := make([]int, 1<<o.Bits+1)
-	Histogram(keys, true, keyField(o), offsets[1:])
-	for c := 1; c < len(offsets); c++ {
-		offsets[c] += offsets[c-1]
-	}
-	return offsets, nil
-}
-
-// PermuteInto writes col into dst[:len(keys)], which it returns, in the
-// order ClusterBUNsInto(_, _, keys, o) puts the tuples of keys: one
-// stable scatter pass on the whole radix field, with cursors from the
-// clustering's offsets (KeyOffsets). A stable clustering places every
-// tuple where any pass split would, so PermuteInto(_, keys, oids, …) is
-// the BUNs' oid half — and any column of the relation follows without
-// the permutation ever being stored. Every slot is written: a caller
-// permuting several columns in turn reuses one buffer.
-func PermuteInto[P Word](dst []P, keys []int32, col []P, o Opts, offsets []int) []P {
-	cur := slices.Clone(offsets[:len(offsets)-1])
-	dst = dst[:len(keys)]
-	ScatterPayload(keys, col, keyField(o), cur, dst)
-	return dst
-}
-
-// PermuteHashes returns hash.Int32 of keys in PermuteInto's order: the
-// BUNs' hash half, the join input of a clustering done once
-// (join.Image).
-func PermuteHashes(keys []int32, o Opts, offsets []int) []uint32 {
-	cur := slices.Clone(offsets[:len(offsets)-1])
-	dst := make([]uint32, len(keys))
-	ScatterHashes(keys, keyField(o), cur, dst)
-	return dst
-}
-
-// keyField is the single-pass field of o's whole radix field.
-func keyField(o Opts) Field {
-	return Field{Shift: uint(o.Ignore), Mask: uint32(1<<o.Bits - 1)}
 }
 
 // OIDPairsResult is a radix-clustered [oid,oid] BAT (e.g. a

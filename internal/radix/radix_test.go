@@ -219,36 +219,61 @@ func TestClusterBUNsMultiPassEqualsSinglePass(t *testing.T) {
 }
 
 // TestPermuteMatchesClusterBUNs: a join image built column-wise —
-// KeyOffsets, PermuteHashes and one PermuteInto per column — holds exactly
-// the BUN clustering's offsets, hashes and oids, for every pass split,
-// with Ignore bits, and at zero bits.
+// ImageKernels moving the key hashes and the columns together, over one
+// chunk and over three — holds exactly the BUN clustering's offsets,
+// hashes and oids, for every pass split, with Ignore bits, and at zero
+// bits, into dirty buffers; and over a single pass, with no hash
+// buffer, it moves a column alone to the same places.
 func TestPermuteMatchesClusterBUNs(t *testing.T) {
 	heads, vals := randomPairs(5000, 5)
+	n := len(vals)
+	oids := make([]int32, n)
+	for i, h := range heads {
+		oids[i] = int32(h)
+	}
+	dirty := func(o Opts) [2][]int32 {
+		buf := pingPong[int32](n, o)
+		for _, b := range buf {
+			for i := range b {
+				b[i] = -7
+			}
+		}
+		return buf
+	}
 	for _, o := range []Opts{{Bits: 0}, {Bits: 6}, {Bits: 6, Passes: []int{2, 2, 2}}, {Bits: 5, Ignore: 3}, {Bits: 11, Passes: []int{6, 5}}} {
 		bres, err := freshBUNs(heads, vals, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := unpack(bres)
-		offs, err := KeyOffsets(vals, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := PermuteInto(make([]int32, len(vals)), vals, vals, o, offs)
-		oids := PermuteInto(make([]OID, len(vals)), vals, heads, o, offs)
-		if !slices.Equal(offs, want.Offsets) || !slices.Equal(PermuteHashes(vals, o, offs), want.Hashes) ||
-			!slices.Equal(hashes(keys), want.Hashes) || !slices.Equal(oids, want.Heads) {
-			t.Fatalf("%+v: the column-wise image differs from ClusterBUNsInto", o)
-		}
-		// A reused, dirty, oversized buffer is written in full.
-		dirty := slices.Repeat([]int32{-7}, len(vals)+3)
-		if got := PermuteInto(dirty, vals, vals, o, offs); !slices.Equal(got, keys) {
-			t.Fatalf("%+v: PermuteInto into a dirty buffer differs from a fresh one", o)
+		r := Result(o.Schedule())
+		for _, nch := range []int{1, 3} {
+			hs, bufs := pingPong[uint32](n, o), [][2][]int32{dirty(o), dirty(o)}
+			count, scatter := ImageKernels(vals, [][]int32{vals, oids}, hs, bufs)
+			offs := chunkedCluster(n, o, nch, count, scatter)
+			if !slices.Equal(offs, want.Offsets) || !slices.Equal(hs[r], want.Hashes) ||
+				!slices.Equal(hashes(bufs[0][r]), want.Hashes) || !slices.Equal(heads32(bufs[1][r]), want.Heads) {
+				t.Fatalf("%+v over %d chunks: the column-wise image differs from ClusterBUNsInto", o, nch)
+			}
+			if o.NumPasses() > 1 {
+				continue
+			}
+			bufs = [][2][]int32{dirty(o)}
+			count, scatter = ImageKernels(vals, [][]int32{oids}, [2][]uint32{}, bufs)
+			if offs := chunkedCluster(n, o, nch, count, scatter); !slices.Equal(offs, want.Offsets) || !slices.Equal(heads32(bufs[0][0]), want.Heads) {
+				t.Fatalf("%+v over %d chunks: a column moved alone differs from ClusterBUNsInto's oids", o, nch)
+			}
 		}
 	}
-	if _, err := KeyOffsets(vals, Opts{Bits: -1}); err == nil {
-		t.Fatal("KeyOffsets accepted malformed opts")
+}
+
+// heads32 reads an int32 column of oids back as oids.
+func heads32(col []int32) []OID {
+	out := make([]OID, len(col))
+	for i, v := range col {
+		out[i] = OID(v)
 	}
+	return out
 }
 
 func TestClusterBUNsZeroBits(t *testing.T) {

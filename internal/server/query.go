@@ -85,7 +85,7 @@ type (
 	queryFooter = wire.Footer
 )
 
-// queryChunk is a row-chunk NDJSON line.
+// queryChunk is a row-chunk NDJSON line, as appendRowChunk writes it.
 type queryChunk struct {
 	Rows [][]int32 `json:"rows"`
 }
@@ -378,7 +378,11 @@ func (s *Server) abort(err error) {
 }
 
 // streamNDJSON encodes res as NDJSON: header, row chunks, footer.
-// Each chunk is flushed as soon as it is encoded.
+// Each chunk is flushed as soon as it is encoded. The header and footer
+// go through json.Encoder; each row chunk is written by hand into one
+// buffer reused chunk after chunk (appendRowChunk) — the bytes
+// json.Encoder writes for a queryChunk, without a slice per row or
+// reflection per value.
 func (s *Server) streamNDJSON(w http.ResponseWriter, req *QueryRequest, res *rd.Result) {
 	s.resultsNDJSON.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -391,17 +395,10 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, req *QueryRequest, res *rd.
 	}
 
 	n := streamRows(req, res)
+	var line []byte
 	for lo := 0; lo < n; lo += s.ndjsonRows {
-		hi := min(lo+s.ndjsonRows, n)
-		chunk := queryChunk{Rows: make([][]int32, 0, hi-lo)}
-		for i := lo; i < hi; i++ {
-			row := make([]int32, len(res.Cols))
-			for c := range res.Cols {
-				row[c] = res.Cols[c][i]
-			}
-			chunk.Rows = append(chunk.Rows, row)
-		}
-		if err := enc.Encode(chunk); err != nil {
+		line = appendRowChunk(line[:0], res.Cols, lo, min(lo+s.ndjsonRows, n))
+		if _, err := w.Write(line); err != nil {
 			s.abort(err)
 			return
 		}
@@ -418,6 +415,27 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, req *QueryRequest, res *rd.
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// appendRowChunk appends the NDJSON line of rows [lo,hi) of cols to
+// dst: {"rows":[[v,…],…]} and a newline, json.Encoder's bytes for the
+// queryChunk of those rows.
+func appendRowChunk(dst []byte, cols [][]int32, lo, hi int) []byte {
+	dst = append(dst, `{"rows":[`...)
+	for i := lo; i < hi; i++ {
+		if i > lo {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for c, col := range cols {
+			if c > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(col[i]), 10)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "]}\n"...)
 }
 
 // streamBinary encodes res as a binary columnar frame stream: header

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strings"
@@ -383,5 +386,66 @@ func TestBinaryFrameShape(t *testing.T) {
 	}
 	if st := getStatus(t, ts.URL); st.Server.WireFrames != want {
 		t.Fatalf("/v1/status wireFrames = %d, want %d", st.Server.WireFrames, want)
+	}
+}
+
+// encoderNDJSON is the NDJSON stream json.Encoder writes for res under
+// req with chunks of chunkRows rows: the header, one queryChunk of
+// [][]int32 rows per chunk, the footer — the reference streamNDJSON's
+// hand-written row lines are held to.
+func encoderNDJSON(t *testing.T, req *QueryRequest, res *rd.Result, chunkRows int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	docs := []any{resultHeader(res)}
+	n := streamRows(req, res)
+	for lo := 0; lo < n; lo += chunkRows {
+		chunk := queryChunk{Rows: [][]int32{}}
+		for i := lo; i < min(lo+chunkRows, n); i++ {
+			row := make([]int32, len(res.Cols))
+			for c := range res.Cols {
+				row[c] = res.Cols[c][i]
+			}
+			chunk.Rows = append(chunk.Rows, row)
+		}
+		docs = append(docs, chunk)
+	}
+	for _, d := range append(docs, resultFooter(res, n)) {
+		if err := enc.Encode(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestNDJSONRowsMatchEncoder: streamNDJSON's row lines, written with
+// strconv.AppendInt into one reused buffer, are byte for byte what
+// json.Encoder writes for the same rows — for negative values and the
+// int32 extremes, zero-width rows, a chunk cut short, Limit and
+// OmitRows.
+func TestNDJSONRowsMatchEncoder(t *testing.T) {
+	s, _ := newTestServer(t, rd.RuntimeConfig{Workers: 1, MaxConcurrentQueries: 1}, Config{ChunkRows: 4}, 64, 1)
+	signed := &rd.Result{N: 10, Names: []string{"a", "b", "c"}, Plan: "test", Cols: [][]int32{
+		{0, -1, 1, math.MinInt32, math.MaxInt32, -42, 42, -1000000, 7, -7},
+		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
+		{-5, -4, -3, -2, -1, 0, 1, 2, 3, 4},
+	}}
+	zeroWidth := &rd.Result{N: 6, Plan: "test"}
+	for _, c := range []struct {
+		name string
+		res  *rd.Result
+		req  QueryRequest
+	}{
+		{"signed", signed, QueryRequest{}},
+		{"signed, limit", signed, QueryRequest{Limit: 5}},
+		{"signed, omit rows", signed, QueryRequest{OmitRows: true}},
+		{"zero width", zeroWidth, QueryRequest{}},
+		{"zero width, limit", zeroWidth, QueryRequest{Limit: 4}},
+	} {
+		rec := httptest.NewRecorder()
+		s.streamNDJSON(rec, &c.req, c.res)
+		if want := encoderNDJSON(t, &c.req, c.res, 4); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: streamNDJSON wrote\n%s\njson.Encoder\n%s", c.name, rec.Body.Bytes(), want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/exec"
-	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/obs"
 	"radixdecluster/internal/radix"
@@ -144,13 +143,13 @@ func stepCount(tr *obs.Trace, name string) int {
 func withJoinImages(encoded *int64, sides ...*DSMSide) {
 	for _, s := range sides {
 		oids, keys, base := s.OIDs, s.Keys, s.Cols
-		s.JoinImage = func(o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (Image, error) {
+		s.JoinImage = func(o radix.Opts, compressed bool, e *exec.Engine) (Image, error) {
 			start := time.Now()
-			img, err := clusterImage(oids, keys, base, o)
+			img, err := clusterImage(e, oids, keys, base, o)
 			if err != nil {
 				return Image{}, err
 			}
-			step("build-join-image", start, time.Now())
+			e.Step("build-join-image", start, time.Now())
 			if compressed {
 				img.ColsEnc = make([]*compress.Encoded, len(img.Cols))
 				for c, col := range img.Cols {
@@ -185,21 +184,24 @@ func partitionBlockBytes(e *compress.Encoded, offs []int) (n int64) {
 }
 
 // clusterImage is the join image of an [oid, key] input whose oids
-// point into the base columns: the key hashes and every column's values
-// in clustered order.
-func clusterImage(oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image, error) {
-	offs, err := radix.KeyOffsets(keys, o)
+// point into the base columns, built on e: the key hashes and every
+// column's values in clustered order.
+func clusterImage(e *exec.Engine, oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image, error) {
+	cols := make([]exec.ImageCol, len(base))
+	for c, col := range base {
+		vals := make([]int32, len(oids))
+		for i, oid := range oids {
+			vals[i] = col[oid]
+		}
+		cols[c].Vals = vals
+	}
+	b, err := e.BuildImage(keys, o, true, cols)
 	if err != nil {
 		return Image{}, err
 	}
-	img := Image{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offs), Offsets: offs}}
-	clustered := radix.PermuteInto(make([]OID, len(keys)), keys, oids, o, offs)
-	for _, col := range base {
-		vals := make([]int32, len(clustered))
-		for i, oid := range clustered {
-			vals[i] = col[oid]
-		}
-		img.Cols = append(img.Cols, vals)
+	img := Image{Image: b.Image}
+	for _, c := range b.Cols {
+		img.Cols = append(img.Cols, c.Raw)
 	}
 	return img, nil
 }
@@ -328,8 +330,8 @@ func TestCompressedDecodesEachInputOnce(t *testing.T) {
 func withEncodedJoinImages(handed *int, sides ...*DSMSide) {
 	for _, s := range sides {
 		oids, keys, base := s.OIDs, s.Keys, s.Cols
-		s.JoinImage = func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
-			img, err := clusterImage(oids, keys, base, o)
+		s.JoinImage = func(o radix.Opts, _ bool, e *exec.Engine) (Image, error) {
+			img, err := clusterImage(e, oids, keys, base, o)
 			if err != nil {
 				return Image{}, err
 			}
@@ -393,9 +395,9 @@ func TestSideEncodingValidation(t *testing.T) {
 	withJoinImages(nil, &s)
 	// encodedOnly hands the larger side's only column out as enc alone.
 	oids, keys, base := l.OIDs, l.Keys, l.Cols
-	encodedOnly := func(enc *compress.Encoded) func(radix.Opts, bool, func(string, time.Time, time.Time)) (Image, error) {
-		return func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
-			img, err := clusterImage(oids, keys, base, o)
+	encodedOnly := func(enc *compress.Encoded) func(radix.Opts, bool, *exec.Engine) (Image, error) {
+		return func(o radix.Opts, _ bool, e *exec.Engine) (Image, error) {
+			img, err := clusterImage(e, oids, keys, base, o)
 			if err != nil {
 				return Image{}, err
 			}

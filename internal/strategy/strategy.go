@@ -33,7 +33,6 @@ package strategy
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
@@ -244,15 +243,16 @@ type DSMSide struct {
 	// what it projects — clustered ahead of the query, held outside it and
 	// shared with other queries, so the query never clusters. Auto plans
 	// u/u over it, and DSMPost reads it only for a u/u plan. For radix
-	// field o it returns the Image whose Hashes and Offsets are
-	// radix.PermuteHashes(Keys, o, …) and radix.KeyOffsets(Keys, o), and
-	// whose Cols[c] holds the values Cols[c][OIDs[i]] in that order. A
+	// field o it returns the Image whose Hashes and Offsets are those of
+	// the stable hashed Radix-Cluster of Keys on o (exec.Engine.BuildImage),
+	// and whose Cols[c] holds the values Cols[c][OIDs[i]] in that order. A
 	// compressed plan (compressed) may be given ColsEnc[c], an encoding of
-	// those values, in place of Cols[c]; any other plan gets Cols only. It
-	// reports each part it had to build, once built, through step. DSMPost
-	// never writes into it; a key-FK result's raw larger columns are views
-	// of it (Result.views).
-	JoinImage func(o radix.Opts, compressed bool, step func(name string, start, end time.Time)) (Image, error)
+	// those values, in place of Cols[c]; any other plan gets Cols only.
+	// Whatever it has to build it builds on e, the query's engine, and
+	// reports each part, once built, as a step of e. DSMPost never writes
+	// into it; a key-FK result's raw larger columns are views of it
+	// (Result.views).
+	JoinImage func(o radix.Opts, compressed bool, e *exec.Engine) (Image, error)
 }
 
 // Image is a side's join image as DSMPost reads it: the clustered join
@@ -527,11 +527,11 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 
 // sideImages returns the sides' join images for radix field o, checked
 // against the sides — a raw plan's without encodings. Whatever a side's
-// image lacked is built as a step of the running phase.
+// image lacked is built on e, as a step of the running phase.
 func sideImages(e *exec.Engine, larger, smaller DSMSide, compressed bool, o radix.Opts) ([2]Image, error) {
 	var imgs [2]Image
 	for i, s := range [2]DSMSide{larger, smaller} {
-		img, err := s.JoinImage(o, compressed, e.Step)
+		img, err := s.JoinImage(o, compressed, e)
 		if err != nil {
 			return imgs, err
 		}

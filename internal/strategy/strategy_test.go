@@ -241,9 +241,9 @@ func TestDSMPostJoinImages(t *testing.T) {
 			got.Release()
 		}
 	}
-	si.JoinImage = func(o radix.Opts, _ bool, _ func(string, time.Time, time.Time)) (Image, error) {
+	si.JoinImage = func(o radix.Opts, _ bool, e *exec.Engine) (Image, error) {
 		o.Bits++
-		return clusterImage(s.OIDs, s.Keys, s.Cols, o)
+		return clusterImage(e, s.OIDs, s.Keys, s.Cols, o)
 	}
 	if _, err := DSMPost(li, si, Unsorted, Unsorted, Config{Parallelism: 2}); err == nil {
 		t.Fatal("a join image clustered on other bits was accepted")
@@ -346,9 +346,9 @@ func TestOneJoinImagePlansLikeNone(t *testing.T) {
 		}
 		withJoinImages(nil, imaged)
 		built, img := 0, imaged.JoinImage
-		imaged.JoinImage = func(o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (Image, error) {
+		imaged.JoinImage = func(o radix.Opts, compressed bool, e *exec.Engine) (Image, error) {
 			built++
-			return img(o, compressed, step)
+			return img(o, compressed, e)
 		}
 		got, _, err := PlanDSMPost(li, si, Auto, Auto, cfg)
 		if err != nil {

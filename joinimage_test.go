@@ -269,6 +269,64 @@ func TestJoinImageBuiltOnce(t *testing.T) {
 	}
 }
 
+// TestJoinImageBuiltOnceAtNominal8 is TestJoinImageBuiltOnce's eight
+// concurrent first queries at nominal 8 on the 2-worker runtime, where
+// the building query's image build is 64 morsels a step: every result
+// is the serial u/u run's bytes, and between them the queries cluster
+// each relation once and build each projected column once, raw and
+// compressed.
+func TestJoinImageBuiltOnceAtNominal8(t *testing.T) {
+	const pi, queries = 2, 8
+	pr, err := workload.GenPair(workload.Params{N: 64 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 83})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(RuntimeConfig{Workers: 2, MaxConcurrentQueries: queries})
+	defer rt.Close()
+	for _, comp := range []Compression{CompressionOff, CompressionOn} {
+		larger, smaller := pairRelations(t, pr, pi, WithCompression())
+		q := JoinQuery{
+			Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
+			LargerProject: projNames(pi), SmallerProject: projNames(pi),
+			LargerMethod: UnsortedMethod, SmallerMethod: UnsortedMethod,
+		}
+		want, err := ProjectJoin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Parallelism, q.Runtime, q.Compression, q.Trace = 8, rt, comp, true
+		results := make([]*Result, queries)
+		errs := make([]error, queries)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				results[i], errs[i] = ProjectJoin(q)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		clusterings, copies := 0, 0
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			requireSameResult(t, fmt.Sprintf("compression=%v query %d", comp, i), res, want)
+			clusterings += traceSteps(res, "build-join-image")
+			copies += traceSteps(res, "build-image-column")
+			res.Release()
+		}
+		want.Release()
+		if clusterings != 2 || copies != 2*pi {
+			t.Fatalf("compression=%v: %d concurrent first queries at nominal 8 clustered %d times and built %d columns, want 2 and %d",
+				comp, queries, clusterings, copies, 2*pi)
+		}
+	}
+}
+
 // imageHolds reports, for each of the named columns, whether r's join
 // image on "key" holds a raw image-order copy of it and whether it holds
 // an encoding of that copy.

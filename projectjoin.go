@@ -473,8 +473,8 @@ func dsmSide(r *Relation, key string, proj []string, image bool) (strategy.DSMSi
 	side := strategy.DSMSide{OIDs: bat.Dense(len(keys)), Keys: keys, Cols: cols, BaseN: r.Len()}
 	if image {
 		// Only a relation built WithCompression has encodings to give.
-		side.JoinImage = func(o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
-			return r.joinImage(key, proj, o, compressed && r.compressed, step)
+		side.JoinImage = func(o radix.Opts, compressed bool, e *exec.Engine) (strategy.Image, error) {
+			return r.joinImage(key, proj, o, compressed && r.compressed, e)
 		}
 	}
 	return side, nil

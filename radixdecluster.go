@@ -65,6 +65,7 @@ package radixdecluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -72,6 +73,7 @@ import (
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/calibrator"
 	"radixdecluster/internal/compress"
+	"radixdecluster/internal/exec"
 	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/nsm"
@@ -212,9 +214,9 @@ type Relation struct {
 }
 
 // keyImage is one key column's join image, column-wise: the cluster
-// offsets and the key hashes of radix.KeyOffsets/PermuteHashes for the
+// offsets and the key hashes of the stable hashed Radix-Cluster on the
 // radix field it was built for and whether those hashes are distinct
-// (join.DistinctHashes, checked once at the build), image-order copies
+// (checked once at the build; exec.Engine.BuildImage), image-order copies
 // of the columns raw plans projected from it (cols) and block-compressed
 // encodings of the image-order copies of the columns compressed plans
 // projected (encs), each added by the first query that needs it. An
@@ -326,24 +328,25 @@ func (r *Relation) nsmImage() (*nsm.Relation, error) {
 // projected column comes as the block-compressed encoding of its
 // image-order copy (Image.ColsEnc, the raw entry nil), or raw where that
 // copy does not shrink; other plans get raw copies only. Under the
-// relation's lock it builds what the image lacks — all of it when the
-// image was built for another radix field — so concurrent first queries
-// build each part once; once the lock is released it reports each build
-// through step: the clustering as "build-join-image", a column or an
-// encoding as "build-image-column". The clustering is stable, so the pass split does
-// not change its bytes: the image is keyed by the radix field alone. A
-// projected key column is a column like any other: the image holds the
-// key hashes the probe compares, not the keys.
-func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed bool, step func(string, time.Time, time.Time)) (strategy.Image, error) {
-	type build struct {
+// relation's lock it decides what the image lacks — all of it when the
+// image was built for another radix field — and builds that on e, the
+// querying engine (exec.Engine.BuildImage), so concurrent first queries
+// build each part once; once the lock is released it reports each part
+// as a step of e: the clustering as "build-join-image", a column or an
+// encoding as "build-image-column". The clustering is stable, so the
+// pass split does not change its bytes: the image is keyed by the radix
+// field alone. A projected key column is a column like any other: the
+// image holds the key hashes the probe compares, not the keys.
+func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed bool, e *exec.Engine) (strategy.Image, error) {
+	type step struct {
 		name       string
 		start, end time.Time
 	}
-	var builds []build
+	var steps []step
 	// Deferred before the lock, so it runs after the unlock.
 	defer func() {
-		for _, b := range builds {
-			step(b.name, b.start, b.end)
+		for _, s := range steps {
+			e.Step(s.name, s.start, s.end)
 		}
 	}()
 	r.imgMu.Lock()
@@ -353,67 +356,63 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed
 		return strategy.Image{}, err
 	}
 	ki := r.joinImgs[key]
-	if ki == nil || ki.o.Bits != o.Bits || ki.o.Ignore != o.Ignore {
-		start := time.Now()
-		offsets, err := radix.KeyOffsets(keys, o)
+	cluster := ki == nil || ki.o.Bits != o.Bits || ki.o.Ignore != o.Ignore
+	if cluster {
+		ki = &keyImage{o: o, cols: map[string][]int32{}, encs: map[string]*compress.Encoded{}}
+	}
+	// The columns the image lacks: a compressed plan's encoding not yet
+	// tried, another plan's raw copy (a compressed plan reads the raw copy
+	// an encoding that did not shrink left).
+	var names []string
+	var lack []exec.ImageCol
+	for _, name := range proj {
+		vals, err := r.Column(name)
 		if err != nil {
 			return strategy.Image{}, err
 		}
-		ki = &keyImage{Image: join.Image{Hashes: radix.PermuteHashes(keys, o, offsets), Offsets: offsets},
-			o: o, cols: map[string][]int32{}, encs: map[string]*compress.Encoded{}}
-		ki.Distinct = join.DistinctHashes(&ki.Image, uint(o.Ignore+o.Bits))
-		builds = append(builds, build{"build-join-image", start, time.Now()})
-		if r.joinImgs == nil {
-			r.joinImgs = make(map[string]*keyImage)
+		_, tried := ki.encs[name]
+		encode := compressed && !tried
+		if !encode && (compressed || ki.cols[name] != nil) || slices.Contains(names, name) {
+			continue
 		}
-		r.joinImgs[key] = ki
+		names, lack = append(names, name), append(lack, exec.ImageCol{Vals: vals, Encode: encode})
 	}
+	if cluster || len(lack) > 0 {
+		start := time.Now()
+		b, err := e.BuildImage(keys, o, cluster, lack)
+		if err != nil {
+			return strategy.Image{}, err
+		}
+		if cluster {
+			ki.Image = b.Image
+			steps = append(steps, step{"build-join-image", start, b.Clustered})
+			if r.joinImgs == nil {
+				r.joinImgs = make(map[string]*keyImage)
+			}
+			r.joinImgs[key] = ki
+		}
+		for j, name := range names {
+			if lack[j].Encode {
+				ki.encs[name] = b.Cols[j].Enc
+			}
+			if raw := b.Cols[j].Raw; raw != nil && ki.cols[name] == nil {
+				ki.cols[name] = raw
+			}
+			steps = append(steps, step{"build-image-column", start, b.Cols[j].Done})
+		}
+	}
+
 	img := strategy.Image{Image: ki.Image}
 	img.Cols = make([][]int32, len(proj))
 	if compressed {
 		img.ColsEnc = make([]*compress.Encoded, len(proj))
 	}
-	// The encodings this call builds are each made from one image-order
-	// copy in scratch, reused column after column: no copy is allocated
-	// per encoded column, and scratch is garbage once the call returns
-	// (unless a copy that did not shrink keeps it).
-	var scratch []int32
 	for i, name := range proj {
-		vals, err := r.Column(name)
-		if err != nil {
-			return strategy.Image{}, err
-		}
-		enc, tried := ki.encs[name]
-		if compressed && !tried {
-			start := time.Now()
-			if scratch == nil {
-				scratch = make([]int32, len(keys))
-			}
-			perm := radix.PermuteInto(scratch, keys, vals, o, ki.Offsets)
-			if enc, err = compress.EncodeBest(perm); err != nil {
-				return strategy.Image{}, err
-			}
-			if enc.Ratio() >= 1 {
-				enc = nil
-				if ki.cols[name] == nil {
-					ki.cols[name], scratch = perm, nil
-				}
-			}
-			ki.encs[name] = enc
-			builds = append(builds, build{"build-image-column", start, time.Now()})
-		}
-		if compressed && enc != nil {
+		if enc := ki.encs[name]; compressed && enc != nil {
 			img.ColsEnc[i] = enc
 			continue
 		}
-		col := ki.cols[name]
-		if col == nil {
-			start := time.Now()
-			col = radix.PermuteInto(make([]int32, len(keys)), keys, vals, o, ki.Offsets)
-			ki.cols[name] = col
-			builds = append(builds, build{"build-image-column", start, time.Now()})
-		}
-		img.Cols[i] = col
+		img.Cols[i] = ki.cols[name]
 	}
 	return img, nil
 }
