@@ -699,15 +699,15 @@ func BenchmarkConcurrentProjectJoin(b *testing.B) {
 
 // BenchmarkProjectJoinImages is one query alone on a 2-worker runtime:
 // 1 Mi ⋈ 1 Mi, π = 2 per side, the runtime's DSM post-projection (u/u
-// over join images, built outside the timer). hit=1 is key-FK: each
-// partition's rows are written in place, and the larger columns are
-// the join image's own (raw) or decoded into the result (compressed).
-// Its smaller keys are distinct, so every probe stops at its first
-// match and each partition's key-FK test is a count. hit=3 (duplicate
-// smaller keys: its image is not Distinct, and every chain is walked
-// to its end) and hit=0.3 (distinct, but with misses) are not key-FK,
-// so they pay the fallback — the stitched join-index and two
-// per-partition fetches — after the probe.
+// over join images, built outside the timer), raw and compressed at
+// each hit rate. hit=1 is key-FK: each partition's rows are written in
+// place, and the larger columns are the join image's own (raw) or
+// decoded into the result (compressed). Its smaller keys are distinct,
+// so every probe stops at its first match and each partition's key-FK
+// test is a count. hit=3 (duplicate smaller keys: its image is not
+// Distinct, and every chain is walked to its end) and hit=0.3
+// (distinct, but with misses) are not key-FK, so a second morsel per
+// partition gathers its rows at its match list into the result.
 func BenchmarkProjectJoinImages(b *testing.B) {
 	const n, pi = 1 << 20, 2
 	rt := NewRuntime(RuntimeConfig{Workers: 2})
@@ -715,7 +715,7 @@ func BenchmarkProjectJoinImages(b *testing.B) {
 	for _, leg := range []struct {
 		hit  float64
 		comp Compression
-	}{{1, CompressionOff}, {1, CompressionOn}, {3, CompressionOff}, {0.3, CompressionOff}} {
+	}{{1, CompressionOff}, {1, CompressionOn}, {3, CompressionOff}, {3, CompressionOn}, {0.3, CompressionOff}, {0.3, CompressionOn}} {
 		repr := "raw"
 		if leg.comp == CompressionOn {
 			repr = "compressed"

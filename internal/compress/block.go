@@ -27,7 +27,19 @@ type Encoded struct {
 // EncodeColumn compresses a column under the given scheme and builds
 // the block index.
 func EncodeColumn(values []int32, scheme Scheme) (*Encoded, error) {
-	data, err := Compress(values, scheme)
+	return encode(values, scheme, EstimateBytes(values, scheme))
+}
+
+// EncodeBest compresses a column under the scheme Best picks for it.
+func EncodeBest(values []int32) (*Encoded, error) {
+	s, size := Best(values)
+	return encode(values, s, size)
+}
+
+// encode compresses values under scheme into a buffer of size bytes,
+// their exact encoded size, and builds the block index.
+func encode(values []int32, scheme Scheme, size int) (*Encoded, error) {
+	data, err := AppendCompress(make([]byte, 0, size), values, scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -39,15 +51,6 @@ func EncodeColumn(values []int32, scheme Scheme) (*Encoded, error) {
 		return nil, fmt.Errorf("compress: encoded %d values, want %d", e.n, len(values))
 	}
 	return e, nil
-}
-
-// EncodeBest compresses a column under the scheme Best picks for it.
-func EncodeBest(values []int32) (*Encoded, error) {
-	s, err := Best(values)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeColumn(values, s)
 }
 
 // ParseEncoded validates a compressed stream produced by Compress and

@@ -220,11 +220,13 @@ func Ratio(values []int32, scheme Scheme) (float64, error) {
 
 // Best picks the scheme with the better ratio for a column — a
 // miniature version of the per-column scheme choice a DSM system
-// would make at load time. It compares the two exact EstimateBytes
-// sizes, so choosing packs nothing; ties go to FOR.
-func Best(values []int32) (Scheme, error) {
-	if EstimateBytes(values, DeltaFOR) < EstimateBytes(values, FOR) {
-		return DeltaFOR, nil
+// would make at load time — and returns its exact encoded size. It
+// compares the two EstimateBytes sizes, so choosing packs nothing; ties
+// go to FOR.
+func Best(values []int32) (Scheme, int) {
+	f, d := EstimateBytes(values, FOR), EstimateBytes(values, DeltaFOR)
+	if d < f {
+		return DeltaFOR, d
 	}
-	return FOR, nil
+	return FOR, f
 }

@@ -1,14 +1,17 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
 // FuzzRoundTrip checks Compress∘Decompress is the identity for
-// arbitrary columns under both schemes, and the two facts Best's
-// pack-free choice rests on: EstimateBytes is the encoded size exactly,
-// and Best picks the scheme with the smaller Ratio.
+// arbitrary columns under both schemes, and the facts Best's pack-free
+// choice rests on: EstimateBytes is the encoded size exactly, Best
+// picks the scheme with the smaller Ratio and prices it exactly, and
+// EncodeBest is EncodeColumn under that scheme.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 255, 255, 255, 255}, true)
 	f.Add([]byte{}, false)
@@ -53,8 +56,27 @@ func FuzzRoundTrip(f *testing.F) {
 		if rd < rf {
 			want = DeltaFOR
 		}
-		if best, err := Best(vals); err != nil || best != want {
-			t.Fatalf("Best = %v, %v; the smaller Ratio is %v's (for %v, delta %v)", best, err, want, rf, rd)
+		best, size := Best(vals)
+		if best != want {
+			t.Fatalf("Best = %v; the smaller Ratio is %v's (for %v, delta %v)", best, want, rf, rd)
+		}
+		bc, err := Compress(vals, best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size != len(bc) {
+			t.Fatalf("Best priced %v at %d bytes, Compress wrote %d", best, size, len(bc))
+		}
+		enc, err := EncodeBest(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := EncodeColumn(vals, best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.data, col.data) || !slices.Equal(enc.offs, col.offs) || enc.n != col.n || enc.scheme != col.scheme {
+			t.Fatalf("EncodeBest differs from EncodeColumn under %v", best)
 		}
 	})
 }

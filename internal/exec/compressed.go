@@ -3,19 +3,18 @@ package exec
 // Compressed execution reads and writes block-compressed encodings in
 // this file only: every other operator takes raw []int32 / *nsm.Relation
 // operands. BuildImage builds a relation's join image, its encodings
-// included, and the operators over join images read them, raw or
-// compressed:
-// ProjectImages, the one-pass u/u post-projection that probes and
-// fetches each radix partition in one morsel, and FetchImage, the fetch
-// it falls back to when the join is not key-FK. Per partition each
-// decodes an encoded column's image range into the worker's scratch and
-// gathers the partition's matches from there — or, for a larger
-// partition matched exactly once, decodes it straight into the result —
-// so a compressed plan decodes where it fetches and leases no decoded
-// column. The decoded values are the raw ones, so a compressed run is
-// byte-identical to the raw run of the same plan.
+// included, and ProjectImages, the u/u post-projection over two join
+// images, reads them, raw or compressed, one radix partition per
+// morsel. Per partition it decodes an encoded column's image range
+// into the worker's scratch and gathers the partition's matches from
+// there — or, for a larger partition matched exactly once, decodes it
+// straight into the result — so a compressed plan decodes where it
+// fetches and leases no decoded column. The decoded values are the raw
+// ones, so a compressed run is byte-identical to the raw run of the
+// same plan.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -89,108 +88,40 @@ func (c *compCounters) decode(dst []int32, enc *compress.Encoded, lo, hi int) er
 	return nil
 }
 
-// FetchImage is the Positional-Join over one side of a join image, one
-// radix partition per morsel: pos are image positions, and partition
-// p's matches pos[parts[p]:parts[p+1]] lie in its image range
-// [offs[p], offs[p+1]) (join.Index.Parts, join.Image.Offsets). Per
-// column the morsel takes that range — decoded from encs[c] into the
-// worker's scratch where the column is encoded, else cols[c]'s own
-// values — and gathers the partition's matches from it (fetchRange). A
-// partition without matches decodes nothing; a block straddling two
-// partitions is decoded, and counted, by each. Partition p is task p,
-// homed on the worker that probed it. The bytes are
-// posjoin.FetchInto's over the decoded columns on every engine, and an
-// error is the first in partition, then column, order. The columns are
-// result arrays (Engine.Own).
-func (e *Engine) FetchImage(cols [][]int32, encs []*compress.Encoded, offs, parts []int, pos []OID) ([][]int32, error) {
-	h := len(offs) - 1
-	if h < 0 || len(parts) != len(offs) || parts[0] != 0 || parts[h] != len(pos) || offs[0] != 0 {
-		return nil, fmt.Errorf("exec: image fetch: %d partition offsets and %d match offsets over %d positions",
-			len(offs), len(parts), len(pos))
-	}
-	for p := range h {
-		if offs[p] > offs[p+1] || parts[p] > parts[p+1] {
-			return nil, fmt.Errorf("exec: image fetch: partition %d: offsets descend", p)
-		}
-	}
-	encoded, err := checkImageCols("image fetch", cols, encs, offs[h])
-	if err != nil {
-		return nil, err
-	}
-	e.comp.cols.Add(int64(encoded))
-
-	out := make([][]int32, len(cols))
-	for c := range out {
-		out[c] = e.Own(len(pos))
-	}
-	// The lowest failing partition's error is kept — no per-partition
-	// error slots.
-	var (
-		mu    sync.Mutex
-		errPt = h
-		ferr  error
-	)
-	e.run(len(pos), h, func(p int, s *Scratch) {
-		lo, hi, a, b := offs[p], offs[p+1], parts[p], parts[p+1]
-		if a == b {
-			return
-		}
-		for c, col := range cols {
-			if err := e.fetchRange(out[c][a:b], col, encAt(encs, c), lo, hi, pos[a:b], s); err != nil {
-				mu.Lock()
-				if p < errPt {
-					errPt, ferr = p, fmt.Errorf("partition %d, column %d: %w", p, c, err)
-				}
-				mu.Unlock()
-				return
-			}
-		}
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	return out, nil
-}
-
-// fetchRange gathers pos, image positions in [lo,hi), into dst from
-// col's values there — or, where the column is encoded in enc, from
-// those values decoded into s's scratch.
-func (e *Engine) fetchRange(dst, col []int32, enc *compress.Encoded, lo, hi int, pos []OID, s *Scratch) error {
-	if enc == nil {
-		return posjoin.FetchWindowInto(dst, col[lo:hi], OID(lo), pos)
-	}
-	src := s.Int32s(hi - lo)
-	if err := e.comp.decode(src, enc, lo, hi); err != nil {
-		return err
-	}
-	return posjoin.FetchWindowInto(dst, src, OID(lo), pos)
-}
-
-// fetchRanges is fetchRange over every column of one side, writing
-// column c's values at dsts[c][at:at+len(pos)]: raw columns gather two at
-// a time (posjoin.FetchWindowPairInto, one pass over pos per pair),
-// encoded ones and an odd raw one alone.
+// fetchRanges gathers pos, image positions in [lo,hi), from every
+// column of one side into column c's dsts[c][at:at+len(pos)]: raw
+// columns two at a time (posjoin.FetchWindowPairInto, one pass over pos
+// per pair), an encoded one from its range decoded into s's scratch,
+// and an odd raw one alone. Without positions it reads and decodes
+// nothing. An error names its column.
 func (e *Engine) fetchRanges(dsts [][]int32, at int, cols [][]int32, encs []*compress.Encoded, lo, hi int, pos []OID, s *Scratch) error {
+	if len(pos) == 0 {
+		return nil
+	}
 	end := at + len(pos)
 	held := -1 // a raw column waiting for its pair
 	for c, col := range cols {
-		if enc := encAt(encs, c); enc != nil {
-			if err := e.fetchRange(dsts[c][at:end], nil, enc, lo, hi, pos, s); err != nil {
-				return err
+		var err error
+		switch enc := encAt(encs, c); {
+		case enc != nil:
+			src := s.Int32s(hi - lo)
+			if err = e.comp.decode(src, enc, lo, hi); err == nil {
+				err = posjoin.FetchWindowInto(dsts[c][at:end], src, OID(lo), pos)
 			}
-			continue
-		}
-		if held < 0 {
+		case held < 0:
 			held = c
-			continue
+		default:
+			err = posjoin.FetchWindowPairInto(dsts[held][at:end], dsts[c][at:end], cols[held][lo:hi], col[lo:hi], OID(lo), pos)
+			held = -1
 		}
-		if err := posjoin.FetchWindowPairInto(dsts[held][at:end], dsts[c][at:end], cols[held][lo:hi], col[lo:hi], OID(lo), pos); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("column %d: %w", c, err)
 		}
-		held = -1
 	}
 	if held >= 0 {
-		return posjoin.FetchWindowInto(dsts[held][at:end], cols[held][lo:hi], OID(lo), pos)
+		if err := posjoin.FetchWindowInto(dsts[held][at:end], cols[held][lo:hi], OID(lo), pos); err != nil {
+			return fmt.Errorf("column %d: %w", held, err)
+		}
 	}
 	return nil
 }
@@ -366,148 +297,200 @@ type ImageProjection struct {
 	Views           []bool
 }
 
-// ProjectImages is the u/u DSM post-projection over two join images in
-// one pass, one morsel per radix partition (task p is partition p). Each
-// morsel probes its partition pair and, while the match list is in the
+// ProjectImages is the u/u DSM post-projection over two join images,
+// one morsel per radix partition (task p is partition p). Each morsel
+// probes its partition pair and, while the match list is in the
 // worker's caches, checks whether the larger matches are the
 // partition's image range in order (key-FK). Over a Distinct smaller
 // image the probe is join.ProbeFirst (probeFirst): one smaller position
 // per larger tuple, and the partition is key-FK when every probe
 // matched — its larger positions, the image range, are then never
 // written. Otherwise join.ProbeImage emits the match list, checked
-// match by match. A key-FK partition's result rows are written in place
-// at that range: smaller columns gathered from the partition's image
-// range (fetchRanges), encoded larger columns decoded straight into the
-// result. When every partition was key-FK, each raw larger column is
-// the image column itself (Views), neither copied nor leased. The first
-// partition that is not (or a decode error) stops the in-place writes,
-// and the query finishes with the stitched join-index and two
-// FetchImage passes. The bytes and the error are those of FetchImage
-// over the join-index of join.PartitionedImagesInto either way. The
-// in-morsel fetch times apportion the pass's wall time to
-// PhaseProjectLarger and PhaseProjectSmaller (attribute); the probe's
-// share stays with the calling phase's kind.
+// match by match. A key-FK partition writes its rows once, at its image
+// range: smaller columns gathered from the partition's image range
+// (fetchRanges), encoded larger columns decoded straight into the
+// result. When every partition is key-FK that is the whole query, and
+// each raw larger column is the image column itself (Views), neither
+// copied nor leased; otherwise imagePass.move places the rows. The
+// bytes are posjoin.FetchInto's over join.PartitionedImagesInto's
+// join-index and the decoded columns; an error is the lowest failing
+// partition's, larger columns before smaller ones. The in-morsel fetch
+// times apportion the wall time to PhaseProjectLarger and
+// PhaseProjectSmaller (attribute); the probe's share stays with the
+// calling phase's kind.
 func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProjection, error) {
 	lOffs, sOffs := larger.Offsets, smaller.Offsets
 	if len(lOffs) != len(sOffs) || len(lOffs) == 0 {
 		return ImageProjection{}, fmt.Errorf("exec: image projection: partition counts differ: %d vs %d", len(lOffs)-1, len(sOffs)-1)
 	}
 	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
-	lEnc, err := checkImageCols("image projection", larger.Cols, larger.ColsEnc, n)
-	if err != nil {
+	lEnc, lerr := checkImageCols(larger.Cols, larger.ColsEnc, n)
+	sEnc, serr := checkImageCols(smaller.Cols, smaller.ColsEnc, sOffs[h])
+	if err := cmp.Or(lerr, serr); err != nil {
 		return ImageProjection{}, err
 	}
-	sEnc, err := checkImageCols("image projection", smaller.Cols, smaller.ColsEnc, sOffs[h])
-	if err != nil {
-		return ImageProjection{}, err
-	}
+	e.comp.cols.Add(int64(lEnc + sEnc))
 
-	// The result arrays of the in-place writes: every smaller column and
-	// every encoded larger column, N = n rows when every partition is
-	// dense. A raw larger column needs none.
-	res := ImageProjection{N: n, Larger: make([][]int32, len(larger.Cols)), Smaller: make([][]int32, len(smaller.Cols))}
-	for c := range res.Larger {
-		if encAt(larger.ColsEnc, c) != nil {
-			res.Larger[c] = e.Own(n)
-		}
-	}
-	for c := range res.Smaller {
-		res.Smaller[c] = e.Own(n)
-	}
-	items := n + sOffs[h]
-	var (
-		sparse                       atomic.Bool
-		probeNs, largerNs, smallerNs atomic.Int64
-	)
-	probe := func(pt int, out *join.Index, ts *join.TableScratch) {
-		t := time.Now()
-		if smaller.Distinct {
-			probeFirst(&larger.Image, &smaller.Image, pt, shift, out, ts)
+	// The key-FK rows, at their larger image positions: each raw larger
+	// column is the image column itself (Views), every other column a
+	// result array.
+	kfk := ImageProjection{N: n, Larger: make([][]int32, len(larger.Cols)), Smaller: make([][]int32, len(smaller.Cols)), Views: make([]bool, len(larger.Cols))}
+	for c, col := range larger.Cols {
+		if kfk.Views[c] = encAt(larger.ColsEnc, c) == nil; kfk.Views[c] {
+			kfk.Larger[c] = col[:n:n]
 		} else {
-			join.ProbeImage(&larger.Image, &smaller.Image, pt, shift, out, ts)
+			kfk.Larger[c] = e.Own(n)
 		}
-		probeNs.Add(int64(time.Since(t)))
 	}
-	then := func(pt int, part join.Index, s *Scratch) {
-		ll, lh := lOffs[pt], lOffs[pt+1]
-		if ll == lh || sparse.Load() {
+	for c := range kfk.Smaller {
+		kfk.Smaller[c] = e.Own(n)
+	}
+	ip := &imagePass{e: e, larger: larger, smaller: smaller, shift: shift, kfk: kfk}
+	start := time.Now()
+	lists := e.probeEach(n+sOffs[h], lOffs, sOffs, ip.probe, ip.writeKeyFK)
+	res := kfk
+	if ip.moved.Load() {
+		res = ip.move(n+sOffs[h], lists)
+	}
+	Return(e, lists.larger, lists.smaller)
+	Return(e, lists.starts, lists.counts)
+	if sum := float64(ip.probeNs.Load() + ip.largerNs.Load() + ip.smallerNs.Load()); sum > 0 {
+		wall := float64(time.Since(start))
+		e.attribute(PhaseProjectLarger, time.Duration(wall*float64(ip.largerNs.Load())/sum))
+		e.attribute(PhaseProjectSmaller, time.Duration(wall*float64(ip.smallerNs.Load())/sum))
+	}
+	if ip.err != nil {
+		return ImageProjection{}, ip.err
+	}
+	return res, nil
+}
+
+// imagePass is what the morsels of one ProjectImages call share.
+type imagePass struct {
+	e               *Engine
+	larger, smaller *Image
+	shift           uint
+	kfk             ImageProjection // the key-FK partitions' rows
+	moved           atomic.Bool     // a partition is not key-FK
+
+	mu    sync.Mutex
+	errPt int
+	err   error // the lowest failing partition's
+
+	probeNs, largerNs, smallerNs atomic.Int64
+}
+
+// probe fills out with partition pt's match list.
+func (ip *imagePass) probe(pt int, out *join.Index, ts *join.TableScratch) {
+	t := time.Now()
+	if ip.smaller.Distinct {
+		probeFirst(&ip.larger.Image, &ip.smaller.Image, pt, ip.shift, out, ts)
+	} else {
+		join.ProbeImage(&ip.larger.Image, &ip.smaller.Image, pt, ip.shift, out, ts)
+	}
+	ip.probeNs.Add(int64(time.Since(t)))
+}
+
+// keyFK is the probe's key-FK test: a raw larger side fetches nothing.
+// Past a distinct smaller side the hit count decides it, and never
+// reads the unwritten larger positions.
+func (ip *imagePass) keyFK(pt int, part join.Index) bool {
+	ll, lh := ip.larger.Offsets[pt], ip.larger.Offsets[pt+1]
+	return ip.smaller.Distinct && part.Len() == lh-ll || identity(part.Larger, ll, lh)
+}
+
+// writeKeyFK follows partition pt's probe in its morsel: a key-FK
+// partition writes its rows into kfk, any other writes nothing.
+func (ip *imagePass) writeKeyFK(pt int, part join.Index, s *Scratch) {
+	t0 := time.Now()
+	fk := ip.keyFK(pt, part)
+	t1 := time.Now()
+	ip.probeNs.Add(int64(t1.Sub(t0)))
+	if !fk {
+		ip.moved.Store(true)
+		return
+	}
+	ll, lh, sOffs := ip.larger.Offsets[pt], ip.larger.Offsets[pt+1], ip.smaller.Offsets
+	for c, enc := range ip.larger.ColsEnc {
+		if enc == nil {
+			continue
+		}
+		if err := ip.e.comp.decode(ip.kfk.Larger[c][ll:lh], enc, ll, lh); err != nil {
+			ip.fail(pt, "larger", fmt.Errorf("column %d: %w", c, err))
 			return
 		}
-		// The key-FK test is the probe's: a raw larger side fetches
-		// nothing. Past a distinct smaller side the hit count decides
-		// it, and never reads the unwritten larger positions.
+	}
+	t2 := time.Now()
+	if err := ip.e.fetchRanges(ip.kfk.Smaller, ll, ip.smaller.Cols, ip.smaller.ColsEnc, sOffs[pt], sOffs[pt+1], part.Smaller, s); err != nil {
+		ip.fail(pt, "smaller", err)
+	}
+	ip.largerNs.Add(int64(t2.Sub(t1)))
+	ip.smallerNs.Add(int64(time.Since(t2)))
+}
+
+// move is one more morsel per partition, run when a partition is not
+// key-FK: partition p's rows go to the result at the sum of the match
+// counts before p. A key-FK partition copies its rows from kfk (its raw
+// larger rows from the image range), any other gathers both sides at
+// its match list. kfk's result arrays go back to the kit once copied.
+func (ip *imagePass) move(items int, lists matchLists) ImageProjection {
+	e, larger, smaller := ip.e, ip.larger, ip.smaller
+	lOffs, sOffs := larger.Offsets, smaller.Offsets
+	h := len(lOffs) - 1
+	at := mempool.Slice[int](e.mem(), h+1)
+	at[0] = 0
+	for pt := range h {
+		at[pt+1] = at[pt] + lists.counts[pt]
+	}
+	res := ImageProjection{N: at[h], Larger: make([][]int32, len(larger.Cols)), Smaller: make([][]int32, len(smaller.Cols))}
+	for _, cols := range [][][]int32{res.Larger, res.Smaller} {
+		for c := range cols {
+			cols[c] = e.Own(res.N)
+		}
+	}
+	e.run(items, h, func(pt int, s *Scratch) {
+		part, a, b, ll, lh := lists.list(pt), at[pt], at[pt+1], lOffs[pt], lOffs[pt+1]
 		t0 := time.Now()
-		ok := smaller.Distinct && len(part.Larger) == lh-ll || identity(part.Larger, ll, lh)
+		if ip.keyFK(pt, part) {
+			for c, col := range ip.kfk.Larger {
+				copy(res.Larger[c][a:b], col[ll:lh])
+			}
+			t1 := time.Now()
+			for c, col := range ip.kfk.Smaller {
+				copy(res.Smaller[c][a:b], col[ll:lh])
+			}
+			ip.largerNs.Add(int64(t1.Sub(t0)))
+			ip.smallerNs.Add(int64(time.Since(t1)))
+			return
+		}
+		err := e.fetchRanges(res.Larger, a, larger.Cols, larger.ColsEnc, ll, lh, part.Larger, s)
 		t1 := time.Now()
-		for c, enc := range larger.ColsEnc {
-			ok = ok && (enc == nil || e.comp.decode(res.Larger[c][ll:lh], enc, ll, lh) == nil)
+		if err != nil {
+			ip.fail(pt, "larger", err)
+		} else if err = e.fetchRanges(res.Smaller, a, smaller.Cols, smaller.ColsEnc, sOffs[pt], sOffs[pt+1], part.Smaller, s); err != nil {
+			ip.fail(pt, "smaller", err)
 		}
-		t2 := time.Now()
-		ok = ok && e.fetchRanges(res.Smaller, ll, smaller.Cols, smaller.ColsEnc, sOffs[pt], sOffs[pt+1], part.Smaller, s) == nil
-		probeNs.Add(int64(t1.Sub(t0)))
-		largerNs.Add(int64(t2.Sub(t1)))
-		smallerNs.Add(int64(time.Since(t2)))
-		if !ok {
-			sparse.Store(true)
-		}
-	}
-	start := time.Now()
-	lists := e.probeEach(items, lOffs, sOffs, probe, then)
-	if sum := float64(probeNs.Load() + largerNs.Load() + smallerNs.Load()); sum > 0 {
-		wall := float64(time.Since(start))
-		e.attribute(PhaseProjectLarger, time.Duration(wall*float64(largerNs.Load())/sum))
-		e.attribute(PhaseProjectSmaller, time.Duration(wall*float64(smallerNs.Load())/sum))
-	}
-
-	if !sparse.Load() {
-		Return(e, lists.larger, lists.smaller)
-		Return(e, lists.starts, lists.counts)
-		res.Views = make([]bool, len(larger.Cols))
-		for c, col := range larger.Cols {
-			if encAt(larger.ColsEnc, c) == nil {
-				res.Larger[c], res.Views[c] = col[:n:n], true
-			}
-		}
-		e.comp.cols.Add(int64(lEnc + sEnc))
-		return res, nil
-	}
-
-	// Not every larger partition was matched exactly once: the in-place
-	// rows are void, and each side is fetched from the stitched
-	// join-index — after the larger positions the first-match probes left
-	// unwritten, those of the key-FK partitions, are written.
+		ip.largerNs.Add(int64(t1.Sub(t0)))
+		ip.smallerNs.Add(int64(time.Since(t1)))
+	})
+	Return(e, at)
 	home := e.Home()
-	for _, col := range slices.Concat(res.Larger, res.Smaller) {
-		mempool.Recycle(home, col)
+	for c, col := range slices.Concat(ip.kfk.Larger, ip.kfk.Smaller) {
+		if c >= len(ip.kfk.Views) || !ip.kfk.Views[c] {
+			mempool.Recycle(home, col)
+		}
 	}
-	if smaller.Distinct {
-		e.run(items, h, func(pt int, _ *Scratch) {
-			ll, k := lOffs[pt], lOffs[pt+1]-lOffs[pt]
-			if lists.counts[pt] == k {
-				at := lists.starts[pt]
-				for i := range k {
-					lists.larger[at+i] = OID(ll + i)
-				}
-			}
-		})
+	return res
+}
+
+// fail records partition pt's error on the named side, unless a lower
+// partition failed.
+func (ip *imagePass) fail(pt int, side string, err error) {
+	ip.mu.Lock()
+	defer ip.mu.Unlock()
+	if ip.err == nil || pt < ip.errPt {
+		ip.errPt, ip.err = pt, fmt.Errorf("exec: image projection: partition %d, %s %w", pt, side, err)
 	}
-	ix, parts := e.stitch(items, lOffs, lists)
-	out := ImageProjection{N: ix.Len()}
-	t := time.Now()
-	out.Larger, err = e.FetchImage(larger.Cols, larger.ColsEnc, lOffs, parts, ix.Larger)
-	Return(e, ix.Larger)
-	e.attribute(PhaseProjectLarger, time.Since(t))
-	if err == nil {
-		t = time.Now()
-		out.Smaller, err = e.FetchImage(smaller.Cols, smaller.ColsEnc, sOffs, parts, ix.Smaller)
-		e.attribute(PhaseProjectSmaller, time.Since(t))
-	}
-	Return(e, ix.Smaller)
-	Return(e, parts)
-	if err != nil {
-		return ImageProjection{}, err
-	}
-	return out, nil
 }
 
 // probeFirst probes partition pt of two images whose smaller side is
@@ -535,7 +518,7 @@ func probeFirst(larger, smaller *join.Image, pt int, shift uint, out *join.Index
 
 // checkImageCols checks that every column of an image side holds n
 // values, raw or encoded, and counts the encoded ones.
-func checkImageCols(op string, cols [][]int32, encs []*compress.Encoded, n int) (encoded int, err error) {
+func checkImageCols(cols [][]int32, encs []*compress.Encoded, n int) (encoded int, err error) {
 	for c, col := range cols {
 		m := len(col)
 		if enc := encAt(encs, c); enc != nil {
@@ -543,7 +526,7 @@ func checkImageCols(op string, cols [][]int32, encs []*compress.Encoded, n int) 
 			encoded++
 		}
 		if m != n {
-			return 0, fmt.Errorf("exec: %s: column %d holds %d values, the image %d", op, c, m, n)
+			return 0, fmt.Errorf("exec: image projection: column %d holds %d values, the image %d", c, m, n)
 		}
 	}
 	return encoded, nil

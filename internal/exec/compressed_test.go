@@ -9,6 +9,7 @@ import (
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
+	"radixdecluster/internal/join"
 	"radixdecluster/internal/nsm"
 	"radixdecluster/internal/radix"
 	"radixdecluster/internal/workload"
@@ -25,18 +26,26 @@ func encode(t *testing.T, vals []int32) *compress.Encoded {
 }
 
 // denseFetch decodes enc on e through the one operator that reads an
-// encoding: FetchImage over an image whose partitions start at offs
-// (closed by enc.Len()) and match each of their tuples once, in order —
-// the dense case, decoded straight into the result.
+// encoding: ProjectImages over a key-FK image whose partitions start at
+// offs (closed by enc.Len()) and whose one larger column is enc, each
+// larger tuple matching its own smaller one — the key-FK case, decoded
+// straight into the result.
 func denseFetch(t *testing.T, e *Engine, enc *compress.Encoded, offs ...int) []int32 {
 	t.Helper()
 	n := enc.Len()
-	offs = append(slices.Clone(offs), n)
-	cols, err := e.FetchImage([][]int32{nil}, []*compress.Encoded{enc}, offs, offs, bat.Dense(n))
+	img := join.Image{Hashes: make([]uint32, n), Offsets: append(slices.Clone(offs), n), Distinct: true}
+	for i := range img.Hashes {
+		img.Hashes[i] = uint32(i)
+	}
+	larger := &Image{Image: img, Cols: [][]int32{nil}, ColsEnc: []*compress.Encoded{enc}}
+	pr, err := e.ProjectImages(larger, &Image{Image: img}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cols[0]
+	if pr.N != n {
+		t.Fatalf("%d rows of a key-FK image of %d", pr.N, n)
+	}
+	return pr.Larger[0]
 }
 
 // decoded is enc decoded on e, the whole column as one partition.
@@ -71,7 +80,7 @@ func withEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Run("sharescans", func(t *testing.T) { f(t, oe) })
 }
 
-// TestMaterializeColMatchesRaw: a dense FetchImage over an encoded
+// TestMaterializeColMatchesRaw: a key-FK image projection of an encoded
 // column reproduces the raw column — over one partition, and over
 // 1000-value partitions whose edges split blocks, so neighbouring
 // partitions decode a shared block each.
@@ -283,8 +292,8 @@ func TestCompressedOpErrors(t *testing.T) {
 	}
 }
 
-// TestCompStatsAccounting pins the counter semantics: a dense image
-// fetch over partitions on block edges accounts the whole column's
+// TestCompStatsAccounting pins the counter semantics: a key-FK image
+// projection over partitions on block edges accounts the whole column's
 // encoded bytes exactly once, a positive saving for compressible data,
 // and nonzero decode time — at every parallelism, over a column of
 // 150 000 values (147 blocks, the last partial) cut into 16-block
@@ -322,67 +331,112 @@ func TestCompStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestProjectImagesLastPartitionSparse: over a Distinct smaller image,
-// a join that is key-FK in every partition but the last, where one
-// larger tuple misses. The first-match probes leave the larger
-// positions of every earlier partition unwritten, so the fallback must
-// write them before it fetches; and the last partition's slots must be
-// compacted into its match list. On the serial engine and on a 2-worker
-// runtime, the bytes must be posjoin.FetchInto's over
-// join.PartitionedImagesInto's join-index, with no column a view. The
-// smaller side pairs its raw columns, alone (three raw: a pair and an
-// odd one) or around an encoded one.
+// TestProjectImagesLastPartitionSparse: joins that are key-FK in every
+// partition but one, odd, so the second morsel per partition writes the
+// result. Over a Distinct smaller image, the last partition has one
+// larger tuple that misses, or a middle one has no matches at all — on
+// the serial engine and at nominal 1 the list of the partition after it
+// then starts below that partition's image range (Scratch.carve), and
+// its key-FK rows must still be copied from the range. Over a smaller
+// image that is not Distinct, a middle partition whose smaller keys all
+// come twice outgrows its carving. On the serial engine, at nominal 1
+// and at nominal 2 on a 2-worker runtime, the bytes must be
+// posjoin.FetchInto's over join.PartitionedImagesInto's join-index,
+// with no column a view, and the blocks decoded exactly those of the
+// partitions with matches. The larger side's first column is encoded;
+// the smaller side pairs its raw columns, alone (three raw: a pair and
+// an odd one) or around an encoded one.
 func TestProjectImagesLastPartitionSparse(t *testing.T) {
 	const bits, n = 4, 2 * MinParallelN
 	h := 1 << bits
 	rt := testRuntime(t)
-	for _, mix := range []uint8{0, 0b010} {
-		rng := rand.New(rand.NewPCG(41, uint64(mix)))
-		sk, lk := rng.Perm(n), make([]int, n)
-		for i := range lk {
-			lk[i] = rng.IntN(n)
-		}
-		// One larger key of the last partition moves past the smaller
-		// domain, within its partition, and misses.
-		last := slices.IndexFunc(lk, func(k int) bool { return partOf(k, bits, 0) == h-1 })
-		lk[last] += h * (n/h + 1)
-		larger := fuzzImage(rng, lk, bits, 0, 3, 0b001)
-		smaller := fuzzImage(rng, sk, bits, 0, 3, mix)
-		smaller.img.Distinct = imageDistinct(t, rt, &smaller.img, bits)
-		if !smaller.img.Distinct {
-			t.Fatal("the smaller keys are not distinct")
-		}
-		ix := probeImages(t, &larger, &smaller, bits)
-		lOffs := larger.img.Offsets
-		for p := range h {
-			dense := ix.Parts[p+1]-ix.Parts[p] == lOffs[p+1]-lOffs[p]
-			if dense != (p < h-1) {
-				t.Fatalf("partition %d of %d: %d matches over %d tuples", p, h, ix.Parts[p+1]-ix.Parts[p], lOffs[p+1]-lOffs[p])
+	for _, shape := range []string{"last misses", "middle misses", "middle overflows"} {
+		for _, mix := range []uint8{0, 0b010} {
+			rng := rand.New(rand.NewPCG(41, uint64(mix)))
+			sk, lk := rng.Perm(n), make([]int, n)
+			for i := range lk {
+				lk[i] = rng.IntN(n)
 			}
-		}
-		wantL, wantS := larger.fetch(t, ix.Larger), smaller.fetch(t, ix.Smaller)
-		li := &Image{Image: larger.img, Cols: larger.cols, ColsEnc: larger.encs}
-		si := &Image{Image: smaller.img, Cols: smaller.cols, ColsEnc: smaller.encs}
-		for _, e := range []*Engine{NewEngine(nil, 0), NewEngine(rt, 2)} {
-			got, err := e.ProjectImages(li, si, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tag := fmt.Sprintf("mix %03b, workers %d", mix, e.workers)
-			if got.N != ix.Len() || slices.Contains(got.Views, true) {
-				t.Fatalf("%s: %d rows (views %v), the join-index %d", tag, got.N, got.Views, ix.Len())
-			}
-			for c := range wantL {
-				if !slices.Equal(got.Larger[c], wantL[c]) {
-					t.Fatalf("%s: larger column %d differs from FetchInto over the join-index", tag, c)
+			// A larger key of partition odd that moves past the smaller
+			// domain, within its partition, misses.
+			miss := h * (n/h + 1)
+			odd := h / 2
+			switch shape {
+			case "last misses":
+				odd = h - 1
+				lk[slices.IndexFunc(lk, func(k int) bool { return partOf(k, bits, 0) == odd })] += miss
+			case "middle misses":
+				for i, k := range lk {
+					if partOf(k, bits, 0) == odd {
+						lk[i] += miss
+					}
+				}
+			default:
+				for k := odd; k < n; k += h {
+					sk = append(sk, k)
 				}
 			}
-			for c := range wantS {
-				if !slices.Equal(got.Smaller[c], wantS[c]) {
-					t.Fatalf("%s: smaller column %d differs from FetchInto over the join-index", tag, c)
+			larger := fuzzImage(rng, lk, bits, 0, 3, 0b001)
+			smaller := fuzzImage(rng, sk, bits, 0, 3, mix)
+			smaller.img.Distinct = imageDistinct(t, rt, &smaller.img, bits)
+			if smaller.img.Distinct != (shape != "middle overflows") {
+				t.Fatalf("%s: the smaller side found Distinct=%v", shape, smaller.img.Distinct)
+			}
+			ix := probeImages(t, &larger, &smaller, bits)
+			lOffs := larger.img.Offsets
+			for p := range h {
+				m, k := ix.Parts[p+1]-ix.Parts[p], lOffs[p+1]-lOffs[p]
+				want := k
+				if p == odd {
+					want = map[string]int{"last misses": k - 1, "middle misses": 0, "middle overflows": 2 * k}[shape]
+				}
+				if k == 0 || m != want {
+					t.Fatalf("%s: partition %d of %d: %d matches over %d tuples", shape, p, h, m, k)
 				}
 			}
-			e.Close()
+			// Every encoded block a partition with matches reads, once per
+			// such partition.
+			var wantBytes int64
+			for p := range h {
+				if ix.Parts[p] == ix.Parts[p+1] {
+					continue
+				}
+				for _, side := range []*imageSide{&larger, &smaller} {
+					lo, hi := side.img.Offsets[p], side.img.Offsets[p+1]
+					for _, enc := range side.encs {
+						for b := lo / compress.BlockSize; enc != nil && b*compress.BlockSize < hi; b++ {
+							wantBytes += int64(enc.BlockBytes(b))
+						}
+					}
+				}
+			}
+			wantL, wantS := larger.fetch(t, ix.Larger), smaller.fetch(t, ix.Smaller)
+			li := &Image{Image: larger.img, Cols: larger.cols, ColsEnc: larger.encs}
+			si := &Image{Image: smaller.img, Cols: smaller.cols, ColsEnc: smaller.encs}
+			for _, e := range []*Engine{NewEngine(nil, 0), NewEngine(rt, 1), NewEngine(rt, 2)} {
+				got, err := e.ProjectImages(li, si, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("%s, mix %03b, workers %d", shape, mix, e.workers)
+				if got.N != ix.Len() || slices.Contains(got.Views, true) {
+					t.Fatalf("%s: %d rows (views %v), the join-index %d", tag, got.N, got.Views, ix.Len())
+				}
+				for c := range wantL {
+					if !slices.Equal(got.Larger[c], wantL[c]) {
+						t.Fatalf("%s: larger column %d differs from FetchInto over the join-index", tag, c)
+					}
+				}
+				for c := range wantS {
+					if !slices.Equal(got.Smaller[c], wantS[c]) {
+						t.Fatalf("%s: smaller column %d differs from FetchInto over the join-index", tag, c)
+					}
+				}
+				if st := e.comp.snapshot(); st.CompressedBytes != wantBytes {
+					t.Fatalf("%s: decoded %d encoded bytes, the partitions with matches hold %d", tag, st.CompressedBytes, wantBytes)
+				}
+				e.Close()
+			}
 		}
 	}
 }

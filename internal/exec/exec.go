@@ -369,7 +369,7 @@ type Scratch struct {
 	worker      int            // the runtime worker owning it (0 on the engine's own)
 	ml          *mempool.Lease // set on the engine's own Scratch only
 	ints        []int
-	vals        []int32           // a partition's decoded image range (FetchImage, ProjectImages)
+	vals        []int32           // a partition's decoded image range (ProjectImages)
 	tjoin       join.TableScratch // partition hash-table build scratch
 	first, next []int32           // tjoin's arrays, when leased
 	part        join.Index        // the match list a probe morsel fills

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"testing"
 
 	"radixdecluster/internal/compress"
@@ -12,113 +11,32 @@ import (
 	"radixdecluster/internal/posjoin"
 )
 
-// FuzzFetchImage holds the fetch over join images (Engine.FetchImage) to
+// FuzzProbeFetchImages holds the projection over join images
+// (Engine.ProjectImages) to join.PartitionedImagesInto followed by
 // posjoin.FetchInto over the fully decoded columns, on the serial engine
 // and at nominal parallelism 1, 2 and 8 on a 2-worker runtime. Each side
 // is an image of 1 to 2^10 partitions — uniform, with every other
 // partition empty, or one partition holding every tuple (the scratch
-// grows to it) — whose join-index comes from the probe over the images.
-// Keys are random, or duplicate smaller keys make the probe's partitions
-// overflow, so the match offsets (join.Index.Parts) differ from the image
-// offsets, or the join is key-FK (distinct smaller keys every larger key
-// finds), so each larger partition's matches are its whole range. Every
-// column is raw or encoded as the input picks. With corruption on, one
-// block of an encoded column gets an unknown scheme byte: the fetch must
-// fail exactly when a partition with matches reads that block, with the
-// lowest such partition's error, and every engine must return the serial
-// loop's error. Sizes reach 2·MinParallelN, so the parallel paths run.
-// Run with `go test -run '^$' -fuzz '^FuzzFetchImage$' ./internal/exec/`;
-// the seed corpus doubles as a regression test under plain `go test`.
-func FuzzFetchImage(f *testing.F) {
-	f.Add(uint64(1), uint32(MinParallelN+5), uint8(6), uint8(0), uint8(0o13), uint16(0))
-	f.Add(uint64(2), uint32(3*MinParallelN/2), uint8(10), uint8(1), uint8(0o55), uint16(0))
-	f.Add(uint64(3), uint32(2*MinParallelN), uint8(4), uint8(2), uint8(0o77), uint16(0))
-	f.Add(uint64(4), uint32(MinParallelN+900), uint8(8), uint8(3), uint8(0o06), uint16(0))
-	f.Add(uint64(5), uint32(2*MinParallelN-3), uint8(5), uint8(4), uint8(0o22), uint16(7))
-	f.Add(uint64(6), uint32(700), uint8(0), uint8(5), uint8(0o71), uint16(1))
-	f.Add(uint64(7), uint32(MinParallelN+1), uint8(9), uint8(2), uint8(0o04), uint16(40))
-	f.Add(uint64(8), uint32(MinParallelN+3000), uint8(7), uint8(0), uint8(0o37), uint16(26))
-	f.Add(uint64(9), uint32(2*MinParallelN), uint8(3), uint8(3), uint8(0o70), uint16(13))
-	f.Add(uint64(10), uint32(2*MinParallelN-100), uint8(6), uint8(6), uint8(0o25), uint16(0))
-	f.Add(uint64(11), uint32(MinParallelN+77), uint8(10), uint8(7), uint8(0o77), uint16(0))
-	f.Add(uint64(12), uint32(3*MinParallelN/2), uint8(2), uint8(8), uint8(0o41), uint16(30))
-	rt := NewRuntimeOpts(Options{Workers: 2})
-	f.Cleanup(rt.Close)
-	f.Fuzz(func(t *testing.T, seed uint64, size uint32, bits8, shape8, mix8 uint8, corrupt uint16) {
-		n := int(size % (2*MinParallelN + 1))
-		bits, layout, keys := int(bits8%11), int(shape8%3), int(shape8/3%3)
-		larger, smaller := fuzzSides(seed, n, bits, layout, keys, mix8)
-		want := probeImages(t, &larger, &smaller, bits)
-		bad, badCol, badBlock := corruptOne(&larger, &smaller, corrupt)
-
-		for _, nominal := range []int{0, 1, 2, 8} {
-			e := NewEngine(rt, nominal)
-			for i, side := range [2]*imageSide{&larger, &smaller} {
-				pos := [2][]OID{want.Larger, want.Smaller}[i]
-				tag := fmt.Sprintf("nominal %d n=%d bits=%d layout=%d keys=%d side %d", nominal, n, bits, layout, keys, i)
-				got, err := e.FetchImage(side.cols, side.encs, side.img.Offsets, want.Parts, pos)
-				if side == bad && badCol >= 0 {
-					wantPt := side.firstReader(badBlock, want.Parts)
-					if wantPt < 0 {
-						if err != nil {
-							e.Close()
-							t.Fatalf("%s: no partition with matches reads corrupt block %d, yet: %v", tag, badBlock, err)
-						}
-					} else if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("partition %d, column %d: ", wantPt, badCol)) {
-						e.Close()
-						t.Fatalf("%s: partition %d reads corrupt block %d of column %d, got error %v", tag, wantPt, badBlock, badCol, err)
-					}
-					// Every engine returns the serial loop's error.
-					serial := NewEngine(nil, 0)
-					_, serialErr := serial.FetchImage(side.cols, side.encs, side.img.Offsets, want.Parts, pos)
-					serial.Close()
-					if fmt.Sprint(err) != fmt.Sprint(serialErr) {
-						e.Close()
-						t.Fatalf("%s: error %v, the serial loop's %v", tag, err, serialErr)
-					}
-					if err != nil {
-						continue
-					}
-				} else if err != nil {
-					e.Close()
-					t.Fatalf("%s: %v", tag, err)
-				}
-				for c, wantCol := range side.fetch(t, pos) {
-					if !slices.Equal(got[c], wantCol) {
-						e.Close()
-						t.Fatalf("%s column %d (encoded %v): the image fetch differs from FetchInto over the decoded column",
-							tag, c, side.encs[c] != nil)
-					}
-				}
-			}
-			e.Close()
-		}
-	})
-}
-
-// FuzzProbeFetchImages holds the one-pass projection over join images
-// (Engine.ProjectImages) to join.PartitionedImagesInto followed by
-// posjoin.FetchInto over the fully decoded columns, on the serial engine
-// and at nominal parallelism 1, 2 and 8 on a 2-worker runtime. The sides
-// are FuzzFetchImage's images, with six key shapes: random, duplicate
-// smaller keys, key-FK (every larger partition matched exactly once, in
-// order, so the larger result is written in place and a raw larger
-// column is the image's own), mixed — key-FK in the lower half of
-// the partitions only, while each upper partition has one match per
-// larger tuple yet misses some and matches others twice, so the
-// fallback runs after in-place writes (on the serial engine always) and
-// a match count alone cannot tell — distinct with misses: key-FK in
-// the lower half, misses in the upper — and key-FK over a smaller side
-// that is not Distinct, whose matches are scanned. Each image is
-// Distinct exactly when the image build's per-partition check finds it
-// so (serial and on a 2-worker runtime alike), and the reference probe
-// runs before that is set: the early exit of a distinct
-// smaller side (with its count-based key-FK test) is held to the full
-// chain walk. Columns are raw or encoded as the input picks. With
-// corruption on, one block of an encoded column gets an unknown scheme
-// byte, and every engine must return the error of the serial loop — the
-// serial fetch of the larger side, then of the smaller — or, where no
-// partition with matches reads the block, the result. Run with
+// grows to it) — with six key shapes: random, duplicate smaller keys
+// (whose lists outgrow their carvings), key-FK (every larger partition
+// matched exactly once, in order, so the larger result is written in
+// place and a raw larger column is the image's own), mixed — key-FK in
+// the lower half of the partitions only, while each upper partition has
+// one match per larger tuple yet misses some and matches others twice,
+// so the rows of the key-FK partitions move to the result (on the
+// serial engine always) and a match count alone cannot tell — distinct
+// with misses: key-FK in the lower half, misses in the upper — and
+// key-FK over a smaller side that is not Distinct, whose matches are
+// scanned. Each image is Distinct exactly when the image build's
+// per-partition check finds it so (serial and on a 2-worker runtime
+// alike), and the reference probe runs before that is set: the early
+// exit of a distinct smaller side (with its count-based key-FK test) is
+// held to the full chain walk. Columns are raw or encoded as the input
+// picks. With corruption on, one block of an encoded column gets an
+// unknown scheme byte, and every engine must return the error of the
+// serial loop projectErr — or, where no partition with matches reads
+// the block, the result. Sizes reach 2·MinParallelN, so the parallel
+// paths run. Run with
 // `go test -run '^$' -fuzz '^FuzzProbeFetchImages$' ./internal/exec/`;
 // the seed corpus doubles as a regression test under plain `go test`.
 func FuzzProbeFetchImages(f *testing.F) {
@@ -139,7 +57,7 @@ func FuzzProbeFetchImages(f *testing.F) {
 	// Distinct key-FK: every partition's count test passes, in place.
 	f.Add(uint64(15), uint32(2*MinParallelN), uint8(7), uint8(6), uint8(0o00), uint16(0))
 	f.Add(uint64(16), uint32(3*MinParallelN/2), uint8(5), uint8(7), uint8(0o52), uint16(0))
-	// Distinct with misses: the fallback runs after early-exit probes.
+	// Distinct with misses: rows move after early-exit probes.
 	f.Add(uint64(17), uint32(2*MinParallelN-9), uint8(6), uint8(12), uint8(0o00), uint16(0))
 	f.Add(uint64(18), uint32(MinParallelN+2000), uint8(4), uint8(13), uint8(0o25), uint16(0))
 	// Key-FK past a smaller duplicate no larger key finds: in place after
@@ -161,14 +79,7 @@ func FuzzProbeFetchImages(f *testing.F) {
 		corruptOne(&larger, &smaller, corrupt)
 		wantL, wantS := larger.fetch(t, ix.Larger), smaller.fetch(t, ix.Smaller)
 
-		// The serial loop's error: the larger side's fetch, then the
-		// smaller side's.
-		serial := NewEngine(nil, 0)
-		_, wantErr := serial.FetchImage(larger.cols, larger.encs, larger.img.Offsets, ix.Parts, ix.Larger)
-		if wantErr == nil {
-			_, wantErr = serial.FetchImage(smaller.cols, smaller.encs, smaller.img.Offsets, ix.Parts, ix.Smaller)
-		}
-		serial.Close()
+		wantErr := projectErr(&larger, &smaller, ix.Parts)
 
 		li := &Image{Image: larger.img, Cols: larger.cols, ColsEnc: larger.encs}
 		si := &Image{Image: smaller.img, Cols: smaller.cols, ColsEnc: smaller.encs}
@@ -304,27 +215,47 @@ func imageDistinct(t *testing.T, rt *Runtime, img *join.Image, shift uint) bool 
 }
 
 // corruptOne gives, when corrupt is set, one block of the first encoded
-// column of one side an unknown scheme byte (corruptBlock), and reports
-// which: the side, the column (-1 if that side has no encoded column)
-// and the block.
-func corruptOne(larger, smaller *imageSide, corrupt uint16) (bad *imageSide, col, block int) {
+// column of one side an unknown scheme byte (corruptBlock).
+func corruptOne(larger, smaller *imageSide, corrupt uint16) {
 	if corrupt == 0 {
-		return nil, -1, 0
+		return
 	}
-	bad = [2]*imageSide{larger, smaller}[corrupt%2]
+	bad := [2]*imageSide{larger, smaller}[corrupt%2]
 	for c, enc := range bad.encs {
 		if enc != nil {
-			block = int(corrupt/2) % enc.BlockCount()
-			bad.corruptBlock(c, block)
-			return bad, c, block
+			bad.corruptBlock(c, int(corrupt/2)%enc.BlockCount())
+			return
 		}
 	}
-	return bad, -1, 0
+}
+
+// projectErr is ProjectImages' error rule as a serial loop: the first
+// encoded column range that fails to decode, over the partitions with
+// matches (parts, join.Index.Parts) in order, within one the larger
+// columns before the smaller ones, each side in column order.
+func projectErr(larger, smaller *imageSide, parts []int) error {
+	for p := 0; p+1 < len(parts); p++ {
+		if parts[p] == parts[p+1] {
+			continue
+		}
+		for i, side := range [2]*imageSide{larger, smaller} {
+			lo, hi := side.img.Offsets[p], side.img.Offsets[p+1]
+			for c, enc := range side.encs {
+				if enc == nil {
+					continue
+				}
+				if err := enc.DecompressRangeInto(make([]int32, hi-lo), lo, hi); err != nil {
+					return fmt.Errorf("exec: image projection: partition %d, %s column %d: %w", p, [2]string{"larger", "smaller"}[i], c, err)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // imageSide is one side of a fuzzed join image: its probe input, each
-// column's values in image order, and the columns as FetchImage takes
-// them — raw in cols or encoded in encs (cols entry nil).
+// column's values in image order, and the columns as ProjectImages
+// takes them — raw in cols or encoded in encs (cols entry nil).
 type imageSide struct {
 	img  join.Image
 	raw  [][]int32
@@ -425,17 +356,4 @@ func (s *imageSide) corruptBlock(c, b int) {
 		off += s.encs[c].BlockBytes(i)
 	}
 	s.data[c][off] = 0xff
-}
-
-// firstReader is the lowest partition with matches whose image range
-// reads block b, -1 if none does.
-func (s *imageSide) firstReader(b int, parts []int) int {
-	offs := s.img.Offsets
-	for p := 0; p+1 < len(offs); p++ {
-		lo, hi := offs[p], offs[p+1]
-		if parts[p] < parts[p+1] && lo < (b+1)*compress.BlockSize && b*compress.BlockSize < hi {
-			return p
-		}
-	}
-	return -1
 }

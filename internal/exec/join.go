@@ -11,8 +11,8 @@ package exec
 // the same on every engine.
 //
 // PartitionedJoin clusters both inputs per query; ProjectImages probes
-// join images, clustered once for many queries, with the same morsels
-// and stitch, and fetches each partition in its probe's morsel.
+// join images, clustered once for many queries, with the same morsels,
+// and fetches each partition from its match list instead of stitching.
 
 import (
 	"sync"
@@ -62,6 +62,15 @@ type matchLists struct {
 	larger, smaller []OID
 	starts, counts  []int
 	overflow        map[int]join.Index
+}
+
+// list is partition pt's match list.
+func (m matchLists) list(pt int) join.Index {
+	if part, ok := m.overflow[pt]; ok {
+		return part
+	}
+	at, k := m.starts[pt], m.counts[pt]
+	return join.Index{Larger: m.larger[at : at+k], Smaller: m.smaller[at : at+k]}
 }
 
 // carvings numbers the calls that carve per-partition lists from shared
@@ -179,11 +188,7 @@ func (e *Engine) stitch(n int, lOffs []int, m matchLists) (*join.Index, []int) {
 		Smaller: mempool.Slice[OID](ml, offs[h]),
 	}
 	e.run(n, h, func(pt int, _ *Scratch) {
-		part, ok := m.overflow[pt]
-		if !ok {
-			at := m.starts[pt]
-			part = join.Index{Larger: m.larger[at : at+m.counts[pt]], Smaller: m.smaller[at : at+m.counts[pt]]}
-		}
+		part := m.list(pt)
 		copy(out.Larger[offs[pt]:offs[pt+1]], part.Larger)
 		copy(out.Smaller[offs[pt]:offs[pt+1]], part.Smaller)
 	})

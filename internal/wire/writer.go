@@ -146,13 +146,10 @@ func (w *Writer) rawBody(values []int32) []byte {
 }
 
 // compressBody prices both block schemes with an allocation-free
-// min/max sweep, and encodes (into leased scratch) only when the
-// winner is at least one eighth smaller than raw.
+// min/max sweep (compress.Best), and encodes (into leased scratch) only
+// when the winner is at least one eighth smaller than raw.
 func (w *Writer) compressBody(values []int32, raw int) ([]byte, bool) {
-	scheme, est := compress.FOR, compress.EstimateBytes(values, compress.FOR)
-	if d := compress.EstimateBytes(values, compress.DeltaFOR); d < est {
-		scheme, est = compress.DeltaFOR, d
-	}
+	scheme, est := compress.Best(values)
 	if est >= raw-raw/8 {
 		return nil, false
 	}

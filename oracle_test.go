@@ -55,7 +55,9 @@ func mapProjectJoin(pr *workload.Pair, pi int) [][]int32 {
 // s/u — must return the map join's rows as a multiset, at hit rates
 // below, at and above one match per tuple, on an arena warmed by the
 // runs before it: serially, and at Parallelism 2 on an explicit
-// 2-worker runtime. Each side holds more than exec.MinParallelN
+// 2-worker runtime, raw and over relations WithCompression under
+// CompressionOn (the u/u plan then projects encoded join images;
+// every other plan runs raw). Each side holds more than exec.MinParallelN
 // tuples, race builds included, so the runtime leg is planned and run
 // parallel.
 func TestSerialMatchesMapOracle(t *testing.T) {
@@ -80,28 +82,38 @@ func TestSerialMatchesMapOracle(t *testing.T) {
 		name        string
 		rt          *Runtime
 		parallelism int
-	}{{"serial", nil, 0}, {"runtime", rt, 2}}
+		comp        Compression
+	}{{"serial", nil, 0, CompressionOff}, {"runtime", rt, 2, CompressionOff}, {"runtime compressed", rt, 2, CompressionOn}}
 	for _, hit := range []float64{0.3, 1, 3} {
 		pr, err := workload.GenPair(workload.Params{N: n, Omega: pi + 1, HitRate: hit, SelLarger: 1, SelSmaller: 1, Seed: 92})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := mapProjectJoin(pr, pi)
-		larger, smaller := pairRelations(t, pr, pi)
 		for _, leg := range legs {
+			var opts []RelationOption
+			if leg.comp == CompressionOn {
+				opts = append(opts, WithCompression())
+			}
+			larger, smaller := pairRelations(t, pr, pi, opts...)
 			for _, v := range variants {
 				tag := fmt.Sprintf("%s hit=%g %s %q/%q", leg.name, hit, v.st, rune(v.lm), rune(v.sm))
 				res, err := ProjectJoin(JoinQuery{
 					Larger: larger, Smaller: smaller, LargerKey: "key", SmallerKey: "key",
 					LargerProject: projNames(pi), SmallerProject: projNames(pi),
 					Strategy: v.st, LargerMethod: v.lm, SmallerMethod: v.sm,
-					Runtime: leg.rt, Parallelism: leg.parallelism,
+					Runtime: leg.rt, Parallelism: leg.parallelism, Compression: leg.comp,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
 				if (res.Workers > 0) != (leg.rt != nil) {
 					t.Fatalf("%s: ran on %d workers", tag, res.Workers)
+				}
+				// Only the runtime's u/u plan over join images runs
+				// compressed.
+				if overImages := v.st == DSMPostDecluster && v.lm == AutoMethod; res.Compressed != (leg.comp == CompressionOn && overImages) {
+					t.Fatalf("%s: plan %s, Compressed = %v", tag, res.Plan, res.Compressed)
 				}
 				if res.N != len(want[0]) {
 					t.Fatalf("%s: %d rows, the oracle %d", tag, res.N, len(want[0]))
