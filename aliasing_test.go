@@ -36,22 +36,20 @@ func columnChecksums(t *testing.T, rels ...*Relation) map[string]uint64 {
 func imageChecksums(rels ...*Relation) map[string]uint64 {
 	sums := map[string]uint64{}
 	for _, r := range rels {
-		r.imgMu.Lock()
-		for key, ki := range r.joinImgs {
+		for key, ki := range r.imgs.Held() {
 			var s uint64
 			for _, h := range ki.Hashes {
 				s = s*1099511628211 + uint64(h)
 			}
 			sums[r.Name+"."+key+"/hashes"] = s
-			for name, col := range ki.cols {
+			for name, col := range ki.Cols {
 				s = 0
-				for _, v := range col {
+				for _, v := range col.Raw {
 					s = s*1099511628211 + uint64(uint32(v))
 				}
 				sums[r.Name+"."+key+"/"+name] = s
 			}
 		}
-		r.imgMu.Unlock()
 	}
 	return sums
 }

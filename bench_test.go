@@ -278,21 +278,22 @@ func BenchmarkProbeBUNs(b *testing.B) {
 	}
 }
 
-// buildImage is the serial engine's join image of keys for o, with the
-// given columns raw in image order.
-func buildImage(tb testing.TB, keys []int32, o radix.Opts, cols ...[]int32) exec.ImageBuild {
+// buildImage is the join image of keys for o, with the given columns
+// raw in image order, as an image store builds it on the serial engine.
+func buildImage(tb testing.TB, keys []int32, o radix.Opts, cols ...[]int32) exec.Image {
 	tb.Helper()
+	names := make([]string, len(cols))
+	for j := range cols {
+		names[j] = fmt.Sprint("c", j)
+	}
 	se := exec.NewEngine(nil, 0)
 	defer se.Close()
-	ic := make([]exec.ImageCol, len(cols))
-	for j, c := range cols {
-		ic[j].Vals = c
-	}
-	b, err := se.BuildImage(keys, o, true, ic)
+	var store exec.ImageStore
+	img, err := store.Image(se, "key", keys, names, cols, o, false)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return b
+	return img
 }
 
 // BenchmarkProbeImage is BenchmarkProbeBUNs for the kernel runtime
@@ -382,7 +383,9 @@ func BenchmarkDecodeImageOrder(b *testing.B) {
 }
 
 // BenchmarkJoinImageBuild times what a relation's join images cost the
-// query that builds them. The first/ legs run one query per op on fresh
+// query that builds them: the relation's image store deciding and
+// building what each image lacks inside the query's one phase. The
+// first/ legs run one query per op on fresh
 // 1 Mi relations (π = 2, hit rate 1; building the relations is outside
 // the timer), raw and compressed, at parallelism 1 — every morsel
 // inline, as the serial engine runs them — and 2, both on a 2-worker

@@ -1,21 +1,22 @@
 package exec
 
-// Compressed execution reads and writes block-compressed encodings in
-// this file only: every other operator takes raw []int32 / *nsm.Relation
-// operands. BuildImage builds a relation's join image, its encodings
-// included, and ProjectImages, the u/u post-projection over two join
-// images, reads them, raw or compressed, one radix partition per
-// morsel. Per partition it decodes an encoded column's image range
-// into the worker's scratch and gathers the partition's matches from
-// there — or, for a larger partition matched exactly once, decodes it
-// straight into the result — so a compressed plan decodes where it
-// fetches and leases no decoded column. The decoded values are the raw
-// ones, so a compressed run is byte-identical to the raw run of the
-// same plan.
+// Join images live in this file, the only one that reads and writes
+// block-compressed encodings: every other operator takes raw []int32
+// / *nsm.Relation operands. ImageStore builds and holds a relation's
+// join images, encodings included, and ProjectImages, the u/u
+// post-projection over two join images, reads them, raw or
+// compressed, one radix partition per morsel. Per partition it
+// decodes an encoded column's image range into the worker's scratch
+// and gathers the partition's matches from there — or, for a larger
+// partition matched exactly once, decodes it straight into the result
+// — so a compressed plan decodes where it fetches and leases no
+// decoded column. The decoded values are the raw ones, so a
+// compressed run is byte-identical to the raw run of the same plan.
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -91,10 +92,10 @@ func (c *compCounters) decode(dst []int32, enc *compress.Encoded, lo, hi int) er
 // fetchRanges gathers pos, image positions in [lo,hi), from every
 // column of one side into column c's dsts[c][at:at+len(pos)]: raw
 // columns two at a time (posjoin.FetchWindowPairInto, one pass over pos
-// per pair), an encoded one from its range decoded into s's scratch,
-// and an odd raw one alone. Without positions it reads and decodes
-// nothing. An error names its column.
-func (e *Engine) fetchRanges(dsts [][]int32, at int, cols [][]int32, encs []*compress.Encoded, lo, hi int, pos []OID, s *Scratch) error {
+// per pair), one the plan reads encoded (ImageCol.enc) from its range
+// decoded into s's scratch, and an odd raw one alone. Without positions
+// it reads and decodes nothing. An error names its column.
+func (ip *imagePass) fetchRanges(dsts [][]int32, at int, cols []ImageCol, lo, hi int, pos []OID, s *Scratch) error {
 	if len(pos) == 0 {
 		return nil
 	}
@@ -102,16 +103,16 @@ func (e *Engine) fetchRanges(dsts [][]int32, at int, cols [][]int32, encs []*com
 	held := -1 // a raw column waiting for its pair
 	for c, col := range cols {
 		var err error
-		switch enc := encAt(encs, c); {
+		switch enc := col.enc(ip.compressed); {
 		case enc != nil:
 			src := s.Int32s(hi - lo)
-			if err = e.comp.decode(src, enc, lo, hi); err == nil {
+			if err = ip.e.comp.decode(src, enc, lo, hi); err == nil {
 				err = posjoin.FetchWindowInto(dsts[c][at:end], src, OID(lo), pos)
 			}
 		case held < 0:
 			held = c
 		default:
-			err = posjoin.FetchWindowPairInto(dsts[held][at:end], dsts[c][at:end], cols[held][lo:hi], col[lo:hi], OID(lo), pos)
+			err = posjoin.FetchWindowPairInto(dsts[held][at:end], dsts[c][at:end], cols[held].Raw[lo:hi], col.Raw[lo:hi], OID(lo), pos)
 			held = -1
 		}
 		if err != nil {
@@ -119,40 +120,202 @@ func (e *Engine) fetchRanges(dsts [][]int32, at int, cols [][]int32, encs []*com
 		}
 	}
 	if held >= 0 {
-		if err := posjoin.FetchWindowInto(dsts[held][at:end], cols[held][lo:hi], OID(lo), pos); err != nil {
+		if err := posjoin.FetchWindowInto(dsts[held][at:end], cols[held].Raw[lo:hi], OID(lo), pos); err != nil {
 			return fmt.Errorf("column %d: %w", held, err)
 		}
 	}
 	return nil
 }
 
-// ImageCol is a column a join-image build writes in image order: its
-// values in base order, and whether the build encodes the image-order
-// copy (compress.EncodeBest) in place of keeping it.
+// ImageCol is one projection column of a join image, in image order:
+// its values (Raw), their block-compressed encoding (Enc), or both. A
+// raw plan reads Raw, a compressed plan Enc where it is set (enc).
 type ImageCol struct {
-	Vals   []int32
-	Encode bool
+	Raw []int32
+	Enc *compress.Encoded
 }
 
-// BuiltCol is one column of an ImageBuild: the image-order copy (Raw),
-// or for an encoded column its encoding (Enc) — a copy that did not
-// shrink comes as Raw with Enc nil — and when it was done.
-type BuiltCol struct {
-	Raw  []int32
-	Enc  *compress.Encoded
-	Done time.Time
+// enc is the encoding a plan reads: Enc for a compressed plan, none for
+// any other.
+func (c ImageCol) enc(compressed bool) *compress.Encoded {
+	if compressed {
+		return c.Enc
+	}
+	return nil
 }
 
-// ImageBuild is what BuildImage built: the clustering, when it was asked
-// for — key hashes, offsets and Distinct, done at Clustered — and the
-// columns in the order asked.
-type ImageBuild struct {
+// Image is one side of a join over join images as the engine reads it:
+// the clustered join input and the projection columns in that order.
+type Image struct {
 	join.Image
-	Clustered time.Time
-	Cols      []BuiltCol
+	Cols []ImageCol
 }
 
-// BuildImage builds a relation's join image of keys for radix field o —
+// ImageStore is one relation's join images, one per key column joined
+// on, each radix-clustered for the field the last query asked, with the
+// columns queries projected from it in image order. It alone decides
+// what an image lacks, builds it and counts its bytes. Images are
+// GC-owned: they outlive every query, and a key-FK query's larger
+// result columns are views of their columns. The zero value is an empty
+// store; it must not be copied after first use.
+type ImageStore struct {
+	mu    sync.Mutex // guards keys; never held across a build
+	keys  map[string]*keyImage
+	bytes atomic.Int64 // Bytes; each stored build adds what it changed
+}
+
+// keyImage is one key column's image, read and extended under its build
+// lock mu.
+type keyImage struct {
+	mu sync.Mutex
+	HeldImage
+	o     radix.Opts
+	tried map[string]bool // encodings tried; Enc nil where one did not shrink Raw
+}
+
+// HeldImage is what an image holds: the clustering and, by column name,
+// what it holds of each column (Cols nil before the first build).
+type HeldImage struct {
+	join.Image
+	Cols map[string]ImageCol
+}
+
+// Image returns the join image of the key column, whose values are
+// keys, for radix field o with the proj columns, whose values are
+// cols, in image order: raw or, for a compressed plan, encoded where
+// the encoding shrinks them. Names identify columns, so a name must
+// keep its values. Under the key column's build lock it decides what
+// the image lacks — all of it for another radix field, a raw plan's
+// copy of a column, a compressed plan's encoding not yet tried — and
+// builds that on e, the querying engine (buildImage), so concurrent
+// first queries build each part once. After the unlock it reports
+// each part as a step of e: "build-join-image" for the clustering,
+// "build-image-column" for a column or an encoding. The clustering is
+// stable, so the image is keyed by the radix field alone, not the
+// pass split. It holds the key hashes the probe compares, not the
+// keys: a projected key column is a column like any other.
+func (s *ImageStore) Image(e *Engine, key string, keys []int32, proj []string, cols [][]int32, o radix.Opts, compressed bool) (Image, error) {
+	var steps []func()
+	defer func() { // deferred before the lock, so it runs after the unlock
+		for _, step := range steps {
+			step()
+		}
+	}()
+	ki := s.keyImage(key)
+	ki.mu.Lock()
+	defer ki.mu.Unlock()
+	cluster := ki.Cols == nil || ki.o.Bits != o.Bits || ki.o.Ignore != o.Ignore
+	held, tried := ki.Cols, ki.tried
+	if cluster {
+		held, tried = map[string]ImageCol{}, map[string]bool{}
+	}
+	var names []string
+	var lack []buildCol
+	for i, name := range proj {
+		encode := compressed && !tried[name]
+		if !encode && (compressed || held[name].Raw != nil) || slices.Contains(names, name) {
+			continue
+		}
+		names, lack = append(names, name), append(lack, buildCol{cols[i], encode})
+	}
+	if cluster || len(lack) > 0 {
+		before := ki.size()
+		start := time.Now()
+		b, err := e.buildImage(keys, o, cluster, lack)
+		if err != nil {
+			return Image{}, err
+		}
+		if cluster {
+			ki.Image, ki.Cols, ki.tried, ki.o = b.Image, held, tried, o
+			steps = append(steps, func() { e.Step("build-join-image", start, b.clustered) })
+		}
+		for j, name := range names {
+			c := held[name]
+			if c.Raw == nil {
+				c.Raw = b.cols[j].Raw
+			}
+			if lack[j].encode {
+				c.Enc, tried[name] = b.cols[j].Enc, true
+			}
+			held[name] = c
+			steps = append(steps, func() { e.Step("build-image-column", start, b.done[j]) })
+		}
+		s.bytes.Add(ki.size() - before)
+	}
+	img := Image{Image: ki.Image, Cols: make([]ImageCol, len(proj))}
+	for i, name := range proj {
+		img.Cols[i] = ki.Cols[name]
+	}
+	return img, nil
+}
+
+// keyImage returns the key column's image, empty before its first build.
+func (s *ImageStore) keyImage(key string) *keyImage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.keys == nil {
+		s.keys = map[string]*keyImage{}
+	}
+	if s.keys[key] == nil {
+		s.keys[key] = &keyImage{}
+	}
+	return s.keys[key]
+}
+
+// size is the image's share of Bytes.
+func (ki *keyImage) size() int64 {
+	n := 4*int64(len(ki.Hashes)) + 8*int64(len(ki.Offsets))
+	for _, c := range ki.Cols {
+		n += 4 * int64(len(c.Raw))
+		if c.Enc != nil {
+			n += int64(c.Enc.CompressedBytes())
+		}
+	}
+	return n
+}
+
+// Bytes reports what the images hold: per key column 4 B per tuple of
+// key hashes and 8 B per partition offset, 4 B per tuple per column held
+// raw, and the encoded bytes of each encoding. Each stored build keeps
+// the total up to date, so reading it never waits for a build.
+func (s *ImageStore) Bytes() int64 { return s.bytes.Load() }
+
+// Held snapshots the images built so far, by key column.
+func (s *ImageStore) Held() map[string]HeldImage {
+	s.mu.Lock()
+	kis := maps.Clone(s.keys)
+	s.mu.Unlock()
+	out := map[string]HeldImage{}
+	for key, ki := range kis {
+		ki.mu.Lock()
+		if ki.Cols != nil {
+			out[key] = HeldImage{ki.Image, maps.Clone(ki.Cols)}
+		}
+		ki.mu.Unlock()
+	}
+	return out
+}
+
+// buildCol is a column an image build writes in image order: its values
+// in base order, and whether the build encodes the image-order copy in
+// place of keeping it.
+type buildCol struct {
+	vals   []int32
+	encode bool
+}
+
+// imageBuild is what buildImage built: the clustering, when asked for,
+// done at clustered, and the columns in the order asked — an encoded
+// column as Enc, or as Raw when its encoding did not shrink it — each
+// done at done[j].
+type imageBuild struct {
+	join.Image
+	clustered time.Time
+	cols      []ImageCol
+	done      []time.Time
+}
+
+// buildImage builds a relation's join image of keys for radix field o —
 // with cluster false only columns to add to an image built before — in
 // three steps, each through run:
 //
@@ -174,17 +337,17 @@ type ImageBuild struct {
 // rest is leased. A stable clustering places every tuple where any
 // chunking and pass split would, so the bytes, and Distinct, are the
 // same on every engine.
-func (e *Engine) BuildImage(keys []int32, o radix.Opts, cluster bool, cols []ImageCol) (ImageBuild, error) {
+func (e *Engine) buildImage(keys []int32, o radix.Opts, cluster bool, cols []buildCol) (imageBuild, error) {
 	if err := o.Validate(); err != nil {
-		return ImageBuild{}, err
+		return imageBuild{}, err
 	}
 	n := len(keys)
 	vals := make([][]int32, len(cols))
 	for j, c := range cols {
-		if len(c.Vals) != n {
-			return ImageBuild{}, fmt.Errorf("exec: image build: column %d holds %d values, the keys %d", j, len(c.Vals), n)
+		if len(c.vals) != n {
+			return imageBuild{}, fmt.Errorf("exec: image build: column %d holds %d values, the keys %d", j, len(c.vals), n)
 		}
-		vals[j] = c.Vals
+		vals[j] = c.vals
 	}
 	nch, passes := e.split(n, o)
 	var hs [2][]uint32
@@ -193,7 +356,7 @@ func (e *Engine) BuildImage(keys []int32, o radix.Opts, cluster bool, cols []Ima
 	}
 	bufs := make([][2][]int32, len(cols))
 	for j, c := range cols {
-		bufs[j] = imageBufs[int32](e, n, passes, !c.Encode)
+		bufs[j] = imageBufs[int32](e, n, passes, !c.encode)
 	}
 	count, scatter := radix.ImageKernels(keys, vals, hs, bufs)
 	offsets := e.cluster(n, o, nch, passes, count, scatter)
@@ -204,24 +367,24 @@ func (e *Engine) BuildImage(keys []int32, o radix.Opts, cluster bool, cols []Ima
 		Return(e, b[1-r])
 	}
 
-	var b ImageBuild
+	var b imageBuild
 	if cluster {
 		b.Image = join.Image{Hashes: hs[r], Offsets: slices.Clone(offsets)}
 		b.Distinct = e.distinct(&b.Image, uint(o.Ignore+o.Bits))
-		b.Clustered = time.Now()
+		b.clustered = time.Now()
 	} else {
 		Return(e, hs[r])
 	}
 	Return(e, offsets)
 
-	b.Cols = make([]BuiltCol, len(cols))
+	b.cols, b.done = make([]ImageCol, len(cols)), make([]time.Time, len(cols))
 	var encode []int
 	for j, c := range cols {
-		if c.Encode {
+		if c.encode {
 			encode = append(encode, j)
 			continue
 		}
-		b.Cols[j] = BuiltCol{Raw: bufs[j][r], Done: scattered}
+		b.cols[j].Raw, b.done[j] = bufs[j][r], scattered
 	}
 	errs := e.errSlots(len(encode))
 	e.run(n*len(encode), len(encode), func(t int, _ *Scratch) {
@@ -231,17 +394,17 @@ func (e *Engine) BuildImage(keys []int32, o radix.Opts, cluster bool, cols []Ima
 			return
 		}
 		if enc.Ratio() < 1 {
-			b.Cols[j].Enc = enc
+			b.cols[j].Enc = enc
 		} else {
-			b.Cols[j].Raw = slices.Clone(bufs[j][r])
+			b.cols[j].Raw = slices.Clone(bufs[j][r])
 		}
-		b.Cols[j].Done = time.Now()
+		b.done[j] = time.Now()
 	})
 	for _, j := range encode {
 		Return(e, bufs[j][r])
 	}
 	if err := firstErr(errs); err != nil {
-		return ImageBuild{}, err
+		return imageBuild{}, err
 	}
 	return b, nil
 }
@@ -278,15 +441,6 @@ func (e *Engine) distinct(img *join.Image, shift uint) bool {
 	return !dup.Load()
 }
 
-// Image is one side of a join over join images as the engine reads it:
-// the clustered join input and the projection columns in the same
-// order, each raw in Cols or encoded in ColsEnc with its Cols entry nil.
-type Image struct {
-	join.Image
-	Cols    [][]int32
-	ColsEnc []*compress.Encoded
-}
-
 // ImageProjection is ProjectImages' result: the cardinality and each
 // side's result arrays (Engine.Own) — except where Views[c] is set:
 // Larger[c] is then the larger image's column itself, cut to [:N:N], a
@@ -302,30 +456,32 @@ type ImageProjection struct {
 // probes its partition pair and, while the match list is in the
 // worker's caches, checks whether the larger matches are the
 // partition's image range in order (key-FK). Over a Distinct smaller
-// image the probe is join.ProbeFirst (probeFirst): one smaller position
-// per larger tuple, and the partition is key-FK when every probe
-// matched — its larger positions, the image range, are then never
-// written. Otherwise join.ProbeImage emits the match list, checked
-// match by match. A key-FK partition writes its rows once, at its image
-// range: smaller columns gathered from the partition's image range
-// (fetchRanges), encoded larger columns decoded straight into the
-// result. When every partition is key-FK that is the whole query, and
-// each raw larger column is the image column itself (Views), neither
-// copied nor leased; otherwise imagePass.move places the rows. The
-// bytes are posjoin.FetchInto's over join.PartitionedImagesInto's
-// join-index and the decoded columns; an error is the lowest failing
-// partition's, larger columns before smaller ones. The in-morsel fetch
-// times apportion the wall time to PhaseProjectLarger and
-// PhaseProjectSmaller (attribute); the probe's share stays with the
-// calling phase's kind.
-func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProjection, error) {
+// image the probe is join.ProbeFirst (probeFirst): one smaller
+// position per larger tuple, and the partition is key-FK when every
+// probe matched — its larger positions, the image range, are then
+// never written. Otherwise join.ProbeImage emits the match list,
+// checked match by match. A key-FK partition writes its rows once, at
+// its image range: smaller columns gathered from the partition's
+// image range (fetchRanges), encoded larger columns decoded straight
+// into the result. When every partition is key-FK that is the whole
+// query, and each raw larger column is the image column itself
+// (Views), neither copied nor leased; otherwise imagePass.move places
+// the rows. The bytes are posjoin.FetchInto's over
+// join.PartitionedImagesInto's join-index and the decoded columns; an
+// error is the lowest failing partition's, larger columns before
+// smaller ones. A compressed plan (compressed) reads each column's
+// encoding where it has one, any other plan the raw values. The
+// in-morsel fetch times apportion the wall time to PhaseProjectLarger
+// and PhaseProjectSmaller (attribute); the probe's share stays with
+// the calling phase's kind.
+func (e *Engine) ProjectImages(larger, smaller *Image, shift uint, compressed bool) (ImageProjection, error) {
 	lOffs, sOffs := larger.Offsets, smaller.Offsets
 	if len(lOffs) != len(sOffs) || len(lOffs) == 0 {
 		return ImageProjection{}, fmt.Errorf("exec: image projection: partition counts differ: %d vs %d", len(lOffs)-1, len(sOffs)-1)
 	}
 	h, n := len(lOffs)-1, lOffs[len(lOffs)-1]
-	lEnc, lerr := checkImageCols(larger.Cols, larger.ColsEnc, n)
-	sEnc, serr := checkImageCols(smaller.Cols, smaller.ColsEnc, sOffs[h])
+	lEnc, lerr := checkImageCols(larger.Cols, n, compressed)
+	sEnc, serr := checkImageCols(smaller.Cols, sOffs[h], compressed)
 	if err := cmp.Or(lerr, serr); err != nil {
 		return ImageProjection{}, err
 	}
@@ -336,8 +492,8 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 	// result array.
 	kfk := ImageProjection{N: n, Larger: make([][]int32, len(larger.Cols)), Smaller: make([][]int32, len(smaller.Cols)), Views: make([]bool, len(larger.Cols))}
 	for c, col := range larger.Cols {
-		if kfk.Views[c] = encAt(larger.ColsEnc, c) == nil; kfk.Views[c] {
-			kfk.Larger[c] = col[:n:n]
+		if kfk.Views[c] = col.enc(compressed) == nil; kfk.Views[c] {
+			kfk.Larger[c] = col.Raw[:n:n]
 		} else {
 			kfk.Larger[c] = e.Own(n)
 		}
@@ -345,7 +501,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 	for c := range kfk.Smaller {
 		kfk.Smaller[c] = e.Own(n)
 	}
-	ip := &imagePass{e: e, larger: larger, smaller: smaller, shift: shift, kfk: kfk}
+	ip := &imagePass{e: e, larger: larger, smaller: smaller, compressed: compressed, shift: shift, kfk: kfk}
 	start := time.Now()
 	lists := e.probeEach(n+sOffs[h], lOffs, sOffs, ip.probe, ip.writeKeyFK)
 	res := kfk
@@ -369,6 +525,7 @@ func (e *Engine) ProjectImages(larger, smaller *Image, shift uint) (ImageProject
 type imagePass struct {
 	e               *Engine
 	larger, smaller *Image
+	compressed      bool
 	shift           uint
 	kfk             ImageProjection // the key-FK partitions' rows
 	moved           atomic.Bool     // a partition is not key-FK
@@ -411,7 +568,8 @@ func (ip *imagePass) writeKeyFK(pt int, part join.Index, s *Scratch) {
 		return
 	}
 	ll, lh, sOffs := ip.larger.Offsets[pt], ip.larger.Offsets[pt+1], ip.smaller.Offsets
-	for c, enc := range ip.larger.ColsEnc {
+	for c, col := range ip.larger.Cols {
+		enc := col.enc(ip.compressed)
 		if enc == nil {
 			continue
 		}
@@ -421,7 +579,7 @@ func (ip *imagePass) writeKeyFK(pt int, part join.Index, s *Scratch) {
 		}
 	}
 	t2 := time.Now()
-	if err := ip.e.fetchRanges(ip.kfk.Smaller, ll, ip.smaller.Cols, ip.smaller.ColsEnc, sOffs[pt], sOffs[pt+1], part.Smaller, s); err != nil {
+	if err := ip.fetchRanges(ip.kfk.Smaller, ll, ip.smaller.Cols, sOffs[pt], sOffs[pt+1], part.Smaller, s); err != nil {
 		ip.fail(pt, "smaller", err)
 	}
 	ip.largerNs.Add(int64(t2.Sub(t1)))
@@ -463,11 +621,11 @@ func (ip *imagePass) move(items int, lists matchLists) ImageProjection {
 			ip.smallerNs.Add(int64(time.Since(t1)))
 			return
 		}
-		err := e.fetchRanges(res.Larger, a, larger.Cols, larger.ColsEnc, ll, lh, part.Larger, s)
+		err := ip.fetchRanges(res.Larger, a, larger.Cols, ll, lh, part.Larger, s)
 		t1 := time.Now()
 		if err != nil {
 			ip.fail(pt, "larger", err)
-		} else if err = e.fetchRanges(res.Smaller, a, smaller.Cols, smaller.ColsEnc, sOffs[pt], sOffs[pt+1], part.Smaller, s); err != nil {
+		} else if err = ip.fetchRanges(res.Smaller, a, smaller.Cols, sOffs[pt], sOffs[pt+1], part.Smaller, s); err != nil {
 			ip.fail(pt, "smaller", err)
 		}
 		ip.largerNs.Add(int64(t1.Sub(t0)))
@@ -517,11 +675,12 @@ func probeFirst(larger, smaller *join.Image, pt int, shift uint, out *join.Index
 }
 
 // checkImageCols checks that every column of an image side holds n
-// values, raw or encoded, and counts the encoded ones.
-func checkImageCols(cols [][]int32, encs []*compress.Encoded, n int) (encoded int, err error) {
+// values as the plan reads it, raw or encoded (ImageCol.enc), and counts
+// the encoded ones.
+func checkImageCols(cols []ImageCol, n int, compressed bool) (encoded int, err error) {
 	for c, col := range cols {
-		m := len(col)
-		if enc := encAt(encs, c); enc != nil {
+		m := len(col.Raw)
+		if enc := col.enc(compressed); enc != nil {
 			m = enc.Len()
 			encoded++
 		}
@@ -543,12 +702,4 @@ func identity(pos []OID, lo, hi int) bool {
 		}
 	}
 	return true
-}
-
-// encAt is encs[c], nil past its end.
-func encAt(encs []*compress.Encoded, c int) *compress.Encoded {
-	if c < len(encs) {
-		return encs[c]
-	}
-	return nil
 }

@@ -37,8 +37,8 @@ func denseFetch(t *testing.T, e *Engine, enc *compress.Encoded, offs ...int) []i
 	for i := range img.Hashes {
 		img.Hashes[i] = uint32(i)
 	}
-	larger := &Image{Image: img, Cols: [][]int32{nil}, ColsEnc: []*compress.Encoded{enc}}
-	pr, err := e.ProjectImages(larger, &Image{Image: img}, 0)
+	larger := &Image{Image: img, Cols: []ImageCol{{Enc: enc}}}
+	pr, err := e.ProjectImages(larger, &Image{Image: img}, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,10 +411,9 @@ func TestProjectImagesLastPartitionSparse(t *testing.T) {
 				}
 			}
 			wantL, wantS := larger.fetch(t, ix.Larger), smaller.fetch(t, ix.Smaller)
-			li := &Image{Image: larger.img, Cols: larger.cols, ColsEnc: larger.encs}
-			si := &Image{Image: smaller.img, Cols: smaller.cols, ColsEnc: smaller.encs}
+			li, si := larger.image(), smaller.image()
 			for _, e := range []*Engine{NewEngine(nil, 0), NewEngine(rt, 1), NewEngine(rt, 2)} {
-				got, err := e.ProjectImages(li, si, bits)
+				got, err := e.ProjectImages(li, si, bits, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -455,21 +454,21 @@ func TestBuildImageMatchesSerial(t *testing.T) {
 		big = 40000
 	}
 	rt := testRuntime(t)
-	build := func(e *Engine, keys []int32, o radix.Opts, cluster bool, cols []ImageCol) ImageBuild {
+	build := func(e *Engine, keys []int32, o radix.Opts, cluster bool, cols []buildCol) imageBuild {
 		t.Helper()
-		b, err := e.BuildImage(keys, o, cluster, cols)
+		b, err := e.buildImage(keys, o, cluster, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	same := func(tag string, got, want ImageBuild) {
+	same := func(tag string, got, want imageBuild) {
 		t.Helper()
 		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Hashes, want.Hashes) || got.Distinct != want.Distinct {
 			t.Fatalf("%s: offsets, hashes or Distinct (%v, want %v) differ from the serial build", tag, got.Distinct, want.Distinct)
 		}
-		for j := range want.Cols {
-			g, w := got.Cols[j], want.Cols[j]
+		for j := range want.cols {
+			g, w := got.cols[j], want.cols[j]
 			if !slices.Equal(g.Raw, w.Raw) || (g.Enc == nil) != (w.Enc == nil) || g.Enc != nil && !reflect.DeepEqual(*g.Enc, *w.Enc) {
 				t.Fatalf("%s: column %d differs from the serial build", tag, j)
 			}
@@ -485,8 +484,8 @@ func TestBuildImageMatchesSerial(t *testing.T) {
 			for s, side := range []*workload.Relation{pr.Larger, pr.Smaller} {
 				keys, a1, a2 := side.Key(), side.PayloadCol(1), side.PayloadCol(2)
 				// a1 raw, a2 and the key column encoded; a2 raw added later.
-				cols := []ImageCol{{Vals: a1}, {Vals: a2, Encode: true}, {Vals: keys, Encode: true}}
-				added := []ImageCol{{Vals: a2}}
+				cols := []buildCol{{vals: a1}, {vals: a2, encode: true}, {vals: keys, encode: true}}
+				added := []buildCol{{vals: a2}}
 				for _, bits := range []int{0, 6, 13} {
 					o := radix.Opts{Bits: bits}
 					se := NewEngine(nil, 0)
@@ -503,7 +502,7 @@ func TestBuildImageMatchesSerial(t *testing.T) {
 						e := NewEngine(rt, w)
 						same(tag, build(e, keys, o, true, cols), want)
 						got := build(e, keys, o, false, added)
-						if got.Hashes != nil || got.Offsets != nil || !slices.Equal(got.Cols[0].Raw, wantAdd.Cols[0].Raw) {
+						if got.Hashes != nil || got.Offsets != nil || !slices.Equal(got.cols[0].Raw, wantAdd.cols[0].Raw) {
 							t.Fatalf("%s: the added column differs from the serial build's", tag)
 						}
 						e.Close()

@@ -193,8 +193,8 @@ func (e *Engine) Close() {
 }
 
 // mem returns the query's buffer lease, opening it on first use on the
-// runtime's arena — the process arena, sharedArena, which the serial
-// engine leases from directly. Nil once the engine is closed: every
+// process arena, sharedArena, which serves every engine, serial or on
+// a runtime. Nil once the engine is closed: every
 // acquisition helper treats a nil lease as "allocate from the GC".
 func (e *Engine) mem() *mempool.Lease {
 	e.mu.Lock()
@@ -203,11 +203,7 @@ func (e *Engine) mem() *mempool.Lease {
 		return nil
 	}
 	if e.memLs == nil {
-		arena := sharedArena
-		if e.rt != nil {
-			arena = e.rt.mem
-		}
-		e.memLs = arena.NewLease()
+		e.memLs = sharedArena.NewLease()
 	}
 	return e.memLs
 }

@@ -214,11 +214,11 @@ func testImage(t *testing.T, oids []OID, keys []int32, o radix.Opts) *Image {
 	}
 	se := NewEngine(nil, 0)
 	defer se.Close()
-	b, err := se.BuildImage(keys, o, true, []ImageCol{{Vals: col}})
+	b, err := se.buildImage(keys, o, true, []buildCol{{vals: col}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Image{Image: b.Image, Cols: [][]int32{b.Cols[0].Raw}}
+	return &Image{Image: b.Image, Cols: []ImageCol{b.cols[0]}}
 }
 
 func TestPartitionedJoinMatchesSerial(t *testing.T) {
@@ -243,7 +243,7 @@ func TestPartitionedJoinMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pr, err := p.ProjectImages(cl, cs, uint(o.Bits))
+				pr, err := p.ProjectImages(cl, cs, uint(o.Bits), false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -460,7 +460,7 @@ func TestSerialFallbackPredicate(t *testing.T) {
 		}},
 		{"ProjectImages", false, func(e *Engine, n int) error {
 			o := radix.Opts{Bits: 4}
-			_, err := e.ProjectImages(testImage(t, oids[:n-n/2], vals[:n-n/2], o), testImage(t, other[:n/2], vals[:n/2], o), uint(o.Bits))
+			_, err := e.ProjectImages(testImage(t, oids[:n-n/2], vals[:n-n/2], o), testImage(t, other[:n/2], vals[:n/2], o), uint(o.Bits), false)
 			return err
 		}},
 		{"PartitionedRowsJoin", false, func(e *Engine, n int) error {

@@ -81,12 +81,11 @@ func FuzzProbeFetchImages(f *testing.F) {
 
 		wantErr := projectErr(&larger, &smaller, ix.Parts)
 
-		li := &Image{Image: larger.img, Cols: larger.cols, ColsEnc: larger.encs}
-		si := &Image{Image: smaller.img, Cols: smaller.cols, ColsEnc: smaller.encs}
+		li, si := larger.image(), smaller.image()
 		for _, nominal := range []int{0, 1, 2, 8} {
 			tag := fmt.Sprintf("nominal %d n=%d bits=%d layout=%d keys=%d", nominal, n, bits, layout, keys)
 			e := NewEngine(rt, nominal)
-			got, err := e.ProjectImages(li, si, uint(bits))
+			got, err := e.ProjectImages(li, si, uint(bits), true)
 			e.Close()
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: error %v, the serial loop's %v", tag, err, wantErr)
@@ -254,8 +253,8 @@ func projectErr(larger, smaller *imageSide, parts []int) error {
 }
 
 // imageSide is one side of a fuzzed join image: its probe input, each
-// column's values in image order, and the columns as ProjectImages
-// takes them — raw in cols or encoded in encs (cols entry nil).
+// column's values in image order, and each column either raw in cols or
+// encoded in encs (cols entry nil).
 type imageSide struct {
 	img  join.Image
 	raw  [][]int32
@@ -320,6 +319,15 @@ func fuzzImage(rng *rand.Rand, keys []int, bits, layout, ncols int, mix uint8) i
 		s.cols, s.encs, s.data = append(s.cols, nil), append(s.encs, enc), append(s.data, data)
 	}
 	return s
+}
+
+// image is the side as ProjectImages takes it.
+func (s *imageSide) image() *Image {
+	img := &Image{Image: s.img, Cols: make([]ImageCol, len(s.cols))}
+	for c := range img.Cols {
+		img.Cols[c] = ImageCol{Raw: s.cols[c], Enc: s.encs[c]}
+	}
+	return img
 }
 
 // partOf is the partition of key in fuzzImage's layout over 2^bits

@@ -154,10 +154,6 @@ type Runtime struct {
 
 	metrics *rtMetrics // Prometheus-style registry hooks (nil = off)
 
-	// mem is the execution-memory arena this runtime's query leases
-	// draw from: the process-wide sharedArena.
-	mem *mempool.Pool
-
 	wg sync.WaitGroup
 }
 
@@ -229,10 +225,10 @@ func NewRuntimeOpts(o Options) *Runtime {
 	}
 	rt := &Runtime{
 		workers: workers, maxConcurrent: maxConcurrent,
-		labels: o.PprofLabels, mem: sharedArena,
+		labels: o.PprofLabels,
 	}
 	if o.MemoryBudget > 0 {
-		rt.mem.SetLimit(o.MemoryBudget)
+		sharedArena.SetLimit(o.MemoryBudget)
 	}
 	rt.work = sync.NewCond(&rt.mu)
 	rt.rr = make([]int, workers)
@@ -274,7 +270,7 @@ func (rt *Runtime) CompressedDecodeNanos() int64 { return rt.compDecodeNanos.Loa
 // MemStats snapshots the execution-memory arena serving this
 // runtime's queries. Counters are process-wide: the arena is shared by
 // every runtime.
-func (rt *Runtime) MemStats() mempool.Stats { return rt.mem.Stats() }
+func (rt *Runtime) MemStats() mempool.Stats { return sharedArena.Stats() }
 
 // MetricsRegistry returns the runtime's metrics registry (nil unless
 // Options.Metrics). Serve it with obs.Serve, or mount obs.NewMux on

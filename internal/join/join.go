@@ -138,7 +138,7 @@ func PartitionedPreclusteredInto(out *Index, ts *TableScratch, larger, smaller *
 // Image is a join input radix-clustered once, outside any query (a
 // relation's join image): the hashes of its keys in clustered order —
 // the hash halves of the BUNs radix.ClusterBUNsInto would produce — and the
-// 2^B+1 cluster offsets (exec.Engine.BuildImage builds one). A match
+// 2^B+1 cluster offsets (exec.ImageStore builds one). A match
 // emits the tuple's image position, its index in Hashes: the holder of
 // the image keeps whatever it projects in the same order and reads it
 // there, so an image carries no oids. Distinct records that no two

@@ -311,15 +311,15 @@ func probeFirstAll(t *testing.T, larger, smaller *join.Image, shift uint) *join.
 // projected positions as a join-index.
 func projectPositions(t *testing.T, e *exec.Engine, larger, smaller *join.Image, shift uint) *join.Index {
 	t.Helper()
-	positions := func(n int) [][]int32 {
+	positions := func(n int) []exec.ImageCol {
 		col := make([]int32, n)
 		for i := range col {
 			col[i] = int32(i)
 		}
-		return [][]int32{col}
+		return []exec.ImageCol{{Raw: col}}
 	}
 	pr, err := e.ProjectImages(&exec.Image{Image: *larger, Cols: positions(len(larger.Hashes))},
-		&exec.Image{Image: *smaller, Cols: positions(len(smaller.Hashes))}, shift)
+		&exec.Image{Image: *smaller, Cols: positions(len(smaller.Hashes))}, shift, false)
 	if err != nil {
 		t.Fatalf("images (parallel): %v", err)
 	}
@@ -362,9 +362,9 @@ func checkParts(t *testing.T, ix *join.Index, larger, smaller *join.Image) {
 	}
 }
 
-// image is the join image of an [oid, key] input, as the serial engine
-// builds it (exec.Engine.BuildImage, its distinctness check included),
-// and, beside it, the oids in image order.
+// image is the join image of an [oid, key] input, as an image store
+// builds it on the serial engine (exec.ImageStore, its distinctness
+// check included), and, beside it, the oids in image order.
 func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) (*join.Image, []join.OID) {
 	t.Helper()
 	col := make([]int32, len(oids))
@@ -373,15 +373,16 @@ func image(t *testing.T, oids []join.OID, keys []int32, o radix.Opts) (*join.Ima
 	}
 	se := exec.NewEngine(nil, 0)
 	defer se.Close() // the build's transients are leased
-	b, err := se.BuildImage(keys, o, true, []exec.ImageCol{{Vals: col}})
+	var store exec.ImageStore
+	img, err := store.Image(se, "key", keys, []string{"oid"}, [][]int32{col}, o, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clustered := make([]join.OID, len(keys))
-	for i, v := range b.Cols[0].Raw {
+	for i, v := range img.Cols[0].Raw {
 		clustered[i] = join.OID(v)
 	}
-	return &b.Image, clustered
+	return &img.Image, clustered
 }
 
 // distinctParts is join.DistinctHashes over every partition of img, on

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"radixdecluster/internal/compress"
 	"radixdecluster/internal/exec"
@@ -136,33 +135,22 @@ func stepCount(tr *obs.Trace, name string) int {
 // outside the query — for a compressed plan each column whose
 // image-order copy shrinks as that copy's encoding instead, as a
 // relation built WithCompression hands them out. Each call clusters
-// afresh, reports a build and, when encoded is not nil, adds to
-// *encoded the bytes a fetch over the image decodes from the encodings
-// it hands out: the blocks of every non-empty partition's range, a
-// block straddling two partitions once for each.
+// afresh in a store of its own, which reports the build, and, when
+// encoded is not nil, adds to *encoded the bytes a fetch over the image
+// decodes from the encodings it hands out: the blocks of every
+// non-empty partition's range, a block straddling two partitions once
+// for each.
 func withJoinImages(encoded *int64, sides ...*DSMSide) {
 	for _, s := range sides {
 		oids, keys, base := s.OIDs, s.Keys, s.Cols
 		s.JoinImage = func(o radix.Opts, compressed bool, e *exec.Engine) (Image, error) {
-			start := time.Now()
-			img, err := clusterImage(e, oids, keys, base, o)
+			img, err := storeImage(e, oids, keys, base, o, compressed)
 			if err != nil {
 				return Image{}, err
 			}
-			e.Step("build-join-image", start, time.Now())
-			if compressed {
-				img.ColsEnc = make([]*compress.Encoded, len(img.Cols))
-				for c, col := range img.Cols {
-					e, err := compress.EncodeBest(col)
-					if err != nil {
-						return Image{}, err
-					}
-					if e.Ratio() < 1 {
-						img.Cols[c], img.ColsEnc[c] = nil, e
-						if encoded != nil {
-							*encoded += partitionBlockBytes(e, img.Offsets)
-						}
-					}
+			for _, col := range img.Cols {
+				if col.Enc != nil && encoded != nil {
+					*encoded += partitionBlockBytes(col.Enc, img.Offsets)
 				}
 			}
 			return img, nil
@@ -187,23 +175,22 @@ func partitionBlockBytes(e *compress.Encoded, offs []int) (n int64) {
 // point into the base columns, built on e: the key hashes and every
 // column's values in clustered order.
 func clusterImage(e *exec.Engine, oids []OID, keys []int32, base [][]int32, o radix.Opts) (Image, error) {
-	cols := make([]exec.ImageCol, len(base))
+	return storeImage(e, oids, keys, base, o, false)
+}
+
+// storeImage is clusterImage built by a fresh image store, for a
+// compressed plan with the columns it encodes.
+func storeImage(e *exec.Engine, oids []OID, keys []int32, base [][]int32, o radix.Opts, compressed bool) (Image, error) {
+	names, cols := make([]string, len(base)), make([][]int32, len(base))
 	for c, col := range base {
-		vals := make([]int32, len(oids))
+		cols[c] = make([]int32, len(oids))
 		for i, oid := range oids {
-			vals[i] = col[oid]
+			cols[c][i] = col[oid]
 		}
-		cols[c].Vals = vals
+		names[c] = fmt.Sprint("a", c)
 	}
-	b, err := e.BuildImage(keys, o, true, cols)
-	if err != nil {
-		return Image{}, err
-	}
-	img := Image{Image: b.Image}
-	for _, c := range b.Cols {
-		img.Cols = append(img.Cols, c.Raw)
-	}
-	return img, nil
+	var store exec.ImageStore
+	return store.Image(e, "key", keys, names, cols, o, compressed)
 }
 
 // tracePipelineTrack is the trace track exec's pipeline writes phase
@@ -335,14 +322,13 @@ func withEncodedJoinImages(handed *int, sides ...*DSMSide) {
 			if err != nil {
 				return Image{}, err
 			}
-			img.ColsEnc = make([]*compress.Encoded, len(img.Cols))
 			for c, col := range img.Cols {
-				e, err := compress.EncodeBest(col)
+				e, err := compress.EncodeBest(col.Raw)
 				if err != nil {
 					return Image{}, err
 				}
 				if e.Ratio() < 1 {
-					img.ColsEnc[c] = e
+					img.Cols[c].Enc = e
 					*handed++
 				}
 			}
@@ -401,7 +387,7 @@ func TestSideEncodingValidation(t *testing.T) {
 			if err != nil {
 				return Image{}, err
 			}
-			img.Cols[0], img.ColsEnc = nil, []*compress.Encoded{enc}
+			img.Cols[0] = exec.ImageCol{Enc: enc}
 			return img, nil
 		}
 	}

@@ -35,7 +35,6 @@ import (
 	"slices"
 
 	"radixdecluster/internal/bat"
-	"radixdecluster/internal/compress"
 	"radixdecluster/internal/core"
 	"radixdecluster/internal/costmodel"
 	"radixdecluster/internal/exec"
@@ -115,7 +114,7 @@ type Config struct {
 	QueryTag string
 	// Compress selects compressed execution where it can save traffic:
 	// a DSM post-projection u/u plan over join images is handed encodings
-	// of the image-order columns (Image.ColsEnc), and each partition's
+	// of the image-order columns (exec.ImageCol.Enc), and each partition's
 	// morsel decodes its image range where it fetches from it
 	// (exec.Engine.ProjectImages). Every other plan runs raw under it. False
 	// (default) runs raw everywhere. Result bytes are identical either
@@ -244,10 +243,9 @@ type DSMSide struct {
 	// shared with other queries, so the query never clusters. Auto plans
 	// u/u over it, and DSMPost reads it only for a u/u plan. For radix
 	// field o it returns the Image whose Hashes and Offsets are those of
-	// the stable hashed Radix-Cluster of Keys on o (exec.Engine.BuildImage),
-	// and whose Cols[c] holds the values Cols[c][OIDs[i]] in that order. A
-	// compressed plan (compressed) may be given ColsEnc[c], an encoding of
-	// those values, in place of Cols[c]; any other plan gets Cols only.
+	// the stable hashed Radix-Cluster of Keys on o (exec.ImageStore), and
+	// whose Cols[c] holds the values Cols[c][OIDs[i]] in that order — raw,
+	// or for a compressed plan (compressed) possibly as their encoding.
 	// Whatever it has to build it builds on e, the query's engine, and
 	// reports each part, once built, as a step of e. DSMPost never writes
 	// into it; a key-FK result's raw larger columns are views of it
@@ -256,8 +254,7 @@ type DSMSide struct {
 }
 
 // Image is a side's join image as DSMPost reads it: the clustered join
-// input, and the projection columns in the same order — each raw in Cols
-// or, for a compressed plan, encoded in ColsEnc with its Cols entry nil.
+// input, and the projection columns in the same order (exec.ImageCol).
 type Image = exec.Image
 
 func (s DSMSide) validate(name string) error {
@@ -420,7 +417,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			if err != nil {
 				return err
 			}
-			pr, err := e.ProjectImages(&imgs[0], &imgs[1], uint(o.Ignore+o.Bits))
+			pr, err := e.ProjectImages(&imgs[0], &imgs[1], uint(o.Ignore+o.Bits), p.Compressed)
 			if err != nil {
 				return err
 			}
@@ -525,9 +522,10 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	return res.run(pl)
 }
 
-// sideImages returns the sides' join images for radix field o, checked
-// against the sides — a raw plan's without encodings. Whatever a side's
-// image lacked is built on e, as a step of the running phase.
+// sideImages returns the sides' join images for radix field o, their
+// partition and column counts checked against the sides (ProjectImages
+// checks each column). Whatever a side's image lacked is built on e, as
+// a step of the running phase.
 func sideImages(e *exec.Engine, larger, smaller DSMSide, compressed bool, o radix.Opts) ([2]Image, error) {
 	var imgs [2]Image
 	for i, s := range [2]DSMSide{larger, smaller} {
@@ -542,18 +540,6 @@ func sideImages(e *exec.Engine, larger, smaller DSMSide, compressed bool, o radi
 		}
 		if len(img.Cols) != len(s.Cols) {
 			return imgs, fmt.Errorf("strategy: join image holds %d columns, want %d", len(img.Cols), len(s.Cols))
-		}
-		if !compressed {
-			img.ColsEnc = nil
-		}
-		for c, col := range img.Cols {
-			var enc *compress.Encoded
-			if c < len(img.ColsEnc) {
-				enc = img.ColsEnc[c]
-			}
-			if col == nil && (enc == nil || enc.Len() != n) {
-				return imgs, fmt.Errorf("strategy: join image column %d is neither raw nor a %d-value encoding", c, n)
-			}
 		}
 		imgs[i] = img
 	}

@@ -17,7 +17,7 @@ import (
 
 // Join images: a runtime DSM post-projection query that plans u/u — the
 // Auto plan — joins over each relation's key column radix-clustered once
-// (Relation.joinImage) and only probes, and projects both sides from
+// (the relation's exec.ImageStore) and only probes, and projects both sides from
 // image-order copies of their columns — raw ones, or for a compressed
 // plan the decoded image-order encodings. A paper-mode query, and a
 // runtime query with a forced non-u method, clusters per query. The
@@ -255,12 +255,10 @@ func TestJoinImageBuiltOnce(t *testing.T) {
 		for _, r := range []*Relation{larger, smaller} {
 			cols := int64(4 * r.Len() * pi)
 			if comp == CompressionOn {
-				r.imgMu.Lock()
 				cols = 0
 				for _, name := range projNames(pi) {
-					cols += int64(r.joinImgs["key"].encs[name].CompressedBytes())
+					cols += int64(r.imgs.Held()["key"].Cols[name].Enc.CompressedBytes())
 				}
-				r.imgMu.Unlock()
 			}
 			if got, want := r.JoinImageBytes(), 4*int64(r.Len())+cols+8*int64(1<<plan.JoinBits+1); got != want {
 				t.Errorf("compression=%v %s: JoinImageBytes = %d, want %d", comp, r.Name, got, want)
@@ -331,11 +329,9 @@ func TestJoinImageBuiltOnceAtNominal8(t *testing.T) {
 // image on "key" holds a raw image-order copy of it and whether it holds
 // an encoding of that copy.
 func imageHolds(r *Relation, names []string) (raw, enc []bool) {
-	r.imgMu.Lock()
-	defer r.imgMu.Unlock()
-	ki := r.joinImgs["key"]
+	ki := r.imgs.Held()["key"]
 	for _, n := range names {
-		raw, enc = append(raw, ki.cols[n] != nil), append(enc, ki.encs[n] != nil)
+		raw, enc = append(raw, ki.Cols[n].Raw != nil), append(enc, ki.Cols[n].Enc != nil)
 	}
 	return raw, enc
 }
@@ -515,10 +511,8 @@ func TestJoinImageIncompressibleColumnStaysRaw(t *testing.T) {
 		if raw, enc := imageHolds(r, proj); !slices.Equal(raw, []bool{false, true}) || !slices.Equal(enc, []bool{true, false}) {
 			t.Fatalf("%s: image holds raw copies %v and encodings %v of %v, want a1 encoded and r raw", r.Name, raw, enc, proj)
 		}
-		r.imgMu.Lock()
-		ki := r.joinImgs["key"]
-		wantBytes := 4*int64(2*r.Len()) + int64(ki.encs["a1"].CompressedBytes()) + 8*int64(len(ki.Offsets))
-		r.imgMu.Unlock()
+		ki := r.imgs.Held()["key"]
+		wantBytes := 4*int64(2*r.Len()) + int64(ki.Cols["a1"].Enc.CompressedBytes()) + 8*int64(len(ki.Offsets))
 		if b := r.JoinImageBytes(); b != wantBytes {
 			t.Fatalf("%s: JoinImageBytes = %d, want %d (key hashes and r raw, a1 encoded, offsets)", r.Name, b, wantBytes)
 		}
@@ -724,9 +718,7 @@ func TestJoinImageOneDuplicateKey(t *testing.T) {
 		if !strings.Contains(got.Plan, "methods=u/u") {
 			t.Fatalf("the runtime planned %s, want methods=u/u", got.Plan)
 		}
-		c.smaller.imgMu.Lock()
-		distinct := c.smaller.joinImgs["key"].Distinct
-		c.smaller.imgMu.Unlock()
+		distinct := c.smaller.imgs.Held()["key"].Distinct
 		tag := fmt.Sprintf("smaller side distinct=%v", c.distinct)
 		if distinct != c.distinct {
 			t.Fatalf("%s: the image's Distinct is %v", tag, distinct)
@@ -852,7 +844,7 @@ func TestCompressedImageHighWater(t *testing.T) {
 	raw, comp := highWater(CompressionOff), highWater(CompressionOn)
 	widest := 0
 	for _, r := range []*Relation{larger, smaller} {
-		offs := r.joinImgs["key"].Offsets
+		offs := r.imgs.Held()["key"].Offsets
 		for p := 0; p+1 < len(offs); p++ {
 			widest = max(widest, offs[p+1]-offs[p])
 		}

@@ -474,7 +474,7 @@ func dsmSide(r *Relation, key string, proj []string, image bool) (strategy.DSMSi
 	if image {
 		// Only a relation built WithCompression has encodings to give.
 		side.JoinImage = func(o radix.Opts, compressed bool, e *exec.Engine) (strategy.Image, error) {
-			return r.joinImage(key, proj, o, compressed && r.compressed, e)
+			return r.imgs.Image(e, key, keys, proj, cols, o, compressed && r.compressed)
 		}
 	}
 	return side, nil

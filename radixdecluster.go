@@ -65,20 +65,14 @@ package radixdecluster
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"radixdecluster/internal/bat"
 	"radixdecluster/internal/calibrator"
-	"radixdecluster/internal/compress"
 	"radixdecluster/internal/exec"
-	"radixdecluster/internal/join"
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/nsm"
-	"radixdecluster/internal/radix"
-	"radixdecluster/internal/strategy"
 )
 
 // OID is a dense object identifier: record number in [0,N).
@@ -196,37 +190,15 @@ type Relation struct {
 
 	// compressed marks relations built with WithCompression: a runtime
 	// u/u DSM post-projection query running with CompressionOn projects
-	// from block-compressed encodings of its join image's columns
-	// (keyImage.encs). The raw column slices always coexist —
-	// compression is an execution-format option, never a storage
-	// replacement — so results are byte-identical either way.
+	// from block-compressed encodings of its join image's columns. The
+	// raw column slices always coexist — compression is an
+	// execution-format option, never a storage replacement — so results
+	// are byte-identical either way.
 	compressed bool
 
-	// joinImgs holds, per join-key column, the relation radix-clustered
-	// on it as the last runtime query asked (joinImage): built part by
-	// part by the queries that need each part, read by every later one,
-	// GC-owned — it outlives every query, so it is never drawn from a
-	// runtime's arena, and a key-FK query's larger result columns are
-	// views of its columns. Paper-mode queries cluster per query and
-	// never build one.
-	imgMu    sync.Mutex
-	joinImgs map[string]*keyImage
-}
-
-// keyImage is one key column's join image, column-wise: the cluster
-// offsets and the key hashes of the stable hashed Radix-Cluster on the
-// radix field it was built for and whether those hashes are distinct
-// (checked once at the build; exec.Engine.BuildImage), image-order copies
-// of the columns raw plans projected from it (cols) and block-compressed
-// encodings of the image-order copies of the columns compressed plans
-// projected (encs), each added by the first query that needs it. An
-// encs entry is nil when the column's image-order copy did not shrink:
-// that copy is then held raw in cols and compressed plans read it there.
-type keyImage struct {
-	join.Image
-	o    radix.Opts
-	cols map[string][]int32
-	encs map[string]*compress.Encoded
+	// imgs holds the join images runtime u/u queries build and share;
+	// paper-mode queries cluster per query and never build one.
+	imgs exec.ImageStore
 }
 
 // RelationOption configures NewRelationOpts.
@@ -323,100 +295,6 @@ func (r *Relation) nsmImage() (*nsm.Relation, error) {
 	return r.nsmRel, r.nsmErr
 }
 
-// joinImage returns the key column's join image for o with the proj
-// columns in image order. For a compressed plan (compressed) each
-// projected column comes as the block-compressed encoding of its
-// image-order copy (Image.ColsEnc, the raw entry nil), or raw where that
-// copy does not shrink; other plans get raw copies only. Under the
-// relation's lock it decides what the image lacks — all of it when the
-// image was built for another radix field — and builds that on e, the
-// querying engine (exec.Engine.BuildImage), so concurrent first queries
-// build each part once; once the lock is released it reports each part
-// as a step of e: the clustering as "build-join-image", a column or an
-// encoding as "build-image-column". The clustering is stable, so the
-// pass split does not change its bytes: the image is keyed by the radix
-// field alone. A projected key column is a column like any other: the
-// image holds the key hashes the probe compares, not the keys.
-func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed bool, e *exec.Engine) (strategy.Image, error) {
-	type step struct {
-		name       string
-		start, end time.Time
-	}
-	var steps []step
-	// Deferred before the lock, so it runs after the unlock.
-	defer func() {
-		for _, s := range steps {
-			e.Step(s.name, s.start, s.end)
-		}
-	}()
-	r.imgMu.Lock()
-	defer r.imgMu.Unlock()
-	keys, err := r.Column(key)
-	if err != nil {
-		return strategy.Image{}, err
-	}
-	ki := r.joinImgs[key]
-	cluster := ki == nil || ki.o.Bits != o.Bits || ki.o.Ignore != o.Ignore
-	if cluster {
-		ki = &keyImage{o: o, cols: map[string][]int32{}, encs: map[string]*compress.Encoded{}}
-	}
-	// The columns the image lacks: a compressed plan's encoding not yet
-	// tried, another plan's raw copy (a compressed plan reads the raw copy
-	// an encoding that did not shrink left).
-	var names []string
-	var lack []exec.ImageCol
-	for _, name := range proj {
-		vals, err := r.Column(name)
-		if err != nil {
-			return strategy.Image{}, err
-		}
-		_, tried := ki.encs[name]
-		encode := compressed && !tried
-		if !encode && (compressed || ki.cols[name] != nil) || slices.Contains(names, name) {
-			continue
-		}
-		names, lack = append(names, name), append(lack, exec.ImageCol{Vals: vals, Encode: encode})
-	}
-	if cluster || len(lack) > 0 {
-		start := time.Now()
-		b, err := e.BuildImage(keys, o, cluster, lack)
-		if err != nil {
-			return strategy.Image{}, err
-		}
-		if cluster {
-			ki.Image = b.Image
-			steps = append(steps, step{"build-join-image", start, b.Clustered})
-			if r.joinImgs == nil {
-				r.joinImgs = make(map[string]*keyImage)
-			}
-			r.joinImgs[key] = ki
-		}
-		for j, name := range names {
-			if lack[j].Encode {
-				ki.encs[name] = b.Cols[j].Enc
-			}
-			if raw := b.Cols[j].Raw; raw != nil && ki.cols[name] == nil {
-				ki.cols[name] = raw
-			}
-			steps = append(steps, step{"build-image-column", start, b.Cols[j].Done})
-		}
-	}
-
-	img := strategy.Image{Image: ki.Image}
-	img.Cols = make([][]int32, len(proj))
-	if compressed {
-		img.ColsEnc = make([]*compress.Encoded, len(proj))
-	}
-	for i, name := range proj {
-		if enc := ki.encs[name]; compressed && enc != nil {
-			img.ColsEnc[i] = enc
-			continue
-		}
-		img.Cols[i] = ki.cols[name]
-	}
-	return img, nil
-}
-
 // JoinImageBytes reports the bytes the relation's join images hold, 0
 // before the first runtime DSM post-projection query that plans u/u (the
 // Auto plan; a forced non-u method clusters per query and builds none):
@@ -426,24 +304,9 @@ func (r *Relation) joinImage(key string, proj []string, o radix.Opts, compressed
 // bytes (CompressedBytes) of each image-order column a compressed plan
 // projected; plus 8 per partition offset. They live outside every
 // runtime's arena and its MemoryBudget. A relation holds encodings in
-// its join images only, so this counts every encoded byte it holds.
-func (r *Relation) JoinImageBytes() int64 {
-	r.imgMu.Lock()
-	defer r.imgMu.Unlock()
-	var n int64
-	for _, ki := range r.joinImgs {
-		n += 4*int64(len(ki.Hashes)) + 8*int64(len(ki.Offsets))
-		for _, col := range ki.cols {
-			n += 4 * int64(len(col))
-		}
-		for _, enc := range ki.encs {
-			if enc != nil {
-				n += int64(enc.CompressedBytes())
-			}
-		}
-	}
-	return n
-}
+// its join images only, so this counts every encoded byte it holds. It
+// never waits for a query that is building an image.
+func (r *Relation) JoinImageBytes() int64 { return r.imgs.Bytes() }
 
 func (r *Relation) columns(names []string) ([][]int32, error) {
 	out := make([][]int32, len(names))

@@ -117,10 +117,8 @@ func TestRecycledResultBuffersFullyWritten(t *testing.T) {
 
 // imageView reports whether col is r's join image column name itself.
 func imageView(r *Relation, name string, col []int32) bool {
-	r.imgMu.Lock()
-	defer r.imgMu.Unlock()
-	ki := r.joinImgs["key"]
-	return ki != nil && len(col) > 0 && unsafe.SliceData(col) == unsafe.SliceData(ki.cols[name])
+	ki, ok := r.imgs.Held()["key"]
+	return ok && len(col) > 0 && unsafe.SliceData(col) == unsafe.SliceData(ki.Cols[name].Raw)
 }
 
 // TestResultReleaseLifecycle walks what a caller may do with a result:
