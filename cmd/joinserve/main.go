@@ -19,7 +19,7 @@
 // admission bound deep, and drains on SIGTERM/SIGINT: in-flight
 // queries complete, new ones get 503, then the process exits 0. See
 // docs/OPERATIONS.md for the full knob and metrics reference, and
-// cmd/joinload for a load generator that drives this daemon.
+// benchmark/ for the load harness that drives this daemon.
 package main
 
 import (
@@ -59,7 +59,6 @@ func main() {
 	rt := rd.NewRuntime(rd.RuntimeConfig{
 		Workers: *workers, MaxConcurrentQueries: *admit,
 		MemoryBudget: *memBudget, PprofLabels: *pprofLabels,
-		Metrics: true, // rendered on this daemon's own /metrics
 	})
 	defer rt.Close()
 

@@ -289,9 +289,7 @@ func (e *Engine) attach() time.Duration {
 	start := time.Now()
 	e.admit()
 	d := time.Since(start)
-	if e.rt.metrics != nil {
-		e.rt.metrics.admissionWait.Observe(d.Seconds())
-	}
+	e.rt.metrics.admissionWait.Observe(d.Seconds())
 	return d
 }
 

@@ -1,8 +1,8 @@
 package exec
 
-// Prometheus-style metrics for the shared Runtime (Options.Metrics).
-// The series split into two flavors, chosen so that enabling metrics
-// changes nothing on the morsel hot path:
+// Prometheus-style metrics, kept by every Runtime. The series split
+// into two flavors, chosen so that keeping them changes nothing on the
+// morsel hot path:
 //
 //   - Pull-based (CounterFunc/GaugeFunc): evaluated only at scrape
 //     time over the atomics and mutex-guarded state the runtime
@@ -83,9 +83,9 @@ func newRTMetrics(rt *Runtime) *rtMetrics {
 // CountPlan records one execution of a plan with the given per-side
 // methods under the engine's query tag (the strategy name) in the
 // runtime's radixdecluster_plans_total family. A no-op on the serial
-// engine and on runtimes without metrics.
+// engine.
 func (e *Engine) CountPlan(methods string) {
-	if e.rt != nil && e.rt.metrics != nil {
+	if e.rt != nil {
 		e.rt.metrics.plans.With(e.queryTag, methods).Inc()
 	}
 }

@@ -83,16 +83,12 @@ func TestPipelineTraceSpans(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsEndToEnd: a metrics-enabled runtime exposes the
-// scheduler, admission and phase series, and the counters move when
-// pipelines run.
+// TestRuntimeMetricsEndToEnd: every runtime exposes the scheduler,
+// admission and phase series, and the counters move when pipelines run.
 func TestRuntimeMetricsEndToEnd(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 1, Metrics: true})
+	rt := NewRuntimeOpts(Options{Workers: 2, MaxConcurrent: 1})
 	defer rt.Close()
 	reg := rt.MetricsRegistry()
-	if reg == nil {
-		t.Fatal("metrics-enabled runtime has no registry")
-	}
 
 	scrape := func() map[string]float64 {
 		var sb strings.Builder
@@ -139,23 +135,5 @@ func TestRuntimeMetricsEndToEnd(t *testing.T) {
 	}
 	if rt.Workers() != int(after["radixdecluster_workers"]) {
 		t.Fatalf("workers gauge %g, want %d", after["radixdecluster_workers"], rt.Workers())
-	}
-}
-
-// TestMetricsOffRegistryNil: without Options.Metrics the runtime
-// carries no registry and no push sites fire.
-func TestMetricsOffRegistryNil(t *testing.T) {
-	rt := NewRuntimeOpts(Options{Workers: 1})
-	defer rt.Close()
-	if rt.MetricsRegistry() != nil {
-		t.Fatal("metrics-off runtime must have a nil registry")
-	}
-	pl := NewPipeline(rt, 1)
-	defer pl.Close()
-	pl.Then(PhaseScan, "s", func(e *Engine) error {
-		return e.ForRanges(MinParallelN, func(Range) error { return nil })
-	})
-	if _, err := pl.Execute(); err != nil {
-		t.Fatal(err)
 	}
 }

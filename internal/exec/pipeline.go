@@ -182,8 +182,8 @@ func (p *Pipeline) Then(kind PhaseKind, name string, run func(e *Engine) error) 
 //
 // With a trace attached (SetTrace) each phase emits a span on the
 // pipeline track carrying its queue wait and morsel count; admission
-// emits its own span when it waited. On a metrics-enabled runtime each
-// phase's elapsed seconds feed the per-phase counter family.
+// emits its own span when it waited. On a runtime each phase's elapsed
+// seconds feed the per-phase counter family.
 func (p *Pipeline) Execute() (Timings, error) {
 	e := p.eng
 	var tm Timings
@@ -217,7 +217,7 @@ func (p *Pipeline) Execute() (Timings, error) {
 					"morsels":       e.sched.stats().Sub(sched0).Tasks(),
 				})
 		}
-		if e.rt != nil && e.rt.metrics != nil {
+		if e.rt != nil {
 			for k, d := range byKind {
 				if d != 0 {
 					e.rt.metrics.phaseSeconds.With(PhaseKind(k).String()).Add(d.Seconds())

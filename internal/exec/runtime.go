@@ -152,7 +152,7 @@ type Runtime struct {
 	compSaved       atomic.Int64
 	compDecodeNanos atomic.Int64
 
-	metrics *rtMetrics // Prometheus-style registry hooks (nil = off)
+	metrics *rtMetrics // Prometheus-style registry hooks
 
 	wg sync.WaitGroup
 }
@@ -186,13 +186,6 @@ type Options struct {
 	// MaxConcurrent is the admission bound; <= 0 selects
 	// DefaultMaxConcurrent(Workers).
 	MaxConcurrent int
-	// Metrics creates a Prometheus-style metrics registry for this
-	// runtime (MetricsRegistry): active queries, admission queue depth
-	// and wait histogram, morsels by placement, per-phase seconds.
-	// Almost every series is
-	// pull-based over counters the runtime keeps anyway, so the hot
-	// path is unchanged; off (the default) costs nothing.
-	Metrics bool
 	// PprofLabels makes workers run every morsel under
 	// pprof.Labels("query", ..., "phase", ..., "worker", ...), so CPU
 	// profiles (e.g. from the /debug/pprof endpoint next to /metrics)
@@ -236,9 +229,7 @@ func NewRuntimeOpts(o Options) *Runtime {
 	for w := range rt.workerTags {
 		rt.workerTags[w] = strconv.Itoa(w)
 	}
-	if o.Metrics {
-		rt.metrics = newRTMetrics(rt)
-	}
+	rt.metrics = newRTMetrics(rt)
 	rt.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go rt.worker(w)
@@ -272,15 +263,10 @@ func (rt *Runtime) CompressedDecodeNanos() int64 { return rt.compDecodeNanos.Loa
 // every runtime.
 func (rt *Runtime) MemStats() mempool.Stats { return sharedArena.Stats() }
 
-// MetricsRegistry returns the runtime's metrics registry (nil unless
-// Options.Metrics). Serve it with obs.Serve, or mount obs.NewMux on
-// an existing listener.
-func (rt *Runtime) MetricsRegistry() *obs.Registry {
-	if rt.metrics == nil {
-		return nil
-	}
-	return rt.metrics.reg
-}
+// MetricsRegistry returns the runtime's metrics registry: active
+// queries, admission queue depth and wait histogram, morsels by
+// placement, per-phase seconds. Mount it with obs.NewMux.
+func (rt *Runtime) MetricsRegistry() *obs.Registry { return rt.metrics.reg }
 
 // ActiveQueries returns the number of currently admitted pipelines.
 func (rt *Runtime) ActiveQueries() int {
@@ -422,9 +408,7 @@ func (rt *Runtime) submit(j *rtJob) {
 // admit blocks until admission control grants a slot (FIFO beyond
 // maxConcurrent concurrent pipelines).
 func (rt *Runtime) admit() {
-	if rt.metrics != nil {
-		rt.metrics.queriesTotal.Inc()
-	}
+	rt.metrics.queriesTotal.Inc()
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()

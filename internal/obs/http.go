@@ -2,22 +2,15 @@ package obs
 
 // HTTP exposure: the metrics endpoint plus Go's pprof handlers on one
 // private mux — the seed of the query-service daemon's front door
-// (the ROADMAP's joinserve wraps this same mux). Served on an opt-in
-// listener; nothing here touches the global http.DefaultServeMux, so
-// embedding programs keep their own routing.
+// (cmd/joinserve mounts this same mux on its listener). Nothing here
+// touches the global http.DefaultServeMux, so embedding programs keep
+// their own routing.
 
 import (
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 )
-
-// Server is a running observability listener.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
 
 // Exposition is anything that can render itself in the Prometheus
 // text exposition format. *Registry implements it; so does the public
@@ -32,8 +25,7 @@ type Exposition interface {
 // exposition in order (one concatenated document — callers must keep
 // family names disjoint across expositions), /debug/pprof/* the
 // standard Go profiling handlers (profile, heap, goroutine, trace,
-// ...). Exposed separately from Serve so daemons can mount it on
-// their own listener.
+// ...). Daemons mount it on their own listener.
 func NewMux(exps ...Exposition) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -51,21 +43,3 @@ func NewMux(exps ...Exposition) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// Serve binds addr (":0" picks a free port; query the result with
-// Addr) and serves the observability mux on it until Close.
-func Serve(addr string, exps ...Exposition) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: NewMux(exps...)}}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return s, nil
-}
-
-// Addr returns the bound listen address (host:port).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener and in-flight handlers.
-func (s *Server) Close() error { return s.srv.Close() }

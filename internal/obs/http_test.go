@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -21,20 +22,16 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestServeMetricsAndPprof boots a real listener on :0 and scrapes
-// both endpoints — the exact path the CLI self-scrape and any
-// Prometheus collector take.
+// TestServeMetricsAndPprof serves the mux on a real listener and
+// scrapes both endpoints — the path any Prometheus collector takes.
 func TestServeMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("http_test_total", "t")
 	c.Add(7)
-	srv, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(NewMux(r))
 	defer srv.Close()
 
-	code, body := get(t, "http://"+srv.Addr()+"/metrics")
+	code, body := get(t, srv.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
@@ -42,10 +39,10 @@ func TestServeMetricsAndPprof(t *testing.T) {
 		t.Fatalf("/metrics body missing sample:\n%s", body)
 	}
 	if ParseSamples(body)["http_test_total"] != 7 {
-		t.Fatal("self-scrape did not parse the counter back")
+		t.Fatal("scrape did not parse the counter back")
 	}
 
-	code, body = get(t, "http://"+srv.Addr()+"/debug/pprof/")
+	code, body = get(t, srv.URL+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ status %d, body %.80s", code, body)
 	}

@@ -262,8 +262,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // ParseSamples extracts the samples from a text exposition document:
 // metric line -> value, keyed by the full series name including
-// labels. It is the minimal parser the monotonicity tests and CLI
-// self-scrapes need — not a general client.
+// labels. It is the minimal parser the scrape tests need — not a
+// general client.
 func ParseSamples(text string) map[string]float64 {
 	out := map[string]float64{}
 	for _, line := range strings.Split(text, "\n") {

@@ -105,7 +105,7 @@ func TestCounterMonotonicAcrossScrapes(t *testing.T) {
 	}
 }
 
-// TestParseSamples covers the mini-parser the self-scrapes use.
+// TestParseSamples covers the mini-parser the scrape tests use.
 func TestParseSamples(t *testing.T) {
 	s := ParseSamples("# HELP x y\n# TYPE x counter\nx 3\n" +
 		`x_bucket{le="0.01"} 7` + "\n\nbad-line\nyz 2.5e-3\n")

@@ -298,7 +298,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Backpressure: once the runtime's admission queue is deeper than
 	// the watermark, queueing more work only grows every query's wait
 	// — tell the client to come back instead.
-	if s.cfg.QueueWatermark > 0 && s.cfg.Runtime.QueuedQueries() >= s.cfg.QueueWatermark {
+	if s.cfg.Runtime.QueuedQueries() >= s.cfg.QueueWatermark {
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		jsonError(w, http.StatusTooManyRequests, fmt.Sprintf(

@@ -46,8 +46,7 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Runtime is the shared execution runtime every query runs on.
-	// Required. Build it with RuntimeConfig.Metrics so /metrics has
-	// runtime series to render.
+	// Required; /metrics renders its series beside the server's.
 	Runtime *rd.Runtime
 	// QueueWatermark is the backpressure threshold: when the runtime's
 	// admission queue depth reaches it, POST /v1/query answers 429

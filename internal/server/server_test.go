@@ -49,7 +49,6 @@ func testRelations(t testing.TB, n, pi int, opts ...rd.RelationOption) (*rd.Rela
 // testRelations pair built with opts.
 func newTestServer(t testing.TB, rtCfg rd.RuntimeConfig, cfg Config, n, pi int, opts ...rd.RelationOption) (*Server, *httptest.Server) {
 	t.Helper()
-	rtCfg.Metrics = true
 	rt := rd.NewRuntime(rtCfg)
 	t.Cleanup(rt.Close)
 	cfg.Runtime = rt

@@ -3,8 +3,7 @@ package radixdecluster
 // Public observability surface: per-query execution traces
 // (JoinQuery.Trace → Result.Trace, exported as Chrome trace-event
 // JSON for Perfetto). The runtime's Prometheus-style metric series
-// are rendered by Runtime.WritePrometheus (RuntimeConfig.Metrics,
-// runtime.go).
+// are rendered by Runtime.WritePrometheus (runtime.go).
 
 import (
 	"io"

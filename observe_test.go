@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,23 +105,19 @@ func TestTraceExport(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsEndpoint boots a metrics-enabled runtime, serves
-// it the way cmd/joinrun -metricsaddr does (obs.Serve over the runtime's
-// WritePrometheus hook), runs queries on it, and scrapes the HTTP
-// endpoint twice: the exposition must parse, carry the admission and
-// placement series, and every counter must be monotonic between the
-// scrapes.
+// TestRuntimeMetricsEndpoint boots a runtime, serves it the way
+// cmd/joinserve does (obs.NewMux over the runtime's WritePrometheus
+// hook), runs queries on it, and scrapes the HTTP endpoint twice: the
+// exposition must parse, carry the admission and placement series, and
+// every counter must be monotonic between the scrapes.
 func TestRuntimeMetricsEndpoint(t *testing.T) {
-	rt := NewRuntime(RuntimeConfig{Workers: 2, Metrics: true})
+	rt := NewRuntime(RuntimeConfig{Workers: 2})
 	defer rt.Close()
-	srv, err := obs.Serve("127.0.0.1:0", rt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(obs.NewMux(rt))
 	defer srv.Close()
 
 	scrape := func() map[string]float64 {
-		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+		resp, err := http.Get(srv.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,14 +179,28 @@ func TestRuntimeMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsOffRendersNothing: the default runtime config keeps
-// no registry, so its exposition hook renders an empty document.
-func TestRuntimeMetricsOffRendersNothing(t *testing.T) {
-	rt := NewRuntime(RuntimeConfig{Workers: 1})
+// TestRuntimeMetricsWithoutConfig: every runtime keeps its metrics —
+// a zero-config one renders its series before any query ran, and the
+// process default, which no config reaches, counts a parallel query.
+func TestRuntimeMetricsWithoutConfig(t *testing.T) {
+	rt := NewRuntime(RuntimeConfig{})
 	defer rt.Close()
 	var buf strings.Builder
 	rt.WritePrometheus(&buf)
-	if buf.Len() != 0 {
-		t.Fatalf("metrics-off runtime rendered %q", buf.String())
+	if _, ok := obs.ParseSamples(buf.String())["radixdecluster_workers"]; !ok {
+		t.Fatalf("zero-config runtime rendered no workers gauge:\n%s", buf.String())
+	}
+
+	q := observeQuery(t)
+	q.Parallelism = 2
+	res, err := ProjectJoin(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	buf.Reset()
+	DefaultRuntime().WritePrometheus(&buf)
+	if got := obs.ParseSamples(buf.String())["radixdecluster_queries_total"]; got < 1 {
+		t.Fatalf("default runtime's queries_total = %g after a parallel query, want >= 1", got)
 	}
 }

@@ -37,14 +37,6 @@ type RuntimeConfig struct {
 	// read one description. Its DSM post-projection queries plan u/u over
 	// join images whatever it says (JoinQuery.Hier).
 	Hier Hierarchy
-	// Metrics maintains the runtime's Prometheus-style metrics
-	// registry, rendered by Runtime.WritePrometheus: a program serves
-	// it on its own listener (cmd/joinserve on its HTTP front door,
-	// cmd/joinrun -metricsaddr on a telemetry one). The series are
-	// almost entirely pull-based — closures over counters the runtime
-	// maintains regardless — so keeping them costs nothing on the
-	// morsel hot path.
-	Metrics bool
 	// PprofLabels attaches pprof goroutine labels (query, phase,
 	// worker) to every morsel a runtime worker executes, so CPU
 	// profiles of a busy runtime break down by query and phase. Off by
@@ -113,17 +105,17 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	}
 	return &Runtime{hier: cfg.Hier, rt: exec.NewRuntimeOpts(exec.Options{
 		Workers: workers, MaxConcurrent: admit,
-		Metrics: cfg.Metrics, PprofLabels: cfg.PprofLabels,
-		MemoryBudget: cfg.MemoryBudget,
+		PprofLabels: cfg.PprofLabels, MemoryBudget: cfg.MemoryBudget,
 	})}
 }
 
 // WritePrometheus renders the runtime's metric series in the
-// Prometheus text exposition format. It renders nothing unless
-// RuntimeConfig.Metrics was set. This is the one exposition hook:
-// programs mount it on their own listener (cmd/joinserve concatenates
-// these series with its server-level ones on one /metrics endpoint;
-// cmd/joinrun -metricsaddr hands the runtime to obs.Serve).
+// Prometheus text exposition format. Every runtime keeps them: the
+// series are almost entirely pull-based — closures over counters the
+// runtime maintains regardless — so they cost nothing on the morsel hot
+// path. This is the one exposition hook: programs mount it on their own
+// listener (cmd/joinserve concatenates these series with its
+// server-level ones on one /metrics endpoint).
 func (r *Runtime) WritePrometheus(w io.Writer) { r.rt.MetricsRegistry().WritePrometheus(w) }
 
 // Hier returns the hierarchy the runtime was configured with
